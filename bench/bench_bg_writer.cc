@@ -1,6 +1,7 @@
-// Multi-threaded writer bench: foreground Put latency with flushes and
-// compactions inline on the write path (the paper's experimental setup)
-// versus on the background worker (Options::inline_compactions = false).
+// Multi-threaded writer bench: foreground Put latency when every write
+// waits for the flushes and compactions it triggers (inline mode, the
+// paper's experimental setup) versus when they overlap the foreground
+// (Options::inline_compactions = false).
 //
 // Expected shape: throughput and mean latency are similar, but the inline
 // tail (p99.9/max) carries entire flush+compaction runtimes — multiple
@@ -30,8 +31,7 @@ constexpr size_t kValueSize = 104;
 // stalls measure policy behaviour rather than raw saturation. A fixed
 // offered load is also what isolates the tail: at saturation every engine
 // queues somewhere, and the inline-vs-background comparison degenerates
-// into a merge-bandwidth contest (inline wins it by using every writer
-// thread as a compaction thread — worker sharding is future work).
+// into a merge-bandwidth contest.
 constexpr uint64_t kPaceMicros = 250;
 
 struct RunResult {
@@ -441,10 +441,10 @@ void RunShardedSweep() {
 // Three panels for the fragmented range-tombstone index:
 //
 //  1. Tombstone-density sweep: one table holding D overlapping range
-//     tombstones plus the live keys, point-Get throughput with the
-//     fragmented index (O(log F) per file probe) vs the naive linear walk
-//     (O(D)). The tombstones all share a begin key, so the naive walk can
-//     never early-exit — the worst case the fragmented index removes.
+//     tombstones plus the live keys, point-Get throughput through the
+//     fragmented index (O(log F) per file probe). The tombstones all share
+//     a begin key — the pileup shape where a linear walk could never
+//     early-exit — so a flat curve across D is the acceptance check.
 //  2. Memtable publish-cost sweep: ns per RangeDelete publish across
 //     windows of a long tombstone burst. The chunked immutable-tail
 //     structure keeps the per-publish copy bounded by the active chunk
@@ -460,8 +460,7 @@ constexpr uint64_t kRdProbeGets = 20000;   // timed Gets per configuration
 
 struct RangeDelDensityRow {
   uint64_t density = 0;
-  double frag_gets_per_sec = 0;
-  double naive_gets_per_sec = 0;
+  double gets_per_sec = 0;
   uint64_t fragments = 0;        // rt_fragments_total after the frag run
   uint64_t fragment_builds = 0;  // lazy builds (once per table)
   uint64_t cover_probes = 0;     // per-file fragmented probes during Gets
@@ -472,8 +471,7 @@ struct RangeDelDensityRow {
 // and times random point Gets. Every Get visits the tombstone table first,
 // accumulates range-tombstone coverage, and finds the newer put there — so
 // the measured cost difference is exactly the per-file coverage probe.
-double TimeRangeDelGets(uint64_t density, bool fragmented,
-                        RangeDelDensityRow* row) {
+void TimeRangeDelGets(RangeDelDensityRow* row) {
   auto base_env = NewMemEnv();
   IoCountingEnv env(base_env.get(), 4096);
 
@@ -493,7 +491,6 @@ double TimeRangeDelGets(uint64_t density, bool fragmented,
   // Wall-clock bench: cache decoded pages (and the fragmented RT block)
   // so the timed Gets measure in-memory probe cost, not page decoding.
   options.page_cache_bytes = 64ull << 20;
-  options.fragmented_range_tombstones = fragmented;
 
   std::unique_ptr<DB> db;
   CheckOk(DB::Open(options, "rangedeldb", &db), "open");
@@ -508,13 +505,11 @@ double TimeRangeDelGets(uint64_t density, bool fragmented,
   CheckOk(db->Flush(), "seed flush");
 
   // Nested tombstones: identical begin key, ends cycling over 64 steps.
-  // Every probe is covered-checked against all D tombstones by the linear
-  // walk (no begin-key early exit is possible), while the fragmented index
-  // collapses the duplicates to ~65 fragments with O(D) total seqs — the
-  // tombstone-pileup shape from repeated deletes of the same span. The
-  // re-puts are newer than every tombstone, so the timed Gets still return
-  // values.
-  for (uint64_t i = 0; i < density; i++) {
+  // The fragmented index collapses the duplicates to ~65 fragments with
+  // O(D) total seqs — the tombstone-pileup shape from repeated deletes of
+  // the same span. The re-puts are newer than every tombstone, so the
+  // timed Gets still return values.
+  for (uint64_t i = 0; i < row->density; i++) {
     CheckOk(db->RangeDelete(WriteOptions(), workload::EncodeKey(0),
                             workload::EncodeKey(kRdKeySpace / 2 +
                                                 (i % 64) * 32)),
@@ -531,7 +526,7 @@ double TimeRangeDelGets(uint64_t density, bool fragmented,
   std::string out;
   Random rng(314159);
   // Warm-up triggers the one-time lazy fragmentation build so the timed
-  // region measures steady-state probes for both configurations.
+  // region measures steady-state probes.
   for (int i = 0; i < 100; i++) {
     CheckOk(db->Get(ReadOptions(), workload::EncodeKey(rng.Next() %
                                                        kRdKeySpace),
@@ -547,13 +542,11 @@ double TimeRangeDelGets(uint64_t density, bool fragmented,
   }
   const double seconds =
       static_cast<double>(wall.NowMicros() - start) / 1e6;
-  if (fragmented && row != nullptr) {
-    const Statistics& stats = db->stats();
-    row->fragments = stats.rt_fragments_total.load();
-    row->fragment_builds = stats.rt_fragment_builds.load();
-    row->cover_probes = stats.rt_cover_probes.load();
-  }
-  return kRdProbeGets / seconds;
+  const Statistics& stats = db->stats();
+  row->gets_per_sec = kRdProbeGets / seconds;
+  row->fragments = stats.rt_fragments_total.load();
+  row->fragment_builds = stats.rt_fragment_builds.load();
+  row->cover_probes = stats.rt_cover_probes.load();
 }
 
 // Memtable publish sweep: drives AddRangeTombstone directly (the publish
@@ -589,10 +582,9 @@ std::vector<PublishWindowRow> RunPublishSweep() {
   return rows;
 }
 
-// Mixed lane: unpaced Put/RangeDelete/Get threads against the default
-// (fragmented) configuration with small buffers, so tombstones continuously
-// flush into tables and the read side exercises the lazy build + probe
-// path under churn.
+// Mixed lane: unpaced Put/RangeDelete/Get threads against small buffers,
+// so tombstones continuously flush into tables and the read side exercises
+// the lazy build + probe path under churn.
 constexpr int kRdMixedThreads = 2;
 constexpr uint64_t kRdMixedOpsPerThread = 30000;
 
@@ -677,21 +669,16 @@ void RunRangeDelSweep() {
   printf("\n# Range-delete density sweep: one table, D nested tombstones "
          "under %" PRIu64 " keys, %" PRIu64 " point Gets.\n",
          kRdKeySpace, kRdProbeGets);
-  printf("# fragmented = per-file O(log F) probe against the cached "
-         "fragmented index; naive = O(D) linear walk.\n");
-  printf("density,frag_gets_per_sec,naive_gets_per_sec,speedup,fragments,"
-         "fragment_builds,cover_probes\n");
+  printf("# Per-file O(log F) probe against the cached fragmented index.\n");
+  printf("density,gets_per_sec,fragments,fragment_builds,cover_probes\n");
   std::vector<RangeDelDensityRow> density_rows;
   for (uint64_t density : {64ull, 256ull, 1024ull, 4096ull}) {
     RangeDelDensityRow row;
     row.density = density;
-    row.frag_gets_per_sec = TimeRangeDelGets(density, true, &row);
-    row.naive_gets_per_sec = TimeRangeDelGets(density, false, nullptr);
-    printf("%" PRIu64 ",%.0f,%.0f,%.2fx,%" PRIu64 ",%" PRIu64 ",%" PRIu64
-           "\n",
-           row.density, row.frag_gets_per_sec, row.naive_gets_per_sec,
-           row.frag_gets_per_sec / row.naive_gets_per_sec, row.fragments,
-           row.fragment_builds, row.cover_probes);
+    TimeRangeDelGets(&row);
+    printf("%" PRIu64 ",%.0f,%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
+           row.density, row.gets_per_sec, row.fragments, row.fragment_builds,
+           row.cover_probes);
     density_rows.push_back(row);
   }
 
@@ -730,11 +717,9 @@ void RunRangeDelSweep() {
     for (size_t i = 0; i < density_rows.size(); i++) {
       const RangeDelDensityRow& r = density_rows[i];
       fprintf(json,
-              "    {\"density\": %" PRIu64 ", \"frag_gets_per_sec\": %.0f, "
-              "\"naive_gets_per_sec\": %.0f, \"speedup\": %.3f, "
+              "    {\"density\": %" PRIu64 ", \"gets_per_sec\": %.0f, "
               "\"fragments\": %" PRIu64 "}%s\n",
-              r.density, r.frag_gets_per_sec, r.naive_gets_per_sec,
-              r.frag_gets_per_sec / r.naive_gets_per_sec, r.fragments,
+              r.density, r.gets_per_sec, r.fragments,
               i + 1 < density_rows.size() ? "," : "");
     }
     fprintf(json, "  ],\n  \"publish_sweep\": [\n");

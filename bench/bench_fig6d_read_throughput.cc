@@ -36,11 +36,6 @@ Row RunOne(double delete_fraction, double dth_fraction,
 
   // Lookups on previously inserted keys (some may be deleted - the paper
   // issues lookups on existing entries which may have been invalidated).
-  workload::Spec lookup_spec;
-  lookup_spec.num_user_ops = kLookups;
-  lookup_spec.update_fraction = 0;
-  lookup_spec.point_lookup_fraction = 0;
-  lookup_spec.fresh_insert_fraction = 0;
   // Reuse the generator's key sequence by regenerating inserts, then
   // issuing Gets manually on those keys.
   workload::Generator gen(WriteWorkload(kOps, delete_fraction));

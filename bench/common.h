@@ -4,7 +4,8 @@
 // Shared scaffolding for the figure-reproduction benches. Every bench runs
 // on MemEnv + IoCountingEnv + LogicalClock so results are deterministic and
 // laptop-fast; costs are reported in page I/Os and engine counters, the same
-// units the paper's analysis uses (see DESIGN.md "Substitutions").
+// units the paper's analysis uses (see README.md, "Paper figure <-> bench
+// mapping").
 
 #include <cinttypes>
 #include <cstdio>
@@ -66,10 +67,10 @@ inline std::unique_ptr<TestBed> MakeBed(uint64_t dth_micros,
     bed->options.cache_index_and_filter_blocks = true;
   }
   bed->options.enable_wal = false;  // paper setup: WAL disabled
-  // Compatibility mode: merges run inline on the write path with priority
-  // over writes, exactly as the paper's experiments schedule them. This
-  // keeps every figure bench single-threaded-deterministic with I/O counts
-  // byte-identical run to run (bench_bg_writer covers the background mode).
+  // Barrier mode: every write waits for the flushes and compactions it
+  // triggers, so merges take priority over writes exactly as the paper's
+  // experiments schedule them, and each figure's I/O counts are
+  // byte-identical run to run (bench_bg_writer covers background mode).
   bed->options.inline_compactions = true;
   bed->options.delete_persistence_threshold_micros = dth_micros;
   if (dth_micros > 0) {

@@ -77,10 +77,12 @@ struct TombstoneAgeSample {
 ///
 /// Threading: all methods are thread-safe. Writes are serialized through a
 /// group-commit queue (concurrent writers' batches merge into one WAL
-/// append); reads are lock-free against immutable snapshots. With
-/// Options::inline_compactions = false, flushes/compactions/secondary
-/// deletes run on a background worker and writers are throttled only via
-/// the explicit slowdown/stall policy (see Options).
+/// append); reads are lock-free against immutable snapshots. Flushes,
+/// compactions, and secondary-delete execution run on a background
+/// scheduler. By default (Options::inline_compactions) every write and
+/// maintenance call waits for the work it triggers; with
+/// inline_compactions = false that work overlaps the foreground and
+/// writers are throttled only via the explicit slowdown/stall policy.
 class DB {
  public:
   /// Opens (or creates) the database at `name`.
@@ -169,17 +171,17 @@ class DB {
                                       uint64_t delete_key_end,
                                       std::vector<SecondaryHit>* hits) = 0;
 
-  /// Forces the memtable to disk (no-op when empty). In background mode
-  /// this is a barrier: it returns only after every memtable that existed at
-  /// call time has been flushed by the worker.
+  /// Forces the memtable to disk (no-op when empty). A barrier: it returns
+  /// only after every memtable that existed at call time has been flushed
+  /// by the worker (in inline mode, also after the compactions those
+  /// flushes triggered).
   virtual Status Flush() = 0;
 
   /// Barrier for background work: returns once no flush or compaction is
   /// queued or running and no compaction trigger (saturation, or a TTL that
   /// has already expired) fires against the current tree. Future TTL
-  /// expiries are not waited for. In inline mode, runs any pending
-  /// compactions directly. Tests and benches use this to make background
-  /// mode deterministic.
+  /// expiries are not waited for. Tests and benches use this to make
+  /// background mode deterministic.
   virtual Status WaitForCompact() = 0;
 
   /// Runs compactions until no trigger (saturation or TTL) fires. With FADE

@@ -12,6 +12,10 @@ Options Options::WithDefaults() const {
   if (resolved.clock == nullptr) {
     resolved.clock = SystemClock::Default();
   }
+  if (resolved.inline_compactions) {
+    // One worker keeps the barrier-mode I/O trace deterministic.
+    resolved.background_threads = 1;
+  }
   return resolved;
 }
 
@@ -33,12 +37,6 @@ Status Options::Validate() const {
   }
   if (table.page_size_bytes < 64) {
     return Status::InvalidArgument("page_size_bytes too small");
-  }
-  if (max_levels < 2) {
-    return Status::InvalidArgument("max_levels must be >= 2");
-  }
-  if (page_cache_shard_bits < 0 || page_cache_shard_bits > 8) {
-    return Status::InvalidArgument("page_cache_shard_bits must be in [0, 8]");
   }
   if (strict_cache_capacity && memory_budget_bytes == 0 &&
       page_cache_bytes == 0) {
@@ -63,13 +61,6 @@ Status Options::Validate() const {
   }
   if (max_subcompactions < 1 || max_subcompactions > 64) {
     return Status::InvalidArgument("max_subcompactions must be in [1, 64]");
-  }
-  if (l0_slowdown_trigger < 0 || l0_stop_trigger < 0) {
-    return Status::InvalidArgument("L0 write-throttle triggers must be >= 0");
-  }
-  if (l0_stop_trigger > 0 && l0_slowdown_trigger > l0_stop_trigger) {
-    return Status::InvalidArgument(
-        "l0_slowdown_trigger must not exceed l0_stop_trigger");
   }
   if (max_bg_error_retries < 0) {
     return Status::InvalidArgument("max_bg_error_retries must be >= 0");

@@ -92,8 +92,8 @@ struct Options {
   bool create_if_missing = true;
 
   /// Paper symbol M: write buffer (memtable) capacity in bytes. When the
-  /// buffer reaches this size it is flushed (inline mode) or swapped to the
-  /// immutable list and flushed in the background. Default: 1 MB (paper §5).
+  /// buffer reaches this size it is swapped to the immutable list and
+  /// flushed by the background scheduler. Default: 1 MB (paper §5).
   uint64_t write_buffer_bytes = 1ull << 20;
 
   /// Paper symbol T: size ratio between adjacent levels. Level i holds
@@ -125,17 +125,6 @@ struct Options {
   /// definitely absent. Default: false.
   bool filter_blind_deletes = false;
 
-  /// Serve range-tombstone cover queries from a fragmented index (disjoint
-  /// key fragments, each holding the sorted seqs of the tombstones covering
-  /// it) instead of a linear walk of the raw list: O(log F) per probe
-  /// however many tombstones overlap. Per-table fragmented indexes build
-  /// lazily on the first RT-consulting read and live in the block cache
-  /// (when one is configured) under the shared budget. Answers are
-  /// bit-identical to the naive scan — this knob trades a small build cost
-  /// for probe speed; false restores the linear paths (the A/B baseline for
-  /// bench_rangedel). Default: true.
-  bool fragmented_range_tombstones = true;
-
   /// Memory budget (bytes) for the engine-wide decoded-page cache, an LRU
   /// over decoded disk pages keyed by (file number, page index) and shared
   /// by every read scenario: point lookups, filter-guard probes, iterators,
@@ -148,10 +137,6 @@ struct Options {
   /// should set a budget (e.g. 64 << 20); hit/miss/eviction counters and a
   /// resident-bytes gauge are exported via Statistics (page_cache_*).
   uint64_t page_cache_bytes = 0;
-
-  /// log2 of the number of independently locked page-cache shards.
-  /// 4 (16 shards) keeps concurrent readers from serializing on one mutex.
-  int page_cache_shard_bits = 4;
 
   /// Unified memory budget (bytes) spanning every accounted consumer of
   /// engine memory: decoded data pages, Bloom filter blocks, fence/index
@@ -191,20 +176,22 @@ struct Options {
   /// resident charge plus reservations never exceeds the capacity.
   bool strict_cache_capacity = false;
 
-  /// Execution model for flushes, compactions, and KiWi secondary-delete
-  /// work.
+  /// Flushes, compactions, and KiWi secondary-delete execution always run
+  /// on the background scheduler (see BackgroundScheduler); writes only
+  /// swap full memtables onto an immutable list. This knob picks how the
+  /// foreground waits for that work.
   ///
-  /// true (the default): all background work runs inline on the write path
-  /// under the write token, exactly as the paper's experiments do
+  /// true (the default): every write group and maintenance call ends with
+  /// a barrier that keeps the write token until no flush or compaction is
+  /// queued or running, on a single worker — the paper's experimental setup
   /// (compactions take priority over writes). Deterministic: a single-
-  /// threaded workload produces a byte-identical I/O trace run to run, which
-  /// the Fig 6 benches require.
+  /// threaded workload produces a byte-identical I/O trace run to run,
+  /// which the Fig 6 benches require.
   ///
-  /// false: writes only swap full memtables onto an immutable list; a
-  /// dedicated background worker (see BackgroundScheduler) performs flushes,
-  /// compactions, and secondary-delete execution off the write path. Writers
-  /// are throttled only through the explicit policy below
-  /// (max_imm_memtables, l0_slowdown_trigger, l0_stop_trigger).
+  /// false: writes return as soon as they are applied; background work
+  /// overlaps the foreground, and writers are throttled only through the
+  /// explicit policy (max_imm_memtables, plus an L0 run-count slowdown and
+  /// stop).
   bool inline_compactions = true;
 
   /// Background mode: number of worker threads in the background pool.
@@ -212,11 +199,10 @@ struct Options {
   /// compaction job runs only when its file/key-range footprint is disjoint
   /// from every job already in flight (overlapping jobs defer and re-arm
   /// when the blocker completes), so merge bandwidth scales with the thread
-  /// count without ever violating the sorted-run invariants. 1 (the
-  /// default) reproduces the single-worker PR 2 behaviour — and the exact
-  /// single-threaded I/O traces the Fig 6 benches rely on — while 2–4
-  /// lets flushes overlap deep compactions under write saturation (see
-  /// bench_bg_writer's thread sweep). Ignored when inline_compactions.
+  /// count without ever violating the sorted-run invariants. 2–4 lets
+  /// flushes overlap deep compactions under write saturation (see
+  /// bench_bg_writer's thread sweep). Default: 1; inline_compactions
+  /// always runs one worker.
   int background_threads = 1;
 
   /// Maximum number of disjoint key-range partitions one picked compaction
@@ -239,26 +225,6 @@ struct Options {
   /// before writers stall (the flush pipeline depth). Each pending memtable
   /// pins up to write_buffer_bytes of memory and one WAL file. Default: 2.
   int max_imm_memtables = 2;
-
-  /// Background mode: when Level 0 (the first disk level) holds at least
-  /// this many sorted runs, each write group is delayed once by
-  /// slowdown_delay_micros, smoothing the approach to a hard stall (cf.
-  /// "Breaking Down Memory Walls": slowdown/stall policy must be explicit
-  /// once background work decouples from the foreground). Mainly effective
-  /// under tiering, where L0 accumulates runs; under leveling the flush
-  /// itself merges into L0 and backpressure comes from max_imm_memtables.
-  /// 0 disables. Default: 8.
-  int l0_slowdown_trigger = 8;
-
-  /// Background mode: when Level 0 holds at least this many sorted runs,
-  /// writers stall until compaction reduces the count. Under tiering the
-  /// effective trigger is clamped to at least size_ratio (below T runs the
-  /// picker has nothing to compact, so a lower stop point could stall with
-  /// no background work to release it). 0 disables. Default: 12.
-  int l0_stop_trigger = 12;
-
-  /// Duration of one slowdown delay, in wall-clock micros. Default: 1000.
-  uint64_t slowdown_delay_micros = 1000;
 
   /// Write-ahead logging. The paper's experiments run with the WAL disabled;
   /// recovery tests enable it. Defaults: enable_wal = true, sync_wal =
@@ -285,14 +251,6 @@ struct Options {
   int max_bg_error_retries = 8;
   uint64_t bg_error_base_backoff_micros = 1000;
   uint64_t bg_error_max_backoff_micros = 1000000;
-
-  /// Master switch for automatic resume from background errors. false keeps
-  /// the pre-error-handler behaviour: the first background failure pins
-  /// bg_error and the DB stays read-only until reopened. Default: true.
-  bool auto_recovery = true;
-
-  /// Safety valve for pathological configs. Default: 16.
-  int max_levels = 16;
 
   /// Number of independent LSM shards behind DB::Open. 1 (the default)
   /// opens the classic single-tree engine, byte-identical to every prior
@@ -332,7 +290,8 @@ struct Options {
   /// default) numbers from 1, the classic behaviour.
   uint64_t file_number_origin = 0;
 
-  /// Returns a copy with env/clock defaults resolved.
+  /// Returns a copy with env/clock defaults resolved, and
+  /// background_threads = 1 under inline_compactions.
   Options WithDefaults() const;
 
   /// Validates invariants (nonzero sizes, sane ratios).

@@ -12,6 +12,20 @@ void Add(std::atomic<uint64_t>& dst, const std::atomic<uint64_t>& src) {
   dst.fetch_add(src.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
 }
+template <size_t N>
+void Copy(std::array<std::atomic<uint64_t>, N>& dst,
+          const std::array<std::atomic<uint64_t>, N>& src) {
+  for (size_t i = 0; i < N; i++) {
+    Copy(dst[i], src[i]);
+  }
+}
+template <size_t N>
+void Add(std::array<std::atomic<uint64_t>, N>& dst,
+         const std::array<std::atomic<uint64_t>, N>& src) {
+  for (size_t i = 0; i < N; i++) {
+    Add(dst[i], src[i]);
+  }
+}
 }  // namespace
 
 void Statistics::RecordStall(uint64_t micros) {
@@ -66,203 +80,31 @@ Histogram Statistics::NetBatchSizeHistogram() const {
 }
 
 void Statistics::CopyFrom(const Statistics& other) {
-  Copy(user_puts, other.user_puts);
-  Copy(user_bytes_written, other.user_bytes_written);
-  Copy(user_deletes, other.user_deletes);
-  Copy(user_range_deletes, other.user_range_deletes);
-  Copy(blind_deletes_avoided, other.blind_deletes_avoided);
-  Copy(flushes, other.flushes);
-  Copy(flush_bytes_written, other.flush_bytes_written);
-  Copy(group_commit_batches, other.group_commit_batches);
-  Copy(group_commit_entries, other.group_commit_entries);
-  Copy(wal_appends, other.wal_appends);
-  Copy(wal_syncs, other.wal_syncs);
-  Copy(txn_commits, other.txn_commits);
-  Copy(txn_conflicts, other.txn_conflicts);
-  Copy(bg_jobs_dispatched, other.bg_jobs_dispatched);
-  Copy(bg_jobs_deferred_overlap, other.bg_jobs_deferred_overlap);
-  for (size_t i = 0; i < bg_jobs_active.size(); i++) {
-    Copy(bg_jobs_active[i], other.bg_jobs_active[i]);
-  }
-  Copy(write_slowdowns, other.write_slowdowns);
-  Copy(write_stalls, other.write_stalls);
-  Copy(stall_micros, other.stall_micros);
-  {
-    std::scoped_lock lock(stall_hist_mu_, other.stall_hist_mu_);
-    stall_hist_ = other.stall_hist_;
-    subcompaction_skew_hist_ = other.subcompaction_skew_hist_;
-    rt_fragment_hist_ = other.rt_fragment_hist_;
-    net_pipeline_hist_ = other.net_pipeline_hist_;
-    net_batch_size_hist_ = other.net_batch_size_hist_;
-  }
-  Copy(compactions, other.compactions);
-  Copy(compactions_saturation_triggered,
-       other.compactions_saturation_triggered);
-  Copy(compactions_ttl_triggered, other.compactions_ttl_triggered);
-  Copy(compaction_bytes_read, other.compaction_bytes_read);
-  Copy(compaction_bytes_written, other.compaction_bytes_written);
-  Copy(compaction_entries_in, other.compaction_entries_in);
-  Copy(compaction_entries_out, other.compaction_entries_out);
-  Copy(trivial_moves, other.trivial_moves);
-  Copy(subcompactions_dispatched, other.subcompactions_dispatched);
-  Copy(partitioned_compactions, other.partitioned_compactions);
-  Copy(tombstones_written, other.tombstones_written);
-  Copy(tombstones_dropped, other.tombstones_dropped);
-  Copy(invalid_entries_purged, other.invalid_entries_purged);
-  Copy(point_lookups, other.point_lookups);
-  Copy(point_lookup_pages_read, other.point_lookup_pages_read);
-  Copy(range_lookups, other.range_lookups);
-  Copy(range_lookup_pages_read, other.range_lookup_pages_read);
-  Copy(bloom_probes, other.bloom_probes);
-  Copy(bloom_negatives, other.bloom_negatives);
-  Copy(bloom_false_positives, other.bloom_false_positives);
-  Copy(hash_computations, other.hash_computations);
-  Copy(page_cache_hits, other.page_cache_hits);
-  Copy(page_cache_misses, other.page_cache_misses);
-  Copy(page_cache_evictions, other.page_cache_evictions);
-  Copy(page_cache_charge_bytes, other.page_cache_charge_bytes);
-  Copy(index_block_cache_hits, other.index_block_cache_hits);
-  Copy(index_block_cache_misses, other.index_block_cache_misses);
-  Copy(index_block_reads, other.index_block_reads);
-  Copy(index_block_charge_bytes, other.index_block_charge_bytes);
-  Copy(filter_block_cache_hits, other.filter_block_cache_hits);
-  Copy(filter_block_cache_misses, other.filter_block_cache_misses);
-  Copy(filter_block_reads, other.filter_block_reads);
-  Copy(filter_block_charge_bytes, other.filter_block_charge_bytes);
-  Copy(rt_fragment_builds, other.rt_fragment_builds);
-  Copy(rt_fragments_total, other.rt_fragments_total);
-  Copy(rt_cover_probes, other.rt_cover_probes);
-  Copy(rt_block_cache_hits, other.rt_block_cache_hits);
-  Copy(rt_block_cache_misses, other.rt_block_cache_misses);
-  Copy(rt_block_charge_bytes, other.rt_block_charge_bytes);
-  Copy(block_cache_strict_rejections, other.block_cache_strict_rejections);
-  Copy(cache_reservation_bytes, other.cache_reservation_bytes);
-  for (size_t i = 0; i < bg_errors_by_class.size(); i++) {
-    Copy(bg_errors_by_class[i], other.bg_errors_by_class[i]);
-  }
-  Copy(auto_recovery_attempts, other.auto_recovery_attempts);
-  Copy(auto_recovery_successes, other.auto_recovery_successes);
-  Copy(time_in_degraded_micros, other.time_in_degraded_micros);
-  Copy(wal_records_skipped_corrupt, other.wal_records_skipped_corrupt);
-  Copy(wal_bytes_skipped_corrupt, other.wal_bytes_skipped_corrupt);
-  Copy(manifest_fallbacks, other.manifest_fallbacks);
-  Copy(net_connections_accepted, other.net_connections_accepted);
-  Copy(net_connections_closed, other.net_connections_closed);
-  Copy(net_connections_rejected, other.net_connections_rejected);
-  Copy(net_slow_client_disconnects, other.net_slow_client_disconnects);
-  Copy(net_commands, other.net_commands);
-  Copy(net_protocol_errors, other.net_protocol_errors);
-  Copy(net_bytes_in, other.net_bytes_in);
-  Copy(net_bytes_out, other.net_bytes_out);
-  Copy(net_batches_coalesced, other.net_batches_coalesced);
-  Copy(net_batch_ops_coalesced, other.net_batch_ops_coalesced);
-  Copy(net_expired_lazy, other.net_expired_lazy);
-  Copy(net_keys_expired_active, other.net_keys_expired_active);
-  Copy(secondary_range_deletes, other.secondary_range_deletes);
-  Copy(full_page_drops, other.full_page_drops);
-  Copy(partial_page_drops, other.partial_page_drops);
-  Copy(pages_scanned_for_srd, other.pages_scanned_for_srd);
-  Copy(entries_purged_by_srd, other.entries_purged_by_srd);
+#define LETHE_STAT(name) Copy(name, other.name);
+#define LETHE_STAT_ARRAY(name, size) Copy(name, other.name);
+#include "src/core/statistics_fields.inc"
+#undef LETHE_STAT
+#undef LETHE_STAT_ARRAY
+  std::scoped_lock lock(stall_hist_mu_, other.stall_hist_mu_);
+  stall_hist_ = other.stall_hist_;
+  subcompaction_skew_hist_ = other.subcompaction_skew_hist_;
+  rt_fragment_hist_ = other.rt_fragment_hist_;
+  net_pipeline_hist_ = other.net_pipeline_hist_;
+  net_batch_size_hist_ = other.net_batch_size_hist_;
 }
 
 void Statistics::AddFrom(const Statistics& other) {
-  Add(user_puts, other.user_puts);
-  Add(user_bytes_written, other.user_bytes_written);
-  Add(user_deletes, other.user_deletes);
-  Add(user_range_deletes, other.user_range_deletes);
-  Add(blind_deletes_avoided, other.blind_deletes_avoided);
-  Add(flushes, other.flushes);
-  Add(flush_bytes_written, other.flush_bytes_written);
-  Add(group_commit_batches, other.group_commit_batches);
-  Add(group_commit_entries, other.group_commit_entries);
-  Add(wal_appends, other.wal_appends);
-  Add(wal_syncs, other.wal_syncs);
-  Add(txn_commits, other.txn_commits);
-  Add(txn_conflicts, other.txn_conflicts);
-  Add(bg_jobs_dispatched, other.bg_jobs_dispatched);
-  Add(bg_jobs_deferred_overlap, other.bg_jobs_deferred_overlap);
-  for (size_t i = 0; i < bg_jobs_active.size(); i++) {
-    Add(bg_jobs_active[i], other.bg_jobs_active[i]);
-  }
-  Add(write_slowdowns, other.write_slowdowns);
-  Add(write_stalls, other.write_stalls);
-  Add(stall_micros, other.stall_micros);
-  {
-    std::scoped_lock lock(stall_hist_mu_, other.stall_hist_mu_);
-    stall_hist_.Merge(other.stall_hist_);
-    subcompaction_skew_hist_.Merge(other.subcompaction_skew_hist_);
-    rt_fragment_hist_.Merge(other.rt_fragment_hist_);
-    net_pipeline_hist_.Merge(other.net_pipeline_hist_);
-    net_batch_size_hist_.Merge(other.net_batch_size_hist_);
-  }
-  Add(compactions, other.compactions);
-  Add(compactions_saturation_triggered,
-      other.compactions_saturation_triggered);
-  Add(compactions_ttl_triggered, other.compactions_ttl_triggered);
-  Add(compaction_bytes_read, other.compaction_bytes_read);
-  Add(compaction_bytes_written, other.compaction_bytes_written);
-  Add(compaction_entries_in, other.compaction_entries_in);
-  Add(compaction_entries_out, other.compaction_entries_out);
-  Add(trivial_moves, other.trivial_moves);
-  Add(subcompactions_dispatched, other.subcompactions_dispatched);
-  Add(partitioned_compactions, other.partitioned_compactions);
-  Add(tombstones_written, other.tombstones_written);
-  Add(tombstones_dropped, other.tombstones_dropped);
-  Add(invalid_entries_purged, other.invalid_entries_purged);
-  Add(point_lookups, other.point_lookups);
-  Add(point_lookup_pages_read, other.point_lookup_pages_read);
-  Add(range_lookups, other.range_lookups);
-  Add(range_lookup_pages_read, other.range_lookup_pages_read);
-  Add(bloom_probes, other.bloom_probes);
-  Add(bloom_negatives, other.bloom_negatives);
-  Add(bloom_false_positives, other.bloom_false_positives);
-  Add(hash_computations, other.hash_computations);
-  Add(page_cache_hits, other.page_cache_hits);
-  Add(page_cache_misses, other.page_cache_misses);
-  Add(page_cache_evictions, other.page_cache_evictions);
-  Add(page_cache_charge_bytes, other.page_cache_charge_bytes);
-  Add(index_block_cache_hits, other.index_block_cache_hits);
-  Add(index_block_cache_misses, other.index_block_cache_misses);
-  Add(index_block_reads, other.index_block_reads);
-  Add(index_block_charge_bytes, other.index_block_charge_bytes);
-  Add(filter_block_cache_hits, other.filter_block_cache_hits);
-  Add(filter_block_cache_misses, other.filter_block_cache_misses);
-  Add(filter_block_reads, other.filter_block_reads);
-  Add(filter_block_charge_bytes, other.filter_block_charge_bytes);
-  Add(rt_fragment_builds, other.rt_fragment_builds);
-  Add(rt_fragments_total, other.rt_fragments_total);
-  Add(rt_cover_probes, other.rt_cover_probes);
-  Add(rt_block_cache_hits, other.rt_block_cache_hits);
-  Add(rt_block_cache_misses, other.rt_block_cache_misses);
-  Add(rt_block_charge_bytes, other.rt_block_charge_bytes);
-  Add(block_cache_strict_rejections, other.block_cache_strict_rejections);
-  Add(cache_reservation_bytes, other.cache_reservation_bytes);
-  for (size_t i = 0; i < bg_errors_by_class.size(); i++) {
-    Add(bg_errors_by_class[i], other.bg_errors_by_class[i]);
-  }
-  Add(auto_recovery_attempts, other.auto_recovery_attempts);
-  Add(auto_recovery_successes, other.auto_recovery_successes);
-  Add(time_in_degraded_micros, other.time_in_degraded_micros);
-  Add(wal_records_skipped_corrupt, other.wal_records_skipped_corrupt);
-  Add(wal_bytes_skipped_corrupt, other.wal_bytes_skipped_corrupt);
-  Add(manifest_fallbacks, other.manifest_fallbacks);
-  Add(net_connections_accepted, other.net_connections_accepted);
-  Add(net_connections_closed, other.net_connections_closed);
-  Add(net_connections_rejected, other.net_connections_rejected);
-  Add(net_slow_client_disconnects, other.net_slow_client_disconnects);
-  Add(net_commands, other.net_commands);
-  Add(net_protocol_errors, other.net_protocol_errors);
-  Add(net_bytes_in, other.net_bytes_in);
-  Add(net_bytes_out, other.net_bytes_out);
-  Add(net_batches_coalesced, other.net_batches_coalesced);
-  Add(net_batch_ops_coalesced, other.net_batch_ops_coalesced);
-  Add(net_expired_lazy, other.net_expired_lazy);
-  Add(net_keys_expired_active, other.net_keys_expired_active);
-  Add(secondary_range_deletes, other.secondary_range_deletes);
-  Add(full_page_drops, other.full_page_drops);
-  Add(partial_page_drops, other.partial_page_drops);
-  Add(pages_scanned_for_srd, other.pages_scanned_for_srd);
-  Add(entries_purged_by_srd, other.entries_purged_by_srd);
+#define LETHE_STAT(name) Add(name, other.name);
+#define LETHE_STAT_ARRAY(name, size) Add(name, other.name);
+#include "src/core/statistics_fields.inc"
+#undef LETHE_STAT
+#undef LETHE_STAT_ARRAY
+  std::scoped_lock lock(stall_hist_mu_, other.stall_hist_mu_);
+  stall_hist_.Merge(other.stall_hist_);
+  subcompaction_skew_hist_.Merge(other.subcompaction_skew_hist_);
+  rt_fragment_hist_.Merge(other.rt_fragment_hist_);
+  net_pipeline_hist_.Merge(other.net_pipeline_hist_);
+  net_batch_size_hist_.Merge(other.net_batch_size_hist_);
 }
 
 std::string Statistics::ToString() const {

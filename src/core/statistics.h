@@ -19,176 +19,15 @@ namespace lethe {
 ///   - full vs partial page drops for secondary range deletes (Fig 6H, 6L)
 ///   - tombstone flow for delete-persistence accounting (Fig 6E)
 /// All counters are thread-safe and monotonically increasing, except the
-/// explicitly marked gauges (current value, may go down).
+/// explicitly marked gauges (current value, may go down). The fields are
+/// declared, copied and merged from one list: src/core/statistics_fields.inc.
 struct Statistics {
-  // Write path.
-  std::atomic<uint64_t> user_puts{0};
-  std::atomic<uint64_t> user_bytes_written{0};  // key+value payload bytes
-  std::atomic<uint64_t> user_deletes{0};
-  std::atomic<uint64_t> user_range_deletes{0};
-  std::atomic<uint64_t> blind_deletes_avoided{0};
-  std::atomic<uint64_t> flushes{0};
-  std::atomic<uint64_t> flush_bytes_written{0};
-
-  // Group commit (DB::Write leader/follower batching). One "batch" is one
-  // leader apply round: a single WAL append (and sync, if requested) commits
-  // every writer in the group.
-  std::atomic<uint64_t> group_commit_batches{0};  // leader apply rounds
-  std::atomic<uint64_t> group_commit_entries{0};  // entries across all rounds
-  std::atomic<uint64_t> wal_appends{0};           // physical WAL Append calls
-  std::atomic<uint64_t> wal_syncs{0};             // physical WAL Sync calls
-
-  // Optimistic transactions (validated commits through WriteValidated).
-  std::atomic<uint64_t> txn_commits{0};    // validations that passed
-  std::atomic<uint64_t> txn_conflicts{0};  // aborted with Status::Busy
-
-  // Background worker pool (background mode only). A job is *dispatched*
-  // when a pool worker starts executing it; it is *deferred* when its
-  // file/key-range footprint overlaps a job already in flight, in which
-  // case it parks and is re-armed when the conflicting job completes.
-  // bg_jobs_active[c] is a gauge: jobs of priority class c (see
-  // BackgroundScheduler::Priority) currently executing — the per-class job
-  // concurrency.
-  std::atomic<uint64_t> bg_jobs_dispatched{0};
-  std::atomic<uint64_t> bg_jobs_deferred_overlap{0};
-  std::array<std::atomic<uint64_t>, 4> bg_jobs_active{};  // gauge per class
-
-  // Write-stall policy (background mode only). A *slowdown* is the bounded
-  // one-shot delay injected when L0 crosses Options::l0_slowdown_trigger; a
-  // *stall* is a full wait (immutable-memtable cap or l0_stop_trigger hit)
-  // released by background-work completion. stall_micros is wall-clock time
-  // writers spent blocked; the histogram records one sample per stall.
-  std::atomic<uint64_t> write_slowdowns{0};
-  std::atomic<uint64_t> write_stalls{0};
-  std::atomic<uint64_t> stall_micros{0};
-
-  // Compactions.
-  std::atomic<uint64_t> compactions{0};
-  std::atomic<uint64_t> compactions_saturation_triggered{0};
-  std::atomic<uint64_t> compactions_ttl_triggered{0};
-  std::atomic<uint64_t> compaction_bytes_read{0};
-  std::atomic<uint64_t> compaction_bytes_written{0};
-  std::atomic<uint64_t> compaction_entries_in{0};
-  std::atomic<uint64_t> compaction_entries_out{0};
-  std::atomic<uint64_t> trivial_moves{0};
-
-  // Subcompactions (Options::max_subcompactions > 1): one merge (a picked
-  // compaction, or a leveled flush rewriting overlapping L0 files) split
-  // into disjoint key-range partitions that merge concurrently and commit
-  // as a single VersionEdit. A merge counts as *partitioned* when it split
-  // into >= 2 partitions; `subcompactions_dispatched` counts the
-  // partitions themselves (so dispatched / partitioned = average fan-out
-  // width). The skew histogram gets one sample per partitioned merge: the
-  // largest partition's output bytes relative to a perfectly balanced
-  // partition, in permille (1000 = perfectly balanced).
-  std::atomic<uint64_t> subcompactions_dispatched{0};
-  std::atomic<uint64_t> partitioned_compactions{0};
-
-  // Tombstone lifecycle.
-  std::atomic<uint64_t> tombstones_written{0};   // flushed into L1+
-  std::atomic<uint64_t> tombstones_dropped{0};   // persisted at last level
-  std::atomic<uint64_t> invalid_entries_purged{0};
-
-  // Read path.
-  std::atomic<uint64_t> point_lookups{0};
-  std::atomic<uint64_t> point_lookup_pages_read{0};
-  std::atomic<uint64_t> range_lookups{0};
-  std::atomic<uint64_t> range_lookup_pages_read{0};
-  std::atomic<uint64_t> bloom_probes{0};
-  std::atomic<uint64_t> bloom_negatives{0};
-  std::atomic<uint64_t> bloom_false_positives{0};
-  std::atomic<uint64_t> hash_computations{0};
-
-  // Block cache (decoded-page LRU generalized over block types, shared
-  // across the read path). Zero unless Options::page_cache_bytes or
-  // Options::memory_budget_bytes is set. The page_cache_* counters cover
-  // data-page blocks; index/filter blocks (cached only when
-  // Options::cache_index_and_filter_blocks is on) get their own hit/miss
-  // pairs plus *_reads — real Env loads of an uncached metadata block.
-  // page_cache_charge_bytes is the overall resident gauge across every
-  // block type; the per-type charge gauges below decompose it.
-  std::atomic<uint64_t> page_cache_hits{0};
-  std::atomic<uint64_t> page_cache_misses{0};
-  std::atomic<uint64_t> page_cache_evictions{0};
-  std::atomic<uint64_t> page_cache_charge_bytes{0};  // gauge: resident bytes
-  std::atomic<uint64_t> index_block_cache_hits{0};
-  std::atomic<uint64_t> index_block_cache_misses{0};
-  std::atomic<uint64_t> index_block_reads{0};
-  std::atomic<uint64_t> index_block_charge_bytes{0};  // gauge
-  std::atomic<uint64_t> filter_block_cache_hits{0};
-  std::atomic<uint64_t> filter_block_cache_misses{0};
-  std::atomic<uint64_t> filter_block_reads{0};
-  std::atomic<uint64_t> filter_block_charge_bytes{0};  // gauge
-
-  // Fragmented range-tombstone index (Options::fragmented_range_tombstones).
-  // A *build* converts one table's raw tombstone list into its fragmented
-  // form (lazily, on the first RT-consulting read of that table);
-  // rt_fragments_total sums the fragment counts of those builds. A *cover
-  // probe* is one fragmented Covers/MaxCoverSeq lookup on the read path
-  // (compaction's MinCoverSeqAbove probes are deliberately not counted —
-  // one compaction would swamp the read-path signal). The cache pair and
-  // charge gauge mirror the index/filter blocks above.
-  std::atomic<uint64_t> rt_fragment_builds{0};
-  std::atomic<uint64_t> rt_fragments_total{0};
-  std::atomic<uint64_t> rt_cover_probes{0};
-  std::atomic<uint64_t> rt_block_cache_hits{0};
-  std::atomic<uint64_t> rt_block_cache_misses{0};
-  std::atomic<uint64_t> rt_block_charge_bytes{0};  // gauge
-
-  // Unified memory budget (Options::memory_budget_bytes). A strict
-  // rejection is an insert that did not fit the remaining budget
-  // (Options::strict_cache_capacity) — the caller fell back to an unpooled
-  // read. cache_reservation_bytes is the budget share currently staked by
-  // the write buffers (memtable + immutable memtables).
-  std::atomic<uint64_t> block_cache_strict_rejections{0};
-  std::atomic<uint64_t> cache_reservation_bytes{0};  // gauge
-
-  // Background-error handling (src/lsm/error_handler.h). bg_errors_by_class
-  // is indexed by ErrorClass (0 transient, 1 no-space, 2 corruption,
-  // 3 fatal). auto_recovery_attempts counts probe writes issued by the
-  // recovery thread; auto_recovery_successes counts probes that restored
-  // kHealthy. time_in_degraded_micros accumulates wall-clock time the DB
-  // spent outside kHealthy (degraded or read-only).
-  std::array<std::atomic<uint64_t>, 4> bg_errors_by_class{};
-  std::atomic<uint64_t> auto_recovery_attempts{0};
-  std::atomic<uint64_t> auto_recovery_successes{0};
-  std::atomic<uint64_t> time_in_degraded_micros{0};
-
-  // Recovery hardening. wal_records_skipped_corrupt / _bytes count damage
-  // skipped by WalRecoveryMode::kSkipCorruptRecords resync;
-  // manifest_fallbacks counts Opens that recovered from an older intact
-  // manifest after the current one failed to replay.
-  std::atomic<uint64_t> wal_records_skipped_corrupt{0};
-  std::atomic<uint64_t> wal_bytes_skipped_corrupt{0};
-  std::atomic<uint64_t> manifest_fallbacks{0};
-
-  // RESP serving layer (src/server). RespServer records these into its own
-  // Statistics instance (the engine never touches them); INFO and
-  // RespServer::StatsSnapshot() merge that instance with the engine's view
-  // via AddFrom. net_commands counts commands executed (one per parsed
-  // frame); net_batches_coalesced / net_batch_ops_coalesced count the
-  // per-event-loop-turn WriteBatches fed to group commit and the operations
-  // they carried (ops / batches = average network-side coalescing, the
-  // multiplier that compounds with group_commit_entries/batches).
-  std::atomic<uint64_t> net_connections_accepted{0};
-  std::atomic<uint64_t> net_connections_closed{0};
-  std::atomic<uint64_t> net_connections_rejected{0};  // max-connections admission
-  std::atomic<uint64_t> net_slow_client_disconnects{0};
-  std::atomic<uint64_t> net_commands{0};
-  std::atomic<uint64_t> net_protocol_errors{0};
-  std::atomic<uint64_t> net_bytes_in{0};
-  std::atomic<uint64_t> net_bytes_out{0};
-  std::atomic<uint64_t> net_batches_coalesced{0};
-  std::atomic<uint64_t> net_batch_ops_coalesced{0};
-  std::atomic<uint64_t> net_expired_lazy{0};        // expired entries filtered on read
-  std::atomic<uint64_t> net_keys_expired_active{0}; // deletes committed by the expire cycle
-
-  // Secondary range deletes (KiWi).
-  std::atomic<uint64_t> secondary_range_deletes{0};
-  std::atomic<uint64_t> full_page_drops{0};
-  std::atomic<uint64_t> partial_page_drops{0};
-  std::atomic<uint64_t> pages_scanned_for_srd{0};
-  std::atomic<uint64_t> entries_purged_by_srd{0};
+#define LETHE_STAT(name) std::atomic<uint64_t> name{0};
+#define LETHE_STAT_ARRAY(name, size) \
+  std::array<std::atomic<uint64_t>, size> name{};
+#include "src/core/statistics_fields.inc"
+#undef LETHE_STAT
+#undef LETHE_STAT_ARRAY
 
   /// Records the duration of one completed write stall (total time +
   /// histogram sample). The write_stalls counter itself is incremented when

@@ -56,6 +56,10 @@ using PageHandle = std::shared_ptr<const PageContents>;
 /// page_cache_charge_bytes/evictions pair.
 class PageCache {
  public:
+  /// The engine's shard count (log2): 16 independently locked shards keep
+  /// concurrent readers from serializing on one mutex.
+  static constexpr int kDefaultShardBits = 4;
+
   /// `capacity_bytes` is the total charge budget; `stats` may be nullptr.
   PageCache(size_t capacity_bytes, int shard_bits, Statistics* stats,
             bool strict_capacity = false);

@@ -34,7 +34,9 @@ void EncodeRangeTombstones(const std::vector<RangeTombstone>& tombstones,
 Status DecodeRangeTombstones(Slice input,
                              std::vector<RangeTombstone>* tombstones);
 
-/// In-memory set of range tombstones consulted by reads and compactions.
+/// Naive in-memory set of range tombstones: the reference implementation of
+/// the cover queries, answered by a linear walk. The engine probes
+/// FragmentedRangeTombstoneList instead; tests check it against this set.
 /// Keeps tombstones sorted by begin key; Covers() answers "is (key, seq)
 /// logically deleted by any tombstone in this set".
 class RangeTombstoneSet {
@@ -75,9 +77,10 @@ class RangeTombstoneSet {
 /// Cover queries become one binary search over the fragment boundaries plus
 /// one binary search in that fragment's seq list — O(log F + log S) however
 /// many tombstones pile up on a key, where the naive set degrades to a
-/// linear walk. Immutable once built, so one instance can be shared lock-
-/// free across readers (per-table copies are cached in the block cache, the
-/// memtable builds one per sealed chunk).
+/// linear walk. Every engine cover probe goes through this structure.
+/// Immutable once built, so one instance can be shared lock-free across
+/// readers (per-table copies are cached in the block cache, the memtable
+/// builds one per sealed chunk, iterators and merges one per use).
 ///
 /// All three queries are answer-identical to RangeTombstoneSet's — the
 /// seq list of the fragment containing `user_key` is exactly the multiset

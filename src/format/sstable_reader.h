@@ -96,8 +96,8 @@ class SSTableReader {
                        FilterBlockHandle* filter) const;
 
   /// The table's fragmented range-tombstone index, built lazily from the
-  /// TableIndex on first use (Options::fragmented_range_tombstones). With a
-  /// page cache the handle lives there under the shared budget (rebuilt on
+  /// TableIndex on the first tombstone-consulting read. With a page cache
+  /// the handle lives there under the shared budget (rebuilt on
   /// eviction); without one it is memoized on the reader — the tombstone
   /// list is immutable, so the memo can never go stale. `stats` (may be
   /// nullptr) gets the build counters and fragment-count histogram sample.

@@ -233,20 +233,7 @@ Status MergeExecutor::Run(
 
   // The drop rule below probes MinCoverSeqAbove once per input entry; the
   // fragmented index makes that O(log F) against tombstone-heavy inputs.
-  // Both structures answer bit-identically (the MVCC nearest-cover rule
-  // depends on that), so the knob only selects probe cost.
-  RangeTombstoneSet rt_set;
-  FragmentedRangeTombstoneList frag_rts;
-  const bool use_frag = options_.fragmented_range_tombstones;
-  if (use_frag) {
-    frag_rts = FragmentedRangeTombstoneList(input_range_tombstones);
-  } else {
-    rt_set.AddAll(input_range_tombstones);
-  }
-  auto min_cover_seq_above = [&](const Slice& user_key, SequenceNumber seq) {
-    return use_frag ? frag_rts.MinCoverSeqAbove(user_key, seq)
-                    : rt_set.MinCoverSeqAbove(user_key, seq);
-  };
+  const FragmentedRangeTombstoneList rts(input_range_tombstones);
 
   // Snapshot stripes: two sequences are in the same stripe when no pinned
   // snapshot separates them (no S with lo <= S < hi), in which case no
@@ -311,7 +298,7 @@ Status MergeExecutor::Run(
       // rt-persistence rule and resurrect the version once the nearer
       // tombstone is retired at the bottommost level.)
       const SequenceNumber cover_seq =
-          min_cover_seq_above(entry.user_key, entry.seq);
+          rts.MinCoverSeqAbove(entry.user_key, entry.seq);
       if (cover_seq != 0 && same_stripe(entry.seq, cover_seq)) {
         // Covered by a newer range tombstone no snapshot can see past.
         drop = true;

@@ -119,28 +119,20 @@ class DBIter final : public Iterator {
   /// `bound` pins the scan to a point in time: entries (and range
   /// tombstones) with seq > bound are invisible, so writes committed after
   /// creation can never leak into an open scan.
-  /// `fragmented` selects the cover-probe structure over the collected
-  /// tombstones (Options::fragmented_range_tombstones): one fragmented
-  /// index across every source — O(log F) per skipped entry — vs the naive
-  /// sorted list. Both answer identically.
+  /// The collected tombstones of every source become one fragmented index,
+  /// so each skipped entry costs one O(log F) cover probe.
   DBIter(std::vector<std::shared_ptr<MemTable>> pinned_mems,
          std::shared_ptr<const Version> version,
          std::unique_ptr<InternalIterator> internal,
-         const std::vector<RangeTombstone>& rts, bool fragmented,
-         SequenceNumber bound, Statistics* stats, Status setup_status)
+         const std::vector<RangeTombstone>& rts, SequenceNumber bound,
+         Statistics* stats, Status setup_status)
       : pinned_mems_(std::move(pinned_mems)),
         version_(std::move(version)),
         internal_(std::move(internal)),
-        use_frag_(fragmented),
+        rts_(rts),
         bound_(bound),
         stats_(stats),
-        setup_status_(std::move(setup_status)) {
-    if (use_frag_) {
-      frag_rts_ = FragmentedRangeTombstoneList(rts);
-    } else {
-      rts_.AddAll(rts);
-    }
-  }
+        setup_status_(std::move(setup_status)) {}
 
   bool Valid() const override { return valid_; }
 
@@ -206,19 +198,14 @@ class DBIter final : public Iterator {
   }
 
   bool RtCovers(const Slice& user_key, SequenceNumber seq) {
-    if (!use_frag_) {
-      return rts_.Covers(user_key, seq, bound_);
-    }
     stats_->rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-    return frag_rts_.Covers(user_key, seq, bound_);
+    return rts_.Covers(user_key, seq, bound_);
   }
 
   std::vector<std::shared_ptr<MemTable>> pinned_mems_;  // pins mem + imms
   std::shared_ptr<const Version> version_;              // pins file set
   std::unique_ptr<InternalIterator> internal_;
-  RangeTombstoneSet rts_;                  // !use_frag_ only
-  FragmentedRangeTombstoneList frag_rts_;  // use_frag_ only
-  bool use_frag_;
+  FragmentedRangeTombstoneList rts_;
   SequenceNumber bound_;
   Statistics* stats_;
   Status setup_status_;
@@ -230,6 +217,21 @@ class DBIter final : public Iterator {
   std::string value_;
   uint64_t delete_key_ = 0;
 };
+
+// Write throttling in background mode (cf. "Breaking Down Memory Walls":
+// once background work decouples from the foreground, the slowdown/stall
+// policy must be explicit). When Level 0 holds kL0SlowdownRuns sorted runs,
+// each write group is delayed once by kSlowdownDelayMicros; at kL0StopRuns
+// writers stall until a compaction reduces the count. Mainly effective under
+// tiering, where L0 accumulates runs; under leveling the flush merges into
+// L0 and backpressure comes from Options::max_imm_memtables.
+constexpr int kL0SlowdownRuns = 8;
+constexpr int kL0StopRuns = 12;
+constexpr uint64_t kSlowdownDelayMicros = 1000;
+
+// Safety valve for pathological configs: merges never target a deeper
+// level than kMaxLevels - 1.
+constexpr int kMaxLevels = 16;
 
 uint64_t NowSteadyMicros() {
   return static_cast<uint64_t>(
@@ -288,7 +290,29 @@ Status DB::Open(const Options& options, const std::string& name,
 }
 
 DBImpl::DBImpl(const Options& options, std::string name)
-    : options_(options.WithDefaults()), dbname_(std::move(name)) {}
+    : options_(options.WithDefaults()), dbname_(std::move(name)) {
+  if (options_.shared_scheduler != nullptr) {
+    bg_ = options_.shared_scheduler;
+    bg_owner_ = bg_->RegisterOwner();
+  } else {
+    bg_ = std::make_shared<BackgroundScheduler>(options_.background_threads,
+                                                &stats_);
+  }
+  ErrorHandler::RetryPolicy policy;
+  policy.max_retries = options_.max_bg_error_retries;
+  policy.base_backoff_micros = options_.bg_error_base_backoff_micros;
+  policy.max_backoff_micros = options_.bg_error_max_backoff_micros;
+  // Backoff is wall-clock even when options_.clock is logical: recovery
+  // waits for the outside world (disk, space), not for DB-internal time.
+  err_ = std::make_unique<ErrorHandler>(
+      policy, SystemClock::Default(), &stats_,
+      /*probe=*/[this] { return ProbeStorage(); },
+      /*resume=*/[this] { ResumeFromBackgroundError(); },
+      /*notify=*/[this] {
+        std::lock_guard<std::mutex> lock(mu_);
+        bg_work_done_cv_.notify_all();
+      });
+}
 
 DBImpl::~DBImpl() {
   {
@@ -299,21 +323,17 @@ DBImpl::~DBImpl() {
     // for them.
     bg_work_done_cv_.notify_all();
   }
-  if (err_ != nullptr) {
-    // Join the recovery thread before the scheduler: its resume callback may
-    // be blocked on mu_ (not held here), and it must not probe an env the
-    // owner is about to tear down.
-    err_->Shutdown();
-  }
-  if (bg_ != nullptr) {
-    // Leave the pool as an owner: discard this DB's queued jobs and wait
-    // out its in-flight ones. In a shared pool (ShardedDB) sibling shards'
-    // jobs keep running untouched; when this DBImpl owns the scheduler
-    // alone, shut the pool down afterwards exactly as before.
-    bg_->DetachOwner(bg_owner_);
-    if (options_.shared_scheduler == nullptr) {
-      bg_->Shutdown();
-    }
+  // Join the recovery thread before the scheduler: its resume callback may
+  // be blocked on mu_ (not held here), and it must not probe an env the
+  // owner is about to tear down.
+  err_->Shutdown();
+  // Leave the pool as an owner: discard this DB's queued jobs and wait out
+  // its in-flight ones. In a shared pool (ShardedDB) sibling shards' jobs
+  // keep running untouched; when this DBImpl owns the scheduler alone, shut
+  // the pool down afterwards.
+  bg_->DetachOwner(bg_owner_);
+  if (options_.shared_scheduler == nullptr) {
+    bg_->Shutdown();
   }
   {
     // Single-threaded from here on. Drain the memtables whose flush jobs
@@ -322,7 +342,8 @@ DBImpl::~DBImpl() {
     // on failure the WALs stay behind for recovery to replay.
     std::unique_lock<std::mutex> l(mu_);
     while (!imm_.empty() && bg_error_.ok()) {
-      if (!FlushOldestImmLocked(l).ok()) {
+      bool deferred = false;
+      if (!FlushOldestImmLocked(l, &deferred).ok() || deferred) {
         break;
       }
     }
@@ -353,7 +374,7 @@ Status DBImpl::Init() {
     }
   } else if (cache_capacity > 0) {
     page_cache_ = std::make_shared<PageCache>(
-        cache_capacity, options_.page_cache_shard_bits, &stats_,
+        cache_capacity, PageCache::kDefaultShardBits, &stats_,
         options_.strict_cache_capacity);
     if (options_.memory_budget_bytes > 0) {
       memtable_reservation_ = CacheReservation(page_cache_->cache());
@@ -364,30 +385,10 @@ Status DBImpl::Init() {
   picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
   LETHE_RETURN_IF_ERROR(versions_->Recover());
   mem_ = std::make_shared<MemTable>();
-  if (!options_.inline_compactions) {
-    if (options_.shared_scheduler != nullptr) {
-      bg_ = options_.shared_scheduler;
-      bg_owner_ = bg_->RegisterOwner();
-    } else {
-      bg_ = std::make_shared<BackgroundScheduler>(options_.background_threads,
-                                                  &stats_);
-    }
-    ErrorHandler::RetryPolicy policy;
-    policy.max_retries = options_.max_bg_error_retries;
-    policy.base_backoff_micros = options_.bg_error_base_backoff_micros;
-    policy.max_backoff_micros = options_.bg_error_max_backoff_micros;
-    policy.auto_recovery = options_.auto_recovery;
-    // Backoff is wall-clock even when options_.clock is logical: recovery
-    // waits for the outside world (disk, space), not for DB-internal time.
-    err_ = std::make_unique<ErrorHandler>(
-        policy, SystemClock::Default(), &stats_,
-        /*probe=*/[this] { return ProbeStorage(); },
-        /*resume=*/[this] { ResumeFromBackgroundError(); },
-        /*notify=*/[this] {
-          std::lock_guard<std::mutex> lock(mu_);
-          bg_work_done_cv_.notify_all();
-        });
-  }
+  // Inline mode is background mode plus a barrier: the same scheduler (one
+  // worker, see Options::WithDefaults) runs every flush and compaction, and
+  // each write or maintenance call waits for it to go quiet (DrainLocked).
+  barrier_mode_ = options_.inline_compactions;
 
   std::lock_guard<std::mutex> lock(mu_);
   LETHE_RETURN_IF_ERROR(RemoveOrphanFilesLocked());
@@ -457,10 +458,10 @@ Status DBImpl::RemoveOrphanFilesLocked() {
 }
 
 Status DBImpl::ReplayWalsLocked() {
-  // The manifest names the oldest WAL still needed; in background mode a
-  // crash can leave several live WALs behind (one per unflushed memtable
-  // plus the active one), so recovery scans the directory and replays every
-  // log with number >= the manifest's, in number (= age) order.
+  // The manifest names the oldest WAL still needed; a crash can leave
+  // several live WALs behind (one per unflushed memtable plus the active
+  // one), so recovery scans the directory and replays every log with
+  // number >= the manifest's, in number (= age) order.
   const uint64_t min_wal = versions_->wal_number();
   std::vector<uint64_t> to_replay;
   std::vector<uint64_t> obsolete;
@@ -615,8 +616,9 @@ Status DBImpl::ReplayWalsLocked() {
 
   // Start a fresh log containing the replayed records, then retire the old
   // ones, so a second crash before the next flush still recovers everything.
+  LETHE_RETURN_IF_ERROR(RotateWalLocked());
   VersionEdit edit;
-  LETHE_RETURN_IF_ERROR(RotateWalLocked(&edit));
+  edit.wal_number = wal_number_;
   for (const WalRecord& record : replayed) {
     LETHE_RETURN_IF_ERROR(wal_->AddRecord(record));
   }
@@ -630,11 +632,11 @@ Status DBImpl::ReplayWalsLocked() {
   return Status::OK();
 }
 
-Status DBImpl::RotateWalLocked(VersionEdit* edit) {
+Status DBImpl::RotateWalLocked() {
   if (!options_.enable_wal) {
     return Status::OK();
   }
-  uint64_t number = versions_->NewFileNumber();
+  const uint64_t number = versions_->NewFileNumber();
   std::unique_ptr<WritableFile> file;
   LETHE_RETURN_IF_ERROR(
       options_.env->NewWritableFile(WalFileName(dbname_, number), &file));
@@ -643,7 +645,6 @@ Status DBImpl::RotateWalLocked(VersionEdit* edit) {
   }
   wal_ = std::make_unique<WalWriter>(std::move(file), options_.sync_wal);
   wal_number_ = number;
-  edit->wal_number = number;
   return Status::OK();
 }
 
@@ -850,7 +851,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
           break;
       }
       // Only the token holder allocates sequences, so filtered deletes
-      // consume none — identical to the inline engine's numbering.
+      // consume none.
       const SequenceNumber seq = ++next_seq;
       if (pending.empty() && snap.mem->empty()) {
         mem_first_seq_ = seq;  // token-guarded, like all memtable state
@@ -978,32 +979,31 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* batch) {
       l.unlock();
       s = ApplyGroup(group, snap, wal, now, force_sync);
       l.lock();
-      if (!s.ok() && err_ != nullptr) {
+      if (!s.ok()) {
         // The group's WAL append/sync failed: feed the state machine so
         // recovery probes the storage and, on success, resumes writes.
         RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
       }
     }
     if (s.ok()) {
-      Status post = HandlePostWriteLocked(l);
-      if (!post.ok()) {
-        if (err_ != nullptr) {
-          // The group is already durable and applied — failing the acked
-          // batch over post-write maintenance (a memtable switch that could
-          // not start, or health falling to read-only mid-write) would
-          // misreport applied data as lost. Feed genuine failures to the
-          // state machine; the next write rejects at entry instead.
-          if (bg_error_.ok() && !post.IsInvalidArgument()) {
-            RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, post);
-          }
-        } else {
-          s = post;  // inline mode: errors pin the DB as before
-        }
-      }
+      FinishWriteLocked(l);
     }
   }
   CompleteGroup(&w, last_writer, s, l);
   return s;
+}
+
+void DBImpl::FinishWriteLocked(std::unique_lock<std::mutex>& l) {
+  // The group is already durable and applied: failing the acked batch over
+  // post-write maintenance (a memtable switch that could not start, health
+  // falling to read-only mid-write, or a flush the barrier waited on) would
+  // misreport applied data as lost. Genuine failures go to the state
+  // machine instead; the next write rejects at entry once it is read-only.
+  Status post = HandlePostWriteLocked(l);
+  if (!post.ok() && bg_error_.ok() && !post.IsInvalidArgument()) {
+    RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, post);
+  }
+  DrainLocked(l).ok();
 }
 
 Status DBImpl::WriteValidated(const WriteOptions& options, WriteBatch* batch,
@@ -1073,20 +1073,10 @@ Status DBImpl::WriteValidated(const WriteOptions& options, WriteBatch* batch,
       // token serializes commits, so this is the group's last sequence.
       *commit_seq = versions_->LastSequence();
     }
-    if (!s.ok() && err_ != nullptr) {
-      RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
-    }
     if (s.ok()) {
-      Status post = HandlePostWriteLocked(l);
-      if (!post.ok()) {
-        if (err_ != nullptr) {
-          if (bg_error_.ok() && !post.IsInvalidArgument()) {
-            RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, post);
-          }
-        } else {
-          s = post;
-        }
-      }
+      FinishWriteLocked(l);
+    } else {
+      RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
     }
   }
   CompleteGroup(&w, &w, s, l);
@@ -1096,9 +1086,6 @@ Status DBImpl::WriteValidated(const WriteOptions& options, WriteBatch* batch,
 Status DBImpl::WaitForWritableLocked(std::unique_lock<std::mutex>&) {
   if (bg_error_.ok()) {
     return Status::OK();
-  }
-  if (err_ == nullptr) {
-    return bg_error_;  // inline mode: errors pin the DB as before
   }
   // Degraded does not gate the write path: the WAL and the memtable are not
   // the failing component (a WAL failure fails its own write group), so
@@ -1116,27 +1103,22 @@ Status DBImpl::WaitForWritableLocked(std::unique_lock<std::mutex>&) {
 }
 
 int DBImpl::EffectiveL0StopTrigger() const {
-  if (options_.l0_stop_trigger > 0 &&
-      options_.compaction_style == CompactionStyle::kTiering) {
-    return std::max(options_.l0_stop_trigger,
-                    static_cast<int>(options_.size_ratio));
+  if (options_.compaction_style == CompactionStyle::kTiering) {
+    return std::max(kL0StopRuns, static_cast<int>(options_.size_ratio));
   }
-  return options_.l0_stop_trigger;
+  return kL0StopRuns;
 }
 
 void DBImpl::MaybeSlowdownLocked(std::unique_lock<std::mutex>& l) {
-  if (options_.inline_compactions || options_.l0_slowdown_trigger <= 0 ||
-      options_.slowdown_delay_micros == 0) {
-    return;
-  }
-  const int stop = EffectiveL0StopTrigger();
-  if (l0_runs_ < options_.l0_slowdown_trigger ||
-      (stop > 0 && l0_runs_ >= stop)) {
+  // Barrier mode starts every write at quiescence, where tiering may still
+  // hold up to T-1 L0 runs: a delay there would buy the (idle) worker
+  // nothing.
+  if (barrier_mode_ || l0_runs_ < kL0SlowdownRuns ||
+      l0_runs_ >= EffectiveL0StopTrigger()) {
     return;  // below the soft trigger, or at the hard one (stall instead)
   }
   l.unlock();
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(options_.slowdown_delay_micros));
+  std::this_thread::sleep_for(std::chrono::microseconds(kSlowdownDelayMicros));
   l.lock();
   stats_.write_slowdowns.fetch_add(1, std::memory_order_relaxed);
 }
@@ -1168,34 +1150,19 @@ Status DBImpl::HandlePostWriteLocked(std::unique_lock<std::mutex>& l) {
     return buffer_full || buffer_ttl_expired;
   };
 
-  if (options_.inline_compactions) {
-    if (buffer_needs_flush()) {
-      ImmMemTable current{mem_, wal_number_, mem_first_seq_, mem_first_time_};
-      LETHE_RETURN_IF_ERROR(FlushMemTable(current, l));
-    }
-    return MaybeCompactLocked(l);
-  }
-
-  // Background mode: the write path only swaps the memtable and enqueues the
-  // flush. Writers block solely through this explicit policy.
+  // The write path only swaps the memtable and enqueues the flush. Writers
+  // block solely through this explicit policy.
   const int effective_stop = EffectiveL0StopTrigger();
   Status s;
   bool stalled = false;
   uint64_t stall_start = 0;
   while (buffer_needs_flush()) {
-    if (!bg_error_.ok()) {
-      const DBHealth health =
-          err_ != nullptr ? err_->health() : DBHealth::kFatal;
-      if (health != DBHealth::kDegraded && health != DBHealth::kHealthy) {
-        s = err_ != nullptr
-                ? Status::IOError("DB is read-only after background error: " +
-                                  err_->cause().ToString())
-                : bg_error_;
-        break;
-      }
-      // Degraded (or the probe→resume window): the memtable can still
-      // absorb writes, so fall through — switch while the imm list has
-      // room, stall at the cap below like any other backlogged writer.
+    // Degraded (or the probe→resume window) passes: the memtable can still
+    // absorb writes, so switch while the imm list has room and stall at the
+    // cap below like any other backlogged writer.
+    s = WaitForWritableLocked(l);
+    if (!s.ok()) {
+      break;
     }
     if (closed_) {
       s = Status::InvalidArgument("DB is closed");
@@ -1203,7 +1170,7 @@ Status DBImpl::HandlePostWriteLocked(std::unique_lock<std::mutex>& l) {
     }
     const bool imm_full =
         static_cast<int>(imm_.size()) >= options_.max_imm_memtables;
-    const bool l0_stopped = effective_stop > 0 && l0_runs_ >= effective_stop;
+    const bool l0_stopped = l0_runs_ >= effective_stop;
     if (imm_full || l0_stopped) {
       // imm_full guarantees the flush chain is alive (scheduled or parked
       // behind an in-flight merge); l0_stopped implies the saturation
@@ -1236,17 +1203,9 @@ Status DBImpl::SwitchMemTableLocked() {
     return Status::OK();
   }
   ImmMemTable imm{mem_, wal_number_, mem_first_seq_, mem_first_time_};
-  if (options_.enable_wal) {
-    // Fresh WAL for the new memtable. The manifest keeps naming the oldest
-    // unflushed WAL; recovery scans the directory for everything newer.
-    const uint64_t number = versions_->NewFileNumber();
-    std::unique_ptr<WritableFile> file;
-    LETHE_RETURN_IF_ERROR(
-        options_.env->NewWritableFile(WalFileName(dbname_, number), &file));
-    wal_->Close().ok();
-    wal_ = std::make_unique<WalWriter>(std::move(file), options_.sync_wal);
-    wal_number_ = number;
-  }
+  // Fresh WAL for the new memtable. The manifest keeps naming the oldest
+  // unflushed WAL; recovery scans the directory for everything newer.
+  LETHE_RETURN_IF_ERROR(RotateWalLocked());
   imm_.push_back(std::move(imm));
   mem_ = std::make_shared<MemTable>();
   mem_staked_bytes_ = 0;  // fresh memtable; the frozen one counts as imm
@@ -1255,8 +1214,27 @@ Status DBImpl::SwitchMemTableLocked() {
   return Status::OK();
 }
 
+Status DBImpl::DrainLocked(std::unique_lock<std::mutex>& l) {
+  if (!barrier_mode_) {
+    return Status::OK();
+  }
+  // The same O(1) trigger check the write path ends with; only a due
+  // trigger schedules (and so waits for) a compaction.
+  MaybeScheduleCompactionLocked();
+  while (!imm_.empty() || bg_jobs_inflight_ > 0) {
+    if (!bg_error_.ok()) {
+      return bg_error_;  // the error state machine owns recovery
+    }
+    if (closed_) {
+      return Status::InvalidArgument("DB is closed");
+    }
+    bg_work_done_cv_.wait(l);
+  }
+  return bg_error_;
+}
+
 void DBImpl::MaybeScheduleFlushLocked() {
-  if (bg_ == nullptr || closed_ || !bg_error_.ok()) {
+  if (closed_ || !bg_error_.ok()) {
     return;
   }
   if (imm_.empty()) {
@@ -1302,7 +1280,7 @@ void DBImpl::MaybeScheduleFlushLocked() {
   }
 }
 
-// ---- merges (both modes) --------------------------------------------------
+// ---- merges ---------------------------------------------------------------
 
 Status DBImpl::FlushMemTable(const ImmMemTable& imm,
                              std::unique_lock<std::mutex>& l,
@@ -1341,25 +1319,22 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
     overlapping = version->OverlappingFiles(0, Slice(smallest), Slice(largest));
   }
 
-  // Pool path: claim the flush footprint — the merged-in L0 files plus the
-  // output span (memtable span widened over the merged files) — before any
-  // work, deferring if a running compaction holds part of it. The RAII
-  // guard releases the claim on every exit path below.
-  FootprintClaim claim;
-  if (deferred != nullptr && bg_ != nullptr) {
-    JobFootprint footprint;
-    footprint.is_flush = true;
-    footprint.output_level = 0;
-    footprint.CoverOutput(Slice(smallest), Slice(largest));
-    for (const auto& file : overlapping) {
-      footprint.AddInput(*file);
-    }
-    if (versions_->ConflictsWithInFlight(footprint)) {
-      *deferred = true;
-      return Status::OK();
-    }
-    claim = FootprintClaim(this, footprint);
+  // Claim the flush footprint — the merged-in L0 files plus the output
+  // span (memtable span widened over the merged files) — before any work,
+  // deferring if a running compaction holds part of it. The RAII guard
+  // releases the claim on every exit path below.
+  JobFootprint footprint;
+  footprint.is_flush = true;
+  footprint.output_level = 0;
+  footprint.CoverOutput(Slice(smallest), Slice(largest));
+  for (const auto& file : overlapping) {
+    footprint.AddInput(*file);
   }
+  if (versions_->ConflictsWithInFlight(footprint)) {
+    *deferred = true;
+    return Status::OK();
+  }
+  FootprintClaim claim(this, footprint);
 
   VersionEdit edit;
   versions_->AddSeqTimeCheckpoint(imm.first_seq, imm.first_time, &edit);
@@ -1390,9 +1365,9 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
     std::vector<std::shared_ptr<FileMeta>> span_inputs = overlapping;
     span_inputs.push_back(std::move(mem_span));
     // Fence sampling opens the inputs and may read their metadata; that
-    // must not happen under mu_. The claim above (or the write token in
-    // inline mode) already fences conflicting work, and the inputs are
-    // immutable snapshots, so the mutex can drop for the duration.
+    // must not happen under mu_. The claim above already fences
+    // conflicting work, and the inputs are immutable snapshots, so the
+    // mutex can drop for the duration.
     l.unlock();
     boundaries = picker_->ComputeSubcompactionBoundaries(
         span_inputs, options_.max_subcompactions);
@@ -1401,21 +1376,14 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
 
   // The heavy merge runs without the mutex: inputs are immutable (a frozen
   // memtable + on-disk files) and output file numbers come from atomics.
-  // The write token (inline mode) or the registered footprint (pool mode)
-  // guarantees no conflicting version mutation between the snapshot above
-  // and the commit below.
+  // The registered footprint guarantees no conflicting version mutation
+  // between the snapshot above and the commit below.
   Status s = RunMergePartitioned(overlapping, imm.mem, std::move(rts),
                                  boundaries, config, &edit, l);
-
-  const uint64_t flushed_wal = imm.wal_number;
-  if (s.ok() && options_.inline_compactions) {
-    s = RotateWalLocked(&edit);
-  } else if (s.ok()) {
+  if (s.ok()) {
     // The manifest must keep naming the oldest WAL still carrying unflushed
     // data: the next pending memtable's, or the active one.
     edit.wal_number = imm_.size() > 1 ? imm_[1].wal_number : wal_number_;
-  }
-  if (s.ok()) {
     s = versions_->LogAndApply(&edit);
   }
   claim.Release();
@@ -1423,21 +1391,15 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
     RemoveFailedMergeOutputs(options_.env, dbname_, edit);
     return s;
   }
-  if (options_.inline_compactions) {
-    mem_ = std::make_shared<MemTable>();
-    mem_staked_bytes_ = 0;  // inline flush holds the token; mem_ is fresh
-  } else {
-    imm_.pop_front();
-  }
-  if (options_.enable_wal && flushed_wal != 0 && flushed_wal != wal_number_) {
+  const uint64_t flushed_wal = imm.wal_number;
+  imm_.pop_front();  // `imm` may alias the popped entry: read it first
+  if (options_.enable_wal) {
     // Everything the flushed WAL covered is durable in the new version.
     options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
   }
   UpdateMemtableReservationLocked();
   RefreshTriggerStateLocked();
-  if (err_ != nullptr) {
-    err_->ReportSuccess();  // a committed flush refills the retry budget
-  }
+  err_->ReportSuccess();  // a committed flush refills the retry budget
   return Status::OK();
 }
 
@@ -1478,35 +1440,8 @@ void DBImpl::RefreshTriggerStateLocked() {
   }
 }
 
-Status DBImpl::MaybeCompactLocked(std::unique_lock<std::mutex>& l) {
-  while (true) {
-    uint64_t now = options_.clock->NowMicros();
-    if (!saturation_pending_ && now < earliest_ttl_expiry_) {
-      return Status::OK();  // O(1) fast path on the write path
-    }
-    std::shared_ptr<const Version> version = versions_->current();
-    CompactionPick pick =
-        picker_->Pick(*version, now, nullptr, OldestSnapshotSeqLocked());
-    if (!pick.valid()) {
-      RefreshTriggerStateLocked();
-      if (!saturation_pending_ && now < earliest_ttl_expiry_) {
-        return Status::OK();
-      }
-      // TTL will fire only later; the cached expiry is in the future.
-      return Status::OK();
-    }
-    bool did_work = false;
-    LETHE_RETURN_IF_ERROR(CompactOnce(pick, &did_work, l));
-    RefreshTriggerStateLocked();
-    if (!did_work) {
-      return Status::OK();
-    }
-  }
-}
-
-Status DBImpl::CompactOnce(const CompactionPick& pick, bool* did_work,
+Status DBImpl::CompactOnce(const CompactionPick& pick,
                            std::unique_lock<std::mutex>& l, bool* deferred) {
-  *did_work = false;
   std::shared_ptr<const Version> version = versions_->current();
   const int deepest = version->DeepestNonEmptyLevel();
 
@@ -1529,9 +1464,7 @@ Status DBImpl::CompactOnce(const CompactionPick& pick, bool* did_work,
     } else {
       target = pick.level + 1;
     }
-    if (target >= options_.max_levels) {
-      target = options_.max_levels - 1;
-    }
+    target = std::min(target, kMaxLevels - 1);
     config.bottommost = deepest <= target;
     config.output_run_id = 0;
   }
@@ -1574,25 +1507,19 @@ Status DBImpl::CompactOnce(const CompactionPick& pick, bool* did_work,
     }
   }
 
-  // Pool path: claim the merge footprint — every input file plus the input
-  // key span at the target level (outputs never escape it) — and defer if
-  // it overlaps a job already in flight. The trivial move commits below
+  // Claim the merge footprint — every input file plus the input key span
+  // at the target level (outputs never escape it) — and defer if it
+  // overlaps a job already in flight. The trivial move commits below
   // without ever releasing the mutex, so it needs the conflict check but
   // no registration. The RAII guard releases the claim on every exit path.
-  FootprintClaim claim;
-  if (deferred != nullptr && bg_ != nullptr) {
-    JobFootprint footprint;
-    footprint.output_level = target;
-    for (const auto& file : all_inputs) {
-      footprint.AddInput(*file);
-    }
-    if (versions_->ConflictsWithInFlight(footprint)) {
-      *deferred = true;
-      return Status::OK();
-    }
-    if (!trivial_move_possible) {
-      claim = FootprintClaim(this, footprint);
-    }
+  JobFootprint footprint;
+  footprint.output_level = target;
+  for (const auto& file : all_inputs) {
+    footprint.AddInput(*file);
+  }
+  if (versions_->ConflictsWithInFlight(footprint)) {
+    *deferred = true;
+    return Status::OK();
   }
 
   if (trivial_move_possible) {
@@ -1603,12 +1530,10 @@ Status DBImpl::CompactOnce(const CompactionPick& pick, bool* did_work,
     edit.added_files.emplace_back(target, std::move(moved));
     LETHE_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
     stats_.trivial_moves.fetch_add(1, std::memory_order_relaxed);
-    *did_work = true;
-    if (err_ != nullptr) {
-      err_->ReportSuccess();  // the manifest committed: storage is working
-    }
+    err_->ReportSuccess();  // the manifest committed: storage is working
     return Status::OK();
   }
+  FootprintClaim claim(this, footprint);
 
   for (const auto& file : all_inputs) {
     config.input_bytes += file->file_size;
@@ -1620,8 +1545,7 @@ Status DBImpl::CompactOnce(const CompactionPick& pick, bool* did_work,
   std::vector<std::string> boundaries;
   if (options_.max_subcompactions > 1) {
     // Off-mutex: fence sampling opens the inputs and may read metadata.
-    // The registered claim (or the inline write token) fences conflicting
-    // work while the lock is down.
+    // The registered claim fences conflicting work while the lock is down.
     l.unlock();
     boundaries = picker_->ComputeSubcompactionBoundaries(
         all_inputs, options_.max_subcompactions);
@@ -1637,10 +1561,7 @@ Status DBImpl::CompactOnce(const CompactionPick& pick, bool* did_work,
     RemoveFailedMergeOutputs(options_.env, dbname_, edit);
     return s;
   }
-  *did_work = true;
-  if (err_ != nullptr) {
-    err_->ReportSuccess();  // a committed merge refills the retry budget
-  }
+  err_->ReportSuccess();  // a committed merge refills the retry budget
   return Status::OK();
 }
 
@@ -1753,7 +1674,7 @@ Status DBImpl::RunMergePartitioned(
   };
 
   l.unlock();
-  if (num_parts > 1 && bg_ != nullptr) {
+  if (num_parts > 1) {
     const auto priority =
         config.is_flush
             ? BackgroundScheduler::Priority::kFlush
@@ -1872,10 +1793,10 @@ Status DBImpl::SecondaryRangeDeleteLocked(uint64_t lo, uint64_t hi,
   return Status::OK();
 }
 
-// ---- background mode ------------------------------------------------------
+// ---- scheduling -----------------------------------------------------------
 
 void DBImpl::MaybeScheduleCompactionLocked() {
-  if (bg_ == nullptr || closed_ || !bg_error_.ok()) {
+  if (closed_ || !bg_error_.ok()) {
     return;
   }
   if (compaction_jobs_ >= options_.background_threads) {
@@ -1887,8 +1808,9 @@ void DBImpl::MaybeScheduleCompactionLocked() {
   if (exclusive_waiters_ > 0) {
     return;  // let the registry drain so the exclusive job can claim it
   }
-  const uint64_t now = options_.clock->NowMicros();
-  const bool ttl_due = now >= earliest_ttl_expiry_;
+  // Strictly past the expiry: the picker fires on age > TTL, so at the
+  // expiry instant itself it would find nothing and the job would no-op.
+  const bool ttl_due = options_.clock->NowMicros() > earliest_ttl_expiry_;
   if (!saturation_pending_ && !ttl_due && !compaction_deferred_) {
     return;
   }
@@ -1958,8 +1880,7 @@ void DBImpl::BackgroundCompaction() {
                       &versions_->InFlightInputFiles(),
                       OldestSnapshotSeqLocked());
     if (pick.valid()) {
-      bool did_work = false;
-      Status s = CompactOnce(pick, &did_work, l, &deferred);
+      Status s = CompactOnce(pick, l, &deferred);
       if (!s.ok()) {
         RecordBackgroundErrorLocked(BackgroundJobKind::kCompaction, s);
       }
@@ -2095,12 +2016,10 @@ Status DBImpl::RunOnWorkerAndWait(
 void DBImpl::RecordBackgroundErrorLocked(BackgroundJobKind kind,
                                          const Status& s) {
   if (bg_error_.ok()) {
-    bg_error_ = s;  // first error wins, as before the handler existed
+    bg_error_ = s;  // first error wins
   }
-  if (err_ != nullptr) {
-    // Safe with mu_ held: ReportError never invokes callbacks synchronously.
-    err_->ReportError(kind, s);
-  }
+  // Safe with mu_ held: ReportError never invokes callbacks synchronously.
+  err_->ReportError(kind, s);
   bg_work_done_cv_.notify_all();
 }
 
@@ -2186,33 +2105,16 @@ Status DBImpl::Flush() {
   }
   Writer w(nullptr, false);
   JoinWriterQueue(&w, l);
-  Status s;
-  if (options_.inline_compactions) {
-    ImmMemTable current{mem_, wal_number_, mem_first_seq_, mem_first_time_};
-    s = FlushMemTable(current, l);
-    if (s.ok()) {
-      s = MaybeCompactLocked(l);
-    }
-    CompleteGroup(&w, &w, s, l);
-    return s;
-  }
-  s = bg_error_.ok() ? SwitchMemTableLocked() : bg_error_;
-  CompleteGroup(&w, &w, s, l);  // release the token before the barrier
+  Status s = bg_error_.ok() ? SwitchMemTableLocked() : bg_error_;
   if (s.ok()) {
-    s = WaitForFlushLocked(l);
+    s = DrainLocked(l);  // barrier mode: the flush and what it triggers
   }
-  return s;
+  CompleteGroup(&w, &w, s, l);  // release the token before waiting
+  return s.ok() ? WaitForFlushLocked(l) : s;
 }
 
 Status DBImpl::WaitForCompact() {
   std::unique_lock<std::mutex> l(mu_);
-  if (options_.inline_compactions) {
-    Writer w(nullptr, false);
-    JoinWriterQueue(&w, l);
-    Status s = MaybeCompactLocked(l);
-    CompleteGroup(&w, &w, s, l);
-    return s;
-  }
   while (true) {
     if (!bg_error_.ok()) {
       return bg_error_;
@@ -2265,55 +2167,24 @@ Status DBImpl::WaitForCompact() {
 }
 
 Status DBImpl::CompactUntilQuiescent() {
-  if (!options_.inline_compactions) {
-    LETHE_RETURN_IF_ERROR(Flush());
-    return WaitForCompact();
-  }
-  std::unique_lock<std::mutex> l(mu_);
-  Writer w(nullptr, false);
-  JoinWriterQueue(&w, l);
-  ImmMemTable current{mem_, wal_number_, mem_first_seq_, mem_first_time_};
-  Status s = FlushMemTable(current, l);
-  while (s.ok()) {
-    std::shared_ptr<const Version> version = versions_->current();
-    CompactionPick pick = picker_->Pick(*version, options_.clock->NowMicros(),
-                                        nullptr, OldestSnapshotSeqLocked());
-    if (!pick.valid()) {
-      RefreshTriggerStateLocked();
-      break;
-    }
-    bool did_work = false;
-    s = CompactOnce(pick, &did_work, l);
-    if (s.ok() && !did_work) {
-      RefreshTriggerStateLocked();
-      break;
-    }
-  }
-  CompleteGroup(&w, &w, s, l);
-  return s;
+  LETHE_RETURN_IF_ERROR(Flush());
+  return WaitForCompact();
 }
 
 Status DBImpl::CompactAll() {
-  if (options_.inline_compactions) {
-    std::unique_lock<std::mutex> l(mu_);
-    Writer w(nullptr, false);
-    JoinWriterQueue(&w, l);
-    ImmMemTable current{mem_, wal_number_, mem_first_seq_, mem_first_time_};
-    Status s = FlushMemTable(current, l);
-    if (s.ok()) {
-      s = CompactAllLocked(l);
-    }
-    CompleteGroup(&w, &w, s, l);
-    return s;
-  }
-  LETHE_RETURN_IF_ERROR(Flush());
   std::unique_lock<std::mutex> l(mu_);
   if (closed_) {
     return Status::InvalidArgument("DB is closed");
   }
+  Writer w(nullptr, false);
+  JoinWriterQueue(&w, l);
+  Status s = bg_error_.ok() ? SwitchMemTableLocked() : bg_error_;
+  CompleteGroup(&w, &w, s, l);
+  LETHE_RETURN_IF_ERROR(s);
   // Run the merge on a worker; it consumes every file in the tree, so it
-  // first drains the registry and claims the whole tree (exclusive).
-  return RunOnWorkerAndWait(
+  // first flushes the frozen memtables (the one just switched out
+  // included), drains the registry, and claims the whole tree (exclusive).
+  s = RunOnWorkerAndWait(
       BackgroundScheduler::Priority::kSpaceDrivenCompaction,
       BackgroundJobKind::kCompaction,
       [this](std::unique_lock<std::mutex>& jl) {
@@ -2322,6 +2193,7 @@ Status DBImpl::CompactAll() {
         return CompactAllLocked(jl);
       },
       l);
+  return s.ok() ? DrainLocked(l) : s;
 }
 
 Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
@@ -2363,9 +2235,7 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
       if (appended) {
         versions_->SetLastSequence(next_seq);  // burn: bytes may be on disk
       }
-      if (err_ != nullptr) {
-        RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, ws);
-      }
+      RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, ws);
       CompleteGroup(&w, &w, ws, l);
       return ws;
     }
@@ -2381,21 +2251,15 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
       mem_->PurgeDeleteKeyRange(delete_key_begin, delete_key_end);
   stats_.entries_purged_by_srd.fetch_add(purged, std::memory_order_relaxed);
 
-  if (options_.inline_compactions) {
-    Status s = SecondaryRangeDeleteLocked(delete_key_begin, delete_key_end, l);
-    CompleteGroup(&w, &w, s, l);
-    return s;
-  }
-
-  // Background mode: release the token, then run the disk part as a
-  // prioritized job. The job drains every pending memtable (flushing on its
-  // own worker) and claims the whole tree before scanning, so no pre-call
-  // entry escapes the delete and no concurrent merge resurrects one.
+  // Release the token, then run the disk part as a prioritized job. The
+  // job drains every pending memtable (flushing on its own worker) and
+  // claims the whole tree before scanning, so no pre-call entry escapes the
+  // delete and no concurrent merge resurrects one.
   CompleteGroup(&w, &w, Status::OK(), l);
   if (!bg_error_.ok()) {
     return bg_error_;
   }
-  return RunOnWorkerAndWait(
+  Status s = RunOnWorkerAndWait(
       BackgroundScheduler::Priority::kSecondaryDelete,
       BackgroundJobKind::kSecondaryDelete,
       [this, delete_key_begin,
@@ -2406,6 +2270,7 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
                                           jl);
       },
       l);
+  return s.ok() ? DrainLocked(l) : s;
 }
 
 // ---- reads ----------------------------------------------------------------
@@ -2468,21 +2333,11 @@ Status DBImpl::GetWithDeleteKey(const ReadOptions& options, const Slice& key,
         // The FileMeta count gates the index fetch, so rt-free files cost
         // no metadata access at all on this hot path.
         if (file->num_range_tombstones > 0) {
-          if (options_.fragmented_range_tombstones) {
-            FragmentedRtHandle frt;
-            LETHE_RETURN_IF_ERROR(
-                table->GetFragmentedRangeTombstones(&stats_, &frt));
-            stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-            max_rt_seq = std::max(max_rt_seq, frt->MaxCoverSeq(key, bound));
-          } else {
-            TableIndexHandle index;
-            LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
-            for (const RangeTombstone& rt : index->range_tombstones) {
-              if (rt.Contains(key) && rt.seq <= bound) {
-                max_rt_seq = std::max(max_rt_seq, rt.seq);
-              }
-            }
-          }
+          FragmentedRtHandle frt;
+          LETHE_RETURN_IF_ERROR(
+              table->GetFragmentedRangeTombstones(&stats_, &frt));
+          stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
+          max_rt_seq = std::max(max_rt_seq, frt->MaxCoverSeq(key, bound));
         }
         bool found = false;
         TableGetResult result;
@@ -2588,21 +2443,11 @@ Status DBImpl::LatestSeqForKey(const Slice& key, SequenceNumber* seq) {
         std::shared_ptr<SSTableReader> table;
         LETHE_RETURN_IF_ERROR(versions_->table_cache()->GetTable(*file, &table));
         if (file->num_range_tombstones > 0) {
-          if (options_.fragmented_range_tombstones) {
-            FragmentedRtHandle frt;
-            LETHE_RETURN_IF_ERROR(
-                table->GetFragmentedRangeTombstones(&stats_, &frt));
-            stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-            latest = std::max(latest, frt->MaxCoverSeq(key));
-          } else {
-            TableIndexHandle index;
-            LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
-            for (const RangeTombstone& rt : index->range_tombstones) {
-              if (rt.Contains(key)) {
-                latest = std::max(latest, rt.seq);
-              }
-            }
-          }
+          FragmentedRtHandle frt;
+          LETHE_RETURN_IF_ERROR(
+              table->GetFragmentedRangeTombstones(&stats_, &frt));
+          stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
+          latest = std::max(latest, frt->MaxCoverSeq(key));
         }
         bool found = false;
         TableGetResult result;
@@ -2677,8 +2522,7 @@ std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {
 
   return std::make_unique<DBIter>(
       std::move(pinned), std::move(snap.version),
-      NewMergingIterator(std::move(children)), rts,
-      options_.fragmented_range_tombstones, bound, &stats_,
+      NewMergingIterator(std::move(children)), rts, bound, &stats_,
       std::move(setup_status));
 }
 

@@ -29,18 +29,18 @@ namespace lethe {
 ///
 ///   *Writers* serialize through a leader/follower queue (`writers_`).
 ///   Being at the front of the queue is the **write token**: the exclusive
-///   right to mutate the active memtable, the WAL handle, and (in inline
-///   mode) to run merges. A leader merges the batches of the writers queued
-///   behind it and commits the whole group with one WAL append (group
-///   commit), applying to the memtable with `mu_` released — safe because
-///   the token, not the mutex, is what guards memtable mutation.
+///   right to mutate the active memtable and the WAL handle. A leader
+///   merges the batches of the writers queued behind it and commits the
+///   whole group with one WAL append (group commit), applying to the
+///   memtable with `mu_` released — safe because the token, not the mutex,
+///   is what guards memtable mutation.
 ///
 ///   *Readers* briefly take `mu_` to snapshot {memtable, immutable
 ///   memtables, version} pointers and then proceed lock-free on immutable
 ///   state.
 ///
-///   *Background work* (inline_compactions = false): writers only swap full
-///   memtables onto `imm_` and enqueue work; a BackgroundScheduler pool of
+///   *Background work*: writers only swap full memtables onto `imm_` and
+///   enqueue work; a BackgroundScheduler pool of
 ///   `Options::background_threads` workers runs flushes, compactions, and
 ///   secondary-delete execution. Multiple merges proceed concurrently when
 ///   their footprints (input files + output key range per level) are
@@ -48,6 +48,13 @@ namespace lethe {
 ///   parks without holding a worker — and re-arms when the blocker
 ///   completes. Heavy merge I/O runs with `mu_` released; version commits
 ///   (VersionSet::LogAndApply) always happen under `mu_`.
+///
+///   *Barrier mode* (Options::inline_compactions, the paper's setup): the
+///   same machinery on one worker, plus a barrier (DrainLocked) that ends
+///   every write group and maintenance call — the caller keeps the write
+///   token until no flush or compaction is queued, running, or due. Writes
+///   therefore yield to compactions, and a single-threaded workload yields
+///   the same I/O trace run to run.
 ///
 /// Locking invariants:
 ///   - `mu_` guards: the writer queue, mem_/imm_ swaps, wal_ rotation,
@@ -123,11 +130,10 @@ class DBImpl final : public DB {
   Status ComputeSpaceAmplification(double* samp) override;
   uint64_t ApproximateEntryCount() const override;
 
-  /// Test hook: the background worker pool, or nullptr in inline mode.
+  /// Test hook: the background worker pool.
   BackgroundScheduler* TEST_scheduler() { return bg_.get(); }
 
-  /// Test hook: the background-error state machine, or nullptr in inline
-  /// mode (inline errors return synchronously to their callers).
+  /// Test hook: the background-error state machine.
   ErrorHandler* TEST_error_handler() { return err_.get(); }
 
   /// Test hook: the published (acknowledged) sequence number — lets tests
@@ -205,31 +211,38 @@ class DBImpl final : public DB {
                     const ReadSnapshot& snap, WalWriter* wal, uint64_t now,
                     bool force_sync);
 
-  /// Post-apply trigger handling, under mu_ with the token held. Inline
-  /// mode: flush + compact in place. Background mode: swap the memtable and
-  /// enqueue a flush, stalling per the explicit policy when the pipeline is
-  /// full.
+  /// Post-apply trigger handling, under mu_ with the token held: swaps a
+  /// full memtable and enqueues its flush, stalling per the explicit policy
+  /// when the pipeline is full, then schedules due compactions.
   Status HandlePostWriteLocked(std::unique_lock<std::mutex>& l);
+
+  /// Everything after a group applied: HandlePostWriteLocked, then the
+  /// barrier. Failures go to the error state machine, not to the writers.
+  void FinishWriteLocked(std::unique_lock<std::mutex>& l);
+
+  /// Barrier mode's end-of-call barrier: schedules due compactions (the
+  /// O(1) trigger check), then waits until imm_ is empty and no job of this
+  /// DB is queued or running. Returns early with the background error, or
+  /// when the DB closes. No-op in background mode.
+  Status DrainLocked(std::unique_lock<std::mutex>& l);
 
   /// Freezes mem_ onto imm_, starts a fresh WAL, and schedules a flush job.
   Status SwitchMemTableLocked();
 
-  /// Bounded one-shot delay when L0 crosses l0_slowdown_trigger.
+  /// Bounded one-shot delay when L0 holds kL0SlowdownRuns runs (background
+  /// mode only).
   void MaybeSlowdownLocked(std::unique_lock<std::mutex>& l);
 
-  /// l0_stop_trigger clamped so it cannot fire below the tiering saturation
+  /// kL0StopRuns clamped so it cannot fire below the tiering saturation
   /// point (where no compaction would ever release the stall). Used by both
   /// the slowdown and the stall check so the two bands stay contiguous.
   int EffectiveL0StopTrigger() const;
 
-  // ---- merges (both modes) ---------------------------------------------
+  // ---- merges -------------------------------------------------------------
   //
-  // `deferred` (where present) selects the worker-pool path: non-null means
-  // the merge must claim a JobFootprint in the in-flight registry before
-  // releasing the mutex, and *deferred is set (with no work done) when the
-  // footprint overlaps a job already running. Null (inline mode and the
-  // single-threaded close drain) skips the registry entirely, keeping the
-  // paper-faithful inline engine byte-identical.
+  // A merge claims a JobFootprint in the in-flight registry before
+  // releasing the mutex; *deferred is set (with no work done) when the
+  // footprint overlaps a job already running.
 
   /// RAII handle on an in-flight registry claim: releasing (destruction or
   /// Release()) unregisters the footprint and re-arms work parked on it, so
@@ -275,18 +288,15 @@ class DBImpl final : public DB {
     uint64_t job_id_ = 0;
   };
 
-  /// Flushes `imm` (merging with overlapping first-level files under
-  /// leveling). Heavy I/O runs with `l` released; the caller must hold the
-  /// write token (inline) or be a worker (background). Inline mode
-  /// rotates the WAL and resets mem_; background mode pops imm_ and points
-  /// the manifest at the oldest WAL still carrying unflushed data.
+  /// Flushes `imm`, the front of imm_ (merging with overlapping
+  /// first-level files under leveling). Heavy I/O runs with `l` released.
+  /// On commit pops imm_ and points the manifest at the oldest WAL still
+  /// carrying unflushed data.
   Status FlushMemTable(const ImmMemTable& imm, std::unique_lock<std::mutex>& l,
-                       bool* deferred = nullptr);
+                       bool* deferred);
 
-  Status MaybeCompactLocked(std::unique_lock<std::mutex>& l);
-  Status CompactOnce(const CompactionPick& pick, bool* did_work,
-                     std::unique_lock<std::mutex>& l,
-                     bool* deferred = nullptr);
+  Status CompactOnce(const CompactionPick& pick,
+                     std::unique_lock<std::mutex>& l, bool* deferred);
 
   /// Runs one logical merge over `inputs` (plus, for flushes, the frozen
   /// memtable `mem` and its buffered range tombstones `mem_rts`), split
@@ -310,7 +320,7 @@ class DBImpl final : public DB {
   Status SecondaryRangeDeleteLocked(uint64_t lo, uint64_t hi,
                                     std::unique_lock<std::mutex>& l);
 
-  // ---- background mode --------------------------------------------------
+  // ---- scheduling -----------------------------------------------------------
 
   /// Keeps the flush chain alive: schedules one flush job when imm_ is
   /// non-empty and none is queued or running. At most one flush job exists
@@ -346,11 +356,11 @@ class DBImpl final : public DB {
       const std::function<Status(std::unique_lock<std::mutex>&)>& fn,
       std::unique_lock<std::mutex>& l);
 
-  /// Oldest pending flush, executed on a worker (or inline at close).
+  /// Oldest pending flush, executed on a worker (or by the close drain).
   Status FlushOldestImmLocked(std::unique_lock<std::mutex>& l,
-                              bool* deferred = nullptr);
+                              bool* deferred);
 
-  // ---- background-error handling (background mode only) ----------------
+  // ---- background-error handling ------------------------------------------
 
   /// Records a failed background operation: pins bg_error_ (first error
   /// wins), feeds the error-handler state machine, and wakes stalled
@@ -361,8 +371,7 @@ class DBImpl final : public DB {
   /// writes keep landing while recovery retries the failed background job
   /// (the bounded stall lives at the imm-cap/L0 gate in
   /// HandlePostWriteLocked). Only kReadOnly/kFatal reject, with an IOError
-  /// wrapping the cause. Without an error handler (inline mode, or
-  /// pre-handler pinning) returns bg_error_ as-is.
+  /// wrapping the cause.
   Status WaitForWritableLocked(std::unique_lock<std::mutex>& l);
 
   /// Recovery probe (error-handler callback, runs off every lock): a small
@@ -407,7 +416,9 @@ class DBImpl final : public DB {
   /// instead — they may hold acked data the damaged manifest referenced.
   Status RemoveOrphanFilesLocked();
 
-  Status RotateWalLocked(VersionEdit* edit);
+  /// Closes the current WAL (if any) and opens a fresh one as wal_number_.
+  /// No-op when the WAL is disabled.
+  Status RotateWalLocked();
   bool KeyMayExist(const ReadSnapshot& snap, const Slice& key);
   Status ReplayWalsLocked();
   ReadSnapshot GetReadSnapshot() const;
@@ -436,6 +447,10 @@ class DBImpl final : public DB {
   std::string dbname_;
   Statistics stats_;
 
+  // Inline mode (Options::inline_compactions): every write group and
+  // maintenance call ends with DrainLocked.
+  bool barrier_mode_ = false;
+
   // Must outlive versions_ (the table cache hands it to every open reader)
   // and memtable_reservation_ (which returns its stake on destruction —
   // member order below page_cache_ guarantees it). shared_ptr: under
@@ -444,16 +459,17 @@ class DBImpl final : public DB {
   CacheReservation memtable_reservation_;  // write buffers' budget stake
   // Active memtable's contribution to the stake. Guarded by mu_ for
   // reads; written only while also holding the write token (or
-  // single-threaded: replay, memtable switch, inline flush).
+  // single-threaded: replay, memtable switch).
   size_t mem_staked_bytes_ = 0;
   std::unique_ptr<VersionSet> versions_;
   std::unique_ptr<CompactionPicker> picker_;
-  // Background mode only. Owned alone (classic) or co-owned by every shard
+  // Owned alone (classic) or co-owned by every shard
   // (Options::shared_scheduler); each DBImpl is one scheduler *owner* and
-  // detaches itself — not the pool — at close.
+  // detaches itself — not the pool — at close. Both are set by the
+  // constructor and never null.
   std::shared_ptr<BackgroundScheduler> bg_;
   BackgroundScheduler::OwnerId bg_owner_ = BackgroundScheduler::kDefaultOwner;
-  std::unique_ptr<ErrorHandler> err_;        // background mode only
+  std::unique_ptr<ErrorHandler> err_;
 
   mutable std::mutex mu_;
   std::deque<Writer*> writers_;

@@ -172,16 +172,14 @@ Status ShardedDB::Init() {
   // The shared pools. background_threads is the TOTAL pool size across all
   // shards, and memory_budget_bytes / page_cache_bytes the total budget:
   // sharding redistributes the same resources, it does not multiply them.
-  if (!options_.inline_compactions) {
-    scheduler_ = std::make_shared<BackgroundScheduler>(
-        options_.background_threads, &pool_stats_);
-  }
+  scheduler_ = std::make_shared<BackgroundScheduler>(
+      options_.background_threads, &pool_stats_);
   const uint64_t cache_capacity = options_.memory_budget_bytes > 0
                                       ? options_.memory_budget_bytes
                                       : options_.page_cache_bytes;
   if (cache_capacity > 0) {
     cache_ = std::make_shared<PageCache>(cache_capacity,
-                                         options_.page_cache_shard_bits,
+                                         PageCache::kDefaultShardBits,
                                          &pool_stats_,
                                          options_.strict_cache_capacity);
   }

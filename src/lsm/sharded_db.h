@@ -161,7 +161,7 @@ class ShardedDB final : public DB {
   // Shared pools. Declared before shards_: shards detach from the
   // scheduler and release the cache first, then the facade's references —
   // the last ones — tear the pools down.
-  std::shared_ptr<BackgroundScheduler> scheduler_;  // null in inline mode
+  std::shared_ptr<BackgroundScheduler> scheduler_;
   std::shared_ptr<PageCache> cache_;                // null without a budget
   // Shared-pool counters (cache hits/evictions, pool dispatches) land
   // here; stats() folds the per-shard counters on top.

@@ -19,9 +19,10 @@ namespace server {
 
 /// Front-end knobs. The engine itself is configured by the lethe::Options
 /// used to open the DB handed to RespServer; recommended serving setup is
-/// background mode (inline_compactions = false), a memory budget, and —
-/// for multi-core boxes — num_shards > 1 (the server is shard-agnostic:
-/// ShardedDB hides routing behind the same DB interface).
+/// background mode (inline_compactions = false, so no request waits for a
+/// compaction), a memory budget, and — for multi-core boxes —
+/// num_shards > 1 (the server is shard-agnostic: ShardedDB hides routing
+/// behind the same DB interface).
 struct ServerOptions {
   /// IPv4 address to bind. Default: loopback.
   std::string host = "127.0.0.1";

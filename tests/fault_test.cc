@@ -406,6 +406,52 @@ TEST(EnospcTest, PartitionedMergeFailsThenOrphansReclaimed) {
             ReferencedTableFiles(db.get()));
 }
 
+TEST(InlineFlushFaultTest, AppliedWriteIsNotFailedByItsFlush) {
+  // Inline mode runs flushes on the scheduler behind a barrier. A Put whose
+  // batch is applied (WAL + memtable) but whose triggered flush then fails
+  // is acknowledged: the flush failure belongs to the error state machine,
+  // and the value must read back once the fault clears.
+  auto base_env = NewMemEnv();
+  IoCountingEnv env(base_env.get(), 1024);
+  LogicalClock clock(1);
+  Options options = FaultyBackgroundOptions(&env, &clock);
+  options.inline_compactions = true;
+  options.max_bg_error_retries = 1 << 20;  // stay degraded while armed
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "inline_flush_fault_db", &db).ok());
+  DBImpl* impl = static_cast<DBImpl*>(db.get());
+
+  FaultPolicy policy;
+  policy.fail_appends = true;
+  policy.fail_creates = true;
+  policy.path_substring = ".sst";
+  env.InjectFaults(policy);
+
+  // Write until the first flush fires and fails; that Put still succeeds.
+  const std::string value(128, 'i');
+  uint64_t written = 0;
+  while (db->stats().bg_errors_by_class[0].load() == 0) {
+    ASSERT_LT(written, 100u) << "no flush fired";
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), EncodeKey(written), written, value).ok())
+        << "put " << written << " was applied; its flush's failure is not its";
+    written++;
+  }
+
+  env.ClearFaults();
+  ASSERT_TRUE(WaitFor(
+      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
+      10000))
+      << "DB did not auto-recover after the fault cleared";
+  ASSERT_TRUE(db->Flush().ok());
+  for (uint64_t k = 0; k < written; k++) {
+    std::string got;
+    ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &got).ok()) << k;
+    EXPECT_EQ(got, value) << k;
+  }
+}
+
 // ---- WAL group-commit faults ------------------------------------------------
 
 TEST(WalGroupCommitFaultTest, FailedAppendDoesNotAdvanceSequence) {

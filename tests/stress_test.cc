@@ -277,9 +277,6 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   options.background_threads = kPools[config_rnd.Uniform(3)];
   options.max_imm_memtables = 2 + static_cast<int>(config_rnd.Uniform(2));
   options.filter_blind_deletes = config_rnd.Bernoulli(0.3);
-  // Mostly the fragmented cover index, sometimes the naive linear walk —
-  // both must agree with the model under identical workloads.
-  options.fragmented_range_tombstones = config_rnd.Bernoulli(0.75);
   if (config_rnd.Bernoulli(0.4)) {
     options.delete_persistence_threshold_micros = 300000;
     options.file_picking = FilePickingPolicy::kMaxTombstones;
@@ -328,8 +325,6 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
                " cachemeta=" +
                std::to_string(options.cache_index_and_filter_blocks) +
                " strict=" + std::to_string(options.strict_cache_capacity) +
-               " fragrt=" +
-               std::to_string(options.fragmented_range_tombstones) +
                " rtheavy=" + std::to_string(RtHeavy()));
 
   std::unique_ptr<DB> db;

@@ -1,5 +1,6 @@
 // Unit tests for the util substrate: Slice, Status, coding, CRC32C, hashing,
-// Random, Histogram, Arena, Clock, and the shared record log.
+// Random, Histogram, Arena, Clock, the shared record log, and the
+// Statistics field list.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/statistics.h"
 #include "src/env/env.h"
 #include "src/util/arena.h"
 #include "src/util/clock.h"
@@ -345,6 +347,50 @@ TEST(RecordLogTest, CorruptPayloadDetected) {
   Status status;
   EXPECT_FALSE(reader.ReadRecord(&record, &status));
   EXPECT_TRUE(status.IsCorruption());
+}
+
+TEST(StatisticsTest, EveryFieldCopiesAndMerges) {
+  // Fill every counter and gauge through the field list itself, each with
+  // a distinct nonzero value, so a field the copy or merge skipped shows up
+  // as a zero (or a neighbour's value) under its own name. The histogram
+  // samples go first: RecordStall also bumps stall_micros.
+  Statistics stats;
+  stats.RecordStall(7);
+  stats.RecordSubcompactionSkew(1000);
+  stats.RecordRtFragmentCount(3);
+  stats.RecordNetPipelineDepth(16);
+  stats.RecordNetBatchSize(64);
+  uint64_t next = 1;
+#define LETHE_STAT(name) stats.name.store(next++);
+#define LETHE_STAT_ARRAY(name, size) \
+  for (auto& slot : stats.name) slot.store(next++);
+#include "src/core/statistics_fields.inc"
+#undef LETHE_STAT
+#undef LETHE_STAT_ARRAY
+
+  const Statistics copied(stats);
+  Statistics assigned;
+  assigned = stats;
+  Statistics merged;
+  merged.AddFrom(stats);
+  const Statistics* views[] = {&copied, &assigned, &merged};
+  for (const Statistics* view : views) {
+    uint64_t expect = 1;
+#define LETHE_STAT(name) EXPECT_EQ(view->name.load(), expect++) << #name;
+#define LETHE_STAT_ARRAY(name, size)                        \
+  for (size_t i = 0; i < (size); i++) {                     \
+    EXPECT_EQ(view->name[i].load(), expect++) << #name << i; \
+  }
+#include "src/core/statistics_fields.inc"
+#undef LETHE_STAT
+#undef LETHE_STAT_ARRAY
+    EXPECT_EQ(expect, next);
+    EXPECT_EQ(view->StallHistogram().count(), 1u);
+    EXPECT_EQ(view->SubcompactionSkewHistogram().count(), 1u);
+    EXPECT_EQ(view->RtFragmentHistogram().count(), 1u);
+    EXPECT_EQ(view->NetPipelineDepthHistogram().count(), 1u);
+    EXPECT_EQ(view->NetBatchSizeHistogram().count(), 1u);
+  }
 }
 
 }  // namespace
