@@ -1,7 +1,5 @@
 #include "src/core/statistics.h"
 
-#include <sstream>
-
 namespace lethe {
 
 namespace {
@@ -105,65 +103,6 @@ void Statistics::AddFrom(const Statistics& other) {
   rt_fragment_hist_.Merge(other.rt_fragment_hist_);
   net_pipeline_hist_.Merge(other.net_pipeline_hist_);
   net_batch_size_hist_.Merge(other.net_batch_size_hist_);
-}
-
-std::string Statistics::ToString() const {
-  std::ostringstream out;
-  out << "puts=" << user_puts.load() << " deletes=" << user_deletes.load()
-      << " range_deletes=" << user_range_deletes.load()
-      << " flushes=" << flushes.load()
-      << " compactions=" << compactions.load() << " (saturation="
-      << compactions_saturation_triggered.load()
-      << ", ttl=" << compactions_ttl_triggered.load() << ")"
-      << " compaction_bytes_written=" << compaction_bytes_written.load()
-      << " tombstones_dropped=" << tombstones_dropped.load()
-      << " point_lookups=" << point_lookups.load()
-      << " lookup_pages=" << point_lookup_pages_read.load()
-      << " page_cache_hits=" << page_cache_hits.load()
-      << " page_cache_misses=" << page_cache_misses.load()
-      << " filter_block_hits=" << filter_block_cache_hits.load()
-      << " filter_block_misses=" << filter_block_cache_misses.load()
-      << " index_block_hits=" << index_block_cache_hits.load()
-      << " index_block_misses=" << index_block_cache_misses.load()
-      << " rt_fragment_builds=" << rt_fragment_builds.load()
-      << " rt_fragments_total=" << rt_fragments_total.load()
-      << " rt_cover_probes=" << rt_cover_probes.load()
-      << " rt_block_hits=" << rt_block_cache_hits.load()
-      << " rt_block_misses=" << rt_block_cache_misses.load()
-      << " strict_rejections=" << block_cache_strict_rejections.load()
-      << " reservation_bytes=" << cache_reservation_bytes.load()
-      << " bloom_probes=" << bloom_probes.load()
-      << " bloom_fp=" << bloom_false_positives.load()
-      << " full_page_drops=" << full_page_drops.load()
-      << " partial_page_drops=" << partial_page_drops.load()
-      << " group_commit_batches=" << group_commit_batches.load()
-      << " wal_appends=" << wal_appends.load()
-      << " partitioned_compactions=" << partitioned_compactions.load()
-      << " subcompactions_dispatched=" << subcompactions_dispatched.load()
-      << " bg_jobs_dispatched=" << bg_jobs_dispatched.load()
-      << " bg_jobs_deferred_overlap=" << bg_jobs_deferred_overlap.load()
-      << " write_stalls=" << write_stalls.load()
-      << " write_slowdowns=" << write_slowdowns.load()
-      << " stall_micros=" << stall_micros.load()
-      << " bg_errors=[transient=" << bg_errors_by_class[0].load()
-      << ",nospace=" << bg_errors_by_class[1].load()
-      << ",corruption=" << bg_errors_by_class[2].load()
-      << ",fatal=" << bg_errors_by_class[3].load() << "]"
-      << " auto_recovery_attempts=" << auto_recovery_attempts.load()
-      << " auto_recovery_successes=" << auto_recovery_successes.load()
-      << " time_in_degraded_micros=" << time_in_degraded_micros.load()
-      << " wal_records_skipped_corrupt=" << wal_records_skipped_corrupt.load()
-      << " manifest_fallbacks=" << manifest_fallbacks.load()
-      << " net_connections_accepted=" << net_connections_accepted.load()
-      << " net_commands=" << net_commands.load()
-      << " net_bytes_in=" << net_bytes_in.load()
-      << " net_bytes_out=" << net_bytes_out.load()
-      << " net_batches_coalesced=" << net_batches_coalesced.load()
-      << " net_batch_ops_coalesced=" << net_batch_ops_coalesced.load()
-      << " net_protocol_errors=" << net_protocol_errors.load()
-      << " net_expired_lazy=" << net_expired_lazy.load()
-      << " net_keys_expired_active=" << net_keys_expired_active.load();
-  return out.str();
 }
 
 }  // namespace lethe

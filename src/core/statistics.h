@@ -84,8 +84,6 @@ struct Statistics {
     return *this;
   }
 
-  std::string ToString() const;
-
  private:
   void CopyFrom(const Statistics& other);
 

@@ -275,6 +275,66 @@ void RemoveFailedMergeOutputs(Env* env, const std::string& dbname,
   }
 }
 
+/// Calls `fn(file)` for every table that may hold `key`, newest source
+/// first: levels top-down, runs newest first, and within a run the file
+/// whose fences contain the key (plus any successor sharing that boundary
+/// key). Stops as soon as `fn` returns true and reports whether it did.
+/// The one candidate-file iteration behind every point probe.
+template <typename Fn>
+bool ForEachCandidateFile(const Version& version, const Slice& key, Fn&& fn) {
+  for (int level = 0; level < version.num_levels(); level++) {
+    const auto& runs = version.levels()[level];
+    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+      const int idx = run->FindFile(key);
+      if (idx < 0) {
+        continue;
+      }
+      for (size_t i = idx; i < run->files.size() &&
+                           Slice(run->files[i]->smallest_key).compare(key) <= 0;
+           i++) {
+        if (fn(run->files[i])) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// WAL record kinds 1-3 mirror the WriteBatch op kinds, so the write path logs
+// an op's kind and replay applies a record's kind by value.
+static_assert(static_cast<int>(WalRecord::Kind::kPut) ==
+                  static_cast<int>(WriteBatch::OpKind::kPut) &&
+              static_cast<int>(WalRecord::Kind::kDelete) ==
+                  static_cast<int>(WriteBatch::OpKind::kDelete) &&
+              static_cast<int>(WalRecord::Kind::kRangeDelete) ==
+                  static_cast<int>(WriteBatch::OpKind::kRangeDelete));
+
+/// The one op-kind → memtable mutation, shared by the write path and WAL
+/// replay. Requires the write token (or single-threaded recovery).
+void ApplyToMemTable(MemTable* mem, WriteBatch::OpKind kind,
+                     SequenceNumber seq, uint64_t time, const std::string& key,
+                     const std::string& end_key, uint64_t delete_key,
+                     const std::string& value) {
+  switch (kind) {
+    case WriteBatch::OpKind::kPut:
+      mem->Add(seq, ValueType::kValue, key, delete_key, value, time);
+      break;
+    case WriteBatch::OpKind::kDelete:
+      mem->Add(seq, ValueType::kTombstone, key, delete_key, Slice(), time);
+      break;
+    case WriteBatch::OpKind::kRangeDelete: {
+      RangeTombstone rt;
+      rt.begin_key = key;
+      rt.end_key = end_key;
+      rt.seq = seq;
+      rt.time = time;
+      mem->AddRangeTombstone(rt);
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 Status DB::Open(const Options& options, const std::string& name,
@@ -509,6 +569,23 @@ Status DBImpl::ReplayWalsLocked() {
     LETHE_RETURN_IF_ERROR(ReadFileToString(options_.env, fname, &contents));
     RecordLogScanner scanner{Slice(contents)};
     bool done = false;
+    // kSkipCorruptRecords: count one skipped record of `bytes`.
+    auto count_skipped = [this](uint64_t bytes) {
+      stats_.wal_records_skipped_corrupt.fetch_add(1,
+                                                   std::memory_order_relaxed);
+      stats_.wal_bytes_skipped_corrupt.fetch_add(bytes,
+                                                 std::memory_order_relaxed);
+    };
+    // kSkipCorruptRecords: resync past damaged framing (done when the
+    // damage runs to EOF).
+    auto resync = [&] {
+      const uint64_t skipped = scanner.Resync();
+      if (skipped == 0) {
+        done = true;
+      } else {
+        count_skipped(skipped);
+      }
+    };
     while (!done) {
       Slice payload;
       switch (scanner.Next(&payload)) {
@@ -517,12 +594,8 @@ Status DBImpl::ReplayWalsLocked() {
           if (DecodeWalRecord(payload, &record)) {
             replayed.push_back(std::move(record));
           } else if (mode == WalRecoveryMode::kSkipCorruptRecords) {
-            // Frame CRC passed but the payload does not decode — count it
-            // as a corrupt record and move on.
-            stats_.wal_records_skipped_corrupt.fetch_add(
-                1, std::memory_order_relaxed);
-            stats_.wal_bytes_skipped_corrupt.fetch_add(
-                payload.size(), std::memory_order_relaxed);
+            // Frame CRC passed but the payload does not decode.
+            count_skipped(payload.size());
           } else {
             return Status::Corruption("WAL record malformed in " + fname);
           }
@@ -539,15 +612,7 @@ Status DBImpl::ReplayWalsLocked() {
             break;
           }
           if (mode == WalRecoveryMode::kSkipCorruptRecords) {
-            const uint64_t skipped = scanner.Resync();
-            if (skipped == 0) {
-              done = true;  // damage runs to EOF
-              break;
-            }
-            stats_.wal_records_skipped_corrupt.fetch_add(
-                1, std::memory_order_relaxed);
-            stats_.wal_bytes_skipped_corrupt.fetch_add(
-                skipped, std::memory_order_relaxed);
+            resync();
             break;
           }
           return Status::Corruption(
@@ -556,15 +621,7 @@ Status DBImpl::ReplayWalsLocked() {
               fname);
         case RecordLogScanner::Result::kCorrupt:
           if (mode == WalRecoveryMode::kSkipCorruptRecords) {
-            const uint64_t skipped = scanner.Resync();
-            if (skipped == 0) {
-              done = true;
-              break;
-            }
-            stats_.wal_records_skipped_corrupt.fetch_add(
-                1, std::memory_order_relaxed);
-            stats_.wal_bytes_skipped_corrupt.fetch_add(
-                skipped, std::memory_order_relaxed);
+            resync();
             break;
           }
           return Status::Corruption("WAL record checksum mismatch in " +
@@ -579,35 +636,14 @@ Status DBImpl::ReplayWalsLocked() {
       // Re-apply the in-place purge at its original position in the
       // timeline: it covers exactly the entries replayed before it.
       mem_->PurgeDeleteKeyRange(record.delete_key, record.delete_key_end);
-      if (record.seq > versions_->LastSequence()) {
-        versions_->SetLastSequence(record.seq);
+    } else {
+      if (mem_->empty()) {
+        mem_first_seq_ = record.seq;
+        mem_first_time_ = record.time;
       }
-      continue;
-    }
-    if (mem_->empty()) {
-      mem_first_seq_ = record.seq;
-      mem_first_time_ = record.time;
-    }
-    switch (record.kind) {
-      case WalRecord::Kind::kPut:
-        mem_->Add(record.seq, ValueType::kValue, record.key,
-                  record.delete_key, record.value, record.time);
-        break;
-      case WalRecord::Kind::kDelete:
-        mem_->Add(record.seq, ValueType::kTombstone, record.key,
-                  record.delete_key, Slice(), record.time);
-        break;
-      case WalRecord::Kind::kRangeDelete: {
-        RangeTombstone rt;
-        rt.begin_key = record.key;
-        rt.end_key = record.end_key;
-        rt.seq = record.seq;
-        rt.time = record.time;
-        mem_->AddRangeTombstone(rt);
-        break;
-      }
-      case WalRecord::Kind::kSecondaryRangeDelete:
-        break;  // handled above
+      ApplyToMemTable(mem_.get(), static_cast<WriteBatch::OpKind>(record.kind),
+                      record.seq, record.time, record.key, record.end_key,
+                      record.delete_key, record.value);
     }
     if (record.seq > versions_->LastSequence()) {
       versions_->SetLastSequence(record.seq);
@@ -676,27 +712,65 @@ bool DBImpl::KeyMayExist(const ReadSnapshot& snap, const Slice& key) {
       return !entry.IsTombstone();
     }
   }
-  for (int level = 0; level < snap.version->num_levels(); level++) {
-    const auto& runs = snap.version->levels()[level];
-    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
-      int idx = run->FindFile(key);
-      if (idx < 0) {
-        continue;
-      }
-      for (size_t i = idx; i < run->files.size() &&
-                           Slice(run->files[i]->smallest_key).compare(key) <= 0;
-           i++) {
+  // Filter-only probe per candidate table; a table that fails to open is
+  // conservatively assumed to hold the key.
+  return ForEachCandidateFile(
+      *snap.version, key, [&](const std::shared_ptr<FileMeta>& file) {
         std::shared_ptr<SSTableReader> table;
-        if (!versions_->table_cache()->GetTable(*run->files[i], &table).ok()) {
-          return true;  // be conservative on errors
-        }
-        if (table->KeyMayExist(key, run->files[i].get(), &stats_)) {
-          return true;
-        }
-      }
+        return !versions_->table_cache()->GetTable(*file, &table).ok() ||
+               table->KeyMayExist(key, file.get(), &stats_);
+      });
+}
+
+Status DBImpl::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
+                                 SequenceNumber bound, bool fill_cache,
+                                 NewestVersion* out) {
+  auto probe_memtable = [&](const MemTable& mem) {
+    out->cover_seq =
+        std::max(out->cover_seq, mem.MaxRangeTombstoneCoverSeq(key, bound));
+    ParsedEntry entry;
+    if (!mem.Get(key, &entry, bound)) {
+      return false;
+    }
+    out->found = true;
+    out->entry.type = entry.type;
+    out->entry.seq = entry.seq;
+    out->entry.delete_key = entry.delete_key;
+    out->entry.value = entry.value;  // aliases the pinned memtable's arena
+    return true;
+  };
+  if (probe_memtable(*snap.mem)) {
+    return Status::OK();
+  }
+  for (auto it = snap.imm.rbegin(); it != snap.imm.rend(); ++it) {
+    if (probe_memtable(**it)) {
+      return Status::OK();
     }
   }
-  return false;
+  Status s;
+  ForEachCandidateFile(
+      *snap.version, key, [&](const std::shared_ptr<FileMeta>& file) {
+        std::shared_ptr<SSTableReader> table;
+        s = versions_->table_cache()->GetTable(*file, &table);
+        // Accumulate this file's range-tombstone coverage before deciding.
+        // The FileMeta count gates the index fetch, so rt-free files cost
+        // no metadata access at all on this hot path.
+        if (s.ok() && file->num_range_tombstones > 0) {
+          FragmentedRtHandle frt;
+          s = table->GetFragmentedRangeTombstones(&stats_, &frt);
+          if (s.ok()) {
+            stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
+            out->cover_seq =
+                std::max(out->cover_seq, frt->MaxCoverSeq(key, bound));
+          }
+        }
+        if (s.ok()) {
+          s = table->Get(key, file.get(), &stats_, &out->found, &out->entry,
+                         fill_cache, bound);
+        }
+        return !s.ok() || out->found;
+      });
+  return s;
 }
 
 // ---- write path -----------------------------------------------------------
@@ -757,8 +831,9 @@ std::vector<DBImpl::Writer*> DBImpl::BuildBatchGroup(Writer** last) {
     if (writer->batch == nullptr) {
       break;  // exclusive op (flush/SRD): never merged into a group
     }
-    if (writer->validate) {
-      break;  // txn commit: must run its own validation before applying
+    if (!group.empty() && (writer->validation_keys != nullptr ||
+                           group.front()->validation_keys != nullptr)) {
+      break;  // a txn commit is a solo group: its leader validated it alone
     }
     if (!group.empty() && writer->sync && !group.front()->sync) {
       break;  // do not impose a sync on writers that did not ask for one
@@ -771,6 +846,39 @@ std::vector<DBImpl::Writer*> DBImpl::BuildBatchGroup(Writer** last) {
   }
   *last = group.back();
   return group;
+}
+
+template <typename Apply>
+Status DBImpl::LogApplyPublish(WalWriter* wal, const WalRecord* records,
+                               size_t n, bool sync, SequenceNumber last_seq,
+                               Apply&& apply) {
+  if (wal != nullptr) {
+    bool appended = false;
+    Status s = wal->AddRecords(records, n, sync, &appended);
+    if (appended) {
+      stats_.wal_appends.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (!s.ok()) {
+      // If bytes may have reached the log (append succeeded, sync failed)
+      // the sequences must be burned — published so recovery's replay of
+      // those bytes cannot collide with a later ack — but they become
+      // visible to no read until then. A pure append failure left nothing
+      // on disk, so the numbers are reused.
+      if (appended) {
+        versions_->SetLastSequence(last_seq);
+      }
+      return s;
+    }
+    if (sync || options_.sync_wal) {
+      stats_.wal_syncs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  apply();
+  // Publish only after the apply: a snapshot pinned at LastSequence must
+  // observe each batch atomically (all of its entries or none), never a
+  // half-applied group.
+  versions_->SetLastSequence(last_seq);
+  return Status::OK();
 }
 
 Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
@@ -802,11 +910,9 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   // per-op map inserts.
   const bool track_liveness = options_.filter_blind_deletes;
   std::unordered_map<std::string, bool> group_live;
-  // Sequences are allocated locally and published only once the WAL accepts
-  // the group: a failed append must not advance the visible sequence, or the
-  // numbers it burned would be acked to no one yet replayable by nobody.
-  // Token-guarded (only the token holder allocates), so the read-modify-
-  // write of LastSequence is unsynchronized but safe.
+  // Sequences are allocated locally and published by LogApplyPublish once
+  // the WAL accepts the group. Only the token holder allocates, so this
+  // unsynchronized read-modify-write of LastSequence is safe.
   SequenceNumber next_seq = versions_->LastSequence();
   for (const Writer* writer : group) {
     for (const WriteBatch::Op& op : writer->batch->ops()) {
@@ -860,11 +966,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
       pending.push_back({&op, seq, delete_key});
       if (wal != nullptr) {
         WalRecord record;
-        record.kind = op.kind == WriteBatch::OpKind::kPut
-                          ? WalRecord::Kind::kPut
-                          : (op.kind == WriteBatch::OpKind::kDelete
-                                 ? WalRecord::Kind::kDelete
-                                 : WalRecord::Kind::kRangeDelete);
+        record.kind = static_cast<WalRecord::Kind>(op.kind);
         record.seq = seq;
         record.time = now;
         record.key = op.key;
@@ -880,57 +982,17 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   }
 
   // Pass 2: one physical WAL append (and at most one sync) for the whole
-  // group — the group-commit amortization.
-  if (wal != nullptr) {
-    bool appended = false;
-    Status ws =
-        wal->AddRecords(records.data(), records.size(), force_sync, &appended);
-    if (appended) {
-      stats_.wal_appends.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!ws.ok()) {
-      // Every writer in the group fails with this status (CompleteGroup
-      // propagates it to all members). If bytes may have reached the log
-      // (append succeeded, sync failed) the sequences must be burned —
-      // published so recovery's replay of those bytes cannot collide with a
-      // later ack — but they become visible to no read until then. A pure
-      // append failure left nothing on disk, so the numbers are reused.
-      if (appended) {
-        versions_->SetLastSequence(next_seq);
-      }
-      return ws;
-    }
-    if (force_sync || options_.sync_wal) {
-      stats_.wal_syncs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // Pass 3: apply to the memtable in order.
-  for (const PendingOp& p : pending) {
-    const WriteBatch::Op& op = *p.op;
-    switch (op.kind) {
-      case WriteBatch::OpKind::kPut:
-        snap.mem->Add(p.seq, ValueType::kValue, op.key, p.delete_key,
-                      op.value, now);
-        break;
-      case WriteBatch::OpKind::kDelete:
-        snap.mem->Add(p.seq, ValueType::kTombstone, op.key, p.delete_key,
-                      Slice(), now);
-        break;
-      case WriteBatch::OpKind::kRangeDelete: {
-        RangeTombstone rt;
-        rt.begin_key = op.key;
-        rt.end_key = op.end_key;
-        rt.seq = p.seq;
-        rt.time = now;
-        snap.mem->AddRangeTombstone(rt);
-        break;
-      }
-    }
-  }
-  // Publish the group's sequences only after every memtable insert: a
-  // snapshot pinned at LastSequence must observe each batch atomically
-  // (all of its entries or none), never a half-applied group.
-  versions_->SetLastSequence(next_seq);
+  // group — the group-commit amortization — then pass 3: apply to the
+  // memtable in order. Every writer in the group fails with a WAL error
+  // (CompleteGroup propagates it to all members).
+  LETHE_RETURN_IF_ERROR(LogApplyPublish(
+      wal, records.data(), records.size(), force_sync, next_seq, [&] {
+        for (const PendingOp& p : pending) {
+          const WriteBatch::Op& op = *p.op;
+          ApplyToMemTable(snap.mem.get(), op.kind, p.seq, now, op.key,
+                          op.end_key, p.delete_key, op.value);
+        }
+      }));
   stats_.group_commit_batches.fetch_add(1, std::memory_order_relaxed);
   stats_.group_commit_entries.fetch_add(pending.size(),
                                         std::memory_order_relaxed);
@@ -949,61 +1011,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* batch) {
   }
 
   Writer w(batch, options.sync);
-  std::unique_lock<std::mutex> l(mu_);
-  if (closed_) {
-    return Status::InvalidArgument("DB is closed");
-  }
-  JoinWriterQueue(&w, l);
-  if (w.done) {
-    return w.status;  // a leader committed this batch on our behalf
-  }
-
-  // This writer holds the write token.
-  Status s = WaitForWritableLocked(l);
-  Writer* last_writer = &w;
-  if (s.ok()) {
-    MaybeSlowdownLocked(l);
-    std::vector<Writer*> group = BuildBatchGroup(&last_writer);
-    size_t count = 0;
-    for (const Writer* writer : group) {
-      count += writer->batch->Count();
-    }
-    if (count > 0) {
-      const uint64_t now = options_.clock->NowMicros();
-      ReadSnapshot snap = GetReadSnapshotLocked();
-      WalWriter* wal = wal_.get();
-      bool force_sync = false;
-      for (const Writer* writer : group) {
-        force_sync |= writer->sync;
-      }
-      l.unlock();
-      s = ApplyGroup(group, snap, wal, now, force_sync);
-      l.lock();
-      if (!s.ok()) {
-        // The group's WAL append/sync failed: feed the state machine so
-        // recovery probes the storage and, on success, resumes writes.
-        RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
-      }
-    }
-    if (s.ok()) {
-      FinishWriteLocked(l);
-    }
-  }
-  CompleteGroup(&w, last_writer, s, l);
-  return s;
-}
-
-void DBImpl::FinishWriteLocked(std::unique_lock<std::mutex>& l) {
-  // The group is already durable and applied: failing the acked batch over
-  // post-write maintenance (a memtable switch that could not start, health
-  // falling to read-only mid-write, or a flush the barrier waited on) would
-  // misreport applied data as lost. Genuine failures go to the state
-  // machine instead; the next write rejects at entry once it is read-only.
-  Status post = HandlePostWriteLocked(l);
-  if (!post.ok() && bg_error_.ok() && !post.IsInvalidArgument()) {
-    RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, post);
-  }
-  DrainLocked(l).ok();
+  return WriteImpl(&w);
 }
 
 Status DBImpl::WriteValidated(const WriteOptions& options, WriteBatch* batch,
@@ -1020,67 +1028,96 @@ Status DBImpl::WriteValidated(const WriteOptions& options, WriteBatch* batch,
       return Status::NotSupported("range deletes in validated writes");
     }
   }
-
   Writer w(batch, options.sync);
-  w.validate = true;
+  w.validation_keys = &validation_keys;
+  w.read_snapshot_seq = read_snapshot_seq;
+  Status s = WriteImpl(&w);
+  if (s.ok() && commit_seq != nullptr) {
+    *commit_seq = w.commit_seq;
+  }
+  return s;
+}
+
+Status DBImpl::WriteImpl(Writer* w) {
   std::unique_lock<std::mutex> l(mu_);
   if (closed_) {
     return Status::InvalidArgument("DB is closed");
   }
-  JoinWriterQueue(&w, l);
-  // Validating writers are never absorbed into a leader's group
-  // (BuildBatchGroup stops at them), so reaching here means holding the
-  // token: no other commit can land between validation and apply.
+  JoinWriterQueue(w, l);
+  if (w->done) {
+    return w->status;  // a leader committed this batch on our behalf
+  }
 
+  // This writer holds the write token.
   Status s = WaitForWritableLocked(l);
+  Writer* last_writer = w;
   if (s.ok()) {
     MaybeSlowdownLocked(l);
-    l.unlock();
-    // Reads take mu_ briefly themselves; run the lookups without it.
-    for (const std::string& key : validation_keys) {
-      SequenceNumber latest = 0;
-      s = LatestSeqForKey(Slice(key), &latest);
-      if (!s.ok()) {
-        break;
+    const std::vector<Writer*> group = BuildBatchGroup(&last_writer);
+    size_t count = 0;
+    bool force_sync = false;
+    for (const Writer* writer : group) {
+      count += writer->batch->Count();
+      force_sync |= writer->sync;
+    }
+    if (count > 0 || w->validation_keys != nullptr) {
+      const uint64_t now = options_.clock->NowMicros();
+      ReadSnapshot snap = GetReadSnapshotLocked();
+      WalWriter* wal = wal_.get();
+      bool wal_failed = false;
+      l.unlock();
+      if (w->validation_keys != nullptr) {
+        s = ValidateCommit(*w, snap);  // solo group: nothing else applies
       }
-      if (latest > read_snapshot_seq) {
-        s = Status::Busy("transaction conflict: key written since snapshot");
-        break;
+      if (s.ok() && count > 0) {
+        s = ApplyGroup(group, snap, wal, now, force_sync);
+        wal_failed = !s.ok();
+      }
+      l.lock();
+      if (wal_failed) {
+        // The group's WAL append/sync failed: feed the state machine so
+        // recovery probes the storage and, on success, resumes writes.
+        RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
       }
     }
     if (s.ok()) {
-      stats_.txn_commits.fetch_add(1, std::memory_order_relaxed);
-    } else if (s.IsBusy()) {
-      stats_.txn_conflicts.fetch_add(1, std::memory_order_relaxed);
-    }
-    l.lock();
-  }
-  if (s.ok() && batch->Count() == 0 && commit_seq != nullptr) {
-    // Read-only transaction: its serialization point is now (validated
-    // under the token with nothing to apply).
-    *commit_seq = versions_->LastSequence();
-  }
-  if (s.ok() && batch->Count() > 0) {
-    const std::vector<Writer*> group{&w};
-    const uint64_t now = options_.clock->NowMicros();
-    ReadSnapshot snap = GetReadSnapshotLocked();
-    WalWriter* wal = wal_.get();
-    l.unlock();
-    s = ApplyGroup(group, snap, wal, now, w.sync);
-    l.lock();
-    if (s.ok() && commit_seq != nullptr) {
-      // Solo group: the batch owns the tail of the sequence space, and the
-      // token serializes commits, so this is the group's last sequence.
-      *commit_seq = versions_->LastSequence();
-    }
-    if (s.ok()) {
+      // The token serializes commits, so this is the group's last sequence
+      // (a read-only transaction's validation point when nothing applied).
+      w->commit_seq = versions_->LastSequence();
       FinishWriteLocked(l);
-    } else {
-      RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
     }
   }
-  CompleteGroup(&w, &w, s, l);
+  CompleteGroup(w, last_writer, s, l);
   return s;
+}
+
+Status DBImpl::ValidateCommit(const Writer& w, const ReadSnapshot& snap) {
+  for (const std::string& key : *w.validation_keys) {
+    NewestVersion newest;
+    LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, kMaxSequenceNumber,
+                                            /*fill_cache=*/false, &newest));
+    const SequenceNumber latest =
+        std::max(newest.cover_seq, newest.found ? newest.entry.seq : 0);
+    if (latest > w.read_snapshot_seq) {
+      stats_.txn_conflicts.fetch_add(1, std::memory_order_relaxed);
+      return Status::Busy("transaction conflict: key written since snapshot");
+    }
+  }
+  stats_.txn_commits.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void DBImpl::FinishWriteLocked(std::unique_lock<std::mutex>& l) {
+  // The group is already durable and applied: failing the acked batch over
+  // post-write maintenance (a memtable switch that could not start, health
+  // falling to read-only mid-write, or a flush the barrier waited on) would
+  // misreport applied data as lost. Genuine failures go to the state
+  // machine instead; the next write rejects at entry once it is read-only.
+  Status post = HandlePostWriteLocked(l);
+  if (!post.ok() && bg_error_.ok() && !post.IsInvalidArgument()) {
+    RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, post);
+  }
+  DrainLocked(l).ok();
 }
 
 Status DBImpl::WaitForWritableLocked(std::unique_lock<std::mutex>&) {
@@ -1538,6 +1575,13 @@ Status DBImpl::CompactOnce(const CompactionPick& pick,
   for (const auto& file : all_inputs) {
     config.input_bytes += file->file_size;
   }
+  return MergeAndCommitLocked(all_inputs, config, &edit, l);
+}
+
+Status DBImpl::MergeAndCommitLocked(
+    const std::vector<std::shared_ptr<FileMeta>>& inputs,
+    const MergeConfig& config, VersionEdit* edit,
+    std::unique_lock<std::mutex>& l) {
   // Subcompactions: split the merge into byte-balanced key-range
   // partitions so idle pool workers can share one saturated level's merge.
   // Empty boundaries (the default, single-file inputs, or a degenerate key
@@ -1545,20 +1589,19 @@ Status DBImpl::CompactOnce(const CompactionPick& pick,
   std::vector<std::string> boundaries;
   if (options_.max_subcompactions > 1) {
     // Off-mutex: fence sampling opens the inputs and may read metadata.
-    // The registered claim fences conflicting work while the lock is down.
+    // The caller's claim fences conflicting work while the lock is down.
     l.unlock();
     boundaries = picker_->ComputeSubcompactionBoundaries(
-        all_inputs, options_.max_subcompactions);
+        inputs, options_.max_subcompactions);
     l.lock();
   }
-  Status s = RunMergePartitioned(all_inputs, /*mem=*/nullptr, {}, boundaries,
-                                 config, &edit, l);
+  Status s = RunMergePartitioned(inputs, /*mem=*/nullptr, {}, boundaries,
+                                 config, edit, l);
   if (s.ok()) {
-    s = versions_->LogAndApply(&edit);
+    s = versions_->LogAndApply(edit);
   }
-  claim.Release();
   if (!s.ok()) {
-    RemoveFailedMergeOutputs(options_.env, dbname_, edit);
+    RemoveFailedMergeOutputs(options_.env, dbname_, *edit);
     return s;
   }
   err_->ReportSuccess();  // a committed merge refills the retry budget
@@ -1756,20 +1799,10 @@ Status DBImpl::CompactAllLocked(std::unique_lock<std::mutex>& l) {
   for (const auto& [level, file] : version->AllFiles()) {
     all_inputs.push_back(file);
     edit.removed_files.push_back({level, file->file_number});
+    config.input_bytes += file->file_size;
   }
   config.input_files = all_inputs.size();
-
-  std::vector<std::unique_ptr<InternalIterator>> iters;
-  std::vector<RangeTombstone> rts;
-  LETHE_RETURN_IF_ERROR(CollectFileInputs(versions_.get(), all_inputs, &iters,
-                                          &rts, &config.input_bytes));
-  auto merged = NewMergingIterator(std::move(iters));
-  MergeExecutor executor(options_, versions_.get(), &stats_);
-  l.unlock();
-  Status merge_status = executor.Run(merged.get(), rts, config, &edit);
-  l.lock();
-  LETHE_RETURN_IF_ERROR(merge_status);
-  LETHE_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
+  LETHE_RETURN_IF_ERROR(MergeAndCommitLocked(all_inputs, config, &edit, l));
   RefreshTriggerStateLocked();
   return Status::OK();
 }
@@ -2214,52 +2247,37 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
   // on in the log, so recovery must replay the purge over them or the
   // delete silently un-happens at the next open. Honors the caller's sync
   // request like any other write — an acknowledged delete must not vanish
-  // in a torn WAL tail.
-  if (options_.enable_wal && wal_ != nullptr) {
-    // Same allocate-locally / publish-on-success discipline as ApplyGroup:
-    // the token guards sequence allocation, and a failed append must not
-    // advance the visible sequence.
-    SequenceNumber next_seq = versions_->LastSequence();
-    WalRecord record;
-    record.kind = WalRecord::Kind::kSecondaryRangeDelete;
-    record.seq = ++next_seq;
-    record.time = options_.clock->NowMicros();
-    record.delete_key = delete_key_begin;
-    record.delete_key_end = delete_key_end;
-    bool appended = false;
-    Status ws = wal_->AddRecords(&record, 1, options.sync, &appended);
-    if (appended) {
-      stats_.wal_appends.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!ws.ok()) {
-      if (appended) {
-        versions_->SetLastSequence(next_seq);  // burn: bytes may be on disk
-      }
-      RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, ws);
-      CompleteGroup(&w, &w, ws, l);
-      return ws;
-    }
-    if (options.sync || options_.sync_wal) {
-      stats_.wal_syncs.fetch_add(1, std::memory_order_relaxed);
-    }
-    versions_->SetLastSequence(next_seq);
-  }
-
+  // in a torn WAL tail. The same commit protocol as a write group; with the
+  // WAL off nothing is logged and the purge takes no sequence.
+  WalRecord record;
+  record.kind = WalRecord::Kind::kSecondaryRangeDelete;
+  record.seq = versions_->LastSequence() + (wal_ != nullptr ? 1 : 0);
+  record.time = options_.clock->NowMicros();
+  record.delete_key = delete_key_begin;
+  record.delete_key_end = delete_key_end;
   // The active memtable is mutable, so buffered entries are purged in place
   // (no tombstones needed). Requires the write token.
-  uint64_t purged =
-      mem_->PurgeDeleteKeyRange(delete_key_begin, delete_key_end);
-  stats_.entries_purged_by_srd.fetch_add(purged, std::memory_order_relaxed);
+  auto purge = [&] {
+    stats_.entries_purged_by_srd.fetch_add(
+        mem_->PurgeDeleteKeyRange(delete_key_begin, delete_key_end),
+        std::memory_order_relaxed);
+  };
+  Status s = LogApplyPublish(wal_.get(), &record, 1, options.sync,
+                             record.seq, purge);
+  if (!s.ok()) {
+    RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
+  }
 
   // Release the token, then run the disk part as a prioritized job. The
   // job drains every pending memtable (flushing on its own worker) and
   // claims the whole tree before scanning, so no pre-call entry escapes the
   // delete and no concurrent merge resurrects one.
-  CompleteGroup(&w, &w, Status::OK(), l);
+  CompleteGroup(&w, &w, s, l);
+  LETHE_RETURN_IF_ERROR(s);
   if (!bg_error_.ok()) {
     return bg_error_;
   }
-  Status s = RunOnWorkerAndWait(
+  s = RunOnWorkerAndWait(
       BackgroundScheduler::Priority::kSecondaryDelete,
       BackgroundJobKind::kSecondaryDelete,
       [this, delete_key_begin,
@@ -2286,79 +2304,17 @@ Status DBImpl::GetWithDeleteKey(const ReadOptions& options, const Slice& key,
                                    ? options.snapshot->sequence()
                                    : kMaxSequenceNumber;
 
-  SequenceNumber max_rt_seq = snap.mem->MaxRangeTombstoneCoverSeq(key, bound);
-
-  ParsedEntry mem_entry;
-  if (snap.mem->Get(key, &mem_entry, bound)) {
-    if (max_rt_seq > mem_entry.seq || mem_entry.IsTombstone()) {
-      return Status::NotFound(key);
-    }
-    *value = mem_entry.value.ToString();
-    *delete_key = mem_entry.delete_key;
-    return Status::OK();
+  NewestVersion newest;
+  LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, bound,
+                                          options.fill_page_cache, &newest));
+  if (!newest.Live()) {
+    return Status::NotFound(key);
   }
-
-  // Immutable memtables, newest first, accumulating range-tombstone
-  // coverage on the way down (sources are strictly ordered by sequence).
-  for (auto it = snap.imm.rbegin(); it != snap.imm.rend(); ++it) {
-    const MemTable& imm = **it;
-    max_rt_seq =
-        std::max(max_rt_seq, imm.MaxRangeTombstoneCoverSeq(key, bound));
-    if (imm.Get(key, &mem_entry, bound)) {
-      if (max_rt_seq > mem_entry.seq || mem_entry.IsTombstone()) {
-        return Status::NotFound(key);
-      }
-      *value = mem_entry.value.ToString();
-      *delete_key = mem_entry.delete_key;
-      return Status::OK();
-    }
-  }
-
-  for (int level = 0; level < snap.version->num_levels(); level++) {
-    const auto& runs = snap.version->levels()[level];
-    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
-      int idx = run->FindFile(key);
-      if (idx < 0) {
-        continue;
-      }
-      for (size_t i = idx;
-           i < run->files.size() &&
-           Slice(run->files[i]->smallest_key).compare(key) <= 0;
-           i++) {
-        const auto& file = run->files[i];
-        std::shared_ptr<SSTableReader> table;
-        LETHE_RETURN_IF_ERROR(
-            versions_->table_cache()->GetTable(*file, &table));
-        // Accumulate this file's range-tombstone coverage before deciding.
-        // The FileMeta count gates the index fetch, so rt-free files cost
-        // no metadata access at all on this hot path.
-        if (file->num_range_tombstones > 0) {
-          FragmentedRtHandle frt;
-          LETHE_RETURN_IF_ERROR(
-              table->GetFragmentedRangeTombstones(&stats_, &frt));
-          stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-          max_rt_seq = std::max(max_rt_seq, frt->MaxCoverSeq(key, bound));
-        }
-        bool found = false;
-        TableGetResult result;
-        LETHE_RETURN_IF_ERROR(table->Get(key, file.get(), &stats_, &found,
-                                         &result, options.fill_page_cache,
-                                         bound));
-        if (found) {
-          if (max_rt_seq > result.seq ||
-              result.type == ValueType::kTombstone) {
-            return Status::NotFound(key);
-          }
-          // The result's value aliases the (possibly cached) decoded page;
-          // this assign is the only copy on the whole lookup path.
-          value->assign(result.value.data(), result.value.size());
-          *delete_key = result.delete_key;
-          return Status::OK();
-        }
-      }
-    }
-  }
-  return Status::NotFound(key);
+  // The value aliases the memtable arena or the (possibly cached) decoded
+  // page; this assign is the only copy on the whole lookup path.
+  value->assign(newest.entry.value.data(), newest.entry.value.size());
+  *delete_key = newest.entry.delete_key;
+  return Status::OK();
 }
 
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
@@ -2406,62 +2362,6 @@ void DBImpl::ResumeWrites() {
   }
   CompleteGroup(pause_writer_.get(), pause_writer_.get(), Status::OK(), l);
   pause_writer_.reset();
-}
-
-Status DBImpl::LatestSeqForKey(const Slice& key, SequenceNumber* seq) {
-  ReadSnapshot snap = GetReadSnapshot();
-
-  // Newest-first walk, mirroring GetWithDeleteKey: the first point entry
-  // found is the newest version; range-tombstone coverage accumulates on
-  // the way down and may postdate it.
-  SequenceNumber latest = snap.mem->MaxRangeTombstoneCoverSeq(key);
-  ParsedEntry entry;
-  if (snap.mem->Get(key, &entry)) {
-    *seq = std::max(latest, entry.seq);
-    return Status::OK();
-  }
-  for (auto it = snap.imm.rbegin(); it != snap.imm.rend(); ++it) {
-    const MemTable& imm = **it;
-    latest = std::max(latest, imm.MaxRangeTombstoneCoverSeq(key));
-    if (imm.Get(key, &entry)) {
-      *seq = std::max(latest, entry.seq);
-      return Status::OK();
-    }
-  }
-  for (int level = 0; level < snap.version->num_levels(); level++) {
-    const auto& runs = snap.version->levels()[level];
-    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
-      int idx = run->FindFile(key);
-      if (idx < 0) {
-        continue;
-      }
-      for (size_t i = idx;
-           i < run->files.size() &&
-           Slice(run->files[i]->smallest_key).compare(key) <= 0;
-           i++) {
-        const auto& file = run->files[i];
-        std::shared_ptr<SSTableReader> table;
-        LETHE_RETURN_IF_ERROR(versions_->table_cache()->GetTable(*file, &table));
-        if (file->num_range_tombstones > 0) {
-          FragmentedRtHandle frt;
-          LETHE_RETURN_IF_ERROR(
-              table->GetFragmentedRangeTombstones(&stats_, &frt));
-          stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-          latest = std::max(latest, frt->MaxCoverSeq(key));
-        }
-        bool found = false;
-        TableGetResult result;
-        LETHE_RETURN_IF_ERROR(table->Get(key, file.get(), &stats_, &found,
-                                         &result, /*fill_cache=*/false));
-        if (found) {
-          *seq = std::max(latest, result.seq);
-          return Status::OK();
-        }
-      }
-    }
-  }
-  *seq = latest;  // 0 when the key has never been written
-  return Status::OK();
 }
 
 std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {

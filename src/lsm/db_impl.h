@@ -163,10 +163,13 @@ class DBImpl final : public DB {
     Writer(WriteBatch* b, bool s) : batch(b), sync(s) {}
     WriteBatch* batch;  // nullptr = exclusive op (flush/SRD/compact-all)
     bool sync;
-    // Optimistic-transaction commit: validate before applying. Validating
-    // writers form solo groups (BuildBatchGroup stops at them) — a leader
-    // must not apply a batch whose validation it has not run.
-    bool validate = false;
+    // Optimistic-transaction commit (WriteValidated), null for plain
+    // writes: the same leader path first runs ValidateCommit on these keys
+    // under the token. BuildBatchGroup makes such a writer a solo group, so
+    // no leader applies a batch whose validation it has not run.
+    const std::vector<std::string>* validation_keys = nullptr;
+    SequenceNumber read_snapshot_seq = 0;
+    SequenceNumber commit_seq = 0;  // out: LastSequence at commit
     bool done = false;
     Status status;
     std::condition_variable cv;
@@ -188,7 +191,33 @@ class DBImpl final : public DB {
     std::shared_ptr<const Version> version;
   };
 
+  /// What the point-lookup walk (FindNewestVersion) found for one key.
+  struct NewestVersion {
+    bool found = false;    // some source holds a version with seq <= bound
+    TableGetResult entry;  // that version; `value` aliases the memtable
+                           // arena or the pinned `entry.page`
+    // Highest seq <= bound of a range tombstone covering the key, over every
+    // source the walk reached (0 = none).
+    SequenceNumber cover_seq = 0;
+
+    bool Live() const {
+      return found && entry.type != ValueType::kTombstone &&
+             cover_seq <= entry.seq;
+    }
+  };
+
   // ---- write path -------------------------------------------------------
+
+  /// The one writer protocol behind Write and WriteValidated: join the
+  /// queue; as leader gate on health, slow down, build the group, validate
+  /// (a validating writer is a solo group), apply, finish, and complete the
+  /// group.
+  Status WriteImpl(Writer* w);
+
+  /// Conflict check of a validating writer, run by WriteImpl under the
+  /// token: Busy when a key's newest committed version — point entry or
+  /// covering range tombstone — is newer than w.read_snapshot_seq.
+  Status ValidateCommit(const Writer& w, const ReadSnapshot& snap);
 
   /// Enqueues `w`, blocks until it holds the write token (front of the
   /// queue) or a leader completed it.
@@ -210,6 +239,16 @@ class DBImpl final : public DB {
   Status ApplyGroup(const std::vector<Writer*>& group,
                     const ReadSnapshot& snap, WalWriter* wal, uint64_t now,
                     bool force_sync);
+
+  /// The one WAL commit protocol (write groups and secondary range
+  /// deletes), run under the write token. The caller allocated sequences
+  /// up to `last_seq` locally; this appends `records` as one write (at most
+  /// one sync), runs `apply`, then publishes `last_seq`. A failure applies
+  /// nothing and burns the sequences only if bytes may have reached the
+  /// log. A null `wal` (WAL disabled) just applies and publishes.
+  template <typename Apply>
+  Status LogApplyPublish(WalWriter* wal, const WalRecord* records, size_t n,
+                         bool sync, SequenceNumber last_seq, Apply&& apply);
 
   /// Post-apply trigger handling, under mu_ with the token held: swaps a
   /// full memtable and enqueues its flush, stalling per the explicit policy
@@ -316,6 +355,21 @@ class DBImpl final : public DB {
       std::shared_ptr<MemTable> mem, std::vector<RangeTombstone> mem_rts,
       const std::vector<std::string>& boundaries, const MergeConfig& config,
       VersionEdit* edit, std::unique_lock<std::mutex>& l);
+
+  /// The file-merge tail shared by CompactOnce and CompactAllLocked: byte-
+  /// balanced subcompaction boundaries (computed with `l` released), the
+  /// partitioned merge, and one LogAndApply. A failure removes every
+  /// finished output; a commit reports success to the error handler. The
+  /// caller holds the footprint claim.
+  Status MergeAndCommitLocked(
+      const std::vector<std::shared_ptr<FileMeta>>& inputs,
+      const MergeConfig& config, VersionEdit* edit,
+      std::unique_lock<std::mutex>& l);
+
+  /// Merges the whole tree into its deepest level (bottommost, so every
+  /// unpinned tombstone is persisted) through MergeAndCommitLocked, so it
+  /// partitions, cleans up and reports like any merge. Requires the
+  /// exclusive claim (AcquireExclusiveLocked).
   Status CompactAllLocked(std::unique_lock<std::mutex>& l);
   Status SecondaryRangeDeleteLocked(uint64_t lo, uint64_t hi,
                                     std::unique_lock<std::mutex>& l);
@@ -419,6 +473,19 @@ class DBImpl final : public DB {
   /// Closes the current WAL (if any) and opens a fresh one as wal_number_.
   /// No-op when the WAL is disabled.
   Status RotateWalLocked();
+
+  /// The one point-lookup walk, shared by Get and transaction validation:
+  /// mem → imm (newest first) → tables (levels top-down, runs newest
+  /// first), stopping at the first source holding a version with seq <=
+  /// `bound`. Range-tombstone coverage accumulates over that source and
+  /// every newer one.
+  Status FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
+                           SequenceNumber bound, bool fill_cache,
+                           NewestVersion* out);
+
+  /// Blind-delete filter (§4.1.5): whether `key` may hold a live version.
+  /// Memtables answer exactly; tables by a filter-only probe over the same
+  /// candidate files FindNewestVersion walks.
   bool KeyMayExist(const ReadSnapshot& snap, const Slice& key);
   Status ReplayWalsLocked();
   ReadSnapshot GetReadSnapshot() const;
@@ -436,12 +503,6 @@ class DBImpl final : public DB {
   SequenceNumber OldestSnapshotSeqLocked() const {
     return snapshots_.empty() ? kMaxSequenceNumber : snapshots_.Oldest();
   }
-
-  /// Sequence of the newest committed version of `key` (max over point
-  /// entries and covering range tombstones), or 0 when the key has never
-  /// been written. Used by WriteValidated's conflict check; the caller must
-  /// hold the write token so no commit can race the lookup.
-  Status LatestSeqForKey(const Slice& key, SequenceNumber* seq);
 
   Options options_;  // resolved (env/clock non-null)
   std::string dbname_;

@@ -388,7 +388,11 @@ TEST(EnospcTest, PartitionedMergeFailsThenOrphansReclaimed) {
       [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
       10000));
   ASSERT_TRUE(db->WaitForCompact().ok());
+  // The full-tree merge partitions like any other merge.
+  const uint64_t partitioned_before =
+      db->stats().partitioned_compactions.load();
   ASSERT_TRUE(db->CompactAll().ok());
+  EXPECT_GT(db->stats().partitioned_compactions.load(), partitioned_before);
   // Barrier: reap the graveyard (the final merge's retired inputs are
   // deferred GC, not leaked orphans) before counting files on disk.
   ASSERT_TRUE(db->WaitForCompact().ok());
@@ -404,6 +408,46 @@ TEST(EnospcTest, PartitionedMergeFailsThenOrphansReclaimed) {
   }
   EXPECT_EQ(CountTableFiles(&env, "enospc_merge_db"),
             ReferencedTableFiles(db.get()));
+}
+
+TEST(EnospcTest, FailedCompactAllRemovesFinishedOutputs) {
+  // A full-tree merge that finishes an output and then fails must delete
+  // that output itself: nothing installed references it. The backoff is
+  // long enough that no resume-time orphan sweep can tidy up first.
+  auto base_env = NewMemEnv();
+  IoCountingEnv env(base_env.get(), 1024);
+  LogicalClock clock(1);
+  Options options = FaultyBackgroundOptions(&env, &clock);
+  options.bg_error_base_backoff_micros = 60 * 1000 * 1000;
+  options.bg_error_max_backoff_micros = 60 * 1000 * 1000;
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "compact_all_outputs_db", &db).ok());
+  const std::string value(64, 'c');
+  for (uint64_t k = 0; k < 256; k++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k + 1, value).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->WaitForCompact().ok());
+  ASSERT_EQ(CountTableFiles(&env, "compact_all_outputs_db"),
+            ReferencedTableFiles(db.get()));
+
+  // The memtable is empty, so every table created from here on is a
+  // CompactAll output (~20 KB of data into 4 KB tables): the first create
+  // succeeds and that output finishes when the second create fails.
+  FaultPolicy policy;
+  policy.kind = FaultPolicy::Kind::kNoSpace;
+  policy.fail_appends = false;
+  policy.fail_creates = true;
+  policy.start_after_ops = 1;
+  policy.path_substring = ".sst";
+  env.InjectFaults(policy);
+
+  Status s = db->CompactAll();
+  ASSERT_TRUE(s.IsNoSpace()) << s.ToString();
+  EXPECT_EQ(CountTableFiles(&env, "compact_all_outputs_db"),
+            ReferencedTableFiles(db.get()));
+  env.ClearFaults();
 }
 
 TEST(InlineFlushFaultTest, AppliedWriteIsNotFailedByItsFlush) {

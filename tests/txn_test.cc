@@ -774,6 +774,58 @@ TEST_F(TxnTest, TxnConflictGranularityIsPerKey) {
   EXPECT_EQ(Get(2), "two-updated");
 }
 
+// Validation resolves each key through the point-lookup walk, including its
+// range-tombstone arm: a range delete committed over a read key after the
+// snapshot dooms the transaction, whether the tombstone is still buffered
+// or already flushed into a table. The read key's own version sits on disk
+// below the snapshot, so only the tombstone can raise the conflict. A range
+// delete committed before the snapshot is no conflict.
+TEST_F(TxnTest, TxnRangeDeleteOverReadKeyConflicts) {
+  Open();
+  for (const bool flushed : {false, true}) {
+    SCOPED_TRACE(flushed ? "tombstone in a table" : "tombstone in memtable");
+    const uint64_t read_key = flushed ? 20 : 10;
+    const uint64_t control_key = read_key + 1;
+    ASSERT_TRUE(Put(read_key, "v").ok());
+    ASSERT_TRUE(Put(control_key, "v").ok());
+    ASSERT_TRUE(db_->Flush().ok());
+    const uint64_t conflicts = db_->stats().txn_conflicts.load();
+
+    {
+      OptimisticTransaction txn(db_.get());
+      std::string value;
+      ASSERT_TRUE(txn.Get(ReadOptions(), EncodeKey(read_key), &value).ok());
+      ASSERT_TRUE(db_->RangeDelete(WriteOptions(), EncodeKey(read_key),
+                                   EncodeKey(read_key + 1))
+                      .ok());
+      if (flushed) {
+        ASSERT_TRUE(db_->Flush().ok());
+      }
+      ASSERT_TRUE(txn.Put(EncodeKey(read_key + 100), 0, value).ok());
+      Status s = txn.Commit();
+      EXPECT_TRUE(s.IsBusy()) << s.ToString();
+    }
+    EXPECT_EQ(Get(read_key + 100), "NOT_FOUND");
+    EXPECT_EQ(db_->stats().txn_conflicts.load(), conflicts + 1);
+
+    // Control: the range delete commits before the snapshot is taken.
+    ASSERT_TRUE(db_->RangeDelete(WriteOptions(), EncodeKey(control_key),
+                                 EncodeKey(control_key + 1))
+                    .ok());
+    if (flushed) {
+      ASSERT_TRUE(db_->Flush().ok());
+    }
+    OptimisticTransaction txn(db_.get());
+    std::string value;
+    ASSERT_TRUE(
+        txn.Get(ReadOptions(), EncodeKey(control_key), &value).IsNotFound());
+    ASSERT_TRUE(txn.Put(EncodeKey(control_key), 0, "recreated").ok());
+    ASSERT_TRUE(txn.Commit().ok());
+    EXPECT_EQ(Get(control_key), "recreated");
+    EXPECT_EQ(db_->stats().txn_conflicts.load(), conflicts + 1);
+  }
+}
+
 TEST_F(TxnTest, TxnSurvivesFlushCompactionAndReopen) {
   Open();
   for (uint64_t k = 0; k < 40; k++) {
