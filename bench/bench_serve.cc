@@ -276,17 +276,22 @@ int main(int argc, char** argv) {
     // mechanics, not negative lookups.
     const std::string fill(static_cast<size_t>(value_bytes), 'v');
     lethe::WriteBatch batch;
+    auto commit = [&]() -> bool {
+      lethe::Status ws = (*db)->Write(lethe::WriteOptions(), &batch);
+      if (!ws.ok()) {
+        fprintf(stderr, "prefill failed: %s\n", ws.ToString().c_str());
+        return false;
+      }
+      batch.Clear();
+      return true;
+    };
     for (int k = 0; k < keys; k++) {
       char key[32];
       snprintf(key, sizeof(key), "key%d", k);
       batch.Put(key, 0, fill);
-      if (batch.Count() >= 1024) {
-        (*db)->Write(lethe::WriteOptions(), &batch);
-        batch.Clear();
-      }
+      if (batch.Count() >= 1024 && !commit()) return false;
     }
-    if (batch.Count() > 0) (*db)->Write(lethe::WriteOptions(), &batch);
-    return true;
+    return batch.Count() == 0 || commit();
   };
 
   printf("# bench_serve: %d connections, %d workers, %d shard(s), "

@@ -22,6 +22,32 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   if (!status_.ok()) {
     return;
   }
+  // Byte-closed tiles. FlushTile cuts pages greedily, at B entries or at the
+  // byte budget, so when B large entries overflow a page the B·h count rule
+  // alone would spill each tile onto a near-empty extra page. Weigh every
+  // entry max(B·e, budget), e its encoded bytes: a page cut by count then
+  // weighs >= B·budget, and a page cut by bytes plus the entry that did not
+  // fit weighs > B·budget. A tile reaching h+1 pages thus has tile weight
+  // W + (h-1)·B·max_e > h·B·budget (the entries opening pages 2..h counted
+  // twice), so closing the tile before an entry that would break that
+  // bound keeps it within h pages. When B copies of the largest entry fit
+  // a page, every cut is by count and the B·h rule below suffices.
+  const uint64_t b = options_.entries_per_page;
+  const uint64_t h = options_.pages_per_tile;
+  const uint64_t budget = PageByteBudget();
+  const uint64_t entry_bytes = EncodedEntrySize(entry);
+  const uint64_t max_bytes = std::max(tile_max_entry_bytes_, entry_bytes);
+  const uint64_t weight = std::max(b * entry_bytes, budget);
+  if (!tile_buffer_.empty() && b * max_bytes > budget &&
+      tile_weight_ + weight + (h - 1) * b * max_bytes > h * b * budget) {
+    status_ = FlushTile();
+    if (!status_.ok()) {
+      return;
+    }
+  }
+  tile_weight_ += weight;
+  tile_max_entry_bytes_ = std::max(tile_max_entry_bytes_, entry_bytes);
+
   PendingEntry pending;
   pending.user_key = entry.user_key.ToString();
   pending.delete_key = entry.delete_key;
@@ -52,9 +78,7 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   props_.smallest_seq = std::min(props_.smallest_seq, entry.seq);
   props_.largest_seq = std::max(props_.largest_seq, entry.seq);
 
-  const size_t tile_capacity =
-      static_cast<size_t>(options_.entries_per_page) * options_.pages_per_tile;
-  if (tile_buffer_.size() >= tile_capacity) {
+  if (tile_buffer_.size() >= b * h) {
     status_ = FlushTile();
   }
 }
@@ -91,8 +115,7 @@ Status SSTableBuilder::FlushTile() {
                      return a->delete_key < b->delete_key;
                    });
 
-  // Byte budget per page: header (4) + entries + checksum (4).
-  const uint64_t byte_budget = options_.page_size_bytes - 8;
+  const uint64_t byte_budget = PageByteBudget();
   const uint32_t b = options_.entries_per_page;
   const uint32_t pages_before = props_.num_pages;
 
@@ -123,6 +146,8 @@ Status SSTableBuilder::FlushTile() {
   props_.num_tiles++;
   tile_page_counts_.push_back(props_.num_pages - pages_before);
   tile_buffer_.clear();
+  tile_weight_ = 0;
+  tile_max_entry_bytes_ = 0;
   return Status::OK();
 }
 
@@ -196,8 +221,9 @@ Status SSTableBuilder::Finish(TableProperties* props) {
   std::string rt_block;
   EncodeRangeTombstones(range_tombstones_, &rt_block);
 
-  // Index block: tile structure (explicit per-tile page counts, since byte
-  // budgets can make a tile span more pages than h), then one record per
+  // Index block: tile structure (explicit per-tile page counts, since a tile
+  // closed by bytes or at the end of the file spans fewer than h pages, and
+  // older tables may hold tiles of more than h pages), then one record per
   // page in file order. Page records store each filter's length only — the
   // bytes live in the filter section.
   std::string index_block;

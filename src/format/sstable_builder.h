@@ -55,9 +55,10 @@ struct TableProperties {
 ///   [footer]
 ///
 /// Entries must be Add()ed in internal-key order (sort key ascending). The
-/// builder buffers h·B entries (one delete tile), then "weaves": it orders
-/// the tile's pages by delete key while re-sorting each page's entries by
-/// sort key, so that
+/// builder buffers one delete tile — h·B entries, or fewer when B entries
+/// overflow a page's byte budget, so the tile still fits in h pages — then
+/// "weaves": it orders the tile's pages by delete key while re-sorting each
+/// page's entries by sort key, so that
 ///   - tiles partition the sort-key space (file-level fence pointers on S),
 ///   - pages inside a tile partition the delete-key space (delete fences on
 ///     D enable full page drops),
@@ -107,6 +108,9 @@ class SSTableBuilder {
     std::string bloom;
   };
 
+  /// Entry bytes one page holds: header (4) + entries + checksum (4).
+  uint64_t PageByteBudget() const { return options_.page_size_bytes - 8; }
+
   Status FlushTile();
   Status WritePage(std::vector<const PendingEntry*>& page_entries);
 
@@ -115,6 +119,10 @@ class SSTableBuilder {
   Status status_;
 
   std::vector<PendingEntry> tile_buffer_;
+  /// Sum over the buffered tile of max(B·e, budget), e = encoded entry
+  /// bytes, and the largest e; Add uses them to close a tile by bytes.
+  uint64_t tile_weight_ = 0;
+  uint64_t tile_max_entry_bytes_ = 0;
   std::vector<PageMetaRecord> pages_;
   std::vector<uint32_t> tile_page_counts_;
   std::vector<RangeTombstone> range_tombstones_;

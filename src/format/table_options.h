@@ -16,7 +16,10 @@ struct TableOptions {
   /// accounting is exact.
   uint64_t page_size_bytes = 4096;
 
-  /// B: maximum entries stored in one page.
+  /// B: maximum entries stored in one page. B is a cap: a page also closes
+  /// when the next entry would overflow its byte budget (page_size_bytes
+  /// minus 8 bytes of header and checksum), and a delete tile closes before
+  /// B·h entries when needed so it never spans more than h pages.
   uint32_t entries_per_page = 4;
 
   /// h: pages per delete tile. Pages within a tile are ordered by delete

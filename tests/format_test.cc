@@ -445,7 +445,7 @@ class SSTableTest : public ::testing::Test {
   }
 
   /// Builds a table with `n` entries: key i → EncodeKey(i), delete key
-  /// derived per `dk_of`, value "value-i". Returns the reader.
+  /// derived per `dk_of`, value ValueOf(i). Returns the reader.
   std::unique_ptr<SSTableReader> BuildTable(
       int n, uint64_t (*dk_of)(int), TableProperties* props_out = nullptr,
       const std::vector<RangeTombstone>& rts = {}) {
@@ -453,8 +453,7 @@ class SSTableTest : public ::testing::Test {
     EXPECT_TRUE(env_->NewWritableFile("table", &file).ok());
     SSTableBuilder builder(options_, file.get());
     for (int i = 0; i < n; i++) {
-      builder.Add(MakeEntry(EncodeKey(i), dk_of(i), 1000 + i,
-                            "value-" + std::to_string(i)));
+      builder.Add(MakeEntry(EncodeKey(i), dk_of(i), 1000 + i, ValueOf(i)));
     }
     for (const RangeTombstone& rt : rts) {
       builder.AddRangeTombstone(rt);
@@ -475,11 +474,45 @@ class SSTableTest : public ::testing::Test {
     return reader;
   }
 
+  /// "value-i", padded with 'x' to value_size_ bytes unless small_of_(i).
+  std::string ValueOf(int i) const {
+    std::string value = "value-" + std::to_string(i);
+    const bool small = small_of_ != nullptr && small_of_(i);
+    if (!small && value_size_ > value.size()) {
+      value.resize(value_size_, 'x');
+    }
+    return value;
+  }
+
+  /// Every key 0..n-1 reads back through Get, and the iterator yields
+  /// exactly those n keys in order.
+  void ExpectRoundTrip(SSTableReader& reader, int n) {
+    Statistics stats;
+    for (int i = 0; i < n; i++) {
+      bool found = false;
+      TableGetResult result;
+      ASSERT_TRUE(
+          reader.Get(EncodeKey(i), nullptr, &stats, &found, &result).ok());
+      ASSERT_TRUE(found) << "key " << i;
+      EXPECT_EQ(result.value, ValueOf(i));
+    }
+    auto it = reader.NewIterator(nullptr);
+    int count = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      ASSERT_EQ(it->entry().user_key.ToString(), EncodeKey(count));
+      count++;
+    }
+    EXPECT_TRUE(it->status().ok());
+    EXPECT_EQ(count, n);
+  }
+
   static uint64_t ReverseDk(int i) { return 1000000 - i; }
   static uint64_t IdentityDk(int i) { return static_cast<uint64_t>(i); }
 
   std::unique_ptr<Env> env_;
   TableOptions options_;
+  size_t value_size_ = 0;
+  bool (*small_of_)(int) = nullptr;
 };
 
 TEST_F(SSTableTest, PropertiesReflectContents) {
@@ -505,7 +538,7 @@ TEST_F(SSTableTest, GetFindsEveryKey) {
     ASSERT_TRUE(
         reader->Get(EncodeKey(i), nullptr, &stats, &found, &result).ok());
     ASSERT_TRUE(found) << "key " << i;
-    EXPECT_EQ(result.value, "value-" + std::to_string(i));
+    EXPECT_EQ(result.value, ValueOf(i));
     EXPECT_EQ(result.delete_key, ReverseDk(i));
     EXPECT_EQ(result.seq, 1000u + i);
   }
@@ -713,28 +746,118 @@ class SSTableTileSweepTest : public SSTableTest,
 TEST_P(SSTableTileSweepTest, RoundTripAllGranularities) {
   options_.pages_per_tile = GetParam();
   auto reader = BuildTable(300, ReverseDk);
-  Statistics stats;
-  for (int i = 0; i < 300; i++) {
-    bool found = false;
-    TableGetResult result;
-    ASSERT_TRUE(
-        reader->Get(EncodeKey(i), nullptr, &stats, &found, &result).ok());
-    ASSERT_TRUE(found) << "h=" << GetParam() << " key=" << i;
-  }
-  auto it = reader->NewIterator(nullptr);
-  int count = 0;
-  std::string prev;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    std::string k = it->entry().user_key.ToString();
-    EXPECT_LT(prev, k);
-    prev = k;
-    count++;
-  }
-  EXPECT_EQ(count, 300);
+  SCOPED_TRACE("h=" + std::to_string(GetParam()));
+  ExpectRoundTrip(*reader, 300);
 }
 
 INSTANTIATE_TEST_SUITE_P(TileGranularities, SSTableTileSweepTest,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 256));
+
+/// Byte-closed tiles: 16-byte keys and 100-byte values encode to 134 bytes,
+/// so only 30 of B = 32 fit a 4 KB page's 4088-byte budget.
+class ByteClosedTileTest : public SSTableTest {
+ protected:
+  void SetUp() override {
+    SSTableTest::SetUp();
+    options_.entries_per_page = 32;
+    value_size_ = 100;
+  }
+};
+
+TEST_F(ByteClosedTileTest, H1TileIsOnePage) {
+  options_.pages_per_tile = 1;
+  TableProperties props;
+  auto reader = BuildTable(1000, ReverseDk, &props);
+  // Counting to B alone would write each 32-entry tile as 30 + 2 entries.
+  EXPECT_EQ(props.num_pages, 34u);  // ceil(1000/30)
+  EXPECT_EQ(props.num_tiles, 34u);
+  for (const TileInfo& tile : reader->tiles()) {
+    EXPECT_EQ(tile.page_count, 1u);
+  }
+  ExpectRoundTrip(*reader, 1000);
+}
+
+TEST_F(ByteClosedTileTest, H8TileSpansAtMostHPages) {
+  options_.pages_per_tile = 8;
+  TableProperties props;
+  auto reader = BuildTable(1000, ReverseDk, &props);
+  for (const TileInfo& tile : reader->tiles()) {
+    EXPECT_LE(tile.page_count, 8u);
+  }
+  // Within 1 page per tile of the densest packing (30 entries a page).
+  EXPECT_LE(props.num_pages, 34u + props.num_tiles);
+  ExpectRoundTrip(*reader, 1000);
+}
+
+TEST_F(ByteClosedTileTest, MixedSizesStayWithinHPages) {
+  // Some entries are ~45 bytes, like tombstones among the 134-byte ones. A
+  // page holding 3 or more of them closes at B = 32 entries, short of its
+  // byte budget; the others close at the budget. A bound on the tile's
+  // bytes alone lets a tile whose light pages come first spill onto page
+  // h+1: with identity delete keys and 5 small entries opening every run
+  // of 64, an h = 2 tile of 63 entries packs as 32 + 30 + 1.
+  const std::vector<bool (*)(int)> shapes = {
+      [](int i) { return i % 64 < 5; },
+      [](int i) {  // a pseudo-random tenth
+        return (static_cast<uint64_t>(i) * 2654435761u >> 8) % 10 == 0;
+      },
+  };
+  for (size_t s = 0; s < shapes.size(); s++) {
+    small_of_ = shapes[s];
+    for (uint32_t h : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE("shape " + std::to_string(s) + " h=" + std::to_string(h));
+      options_.pages_per_tile = h;
+      auto reader = BuildTable(3000, IdentityDk);
+      for (const TileInfo& tile : reader->tiles()) {
+        EXPECT_LE(tile.page_count, h);
+      }
+      ExpectRoundTrip(*reader, 3000);
+    }
+  }
+}
+
+TEST_F(ByteClosedTileTest, SecondaryDeleteStillDropsWholePages) {
+  options_.pages_per_tile = 8;
+  auto reader = BuildTable(1000, IdentityDk);
+  ASSERT_GE(reader->tiles().size(), 2u);
+  // Identity delete keys: tile 1's pages cover one contiguous dk range.
+  const TileInfo& tile = reader->tiles()[1];
+  const uint32_t last = tile.first_page + tile.page_count - 1;
+  const uint64_t lo = reader->pages()[tile.first_page].min_delete_key;
+  const uint64_t hi = reader->pages()[last].max_delete_key + 1;
+  SecondaryDeletePlan plan;
+  reader->PlanSecondaryRangeDelete(reader->index(), lo, hi, nullptr, &plan);
+  EXPECT_EQ(plan.full_drop_pages.size(), tile.page_count);
+  EXPECT_TRUE(plan.partial_pages.empty());
+
+  FileMeta meta;
+  meta.num_pages = reader->num_pages();
+  for (uint32_t p : plan.full_drop_pages) {
+    meta.DropPage(p);
+  }
+  Statistics stats;
+  bool found = true;
+  TableGetResult result;
+  ASSERT_TRUE(
+      reader->Get(EncodeKey(lo), &meta, &stats, &found, &result).ok());
+  EXPECT_FALSE(found);
+  ASSERT_TRUE(
+      reader->Get(EncodeKey(hi), &meta, &stats, &found, &result).ok());
+  EXPECT_TRUE(found);  // first key of tile 2
+}
+
+TEST_F(ByteClosedTileTest, FigBedShapeKeepsCountLayout) {
+  // The fig benches' shape: B = 16 entries of 138 bytes always fit a page,
+  // so pages hold B entries and tiles B·h, by count alone.
+  options_.entries_per_page = 16;
+  options_.pages_per_tile = 4;
+  value_size_ = 104;
+  TableProperties props;
+  auto reader = BuildTable(1000, ReverseDk, &props);
+  EXPECT_EQ(props.num_pages, 63u);  // ceil(1000/16)
+  EXPECT_EQ(props.num_tiles, 16u);  // ceil(1000/64)
+  ExpectRoundTrip(*reader, 1000);
+}
 
 }  // namespace
 }  // namespace lethe

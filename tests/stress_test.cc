@@ -267,7 +267,6 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   options.target_file_bytes = 8 << 10;
   options.size_ratio = 3;
   options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
   options.table.pages_per_tile = config_rnd.Bernoulli(0.5) ? 4 : 1;
   options.compaction_style = config_rnd.Bernoulli(0.5)
                                  ? CompactionStyle::kLeveling
@@ -299,6 +298,10 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   options.cache_index_and_filter_blocks =
       (options.memory_budget_bytes > 0 || options.page_cache_bytes > 0) &&
       config_rnd.Bernoulli(0.5);
+  // B in [8, 32]. A 1 KB page holds ~22 of this suite's ~45-byte entries,
+  // so a larger B closes pages and tiles by bytes on every path below.
+  options.table.entries_per_page =
+      8 + static_cast<uint32_t>(config_rnd.Uniform(25));
   // CI's low-memory lane: force every seed through the tiny-budget
   // machinery — strict admission, cached metadata, a budget smaller than
   // one memtable — so the rejection/fallback paths run under the
@@ -316,6 +319,7 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
                                : "tiering") +
                " pool=" + std::to_string(options.background_threads) +
                " tiles=" + std::to_string(options.table.pages_per_tile) +
+               " B=" + std::to_string(options.table.entries_per_page) +
                " dth=" +
                std::to_string(options.delete_persistence_threshold_micros) +
                " cache=" + std::to_string(options.page_cache_bytes) +
