@@ -416,24 +416,6 @@ void RunShardedSweep() {
            r.puts_per_sec, r.merge_mb_s, r.puts_per_sec / base,
            static_cast<double>(r.stall_micros) / 1e6);
   }
-  // Machine-readable copy for the CI artifact.
-  FILE* json = fopen("bench_shards.json", "w");
-  if (json != nullptr) {
-    fprintf(json, "[\n");
-    for (size_t i = 0; i < rows.size(); i++) {
-      const ShardSweepResult& r = rows[i];
-      fprintf(json,
-              "  {\"shards\": %d, \"seconds\": %.3f, \"puts_per_sec\": "
-              "%.0f, \"merge_mb_s\": %.2f, \"speedup_vs_1_shard\": %.3f, "
-              "\"stall_s\": %.3f}%s\n",
-              r.shards, r.seconds, r.puts_per_sec, r.merge_mb_s,
-              r.puts_per_sec / base,
-              static_cast<double>(r.stall_micros) / 1e6,
-              i + 1 < rows.size() ? "," : "");
-    }
-    fprintf(json, "]\n");
-    fclose(json);
-  }
 }
 
 // ---- range-delete scale-out sweeps -----------------------------------------
@@ -671,7 +653,6 @@ void RunRangeDelSweep() {
          kRdKeySpace, kRdProbeGets);
   printf("# Per-file O(log F) probe against the cached fragmented index.\n");
   printf("density,gets_per_sec,fragments,fragment_builds,cover_probes\n");
-  std::vector<RangeDelDensityRow> density_rows;
   for (uint64_t density : {64ull, 256ull, 1024ull, 4096ull}) {
     RangeDelDensityRow row;
     row.density = density;
@@ -679,7 +660,6 @@ void RunRangeDelSweep() {
     printf("%" PRIu64 ",%.0f,%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
            row.density, row.gets_per_sec, row.fragments, row.fragment_builds,
            row.cover_probes);
-    density_rows.push_back(row);
   }
 
   // Panel 2: publish-cost sweep.
@@ -701,48 +681,11 @@ void RunRangeDelSweep() {
          kRdMixedThreads, kRdMixedOpsPerThread);
   printf("rd_fraction,ops_per_sec,rt_fragment_builds,rt_fragments_total,"
          "rt_cover_probes,fragments_per_build\n");
-  std::vector<RangeDelMixedRow> mixed_rows;
   for (double rd_fraction : {0.01, 0.10}) {
     RangeDelMixedRow row = RunRangeDelMixed(rd_fraction);
     printf("%.2f,%.0f,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%.1f\n",
            row.rd_fraction, row.ops_per_sec, row.fragment_builds,
            row.fragments_total, row.cover_probes, row.fragments_avg);
-    mixed_rows.push_back(row);
-  }
-
-  // Machine-readable copy for the CI artifact.
-  FILE* json = fopen("bench_rangedel.json", "w");
-  if (json != nullptr) {
-    fprintf(json, "{\n  \"density_sweep\": [\n");
-    for (size_t i = 0; i < density_rows.size(); i++) {
-      const RangeDelDensityRow& r = density_rows[i];
-      fprintf(json,
-              "    {\"density\": %" PRIu64 ", \"gets_per_sec\": %.0f, "
-              "\"fragments\": %" PRIu64 "}%s\n",
-              r.density, r.gets_per_sec, r.fragments,
-              i + 1 < density_rows.size() ? "," : "");
-    }
-    fprintf(json, "  ],\n  \"publish_sweep\": [\n");
-    for (size_t i = 0; i < publish_rows.size(); i++) {
-      fprintf(json,
-              "    {\"publishes\": %" PRIu64 ", \"ns_per_publish\": "
-              "%.1f}%s\n",
-              publish_rows[i].upto, publish_rows[i].ns_per_op,
-              i + 1 < publish_rows.size() ? "," : "");
-    }
-    fprintf(json, "  ],\n  \"mixed_lane\": [\n");
-    for (size_t i = 0; i < mixed_rows.size(); i++) {
-      const RangeDelMixedRow& r = mixed_rows[i];
-      fprintf(json,
-              "    {\"rd_fraction\": %.2f, \"ops_per_sec\": %.0f, "
-              "\"rt_fragment_builds\": %" PRIu64 ", \"rt_fragments_total\": "
-              "%" PRIu64 ", \"rt_cover_probes\": %" PRIu64 "}%s\n",
-              r.rd_fraction, r.ops_per_sec, r.fragment_builds,
-              r.fragments_total, r.cover_probes,
-              i + 1 < mixed_rows.size() ? "," : "");
-    }
-    fprintf(json, "  ]\n}\n");
-    fclose(json);
   }
 }
 
@@ -770,14 +713,14 @@ void Run() {
 }  // namespace lethe
 
 int main(int argc, char** argv) {
-  // --shards-only: just the sharded ingest sweep (and its JSON artifact),
-  // for CI jobs that only need the sharding datapoint.
+  // --shards-only: just the sharded ingest sweep, for CI jobs that only
+  // need the sharding datapoint.
   if (argc > 1 && std::string(argv[1]) == "--shards-only") {
     lethe::bench::RunShardedSweep();
     return 0;
   }
-  // --rangedel-only: just the range-delete sweeps (and bench_rangedel.json),
-  // for CI jobs that only need the tombstone-scaling datapoints.
+  // --rangedel-only: just the range-delete sweeps, for CI jobs that only
+  // need the tombstone-scaling datapoints.
   if (argc > 1 && std::string(argv[1]) == "--rangedel-only") {
     lethe::bench::RunRangeDelSweep();
     return 0;

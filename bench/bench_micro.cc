@@ -116,7 +116,7 @@ void BM_PageEncodeDecode(benchmark::State& state) {
     }
     std::string page = builder.Finish();
     PageContents contents;
-    DecodePage(Slice(page), 4096, true, &contents).ok();
+    DecodePage(Slice(page), 4096, &contents).ok();
     benchmark::DoNotOptimize(contents.entries.size());
   }
   state.SetItemsProcessed(state.iterations() * 16);

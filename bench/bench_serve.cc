@@ -27,7 +27,6 @@
 //                      the classic read-heavy serving mix)
 //   --repeats=N        runs per phase, best kept      (default 5)
 //   --no-snapshot-reads  serve reads without per-turn snapshot pinning
-//   --out=PATH         JSON artifact                 (default bench_serve.json)
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -209,7 +208,6 @@ int main(int argc, char** argv) {
   int write_pct = 10;
   int repeats = 5;
   bool snapshot_reads = true;
-  std::string out_path = "bench_serve.json";
 
   for (int i = 1; i < argc; i++) {
     const char* v = nullptr;
@@ -238,8 +236,6 @@ int main(int argc, char** argv) {
       repeats = atoi(v) < 1 ? 1 : atoi(v);
     } else if (strcmp(argv[i], "--no-snapshot-reads") == 0) {
       snapshot_reads = false;
-    } else if (FlagValue(argv[i], "--out", &v)) {
-      out_path = v;
     } else {
       fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -383,44 +379,11 @@ int main(int argc, char** argv) {
     fflush(stdout);
   }
 
-  double speedup = 0;
   if (results.size() >= 2 && results.front().depth == 1 &&
       results.front().throughput > 0) {
-    speedup = results.back().throughput / results.front().throughput;
     printf("# depth-%d vs depth-1 throughput: %.1fx\n", results.back().depth,
-           speedup);
+           results.back().throughput / results.front().throughput);
   }
-
-  FILE* json = fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  fprintf(json,
-          "{\n  \"config\": {\"connections\": %d, \"workers\": %d, "
-          "\"shards\": %d, \"value_bytes\": %d, \"keys\": %d, "
-          "\"write_pct\": %d, \"duration_ms\": %d},\n",
-          connections, workers, shards, value_bytes, keys, write_pct,
-          duration_ms);
-  fprintf(json, "  \"phases\": [\n");
-  for (size_t i = 0; i < results.size(); i++) {
-    const PhaseResult& r = results[i];
-    fprintf(json,
-            "    {\"depth\": %d, \"seconds\": %.3f, \"ops\": %" PRIu64
-            ", \"ops_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-            "\"p999_us\": %.1f, \"coalesced_batches\": %" PRIu64
-            ", \"coalesced_ops\": %" PRIu64
-            ", \"group_commit_batches\": %" PRIu64
-            ", \"group_commit_entries\": %" PRIu64 "}%s\n",
-            r.depth, r.seconds, r.ops, r.throughput, r.p50_us, r.p99_us,
-            r.p999_us, r.coalesced_batches, r.coalesced_ops,
-            r.group_commit_batches, r.group_commit_entries,
-            i + 1 < results.size() ? "," : "");
-  }
-  fprintf(json, "  ],\n");
-  fprintf(json, "  \"pipeline_speedup\": %.2f\n}\n", speedup);
-  fclose(json);
-  printf("# wrote %s\n", out_path.c_str());
 
   return 0;
 }

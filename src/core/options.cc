@@ -38,12 +38,6 @@ Status Options::Validate() const {
   if (table.page_size_bytes < 64) {
     return Status::InvalidArgument("page_size_bytes too small");
   }
-  if (strict_cache_capacity && memory_budget_bytes == 0 &&
-      page_cache_bytes == 0) {
-    return Status::InvalidArgument(
-        "strict_cache_capacity requires a cache budget "
-        "(memory_budget_bytes or page_cache_bytes)");
-  }
   if (cache_index_and_filter_blocks && memory_budget_bytes == 0 &&
       page_cache_bytes == 0) {
     // Without a cache every metadata access would re-read and re-parse the
@@ -76,8 +70,7 @@ Status Options::Validate() const {
   if (num_shards < 1 || num_shards > 256) {
     return Status::InvalidArgument("num_shards must be in [1, 256]");
   }
-  if (num_shards > 1 && shard_router == ShardRouterKind::kRange &&
-      key_router == nullptr) {
+  if (num_shards > 1 && shard_router == ShardRouterKind::kRange) {
     if (shard_split_keys.size() != static_cast<size_t>(num_shards) - 1) {
       return Status::InvalidArgument(
           "range routing needs exactly num_shards - 1 shard_split_keys");

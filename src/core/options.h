@@ -2,7 +2,6 @@
 #define LETHE_CORE_OPTIONS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,10 +10,6 @@
 #include "src/util/clock.h"
 
 namespace lethe {
-
-class BackgroundScheduler;
-class KeyRouter;
-class PageCache;
 
 /// Merging policy (§2): leveling keeps at most one sorted run per level and
 /// greedily merges; tiering accumulates T runs per level before merging them
@@ -69,7 +64,6 @@ enum class WalRecoveryMode {
 ///   kRange — num_shards-1 ascending split keys partition the key space
 ///            into contiguous bands; range operations touch only the
 ///            overlapping shards. Requires shard_split_keys.
-/// A custom Options::key_router overrides both.
 enum class ShardRouterKind {
   kHash,
   kRange,
@@ -168,14 +162,6 @@ struct Options {
   /// be re-read from disk on every access).
   bool cache_index_and_filter_blocks = false;
 
-  /// Hard budget enforcement for the block cache. false (the default): the
-  /// cache may transiently exceed its capacity while entries are pinned
-  /// (classic LRU overflow). true: an insert whose charge does not fit the
-  /// remaining budget — capacity minus resident charge minus write-buffer
-  /// reservations — fails cleanly and the read proceeds unpooled, so
-  /// resident charge plus reservations never exceeds the capacity.
-  bool strict_cache_capacity = false;
-
   /// Flushes, compactions, and KiWi secondary-delete execution always run
   /// on the background scheduler (see BackgroundScheduler); writes only
   /// swap full memtables onto an immutable list. This knob picks how the
@@ -227,10 +213,9 @@ struct Options {
   int max_imm_memtables = 2;
 
   /// Write-ahead logging. The paper's experiments run with the WAL disabled;
-  /// recovery tests enable it. Defaults: enable_wal = true, sync_wal =
-  /// false (sync on every commit group when true).
+  /// recovery tests enable it. Syncing is per write (WriteOptions::sync).
+  /// Default: true.
   bool enable_wal = true;
-  bool sync_wal = false;
 
   /// Damage tolerance for WAL replay on Open. See WalRecoveryMode.
   /// Default: kTolerateTruncatedTail.
@@ -255,14 +240,15 @@ struct Options {
   /// Number of independent LSM shards behind DB::Open. 1 (the default)
   /// opens the classic single-tree engine, byte-identical to every prior
   /// release. > 1 opens a ShardedDB facade (src/lsm/sharded_db.h): N full
-  /// DBImpls under `<name>/shard-<i>`, keys routed by shard_router /
-  /// key_router, all shards sharing ONE background worker pool
+  /// DBImpls under `<name>/shard-<i>`, keys routed by shard_router, all
+  /// shards sharing ONE background worker pool
   /// (background_threads total, per-shard fair), ONE block cache, and ONE
   /// memory_budget_bytes. See docs/architecture.md ("Sharding").
   int num_shards = 1;
 
-  /// Built-in routing policy when num_shards > 1 and key_router is unset.
-  /// Default: kHash.
+  /// Routing policy when num_shards > 1. Must stay the same for the
+  /// lifetime of the on-disk database — rerouting keys of an existing DB
+  /// silently orphans their old copies. Default: kHash.
   ShardRouterKind shard_router = ShardRouterKind::kHash;
 
   /// Range routing (shard_router == kRange): exactly num_shards - 1
@@ -270,25 +256,6 @@ struct Options {
   /// shard 0 owns everything below split[0], the last shard everything at
   /// or above the final split.
   std::vector<std::string> shard_split_keys;
-
-  /// Fully custom router; overrides shard_router when set. Must be
-  /// deterministic and stable for the lifetime of the on-disk database —
-  /// rerouting keys of an existing DB silently orphans their old copies.
-  std::shared_ptr<KeyRouter> key_router;
-
-  /// Internal (set by ShardedDB when opening its shards; not for users).
-  /// When non-null the DBImpl uses this scheduler / block cache instead of
-  /// constructing its own, detaching from the scheduler as an owner on
-  /// close rather than shutting it down.
-  std::shared_ptr<BackgroundScheduler> shared_scheduler;
-  std::shared_ptr<PageCache> shared_block_cache;
-
-  /// Internal: first file number this DBImpl may allocate (its manifest,
-  /// WALs, and tables all number upward from here). ShardedDB gives each
-  /// shard a disjoint band (shard index << 40) so file-number-keyed state
-  /// in the shared block cache can never collide across shards. 0 (the
-  /// default) numbers from 1, the classic behaviour.
-  uint64_t file_number_origin = 0;
 
   /// Returns a copy with env/clock defaults resolved, and
   /// background_threads = 1 under inline_compactions.
@@ -312,10 +279,8 @@ struct WriteOptions {
 
 class Snapshot;
 
-/// Per-read knobs.
+/// Per-read knobs. Reads always verify page and metadata checksums.
 struct ReadOptions {
-  bool verify_checksums = true;
-
   /// Read as of this snapshot: only entries with seq <= snapshot->sequence()
   /// are visible, including through iterators and secondary range lookups.
   /// nullptr (the default) reads the latest committed state. The snapshot

@@ -47,19 +47,15 @@ std::string PageBuilder::Finish() {
   return page;
 }
 
-Status DecodePage(Slice raw, uint64_t page_size_bytes, bool verify_checksum,
-                  PageContents* out) {
+Status DecodePage(Slice raw, uint64_t page_size_bytes, PageContents* out) {
   if (raw.size() != page_size_bytes) {
     return Status::Corruption("page truncated");
   }
-  if (verify_checksum) {
-    uint32_t stored = crc32c::Unmask(
-        DecodeFixed32(raw.data() + raw.size() - kPageTrailerSize));
-    uint32_t actual =
-        crc32c::Value(raw.data(), raw.size() - kPageTrailerSize);
-    if (stored != actual) {
-      return Status::Corruption("page checksum mismatch");
-    }
+  uint32_t stored = crc32c::Unmask(
+      DecodeFixed32(raw.data() + raw.size() - kPageTrailerSize));
+  uint32_t actual = crc32c::Value(raw.data(), raw.size() - kPageTrailerSize);
+  if (stored != actual) {
+    return Status::Corruption("page checksum mismatch");
   }
 
   out->data = std::make_unique<char[]>(raw.size());

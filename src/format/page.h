@@ -45,11 +45,10 @@ struct PageContents {
   std::vector<ParsedEntry> entries;
 };
 
-/// Decodes a page previously produced by PageBuilder. `raw` must be exactly
-/// page_size_bytes long; its bytes are copied into the result so the caller's
-/// buffer may be reused.
-Status DecodePage(Slice raw, uint64_t page_size_bytes, bool verify_checksum,
-                  PageContents* out);
+/// Decodes and checksum-verifies a page previously produced by PageBuilder.
+/// `raw` must be exactly page_size_bytes long; its bytes are copied into the
+/// result so the caller's buffer may be reused.
+Status DecodePage(Slice raw, uint64_t page_size_bytes, PageContents* out);
 
 }  // namespace lethe
 

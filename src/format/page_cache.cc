@@ -97,10 +97,8 @@ Cache::Handle* InsertBlock(Cache* cache, uint64_t file_number, BlockType type,
 
 }  // namespace
 
-PageCache::PageCache(size_t capacity_bytes, int shard_bits, Statistics* stats,
-                     bool strict_capacity)
-    : cache_(NewShardedLRUCache(capacity_bytes, shard_bits, strict_capacity)),
-      stats_(stats) {}
+PageCache::PageCache(size_t capacity_bytes, int shard_bits, Statistics* stats)
+    : cache_(NewShardedLRUCache(capacity_bytes, shard_bits)), stats_(stats) {}
 
 bool PageCache::Lookup(uint64_t file_number, uint32_t page_index,
                        PageHandle* page, uint32_t generation) {
@@ -121,15 +119,14 @@ bool PageCache::Lookup(uint64_t file_number, uint32_t page_index,
   return true;
 }
 
-bool PageCache::Insert(uint64_t file_number, uint32_t page_index,
+void PageCache::Insert(uint64_t file_number, uint32_t page_index,
                        const PageHandle& page, uint32_t generation) {
   char key[kKeySize];
   EncodeBlockKey(file_number, generation, kDataPage, page_index, key);
   const size_t charge = ChargeOf(*page, page->raw_size);
-  Cache::Handle* handle =
-      cache_->Insert(Slice(key, kKeySize), new PageHandle(page), charge,
-                     &DeletePageValue, Cache::Priority::kLow);
-  return FinishInsert(handle);
+  FinishInsert(cache_->Insert(Slice(key, kKeySize), new PageHandle(page),
+                              charge, &DeletePageValue,
+                              Cache::Priority::kLow));
 }
 
 bool PageCache::LookupIndex(uint64_t file_number, TableIndexHandle* index) {
@@ -139,9 +136,9 @@ bool PageCache::LookupIndex(uint64_t file_number, TableIndexHandle* index) {
                      index);
 }
 
-bool PageCache::InsertIndex(uint64_t file_number,
+void PageCache::InsertIndex(uint64_t file_number,
                             const TableIndexHandle& index) {
-  return FinishInsert(InsertBlock(
+  FinishInsert(InsertBlock(
       cache_.get(), file_number, kIndexBlock, 0, index,
       stats_ ? &stats_->index_block_charge_bytes : nullptr));
 }
@@ -153,9 +150,9 @@ bool PageCache::LookupFragmentedRt(uint64_t file_number,
                      stats_ ? &stats_->rt_block_cache_misses : nullptr, rt);
 }
 
-bool PageCache::InsertFragmentedRt(uint64_t file_number,
+void PageCache::InsertFragmentedRt(uint64_t file_number,
                                    const FragmentedRtHandle& rt) {
-  return FinishInsert(InsertBlock(
+  FinishInsert(InsertBlock(
       cache_.get(), file_number, kFragmentedRtBlock, 0, rt,
       stats_ ? &stats_->rt_block_charge_bytes : nullptr));
 }
@@ -168,9 +165,9 @@ bool PageCache::LookupFilter(uint64_t file_number, uint32_t tile_index,
                      filter);
 }
 
-bool PageCache::InsertFilter(uint64_t file_number, uint32_t tile_index,
+void PageCache::InsertFilter(uint64_t file_number, uint32_t tile_index,
                              const FilterBlockHandle& filter) {
-  return FinishInsert(InsertBlock(
+  FinishInsert(InsertBlock(
       cache_.get(), file_number, kFilterBlock, tile_index, filter,
       stats_ ? &stats_->filter_block_charge_bytes : nullptr));
 }
@@ -195,16 +192,9 @@ void PageCache::EvictFile(uint64_t file_number) {
   PublishGauges();
 }
 
-bool PageCache::FinishInsert(Cache::Handle* handle) {
-  const bool admitted = handle != nullptr;
-  if (admitted) {
-    cache_->Release(handle);
-  } else if (stats_ != nullptr) {
-    stats_->block_cache_strict_rejections.fetch_add(
-        1, std::memory_order_relaxed);
-  }
+void PageCache::FinishInsert(Cache::Handle* handle) {
+  cache_->Release(handle);
   PublishGauges();
-  return admitted;
 }
 
 void PageCache::PublishGauges() {

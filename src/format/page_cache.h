@@ -48,11 +48,8 @@ using PageHandle = std::shared_ptr<const PageContents>;
 /// (file numbers are never reused, so EvictFile too is about memory, not
 /// correctness); EvictFile drops every block type of the file.
 ///
-/// In strict mode (Options::strict_cache_capacity) an insert that does not
-/// fit the remaining budget is rejected; the Insert* methods return false
-/// and the caller keeps serving from its unpooled handle. Counters flow
-/// into the engine Statistics when one is supplied: per-type hits/misses,
-/// strict rejections, per-type charge gauges, and the overall
+/// Counters flow into the engine Statistics when one is supplied: per-type
+/// hits/misses, per-type charge gauges, and the overall
 /// page_cache_charge_bytes/evictions pair.
 class PageCache {
  public:
@@ -61,8 +58,7 @@ class PageCache {
   static constexpr int kDefaultShardBits = 4;
 
   /// `capacity_bytes` is the total charge budget; `stats` may be nullptr.
-  PageCache(size_t capacity_bytes, int shard_bits, Statistics* stats,
-            bool strict_capacity = false);
+  PageCache(size_t capacity_bytes, int shard_bits, Statistics* stats);
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
@@ -74,15 +70,14 @@ class PageCache {
               uint32_t generation = 0);
 
   /// Caches a freshly decoded page. The charge is derived from the decoded
-  /// footprint (raw bytes + parsed entry vector). Returns false when a
-  /// strict budget rejected the insert.
-  bool Insert(uint64_t file_number, uint32_t page_index,
+  /// footprint (raw bytes + parsed entry vector).
+  void Insert(uint64_t file_number, uint32_t page_index,
               const PageHandle& page, uint32_t generation = 0);
 
   // ---- fence/index blocks -------------------------------------------------
 
   bool LookupIndex(uint64_t file_number, TableIndexHandle* index);
-  bool InsertIndex(uint64_t file_number, const TableIndexHandle& index);
+  void InsertIndex(uint64_t file_number, const TableIndexHandle& index);
 
   // ---- fragmented range-tombstone blocks ----------------------------------
 
@@ -90,13 +85,13 @@ class PageCache {
   /// immutable, so no generation). Built CPU-side from the decoded index —
   /// caching it avoids re-fragmenting on every RT-consulting read.
   bool LookupFragmentedRt(uint64_t file_number, FragmentedRtHandle* rt);
-  bool InsertFragmentedRt(uint64_t file_number, const FragmentedRtHandle& rt);
+  void InsertFragmentedRt(uint64_t file_number, const FragmentedRtHandle& rt);
 
   // ---- Bloom filter blocks ------------------------------------------------
 
   bool LookupFilter(uint64_t file_number, uint32_t tile_index,
                     FilterBlockHandle* filter);
-  bool InsertFilter(uint64_t file_number, uint32_t tile_index,
+  void InsertFilter(uint64_t file_number, uint32_t tile_index,
                     const FilterBlockHandle& filter);
 
   // ---- invalidation -------------------------------------------------------
@@ -112,7 +107,6 @@ class PageCache {
 
   size_t TotalCharge() const { return cache_->TotalCharge(); }
   size_t capacity() const { return cache_->capacity(); }
-  bool strict() const { return cache_->strict_capacity(); }
   size_t ReservedBytes() const { return cache_->ReservedBytes(); }
 
   /// The underlying charge-accounted cache; reservations (write-buffer
@@ -123,9 +117,9 @@ class PageCache {
   Statistics* stats() { return stats_; }
 
  private:
-  /// Shared insert tail: releases an admitted handle, counts a strict
-  /// rejection otherwise, refreshes the gauges. Returns admitted.
-  bool FinishInsert(Cache::Handle* handle);
+  /// Shared insert tail: releases the insert's handle and refreshes the
+  /// gauges.
+  void FinishInsert(Cache::Handle* handle);
 
   void PublishGauges();
 

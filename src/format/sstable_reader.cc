@@ -76,40 +76,33 @@ Status SSTableReader::Init(uint64_t file_size) {
 
 Status SSTableReader::LoadIndex(bool include_filters,
                                 TableIndexHandle* out) const {
-  // A checksum-verifying load must cover the whole crc'd region, filters
-  // included; a lazy load then keeps only the [rt..props] tail resident
-  // (plus per-tile filter digests for its own later block loads). Without
-  // checksums, a lazy load skips the filter bytes entirely.
-  const bool read_filters = include_filters || options_.verify_checksums;
-  const uint64_t region_begin = read_filters ? filter_offset_ : rt_offset_;
-  const uint64_t region_len = props_offset_ + props_len_ - region_begin;
+  // The load covers the whole crc'd region, filters included; a lazy load
+  // then keeps only the [rt..props] tail resident (plus per-tile filter
+  // digests for its own later block loads).
+  const uint64_t region_len = props_offset_ + props_len_ - filter_offset_;
 
   auto index = std::make_shared<TableIndex>();
   std::string scratch;  // verified full region for a non-pinning load
-  std::string& region_buffer =
-      include_filters ? index->buffer : (read_filters ? scratch : index->buffer);
+  std::string& region_buffer = include_filters ? index->buffer : scratch;
   region_buffer.resize(region_len);
   Slice region;
   LETHE_RETURN_IF_ERROR(
-      file_->Read(region_begin, region_len, &region, region_buffer.data()));
+      file_->Read(filter_offset_, region_len, &region, region_buffer.data()));
   if (region.size() != region_len) {
     return Status::Corruption("short metadata read");
   }
   if (region.data() != region_buffer.data()) {
     memcpy(region_buffer.data(), region.data(), region_len);
   }
-  if (options_.verify_checksums) {
-    const uint32_t actual =
-        crc32c::Value(region_buffer.data(), region_len);
-    if (crc32c::Unmask(meta_crc_) != actual) {
-      return Status::Corruption("table metadata checksum mismatch");
-    }
+  if (crc32c::Unmask(meta_crc_) !=
+      crc32c::Value(region_buffer.data(), region_len)) {
+    return Status::Corruption("table metadata checksum mismatch");
   }
-  if (!include_filters && read_filters) {
+  if (!include_filters) {
     // Keep only the tail; the filter bytes served their checksum purpose.
     index->buffer.assign(scratch, filter_len_, std::string::npos);
   }
-  const uint64_t buffer_begin = include_filters ? region_begin : rt_offset_;
+  const uint64_t buffer_begin = include_filters ? filter_offset_ : rt_offset_;
 
   const char* rt_begin =
       index->buffer.data() + (rt_offset_ - buffer_begin);
@@ -221,17 +214,16 @@ Status SSTableReader::LoadIndex(bool include_filters,
         page.bloom = Slice(block + page.filter_offset, page.filter_len);
       }
     }
-  } else if (read_filters) {
-    // Lazy, checksum-verifying load: the filter bytes in `scratch` were
-    // covered by the region crc above. Derive one digest per tile so a
-    // later per-tile filter load can verify exactly the block it fetched
-    // against a trusted value — no on-disk per-tile crc needed.
+  } else {
+    // Lazy load: the filter bytes in `scratch` were covered by the region
+    // crc above. Derive one digest per tile so a later per-tile filter load
+    // can verify exactly the block it fetched against a trusted value — no
+    // on-disk per-tile crc needed.
     for (TileInfo& tile : index->tiles) {
       tile.filter_crc = crc32c::Value(
           scratch.data() + (tile.filter_offset - filter_offset_),
           tile.filter_len);
     }
-    index->filter_crcs_valid = true;
   }
 
   *out = std::move(index);
@@ -268,8 +260,6 @@ Status SSTableReader::GetIndex(TableIndexHandle* index) const {
       page_cache_->stats()->index_block_reads.fetch_add(
           1, std::memory_order_relaxed);
     }
-    // A strict-budget rejection leaves the caller serving from its own
-    // (unpooled) handle; nothing further to do.
     page_cache_->InsertIndex(file_number_, *index);
   }
   return Status::OK();
@@ -299,8 +289,6 @@ Status SSTableReader::GetFragmentedRangeTombstones(
     stats->RecordRtFragmentCount(frt->num_fragments());
   }
   if (page_cache_ != nullptr) {
-    // Strict-budget rejection is fine: the caller serves from its own
-    // handle and the next reader rebuilds.
     page_cache_->InsertFragmentedRt(file_number_, frt);
   } else {
     std::lock_guard<std::mutex> lock(frt_mu_);
@@ -332,7 +320,7 @@ Status SSTableReader::GetTileFilter(const TableIndex& index,
   if (raw.data() != block->data.data()) {
     memcpy(block->data.data(), raw.data(), tile.filter_len);
   }
-  if (index.filter_crcs_valid && tile.filter_len > 0 &&
+  if (tile.filter_len > 0 &&
       tile.filter_crc !=
           crc32c::Value(block->data.data(), tile.filter_len)) {
     return Status::Corruption("filter block checksum mismatch");
@@ -431,17 +419,26 @@ Status SSTableReader::ReadPage(uint32_t page_index, PageHandle* contents,
   if (scratch.size() < page_size) {
     scratch.resize(page_size);
   }
-  Slice raw;
-  LETHE_RETURN_IF_ERROR(
-      file_->Read(PageOffset(page_index), page_size, &raw, scratch.data()));
   auto decoded = std::make_shared<PageContents>();
-  LETHE_RETURN_IF_ERROR(
-      DecodePage(raw, page_size, options_.verify_checksums, decoded.get()));
+  {
+    std::shared_lock<std::shared_mutex> lock(page_io_mu_);
+    Slice raw;
+    LETHE_RETURN_IF_ERROR(
+        file_->Read(PageOffset(page_index), page_size, &raw, scratch.data()));
+    LETHE_RETURN_IF_ERROR(DecodePage(raw, page_size, decoded.get()));
+  }
   *contents = std::move(decoded);
   if (page_cache_ != nullptr && fill_cache) {
     page_cache_->Insert(file_number_, page_index, *contents, generation);
   }
   return Status::OK();
+}
+
+Status SSTableReader::RewritePage(RandomWriteFile* writer,
+                                  uint32_t page_index,
+                                  const Slice& page) const {
+  std::unique_lock<std::shared_mutex> lock(page_io_mu_);
+  return writer->WriteAt(PageOffset(page_index), page);
 }
 
 Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,

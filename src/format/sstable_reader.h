@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -59,9 +60,7 @@ struct SecondaryDeletePlan {
 ///   fence/index block and each tile's filter block load lazily through the
 ///   shared block cache (admitted at high priority), so metadata memory is
 ///   bounded by the cache budget and ages out under pressure; every
-///   operation re-acquires what it needs via GetIndex/GetTileFilter, and a
-///   strict-budget rejection simply leaves the freshly loaded block
-///   unpooled for the duration of the call.
+///   operation re-acquires what it needs via GetIndex/GetTileFilter.
 class SSTableReader {
  public:
   /// `file_number` + `page_cache` (both optional) connect the reader to the
@@ -150,6 +149,12 @@ class SSTableReader {
                   uint32_t generation = 0, bool* from_cache = nullptr,
                   bool fill_cache = true) const;
 
+  /// Overwrites page `page_index` in place through `writer` (a secondary
+  /// range delete's partial-page rewrite). Excludes this reader's page
+  /// reads meanwhile, so none decodes a half-written page.
+  Status RewritePage(RandomWriteFile* writer, uint32_t page_index,
+                     const Slice& page) const;
+
   /// Computes which pages a secondary range delete over delete keys
   /// [lo, hi) fully covers vs. partially overlaps, against the caller's
   /// index handle. Metadata-only; performs no page I/O. Already-dropped
@@ -197,9 +202,10 @@ class SSTableReader {
   Status IndexForOp(TableIndexHandle* scratch,
                     const TableIndex** index) const;
 
-  /// Reads and parses the metadata region. `include_filters` selects the
-  /// pinned layout (one contiguous [filters..props] read, bloom slices set)
-  /// vs the lazy one ([rt..props] only, filters addressed by offset).
+  /// Reads, verifies and parses the metadata region (one contiguous
+  /// [filters..props] read). `include_filters` selects the pinned layout
+  /// (bloom slices set) vs the lazy one (only [rt..props] kept resident,
+  /// filters addressed by offset and verified by per-tile digest).
   Status LoadIndex(bool include_filters, TableIndexHandle* out) const;
 
   /// Index of the unique tile whose fence range may contain `user_key`, or
@@ -224,6 +230,10 @@ class SSTableReader {
   uint32_t meta_crc_ = 0;
 
   TableIndexHandle pinned_index_;  // set iff !cache_metadata_
+
+  // Page reads hold it shared, RewritePage exclusive: a read racing an
+  // in-place write of the same page could return a torn mix of both.
+  mutable std::shared_mutex page_io_mu_;
 
   // Fragmented-RT memo for cacheless readers (page_cache_ == nullptr);
   // with a cache the fragmented block lives there instead so its footprint

@@ -40,7 +40,9 @@ struct TileInfo {
   Slice max_sort_key;
   uint64_t filter_offset = 0;  // absolute file offset of the filter block
   uint32_t filter_len = 0;
-  uint32_t filter_crc = 0;  // in-memory digest; see filter_crcs_valid
+  // In-memory digest of the filter block, derived at a lazy index load from
+  // the checksum-verified metadata region; unset in pinned indexes.
+  uint32_t filter_crc = 0;
 };
 
 /// The decoded metadata of one table — fence/index structure plus range
@@ -64,12 +66,6 @@ struct TableIndex {
   /// visible version across all candidate pages instead of returning the
   /// first match, since the weave orders pages by delete key.
   bool multi_version = false;
-
-  /// True when the tiles' filter_crc fields hold digests derived from a
-  /// checksum-verified read of the filter section (the on-disk crc covers
-  /// the whole metadata region; per-tile digests are computed at index
-  /// load so later per-tile filter loads can verify just their block).
-  bool filter_crcs_valid = false;
 
   /// Charge against the cache budget: backing bytes plus the parsed
   /// structures.

@@ -29,8 +29,8 @@ struct TableOptions {
   /// Bloom filter bits per key (m/N); one filter per page.
   uint32_t bloom_bits_per_key = 10;
 
-  /// Verify page checksums on read.
-  bool verify_checksums = true;
+  // Reads always verify checksums: every page against its trailer, and the
+  // metadata region against the footer's crc.
 };
 
 }  // namespace lethe

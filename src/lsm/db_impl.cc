@@ -349,10 +349,12 @@ Status DB::Open(const Options& options, const std::string& name,
   return Status::OK();
 }
 
-DBImpl::DBImpl(const Options& options, std::string name)
-    : options_(options.WithDefaults()), dbname_(std::move(name)) {
-  if (options_.shared_scheduler != nullptr) {
-    bg_ = options_.shared_scheduler;
+DBImpl::DBImpl(const Options& options, std::string name, ShardContext shard)
+    : options_(options.WithDefaults()),
+      dbname_(std::move(name)),
+      shard_(std::move(shard)) {
+  if (shard_.scheduler != nullptr) {
+    bg_ = shard_.scheduler;
     bg_owner_ = bg_->RegisterOwner();
   } else {
     bg_ = std::make_shared<BackgroundScheduler>(options_.background_threads,
@@ -392,7 +394,7 @@ DBImpl::~DBImpl() {
   // keep running untouched; when this DBImpl owns the scheduler alone, shut
   // the pool down afterwards.
   bg_->DetachOwner(bg_owner_);
-  if (options_.shared_scheduler == nullptr) {
+  if (shard_.scheduler == nullptr) {
     bg_->Shutdown();
   }
   {
@@ -425,23 +427,23 @@ Status DBImpl::Init() {
   const uint64_t cache_capacity = options_.memory_budget_bytes > 0
                                       ? options_.memory_budget_bytes
                                       : options_.page_cache_bytes;
-  if (options_.shared_block_cache != nullptr) {
+  if (shard_.block_cache != nullptr) {
     // ShardedDB: every shard stakes reservations against the one facade-
     // owned cache, so a single budget bounds the whole sharded engine.
-    page_cache_ = options_.shared_block_cache;
+    page_cache_ = shard_.block_cache;
     if (options_.memory_budget_bytes > 0) {
       memtable_reservation_ = CacheReservation(page_cache_->cache());
     }
   } else if (cache_capacity > 0) {
     page_cache_ = std::make_shared<PageCache>(
-        cache_capacity, PageCache::kDefaultShardBits, &stats_,
-        options_.strict_cache_capacity);
+        cache_capacity, PageCache::kDefaultShardBits, &stats_);
     if (options_.memory_budget_bytes > 0) {
       memtable_reservation_ = CacheReservation(page_cache_->cache());
     }
   }
   versions_ = std::make_unique<VersionSet>(options_, dbname_,
-                                           page_cache_.get(), &stats_);
+                                           page_cache_.get(), &stats_,
+                                           shard_.file_number_origin);
   picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
   LETHE_RETURN_IF_ERROR(versions_->Recover());
   mem_ = std::make_shared<MemTable>();
@@ -679,7 +681,7 @@ Status DBImpl::RotateWalLocked() {
   if (wal_ != nullptr) {
     wal_->Close().ok();
   }
-  wal_ = std::make_unique<WalWriter>(std::move(file), options_.sync_wal);
+  wal_ = std::make_unique<WalWriter>(std::move(file));
   wal_number_ = number;
   return Status::OK();
 }
@@ -869,7 +871,7 @@ Status DBImpl::LogApplyPublish(WalWriter* wal, const WalRecord* records,
       }
       return s;
     }
-    if (sync || options_.sync_wal) {
+    if (sync) {
       stats_.wal_syncs.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -2603,23 +2605,7 @@ Status DBImpl::TEST_VerifyTreeInvariants() {
       }
     }
   }
-  // Unified-budget invariant: in strict mode the resident block charge plus
-  // the write-buffer reservation must never exceed the budget. (Non-strict
-  // caches may legitimately overflow while entries are pinned.)
-  if (page_cache_ != nullptr && page_cache_->strict()) {
-    const size_t capacity = page_cache_->capacity();
-    const size_t charge = page_cache_->TotalCharge();
-    const size_t reserved =
-        std::min(page_cache_->ReservedBytes(), capacity);
-    if (charge + reserved > capacity) {
-      return Status::Corruption(
-          "strict cache budget exceeded: charge " + std::to_string(charge) +
-          " + reservation " + std::to_string(reserved) + " > capacity " +
-          std::to_string(capacity));
-    }
-  }
   return Status::OK();
 }
-
 
 }  // namespace lethe

@@ -23,6 +23,22 @@
 
 namespace lethe {
 
+/// What ShardedDB shares with each shard it opens. A standalone DBImpl takes
+/// the empty default and builds its own scheduler and block cache.
+struct ShardContext {
+  /// The shared worker pool. The DBImpl registers as one owner and, on
+  /// close, detaches itself rather than shutting the pool down.
+  std::shared_ptr<BackgroundScheduler> scheduler;
+  /// The shared block cache (null without a budget); the shard stakes its
+  /// write-buffer reservation against it.
+  std::shared_ptr<PageCache> block_cache;
+  /// First file number the DBImpl may allocate (its manifest, WALs and
+  /// tables all number upward from here). Each shard gets a disjoint band
+  /// (shard index << 40), so file-number-keyed state in the shared block
+  /// cache can never collide across shards. 0 numbers from 1.
+  uint64_t file_number_origin = 0;
+};
+
 /// The engine proper.
 ///
 /// Threading model — three kinds of participants:
@@ -73,7 +89,7 @@ namespace lethe {
 ///     VersionSet, allocatable without `mu_`.
 class DBImpl final : public DB {
  public:
-  DBImpl(const Options& options, std::string name);
+  DBImpl(const Options& options, std::string name, ShardContext shard = {});
   ~DBImpl() override;
 
   /// Recovers MANIFEST + WAL(s). Must be called once before use.
@@ -506,6 +522,7 @@ class DBImpl final : public DB {
 
   Options options_;  // resolved (env/clock non-null)
   std::string dbname_;
+  ShardContext shard_;
   Statistics stats_;
 
   // Inline mode (Options::inline_compactions): every write group and
@@ -525,7 +542,7 @@ class DBImpl final : public DB {
   std::unique_ptr<VersionSet> versions_;
   std::unique_ptr<CompactionPicker> picker_;
   // Owned alone (classic) or co-owned by every shard
-  // (Options::shared_scheduler); each DBImpl is one scheduler *owner* and
+  // (ShardContext::scheduler); each DBImpl is one scheduler *owner* and
   // detaches itself — not the pool — at close. Both are set by the
   // constructor and never null.
   std::shared_ptr<BackgroundScheduler> bg_;

@@ -113,9 +113,8 @@ Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
               TableFileName(versions->dbname(), updated.file_number),
               &writer));
         }
-        std::string page_bytes = rebuilt.Finish();
         LETHE_RETURN_IF_ERROR(
-            writer->WriteAt(table->PageOffset(p), page_bytes));
+            table->RewritePage(writer.get(), p, rebuilt.Finish()));
       }
       updated.num_entries -= removed;
       updated.num_point_tombstones -= removed_tombstones;

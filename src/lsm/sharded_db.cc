@@ -161,12 +161,10 @@ ShardedDB::ShardedDB(const Options& resolved, std::string name)
 
 Status ShardedDB::Init() {
   LETHE_RETURN_IF_ERROR(options_.env->CreateDirIfMissing(name_));
-  if (options_.key_router != nullptr) {
-    router_ = options_.key_router;
-  } else if (options_.shard_router == ShardRouterKind::kRange) {
-    router_ = std::make_shared<RangeKeyRouter>(options_.shard_split_keys);
+  if (options_.shard_router == ShardRouterKind::kRange) {
+    router_ = std::make_unique<RangeKeyRouter>(options_.shard_split_keys);
   } else {
-    router_ = std::make_shared<HashKeyRouter>();
+    router_ = std::make_unique<HashKeyRouter>();
   }
 
   // The shared pools. background_threads is the TOTAL pool size across all
@@ -178,24 +176,20 @@ Status ShardedDB::Init() {
                                       ? options_.memory_budget_bytes
                                       : options_.page_cache_bytes;
   if (cache_capacity > 0) {
-    cache_ = std::make_shared<PageCache>(cache_capacity,
-                                         PageCache::kDefaultShardBits,
-                                         &pool_stats_,
-                                         options_.strict_cache_capacity);
+    cache_ = std::make_shared<PageCache>(
+        cache_capacity, PageCache::kDefaultShardBits, &pool_stats_);
   }
 
   for (int i = 0; i < options_.num_shards; i++) {
     Options shard_options = options_;
     shard_options.num_shards = 1;
-    shard_options.key_router.reset();
     shard_options.shard_split_keys.clear();
-    shard_options.shared_scheduler = scheduler_;
-    shard_options.shared_block_cache = cache_;
     // Disjoint file-number bands (2^40 numbers each) keep the shared
     // cache's (file number, page) keys collision-free across shards.
-    shard_options.file_number_origin = static_cast<uint64_t>(i) << 40;
+    ShardContext context{scheduler_, cache_, static_cast<uint64_t>(i) << 40};
     auto shard = std::make_unique<DBImpl>(
-        shard_options, name_ + "/shard-" + std::to_string(i));
+        shard_options, name_ + "/shard-" + std::to_string(i),
+        std::move(context));
     LETHE_RETURN_IF_ERROR(shard->Init());
     shards_.push_back(std::move(shard));
   }

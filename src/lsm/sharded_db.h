@@ -18,10 +18,9 @@
 
 namespace lethe {
 
-/// Key→shard routing policy for ShardedDB. Implementations must be
-/// deterministic, thread-safe, and stable for the lifetime of the on-disk
-/// database: rerouting a key of an existing DB silently orphans its old
-/// copies in the previous shard.
+/// Key→shard routing for ShardedDB: the interface behind the two built-in
+/// policies (Options::shard_router). Implementations are deterministic and
+/// thread-safe.
 class KeyRouter {
  public:
   virtual ~KeyRouter() = default;
@@ -156,7 +155,7 @@ class ShardedDB final : public DB {
 
   Options options_;  // resolved; num_shards > 1
   std::string name_;
-  std::shared_ptr<KeyRouter> router_;
+  std::unique_ptr<KeyRouter> router_;
 
   // Shared pools. Declared before shards_: shards detach from the
   // scheduler and release the cache first, then the facade's references —

@@ -54,12 +54,11 @@ Status TableCache::GetTable(const FileMeta& meta,
                                             meta.file_size, &reader,
                                             meta.file_number, page_cache_,
                                             cache_metadata_));
-  std::shared_ptr<SSTableReader> shared(std::move(reader));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_[meta.file_number] = shared;
-  }
-  *table = std::move(shared);
+  // A racing open of the same file may have won: keep its reader, so every
+  // user of a file shares one (and with it the page-I/O lock that fences
+  // in-place page rewrites).
+  std::lock_guard<std::mutex> lock(mu_);
+  *table = cache_.emplace(meta.file_number, std::move(reader)).first->second;
   return Status::OK();
 }
 
@@ -74,19 +73,20 @@ void TableCache::Evict(uint64_t file_number) {
 }
 
 VersionSet::VersionSet(const Options& resolved_options, std::string dbname,
-                       PageCache* page_cache, Statistics* stats)
+                       PageCache* page_cache, Statistics* stats,
+                       uint64_t file_number_origin)
     : options_(resolved_options),
       dbname_(std::move(dbname)),
       table_cache_(resolved_options.env, resolved_options.table, dbname_,
                    page_cache,
                    resolved_options.cache_index_and_filter_blocks),
       stats_(stats) {
-  if (resolved_options.file_number_origin > 0) {
+  if (file_number_origin > 0) {
     // Shard bands: every file this set allocates (tables, WALs, manifests)
     // numbers upward from the origin, so file-number-keyed state in a
     // cache shared across shards can never collide. Recovery max-merges
     // the persisted counter on top, keeping reopens inside the band.
-    EnsureFileNumberPast(resolved_options.file_number_origin);
+    EnsureFileNumberPast(file_number_origin);
   }
 }
 

@@ -108,9 +108,12 @@ struct JobFootprint {
 class VersionSet {
  public:
   /// `page_cache` may be nullptr (decoded-page caching disabled);
-  /// `stats` may be nullptr (recovery counters dropped).
+  /// `stats` may be nullptr (recovery counters dropped). Every file number
+  /// this set allocates is at least `file_number_origin` (see
+  /// ShardContext).
   VersionSet(const Options& resolved_options, std::string dbname,
-             PageCache* page_cache = nullptr, Statistics* stats = nullptr);
+             PageCache* page_cache = nullptr, Statistics* stats = nullptr,
+             uint64_t file_number_origin = 0);
 
   VersionSet(const VersionSet&) = delete;
   VersionSet& operator=(const VersionSet&) = delete;

@@ -55,15 +55,15 @@ Status WalWriter::AddRecord(const WalRecord& record) {
   return log_.AddRecord(payload);
 }
 
-Status WalWriter::AddRecords(const WalRecord* records, size_t n,
-                             bool force_sync, bool* appended) {
+Status WalWriter::AddRecords(const WalRecord* records, size_t n, bool sync,
+                             bool* appended) {
   std::vector<std::string> payloads(n);
   std::vector<Slice> slices(n);
   for (size_t i = 0; i < n; i++) {
     EncodeWalRecord(records[i], &payloads[i]);
     slices[i] = Slice(payloads[i]);
   }
-  return log_.AddRecords(slices.data(), n, force_sync, appended);
+  return log_.AddRecords(slices.data(), n, sync, appended);
 }
 
 bool WalReader::ReadRecord(WalRecord* record, Status* status) {

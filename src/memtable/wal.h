@@ -46,18 +46,18 @@ struct WalRecord {
 /// Typed wrapper over the shared CRC-framed record log.
 class WalWriter {
  public:
-  WalWriter(std::unique_ptr<WritableFile> file, bool sync_on_write)
-      : log_(std::move(file), sync_on_write) {}
+  explicit WalWriter(std::unique_ptr<WritableFile> file)
+      : log_(std::move(file), /*sync_on_write=*/false) {}
 
+  /// Appends one record without syncing (WAL replay's rewrite).
   Status AddRecord(const WalRecord& record);
 
-  /// Group-commit append: logs `n` records with one physical Append (and at
-  /// most one Sync — issued when `force_sync` or the writer's sync mode is
-  /// set). Byte-identical to n sequential AddRecord calls. `appended`
-  /// (optional) reports whether bytes may have reached the log even when the
-  /// returned status is an error (Append succeeded, Sync failed) — see
-  /// RecordLogWriter::AddRecords.
-  Status AddRecords(const WalRecord* records, size_t n, bool force_sync,
+  /// Group-commit append: logs `n` records with one physical Append, then
+  /// one Sync when `sync` is set (WriteOptions::sync). Byte-identical to n
+  /// sequential AddRecord calls. `appended` (optional) reports whether bytes
+  /// may have reached the log even when the returned status is an error
+  /// (Append succeeded, Sync failed) — see RecordLogWriter::AddRecords.
+  Status AddRecords(const WalRecord* records, size_t n, bool sync,
                     bool* appended = nullptr);
 
   Status Close() { return log_.Close(); }

@@ -24,6 +24,28 @@ namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
 
+constexpr int kListenBacklog = 511;
+
+// Input limits: one command frame's encoded size (also the cap on a single
+// bulk argument) and its argument count. Oversized requests get a protocol
+// error and a close.
+constexpr size_t kMaxRequestBytes = 32ull << 20;
+constexpr size_t kMaxArgsPerCommand = 128 * 1024;
+
+// Eager-commit caps for the per-turn coalesced WriteBatch: when a turn
+// stages this many operations (or payload bytes) the batch is committed
+// mid-turn, bounding both staged memory and the ack latency of the earliest
+// writer in a very deep pipeline.
+constexpr size_t kMaxBatchOps = 4096;
+constexpr size_t kMaxBatchBytes = 4ull << 20;
+
+// Keys deleted per transaction/batch inside one active-expiry cycle.
+constexpr size_t kActiveExpireChunk = 256;
+
+// How long shutdown keeps flushing buffered replies before closing
+// connections that are not draining.
+constexpr auto kDrainTimeout = std::chrono::milliseconds(1000);
+
 // Reply buffers above this capacity are released (not just cleared) once
 // drained, so one burst of fat replies does not park memory on an idle
 // connection forever.
@@ -245,8 +267,8 @@ struct RespServer::Worker {
 RespServer::RespServer(DB* db, const ServerOptions& options)
     : db_(db), opts_(options) {
   clock_ = opts_.clock != nullptr ? opts_.clock : SystemClock::Default();
-  parser_limits_.max_args = opts_.max_args_per_command;
-  parser_limits_.max_bulk_bytes = opts_.max_request_bytes;
+  parser_limits_.max_args = kMaxArgsPerCommand;
+  parser_limits_.max_bulk_bytes = kMaxRequestBytes;
 }
 
 RespServer::~RespServer() {
@@ -308,15 +330,17 @@ Status RespServer::Start() {
       }
       bound_port = ntohs(got.sin_port);
     }
-    if (::listen(fd, opts_.listen_backlog) != 0) {
+    if (::listen(fd, kListenBacklog) != 0) {
       Status s = Status::IOError(std::string("listen: ") + strerror(errno));
       ::close(fd);
       return fail(s);
     }
     w->listen_fd = fd;
-    Status s = w->loop.Add(fd, EPOLLIN, &w->listen_tag);  // level-triggered
+    Worker* worker = w.get();
+    workers_.push_back(std::move(w));  // from here on `fail` closes fd
+    Status s = worker->loop.Add(fd, EPOLLIN,
+                                &worker->listen_tag);  // level-triggered
     if (!s.ok()) return fail(s);
-    workers_.push_back(std::move(w));
   }
   port_ = bound_port;
 
@@ -475,7 +499,7 @@ void RespServer::ProcessInput(Worker* w, Connection* c) {
     size_t frame_bytes = 0;
     RespParser::Result res = c->parser.Parse(c->in, &frame_bytes);
     if (res == RespParser::Result::kNeedMore) {
-      if (c->in.size() > opts_.max_request_bytes) {
+      if (c->in.size() > kMaxRequestBytes) {
         ProtocolError(w, c, "request exceeds maximum allowed size");
       }
       return;
@@ -700,8 +724,8 @@ void RespServer::CommitTurnBatch(Worker* w) {
 }
 
 void RespServer::MaybeCommitEagerly(Worker* w) {
-  if (w->batch.Count() >= opts_.max_batch_ops ||
-      w->batch.ApproximateBytes() >= opts_.max_batch_bytes) {
+  if (w->batch.Count() >= kMaxBatchOps ||
+      w->batch.ApproximateBytes() >= kMaxBatchBytes) {
     CommitTurnBatch(w);
   }
 }
@@ -779,9 +803,7 @@ void RespServer::DrainOnStop(Worker* w) {
   for (Connection* c : w->touched) c->in_touched_list = false;
   w->touched.clear();
 
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(opts_.drain_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   for (;;) {
     bool pending = false;
     for (Connection* c : w->conns) {
@@ -1392,9 +1414,8 @@ void RespServer::MaybeActiveExpire(Worker* w) {
   }
   bool all_ok = true;
   uint64_t deleted = 0;
-  const size_t chunk = std::max<size_t>(1, opts_.active_expire_chunk);
-  for (size_t base = 0; base < hits.size(); base += chunk) {
-    const size_t limit = std::min(hits.size(), base + chunk);
+  for (size_t base = 0; base < hits.size(); base += kActiveExpireChunk) {
+    const size_t limit = std::min(hits.size(), base + kActiveExpireChunk);
     if (txn_supported_) {
       // Validated path: txn.Get puts each key in the read set, so a SET
       // racing between the lookup and the commit aborts the chunk (Busy)

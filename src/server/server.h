@@ -17,7 +17,9 @@
 namespace lethe {
 namespace server {
 
-/// Front-end knobs. The engine itself is configured by the lethe::Options
+/// Front-end knobs. The fixed limits — request size, arguments per command,
+/// the per-turn batch caps, the expiry chunk and the shutdown drain timeout
+/// — are constants in server.cc. The engine itself is configured by the lethe::Options
 /// used to open the DB handed to RespServer; recommended serving setup is
 /// background mode (inline_compactions = false, so no request waits for a
 /// compaction), a memory budget, and — for multi-core boxes —
@@ -39,8 +41,6 @@ struct ServerOptions {
   /// group-commit queue, where their per-turn batches merge.
   int num_workers = 2;
 
-  int listen_backlog = 511;
-
   /// Admission control: connections over this cap are greeted with an
   /// error and closed immediately (counted in net_connections_rejected).
   int max_connections = 10000;
@@ -49,20 +49,6 @@ struct ServerOptions {
   /// this is dropped (counted in net_slow_client_disconnects) — one
   /// unread SCAN firehose must not hold reply memory hostage.
   size_t max_output_buffer_bytes = 64ull << 20;
-
-  /// Upper bound on one command frame's encoded size; also caps a single
-  /// bulk argument. Oversized requests get a protocol error and a close.
-  size_t max_request_bytes = 32ull << 20;
-
-  /// Maximum arguments in one command frame.
-  size_t max_args_per_command = 128 * 1024;
-
-  /// Eager-commit caps for the per-turn coalesced WriteBatch: when a turn
-  /// stages this many operations (or payload bytes) the batch is committed
-  /// mid-turn, bounding both staged memory and the ack latency of the
-  /// earliest writer in a very deep pipeline.
-  size_t max_batch_ops = 4096;
-  size_t max_batch_bytes = 4ull << 20;
 
   /// Read commands execute against a per-connection snapshot pinned at the
   /// first read of each event-loop turn (a cross-shard consistent cut on
@@ -81,13 +67,6 @@ struct ServerOptions {
   /// (SecondaryRangeLookup over the expired delete-key window +
   /// conflict-validated deletes).
   uint64_t active_expire_interval_ms = 100;
-
-  /// Keys deleted per transaction/batch inside one expiry cycle.
-  size_t active_expire_chunk = 256;
-
-  /// How long shutdown keeps flushing buffered replies before closing
-  /// connections that are not draining.
-  uint64_t drain_timeout_ms = 1000;
 
   /// Time source for TTL arithmetic. MUST be the same clock domain as the
   /// DB's Options::clock, because expirations are stored in the entry's
@@ -137,7 +116,7 @@ class RespServer {
   Status Start();
 
   /// Begins graceful shutdown: stop accepting, commit staged batches,
-  /// flush buffered replies (bounded by drain_timeout_ms), release pinned
+  /// flush buffered replies (bounded by a one-second drain), release pinned
   /// snapshots, close connections. Async-signal-safe; returns immediately.
   void RequestStop();
 

@@ -76,10 +76,7 @@ class LRUShard {
     }
   }
 
-  void Configure(size_t capacity, bool strict) {
-    capacity_ = capacity;
-    strict_ = strict;
-  }
+  void SetCapacity(size_t capacity) { capacity_ = capacity; }
 
   Cache::Handle* Insert(const Slice& key, void* value, size_t charge,
                         Cache::Deleter deleter, Cache::Priority priority) {
@@ -95,70 +92,27 @@ class LRUShard {
     memcpy(e->key_data, key.data(), key.size());
 
     std::vector<LRUHandle*> dead;  // deleters run after the lock is dropped
-    bool rejected = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (capacity_ > 0) {
-        if (strict_) {
-          // An entry that can never fit is rejected up front — evicting
-          // for it would pointlessly drain the shard (metadata blocks
-          // included) on every oversized insert. Otherwise make room and
-          // admit only if the charge actually fits the block budget
-          // (capacity minus reservation) — the strict invariant is that
-          // resident charge + reservation never exceeds capacity. A
-          // resident entry under the same key is *credited* (its charge
-          // leaves with the replacement, so a same-sized re-insert always
-          // fits) but stays untouched unless the insert is admitted: a
-          // rejection must not destroy the copy the cache already has.
-          const size_t budget = BlockBudget();
-          if (charge > budget) {
-            rejected = true;
-            rejections_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            auto it = table_.find(key);
-            LRUHandle* old = it != table_.end() ? it->second : nullptr;
-            const size_t credit = old != nullptr ? old->charge : 0;
-            if (old != nullptr) {
-              Ref(old);  // shields it from the eviction pass below
-            }
-            EvictWhileOver(charge, &dead, credit);
-            if (usage_.load(std::memory_order_relaxed) + charge >
-                budget + credit) {
-              rejected = true;
-              rejections_.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (old != nullptr) {
-              Unref(old);  // refs >= 1 remains: cannot die here
-            }
-          }
+        e->refs++;
+        e->in_cache = true;
+        Append(&in_use_, e);
+        usage_.fetch_add(charge, std::memory_order_relaxed);
+        auto it = table_.find(key);
+        LRUHandle* old = nullptr;
+        if (it != table_.end()) {
+          old = it->second;
+          table_.erase(it);
         }
-        if (!rejected) {
-          e->refs++;
-          e->in_cache = true;
-          Append(&in_use_, e);
-          usage_.fetch_add(charge, std::memory_order_relaxed);
-          auto it = table_.find(key);
-          LRUHandle* old = nullptr;
-          if (it != table_.end()) {
-            old = it->second;
-            table_.erase(it);
-          }
-          table_.emplace(e->key(), e);
-          if (old != nullptr) {
-            Detach(old, &dead);
-          }
-          EvictWhileOver(0, &dead);
+        table_.emplace(e->key(), e);
+        if (old != nullptr) {
+          Detach(old, &dead);
         }
+        EvictWhileOver(&dead);
       }  // capacity 0: pass-through — the entry lives only as the handle
     }
     FreeAll(dead);
-    if (rejected) {
-      // The caller's value still has to die exactly once; run its deleter
-      // here (outside the lock) and report the rejection with nullptr.
-      (*deleter)(key, value);
-      free(e);
-      return nullptr;
-    }
     return reinterpret_cast<Cache::Handle*>(e);
   }
 
@@ -174,23 +128,14 @@ class LRUShard {
 
   void Release(Cache::Handle* handle) {
     LRUHandle* e = reinterpret_cast<LRUHandle*>(handle);
-    std::vector<LRUHandle*> dead;
     bool is_dead;
     {
       std::lock_guard<std::mutex> lock(mu_);
       is_dead = Unref(e);
-      if (!is_dead && strict_) {
-        // A reservation raise may have found this entry pinned and skipped
-        // it; re-check on release so the strict invariant (charge +
-        // reservation <= capacity) is restored the moment the pin drops,
-        // not at some later insert.
-        EvictWhileOver(0, &dead);
-      }
     }
     if (is_dead) {
       Free(e);
     }
-    FreeAll(dead);
   }
 
   void Erase(const Slice& key) {
@@ -233,7 +178,7 @@ class LRUShard {
     {
       std::lock_guard<std::mutex> lock(mu_);
       reserved_ = bytes;
-      EvictWhileOver(0, &dead);
+      EvictWhileOver(&dead);
     }
     FreeAll(dead);
   }
@@ -246,10 +191,6 @@ class LRUShard {
 
   uint64_t NumEvictions() const {
     return evictions_.load(std::memory_order_relaxed);
-  }
-
-  uint64_t NumStrictRejections() const {
-    return rejections_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -271,13 +212,11 @@ class LRUShard {
   }
 
   /// Evicts unpinned entries — low pool first, then high — while the
-  /// resident charge plus `incoming` exceeds the block budget plus
-  /// `credit` (charge about to leave with a same-key replacement). Must
-  /// be called with mu_ held.
-  void EvictWhileOver(size_t incoming, std::vector<LRUHandle*>* dead,
-                      size_t credit = 0) {
-    const size_t budget = BlockBudget() + credit;
-    while (usage_.load(std::memory_order_relaxed) + incoming > budget) {
+  /// resident charge exceeds the block budget. Must be called with mu_
+  /// held.
+  void EvictWhileOver(std::vector<LRUHandle*>* dead) {
+    const size_t budget = BlockBudget();
+    while (usage_.load(std::memory_order_relaxed) > budget) {
       LRUHandle* oldest = lru_low_.next != &lru_low_   ? lru_low_.next
                           : lru_high_.next != &lru_high_ ? lru_high_.next
                                                          : nullptr;
@@ -344,11 +283,9 @@ class LRUShard {
 
   mutable std::mutex mu_;
   size_t capacity_ = 0;
-  bool strict_ = false;
   size_t reserved_ = 0;  // this shard's slice of the global reservation
   std::atomic<size_t> usage_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> rejections_{0};
   LRUHandle lru_low_;   // dummy head; lru_low_.next is the first victim
   LRUHandle lru_high_;  // dummy head; evicted only once lru_low_ is empty
   LRUHandle in_use_;    // dummy head; order within is irrelevant
@@ -357,14 +294,12 @@ class LRUShard {
 
 class ShardedLRUCache final : public Cache {
  public:
-  ShardedLRUCache(size_t capacity, int shard_bits, bool strict_capacity)
-      : shard_bits_(shard_bits),
-        strict_(strict_capacity),
-        shards_(size_t{1} << shard_bits) {
+  ShardedLRUCache(size_t capacity, int shard_bits)
+      : shard_bits_(shard_bits), shards_(size_t{1} << shard_bits) {
     const size_t per_shard =
         (capacity + shards_.size() - 1) / shards_.size();
     for (LRUShard& shard : shards_) {
-      shard.Configure(per_shard, strict_capacity);
+      shard.SetCapacity(per_shard);
     }
     capacity_ = per_shard * shards_.size();
   }
@@ -404,7 +339,7 @@ class ShardedLRUCache final : public Cache {
     }
     reserved_ = static_cast<size_t>(total);
     // Spread evenly, rounding up: the per-shard sum may over-reserve by up
-    // to (num_shards - 1) bytes, which errs on the strict side.
+    // to (num_shards - 1) bytes, which errs on the side of the budget.
     const size_t per_shard =
         (reserved_ + shards_.size() - 1) / shards_.size();
     for (LRUShard& shard : shards_) {
@@ -433,16 +368,7 @@ class ShardedLRUCache final : public Cache {
     return total;
   }
 
-  uint64_t NumStrictRejections() const override {
-    uint64_t total = 0;
-    for (const LRUShard& shard : shards_) {
-      total += shard.NumStrictRejections();
-    }
-    return total;
-  }
-
   size_t capacity() const override { return capacity_; }
-  bool strict_capacity() const override { return strict_; }
 
  private:
   LRUShard& ShardFor(const Slice& key) {
@@ -457,7 +383,6 @@ class ShardedLRUCache final : public Cache {
 
   int shard_bits_;
   size_t capacity_;
-  bool strict_;
   mutable std::mutex reservation_mu_;  // serializes reservation updates
   size_t reserved_ = 0;
   std::vector<LRUShard> shards_;
@@ -465,11 +390,9 @@ class ShardedLRUCache final : public Cache {
 
 }  // namespace
 
-std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity, int shard_bits,
-                                          bool strict_capacity) {
+std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity, int shard_bits) {
   assert(shard_bits >= 0 && shard_bits <= 8);
-  return std::make_unique<ShardedLRUCache>(capacity, shard_bits,
-                                           strict_capacity);
+  return std::make_unique<ShardedLRUCache>(capacity, shard_bits);
 }
 
 }  // namespace lethe

@@ -20,14 +20,8 @@ namespace lethe {
 /// thrash the metadata out; high-priority entries evict among themselves
 /// (LRU) only once no low-priority entry is left to give up.
 ///
-/// Two capacity regimes:
-///   - default: the cache may temporarily exceed its capacity while entries
-///     are pinned (classic LRU overflow).
-///   - strict (strict_capacity = true): an Insert whose charge cannot be
-///     accommodated after evicting every unpinned entry is rejected — the
-///     value's deleter runs and Insert returns nullptr — so the resident
-///     charge plus reservations never exceeds the capacity. Callers fall
-///     back to an unpooled (handle-less) read.
+/// The cache may temporarily exceed its capacity while entries are pinned
+/// (classic LRU overflow); every Insert is admitted.
 ///
 /// Reservations carve bytes out of the budget for memory the cache does not
 /// own (memtables); see AdjustReservation/CacheReservation below.
@@ -54,9 +48,6 @@ class Cache {
 
   /// Inserts a mapping, replacing any current entry for `key`, and returns a
   /// handle pinning it. `deleter` runs when the entry is fully released.
-  /// In strict mode returns nullptr (after running `deleter` on `value`)
-  /// when the charge does not fit the remaining budget; the caller keeps
-  /// using its own unpooled copy of the value.
   virtual Handle* Insert(const Slice& key, void* value, size_t charge,
                          Deleter deleter,
                          Priority priority = Priority::kLow) = 0;
@@ -88,8 +79,7 @@ class Cache {
   /// budget. Reservations are *forced*: they always succeed, because the
   /// write path cannot drop a memtable the way a read path can skip a cache
   /// fill; if the reservation alone exceeds the capacity, the block budget
-  /// is simply zero (and, in strict mode, every insert is rejected until
-  /// the reservation shrinks).
+  /// is simply zero.
   virtual void AdjustReservation(int64_t delta) = 0;
 
   /// Current total reservation.
@@ -101,11 +91,7 @@ class Cache {
   /// Number of entries evicted by capacity pressure (not by Erase/EraseIf).
   virtual uint64_t NumEvictions() const = 0;
 
-  /// Number of strict-mode inserts rejected for lack of budget.
-  virtual uint64_t NumStrictRejections() const = 0;
-
   virtual size_t capacity() const = 0;
-  virtual bool strict_capacity() const = 0;
 };
 
 /// RAII stake on a cache's budget for memory the cache does not own.
@@ -161,8 +147,7 @@ class CacheReservation {
 };
 
 /// A Cache with `capacity` total charge across 2^shard_bits LRU shards.
-std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity, int shard_bits = 4,
-                                          bool strict_capacity = false);
+std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity, int shard_bits = 4);
 
 }  // namespace lethe
 

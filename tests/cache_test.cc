@@ -202,86 +202,9 @@ TEST_F(LRUCacheTest, LowInsertEvictsHighOnlyWhenLowPoolIsEmpty) {
   EXPECT_EQ(Lookup("page"), 7);
 }
 
-class StrictLRUCacheTest : public ::testing::Test {
- protected:
-  static constexpr size_t kCapacity = 4;
-
-  StrictLRUCacheTest()
-      : cache_(NewShardedLRUCache(kCapacity, /*shard_bits=*/0,
-                                  /*strict_capacity=*/true)) {
-    g_deletions.store(0);
-  }
-
-  /// Returns whether the insert was admitted.
-  bool Insert(const std::string& key, int value, size_t charge = 1) {
-    Cache::Handle* handle =
-        cache_->Insert(key, new int(value), charge, &DeleteIntValue);
-    if (handle == nullptr) {
-      return false;
-    }
-    cache_->Release(handle);
-    return true;
-  }
-
-  int Lookup(const std::string& key) {
-    Cache::Handle* handle = cache_->Lookup(key);
-    if (handle == nullptr) {
-      return -1;
-    }
-    int value = *static_cast<int*>(cache_->Value(handle));
-    cache_->Release(handle);
-    return value;
-  }
-
-  std::unique_ptr<Cache> cache_;
-};
-
-TEST_F(StrictLRUCacheTest, OversizedInsertIsRejectedCleanly) {
-  EXPECT_TRUE(Insert("fits", 1, kCapacity));
-  EXPECT_FALSE(Insert("too-big", 2, kCapacity + 1));
-  // The rejected value was destroyed exactly once, and a can-never-fit
-  // insert is turned away up front: it must not have evicted anything.
-  EXPECT_EQ(g_deletions.load(), 1);
-  EXPECT_LE(cache_->TotalCharge(), kCapacity);
-  EXPECT_EQ(cache_->NumStrictRejections(), 1u);
-  EXPECT_EQ(Lookup("too-big"), -1);
-  EXPECT_EQ(Lookup("fits"), 1);
-  EXPECT_EQ(cache_->NumEvictions(), 0u);
-}
-
-TEST_F(StrictLRUCacheTest, RejectedReplacementKeepsResidentEntry) {
-  ASSERT_TRUE(Insert("k", 1, 2));
-  // A same-key insert that can never fit is rejected without touching the
-  // resident copy — a rejection must not leave the cache with neither.
-  EXPECT_FALSE(Insert("k", 2, kCapacity + 1));
-  EXPECT_EQ(Lookup("k"), 1);
-
-  // With the budget full, a same-size replacement still fits: the charge
-  // of the entry it displaces is credited, and nothing else is evicted.
-  ASSERT_TRUE(Insert("fill", 3, 2));
-  EXPECT_EQ(cache_->TotalCharge(), kCapacity);
-  EXPECT_TRUE(Insert("k", 4, 2));
-  EXPECT_EQ(Lookup("k"), 4);
-  EXPECT_EQ(Lookup("fill"), 3);
-  EXPECT_EQ(cache_->NumEvictions(), 0u);
-}
-
-TEST_F(StrictLRUCacheTest, PinnedEntriesBlockAdmission) {
-  Cache::Handle* pinned =
-      cache_->Insert("pin", new int(1), kCapacity, &DeleteIntValue);
-  ASSERT_NE(pinned, nullptr);
-  // The pinned entry cannot be evicted, so nothing else fits.
-  EXPECT_FALSE(Insert("blocked", 2, 1));
-  EXPECT_EQ(cache_->TotalCharge(), kCapacity);
-  cache_->Release(pinned);
-  // Unpinned: the next insert evicts it and is admitted.
-  EXPECT_TRUE(Insert("unblocked", 3, 1));
-  EXPECT_EQ(Lookup("pin"), -1);
-}
-
-TEST_F(StrictLRUCacheTest, ReservationShrinksBlockBudget) {
-  ASSERT_TRUE(Insert("a", 1, 2));
-  ASSERT_TRUE(Insert("b", 2, 2));
+TEST_F(LRUCacheTest, ReservationShrinksBlockBudget) {
+  Insert("a", 1, 2);
+  Insert("b", 2, 2);
   EXPECT_EQ(cache_->TotalCharge(), 4u);
 
   // Reserving 3 of the 4 bytes evicts down to a 1-byte block budget.
@@ -289,23 +212,41 @@ TEST_F(StrictLRUCacheTest, ReservationShrinksBlockBudget) {
   EXPECT_EQ(cache_->ReservedBytes(), 3u);
   EXPECT_LE(cache_->TotalCharge() + 3, kCapacity);
 
-  // A 2-byte insert no longer fits; a returned reservation re-admits it.
-  EXPECT_FALSE(Insert("c", 3, 2));
+  // Inserts are still admitted, but each one evicts down to the shrunken
+  // budget: only the newest 1-byte entry stays.
+  Insert("c", 3, 1);
+  Insert("d", 4, 1);
+  EXPECT_EQ(Lookup("c"), -1);
+  EXPECT_EQ(Lookup("d"), 4);
+
+  // A returned reservation restores the whole budget.
   cache_->AdjustReservation(-3);
   EXPECT_EQ(cache_->ReservedBytes(), 0u);
-  EXPECT_TRUE(Insert("c", 3, 2));
+  Insert("e", 5, 2);
+  Insert("f", 6, 1);
+  EXPECT_EQ(Lookup("d"), 4);
+  EXPECT_EQ(Lookup("e"), 5);
+  EXPECT_EQ(Lookup("f"), 6);
+  EXPECT_EQ(cache_->TotalCharge(), 4u);
 }
 
-TEST_F(StrictLRUCacheTest, ReservationBeyondCapacityZeroesTheBudget) {
-  ASSERT_TRUE(Insert("a", 1, 1));
+TEST_F(LRUCacheTest, ReservationBeyondCapacityZeroesTheBudget) {
+  Insert("a", 1, 1);
   // Forced reservations may exceed capacity (a memtable the engine cannot
-  // drop); every block is evicted and every insert rejected until it
-  // shrinks.
+  // drop): every block is evicted, and an insert stays only until the next
+  // one evicts it.
   cache_->AdjustReservation(kCapacity * 2);
   EXPECT_EQ(cache_->TotalCharge(), 0u);
-  EXPECT_FALSE(Insert("b", 2, 1));
+  EXPECT_EQ(Lookup("a"), -1);
+  Insert("b", 2, 1);
+  Insert("c", 3, 1);
+  EXPECT_EQ(Lookup("b"), -1);
+  EXPECT_EQ(cache_->TotalCharge(), 1u);
+
   cache_->AdjustReservation(-static_cast<int64_t>(kCapacity * 2));
-  EXPECT_TRUE(Insert("b", 2, 1));
+  Insert("d", 4, 1);
+  EXPECT_EQ(Lookup("c"), 3);
+  EXPECT_EQ(Lookup("d"), 4);
 }
 
 TEST(CacheReservationTest, SetAndDestructionReturnTheStake) {
@@ -468,8 +409,8 @@ TEST(PageCacheTest, BlockTypesAreDistinctEntries) {
   Statistics stats;
   PageCache cache(1 << 20, 2, &stats);
   cache.Insert(1, 0, MakePage(100));
-  ASSERT_TRUE(cache.InsertIndex(1, MakeIndex(50)));
-  ASSERT_TRUE(cache.InsertFilter(1, 0, MakeFilter(25)));
+  cache.InsertIndex(1, MakeIndex(50));
+  cache.InsertFilter(1, 0, MakeFilter(25));
 
   PageHandle page;
   TableIndexHandle index;
@@ -510,27 +451,14 @@ TEST(PageCacheTest, EvictFileDropsEveryBlockType) {
             index->ApproximateMemoryUsage());
 }
 
-TEST(PageCacheTest, StrictBudgetRejectsAndCounts) {
-  Statistics stats;
-  PageCache cache(4096, /*shard_bits=*/0, &stats, /*strict_capacity=*/true);
-  // A page whose decoded footprint exceeds the whole budget is rejected.
-  EXPECT_FALSE(cache.Insert(1, 0, MakePage(8192)));
-  EXPECT_EQ(stats.block_cache_strict_rejections.load(), 1u);
-  PageHandle page;
-  EXPECT_FALSE(cache.Lookup(1, 0, &page));
-  // A fitting metadata block is still admitted.
-  EXPECT_TRUE(cache.InsertFilter(1, 0, MakeFilter(256)));
-  EXPECT_LE(cache.TotalCharge(), 4096u);
-}
-
 TEST(PageCacheTest, MetadataOutlivesDataPageChurnUnderPressure) {
   // The priority split at the PageCache layer: one small filter + index
   // block, then a stream of pages several times the budget. The metadata
   // must still be resident afterwards.
   Statistics stats;
   PageCache cache(16384, /*shard_bits=*/0, &stats);
-  ASSERT_TRUE(cache.InsertIndex(1, MakeIndex(512)));
-  ASSERT_TRUE(cache.InsertFilter(1, 0, MakeFilter(256)));
+  cache.InsertIndex(1, MakeIndex(512));
+  cache.InsertFilter(1, 0, MakeFilter(256));
   for (uint32_t p = 0; p < 64; p++) {
     cache.Insert(1, p, MakePage(2048));
   }

@@ -1130,12 +1130,11 @@ TEST_F(MemoryBudgetDBTest, ReservationTracksWriteBuffers) {
   EXPECT_LT(db_->stats().cache_reservation_bytes.load(), staked);
 }
 
-TEST_F(MemoryBudgetDBTest, TinyStrictBudgetStaysCorrectAndWithinCapacity) {
+TEST_F(MemoryBudgetDBTest, TinyBudgetStaysCorrect) {
   // A budget smaller than one memtable: the reservation zeroes the block
-  // budget, every insert is rejected, and the engine falls back to
-  // unpooled reads everywhere — correctness must not depend on admission.
+  // budget, so every block is evicted as soon as the next one arrives —
+  // correctness must not depend on residency.
   options_.memory_budget_bytes = 8 << 10;
-  options_.strict_cache_capacity = true;
   Open();
   const uint64_t n = 600;
   std::string value(100, 'x');
@@ -1146,14 +1145,9 @@ TEST_F(MemoryBudgetDBTest, TinyStrictBudgetStaysCorrectAndWithinCapacity) {
   for (uint64_t k = 0; k < n; k++) {
     ASSERT_EQ(Get(k), value + std::to_string(k)) << k;
   }
-  EXPECT_GT(db_->stats().block_cache_strict_rejections.load(), 0u);
-  // The strict invariant: resident charge + reservation never exceeds the
-  // budget (TEST_VerifyTreeInvariants checks exactly this).
+  EXPECT_GT(db_->stats().page_cache_evictions.load(), 0u);
   ASSERT_TRUE(
       static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants().ok());
-  EXPECT_LE(Cache()->TotalCharge() +
-                std::min(Cache()->ReservedBytes(), Cache()->capacity()),
-            Cache()->capacity());
 }
 
 TEST_F(MemoryBudgetDBTest, ResultsIdenticalWithCachedAndPinnedMetadata) {
@@ -1299,6 +1293,104 @@ TEST_F(DBTest, GroupCommitAmortizesWalAppends) {
   EXPECT_EQ(db_->stats().wal_appends.load() - appends_before, 1u);
   EXPECT_EQ(db_->stats().group_commit_batches.load(), 1u);
   EXPECT_EQ(db_->stats().group_commit_entries.load(), 100u);
+}
+
+/// Forwards to a target Env, counting WritableFile::Sync calls on WAL files.
+class WalSyncCountingEnv final : public Env {
+ public:
+  explicit WalSyncCountingEnv(Env* target) : target_(target) {}
+
+  int wal_syncs() const { return wal_syncs_.load(); }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    std::unique_ptr<WritableFile> file;
+    LETHE_RETURN_IF_ERROR(target_->NewWritableFile(fname, &file));
+    const bool is_wal = fname.size() > 4 &&
+                        fname.compare(fname.size() - 4, 4, ".wal") == 0;
+    *result = std::make_unique<File>(std::move(file),
+                                     is_wal ? &wal_syncs_ : nullptr);
+    return Status::OK();
+  }
+  Status NewRandomWriteFile(const std::string& fname,
+                            std::unique_ptr<RandomWriteFile>* result) override {
+    return target_->NewRandomWriteFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return target_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return target_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return target_->FileExists(fname);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return target_->RemoveFile(fname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return target_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return target_->RenameFile(src, target);
+  }
+  Status CreateDirIfMissing(const std::string& dirname) override {
+    return target_->CreateDirIfMissing(dirname);
+  }
+  Status GetChildren(const std::string& dirname,
+                     std::vector<std::string>* result) override {
+    return target_->GetChildren(dirname, result);
+  }
+
+ private:
+  class File final : public WritableFile {
+   public:
+    File(std::unique_ptr<WritableFile> base, std::atomic<int>* syncs)
+        : base_(std::move(base)), syncs_(syncs) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      if (syncs_ != nullptr) {
+        syncs_->fetch_add(1);
+      }
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    std::atomic<int>* syncs_;
+  };
+
+  Env* target_;
+  std::atomic<int> wal_syncs_{0};
+};
+
+TEST_F(DBTest, WriteOptionsSyncIsTheOneWalSyncPath) {
+  WalSyncCountingEnv env(env_.get());
+  options_.env = &env;
+  Open();
+  const uint64_t syncs_before = db_->stats().wal_syncs.load();
+  const int env_syncs_before = env.wal_syncs();
+
+  // An unsynced Put appends to the WAL but never syncs it.
+  ASSERT_TRUE(Put(1, "unsynced").ok());
+  EXPECT_EQ(db_->stats().wal_syncs.load(), syncs_before);
+  EXPECT_EQ(env.wal_syncs(), env_syncs_before);
+
+  // A synced Put issues exactly one sync, on the WAL, and counts it.
+  WriteOptions sync_write;
+  sync_write.sync = true;
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(db_->Put(sync_write, EncodeKey(2), 2, "synced").ok());
+  EXPECT_EQ(db_->stats().wal_syncs.load(), syncs_before + 1);
+  EXPECT_EQ(env.wal_syncs(), env_syncs_before + 1);
+
+  db_.reset();  // close before `env` goes out of scope
 }
 
 TEST_F(DBTest, GroupCommitMergesConcurrentWriters) {

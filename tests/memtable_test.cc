@@ -259,7 +259,7 @@ TEST(WalTest, RecordRoundTrip) {
   std::unique_ptr<WritableFile> wf;
   ASSERT_TRUE(env->NewWritableFile("wal", &wf).ok());
   {
-    WalWriter writer(std::move(wf), false);
+    WalWriter writer(std::move(wf));
     WalRecord put;
     put.kind = WalRecord::Kind::kPut;
     put.seq = 1;

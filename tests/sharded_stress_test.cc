@@ -21,9 +21,8 @@
 //     chain checker must observe an inconsistent cut within the default
 //     budget.
 //   - SharedBudgetStarvation: one write-hot shard + three idle shards under
-//     a tiny strict unified budget — idle reads keep completing correctly,
-//     and the strict cache invariant plus the tree invariants hold on every
-//     shard afterwards.
+//     a tiny unified budget — idle reads keep completing correctly, and
+//     the tree invariants hold on every shard afterwards.
 //   - FaultIsolation: FaultPolicy EIOs exactly one shard's .sst writes.
 //     Only that shard's error handler degrades, siblings keep serving
 //     reads and writes, and a crash + reopen of the whole facade loses
@@ -427,7 +426,6 @@ TEST_P(ShardedStressTest, LinearizableMultiShardWorkload) {
   options.background_threads = kPools[config_rnd.Uniform(3)];
   if (config_rnd.Bernoulli(0.4)) {  // shared unified budget across shards
     options.memory_budget_bytes = 128 << 10;
-    options.strict_cache_capacity = config_rnd.Bernoulli(0.5);
   } else if (config_rnd.Bernoulli(0.5)) {
     options.page_cache_bytes = 1 << 20;  // plain shared block cache
   }
@@ -438,7 +436,6 @@ TEST_P(ShardedStressTest, LinearizableMultiShardWorkload) {
       (options.compaction_style == CompactionStyle::kLeveling ? "leveling"
                                                               : "tiering") +
       " budget=" + std::to_string(options.memory_budget_bytes) +
-      " strict=" + std::to_string(options.strict_cache_capacity) +
       " cache=" + std::to_string(options.page_cache_bytes));
 
   std::unique_ptr<DB> db;
@@ -630,10 +627,10 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   options.shard_router = ShardRouterKind::kRange;
   options.shard_split_keys = {EncodeKey(256), EncodeKey(512), EncodeKey(768)};
   // A budget smaller than the sum of the four write-buffer reservations:
-  // the hot shard must squeeze the block budget (strict admission rejects
-  // inserts) rather than grow the process; cold shards must still serve.
+  // the hot shard must squeeze the block budget (its reservation evicts the
+  // cold shards' blocks) rather than grow the process; cold shards must
+  // still serve.
   options.memory_budget_bytes = 16 << 10;
-  options.strict_cache_capacity = true;
   options.cache_index_and_filter_blocks = true;
 
   std::unique_ptr<DB> db;
@@ -694,13 +691,10 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   ASSERT_FALSE(failed.load());
   EXPECT_GT(idle_reads.load(), 0u);
 
-  // The strict global invariant and the per-shard tree invariants must
-  // hold after the pressure (TEST_VerifyTreeInvariants checks both).
+  // The per-shard tree invariants must hold after the pressure.
   ASSERT_TRUE(db->WaitForCompact().ok());
   Status invariants = sharded->TEST_VerifyTreeInvariants();
   ASSERT_TRUE(invariants.ok()) << invariants.ToString();
-  ASSERT_LE(sharded->TEST_page_cache()->TotalCharge(),
-            options.memory_budget_bytes);
 }
 
 // ---- fault isolation + crash/reopen ----------------------------------------

@@ -287,13 +287,12 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   options.max_subcompactions = config_rnd.Bernoulli(0.5) ? 4 : 1;
   // Unified-budget configs: metadata behind the cache, write buffers
   // reserved, sometimes a budget tiny enough that the reservation zeroes
-  // the block budget (every insert rejected, unpooled fallback everywhere)
-  // and sometimes strict admission on top. Cached metadata requires some
-  // cache budget (Options::Validate enforces it).
+  // the block budget (every block evicted as soon as the next one
+  // arrives). Cached metadata requires some cache budget (Options::Validate
+  // enforces it).
   if (config_rnd.Bernoulli(0.4)) {
     static constexpr uint64_t kBudgets[] = {4 << 10, 64 << 10, 1 << 20};
     options.memory_budget_bytes = kBudgets[config_rnd.Uniform(3)];
-    options.strict_cache_capacity = config_rnd.Bernoulli(0.5);
   }
   options.cache_index_and_filter_blocks =
       (options.memory_budget_bytes > 0 || options.page_cache_bytes > 0) &&
@@ -303,12 +302,11 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   options.table.entries_per_page =
       8 + static_cast<uint32_t>(config_rnd.Uniform(25));
   // CI's low-memory lane: force every seed through the tiny-budget
-  // machinery — strict admission, cached metadata, a budget smaller than
-  // one memtable — so the rejection/fallback paths run under the
-  // sanitizers on every push.
+  // machinery — cached metadata under a budget smaller than one memtable —
+  // so metadata eviction and re-load run under the sanitizers on every
+  // push.
   if (EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
     options.memory_budget_bytes = 16 << 10;
-    options.strict_cache_capacity = true;
     options.cache_index_and_filter_blocks = true;
   }
 
@@ -328,7 +326,6 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
                " budget=" + std::to_string(options.memory_budget_bytes) +
                " cachemeta=" +
                std::to_string(options.cache_index_and_filter_blocks) +
-               " strict=" + std::to_string(options.strict_cache_capacity) +
                " rtheavy=" + std::to_string(RtHeavy()));
 
   std::unique_ptr<DB> db;
@@ -619,12 +616,10 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
   // budget too (the reopen rebuilds reservations from the replayed WALs).
   if (config_rnd.Bernoulli(0.4)) {
     options.memory_budget_bytes = 64 << 10;
-    options.strict_cache_capacity = config_rnd.Bernoulli(0.5);
     options.cache_index_and_filter_blocks = config_rnd.Bernoulli(0.6);
   }
   if (EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
     options.memory_budget_bytes = 16 << 10;
-    options.strict_cache_capacity = true;
     options.cache_index_and_filter_blocks = true;
   }
 
