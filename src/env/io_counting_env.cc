@@ -5,10 +5,6 @@
 
 namespace lethe {
 
-namespace {
-constexpr uint64_t kNoFailure = UINT64_MAX;
-}  // namespace
-
 class CountingWritableFile final : public WritableFile {
  public:
   CountingWritableFile(std::unique_ptr<WritableFile> target,
@@ -16,9 +12,6 @@ class CountingWritableFile final : public WritableFile {
       : target_(std::move(target)), env_(env), fname_(std::move(fname)) {}
 
   Status Append(const Slice& data) override {
-    if (env_->ShouldFailWrite(fname_)) {
-      return Status::IOError("injected write failure");
-    }
     Status fault;
     FaultPolicy::Kind kind;
     if (env_->MaybeInjectFault(IoCountingEnv::FaultOp::kAppend, fname_, &fault,
@@ -72,9 +65,6 @@ class CountingRandomWriteFile final : public RandomWriteFile {
       : target_(std::move(target)), env_(env), fname_(std::move(fname)) {}
 
   Status WriteAt(uint64_t offset, const Slice& data) override {
-    if (env_->ShouldFailWrite(fname_)) {
-      return Status::IOError("injected write failure");
-    }
     Status fault;
     FaultPolicy::Kind kind;
     if (env_->MaybeInjectFault(IoCountingEnv::FaultOp::kAppend, fname_, &fault,
@@ -172,29 +162,6 @@ class CountingSequentialFile final : public SequentialFile {
   IoCountingEnv* env_;
   std::string fname_;
 };
-
-bool IoCountingEnv::ShouldFailWrite(const std::string& fname) {
-  if (writes_until_failure_.load(std::memory_order_relaxed) == kNoFailure) {
-    return false;  // fast path: injection disarmed
-  }
-  {
-    std::lock_guard<std::mutex> lock(filter_mu_);
-    if (!fail_filter_.empty() && fname.find(fail_filter_) == std::string::npos) {
-      return false;  // filtered out: no failure, no credit consumed
-    }
-  }
-  uint64_t current = writes_until_failure_.load(std::memory_order_relaxed);
-  while (current != kNoFailure) {
-    if (current == 0) {
-      return true;
-    }
-    if (writes_until_failure_.compare_exchange_weak(
-            current, current - 1, std::memory_order_relaxed)) {
-      return false;
-    }
-  }
-  return false;
-}
 
 void IoCountingEnv::InjectFaults(const FaultPolicy& policy) {
   std::lock_guard<std::mutex> lock(fault_mu_);

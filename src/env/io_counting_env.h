@@ -72,9 +72,8 @@ struct FaultPolicy {
 };
 
 /// Wraps a target Env, forwarding all calls while counting traffic into an
-/// IoStats. Also supports write-fault injection for crash/failure tests:
-/// either the legacy one-shot knobs (SetFailAfterWrites/SetFailFilter) or a
-/// full FaultPolicy (InjectFaults) with a per-operation error taxonomy,
+/// IoStats. Also injects faults for crash/failure tests through a
+/// FaultPolicy (InjectFaults) with a per-operation error taxonomy,
 /// probabilities, and transient fail windows.
 class IoCountingEnv final : public Env {
  public:
@@ -84,22 +83,6 @@ class IoCountingEnv final : public Env {
   IoStats& stats() { return stats_; }
   const IoStats& stats() const { return stats_; }
   uint64_t page_size() const { return page_size_; }
-
-  /// Enables fault injection: the (n+1)-th Append across all writable files
-  /// opened after this call fails. Pass UINT64_MAX to disable.
-  void SetFailAfterWrites(uint64_t n) {
-    writes_until_failure_.store(n, std::memory_order_relaxed);
-  }
-
-  /// Restricts write-failure injection to files whose name contains
-  /// `substring` (empty, the default, targets every file). Writes to
-  /// non-matching files neither fail nor consume failure credits, so tests
-  /// can crash one specific stream — e.g. "MANIFEST" to die mid version
-  /// install, or ".sst" to die mid merge while WAL appends keep succeeding.
-  void SetFailFilter(std::string substring) {
-    std::lock_guard<std::mutex> lock(filter_mu_);
-    fail_filter_ = std::move(substring);
-  }
 
   /// Installs a fault policy (replacing any previous one) and resets the
   /// fault-op counter, so window offsets are relative to this call. Thread-
@@ -152,11 +135,6 @@ class IoCountingEnv final : public Env {
     return (bytes + page_size_ - 1) / page_size_;
   }
 
-  /// Returns true if a write to `fname` should fail (and consumes one
-  /// credit if injection is armed, the file matches the filter, and credits
-  /// remain).
-  bool ShouldFailWrite(const std::string& fname);
-
   /// Operation classes the FaultPolicy machinery distinguishes.
   enum class FaultOp { kAppend, kSync, kCreate, kRead, kRename };
 
@@ -173,10 +151,7 @@ class IoCountingEnv final : public Env {
   Env* target_;
   uint64_t page_size_;
   IoStats stats_;
-  std::atomic<uint64_t> writes_until_failure_{UINT64_MAX};
   std::atomic<uint64_t> append_delay_micros_{0};
-  mutable std::mutex filter_mu_;
-  std::string fail_filter_;  // guarded by filter_mu_
 
   // FaultPolicy machinery. fault_armed_ mirrors (fault_ != nullptr) so the
   // no-policy fast path stays lock-free.

@@ -5,9 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,10 +12,14 @@
 #include "src/core/lethe.h"
 #include "src/lsm/db_impl.h"
 #include "src/workload/generator.h"
+#include "tests/model/key_model.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
 
+using test::KeyModel;
+using test::ModelOp;
 using workload::EncodeKey;
 
 class DBTest : public ::testing::Test {
@@ -68,14 +69,6 @@ class DBTest : public ::testing::Test {
     return db_->Delete(WriteOptions(), EncodeKey(key));
   }
 
-  uint64_t TotalDiskFiles() {
-    uint64_t files = 0;
-    for (const auto& snap : db_->GetLevelSnapshots()) {
-      files += snap.num_files;
-    }
-    return files;
-  }
-
   std::unique_ptr<Env> base_env_;
   std::unique_ptr<IoCountingEnv> env_;
   LogicalClock clock_;
@@ -119,7 +112,7 @@ TEST_F(DBTest, ValuesSurviveFlush) {
     ASSERT_TRUE(Put(k, "value-" + std::to_string(k)).ok());
   }
   ASSERT_TRUE(db_->Flush().ok());
-  EXPECT_GT(TotalDiskFiles(), 0u);
+  EXPECT_GT(test::ReferencedTableFiles(db_.get()), 0u);
   for (uint64_t k = 0; k < 100; k++) {
     EXPECT_EQ(Get(k), "value-" + std::to_string(k));
   }
@@ -164,27 +157,17 @@ TEST_F(DBTest, UpdatesKeepNewestAcrossCompactions) {
 
 TEST_F(DBTest, IteratorScansLiveEntriesInOrder) {
   Open();
-  std::set<uint64_t> live;
+  KeyModel model(0, 300, test::ReproHint());
   for (uint64_t k = 0; k < 300; k++) {
-    ASSERT_TRUE(Put(k, "v" + std::to_string(k)).ok());
-    live.insert(k);
+    ASSERT_TRUE(
+        model.Write(db_.get(), ModelOp::Put(k, 0, "v" + std::to_string(k)))
+            .ok());
   }
   for (uint64_t k = 0; k < 300; k += 3) {
-    ASSERT_TRUE(Delete(k).ok());
-    live.erase(k);
+    ASSERT_TRUE(model.Write(db_.get(), ModelOp::Delete(k)).ok());
   }
   ASSERT_TRUE(db_->Flush().ok());
-
-  auto it = db_->NewIterator(ReadOptions());
-  auto expected = live.begin();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    ASSERT_NE(expected, live.end());
-    EXPECT_EQ(it->key().ToString(), EncodeKey(*expected));
-    EXPECT_EQ(it->value().ToString(), "v" + std::to_string(*expected));
-    ++expected;
-  }
-  EXPECT_TRUE(it->status().ok());
-  EXPECT_EQ(expected, live.end());
+  EXPECT_TRUE(model.CheckScan(db_.get(), 0, UINT64_MAX));
 }
 
 TEST_F(DBTest, IteratorSeekPositions) {
@@ -202,45 +185,34 @@ TEST_F(DBTest, IteratorSeekPositions) {
 
 TEST_F(DBTest, RangeDeleteHidesRange) {
   Open();
+  KeyModel model(0, 100, test::ReproHint());
   for (uint64_t k = 0; k < 100; k++) {
-    ASSERT_TRUE(Put(k, "v" + std::to_string(k)).ok());
+    ASSERT_TRUE(
+        model.Write(db_.get(), ModelOp::Put(k, 0, "v" + std::to_string(k)))
+            .ok());
   }
-  ASSERT_TRUE(db_->RangeDelete(WriteOptions(), EncodeKey(20), EncodeKey(40))
-                  .ok());
-  for (uint64_t k = 0; k < 100; k++) {
-    if (k >= 20 && k < 40) {
-      EXPECT_EQ(Get(k), "NOT_FOUND") << k;
-    } else {
-      EXPECT_EQ(Get(k), "v" + std::to_string(k)) << k;
-    }
-  }
+  ASSERT_TRUE(model.Write(db_.get(), ModelOp::RangeDelete(20, 40)).ok());
+  EXPECT_TRUE(model.CheckAll(db_.get()));
   // Still hidden after everything reaches disk.
   ASSERT_TRUE(db_->Flush().ok());
-  EXPECT_EQ(Get(25), "NOT_FOUND");
-  EXPECT_EQ(Get(19), "v19");
-  EXPECT_EQ(Get(40), "v40");
+  EXPECT_TRUE(model.CheckAll(db_.get()));
 
   // Writes after the range delete win.
-  ASSERT_TRUE(Put(25, "resurrected").ok());
-  EXPECT_EQ(Get(25), "resurrected");
+  ASSERT_TRUE(model.Write(db_.get(), ModelOp::Put(25, 0, "resurrected")).ok());
+  EXPECT_TRUE(model.CheckAll(db_.get()));
 }
 
 TEST_F(DBTest, RangeDeleteAppliesAcrossCompaction) {
   Open();
+  KeyModel model(0, 1000, test::ReproHint());
   std::string value(100, 'x');
   for (uint64_t k = 0; k < 1000; k++) {
-    ASSERT_TRUE(Put(k, value).ok());
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(model.Write(db_.get(), ModelOp::Put(k, 0, value)).ok());
   }
-  ASSERT_TRUE(db_->RangeDelete(WriteOptions(), EncodeKey(100), EncodeKey(300))
-                  .ok());
+  ASSERT_TRUE(model.Write(db_.get(), ModelOp::RangeDelete(100, 300)).ok());
   ASSERT_TRUE(db_->CompactAll().ok());
-  for (uint64_t k = 90; k < 310; k++) {
-    if (k >= 100 && k < 300) {
-      EXPECT_EQ(Get(k), "NOT_FOUND") << k;
-    } else {
-      EXPECT_EQ(Get(k), value) << k;
-    }
-  }
+  EXPECT_TRUE(model.CheckAll(db_.get()));
   // After a full compaction the range tombstone itself is persisted away.
   uint64_t range_tombstones = 0;
   for (const auto& snap : db_->GetLevelSnapshots()) {
@@ -387,25 +359,29 @@ class KiwiTest : public DBTest {
   void LoadSequentialDeleteKeys(uint64_t n) {
     std::string value(100, 'x');
     for (uint64_t k = 0; k < n; k++) {
-      ASSERT_TRUE(Put(k, value + std::to_string(k), /*dk=*/k).ok());
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(
+          model_.Write(db_.get(), ModelOp::Put(k, k, value + std::to_string(k)))
+              .ok());
     }
     ASSERT_TRUE(db_->Flush().ok());
   }
+
+  /// Secondary range delete through the model.
+  void SecondaryRangeDelete(uint64_t lo, uint64_t hi) {
+    ASSERT_TRUE(
+        model_.Write(db_.get(), ModelOp::SecondaryRangeDelete(lo, hi)).ok());
+  }
+
+  KeyModel model_{0, 4000, test::ReproHint()};
 };
 
 TEST_F(KiwiTest, SecondaryRangeDeleteRemovesExactlyTheRange) {
   LoadSequentialDeleteKeys(2000);
-  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 500, 1500).ok());
+  SecondaryRangeDelete(500, 1500);
 
   // Full scan: nothing with delete key in [500, 1500) remains.
-  auto it = db_->NewIterator(ReadOptions());
-  uint64_t live = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    EXPECT_TRUE(it->delete_key() < 500 || it->delete_key() >= 1500)
-        << "delete key " << it->delete_key() << " survived";
-    live++;
-  }
-  EXPECT_EQ(live, 1000u);
+  EXPECT_TRUE(model_.CheckScan(db_.get(), 0, UINT64_MAX));
   EXPECT_GT(db_->stats().full_page_drops.load(), 0u);
   EXPECT_EQ(db_->stats().entries_purged_by_srd.load(), 1000u);
 }
@@ -442,57 +418,31 @@ TEST_F(KiwiTest, PartialPagesRewrittenInPlace) {
   LoadSequentialDeleteKeys(512);
   ASSERT_TRUE(db_->CompactUntilQuiescent().ok());
   // A narrow range inside one page forces a partial drop.
-  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 10, 12).ok());
+  SecondaryRangeDelete(10, 12);
   EXPECT_GT(db_->stats().partial_page_drops.load(), 0u);
-
-  auto it = db_->NewIterator(ReadOptions());
-  uint64_t live = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    EXPECT_FALSE(it->delete_key() >= 10 && it->delete_key() < 12);
-    live++;
-  }
-  EXPECT_EQ(live, 510u);
+  EXPECT_TRUE(model_.CheckScan(db_.get(), 0, UINT64_MAX));
 }
 
 TEST_F(KiwiTest, SecondaryDeleteAlsoPurgesMemtable) {
   std::string value(50, 'm');
-  for (uint64_t k = 0; k < 20; k++) {
-    ASSERT_TRUE(Put(k, value, /*dk=*/k).ok());  // stays in memtable
+  for (uint64_t k = 0; k < 20; k++) {  // stays in memtable
+    ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Put(k, k, value)).ok());
   }
-  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 5, 15).ok());
-  for (uint64_t k = 0; k < 20; k++) {
-    if (k >= 5 && k < 15) {
-      EXPECT_EQ(Get(k), "NOT_FOUND") << k;
-    } else {
-      EXPECT_NE(Get(k), "NOT_FOUND") << k;
-    }
-  }
+  SecondaryRangeDelete(5, 15);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 TEST_F(KiwiTest, PointLookupsCorrectAfterSecondaryDelete) {
   LoadSequentialDeleteKeys(1000);
-  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 200, 800).ok());
-  std::string value(100, 'x');
-  for (uint64_t k = 0; k < 1000; k++) {
-    if (k >= 200 && k < 800) {
-      EXPECT_EQ(Get(k), "NOT_FOUND") << k;
-    } else {
-      EXPECT_EQ(Get(k), value + std::to_string(k)) << k;
-    }
-  }
+  SecondaryRangeDelete(200, 800);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 TEST_F(KiwiTest, SurvivesCompactionAfterSecondaryDelete) {
   LoadSequentialDeleteKeys(2000);
-  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 0, 1000).ok());
+  SecondaryRangeDelete(0, 1000);
   ASSERT_TRUE(db_->CompactAll().ok());
-  auto it = db_->NewIterator(ReadOptions());
-  uint64_t live = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    EXPECT_GE(it->delete_key(), 1000u);
-    live++;
-  }
-  EXPECT_EQ(live, 1000u);
+  EXPECT_TRUE(model_.CheckScan(db_.get(), 0, UINT64_MAX));
 }
 
 TEST_F(KiwiTest, SecondaryRangeLookupFindsLiveEntries) {
@@ -639,14 +589,8 @@ TEST_F(DBTest, TornWalTailRecoversPrefix) {
   db_.reset();
 
   // Find the WAL and chop a few bytes off its tail.
-  std::vector<std::string> children;
-  ASSERT_TRUE(env_->GetChildren("testdb", &children).ok());
-  std::string wal_name;
-  for (const std::string& child : children) {
-    if (child.size() > 4 && child.substr(child.size() - 4) == ".wal") {
-      wal_name = "testdb/" + child;
-    }
-  }
+  const std::string wal_name =
+      test::FindFileWithSuffix(env_.get(), "testdb", ".wal");
   ASSERT_FALSE(wal_name.empty());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(env_.get(), wal_name, &contents).ok());
@@ -672,7 +616,7 @@ TEST_F(DBTest, WalDisabledLosesUnflushedData) {
 TEST_F(DBTest, WriteFailureSurfacesAsIOError) {
   Open();
   std::string value(100, 'x');
-  env_->SetFailAfterWrites(50);
+  env_->InjectFaults(test::FailWritesAfter(50));
   Status failure;
   for (uint64_t k = 0; k < 5000; k++) {
     failure = Put(k, value);
@@ -681,11 +625,11 @@ TEST_F(DBTest, WriteFailureSurfacesAsIOError) {
     }
   }
   EXPECT_TRUE(failure.IsIOError());
-  env_->SetFailAfterWrites(UINT64_MAX);
+  env_->ClearFaults();
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: DB vs std::map reference model, across the configuration
+// Property tests: DB vs the reference model, across the configuration
 // matrix (compaction style × delete-tile granularity × FADE).
 
 struct PropertyConfig {
@@ -722,85 +666,47 @@ TEST_P(DBPropertyTest, MatchesReferenceModel) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "propdb", &db).ok());
 
-  // Reference model: key → (value, delete_key). Delete keys are monotone
-  // timestamps and secondary deletes are prefix ranges [0, t) — the paper's
-  // "delete everything older than D" pattern. This keeps the model exact:
-  // with per-key monotone delete keys, physically dropping a version can
-  // never resurface an older one (the older version's timestamp is smaller,
-  // so it is always inside the deleted prefix too).
-  std::map<uint64_t, std::pair<std::string, uint64_t>> model;
-  Random rnd(GetParam().pages_per_tile * 1000 + 17);
+  // Delete keys are monotone timestamps and secondary deletes are prefix
+  // ranges [0, t) — the paper's "delete everything older than D" pattern.
+  // This keeps the model exact: with per-key monotone delete keys,
+  // physically dropping a version can never resurface an older one (the
+  // older version's timestamp is smaller, so it is always inside the
+  // deleted prefix too).
   const uint64_t key_space = 400;
+  KeyModel model(0, key_space, test::ReproHint());
+  Random rnd(GetParam().pages_per_tile * 1000 + 17);
   uint64_t timestamp = 0;
 
   for (int i = 0; i < 6000; i++) {
+    SCOPED_TRACE("op " + std::to_string(i));
     clock.AdvanceMicros(25);
     double roll = rnd.NextDouble();
     uint64_t k = rnd.Uniform(key_space);
     if (roll < 0.55) {  // put / update
       std::string value = "val-" + std::to_string(k) + "-" +
                           std::to_string(i) + std::string(40, 'p');
-      uint64_t dk = ++timestamp;
-      ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), dk, value).ok());
-      model[k] = {value, dk};
+      ASSERT_TRUE(model.Write(db.get(), ModelOp::Put(k, ++timestamp, value))
+                      .ok());
     } else if (roll < 0.70) {  // point delete
-      ASSERT_TRUE(db->Delete(WriteOptions(), EncodeKey(k)).ok());
-      model.erase(k);
+      ASSERT_TRUE(model.Write(db.get(), ModelOp::Delete(k)).ok());
     } else if (roll < 0.73) {  // sort-key range delete
       uint64_t len = 1 + rnd.Uniform(20);
-      ASSERT_TRUE(db->RangeDelete(WriteOptions(), EncodeKey(k),
-                                  EncodeKey(k + len))
-                      .ok());
-      model.erase(model.lower_bound(k), model.lower_bound(k + len));
+      ASSERT_TRUE(model.Write(db.get(), ModelOp::RangeDelete(k, k + len)).ok());
     } else if (roll < 0.76 && timestamp > 0) {  // secondary range delete
       // Prefix delete: everything with timestamp < hi.
       uint64_t hi = 1 + rnd.Uniform(timestamp);
-      ASSERT_TRUE(db->SecondaryRangeDelete(WriteOptions(), 0, hi).ok());
-      for (auto it = model.begin(); it != model.end();) {
-        if (it->second.second < hi) {
-          it = model.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      ASSERT_TRUE(
+          model.Write(db.get(), ModelOp::SecondaryRangeDelete(0, hi)).ok());
     } else if (roll < 0.95) {  // point lookup
-      std::string value;
-      Status s = db->Get(ReadOptions(), EncodeKey(k), &value);
-      auto it = model.find(k);
-      if (it == model.end()) {
-        ASSERT_TRUE(s.IsNotFound()) << "op " << i << " key " << k << ": "
-                                    << s.ToString();
-      } else {
-        ASSERT_TRUE(s.ok()) << "op " << i << " key " << k << ": "
-                            << s.ToString();
-        ASSERT_EQ(value, it->second.first) << "op " << i << " key " << k;
-      }
-    } else {  // full scan comparison (sparse: expensive)
-      if (i % 10 != 0) {
-        continue;
-      }
-      auto it = db->NewIterator(ReadOptions());
-      auto expected = model.begin();
-      for (it->SeekToFirst(); it->Valid(); it->Next()) {
-        ASSERT_NE(expected, model.end()) << "op " << i;
-        ASSERT_EQ(it->key().ToString(), EncodeKey(expected->first))
-            << "op " << i;
-        ASSERT_EQ(it->value().ToString(), expected->second.first);
-        ASSERT_EQ(it->delete_key(), expected->second.second);
-        ++expected;
-      }
-      ASSERT_TRUE(it->status().ok());
-      ASSERT_EQ(expected, model.end()) << "op " << i;
+      ASSERT_TRUE(model.CheckGet(db.get(), k));
+    } else if (i % 10 == 0) {  // full scan comparison (sparse: expensive)
+      ASSERT_TRUE(model.CheckScan(db.get(), 0, UINT64_MAX));
     }
   }
 
   // Final full verification after compacting everything.
   ASSERT_TRUE(db->CompactUntilQuiescent().ok());
-  for (const auto& [k, expected] : model) {
-    std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &value).ok()) << k;
-    ASSERT_EQ(value, expected.first) << k;
-  }
+  ASSERT_TRUE(model.CheckAll(db.get()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -828,10 +734,15 @@ class PageCacheDBTest : public DBTest {
   void LoadAndCompact(uint64_t n) {
     std::string value(100, 'x');
     for (uint64_t k = 0; k < n; k++) {
-      ASSERT_TRUE(Put(k, value + std::to_string(k), /*dk=*/k).ok());
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(
+          model_.Write(db_.get(), ModelOp::Put(k, k, value + std::to_string(k)))
+              .ok());
     }
     ASSERT_TRUE(db_->CompactUntilQuiescent().ok());
   }
+
+  KeyModel model_{0, 2000, test::ReproHint()};
 };
 
 TEST_F(PageCacheDBTest, WarmLookupsPerformZeroEnvPageReads) {
@@ -858,7 +769,7 @@ TEST_F(PageCacheDBTest, WarmLookupsPerformZeroEnvPageReads) {
 
 TEST_F(PageCacheDBTest, ResultsIdenticalWithCacheOnAndOff) {
   // Two engines over the same key sequence, one cached, one not: every
-  // lookup and a full scan must agree exactly.
+  // lookup and a full scan of each must match one model exactly.
   Options cached = options_;
   Options uncached = options_;
   uncached.page_cache_bytes = 0;
@@ -867,62 +778,29 @@ TEST_F(PageCacheDBTest, ResultsIdenticalWithCacheOnAndOff) {
   ASSERT_TRUE(DB::Open(uncached, "db_uncached", &db_uncached).ok());
 
   const uint64_t n = 1500;
+  KeyModel model(0, n, test::ReproHint());
+  auto write = [&](const ModelOp& op) {
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(model.Write(db_cached.get(), op).ok());
+    ASSERT_TRUE(op.IssueTo(db_uncached.get()).ok());
+  };
   for (uint64_t k = 0; k < n; k++) {
     const uint64_t key = k * 37 % n;
-    const std::string value = "v" + std::to_string(k);
-    clock_.AdvanceMicros(1);
-    ASSERT_TRUE(
-        db_cached->Put(WriteOptions(), EncodeKey(key), k, value).ok());
-    ASSERT_TRUE(
-        db_uncached->Put(WriteOptions(), EncodeKey(key), k, value).ok());
+    write(ModelOp::Put(key, k, "v" + std::to_string(k)));
     if (k % 11 == 0) {
-      clock_.AdvanceMicros(1);
-      ASSERT_TRUE(db_cached->Delete(WriteOptions(), EncodeKey(key)).ok());
-      ASSERT_TRUE(db_uncached->Delete(WriteOptions(), EncodeKey(key)).ok());
+      write(ModelOp::Delete(key));
     }
   }
   ASSERT_TRUE(db_cached->CompactUntilQuiescent().ok());
   ASSERT_TRUE(db_uncached->CompactUntilQuiescent().ok());
 
-  for (uint64_t k = 0; k < n; k++) {
-    std::string got_cached, got_uncached;
-    Status s_cached =
-        db_cached->Get(ReadOptions(), EncodeKey(k), &got_cached);
-    Status s_uncached =
-        db_uncached->Get(ReadOptions(), EncodeKey(k), &got_uncached);
-    ASSERT_EQ(s_cached.ok(), s_uncached.ok()) << k;
-    ASSERT_EQ(s_cached.IsNotFound(), s_uncached.IsNotFound()) << k;
-    if (s_cached.ok()) {
-      ASSERT_EQ(got_cached, got_uncached) << k;
-    }
-  }
+  ASSERT_TRUE(model.CheckAll(db_cached.get()));
+  ASSERT_TRUE(model.CheckAll(db_uncached.get()));
   // Second cached pass (now warm) still agrees.
-  for (uint64_t k = 0; k < n; k++) {
-    std::string got_cached, got_uncached;
-    Status s_cached =
-        db_cached->Get(ReadOptions(), EncodeKey(k), &got_cached);
-    Status s_uncached =
-        db_uncached->Get(ReadOptions(), EncodeKey(k), &got_uncached);
-    ASSERT_EQ(s_cached.ok(), s_uncached.ok()) << k;
-    if (s_cached.ok()) {
-      ASSERT_EQ(got_cached, got_uncached) << k;
-    }
-  }
+  ASSERT_TRUE(model.CheckAll(db_cached.get()));
   EXPECT_GT(db_cached->stats().page_cache_hits.load(), 0u);
   EXPECT_EQ(db_uncached->stats().page_cache_hits.load(), 0u);
   EXPECT_EQ(db_uncached->stats().page_cache_misses.load(), 0u);
-
-  auto it_cached = db_cached->NewIterator(ReadOptions());
-  auto it_uncached = db_uncached->NewIterator(ReadOptions());
-  it_cached->SeekToFirst();
-  it_uncached->SeekToFirst();
-  while (it_cached->Valid() && it_uncached->Valid()) {
-    ASSERT_EQ(it_cached->key().ToString(), it_uncached->key().ToString());
-    ASSERT_EQ(it_cached->value().ToString(), it_uncached->value().ToString());
-    it_cached->Next();
-    it_uncached->Next();
-  }
-  EXPECT_EQ(it_cached->Valid(), it_uncached->Valid());
 }
 
 TEST_F(PageCacheDBTest, SecondaryRangeDeleteInvalidatesWarmPages) {
@@ -939,14 +817,9 @@ TEST_F(PageCacheDBTest, SecondaryRangeDeleteInvalidatesWarmPages) {
 
   // Drop the middle of the delete-key space; the rewritten/dropped pages
   // must not be served stale from the cache.
-  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 500, 1500).ok());
-  for (uint64_t k = 0; k < n; k++) {
-    if (k >= 500 && k < 1500) {
-      EXPECT_EQ(Get(k), "NOT_FOUND") << k;
-    } else {
-      EXPECT_EQ(Get(k), value + std::to_string(k)) << k;
-    }
-  }
+  ASSERT_TRUE(
+      model_.Write(db_.get(), ModelOp::SecondaryRangeDelete(500, 1500)).ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 TEST_F(PageCacheDBTest, CompactionDropsDeadFilesFromCache) {
@@ -1164,36 +1037,28 @@ TEST_F(MemoryBudgetDBTest, ResultsIdenticalWithCachedAndPinnedMetadata) {
   ASSERT_TRUE(DB::Open(cached, "testdb-cachedmeta", &db_cached).ok());
   ASSERT_TRUE(DB::Open(pinned, "testdb-pinnedmeta", &db_pinned).ok());
 
-  auto apply = [&](DB* db) {
+  // Each engine must match the same model, so they agree with each other.
+  auto apply_and_check = [&](DB* db) {
+    KeyModel model(0, 900, test::ReproHint());
+    auto write = [&](const ModelOp& op) {
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(model.Write(db, op).ok());
+    };
     std::string value(80, 'y');
     for (uint64_t k = 0; k < 900; k++) {
-      clock_.AdvanceMicros(1);
-      ASSERT_TRUE(
-          db->Put(WriteOptions(), EncodeKey(k), k, value + std::to_string(k))
-              .ok());
+      write(ModelOp::Put(k, k, value + std::to_string(k)));
     }
     for (uint64_t k = 0; k < 900; k += 5) {
-      clock_.AdvanceMicros(1);
-      ASSERT_TRUE(db->Delete(WriteOptions(), EncodeKey(k)).ok());
+      write(ModelOp::Delete(k));
     }
     ASSERT_TRUE(db->CompactUntilQuiescent().ok());
     ASSERT_TRUE(
-        db->SecondaryRangeDelete(WriteOptions(), 400, 500).ok());
+        model.Write(db, ModelOp::SecondaryRangeDelete(400, 500)).ok());
     ASSERT_TRUE(db->WaitForCompact().ok());
+    ASSERT_TRUE(model.CheckAll(db));
   };
-  apply(db_cached.get());
-  apply(db_pinned.get());
-
-  for (uint64_t k = 0; k < 900; k++) {
-    std::string a, b;
-    Status sa = db_cached->Get(ReadOptions(), EncodeKey(k), &a);
-    Status sb = db_pinned->Get(ReadOptions(), EncodeKey(k), &b);
-    ASSERT_EQ(sa.ok(), sb.ok()) << "key " << k;
-    ASSERT_EQ(sa.IsNotFound(), sb.IsNotFound()) << "key " << k;
-    if (sa.ok()) {
-      ASSERT_EQ(a, b) << "key " << k;
-    }
-  }
+  apply_and_check(db_cached.get());
+  apply_and_check(db_pinned.get());
   EXPECT_GT(db_cached->stats().filter_block_cache_hits.load() +
                 db_cached->stats().filter_block_cache_misses.load(),
             0u);
@@ -1455,7 +1320,7 @@ TEST_F(BackgroundDBTest, WritesFlushAndCompactInBackground) {
   ASSERT_TRUE(db_->Flush().ok());
   ASSERT_TRUE(db_->WaitForCompact().ok());
   EXPECT_GT(db_->stats().flushes.load(), 0u);
-  EXPECT_GT(TotalDiskFiles(), 0u);
+  EXPECT_GT(test::ReferencedTableFiles(db_.get()), 0u);
   for (uint64_t k = 0; k < n; k++) {
     EXPECT_EQ(Get(k), value + std::to_string(k));
   }
@@ -1508,13 +1373,8 @@ TEST_F(BackgroundDBTest, StallTriggerFiresAndReleases) {
   });
 
   // The writer must hit the stall; poll for it (wall-clock bounded).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (db_->stats().write_stalls.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(db_->stats().write_stalls.load(), 0u);
+  EXPECT_TRUE(test::WaitFor(
+      [&] { return db_->stats().write_stalls.load() > 0; }, 10000));
   EXPECT_FALSE(writer_done.load());
 
   // Releasing the worker must release the stalled writer.
@@ -1531,7 +1391,6 @@ TEST_F(BackgroundDBTest, StallTriggerFiresAndReleases) {
 TEST_F(BackgroundDBTest, InlineAndBackgroundConvergeToSameTree) {
   struct Result {
     std::vector<LevelSnapshot> levels;
-    std::map<std::string, std::string> content;
     uint64_t flushes = 0;
   };
   auto run = [&](bool inline_mode) {
@@ -1544,16 +1403,15 @@ TEST_F(BackgroundDBTest, InlineAndBackgroundConvergeToSameTree) {
     opt.inline_compactions = inline_mode;
     std::unique_ptr<DB> db;
     EXPECT_TRUE(DB::Open(opt, "eqdb", &db).ok());
+    // Both runs must hold exactly the workload's contents.
+    KeyModel model(0, 400, test::ReproHint());
     std::string value(80, 'e');
     for (uint64_t i = 0; i < 1200; i++) {
       clock.AdvanceMicros(1);
       uint64_t key = i * 13 % 400;
-      if (i % 5 == 4) {
-        EXPECT_TRUE(db->Delete(WriteOptions(), EncodeKey(key)).ok());
-      } else {
-        EXPECT_TRUE(
-            db->Put(WriteOptions(), EncodeKey(key), i, value).ok());
-      }
+      const ModelOp op =
+          i % 5 == 4 ? ModelOp::Delete(key) : ModelOp::Put(key, i, value);
+      EXPECT_TRUE(model.Write(db.get(), op).ok());
       if (!inline_mode) {
         // Lockstep: drain background work after every write so flush and
         // compaction decisions see exactly the tree the inline engine sees.
@@ -1564,16 +1422,12 @@ TEST_F(BackgroundDBTest, InlineAndBackgroundConvergeToSameTree) {
     Result r;
     r.levels = db->GetLevelSnapshots();
     r.flushes = db->stats().flushes.load();
-    auto it = db->NewIterator(ReadOptions());
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      r.content[it->key().ToString()] = it->value().ToString();
-    }
+    EXPECT_TRUE(model.CheckScan(db.get(), 0, UINT64_MAX));
     return r;
   };
 
   Result inline_result = run(true);
   Result bg_result = run(false);
-  EXPECT_EQ(inline_result.content, bg_result.content);
   EXPECT_EQ(inline_result.flushes, bg_result.flushes);
   ASSERT_EQ(inline_result.levels.size(), bg_result.levels.size());
   for (size_t i = 0; i < inline_result.levels.size(); i++) {
@@ -1650,13 +1504,13 @@ TEST_F(BackgroundDBTest, FlushFailureSurfacesAndRecoveryReplaysAllWals) {
     ASSERT_TRUE(Put(k, value).ok());
   }
   // Every further disk append fails: the pending flushes cannot commit.
-  env_->SetFailAfterWrites(0);
+  env_->InjectFaults(test::FailWritesAfter(0));
   impl()->TEST_scheduler()->TEST_Resume();
   // The failure surfaces as a background error on the flush barrier.
   EXPECT_FALSE(db_->Flush().ok());
   // Close: the drain also fails, so the WALs must survive for recovery.
   db_.reset();
-  env_->SetFailAfterWrites(UINT64_MAX);
+  env_->ClearFaults();
   ASSERT_TRUE(Reopen().ok());
   for (uint64_t k = 0; k < 100; k++) {
     EXPECT_EQ(Get(k), value);
@@ -1679,18 +1533,6 @@ class PoolDBTest : public BackgroundDBTest {
     BackgroundDBTest::SetUp();
     options_.background_threads = 4;
   }
-
-  uint64_t CountSstFiles() {
-    std::vector<std::string> children;
-    EXPECT_TRUE(env_->GetChildren("testdb", &children).ok());
-    uint64_t ssts = 0;
-    for (const std::string& child : children) {
-      if (child.size() > 4 && child.substr(child.size() - 4) == ".sst") {
-        ssts++;
-      }
-    }
-    return ssts;
-  }
 };
 
 TEST_F(PoolDBTest, PauseBarrierFreezesEveryWorker) {
@@ -1711,13 +1553,8 @@ TEST_F(PoolDBTest, PauseBarrierFreezesEveryWorker) {
     writer_done.store(true);
   });
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (db_->stats().write_stalls.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(db_->stats().write_stalls.load(), 0u);
+  EXPECT_TRUE(test::WaitFor(
+      [&] { return db_->stats().write_stalls.load() > 0; }, 10000));
   EXPECT_FALSE(writer_done.load());
 
   impl()->TEST_scheduler()->TEST_Resume();
@@ -1776,8 +1613,7 @@ TEST_F(PoolDBTest, CrashMidMergeRecoversWithoutOrphanSsts) {
   for (; k < 1500; k++) {
     ASSERT_TRUE(Put(k, value).ok());
   }
-  env_->SetFailFilter(".sst");
-  env_->SetFailAfterWrites(25);
+  env_->InjectFaults(test::FailWritesAfter(25, ".sst"));
   // Keep writing until the background error surfaces on the write path
   // (WAL appends still succeed, so each accepted write stays durable).
   Status s;
@@ -1791,15 +1627,15 @@ TEST_F(PoolDBTest, CrashMidMergeRecoversWithoutOrphanSsts) {
   const uint64_t acked = k;  // keys [0, acked) were acknowledged
   db_.reset();
 
-  env_->SetFailAfterWrites(UINT64_MAX);
-  env_->SetFailFilter("");
+  env_->ClearFaults();
   ASSERT_TRUE(Reopen().ok());
   for (uint64_t i = 0; i < acked; i++) {
     ASSERT_EQ(Get(i), value) << i;
   }
   // Every .sst on disk is referenced by the recovered version: the crashed
   // merges' partial outputs were removed by the recovery sweep.
-  EXPECT_EQ(CountSstFiles(), TotalDiskFiles());
+  EXPECT_EQ(test::CountTableFiles(env_.get(), "testdb"),
+            test::ReferencedTableFiles(db_.get()));
   EXPECT_TRUE(
       static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants().ok());
 }
@@ -1814,8 +1650,7 @@ TEST_F(PoolDBTest, CrashMidManifestInstallRecovers) {
   for (; k < 1200; k++) {
     ASSERT_TRUE(Put(k, value).ok());
   }
-  env_->SetFailFilter("MANIFEST");
-  env_->SetFailAfterWrites(2);
+  env_->InjectFaults(test::FailWritesAfter(2, "MANIFEST"));
   Status s;
   for (; k < 20000; k++) {
     s = Put(k, value);
@@ -1827,13 +1662,13 @@ TEST_F(PoolDBTest, CrashMidManifestInstallRecovers) {
   const uint64_t acked = k;
   db_.reset();
 
-  env_->SetFailAfterWrites(UINT64_MAX);
-  env_->SetFailFilter("");
+  env_->ClearFaults();
   ASSERT_TRUE(Reopen().ok());
   for (uint64_t i = 0; i < acked; i++) {
     ASSERT_EQ(Get(i), value) << i;
   }
-  EXPECT_EQ(CountSstFiles(), TotalDiskFiles());
+  EXPECT_EQ(test::CountTableFiles(env_.get(), "testdb"),
+            test::ReferencedTableFiles(db_.get()));
   // A second crash-free reopen stays stable.
   ASSERT_TRUE(Reopen().ok());
   for (uint64_t i = 0; i < acked; i++) {
@@ -1843,10 +1678,13 @@ TEST_F(PoolDBTest, CrashMidManifestInstallRecovers) {
 
 TEST_F(BackgroundDBTest, InlineAndPoolSizesConvergeLogically) {
   // Property: the same seeded workload produces identical logical contents
-  // (full scan: keys, values, delete keys) whether merges run inline, on
-  // one background worker, or on a 4-worker pool. Physical tree shape may
-  // differ with concurrency; the data may not.
+  // (keys, values, delete keys) whether merges run inline, on one
+  // background worker, or on a 4-worker pool: every run must equal one
+  // model of the workload. Physical tree shape may differ with
+  // concurrency; the data may not.
   auto run = [&](bool inline_mode, int threads) {
+    SCOPED_TRACE("inline=" + std::to_string(inline_mode) +
+                 " threads=" + std::to_string(threads));
     auto base = NewMemEnv();
     IoCountingEnv env(base.get(), 1024);
     LogicalClock clock(1);
@@ -1856,41 +1694,27 @@ TEST_F(BackgroundDBTest, InlineAndPoolSizesConvergeLogically) {
     opt.inline_compactions = inline_mode;
     opt.background_threads = threads;
     std::unique_ptr<DB> db;
-    EXPECT_TRUE(DB::Open(opt, "eq2db", &db).ok());
+    ASSERT_TRUE(DB::Open(opt, "eq2db", &db).ok());
+    KeyModel model(0, 500, test::ReproHint());
     Random rnd(12345);
     std::string value(60, 'q');
     for (uint64_t i = 0; i < 3000; i++) {
       clock.AdvanceMicros(3);
       uint64_t key = rnd.Uniform(500);
       double roll = rnd.NextDouble();
-      if (roll < 0.70) {
-        EXPECT_TRUE(
-            db->Put(WriteOptions(), EncodeKey(key), i, value).ok());
-      } else if (roll < 0.90) {
-        EXPECT_TRUE(db->Delete(WriteOptions(), EncodeKey(key)).ok());
-      } else {
-        EXPECT_TRUE(db->RangeDelete(WriteOptions(), EncodeKey(key),
-                                    EncodeKey(key + 5))
-                        .ok());
-      }
+      const ModelOp op = roll < 0.70   ? ModelOp::Put(key, i, value)
+                         : roll < 0.90 ? ModelOp::Delete(key)
+                                       : ModelOp::RangeDelete(key, key + 5);
+      ASSERT_TRUE(model.Write(db.get(), op).ok());
     }
-    EXPECT_TRUE(db->CompactUntilQuiescent().ok());
-    std::map<std::string, std::pair<std::string, uint64_t>> content;
-    auto it = db->NewIterator(ReadOptions());
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      content[it->key().ToString()] = {it->value().ToString(),
-                                       it->delete_key()};
-    }
-    EXPECT_TRUE(it->status().ok());
-    return content;
+    ASSERT_TRUE(db->CompactUntilQuiescent().ok());
+    ASSERT_TRUE(model.CheckScan(db.get(), 0, UINT64_MAX));
+    EXPECT_GT(model.size(), 0u);
   };
 
-  auto inline_content = run(true, 1);
-  auto pool1_content = run(false, 1);
-  auto pool4_content = run(false, 4);
-  EXPECT_EQ(inline_content, pool1_content);
-  EXPECT_EQ(inline_content, pool4_content);
-  EXPECT_FALSE(inline_content.empty());
+  run(true, 1);
+  run(false, 1);
+  run(false, 4);
 }
 
 // ---- subcompactions (max_subcompactions > 1) -------------------------------
@@ -1915,12 +1739,13 @@ TEST_F(DBTest, SubcompactionTreesLogicallyIdenticalAcrossK) {
   // FADE enabled) produces logically identical trees — entries, tombstone
   // coverage, delete keys — for max_subcompactions in {1, 2, 4}, in both
   // the deterministic inline engine (partitions run serially on the write
-  // path) and on a 4-worker pool. A shadow model pins down the expected
-  // content independently, so a bug that corrupts *all* configs the same
-  // way is still caught.
-  auto run = [&](bool inline_mode, int threads, int subcompactions,
-                 std::map<std::string, std::pair<std::string, uint64_t>>*
-                     model_out) {
+  // path) and on a 4-worker pool. Every run must equal one model of the
+  // workload exactly, so the runs equal each other, and a bug that
+  // corrupts *all* configs the same way is still caught.
+  auto run = [&](bool inline_mode, int threads, int subcompactions) {
+    SCOPED_TRACE("inline=" + std::to_string(inline_mode) + " threads=" +
+                 std::to_string(threads) +
+                 " subcompactions=" + std::to_string(subcompactions));
     auto base = NewMemEnv();
     IoCountingEnv env(base.get(), 1024);
     LogicalClock clock(1);
@@ -1934,49 +1759,30 @@ TEST_F(DBTest, SubcompactionTreesLogicallyIdenticalAcrossK) {
     opt.delete_persistence_threshold_micros = 500000;
     opt.file_picking = FilePickingPolicy::kMaxTombstones;
     std::unique_ptr<DB> db;
-    EXPECT_TRUE(DB::Open(opt, "subeqdb", &db).ok());
-    std::map<std::string, std::pair<std::string, uint64_t>> model;
+    ASSERT_TRUE(DB::Open(opt, "subeqdb", &db).ok());
+    KeyModel model(0, 600, test::ReproHint());
     Random rnd(4242);
     std::string value(60, 's');
     for (uint64_t i = 0; i < 4000; i++) {
       clock.AdvanceMicros(5);
       uint64_t key = rnd.Uniform(600);
       double roll = rnd.NextDouble();
-      if (roll < 0.66) {
-        EXPECT_TRUE(db->Put(WriteOptions(), EncodeKey(key), i, value).ok());
-        model[EncodeKey(key)] = {value, i};
-      } else if (roll < 0.86) {
-        EXPECT_TRUE(db->Delete(WriteOptions(), EncodeKey(key)).ok());
-        model.erase(EncodeKey(key));
-      } else {
-        EXPECT_TRUE(db->RangeDelete(WriteOptions(), EncodeKey(key),
-                                    EncodeKey(key + 7))
-                        .ok());
-        model.erase(model.lower_bound(EncodeKey(key)),
-                    model.lower_bound(EncodeKey(key + 7)));
-      }
+      const ModelOp op = roll < 0.66   ? ModelOp::Put(key, i, value)
+                         : roll < 0.86 ? ModelOp::Delete(key)
+                                       : ModelOp::RangeDelete(key, key + 7);
+      ASSERT_TRUE(model.Write(db.get(), op).ok());
     }
-    EXPECT_TRUE(db->CompactUntilQuiescent().ok());
-    std::map<std::string, std::pair<std::string, uint64_t>> content;
-    auto it = db->NewIterator(ReadOptions());
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      content[it->key().ToString()] = {it->value().ToString(),
-                                       it->delete_key()};
-    }
-    EXPECT_TRUE(it->status().ok());
-    if (model_out != nullptr) {
-      *model_out = model;
-    }
-    return content;
+    ASSERT_TRUE(db->CompactUntilQuiescent().ok());
+    ASSERT_TRUE(model.CheckAll(db.get()));
+    // Nothing outside the written key range either, and not nothing.
+    ASSERT_TRUE(model.CheckScan(db.get(), 0, UINT64_MAX));
+    EXPECT_GT(model.size(), 0u);
   };
 
-  std::map<std::string, std::pair<std::string, uint64_t>> model;
-  auto k1 = run(true, 1, 1, &model);
-  EXPECT_EQ(k1, model) << "baseline diverges from the shadow model";
-  EXPECT_FALSE(k1.empty());
-  EXPECT_EQ(run(true, 1, 2, nullptr), k1);
-  EXPECT_EQ(run(true, 1, 4, nullptr), k1);
-  EXPECT_EQ(run(false, 4, 4, nullptr), k1);
+  run(true, 1, 1);
+  run(true, 1, 2);
+  run(true, 1, 4);
+  run(false, 4, 4);
 }
 
 class SubcompactionPoolDBTest : public PoolDBTest {
@@ -2033,8 +1839,7 @@ TEST_F(SubcompactionPoolDBTest, SubJobFailureAbortsSiblingsAndRecovers) {
   for (; k < 1500; k++) {
     ASSERT_TRUE(Put(k, value).ok());
   }
-  env_->SetFailFilter(".sst");
-  env_->SetFailAfterWrites(25);
+  env_->InjectFaults(test::FailWritesAfter(25, ".sst"));
   Status s;
   for (; k < 20000; k++) {
     s = Put(k, value);
@@ -2046,22 +1851,14 @@ TEST_F(SubcompactionPoolDBTest, SubJobFailureAbortsSiblingsAndRecovers) {
   const uint64_t acked = k;
   db_.reset();
 
-  env_->SetFailAfterWrites(UINT64_MAX);
-  env_->SetFailFilter("");
+  env_->ClearFaults();
   ASSERT_TRUE(Reopen().ok());
   for (uint64_t i = 0; i < acked; i++) {
     ASSERT_EQ(Get(i), value) << i;
   }
   // Every .sst on disk is referenced by the recovered version.
-  std::vector<std::string> children;
-  ASSERT_TRUE(env_->GetChildren("testdb", &children).ok());
-  uint64_t ssts = 0;
-  for (const std::string& child : children) {
-    if (child.size() > 4 && child.substr(child.size() - 4) == ".sst") {
-      ssts++;
-    }
-  }
-  EXPECT_EQ(ssts, TotalDiskFiles());
+  EXPECT_EQ(test::CountTableFiles(env_.get(), "testdb"),
+            test::ReferencedTableFiles(db_.get()));
   EXPECT_TRUE(
       static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants().ok());
 }

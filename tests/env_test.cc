@@ -7,6 +7,7 @@
 
 #include "src/env/env.h"
 #include "src/env/io_counting_env.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
@@ -145,17 +146,26 @@ TEST(IoCountingEnvTest, CountsBytesAndPages) {
 TEST(IoCountingEnvTest, FaultInjectionFailsAppends) {
   auto base = NewMemEnv();
   IoCountingEnv env(base.get());
-  env.SetFailAfterWrites(2);
+  env.InjectFaults(test::FailWritesAfter(2, ".sst"));
 
-  std::unique_ptr<WritableFile> wf;
-  ASSERT_TRUE(env.NewWritableFile("f", &wf).ok());
-  EXPECT_TRUE(wf->Append("one").ok());
-  EXPECT_TRUE(wf->Append("two").ok());
-  EXPECT_TRUE(wf->Append("three").IsIOError());
-  EXPECT_TRUE(wf->Append("four").IsIOError());
+  std::unique_ptr<WritableFile> table;
+  std::unique_ptr<WritableFile> wal;
+  ASSERT_TRUE(env.NewWritableFile("1.sst", &table).ok());
+  ASSERT_TRUE(env.NewWritableFile("2.wal", &wal).ok());
+  EXPECT_TRUE(table->Append("one").ok());
+  EXPECT_TRUE(wal->Append("unmatched: consumes nothing").ok());
+  EXPECT_TRUE(table->Append("two").ok());
+  EXPECT_TRUE(table->Append("three").IsIOError());
+  EXPECT_TRUE(table->Append("four").IsIOError());
+  EXPECT_TRUE(wal->Append("still unmatched").ok());
+  // In-place writes fail like appends.
+  std::unique_ptr<RandomWriteFile> rewrite;
+  ASSERT_TRUE(env.NewRandomWriteFile("1.sst", &rewrite).ok());
+  EXPECT_TRUE(rewrite->WriteAt(0, "x").IsIOError());
 
-  env.SetFailAfterWrites(UINT64_MAX);
-  EXPECT_TRUE(wf->Append("five").ok());
+  env.ClearFaults();
+  EXPECT_TRUE(table->Append("five").ok());
+  EXPECT_TRUE(rewrite->WriteAt(0, "x").ok());
 }
 
 TEST(IoCountingEnvTest, RemoveCountsAndForwards) {

@@ -18,22 +18,19 @@
 //     rebuilding a manifest from the table files (quarantining damaged
 //     ones) with unflushed WAL data preserved.
 //   - SustainedFaultStress: faults arming and clearing mid-run against
-//     concurrent writers with per-thread shadow models; the DB must
+//     concurrent writers with per-thread test::KeyModels; the DB must
 //     round-trip kHealthy → kDegraded/kReadOnly → kHealthy automatically
 //     and every acknowledged write must survive quiescence and reopen.
 //
-// Reproduction: every stress failure message carries the seed; run one with
-// --gtest_filter=Seeds/SustainedFaultTest.FaultsFireAndClearMidRun/<N-1>.
-// LETHE_FAULT_SEEDS (default 3) and LETHE_FAULT_OPS (default 250) scale the
-// stress lane; CI raises them, tier-1 keeps the defaults.
+// Every stress-lane model failure prints the seed and the exact command that
+// reruns it. LETHE_FAULT_SEEDS (default 3) and LETHE_FAULT_OPS (default
+// 250) scale the stress lane; CI raises them, tier-1 keeps the defaults.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cstdlib>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,76 +38,31 @@
 #include "src/core/lethe.h"
 #include "src/lsm/db_impl.h"
 #include "src/workload/generator.h"
+#include "tests/model/key_model.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
 
 using workload::EncodeKey;
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && atoi(value) > 0 ? atoi(value) : fallback;
-}
+using test::CountTableFiles;
+using test::FindFileWithSuffix;
+using test::KeyModel;
+using test::ModelOp;
+using test::ReferencedTableFiles;
+using test::WaitFor;
 
-int NumFaultSeeds() { return EnvInt("LETHE_FAULT_SEEDS", 3); }
-int FaultOpsPerThread() { return EnvInt("LETHE_FAULT_OPS", 250); }
+int NumFaultSeeds() { return test::EnvInt("LETHE_FAULT_SEEDS", 3); }
+int FaultOpsPerThread() { return test::EnvInt("LETHE_FAULT_OPS", 250); }
 
-/// Polls `pred` every millisecond for up to `timeout_ms`. Returns true the
-/// moment it holds. All recovery waits go through this instead of fixed
-/// sleeps so the suite stays fast on quick machines and reliable on slow
-/// (sanitized) ones.
-template <typename Pred>
-bool WaitFor(Pred pred, int timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-uint64_t CountTableFiles(Env* env, const std::string& dbname) {
-  std::vector<std::string> children;
-  if (!env->GetChildren(dbname, &children).ok()) {
-    return 0;
-  }
-  uint64_t n = 0;
-  for (const std::string& child : children) {
-    if (child.size() > 4 &&
-        child.compare(child.size() - 4, 4, ".sst") == 0) {
-      n++;
-    }
-  }
-  return n;
-}
-
-uint64_t ReferencedTableFiles(DB* db) {
-  uint64_t n = 0;
-  for (const LevelSnapshot& level : db->GetLevelSnapshots()) {
-    n += level.num_files;
-  }
-  return n;
-}
-
-/// First child of `dbname` ending in `suffix` (tests locate the single WAL
-/// or manifest this way).
-std::string FindFileWithSuffix(Env* env, const std::string& dbname,
-                               const std::string& suffix) {
-  std::vector<std::string> children;
-  if (!env->GetChildren(dbname, &children).ok()) {
-    return std::string();
-  }
-  for (const std::string& child : children) {
-    if (child.size() >= suffix.size() &&
-        child.compare(child.size() - suffix.size(), suffix.size(),
-                      suffix) == 0) {
-      return dbname + "/" + child;
-    }
-  }
-  return std::string();
+/// Waits for `db`'s error handler to report kHealthy.
+bool WaitHealthy(DBImpl* db, int timeout_ms = 10000) {
+  return WaitFor(
+      [&] {
+        return db->TEST_error_handler()->health() == DBHealth::kHealthy;
+      },
+      timeout_ms);
 }
 
 /// Overwrites `fname` with `contents` (MemEnv NewWritableFile truncates).
@@ -384,9 +336,7 @@ TEST(EnospcTest, PartitionedMergeFailsThenOrphansReclaimed) {
       db->Put(WriteOptions(), EncodeKey(300), 301, "during-fault").ok());
 
   env.ClearFaults();
-  ASSERT_TRUE(WaitFor(
-      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
-      10000));
+  ASSERT_TRUE(WaitHealthy(impl));
   ASSERT_TRUE(db->WaitForCompact().ok());
   // The full-tree merge partitions like any other merge.
   const uint64_t partitioned_before =
@@ -484,9 +434,7 @@ TEST(InlineFlushFaultTest, AppliedWriteIsNotFailedByItsFlush) {
   }
 
   env.ClearFaults();
-  ASSERT_TRUE(WaitFor(
-      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
-      10000))
+  ASSERT_TRUE(WaitHealthy(impl))
       << "DB did not auto-recover after the fault cleared";
   ASSERT_TRUE(db->Flush().ok());
   for (uint64_t k = 0; k < written; k++) {
@@ -523,9 +471,7 @@ TEST(WalGroupCommitFaultTest, FailedAppendDoesNotAdvanceSequence) {
   std::string got;
   EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).IsNotFound());
 
-  ASSERT_TRUE(WaitFor(
-      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
-      10000));
+  ASSERT_TRUE(WaitHealthy(impl));
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(3), 3, "three").ok());
   EXPECT_EQ(impl->TEST_LastSequence(), seq_before + 1);
 
@@ -566,9 +512,7 @@ TEST(WalGroupCommitFaultTest, FailedSyncBurnsSequenceAndHidesWrite) {
   std::string got;
   EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).IsNotFound());
 
-  ASSERT_TRUE(WaitFor(
-      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
-      10000));
+  ASSERT_TRUE(WaitHealthy(impl));
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(3), 3, "three").ok());
   EXPECT_EQ(impl->TEST_LastSequence(), seq_before + 2);
 
@@ -628,9 +572,7 @@ TEST(WalGroupCommitFaultTest, SyncFailureFailsEveryWriterInGroup) {
   }
   EXPECT_EQ(impl->TEST_LastSequence(), seq_before + kWriters);
 
-  ASSERT_TRUE(WaitFor(
-      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
-      10000));
+  ASSERT_TRUE(WaitHealthy(impl));
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(99), 99, "after").ok());
   std::string got;
   ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(99), &got).ok());
@@ -1027,14 +969,12 @@ TEST_F(RepairTest, LevelingPlacementPreservesRecencyOfOverlappingTables) {
 
 // ---- sustained-fault stress -------------------------------------------------
 //
-// Writer threads own disjoint key slices with exact shadow models while the
-// main thread arms and clears fault policies (EIO / ENOSPC / short writes,
-// against table files, the WAL, or everything). A failed write is recorded
-// as an *ambiguous* candidate for its key: the write was rejected, but if
-// its group's bytes reached the WAL before the failure (burned sequence),
-// the record may legitimately resurface on replay. A later acknowledged
-// write to the same key clears the ambiguity — replay order is sequence
-// order, so the acked write wins.
+// Writer threads own disjoint key slices, each checked against its own
+// KeyModel, while the main thread arms and clears fault policies (EIO /
+// ENOSPC / short writes, against table files, the WAL, or everything). A
+// failed write goes to the model as Failed(): the write was rejected, but
+// if its group's bytes reached the WAL before the failure (burned
+// sequence), the record may legitimately resurface on replay.
 
 struct FaultStressState {
   DB* db = nullptr;
@@ -1042,28 +982,16 @@ struct FaultStressState {
   std::atomic<bool> failed{false};
 };
 
-using FaultModel = std::map<uint64_t, std::pair<std::string, uint64_t>>;
-/// key → alternate (value, delete_key) outcomes from failed writes; a pair
-/// with delete_key UINT64_MAX marks "possibly deleted".
-using Ambiguity = std::map<uint64_t, std::vector<std::pair<std::string,
-                                                           uint64_t>>>;
-
 constexpr uint64_t kFaultKeysPerThread = 128;
 constexpr int kFaultThreads = 3;
 
 void RunFaultWorker(FaultStressState* state, int seed, int thread_id,
-                    FaultModel* model, Ambiguity* ambiguous) {
+                    KeyModel* model) {
   DB* db = state->db;
   Random rnd(static_cast<uint64_t>(seed) * 7919 + thread_id);
   const uint64_t key_lo = thread_id * kFaultKeysPerThread;
   uint64_t local_ts = 0;
   const int ops = FaultOpsPerThread();
-
-  auto fail = [&](const std::string& what) {
-    ADD_FAILURE() << "seed=" << seed << " thread=" << thread_id << ": "
-                  << what;
-    state->failed.store(true, std::memory_order_relaxed);
-  };
 
   for (int i = 0; i < ops && !state->failed.load(std::memory_order_relaxed);
        i++) {
@@ -1071,46 +999,22 @@ void RunFaultWorker(FaultStressState* state, int seed, int thread_id,
     const double roll = rnd.NextDouble();
     const uint64_t k = key_lo + rnd.Uniform(kFaultKeysPerThread);
 
+    // Writes may fail while a fault is armed; the model records either
+    // outcome, so the status needs no handling here.
     if (roll < 0.5) {  // put
       const uint64_t dk = (thread_id + 1) * (1ull << 40) + (++local_ts);
       const std::string value = "v" + std::to_string(seed) + "-" +
                                 std::to_string(thread_id) + "-" +
                                 std::to_string(i);
-      Status s = db->Put(WriteOptions(), EncodeKey(k), dk, value);
-      if (s.ok()) {
-        (*model)[k] = {value, dk};
-        ambiguous->erase(k);
-      } else {
-        (*ambiguous)[k].emplace_back(value, dk);
-      }
+      (void)model->Write(db, ModelOp::Put(k, dk, value));
     } else if (roll < 0.7) {  // delete
-      Status s = db->Delete(WriteOptions(), EncodeKey(k));
-      if (s.ok()) {
-        model->erase(k);
-        ambiguous->erase(k);
-      } else {
-        (*ambiguous)[k].emplace_back(std::string(), UINT64_MAX);
-      }
+      (void)model->Write(db, ModelOp::Delete(k));
     } else {  // point lookup: exact vs the model (failed writes were never
-              // applied in-process — ambiguity matters only across replay)
-      std::string value;
-      uint64_t dk = 0;
-      Status s = db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value,
-                                      &dk);
-      auto it = model->find(k);
-      if (it == model->end()) {
-        if (!s.IsNotFound()) {
-          fail("key " + std::to_string(k) + " should be absent, got " +
-               (s.ok() ? "value '" + value + "'" : s.ToString()));
-          return;
-        }
-      } else if (!s.ok()) {
-        fail("key " + std::to_string(k) + " should be present: " +
-             s.ToString());
-        return;
-      } else if (value != it->second.first || dk != it->second.second) {
-        fail("key " + std::to_string(k) + " mismatch: got '" + value +
-             "' want '" + it->second.first + "'");
+              // applied in-process — they matter only across replay)
+      ::testing::AssertionResult r = model->CheckGet(db, k);
+      if (!r) {
+        ADD_FAILURE() << r.message();
+        state->failed.store(true, std::memory_order_relaxed);
         return;
       }
     }
@@ -1144,12 +1048,17 @@ TEST_P(SustainedFaultTest, FaultsFireAndClearMidRun) {
   FaultStressState state;
   state.db = db.get();
   state.clock = &clock;
-  std::vector<FaultModel> models(kFaultThreads);
-  std::vector<Ambiguity> ambiguous(kFaultThreads);
+  std::vector<KeyModel> models;
+  for (int t = 0; t < kFaultThreads; t++) {
+    models.emplace_back(t * kFaultKeysPerThread,
+                        (t + 1) * kFaultKeysPerThread,
+                        "seed=" + std::to_string(seed) + " thread=" +
+                            std::to_string(t) + " (" +
+                            test::ReproHint("LETHE_FAULT_SEEDS", seed) + ")");
+  }
   std::vector<std::thread> threads;
   for (int t = 0; t < kFaultThreads; t++) {
-    threads.emplace_back(RunFaultWorker, &state, seed, t, &models[t],
-                         &ambiguous[t]);
+    threads.emplace_back(RunFaultWorker, &state, seed, t, &models[t]);
   }
 
   // Fault cycles against the live DB. Short writes are confined to table
@@ -1185,11 +1094,7 @@ TEST_P(SustainedFaultTest, FaultsFireAndClearMidRun) {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
     env.ClearFaults();
     // The DB must heal on its own before the next storm.
-    ASSERT_TRUE(WaitFor(
-        [&] {
-          return impl->TEST_error_handler()->health() == DBHealth::kHealthy;
-        },
-        30000))
+    ASSERT_TRUE(WaitHealthy(impl, 30000))
         << "seed=" << seed << " cycle=" << c << " health="
         << DBHealthName(impl->TEST_error_handler()->health()) << " cause="
         << impl->TEST_error_handler()->cause().ToString();
@@ -1200,9 +1105,7 @@ TEST_P(SustainedFaultTest, FaultsFireAndClearMidRun) {
   }
   ASSERT_FALSE(state.failed.load()) << "seed=" << seed;
 
-  ASSERT_TRUE(WaitFor(
-      [&] { return impl->TEST_error_handler()->health() == DBHealth::kHealthy; },
-      30000))
+  ASSERT_TRUE(WaitHealthy(impl, 30000))
       << "seed=" << seed;
   ASSERT_TRUE(db->WaitForCompact().ok()) << "seed=" << seed;
   Status invariants = impl->TEST_VerifyTreeInvariants();
@@ -1224,67 +1127,20 @@ TEST_P(SustainedFaultTest, FaultsFireAndClearMidRun) {
 
   // Pre-reopen: in-process state matches the models exactly (failed writes
   // were never applied), and aborted outputs were swept.
-  for (int t = 0; t < kFaultThreads; t++) {
-    for (uint64_t k = t * kFaultKeysPerThread;
-         k < (t + 1) * kFaultKeysPerThread; k++) {
-      std::string value;
-      uint64_t dk = 0;
-      Status s = db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value,
-                                      &dk);
-      auto it = models[t].find(k);
-      if (it == models[t].end()) {
-        ASSERT_TRUE(s.IsNotFound())
-            << "seed=" << seed << " pre-reopen key " << k << ": "
-            << s.ToString();
-      } else {
-        ASSERT_TRUE(s.ok()) << "seed=" << seed << " pre-reopen key " << k
-                            << ": " << s.ToString();
-        ASSERT_EQ(value, it->second.first)
-            << "seed=" << seed << " pre-reopen key " << k;
-      }
-    }
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get())) << "pre-reopen";
   }
   EXPECT_EQ(CountTableFiles(&env, dbname), ReferencedTableFiles(db.get()))
       << "seed=" << seed << ": unreferenced .sst left on disk";
 
-  // Reopen and re-verify with ambiguity: a failed write whose group bytes
-  // reached the WAL may replay, so each key must resolve to its model state
-  // or one of its recorded alternate outcomes.
+  // Reopen: a failed write whose group bytes reached the WAL may replay, so
+  // each key must resolve to its acknowledged state or a failed write's
+  // outcome.
   db.reset();
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok()) << "seed=" << seed;
-  for (int t = 0; t < kFaultThreads; t++) {
-    for (uint64_t k = t * kFaultKeysPerThread;
-         k < (t + 1) * kFaultKeysPerThread; k++) {
-      std::string value;
-      uint64_t dk = 0;
-      Status s = db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value,
-                                      &dk);
-      auto it = models[t].find(k);
-      auto amb = ambiguous[t].find(k);
-      const bool model_match =
-          it == models[t].end()
-              ? s.IsNotFound()
-              : (s.ok() && value == it->second.first &&
-                 dk == it->second.second);
-      bool alternate_match = false;
-      if (amb != ambiguous[t].end()) {
-        for (const auto& [alt_value, alt_dk] : amb->second) {
-          if (alt_dk == UINT64_MAX) {
-            alternate_match |= s.IsNotFound();
-          } else {
-            alternate_match |= s.ok() && value == alt_value && dk == alt_dk;
-          }
-        }
-      }
-      ASSERT_TRUE(model_match || alternate_match)
-          << "seed=" << seed << " post-reopen key " << k << ": got "
-          << (s.ok() ? "'" + value + "'" : s.ToString()) << " want "
-          << (it == models[t].end() ? "absent" : "'" + it->second.first + "'")
-          << (amb != ambiguous[t].end()
-                  ? " (or one of " + std::to_string(amb->second.size()) +
-                        " ambiguous outcomes)"
-                  : "");
-    }
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get(), KeyModel::kAllowAmbiguous))
+        << "post-reopen";
   }
 }
 

@@ -667,6 +667,10 @@ TEST_F(ServeTest, CommitFailureKeepsReplyOrder) {
   }
   EXPECT_EQ(reply, "OK");
   EXPECT_EQ(c.Cmd({"GET", "k3"}), "z");
+  // The engine's background threads use `faulty`: stop them before it goes
+  // out of scope, not in TearDown.
+  server_.reset();
+  db_.reset();
 }
 
 TEST_F(ServeTest, GracefulShutdownDrainsAndReleases) {

@@ -26,24 +26,24 @@
 //   - FaultIsolation: FaultPolicy EIOs exactly one shard's .sst writes.
 //     Only that shard's error handler degrades, siblings keep serving
 //     reads and writes, and a crash + reopen of the whole facade loses
-//     nothing acknowledged (shadow-model verified, either-outcome for the
-//     ambiguous ops on the faulted shard).
+//     nothing acknowledged (checked against a test::KeyModel that allows
+//     the failed writes' outcomes on the faulted shard).
 //   - CloseShardWhileSiblingCompacts: shutdown-ordering regression for the
 //     multi-owner pool — closing shard 0 (per-owner drain) while shard 1
 //     compacts must neither hang nor disturb shard 1.
 //
 // Reproduction: every failure message carries the seed; run one with
-// --gtest_filter=Seeds/ShardedStressTest.LinearizableMultiShardWorkload/<N-1>.
-// LETHE_SHARD_SEEDS (default 6) and LETHE_SHARD_OPS (default 300) scale the
-// lane; CI raises them, tier-1 keeps the defaults.
+// LETHE_SHARD_SEEDS=<seed> and
+// --gtest_filter=Seeds/ShardedStressTest.LinearizableMultiShardWorkload/<seed-1>
+// (gtest param indices are 0-based, seeds start at 1). LETHE_SHARD_SEEDS
+// (default 6) and LETHE_SHARD_OPS (default 300) scale the lane; CI raises
+// them, tier-1 keeps the defaults.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,32 +54,20 @@
 #include "src/lsm/error_handler.h"
 #include "src/lsm/sharded_db.h"
 #include "src/workload/generator.h"
+#include "tests/model/key_model.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
 
 using workload::EncodeKey;
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && atoi(value) > 0 ? atoi(value) : fallback;
-}
+using test::KeyModel;
+using test::ModelOp;
+using test::WaitFor;
 
-int NumShardSeeds() { return EnvInt("LETHE_SHARD_SEEDS", 6); }
-int ShardOpsPerThread() { return EnvInt("LETHE_SHARD_OPS", 300); }
-
-template <typename Pred>
-bool WaitFor(Pred pred, int timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
+int NumShardSeeds() { return test::EnvInt("LETHE_SHARD_SEEDS", 6); }
+int ShardOpsPerThread() { return test::EnvInt("LETHE_SHARD_OPS", 300); }
 
 // ---- linearizability harness ------------------------------------------------
 
@@ -299,7 +287,7 @@ void RunSnapshotChecker(ShardedState* state, int seed,
 ///   V = newest version whose write had been invoked before the read
 ///       returned (inv(write) < resp(read)) — the read may not be newer.
 /// A read of version v is linearizable iff C <= v <= V, v is a Put (v >= 1)
-/// or the state at some admissible version is "absent" (v == 0: the
+/// or the state at some allowed version is "absent" (v == 0: the
 /// initial state when C == 0, or any Delete in [C, V]).
 void CheckReadLinearizable(int seed,
                            const std::vector<std::vector<OpWindow>>& history,
@@ -316,12 +304,12 @@ void CheckReadLinearizable(int seed,
     }
   }
   if (read.version == 0) {
-    bool admissible = certain == 0;  // initial absence still observable
-    for (uint64_t v = std::max<uint64_t>(certain, 1); v <= visible && !admissible;
-         v++) {
-      admissible = ops[v - 1].is_delete;
+    bool absent_allowed = certain == 0;  // initial absence still observable
+    for (uint64_t v = std::max<uint64_t>(certain, 1);
+         v <= visible && !absent_allowed; v++) {
+      absent_allowed = ops[v - 1].is_delete;
     }
-    ASSERT_TRUE(admissible)
+    ASSERT_TRUE(absent_allowed)
         << "seed=" << seed << ": non-linearizable read of key " << read.key
         << ": NotFound in window [" << read.inv << "," << read.resp
         << ") but versions [" << certain << "," << visible
@@ -390,6 +378,26 @@ std::vector<std::string> RangeSplits(int num_shards) {
     splits.push_back(EncodeKey(kTotalKeySpace * i / num_shards));
   }
   return splits;
+}
+
+/// Background-mode options over `num_shards` shards on a 2-worker pool with
+/// 1 KB pages, range-routed at `splits` (hash-routed when empty).
+Options ShardOptions(Env* env, Clock* clock, int num_shards,
+                     const std::vector<uint64_t>& splits) {
+  Options options;
+  options.env = env;
+  options.clock = clock;
+  options.table.page_size_bytes = 1024;
+  options.table.entries_per_page = 8;
+  options.inline_compactions = false;
+  options.background_threads = 2;
+  options.num_shards = num_shards;
+  options.shard_router =
+      splits.empty() ? ShardRouterKind::kHash : ShardRouterKind::kRange;
+  for (uint64_t split : splits) {
+    options.shard_split_keys.push_back(EncodeKey(split));
+  }
+  return options;
 }
 
 class ShardedStressTest : public ::testing::TestWithParam<int> {};
@@ -504,31 +512,21 @@ TEST_P(ShardedStressTest, LinearizableMultiShardWorkload) {
         << "seed=" << seed << ": " << invariants.ToString();
   }
 
-  auto verify_registers = [&](const char* phase) {
-    for (uint64_t k = 0; k < kRegisterKeys; k++) {
-      std::string value;
-      Status s = db->Get(ReadOptions(), EncodeKey(k), &value);
-      const std::vector<OpWindow>& ops = history[k];
-      if (ops.empty() || ops.back().is_delete) {
-        ASSERT_TRUE(s.IsNotFound())
-            << "seed=" << seed << " " << phase << " key " << k
-            << " should be absent: "
-            << (s.ok() ? "'" + value + "'" : s.ToString());
-      } else {
-        ASSERT_TRUE(s.ok()) << "seed=" << seed << " " << phase << " key "
-                            << k << ": " << s.ToString();
-        ASSERT_EQ(value, std::to_string(ops.size()))
-            << "seed=" << seed << " " << phase << " key " << k;
-      }
+  KeyModel registers(0, kRegisterKeys,
+                     "seed=" + std::to_string(seed) + " (" +
+                         test::ReproHint("LETHE_SHARD_SEEDS", seed) + ")");
+  for (uint64_t k = 0; k < kRegisterKeys; k++) {
+    if (!history[k].empty() && !history[k].back().is_delete) {
+      registers.Apply(ModelOp::Put(k, 0, std::to_string(history[k].size())));
     }
-  };
-  verify_registers("post-quiesce");
+  }
+  ASSERT_TRUE(registers.CheckAll(db.get())) << "post-quiesce";
 
   // Clean reopen: every shard recovers its WAL/manifest independently; the
   // facade must reassemble the same logical contents.
   db.reset();
   ASSERT_TRUE(DB::Open(options, "sharddb", &db).ok()) << "seed=" << seed;
-  verify_registers("post-reopen");
+  ASSERT_TRUE(registers.CheckAll(db.get())) << "post-reopen";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedStressTest,
@@ -541,16 +539,8 @@ TEST(ShardedBrokenCutTest, BrokenSnapshotCutIsCaught) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
+  Options options = ShardOptions(&env, &clock, 4, {});
   options.write_buffer_bytes = 64 << 10;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.inline_compactions = false;
-  options.background_threads = 2;
-  options.num_shards = 4;
-  options.shard_router = ShardRouterKind::kHash;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "brokencutdb", &db).ok());
@@ -613,19 +603,10 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
+  Options options = ShardOptions(&env, &clock, 4, {256, 512, 768});
   options.write_buffer_bytes = 8 << 10;
   options.target_file_bytes = 8 << 10;
   options.size_ratio = 3;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.inline_compactions = false;
-  options.background_threads = 2;
-  options.num_shards = 4;
-  options.shard_router = ShardRouterKind::kRange;
-  options.shard_split_keys = {EncodeKey(256), EncodeKey(512), EncodeKey(768)};
   // A budget smaller than the sum of the four write-buffer reservations:
   // the hot shard must squeeze the block budget (its reservation evicts the
   // cold shards' blocks) rather than grow the process; cold shards must
@@ -704,18 +685,9 @@ TEST(ShardedFaultTest, FaultIsolationAndCrashReopen) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
+  Options options = ShardOptions(&env, &clock, 4, {256, 512, 768});
   options.write_buffer_bytes = 4 << 10;  // frequent flushes
   options.target_file_bytes = 8 << 10;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.inline_compactions = false;
-  options.background_threads = 2;
-  options.num_shards = 4;
-  options.shard_router = ShardRouterKind::kRange;
-  options.shard_split_keys = {EncodeKey(256), EncodeKey(512), EncodeKey(768)};
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "faultdb", &db).ok());
@@ -730,52 +702,19 @@ TEST(ShardedFaultTest, FaultIsolationAndCrashReopen) {
   policy.path_substring2 = ".sst";
   env.InjectFaults(policy);
 
-  // Shadow model per band. Writes to the faulted band may start failing
-  // once its shard degrades; each such op is ambiguous (its WAL append and
-  // memtable insert may or may not have landed) — record every ambiguous
-  // value issued since the key's last ack and accept any of them later. A
-  // subsequent acked write supersedes the earlier ambiguous ones (WAL
-  // replay order).
-  std::map<uint64_t, std::string> shadow;
-  std::map<uint64_t, std::vector<std::string>> ambiguous;
+  // Writes to the faulted band may start failing once its shard degrades;
+  // the model records each failed write's outcome as allowed.
+  KeyModel model(0, 1024, "ShardedFaultTest (" + test::ReproHint() + ")");
   Random rnd(7);
   for (int i = 0; i < 500; i++) {
     clock.AdvanceMicros(5);
     const uint64_t k = rnd.Uniform(1024);
-    const int band = static_cast<int>(k / 256);
-    std::string value = "f" + std::to_string(i);
-    Status s = db->Put(WriteOptions(), EncodeKey(k), 0, value);
-    if (s.ok()) {
-      shadow[k] = value;
-      ambiguous.erase(k);
-    } else {
-      ASSERT_EQ(band, 2) << "sibling shard write failed: " << s.ToString();
-      ambiguous[k].push_back(value);
+    Status s = model.Write(db.get(),
+                           ModelOp::Put(k, 0, "f" + std::to_string(i)));
+    if (!s.ok()) {
+      ASSERT_EQ(k / 256, 2u) << "sibling shard write failed: " << s.ToString();
     }
   }
-
-  /// True iff the observed state of `k` is one of the admissible outcomes:
-  /// the last acked value (or absence, if nothing was ever acked as the
-  /// key's final state) or any ambiguous value issued after the last ack.
-  auto admissible = [&](uint64_t k, const Status& s,
-                        const std::string& got) {
-    auto sh = shadow.find(k);
-    auto am = ambiguous.find(k);
-    if (s.IsNotFound()) {
-      return sh == shadow.end();
-    }
-    if (!s.ok()) {
-      return false;
-    }
-    if (sh != shadow.end() && got == sh->second) {
-      return true;
-    }
-    if (am != ambiguous.end()) {
-      return std::find(am->second.begin(), am->second.end(), got) !=
-             am->second.end();
-    }
-    return false;
-  };
 
   // Force flushes: shard 2's must die on the injected EIO, the siblings'
   // must succeed; the facade surfaces the one failure.
@@ -794,40 +733,15 @@ TEST(ShardedFaultTest, FaultIsolationAndCrashReopen) {
               DBHealth::kHealthy)
         << "sibling shard " << i << " degraded";
   }
-  for (const auto& [k, value] : shadow) {
-    std::string got;
-    Status s = db->Get(ReadOptions(), EncodeKey(k), &got);
-    ASSERT_TRUE(s.ok()) << "key " << k << " (band " << k / 256
-                        << ") unreadable while shard 2 is degraded: "
-                        << s.ToString();
-    ASSERT_TRUE(admissible(k, s, got))
-        << "key " << k << " reads '" << got << "' while degraded; acked '"
-        << value << "'";
-  }
+  ASSERT_TRUE(model.CheckAll(db.get(), KeyModel::kAllowAmbiguous))
+      << "while shard 2 is degraded";
 
   // Crash the whole facade with the fault still armed, then reopen clean.
   db.reset();
   env.ClearFaults();
   ASSERT_TRUE(DB::Open(options, "faultdb", &db).ok());
-  for (const auto& [k, value] : shadow) {
-    std::string got;
-    Status s = db->Get(ReadOptions(), EncodeKey(k), &got);
-    ASSERT_TRUE(s.ok()) << "acked key " << k << " lost across crash: "
-                        << s.ToString();
-    ASSERT_TRUE(admissible(k, s, got))
-        << "key " << k << " reads '" << got << "' after reopen; acked '"
-        << value << "'";
-  }
-  for (const auto& [k, values] : ambiguous) {
-    if (shadow.count(k)) {
-      continue;  // checked above with the ambiguous outcomes admitted
-    }
-    std::string got;
-    Status s = db->Get(ReadOptions(), EncodeKey(k), &got);
-    ASSERT_TRUE(admissible(k, s, got))
-        << "never-acked key " << k << ": "
-        << (s.ok() ? "'" + got + "'" : s.ToString());
-  }
+  ASSERT_TRUE(model.CheckAll(db.get(), KeyModel::kAllowAmbiguous))
+      << "after crash and reopen";
   Status invariants =
       static_cast<ShardedDB*>(db.get())->TEST_VerifyTreeInvariants();
   ASSERT_TRUE(invariants.ok()) << invariants.ToString();
@@ -840,19 +754,10 @@ TEST(ShardedShutdownTest, CloseShardWhileSiblingCompacts) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
+  Options options = ShardOptions(&env, &clock, 2, {512});
   options.write_buffer_bytes = 4 << 10;  // lots of files -> compaction churn
   options.target_file_bytes = 4 << 10;
   options.size_ratio = 2;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.inline_compactions = false;
-  options.background_threads = 2;
-  options.num_shards = 2;
-  options.shard_router = ShardRouterKind::kRange;
-  options.shard_split_keys = {EncodeKey(512)};
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "shutdowndb", &db).ok());
@@ -910,58 +815,30 @@ TEST(ShardedBasicsTest, CrossShardBatchRangeDeleteAndAggregates) {
   auto base_env = NewMemEnv();
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
+  Options options = ShardOptions(&env, &clock, 4, {256, 512, 768});
   options.write_buffer_bytes = 8 << 10;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.inline_compactions = false;
-  options.background_threads = 2;
-  options.num_shards = 4;
-  options.shard_router = ShardRouterKind::kRange;
-  options.shard_split_keys = {EncodeKey(256), EncodeKey(512), EncodeKey(768)};
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "basicsdb", &db).ok());
 
-  // A batch spanning all four shards commits per shard.
+  // A batch spanning all four shards commits per shard, a sort-key range
+  // delete spans the middle two shards, and a secondary (delete-key) range
+  // delete fans out to every shard.
+  KeyModel model(0, 1024, test::ReproHint());
   WriteBatch batch;
   for (uint64_t k = 0; k < 1024; k += 128) {
     batch.Put(EncodeKey(k), /*delete_key=*/k + 1, "b" + std::to_string(k));
   }
-  ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
-  for (uint64_t k = 0; k < 1024; k += 128) {
-    std::string value;
-    uint64_t dk = 0;
-    ASSERT_TRUE(
-        db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value, &dk).ok());
-    EXPECT_EQ(value, "b" + std::to_string(k));
-    EXPECT_EQ(dk, k + 1);
-  }
-
-  // A sort-key range delete spanning the middle two shards.
+  ASSERT_TRUE(model.Write(db.get(), ModelOp::Batch(std::move(batch))).ok());
+  ASSERT_TRUE(model.CheckAll(db.get()));
+  ASSERT_TRUE(model.Write(db.get(), ModelOp::RangeDelete(256, 768)).ok());
+  ASSERT_TRUE(model.CheckAll(db.get()));
   ASSERT_TRUE(
-      db->RangeDelete(WriteOptions(), EncodeKey(256), EncodeKey(768)).ok());
-  for (uint64_t k = 0; k < 1024; k += 128) {
-    std::string value;
-    Status s = db->Get(ReadOptions(), EncodeKey(k), &value);
-    if (k >= 256 && k < 768) {
-      EXPECT_TRUE(s.IsNotFound()) << "key " << k;
-    } else {
-      EXPECT_TRUE(s.ok()) << "key " << k << ": " << s.ToString();
-    }
-  }
-
-  // A secondary (delete-key) range delete fans out to every shard.
-  ASSERT_TRUE(db->SecondaryRangeDelete(WriteOptions(), 0, 2000).ok());
+      model.Write(db.get(), ModelOp::SecondaryRangeDelete(0, 2000)).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_TRUE(db->CompactUntilQuiescent().ok());
-  for (uint64_t k = 0; k < 1024; k += 128) {
-    std::string value;
-    EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &value).IsNotFound())
-        << "key " << k;
-  }
+  ASSERT_TRUE(model.CheckAll(db.get()));
+  ASSERT_EQ(model.size(), 0u);
 
   // Aggregated introspection covers all shards.
   for (uint64_t k = 0; k < 64; k++) {

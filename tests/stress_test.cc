@@ -5,8 +5,7 @@
 // style, delete-tile granularity, FADE threshold, blind-delete filtering)
 // and drives several writer threads against one DB. Every thread owns a
 // disjoint slice of the key space *and* of the delete-key space, and
-// maintains its own in-memory shadow model (std::map with tombstone /
-// range-delete / secondary-delete semantics). Because a thread is the only
+// checks it against its own test::KeyModel. Because a thread is the only
 // writer and the only checker for its slice, every Get and every partition
 // scan can be compared against the model *exactly*, even while the other
 // threads churn flushes, compactions, and secondary deletes concurrently.
@@ -17,20 +16,16 @@
 // crashes the DB (destructor with work in flight was exercised separately;
 // here: clean reopen over the surviving WAL/manifest) and re-checks again.
 //
-// Reproduction: every failure message carries the seed; run a single seed
-// with --gtest_filter=Seeds/StressTest.ModelCheckedConcurrentWorkload/<N-1>
-// (gtest param indices are 0-based, seeds start at 1).
-// LETHE_STRESS_SEEDS (default 10) and LETHE_STRESS_OPS (default 400 ops
-// per thread) scale the run; CI's stress job raises them, tier-1 keeps the
-// defaults so the suite stays fast.
+// Every model failure message carries the seed and the exact command that
+// reruns it. LETHE_STRESS_SEEDS (default 10) and LETHE_STRESS_OPS (default
+// 400 ops per thread) scale the run; CI's stress job raises them, tier-1
+// keeps the defaults so the suite stays fast.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <iterator>
-#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -41,25 +36,24 @@
 #include "src/lsm/txn.h"
 #include "src/memtable/memtable.h"
 #include "src/workload/generator.h"
+#include "tests/model/key_model.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
 
+using test::KeyModel;
+using test::ModelOp;
 using workload::EncodeKey;
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && atoi(value) > 0 ? atoi(value) : fallback;
-}
-
-int NumSeeds() { return EnvInt("LETHE_STRESS_SEEDS", 10); }
-int OpsPerThread() { return EnvInt("LETHE_STRESS_OPS", 400); }
+int NumSeeds() { return test::EnvInt("LETHE_STRESS_SEEDS", 10); }
+int OpsPerThread() { return test::EnvInt("LETHE_STRESS_OPS", 400); }
 
 // CI's range-delete-heavy lane (LETHE_STRESS_RT_HEAVY=1): widens the
 // range-delete band from 5% to ~25% of ops so tombstones pile up densely —
 // the fragmented cover index, chunked memtable publishes, and compaction's
 // snapshot-stripe drop rule all churn on every seed.
-bool RtHeavy() { return EnvInt("LETHE_STRESS_RT_HEAVY", 0) > 0; }
+bool RtHeavy() { return test::EnvInt("LETHE_STRESS_RT_HEAVY", 0) > 0; }
 
 constexpr int kThreads = 3;
 constexpr uint64_t kKeysPerThread = 256;
@@ -75,12 +69,49 @@ struct StressState {
   std::atomic<bool> failed{false};
 };
 
-/// Shadow model of one thread's key slice: key → (value, delete_key).
-using Model = std::map<uint64_t, std::pair<std::string, uint64_t>>;
+/// The engine every lane here starts from: tiny buffers and files for
+/// constant flush and merge pressure on a background pool, with the
+/// compaction style and then the pool size drawn from `config_rnd`.
+Options LaneOptions(Env* env, Clock* clock, Random* config_rnd) {
+  Options options;
+  options.env = env;
+  options.clock = clock;
+  options.write_buffer_bytes = 8 << 10;
+  options.target_file_bytes = 8 << 10;
+  options.size_ratio = 3;
+  options.table.page_size_bytes = 1024;
+  options.table.entries_per_page = 8;
+  options.compaction_style = config_rnd->Bernoulli(0.5)
+                                 ? CompactionStyle::kLeveling
+                                 : CompactionStyle::kTiering;
+  options.inline_compactions = false;
+  static constexpr int kPools[] = {1, 2, 4};
+  options.background_threads = kPools[config_rnd->Uniform(3)];
+  return options;
+}
+
+/// One model per thread slice, each naming its seed, thread and repro
+/// command in its failure messages.
+std::vector<KeyModel> SliceModels(int seed) {
+  std::vector<KeyModel> models;
+  for (int t = 0; t < kThreads; t++) {
+    models.emplace_back(t * kKeysPerThread, (t + 1) * kKeysPerThread,
+                        "seed=" + std::to_string(seed) + " thread=" +
+                            std::to_string(t) + " (" +
+                            test::ReproHint("LETHE_STRESS_SEEDS", seed) + ")");
+  }
+  return models;
+}
+
+/// Reports a worker-thread failure and tells the other threads to stop.
+void Fail(StressState* state, const std::string& what) {
+  ADD_FAILURE() << what;
+  state->failed.store(true, std::memory_order_relaxed);
+}
 
 /// One worker: random ops against the DB, mirrored into `model`, with
 /// every read cross-checked. Returns early once any thread failed.
-void RunWorker(StressState* state, int seed, int thread_id, Model* model) {
+void RunWorker(StressState* state, int seed, int thread_id, KeyModel* model) {
   DB* db = state->db;
   Random rnd(static_cast<uint64_t>(seed) * 1000003 + thread_id);
   const uint64_t key_lo = thread_id * kKeysPerThread;
@@ -90,10 +121,19 @@ void RunWorker(StressState* state, int seed, int thread_id, Model* model) {
   uint64_t local_ts = 0;
   const int ops = OpsPerThread();
 
-  auto fail = [&](const std::string& what) {
-    ADD_FAILURE() << "seed=" << seed << " thread=" << thread_id << ": "
-                  << what;
-    state->failed.store(true, std::memory_order_relaxed);
+  // Every write must be acknowledged; every read must match the model.
+  auto write = [&](const ModelOp& op) {
+    Status s = model->Write(db, op);
+    if (!s.ok()) {
+      Fail(state, model->context() + ": write failed: " + s.ToString());
+    }
+    return s.ok();
+  };
+  auto check = [&](const ::testing::AssertionResult& r) {
+    if (!r) {
+      Fail(state, r.message());
+    }
+    return static_cast<bool>(r);
   };
 
   // Op mix: the rt-heavy lane trades puts and point deletes for range
@@ -112,137 +152,58 @@ void RunWorker(StressState* state, int seed, int thread_id, Model* model) {
       if (rnd.Bernoulli(0.1)) {
         WriteBatch batch;
         const int batch_ops = 2 + static_cast<int>(rnd.Uniform(3));
-        std::vector<std::pair<uint64_t, std::pair<std::string, uint64_t>>>
-            staged;
         for (int b = 0; b < batch_ops; b++) {
           uint64_t bk = key_lo + rnd.Uniform(kKeysPerThread);
           if (rnd.Bernoulli(0.25)) {
             batch.Delete(EncodeKey(bk));
-            staged.emplace_back(bk, std::make_pair(std::string(), UINT64_MAX));
           } else {
             uint64_t dk = dk_base + (++local_ts);
-            std::string value = "b" + std::to_string(seed) + "-" +
-                                std::to_string(i) + "-" + std::to_string(b);
-            batch.Put(EncodeKey(bk), dk, value);
-            staged.emplace_back(bk, std::make_pair(value, dk));
+            batch.Put(EncodeKey(bk), dk,
+                      "b" + std::to_string(seed) + "-" + std::to_string(i) +
+                          "-" + std::to_string(b));
           }
         }
-        Status s = db->Write(WriteOptions(), &batch);
-        if (!s.ok()) {
-          fail("batch write failed: " + s.ToString());
+        if (!write(ModelOp::Batch(std::move(batch)))) {
           return;
-        }
-        for (const auto& [bk, vd] : staged) {
-          if (vd.second == UINT64_MAX) {
-            model->erase(bk);
-          } else {
-            (*model)[bk] = vd;
-          }
         }
       } else {
         uint64_t dk = dk_base + (++local_ts);
         std::string value = "v" + std::to_string(seed) + "-" +
                             std::to_string(thread_id) + "-" +
                             std::to_string(i);
-        Status s = db->Put(WriteOptions(), EncodeKey(k), dk, value);
-        if (!s.ok()) {
-          fail("put failed: " + s.ToString());
+        if (!write(ModelOp::Put(k, dk, value))) {
           return;
         }
-        (*model)[k] = {value, dk};
       }
     } else if (roll < point_delete_band) {  // point delete (blind included)
-      Status s = db->Delete(WriteOptions(), EncodeKey(k));
-      if (!s.ok()) {
-        fail("delete failed: " + s.ToString());
+      if (!write(ModelOp::Delete(k))) {
         return;
       }
-      model->erase(k);
     } else if (roll < 0.62) {  // sort-key range delete, clipped to the slice
       uint64_t end = std::min(k + 1 + rnd.Uniform(16), key_hi);
       if (end <= k) {
         continue;
       }
-      Status s =
-          db->RangeDelete(WriteOptions(), EncodeKey(k), EncodeKey(end));
-      if (!s.ok()) {
-        fail("range delete failed: " + s.ToString());
+      if (!write(ModelOp::RangeDelete(k, end))) {
         return;
       }
-      model->erase(model->lower_bound(k), model->lower_bound(end));
     } else if (roll < 0.645 && local_ts > 0) {  // secondary delete (prefix)
       const uint64_t hi = dk_base + 1 + rnd.Uniform(local_ts);
-      Status s = db->SecondaryRangeDelete(WriteOptions(), dk_base, hi);
-      if (!s.ok()) {
-        fail("secondary range delete failed: " + s.ToString());
+      if (!write(ModelOp::SecondaryRangeDelete(dk_base, hi))) {
         return;
       }
-      for (auto it = model->begin(); it != model->end();) {
-        it = it->second.second < hi ? model->erase(it) : std::next(it);
-      }
     } else if (roll < 0.85) {  // point lookup vs the model
-      std::string value;
-      uint64_t dk = 0;
-      Status s = db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value,
-                                      &dk);
-      auto it = model->find(k);
-      if (it == model->end()) {
-        if (!s.IsNotFound()) {
-          fail("key " + std::to_string(k) + " should be absent, got " +
-               (s.ok() ? "value '" + value + "'" : s.ToString()));
-          return;
-        }
-      } else {
-        if (!s.ok()) {
-          fail("key " + std::to_string(k) + " should be present: " +
-               s.ToString());
-          return;
-        }
-        if (value != it->second.first || dk != it->second.second) {
-          fail("key " + std::to_string(k) + " mismatch: got '" + value +
-               "'/dk=" + std::to_string(dk) + " want '" + it->second.first +
-               "'/dk=" + std::to_string(it->second.second));
-          return;
-        }
+      if (!check(model->CheckGet(db, k))) {
+        return;
       }
     } else if (roll < 0.87) {  // rare global barrier from a worker thread
       Status s = rnd.Bernoulli(0.5) ? db->Flush() : db->WaitForCompact();
       if (!s.ok()) {
-        fail("barrier failed: " + s.ToString());
+        Fail(state, model->context() + ": barrier failed: " + s.ToString());
         return;
       }
     } else {  // partition scan vs the model
-      auto it = db->NewIterator(ReadOptions());
-      auto expected = model->begin();
-      const std::string hi_key = EncodeKey(key_hi);
-      for (it->Seek(Slice(EncodeKey(key_lo)));
-           it->Valid() && it->key().compare(Slice(hi_key)) < 0; it->Next()) {
-        if (expected == model->end()) {
-          fail("scan found unexpected key " + it->key().ToString());
-          return;
-        }
-        if (it->key().ToString() != EncodeKey(expected->first) ||
-            it->value().ToString() != expected->second.first ||
-            it->delete_key() != expected->second.second) {
-          // The re-Get distinguishes real data loss from a broken
-          // iterator view when triaging a failure.
-          std::string probe;
-          Status ps =
-              db->Get(ReadOptions(), EncodeKey(expected->first), &probe);
-          fail("scan mismatch at op " + std::to_string(i) +
-               " at model key " + std::to_string(expected->first) + " (got " +
-               it->key().ToString() + "); immediate re-Get: " +
-               (ps.ok() ? "found '" + probe + "'" : ps.ToString()));
-          return;
-        }
-        ++expected;
-      }
-      if (!it->status().ok()) {
-        fail("scan status: " + it->status().ToString());
-        return;
-      }
-      if (expected != model->end()) {
-        fail("scan missed model key " + std::to_string(expected->first));
+      if (!check(model->CheckScan(db, key_lo, key_hi))) {
         return;
       }
     }
@@ -260,20 +221,9 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
-  options.write_buffer_bytes = 8 << 10;  // tiny: constant flush pressure
-  options.target_file_bytes = 8 << 10;
-  options.size_ratio = 3;
-  options.table.page_size_bytes = 1024;
-  options.table.pages_per_tile = config_rnd.Bernoulli(0.5) ? 4 : 1;
-  options.compaction_style = config_rnd.Bernoulli(0.5)
-                                 ? CompactionStyle::kLeveling
-                                 : CompactionStyle::kTiering;
-  options.inline_compactions = false;
-  static constexpr int kPools[] = {1, 2, 4};
-  options.background_threads = kPools[config_rnd.Uniform(3)];
+  const uint32_t pages_per_tile = config_rnd.Bernoulli(0.5) ? 4 : 1;
+  Options options = LaneOptions(&env, &clock, &config_rnd);
+  options.table.pages_per_tile = pages_per_tile;
   options.max_imm_memtables = 2 + static_cast<int>(config_rnd.Uniform(2));
   options.filter_blind_deletes = config_rnd.Bernoulli(0.3);
   if (config_rnd.Bernoulli(0.4)) {
@@ -305,7 +255,7 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   // machinery — cached metadata under a budget smaller than one memtable —
   // so metadata eviction and re-load run under the sanitizers on every
   // push.
-  if (EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
+  if (test::EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
     options.memory_budget_bytes = 16 << 10;
     options.cache_index_and_filter_blocks = true;
   }
@@ -336,7 +286,7 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   state.db = db.get();
   state.clock = &clock;
 
-  std::vector<Model> models(kThreads);
+  std::vector<KeyModel> models = SliceModels(seed);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back(RunWorker, &state, seed, t, &models[t]);
@@ -354,37 +304,17 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
                                << invariants.ToString();
 
   // Full model comparison: every key of every slice, present or absent.
-  auto verify_all = [&](const char* phase) {
-    for (int t = 0; t < kThreads; t++) {
-      for (uint64_t k = t * kKeysPerThread; k < (t + 1) * kKeysPerThread;
-           k++) {
-        std::string value;
-        uint64_t dk = 0;
-        Status s =
-            db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value, &dk);
-        auto it = models[t].find(k);
-        if (it == models[t].end()) {
-          ASSERT_TRUE(s.IsNotFound())
-              << "seed=" << seed << " " << phase << " key " << k
-              << " should be absent: " << s.ToString();
-        } else {
-          ASSERT_TRUE(s.ok()) << "seed=" << seed << " " << phase << " key "
-                              << k << ": " << s.ToString();
-          ASSERT_EQ(value, it->second.first)
-              << "seed=" << seed << " " << phase << " key " << k;
-          ASSERT_EQ(dk, it->second.second)
-              << "seed=" << seed << " " << phase << " key " << k;
-        }
-      }
-    }
-  };
-  verify_all("post-quiesce");
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get())) << "post-quiesce";
+  }
 
   // Clean reopen: recovery over the surviving WALs + manifest (multi-WAL in
   // background mode) must reproduce the same logical contents.
   db.reset();
   ASSERT_TRUE(DB::Open(options, "stressdb", &db).ok()) << "seed=" << seed;
-  verify_all("post-reopen");
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get())) << "post-reopen";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StressTest,
@@ -472,48 +402,18 @@ TEST(RangeTombstonePublishStress, ConcurrentPublishAndRead) {
 //
 // Mid-run, a seed-chosen write fault is armed against either table files
 // (".sst": merges die, WAL appends keep succeeding) or the manifest
-// ("MANIFEST": merges finish but cannot install). Writer threads treat the
-// first failed write as an *ambiguous* op — the engine may or may not have
-// applied it durably (e.g. a group whose WAL append succeeded but whose
-// post-write handling then surfaced the background error) — record it, and
-// stop. After the crash (destructor with the fault still armed, pending
+// ("MANIFEST": merges finish but cannot install). A writer thread records
+// its first failed write in its model as Failed() — the engine may or may
+// not have applied it durably (e.g. a group whose WAL append succeeded but
+// whose post-write handling then surfaced the background error) — and
+// stops. After the crash (destructor with the fault still armed, pending
 // flushes failing), the DB reopens with the fault cleared; every key must
-// then match the thread's shadow model, allowing either outcome for keys
-// the single ambiguous op touches. The reopen also proves the orphan
-// sweep: every .sst left in the directory is referenced by the recovered
-// version.
+// then match its model, which allows the failed op's outcome for the keys
+// it touches. The reopen also proves the orphan sweep: every .sst left in
+// the directory is referenced by the recovered version.
 
-/// The one write whose durability is unknown at the crash point.
-struct AmbiguousOp {
-  enum class Kind { kNone, kPut, kDelete, kRangeDelete };
-  Kind kind = Kind::kNone;
-  uint64_t key = 0;
-  uint64_t end_key = 0;  // kRangeDelete: [key, end_key)
-  std::string value;
-  uint64_t dk = 0;
-
-  bool Covers(uint64_t k) const {
-    switch (kind) {
-      case Kind::kNone:
-        return false;
-      case Kind::kRangeDelete:
-        return k >= key && k < end_key;
-      default:
-        return k == key;
-    }
-  }
-
-  /// Expected state of `k` if the op did commit: {present, value, dk}.
-  std::tuple<bool, std::string, uint64_t> After(uint64_t k) const {
-    if (kind == Kind::kPut && k == key) {
-      return {true, value, dk};
-    }
-    return {false, "", 0};
-  }
-};
-
-void RunCrashWorker(StressState* state, int seed, int thread_id, Model* model,
-                    AmbiguousOp* ambiguous) {
+void RunCrashWorker(StressState* state, int seed, int thread_id,
+                    KeyModel* model) {
   DB* db = state->db;
   Random rnd(static_cast<uint64_t>(seed) * 777767 + thread_id);
   const uint64_t key_lo = thread_id * kKeysPerThread;
@@ -523,63 +423,37 @@ void RunCrashWorker(StressState* state, int seed, int thread_id, Model* model,
   uint64_t local_ts = 0;
   const int ops = OpsPerThread();
 
-  auto fail = [&](const std::string& what) {
-    ADD_FAILURE() << "crash seed=" << seed << " thread=" << thread_id << ": "
-                  << what;
-    state->failed.store(true, std::memory_order_relaxed);
-  };
-
   for (int i = 0; i < ops && !state->failed.load(std::memory_order_relaxed);
        i++) {
     state->clock->AdvanceMicros(7);
     const double roll = rnd.NextDouble();
     const uint64_t k = key_lo + rnd.Uniform(kKeysPerThread);
 
+    // A failed write is the crash point: the model recorded its possible
+    // outcome, and this thread stops writing.
     if (roll < 0.52) {  // put
       uint64_t dk = dk_base + (++local_ts);
       std::string value = "c" + std::to_string(seed) + "-" +
                           std::to_string(thread_id) + "-" + std::to_string(i);
-      Status s = db->Put(WriteOptions(), EncodeKey(k), dk, value);
-      if (!s.ok()) {
-        *ambiguous = {AmbiguousOp::Kind::kPut, k, 0, value, dk};
-        return;  // crash point reached: outcome of this op is unknown
-      }
-      (*model)[k] = {value, dk};
-    } else if (roll < 0.67) {  // point delete
-      Status s = db->Delete(WriteOptions(), EncodeKey(k));
-      if (!s.ok()) {
-        *ambiguous = {AmbiguousOp::Kind::kDelete, k, 0, "", 0};
+      if (!model->Write(db, ModelOp::Put(k, dk, value)).ok()) {
         return;
       }
-      model->erase(k);
+    } else if (roll < 0.67) {  // point delete
+      if (!model->Write(db, ModelOp::Delete(k)).ok()) {
+        return;
+      }
     } else if (roll < 0.74) {  // range delete, clipped to the slice
       uint64_t end = std::min(k + 1 + rnd.Uniform(16), key_hi);
       if (end <= k) {
         continue;
       }
-      Status s =
-          db->RangeDelete(WriteOptions(), EncodeKey(k), EncodeKey(end));
-      if (!s.ok()) {
-        *ambiguous = {AmbiguousOp::Kind::kRangeDelete, k, end, "", 0};
+      if (!model->Write(db, ModelOp::RangeDelete(k, end)).ok()) {
         return;
       }
-      model->erase(model->lower_bound(k), model->lower_bound(end));
     } else {  // point lookup vs the model (reads never see the fault)
-      std::string value;
-      uint64_t dk = 0;
-      Status s =
-          db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value, &dk);
-      auto it = model->find(k);
-      if (it == model->end()) {
-        if (!s.IsNotFound()) {
-          fail("key " + std::to_string(k) + " should be absent, got " +
-               (s.ok() ? "value '" + value + "'" : s.ToString()));
-          return;
-        }
-      } else if (!s.ok() || value != it->second.first ||
-                 dk != it->second.second) {
-        fail("key " + std::to_string(k) + " mismatch pre-crash: " +
-             (s.ok() ? "got '" + value + "'" : s.ToString()));
+      ::testing::AssertionResult r = model->CheckGet(db, k);
+      if (!r) {
+        Fail(state, "pre-crash " + std::string(r.message()));
         return;
       }
     }
@@ -597,20 +471,7 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
-  options.write_buffer_bytes = 8 << 10;
-  options.target_file_bytes = 8 << 10;
-  options.size_ratio = 3;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.compaction_style = config_rnd.Bernoulli(0.5)
-                                 ? CompactionStyle::kLeveling
-                                 : CompactionStyle::kTiering;
-  options.inline_compactions = false;
-  static constexpr int kPools[] = {1, 2, 4};
-  options.background_threads = kPools[config_rnd.Uniform(3)];
+  Options options = LaneOptions(&env, &clock, &config_rnd);
   options.max_subcompactions = config_rnd.Bernoulli(0.5) ? 4 : 1;
   // Crash + reopen must hold with metadata behind the cache and a unified
   // budget too (the reopen rebuilds reservations from the replayed WALs).
@@ -618,7 +479,7 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
     options.memory_budget_bytes = 64 << 10;
     options.cache_index_and_filter_blocks = config_rnd.Bernoulli(0.6);
   }
-  if (EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
+  if (test::EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
     options.memory_budget_bytes = 16 << 10;
     options.cache_index_and_filter_blocks = true;
   }
@@ -644,15 +505,12 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
 
   // Arm the fault before the workload so merges die mid-run at a
   // seed-dependent point.
-  env.SetFailFilter(fault);
-  env.SetFailAfterWrites(fault_after);
+  env.InjectFaults(test::FailWritesAfter(fault_after, fault));
 
-  std::vector<Model> models(kThreads);
-  std::vector<AmbiguousOp> ambiguous(kThreads);
+  std::vector<KeyModel> models = SliceModels(seed);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back(RunCrashWorker, &state, seed, t, &models[t],
-                         &ambiguous[t]);
+    threads.emplace_back(RunCrashWorker, &state, seed, t, &models[t]);
   }
   for (auto& thread : threads) {
     thread.join();
@@ -662,47 +520,12 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
   // Crash: destroy the DB with the fault still armed (pending flushes may
   // fail; their WALs survive for recovery).
   db.reset();
-  env.SetFailAfterWrites(UINT64_MAX);
-  env.SetFailFilter("");
+  env.ClearFaults();
   ASSERT_TRUE(DB::Open(options, "crashdb", &db).ok()) << "seed=" << seed;
-
-  auto verify_all = [&](const char* phase) {
-    for (int t = 0; t < kThreads; t++) {
-      for (uint64_t k = t * kKeysPerThread; k < (t + 1) * kKeysPerThread;
-           k++) {
-        std::string value;
-        uint64_t dk = 0;
-        Status s =
-            db->GetWithDeleteKey(ReadOptions(), EncodeKey(k), &value, &dk);
-        ASSERT_TRUE(s.ok() || s.IsNotFound())
-            << "seed=" << seed << " " << phase << " key " << k << ": "
-            << s.ToString();
-        auto it = models[t].find(k);
-        const bool matches_before =
-            it == models[t].end()
-                ? s.IsNotFound()
-                : (s.ok() && value == it->second.first &&
-                   dk == it->second.second);
-        bool acceptable = matches_before;
-        if (!acceptable && ambiguous[t].Covers(k)) {
-          const auto [present, avalue, adk] = ambiguous[t].After(k);
-          acceptable = present ? (s.ok() && value == avalue && dk == adk)
-                               : s.IsNotFound();
-        }
-        ASSERT_TRUE(acceptable)
-            << "seed=" << seed << " " << phase << " key " << k << ": got "
-            << (s.ok() ? "'" + value + "'/dk=" + std::to_string(dk)
-                       : "absent")
-            << ", model wants "
-            << (it == models[t].end()
-                    ? std::string("absent")
-                    : "'" + it->second.first + "'/dk=" +
-                          std::to_string(it->second.second))
-            << (ambiguous[t].Covers(k) ? " (ambiguous op considered)" : "");
-      }
-    }
-  };
-  verify_all("post-crash-reopen");
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get(), KeyModel::kAllowAmbiguous))
+        << "post-crash-reopen";
+  }
 
   Status invariants =
       static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants();
@@ -711,24 +534,17 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
 
   // Orphan sweep: recovery deleted every table file the dead merges left
   // behind — whatever remains is referenced by the recovered version.
-  std::vector<std::string> children;
-  ASSERT_TRUE(env.GetChildren("crashdb", &children).ok());
-  uint64_t ssts = 0;
-  for (const std::string& child : children) {
-    if (child.size() > 4 && child.substr(child.size() - 4) == ".sst") {
-      ssts++;
-    }
-  }
-  uint64_t referenced = 0;
-  for (const auto& snap : db->GetLevelSnapshots()) {
-    referenced += snap.num_files;
-  }
-  EXPECT_EQ(ssts, referenced) << "seed=" << seed;
+  EXPECT_EQ(test::CountTableFiles(&env, "crashdb"),
+            test::ReferencedTableFiles(db.get()))
+      << "seed=" << seed;
 
   // A second, fault-free reopen stays stable.
   db.reset();
   ASSERT_TRUE(DB::Open(options, "crashdb", &db).ok()) << "seed=" << seed;
-  verify_all("post-second-reopen");
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get(), KeyModel::kAllowAmbiguous))
+        << "post-second-reopen";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashStressTest,
@@ -741,19 +557,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashStressTest,
 // successful commit logs {commit_sequence, observed reads, writes}. Because
 // commits are validated and applied under the write token, commit_sequence
 // order IS the serialization order: after the threads join, the harness
-// replays the committed transactions in that order through a serial shadow
-// map and asserts that every transaction's observed reads equal the shadow
-// state at its commit point. The final shadow must then equal the DB's
+// replays the committed transactions in that order through a serial
+// KeyModel and asserts that every transaction's observed reads equal the
+// model's state at its commit point. The final model must then equal the DB's
 // contents exactly — which simultaneously proves that aborted transactions
 // (Status::Busy) left no trace — and must survive a clean reopen.
 //
 // LETHE_TXN_SEEDS (default 6) and LETHE_TXN_OPS (default 120 transactions
 // per thread) scale the lane; CI raises both under ASan and TSan.
-// Reproduce one seed with
-// --gtest_filter=Seeds/TxnStressTest.SerializableCommitHistory/<N-1>.
 
-int NumTxnSeeds() { return EnvInt("LETHE_TXN_SEEDS", 6); }
-int TxnsPerThread() { return EnvInt("LETHE_TXN_OPS", 120); }
+int NumTxnSeeds() { return test::EnvInt("LETHE_TXN_SEEDS", 6); }
+int TxnsPerThread() { return test::EnvInt("LETHE_TXN_OPS", 120); }
 
 constexpr int kTxnThreads = 4;
 constexpr uint64_t kTxnKeys = 64;  // shared by every thread: conflicts galore
@@ -852,20 +666,7 @@ TEST_P(TxnStressTest, SerializableCommitHistory) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options;
-  options.env = &env;
-  options.clock = &clock;
-  options.write_buffer_bytes = 8 << 10;  // constant flush pressure
-  options.target_file_bytes = 8 << 10;
-  options.size_ratio = 3;
-  options.table.page_size_bytes = 1024;
-  options.table.entries_per_page = 8;
-  options.compaction_style = config_rnd.Bernoulli(0.5)
-                                 ? CompactionStyle::kLeveling
-                                 : CompactionStyle::kTiering;
-  options.inline_compactions = false;
-  static constexpr int kPools[] = {1, 2, 4};
-  options.background_threads = kPools[config_rnd.Uniform(3)];
+  Options options = LaneOptions(&env, &clock, &config_rnd);
   if (config_rnd.Bernoulli(0.4)) {
     options.delete_persistence_threshold_micros = 300000;
     options.file_picking = FilePickingPolicy::kMaxTombstones;
@@ -919,61 +720,30 @@ TEST_P(TxnStressTest, SerializableCommitHistory) {
       << "seed=" << seed;
 
   // Serial replay: every committed transaction's observed reads must match
-  // the shadow at its position in commit order (validation guarantees the
-  // read snapshot was still current at the commit point).
-  std::map<uint64_t, std::string> shadow;
+  // the model at its position in commit order (validation guarantees the
+  // read snapshot was still current at the commit point). Transactions
+  // write delete key 0.
+  KeyModel serial(0, kTxnKeys,
+                  "seed=" + std::to_string(seed) + " (" +
+                      test::ReproHint("LETHE_TXN_SEEDS", seed) + ")");
   for (const CommitRecord& record : history) {
     for (const auto& [k, found, value] : record.reads) {
-      auto it = shadow.find(k);
-      if (found) {
-        ASSERT_NE(it, shadow.end())
-            << "seed=" << seed << " commit_seq=" << record.commit_seq
-            << ": read key " << k << " saw '" << value
-            << "' but the serial shadow has it absent";
-        ASSERT_EQ(it->second, value)
-            << "seed=" << seed << " commit_seq=" << record.commit_seq
-            << ": read key " << k << " diverges from the serial shadow";
-      } else {
-        ASSERT_EQ(it, shadow.end())
-            << "seed=" << seed << " commit_seq=" << record.commit_seq
-            << ": read key " << k << " saw NotFound but the shadow has '"
-            << it->second << "'";
-      }
+      ASSERT_TRUE(serial.CheckRead(
+          k, found ? Status::OK() : Status::NotFound(), value, 0))
+          << "commit_seq=" << record.commit_seq
+          << ": a read diverges from the serial replay";
     }
     for (const auto& [k, deleted, value] : record.writes) {
-      if (deleted) {
-        shadow.erase(k);
-      } else {
-        shadow[k] = value;
-      }
+      serial.Apply(deleted ? ModelOp::Delete(k) : ModelOp::Put(k, 0, value));
     }
   }
 
-  // The DB's final state must equal the serial shadow exactly — any stray
+  // The DB's final state must equal the serial replay exactly — any stray
   // effect from an aborted transaction would surface here.
-  auto verify_all = [&](const char* phase) {
-    for (uint64_t k = 0; k < kTxnKeys; k++) {
-      std::string value;
-      Status s = db->Get(ReadOptions(), EncodeKey(k), &value);
-      auto it = shadow.find(k);
-      if (it == shadow.end()) {
-        ASSERT_TRUE(s.IsNotFound())
-            << "seed=" << seed << " " << phase << " key " << k
-            << " should be absent: "
-            << (s.ok() ? "'" + value + "'" : s.ToString());
-      } else {
-        ASSERT_TRUE(s.ok()) << "seed=" << seed << " " << phase << " key "
-                            << k << ": " << s.ToString();
-        ASSERT_EQ(value, it->second)
-            << "seed=" << seed << " " << phase << " key " << k;
-      }
-    }
-  };
-  verify_all("post-join");
-
+  ASSERT_TRUE(serial.CheckAll(db.get())) << "post-join";
   db.reset();
   ASSERT_TRUE(DB::Open(options, "txnstressdb", &db).ok()) << "seed=" << seed;
-  verify_all("post-reopen");
+  ASSERT_TRUE(serial.CheckAll(db.get())) << "post-reopen";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TxnStressTest,

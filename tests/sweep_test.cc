@@ -6,15 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <tuple>
 
 #include "src/core/lethe.h"
 #include "src/workload/generator.h"
+#include "tests/model/key_model.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
 
+using test::KeyModel;
+using test::ModelOp;
 using workload::EncodeKey;
 
 class SizeRatioSweepTest
@@ -38,19 +41,16 @@ TEST_P(SizeRatioSweepTest, CrudCorrectAcrossTreeShapes) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "sweepdb", &db).ok());
 
-  std::map<uint64_t, std::string> model;
+  KeyModel model(0, 600, test::ReproHint());
   Random rnd(size_ratio * 7 + static_cast<int>(style));
   for (int i = 0; i < 4000; i++) {
     clock.AdvanceMicros(10);
     uint64_t k = rnd.Uniform(600);
-    if (rnd.NextDouble() < 0.8) {
-      std::string value = "v" + std::to_string(i) + std::string(30, 'x');
-      ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), i, value).ok());
-      model[k] = value;
-    } else {
-      ASSERT_TRUE(db->Delete(WriteOptions(), EncodeKey(k)).ok());
-      model.erase(k);
-    }
+    const ModelOp op =
+        rnd.NextDouble() < 0.8
+            ? ModelOp::Put(k, i, "v" + std::to_string(i) + std::string(30, 'x'))
+            : ModelOp::Delete(k);
+    ASSERT_TRUE(model.Write(db.get(), op).ok());
   }
 
   // The tree must respect the style's structural invariant.
@@ -63,17 +63,7 @@ TEST_P(SizeRatioSweepTest, CrudCorrectAcrossTreeShapes) {
     }
   }
 
-  for (uint64_t k = 0; k < 600; k++) {
-    std::string value;
-    Status s = db->Get(ReadOptions(), EncodeKey(k), &value);
-    auto it = model.find(k);
-    if (it == model.end()) {
-      ASSERT_TRUE(s.IsNotFound()) << "T=" << size_ratio << " key " << k;
-    } else {
-      ASSERT_TRUE(s.ok()) << "T=" << size_ratio << " key " << k;
-      ASSERT_EQ(value, it->second);
-    }
-  }
+  ASSERT_TRUE(model.CheckAll(db.get()));
 
   // A full compaction must not change visible state and must leave a
   // single bottom run with zero tombstones.
@@ -83,14 +73,7 @@ TEST_P(SizeRatioSweepTest, CrudCorrectAcrossTreeShapes) {
     tombstones += snap.num_point_tombstones;
   }
   EXPECT_EQ(tombstones, 0u);
-  auto it = db->NewIterator(ReadOptions());
-  auto expected = model.begin();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    ASSERT_NE(expected, model.end());
-    EXPECT_EQ(it->key().ToString(), EncodeKey(expected->first));
-    ++expected;
-  }
-  EXPECT_EQ(expected, model.end());
+  EXPECT_TRUE(model.CheckScan(db.get(), 0, UINT64_MAX));
 }
 
 INSTANTIATE_TEST_SUITE_P(

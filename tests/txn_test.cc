@@ -6,19 +6,17 @@
 // writers, and the OptimisticTransaction commit/conflict/rollback
 // contract.
 //
-// The randomized visibility suite freezes one std::map shadow per live
-// snapshot and checks every snapshot read — point and scan — against its
-// shadow exactly, while flushes, compactions, range deletes, and secondary
-// range deletes churn underneath. Secondary range deletes are applied to
-// the frozen shadows too: KiWi's in-place purge is physically destructive
-// and documented as outside snapshot isolation.
+// The randomized visibility suite freezes one test::KeyModel copy per live
+// snapshot and checks every snapshot read — point and scan — against it
+// exactly, while flushes, compactions, range deletes, and secondary range
+// deletes churn underneath. Secondary range deletes are applied to the
+// frozen copies too: KiWi's in-place purge is physically destructive and
+// documented as outside snapshot isolation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -29,10 +27,14 @@
 #include "src/lsm/txn.h"
 #include "src/util/random.h"
 #include "src/workload/generator.h"
+#include "tests/model/key_model.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
 
+using test::KeyModel;
+using test::ModelOp;
 using workload::EncodeKey;
 
 class TxnTest : public ::testing::Test {
@@ -266,10 +268,11 @@ TEST_F(TxnTest, SnapshotBeforeDeleteSurvivesCompactAll) {
 
 TEST_F(TxnTest, SnapshotIteratorScansFrozenState) {
   Open();
-  std::map<uint64_t, std::string> shadow;
+  KeyModel frozen(0, 64, test::ReproHint());
   for (uint64_t k = 0; k < 64; k += 2) {
-    ASSERT_TRUE(Put(k, "s" + std::to_string(k)).ok());
-    shadow[k] = "s" + std::to_string(k);
+    ASSERT_TRUE(
+        frozen.Write(db_.get(), ModelOp::Put(k, 0, "s" + std::to_string(k)))
+            .ok());
   }
   const Snapshot* snap = db_->GetSnapshot();
 
@@ -287,141 +290,89 @@ TEST_F(TxnTest, SnapshotIteratorScansFrozenState) {
 
   ReadOptions options;
   options.snapshot = snap;
-  auto it = db_->NewIterator(options);
-  auto want = shadow.begin();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    ASSERT_NE(want, shadow.end()) << "scan ran past the frozen shadow";
-    EXPECT_EQ(it->key().ToString(), EncodeKey(want->first));
-    EXPECT_EQ(it->value().ToString(), want->second);
-    ++want;
-  }
-  EXPECT_TRUE(it->status().ok());
-  EXPECT_EQ(want, shadow.end()) << "scan missed frozen key " << want->first;
+  EXPECT_TRUE(frozen.CheckScan(db_.get(), 0, UINT64_MAX, KeyModel::kExact,
+                               options));
   db_->ReleaseSnapshot(snap);
 }
 
 // Randomized interleaving of Put / Delete / RangeDelete /
 // SecondaryRangeDelete / Flush / CompactAll with up to K live snapshots.
-// Each snapshot carries a frozen std::map shadow; secondary range deletes
-// are mirrored into the shadows (physically destructive, outside snapshot
-// isolation). Every snapshot's full point-read sweep and iterator scan
-// must match its shadow exactly at every step boundary.
+// Each snapshot carries a frozen copy of the live KeyModel; secondary range
+// deletes are applied to the copies too (physically destructive, outside
+// snapshot isolation). Every snapshot's full point-read sweep and iterator
+// scan must match its model exactly at every step boundary.
 TEST_F(TxnTest, RandomizedSnapshotVisibility) {
   constexpr uint64_t kKeys = 96;
   constexpr int kMaxSnapshots = 4;
 
-  struct PinnedShadow {
+  struct PinnedModel {
     const Snapshot* snap;
-    // key → (value, delete key)
-    std::map<uint64_t, std::pair<std::string, uint64_t>> model;
+    KeyModel model;
   };
 
   // CI soaks scale the sweep the same way as the stress lanes.
-  int num_seeds = 10;
-  if (const char* env_seeds = getenv("LETHE_TXN_SEEDS")) {
-    num_seeds = std::max(1, atoi(env_seeds));
-  }
+  const int num_seeds = test::EnvInt("LETHE_TXN_SEEDS", 10);
   for (int seed = 1; seed <= num_seeds; seed++) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     SetUp();  // fresh env/options per seed
     Open();
     Random rnd(static_cast<uint64_t>(seed) * 7919);
-    std::map<uint64_t, std::pair<std::string, uint64_t>> live;
-    std::vector<PinnedShadow> pinned;
+    KeyModel live(0, kKeys,
+                  "seed=" + std::to_string(seed) + " (" +
+                      test::ReproHint("LETHE_TXN_SEEDS", seed) + ")");
+    std::vector<PinnedModel> pinned;
     // Delete keys live far above the clock-valued delete keys the engine
     // stamps on tombstones, so a random secondary-delete band can never
     // purge a tombstone (which would resurrect the version under it).
     constexpr uint64_t kDkBase = 1ull << 40;
     uint64_t next_dk = kDkBase;
 
-    auto verify = [&](const PinnedShadow& p) {
+    auto verify = [&](const PinnedModel& p) {
       ReadOptions options;
       options.snapshot = p.snap;
-      for (uint64_t k = 0; k < kKeys; k++) {
-        std::string value;
-        uint64_t dk = 0;
-        Status s = db_->GetWithDeleteKey(options, EncodeKey(k), &value, &dk);
-        auto it = p.model.find(k);
-        if (it == p.model.end()) {
-          ASSERT_TRUE(s.IsNotFound())
-              << "snap seq=" << p.snap->sequence() << " key " << k
-              << " should be absent: "
-              << (s.ok() ? "'" + value + "'" : s.ToString());
-        } else {
-          ASSERT_TRUE(s.ok()) << "snap seq=" << p.snap->sequence() << " key "
-                              << k << ": " << s.ToString();
-          ASSERT_EQ(value, it->second.first) << "key " << k;
-          ASSERT_EQ(dk, it->second.second) << "key " << k;
-        }
-      }
-      auto it = db_->NewIterator(options);
-      auto want = p.model.begin();
-      for (it->SeekToFirst(); it->Valid(); it->Next()) {
-        ASSERT_NE(want, p.model.end()) << "scan found extra key";
-        ASSERT_EQ(it->key().ToString(), EncodeKey(want->first));
-        ASSERT_EQ(it->value().ToString(), want->second.first);
-        ++want;
-      }
-      ASSERT_TRUE(it->status().ok());
-      ASSERT_EQ(want, p.model.end()) << "scan missed a frozen key";
+      ASSERT_TRUE(p.model.CheckAll(db_.get(), KeyModel::kExact, options))
+          << "snapshot seq=" << p.snap->sequence();
+    };
+    auto write = [&](const ModelOp& op) {
+      ASSERT_TRUE(live.Write(db_.get(), op).ok());
     };
 
-    for (int step = 0; step < 400; step++) {
+    for (int step = 0; step < 400 && !HasFatalFailure(); step++) {
       clock_.AdvanceMicros(3);
       const double roll = rnd.NextDouble();
       const uint64_t k = rnd.Uniform(kKeys);
-      const bool trace = std::getenv("TXN_TRACE") != nullptr;
       if (roll < 0.40) {
         const uint64_t dk = next_dk++;
-        std::string value =
-            "p" + std::to_string(seed) + "-" + std::to_string(step);
-        ASSERT_TRUE(db_->Put(WriteOptions(), EncodeKey(k), dk, value).ok());
-        if (trace) fprintf(stderr, "step=%d PUT k=%llu dk=%llu v=%s\n", step, (unsigned long long)k, (unsigned long long)(dk - (1ull<<40)), value.c_str());
-        live[k] = {value, dk};
+        write(ModelOp::Put(
+            k, dk, "p" + std::to_string(seed) + "-" + std::to_string(step)));
       } else if (roll < 0.55) {
-        ASSERT_TRUE(db_->Delete(WriteOptions(), EncodeKey(k)).ok());
-        if (trace) fprintf(stderr, "step=%d DEL k=%llu\n", step, (unsigned long long)k);
-        live.erase(k);
+        write(ModelOp::Delete(k));
       } else if (roll < 0.63) {
         const uint64_t end = std::min(k + 1 + rnd.Uniform(12), kKeys);
         if (end <= k) {
           continue;
         }
-        ASSERT_TRUE(
-            db_->RangeDelete(WriteOptions(), EncodeKey(k), EncodeKey(end))
-                .ok());
-        if (trace) fprintf(stderr, "step=%d RDEL [%llu,%llu)\n", step, (unsigned long long)k, (unsigned long long)end);
-        live.erase(live.lower_bound(k), live.lower_bound(end));
+        write(ModelOp::RangeDelete(k, end));
       } else if (roll < 0.68) {
-        // Secondary range delete: destructive, so every frozen shadow
-        // loses the purged delete-key band too. Bands are prefixes of the
+        // Secondary range delete: destructive, so every frozen model loses
+        // the purged delete-key band too. Bands are prefixes of the
         // (monotonic) delete-key space, as in the stress harness: a
         // mid-space band could purge a key's newest version while an older
         // duplicate with a smaller delete key survives and resurfaces —
         // correct KiWi behaviour, but unmodelable with one value per key.
         const uint64_t lo = kDkBase;
         const uint64_t hi = lo + 1 + rnd.Uniform(next_dk - kDkBase + 1);
-        ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), lo, hi).ok());
-        if (trace) fprintf(stderr, "step=%d SRD [%llu,%llu)\n", step, (unsigned long long)(lo-(1ull<<40)), (unsigned long long)(hi-(1ull<<40)));
-        auto purge = [&](auto& model) {
-          for (auto it = model.begin(); it != model.end();) {
-            it = (it->second.second >= lo && it->second.second < hi)
-                     ? model.erase(it)
-                     : std::next(it);
-          }
-        };
-        purge(live);
+        const ModelOp srd = ModelOp::SecondaryRangeDelete(lo, hi);
+        write(srd);
         for (auto& p : pinned) {
-          purge(p.model);
+          p.model.Apply(srd);
         }
       } else if (roll < 0.76) {
         const bool do_flush = rnd.Bernoulli(0.5);
-        if (trace) fprintf(stderr, "step=%d %s\n", step, do_flush ? "FLUSH" : "COMPACTALL");
         ASSERT_TRUE((do_flush ? db_->Flush() : db_->CompactAll()).ok());
       } else if (roll < 0.86 &&
                  pinned.size() < static_cast<size_t>(kMaxSnapshots)) {
         pinned.push_back({db_->GetSnapshot(), live});
-        if (trace) fprintf(stderr, "step=%d SNAP seq=%llu live69=%d\n", step, (unsigned long long)pinned.back().snap->sequence(), (int)live.count(69));
       } else if (roll < 0.92 && !pinned.empty()) {
         const size_t victim = rnd.Uniform(pinned.size());
         db_->ReleaseSnapshot(pinned[victim].snap);
@@ -441,17 +392,7 @@ TEST_F(TxnTest, RandomizedSnapshotVisibility) {
     // With no snapshots pinned, a full compaction restores latest-state
     // reads exactly.
     ASSERT_TRUE(db_->CompactAll().ok());
-    for (uint64_t k = 0; k < kKeys; k++) {
-      std::string value;
-      Status s = db_->Get(ReadOptions(), EncodeKey(k), &value);
-      auto it = live.find(k);
-      if (it == live.end()) {
-        ASSERT_TRUE(s.IsNotFound()) << "key " << k;
-      } else {
-        ASSERT_TRUE(s.ok()) << "key " << k << ": " << s.ToString();
-        ASSERT_EQ(value, it->second.first) << "key " << k;
-      }
-    }
+    ASSERT_TRUE(live.CheckAll(db_.get())) << "after releasing every snapshot";
     db_.reset();
   }
 }
