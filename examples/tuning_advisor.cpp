@@ -2,11 +2,15 @@
 // and tree shape, compute the optimal delete-tile granularity h from Eq. 3
 // and show the cost curve from Eq. 1. Reproduces the paper's worked
 // example: a 400 GB database with 4 KB pages, 50M point queries and 10K
-// short range scans per secondary range delete gives h ≈ 102.
+// short range scans per secondary range delete gives h ≈ 102. Then
+// measures B on a small in-memory load with default options and shows the
+// h that measured shape implies.
 //
 //   ./tuning_advisor
 
 #include <cstdio>
+#include <memory>
+#include <string>
 
 #include "src/core/lethe.h"
 
@@ -50,5 +54,43 @@ int main() {
   no_srd.f_secondary_range_delete = 0;
   printf("\nwith no secondary range deletes: h = %.0f (classic layout)\n",
          lethe::OptimalDeleteTileBound(no_srd, shape));
+
+  // B is a property of the files, not an input: load 20K 100-byte values
+  // with default options, then read N, B and L back from the tree.
+  std::unique_ptr<lethe::Env> env = lethe::NewMemEnv();
+  lethe::Options options;
+  options.env = env.get();
+  std::unique_ptr<lethe::DB> db;
+  lethe::Status status = lethe::DB::Open(options, "/tuning_advisor", &db);
+  const std::string value(100, 'v');
+  for (int i = 0; status.ok() && i < 20000; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%08d", i);
+    status = db->Put(lethe::WriteOptions(), key, /*delete_key=*/i, value);
+  }
+  if (status.ok()) {
+    status = db->Flush();
+  }
+  if (status.ok()) {
+    status = db->CompactUntilQuiescent();
+  }
+  if (!status.ok()) {
+    fprintf(stderr, "load failed: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  lethe::TreeShape measured = lethe::MeasuredTreeShape(db->GetLevelSnapshots());
+  // A delete-heavier mix than the paper's, sized for a small tree: 1K point
+  // queries and 10 short scans per secondary range delete.
+  lethe::WorkloadMix small_mix;
+  small_mix.f_point_query = 1e3;
+  small_mix.f_short_range_query = 10;
+  small_mix.f_secondary_range_delete = 1;
+  printf("\nmeasured (20K x 100B values, default options, in-memory env):\n");
+  printf("  N = %.0f entries, B = %.1f entries/page, L = %.0f\n",
+         measured.total_entries, measured.entries_per_page, measured.levels);
+  printf("  1K point queries + 10 scans per SRD: Eq.3 h bound %.1f, "
+         "chosen h %u\n",
+         lethe::OptimalDeleteTileBound(small_mix, measured),
+         lethe::ChooseDeleteTileGranularity(small_mix, measured, 1 << 20));
   return 0;
 }

@@ -47,6 +47,7 @@ struct LevelSnapshot {
   uint64_t num_entries = 0;
   uint64_t num_point_tombstones = 0;
   uint64_t num_range_tombstones = 0;
+  uint64_t num_pages = 0;
   uint64_t bytes = 0;
   uint64_t oldest_tombstone_age_micros = 0;
 };

@@ -3,7 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/db.h"
+
 namespace lethe {
+
+TreeShape MeasuredTreeShape(const std::vector<LevelSnapshot>& levels) {
+  TreeShape shape;
+  uint64_t entries = 0, pages = 0;
+  for (const LevelSnapshot& level : levels) {
+    if (level.num_files == 0) {
+      continue;
+    }
+    entries += level.num_entries;
+    pages += level.num_pages;
+    shape.levels = std::max<double>(shape.levels, level.level);
+  }
+  if (pages > 0) {
+    shape.total_entries = static_cast<double>(entries);
+    shape.entries_per_page = static_cast<double>(entries) / pages;
+  }
+  return shape;
+}
 
 double WorkloadCost(const WorkloadMix& mix, const TreeShape& shape,
                     double h) {

@@ -2,8 +2,11 @@
 #define LETHE_CORE_TUNER_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace lethe {
+
+struct LevelSnapshot;
 
 /// Workload composition for the KiWi layout tuner, expressed as operation
 /// fractions (§4.2.6): zero-result point queries, non-zero point queries,
@@ -26,6 +29,12 @@ struct TreeShape {
   double levels = 1;             // L
   double false_positive_rate = 0.02;
 };
+
+/// The shape of a live tree, from DB::GetLevelSnapshots(): N is the live
+/// entry count, B the measured entries per page (N over the pages the table
+/// files hold), and L the deepest non-empty level. An empty tree yields the
+/// TreeShape defaults.
+TreeShape MeasuredTreeShape(const std::vector<LevelSnapshot>& levels);
 
 /// Eq. 3: the largest delete-tile granularity h under which the KiWi
 /// workload cost does not exceed the classic layout's — i.e., the optimal h

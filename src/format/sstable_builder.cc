@@ -11,10 +11,12 @@
 namespace lethe {
 
 SSTableBuilder::SSTableBuilder(const TableOptions& options, WritableFile* file)
-    : options_(options), file_(file) {
-  assert(options_.entries_per_page > 0);
+    : options_(options),
+      file_(file),
+      max_entries_per_page_(MaxEntriesPerPage(options)) {
+  assert(max_entries_per_page_ > 0);
   assert(options_.pages_per_tile > 0);
-  tile_buffer_.reserve(static_cast<size_t>(options_.entries_per_page) *
+  tile_buffer_.reserve(static_cast<size_t>(max_entries_per_page_) *
                        options_.pages_per_tile);
 }
 
@@ -32,9 +34,9 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   // twice), so closing the tile before an entry that would break that
   // bound keeps it within h pages. When B copies of the largest entry fit
   // a page, every cut is by count and the B·h rule below suffices.
-  const uint64_t b = options_.entries_per_page;
+  const uint64_t b = max_entries_per_page_;
   const uint64_t h = options_.pages_per_tile;
-  const uint64_t budget = PageByteBudget();
+  const uint64_t budget = PageByteBudget(options_);
   const uint64_t entry_bytes = EncodedEntrySize(entry);
   const uint64_t max_bytes = std::max(tile_max_entry_bytes_, entry_bytes);
   const uint64_t weight = std::max(b * entry_bytes, budget);
@@ -46,6 +48,7 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
     }
   }
   tile_weight_ += weight;
+  tile_bytes_ += entry_bytes;
   tile_max_entry_bytes_ = std::max(tile_max_entry_bytes_, entry_bytes);
 
   PendingEntry pending;
@@ -91,9 +94,15 @@ void SSTableBuilder::AddRangeTombstone(const RangeTombstone& tombstone) {
 }
 
 uint64_t SSTableBuilder::EstimatedSize() const {
+  // The buffered tile becomes at least n/B pages by count and at least
+  // bytes/budget pages by bytes; with an uncapped B only the byte term sees
+  // a KiWi tile of up to h pages. When every page closes by count (B entries
+  // always fit the budget) the byte term never exceeds the count term.
+  const uint64_t pending_pages =
+      std::max<uint64_t>(tile_buffer_.size() / max_entries_per_page_,
+                         tile_bytes_ / PageByteBudget(options_));
   return data_bytes_written_ +
-         (tile_buffer_.size() / options_.entries_per_page + 1) *
-             options_.page_size_bytes;
+         (pending_pages + 1) * options_.page_size_bytes;
 }
 
 Status SSTableBuilder::FlushTile() {
@@ -115,8 +124,8 @@ Status SSTableBuilder::FlushTile() {
                      return a->delete_key < b->delete_key;
                    });
 
-  const uint64_t byte_budget = PageByteBudget();
-  const uint32_t b = options_.entries_per_page;
+  const uint64_t byte_budget = PageByteBudget(options_);
+  const uint32_t b = max_entries_per_page_;
   const uint32_t pages_before = props_.num_pages;
 
   std::vector<const PendingEntry*> page_entries;
@@ -147,6 +156,7 @@ Status SSTableBuilder::FlushTile() {
   tile_page_counts_.push_back(props_.num_pages - pages_before);
   tile_buffer_.clear();
   tile_weight_ = 0;
+  tile_bytes_ = 0;
   tile_max_entry_bytes_ = 0;
   return Status::OK();
 }
@@ -164,8 +174,7 @@ Status SSTableBuilder::WritePage(
               return a->seq > b->seq;
             });
 
-  PageBuilder page_builder(options_.page_size_bytes,
-                           options_.entries_per_page);
+  PageBuilder page_builder(options_.page_size_bytes, max_entries_per_page_);
   BloomFilterBuilder bloom_builder(options_.bloom_bits_per_key);
   PageMetaRecord meta;
   meta.min_sort_key = page_entries.front()->user_key;

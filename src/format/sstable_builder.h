@@ -108,14 +108,12 @@ class SSTableBuilder {
     std::string bloom;
   };
 
-  /// Entry bytes one page holds: header (4) + entries + checksum (4).
-  uint64_t PageByteBudget() const { return options_.page_size_bytes - 8; }
-
   Status FlushTile();
   Status WritePage(std::vector<const PendingEntry*>& page_entries);
 
   TableOptions options_;
   WritableFile* file_;
+  const uint32_t max_entries_per_page_;  // B, see MaxEntriesPerPage
   Status status_;
 
   std::vector<PendingEntry> tile_buffer_;
@@ -123,6 +121,8 @@ class SSTableBuilder {
   /// bytes, and the largest e; Add uses them to close a tile by bytes.
   uint64_t tile_weight_ = 0;
   uint64_t tile_max_entry_bytes_ = 0;
+  /// Sum of e over the buffered tile, for EstimatedSize.
+  uint64_t tile_bytes_ = 0;
   std::vector<PageMetaRecord> pages_;
   std::vector<uint32_t> tile_page_counts_;
   std::vector<RangeTombstone> range_tombstones_;

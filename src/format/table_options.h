@@ -1,7 +1,9 @@
 #ifndef LETHE_FORMAT_TABLE_OPTIONS_H_
 #define LETHE_FORMAT_TABLE_OPTIONS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 
 namespace lethe {
 
@@ -16,11 +18,15 @@ struct TableOptions {
   /// accounting is exact.
   uint64_t page_size_bytes = 4096;
 
-  /// B: maximum entries stored in one page. B is a cap: a page also closes
-  /// when the next entry would overflow its byte budget (page_size_bytes
-  /// minus 8 bytes of header and checksum), and a delete tile closes before
-  /// B·h entries when needed so it never spans more than h pages.
-  uint32_t entries_per_page = 4;
+  /// B: an optional cap on entries stored in one page. By default there is
+  /// no count cap and a page holds as many entries as fit its byte budget
+  /// (page_size_bytes minus 8 bytes of header and checksum). A caller that
+  /// sets B — the paper's cost-model parameter — caps every page at B
+  /// entries; either way a page closes when the next entry would overflow
+  /// the budget, and a delete tile closes before B·h entries when needed so
+  /// it never spans more than h pages. Code reads B through
+  /// MaxEntriesPerPage below, never directly.
+  uint32_t entries_per_page = std::numeric_limits<uint32_t>::max();
 
   /// h: pages per delete tile. Pages within a tile are ordered by delete
   /// key; entries within a page stay sorted on the sort key.
@@ -32,6 +38,23 @@ struct TableOptions {
   // Reads always verify checksums: every page against its trailer, and the
   // metadata region against the footer's crc.
 };
+
+/// Entry bytes one page holds: page_size_bytes minus the page's header (4)
+/// and checksum (4).
+inline uint64_t PageByteBudget(const TableOptions& options) {
+  return options.page_size_bytes - 8;
+}
+
+/// The B the layout works with: the configured cap, bounded by the most
+/// entries a page can physically hold (18 bytes is the smallest encoded
+/// entry, see EncodedEntrySize). The default options thus yield "as many as
+/// fit", and the KiWi tile size h·B stays finite.
+inline uint32_t MaxEntriesPerPage(const TableOptions& options) {
+  constexpr uint64_t kMinEncodedEntryBytes = 18;
+  return static_cast<uint32_t>(std::min<uint64_t>(
+      options.entries_per_page,
+      PageByteBudget(options) / kMinEncodedEntryBytes));
+}
 
 }  // namespace lethe
 

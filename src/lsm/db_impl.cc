@@ -2522,6 +2522,7 @@ std::vector<LevelSnapshot> DBImpl::GetLevelSnapshots() {
         snap.num_entries += file->num_entries;
         snap.num_point_tombstones += file->num_point_tombstones;
         snap.num_range_tombstones += file->num_range_tombstones;
+        snap.num_pages += file->num_pages;
         snap.bytes += file->file_size;
         snap.oldest_tombstone_age_micros = std::max(
             snap.oldest_tombstone_age_micros, file->TombstoneAge(now));

@@ -203,6 +203,17 @@ void ErrorHandler::RecoveryLoop() {
         // attempt, so the budget keeps draining.)
         continue;
       }
+      // Resume first, publish after: until resume() has cleared the owner's
+      // error, health() must not read healthy while the owner still fails
+      // calls with the old error.
+      lock.unlock();
+      resume_();
+      lock.lock();
+      if (shutdown_ || sticky_ || epoch_ != epoch_before) {
+        // An error reported during the resume keeps the DB degraded; the
+        // loop head retries.
+        continue;
+      }
       AccumulateDegradedLocked(clock_->NowMicros());
       health_ = DBHealth::kHealthy;
       cause_ = Status::OK();
@@ -211,15 +222,12 @@ void ErrorHandler::RecoveryLoop() {
                                                   std::memory_order_relaxed);
       }
       lock.unlock();
-      resume_();
       notify_();
       lock.lock();
       // The retry budget is NOT reset here: a probe only shows the scratch
       // file is writable, not that the failing job's own path healed. Only
       // a real job success (ReportSuccess) refills it, so a job that keeps
       // failing across resume churn still escalates to read-only.
-      // Loop head: if resume() triggered a fresh error report, health_ is
-      // degraded again and the loop keeps running; otherwise it exits.
       continue;
     }
     attempt_++;

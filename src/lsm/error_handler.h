@@ -91,6 +91,8 @@ class ErrorHandler {
   /// storage accepts a small write+sync again. ResumeFn: invoked (off the
   /// handler lock) after a successful probe; the owner clears its bg_error,
   /// re-arms scheduling, re-stakes reservations, and wakes stalled writers.
+  /// Health turns kHealthy only after it returns, and only if no error was
+  /// reported meanwhile.
   /// NotifyFn: invoked on every health-state change (including entry into
   /// degraded/read-only) so stalled writers re-evaluate their wait.
   using ProbeFn = std::function<Status()>;

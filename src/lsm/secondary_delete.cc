@@ -87,7 +87,7 @@ Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
       stats->pages_scanned_for_srd.fetch_add(1, std::memory_order_relaxed);
 
       PageBuilder rebuilt(resolved_options.table.page_size_bytes,
-                          resolved_options.table.entries_per_page);
+                          MaxEntriesPerPage(resolved_options.table));
       uint64_t removed = 0, removed_tombstones = 0;
       for (const ParsedEntry& entry : contents->entries) {
         if (entry.delete_key >= lo && entry.delete_key < hi) {

@@ -527,6 +527,7 @@ std::vector<LevelSnapshot> ShardedDB::GetLevelSnapshots() {
       agg.num_entries += row.num_entries;
       agg.num_point_tombstones += row.num_point_tombstones;
       agg.num_range_tombstones += row.num_range_tombstones;
+      agg.num_pages += row.num_pages;
       agg.bytes += row.bytes;
       agg.oldest_tombstone_age_micros = std::max(
           agg.oldest_tombstone_age_micros, row.oldest_tombstone_age_micros);

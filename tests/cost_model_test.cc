@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/cost_model.h"
+#include "src/core/db.h"
 #include "src/core/tuner.h"
 
 namespace lethe {
@@ -154,6 +155,43 @@ TEST(TunerTest, PaperWorkedExample) {
   double bound = OptimalDeleteTileBound(mix, shape);
   EXPECT_NEAR(bound, 102.0, 5.0);
   EXPECT_EQ(ChooseDeleteTileGranularity(mix, shape, 1024), 64u);
+}
+
+TEST(TunerTest, MeasuredTreeShapeReadsBFromTheFiles) {
+  // Level 1 (the first disk level) holds 100 entries in 4 pages, level 2 is
+  // empty, level 3 holds 900 entries in 36 pages: B = 1000 / 40 = 25, and L
+  // counts up to the deepest non-empty level.
+  std::vector<LevelSnapshot> levels(4);
+  levels[0].level = 1;
+  levels[0].num_files = 1;
+  levels[0].num_entries = 100;
+  levels[0].num_pages = 4;
+  levels[1].level = 2;
+  levels[2].level = 3;
+  levels[2].num_files = 3;
+  levels[2].num_entries = 900;
+  levels[2].num_pages = 36;
+  levels[3].level = 4;
+  TreeShape shape = MeasuredTreeShape(levels);
+  EXPECT_EQ(shape.total_entries, 1000.0);
+  EXPECT_EQ(shape.entries_per_page, 25.0);
+  EXPECT_EQ(shape.levels, 3.0);
+
+  // Eq. 3 sees the measured page count N/B = 40.
+  TreeShape by_hand;
+  by_hand.total_entries = 40;
+  by_hand.levels = 3;
+  WorkloadMix mix;
+  mix.f_point_query = 10;
+  mix.f_secondary_range_delete = 1;
+  EXPECT_DOUBLE_EQ(OptimalDeleteTileBound(mix, shape),
+                   OptimalDeleteTileBound(mix, by_hand));
+
+  // An empty tree keeps the defaults rather than dividing by zero.
+  TreeShape empty = MeasuredTreeShape(std::vector<LevelSnapshot>(3));
+  EXPECT_EQ(empty.total_entries, 0.0);
+  EXPECT_EQ(empty.entries_per_page, 1.0);
+  EXPECT_EQ(empty.levels, 1.0);
 }
 
 TEST(TunerTest, NoSecondaryDeletesMeansClassicLayout) {

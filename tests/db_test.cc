@@ -343,6 +343,35 @@ TEST_F(DBTest, BlindDeleteFilterSkipsAbsentKeys) {
   EXPECT_GT(db_->stats().blind_deletes_avoided.load(), avoided);
 }
 
+// The default TableOptions fill each page to its byte budget. A fixed
+// B = 4 stored 100-byte values at ~9x their size, one page per 4 entries.
+TEST(DefaultLayoutTest, TableBytesStayNearUserBytes) {
+  auto env = NewMemEnv();
+  Options options;
+  options.env = env.get();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "paddb", &db).ok());
+  const std::string value(100, 'v');
+  const uint64_t n = 10000;
+  for (uint64_t k = 0; k < n; k++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k, value).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->CompactAll().ok());
+
+  uint64_t table_bytes = 0, entries = 0, pages = 0;
+  for (const LevelSnapshot& level : db->GetLevelSnapshots()) {
+    table_bytes += level.bytes;
+    entries += level.num_entries;
+    pages += level.num_pages;
+  }
+  const uint64_t user_bytes = n * (EncodeKey(0).size() + value.size());
+  EXPECT_EQ(entries, n);
+  EXPECT_GT(pages, 100u);
+  EXPECT_LT(table_bytes, user_bytes * 3 / 2)
+      << table_bytes << " table bytes for " << user_bytes << " user bytes";
+}
+
 // ---------------------------------------------------------------------------
 // KiWi secondary range deletes.
 

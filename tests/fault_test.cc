@@ -31,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,6 +174,72 @@ TEST(ErrorHandlerTest, AutoRecoveryOffPinsReadOnly) {
             DBHealth::kReadOnly);
   EXPECT_EQ(handler.TEST_WaitForQuiescent(), DBHealth::kReadOnly);
   EXPECT_EQ(probes.load(), 0);
+}
+
+TEST(ErrorHandlerTest, HealthStaysDegradedUntilResumeReturns) {
+  // The owner's resume clears the error its calls return; health() must not
+  // read healthy before that has happened.
+  Statistics stats;
+  ErrorHandler::RetryPolicy policy;
+  policy.base_backoff_micros = 1;
+  policy.max_backoff_micros = 1;
+  ErrorHandler* self = nullptr;
+  std::vector<DBHealth> seen_in_resume;  // written by the recovery thread
+  ErrorHandler handler(
+      policy, SystemClock::Default(), &stats, [] { return Status::OK(); },
+      [&] { seen_in_resume.push_back(self->health()); }, [] {});
+  self = &handler;
+
+  handler.ReportError(BackgroundJobKind::kFlush, Status::IOError("eio"));
+  EXPECT_EQ(handler.TEST_WaitForQuiescent(), DBHealth::kHealthy);
+  ASSERT_EQ(seen_in_resume.size(), 1u);
+  EXPECT_EQ(seen_in_resume[0], DBHealth::kDegraded);
+  EXPECT_EQ(stats.auto_recovery_successes.load(), 1u);
+}
+
+TEST(ErrorHandlerTest, ErrorDuringResumeKeepsDegraded) {
+  // The first resume's retried job fails again. The handler must not
+  // publish healthy over that error: it stays degraded and probes again.
+  Statistics stats;
+  ErrorHandler::RetryPolicy policy;
+  policy.base_backoff_micros = 1;
+  policy.max_backoff_micros = 1;
+  ErrorHandler* self = nullptr;
+  std::atomic<int> probes{0};
+  std::promise<void> second_probe_entered;
+  std::promise<void> release_second_probe;
+  std::shared_future<void> released = release_second_probe.get_future();
+  int resumes = 0;  // recovery thread only
+  ErrorHandler handler(
+      policy, SystemClock::Default(), &stats,
+      [&] {
+        if (probes.fetch_add(1) == 1) {
+          second_probe_entered.set_value();
+          released.wait();
+        }
+        return Status::OK();
+      },
+      [&] {
+        if (resumes++ == 0) {
+          self->ReportError(BackgroundJobKind::kFlush,
+                            Status::IOError("retried flush died"));
+        }
+      },
+      [] {});
+  self = &handler;
+
+  handler.ReportError(BackgroundJobKind::kFlush, Status::IOError("eio"));
+  // The recovery thread is parked inside its second probe, after the first
+  // resume reported the new error.
+  second_probe_entered.get_future().wait();
+  EXPECT_EQ(handler.health(), DBHealth::kDegraded);
+  EXPECT_FALSE(handler.cause().ok());
+  EXPECT_EQ(stats.auto_recovery_successes.load(), 0u);
+
+  release_second_probe.set_value();
+  EXPECT_EQ(handler.TEST_WaitForQuiescent(), DBHealth::kHealthy);
+  EXPECT_EQ(resumes, 2);
+  EXPECT_EQ(stats.auto_recovery_successes.load(), 1u);
 }
 
 // ---- ENOSPC during background work ------------------------------------------

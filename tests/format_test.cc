@@ -871,16 +871,29 @@ TEST_F(ByteClosedTileTest, MixedSizesStayWithinHPages) {
         return (static_cast<uint64_t>(i) * 2654435761u >> 8) % 10 == 0;
       },
   };
-  for (size_t s = 0; s < shapes.size(); s++) {
-    small_of_ = shapes[s];
-    for (uint32_t h : {1u, 2u, 3u, 8u}) {
-      SCOPED_TRACE("shape " + std::to_string(s) + " h=" + std::to_string(h));
-      options_.pages_per_tile = h;
-      auto reader = BuildTable(3000, IdentityDk);
-      for (const TileInfo& tile : reader->tiles()) {
-        EXPECT_LE(tile.page_count, h);
+  // The default (uncapped) B with 1 KB values: a tile of small entries
+  // alone would hold hundreds, so neither B nor h·B bounds it; the byte
+  // rule must.
+  struct Layout {
+    uint32_t b;
+    size_t value_size;
+  };
+  for (Layout layout : {Layout{32, 100},
+                        Layout{TableOptions().entries_per_page, 1024}}) {
+    options_.entries_per_page = layout.b;
+    value_size_ = layout.value_size;
+    for (size_t s = 0; s < shapes.size(); s++) {
+      small_of_ = shapes[s];
+      for (uint32_t h : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("B=" + std::to_string(layout.b) + " shape " +
+                     std::to_string(s) + " h=" + std::to_string(h));
+        options_.pages_per_tile = h;
+        auto reader = BuildTable(3000, IdentityDk);
+        for (const TileInfo& tile : reader->tiles()) {
+          EXPECT_LE(tile.page_count, h);
+        }
+        ExpectRoundTrip(*reader, 3000);
       }
-      ExpectRoundTrip(*reader, 3000);
     }
   }
 }
@@ -926,6 +939,99 @@ TEST_F(ByteClosedTileTest, FigBedShapeKeepsCountLayout) {
   EXPECT_EQ(props.num_pages, 63u);  // ceil(1000/16)
   EXPECT_EQ(props.num_tiles, 16u);  // ceil(1000/64)
   ExpectRoundTrip(*reader, 1000);
+}
+
+/// The default TableOptions: no count cap, so a page holds as many entries
+/// as fit its byte budget. 16-byte keys and 96-byte values encode to 130
+/// bytes, 31 of which fill 4030 of a 4 KB page's 4088-byte budget.
+class ByteFilledDefaultTest : public SSTableTest {
+ protected:
+  void SetUp() override {
+    SSTableTest::SetUp();
+    options_ = TableOptions();
+    value_size_ = 96;
+  }
+
+  static uint64_t PageBytes(const SSTableReader& reader, uint32_t page) {
+    PageHandle contents;
+    EXPECT_TRUE(reader.ReadPage(page, &contents).ok());
+    uint64_t bytes = 0;
+    for (const ParsedEntry& entry : contents->entries) {
+      bytes += EncodedEntrySize(entry);
+    }
+    return bytes;
+  }
+};
+
+TEST_F(ByteFilledDefaultTest, PagesFillTheirByteBudget) {
+  const uint64_t budget = PageByteBudget(options_);
+  for (uint32_t h : {1u, 4u}) {
+    SCOPED_TRACE("h=" + std::to_string(h));
+    options_.pages_per_tile = h;
+    TableProperties props;
+    auto reader = BuildTable(2000, ReverseDk, &props);
+    for (const TileInfo& tile : reader->tiles()) {
+      EXPECT_LE(tile.page_count, h);
+      for (uint32_t p = tile.first_page;
+           p + 1 < tile.first_page + tile.page_count; p++) {
+        EXPECT_LT(budget - PageBytes(*reader, p), 130u) << "page " << p;
+      }
+    }
+    if (h == 1) {
+      // One-page tiles close by bytes too: every page but the file's last
+      // holds 31 entries, where B = 4 would have written 500 pages.
+      EXPECT_EQ(props.num_pages, 65u);  // ceil(2000/31)
+      for (uint32_t p = 0; p + 1 < props.num_pages; p++) {
+        EXPECT_EQ(reader->pages()[p].num_entries, 31u) << "page " << p;
+      }
+    }
+    ExpectRoundTrip(*reader, 2000);
+  }
+}
+
+TEST_F(ByteFilledDefaultTest, ExplicitBStillCapsEveryPage) {
+  options_.entries_per_page = 4;
+  TableProperties props;
+  auto reader = BuildTable(1000, ReverseDk, &props);
+  EXPECT_EQ(props.num_pages, 250u);
+  for (const PageInfo& page : reader->pages()) {
+    EXPECT_EQ(page.num_entries, 4u);
+  }
+  ExpectRoundTrip(*reader, 1000);
+}
+
+TEST_F(ByteFilledDefaultTest, EstimatedSizeTracksPagesWritten) {
+  // Compaction cuts its outputs on EstimatedSize, so with an uncapped B the
+  // estimate must count the buffered tile's bytes, not n/B pages: a KiWi
+  // tile holds up to h pages.
+  struct Shape {
+    uint32_t b;
+    uint32_t h;
+  };
+  for (Shape shape : {Shape{options_.entries_per_page, 1},
+                      Shape{options_.entries_per_page, 8},
+                      Shape{16, 4}, Shape{32, 8}}) {
+    options_.entries_per_page = shape.b;
+    options_.pages_per_tile = shape.h;
+    for (int n : {1, 100, 1000, 2500}) {
+      SCOPED_TRACE("B=" + std::to_string(shape.b) +
+                   " h=" + std::to_string(shape.h) +
+                   " n=" + std::to_string(n));
+      std::unique_ptr<WritableFile> file;
+      ASSERT_TRUE(env_->NewWritableFile("estimate", &file).ok());
+      SSTableBuilder builder(options_, file.get());
+      for (int i = 0; i < n; i++) {
+        builder.Add(MakeEntry(EncodeKey(i), ReverseDk(i), 1 + i, ValueOf(i)));
+      }
+      const uint64_t estimate = builder.EstimatedSize();
+      TableProperties props;
+      ASSERT_TRUE(builder.Finish(&props).ok());
+      const uint64_t written =
+          uint64_t{props.num_pages} * options_.page_size_bytes;
+      EXPECT_LE(estimate, written + options_.page_size_bytes);
+      EXPECT_GE(estimate + options_.page_size_bytes, written);
+    }
+  }
 }
 
 }  // namespace
