@@ -19,14 +19,13 @@
 //   --connections=N    concurrent client connections (default 64)
 //   --depths=a,b,c     pipeline depths to sweep      (default 1,8,32)
 //   --duration-ms=N    per-depth phase length        (default 1200)
-//   --workers=N        server event-loop threads     (default 2)
+//   --workers=N        server event-loop threads     (default 1)
 //   --shards=N         engine shards                 (default 4)
 //   --value-bytes=N    value size                    (default 16)
 //   --keys=N           keyspace size                 (default 10000)
 //   --write-pct=N      percent of commands that are SET (default 10,
 //                      the classic read-heavy serving mix)
 //   --repeats=N        runs per phase, best kept      (default 5)
-//   --no-snapshot-reads  serve reads without per-turn snapshot pinning
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -207,7 +206,6 @@ int main(int argc, char** argv) {
   int keys = 10000;
   int write_pct = 10;
   int repeats = 5;
-  bool snapshot_reads = true;
 
   for (int i = 1; i < argc; i++) {
     const char* v = nullptr;
@@ -234,8 +232,6 @@ int main(int argc, char** argv) {
       write_pct = atoi(v);
     } else if (FlagValue(argv[i], "--repeats", &v)) {
       repeats = atoi(v) < 1 ? 1 : atoi(v);
-    } else if (strcmp(argv[i], "--no-snapshot-reads") == 0) {
-      snapshot_reads = false;
     } else {
       fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -309,7 +305,6 @@ int main(int argc, char** argv) {
       lethe::server::ServerOptions server_options;
       server_options.port = 0;  // ephemeral
       server_options.num_workers = workers;
-      server_options.snapshot_reads = snapshot_reads;
       auto server = std::make_unique<lethe::server::RespServer>(
           db.get(), server_options);
       lethe::Status ss = server->Start();

@@ -112,6 +112,14 @@ OptimisticTransaction::~OptimisticTransaction() {
 
 Status OptimisticTransaction::Get(const ReadOptions& options, const Slice& key,
                                   std::string* value) {
+  uint64_t delete_key;
+  return GetWithDeleteKey(options, key, value, &delete_key);
+}
+
+Status OptimisticTransaction::GetWithDeleteKey(const ReadOptions& options,
+                                               const Slice& key,
+                                               std::string* value,
+                                               uint64_t* delete_key) {
   if (db_ == nullptr) {
     return Status::InvalidArgument("not an engine DB instance");
   }
@@ -125,11 +133,12 @@ Status OptimisticTransaction::Get(const ReadOptions& options, const Slice& key,
       return Status::NotFound(key);
     }
     *value = it->second.value;
+    *delete_key = it->second.delete_key;
     return Status::OK();
   }
   ReadOptions snap_options = options;
   snap_options.snapshot = snapshot_;
-  return db_->Get(snap_options, key, value);
+  return db_->GetWithDeleteKey(snap_options, key, value, delete_key);
 }
 
 Status OptimisticTransaction::Put(const Slice& key, uint64_t delete_key,

@@ -59,6 +59,11 @@ class OptimisticTransaction {
   /// set. `options.snapshot` is ignored (the transaction's snapshot rules).
   Status Get(const ReadOptions& options, const Slice& key, std::string* value);
 
+  /// Like Get, additionally returning the entry's delete key (a staged
+  /// Put's own delete key when this transaction wrote the key).
+  Status GetWithDeleteKey(const ReadOptions& options, const Slice& key,
+                          std::string* value, uint64_t* delete_key);
+
   /// Stages an insert/update. Staged writes join the validated keyset.
   Status Put(const Slice& key, uint64_t delete_key, const Slice& value);
 

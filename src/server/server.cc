@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -82,13 +83,20 @@ bool ParseInt(const Slice& s, long long* value) {
   return true;
 }
 
-uint64_t SaturatingMul(uint64_t a, uint64_t b) {
-  if (a != 0 && b > UINT64_MAX / a) return UINT64_MAX;
-  return a * b;
+// An engine failure is an error reply, never a missing key.
+void AppendStatusError(std::string* out, const Status& s) {
+  AppendError(out, "ERR " + s.ToString());
 }
 
-uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
-  return (UINT64_MAX - a < b) ? UINT64_MAX : a + b;
+// GET's reply to a ReadKey result, also one MGET element.
+void AppendValue(std::string* out, const Status& s, const std::string* value) {
+  if (s.ok()) {
+    AppendBulkString(out, *value);
+  } else if (s.IsNotFound()) {
+    AppendNullBulkString(out);
+  } else {
+    AppendStatusError(out, s);
+  }
 }
 
 // Redis-style glob for SCAN MATCH: '*', '?', '\' escape, '[...]' classes
@@ -344,17 +352,10 @@ Status RespServer::Start() {
   }
   port_ = bound_port;
 
-  // Detect whether the engine supports optimistic transactions (DBImpl
-  // does; ShardedDB does not) — decides how the active expiry cycle
-  // validates its deletes.
-  {
-    OptimisticTransaction probe(db_);
-    std::string unused;
-    Status ps = probe.Get(ReadOptions(), Slice("\x01lethe.txn.probe"),
-                          &unused);
-    txn_supported_ = !ps.IsInvalidArgument();
-    (void)probe.Rollback();
-  }
+  // Whether the engine supports optimistic transactions (DBImpl does;
+  // ShardedDB does not, and Rollback says so) decides how the active expiry
+  // cycle validates its deletes.
+  txn_supported_ = OptimisticTransaction(db_).Rollback().ok();
 
   start_micros_ = NowMicros();
   stopping_.store(false, std::memory_order_release);
@@ -578,13 +579,13 @@ void RespServer::ExecuteCommand(Worker* w, Connection* c,
       CmdScan(w, c, argv);
       break;
     case Cmd::kExpire:
-      CmdExpire(w, c, argv);
+      CmdExpireOrPersist(w, c, argv, /*persist=*/false);
       break;
     case Cmd::kTtl:
       CmdTtl(w, c, argv);
       break;
     case Cmd::kPersist:
-      CmdPersist(w, c, argv);
+      CmdExpireOrPersist(w, c, argv, /*persist=*/true);
       break;
     case Cmd::kPing:
       if (argc == 2) {
@@ -655,13 +656,7 @@ void RespServer::EndTurn(Worker* w) {
     if (!c->closed) FlushOutput(w, c);
   }
   w->touched.clear();
-  // Per-connection snapshots live for one turn: pinned lazily at the first
-  // read, dropped here so compaction is never held back by idle clients.
-  for (Connection* c : w->snaps) {
-    c->in_snap_list = false;
-    ReleaseConnSnapshot(c);
-  }
-  w->snaps.clear();
+  ReleaseTurnSnapshots(w);
   for (Connection* c : w->graveyard) {
     w->conns.erase(c);
     delete c;
@@ -795,11 +790,7 @@ void RespServer::DrainOnStop(Worker* w) {
   // then spend the drain budget flushing reply buffers. Clients that do not
   // drain their socket in time are cut off.
   CommitTurnBatch(w);
-  for (Connection* c : w->snaps) {
-    c->in_snap_list = false;
-    ReleaseConnSnapshot(c);
-  }
-  w->snaps.clear();
+  ReleaseTurnSnapshots(w);
   for (Connection* c : w->touched) c->in_touched_list = false;
   w->touched.clear();
 
@@ -816,19 +807,22 @@ void RespServer::DrainOnStop(Worker* w) {
   }
 
   for (Connection* c : w->conns) {
-    if (!c->closed) {
-      c->closed = true;
-      ReleaseConnSnapshot(c);
-      ::close(c->fd);
-      c->fd = -1;
-      conn_count_.fetch_sub(1, std::memory_order_relaxed);
-      net_stats_.net_connections_closed.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
+    CloseConnection(w, c);
     delete c;
   }
   w->conns.clear();
   w->graveyard.clear();
+}
+
+// Per-connection snapshots live for one turn: pinned lazily at the first
+// engine read, dropped here so compaction is never held back by idle
+// clients.
+void RespServer::ReleaseTurnSnapshots(Worker* w) {
+  for (Connection* c : w->snaps) {
+    c->in_snap_list = false;
+    ReleaseConnSnapshot(c);
+  }
+  w->snaps.clear();
 }
 
 void RespServer::EnsureConnCommitted(Worker* w, Connection* c) {
@@ -836,7 +830,7 @@ void RespServer::EnsureConnCommitted(Worker* w, Connection* c) {
 }
 
 void RespServer::EnsureSnapshot(Worker* w, Connection* c) {
-  if (!opts_.snapshot_reads || c->snap != nullptr) return;
+  if (c->snap != nullptr) return;
   c->snap = db_->GetSnapshot();
   if (!c->in_snap_list) {
     c->in_snap_list = true;
@@ -871,20 +865,43 @@ void RespServer::FinishImmediateReply(Connection* c) {
   }
 }
 
-void RespServer::FinishWriteReply(Connection* c) {
+void RespServer::FinishWriteReply(Worker* w, Connection* c) {
   c->reply_marks.emplace_back(c->out.size(), true);
+  MaybeCommitEagerly(w);
 }
 
-const RespServer::StagedWrite* RespServer::OverlayFind(
-    Connection* c, const Slice& key) const {
-  if (c->overlay.empty()) return nullptr;
-  auto it = c->overlay.find(std::string(key.data(), key.size()));
-  return it == c->overlay.end() ? nullptr : &it->second;
+Status RespServer::ReadKey(Worker* w, Connection* c, const Slice& key,
+                           bool at_snapshot, uint64_t now,
+                           const std::string** value, uint64_t* dk) {
+  auto it = c->overlay.empty() ? c->overlay.end()
+                               : c->overlay.find(key.ToString());
+  if (it != c->overlay.end()) {
+    if (it->second.deleted) return Status::NotFound();
+    *value = &it->second.value;
+    *dk = it->second.delete_key;
+  } else {
+    ReadOptions ro;
+    if (at_snapshot) {
+      EnsureSnapshot(w, c);
+      ro.snapshot = c->snap;
+    }
+    Status s = db_->GetWithDeleteKey(ro, key, &w->value, dk);
+    if (!s.ok()) return s;
+    *value = &w->value;
+  }
+  if (IsExpired(*dk, now)) {
+    net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
+    return Status::NotFound();
+  }
+  return Status::OK();
 }
 
-void RespServer::OverlayPut(Connection* c, const Slice& key,
-                            uint64_t delete_key, const Slice& value) {
-  StagedWrite& sw = c->overlay[std::string(key.data(), key.size())];
+// Writes go to the turn batch and to the connection's read-your-writes
+// overlay together.
+void RespServer::StagePut(Worker* w, Connection* c, const Slice& key,
+                          uint64_t delete_key, const Slice& value) {
+  w->batch.Put(key, delete_key, value);
+  StagedWrite& sw = c->overlay[key.ToString()];
   sw.deleted = false;
   sw.delete_key = delete_key;
   // EXPIRE/PERSIST re-stage the value they just read from this very
@@ -894,11 +911,26 @@ void RespServer::OverlayPut(Connection* c, const Slice& key,
   }
 }
 
-void RespServer::OverlayDelete(Connection* c, const Slice& key) {
-  StagedWrite& sw = c->overlay[std::string(key.data(), key.size())];
+// Returns false, staging nothing, when the overlay already holds a delete
+// of `key`: a key repeated in one DEL is deleted and counted once.
+bool RespServer::StageDelete(Worker* w, Connection* c, const Slice& key) {
+  StagedWrite& sw = c->overlay[key.ToString()];
+  if (sw.deleted) return false;
+  w->batch.Delete(key);
   sw.deleted = true;
   sw.delete_key = 0;
   sw.value.clear();
+  return true;
+}
+
+// The delete key `amount` units after `now`: saturating, and never 0,
+// which means "no expiry". Also wakes the active expiry cycle.
+uint64_t RespServer::Deadline(uint64_t now, uint64_t amount, uint64_t unit) {
+  ttl_seen_.store(true, std::memory_order_relaxed);
+  const uint64_t span =
+      (amount != 0 && unit > UINT64_MAX / amount) ? UINT64_MAX : amount * unit;
+  return std::max<uint64_t>(1, UINT64_MAX - now < span ? UINT64_MAX
+                                                       : now + span);
 }
 
 void RespServer::Touch(Worker* w, Connection* c) {
@@ -910,35 +942,11 @@ void RespServer::Touch(Worker* w, Connection* c) {
 
 void RespServer::CmdGet(Worker* w, Connection* c,
                         const std::vector<Slice>& argv) {
-  if (const StagedWrite* sw = OverlayFind(c, argv[1])) {
-    if (sw->deleted) {
-      AppendNullBulkString(&c->out);
-    } else if (IsExpired(sw->delete_key, NowMicros())) {
-      net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      AppendNullBulkString(&c->out);
-    } else {
-      AppendBulkString(&c->out, sw->value);
-    }
-    FinishImmediateReply(c);
-    return;
-  }
-  EnsureSnapshot(w, c);
-  ReadOptions ro;
-  ro.snapshot = c->snap;
+  const std::string* value = nullptr;
   uint64_t dk = 0;
-  Status s = db_->GetWithDeleteKey(ro, argv[1], &w->value, &dk);
-  if (s.ok()) {
-    if (IsExpired(dk, NowMicros())) {
-      net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      AppendNullBulkString(&c->out);
-    } else {
-      AppendBulkString(&c->out, w->value);
-    }
-  } else if (s.IsNotFound()) {
-    AppendNullBulkString(&c->out);
-  } else {
-    AppendError(&c->out, "ERR " + s.ToString());
-  }
+  Status s = ReadKey(w, c, argv[1], /*at_snapshot=*/true, NowMicros(), &value,
+                     &dk);
+  AppendValue(&c->out, s, value);
   FinishImmediateReply(c);
 }
 
@@ -952,10 +960,8 @@ void RespServer::CmdSet(Worker* w, Connection* c,
         i + 1 < argv.size() && ParseInt(argv[i + 1], &amount) &&
         amount > 0) {
       const uint64_t unit = w->scratch_upper == "EX" ? 1000000ull : 1000ull;
-      delete_key = SaturatingAdd(
-          NowMicros(), SaturatingMul(static_cast<uint64_t>(amount), unit));
-      if (delete_key == 0) delete_key = 1;  // 0 means "no expiry"
-      ttl_seen_.store(true, std::memory_order_relaxed);
+      delete_key =
+          Deadline(NowMicros(), static_cast<uint64_t>(amount), unit);
       i += 2;
     } else {
       AppendError(&c->out, "ERR syntax error");
@@ -964,92 +970,52 @@ void RespServer::CmdSet(Worker* w, Connection* c,
     }
   }
   StageWriteReply(w, c);
-  w->batch.Put(argv[1], delete_key, argv[2]);
-  OverlayPut(c, argv[1], delete_key, argv[2]);
+  StagePut(w, c, argv[1], delete_key, argv[2]);
   AppendSimpleString(&c->out, "OK");
-  FinishWriteReply(c);
-  MaybeCommitEagerly(w);
+  FinishWriteReply(w, c);
 }
 
 void RespServer::CmdDelOrExists(Worker* w, Connection* c,
                                 const std::vector<Slice>& argv,
                                 bool is_del) {
-  // The existence check must see the connection's own pipelined writes:
-  // overlay first, then the engine (latest for DEL's read-modify-write,
-  // snapshot for EXISTS).
-  ReadOptions ro;
+  // EXISTS reads the turn snapshot, DEL's read-modify-write reads latest.
+  // Any read error fails the whole command before anything is staged.
   const uint64_t now = NowMicros();
-  long long found = 0;
+  const std::string* value = nullptr;
   uint64_t dk = 0;
-  std::vector<size_t> hit_idx;
+  std::vector<size_t> hits;
   for (size_t i = 1; i < argv.size(); i++) {
-    if (const StagedWrite* sw = OverlayFind(c, argv[i])) {
-      if (sw->deleted) continue;
-      if (IsExpired(sw->delete_key, now)) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      found++;
-      if (is_del) hit_idx.push_back(i);
-      continue;
+    Status s = ReadKey(w, c, argv[i], /*at_snapshot=*/!is_del, now, &value,
+                       &dk);
+    if (s.ok()) {
+      hits.push_back(i);
+    } else if (!s.IsNotFound()) {
+      AppendStatusError(&c->out, s);
+      FinishImmediateReply(c);
+      return;
     }
-    if (!is_del && ro.snapshot == nullptr) {
-      EnsureSnapshot(w, c);
-      ro.snapshot = c->snap;
-    }
-    Status s = db_->GetWithDeleteKey(ro, argv[i], &w->value, &dk);
-    if (!s.ok()) continue;
-    if (IsExpired(dk, now)) {
-      net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    found++;
-    if (is_del) hit_idx.push_back(i);
   }
-  if (is_del && !hit_idx.empty()) {
-    StageWriteReply(w, c);
-    for (size_t i : hit_idx) {
-      w->batch.Delete(argv[i]);
-      OverlayDelete(c, argv[i]);
-    }
-    AppendInteger(&c->out, found);
-    FinishWriteReply(c);
-    MaybeCommitEagerly(w);
-  } else {
-    AppendInteger(&c->out, found);
+  if (!is_del || hits.empty()) {
+    AppendInteger(&c->out, static_cast<long long>(hits.size()));
     FinishImmediateReply(c);
+    return;
   }
+  StageWriteReply(w, c);
+  long long deleted = 0;
+  for (size_t i : hits) deleted += StageDelete(w, c, argv[i]) ? 1 : 0;
+  AppendInteger(&c->out, deleted);
+  FinishWriteReply(w, c);
 }
 
 void RespServer::CmdMGet(Worker* w, Connection* c,
                          const std::vector<Slice>& argv) {
-  EnsureSnapshot(w, c);
-  ReadOptions ro;
-  ro.snapshot = c->snap;
   const uint64_t now = NowMicros();
+  const std::string* value = nullptr;
+  uint64_t dk = 0;
   AppendArrayHeader(&c->out, argv.size() - 1);
   for (size_t i = 1; i < argv.size(); i++) {
-    if (const StagedWrite* sw = OverlayFind(c, argv[i])) {
-      if (sw->deleted) {
-        AppendNullBulkString(&c->out);
-      } else if (IsExpired(sw->delete_key, now)) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-        AppendNullBulkString(&c->out);
-      } else {
-        AppendBulkString(&c->out, sw->value);
-      }
-      continue;
-    }
-    uint64_t dk = 0;
-    Status s = db_->GetWithDeleteKey(ro, argv[i], &w->value, &dk);
-    if (s.ok() && !IsExpired(dk, now)) {
-      AppendBulkString(&c->out, w->value);
-    } else {
-      if (s.ok()) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      }
-      AppendNullBulkString(&c->out);
-    }
+    Status s = ReadKey(w, c, argv[i], /*at_snapshot=*/true, now, &value, &dk);
+    AppendValue(&c->out, s, value);
   }
   FinishImmediateReply(c);
 }
@@ -1063,12 +1029,10 @@ void RespServer::CmdMSet(Worker* w, Connection* c,
   }
   StageWriteReply(w, c);
   for (size_t i = 1; i + 1 < argv.size(); i += 2) {
-    w->batch.Put(argv[i], 0, argv[i + 1]);
-    OverlayPut(c, argv[i], 0, argv[i + 1]);
+    StagePut(w, c, argv[i], 0, argv[i + 1]);
   }
   AppendSimpleString(&c->out, "OK");
-  FinishWriteReply(c);
-  MaybeCommitEagerly(w);
+  FinishWriteReply(w, c);
 }
 
 void RespServer::CmdScan(Worker* w, Connection* c,
@@ -1126,7 +1090,7 @@ void RespServer::CmdScan(Worker* w, Connection* c,
     it->Next();
   }
   if (!it->status().ok()) {
-    AppendError(&c->out, "ERR " + it->status().ToString());
+    AppendStatusError(&c->out, it->status());
     FinishImmediateReply(c);
     return;
   }
@@ -1138,139 +1102,62 @@ void RespServer::CmdScan(Worker* w, Connection* c,
   FinishImmediateReply(c);
 }
 
-void RespServer::CmdExpire(Worker* w, Connection* c,
-                           const std::vector<Slice>& argv) {
-  // Read-modify-write: the overlay supplies this connection's own
-  // pipelined SETs, the engine's latest-committed state covers the rest.
-  // The RMW is not atomic against writers on other connections — a racing
-  // SET between the read and this turn's commit wins wholesale, which
-  // matches EXPIRE-then-SET semantics.
+void RespServer::CmdExpireOrPersist(Worker* w, Connection* c,
+                                    const std::vector<Slice>& argv,
+                                    bool persist) {
+  // Read-modify-write at latest: the overlay supplies this connection's
+  // own pipelined SETs, the engine's latest-committed state covers the
+  // rest. The RMW is not atomic against writers on other connections — a
+  // racing SET between the read and this turn's commit wins wholesale,
+  // which matches EXPIRE-then-SET semantics.
   long long secs = 0;
-  if (!ParseInt(argv[2], &secs)) {
+  if (!persist && !ParseInt(argv[2], &secs)) {
     AppendError(&c->out, "ERR value is not an integer or out of range");
     FinishImmediateReply(c);
     return;
   }
   const uint64_t now = NowMicros();
+  const std::string* value = nullptr;
   uint64_t dk = 0;
-  const std::string* cur_value = nullptr;
-  if (const StagedWrite* sw = OverlayFind(c, argv[1])) {
-    if (sw->deleted || IsExpired(sw->delete_key, now)) {
-      if (!sw->deleted) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      }
+  Status s = ReadKey(w, c, argv[1], /*at_snapshot=*/false, now, &value, &dk);
+  if (!s.ok() || (persist && dk == 0)) {
+    if (s.ok() || s.IsNotFound()) {
       AppendInteger(&c->out, 0);
-      FinishImmediateReply(c);
-      return;
+    } else {
+      AppendStatusError(&c->out, s);
     }
-    dk = sw->delete_key;
-    cur_value = &sw->value;
-  } else {
-    Status s =
-        db_->GetWithDeleteKey(ReadOptions(), argv[1], &w->value, &dk);
-    if (!s.ok() || IsExpired(dk, now)) {
-      if (s.ok()) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      }
-      AppendInteger(&c->out, 0);
-      FinishImmediateReply(c);
-      return;
-    }
-    cur_value = &w->value;
+    FinishImmediateReply(c);
+    return;
   }
   StageWriteReply(w, c);
-  if (secs <= 0) {
-    w->batch.Delete(argv[1]);  // non-positive TTL deletes, like Redis
-    OverlayDelete(c, argv[1]);
+  if (persist) {
+    StagePut(w, c, argv[1], 0, *value);
+  } else if (secs <= 0) {
+    StageDelete(w, c, argv[1]);  // non-positive TTL deletes, like Redis
   } else {
-    uint64_t ndk = SaturatingAdd(
-        now, SaturatingMul(static_cast<uint64_t>(secs), 1000000ull));
-    if (ndk == 0) ndk = 1;
-    ttl_seen_.store(true, std::memory_order_relaxed);
-    w->batch.Put(argv[1], ndk, *cur_value);
-    OverlayPut(c, argv[1], ndk, *cur_value);
+    StagePut(w, c, argv[1], Deadline(now, static_cast<uint64_t>(secs), 1000000),
+             *value);
   }
   AppendInteger(&c->out, 1);
-  FinishWriteReply(c);
-  MaybeCommitEagerly(w);
+  FinishWriteReply(w, c);
 }
 
 void RespServer::CmdTtl(Worker* w, Connection* c,
                         const std::vector<Slice>& argv) {
   const uint64_t now = NowMicros();
-  if (const StagedWrite* sw = OverlayFind(c, argv[1])) {
-    long long reply;
-    if (sw->deleted) {
-      reply = -2;
-    } else if (IsExpired(sw->delete_key, now)) {
-      net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      reply = -2;
-    } else if (sw->delete_key == 0) {
-      reply = -1;
-    } else {
-      reply = static_cast<long long>((sw->delete_key - now + 999999) /
-                                     1000000);
-    }
-    AppendInteger(&c->out, reply);
-    FinishImmediateReply(c);
-    return;
-  }
-  EnsureSnapshot(w, c);
-  ReadOptions ro;
-  ro.snapshot = c->snap;
+  const std::string* value = nullptr;
   uint64_t dk = 0;
-  Status s = db_->GetWithDeleteKey(ro, argv[1], &w->value, &dk);
-  long long reply;
-  if (!s.ok()) {
-    reply = -2;
-  } else if (IsExpired(dk, now)) {
-    net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-    reply = -2;
-  } else if (dk == 0) {
-    reply = -1;
+  Status s = ReadKey(w, c, argv[1], /*at_snapshot=*/true, now, &value, &dk);
+  if (s.ok()) {
+    AppendInteger(&c->out, dk == 0 ? -1
+                                   : static_cast<long long>(
+                                         (dk - now + 999999) / 1000000));
+  } else if (s.IsNotFound()) {
+    AppendInteger(&c->out, -2);
   } else {
-    reply = static_cast<long long>((dk - now + 999999) / 1000000);
+    AppendStatusError(&c->out, s);
   }
-  AppendInteger(&c->out, reply);
   FinishImmediateReply(c);
-}
-
-void RespServer::CmdPersist(Worker* w, Connection* c,
-                            const std::vector<Slice>& argv) {
-  // RMW, same overlay-first shape and caveats as CmdExpire.
-  const uint64_t now = NowMicros();
-  const std::string* cur_value = nullptr;
-  if (const StagedWrite* sw = OverlayFind(c, argv[1])) {
-    if (sw->deleted || sw->delete_key == 0 ||
-        IsExpired(sw->delete_key, now)) {
-      if (!sw->deleted && IsExpired(sw->delete_key, now)) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      }
-      AppendInteger(&c->out, 0);
-      FinishImmediateReply(c);
-      return;
-    }
-    cur_value = &sw->value;
-  } else {
-    uint64_t dk = 0;
-    Status s =
-        db_->GetWithDeleteKey(ReadOptions(), argv[1], &w->value, &dk);
-    if (!s.ok() || dk == 0 || IsExpired(dk, now)) {
-      if (s.ok() && IsExpired(dk, now)) {
-        net_stats_.net_expired_lazy.fetch_add(1, std::memory_order_relaxed);
-      }
-      AppendInteger(&c->out, 0);
-      FinishImmediateReply(c);
-      return;
-    }
-    cur_value = &w->value;
-  }
-  StageWriteReply(w, c);
-  w->batch.Put(argv[1], 0, *cur_value);
-  OverlayPut(c, argv[1], 0, *cur_value);
-  AppendInteger(&c->out, 1);
-  FinishWriteReply(c);
-  MaybeCommitEagerly(w);
 }
 
 void RespServer::CmdInfo(Worker* w, Connection* c,
@@ -1300,7 +1187,7 @@ void RespServer::CmdLethePurge(Worker* w, Connection* c,
   if (s.ok()) {
     AppendSimpleString(&c->out, "OK");
   } else {
-    AppendError(&c->out, "ERR " + s.ToString());
+    AppendStatusError(&c->out, s);
   }
   FinishImmediateReply(c);
 }
@@ -1414,60 +1301,40 @@ void RespServer::MaybeActiveExpire(Worker* w) {
   }
   bool all_ok = true;
   uint64_t deleted = 0;
+  std::string val;
   for (size_t base = 0; base < hits.size(); base += kActiveExpireChunk) {
     const size_t limit = std::min(hits.size(), base + kActiveExpireChunk);
-    if (txn_supported_) {
-      // Validated path: txn.Get puts each key in the read set, so a SET
-      // racing between the lookup and the commit aborts the chunk (Busy)
-      // and the window is retried next cycle — an expired key can never
-      // clobber a concurrent refresh.
-      OptimisticTransaction txn(db_);
-      ReadOptions tro;
-      std::unique_ptr<Iterator> it = txn.NewIterator(tro);
-      size_t staged = 0;
-      std::string val;
-      for (size_t i = base; i < limit; i++) {
-        const std::string& key = hits[i].key;
-        if (!txn.Get(tro, key, &val).ok()) continue;  // already gone
-        it->Seek(key);  // txn.Get has no delete_key out-param; re-read it
-        if (!it->Valid() || !(it->key() == Slice(key))) continue;
-        const uint64_t dk = it->delete_key();
-        if (dk == 0 || dk > now) continue;  // refreshed with a later expiry
-        (void)txn.Delete(key);
-        staged++;
-      }
-      if (staged > 0) {
-        if (txn.Commit().ok()) {
-          deleted += staged;
-        } else {
-          all_ok = false;  // conflict: leave the window for a retry
-        }
-      } else {
-        (void)txn.Rollback();
-      }
-    } else {
-      // ShardedDB has no transactions: re-verify against latest and delete
-      // in one batch. A SET racing into the microseconds between re-check
-      // and commit can be lost, but only for a key already past its
-      // deadline — the refreshed value was racing its own expiration.
-      WriteBatch batch;
-      size_t staged = 0;
+    // Where the engine has transactions, each re-read joins the txn's
+    // validated read set, so a SET racing between the lookup and the
+    // commit aborts the chunk (Busy) and the window is retried next cycle
+    // — an expired key can never clobber a concurrent refresh. ShardedDB
+    // has none: the chunk re-verifies against latest and commits one
+    // batch, so a SET racing into the microseconds between re-check and
+    // commit can be lost, but only for a key already past its deadline.
+    std::optional<OptimisticTransaction> txn;
+    if (txn_supported_) txn.emplace(db_);
+    WriteBatch batch;
+    size_t staged = 0;
+    for (size_t i = base; i < limit; i++) {
+      const std::string& key = hits[i].key;
       uint64_t dk = 0;
-      std::string val;
-      for (size_t i = base; i < limit; i++) {
-        const std::string& key = hits[i].key;
-        Status g = db_->GetWithDeleteKey(ReadOptions(), key, &val, &dk);
-        if (!g.ok() || dk == 0 || dk > now) continue;
+      Status g = txn ? txn->GetWithDeleteKey(ReadOptions(), key, &val, &dk)
+                     : db_->GetWithDeleteKey(ReadOptions(), key, &val, &dk);
+      // Already gone, or refreshed with a later expiry.
+      if (!g.ok() || !IsExpired(dk, now)) continue;
+      if (txn) {
+        (void)txn->Delete(key);
+      } else {
         batch.Delete(key);
-        staged++;
       }
-      if (staged > 0) {
-        if (db_->Write(WriteOptions(), &batch).ok()) {
-          deleted += staged;
-        } else {
-          all_ok = false;
-        }
-      }
+      staged++;
+    }
+    if (staged == 0) continue;  // an unfinished txn rolls back on scope exit
+    Status cs = txn ? txn->Commit() : db_->Write(WriteOptions(), &batch);
+    if (cs.ok()) {
+      deleted += staged;
+    } else {
+      all_ok = false;  // conflict or failure: leave the window for a retry
     }
   }
   net_stats_.net_keys_expired_active.fetch_add(deleted,

@@ -19,12 +19,15 @@ namespace server {
 
 /// Front-end knobs. The fixed limits — request size, arguments per command,
 /// the per-turn batch caps, the expiry chunk and the shutdown drain timeout
-/// — are constants in server.cc. The engine itself is configured by the lethe::Options
-/// used to open the DB handed to RespServer; recommended serving setup is
-/// background mode (inline_compactions = false, so no request waits for a
-/// compaction), a memory budget, and — for multi-core boxes —
-/// num_shards > 1 (the server is shard-agnostic: ShardedDB hides routing
-/// behind the same DB interface).
+/// — are constants in server.cc, and so is the read rule: point reads always
+/// run at a per-connection snapshot pinned at the connection's first engine
+/// read of each event-loop turn and released at turn end. The engine itself
+/// is configured by the lethe::Options used to open the DB handed to
+/// RespServer; recommended serving setup is background mode
+/// (inline_compactions = false, so no request waits for a compaction), a
+/// memory budget, and — for multi-core boxes — num_shards > 1 (the server
+/// is shard-agnostic: ShardedDB hides routing behind the same DB
+/// interface).
 struct ServerOptions {
   /// IPv4 address to bind. Default: loopback.
   std::string host = "127.0.0.1";
@@ -49,13 +52,6 @@ struct ServerOptions {
   /// this is dropped (counted in net_slow_client_disconnects) — one
   /// unread SCAN firehose must not hold reply memory hostage.
   size_t max_output_buffer_bytes = 64ull << 20;
-
-  /// Read commands execute against a per-connection snapshot pinned at the
-  /// first read of each event-loop turn (a cross-shard consistent cut on
-  /// ShardedDB) and released at turn end — reads within one pipelined
-  /// drain are mutually consistent and include the connection's own
-  /// committed writes. false reads latest-committed without pinning.
-  bool snapshot_reads = true;
 
   /// Request a WAL sync for every coalesced batch (group commit still
   /// amortizes the sync across every writer in the commit group).
@@ -88,13 +84,14 @@ struct ServerOptions {
 ///     concurrently arriving workers' batches via leader/follower group
 ///     commit, so network batching multiplies WAL batching.
 ///   - Replies to staged writes are withheld until their batch commits
-///     (acknowledgement implies durability-as-configured). Point reads
-///     from a connection with staged writes are answered from a
-///     per-connection read-your-writes overlay instead of forcing the
-///     batch to commit, so mixed read/write pipelines still coalesce;
-///     only iterator-shaped commands (SCAN, DBSIZE, LETHE.PURGE) force
-///     the commit. Per-connection command order is preserved exactly,
-///     including when a commit fails mid-pipeline.
+///     (acknowledgement implies durability-as-configured). Every point
+///     command reads a key one way (ReadKey): the connection's
+///     read-your-writes overlay of staged writes first, then the engine,
+///     with expired deadlines treated as absent. Mixed read/write
+///     pipelines therefore still coalesce; only iterator-shaped commands
+///     (SCAN, DBSIZE, LETHE.PURGE) force the commit. Per-connection
+///     command order is preserved exactly, including when a commit fails
+///     mid-pipeline.
 ///   - TTLs map onto the engine's secondary delete key: the expiry
 ///     deadline in NowMicros, 0 = no expiry. Reads filter expired entries
 ///     lazily; worker 0 periodically harvests the expired delete-key
@@ -173,6 +170,7 @@ class RespServer {
   void FlushOutput(Worker* w, Connection* c);
   void CloseConnection(Worker* w, Connection* c);
   void DrainOnStop(Worker* w);
+  void ReleaseTurnSnapshots(Worker* w);
   void MaybeActiveExpire(Worker* w);
 
   void EnsureConnCommitted(Worker* w, Connection* c);
@@ -181,11 +179,18 @@ class RespServer {
   void ReleaseConnSnapshot(Connection* c);
   void StageWriteReply(Worker* w, Connection* c);
   void FinishImmediateReply(Connection* c);
-  void FinishWriteReply(Connection* c);
-  const StagedWrite* OverlayFind(Connection* c, const Slice& key) const;
-  void OverlayPut(Connection* c, const Slice& key, uint64_t delete_key,
-                  const Slice& value);
-  void OverlayDelete(Connection* c, const Slice& key);
+  void FinishWriteReply(Worker* w, Connection* c);
+
+  /// The one point read: the connection's overlay first, then the engine
+  /// (at the turn snapshot, or latest for read-modify-writes), and an
+  /// expired deadline reads as NotFound. On OK, *value points into the
+  /// overlay or the worker's scratch until the next ReadKey or commit.
+  Status ReadKey(Worker* w, Connection* c, const Slice& key, bool at_snapshot,
+                 uint64_t now, const std::string** value, uint64_t* dk);
+  void StagePut(Worker* w, Connection* c, const Slice& key,
+                uint64_t delete_key, const Slice& value);
+  bool StageDelete(Worker* w, Connection* c, const Slice& key);
+  uint64_t Deadline(uint64_t now, uint64_t amount, uint64_t unit);
   void Touch(Worker* w, Connection* c);
   void ProtocolError(Worker* w, Connection* c, const std::string& msg);
 
@@ -197,9 +202,9 @@ class RespServer {
   void CmdMGet(Worker* w, Connection* c, const std::vector<Slice>& argv);
   void CmdMSet(Worker* w, Connection* c, const std::vector<Slice>& argv);
   void CmdScan(Worker* w, Connection* c, const std::vector<Slice>& argv);
-  void CmdExpire(Worker* w, Connection* c, const std::vector<Slice>& argv);
+  void CmdExpireOrPersist(Worker* w, Connection* c,
+                          const std::vector<Slice>& argv, bool persist);
   void CmdTtl(Worker* w, Connection* c, const std::vector<Slice>& argv);
-  void CmdPersist(Worker* w, Connection* c, const std::vector<Slice>& argv);
   void CmdInfo(Worker* w, Connection* c, const std::vector<Slice>& argv);
   void CmdLethePurge(Worker* w, Connection* c,
                      const std::vector<Slice>& argv);

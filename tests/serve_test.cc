@@ -240,6 +240,11 @@ TEST_F(ServeTest, CommandSurface) {
   EXPECT_EQ(c.Cmd({"EXISTS", "k1", "missing", "k1"}), "2");
   EXPECT_EQ(c.Cmd({"DEL", "k1", "missing"}), "1");
   EXPECT_EQ(c.Cmd({"GET", "k1"}), "(nil)");
+  // Like Redis, EXISTS counts a repeated key every time, DEL only once.
+  EXPECT_EQ(c.Cmd({"SET", "dup", "v"}), "OK");
+  EXPECT_EQ(c.Cmd({"EXISTS", "dup", "dup"}), "2");
+  EXPECT_EQ(c.Cmd({"DEL", "dup", "dup"}), "1");
+  EXPECT_EQ(c.Cmd({"EXISTS", "dup"}), "0");
 
   EXPECT_EQ(c.Cmd({"MSET", "a", "1", "b", "2", "c", "3"}), "OK");
   EXPECT_EQ(c.Cmd({"MGET", "a", "missing", "c"}), "[1|(nil)|3]");
@@ -301,7 +306,8 @@ TEST_F(ServeTest, PipelinedRepliesStayInCommandOrder) {
 
   // Writes and reads interleaved in one burst: replies must arrive in
   // command order and every read must observe the connection's own
-  // preceding writes (the read forces the staged batch to commit).
+  // preceding writes (reads answer from the connection's overlay of
+  // staged writes, so the burst still commits as one batch).
   std::string pipeline;
   pipeline += EncodeCommand({"SET", "x", "1"});
   pipeline += EncodeCommand({"GET", "x"});
@@ -320,6 +326,48 @@ TEST_F(ServeTest, PipelinedRepliesStayInCommandOrder) {
   EXPECT_EQ(c.ReadReply(), "1");
   EXPECT_EQ(c.ReadReply(), "(nil)");
   EXPECT_EQ(c.ReadReply(), "9");
+}
+
+// One burst is one turn, so every read after the SET is answered from the
+// connection's staged, uncommitted writes: the overlay branch of each point
+// command, including the read halves of EXPIRE and PERSIST.
+TEST_F(ServeTest, PipelinedPointCommandsReadTheOverlay) {
+  ServerOptions so;
+  so.active_expire_interval_ms = 0;
+  StartServer(so);
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+
+  // (command, expected reply) in pipeline order.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> burst = {
+      {{"SET", "a", "1", "EX", "100"}, "OK"},
+      {{"TTL", "a"}, "100"},
+      {{"PERSIST", "a"}, "1"},
+      {{"TTL", "a"}, "-1"},
+      {{"PERSIST", "a"}, "0"},
+      {{"EXPIRE", "a", "50"}, "1"},
+      {{"TTL", "a"}, "50"},
+      {{"MGET", "a", "missing"}, "[1|(nil)]"},
+      {{"EXISTS", "a", "a", "missing"}, "2"},
+      {{"EXPIRE", "a", "0"}, "1"},
+      {{"EXISTS", "a"}, "0"},
+      {{"GET", "a"}, "(nil)"},
+      {{"TTL", "a"}, "-2"},
+      {{"EXPIRE", "a", "5"}, "0"},
+      {{"PERSIST", "a"}, "0"},
+  };
+  std::string wire;
+  for (const auto& [argv, reply] : burst) wire += EncodeCommand(argv);
+  const uint64_t batches_before =
+      server_->net_stats().net_batches_coalesced.load();
+  ASSERT_TRUE(c.SendRaw(wire));
+  for (size_t i = 0; i < burst.size(); i++) {
+    EXPECT_EQ(c.ReadReply(), burst[i].second) << "reply " << i;
+  }
+  // Every write of the burst committed as one batch: no read forced a
+  // mid-turn commit, so each read above went through the overlay.
+  EXPECT_EQ(server_->net_stats().net_batches_coalesced.load() - batches_before,
+            1u);
 }
 
 TEST_F(ServeTest, ShadowModelRandomizedWorkload) {
@@ -669,6 +717,44 @@ TEST_F(ServeTest, CommitFailureKeepsReplyOrder) {
   EXPECT_EQ(c.Cmd({"GET", "k3"}), "z");
   // The engine's background threads use `faulty`: stop them before it goes
   // out of scope, not in TearDown.
+  server_.reset();
+  db_.reset();
+}
+
+// An engine read error is an error reply from every point command, never
+// a missing key, and a read-modify-write that cannot read stages nothing.
+TEST_F(ServeTest, EngineReadErrorsAreNotMissingKeys) {
+  IoCountingEnv faulty(env_.get());
+  options_.env = &faulty;
+  ServerOptions so;
+  so.active_expire_interval_ms = 0;
+  StartServer(so);
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  ASSERT_EQ(c.Cmd({"SET", "k", "v", "EX", "100"}), "OK");
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+
+  FaultPolicy policy;
+  policy.fail_appends = false;
+  policy.fail_reads = true;
+  policy.path_substring = ".sst";
+  faulty.InjectFaults(policy);
+  const std::vector<std::vector<std::string>> commands = {
+      {"GET", "k"}, {"EXISTS", "k"}, {"TTL", "k"},
+      {"EXPIRE", "k", "5"}, {"PERSIST", "k"}, {"DEL", "k"}};
+  for (const auto& argv : commands) {
+    const std::string reply = c.Cmd(argv);
+    EXPECT_EQ(reply.rfind("(error) ERR ", 0), 0u) << argv[0] << ": " << reply;
+  }
+  const std::string mget = c.Cmd({"MGET", "k"});
+  EXPECT_EQ(mget.rfind("[(error) ERR ", 0), 0u) << mget;
+  faulty.ClearFaults();
+
+  // DEL, EXPIRE and PERSIST left the key and its deadline alone.
+  EXPECT_EQ(c.Cmd({"GET", "k"}), "v");
+  EXPECT_EQ(c.Cmd({"TTL", "k"}), "100");
+  EXPECT_EQ(server_->net_stats().net_batches_coalesced.load(), 1u);
   server_.reset();
   db_.reset();
 }

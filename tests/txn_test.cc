@@ -665,6 +665,31 @@ TEST_F(TxnTest, TxnReadYourOwnWrites) {
   ASSERT_TRUE(txn.Rollback().ok());
 }
 
+TEST_F(TxnTest, TxnGetWithDeleteKeyReadsStagedAndSnapshot) {
+  Open();
+  ASSERT_TRUE(Put(1, "committed", /*dk=*/77).ok());
+  ASSERT_TRUE(Put(2, "doomed").ok());
+
+  OptimisticTransaction txn(db_.get());
+  ASSERT_TRUE(Put(1, "after-snapshot", /*dk=*/88).ok());  // not visible
+  ASSERT_TRUE(txn.Put(EncodeKey(3), 33, "staged").ok());
+  ASSERT_TRUE(txn.Delete(EncodeKey(2)).ok());
+
+  std::string value;
+  uint64_t dk = 0;
+  ASSERT_TRUE(
+      txn.GetWithDeleteKey(ReadOptions(), EncodeKey(3), &value, &dk).ok());
+  EXPECT_EQ(value, "staged");
+  EXPECT_EQ(dk, 33u);
+  EXPECT_TRUE(txn.GetWithDeleteKey(ReadOptions(), EncodeKey(2), &value, &dk)
+                  .IsNotFound());
+  ASSERT_TRUE(
+      txn.GetWithDeleteKey(ReadOptions(), EncodeKey(1), &value, &dk).ok());
+  EXPECT_EQ(value, "committed");
+  EXPECT_EQ(dk, 77u);
+  ASSERT_TRUE(txn.Rollback().ok());
+}
+
 TEST_F(TxnTest, TxnReadOnlyCommitValidatesReads) {
   Open();
   ASSERT_TRUE(Put(1, "stable").ok());
