@@ -1,16 +1,26 @@
 #include "src/format/entry.h"
 
+#include <cstring>
+
 #include "src/util/coding.h"
 
 namespace lethe {
 
 void EncodeEntry(const ParsedEntry& entry, std::string* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(entry.user_key.size()));
-  dst->append(entry.user_key.data(), entry.user_key.size());
-  PutFixed64(dst, PackSeqAndType(entry.seq, entry.type));
-  PutFixed64(dst, entry.delete_key);
-  PutVarint32(dst, static_cast<uint32_t>(entry.value.size()));
-  dst->append(entry.value.data(), entry.value.size());
+  const size_t start = dst->size();
+  dst->resize(start + EncodedEntrySize(entry));
+  EncodeEntry(entry, dst->data() + start);
+}
+
+char* EncodeEntry(const ParsedEntry& entry, char* dst) {
+  dst = EncodeVarint32(dst, static_cast<uint32_t>(entry.user_key.size()));
+  memcpy(dst, entry.user_key.data(), entry.user_key.size());
+  dst += entry.user_key.size();
+  EncodeFixed64(dst, PackSeqAndType(entry.seq, entry.type));
+  EncodeFixed64(dst + 8, entry.delete_key);
+  dst = EncodeVarint32(dst + 16, static_cast<uint32_t>(entry.value.size()));
+  memcpy(dst, entry.value.data(), entry.value.size());
+  return dst + entry.value.size();
 }
 
 bool DecodeEntry(Slice* input, ParsedEntry* entry) {

@@ -74,6 +74,10 @@ inline ValueType UnpackType(uint64_t packed) {
 /// fixed64 delete_key | varint32 value_len | value. Appends to *dst.
 void EncodeEntry(const ParsedEntry& entry, std::string* dst);
 
+/// Writes the same bytes to dst[0, EncodedEntrySize(entry)), which the
+/// caller sized; returns a pointer just past them.
+char* EncodeEntry(const ParsedEntry& entry, char* dst);
+
 /// Parses one entry from the front of *input, advancing it. The resulting
 /// slices alias *input's storage.
 bool DecodeEntry(Slice* input, ParsedEntry* entry);

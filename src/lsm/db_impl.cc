@@ -851,12 +851,11 @@ std::vector<DBImpl::Writer*> DBImpl::BuildBatchGroup(Writer** last) {
 }
 
 template <typename Apply>
-Status DBImpl::LogApplyPublish(WalWriter* wal, const WalRecord* records,
-                               size_t n, bool sync, SequenceNumber last_seq,
-                               Apply&& apply) {
+Status DBImpl::LogApplyPublish(WalWriter* wal, const Slice& framed, bool sync,
+                               SequenceNumber last_seq, Apply&& apply) {
   if (wal != nullptr) {
     bool appended = false;
-    Status s = wal->AddRecords(records, n, sync, &appended);
+    Status s = wal->AddFramed(framed, sync, &appended);
     if (appended) {
       stats_.wal_appends.fetch_add(1, std::memory_order_relaxed);
     }
@@ -894,19 +893,23 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
     uint64_t delete_key;
   };
   std::vector<PendingOp> pending;
-  std::vector<WalRecord> records;
+  std::string framed;  // the group's WAL bytes, each op encoded once
   size_t total_ops = 0;
+  size_t total_bytes = 0;
   for (const Writer* writer : group) {
     total_ops += writer->batch->Count();
+    total_bytes += writer->batch->ApproximateBytes();
   }
   pending.reserve(total_ops);
   if (wal != nullptr) {
-    records.reserve(total_ops);
+    // Frame, fixed fields and length prefixes add ~40 bytes per op to its
+    // keys and value, so the buffer rarely regrows.
+    framed.reserve(total_bytes + 48 * total_ops);
   }
 
   // Pass 1: blind-delete filtering, statistics, sequence assignment, WAL
-  // record construction. `group_live` tracks the liveness outcome of keys
-  // written earlier in this group, so a Delete after a Put of the same key
+  // encoding. `group_live` tracks the liveness outcome of keys written
+  // earlier in this group, so a Delete after a Put of the same key
   // is judged against the batch, not the stale snapshot. It is only
   // maintained when the filter is on — the default write path stays free of
   // per-op map inserts.
@@ -967,7 +970,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
       }
       pending.push_back({&op, seq, delete_key});
       if (wal != nullptr) {
-        WalRecord record;
+        WalRecordView record;
         record.kind = static_cast<WalRecord::Kind>(op.kind);
         record.seq = seq;
         record.time = now;
@@ -975,7 +978,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
         record.end_key = op.end_key;
         record.delete_key = delete_key;
         record.value = op.value;
-        records.push_back(std::move(record));
+        AppendWalRecord(record, &framed);
       }
     }
   }
@@ -988,7 +991,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   // memtable in order. Every writer in the group fails with a WAL error
   // (CompleteGroup propagates it to all members).
   LETHE_RETURN_IF_ERROR(LogApplyPublish(
-      wal, records.data(), records.size(), force_sync, next_seq, [&] {
+      wal, framed, force_sync, next_seq, [&] {
         for (const PendingOp& p : pending) {
           const WriteBatch::Op& op = *p.op;
           ApplyToMemTable(snap.mem.get(), op.kind, p.seq, now, op.key,
@@ -2251,12 +2254,14 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
   // request like any other write — an acknowledged delete must not vanish
   // in a torn WAL tail. The same commit protocol as a write group; with the
   // WAL off nothing is logged and the purge takes no sequence.
-  WalRecord record;
+  WalRecordView record;
   record.kind = WalRecord::Kind::kSecondaryRangeDelete;
   record.seq = versions_->LastSequence() + (wal_ != nullptr ? 1 : 0);
   record.time = options_.clock->NowMicros();
   record.delete_key = delete_key_begin;
   record.delete_key_end = delete_key_end;
+  std::string framed;
+  AppendWalRecord(record, &framed);
   // The active memtable is mutable, so buffered entries are purged in place
   // (no tombstones needed). Requires the write token.
   auto purge = [&] {
@@ -2264,8 +2269,8 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
         mem_->PurgeDeleteKeyRange(delete_key_begin, delete_key_end),
         std::memory_order_relaxed);
   };
-  Status s = LogApplyPublish(wal_.get(), &record, 1, options.sync,
-                             record.seq, purge);
+  Status s = LogApplyPublish(wal_.get(), framed, options.sync, record.seq,
+                             purge);
   if (!s.ok()) {
     RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
   }

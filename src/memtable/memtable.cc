@@ -30,15 +30,39 @@ inline void MarkPurged(char* record) {
       .store(kPurged, std::memory_order_release);
 }
 
+/// The internal key of a record: its user key, returned, and its seq. Reads
+/// the key length, the key and the (seq, type) trailer, nothing after.
+inline Slice RecordKey(const char* record, SequenceNumber* seq) {
+  const char* p = record + 1;
+  uint32_t key_len = static_cast<uint8_t>(*p);
+  if (key_len < 0x80) {
+    p++;
+  } else {
+    p = GetVarint32Ptr(p, p + 5, &key_len);
+  }
+  *seq = UnpackSeq(DecodeFixed64(p + key_len));
+  return Slice(p, key_len);
+}
+
+/// A seek target: flag | key length | key | (seq, type) trailer — the part
+/// of a record KeyComparator reads.
+void EncodeProbe(const Slice& user_key, SequenceNumber seq, std::string* dst) {
+  dst->clear();
+  dst->push_back(static_cast<char>(kLive));
+  PutVarint32(dst, static_cast<uint32_t>(user_key.size()));
+  dst->append(user_key.data(), user_key.size());
+  PutFixed64(dst, PackSeqAndType(seq, ValueType::kValue));
+}
+
 }  // namespace
 
 int MemTable::KeyComparator::operator()(const char* a, const char* b) const {
-  // Both records are well-formed (we encoded them); decode key and seq.
-  ParsedEntry ea, eb;
-  // Length bound: entries are self-delimiting, pass a generous cap.
-  DecodeRecord(a, &ea, SIZE_MAX / 2);
-  DecodeRecord(b, &eb, SIZE_MAX / 2);
-  return CompareInternal(ea, eb);
+  // Both records are well-formed (we encoded them): compare internal keys
+  // without decoding the delete key or the value.
+  SequenceNumber seq_a, seq_b;
+  const Slice key_a = RecordKey(a, &seq_a);
+  const Slice key_b = RecordKey(b, &seq_b);
+  return CompareInternal(key_a, seq_a, key_b, seq_b);
 }
 
 MemTable::MemTable()
@@ -67,13 +91,10 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   entry.type = type;
   entry.value = value;
 
-  std::string encoded;
-  encoded.reserve(1 + EncodedEntrySize(entry));
-  encoded.push_back(static_cast<char>(kLive));
-  EncodeEntry(entry, &encoded);
-
-  char* record = arena_.Allocate(encoded.size());
-  memcpy(record, encoded.data(), encoded.size());
+  // Encoded once, in place in the arena.
+  char* record = arena_.Allocate(1 + EncodedEntrySize(entry));
+  record[0] = static_cast<char>(kLive);
+  EncodeEntry(entry, record + 1);
   table_.Insert(record);
   num_entries_.fetch_add(1, std::memory_order_release);
   if (type == ValueType::kTombstone) {
@@ -177,16 +198,11 @@ bool MemTable::Get(const Slice& user_key, ParsedEntry* entry,
                    SequenceNumber max_seq) const {
   // Seek to the first record with this user key and seq <= max_seq; records
   // for the same key are ordered newest-first.
-  ParsedEntry probe;
-  probe.user_key = user_key;
-  probe.seq = max_seq;
-  probe.type = ValueType::kValue;
-  std::string encoded;
-  encoded.push_back(static_cast<char>(kLive));
-  EncodeEntry(probe, &encoded);
+  std::string probe;
+  EncodeProbe(user_key, max_seq, &probe);
 
   SkipList<KeyComparator>::Iterator it(&table_);
-  it.Seek(encoded.data());
+  it.Seek(probe.data());
   while (it.Valid()) {
     ParsedEntry candidate;
     if (!DecodeRecord(it.key(), &candidate, SIZE_MAX / 2)) {
@@ -263,13 +279,7 @@ class MemTableIterator final : public InternalIterator {
   }
 
   void Seek(const Slice& target) override {
-    ParsedEntry probe;
-    probe.user_key = target;
-    probe.seq = kMaxSequenceNumber;
-    probe.type = ValueType::kValue;
-    encoded_probe_.clear();
-    encoded_probe_.push_back(static_cast<char>(kLive));
-    EncodeEntry(probe, &encoded_probe_);
+    EncodeProbe(target, kMaxSequenceNumber, &encoded_probe_);
     iter_.Seek(encoded_probe_.data());
     SkipDead();
   }

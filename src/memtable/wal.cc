@@ -1,24 +1,45 @@
 #include "src/memtable/wal.h"
 
-#include <vector>
+#include <cstring>
 
 #include "src/util/coding.h"
 
 namespace lethe {
 
-void EncodeWalRecord(const WalRecord& record, std::string* dst) {
-  dst->push_back(static_cast<char>(record.kind));
-  PutFixed64(dst, record.seq);
-  PutFixed64(dst, record.time);
-  PutLengthPrefixedSlice(dst, record.key);
-  PutLengthPrefixedSlice(dst, record.end_key);
-  PutFixed64(dst, record.delete_key);
-  PutLengthPrefixedSlice(dst, record.value);
-  if (record.kind == WalRecord::Kind::kSecondaryRangeDelete) {
-    // Appended only for this kind: the classic record kinds stay
-    // byte-identical to their original encoding.
-    PutFixed64(dst, record.delete_key_end);
-  }
+namespace {
+
+char* EncodeLengthPrefixed(char* dst, const Slice& value) {
+  dst = EncodeVarint32(dst, static_cast<uint32_t>(value.size()));
+  memcpy(dst, value.data(), value.size());
+  return dst + value.size();
+}
+
+}  // namespace
+
+void AppendWalRecord(const WalRecordView& record, std::string* framed) {
+  // kind | fixed64 seq | fixed64 time | key | end_key | fixed64 delete_key |
+  // value, the three slices length-prefixed; kind 4 then appends fixed64
+  // delete_key_end. Only that kind carries the trailer, so the classic
+  // record kinds stay byte-identical to their original encoding.
+  const bool has_end =
+      record.kind == WalRecord::Kind::kSecondaryRangeDelete;
+  const size_t len = 1 + 8 + 8 + VarintLength(record.key.size()) +
+                     record.key.size() + VarintLength(record.end_key.size()) +
+                     record.end_key.size() + 8 +
+                     VarintLength(record.value.size()) + record.value.size() +
+                     (has_end ? 8 : 0);
+  AppendFrame(framed, len, [&](char* p) {
+    *p++ = static_cast<char>(record.kind);
+    EncodeFixed64(p, record.seq);
+    EncodeFixed64(p + 8, record.time);
+    p = EncodeLengthPrefixed(p + 16, record.key);
+    p = EncodeLengthPrefixed(p, record.end_key);
+    EncodeFixed64(p, record.delete_key);
+    p = EncodeLengthPrefixed(p + 8, record.value);
+    if (has_end) {
+      EncodeFixed64(p, record.delete_key_end);
+    }
+  });
 }
 
 bool DecodeWalRecord(Slice input, WalRecord* record) {
@@ -49,21 +70,13 @@ bool DecodeWalRecord(Slice input, WalRecord* record) {
   return true;
 }
 
-Status WalWriter::AddRecord(const WalRecord& record) {
-  std::string payload;
-  EncodeWalRecord(record, &payload);
-  return log_.AddRecord(payload);
-}
-
 Status WalWriter::AddRecords(const WalRecord* records, size_t n, bool sync,
                              bool* appended) {
-  std::vector<std::string> payloads(n);
-  std::vector<Slice> slices(n);
+  std::string framed;
   for (size_t i = 0; i < n; i++) {
-    EncodeWalRecord(records[i], &payloads[i]);
-    slices[i] = Slice(payloads[i]);
+    AppendWalRecord(WalRecordView(records[i]), &framed);
   }
-  return log_.AddRecords(slices.data(), n, sync, appended);
+  return AddFramed(framed, sync, appended);
 }
 
 bool WalReader::ReadRecord(WalRecord* record, Status* status) {

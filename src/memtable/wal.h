@@ -43,6 +43,35 @@ struct WalRecord {
   uint64_t delete_key_end = 0;  // kind 4 only (not encoded otherwise)
 };
 
+/// The fields of one WAL record, borrowed rather than owned: the input of
+/// the one WAL encoder. The write path views a batch op through it, so a
+/// group commit encodes each op straight into the group's framed buffer.
+struct WalRecordView {
+  WalRecord::Kind kind = WalRecord::Kind::kPut;
+  SequenceNumber seq = 0;
+  uint64_t time = 0;
+  Slice key;
+  Slice end_key;
+  uint64_t delete_key = 0;
+  Slice value;
+  uint64_t delete_key_end = 0;  // kind 4 only
+
+  WalRecordView() = default;
+  explicit WalRecordView(const WalRecord& r)
+      : kind(r.kind),
+        seq(r.seq),
+        time(r.time),
+        key(r.key),
+        end_key(r.end_key),
+        delete_key(r.delete_key),
+        value(r.value),
+        delete_key_end(r.delete_key_end) {}
+};
+
+/// Appends `record` to *framed as one record-log frame: the WAL encoding of
+/// its fields, written in place inside the frame.
+void AppendWalRecord(const WalRecordView& record, std::string* framed);
+
 /// Typed wrapper over the shared CRC-framed record log.
 class WalWriter {
  public:
@@ -50,15 +79,23 @@ class WalWriter {
       : log_(std::move(file), /*sync_on_write=*/false) {}
 
   /// Appends one record without syncing (WAL replay's rewrite).
-  Status AddRecord(const WalRecord& record);
+  Status AddRecord(const WalRecord& record) {
+    return AddRecords(&record, 1, /*sync=*/false);
+  }
 
-  /// Group-commit append: logs `n` records with one physical Append, then
-  /// one Sync when `sync` is set (WriteOptions::sync). Byte-identical to n
-  /// sequential AddRecord calls. `appended` (optional) reports whether bytes
-  /// may have reached the log even when the returned status is an error
-  /// (Append succeeded, Sync failed) — see RecordLogWriter::AddRecords.
+  /// Logs `n` records with one physical Append, then one Sync when `sync`
+  /// is set. Byte-identical to n sequential AddRecord calls.
   Status AddRecords(const WalRecord* records, size_t n, bool sync,
                     bool* appended = nullptr);
+
+  /// Group-commit append: writes records framed by AppendWalRecord with one
+  /// physical Append, then one Sync when `sync` is set
+  /// (WriteOptions::sync). `appended` (optional) reports whether bytes may
+  /// have reached the log even when the returned status is an error
+  /// (Append succeeded, Sync failed) — see RecordLogWriter::AddFramed.
+  Status AddFramed(const Slice& framed, bool sync, bool* appended = nullptr) {
+    return log_.AddFramed(framed, sync, appended);
+  }
 
   Status Close() { return log_.Close(); }
 
@@ -80,7 +117,6 @@ class WalReader {
   std::string buffer_;
 };
 
-void EncodeWalRecord(const WalRecord& record, std::string* dst);
 bool DecodeWalRecord(Slice input, WalRecord* record);
 
 }  // namespace lethe

@@ -62,8 +62,6 @@ int VarintLength(uint64_t value) {
   return len;
 }
 
-namespace {
-
 const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value) {
   uint32_t result = 0;
   for (uint32_t shift = 0; shift <= 28 && p < limit; shift += 7) {
@@ -79,6 +77,8 @@ const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value) {
   }
   return nullptr;
 }
+
+namespace {
 
 const char* GetVarint64Ptr(const char* p, const char* limit, uint64_t* value) {
   uint64_t result = 0;

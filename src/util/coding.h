@@ -55,6 +55,10 @@ int VarintLength(uint64_t value);
 char* EncodeVarint32(char* dst, uint32_t value);
 char* EncodeVarint64(char* dst, uint64_t value);
 
+/// Decodes a varint32 from [p, limit). Returns a pointer just past it, or
+/// null on malformed or truncated input.
+const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value);
+
 }  // namespace lethe
 
 #endif  // LETHE_UTIL_CODING_H_

@@ -8,8 +8,18 @@ namespace lethe {
 namespace crc32c {
 
 /// Returns the CRC32C (Castagnoli polynomial) of data[0, n-1], continuing
-/// from `init_crc` (the CRC of a preceding byte stretch, or 0).
+/// from `init_crc` (the CRC of a preceding byte stretch, or 0). Uses the
+/// CPU's crc32 instruction when HardwareAccelerated(), the table loop of
+/// ExtendPortable otherwise; both give the same bits.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The one-byte-at-a-time table loop: Extend's path on CPUs without a CRC
+/// instruction, and the reference its hardware path is tested against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+/// True when Extend runs on the CPU's crc32 instruction (x86-64 with
+/// SSE4.2). Checked once per process.
+bool HardwareAccelerated();
 
 /// CRC32C of data[0, n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

@@ -1,5 +1,8 @@
 #include "src/util/record_log.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 
@@ -7,42 +10,26 @@ namespace lethe {
 
 namespace {
 
-void FrameRecord(const Slice& payload, std::string* dst) {
-  PutFixed32(dst,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutVarint32(dst, static_cast<uint32_t>(payload.size()));
-  dst->append(payload.data(), payload.size());
-}
+// Payload bytes RecordLogReader reads (and allocates) per step.
+constexpr size_t kReadChunk = 64 << 10;
 
 }  // namespace
 
 Status RecordLogWriter::AddRecord(const Slice& payload) {
   std::string framed;
-  framed.reserve(9 + payload.size());
-  FrameRecord(payload, &framed);
-  LETHE_RETURN_IF_ERROR(file_->Append(framed));
-  if (sync_) {
-    return file_->Sync();
-  }
-  return Status::OK();
+  AppendFrame(&framed, payload.size(), [&](char* dst) {
+    memcpy(dst, payload.data(), payload.size());
+  });
+  return AddFramed(framed, /*force_sync=*/false);
 }
 
-Status RecordLogWriter::AddRecords(const Slice* payloads, size_t n,
-                                   bool force_sync, bool* appended) {
+Status RecordLogWriter::AddFramed(const Slice& framed, bool force_sync,
+                                  bool* appended) {
   if (appended != nullptr) {
     *appended = false;
   }
-  if (n == 0) {
+  if (framed.empty()) {
     return Status::OK();
-  }
-  size_t total = 0;
-  for (size_t i = 0; i < n; i++) {
-    total += 9 + payloads[i].size();
-  }
-  std::string framed;
-  framed.reserve(total);
-  for (size_t i = 0; i < n; i++) {
-    FrameRecord(payloads[i], &framed);
   }
   LETHE_RETURN_IF_ERROR(file_->Append(framed));
   if (appended != nullptr) {
@@ -86,18 +73,26 @@ bool RecordLogReader::ReadRecord(std::string* record, Status* status) {
     shift += 7;
   }
 
-  record->resize(len);
-  Slice data;
-  s = file_->Read(len, &data, record->data());
-  if (!s.ok()) {
-    *status = s;
-    return false;
-  }
-  if (data.size() < len) {
-    return false;  // torn tail
-  }
-  if (data.data() != record->data()) {
-    memcpy(record->data(), data.data(), len);
+  // Grow the record only as payload arrives: a damaged length can claim up
+  // to 4 GiB, and sizing the buffer from it before reading would allocate
+  // that much for a log that ends a few bytes later.
+  record->clear();
+  while (record->size() < len) {
+    const size_t have = record->size();
+    const size_t want = std::min<size_t>(kReadChunk, len - have);
+    record->resize(have + want);
+    Slice data;
+    s = file_->Read(want, &data, record->data() + have);
+    if (!s.ok()) {
+      *status = s;
+      return false;
+    }
+    if (data.data() != record->data() + have) {
+      memcpy(record->data() + have, data.data(), data.size());
+    }
+    if (data.size() < want) {
+      return false;  // torn tail
+    }
   }
   if (crc32c::Unmask(masked_crc) !=
       crc32c::Value(record->data(), record->size())) {

@@ -5,32 +5,49 @@
 #include <string>
 
 #include "src/env/env.h"
+#include "src/util/coding.h"
+#include "src/util/crc32c.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
 
 namespace lethe {
 
-/// CRC-framed append-only record log, shared by the WAL and the MANIFEST:
-///   fixed32 masked_crc(payload) | varint32 len | payload
+// CRC-framed append-only record log, shared by the WAL and the MANIFEST:
+//   fixed32 masked_crc(payload) | varint32 len | payload
+
+/// Appends one frame to *dst; the only writer of the frame layout.
+/// `encode(char* payload)` writes exactly `len` payload bytes in place, so a
+/// caller that knows its payload size frames it without a staging copy.
+template <typename Encode>
+void AppendFrame(std::string* dst, size_t len, Encode&& encode) {
+  const size_t start = dst->size();
+  dst->resize(start + 4 + VarintLength(len) + len);
+  char* header = dst->data() + start;
+  char* payload = EncodeVarint32(header + 4, static_cast<uint32_t>(len));
+  encode(payload);
+  EncodeFixed32(header, crc32c::Mask(crc32c::Value(payload, len)));
+}
+
 class RecordLogWriter {
  public:
   RecordLogWriter(std::unique_ptr<WritableFile> file, bool sync_on_write)
       : file_(std::move(file)), sync_(sync_on_write) {}
 
+  /// Frames and appends one payload (then syncs in sync mode).
   Status AddRecord(const Slice& payload);
 
-  /// Frames `n` payloads into one buffer and issues a single Append (and a
-  /// single Sync when `force_sync` or the writer's sync mode is set). The
-  /// bytes written are identical to n sequential AddRecord calls — this is
-  /// the group-commit fast path.
+  /// Appends `framed` — one or more frames laid down by AppendFrame — with
+  /// a single Append, then a single Sync when `force_sync` or the writer's
+  /// sync mode is set. This is the group-commit path: the bytes are those
+  /// of one AddRecord per frame.
   ///
   /// `appended` (optional) reports whether any bytes may have reached the
   /// file: set true once the Append succeeds, so a subsequent Sync failure
   /// still reports appended=true. Callers that allocate sequence numbers
   /// before logging use this to decide whether the numbers must be burned
   /// (bytes on disk could replay) or may be reused (nothing was written).
-  Status AddRecords(const Slice* payloads, size_t n, bool force_sync,
-                    bool* appended = nullptr);
+  Status AddFramed(const Slice& framed, bool force_sync,
+                   bool* appended = nullptr);
 
   Status Sync() { return file_->Sync(); }
   Status Close() { return file_->Close(); }

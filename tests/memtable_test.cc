@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/env/env.h"
 #include "src/format/file_meta.h"
@@ -126,6 +128,109 @@ TEST(MemTableTest, IteratorOrderedNewestVersionFirst) {
   EXPECT_EQ(it->entry().seq, 1u);
   it->Next();
   EXPECT_FALSE(it->Valid());
+}
+
+// The skiplist compares records by key length, key and (seq, type) trailer
+// alone. Its order must still be the internal-key order of the fully
+// decoded entries, across prefix keys, the 1-to-2-byte varint boundary of
+// the key length (127/128), bytes above 0x7f, and one key at many seqs.
+TEST(MemTableTest, KeyOnlyComparatorKeepsInternalKeyOrder) {
+  Random rnd(2024);
+  std::vector<std::string> keys;
+  for (size_t len : {0, 1, 127, 128, 129, 300}) {
+    keys.push_back(std::string(len, 'x'));  // each a prefix of the next
+  }
+  keys.push_back("x\xff");
+  keys.push_back("x\x80y");
+  for (int i = 0; i < 300; i++) {
+    std::string key(rnd.Uniform(12), '\0');
+    for (char& c : key) {
+      // A small alphabet makes prefixes and shared stems common; every
+      // fifth key also draws bytes above 0x7f.
+      c = i % 5 == 0 ? static_cast<char>(rnd.Uniform(256))
+                     : static_cast<char>('a' + rnd.Uniform(3));
+    }
+    keys.push_back(key);
+  }
+  const std::string hot = "hot";
+  for (int i = 0; i < 20; i++) {
+    keys.push_back(hot);
+  }
+
+  // Unique seqs handed out in shuffled order, so versions of a key arrive
+  // in no particular seq order.
+  std::vector<SequenceNumber> seqs(keys.size());
+  for (size_t i = 0; i < seqs.size(); i++) {
+    seqs[i] = i + 1;
+  }
+  for (size_t i = seqs.size() - 1; i > 0; i--) {
+    std::swap(seqs[i], seqs[rnd.Uniform(i + 1)]);
+  }
+
+  struct Expected {
+    std::string key;
+    SequenceNumber seq;
+    ValueType type;
+    uint64_t delete_key;
+    std::string value;
+  };
+  std::vector<Expected> expected;
+  MemTable mem;
+  for (size_t i = 0; i < keys.size(); i++) {
+    const ValueType type =
+        rnd.Uniform(4) == 0 ? ValueType::kTombstone : ValueType::kValue;
+    const std::string value =
+        type == ValueType::kValue ? std::string(rnd.Uniform(200), 'v') : "";
+    const uint64_t delete_key = rnd.Next();
+    mem.Add(seqs[i], type, keys[i], delete_key, value, 0);
+    expected.push_back({keys[i], seqs[i], type, delete_key, value});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Expected& a, const Expected& b) {
+              return CompareInternal(Slice(a.key), a.seq, Slice(b.key),
+                                     b.seq) < 0;
+            });
+
+  auto it = mem.NewIterator();
+  size_t i = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next(), i++) {
+    ASSERT_LT(i, expected.size());
+    const ParsedEntry& e = it->entry();
+    EXPECT_EQ(e.user_key.ToString(), expected[i].key) << i;
+    EXPECT_EQ(e.seq, expected[i].seq) << i;
+    EXPECT_EQ(e.type, expected[i].type) << i;
+    EXPECT_EQ(e.delete_key, expected[i].delete_key) << i;
+    EXPECT_EQ(e.value.ToString(), expected[i].value) << i;
+  }
+  EXPECT_EQ(i, expected.size());
+
+  // Get returns each key's newest version; the sorted list holds it first.
+  for (size_t j = 0; j < expected.size(); j++) {
+    if (j > 0 && expected[j].key == expected[j - 1].key) {
+      continue;
+    }
+    ParsedEntry e;
+    ASSERT_TRUE(mem.Get(expected[j].key, &e)) << j;
+    EXPECT_EQ(e.seq, expected[j].seq) << j;
+    EXPECT_EQ(e.type, expected[j].type) << j;
+  }
+
+  // Snapshot reads of the many-version key land on the newest seq at or
+  // below the bound.
+  std::vector<SequenceNumber> hot_seqs;
+  for (const Expected& e : expected) {
+    if (e.key == hot) {
+      hot_seqs.push_back(e.seq);  // newest first
+    }
+  }
+  ASSERT_EQ(hot_seqs.size(), 20u);
+  for (size_t j = 0; j < hot_seqs.size(); j++) {
+    ParsedEntry e;
+    ASSERT_TRUE(mem.Get(hot, &e, hot_seqs[j]));
+    EXPECT_EQ(e.seq, hot_seqs[j]);
+  }
+  ParsedEntry none;
+  EXPECT_FALSE(mem.Get(hot, &none, hot_seqs.back() - 1));
 }
 
 TEST(MemTableTest, PurgeDeleteKeyRange) {
@@ -308,6 +413,85 @@ TEST(WalTest, RecordRoundTrip) {
   EXPECT_EQ(record.end_key, "z");
 
   EXPECT_FALSE(reader.ReadRecord(&record, &status));
+  EXPECT_TRUE(status.ok());
+}
+
+// The group-commit append must lay down exactly the bytes of one AddRecord
+// per record, across every record kind and the varint boundaries in the
+// payload, and WalReader must read each record back.
+TEST(WalTest, GroupAppendIsByteIdenticalToSingleAppends) {
+  std::vector<WalRecord> records(5);
+  records[0].kind = WalRecord::Kind::kPut;
+  records[0].seq = 7;
+  records[0].time = 1001;
+  records[0].key = std::string(200, 'k');  // 2-byte varint key length
+  records[0].delete_key = 0x0102030405060708ull;
+  records[0].value = "value";
+  records[1].kind = WalRecord::Kind::kPut;
+  records[1].seq = 8;
+  records[1].time = 1002;
+  records[1].key = "empty-value";
+  records[1].delete_key = 9;
+  records[2].kind = WalRecord::Kind::kDelete;
+  records[2].seq = 9;
+  records[2].time = 1003;
+  records[2].key = "gone";
+  records[2].delete_key = 1003;
+  records[3].kind = WalRecord::Kind::kRangeDelete;
+  records[3].seq = 10;
+  records[3].time = 1004;
+  records[3].key = "a";
+  records[3].end_key = "m";
+  records[4].kind = WalRecord::Kind::kSecondaryRangeDelete;
+  records[4].seq = 11;
+  records[4].time = 1005;
+  records[4].delete_key = 100;
+  records[4].delete_key_end = 200;
+
+  auto env = NewMemEnv();
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(env->NewWritableFile("single", &wf).ok());
+  {
+    WalWriter writer(std::move(wf));
+    for (const WalRecord& r : records) {
+      ASSERT_TRUE(writer.AddRecord(r).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  ASSERT_TRUE(env->NewWritableFile("group", &wf).ok());
+  {
+    WalWriter writer(std::move(wf));
+    bool appended = false;
+    ASSERT_TRUE(
+        writer.AddRecords(records.data(), records.size(), false, &appended)
+            .ok());
+    EXPECT_TRUE(appended);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  std::string single, group;
+  ASSERT_TRUE(ReadFileToString(env.get(), "single", &single).ok());
+  ASSERT_TRUE(ReadFileToString(env.get(), "group", &group).ok());
+  EXPECT_EQ(single, group);
+
+  std::unique_ptr<SequentialFile> sf;
+  ASSERT_TRUE(env->NewSequentialFile("group", &sf).ok());
+  WalReader reader(std::move(sf));
+  for (const WalRecord& want : records) {
+    WalRecord got;
+    Status status;
+    ASSERT_TRUE(reader.ReadRecord(&got, &status)) << status.ToString();
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_EQ(got.end_key, want.end_key);
+    EXPECT_EQ(got.delete_key, want.delete_key);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.delete_key_end, want.delete_key_end);
+  }
+  WalRecord extra;
+  Status status;
+  EXPECT_FALSE(reader.ReadRecord(&extra, &status));
   EXPECT_TRUE(status.ok());
 }
 

@@ -150,6 +150,55 @@ TEST(Crc32cTest, MaskUnmaskRoundTrip) {
   EXPECT_EQ(crc, crc32c::Unmask(crc32c::Mask(crc)));
 }
 
+// RFC 3720 §B.4 test vectors, plus the customary "123456789" check value.
+TEST(Crc32cTest, KnownAnswers) {
+  std::string buf(32, '\0');
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x8a9136aau);
+  buf.assign(32, '\xff');
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x62a8ab43u);
+  for (int i = 0; i < 32; i++) {
+    buf[i] = static_cast<char>(i);
+  }
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x46dd794eu);
+  for (int i = 0; i < 32; i++) {
+    buf[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(crc32c::Value(buf.data(), buf.size()), 0x113fdb5cu);
+  EXPECT_EQ(crc32c::Value("123456789", 9), 0xe3069283u);
+  for (const auto& extend : {crc32c::ExtendPortable, crc32c::Extend}) {
+    EXPECT_EQ(extend(0, "123456789", 9), 0xe3069283u);
+  }
+}
+
+// The dispatched Extend (hardware where present) must give the portable
+// loop's bits at every length, start alignment and starting CRC.
+TEST(Crc32cTest, DispatchMatchesPortableLoop) {
+  Random rnd(301);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rnd.Uniform(256));
+  }
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t n = 0; n <= 1024; n++) {
+      const uint32_t init = static_cast<uint32_t>(rnd.Next());
+      const char* data = buf.data() + align;
+      ASSERT_EQ(crc32c::Extend(init, data, n),
+                crc32c::ExtendPortable(init, data, n))
+          << "align " << align << " n " << n << " init " << init;
+    }
+  }
+}
+
+TEST(Crc32cTest, HardwareAcceleratedMatchesCpu) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32c::HardwareAccelerated(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(crc32c::HardwareAccelerated());
+#endif
+}
+
 TEST(HashTest, DeterministicAndSeedSensitive) {
   uint64_t h1 = MurmurHash64("key", 3, 1);
   EXPECT_EQ(h1, MurmurHash64("key", 3, 1));
@@ -347,6 +396,36 @@ TEST(RecordLogTest, CorruptPayloadDetected) {
   Status status;
   EXPECT_FALSE(reader.ReadRecord(&record, &status));
   EXPECT_TRUE(status.IsCorruption());
+}
+
+// A damaged length varint claiming ~1 GiB must not size the record buffer
+// before the bytes exist: the reader grows the record only as payload
+// arrives, so a 4-byte tail costs no more than its own size.
+TEST(RecordLogTest, CorruptLengthDoesNotAllocate) {
+  auto env = NewMemEnv();
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(env->NewWritableFile("log", &wf).ok());
+  {
+    RecordLogWriter writer(std::move(wf), false);
+    ASSERT_TRUE(writer.AddRecord("first record").ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env.get(), "log", &contents).ok());
+  // masked crc | varint 1 GiB (80 80 80 80 04) | 4 payload bytes.
+  contents.append("\x11\x22\x33\x44\x80\x80\x80\x80\x04tail", 13);
+  ASSERT_TRUE(WriteStringToFile(env.get(), contents, "log").ok());
+
+  std::unique_ptr<SequentialFile> sf;
+  ASSERT_TRUE(env->NewSequentialFile("log", &sf).ok());
+  RecordLogReader reader(std::move(sf));
+  std::string record;
+  Status status;
+  ASSERT_TRUE(reader.ReadRecord(&record, &status));
+  EXPECT_EQ(record, "first record");
+  EXPECT_FALSE(reader.ReadRecord(&record, &status));
+  EXPECT_TRUE(status.ok());  // a torn tail, not corruption
+  EXPECT_LT(record.capacity(), 1u << 20);
 }
 
 TEST(StatisticsTest, EveryFieldCopiesAndMerges) {
