@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark) for the engine's hot paths: hashing
 // (validating the paper's ~80ns MurmurHash figure from §4.2.4), CRC32C,
 // Bloom filter build/probe, skiplist insert/lookup, page encode/decode,
-// SSTable build, and memtable-backed point reads.
+// SSTable build (in memory, and written and synced through PosixEnv), and
+// memtable-backed point reads.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,34 +126,89 @@ void BM_PageEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_PageEncodeDecode);
 
+// Entries of 16-byte keys and 104-byte values (130 bytes encoded), delete
+// keys scattered, added in key order as a flush adds them.
+struct TableInput {
+  explicit TableInput(int entries) : value(104, 'v') {
+    for (int i = 0; i < entries; i++) {
+      keys.push_back(EncodeKey(i));
+    }
+  }
+
+  void AddTo(SSTableBuilder* builder) const {
+    for (size_t i = 0; i < keys.size(); i++) {
+      ParsedEntry entry;
+      entry.user_key = Slice(keys[i]);
+      entry.delete_key = 0x9e3779b97f4a7c15ull * i;
+      entry.seq = i;
+      entry.value = Slice(value);
+      builder->Add(entry);
+    }
+  }
+
+  std::vector<std::string> keys;
+  std::string value;
+};
+
+// Args: B (0 = uncapped, the default layout) and h.
 void BM_SSTableBuild(benchmark::State& state) {
-  const uint32_t h = static_cast<uint32_t>(state.range(0));
   auto env = NewMemEnv();
   TableOptions options;
-  options.entries_per_page = 16;
-  options.pages_per_tile = h;
-  std::string value(104, 'v');
-  const int n = 4096;
+  if (state.range(0) > 0) {
+    options.entries_per_page = static_cast<uint32_t>(state.range(0));
+  }
+  options.pages_per_tile = static_cast<uint32_t>(state.range(1));
+  const TableInput input(4096);
+  uint64_t table_bytes = 0;
   for (auto _ : state) {
     std::unique_ptr<WritableFile> file;
     env->NewWritableFile("t", &file).ok();
     SSTableBuilder builder(options, file.get());
-    for (int i = 0; i < n; i++) {
-      ParsedEntry entry;
-      std::string key = EncodeKey(i);
-      entry.user_key = Slice(key);
-      entry.delete_key = 0x9e3779b97f4a7c15ull * i;
-      entry.seq = i;
-      entry.value = Slice(value);
-      builder.Add(entry);
-    }
+    input.AddTo(&builder);
     TableProperties props;
     builder.Finish(&props).ok();
-    benchmark::DoNotOptimize(props.num_pages);
+    benchmark::DoNotOptimize(props.file_size);
+    table_bytes += props.file_size;
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * input.keys.size());
+  state.SetBytesProcessed(static_cast<int64_t>(table_bytes));
 }
-BENCHMARK(BM_SSTableBuild)->Arg(1)->Arg(16);
+BENCHMARK(BM_SSTableBuild)
+    ->Args({16, 1})
+    ->Args({16, 16})
+    ->Args({0, 1});
+
+// A flush's whole write path on the real filesystem: build a default-layout
+// table of ~1 MB through PosixEnv, sync and close it.
+void BM_PosixTableWrite(benchmark::State& state) {
+  Env* env = Env::Default();
+  std::string dir = "/tmp/lethe_bench_micro_XXXXXX";
+  if (mkdtemp(dir.data()) == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  const std::string fname = dir + "/table.sst";
+  const TableInput input(8192);
+  uint64_t table_bytes = 0;
+  for (auto _ : state) {
+    std::unique_ptr<WritableFile> file;
+    env->NewWritableFile(fname, &file).ok();
+    SSTableBuilder builder(TableOptions(), file.get());
+    input.AddTo(&builder);
+    TableProperties props;
+    if (!builder.Finish(&props).ok() || !file->Sync().ok() ||
+        !file->Close().ok()) {
+      state.SkipWithError("table write failed");
+      break;
+    }
+    benchmark::DoNotOptimize(props.file_size);
+    table_bytes += props.file_size;
+  }
+  env->RemoveFile(fname).ok();
+  rmdir(dir.c_str());
+  state.SetBytesProcessed(static_cast<int64_t>(table_bytes));
+}
+BENCHMARK(BM_PosixTableWrite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lethe

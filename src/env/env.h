@@ -12,6 +12,14 @@
 namespace lethe {
 
 /// Append-only file handle for SSTables, WAL, and MANIFEST writing.
+///
+/// Append may buffer: appended bytes need not reach the OS, nor be visible
+/// to other handles on the file, until the next Flush, Sync or Close.
+/// Flush hands every appended byte to the OS, so it survives a crash of
+/// this process (not of the machine). Sync flushes, then makes the bytes
+/// durable. Close flushes and releases the handle; destroying an unclosed
+/// handle flushes too, ignoring errors. After a failed Append or Flush the
+/// bytes still buffered are dropped, as a torn write would leave them.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;

@@ -17,15 +17,16 @@ PageBuilder::PageBuilder(uint64_t page_size_bytes, uint32_t max_entries)
       max_entries_(max_entries),
       num_entries_(0) {
   buffer_.reserve(page_size_bytes);
+  buffer_.resize(kPageHeaderSize);
+}
+
+bool PageBuilder::HasRoom(size_t entry_bytes) const {
+  return num_entries_ < max_entries_ &&
+         buffer_.size() + entry_bytes + kPageTrailerSize <= page_size_bytes_;
 }
 
 bool PageBuilder::Add(const ParsedEntry& entry) {
-  if (num_entries_ >= max_entries_) {
-    return false;
-  }
-  size_t need = EncodedEntrySize(entry);
-  if (kPageHeaderSize + buffer_.size() + need + kPageTrailerSize >
-      page_size_bytes_) {
+  if (!HasRoom(EncodedEntrySize(entry))) {
     return false;
   }
   EncodeEntry(entry, &buffer_);
@@ -33,18 +34,32 @@ bool PageBuilder::Add(const ParsedEntry& entry) {
   return true;
 }
 
+bool PageBuilder::AddEncoded(const Slice& encoded) {
+  if (!HasRoom(encoded.size())) {
+    return false;
+  }
+  buffer_.append(encoded.data(), encoded.size());
+  num_entries_++;
+  return true;
+}
+
 std::string PageBuilder::Finish() {
   std::string page;
-  page.reserve(page_size_bytes_);
-  PutFixed32(&page, num_entries_);
-  page.append(buffer_);
-  page.resize(page_size_bytes_ - kPageTrailerSize, '\0');
-  uint32_t crc = crc32c::Value(page.data(), page.size());
-  PutFixed32(&page, crc32c::Mask(crc));
-
-  buffer_.clear();
-  num_entries_ = 0;
+  Finish(&page);
   return page;
+}
+
+void PageBuilder::Finish(std::string* page) {
+  EncodeFixed32(buffer_.data(), num_entries_);
+  buffer_.resize(page_size_bytes_ - kPageTrailerSize, '\0');
+  uint32_t crc = crc32c::Value(buffer_.data(), buffer_.size());
+  PutFixed32(&buffer_, crc32c::Mask(crc));
+
+  page->swap(buffer_);
+  buffer_.clear();
+  buffer_.reserve(page_size_bytes_);
+  buffer_.resize(kPageHeaderSize);
+  num_entries_ = 0;
 }
 
 Status DecodePage(Slice raw, uint64_t page_size_bytes, PageContents* out) {

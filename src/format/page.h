@@ -23,17 +23,28 @@ class PageBuilder {
   /// page (by entry count or bytes).
   bool Add(const ParsedEntry& entry);
 
+  /// Add for an entry already serialized by EncodeEntry: copies its bytes
+  /// as they are.
+  bool AddEncoded(const Slice& encoded);
+
   bool empty() const { return num_entries_ == 0; }
   uint32_t num_entries() const { return num_entries_; }
 
   /// Serializes the page (padded to page_size_bytes) and resets the builder.
   std::string Finish();
 
+  /// Finish into *page, replacing its contents. The builder takes over the
+  /// old storage of *page, so a caller that passes the same string for
+  /// every page builds them all without allocating.
+  void Finish(std::string* page);
+
  private:
+  bool HasRoom(size_t entry_bytes) const;
+
   uint64_t page_size_bytes_;
   uint32_t max_entries_;
   uint32_t num_entries_;
-  std::string buffer_;  // entry bytes only (header/crc added in Finish)
+  std::string buffer_;  // header placeholder + entry bytes (crc in Finish)
 };
 
 /// A decoded page: owns the raw page bytes; `entries` alias them. Decoded

@@ -13,11 +13,13 @@ namespace lethe {
 SSTableBuilder::SSTableBuilder(const TableOptions& options, WritableFile* file)
     : options_(options),
       file_(file),
-      max_entries_per_page_(MaxEntriesPerPage(options)) {
+      max_entries_per_page_(MaxEntriesPerPage(options)),
+      page_builder_(options.page_size_bytes, max_entries_per_page_),
+      bloom_builder_(options.bloom_bits_per_key) {
   assert(max_entries_per_page_ > 0);
   assert(options_.pages_per_tile > 0);
-  tile_buffer_.reserve(static_cast<size_t>(max_entries_per_page_) *
-                       options_.pages_per_tile);
+  tile_.reserve(static_cast<size_t>(max_entries_per_page_) *
+                options_.pages_per_tile);
 }
 
 void SSTableBuilder::Add(const ParsedEntry& entry) {
@@ -40,7 +42,7 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   const uint64_t entry_bytes = EncodedEntrySize(entry);
   const uint64_t max_bytes = std::max(tile_max_entry_bytes_, entry_bytes);
   const uint64_t weight = std::max(b * entry_bytes, budget);
-  if (!tile_buffer_.empty() && b * max_bytes > budget &&
+  if (!tile_.empty() && b * max_bytes > budget &&
       tile_weight_ + weight + (h - 1) * b * max_bytes > h * b * budget) {
     status_ = FlushTile();
     if (!status_.ok()) {
@@ -48,16 +50,17 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
     }
   }
   tile_weight_ += weight;
-  tile_bytes_ += entry_bytes;
   tile_max_entry_bytes_ = std::max(tile_max_entry_bytes_, entry_bytes);
 
-  PendingEntry pending;
-  pending.user_key = entry.user_key.ToString();
-  pending.delete_key = entry.delete_key;
-  pending.seq = entry.seq;
-  pending.type = entry.type;
-  pending.value = entry.value.ToString();
-  tile_buffer_.push_back(std::move(pending));
+  // Encode the entry once; its page copies these bytes as they are.
+  const size_t offset = tile_data_.size();
+  tile_data_.resize(offset + entry_bytes);
+  EncodeEntry(entry, tile_data_.data() + offset);
+  tile_.push_back(PendingEntry{
+      static_cast<uint32_t>(offset), static_cast<uint32_t>(entry_bytes),
+      static_cast<uint32_t>(offset + VarintLength(entry.user_key.size())),
+      static_cast<uint32_t>(entry.user_key.size()), entry.delete_key,
+      entry.seq, entry.IsTombstone()});
 
   if (props_.num_entries == 0) {
     props_.smallest_key = entry.user_key.ToString();
@@ -69,7 +72,7 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
     // reader knows "first match in page order" is not "newest version".
     props_.multi_version = true;
   }
-  props_.largest_key = entry.user_key.ToString();
+  props_.largest_key.assign(entry.user_key.data(), entry.user_key.size());
   props_.num_entries++;
   if (entry.IsTombstone()) {
     props_.num_point_tombstones++;
@@ -81,7 +84,7 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   props_.smallest_seq = std::min(props_.smallest_seq, entry.seq);
   props_.largest_seq = std::max(props_.largest_seq, entry.seq);
 
-  if (tile_buffer_.size() >= b * h) {
+  if (tile_.size() >= b * h) {
     status_ = FlushTile();
   }
 }
@@ -99,113 +102,116 @@ uint64_t SSTableBuilder::EstimatedSize() const {
   // a KiWi tile of up to h pages. When every page closes by count (B entries
   // always fit the budget) the byte term never exceeds the count term.
   const uint64_t pending_pages =
-      std::max<uint64_t>(tile_buffer_.size() / max_entries_per_page_,
-                         tile_bytes_ / PageByteBudget(options_));
+      std::max<uint64_t>(tile_.size() / max_entries_per_page_,
+                         tile_data_.size() / PageByteBudget(options_));
   return data_bytes_written_ +
          (pending_pages + 1) * options_.page_size_bytes;
 }
 
 Status SSTableBuilder::FlushTile() {
-  if (tile_buffer_.empty()) {
+  if (tile_.empty()) {
     return Status::OK();
   }
   // The key weave: order the tile's entries by delete key, then cut into
   // pages of at most B entries (fewer when large values exhaust the page's
   // byte budget first). Consecutive pages thereby partition the tile's
   // delete-key domain. Stable sort keeps the (rare) equal-delete-key
-  // entries in sort-key order.
-  std::vector<const PendingEntry*> by_delete_key;
-  by_delete_key.reserve(tile_buffer_.size());
-  for (const PendingEntry& e : tile_buffer_) {
-    by_delete_key.push_back(&e);
+  // entries in sort-key order. A one-page tile skips the sort: Add keeps
+  // every tile within h pages, and WritePage puts a page back in sort-key
+  // order, so with h = 1 the delete-key order never shows.
+  weave_.clear();
+  for (const PendingEntry& e : tile_) {
+    weave_.push_back(&e);
   }
-  std::stable_sort(by_delete_key.begin(), by_delete_key.end(),
-                   [](const PendingEntry* a, const PendingEntry* b) {
-                     return a->delete_key < b->delete_key;
-                   });
+  const auto by_delete_key = [](const PendingEntry* a, const PendingEntry* b) {
+    return a->delete_key < b->delete_key;
+  };
+  if (options_.pages_per_tile > 1) {
+    std::stable_sort(weave_.begin(), weave_.end(), by_delete_key);
+  }
 
   const uint64_t byte_budget = PageByteBudget(options_);
   const uint32_t b = max_entries_per_page_;
   const uint32_t pages_before = props_.num_pages;
 
-  std::vector<const PendingEntry*> page_entries;
+  const std::span<const PendingEntry*> weave(weave_);
+  size_t page_begin = 0;
   uint64_t page_bytes = 0;
-  for (const PendingEntry* e : by_delete_key) {
-    ParsedEntry probe;
-    probe.user_key = Slice(e->user_key);
-    probe.value = Slice(e->value);
-    uint64_t entry_bytes = EncodedEntrySize(probe);
+  for (size_t i = 0; i < weave.size(); i++) {
+    const uint64_t entry_bytes = weave[i]->size;
     if (entry_bytes > byte_budget) {
       return Status::InvalidArgument(
           "entry larger than a page: raise page_size_bytes");
     }
-    if (!page_entries.empty() &&
-        (page_entries.size() >= b || page_bytes + entry_bytes > byte_budget)) {
-      LETHE_RETURN_IF_ERROR(WritePage(page_entries));
-      page_entries.clear();
+    const size_t in_page = i - page_begin;
+    if (in_page > 0 &&
+        (in_page >= b || page_bytes + entry_bytes > byte_budget)) {
+      LETHE_RETURN_IF_ERROR(
+          WritePage(weave.subspan(page_begin, in_page)));
+      page_begin = i;
       page_bytes = 0;
     }
-    page_entries.push_back(e);
     page_bytes += entry_bytes;
   }
-  if (!page_entries.empty()) {
-    LETHE_RETURN_IF_ERROR(WritePage(page_entries));
-  }
+  LETHE_RETURN_IF_ERROR(WritePage(weave.subspan(page_begin)));
 
   props_.num_tiles++;
   tile_page_counts_.push_back(props_.num_pages - pages_before);
-  tile_buffer_.clear();
+  tile_.clear();
+  tile_data_.clear();
   tile_weight_ = 0;
-  tile_bytes_ = 0;
   tile_max_entry_bytes_ = 0;
   return Status::OK();
 }
 
-Status SSTableBuilder::WritePage(
-    std::vector<const PendingEntry*>& page_entries) {
+Status SSTableBuilder::WritePage(std::span<const PendingEntry*> page_entries) {
   // Entries within the page go back to sort-key order so in-page binary
   // search on S works after a single page fetch (§4.2.1 "Page layout").
-  std::sort(page_entries.begin(), page_entries.end(),
-            [](const PendingEntry* a, const PendingEntry* b) {
-              int c = Slice(a->user_key).compare(Slice(b->user_key));
-              if (c != 0) {
-                return c < 0;
-              }
-              return a->seq > b->seq;
-            });
+  // No two entries compare equal (a file holds each version once), so a
+  // page already in order is exactly what the sort would produce.
+  const auto by_sort_key = [this](const PendingEntry* a,
+                                  const PendingEntry* b) {
+    int c = UserKey(*a).compare(UserKey(*b));
+    if (c != 0) {
+      return c < 0;
+    }
+    return a->seq > b->seq;
+  };
+  if (!std::is_sorted(page_entries.begin(), page_entries.end(), by_sort_key)) {
+    std::sort(page_entries.begin(), page_entries.end(), by_sort_key);
+  }
 
-  PageBuilder page_builder(options_.page_size_bytes, max_entries_per_page_);
-  BloomFilterBuilder bloom_builder(options_.bloom_bits_per_key);
-  PageMetaRecord meta;
-  meta.min_sort_key = page_entries.front()->user_key;
-  meta.max_sort_key = page_entries.back()->user_key;
-
+  uint64_t min_delete_key = UINT64_MAX;
+  uint64_t max_delete_key = 0;
+  uint32_t num_tombstones = 0;
   for (const PendingEntry* e : page_entries) {
-    ParsedEntry parsed;
-    parsed.user_key = Slice(e->user_key);
-    parsed.delete_key = e->delete_key;
-    parsed.seq = e->seq;
-    parsed.type = e->type;
-    parsed.value = Slice(e->value);
-    if (!page_builder.Add(parsed)) {
+    if (!page_builder_.AddEncoded(Encoded(*e))) {
       return Status::InvalidArgument(
           "entry does not fit in page: lower entries_per_page or raise "
           "page_size_bytes");
     }
-    bloom_builder.AddKey(parsed.user_key);
-    meta.min_delete_key = std::min(meta.min_delete_key, e->delete_key);
-    meta.max_delete_key = std::max(meta.max_delete_key, e->delete_key);
-    meta.num_entries++;
-    if (parsed.IsTombstone()) {
-      meta.num_tombstones++;
+    bloom_builder_.AddKey(UserKey(*e));
+    min_delete_key = std::min(min_delete_key, e->delete_key);
+    max_delete_key = std::max(max_delete_key, e->delete_key);
+    if (e->tombstone) {
+      num_tombstones++;
     }
   }
 
-  std::string page = page_builder.Finish();
-  LETHE_RETURN_IF_ERROR(file_->Append(page));
-  data_bytes_written_ += page.size();
-  meta.bloom = bloom_builder.Finish();
-  pages_.push_back(std::move(meta));
+  page_builder_.Finish(&page_);
+  LETHE_RETURN_IF_ERROR(file_->Append(page_));
+  data_bytes_written_ += page_.size();
+  const std::string bloom = bloom_builder_.Finish();
+  filter_section_.append(bloom);
+
+  // The page's index record; Finish prefixes the block's header.
+  PutLengthPrefixedSlice(&page_index_, UserKey(*page_entries.front()));
+  PutLengthPrefixedSlice(&page_index_, UserKey(*page_entries.back()));
+  PutFixed64(&page_index_, min_delete_key);
+  PutFixed64(&page_index_, max_delete_key);
+  PutVarint32(&page_index_, static_cast<uint32_t>(page_entries.size()));
+  PutVarint32(&page_index_, num_tombstones);
+  PutVarint32(&page_index_, static_cast<uint32_t>(bloom.size()));
   props_.num_pages++;
   return Status::OK();
 }
@@ -214,17 +220,14 @@ Status SSTableBuilder::Finish(TableProperties* props) {
   LETHE_RETURN_IF_ERROR(status_);
   LETHE_RETURN_IF_ERROR(FlushTile());
 
-  // Filter section: one contiguous filter block per delete tile — the
-  // concatenated per-page Bloom filters in page order — so each tile's
-  // filters are independently addressable (and independently cacheable /
-  // evictable) without touching any other metadata. Tiles are runs of
-  // consecutive pages, so the section is simply every page's filter in
-  // file order; the per-page lengths below locate the blocks as prefix
-  // sums, costing zero bytes over the inline-filter layout.
-  std::string filter_section;
-  for (const PageMetaRecord& page : pages_) {
-    filter_section += page.bloom;
-  }
+  // Filter section (filter_section_): one contiguous filter block per
+  // delete tile — the concatenated per-page Bloom filters in page order —
+  // so each tile's filters are independently addressable (and
+  // independently cacheable / evictable) without touching any other
+  // metadata. Tiles are runs of consecutive pages, so the section is simply
+  // every page's filter in file order, as WritePage appended them; the
+  // per-page lengths in the index locate the blocks as prefix sums, costing
+  // zero bytes over the inline-filter layout.
 
   // Range tombstone block.
   std::string rt_block;
@@ -243,15 +246,7 @@ Status SSTableBuilder::Finish(TableProperties* props) {
   for (uint32_t count : tile_page_counts_) {
     PutVarint32(&index_block, count);
   }
-  for (const PageMetaRecord& page : pages_) {
-    PutLengthPrefixedSlice(&index_block, page.min_sort_key);
-    PutLengthPrefixedSlice(&index_block, page.max_sort_key);
-    PutFixed64(&index_block, page.min_delete_key);
-    PutFixed64(&index_block, page.max_delete_key);
-    PutVarint32(&index_block, page.num_entries);
-    PutVarint32(&index_block, page.num_tombstones);
-    PutVarint32(&index_block, static_cast<uint32_t>(page.bloom.size()));
-  }
+  index_block.append(page_index_);
 
   // Properties block.
   std::string props_block;
@@ -270,11 +265,11 @@ Status SSTableBuilder::Finish(TableProperties* props) {
   PutFixed64(&props_block, props_.oldest_range_tombstone_time);
 
   const uint64_t filter_offset = data_bytes_written_;
-  const uint64_t rt_offset = filter_offset + filter_section.size();
+  const uint64_t rt_offset = filter_offset + filter_section_.size();
   const uint64_t index_offset = rt_offset + rt_block.size();
   const uint64_t props_offset = index_offset + index_block.size();
 
-  LETHE_RETURN_IF_ERROR(file_->Append(filter_section));
+  LETHE_RETURN_IF_ERROR(file_->Append(filter_section_));
   LETHE_RETURN_IF_ERROR(file_->Append(rt_block));
   LETHE_RETURN_IF_ERROR(file_->Append(index_block));
   LETHE_RETURN_IF_ERROR(file_->Append(props_block));
@@ -282,7 +277,7 @@ Status SSTableBuilder::Finish(TableProperties* props) {
   // The crc covers the whole contiguous metadata region, filters included;
   // a pinned open verifies it in one pass, and a lazy index load verifies
   // it while deriving per-tile filter digests for its own later loads.
-  uint32_t crc = crc32c::Value(filter_section.data(), filter_section.size());
+  uint32_t crc = crc32c::Value(filter_section_.data(), filter_section_.size());
   crc = crc32c::Extend(crc, rt_block.data(), rt_block.size());
   crc = crc32c::Extend(crc, index_block.data(), index_block.size());
   crc = crc32c::Extend(crc, props_block.data(), props_block.size());

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/env/env.h"
 #include "src/format/bloom.h"
 #include "src/format/entry.h"
+#include "src/format/page.h"
 #include "src/format/range_tombstone.h"
 #include "src/format/table_options.h"
 #include "src/util/status.h"
@@ -90,40 +92,52 @@ class SSTableBuilder {
   Status Finish(TableProperties* props);
 
  private:
+  /// One buffered entry: where Add encoded it in tile_data_, plus the
+  /// fields the weave sorts and the page metadata summarizes.
   struct PendingEntry {
-    std::string user_key;
+    uint32_t offset;      // encoded entry in tile_data_
+    uint32_t size;        // its encoded bytes
+    uint32_t key_offset;  // its user key in tile_data_
+    uint32_t key_size;
     uint64_t delete_key;
     SequenceNumber seq;
-    ValueType type;
-    std::string value;
+    bool tombstone;
   };
 
-  struct PageMetaRecord {
-    std::string min_sort_key;
-    std::string max_sort_key;
-    uint64_t min_delete_key = UINT64_MAX;
-    uint64_t max_delete_key = 0;
-    uint32_t num_entries = 0;
-    uint32_t num_tombstones = 0;
-    std::string bloom;
-  };
+  Slice Encoded(const PendingEntry& e) const {
+    return Slice(tile_data_.data() + e.offset, e.size);
+  }
+  Slice UserKey(const PendingEntry& e) const {
+    return Slice(tile_data_.data() + e.key_offset, e.key_size);
+  }
 
   Status FlushTile();
-  Status WritePage(std::vector<const PendingEntry*>& page_entries);
+  Status WritePage(std::span<const PendingEntry*> page_entries);
 
   TableOptions options_;
   WritableFile* file_;
   const uint32_t max_entries_per_page_;  // B, see MaxEntriesPerPage
   Status status_;
 
-  std::vector<PendingEntry> tile_buffer_;
+  /// The buffered tile: every entry encoded once, back to back, in
+  /// tile_data_ (whose size is the tile's encoded bytes), and indexed in
+  /// arrival order by tile_.
+  std::string tile_data_;
+  std::vector<PendingEntry> tile_;
   /// Sum over the buffered tile of max(B·e, budget), e = encoded entry
   /// bytes, and the largest e; Add uses them to close a tile by bytes.
   uint64_t tile_weight_ = 0;
   uint64_t tile_max_entry_bytes_ = 0;
-  /// Sum of e over the buffered tile, for EstimatedSize.
-  uint64_t tile_bytes_ = 0;
-  std::vector<PageMetaRecord> pages_;
+  /// Scratch reused across tiles and pages: the tile in weave order, the
+  /// page being built and its Bloom filter, and the finished page image.
+  std::vector<const PendingEntry*> weave_;
+  PageBuilder page_builder_;
+  BloomFilterBuilder bloom_builder_;
+  std::string page_;
+  /// Metadata accumulated page by page in file order: the filter section
+  /// and the index block's per-page records.
+  std::string filter_section_;
+  std::string page_index_;
   std::vector<uint32_t> tile_page_counts_;
   std::vector<RangeTombstone> range_tombstones_;
   TableProperties props_;

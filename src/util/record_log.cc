@@ -38,7 +38,9 @@ Status RecordLogWriter::AddFramed(const Slice& framed, bool force_sync,
   if (sync_ || force_sync) {
     return file_->Sync();
   }
-  return Status::OK();
+  // The file may buffer appends; hand the frames to the OS so an
+  // acknowledged write survives a process crash.
+  return file_->Flush();
 }
 
 bool RecordLogReader::ReadRecord(std::string* record, Status* status) {

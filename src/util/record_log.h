@@ -38,12 +38,13 @@ class RecordLogWriter {
 
   /// Appends `framed` — one or more frames laid down by AppendFrame — with
   /// a single Append, then a single Sync when `force_sync` or the writer's
-  /// sync mode is set. This is the group-commit path: the bytes are those
-  /// of one AddRecord per frame.
+  /// sync mode is set, else a Flush: either way the frames reach the OS
+  /// before the call returns, so they survive a process crash. This is the
+  /// group-commit path: the bytes are those of one AddRecord per frame.
   ///
   /// `appended` (optional) reports whether any bytes may have reached the
-  /// file: set true once the Append succeeds, so a subsequent Sync failure
-  /// still reports appended=true. Callers that allocate sequence numbers
+  /// file: set true once the Append succeeds, so a subsequent Flush or Sync
+  /// failure still reports appended=true. Callers that allocate sequence numbers
   /// before logging use this to decide whether the numbers must be burned
   /// (bytes on disk could replay) or may be reused (nothing was written).
   Status AddFramed(const Slice& framed, bool force_sync,

@@ -3,8 +3,14 @@
 // KiWi secondary range deletes, recovery, and failure injection.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -655,6 +661,100 @@ TEST_F(DBTest, WriteFailureSurfacesAsIOError) {
   }
   EXPECT_TRUE(failure.IsIOError());
   env_->ClearFaults();
+}
+
+// A process crash keeps every acknowledged write, even unsynced ones: each
+// WAL group reaches the OS before Put returns, so SIGKILL loses only what
+// the engine never acknowledged. A child process loads a PosixEnv DB with
+// sync=false through several memtable switches and reports each
+// acknowledged key over a pipe; the parent kills it mid-load, reopens the
+// DB and reads every reported key back.
+TEST(PosixCrashTest, AcknowledgedWritesSurviveSigkill) {
+  // Runs on every exit path, a failed assertion included: kills and reaps
+  // the child (left alive, it would block on the full pipe forever),
+  // closes the pipe and removes the DB directory.
+  struct Cleanup {
+    std::string dir = "/tmp/lethe_crash_test_XXXXXX";
+    pid_t child = -1;
+    int fds[2] = {-1, -1};
+    ~Cleanup() {
+      if (child > 0) {
+        kill(child, SIGKILL);
+        waitpid(child, nullptr, 0);
+      }
+      for (int fd : fds) {
+        if (fd >= 0) {
+          close(fd);
+        }
+      }
+      const std::string dbname = dir + "/db";
+      std::vector<std::string> children;
+      if (Env::Default()->GetChildren(dbname, &children).ok()) {
+        for (const std::string& name : children) {
+          Env::Default()->RemoveFile(dbname + "/" + name).ok();
+        }
+      }
+      rmdir(dbname.c_str());
+      rmdir(dir.c_str());
+    }
+  } cleanup;
+  ASSERT_NE(mkdtemp(cleanup.dir.data()), nullptr);
+  const std::string dbname = cleanup.dir + "/db";
+  Options options;
+  options.write_buffer_bytes = 64 << 10;
+  options.target_file_bytes = 64 << 10;
+  auto value_of = [](uint32_t i) {
+    std::string value = "value-" + std::to_string(i);
+    value.resize(120, static_cast<char>('a' + i % 26));
+    return value;
+  };
+  // ~140 bytes per entry: the kill lands after 12+ memtable switches.
+  constexpr uint32_t kKillAfter = 6000;
+
+  ASSERT_EQ(pipe(cleanup.fds), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    close(cleanup.fds[0]);
+    std::unique_ptr<DB> db;
+    if (!DB::Open(options, dbname, &db).ok()) {
+      _exit(2);
+    }
+    for (uint32_t i = 0;; i++) {
+      if (!db->Put(WriteOptions(), EncodeKey(i), i, value_of(i)).ok() ||
+          write(cleanup.fds[1], &i, sizeof(i)) != sizeof(i)) {
+        _exit(3);
+      }
+    }
+  }
+  cleanup.child = child;
+  close(cleanup.fds[1]);
+  cleanup.fds[1] = -1;
+  std::vector<uint32_t> acked;
+  uint32_t i;
+  while (read(cleanup.fds[0], &i, sizeof(i)) == sizeof(i)) {
+    acked.push_back(i);
+    if (acked.size() == kKillAfter && kill(child, SIGKILL) != 0) {
+      ADD_FAILURE() << "kill failed: " << strerror(errno);
+      break;
+    }
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  cleanup.child = -1;
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited with status "
+                                    << WEXITSTATUS(wstatus);
+  ASSERT_GE(acked.size(), kKillAfter);
+  EXPECT_GE(test::CountTableFiles(Env::Default(), dbname), 2u);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  for (uint32_t k : acked) {
+    std::string value;
+    ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &value).ok())
+        << "acknowledged key " << k << " of " << acked.size() << " lost";
+    ASSERT_EQ(value, value_of(k)) << k;
+  }
 }
 
 // ---------------------------------------------------------------------------

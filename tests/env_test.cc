@@ -1,9 +1,13 @@
 // Tests for the storage env substrate: MemEnv, PosixEnv, and the
 // I/O-accounting wrapper used by the benchmarks.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <climits>
 #include <cstdlib>
+#include <fstream>
 
 #include "src/env/env.h"
 #include "src/env/io_counting_env.h"
@@ -115,6 +119,129 @@ TEST(PosixEnvTest, WriteReadRenameRemove) {
 
   ASSERT_TRUE(env->RemoveFile(f2).ok());
   EXPECT_FALSE(env->FileExists(f2));
+}
+
+// Appends of every size class, straddling the writer's buffer: each Flush
+// hands every appended byte to the OS (the file size shows them), and a
+// fresh reader after Sync and Close sees exactly the appended bytes.
+TEST(PosixEnvTest, WritableFileRoundTrip) {
+  Env* env = Env::Default();
+  std::string dir = "/tmp/lethe_env_test_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string fname = dir + "/roundtrip";
+
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile(fname, &file).ok());
+  const size_t kSizes[] = {1,         4096,    (64 << 10) - 1, 64 << 10,
+                           1 << 20,   1,       (64 << 10) - 1, 4096,
+                           64 << 10,  1 << 20, 1,              1};
+  std::string expected;
+  for (size_t i = 0; i < sizeof(kSizes) / sizeof(kSizes[0]); i++) {
+    std::string chunk(kSizes[i], '\0');
+    for (size_t j = 0; j < chunk.size(); j++) {
+      chunk[j] = static_cast<char>('a' + (i * 7 + j) % 26);
+    }
+    ASSERT_TRUE(file->Append(chunk).ok());
+    expected += chunk;
+    if (i % 3 != 2) {
+      continue;  // several appends between flushes
+    }
+    ASSERT_TRUE(file->Flush().ok());
+    uint64_t size = 0;
+    ASSERT_TRUE(env->GetFileSize(fname, &size).ok());
+    EXPECT_EQ(size, expected.size()) << "after append " << i;
+  }
+  ASSERT_TRUE(file->Sync().ok());
+  ASSERT_TRUE(file->Close().ok());
+  file.reset();
+
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(env, fname, &data).ok());
+  EXPECT_EQ(data.size(), expected.size());
+  EXPECT_TRUE(data == expected);
+  ASSERT_TRUE(env->RemoveFile(fname).ok());
+  rmdir(dir.c_str());
+}
+
+// Descriptor of the open file whose /proc/self/fd link names `path`, or -1.
+int FindOpenFd(const std::string& path) {
+  char resolved[PATH_MAX];
+  if (realpath(path.c_str(), resolved) == nullptr) {
+    return -1;
+  }
+  int found = -1;
+  DIR* fds = opendir("/proc/self/fd");
+  if (fds == nullptr) {
+    return -1;
+  }
+  while (struct dirent* entry = readdir(fds)) {
+    char target[PATH_MAX];
+    const std::string link = std::string("/proc/self/fd/") + entry->d_name;
+    const ssize_t n = readlink(link.c_str(), target, sizeof(target) - 1);
+    if (n > 0 && std::string(target, n) == resolved) {
+      found = atoi(entry->d_name);
+    }
+  }
+  closedir(fds);
+  return found;
+}
+
+// The octal `flags:` field of /proc/self/fdinfo/<fd>.
+long OpenFlags(int fd) {
+  std::ifstream info("/proc/self/fdinfo/" + std::to_string(fd));
+  std::string field;
+  while (info >> field) {
+    if (field == "flags:") {
+      std::string octal;
+      info >> octal;
+      return strtol(octal.c_str(), nullptr, 8);
+    }
+  }
+  return -1;
+}
+
+// Every descriptor PosixEnv opens is close-on-exec, so a child the
+// embedding process forks and execs holds no WAL or table open (which
+// would keep a deleted table's disk space allocated until it exits).
+TEST(PosixEnvTest, FilesAreOpenedCloseOnExec) {
+  constexpr long kCloseOnExec = 02000000;  // O_CLOEXEC as fdinfo shows it
+  Env* env = Env::Default();
+  std::string dir = "/tmp/lethe_env_test_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string fname = dir + "/cloexec";
+
+  auto expect_cloexec = [&](const char* kind) {
+    const int fd = FindOpenFd(fname);
+    ASSERT_GE(fd, 0) << kind;
+    const long flags = OpenFlags(fd);
+    ASSERT_GE(flags, 0) << kind;
+    EXPECT_NE(flags & kCloseOnExec, 0) << kind << " flags 0" << std::oct
+                                       << flags;
+  };
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env->NewWritableFile(fname, &file).ok());
+    expect_cloexec("writable");
+    ASSERT_TRUE(file->Append("close on exec").ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  {
+    std::unique_ptr<RandomWriteFile> file;
+    ASSERT_TRUE(env->NewRandomWriteFile(fname, &file).ok());
+    expect_cloexec("random-write");
+  }
+  {
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
+    expect_cloexec("random-access");
+  }
+  {
+    std::unique_ptr<SequentialFile> file;
+    ASSERT_TRUE(env->NewSequentialFile(fname, &file).ok());
+    expect_cloexec("sequential");
+  }
+  ASSERT_TRUE(env->RemoveFile(fname).ok());
+  rmdir(dir.c_str());
 }
 
 TEST(IoCountingEnvTest, CountsBytesAndPages) {

@@ -19,6 +19,7 @@
 #include "src/format/range_tombstone.h"
 #include "src/format/sstable_builder.h"
 #include "src/format/sstable_reader.h"
+#include "src/util/crc32c.h"
 #include "src/util/random.h"
 #include "src/workload/generator.h"
 
@@ -1031,6 +1032,108 @@ TEST_F(ByteFilledDefaultTest, EstimatedSizeTracksPagesWritten) {
       EXPECT_LE(estimate, written + options_.page_size_bytes);
       EXPECT_GE(estimate + options_.page_size_bytes, written);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned table bytes. Each table mixes every shape the builder handles —
+// point tombstones, a key kept in two versions by a snapshot, range
+// tombstones, varied value sizes and one entry that exactly fills a page's
+// byte budget — over h in {1, 4}, B uncapped and B = 32, and delete keys
+// that arrive ascending or random (with repeats). The sizes and crc32c
+// values were measured on the builder that first wrote this format; any
+// change to SSTableBuilder or PageBuilder must reproduce them byte for byte.
+
+struct PinnedTable {
+  uint32_t pages_per_tile;
+  bool capped;  // B = 32, else uncapped
+  bool random_delete_keys;
+  uint64_t size;
+  uint32_t crc;
+};
+
+std::string BuildPinnedTable(const PinnedTable& shape) {
+  TableOptions options;
+  options.pages_per_tile = shape.pages_per_tile;
+  if (shape.capped) {
+    options.entries_per_page = 32;
+  }
+  constexpr int kEntries = 700;
+  constexpr int kTwoVersions = 250;  // this key also keeps an older version
+  constexpr int kFullPage = 480;     // this key's entry fills a whole page
+  Random rnd(301);
+  std::vector<std::string> values;
+  std::vector<ParsedEntry> entries;
+  std::vector<std::string> keys;
+  values.reserve(kEntries + 1);
+  keys.reserve(kEntries);
+  for (int i = 0; i < kEntries; i++) {
+    keys.push_back(EncodeKey(i));
+  }
+  for (int i = 0; i < kEntries; i++) {
+    const uint64_t dk = shape.random_delete_keys ? rnd.Uniform(kEntries / 2)
+                                                 : uint64_t{10} * i + 3;
+    std::string value;
+    ValueType type = ValueType::kValue;
+    if (i % 9 == 4) {
+      type = ValueType::kTombstone;
+    } else if (i == kFullPage) {
+      // varint32(16) + key + seq/type + delete key + varint32(len) + value.
+      value.assign(PageByteBudget(options) - (1 + 16 + 16 + 2), 'f');
+    } else {
+      value.assign(8 + (i * 37) % 190, static_cast<char>('a' + i % 26));
+    }
+    values.push_back(std::move(value));
+    entries.push_back(MakeEntry(keys[i], dk, 5000 + i, values.back(), type));
+    if (i == kTwoVersions) {
+      values.push_back("older version");
+      entries.push_back(
+          MakeEntry(keys[i], dk / 2 + 1, 100, values.back(), ValueType::kValue));
+    }
+  }
+  EXPECT_EQ(EncodedEntrySize(entries[kFullPage + 1]), PageByteBudget(options));
+
+  std::unique_ptr<Env> env = NewMemEnv();
+  std::unique_ptr<WritableFile> file;
+  EXPECT_TRUE(env->NewWritableFile("pinned", &file).ok());
+  SSTableBuilder builder(options, file.get());
+  for (const ParsedEntry& entry : entries) {
+    builder.Add(entry);
+  }
+  builder.AddRangeTombstone(
+      RangeTombstone{EncodeKey(40), EncodeKey(90), 6000, 17});
+  builder.AddRangeTombstone(
+      RangeTombstone{EncodeKey(300), EncodeKey(310), 6001, 18});
+  TableProperties props;
+  EXPECT_TRUE(builder.Finish(&props).ok());
+  EXPECT_TRUE(file->Close().ok());
+  EXPECT_TRUE(props.multi_version);
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(env.get(), "pinned", &bytes).ok());
+  EXPECT_EQ(bytes.size(), props.file_size);
+  return bytes;
+}
+
+TEST(PinnedTableBytesTest, BuilderOutputIsUnchanged) {
+  const PinnedTable kTables[] = {
+      {1, false, false, 100778, 0x6f0f3bdau},
+      {1, false, true, 100778, 0x6619b9b7u},
+      {1, true, false, 121535, 0x481ecce6u},
+      {1, true, true, 121535, 0x8ca8b457u},
+      {4, false, false, 100758, 0xcf325db4u},
+      {4, false, true, 100758, 0xe279d5e3u},
+      {4, true, false, 121507, 0xaaa76627u},
+      {4, true, true, 121508, 0xf817dc45u},
+  };
+  for (const PinnedTable& shape : kTables) {
+    SCOPED_TRACE("h=" + std::to_string(shape.pages_per_tile) +
+                 (shape.capped ? " B=32" : " B=uncapped") +
+                 (shape.random_delete_keys ? " random" : " ascending") +
+                 " delete keys");
+    const std::string bytes = BuildPinnedTable(shape);
+    const uint32_t crc = crc32c::Value(bytes.data(), bytes.size());
+    EXPECT_EQ(bytes.size(), shape.size);
+    EXPECT_EQ(crc, shape.crc);
   }
 }
 
