@@ -17,6 +17,7 @@
 #include "src/format/page.h"
 #include "src/format/sstable_builder.h"
 #include "src/memtable/memtable.h"
+#include "src/memtable/write_batch.h"
 #include "src/util/crc32c.h"
 #include "src/util/hash.h"
 #include "src/util/random.h"
@@ -75,7 +76,10 @@ void BM_BloomProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomProbe);
 
+// Arg 0: scrambled keys, so every insert searches the skiplist. Arg 1:
+// ascending keys (an in-order load), so every insert appends at the tail.
 void BM_MemTableAdd(benchmark::State& state) {
+  const bool ascending = state.range(0) != 0;
   std::string value(104, 'v');
   uint64_t seq = 0;
   auto mem = std::make_unique<MemTable>();
@@ -84,11 +88,33 @@ void BM_MemTableAdd(benchmark::State& state) {
       mem = std::make_unique<MemTable>();  // bound arena growth
     }
     seq++;
-    mem->Add(seq, ValueType::kValue, EncodeKey(seq * 977), seq, value, seq);
+    const uint64_t key = ascending ? seq * 977 : MurmurHash64(&seq, 8, 0);
+    mem->Add(seq, ValueType::kValue, EncodeKey(key), seq, value, seq);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MemTableAdd);
+BENCHMARK(BM_MemTableAdd)->Arg(0)->Arg(1);
+
+// One group-commit-sized batch: 1000 Puts of 16-byte keys and 100-byte
+// values, then Clear, reusing the batch the way a writer loop or the
+// server's per-turn batch does.
+void BM_WriteBatchPut(benchmark::State& state) {
+  std::vector<std::string> keys;
+  for (uint64_t i = 0; i < 1000; i++) {
+    keys.push_back(EncodeKey(i));
+  }
+  const std::string value(100, 'v');
+  WriteBatch batch;
+  for (auto _ : state) {
+    for (uint64_t i = 0; i < keys.size(); i++) {
+      batch.Put(keys[i], i, value);
+    }
+    benchmark::DoNotOptimize(batch.ApproximateBytes());
+    batch.Clear();
+  }
+  state.SetItemsProcessed(state.iterations() * keys.size());
+}
+BENCHMARK(BM_WriteBatchPut);
 
 void BM_MemTableGet(benchmark::State& state) {
   MemTable mem;

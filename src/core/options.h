@@ -187,8 +187,9 @@ struct Options {
   /// when the blocker completes), so merge bandwidth scales with the thread
   /// count without ever violating the sorted-run invariants. 2–4 lets
   /// flushes overlap deep compactions under write saturation (see
-  /// bench_bg_writer's thread sweep). Default: 1; inline_compactions
-  /// always runs one worker.
+  /// bench_bg_writer's thread sweep), and lets an in-order load build
+  /// successive memtables' flushes side by side (they still install
+  /// oldest-first). Default: 1; inline_compactions always runs one worker.
   int background_threads = 1;
 
   /// Maximum number of disjoint key-range partitions one picked compaction

@@ -285,7 +285,7 @@ Status MergeExecutor::Run(
         invalid_purged++;
       }
     } else {
-      last_user_key = entry.user_key.ToString();
+      last_user_key.assign(entry.user_key.data(), entry.user_key.size());
       has_last_key = true;
     }
     last_version_seq = entry.seq;
@@ -347,7 +347,7 @@ Status MergeExecutor::Run(
       current->first_key = entry.user_key.ToString();
     }
     current->builder->Add(entry);
-    current->last_key = entry.user_key.ToString();
+    current->last_key.assign(entry.user_key.data(), entry.user_key.size());
     current->has_entries = true;
     entries_out++;
   }

@@ -311,28 +311,56 @@ static_assert(static_cast<int>(WalRecord::Kind::kPut) ==
                   static_cast<int>(WriteBatch::OpKind::kRangeDelete));
 
 /// The one op-kind → memtable mutation, shared by the write path and WAL
-/// replay. Requires the write token (or single-threaded recovery).
-void ApplyToMemTable(MemTable* mem, WriteBatch::OpKind kind,
-                     SequenceNumber seq, uint64_t time, const std::string& key,
-                     const std::string& end_key, uint64_t delete_key,
-                     const std::string& value) {
+/// replay. Requires the write token (or single-threaded recovery). Returns
+/// true when a point write appended at the memtable's tail.
+bool ApplyToMemTable(MemTable* mem, WriteBatch::OpKind kind,
+                     SequenceNumber seq, uint64_t time, const Slice& key,
+                     const Slice& end_key, uint64_t delete_key,
+                     const Slice& value) {
   switch (kind) {
     case WriteBatch::OpKind::kPut:
-      mem->Add(seq, ValueType::kValue, key, delete_key, value, time);
-      break;
+      return mem->Add(seq, ValueType::kValue, key, delete_key, value, time);
     case WriteBatch::OpKind::kDelete:
-      mem->Add(seq, ValueType::kTombstone, key, delete_key, Slice(), time);
-      break;
+      return mem->Add(seq, ValueType::kTombstone, key, delete_key, Slice(),
+                      time);
     case WriteBatch::OpKind::kRangeDelete: {
       RangeTombstone rt;
-      rt.begin_key = key;
-      rt.end_key = end_key;
+      rt.begin_key = key.ToString();
+      rt.end_key = end_key.ToString();
       rt.seq = seq;
       rt.time = time;
       mem->AddRangeTombstone(rt);
       break;
     }
   }
+  return false;
+}
+
+/// Sort-key span of a memtable's live entries and its range tombstones.
+/// Returns false, leaving the outputs untouched, when it buffers neither.
+bool BufferSpan(const MemTable& mem, std::string* smallest,
+                std::string* largest) {
+  bool has_span = mem.KeySpan(smallest, largest);
+  auto widen = [&](const RangeTombstone& rt) {
+    if (!has_span || Slice(rt.begin_key).compare(Slice(*smallest)) < 0) {
+      *smallest = rt.begin_key;
+    }
+    if (!has_span || Slice(rt.end_key).compare(Slice(*largest)) > 0) {
+      *largest = rt.end_key;
+    }
+    has_span = true;
+  };
+  const std::shared_ptr<const BufferedRangeTombstones> rts =
+      mem.range_tombstones();
+  for (const RtChunk* c = rts->sealed.get(); c != nullptr; c = c->prev.get()) {
+    for (const RangeTombstone& rt : c->list) {
+      widen(rt);
+    }
+  }
+  for (const RangeTombstone& rt : rts->active) {
+    widen(rt);
+  }
+  return has_span;
 }
 
 }  // namespace
@@ -405,8 +433,17 @@ DBImpl::~DBImpl() {
     std::unique_lock<std::mutex> l(mu_);
     while (!imm_.empty() && bg_error_.ok()) {
       bool deferred = false;
-      if (!FlushOldestImmLocked(l, &deferred).ok() || deferred) {
+      if (!FlushMemTable(&imm_.front(), l, &deferred).ok() || deferred) {
         break;
+      }
+    }
+    // Look-aheads still parked behind a memtable that could not flush:
+    // drop their outputs; their WALs stay behind for recovery.
+    for (ImmMemTable& imm : imm_) {
+      if (imm.parked_edit) {
+        RemoveFailedMergeOutputs(options_.env, dbname_, *imm.parked_edit);
+        imm.parked_edit.reset();
+        imm.parked_claim.Release();
       }
     }
   }
@@ -888,7 +925,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   // Runs with mu_ released; the caller holds the write token, which is what
   // guards memtable content, WAL appends, and sequence allocation.
   struct PendingOp {
-    const WriteBatch::Op* op;
+    WriteBatch::Op op;
     SequenceNumber seq;
     uint64_t delete_key;
   };
@@ -920,7 +957,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   // unsynchronized read-modify-write of LastSequence is safe.
   SequenceNumber next_seq = versions_->LastSequence();
   for (const Writer* writer : group) {
-    for (const WriteBatch::Op& op : writer->batch->ops()) {
+    for (const WriteBatch::Op op : writer->batch->ops()) {
       uint64_t delete_key = op.delete_key;
       switch (op.kind) {
         case WriteBatch::OpKind::kPut:
@@ -928,15 +965,14 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
           stats_.user_bytes_written.fetch_add(
               op.key.size() + op.value.size() + 8, std::memory_order_relaxed);
           if (track_liveness) {
-            group_live[op.key] = true;
+            group_live[op.key.ToString()] = true;
           }
           break;
         case WriteBatch::OpKind::kDelete: {
           if (options_.filter_blind_deletes) {
-            auto it = group_live.find(op.key);
+            auto it = group_live.find(op.key.ToString());
             const bool may_exist =
-                it != group_live.end() ? it->second
-                                       : KeyMayExist(snap, Slice(op.key));
+                it != group_live.end() ? it->second : KeyMayExist(snap, op.key);
             if (!may_exist) {
               stats_.blind_deletes_avoided.fetch_add(
                   1, std::memory_order_relaxed);
@@ -951,7 +987,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
           // data they invalidate.
           delete_key = now;
           if (track_liveness) {
-            group_live[op.key] = false;
+            group_live[op.key.ToString()] = false;
           }
           break;
         }
@@ -968,7 +1004,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
         mem_first_seq_ = seq;  // token-guarded, like all memtable state
         mem_first_time_ = now;
       }
-      pending.push_back({&op, seq, delete_key});
+      pending.push_back({op, seq, delete_key});
       if (wal != nullptr) {
         WalRecordView record;
         record.kind = static_cast<WalRecord::Kind>(op.kind);
@@ -990,14 +1026,18 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   // group — the group-commit amortization — then pass 3: apply to the
   // memtable in order. Every writer in the group fails with a WAL error
   // (CompleteGroup propagates it to all members).
+  uint64_t tail_inserts = 0;
   LETHE_RETURN_IF_ERROR(LogApplyPublish(
       wal, framed, force_sync, next_seq, [&] {
         for (const PendingOp& p : pending) {
-          const WriteBatch::Op& op = *p.op;
-          ApplyToMemTable(snap.mem.get(), op.kind, p.seq, now, op.key,
-                          op.end_key, p.delete_key, op.value);
+          const WriteBatch::Op& op = p.op;
+          tail_inserts +=
+              ApplyToMemTable(snap.mem.get(), op.kind, p.seq, now, op.key,
+                              op.end_key, p.delete_key, op.value);
         }
       }));
+  stats_.memtable_tail_inserts.fetch_add(tail_inserts,
+                                         std::memory_order_relaxed);
   stats_.group_commit_batches.fetch_add(1, std::memory_order_relaxed);
   stats_.group_commit_entries.fetch_add(pending.size(),
                                         std::memory_order_relaxed);
@@ -1008,9 +1048,9 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* batch) {
   if (batch == nullptr) {
     return Status::InvalidArgument("null WriteBatch");
   }
-  for (const WriteBatch::Op& op : batch->ops()) {
+  for (const WriteBatch::Op op : batch->ops()) {
     if (op.kind == WriteBatch::OpKind::kRangeDelete &&
-        Slice(op.key).compare(Slice(op.end_key)) >= 0) {
+        op.key.compare(op.end_key) >= 0) {
       return Status::InvalidArgument("empty range delete");
     }
   }
@@ -1026,7 +1066,7 @@ Status DBImpl::WriteValidated(const WriteOptions& options, WriteBatch* batch,
   if (batch == nullptr) {
     return Status::InvalidArgument("null WriteBatch");
   }
-  for (const WriteBatch::Op& op : batch->ops()) {
+  for (const WriteBatch::Op op : batch->ops()) {
     if (op.kind == WriteBatch::OpKind::kRangeDelete) {
       // Validation is per-key; a staged range delete would need range
       // conflict tracking. OptimisticTransaction never stages one.
@@ -1244,7 +1284,12 @@ Status DBImpl::SwitchMemTableLocked() {
   if (mem_->empty()) {
     return Status::OK();
   }
-  ImmMemTable imm{mem_, wal_number_, mem_first_seq_, mem_first_time_};
+  ImmMemTable imm;
+  imm.mem = mem_;
+  imm.wal_number = wal_number_;
+  imm.first_seq = mem_first_seq_;
+  imm.first_time = mem_first_time_;
+  imm.has_span = BufferSpan(*mem_, &imm.smallest, &imm.largest);
   // Fresh WAL for the new memtable. The manifest keeps naming the oldest
   // unflushed WAL; recovery scans the directory for everything newer.
   LETHE_RETURN_IF_ERROR(RotateWalLocked());
@@ -1297,8 +1342,12 @@ void DBImpl::MaybeScheduleFlushLocked() {
     // that immediately re-defers, ping-ponging until the blocker commits.
     return;
   }
-  if (flush_scheduled_) {
-    return;  // the chain is alive; it re-arms itself after each flush
+  if (flush_jobs_unstarted_ > 0 ||
+      flush_jobs_ >= options_.background_threads) {
+    return;  // a queued job takes the next memtable, or the slots are full
+  }
+  if (NextFlushCandidateLocked() == nullptr) {
+    return;  // every pending memtable is building, or the next overlaps one
   }
   if (l0_saturated_ && compaction_jobs_ > 0 &&
       static_cast<int>(imm_.size()) < options_.max_imm_memtables) {
@@ -1313,45 +1362,61 @@ void DBImpl::MaybeScheduleFlushLocked() {
     // exit when the pick came up empty, and by every memtable switch.
     return;
   }
-  flush_scheduled_ = true;
+  flush_jobs_++;
+  flush_jobs_unstarted_++;
   bg_jobs_inflight_++;
   if (!bg_->Schedule(BackgroundScheduler::Priority::kFlush,
                      [this] { BackgroundFlush(); }, bg_owner_)) {
-    flush_scheduled_ = false;
+    flush_jobs_--;
+    flush_jobs_unstarted_--;
     bg_jobs_inflight_--;  // shutting down; the destructor drains imm_
   }
 }
 
+DBImpl::ImmMemTable* DBImpl::NextFlushCandidateLocked() {
+  auto overlaps = [](const ImmMemTable& a, const ImmMemTable& b) {
+    return !a.has_span || !b.has_span ||
+           (Slice(a.smallest).compare(Slice(b.largest)) <= 0 &&
+            Slice(b.smallest).compare(Slice(a.largest)) <= 0);
+  };
+  for (auto it = imm_.begin(); it != imm_.end(); ++it) {
+    if (it->building || it->parked_edit) {
+      continue;
+    }
+    // A look-ahead installs after every older memtable, and shares no key
+    // with one, so the order its keys reach the version in is unchanged.
+    for (auto older = imm_.begin(); older != it; ++older) {
+      if (overlaps(*older, *it)) {
+        return nullptr;
+      }
+    }
+    return &*it;
+  }
+  return nullptr;
+}
+
 // ---- merges ---------------------------------------------------------------
 
-Status DBImpl::FlushMemTable(const ImmMemTable& imm,
+Status DBImpl::FlushMemTable(ImmMemTable* imm,
                              std::unique_lock<std::mutex>& l,
                              bool* deferred) {
-  if (imm.mem->empty()) {
+  if (imm->mem->empty()) {
     return Status::OK();
   }
   std::shared_ptr<const Version> version = versions_->current();
+  std::shared_ptr<MemTable> mem = imm->mem;  // pinned across the unlock
 
   MergeConfig config;
   config.is_flush = true;
   config.output_level = 0;
   config.snapshots = SnapshotSeqsLocked();
 
-  // Sort-key span of the buffered data (entries + range tombstones). The
-  // skiplist is key-ordered, so this is one cheap walk — no second decoding
-  // pass over the buffer and no per-entry string churn.
-  std::string smallest, largest;
-  bool has_span = imm.mem->KeySpan(&smallest, &largest);
-  std::vector<RangeTombstone> rts = imm.mem->range_tombstones()->ToVector();
-  for (const RangeTombstone& rt : rts) {
-    if (!has_span || Slice(rt.begin_key).compare(Slice(smallest)) < 0) {
-      smallest = rt.begin_key;
-    }
-    if (!has_span || Slice(rt.end_key).compare(Slice(largest)) > 0) {
-      largest = rt.end_key;
-    }
-    has_span = true;
-  }
+  // Sort-key span of the buffered data (entries + range tombstones), taken
+  // when the memtable froze.
+  const std::string& smallest = imm->smallest;
+  const std::string& largest = imm->largest;
+  const bool has_span = imm->has_span;
+  std::vector<RangeTombstone> rts = mem->range_tombstones()->ToVector();
 
   std::vector<std::shared_ptr<FileMeta>> overlapping;
   if (options_.compaction_style == CompactionStyle::kLeveling) {
@@ -1363,10 +1428,9 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
 
   // Claim the flush footprint — the merged-in L0 files plus the output
   // span (memtable span widened over the merged files) — before any work,
-  // deferring if a running compaction holds part of it. The RAII guard
-  // releases the claim on every exit path below.
+  // deferring if a running merge holds part of it. The RAII guard releases
+  // the claim on every exit path below.
   JobFootprint footprint;
-  footprint.is_flush = true;
   footprint.output_level = 0;
   footprint.CoverOutput(Slice(smallest), Slice(largest));
   for (const auto& file : overlapping) {
@@ -1377,10 +1441,21 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
     return Status::OK();
   }
   FootprintClaim claim(this, footprint);
+  imm->building = true;
+  if (imm != &imm_.front()) {
+    stats_.flushes_pipelined.fetch_add(1, std::memory_order_relaxed);
+  }
+  // The next memtable may build alongside this one (a no-op with one
+  // worker: this job fills the only flush slot).
+  MaybeScheduleFlushLocked();
 
   VersionEdit edit;
-  versions_->AddSeqTimeCheckpoint(imm.first_seq, imm.first_time, &edit);
+  versions_->AddSeqTimeCheckpoint(imm->first_seq, imm->first_time, &edit);
 
+  // Bottommost is judged on the current version only. That stays sound for
+  // a look-ahead: no older pending memtable holds any of its keys
+  // (NextFlushCandidateLocked), so nothing older than its tombstones can
+  // still reach the version below them.
   if (options_.compaction_style == CompactionStyle::kLeveling) {
     for (const auto& file : overlapping) {
       edit.removed_files.push_back({0, file->file_number});
@@ -1403,7 +1478,7 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
     auto mem_span = std::make_shared<FileMeta>();
     mem_span->smallest_key = smallest;
     mem_span->largest_key = largest;
-    mem_span->file_size = imm.mem->ApproximateMemoryUsage();
+    mem_span->file_size = mem->ApproximateMemoryUsage();
     std::vector<std::shared_ptr<FileMeta>> span_inputs = overlapping;
     span_inputs.push_back(std::move(mem_span));
     // Fence sampling opens the inputs and may read their metadata; that
@@ -1420,29 +1495,67 @@ Status DBImpl::FlushMemTable(const ImmMemTable& imm,
   // memtable + on-disk files) and output file numbers come from atomics.
   // The registered footprint guarantees no conflicting version mutation
   // between the snapshot above and the commit below.
-  Status s = RunMergePartitioned(overlapping, imm.mem, std::move(rts),
-                                 boundaries, config, &edit, l);
-  if (s.ok()) {
+  Status s = RunMergePartitioned(overlapping, mem, std::move(rts), boundaries,
+                                 config, &edit, l);
+  if (!s.ok()) {
+    imm->building = false;
+    claim.Release();
+    RemoveFailedMergeOutputs(options_.env, dbname_, edit);
+    return s;
+  }
+  if (imm != &imm_.front()) {
+    // An older memtable has not installed yet; its install takes this one
+    // along.
+    imm->building = false;
+    imm->parked_edit = std::move(edit);
+    imm->parked_claim = std::move(claim);
+    return Status::OK();
+  }
+  return InstallFlushesLocked(std::move(edit), std::move(claim));
+}
+
+Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim) {
+  int installed = 0;
+  Status s;
+  while (true) {
+    ImmMemTable& front = imm_.front();
     // The manifest must keep naming the oldest WAL still carrying unflushed
     // data: the next pending memtable's, or the active one.
     edit.wal_number = imm_.size() > 1 ? imm_[1].wal_number : wal_number_;
     s = versions_->LogAndApply(&edit);
+    claim.Release();
+    if (!s.ok()) {
+      front.building = false;
+      RemoveFailedMergeOutputs(options_.env, dbname_, edit);
+      break;
+    }
+    const uint64_t flushed_wal = front.wal_number;
+    imm_.pop_front();
+    if (options_.enable_wal) {
+      // Everything the flushed WAL covered is durable in the new version.
+      // The unlink stays inside this mu_ hold: done after the job releases
+      // mu_, it delays the next flush's L0 claim, and FADE's TTL pick then
+      // grabs L0 for a whole-L1 rewrite (ycsb-deletes write_amp +20-55%).
+      options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
+    }
+    installed++;
+    if (imm_.empty() || !imm_.front().parked_edit) {
+      break;
+    }
+    ImmMemTable& next = imm_.front();
+    next.building = true;  // installing: no job may take it meanwhile
+    edit = std::move(*next.parked_edit);
+    next.parked_edit.reset();
+    claim = std::move(next.parked_claim);
   }
-  claim.Release();
-  if (!s.ok()) {
-    RemoveFailedMergeOutputs(options_.env, dbname_, edit);
-    return s;
+  if (installed > 0) {
+    UpdateMemtableReservationLocked();
+    RefreshTriggerStateLocked();
   }
-  const uint64_t flushed_wal = imm.wal_number;
-  imm_.pop_front();  // `imm` may alias the popped entry: read it first
-  if (options_.enable_wal) {
-    // Everything the flushed WAL covered is durable in the new version.
-    options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
+  if (s.ok()) {
+    err_->ReportSuccess();  // a committed flush refills the retry budget
   }
-  UpdateMemtableReservationLocked();
-  RefreshTriggerStateLocked();
-  err_->ReportSuccess();  // a committed flush refills the retry budget
-  return Status::OK();
+  return s;
 }
 
 void DBImpl::UpdateMemtableReservationLocked() {
@@ -1887,9 +2000,11 @@ void DBImpl::UnregisterJobLocked(uint64_t job_id) {
 
 void DBImpl::BackgroundFlush() {
   std::unique_lock<std::mutex> l(mu_);
+  flush_jobs_unstarted_--;
   bool deferred = false;
   if (!closed_ && bg_error_.ok()) {
-    Status s = FlushOldestImmLocked(l, &deferred);
+    ImmMemTable* imm = NextFlushCandidateLocked();
+    Status s = imm != nullptr ? FlushMemTable(imm, l, &deferred) : Status::OK();
     if (!s.ok()) {
       RecordBackgroundErrorLocked(BackgroundJobKind::kFlush, s);
     }
@@ -1899,7 +2014,7 @@ void DBImpl::BackgroundFlush() {
     }
     MaybeScheduleCompactionLocked();
   }
-  flush_scheduled_ = false;
+  flush_jobs_--;
   if (!deferred) {
     MaybeScheduleFlushLocked();  // next link in the chain
   }
@@ -1965,8 +2080,10 @@ Status DBImpl::AcquireExclusiveLocked(FootprintClaim* claim,
   // (pre-call entries in the *active* memtable were handled under the
   // write token). Draining newer ones too would livelock against
   // sustained ingest — writers can freeze memtables as fast as one worker
-  // flushes them.
-  size_t pending_imms = imm_.size();
+  // flushes them. Memtables install oldest-first, so the pre-call ones are
+  // all on disk once the newest of them has left imm_.
+  const std::shared_ptr<MemTable> newest_pre_call =
+      imm_.empty() ? nullptr : imm_.back().mem;
   Status s;
   while (true) {
     if (closed_) {
@@ -1977,20 +2094,30 @@ Status DBImpl::AcquireExclusiveLocked(FootprintClaim* claim,
       s = bg_error_;
       break;
     }
-    if (pending_imms > 0 && !imm_.empty()) {
-      // Drain the pre-call memtables on this worker so the exclusive job
-      // sees every pre-call write on disk (the flush-outranks-us
-      // contract). A concurrently running flush job wins the is_flush
-      // claim and this attempt defers until it commits.
+    bool pre_call_pending = false;
+    bool parked = false;
+    for (const ImmMemTable& imm : imm_) {
+      pre_call_pending |= imm.mem == newest_pre_call;
+      parked |= imm.parked_edit.has_value();
+    }
+    if (pre_call_pending || parked) {
+      // Flush the front on this worker when no job is building it, so the
+      // exclusive job sees every pre-call write on disk (the
+      // flush-outranks-us contract), and so a parked look-ahead — whose
+      // claim would keep the registry from draining — can install. Flush
+      // scheduling is paused while we wait, so nobody else would. A front
+      // a job is building installs on its own; wait for it.
+      if (imm_.front().building) {
+        bg_work_done_cv_.wait(l);
+        continue;
+      }
       bool deferred = false;
-      s = FlushOldestImmLocked(l, &deferred);
+      s = FlushMemTable(&imm_.front(), l, &deferred);
       if (!s.ok()) {
         break;
       }
       if (deferred) {
         bg_work_done_cv_.wait(l);
-      } else {
-        pending_imms--;
       }
       continue;
     }
@@ -2110,15 +2237,6 @@ void DBImpl::ResumeFromBackgroundError() {
   MaybeScheduleFlushLocked();
   MaybeScheduleCompactionLocked();
   bg_work_done_cv_.notify_all();
-}
-
-Status DBImpl::FlushOldestImmLocked(std::unique_lock<std::mutex>& l,
-                                    bool* deferred) {
-  if (imm_.empty()) {
-    return Status::OK();
-  }
-  ImmMemTable imm = imm_.front();  // copy: pins the memtable across unlock
-  return FlushMemTable(imm, l, deferred);
 }
 
 Status DBImpl::WaitForFlushLocked(std::unique_lock<std::mutex>& l) {

@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,10 @@ struct ShardContext {
 ///     `mu_` for I/O and unregisters in the same `mu_` hold as its
 ///     LogAndApply, so claims and version membership change atomically. No
 ///     two in-flight jobs ever share an input file or overlap output key
-///     ranges within a level; at most one flush is in flight (ordering).
+///     ranges within a level. Flushes of disjoint memtables may build at
+///     once, but they install oldest-first: a look-ahead that finishes
+///     early parks its edit and claim on its imm_ entry (see
+///     InstallFlushesLocked).
 ///   - Exclusive jobs (CompactAll, secondary-delete execution) wait for the
 ///     registry to drain, then claim the whole tree.
 ///   - Monotonic counters (file numbers, sequence numbers) are atomics in
@@ -191,13 +195,71 @@ class DBImpl final : public DB {
     std::condition_variable cv;
   };
 
+  /// RAII handle on an in-flight registry claim: releasing (destruction or
+  /// Release()) unregisters the footprint and re-arms work parked on it, so
+  /// no error path can leak a claim. Like every registry operation it must
+  /// be constructed and destroyed with mu_ held; the heavy merge I/O in
+  /// between runs with mu_ released, which is safe precisely because the
+  /// claim is what fences conflicting background work. Default-constructed
+  /// = holds nothing.
+  class FootprintClaim {
+   public:
+    FootprintClaim() = default;
+    /// Claims `footprint`. The caller must have checked
+    /// ConflictsWithInFlight in the same mu_ hold.
+    FootprintClaim(DBImpl* db, const JobFootprint& footprint)
+        : db_(db), job_id_(db->versions_->RegisterInFlightJob(footprint)) {}
+    FootprintClaim(FootprintClaim&& other) noexcept
+        : db_(other.db_), job_id_(other.job_id_) {
+      other.db_ = nullptr;
+    }
+    FootprintClaim& operator=(FootprintClaim&& other) noexcept {
+      if (this != &other) {
+        Release();
+        db_ = other.db_;
+        job_id_ = other.job_id_;
+        other.db_ = nullptr;
+      }
+      return *this;
+    }
+    FootprintClaim(const FootprintClaim&) = delete;
+    FootprintClaim& operator=(const FootprintClaim&) = delete;
+    ~FootprintClaim() { Release(); }
+
+    void Release() {
+      if (db_ != nullptr) {
+        db_->UnregisterJobLocked(job_id_);
+        db_ = nullptr;
+      }
+    }
+    bool held() const { return db_ != nullptr; }
+
+   private:
+    DBImpl* db_ = nullptr;
+    uint64_t job_id_ = 0;
+  };
+
   /// A memtable frozen by the write path, awaiting background flush,
-  /// together with the WAL that covers it and its FADE checkpoint info.
+  /// together with the WAL that covers it, its FADE checkpoint info and its
+  /// flush state. Entries stay in imm_ (and readable) until installed.
   struct ImmMemTable {
     std::shared_ptr<MemTable> mem;
     uint64_t wal_number = 0;
     SequenceNumber first_seq = 0;
     uint64_t first_time = 0;
+    // Sort-key span of the buffered entries and range tombstones, taken at
+    // freeze (a frozen memtable never changes). has_span is false when no
+    // live entry or range tombstone is buffered.
+    std::string smallest;
+    std::string largest;
+    bool has_span = false;
+    // A flush is building this memtable, or installing it.
+    bool building = false;
+    // Built while an older memtable was still pending: the finished edit
+    // and its registry claim wait here until every older memtable has
+    // installed (InstallFlushesLocked).
+    std::optional<VersionEdit> parked_edit;
+    FootprintClaim parked_claim;
   };
 
   /// A point-in-time view of everything readable, taken under mu_.
@@ -300,56 +362,28 @@ class DBImpl final : public DB {
   // releasing the mutex; *deferred is set (with no work done) when the
   // footprint overlaps a job already running.
 
-  /// RAII handle on an in-flight registry claim: releasing (destruction or
-  /// Release()) unregisters the footprint and re-arms work parked on it, so
-  /// no error path can leak a claim. Like every registry operation it must
-  /// be constructed and destroyed with mu_ held; the heavy merge I/O in
-  /// between runs with mu_ released, which is safe precisely because the
-  /// claim is what fences conflicting background work. Default-constructed
-  /// = holds nothing.
-  class FootprintClaim {
-   public:
-    FootprintClaim() = default;
-    /// Claims `footprint`. The caller must have checked
-    /// ConflictsWithInFlight in the same mu_ hold.
-    FootprintClaim(DBImpl* db, const JobFootprint& footprint)
-        : db_(db), job_id_(db->versions_->RegisterInFlightJob(footprint)) {}
-    FootprintClaim(FootprintClaim&& other) noexcept
-        : db_(other.db_), job_id_(other.job_id_) {
-      other.db_ = nullptr;
-    }
-    FootprintClaim& operator=(FootprintClaim&& other) noexcept {
-      if (this != &other) {
-        Release();
-        db_ = other.db_;
-        job_id_ = other.job_id_;
-        other.db_ = nullptr;
-      }
-      return *this;
-    }
-    FootprintClaim(const FootprintClaim&) = delete;
-    FootprintClaim& operator=(const FootprintClaim&) = delete;
-    ~FootprintClaim() { Release(); }
-
-    void Release() {
-      if (db_ != nullptr) {
-        db_->UnregisterJobLocked(job_id_);
-        db_ = nullptr;
-      }
-    }
-    bool held() const { return db_ != nullptr; }
-
-   private:
-    DBImpl* db_ = nullptr;
-    uint64_t job_id_ = 0;
-  };
-
-  /// Flushes `imm`, the front of imm_ (merging with overlapping
-  /// first-level files under leveling). Heavy I/O runs with `l` released.
-  /// On commit pops imm_ and points the manifest at the oldest WAL still
-  /// carrying unflushed data.
-  Status FlushMemTable(const ImmMemTable& imm, std::unique_lock<std::mutex>& l,
+  /// Flushes `imm`, an entry of imm_ that no job is building (merging with
+  /// overlapping first-level files under leveling). Heavy I/O runs with `l`
+  /// released; `imm` stays valid meanwhile (deque elements do not move,
+  /// and only installed entries are popped). The front installs at once
+  /// (InstallFlushesLocked); a look-ahead whose older memtables are still
+  /// pending parks its edit and claim on `imm` instead.
+  Status FlushMemTable(ImmMemTable* imm, std::unique_lock<std::mutex>& l,
                        bool* deferred);
+
+  /// Installs the finished flush of imm_.front() (`edit`, claimed by
+  /// `claim`), then every parked successor in order, all in this mu_ hold:
+  /// each LogAndApply points the manifest at the oldest WAL still carrying
+  /// unflushed data, and each installed memtable leaves imm_ and has its
+  /// WAL removed. A failed install removes its outputs and leaves its
+  /// memtable at the front, unbuilt.
+  Status InstallFlushesLocked(VersionEdit edit, FootprintClaim claim);
+
+  /// The memtable the next flush job should build: the oldest one no job is
+  /// building or has parked. Behind a pending older memtable (a look-ahead)
+  /// only when its span is disjoint from every older pending one. Null when
+  /// there is none.
+  ImmMemTable* NextFlushCandidateLocked();
 
   Status CompactOnce(const CompactionPick& pick,
                      std::unique_lock<std::mutex>& l, bool* deferred);
@@ -393,10 +427,12 @@ class DBImpl final : public DB {
 
   // ---- scheduling -----------------------------------------------------------
 
-  /// Keeps the flush chain alive: schedules one flush job when imm_ is
-  /// non-empty and none is queued or running. At most one flush job exists
-  /// at a time (flushes must drain oldest-first); the job re-arms the chain
-  /// after each flush.
+  /// Keeps the flush chain alive: schedules a flush job when a memtable is
+  /// ready to build (NextFlushCandidateLocked) and no queued job is about
+  /// to take it, up to background_threads flush jobs. Each job re-arms the
+  /// chain once it has claimed its memtable and again when it ends, so an
+  /// ascending load builds successive memtables side by side while they
+  /// still install oldest-first. With one worker at most one flush runs.
   void MaybeScheduleFlushLocked();
 
   /// Schedules compaction jobs while triggers are due, up to
@@ -411,9 +447,10 @@ class DBImpl final : public DB {
   /// (deferred flush chain / deferred compactions), then wakes waiters.
   void UnregisterJobLocked(uint64_t job_id);
 
-  /// Worker-side acquisition for exclusive jobs: drains pending immutable
-  /// memtables (flushing them on this thread), waits for every in-flight
-  /// merge to commit, then claims the whole tree. On success *claim holds
+  /// Worker-side acquisition for exclusive jobs: waits until the memtables
+  /// frozen before the call have installed (flushing the front on this
+  /// thread when no job is building it), waits for every in-flight merge
+  /// to commit, then claims the whole tree. On success *claim holds
   /// the registration and releases it on destruction.
   Status AcquireExclusiveLocked(FootprintClaim* claim,
                                 std::unique_lock<std::mutex>& l);
@@ -426,10 +463,6 @@ class DBImpl final : public DB {
       BackgroundScheduler::Priority priority, BackgroundJobKind kind,
       const std::function<Status(std::unique_lock<std::mutex>&)>& fn,
       std::unique_lock<std::mutex>& l);
-
-  /// Oldest pending flush, executed on a worker (or by the close drain).
-  Status FlushOldestImmLocked(std::unique_lock<std::mutex>& l,
-                              bool* deferred);
 
   // ---- background-error handling ------------------------------------------
 
@@ -565,7 +598,8 @@ class DBImpl final : public DB {
 
   // Background bookkeeping (guarded by mu_).
   std::condition_variable bg_work_done_cv_;  // flush/compaction committed
-  bool flush_scheduled_ = false;    // a flush job is queued or running
+  int flush_jobs_ = 0;              // flush jobs queued or running
+  int flush_jobs_unstarted_ = 0;    // of those, queued and not yet running
   bool flush_deferred_ = false;     // flush chain parked on a conflict
   int compaction_jobs_ = 0;         // compaction jobs queued or running
   bool compaction_deferred_ = false;  // a pick conflicted; retry on commit

@@ -252,24 +252,23 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
   // within its shard; the batch as a whole is NOT atomic across shards.
   std::vector<WriteBatch> parts(n);
   std::vector<bool> used(n, false);
-  for (const WriteBatch::Op& op : batch->ops()) {
+  for (const WriteBatch::Op op : batch->ops()) {
     switch (op.kind) {
       case WriteBatch::OpKind::kPut: {
-        const int s = ShardOf(Slice(op.key));
-        parts[s].Put(Slice(op.key), op.delete_key, Slice(op.value));
+        const int s = ShardOf(op.key);
+        parts[s].Put(op.key, op.delete_key, op.value);
         used[s] = true;
         break;
       }
       case WriteBatch::OpKind::kDelete: {
-        const int s = ShardOf(Slice(op.key));
-        parts[s].Delete(Slice(op.key));
+        const int s = ShardOf(op.key);
+        parts[s].Delete(op.key);
         used[s] = true;
         break;
       }
       case WriteBatch::OpKind::kRangeDelete: {
-        for (int s : router_->ShardsOfRange(Slice(op.key), Slice(op.end_key),
-                                            n)) {
-          parts[s].RangeDelete(Slice(op.key), Slice(op.end_key));
+        for (int s : router_->ShardsOfRange(op.key, op.end_key, n)) {
+          parts[s].RangeDelete(op.key, op.end_key);
           used[s] = true;
         }
         break;

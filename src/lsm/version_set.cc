@@ -345,9 +345,6 @@ bool VersionSet::ConflictsWithInFlight(const JobFootprint& footprint) const {
     if (other.exclusive) {
       return true;
     }
-    if (footprint.is_flush && other.is_flush) {
-      return true;  // flushes are ordered: oldest memtable first
-    }
     if (footprint.output_level >= 0 &&
         footprint.output_level == other.output_level &&
         Slice(footprint.output_begin).compare(Slice(other.output_end)) <= 0 &&

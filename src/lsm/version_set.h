@@ -74,12 +74,12 @@ class TableCache {
 ///     Callers pass the *input span* as the output range — outputs are
 ///     always contained in it, and the wider claim also fences the region
 ///     being rewritten.
-///   - At most one flush runs at a time (immutable memtables must reach L0
-///     oldest-first to keep sequence recency ordered).
+///   - Flushes follow the same two rules and nothing more: two flushes whose
+///     L0 output spans are disjoint build at the same time. Recency order
+///     is kept by the DB, which installs finished flushes oldest-first.
 ///   - `exclusive` jobs (CompactAll, secondary range deletes) conflict with
 ///     everything: they scan or rewrite the whole tree.
 struct JobFootprint {
-  bool is_flush = false;
   bool exclusive = false;
   std::vector<uint64_t> input_files;
   int output_level = -1;  // -1 = no file output

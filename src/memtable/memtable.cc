@@ -82,7 +82,7 @@ void AtomicMin(std::atomic<uint64_t>* target, uint64_t value) {
 }
 }  // namespace
 
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
+bool MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
                    uint64_t delete_key, const Slice& value, uint64_t time) {
   ParsedEntry entry;
   entry.user_key = user_key;
@@ -95,12 +95,13 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   char* record = arena_.Allocate(1 + EncodedEntrySize(entry));
   record[0] = static_cast<char>(kLive);
   EncodeEntry(entry, record + 1);
-  table_.Insert(record);
+  const bool at_tail = table_.Insert(record);
   num_entries_.fetch_add(1, std::memory_order_release);
   if (type == ValueType::kTombstone) {
     num_point_tombstones_.fetch_add(1, std::memory_order_release);
     AtomicMin(&oldest_tombstone_time_, time);
   }
+  return at_tail;
 }
 
 void BufferedRangeTombstones::AppendTo(
@@ -233,6 +234,7 @@ uint64_t MemTable::PurgeDeleteKeyRange(uint64_t lo, uint64_t hi) {
       purged++;
     }
   }
+  num_purged_.fetch_add(purged, std::memory_order_release);
   return purged;
 }
 
@@ -240,27 +242,30 @@ bool MemTable::KeySpan(std::string* smallest, std::string* largest) const {
   SkipList<KeyComparator>::Iterator it(&table_);
   const char* first = nullptr;
   const char* last = nullptr;
-  for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    if (!IsLive(it.key())) {
-      continue;
+  if (num_purged_.load(std::memory_order_acquire) == 0) {
+    it.SeekToFirst();
+    first = it.Valid() ? it.key() : nullptr;
+    it.SeekToLast();
+    last = it.Valid() ? it.key() : nullptr;
+  } else {
+    for (it.SeekToFirst(); it.Valid(); it.Next()) {
+      if (!IsLive(it.key())) {
+        continue;
+      }
+      if (first == nullptr) {
+        first = it.key();
+      }
+      last = it.key();
     }
-    if (first == nullptr) {
-      first = it.key();
-    }
-    last = it.key();
   }
-  if (first == nullptr) {
+  if (first == nullptr || last == nullptr) {
     return false;
   }
-  ParsedEntry entry;
-  if (!DecodeRecord(first, &entry, SIZE_MAX / 2)) {
-    return false;
-  }
-  smallest->assign(entry.user_key.data(), entry.user_key.size());
-  if (!DecodeRecord(last, &entry, SIZE_MAX / 2)) {
-    return false;
-  }
-  largest->assign(entry.user_key.data(), entry.user_key.size());
+  SequenceNumber seq;
+  const Slice first_key = RecordKey(first, &seq);
+  const Slice last_key = RecordKey(last, &seq);
+  smallest->assign(first_key.data(), first_key.size());
+  largest->assign(last_key.data(), last_key.size());
   return true;
 }
 

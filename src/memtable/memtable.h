@@ -102,8 +102,9 @@ class MemTable {
   MemTable& operator=(const MemTable&) = delete;
 
   /// Adds an entry. `time` is the Clock reading at insertion, used for
-  /// tombstone age tracking.
-  void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
+  /// tombstone age tracking. Returns true when the entry sorted after every
+  /// buffered entry and was appended at the skiplist's tail.
+  bool Add(SequenceNumber seq, ValueType type, const Slice& user_key,
            uint64_t delete_key, const Slice& value, uint64_t time);
 
   void AddRangeTombstone(const RangeTombstone& tombstone);
@@ -150,10 +151,11 @@ class MemTable {
   uint64_t PurgeDeleteKeyRange(uint64_t lo, uint64_t hi);
 
   /// Sort-key span of the live buffered entries (range tombstones not
-  /// included). One skiplist walk with no per-entry decoding or allocation:
-  /// the list is key-ordered, so the span is its first and last live
-  /// records. Returns false, leaving the outputs untouched, when no live
-  /// entry exists.
+  /// included). The list is key-ordered, so the span is its first and last
+  /// live records: with nothing purged those are the first and last nodes
+  /// (no walk); after a secondary-delete purge it walks the list to skip
+  /// purged records. Returns false, leaving the outputs untouched, when no
+  /// live entry exists.
   bool KeySpan(std::string* smallest, std::string* largest) const;
 
   /// Buffered memory charged against Options::write_buffer_bytes: the entry
@@ -197,6 +199,7 @@ class MemTable {
   mutable std::mutex rts_mu_;  // guards the rts_ pointer swap only
   std::shared_ptr<const BufferedRangeTombstones> rts_;
   std::atomic<uint64_t> num_entries_{0};
+  std::atomic<uint64_t> num_purged_{0};  // entries a secondary delete purged
   std::atomic<uint64_t> num_point_tombstones_{0};
   std::atomic<uint64_t> num_range_tombstones_{0};
   std::atomic<uint64_t> rts_bytes_{0};  // charged range-tombstone memory

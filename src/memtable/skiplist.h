@@ -12,9 +12,10 @@ namespace lethe {
 
 /// Lock-free-read skiplist over opaque keys, in the LevelDB mold: a single
 /// external writer inserts; concurrent readers traverse safely thanks to
-/// release/acquire pointer publication. Keys are arena-allocated byte
-/// buffers; ordering is provided by the Comparator functor
-/// (int operator()(const char* a, const char* b)).
+/// release/acquire pointer publication. The writer remembers the list's
+/// last node per level, so keys arriving in ascending order append without
+/// a search. Keys are arena-allocated byte buffers; ordering is provided
+/// by the Comparator functor (int operator()(const char* a, const char* b)).
 template <typename Comparator>
 class SkipList {
  private:
@@ -29,6 +30,7 @@ class SkipList {
         rnd_(0xdeadbeef) {
     for (int i = 0; i < kMaxHeight; i++) {
       head_->SetNext(i, nullptr);
+      last_[i] = head_;
     }
   }
 
@@ -37,12 +39,23 @@ class SkipList {
 
   /// Inserts `key` (an arena-allocated record). Requires nothing equal is
   /// already present (the memtable appends with unique ascending seqs).
-  void Insert(const char* key) {
+  /// A key that sorts after the current last node links there after one
+  /// compare (ascending loads never search); any other key searches from
+  /// the top. Both paths produce the same links. Returns true when the key
+  /// took the tail path.
+  bool Insert(const char* key) {
+    const int height = RandomHeight();
     Node* prev[kMaxHeight];
-    Node* x = FindGreaterOrEqual(key, prev);
-    assert(x == nullptr || compare_(key, x->key) != 0);
+    const bool at_tail = last_[0] == head_ || compare_(key, last_[0]->key) > 0;
+    if (at_tail) {
+      for (int i = 0; i < height; i++) {
+        prev[i] = last_[i];
+      }
+    } else {
+      [[maybe_unused]] Node* next = FindGreaterOrEqual(key, prev);
+      assert(next == nullptr || compare_(key, next->key) != 0);
+    }
 
-    int height = RandomHeight();
     if (height > GetMaxHeight()) {
       for (int i = GetMaxHeight(); i < height; i++) {
         prev[i] = head_;
@@ -50,11 +63,15 @@ class SkipList {
       max_height_.store(height, std::memory_order_relaxed);
     }
 
-    x = NewNode(key, height);
+    Node* x = NewNode(key, height);
     for (int i = 0; i < height; i++) {
       x->NoBarrierSetNext(i, prev[i]->NoBarrierNext(i));
       prev[i]->SetNext(i, x);
+      if (x->NoBarrierNext(i) == nullptr) {
+        last_[i] = x;
+      }
     }
+    return at_tail;
   }
 
   bool Contains(const char* key) const {
@@ -80,6 +97,12 @@ class SkipList {
       node_ = list_->FindGreaterOrEqual(target, nullptr);
     }
     void SeekToFirst() { node_ = list_->head_->Next(0); }
+    void SeekToLast() {
+      node_ = list_->FindLast();
+      if (node_ == list_->head_) {
+        node_ = nullptr;
+      }
+    }
 
    private:
     const SkipList* list_;
@@ -148,11 +171,33 @@ class SkipList {
     }
   }
 
+  /// The last node of the list, or head_ when empty: one top-down descent
+  /// along the rightmost links. Reader-safe.
+  Node* FindLast() const {
+    Node* x = head_;
+    int level = GetMaxHeight() - 1;
+    while (true) {
+      Node* next = x->Next(level);
+      if (next != nullptr) {
+        x = next;
+      } else if (level == 0) {
+        return x;
+      } else {
+        level--;
+      }
+    }
+  }
+
   Comparator const compare_;
   Arena* const arena_;
   Node* const head_;
   std::atomic<int> max_height_;
   Random rnd_;
+  // Writer-only: the last node at each level (head_ where a level is
+  // empty), i.e. the predecessors a new tail node links after. Readers
+  // never touch it; they see the same release-published links as for a
+  // searched insert.
+  Node* last_[kMaxHeight];
 };
 
 }  // namespace lethe

@@ -19,6 +19,11 @@ namespace lethe {
 /// batches of concurrently arriving writers into one leader-applied group,
 /// amortizing one WAL append (and one sync, when requested) plus one write
 /// token acquisition across all of them.
+///
+/// Storage: every op's key, end key and value bytes go into one buffer,
+/// with a fixed-size record of offsets per op, so buffering an op allocates
+/// nothing once the batch has grown to its working size. Clear() keeps the
+/// capacity of both.
 class WriteBatch {
  public:
   enum class OpKind : uint8_t {
@@ -27,14 +32,45 @@ class WriteBatch {
     kRangeDelete = 3,
   };
 
-  /// One buffered operation. `key` doubles as the begin key for range
-  /// deletes; `end_key` is only meaningful for range deletes.
+  /// One buffered operation, viewed in place. `key` doubles as the begin
+  /// key for range deletes; `end_key` is only non-empty for range deletes.
+  /// The slices point into the batch and stay valid until the batch is
+  /// next modified or destroyed.
   struct Op {
     OpKind kind = OpKind::kPut;
-    std::string key;
-    std::string end_key;
+    Slice key;
+    Slice end_key;
     uint64_t delete_key = 0;
-    std::string value;
+    Slice value;
+  };
+
+  /// Forward range over the buffered ops, yielding Op views by value.
+  class OpRange {
+   public:
+    class Iterator {
+     public:
+      Iterator(const WriteBatch* batch, size_t index)
+          : batch_(batch), index_(index) {}
+      Op operator*() const { return batch_->op(index_); }
+      Iterator& operator++() {
+        index_++;
+        return *this;
+      }
+      bool operator!=(const Iterator& other) const {
+        return index_ != other.index_;
+      }
+
+     private:
+      const WriteBatch* batch_;
+      size_t index_;
+    };
+
+    explicit OpRange(const WriteBatch* batch) : batch_(batch) {}
+    Iterator begin() const { return Iterator(batch_, 0); }
+    Iterator end() const { return Iterator(batch_, batch_->Count()); }
+
+   private:
+    const WriteBatch* batch_;
   };
 
   WriteBatch() = default;
@@ -52,19 +88,38 @@ class WriteBatch {
   /// Buffers a sort-key range delete over [begin_key, end_key).
   void RangeDelete(const Slice& begin_key, const Slice& end_key);
 
+  /// Drops every op, keeping the buffers' capacity for reuse.
   void Clear();
 
   /// Number of buffered operations.
-  size_t Count() const { return ops_.size(); }
+  size_t Count() const { return records_.size(); }
 
   /// Approximate payload bytes (keys + values), used by group commit to cap
   /// group size.
   size_t ApproximateBytes() const { return approximate_bytes_; }
 
-  const std::vector<Op>& ops() const { return ops_; }
+  /// The `index`-th buffered op (index < Count()).
+  Op op(size_t index) const;
+
+  OpRange ops() const { return OpRange(this); }
 
  private:
-  std::vector<Op> ops_;
+  /// Where one op's bytes live in `rep_`: key, end key and value, back to
+  /// back from `offset`.
+  struct OpRecord {
+    size_t offset;
+    uint64_t delete_key;
+    uint32_t key_size;
+    uint32_t end_key_size;
+    uint32_t value_size;
+    OpKind kind;
+  };
+
+  void Add(OpKind kind, const Slice& key, const Slice& end_key,
+           uint64_t delete_key, const Slice& value);
+
+  std::string rep_;
+  std::vector<OpRecord> records_;
   size_t approximate_bytes_ = 0;
 };
 

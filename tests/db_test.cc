@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1289,22 +1291,14 @@ TEST_F(DBTest, GroupCommitAmortizesWalAppends) {
   EXPECT_EQ(db_->stats().group_commit_entries.load(), 100u);
 }
 
-/// Forwards to a target Env, counting WritableFile::Sync calls on WAL files.
-class WalSyncCountingEnv final : public Env {
+/// Forwards every call to a target Env; tests override what they watch.
+class ForwardingEnv : public Env {
  public:
-  explicit WalSyncCountingEnv(Env* target) : target_(target) {}
-
-  int wal_syncs() const { return wal_syncs_.load(); }
+  explicit ForwardingEnv(Env* target) : target_(target) {}
 
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
-    std::unique_ptr<WritableFile> file;
-    LETHE_RETURN_IF_ERROR(target_->NewWritableFile(fname, &file));
-    const bool is_wal = fname.size() > 4 &&
-                        fname.compare(fname.size() - 4, 4, ".wal") == 0;
-    *result = std::make_unique<File>(std::move(file),
-                                     is_wal ? &wal_syncs_ : nullptr);
-    return Status::OK();
+    return target_->NewWritableFile(fname, result);
   }
   Status NewRandomWriteFile(const std::string& fname,
                             std::unique_ptr<RandomWriteFile>* result) override {
@@ -1340,6 +1334,28 @@ class WalSyncCountingEnv final : public Env {
     return target_->GetChildren(dirname, result);
   }
 
+ protected:
+  Env* target_;
+};
+
+/// Forwards to a target Env, counting WritableFile::Sync calls on WAL files.
+class WalSyncCountingEnv final : public ForwardingEnv {
+ public:
+  explicit WalSyncCountingEnv(Env* target) : ForwardingEnv(target) {}
+
+  int wal_syncs() const { return wal_syncs_.load(); }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    std::unique_ptr<WritableFile> file;
+    LETHE_RETURN_IF_ERROR(target_->NewWritableFile(fname, &file));
+    const bool is_wal = fname.size() > 4 &&
+                        fname.compare(fname.size() - 4, 4, ".wal") == 0;
+    *result = std::make_unique<File>(std::move(file),
+                                     is_wal ? &wal_syncs_ : nullptr);
+    return Status::OK();
+  }
+
  private:
   class File final : public WritableFile {
    public:
@@ -1360,7 +1376,6 @@ class WalSyncCountingEnv final : public Env {
     std::atomic<int>* syncs_;
   };
 
-  Env* target_;
   std::atomic<int> wal_syncs_{0};
 };
 
@@ -1385,6 +1400,234 @@ TEST_F(DBTest, WriteOptionsSyncIsTheOneWalSyncPath) {
   EXPECT_EQ(env.wal_syncs(), env_syncs_before + 1);
 
   db_.reset();  // close before `env` goes out of scope
+}
+
+// ---- pipelined flush ---------------------------------------------------------
+
+/// Forwards to a target Env. The first table file to Sync blocks inside
+/// Sync until Release(); Release(false) then fails that Sync. While
+/// FailProbes(true) holds, the error handler's recovery probe cannot create
+/// its file, so a failed flush stays unresumed.
+class TableSyncGateEnv final : public ForwardingEnv {
+ public:
+  explicit TableSyncGateEnv(Env* target) : ForwardingEnv(target) {}
+
+  /// Whether the first table Sync is waiting at the gate.
+  bool blocked() {
+    std::lock_guard<std::mutex> l(mu_);
+    return blocked_;
+  }
+  /// Table Syncs that passed through to the target (the gated one counts
+  /// only after Release(true)).
+  int table_syncs() {
+    std::lock_guard<std::mutex> l(mu_);
+    return table_syncs_;
+  }
+  void Release(bool ok) {
+    std::lock_guard<std::mutex> l(mu_);
+    released_ = true;
+    release_ok_ = ok;
+    cv_.notify_all();
+  }
+  void FailProbes(bool fail) { fail_probes_.store(fail); }
+  size_t CountWals(const std::string& dbname) {
+    std::vector<std::string> children;
+    target_->GetChildren(dbname, &children).ok();
+    size_t n = 0;
+    for (const std::string& child : children) {
+      n += child.size() > 4 && child.compare(child.size() - 4, 4, ".wal") == 0;
+    }
+    return n;
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (fail_probes_.load() && fname.find("HEALTHCHECK") != std::string::npos) {
+      return Status::IOError("probe held off");
+    }
+    std::unique_ptr<WritableFile> file;
+    LETHE_RETURN_IF_ERROR(target_->NewWritableFile(fname, &file));
+    const bool is_table = fname.size() > 4 &&
+                          fname.compare(fname.size() - 4, 4, ".sst") == 0;
+    *result = is_table ? std::make_unique<File>(std::move(file), this)
+                       : std::move(file);
+    return Status::OK();
+  }
+
+ private:
+  class File final : public WritableFile {
+   public:
+    File(std::unique_ptr<WritableFile> base, TableSyncGateEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      LETHE_RETURN_IF_ERROR(env_->Gate());
+      Status s = base_->Sync();
+      std::lock_guard<std::mutex> l(env_->mu_);
+      env_->table_syncs_++;
+      return s;
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    TableSyncGateEnv* env_;
+  };
+
+  Status Gate() {
+    std::unique_lock<std::mutex> l(mu_);
+    if (gate_used_) {
+      return Status::OK();
+    }
+    gate_used_ = true;
+    blocked_ = true;
+    cv_.wait(l, [this] { return released_; });
+    blocked_ = false;
+    return release_ok_ ? Status::OK() : Status::IOError("gated table sync");
+  }
+
+  std::atomic<bool> fail_probes_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gate_used_ = false;
+  bool blocked_ = false;
+  bool released_ = false;
+  bool release_ok_ = true;
+  int table_syncs_ = 0;
+};
+
+class PipelinedFlushTest : public DBTest {
+ protected:
+  void SetUp() override {
+    DBTest::SetUp();
+    gate_ = std::make_unique<TableSyncGateEnv>(env_.get());
+    options_.env = gate_.get();
+    options_.inline_compactions = false;
+    options_.background_threads = 2;
+  }
+  void TearDown() override { db_.reset(); }  // before gate_ goes away
+
+  size_t Wals() { return gate_->CountWals("testdb"); }
+
+  /// Puts keys from `keys` (in order, through the model) until the DB holds
+  /// `wals` WALs, i.e. until wals - 1 memtables are frozen and unflushed.
+  void FillUntilWals(size_t wals, const std::vector<uint64_t>& keys,
+                     size_t* next) {
+    while (Wals() < wals) {
+      ASSERT_LT(*next, keys.size()) << "ran out of keys before the freeze";
+      const uint64_t key = keys[(*next)++];
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(
+          model_.Write(db_.get(), ModelOp::Put(key, key, std::string(100, 'v')))
+              .ok());
+    }
+  }
+
+  DBHealth Health() {
+    return static_cast<DBImpl*>(db_.get())->TEST_error_handler()->health();
+  }
+
+  std::unique_ptr<TableSyncGateEnv> gate_;
+  KeyModel model_{0, 4096, "pipelined flush"};
+};
+
+std::vector<uint64_t> Range(uint64_t begin, uint64_t end, uint64_t step) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = begin; k < end; k += step) {
+    keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST_F(PipelinedFlushTest, DisjointMemtablesBuildTogetherAndInstallInOrder) {
+  Open();
+  const std::vector<uint64_t> keys = Range(0, 2000, 1);  // ascending
+  size_t next = 0;
+  FillUntilWals(2, keys, &next);  // memtable 1 frozen; its Sync blocks
+  ASSERT_TRUE(test::WaitFor([&] { return gate_->blocked(); }, 10000));
+  FillUntilWals(3, keys, &next);  // memtable 2 frozen, disjoint from 1
+
+  // The second table is written and synced while the first is blocked...
+  ASSERT_TRUE(test::WaitFor([&] { return gate_->table_syncs() == 1; }, 10000));
+  EXPECT_TRUE(gate_->blocked());
+  EXPECT_EQ(db_->stats().flushes_pipelined.load(), 1u);
+  // ...but it waits for the first: no table is in the version, and both
+  // flushed memtables' WALs remain.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(test::ReferencedTableFiles(db_.get()), 0u);
+  EXPECT_EQ(Wals(), 3u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  gate_->Release(true);
+  ASSERT_TRUE(test::WaitFor(
+      [&] {
+        return test::ReferencedTableFiles(db_.get()) == 2 && Wals() == 1;
+      },
+      10000));
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+TEST_F(PipelinedFlushTest, OverlappingMemtablesNeverBuildTogether) {
+  Open();
+  size_t next = 0;
+  FillUntilWals(2, Range(0, 4000, 2), &next);  // even keys
+  ASSERT_TRUE(test::WaitFor([&] { return gate_->blocked(); }, 10000));
+  next = 0;
+  FillUntilWals(3, Range(1, 4001, 2), &next);  // odd keys: overlaps memtable 1
+
+  // The second memtable waits for the first: no second table is started.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(gate_->table_syncs(), 0);
+  EXPECT_EQ(test::CountTableFiles(gate_.get(), "testdb"), 1u);
+  EXPECT_EQ(db_->stats().flushes_pipelined.load(), 0u);
+  EXPECT_EQ(db_->stats().bg_jobs_deferred_overlap.load(), 0u);
+
+  gate_->Release(true);
+  ASSERT_TRUE(test::WaitFor(
+      [&] { return Wals() == 1 && db_->stats().flushes.load() == 2; }, 10000));
+  EXPECT_EQ(db_->stats().flushes_pipelined.load(), 0u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+TEST_F(PipelinedFlushTest, FailedFrontSyncKeepsSuccessorParkedUntilResume) {
+  Open();
+  const std::vector<uint64_t> keys = Range(0, 2000, 1);
+  size_t next = 0;
+  FillUntilWals(2, keys, &next);
+  ASSERT_TRUE(test::WaitFor([&] { return gate_->blocked(); }, 10000));
+  FillUntilWals(3, keys, &next);
+  ASSERT_TRUE(test::WaitFor([&] { return gate_->table_syncs() == 1; }, 10000));
+
+  // The front flush fails and the probe cannot resume the DB yet.
+  gate_->FailProbes(true);
+  gate_->Release(false);
+  ASSERT_TRUE(
+      test::WaitFor([&] { return Health() != DBHealth::kHealthy; }, 10000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The parked successor did not install ahead of its failed predecessor.
+  EXPECT_EQ(test::ReferencedTableFiles(db_.get()), 0u);
+  EXPECT_EQ(Wals(), 3u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  // Resume re-flushes the front, which takes the parked one along.
+  gate_->FailProbes(false);
+  ASSERT_TRUE(test::WaitFor(
+      [&] {
+        return Health() == DBHealth::kHealthy && Wals() == 1 &&
+               test::ReferencedTableFiles(db_.get()) == 2;
+      },
+      10000));
+  // The parked table survived the wait (no orphan sweep took it).
+  EXPECT_TRUE(
+      static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 TEST_F(DBTest, GroupCommitMergesConcurrentWriters) {

@@ -523,9 +523,9 @@ TEST(VersionSetTest, InFlightRegistryConflictRules) {
   disjoint.output_end = EncodeKey(60);
   EXPECT_FALSE(versions.ConflictsWithInFlight(disjoint));
 
-  // One flush at a time; a second flush conflicts even when disjoint.
+  // Flushes obey the output-span rule like any merge: a second flush with
+  // a disjoint L0 span does not conflict, an overlapping one does.
   JobFootprint flush;
-  flush.is_flush = true;
   flush.output_level = 0;
   flush.output_begin = EncodeKey(100);
   flush.output_end = EncodeKey(200);
@@ -534,6 +534,8 @@ TEST(VersionSetTest, InFlightRegistryConflictRules) {
   JobFootprint flush2 = flush;
   flush2.output_begin = EncodeKey(900);
   flush2.output_end = EncodeKey(950);
+  EXPECT_FALSE(versions.ConflictsWithInFlight(flush2));
+  flush2.output_begin = EncodeKey(150);
   EXPECT_TRUE(versions.ConflictsWithInFlight(flush2));
 
   // Exclusive jobs conflict with everything, both directions.

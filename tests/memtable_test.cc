@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/env/env.h"
@@ -12,6 +15,7 @@
 #include "src/memtable/memtable.h"
 #include "src/memtable/skiplist.h"
 #include "src/memtable/wal.h"
+#include "src/memtable/write_batch.h"
 #include "src/util/random.h"
 
 namespace lethe {
@@ -70,6 +74,108 @@ TEST(SkipListTest, SeekFindsLowerBound) {
   memcpy(&v, it.key(), sizeof(v));
   EXPECT_EQ(v, 40);
   EXPECT_TRUE(list.Contains(it.key()));
+}
+
+/// Inserts `v` into `list` (arena-allocated); returns Insert's tail flag.
+bool InsertInt(SkipList<IntComparator>* list, Arena* arena, int v) {
+  char* mem = arena->Allocate(sizeof(int));
+  memcpy(mem, &v, sizeof(v));
+  return list->Insert(mem);
+}
+
+int KeyOf(const char* key) {
+  int v;
+  memcpy(&v, key, sizeof(v));
+  return v;
+}
+
+TEST(SkipListTest, TailAppendsAndMiddleInsertsKeepOrder) {
+  Arena arena;
+  SkipList<IntComparator> list(IntComparator(), &arena);
+  std::set<int> inserted;
+  // An ascending run appends at the tail, every insert after the first
+  // one compare; the empty list's first key is a tail append too.
+  for (int v = 0; v < 3000; v += 3) {
+    EXPECT_TRUE(InsertInt(&list, &arena, v));
+    inserted.insert(v);
+  }
+  // Middle inserts search; one of them lands at a level's end without
+  // being the last node, which the tail state must pick up.
+  Random rnd(11);
+  for (int i = 0; i < 500; i++) {
+    const int v = static_cast<int>(rnd.Uniform(3000));
+    if (v % 3 == 0 || !inserted.insert(v).second) {
+      continue;
+    }
+    EXPECT_FALSE(InsertInt(&list, &arena, v));
+  }
+  EXPECT_FALSE(InsertInt(&list, &arena, -1));  // new head: not a tail append
+  inserted.insert(-1);
+  // A second ascending run appends after the middle inserts.
+  for (int v = 3000; v < 6000; v++) {
+    EXPECT_TRUE(InsertInt(&list, &arena, v));
+    inserted.insert(v);
+  }
+
+  SkipList<IntComparator>::Iterator it(&list);
+  auto expected = inserted.begin();
+  for (it.SeekToFirst(); it.Valid(); it.Next()) {
+    ASSERT_NE(expected, inserted.end());
+    EXPECT_EQ(KeyOf(it.key()), *expected);
+    ++expected;
+  }
+  EXPECT_EQ(expected, inserted.end());
+  // Every element is reachable by search at every level.
+  for (int v : inserted) {
+    char probe[sizeof(int)];
+    memcpy(probe, &v, sizeof(v));
+    it.Seek(probe);
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(KeyOf(it.key()), v);
+  }
+  it.SeekToLast();
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(KeyOf(it.key()), 5999);
+}
+
+TEST(SkipListTest, ReaderIteratesDuringAscendingInserts) {
+  Arena arena;
+  SkipList<IntComparator> list(IntComparator(), &arena);
+  constexpr int kKeys = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<int> scans{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      // An ascending run publishes a growing prefix: a scan sees 0..n-1
+      // for some n, in order, with no gap.
+      SkipList<IntComparator>::Iterator it(&list);
+      int expected = 0;
+      for (it.SeekToFirst(); it.Valid(); it.Next()) {
+        ASSERT_EQ(KeyOf(it.key()), expected);
+        expected++;
+      }
+      it.SeekToLast();
+      if (expected > 0) {
+        ASSERT_TRUE(it.Valid());
+        ASSERT_GE(KeyOf(it.key()), expected - 1);
+      }
+      scans.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int v = 0; v < kKeys; v++) {
+    EXPECT_TRUE(InsertInt(&list, &arena, v));
+  }
+  while (scans.load(std::memory_order_relaxed) < 2) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  SkipList<IntComparator>::Iterator it(&list);
+  int n = 0;
+  for (it.SeekToFirst(); it.Valid(); it.Next()) {
+    EXPECT_EQ(KeyOf(it.key()), n++);
+  }
+  EXPECT_EQ(n, kKeys);
 }
 
 TEST(MemTableTest, AddAndGetNewestVersion) {
@@ -269,6 +375,63 @@ TEST(MemTableTest, PurgeUncoversOlderVersion) {
   ParsedEntry entry;
   ASSERT_TRUE(mem.Get("k", &entry));
   EXPECT_EQ(entry.value.ToString(), "old");
+}
+
+/// The span KeySpan must report: first and last live user keys, found by
+/// walking the memtable's (purge-skipping) iterator.
+bool WalkedSpan(const MemTable& mem, std::string* smallest,
+                std::string* largest) {
+  auto it = mem.NewIterator();
+  bool any = false;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    if (!any) {
+      *smallest = it->entry().user_key.ToString();
+    }
+    *largest = it->entry().user_key.ToString();
+    any = true;
+  }
+  return any;
+}
+
+TEST(MemTableTest, KeySpanMatchesWalkWithPurgedEntries) {
+  MemTable mem;
+  std::string smallest, largest;
+  EXPECT_FALSE(mem.KeySpan(&smallest, &largest));
+  // Delete key = position, so a delete-key band purges a key range.
+  for (int i = 0; i < 100; i++) {
+    mem.Add(i + 1, ValueType::kValue, "key" + std::to_string(1000 + i),
+            static_cast<uint64_t>(i), "v", 0);
+  }
+  ASSERT_TRUE(mem.KeySpan(&smallest, &largest));
+  EXPECT_EQ(smallest, "key1000");
+  EXPECT_EQ(largest, "key1099");
+
+  // Head, middle and tail purges: the span follows the live entries.
+  const std::pair<uint64_t, uint64_t> bands[] = {{0, 10}, {40, 60}, {90, 100}};
+  for (const auto& [lo, hi] : bands) {
+    mem.PurgeDeleteKeyRange(lo, hi);
+    std::string walked_smallest, walked_largest;
+    ASSERT_TRUE(WalkedSpan(mem, &walked_smallest, &walked_largest));
+    ASSERT_TRUE(mem.KeySpan(&smallest, &largest));
+    EXPECT_EQ(smallest, walked_smallest);
+    EXPECT_EQ(largest, walked_largest);
+  }
+  EXPECT_EQ(smallest, "key1010");
+  EXPECT_EQ(largest, "key1089");
+
+  // Everything purged: no live span.
+  mem.PurgeDeleteKeyRange(0, 100);
+  EXPECT_FALSE(mem.KeySpan(&smallest, &largest));
+}
+
+TEST(MemTableTest, AddReportsTailAppends) {
+  MemTable mem;
+  EXPECT_TRUE(mem.Add(1, ValueType::kValue, "b", 0, "v", 0));
+  EXPECT_TRUE(mem.Add(2, ValueType::kValue, "c", 0, "v", 0));
+  EXPECT_FALSE(mem.Add(3, ValueType::kValue, "a", 0, "v", 0));
+  // A newer version of the last key sorts before it (seq descending).
+  EXPECT_FALSE(mem.Add(4, ValueType::kValue, "c", 0, "v2", 0));
+  EXPECT_TRUE(mem.Add(5, ValueType::kTombstone, "d", 0, "", 0));
 }
 
 TEST(MemTableTest, RangeTombstoneSetQueries) {
@@ -499,6 +662,84 @@ TEST(WalTest, DecodeRejectsBadKind) {
   std::string buf = "\x09 garbage bytes here";
   WalRecord record;
   EXPECT_FALSE(DecodeWalRecord(Slice(buf), &record));
+}
+
+}  // namespace
+}  // namespace lethe
+
+namespace lethe {
+namespace {
+
+TEST(WriteBatchTest, OpsRoundTripEveryKind) {
+  WriteBatch batch;
+  const std::string big(1 << 20, 'x');
+  batch.Put("k1", 7, "v1");
+  batch.Put("", 8, "");  // empty key and value
+  batch.Delete("k2");
+  batch.RangeDelete("a", "m");
+  batch.Put("k3", 9, big);
+  ASSERT_EQ(batch.Count(), 5u);
+
+  std::vector<WriteBatch::Op> ops;
+  for (const WriteBatch::Op op : batch.ops()) {
+    ops.push_back(op);
+  }
+  ASSERT_EQ(ops.size(), 5u);
+  EXPECT_EQ(ops[0].kind, WriteBatch::OpKind::kPut);
+  EXPECT_EQ(ops[0].key.ToString(), "k1");
+  EXPECT_EQ(ops[0].delete_key, 7u);
+  EXPECT_EQ(ops[0].value.ToString(), "v1");
+  EXPECT_TRUE(ops[0].end_key.empty());
+  EXPECT_EQ(ops[1].kind, WriteBatch::OpKind::kPut);
+  EXPECT_TRUE(ops[1].key.empty());
+  EXPECT_TRUE(ops[1].value.empty());
+  EXPECT_EQ(ops[1].delete_key, 8u);
+  EXPECT_EQ(ops[2].kind, WriteBatch::OpKind::kDelete);
+  EXPECT_EQ(ops[2].key.ToString(), "k2");
+  EXPECT_TRUE(ops[2].value.empty());
+  EXPECT_EQ(ops[3].kind, WriteBatch::OpKind::kRangeDelete);
+  EXPECT_EQ(ops[3].key.ToString(), "a");
+  EXPECT_EQ(ops[3].end_key.ToString(), "m");
+  EXPECT_EQ(ops[4].value.size(), big.size());
+  EXPECT_TRUE(ops[4].value == Slice(big));
+  EXPECT_EQ(batch.op(4).key.ToString(), "k3");
+
+  // The accounting group commit sizes groups by: key + value + 8 per Put,
+  // key + 8 per Delete, both keys per RangeDelete.
+  EXPECT_EQ(batch.ApproximateBytes(),
+            (2 + 2 + 8) + (0 + 0 + 8) + (2 + 8) + (1 + 1) + (2 + big.size() + 8));
+}
+
+TEST(WriteBatchTest, ClearThenReuseLeavesNoStaleBytes) {
+  WriteBatch batch;
+  batch.Put("long-key-from-before", 1, std::string(1000, 'o'));
+  batch.RangeDelete("b0", "b9");
+  batch.Clear();
+  EXPECT_EQ(batch.Count(), 0u);
+  EXPECT_EQ(batch.ApproximateBytes(), 0u);
+  EXPECT_FALSE(batch.ops().begin() != batch.ops().end());
+
+  batch.Put("k", 2, "new");
+  batch.Delete("d");
+  ASSERT_EQ(batch.Count(), 2u);
+  const WriteBatch::Op put = batch.op(0);
+  EXPECT_EQ(put.key.ToString(), "k");
+  EXPECT_EQ(put.value.ToString(), "new");
+  EXPECT_TRUE(put.end_key.empty());
+  EXPECT_EQ(put.delete_key, 2u);
+  const WriteBatch::Op del = batch.op(1);
+  EXPECT_EQ(del.kind, WriteBatch::OpKind::kDelete);
+  EXPECT_EQ(del.key.ToString(), "d");
+  EXPECT_TRUE(del.value.empty());
+  EXPECT_EQ(del.delete_key, 0u);
+  EXPECT_EQ(batch.ApproximateBytes(), (1 + 3 + 8) + (1 + 8));
+
+  // A copy owns its bytes.
+  WriteBatch copy = batch;
+  batch.Clear();
+  batch.Put("zzzzzzzzzzzzzzzzzzzzzzzz", 3, "overwrite");
+  EXPECT_EQ(copy.op(0).key.ToString(), "k");
+  EXPECT_EQ(copy.op(1).key.ToString(), "d");
 }
 
 }  // namespace

@@ -40,13 +40,13 @@ ModelOp ModelOp::Batch(WriteBatch batch) {
 Status ModelOp::IssueTo(DB* db) const {
   switch (kind) {
     case Kind::kPut: {
-      const WriteBatch::Op& w = writes.ops().front();
+      const WriteBatch::Op w = writes.op(0);
       return db->Put(WriteOptions(), w.key, w.delete_key, w.value);
     }
     case Kind::kDelete:
-      return db->Delete(WriteOptions(), writes.ops().front().key);
+      return db->Delete(WriteOptions(), writes.op(0).key);
     case Kind::kRangeDelete: {
-      const WriteBatch::Op& w = writes.ops().front();
+      const WriteBatch::Op w = writes.op(0);
       return db->RangeDelete(WriteOptions(), w.key, w.end_key);
     }
     case Kind::kSecondaryRangeDelete:
@@ -65,9 +65,9 @@ using State = KeyModel::State;
 
 /// The keys [begin, end) one point or range write covers.
 std::pair<uint64_t, uint64_t> Span(const WriteBatch::Op& w) {
-  const uint64_t begin = DecodeKey(w.key);
+  const uint64_t begin = DecodeKey(w.key.ToString());
   return {begin, w.kind == WriteBatch::OpKind::kRangeDelete
-                     ? DecodeKey(w.end_key)
+                     ? DecodeKey(w.end_key.ToString())
                      : begin + 1};
 }
 
@@ -78,11 +78,11 @@ State After(const ModelOp& op, uint64_t key, State s) {
                ? std::nullopt
                : s;
   }
-  for (const WriteBatch::Op& w : op.writes.ops()) {
+  for (const WriteBatch::Op w : op.writes.ops()) {
     const auto [begin, end] = Span(w);
     if (key >= begin && key < end) {
       s = w.kind == WriteBatch::OpKind::kPut
-              ? State(KeyModel::Entry{w.value, w.delete_key})
+              ? State(KeyModel::Entry{w.value.ToString(), w.delete_key})
               : std::nullopt;
     }
   }
@@ -109,7 +109,7 @@ std::set<uint64_t> KeyModel::Touched(const ModelOp& op) const {
     return KnownKeys(lo_, hi_);
   }
   std::set<uint64_t> keys;
-  for (const WriteBatch::Op& w : op.writes.ops()) {
+  for (const WriteBatch::Op w : op.writes.ops()) {
     const auto [begin, end] = Span(w);
     for (uint64_t k = std::max(begin, lo_); k < std::min(end, hi_); k++) {
       keys.insert(k);

@@ -103,6 +103,32 @@ std::vector<KeyModel> SliceModels(int seed) {
   return models;
 }
 
+/// The short ascending load every seed starts with: one writer Puts every
+/// slice's keys in key order, through the slice models. Successive
+/// memtables then hold disjoint key spans, so pools of 2 and 4 build their
+/// flushes side by side (the random-key workers that follow interleave
+/// their keys, and their memtables always overlap).
+::testing::AssertionResult AscendingLoad(DB* db, LogicalClock* clock,
+                                         int seed,
+                                         std::vector<KeyModel>* models) {
+  for (int t = 0; t < kThreads; t++) {
+    const uint64_t dk_base = (static_cast<uint64_t>(t) + 1) * kDeleteKeyBand;
+    for (uint64_t k = t * kKeysPerThread; k < (t + 1) * kKeysPerThread; k++) {
+      clock->AdvanceMicros(1);
+      const std::string value =
+          "a" + std::to_string(seed) + "-" + std::to_string(k) +
+          std::string(48, '.');
+      Status s = (*models)[t].Write(db, ModelOp::Put(k, dk_base, value));
+      if (!s.ok()) {
+        return ::testing::AssertionFailure()
+               << (*models)[t].context()
+               << ": ascending load failed: " << s.ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Reports a worker-thread failure and tells the other threads to stop.
 void Fail(StressState* state, const std::string& what) {
   ADD_FAILURE() << what;
@@ -287,6 +313,7 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   state.clock = &clock;
 
   std::vector<KeyModel> models = SliceModels(seed);
+  ASSERT_TRUE(AscendingLoad(db.get(), &clock, seed, &models));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back(RunWorker, &state, seed, t, &models[t]);
@@ -503,11 +530,15 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
   state.db = db.get();
   state.clock = &clock;
 
+  // The ascending load runs fault-free; its flushes may still be building
+  // side by side when the fault is armed.
+  std::vector<KeyModel> models = SliceModels(seed);
+  ASSERT_TRUE(AscendingLoad(db.get(), &clock, seed, &models));
+
   // Arm the fault before the workload so merges die mid-run at a
   // seed-dependent point.
   env.InjectFaults(test::FailWritesAfter(fault_after, fault));
 
-  std::vector<KeyModel> models = SliceModels(seed);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back(RunCrashWorker, &state, seed, t, &models[t]);
