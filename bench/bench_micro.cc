@@ -152,6 +152,41 @@ void BM_PageEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_PageEncodeDecode);
 
+// A point lookup's in-page step on a cache hit: binary search a decoded
+// 4 KB page (16-byte keys, 104-byte values, ~31 entries) for a present key
+// and decode the match.
+void BM_PageLookup(benchmark::State& state) {
+  const std::string value(104, 'v');
+  std::vector<std::string> keys;
+  PageBuilder builder(4096, UINT32_MAX);
+  for (int i = 0;; i++) {
+    keys.push_back(EncodeKey(i));
+    ParsedEntry entry;
+    entry.user_key = Slice(keys.back());
+    entry.delete_key = i;
+    entry.seq = i + 1;
+    entry.value = Slice(value);
+    if (!builder.Add(entry)) {
+      keys.pop_back();
+      break;
+    }
+  }
+  const std::string page = builder.Finish();
+  PageContents contents;
+  if (!DecodePage(Slice(page), 4096, &contents).ok()) {
+    state.SkipWithError("page did not decode");
+    return;
+  }
+  const PageEntries& entries = contents.entries;
+  Random rnd(9);
+  for (auto _ : state) {
+    const std::string& key = keys[rnd.Uniform(keys.size())];
+    const size_t i = entries.LowerBound(key);
+    benchmark::DoNotOptimize(entries[i].value.data());
+  }
+}
+BENCHMARK(BM_PageLookup);
+
 // Entries of 16-byte keys and 104-byte values (130 bytes encoded), delete
 // keys scattered, added in key order as a flush adds them.
 struct TableInput {

@@ -24,34 +24,33 @@ char* EncodeEntry(const ParsedEntry& entry, char* dst) {
 }
 
 bool DecodeEntry(Slice* input, ParsedEntry* entry) {
+  const char* p = input->data();
+  const char* const limit = p + input->size();
   uint32_t key_len;
-  if (!GetVarint32(input, &key_len) || input->size() < key_len) {
+  p = GetVarint32Ptr(p, limit, &key_len);
+  // The key, then the fixed64 (seq, type) and fixed64 delete key.
+  if (p == nullptr || static_cast<size_t>(limit - p) < size_t{key_len} + 16) {
     return false;
   }
-  entry->user_key = Slice(input->data(), key_len);
-  input->remove_prefix(key_len);
-
-  uint64_t packed;
-  if (!GetFixed64(input, &packed)) {
-    return false;
-  }
+  entry->user_key = Slice(p, key_len);
+  p += key_len;
+  const uint64_t packed = DecodeFixed64(p);
   entry->seq = UnpackSeq(packed);
   entry->type = UnpackType(packed);
   if (entry->type != ValueType::kValue &&
       entry->type != ValueType::kTombstone) {
     return false;
   }
-
-  if (!GetFixed64(input, &entry->delete_key)) {
-    return false;
-  }
+  entry->delete_key = DecodeFixed64(p + 8);
 
   uint32_t value_len;
-  if (!GetVarint32(input, &value_len) || input->size() < value_len) {
+  p = GetVarint32Ptr(p + 16, limit, &value_len);
+  if (p == nullptr || static_cast<size_t>(limit - p) < value_len) {
     return false;
   }
-  entry->value = Slice(input->data(), value_len);
-  input->remove_prefix(value_len);
+  entry->value = Slice(p, value_len);
+  p += value_len;
+  *input = Slice(p, static_cast<size_t>(limit - p));
   return true;
 }
 

@@ -10,6 +10,9 @@ namespace lethe {
 namespace {
 constexpr size_t kPageHeaderSize = 4;   // fixed32 num_entries
 constexpr size_t kPageTrailerSize = 4;  // fixed32 crc
+// varint32 key_len | fixed64 (seq,type) | fixed64 delete_key | varint32
+// value_len, with an empty key and value.
+constexpr size_t kMinEncodedEntrySize = 1 + 8 + 8 + 1;
 }  // namespace
 
 PageBuilder::PageBuilder(uint64_t page_size_bytes, uint32_t max_entries)
@@ -63,7 +66,8 @@ void PageBuilder::Finish(std::string* page) {
 }
 
 Status DecodePage(Slice raw, uint64_t page_size_bytes, PageContents* out) {
-  if (raw.size() != page_size_bytes) {
+  if (raw.size() != page_size_bytes ||
+      raw.size() < kPageHeaderSize + kPageTrailerSize) {
     return Status::Corruption("page truncated");
   }
   uint32_t stored = crc32c::Unmask(
@@ -73,24 +77,35 @@ Status DecodePage(Slice raw, uint64_t page_size_bytes, PageContents* out) {
     return Status::Corruption("page checksum mismatch");
   }
 
-  out->data = std::make_unique<char[]>(raw.size());
-  out->raw_size = raw.size();
-  memcpy(out->data.get(), raw.data(), raw.size());
-  Slice body(out->data.get(), raw.size() - kPageTrailerSize);
-
-  uint32_t num_entries;
-  if (!GetFixed32(&body, &num_entries)) {
-    return Status::Corruption("page header truncated");
+  uint32_t num_entries = DecodeFixed32(raw.data());
+  // The smallest encoded entry is 18 bytes; a count the body cannot hold is
+  // rejected before it sizes the offset table.
+  const size_t body_size = raw.size() - kPageHeaderSize - kPageTrailerSize;
+  if (num_entries > body_size / kMinEncodedEntrySize) {
+    return Status::Corruption("page entry count malformed");
   }
-  out->entries.clear();
-  out->entries.reserve(num_entries);
+
+  // Page bytes, then one fixed32 offset per entry; no zero fill, every byte
+  // is written below.
+  char* buffer = new char[raw.size() + 4 * size_t{num_entries}];
+  out->buffer_.reset(buffer);
+  out->raw_size_ = raw.size();
+  out->entries = PageEntries();
+  memcpy(buffer, raw.data(), raw.size());
+  char* offsets = buffer + raw.size();
+
+  Slice body(buffer + kPageHeaderSize, body_size);
   for (uint32_t i = 0; i < num_entries; i++) {
+    EncodeFixed32(offsets + 4 * i,
+                  static_cast<uint32_t>(body.data() - buffer));
     ParsedEntry entry;
     if (!DecodeEntry(&body, &entry)) {
       return Status::Corruption("page entry malformed");
     }
-    out->entries.push_back(entry);
   }
+  out->entries.data_ = buffer;
+  out->entries.offsets_ = offsets;
+  out->entries.size_ = num_entries;
   return Status::OK();
 }
 

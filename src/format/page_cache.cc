@@ -50,9 +50,15 @@ void DeletePageValue(const Slice&, void* value) {
   delete static_cast<PageHandle*>(value);
 }
 
-size_t ChargeOf(const PageContents& contents, size_t raw_bytes) {
-  return raw_bytes + contents.entries.size() * sizeof(ParsedEntry) +
-         sizeof(PageContents);
+// Copy-out callbacks for Cache::LookupCopy: a hit copies the shared handle
+// (a refcount bump) under the shard lock, with no pin to release.
+void CopyPageHandle(void* value, void* out) {
+  *static_cast<PageHandle*>(out) = *static_cast<PageHandle*>(value);
+}
+
+template <typename Handle>
+void CopyBlockHandle(void* value, void* out) {
+  *static_cast<Handle*>(out) = static_cast<BlockValue<Handle>*>(value)->handle;
 }
 
 /// The shared lookup/insert machinery of the two metadata block types;
@@ -63,15 +69,12 @@ bool LookupBlock(Cache* cache, uint64_t file_number, BlockType type,
                  std::atomic<uint64_t>* misses, H* out) {
   char key[kKeySize];
   EncodeBlockKey(file_number, 0, type, id, key);
-  Cache::Handle* handle = cache->Lookup(Slice(key, kKeySize));
-  if (handle == nullptr) {
+  if (!cache->LookupCopy(Slice(key, kKeySize), &CopyBlockHandle<H>, out)) {
     if (misses != nullptr) {
       misses->fetch_add(1, std::memory_order_relaxed);
     }
     return false;
   }
-  *out = static_cast<BlockValue<H>*>(cache->Value(handle))->handle;
-  cache->Release(handle);
   if (hits != nullptr) {
     hits->fetch_add(1, std::memory_order_relaxed);
   }
@@ -104,15 +107,12 @@ bool PageCache::Lookup(uint64_t file_number, uint32_t page_index,
                        PageHandle* page, uint32_t generation) {
   char key[kKeySize];
   EncodeBlockKey(file_number, generation, kDataPage, page_index, key);
-  Cache::Handle* handle = cache_->Lookup(Slice(key, kKeySize));
-  if (handle == nullptr) {
+  if (!cache_->LookupCopy(Slice(key, kKeySize), &CopyPageHandle, page)) {
     if (stats_ != nullptr) {
       stats_->page_cache_misses.fetch_add(1, std::memory_order_relaxed);
     }
     return false;
   }
-  *page = *static_cast<PageHandle*>(cache_->Value(handle));
-  cache_->Release(handle);
   if (stats_ != nullptr) {
     stats_->page_cache_hits.fetch_add(1, std::memory_order_relaxed);
   }
@@ -123,7 +123,7 @@ void PageCache::Insert(uint64_t file_number, uint32_t page_index,
                        const PageHandle& page, uint32_t generation) {
   char key[kKeySize];
   EncodeBlockKey(file_number, generation, kDataPage, page_index, key);
-  const size_t charge = ChargeOf(*page, page->raw_size);
+  const size_t charge = page->ApproximateMemoryUsage();
   FinishInsert(cache_->Insert(Slice(key, kKeySize), new PageHandle(page),
                               charge, &DeletePageValue,
                               Cache::Priority::kLow));

@@ -69,8 +69,8 @@ class PageCache {
   bool Lookup(uint64_t file_number, uint32_t page_index, PageHandle* page,
               uint32_t generation = 0);
 
-  /// Caches a freshly decoded page. The charge is derived from the decoded
-  /// footprint (raw bytes + parsed entry vector).
+  /// Caches a freshly decoded page, charged its decoded footprint: the page
+  /// bytes, 4 bytes of offset table per entry, and the PageContents header.
   void Insert(uint64_t file_number, uint32_t page_index,
               const PageHandle& page, uint32_t generation = 0);
 

@@ -503,24 +503,22 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
         stats->point_lookup_pages_read.fetch_add(1,
                                                  std::memory_order_relaxed);
       }
-      // Binary search within the page; entries are sorted by sort key.
-      const auto& entries = contents->entries;
-      auto it = std::lower_bound(
-          entries.begin(), entries.end(), user_key,
-          [](const ParsedEntry& e, const Slice& k) {
-            return e.user_key.compare(k) < 0;
-          });
-      if (it != entries.end() && it->user_key == user_key) {
-        for (; it != entries.end() && it->user_key == user_key; ++it) {
-          if (it->seq > max_seq) {
+      // Binary search within the page, in place: entries are sorted by sort
+      // key, and only the matching ones are decoded.
+      const PageEntries& entries = contents->entries;
+      size_t i = entries.LowerBound(user_key);
+      if (i < entries.size() && entries.key(i) == user_key) {
+        for (; i < entries.size() && entries.key(i) == user_key; ++i) {
+          const ParsedEntry entry = entries[i];
+          if (entry.seq > max_seq) {
             continue;  // invisible to this read's snapshot
           }
-          if (!best_found || it->seq > result->seq) {
+          if (!best_found || entry.seq > result->seq) {
             best_found = true;
-            result->type = it->type;
-            result->seq = it->seq;
-            result->delete_key = it->delete_key;
-            result->value = it->value;
+            result->type = entry.type;
+            result->seq = entry.seq;
+            result->delete_key = entry.delete_key;
+            result->value = entry.value;
             best_page = contents;  // pins result->value
           }
           if (!index->multi_version) {
@@ -672,6 +670,7 @@ class SSTableIterator final : public InternalIterator {
   void Next() override {
     PageCursor* cursor = current_;
     cursor->pos++;
+    cursor->DecodeCurrent();
     current_ = nullptr;
     FindNext();
     if (current_ == nullptr && status_.ok()) {
@@ -679,16 +678,24 @@ class SSTableIterator final : public InternalIterator {
     }
   }
 
-  const ParsedEntry& entry() const override {
-    return current_->contents->entries[current_->pos];
-  }
+  const ParsedEntry& entry() const override { return current_->entry; }
 
   Status status() const override { return status_; }
 
  private:
+  /// One loaded page and the position in it. The entry at `pos` is kept
+  /// decoded, so the merge in FindNext compares decoded entries.
   struct PageCursor {
     PageHandle contents;  // shared with the page cache when enabled
     size_t pos = 0;
+    ParsedEntry entry;  // contents->entries[pos] while valid()
+
+    bool valid() const { return pos < contents->entries.size(); }
+    void DecodeCurrent() {
+      if (valid()) {
+        entry = contents->entries[pos];
+      }
+    }
   };
 
   /// Moves to the next non-empty tile; `target` positions within it.
@@ -734,12 +741,11 @@ class SSTableIterator final : public InternalIterator {
     while (status_.ok()) {
       PageCursor* best = nullptr;
       for (auto& cursor : loaded_) {
-        if (cursor->pos >= cursor->contents->entries.size()) {
+        if (!cursor->valid()) {
           continue;
         }
         if (best == nullptr ||
-            CompareInternal(cursor->contents->entries[cursor->pos],
-                            best->contents->entries[best->pos]) < 0) {
+            CompareInternal(cursor->entry, best->entry) < 0) {
           best = cursor.get();
         }
       }
@@ -747,7 +753,7 @@ class SSTableIterator final : public InternalIterator {
           !pending_.empty() &&
           (best == nullptr ||
            index_->pages[pending_.front()].min_sort_key.compare(
-               best->contents->entries[best->pos].user_key) <= 0);
+               best->entry.user_key) <= 0);
       if (!must_load) {
         current_ = best;
         return;
@@ -763,6 +769,7 @@ class SSTableIterator final : public InternalIterator {
         status_ = s;
         return;
       }
+      cursor->DecodeCurrent();
       loaded_.push_back(std::move(cursor));
     }
   }

@@ -89,7 +89,10 @@ Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
       PageBuilder rebuilt(resolved_options.table.page_size_bytes,
                           MaxEntriesPerPage(resolved_options.table));
       uint64_t removed = 0, removed_tombstones = 0;
-      for (const ParsedEntry& entry : contents->entries) {
+      // Kept entries are copied as encoded, not decoded and re-encoded.
+      const PageEntries& entries = contents->entries;
+      for (size_t i = 0; i < entries.size(); i++) {
+        const ParsedEntry entry = entries[i];
         if (entry.delete_key >= lo && entry.delete_key < hi) {
           removed++;
           if (entry.IsTombstone()) {
@@ -97,7 +100,7 @@ Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
           }
           continue;
         }
-        rebuilt.Add(entry);
+        rebuilt.AddEncoded(entries.encoded(i));
       }
       if (removed == 0) {
         continue;  // fence range overlapped but no entry actually qualified

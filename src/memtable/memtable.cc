@@ -33,25 +33,29 @@ inline void MarkPurged(char* record) {
 /// The internal key of a record: its user key, returned, and its seq. Reads
 /// the key length, the key and the (seq, type) trailer, nothing after.
 inline Slice RecordKey(const char* record, SequenceNumber* seq) {
-  const char* p = record + 1;
-  uint32_t key_len = static_cast<uint8_t>(*p);
-  if (key_len < 0x80) {
-    p++;
-  } else {
-    p = GetVarint32Ptr(p, p + 5, &key_len);
-  }
+  uint32_t key_len;
+  const char* p = GetVarint32Ptr(record + 1, record + 6, &key_len);
   *seq = UnpackSeq(DecodeFixed64(p + key_len));
   return Slice(p, key_len);
 }
 
+/// Bytes of the seek target EncodeProbe writes for `user_key`.
+size_t ProbeSize(const Slice& user_key) {
+  return 1 + VarintLength(user_key.size()) + user_key.size() + 8;
+}
+
 /// A seek target: flag | key length | key | (seq, type) trailer — the part
-/// of a record KeyComparator reads.
+/// of a record KeyComparator reads. Writes dst[0, ProbeSize(user_key)).
+void EncodeProbe(const Slice& user_key, SequenceNumber seq, char* dst) {
+  *dst++ = static_cast<char>(kLive);
+  dst = EncodeVarint32(dst, static_cast<uint32_t>(user_key.size()));
+  memcpy(dst, user_key.data(), user_key.size());
+  EncodeFixed64(dst + user_key.size(), PackSeqAndType(seq, ValueType::kValue));
+}
+
 void EncodeProbe(const Slice& user_key, SequenceNumber seq, std::string* dst) {
-  dst->clear();
-  dst->push_back(static_cast<char>(kLive));
-  PutVarint32(dst, static_cast<uint32_t>(user_key.size()));
-  dst->append(user_key.data(), user_key.size());
-  PutFixed64(dst, PackSeqAndType(seq, ValueType::kValue));
+  dst->resize(ProbeSize(user_key));
+  EncodeProbe(user_key, seq, dst->data());
 }
 
 }  // namespace
@@ -198,12 +202,19 @@ void MemTable::AddRangeTombstone(const RangeTombstone& tombstone) {
 bool MemTable::Get(const Slice& user_key, ParsedEntry* entry,
                    SequenceNumber max_seq) const {
   // Seek to the first record with this user key and seq <= max_seq; records
-  // for the same key are ordered newest-first.
-  std::string probe;
-  EncodeProbe(user_key, max_seq, &probe);
+  // for the same key are ordered newest-first. The probe is built on the
+  // stack unless the key is too long for it.
+  char stack_probe[128];
+  std::string heap_probe;
+  char* probe = stack_probe;
+  if (ProbeSize(user_key) > sizeof(stack_probe)) {
+    heap_probe.resize(ProbeSize(user_key));
+    probe = heap_probe.data();
+  }
+  EncodeProbe(user_key, max_seq, probe);
 
   SkipList<KeyComparator>::Iterator it(&table_);
-  it.Seek(probe.data());
+  it.Seek(probe);
   while (it.Valid()) {
     ParsedEntry candidate;
     if (!DecodeRecord(it.key(), &candidate, SIZE_MAX / 2)) {

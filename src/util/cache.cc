@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/hash.h"
@@ -21,10 +20,12 @@ namespace {
 struct LRUHandle {
   void* value;
   Cache::Deleter deleter;
+  LRUHandle* next_hash;  // chain of the shard's HandleTable bucket
   LRUHandle* next;
   LRUHandle* prev;
   size_t charge;
   size_t key_length;
+  uint32_t hash;     // Hash32 of the key, computed once per call
   bool in_cache;     // whether the shard's table still points at this entry
   bool high_priority;  // which evictable pool the entry parks in
   uint32_t refs;     // client handles, plus one for the cache while in_cache
@@ -33,14 +34,77 @@ struct LRUHandle {
   Slice key() const { return Slice(key_data, key_length); }
 };
 
-struct SliceHasher {
-  size_t operator()(const Slice& s) const {
-    return Hash32(s.data(), s.size(), 0xa5c395u);
-  }
-};
+uint32_t HashKey(const Slice& key) {
+  return Hash32(key.data(), key.size(), 0xa5c395u);
+}
 
-struct SliceEqual {
-  bool operator()(const Slice& a, const Slice& b) const { return a == b; }
+/// A shard's index of resident entries: an intrusive chained hash table
+/// over the entries' own `next_hash` links, keyed by the hash each entry
+/// stores. A call hashes its key once (ShardedLRUCache picks the shard from
+/// the top bits, the bucket comes from the low bits), and chains compare
+/// stored hashes before key bytes.
+class HandleTable {
+ public:
+  HandleTable() : buckets_(kMinBuckets, nullptr) {}
+
+  LRUHandle* Lookup(const Slice& key, uint32_t hash) {
+    return *FindPointer(key, hash);
+  }
+
+  /// Indexes `e` and returns the entry it displaced (same key), if any.
+  LRUHandle* Insert(LRUHandle* e) {
+    LRUHandle** slot = FindPointer(e->key(), e->hash);
+    LRUHandle* old = *slot;
+    e->next_hash = old == nullptr ? nullptr : old->next_hash;
+    *slot = e;
+    if (old == nullptr && ++size_ > buckets_.size()) {
+      Grow();
+    }
+    return old;
+  }
+
+  /// Unindexes and returns the entry for `key`, if any.
+  LRUHandle* Remove(const Slice& key, uint32_t hash) {
+    LRUHandle** slot = FindPointer(key, hash);
+    LRUHandle* e = *slot;
+    if (e != nullptr) {
+      *slot = e->next_hash;
+      size_--;
+    }
+    return e;
+  }
+
+ private:
+  static constexpr size_t kMinBuckets = 16;
+
+  /// The link that points at the entry for `key`, or the null link ending
+  /// its chain.
+  LRUHandle** FindPointer(const Slice& key, uint32_t hash) {
+    LRUHandle** slot = &buckets_[hash & (buckets_.size() - 1)];
+    while (*slot != nullptr &&
+           ((*slot)->hash != hash || (*slot)->key() != key)) {
+      slot = &(*slot)->next_hash;
+    }
+    return slot;
+  }
+
+  /// Doubles the bucket count, keeping the load factor at most 1.
+  void Grow() {
+    std::vector<LRUHandle*> grown(buckets_.size() * 2, nullptr);
+    for (LRUHandle* e : buckets_) {
+      while (e != nullptr) {
+        LRUHandle* next = e->next_hash;
+        LRUHandle*& head = grown[e->hash & (grown.size() - 1)];
+        e->next_hash = head;
+        head = e;
+        e = next;
+      }
+    }
+    buckets_.swap(grown);
+  }
+
+  std::vector<LRUHandle*> buckets_;  // power-of-two count
+  size_t size_ = 0;
 };
 
 /// One independently locked LRU cache. Invariant (LevelDB's, split in two):
@@ -78,14 +142,16 @@ class LRUShard {
 
   void SetCapacity(size_t capacity) { capacity_ = capacity; }
 
-  Cache::Handle* Insert(const Slice& key, void* value, size_t charge,
-                        Cache::Deleter deleter, Cache::Priority priority) {
+  Cache::Handle* Insert(const Slice& key, uint32_t hash, void* value,
+                        size_t charge, Cache::Deleter deleter,
+                        Cache::Priority priority) {
     LRUHandle* e = static_cast<LRUHandle*>(
         malloc(sizeof(LRUHandle) - 1 + key.size()));
     e->value = value;
     e->deleter = deleter;
     e->charge = charge;
     e->key_length = key.size();
+    e->hash = hash;
     e->in_cache = false;
     e->high_priority = priority == Cache::Priority::kHigh;
     e->refs = 1;  // the returned handle
@@ -99,13 +165,7 @@ class LRUShard {
         e->in_cache = true;
         Append(&in_use_, e);
         usage_.fetch_add(charge, std::memory_order_relaxed);
-        auto it = table_.find(key);
-        LRUHandle* old = nullptr;
-        if (it != table_.end()) {
-          old = it->second;
-          table_.erase(it);
-        }
-        table_.emplace(e->key(), e);
+        LRUHandle* old = table_.Insert(e);
         if (old != nullptr) {
           Detach(old, &dead);
         }
@@ -116,14 +176,30 @@ class LRUShard {
     return reinterpret_cast<Cache::Handle*>(e);
   }
 
-  Cache::Handle* Lookup(const Slice& key) {
+  Cache::Handle* Lookup(const Slice& key, uint32_t hash) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(key);
-    if (it == table_.end()) {
+    LRUHandle* e = table_.Lookup(key, hash);
+    if (e == nullptr) {
       return nullptr;
     }
-    Ref(it->second);
-    return reinterpret_cast<Cache::Handle*>(it->second);
+    Ref(e);
+    return reinterpret_cast<Cache::Handle*>(e);
+  }
+
+  bool LookupCopy(const Slice& key, uint32_t hash,
+                  void (*copy)(void* value, void* arg), void* arg) {
+    std::lock_guard<std::mutex> lock(mu_);
+    LRUHandle* e = table_.Lookup(key, hash);
+    if (e == nullptr) {
+      return false;
+    }
+    (*copy)(e->value, arg);
+    if (e->refs == 1) {
+      // Unpinned: most recent of its pool, where Ref then Unref moves it.
+      Remove(e);
+      Append(e->high_priority ? &lru_high_ : &lru_low_, e);
+    }
+    return true;
   }
 
   void Release(Cache::Handle* handle) {
@@ -138,16 +214,14 @@ class LRUShard {
     }
   }
 
-  void Erase(const Slice& key) {
+  void Erase(const Slice& key, uint32_t hash) {
     std::vector<LRUHandle*> dead;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = table_.find(key);
-      if (it == table_.end()) {
+      LRUHandle* e = table_.Remove(key, hash);
+      if (e == nullptr) {
         return;
       }
-      LRUHandle* e = it->second;
-      table_.erase(it);
       Detach(e, &dead);
     }
     FreeAll(dead);
@@ -157,14 +231,17 @@ class LRUShard {
     std::vector<LRUHandle*> dead;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // Every resident entry is on exactly one of the three lists.
       std::vector<LRUHandle*> victims;
-      for (const auto& [key, e] : table_) {
-        if (predicate(key, arg)) {
-          victims.push_back(e);
+      for (LRUHandle* list : {&lru_low_, &lru_high_, &in_use_}) {
+        for (LRUHandle* e = list->next; e != list; e = e->next) {
+          if (predicate(e->key(), arg)) {
+            victims.push_back(e);
+          }
         }
       }
       for (LRUHandle* e : victims) {
-        table_.erase(e->key());
+        table_.Remove(e->key(), e->hash);
         Detach(e, &dead);
       }
     }
@@ -225,7 +302,7 @@ class LRUShard {
       }
       assert(oldest->refs == 1);
       evictions_.fetch_add(1, std::memory_order_relaxed);
-      table_.erase(oldest->key());
+      table_.Remove(oldest->key(), oldest->hash);
       Detach(oldest, dead);
     }
   }
@@ -289,7 +366,7 @@ class LRUShard {
   LRUHandle lru_low_;   // dummy head; lru_low_.next is the first victim
   LRUHandle lru_high_;  // dummy head; evicted only once lru_low_ is empty
   LRUHandle in_use_;    // dummy head; order within is irrelevant
-  std::unordered_map<Slice, LRUHandle*, SliceHasher, SliceEqual> table_;
+  HandleTable table_;
 };
 
 class ShardedLRUCache final : public Cache {
@@ -306,23 +383,34 @@ class ShardedLRUCache final : public Cache {
 
   Handle* Insert(const Slice& key, void* value, size_t charge,
                  Deleter deleter, Priority priority) override {
-    return ShardFor(key).Insert(key, value, charge, deleter, priority);
+    const uint32_t hash = HashKey(key);
+    return ShardFor(hash).Insert(key, hash, value, charge, deleter, priority);
   }
 
   Handle* Lookup(const Slice& key) override {
-    return ShardFor(key).Lookup(key);
+    const uint32_t hash = HashKey(key);
+    return ShardFor(hash).Lookup(key, hash);
+  }
+
+  bool LookupCopy(const Slice& key, void (*copy)(void* value, void* arg),
+                  void* arg) override {
+    const uint32_t hash = HashKey(key);
+    return ShardFor(hash).LookupCopy(key, hash, copy, arg);
   }
 
   void Release(Handle* handle) override {
     LRUHandle* e = reinterpret_cast<LRUHandle*>(handle);
-    ShardFor(e->key()).Release(handle);
+    ShardFor(e->hash).Release(handle);
   }
 
   void* Value(Handle* handle) override {
     return reinterpret_cast<LRUHandle*>(handle)->value;
   }
 
-  void Erase(const Slice& key) override { ShardFor(key).Erase(key); }
+  void Erase(const Slice& key) override {
+    const uint32_t hash = HashKey(key);
+    ShardFor(hash).Erase(key, hash);
+  }
 
   void EraseIf(bool (*predicate)(const Slice& key, void* arg),
                void* arg) override {
@@ -371,14 +459,10 @@ class ShardedLRUCache final : public Cache {
   size_t capacity() const override { return capacity_; }
 
  private:
-  LRUShard& ShardFor(const Slice& key) {
-    const uint32_t hash = Hash32(key.data(), key.size(), 0xa5c395u);
-    const uint32_t shard =
-        shard_bits_ == 0 ? 0 : hash >> (32 - shard_bits_);
-    return shards_[shard];
-  }
-  const LRUShard& ShardFor(const Slice& key) const {
-    return const_cast<ShardedLRUCache*>(this)->ShardFor(key);
+  /// The top bits of the hash pick the shard; HandleTable buckets use the
+  /// low bits.
+  LRUShard& ShardFor(uint32_t hash) {
+    return shards_[shard_bits_ == 0 ? 0 : hash >> (32 - shard_bits_)];
   }
 
   int shard_bits_;

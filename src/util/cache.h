@@ -56,6 +56,14 @@ class Cache {
   /// refreshes the entry's recency.
   virtual Handle* Lookup(const Slice& key) = 0;
 
+  /// Copy-out lookup: on a hit, runs `copy(value, arg)` under the cache's
+  /// lock and returns true. Recency is refreshed exactly as by Lookup then
+  /// Release, but with one lock acquisition and no pin. `copy` must be
+  /// short and must not call into the cache.
+  virtual bool LookupCopy(const Slice& key,
+                          void (*copy)(void* value, void* arg),
+                          void* arg) = 0;
+
   /// Unpins a handle obtained from Insert/Lookup.
   virtual void Release(Handle* handle) = 0;
 

@@ -62,7 +62,8 @@ int VarintLength(uint64_t value) {
   return len;
 }
 
-const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value) {
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value) {
   uint32_t result = 0;
   for (uint32_t shift = 0; shift <= 28 && p < limit; shift += 7) {
     uint32_t byte = *reinterpret_cast<const unsigned char*>(p);

@@ -55,9 +55,24 @@ int VarintLength(uint64_t value);
 char* EncodeVarint32(char* dst, uint32_t value);
 char* EncodeVarint64(char* dst, uint64_t value);
 
+/// The multi-byte case of GetVarint32Ptr.
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value);
+
 /// Decodes a varint32 from [p, limit). Returns a pointer just past it, or
-/// null on malformed or truncated input.
-const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value);
+/// null on malformed or truncated input. A one-byte varint (every value
+/// under 128) is decoded inline.
+inline const char* GetVarint32Ptr(const char* p, const char* limit,
+                                  uint32_t* value) {
+  if (p < limit) {
+    const uint32_t byte = static_cast<unsigned char>(*p);
+    if ((byte & 128) == 0) {
+      *value = byte;
+      return p + 1;
+    }
+  }
+  return GetVarint32PtrFallback(p, limit, value);
+}
 
 }  // namespace lethe
 

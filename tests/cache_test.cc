@@ -13,6 +13,7 @@
 #include "src/core/statistics.h"
 #include "src/format/page_cache.h"
 #include "src/util/cache.h"
+#include "src/util/random.h"
 
 namespace lethe {
 namespace {
@@ -52,6 +53,18 @@ class LRUCacheTest : public ::testing::Test {
   std::unique_ptr<Cache> cache_;
 };
 
+void CopyIntValue(void* value, void* out) {
+  *static_cast<int*>(out) = *static_cast<int*>(value);
+}
+
+/// Copy-out lookup; -1 on miss.
+int LookupCopy(Cache* cache, const std::string& key) {
+  int value = -1;
+  const bool hit = cache->LookupCopy(key, &CopyIntValue, &value);
+  EXPECT_EQ(hit, value != -1);
+  return value;
+}
+
 TEST_F(LRUCacheTest, HitAndMiss) {
   EXPECT_EQ(Lookup("a"), -1);
   Insert("a", 1);
@@ -79,6 +92,74 @@ TEST_F(LRUCacheTest, EvictionFollowsLRUOrder) {
   EXPECT_EQ(Lookup("d"), 4);
   EXPECT_EQ(Lookup("e"), 5);
   EXPECT_EQ(cache_->NumEvictions(), 1u);
+}
+
+TEST_F(LRUCacheTest, CopyOutHitRefreshesRecency) {
+  Insert("a", 1);
+  Insert("b", 2);
+  Insert("c", 3);
+  Insert("d", 4);
+  EXPECT_EQ(LookupCopy(cache_.get(), "a"), 1);  // "b" is now the oldest
+  Insert("e", 5);
+  EXPECT_EQ(LookupCopy(cache_.get(), "b"), -1);
+  EXPECT_EQ(LookupCopy(cache_.get(), "a"), 1);
+  EXPECT_EQ(cache_->NumEvictions(), 1u);
+}
+
+TEST_F(LRUCacheTest, CopyOutLeavesPinnedEntriesPinned) {
+  Cache::Handle* pinned =
+      cache_->Insert("pin", new int(42), 1, &DeleteIntValue);
+  EXPECT_EQ(LookupCopy(cache_.get(), "pin"), 42);
+  for (int i = 0; i < 10; i++) {
+    Insert("k" + std::to_string(i), i);
+  }
+  EXPECT_EQ(LookupCopy(cache_.get(), "pin"), 42);
+  cache_->Release(pinned);
+}
+
+// Two one-shard caches see the same random history of inserts (both
+// priorities), erases and hits; one takes its hits as Lookup + Release, the
+// other as LookupCopy. Every step must evict the same entries, so both
+// always hold the same keys.
+TEST(LRUCacheCopyOutTest, MatchesLookupReleaseOrderExactly) {
+  auto pinning = NewShardedLRUCache(24, /*shard_bits=*/0);
+  auto copying = NewShardedLRUCache(24, /*shard_bits=*/0);
+  Random rnd(31);
+  for (int step = 0; step < 5000; step++) {
+    const int k = static_cast<int>(rnd.Uniform(40));
+    const std::string key = "key" + std::to_string(k);
+    switch (rnd.Uniform(5)) {
+      case 0:
+      case 1: {
+        const size_t charge = 1 + rnd.Uniform(3);
+        const auto priority = rnd.Uniform(3) == 0 ? Cache::Priority::kHigh
+                                                  : Cache::Priority::kLow;
+        for (Cache* cache : {pinning.get(), copying.get()}) {
+          cache->Release(cache->Insert(key, new int(k), charge,
+                                       &DeleteIntValue, priority));
+        }
+        break;
+      }
+      case 2:
+        pinning->Erase(key);
+        copying->Erase(key);
+        break;
+      default: {
+        int pinned_value = -1;
+        if (Cache::Handle* handle = pinning->Lookup(key)) {
+          pinned_value = *static_cast<int*>(pinning->Value(handle));
+          pinning->Release(handle);
+        }
+        ASSERT_EQ(LookupCopy(copying.get(), key), pinned_value)
+            << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(pinning->NumEvictions(), copying->NumEvictions())
+        << "step " << step;
+    ASSERT_EQ(pinning->TotalCharge(), copying->TotalCharge())
+        << "step " << step;
+  }
 }
 
 TEST_F(LRUCacheTest, ChargeAccounting) {
@@ -278,14 +359,20 @@ TEST(ShardedLRUCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
         const int k = (t * 7 + i * 13) % 257;
         const std::string key = "key" + std::to_string(k);
         switch (i % 4) {
-          case 0:
-          case 1: {
+          case 0: {
             Cache::Handle* handle = cache->Lookup(key);
             if (handle != nullptr) {
               if (*static_cast<int*>(cache->Value(handle)) != k) {
                 bad_reads.fetch_add(1);
               }
               cache->Release(handle);
+            }
+            break;
+          }
+          case 1: {
+            int value = -1;
+            if (cache->LookupCopy(key, &CopyIntValue, &value) && value != k) {
+              bad_reads.fetch_add(1);
             }
             break;
           }
@@ -313,10 +400,11 @@ TEST(ShardedLRUCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
 // ---------------------------------------------------------------------------
 // PageCache.
 
+/// A decoded page of `raw_size` bytes holding no entries.
 PageHandle MakePage(size_t raw_size) {
   auto page = std::make_shared<PageContents>();
-  page->data = std::make_unique<char[]>(raw_size);
-  page->raw_size = raw_size;
+  const std::string raw = PageBuilder(raw_size, 1).Finish();
+  EXPECT_TRUE(DecodePage(Slice(raw), raw_size, page.get()).ok());
   return page;
 }
 
@@ -329,9 +417,46 @@ TEST(PageCacheTest, HitAndMissCounters) {
 
   cache.Insert(1, 0, MakePage(4096));
   ASSERT_TRUE(cache.Lookup(1, 0, &page));
-  EXPECT_EQ(page->raw_size, 4096u);
+  EXPECT_EQ(page->raw_size(), 4096u);
   EXPECT_EQ(stats.page_cache_hits.load(), 1u);
   EXPECT_GT(stats.page_cache_charge_bytes.load(), 0u);
+}
+
+// A decoded page is charged its own bytes, a 4-byte offset per entry and
+// the PageContents header — nothing per entry beyond the offset. A decoded
+// entry array creeping back into PageContents fails the size bound or the
+// charge.
+TEST(PageCacheTest, PageIsChargedItsBytesPlusOffsetTable) {
+  PageBuilder builder(4096, UINT32_MAX);
+  const std::string value(100, 'v');
+  std::vector<std::string> keys;
+  for (int i = 0; i < 1000; i++) {
+    keys.push_back("key" + std::to_string(100000 + i));
+  }
+  size_t n = 0;
+  for (; n < keys.size(); n++) {
+    ParsedEntry entry;
+    entry.user_key = keys[n];
+    entry.seq = n + 1;
+    entry.value = value;
+    if (!builder.Add(entry)) {
+      break;
+    }
+  }
+  ASSERT_GT(n, 20u);
+  const std::string raw = builder.Finish();
+  auto page = std::make_shared<PageContents>();
+  ASSERT_TRUE(DecodePage(Slice(raw), 4096, page.get()).ok());
+  ASSERT_EQ(page->entries.size(), n);
+
+  EXPECT_LE(sizeof(PageContents), 48u);
+  Statistics stats;
+  PageCache cache(1 << 20, /*shard_bits=*/0, &stats);
+  cache.Insert(1, 0, page);
+  const size_t expected = 4096 + 4 * n + sizeof(PageContents);
+  EXPECT_EQ(page->ApproximateMemoryUsage(), expected);
+  EXPECT_EQ(cache.TotalCharge(), expected);
+  EXPECT_EQ(stats.page_cache_charge_bytes.load(), expected);
 }
 
 TEST(PageCacheTest, DistinctPagesAreDistinctEntries) {
@@ -342,9 +467,9 @@ TEST(PageCacheTest, DistinctPagesAreDistinctEntries) {
   cache.Insert(2, 0, MakePage(300));
   PageHandle page;
   ASSERT_TRUE(cache.Lookup(1, 1, &page));
-  EXPECT_EQ(page->raw_size, 200u);
+  EXPECT_EQ(page->raw_size(), 200u);
   ASSERT_TRUE(cache.Lookup(2, 0, &page));
-  EXPECT_EQ(page->raw_size, 300u);
+  EXPECT_EQ(page->raw_size(), 300u);
 }
 
 TEST(PageCacheTest, EvictPageInvalidatesOnlyThatPage) {
@@ -418,7 +543,7 @@ TEST(PageCacheTest, BlockTypesAreDistinctEntries) {
   ASSERT_TRUE(cache.Lookup(1, 0, &page));
   ASSERT_TRUE(cache.LookupIndex(1, &index));
   ASSERT_TRUE(cache.LookupFilter(1, 0, &filter));
-  EXPECT_EQ(page->raw_size, 100u);
+  EXPECT_EQ(page->raw_size(), 100u);
   EXPECT_EQ(index->buffer.size(), 50u);
   EXPECT_EQ(filter->data.size(), 25u);
   EXPECT_EQ(stats.index_block_cache_hits.load(), 1u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -16,9 +17,11 @@
 #include "src/format/entry.h"
 #include "src/format/file_meta.h"
 #include "src/format/page.h"
+#include "src/format/page_cache.h"
 #include "src/format/range_tombstone.h"
 #include "src/format/sstable_builder.h"
 #include "src/format/sstable_reader.h"
+#include "src/util/coding.h"
 #include "src/util/crc32c.h"
 #include "src/util/random.h"
 #include "src/workload/generator.h"
@@ -138,6 +141,169 @@ TEST(PageTest, ChecksumDetectsCorruption) {
   page[10] ^= 0x7f;
   PageContents contents;
   EXPECT_TRUE(DecodePage(Slice(page), 1024, &contents).IsCorruption());
+}
+
+/// Rewrites a page's checksum trailer after a test edits its bytes, so only
+/// DecodePage's structural checks can reject it.
+void Reseal(std::string* page) {
+  const size_t covered = page->size() - 4;
+  EncodeFixed32(page->data() + covered,
+                crc32c::Mask(crc32c::Value(page->data(), covered)));
+}
+
+void ExpectSameEntry(const ParsedEntry& actual, const ParsedEntry& expected) {
+  EXPECT_EQ(actual.user_key, expected.user_key);
+  EXPECT_EQ(actual.delete_key, expected.delete_key);
+  EXPECT_EQ(actual.seq, expected.seq);
+  EXPECT_EQ(actual.type, expected.type);
+  EXPECT_EQ(actual.value, expected.value);
+}
+
+// Differential: random pages (keys and values of 0..300 bytes across the
+// 1-to-2-byte varint boundary, tombstones, empty values, repeated keys, a
+// page size that is not a multiple of 4) read through the offset table
+// must equal a sequential DecodeEntry parse of the same bytes.
+TEST(PageTest, EntryViewMatchesSequentialDecode) {
+  Random rnd(17);
+  for (int trial = 0; trial < 300; trial++) {
+    const uint64_t page_size = trial % 3 == 0 ? 1021 : 4096;
+    std::vector<std::string> keys, values;
+    std::vector<ParsedEntry> candidates;
+    const int n = 1 + static_cast<int>(rnd.Uniform(60));
+    keys.reserve(n);
+    values.reserve(n);
+    for (int i = 0; i < n; i++) {
+      if (i > 0 && rnd.Uniform(4) == 0) {
+        keys.push_back(keys.back());  // another version of the same key
+      } else {
+        const size_t len = rnd.Uniform(8) == 0 ? 120 + rnd.Uniform(180)
+                                               : rnd.Uniform(24);
+        std::string key(len, '\0');
+        for (char& c : key) {
+          c = static_cast<char>(rnd.Uniform(256));
+        }
+        keys.push_back(std::move(key));
+      }
+      const size_t value_len =
+          rnd.Uniform(5) == 0 ? 0 : rnd.Uniform(8) == 0 ? 200 : rnd.Uniform(40);
+      values.push_back(std::string(value_len, static_cast<char>('a' + i % 26)));
+      candidates.push_back(MakeEntry(
+          keys.back(), rnd.Next(), 1 + rnd.Uniform(1000), values.back(),
+          rnd.Uniform(6) == 0 ? ValueType::kTombstone : ValueType::kValue));
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const ParsedEntry& a, const ParsedEntry& b) {
+                return CompareInternal(a, b) < 0;
+              });
+    PageBuilder builder(page_size, UINT32_MAX);
+    for (const ParsedEntry& entry : candidates) {
+      if (!builder.Add(entry)) {
+        break;
+      }
+    }
+    const uint32_t added = builder.num_entries();
+    const std::string page = builder.Finish();
+
+    PageContents contents;
+    ASSERT_TRUE(DecodePage(Slice(page), page_size, &contents).ok());
+    const PageEntries& entries = contents.entries;
+    ASSERT_EQ(entries.size(), added);
+    EXPECT_EQ(contents.raw_size(), page_size);
+    EXPECT_EQ(Slice(contents.data(), contents.raw_size()), Slice(page));
+
+    Slice body(page.data() + 4, page.size() - 8);
+    auto it = entries.begin();
+    for (size_t i = 0; i < entries.size(); i++, ++it) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " entry " +
+                   std::to_string(i));
+      const char* start = body.data();
+      ParsedEntry expected;
+      ASSERT_TRUE(DecodeEntry(&body, &expected));
+      const ParsedEntry viewed = entries[i];
+      ExpectSameEntry(viewed, expected);
+      ExpectSameEntry(*it, expected);
+      EXPECT_EQ(entries.key(i), expected.user_key);
+      EXPECT_EQ(entries.encoded(i),
+                Slice(start, static_cast<size_t>(body.data() - start)));
+      // The view aliases the decoded page's own bytes, not the input.
+      EXPECT_GE(viewed.value.data(), contents.data());
+      EXPECT_LE(viewed.value.data() + viewed.value.size(),
+                contents.data() + contents.raw_size());
+    }
+    EXPECT_TRUE(it == entries.end());
+
+    // LowerBound finds the first version of every key, and the insertion
+    // point of keys that are absent.
+    for (size_t i = 0; i < entries.size(); i++) {
+      const std::string key = entries.key(i).ToString();
+      size_t first = 0;
+      while (entries.key(first).compare(key) < 0) {
+        first++;
+      }
+      EXPECT_EQ(entries.LowerBound(key), first);
+      const std::string after = key + '\0';
+      size_t next = first;
+      while (next < entries.size() && entries.key(next).compare(after) < 0) {
+        next++;
+      }
+      EXPECT_EQ(entries.LowerBound(after), next);
+    }
+  }
+}
+
+TEST(PageTest, MalformedMiddleEntryIsRejected) {
+  const std::string key = "a", value = "v";
+  const ParsedEntry first = MakeEntry(key, 1, 1, value);
+  PageBuilder builder(1024, 16);
+  ASSERT_TRUE(builder.Add(first));
+  ASSERT_TRUE(builder.Add(MakeEntry("b", 2, 2, "v")));
+  ASSERT_TRUE(builder.Add(MakeEntry("c", 3, 3, "v")));
+  const std::string page = builder.Finish();
+  // The middle entry starts after the header and the first entry: varint
+  // key length, the key, then the (seq, type) trailer, type byte first.
+  const size_t middle = 4 + EncodedEntrySize(first);
+
+  std::string bad_type = page;
+  bad_type[middle + 2] = 7;  // neither kValue nor kTombstone
+  Reseal(&bad_type);
+  PageContents contents;
+  EXPECT_TRUE(DecodePage(Slice(bad_type), 1024, &contents).IsCorruption());
+
+  std::string bad_length = page;
+  bad_length[middle] = 0x7f;  // key length runs past the entry
+  bad_length[middle + 1] = 0;
+  std::string overrun = page;
+  overrun[middle] = static_cast<char>(0xff);  // varint runs to the padding
+  overrun[middle + 1] = static_cast<char>(0xff);
+  overrun[middle + 2] = static_cast<char>(0xff);
+  overrun[middle + 3] = static_cast<char>(0xff);
+  overrun[middle + 4] = static_cast<char>(0x7f);
+  for (std::string* bad : {&bad_length, &overrun}) {
+    Reseal(bad);
+    EXPECT_TRUE(DecodePage(Slice(*bad), 1024, &contents).IsCorruption());
+  }
+
+  // The untouched page still decodes.
+  ASSERT_TRUE(DecodePage(Slice(page), 1024, &contents).ok());
+  EXPECT_EQ(contents.entries.size(), 3u);
+}
+
+TEST(PageTest, OverLargeEntryCountIsRejected) {
+  PageBuilder builder(1024, 16);
+  ASSERT_TRUE(builder.Add(MakeEntry("a", 1, 1, "v")));
+  ASSERT_TRUE(builder.Add(MakeEntry("b", 2, 2, "v")));
+  const std::string page = builder.Finish();
+  // One past the real entries (the next "entry" is zero padding), the most
+  // 18-byte entries the body could hold, one more, and the largest count.
+  const uint32_t max_fit = (1024 - 8) / 18;
+  for (uint32_t count : {3u, max_fit, max_fit + 1, UINT32_MAX}) {
+    SCOPED_TRACE("num_entries " + std::to_string(count));
+    std::string bad = page;
+    EncodeFixed32(bad.data(), count);
+    Reseal(&bad);
+    PageContents contents;
+    EXPECT_TRUE(DecodePage(Slice(bad), 1024, &contents).IsCorruption());
+  }
 }
 
 TEST(PageTest, BuilderResetsAfterFinish) {
@@ -1112,6 +1278,114 @@ std::string BuildPinnedTable(const PinnedTable& shape) {
   EXPECT_TRUE(ReadFileToString(env.get(), "pinned", &bytes).ok());
   EXPECT_EQ(bytes.size(), props.file_size);
   return bytes;
+}
+
+// A KiWi file with h = 8 and random delete keys weaves each tile's entries
+// across up to 8 pages by delete key, and keeps up to three versions of a
+// key (as a pinned snapshot makes compaction do). The iterator must merge
+// the pages back into internal-key order, and a Get bounded by a snapshot
+// must return the newest version at or below it — with and without a page
+// cache, so both decoded-page sources are read.
+TEST(SSTableMultiVersionTest, KiwiH8IteratorAndSnapshotGets) {
+  TableOptions options;
+  options.page_size_bytes = 4096;
+  options.entries_per_page = 32;
+  options.pages_per_tile = 8;
+  constexpr int kKeys = 1500;
+  Random rnd(88);
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  std::vector<ParsedEntry> expected;
+  keys.reserve(kKeys);
+  values.reserve(3 * kKeys);
+  for (int k = 0; k < kKeys; k++) {
+    keys.push_back(EncodeKey(k));
+    const int versions = 1 + static_cast<int>(rnd.Uniform(3));
+    std::set<SequenceNumber> seqs;
+    while (static_cast<int>(seqs.size()) < versions) {
+      seqs.insert(1 + rnd.Uniform(10000));
+    }
+    for (auto seq = seqs.rbegin(); seq != seqs.rend(); ++seq) {
+      values.push_back(std::string(rnd.Uniform(4) == 0 ? 0 : rnd.Uniform(120),
+                                   static_cast<char>('a' + k % 26)));
+      expected.push_back(MakeEntry(
+          keys.back(), rnd.Uniform(1 << 20), *seq, values.back(),
+          rnd.Uniform(8) == 0 ? ValueType::kTombstone : ValueType::kValue));
+    }
+  }
+
+  std::unique_ptr<Env> env = NewMemEnv();
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile("mv", &file).ok());
+  SSTableBuilder builder(options, file.get());
+  for (const ParsedEntry& entry : expected) {
+    builder.Add(entry);
+  }
+  TableProperties props;
+  ASSERT_TRUE(builder.Finish(&props).ok());
+  ASSERT_TRUE(file->Close().ok());
+  ASSERT_TRUE(props.multi_version);
+  ASSERT_GT(props.num_tiles, 1u);
+
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "page cache" : "no page cache");
+    PageCache cache(64 << 20, PageCache::kDefaultShardBits, nullptr);
+    std::unique_ptr<RandomAccessFile> read_file;
+    ASSERT_TRUE(env->NewRandomAccessFile("mv", &read_file).ok());
+    std::unique_ptr<SSTableReader> reader;
+    ASSERT_TRUE(SSTableReader::Open(options, std::move(read_file),
+                                    props.file_size, &reader, /*file_number=*/1,
+                                    cached ? &cache : nullptr)
+                    .ok());
+    for (int pass = 0; pass < 2; pass++) {  // the second pass hits the cache
+      auto it = reader->NewIterator(nullptr);
+      size_t i = 0;
+      for (it->SeekToFirst(); it->Valid(); it->Next(), i++) {
+        ASSERT_LT(i, expected.size());
+        ExpectSameEntry(it->entry(), expected[i]);
+      }
+      ASSERT_TRUE(it->status().ok());
+      EXPECT_EQ(i, expected.size());
+    }
+
+    // Seek lands on the newest version of the target key.
+    auto it = reader->NewIterator(nullptr);
+    for (size_t i = 0; i < expected.size(); i += 37) {
+      if (i > 0 && expected[i - 1].user_key == expected[i].user_key) {
+        continue;
+      }
+      it->Seek(expected[i].user_key);
+      ASSERT_TRUE(it->Valid());
+      ExpectSameEntry(it->entry(), expected[i]);
+    }
+
+    for (SequenceNumber snapshot : {SequenceNumber{2500}, SequenceNumber{5000},
+                                    SequenceNumber{7500},
+                                    kMaxSequenceNumber}) {
+      size_t i = 0;
+      while (i < expected.size()) {
+        const Slice key = expected[i].user_key;
+        const ParsedEntry* newest = nullptr;
+        for (; i < expected.size() && expected[i].user_key == key; i++) {
+          if (newest == nullptr && expected[i].seq <= snapshot) {
+            newest = &expected[i];
+          }
+        }
+        bool found = false;
+        TableGetResult result;
+        ASSERT_TRUE(reader->Get(key, nullptr, nullptr, &found, &result,
+                                /*fill_cache=*/true, snapshot)
+                        .ok());
+        ASSERT_EQ(found, newest != nullptr) << key.ToString();
+        if (newest != nullptr) {
+          EXPECT_EQ(result.seq, newest->seq);
+          EXPECT_EQ(result.type, newest->type);
+          EXPECT_EQ(result.delete_key, newest->delete_key);
+          EXPECT_EQ(result.value, newest->value);
+        }
+      }
+    }
+  }
 }
 
 TEST(PinnedTableBytesTest, BuilderOutputIsUnchanged) {

@@ -191,6 +191,43 @@ TEST(MemTableTest, AddAndGetNewestVersion) {
   EXPECT_FALSE(mem.Get("other", &entry));
 }
 
+// Get builds its seek target on the stack when it fits (128 bytes: keys up
+// to 118 bytes) and on the heap otherwise; both must find every version.
+TEST(MemTableTest, GetFindsKeysOfEveryLengthUnderSnapshots) {
+  MemTable mem;
+  const size_t kLengths[] = {0, 15, 16, 118, 119, 300};
+  std::vector<std::string> keys;
+  for (size_t len : kLengths) {
+    keys.push_back(std::string(len, 'k'));
+  }
+  SequenceNumber seq = 0;
+  for (const std::string& key : keys) {
+    mem.Add(++seq, ValueType::kValue, key, 1, "old" + key, 0);
+  }
+  for (const std::string& key : keys) {
+    mem.Add(++seq, ValueType::kValue, key, 2, "new" + key, 0);
+  }
+  const SequenceNumber first_round = keys.size();
+  for (size_t i = 0; i < keys.size(); i++) {
+    SCOPED_TRACE("key length " + std::to_string(keys[i].size()));
+    ParsedEntry entry;
+    ASSERT_TRUE(mem.Get(keys[i], &entry, kMaxSequenceNumber));
+    EXPECT_EQ(entry.user_key.ToString(), keys[i]);
+    EXPECT_EQ(entry.value.ToString(), "new" + keys[i]);
+    EXPECT_EQ(entry.seq, first_round + i + 1);
+
+    ASSERT_TRUE(mem.Get(keys[i], &entry, first_round));
+    EXPECT_EQ(entry.value.ToString(), "old" + keys[i]);
+    EXPECT_EQ(entry.seq, i + 1);
+
+    // Under a snapshot older than every version the key is absent.
+    EXPECT_FALSE(mem.Get(keys[i], &entry, i));
+  }
+  ParsedEntry entry;
+  EXPECT_FALSE(mem.Get(std::string(17, 'k'), &entry, kMaxSequenceNumber));
+  EXPECT_FALSE(mem.Get(std::string(301, 'k'), &entry, kMaxSequenceNumber));
+}
+
 TEST(MemTableTest, TombstoneVisibleAsNewest) {
   MemTable mem;
   mem.Add(1, ValueType::kValue, "key", 1, "v", 10);
