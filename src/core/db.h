@@ -86,18 +86,22 @@ struct TombstoneAgeSample {
 /// writers are throttled only via the explicit slowdown/stall policy.
 class DB {
  public:
-  /// Opens (or creates) the database at `name`.
+  /// Opens (or creates) the database at `name`. WAL replay forgives only a
+  /// torn tail in the newest log; any other WAL damage fails with a
+  /// Corruption that names Repair.
   static Status Open(const Options& options, const std::string& name,
                      std::unique_ptr<DB>* db);
 
-  /// Last-resort salvage for a database whose MANIFEST (and fallbacks) are
-  /// unreadable: rebuilds a fresh manifest from the table files themselves.
-  /// Every .sst whose metadata checksum verifies is re-adopted (placed by
-  /// its sequence range); damaged tables are quarantined as `<name>.bad`.
-  /// Unflushed WAL data is preserved — the surviving logs replay at the
-  /// next Open. FADE tombstone ages are reconstructed conservatively (a
-  /// salvaged tombstone's persistence deadline never moves later). Call
-  /// only on a database no process has open.
+  /// The one salvage step, for a database Open refuses: damaged WALs, or a
+  /// MANIFEST (and fallbacks) that cannot be read. Rebuilds a fresh
+  /// manifest from the table files themselves. Every .sst whose metadata
+  /// checksum verifies is re-adopted (placed by its sequence range);
+  /// damaged tables are quarantined as `<name>.bad`. Each WAL keeps its
+  /// intact records — frames that fail their checksum or do not decode are
+  /// dropped and a torn tail is cut — and replays at the next Open. FADE
+  /// tombstone ages are reconstructed conservatively (a salvaged
+  /// tombstone's persistence deadline never moves later). Call only on a
+  /// database no process has open.
   static Status Repair(const Options& options, const std::string& name);
 
   virtual ~DB() = default;

@@ -56,17 +56,6 @@ Status Options::Validate() const {
   if (max_subcompactions < 1 || max_subcompactions > 64) {
     return Status::InvalidArgument("max_subcompactions must be in [1, 64]");
   }
-  if (max_bg_error_retries < 0) {
-    return Status::InvalidArgument("max_bg_error_retries must be >= 0");
-  }
-  if (bg_error_base_backoff_micros == 0) {
-    return Status::InvalidArgument(
-        "bg_error_base_backoff_micros must be > 0");
-  }
-  if (bg_error_max_backoff_micros < bg_error_base_backoff_micros) {
-    return Status::InvalidArgument(
-        "bg_error_max_backoff_micros must be >= bg_error_base_backoff_micros");
-  }
   if (num_shards < 1 || num_shards > 256) {
     return Status::InvalidArgument("num_shards must be in [1, 256]");
   }

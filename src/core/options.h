@@ -35,29 +35,6 @@ enum class FilePickingPolicy {
   kMaxTombstones,
 };
 
-/// How strictly WAL replay treats damage found while scanning the log
-/// directory on recovery (cf. the recovery-correctness modes mature LSM
-/// engines expose).
-///   kAbsoluteConsistency   — any torn tail or checksum mismatch anywhere
-///                            fails Open with Corruption. For deployments
-///                            where a missing suffix is unacceptable.
-///   kTolerateTruncatedTail — a torn tail (truncated frame, as a crash or
-///                            power loss leaves behind) is accepted at the
-///                            end of the *newest* WAL only; a checksum
-///                            mismatch anywhere, or damage in an older WAL,
-///                            still fails Open. The default: crash-safe
-///                            without silently skipping interior records.
-///   kSkipCorruptRecords    — best-effort salvage: on a bad frame the
-///                            scanner resynchronizes byte-by-byte to the
-///                            next frame whose CRC verifies and keeps
-///                            replaying; skipped bytes/records are counted
-///                            in Statistics (wal_records_skipped_corrupt).
-enum class WalRecoveryMode {
-  kAbsoluteConsistency,
-  kTolerateTruncatedTail,
-  kSkipCorruptRecords,
-};
-
 /// Built-in key→shard routing policies for ShardedDB (num_shards > 1).
 ///   kHash  — shard = Hash32(key) % num_shards: uniform load spread, range
 ///            operations fan out to every shard.
@@ -215,28 +192,11 @@ struct Options {
 
   /// Write-ahead logging. The paper's experiments run with the WAL disabled;
   /// recovery tests enable it. Syncing is per write (WriteOptions::sync).
-  /// Default: true.
+  /// Open replays the WALs one way: a torn tail (the append a crash cut
+  /// short) ends the newest log, and any other damage fails Open with
+  /// Corruption. DB::Repair is the explicit salvage step: it drops the
+  /// damaged frames so the next Open replays the rest. Default: true.
   bool enable_wal = true;
-
-  /// Damage tolerance for WAL replay on Open. See WalRecoveryMode.
-  /// Default: kTolerateTruncatedTail.
-  WalRecoveryMode wal_recovery_mode = WalRecoveryMode::kTolerateTruncatedTail;
-
-  /// Background-error retry policy (see src/lsm/error_handler.h). When a
-  /// background job fails with a retryable error (transient I/O error,
-  /// ENOSPC) the DB enters kDegraded and the recovery thread probes the
-  /// storage with exponential backoff + jitter. Every retryable job
-  /// failure and every failed probe consumes one attempt of a budget of
-  /// max_bg_error_retries; only a *committed* background job refills it
-  /// (a successful probe does not — it cannot prove the failing job's own
-  /// path healed). Once the budget drains the DB falls to kReadOnly
-  /// (writes rejected, reads keep serving) but keeps probing at the max
-  /// backoff so it can still self-heal when the fault clears. Backoff for
-  /// attempt n is min(base << n, max) micros, each multiplied by a jitter
-  /// in [0.5, 1.0].
-  int max_bg_error_retries = 8;
-  uint64_t bg_error_base_backoff_micros = 1000;
-  uint64_t bg_error_max_backoff_micros = 1000000;
 
   /// Number of independent LSM shards behind DB::Open. 1 (the default)
   /// opens the classic single-tree engine, byte-identical to every prior

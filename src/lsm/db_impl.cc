@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -240,31 +237,6 @@ uint64_t NowSteadyMicros() {
           .count());
 }
 
-/// Parses "NNNNNN<suffix>" (as produced by WalFileName / TableFileName)
-/// into its number. `suffix` includes the dot, e.g. ".wal".
-bool ParseNumberedFileName(const std::string& name, const char* suffix,
-                           uint64_t* number) {
-  const size_t suffix_len = strlen(suffix);
-  if (name.size() <= suffix_len ||
-      name.compare(name.size() - suffix_len, suffix_len, suffix) != 0) {
-    return false;
-  }
-  const size_t digits = name.size() - suffix_len;
-  uint64_t n = 0;
-  for (size_t i = 0; i < digits; i++) {
-    if (name[i] < '0' || name[i] > '9') {
-      return false;
-    }
-    n = n * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *number = n;
-  return true;
-}
-
-bool ParseWalFileName(const std::string& name, uint64_t* number) {
-  return ParseNumberedFileName(name, ".wal", number);
-}
-
 /// Best-effort removal of a failed merge's finished outputs — the edit was
 /// never installed, so nothing references them. Partially written outputs
 /// (not yet in the edit) are reaped by recovery's orphan sweep instead.
@@ -388,14 +360,10 @@ DBImpl::DBImpl(const Options& options, std::string name, ShardContext shard)
     bg_ = std::make_shared<BackgroundScheduler>(options_.background_threads,
                                                 &stats_);
   }
-  ErrorHandler::RetryPolicy policy;
-  policy.max_retries = options_.max_bg_error_retries;
-  policy.base_backoff_micros = options_.bg_error_base_backoff_micros;
-  policy.max_backoff_micros = options_.bg_error_max_backoff_micros;
   // Backoff is wall-clock even when options_.clock is logical: recovery
   // waits for the outside world (disk, space), not for DB-internal time.
   err_ = std::make_unique<ErrorHandler>(
-      policy, SystemClock::Default(), &stats_,
+      ErrorHandler::RetryPolicy{}, SystemClock::Default(), &stats_,
       /*probe=*/[this] { return ProbeStorage(); },
       /*resume=*/[this] { ResumeFromBackgroundError(); },
       /*notify=*/[this] {
@@ -532,24 +500,22 @@ Status DBImpl::RemoveOrphanFilesLocked() {
       versions_->recovered_via_fallback() && !fallback_sweep_done_;
   fallback_sweep_done_ = true;
   for (const std::string& child : children) {
+    FileType type;
     uint64_t number = 0;
-    if (ParseNumberedFileName(child, ".sst", &number)) {
-      versions_->EnsureFileNumberPast(number);
-      if (live.count(number) == 0) {
-        const std::string fname = TableFileName(dbname_, number);
-        if (quarantine) {
-          options_.env->RenameFile(fname, fname + ".bad").ok();
-        } else {
-          options_.env->RemoveFile(fname).ok();
-        }
+    if (!ParseFileName(child, &type, &number) || type == FileType::kWal) {
+      continue;  // WAL numbers are ReplayWalsLocked's to account for
+    }
+    versions_->EnsureFileNumberPast(number);
+    if (type == FileType::kManifest) {
+      if (number != versions_->manifest_number()) {
+        options_.env->RemoveFile(ManifestFileName(dbname_, number)).ok();
       }
-    } else if (child.rfind("MANIFEST-", 0) == 0) {
-      uint64_t manifest = 0;
-      if (sscanf(child.c_str(), "MANIFEST-%" SCNu64, &manifest) == 1) {
-        versions_->EnsureFileNumberPast(manifest);
-        if (manifest != versions_->manifest_number()) {
-          options_.env->RemoveFile(dbname_ + "/" + child).ok();
-        }
+    } else if (live.count(number) == 0) {
+      const std::string fname = TableFileName(dbname_, number);
+      if (quarantine) {
+        options_.env->RenameFile(fname, fname + ".bad").ok();
+      } else {
+        options_.env->RemoveFile(fname).ok();
       }
     }
   }
@@ -564,22 +530,22 @@ Status DBImpl::ReplayWalsLocked() {
   const uint64_t min_wal = versions_->wal_number();
   std::vector<uint64_t> to_replay;
   std::vector<uint64_t> obsolete;
+  // Without a listing recovery cannot know which WALs exist, and the fresh
+  // WAL below could take the number of one it never saw: fail, and let a
+  // retry of Open list again.
   std::vector<std::string> children;
-  if (options_.env->GetChildren(dbname_, &children).ok()) {
-    for (const std::string& child : children) {
-      uint64_t number = 0;
-      if (!ParseWalFileName(child, &number)) {
-        continue;
-      }
-      if (min_wal != 0 && number >= min_wal) {
-        to_replay.push_back(number);
-      } else {
-        obsolete.push_back(number);
-      }
+  LETHE_RETURN_IF_ERROR(options_.env->GetChildren(dbname_, &children));
+  for (const std::string& child : children) {
+    FileType type;
+    uint64_t number = 0;
+    if (!ParseFileName(child, &type, &number) || type != FileType::kWal) {
+      continue;
     }
-  } else if (min_wal != 0 &&
-             options_.env->FileExists(WalFileName(dbname_, min_wal))) {
-    to_replay.push_back(min_wal);  // fallback for list-less envs
+    if (min_wal != 0 && number >= min_wal) {
+      to_replay.push_back(number);
+    } else {
+      obsolete.push_back(number);
+    }
   }
   std::sort(to_replay.begin(), to_replay.end());
   // Crash-surviving WAL numbers may exceed the manifest's file-number
@@ -593,79 +559,33 @@ Status DBImpl::ReplayWalsLocked() {
     versions_->EnsureFileNumberPast(number);
   }
 
-  // Scan each log under the configured recovery mode. A torn tail (an
-  // append cut short by the crash) is distinct from corruption (a CRC or
-  // decode failure with intact framing after it): the default mode forgives
-  // the former in the newest log only, kSkipCorruptRecords resyncs past any
-  // damage, and kAbsoluteConsistency forgives nothing.
-  const WalRecoveryMode mode = options_.wal_recovery_mode;
+  // A torn tail — the append a crash cut short — ends the newest log;
+  // everything acknowledged before it is intact. Any other damage fails
+  // Open: skipping a record could drop a tombstone and resurrect a deleted
+  // key, so salvage is the operator's explicit DB::Repair.
   std::vector<WalRecord> replayed;
-  for (size_t wal_idx = 0; wal_idx < to_replay.size(); wal_idx++) {
-    const uint64_t number = to_replay[wal_idx];
-    const bool newest = wal_idx + 1 == to_replay.size();
-    const std::string fname = WalFileName(dbname_, number);
+  for (size_t i = 0; i < to_replay.size(); i++) {
+    const std::string fname = WalFileName(dbname_, to_replay[i]);
     std::string contents;
     LETHE_RETURN_IF_ERROR(ReadFileToString(options_.env, fname, &contents));
     RecordLogScanner scanner{Slice(contents)};
-    bool done = false;
-    // kSkipCorruptRecords: count one skipped record of `bytes`.
-    auto count_skipped = [this](uint64_t bytes) {
-      stats_.wal_records_skipped_corrupt.fetch_add(1,
-                                                   std::memory_order_relaxed);
-      stats_.wal_bytes_skipped_corrupt.fetch_add(bytes,
-                                                 std::memory_order_relaxed);
-    };
-    // kSkipCorruptRecords: resync past damaged framing (done when the
-    // damage runs to EOF).
-    auto resync = [&] {
-      const uint64_t skipped = scanner.Resync();
-      if (skipped == 0) {
-        done = true;
-      } else {
-        count_skipped(skipped);
+    Slice payload;
+    RecordLogScanner::Result result;
+    while ((result = scanner.Next(&payload)) ==
+           RecordLogScanner::Result::kRecord) {
+      WalRecord record;
+      if (!DecodeWalRecord(payload, &record)) {
+        result = RecordLogScanner::Result::kCorrupt;
+        break;
       }
-    };
-    while (!done) {
-      Slice payload;
-      switch (scanner.Next(&payload)) {
-        case RecordLogScanner::Result::kRecord: {
-          WalRecord record;
-          if (DecodeWalRecord(payload, &record)) {
-            replayed.push_back(std::move(record));
-          } else if (mode == WalRecoveryMode::kSkipCorruptRecords) {
-            // Frame CRC passed but the payload does not decode.
-            count_skipped(payload.size());
-          } else {
-            return Status::Corruption("WAL record malformed in " + fname);
-          }
-          break;
-        }
-        case RecordLogScanner::Result::kEnd:
-          done = true;
-          break;
-        case RecordLogScanner::Result::kTornTail:
-          if (mode != WalRecoveryMode::kAbsoluteConsistency && newest) {
-            // The crash interrupted the final append; everything acked
-            // before it is already replayed.
-            done = true;
-            break;
-          }
-          if (mode == WalRecoveryMode::kSkipCorruptRecords) {
-            resync();
-            break;
-          }
-          return Status::Corruption(
-              "WAL truncated before its end (torn tail in a non-final log "
-              "or kAbsoluteConsistency): " +
-              fname);
-        case RecordLogScanner::Result::kCorrupt:
-          if (mode == WalRecoveryMode::kSkipCorruptRecords) {
-            resync();
-            break;
-          }
-          return Status::Corruption("WAL record checksum mismatch in " +
-                                    fname);
-      }
+      replayed.push_back(std::move(record));
+    }
+    const bool newest = i + 1 == to_replay.size();
+    if (result == RecordLogScanner::Result::kCorrupt ||
+        (result == RecordLogScanner::Result::kTornTail && !newest)) {
+      return Status::Corruption("WAL damaged before its end: " + fname +
+                                "; run DB::Repair to salvage its intact "
+                                "records");
     }
   }
 

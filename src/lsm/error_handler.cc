@@ -65,12 +65,12 @@ ErrorClass ErrorHandler::Classify(const Status& s) {
 ErrorHandler::ErrorHandler(const RetryPolicy& policy, Clock* clock,
                            Statistics* stats, ProbeFn probe, ResumeFn resume,
                            NotifyFn notify)
-    : policy_(policy),
-      clock_(clock),
+    : clock_(clock),
       stats_(stats),
       probe_(std::move(probe)),
       resume_(std::move(resume)),
       notify_(std::move(notify)),
+      policy_(policy),
       jitter_rng_(policy.seed) {}
 
 ErrorHandler::~ErrorHandler() { Shutdown(); }
@@ -261,6 +261,12 @@ void ErrorHandler::Shutdown() {
   if (to_join.joinable()) {
     to_join.join();
   }
+}
+
+void ErrorHandler::TEST_SetRetryPolicy(const RetryPolicy& policy) {
+  std::lock_guard<std::mutex> lock(mu_);
+  policy_ = policy;
+  jitter_rng_.seed(policy.seed);
 }
 
 DBHealth ErrorHandler::TEST_WaitForQuiescent() {

@@ -79,6 +79,8 @@ const char* BackgroundJobKindName(BackgroundJobKind k);
 /// but does all callback work asynchronously on the recovery thread.
 class ErrorHandler {
  public:
+  /// The retry schedule. DBImpl runs the defaults; tests shorten them
+  /// through TEST_SetRetryPolicy.
   struct RetryPolicy {
     int max_retries = 8;
     uint64_t base_backoff_micros = 1000;
@@ -142,6 +144,11 @@ class ErrorHandler {
   /// Shutdown record the error but never probe.
   void Shutdown();
 
+  /// Test hook: replaces the retry schedule. Safe against a running
+  /// recovery thread (every read of the policy holds the handler lock); the
+  /// jitter RNG is reseeded from `policy.seed`.
+  void TEST_SetRetryPolicy(const RetryPolicy& policy);
+
   /// Test hook: blocks until the recovery thread has exited its loop (i.e.
   /// either recovered to kHealthy or gone sticky). Returns current health.
   DBHealth TEST_WaitForQuiescent();
@@ -151,7 +158,6 @@ class ErrorHandler {
   /// Accumulates time_in_degraded_micros up to `now` (mu_ held).
   void AccumulateDegradedLocked(uint64_t now_micros);
 
-  const RetryPolicy policy_;
   Clock* const clock_;
   Statistics* const stats_;
   const ProbeFn probe_;
@@ -160,6 +166,7 @@ class ErrorHandler {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  RetryPolicy policy_;  // guarded by mu_
   DBHealth health_ = DBHealth::kHealthy;
   Status cause_;
   uint64_t degraded_since_micros_ = 0;  // valid when health_ != kHealthy

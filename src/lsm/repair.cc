@@ -1,4 +1,5 @@
-// DB::Repair — rebuild a MANIFEST from the table files alone.
+// DB::Repair — rebuild a MANIFEST from the table files alone, and salvage
+// the WALs Open refuses to replay.
 //
 // The manifest is the only copy of the tree's shape; when it and every
 // fallback snapshot are damaged, the data still lives in the .sst files and
@@ -19,12 +20,14 @@
 //     checkpoint map lost, a salvaged point tombstone's insertion time
 //     floors to 0, so its persistence deadline can only move *earlier* —
 //     the delete-persistence guarantee survives repair,
+//   - each WAL keeps only its intact frames: frames that fail their
+//     checksum or do not decode are dropped and a torn tail is cut, so
+//     the next Open, which replays one way and refuses damage, accepts it,
 //   - counters resume past every number found on disk, and the manifest's
 //     wal_number points at the oldest surviving WAL so unflushed writes
 //     replay at the next Open.
 
 #include <algorithm>
-#include <cinttypes>
 #include <string>
 #include <vector>
 
@@ -32,9 +35,10 @@
 #include "src/format/file_meta.h"
 #include "src/format/sstable_format.h"
 #include "src/format/sstable_reader.h"
+#include "src/lsm/version_set.h"
+#include "src/memtable/wal.h"
 #include "src/util/coding.h"
 #include "src/util/record_log.h"
-#include "src/lsm/version_set.h"
 
 namespace lethe {
 
@@ -114,6 +118,44 @@ Status ReadTableProperties(Env* env, const std::string& fname,
   return Status::OK();
 }
 
+/// Drops the frames of WAL `number` that fail their checksum or do not
+/// decode, resyncing to the next intact frame; a torn tail ends the log.
+/// When anything was dropped the survivors, byte for byte, replace the log
+/// under the same number (temp file, then rename), so the next Open replays
+/// them normally.
+Status SalvageWal(Env* env, const std::string& dbname, uint64_t number) {
+  const std::string fname = WalFileName(dbname, number);
+  std::string contents;
+  LETHE_RETURN_IF_ERROR(ReadFileToString(env, fname, &contents));
+  RecordLogScanner scanner{Slice(contents)};
+  std::string kept;
+  bool dropped = false;
+  while (true) {
+    const uint64_t frame_begin = scanner.offset();
+    Slice payload;
+    const RecordLogScanner::Result result = scanner.Next(&payload);
+    if (result == RecordLogScanner::Result::kEnd) {
+      break;
+    }
+    WalRecord record;
+    if (result == RecordLogScanner::Result::kRecord &&
+        DecodeWalRecord(payload, &record)) {
+      kept.append(contents, frame_begin, scanner.offset() - frame_begin);
+      continue;
+    }
+    dropped = true;
+    if (result != RecordLogScanner::Result::kRecord) {
+      scanner.Resync();  // past a torn tail this reaches the end
+    }
+  }
+  if (!dropped) {
+    return Status::OK();
+  }
+  const std::string tmp = fname + ".tmp";
+  LETHE_RETURN_IF_ERROR(WriteStringToFile(env, kept, tmp));
+  return env->RenameFile(tmp, fname);
+}
+
 bool KeyRangesOverlap(const FileMeta& a, const FileMeta& b) {
   return Slice(a.smallest_key).compare(Slice(b.largest_key)) <= 0 &&
          Slice(b.smallest_key).compare(Slice(a.largest_key)) <= 0;
@@ -145,55 +187,52 @@ Status DB::Repair(const Options& options, const std::string& name) {
   LETHE_RETURN_IF_ERROR(env->GetChildren(name, &children));
 
   std::vector<FileMeta> salvaged;
-  std::vector<uint64_t> old_manifests;
   uint64_t min_wal = 0;
   uint64_t max_number = 0;
   for (const std::string& child : children) {
+    FileType type;
     uint64_t number = 0;
-    if (sscanf(child.c_str(), "%" SCNu64 ".sst", &number) == 1 &&
-        child == std::string(TableFileName("", number), 1)) {
-      max_number = std::max(max_number, number);
-      const std::string fname = name + "/" + child;
-      uint64_t file_size = 0;
-      Status s = env->GetFileSize(fname, &file_size);
-      if (s.ok()) {
-        // Open verifies the footer and the metadata checksum — the same
-        // gate every normal read passes through.
-        std::unique_ptr<RandomAccessFile> file;
-        s = env->NewRandomAccessFile(fname, &file);
-        if (s.ok()) {
-          std::unique_ptr<SSTableReader> reader;
-          s = SSTableReader::Open(resolved.table, std::move(file), file_size,
-                                  &reader);
-        }
-      }
-      FileMeta meta;
-      meta.file_number = number;
-      if (s.ok()) {
-        s = ReadTableProperties(env, fname, file_size, &meta);
-      }
-      if (!s.ok()) {
-        // Quarantine, don't delete: the page data may still be partially
-        // readable with offline tooling. The .bad suffix hides the file
-        // from the engine's name parser (and its orphan sweep).
-        env->RenameFile(fname, fname + ".bad").ok();
-        continue;
-      }
-      salvaged.push_back(std::move(meta));
-    } else if (sscanf(child.c_str(), "%" SCNu64 ".wal", &number) == 1 &&
-               child == std::string(WalFileName("", number), 1)) {
-      // The round-trip name check matters: sscanf's return value counts
-      // conversions, not trailing literal matches, so without it a
-      // quarantined "000123.sst.bad" would parse as WAL 123.
-      max_number = std::max(max_number, number);
+    if (!ParseFileName(child, &type, &number)) {
+      continue;  // includes quarantined "<n>.sst.bad" files
+    }
+    max_number = std::max(max_number, number);
+    if (type == FileType::kWal) {
+      LETHE_RETURN_IF_ERROR(SalvageWal(env, name, number));
       if (min_wal == 0 || number < min_wal) {
         min_wal = number;  // oldest surviving log: replay starts here
       }
-    } else if (sscanf(child.c_str(), "MANIFEST-%" SCNu64, &number) == 1 &&
-               child == std::string(ManifestFileName("", number), 1)) {
-      max_number = std::max(max_number, number);
-      old_manifests.push_back(number);
+      continue;
     }
+    if (type == FileType::kManifest) {
+      continue;  // superseded below; the next Open's orphan sweep removes it
+    }
+    const std::string fname = TableFileName(name, number);
+    uint64_t file_size = 0;
+    Status s = env->GetFileSize(fname, &file_size);
+    if (s.ok()) {
+      // Open verifies the footer and the metadata checksum — the same
+      // gate every normal read passes through.
+      std::unique_ptr<RandomAccessFile> file;
+      s = env->NewRandomAccessFile(fname, &file);
+      if (s.ok()) {
+        std::unique_ptr<SSTableReader> reader;
+        s = SSTableReader::Open(resolved.table, std::move(file), file_size,
+                                &reader);
+      }
+    }
+    FileMeta meta;
+    meta.file_number = number;
+    if (s.ok()) {
+      s = ReadTableProperties(env, fname, file_size, &meta);
+    }
+    if (!s.ok()) {
+      // Quarantine, don't delete: the page data may still be partially
+      // readable with offline tooling. The .bad suffix hides the file
+      // from the engine's name parser (and its orphan sweep).
+      env->RenameFile(fname, fname + ".bad").ok();
+      continue;
+    }
+    salvaged.push_back(std::move(meta));
   }
 
   // Newest-first: under leveling the greedy placement below then keeps any
@@ -273,12 +312,7 @@ Status DB::Repair(const Options& options, const std::string& name) {
   LETHE_RETURN_IF_ERROR(manifest.AddRecord(payload));
   LETHE_RETURN_IF_ERROR(manifest.Sync());
   LETHE_RETURN_IF_ERROR(manifest.Close());
-
-  const std::string tmp = name + "/CURRENT.tmp";
-  char buf[64];
-  snprintf(buf, sizeof(buf), "MANIFEST-%06" PRIu64 "\n", manifest_number);
-  LETHE_RETURN_IF_ERROR(WriteStringToFile(env, buf, tmp));
-  return env->RenameFile(tmp, CurrentFileName(name));
+  return SetCurrentFile(env, name, manifest_number);
 }
 
 }  // namespace lethe

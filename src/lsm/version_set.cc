@@ -36,6 +36,51 @@ std::string CurrentFileName(const std::string& dbname) {
   return dbname + "/CURRENT";
 }
 
+bool ParseFileName(const std::string& name, FileType* type, uint64_t* number) {
+  static constexpr char kManifestPrefix[] = "MANIFEST-";
+  const bool manifest = name.rfind(kManifestPrefix, 0) == 0;
+  size_t pos = manifest ? sizeof(kManifestPrefix) - 1 : 0;
+  const size_t digits_begin = pos;
+  uint64_t n = 0;
+  for (; pos < name.size() && name[pos] >= '0' && name[pos] <= '9'; pos++) {
+    if (n > (UINT64_MAX - 9) / 10) {
+      return false;  // more digits than any number this engine writes
+    }
+    n = n * 10 + static_cast<uint64_t>(name[pos] - '0');
+  }
+  if (pos == digits_begin) {
+    return false;
+  }
+  FileType t;
+  std::string formatted;
+  if (manifest) {
+    t = FileType::kManifest;
+    formatted = ManifestFileName("", n);
+  } else if (name.compare(pos, std::string::npos, ".sst") == 0) {
+    t = FileType::kTable;
+    formatted = TableFileName("", n);
+  } else if (name.compare(pos, std::string::npos, ".wal") == 0) {
+    t = FileType::kWal;
+    formatted = WalFileName("", n);
+  } else {
+    return false;
+  }
+  if (formatted.compare(1, std::string::npos, name) != 0) {
+    return false;  // e.g. extra leading zeros or a trailing suffix
+  }
+  *type = t;
+  *number = n;
+  return true;
+}
+
+Status SetCurrentFile(Env* env, const std::string& dbname,
+                      uint64_t manifest_number) {
+  const std::string tmp = dbname + "/CURRENT.tmp";
+  LETHE_RETURN_IF_ERROR(WriteStringToFile(
+      env, ManifestFileName("", manifest_number).substr(1) + "\n", tmp));
+  return env->RenameFile(tmp, CurrentFileName(dbname));
+}
+
 Status TableCache::GetTable(const FileMeta& meta,
                             std::shared_ptr<SSTableReader>* table) {
   {
@@ -106,8 +151,13 @@ Status VersionSet::Recover() {
   while (!manifest_name.empty() && manifest_name.back() == '\n') {
     manifest_name.pop_back();
   }
-
-  Status s = LoadManifest(dbname_ + "/" + manifest_name);
+  FileType type;
+  uint64_t current_number = 0;
+  Status s = ParseFileName(manifest_name, &type, &current_number) &&
+                     type == FileType::kManifest
+                 ? LoadManifest(ManifestFileName(dbname_, current_number))
+                 : Status::Corruption("CURRENT names no manifest: " +
+                                      manifest_name);
   if (!s.ok() && !s.IsCorruption()) {
     // A transient failure (EIO opening or reading the file) is not damage:
     // falling back to an older snapshot here would silently roll the DB
@@ -115,21 +165,18 @@ Status VersionSet::Recover() {
     // a retry could clear. Surface it and let the caller retry Open.
     return s;
   }
-  if (!s.ok() &&
-      options_.wal_recovery_mode != WalRecoveryMode::kAbsoluteConsistency) {
-    // The manifest CURRENT names is unreadable or damaged. Every snapshot
-    // manifest is self-contained (one record describing the whole tree), so
-    // an older intact one still yields a consistent — if stale — database.
-    // Try them newest-first; newer snapshots supersede older ones.
-    uint64_t failed = 0;
-    sscanf(manifest_name.c_str(), "MANIFEST-%" SCNu64, &failed);
+  if (!s.ok()) {
+    // The manifest CURRENT names is damaged. Every snapshot manifest is
+    // self-contained (one record describing the whole tree), so an older
+    // intact one still yields a consistent — if stale — database. Try them
+    // newest-first; newer snapshots supersede older ones.
     std::vector<uint64_t> candidates;
     std::vector<std::string> children;
     if (env->GetChildren(dbname_, &children).ok()) {
       for (const std::string& child : children) {
         uint64_t number = 0;
-        if (sscanf(child.c_str(), "MANIFEST-%" SCNu64, &number) == 1 &&
-            number != failed) {
+        if (ParseFileName(child, &type, &number) &&
+            type == FileType::kManifest && number != current_number) {
           candidates.push_back(number);
         }
       }
@@ -164,19 +211,19 @@ Status VersionSet::Recover() {
 }
 
 Status VersionSet::LoadManifest(const std::string& path) {
-  Env* env = options_.env;
-  std::unique_ptr<SequentialFile> file;
-  LETHE_RETURN_IF_ERROR(env->NewSequentialFile(path, &file));
-  RecordLogReader reader(std::move(file));
+  std::string contents;
+  LETHE_RETURN_IF_ERROR(ReadFileToString(options_.env, path, &contents));
+  RecordLogScanner scanner{Slice(contents)};
 
   std::shared_ptr<const Version> version = std::make_shared<Version>();
   std::vector<std::pair<SequenceNumber, uint64_t>> seq_time;
-  std::string record;
-  Status read_status;
+  Slice record;
+  RecordLogScanner::Result result;
   size_t records = 0;
-  while (reader.ReadRecord(&record, &read_status)) {
+  while ((result = scanner.Next(&record)) ==
+         RecordLogScanner::Result::kRecord) {
     VersionEdit edit;
-    LETHE_RETURN_IF_ERROR(edit.DecodeFrom(Slice(record)));
+    LETHE_RETURN_IF_ERROR(edit.DecodeFrom(record));
     Status apply_status;
     version = Version::Apply(version.get(), edit, &apply_status);
     LETHE_RETURN_IF_ERROR(apply_status);
@@ -186,7 +233,11 @@ Status VersionSet::LoadManifest(const std::string& path) {
     }
     records++;
   }
-  LETHE_RETURN_IF_ERROR(read_status);
+  // A torn tail is the append a crash cut short: the records before it
+  // stand. A damaged frame is not.
+  if (result == RecordLogScanner::Result::kCorrupt) {
+    return Status::Corruption("manifest checksum mismatch: " + path);
+  }
   if (records == 0) {
     // Every manifest opens with a snapshot record, so "no complete records"
     // means the file is damage masquerading as a torn tail. Installing the
@@ -251,12 +302,7 @@ Status VersionSet::WriteSnapshotManifest() {
   LETHE_RETURN_IF_ERROR(manifest_->AddRecord(payload));
   LETHE_RETURN_IF_ERROR(manifest_->Sync());
 
-  // Point CURRENT at the new manifest via write + rename.
-  std::string tmp = dbname_ + "/CURRENT.tmp";
-  char buf[64];
-  snprintf(buf, sizeof(buf), "MANIFEST-%06" PRIu64 "\n", manifest_number_);
-  LETHE_RETURN_IF_ERROR(WriteStringToFile(env, buf, tmp));
-  return env->RenameFile(tmp, CurrentFileName(dbname_));
+  return SetCurrentFile(env, dbname_, manifest_number_);
 }
 
 void VersionSet::ApplyCounters(const VersionEdit& edit) {

@@ -27,6 +27,19 @@ std::string WalFileName(const std::string& dbname, uint64_t number);
 std::string ManifestFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
 
+enum class FileType { kTable, kWal, kManifest };
+
+/// The one parser of database file names: accepts a bare name (no
+/// directory) only when formatting the parsed number gives back exactly
+/// `name`, so "MANIFEST-000099.bak" or a quarantined "000123.sst.bad" is
+/// not a database file.
+bool ParseFileName(const std::string& name, FileType* type, uint64_t* number);
+
+/// Points CURRENT at MANIFEST-<manifest_number>: writes a temp file, then
+/// renames it over CURRENT, so a crash leaves the old or the new pointer.
+Status SetCurrentFile(Env* env, const std::string& dbname,
+                      uint64_t manifest_number);
+
 /// Cache of open SSTable readers keyed by file number. Readers are immutable
 /// and shared; eviction happens when the file is deleted, which also drops
 /// every cached block of the file — decoded pages, its fence/index block,

@@ -70,24 +70,4 @@ bool DecodeWalRecord(Slice input, WalRecord* record) {
   return true;
 }
 
-Status WalWriter::AddRecords(const WalRecord* records, size_t n, bool sync,
-                             bool* appended) {
-  std::string framed;
-  for (size_t i = 0; i < n; i++) {
-    AppendWalRecord(WalRecordView(records[i]), &framed);
-  }
-  return AddFramed(framed, sync, appended);
-}
-
-bool WalReader::ReadRecord(WalRecord* record, Status* status) {
-  if (!log_.ReadRecord(&buffer_, status)) {
-    return false;
-  }
-  if (!DecodeWalRecord(Slice(buffer_), record)) {
-    *status = Status::Corruption("WAL record malformed");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace lethe

@@ -80,13 +80,10 @@ class WalWriter {
 
   /// Appends one record without syncing (WAL replay's rewrite).
   Status AddRecord(const WalRecord& record) {
-    return AddRecords(&record, 1, /*sync=*/false);
+    std::string framed;
+    AppendWalRecord(WalRecordView(record), &framed);
+    return AddFramed(framed, /*sync=*/false);
   }
-
-  /// Logs `n` records with one physical Append, then one Sync when `sync`
-  /// is set. Byte-identical to n sequential AddRecord calls.
-  Status AddRecords(const WalRecord* records, size_t n, bool sync,
-                    bool* appended = nullptr);
 
   /// Group-commit append: writes records framed by AppendWalRecord with one
   /// physical Append, then one Sync when `sync` is set
@@ -103,20 +100,8 @@ class WalWriter {
   RecordLogWriter log_;
 };
 
-/// Replays a log produced by WalWriter. A torn tail terminates iteration
-/// cleanly (returns false with OK-or-Corruption status).
-class WalReader {
- public:
-  explicit WalReader(std::unique_ptr<SequentialFile> file)
-      : log_(std::move(file)) {}
-
-  bool ReadRecord(WalRecord* record, Status* status);
-
- private:
-  RecordLogReader log_;
-  std::string buffer_;
-};
-
+/// Decodes one WAL record from a frame payload (RecordLogScanner yields
+/// them); false when the payload is malformed.
 bool DecodeWalRecord(Slice input, WalRecord* record);
 
 }  // namespace lethe

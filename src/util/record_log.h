@@ -58,25 +58,11 @@ class RecordLogWriter {
   bool sync_;
 };
 
-/// Reads records written by RecordLogWriter. A torn tail (truncated frame or
-/// bad checksum at end-of-file, as a crash leaves behind) ends iteration;
-/// `status` distinguishes clean EOF (OK) from detected damage (Corruption).
-class RecordLogReader {
- public:
-  explicit RecordLogReader(std::unique_ptr<SequentialFile> file)
-      : file_(std::move(file)) {}
-
-  /// Returns true and fills `*record` on success; false at end of log.
-  bool ReadRecord(std::string* record, Status* status);
-
- private:
-  std::unique_ptr<SequentialFile> file_;
-};
-
-/// Frame-level scanner over an in-memory copy of a record log. Unlike
-/// RecordLogReader it distinguishes *why* iteration stopped — torn tail vs
-/// interior checksum damage — and can resynchronize past damage, which is
-/// what Options::wal_recovery_mode needs:
+/// The one reader of the record log, over an in-memory copy of the file.
+/// It tells *why* iteration stopped — torn tail vs interior damage — so WAL
+/// replay and manifest load can forgive the first and refuse the second,
+/// and it can resynchronize past damage, which DB::Repair's WAL salvage
+/// uses:
 ///   kRecord   — `*record` points at a CRC-verified payload (into the buffer)
 ///   kEnd      — clean end of buffer
 ///   kTornTail — a truncated final frame (header, length, or payload cut

@@ -1445,6 +1445,75 @@ TEST_F(DBTest, WriteOptionsSyncIsTheOneWalSyncPath) {
   db_.reset();  // close before `env` goes out of scope
 }
 
+/// Forwards to a target Env; while set, FailTables fails every table
+/// create and FailListing fails every directory listing.
+class ListingFaultEnv final : public ForwardingEnv {
+ public:
+  explicit ListingFaultEnv(Env* target) : ForwardingEnv(target) {}
+
+  void FailTables(bool fail) { fail_tables_.store(fail); }
+  void FailListing(bool fail) { fail_listing_.store(fail); }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (fail_tables_.load() && fname.size() > 4 &&
+        fname.compare(fname.size() - 4, 4, ".sst") == 0) {
+      return Status::IOError("table create held off");
+    }
+    return target_->NewWritableFile(fname, result);
+  }
+  Status GetChildren(const std::string& dirname,
+                     std::vector<std::string>* result) override {
+    if (fail_listing_.load()) {
+      return Status::IOError("listing failed");
+    }
+    return target_->GetChildren(dirname, result);
+  }
+
+ private:
+  std::atomic<bool> fail_tables_{false};
+  std::atomic<bool> fail_listing_{false};
+};
+
+// Without a directory listing Open cannot know which WALs exist. Replaying
+// only the manifest's WAL would skip the newer ones, and the fresh WAL could
+// take an unreplayed one's number: Open must fail, and a retry recover all.
+TEST_F(DBTest, FailedListingFailsOpenInsteadOfSkippingWals) {
+  ListingFaultEnv env(env_.get());
+  options_.env = &env;
+  options_.inline_compactions = false;
+  env.FailTables(true);  // no flush installs: every memtable keeps its WAL
+  Open();
+  ErrorHandler::RetryPolicy stay_degraded;
+  stay_degraded.max_retries = 1 << 20;  // keep accepting writes
+  static_cast<DBImpl*>(db_.get())
+      ->TEST_error_handler()
+      ->TEST_SetRetryPolicy(stay_degraded);
+
+  auto wals = [&] { return test::WalNumbers(env_.get(), "testdb").size(); };
+  const std::string value(256, 'w');
+  uint64_t written = 0;
+  while (wals() < 2) {
+    ASSERT_LT(written, 1000u) << "no memtable swap";
+    ASSERT_TRUE(Put(written++, value).ok());
+  }
+  for (int i = 0; i < 5; i++) {
+    ASSERT_TRUE(Put(written++, value).ok());
+  }
+  db_.reset();
+  ASSERT_GE(wals(), 2u);
+  env.FailTables(false);
+
+  env.FailListing(true);
+  EXPECT_FALSE(Reopen().ok());
+  env.FailListing(false);
+  Open();
+  for (uint64_t k = 0; k < written; k++) {
+    ASSERT_EQ(Get(k), value) << k;
+  }
+  db_.reset();  // close before `env` goes out of scope
+}
+
 // ---- pipelined flush ---------------------------------------------------------
 
 /// Forwards to a target Env. The first table file to Sync blocks inside

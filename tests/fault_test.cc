@@ -3,7 +3,9 @@
 //
 //   - ErrorHandler unit tests: classification, degraded→read-only
 //     escalation, probe-driven recovery, sticky corruption, and the
-//     auto_recovery master switch.
+//     auto_recovery master switch. DB-level tests shorten the engine's
+//     fixed retry schedule after Open through the handler's test seam
+//     (UseFastRetries).
 //   - ENOSPC during flush and during a (partitioned) merge: writers stall
 //     but never fail while the DB is degraded, no partial .sst is ever
 //     installed, and the resume-time orphan sweep reclaims aborted outputs.
@@ -11,12 +13,14 @@
 //     the group and never advances the *published* sequence for an
 //     unacknowledged write (appended-but-unsynced groups burn their
 //     sequence numbers so a later replay cannot collide).
-//   - WalRecoveryMode matrix: torn tails and interior checksum damage
-//     against kAbsoluteConsistency / kTolerateTruncatedTail /
-//     kSkipCorruptRecords.
-//   - Manifest fallback to an older intact snapshot, and DB::Repair
-//     rebuilding a manifest from the table files (quarantining damaged
-//     ones) with unflushed WAL data preserved.
+//   - WAL recovery's one policy: a torn tail ends the newest log; interior
+//     damage, or a torn tail in an older log, fails Open with a message
+//     naming DB::Repair, and Repair's WAL salvage lets the next Open
+//     replay the intact records.
+//   - Manifest fallback to an older intact snapshot (ignoring names that
+//     only look like manifests), and DB::Repair rebuilding a manifest from
+//     the table files (quarantining damaged ones) with unflushed WAL data
+//     preserved.
 //   - SustainedFaultStress: faults arming and clearing mid-run against
 //     concurrent writers with per-thread test::KeyModels; the DB must
 //     round-trip kHealthy → kDegraded/kReadOnly → kHealthy automatically
@@ -244,8 +248,7 @@ TEST(ErrorHandlerTest, ErrorDuringResumeKeepsDegraded) {
 
 // ---- ENOSPC during background work ------------------------------------------
 
-/// Background-mode Options tuned so error-handling cycles resolve in
-/// milliseconds: tiny buffers (constant flush pressure) and short backoffs.
+/// Background-mode Options with tiny buffers: constant flush pressure.
 Options FaultyBackgroundOptions(IoCountingEnv* env, Clock* clock) {
   Options options;
   options.env = env;
@@ -259,10 +262,20 @@ Options FaultyBackgroundOptions(IoCountingEnv* env, Clock* clock) {
   options.table.page_size_bytes = 1024;
   options.table.entries_per_page = 8;
   options.inline_compactions = false;
-  options.max_bg_error_retries = 8;
-  options.bg_error_base_backoff_micros = 200;
-  options.bg_error_max_backoff_micros = 5000;
   return options;
+}
+
+/// Shortens `db`'s retry schedule (the engine runs 8 retries at 1 ms–1 s
+/// backoff) so error-handling cycles resolve in milliseconds. Set after
+/// Open, through the error handler's test seam.
+void UseFastRetries(DB* db, int max_retries = 8,
+                    uint64_t base_backoff_micros = 200,
+                    uint64_t max_backoff_micros = 5000) {
+  ErrorHandler::RetryPolicy policy;
+  policy.max_retries = max_retries;
+  policy.base_backoff_micros = base_backoff_micros;
+  policy.max_backoff_micros = max_backoff_micros;
+  static_cast<DBImpl*>(db)->TEST_error_handler()->TEST_SetRetryPolicy(policy);
 }
 
 TEST(EnospcTest, FlushFailsWritersStallThenAutoRecover) {
@@ -270,13 +283,13 @@ TEST(EnospcTest, FlushFailsWritersStallThenAutoRecover) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
   Options options = FaultyBackgroundOptions(&env, &clock);
-  // Flush attempts consume the retry budget while the fault is armed; keep
-  // it effectively unbounded so this test exercises degraded-mode writes
-  // and auto-recovery, not the read-only escalation.
-  options.max_bg_error_retries = 1 << 20;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "enospc_flush_db", &db).ok());
+  // Flush attempts consume the retry budget while the fault is armed; keep
+  // it effectively unbounded so this test exercises degraded-mode writes
+  // and auto-recovery, not the read-only escalation.
+  UseFastRetries(db.get(), 1 << 20);
   DBImpl* impl = static_cast<DBImpl*>(db.get());
 
   // The disk "fills up" for table files only: flushes die with ENOSPC while
@@ -350,14 +363,14 @@ TEST(EnospcTest, PartitionedMergeFailsThenOrphansReclaimed) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
   Options options = FaultyBackgroundOptions(&env, &clock);
-  // As above: stay in degraded (not read-only) for the whole fault window.
-  options.max_bg_error_retries = 1 << 20;
   options.target_file_bytes = 2 << 10;  // many files per level
   options.background_threads = 2;
   options.max_subcompactions = 4;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "enospc_merge_db", &db).ok());
+  // As above: stay in degraded (not read-only) for the whole fault window.
+  UseFastRetries(db.get(), 1 << 20);
   DBImpl* impl = static_cast<DBImpl*>(db.get());
 
   // Build a tree spanning at least two populated levels, so CompactAll has
@@ -435,11 +448,10 @@ TEST(EnospcTest, FailedCompactAllRemovesFinishedOutputs) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
   Options options = FaultyBackgroundOptions(&env, &clock);
-  options.bg_error_base_backoff_micros = 60 * 1000 * 1000;
-  options.bg_error_max_backoff_micros = 60 * 1000 * 1000;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "compact_all_outputs_db", &db).ok());
+  UseFastRetries(db.get(), 8, 60 * 1000 * 1000, 60 * 1000 * 1000);
   const std::string value(64, 'c');
   for (uint64_t k = 0; k < 256; k++) {
     ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k + 1, value).ok());
@@ -477,10 +489,10 @@ TEST(InlineFlushFaultTest, AppliedWriteIsNotFailedByItsFlush) {
   LogicalClock clock(1);
   Options options = FaultyBackgroundOptions(&env, &clock);
   options.inline_compactions = true;
-  options.max_bg_error_retries = 1 << 20;  // stay degraded while armed
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "inline_flush_fault_db", &db).ok());
+  UseFastRetries(db.get(), 1 << 20);  // stay degraded while armed
   DBImpl* impl = static_cast<DBImpl*>(db.get());
 
   FaultPolicy policy;
@@ -521,6 +533,7 @@ TEST(WalGroupCommitFaultTest, FailedAppendDoesNotAdvanceSequence) {
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "wal_append_db", &db).ok());
+  UseFastRetries(db.get());
   DBImpl* impl = static_cast<DBImpl*>(db.get());
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
   const SequenceNumber seq_before = impl->TEST_LastSequence();
@@ -558,6 +571,7 @@ TEST(WalGroupCommitFaultTest, FailedSyncBurnsSequenceAndHidesWrite) {
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "wal_sync_db", &db).ok());
+  UseFastRetries(db.get());
   DBImpl* impl = static_cast<DBImpl*>(db.get());
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
   const SequenceNumber seq_before = impl->TEST_LastSequence();
@@ -602,6 +616,7 @@ TEST(WalGroupCommitFaultTest, SyncFailureFailsEveryWriterInGroup) {
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "wal_group_db", &db).ok());
+  UseFastRetries(db.get());
   DBImpl* impl = static_cast<DBImpl*>(db.get());
   const SequenceNumber seq_before = impl->TEST_LastSequence();
 
@@ -645,9 +660,9 @@ TEST(WalGroupCommitFaultTest, SyncFailureFailsEveryWriterInGroup) {
   ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(99), &got).ok());
 }
 
-// ---- WAL recovery modes -----------------------------------------------------
+// ---- WAL recovery: one replay policy, salvage through DB::Repair ---------
 
-class WalRecoveryModeTest : public ::testing::Test {
+class WalRecoveryTest : public ::testing::Test {
  protected:
   /// Opens a fresh DB, writes three records (one commit group each), and
   /// closes it with the memtable unflushed — all three live only in the WAL.
@@ -673,20 +688,14 @@ class WalRecoveryModeTest : public ::testing::Test {
   std::string wal_bytes_;
 };
 
-TEST_F(WalRecoveryModeTest, TornTailToleratedOnlyByDefaultMode) {
+TEST_F(WalRecoveryTest, TornTailInNewestWalReplaysIntactPrefix) {
   WriteThreeRecords("wal_torn_db");
   // Chop into the last record's payload: the torn frame a crash leaves.
   RewriteFile(env_.get(), wal_path_,
               wal_bytes_.substr(0, wal_bytes_.size() - 3));
 
-  Options strict = options_;
-  strict.wal_recovery_mode = WalRecoveryMode::kAbsoluteConsistency;
+  // The intact prefix replays, the torn record is dropped.
   std::unique_ptr<DB> db;
-  Status s = DB::Open(strict, "wal_torn_db", &db);
-  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // Default (kTolerateTruncatedTail): the intact prefix replays, the torn
-  // record is dropped.
   ASSERT_TRUE(DB::Open(options_, "wal_torn_db", &db).ok());
   std::string got;
   EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
@@ -694,7 +703,7 @@ TEST_F(WalRecoveryModeTest, TornTailToleratedOnlyByDefaultMode) {
   EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(3), &got).IsNotFound());
 }
 
-TEST_F(WalRecoveryModeTest, InteriorDamageNeedsSkipCorruptRecords) {
+TEST_F(WalRecoveryTest, InteriorDamageFailsOpenUntilRepair) {
   WriteThreeRecords("wal_flip_db");
   // Flip a byte inside the *first* record's payload (frame = 4-byte CRC +
   // 1-byte length varint + payload): interior damage, not a torn tail.
@@ -702,22 +711,86 @@ TEST_F(WalRecoveryModeTest, InteriorDamageNeedsSkipCorruptRecords) {
   damaged[6] = static_cast<char>(damaged[6] ^ 0xff);
   RewriteFile(env_.get(), wal_path_, damaged);
 
-  // Both strict and default modes refuse interior checksum damage.
+  // Open refuses to skip a record — it could be a tombstone — and names
+  // the salvage step.
   std::unique_ptr<DB> db;
   Status s = DB::Open(options_, "wal_flip_db", &db);
   ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("DB::Repair"), std::string::npos)
+      << s.ToString();
 
-  // kSkipCorruptRecords resynchronizes past the damaged frame and salvages
-  // the rest, counting what it dropped.
-  Options salvage = options_;
-  salvage.wal_recovery_mode = WalRecoveryMode::kSkipCorruptRecords;
-  ASSERT_TRUE(DB::Open(salvage, "wal_flip_db", &db).ok());
+  // DB::Repair drops the damaged frame and keeps the rest; Open then
+  // replays the salvaged log.
+  ASSERT_TRUE(DB::Repair(options_, "wal_flip_db").ok());
+  ASSERT_TRUE(DB::Open(options_, "wal_flip_db", &db).ok());
   std::string got;
   EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).IsNotFound());
-  EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).ok());
-  EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(3), &got).ok());
-  EXPECT_GE(db->stats().wal_records_skipped_corrupt.load(), 1u);
-  EXPECT_GT(db->stats().wal_bytes_skipped_corrupt.load(), 0u);
+  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).ok());
+  EXPECT_EQ(got, "two");
+  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(3), &got).ok());
+  EXPECT_EQ(got, "three");
+}
+
+TEST_F(WalRecoveryTest, TornTailInOlderWalFailsOpenUntilRepair) {
+  // Background mode with every table create failing: the first memtable's
+  // flush never installs, so its WAL and the active one both survive close.
+  auto base_env = NewMemEnv();
+  IoCountingEnv env(base_env.get(), 1024);
+  LogicalClock clock(1);
+  Options options = FaultyBackgroundOptions(&env, &clock);
+  const std::string dbname = "wal_torn_older_db";
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  UseFastRetries(db.get(), 1 << 20);
+  FaultPolicy policy;
+  policy.fail_appends = false;
+  policy.fail_creates = true;
+  policy.path_substring = ".sst";
+  env.InjectFaults(policy);
+  const std::string value(128, 'w');
+  const uint64_t written = 36;  // one memtable swap, as in EnospcTest
+  for (uint64_t k = 0; k < written; k++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k + 1, value).ok());
+  }
+  db.reset();
+  env.ClearFaults();
+
+  const std::vector<uint64_t> wals = test::WalNumbers(&env, dbname);
+  ASSERT_EQ(wals.size(), 2u);
+  const std::string older = WalFileName(dbname, wals[0]);
+  const std::vector<WalRecord> older_records =
+      test::ReadWalRecords(&env, older);
+  const std::vector<WalRecord> newer_records =
+      test::ReadWalRecords(&env, WalFileName(dbname, wals[1]));
+  ASSERT_GE(older_records.size(), 2u);
+  ASSERT_FALSE(newer_records.empty());
+  ASSERT_EQ(older_records.size() + newer_records.size(), written);
+
+  // Tear the older log's final frame. Behind it lies a whole newer log, so
+  // this is not the end a crash leaves: Open refuses it.
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(&env, older, &bytes).ok());
+  RewriteFile(&env, older, bytes.substr(0, bytes.size() - 3));
+  Status s = DB::Open(options, dbname, &db);
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("DB::Repair"), std::string::npos)
+      << s.ToString();
+
+  // Repair cuts the torn frame; the older log's intact prefix and the whole
+  // newer log replay.
+  ASSERT_TRUE(DB::Repair(options, dbname).ok());
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  std::string got;
+  for (size_t i = 0; i + 1 < older_records.size(); i++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), older_records[i].key, &got).ok()) << i;
+    EXPECT_EQ(got, value);
+  }
+  EXPECT_TRUE(
+      db->Get(ReadOptions(), older_records.back().key, &got).IsNotFound());
+  for (const WalRecord& record : newer_records) {
+    ASSERT_TRUE(db->Get(ReadOptions(), record.key, &got).ok());
+    EXPECT_EQ(got, value);
+  }
 }
 
 // ---- manifest fallback ------------------------------------------------------
@@ -751,19 +824,67 @@ TEST(ManifestFallbackTest, OlderIntactManifestRecoversTheTree) {
   damaged[12] = static_cast<char>(damaged[12] ^ 0xff);
   RewriteFile(env.get(), manifest_path, damaged);
 
-  // Absolute consistency refuses the fallback.
-  Options strict = options;
-  strict.wal_recovery_mode = WalRecoveryMode::kAbsoluteConsistency;
-  Status s = DB::Open(strict, "manifest_db", &db);
-  ASSERT_FALSE(s.ok());
-
-  // Default mode falls back to the older intact snapshot and serves the
-  // flushed data.
+  // Open falls back to the older intact snapshot and serves the flushed
+  // data.
   ASSERT_TRUE(DB::Open(options, "manifest_db", &db).ok());
   EXPECT_GE(db->stats().manifest_fallbacks.load(), 1u);
   std::string got;
   ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
   EXPECT_EQ(got, "one");
+}
+
+TEST(ManifestFallbackTest, StrayManifestLookalikeIsNotAManifest) {
+  auto env = NewMemEnv();
+  Options options;
+  options.env = env.get();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "stray_db", &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
+  ASSERT_TRUE(db->Flush().ok());
+  db.reset();
+
+  // An operator's backup copy whose name only starts like a manifest's,
+  // numbered above every real one.
+  std::string current;
+  ASSERT_TRUE(ReadFileToString(env.get(), "stray_db/CURRENT", &current).ok());
+  const std::string manifest_path =
+      "stray_db/" + current.substr(0, current.find('\n'));
+  std::string manifest_bytes;
+  ASSERT_TRUE(
+      ReadFileToString(env.get(), manifest_path, &manifest_bytes).ok());
+  const std::string stray = "stray_db/MANIFEST-000099.bak";
+  RewriteFile(env.get(), stray, manifest_bytes);
+
+  // The orphan sweep leaves it alone.
+  ASSERT_TRUE(DB::Open(options, "stray_db", &db).ok());
+  db.reset();
+  ASSERT_TRUE(env->FileExists(stray));
+
+  // With the current manifest damaged, the fallback skips the look-alike
+  // and recovers from the older intact snapshot.
+  ASSERT_TRUE(ReadFileToString(env.get(), "stray_db/CURRENT", &current).ok());
+  FileType type;
+  uint64_t current_number = 0;
+  ASSERT_TRUE(ParseFileName(current.substr(0, current.find('\n')), &type,
+                            &current_number));
+  ASSERT_TRUE(ReadFileToString(
+                  env.get(), ManifestFileName("stray_db", current_number),
+                  &manifest_bytes)
+                  .ok());
+  RewriteFile(env.get(), ManifestFileName("stray_db", current_number - 1),
+              manifest_bytes);
+  std::string damaged = manifest_bytes;
+  damaged[12] = static_cast<char>(damaged[12] ^ 0xff);
+  RewriteFile(env.get(), ManifestFileName("stray_db", current_number),
+              damaged);
+
+  Status s = DB::Open(options, "stray_db", &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(db->stats().manifest_fallbacks.load(), 1u);
+  std::string got;
+  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
+  EXPECT_EQ(got, "one");
+  EXPECT_TRUE(env->FileExists(stray));
 }
 
 TEST(ManifestFallbackTest, TransientReadErrorSurfacesInsteadOfFallingBack) {
@@ -1105,11 +1226,11 @@ TEST_P(SustainedFaultTest, FaultsFireAndClearMidRun) {
   options.compaction_style = config_rnd.Bernoulli(0.5)
                                  ? CompactionStyle::kLeveling
                                  : CompactionStyle::kTiering;
-  options.max_bg_error_retries = 4;
 
   const std::string dbname = "fault_stress_db";
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  UseFastRetries(db.get(), 4);
   DBImpl* impl = static_cast<DBImpl*>(db.get());
 
   FaultStressState state;
@@ -1131,7 +1252,7 @@ TEST_P(SustainedFaultTest, FaultsFireAndClearMidRun) {
   // Fault cycles against the live DB. Short writes are confined to table
   // files: a short-written WAL frame would be *interior* corruption after
   // later groups append behind it, which the default recovery mode
-  // rightly refuses — that path is covered by WalRecoveryModeTest.
+  // rightly refuses — that path is covered by WalRecoveryTest.
   const int cycles = 5;
   for (int c = 0; c < cycles; c++) {
     FaultPolicy policy;

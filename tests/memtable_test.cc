@@ -17,6 +17,7 @@
 #include "src/memtable/wal.h"
 #include "src/memtable/write_batch.h"
 #include "src/util/random.h"
+#include "tests/model/test_util.h"
 
 namespace lethe {
 namespace {
@@ -591,34 +592,26 @@ TEST(WalTest, RecordRoundTrip) {
     ASSERT_TRUE(writer.Close().ok());
   }
 
-  std::unique_ptr<SequentialFile> sf;
-  ASSERT_TRUE(env->NewSequentialFile("wal", &sf).ok());
-  WalReader reader(std::move(sf));
-  WalRecord record;
-  Status status;
-
-  ASSERT_TRUE(reader.ReadRecord(&record, &status));
-  EXPECT_EQ(record.kind, WalRecord::Kind::kPut);
-  EXPECT_EQ(record.key, "alpha");
-  EXPECT_EQ(record.value, "beta");
-  EXPECT_EQ(record.delete_key, 42u);
-  EXPECT_EQ(record.time, 111u);
-
-  ASSERT_TRUE(reader.ReadRecord(&record, &status));
-  EXPECT_EQ(record.kind, WalRecord::Kind::kDelete);
-  EXPECT_EQ(record.seq, 2u);
-
-  ASSERT_TRUE(reader.ReadRecord(&record, &status));
-  EXPECT_EQ(record.kind, WalRecord::Kind::kRangeDelete);
-  EXPECT_EQ(record.end_key, "z");
-
-  EXPECT_FALSE(reader.ReadRecord(&record, &status));
-  EXPECT_TRUE(status.ok());
+  RecordLogScanner::Result last;
+  const std::vector<WalRecord> records =
+      test::ReadWalRecords(env.get(), "wal", &last);
+  EXPECT_EQ(last, RecordLogScanner::Result::kEnd);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].kind, WalRecord::Kind::kPut);
+  EXPECT_EQ(records[0].key, "alpha");
+  EXPECT_EQ(records[0].value, "beta");
+  EXPECT_EQ(records[0].delete_key, 42u);
+  EXPECT_EQ(records[0].time, 111u);
+  EXPECT_EQ(records[1].kind, WalRecord::Kind::kDelete);
+  EXPECT_EQ(records[1].seq, 2u);
+  EXPECT_EQ(records[2].kind, WalRecord::Kind::kRangeDelete);
+  EXPECT_EQ(records[2].end_key, "z");
 }
 
-// The group-commit append must lay down exactly the bytes of one AddRecord
-// per record, across every record kind and the varint boundaries in the
-// payload, and WalReader must read each record back.
+// The group-commit append — records framed by AppendWalRecord into one
+// buffer, written by one AddFramed — must lay down exactly the bytes of one
+// AddRecord per record, across every record kind and the varint boundaries
+// in the payload, and each record must read back.
 TEST(WalTest, GroupAppendIsByteIdenticalToSingleAppends) {
   std::vector<WalRecord> records(5);
   records[0].kind = WalRecord::Kind::kPut;
@@ -661,10 +654,12 @@ TEST(WalTest, GroupAppendIsByteIdenticalToSingleAppends) {
   ASSERT_TRUE(env->NewWritableFile("group", &wf).ok());
   {
     WalWriter writer(std::move(wf));
+    std::string framed;
+    for (const WalRecord& r : records) {
+      AppendWalRecord(WalRecordView(r), &framed);
+    }
     bool appended = false;
-    ASSERT_TRUE(
-        writer.AddRecords(records.data(), records.size(), false, &appended)
-            .ok());
+    ASSERT_TRUE(writer.AddFramed(framed, false, &appended).ok());
     EXPECT_TRUE(appended);
     ASSERT_TRUE(writer.Close().ok());
   }
@@ -673,26 +668,22 @@ TEST(WalTest, GroupAppendIsByteIdenticalToSingleAppends) {
   ASSERT_TRUE(ReadFileToString(env.get(), "group", &group).ok());
   EXPECT_EQ(single, group);
 
-  std::unique_ptr<SequentialFile> sf;
-  ASSERT_TRUE(env->NewSequentialFile("group", &sf).ok());
-  WalReader reader(std::move(sf));
-  for (const WalRecord& want : records) {
-    WalRecord got;
-    Status status;
-    ASSERT_TRUE(reader.ReadRecord(&got, &status)) << status.ToString();
-    EXPECT_EQ(got.kind, want.kind);
-    EXPECT_EQ(got.seq, want.seq);
-    EXPECT_EQ(got.time, want.time);
-    EXPECT_EQ(got.key, want.key);
-    EXPECT_EQ(got.end_key, want.end_key);
-    EXPECT_EQ(got.delete_key, want.delete_key);
-    EXPECT_EQ(got.value, want.value);
-    EXPECT_EQ(got.delete_key_end, want.delete_key_end);
+  RecordLogScanner::Result last;
+  const std::vector<WalRecord> got =
+      test::ReadWalRecords(env.get(), "group", &last);
+  EXPECT_EQ(last, RecordLogScanner::Result::kEnd);
+  ASSERT_EQ(got.size(), records.size());
+  for (size_t i = 0; i < records.size(); i++) {
+    const WalRecord& want = records[i];
+    EXPECT_EQ(got[i].kind, want.kind);
+    EXPECT_EQ(got[i].seq, want.seq);
+    EXPECT_EQ(got[i].time, want.time);
+    EXPECT_EQ(got[i].key, want.key);
+    EXPECT_EQ(got[i].end_key, want.end_key);
+    EXPECT_EQ(got[i].delete_key, want.delete_key);
+    EXPECT_EQ(got[i].value, want.value);
+    EXPECT_EQ(got[i].delete_key_end, want.delete_key_end);
   }
-  WalRecord extra;
-  Status status;
-  EXPECT_FALSE(reader.ReadRecord(&extra, &status));
-  EXPECT_TRUE(status.ok());
 }
 
 TEST(WalTest, DecodeRejectsBadKind) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
 #include "src/core/db.h"
+#include "src/lsm/version_set.h"
 
 namespace lethe::test {
 
@@ -47,6 +49,45 @@ std::string FindFileWithSuffix(Env* env, const std::string& dbname,
     }
   }
   return std::string();
+}
+
+std::vector<uint64_t> WalNumbers(Env* env, const std::string& dbname) {
+  std::vector<std::string> children;
+  std::vector<uint64_t> wals;
+  if (env->GetChildren(dbname, &children).ok()) {
+    for (const std::string& child : children) {
+      FileType type;
+      uint64_t number = 0;
+      if (ParseFileName(child, &type, &number) && type == FileType::kWal) {
+        wals.push_back(number);
+      }
+    }
+  }
+  std::sort(wals.begin(), wals.end());
+  return wals;
+}
+
+std::vector<WalRecord> ReadWalRecords(Env* env, const std::string& fname,
+                                      RecordLogScanner::Result* last) {
+  std::string contents;
+  EXPECT_TRUE(ReadFileToString(env, fname, &contents).ok()) << fname;
+  RecordLogScanner scanner{Slice(contents)};
+  std::vector<WalRecord> records;
+  Slice payload;
+  RecordLogScanner::Result result;
+  while ((result = scanner.Next(&payload)) ==
+         RecordLogScanner::Result::kRecord) {
+    WalRecord record;
+    if (!DecodeWalRecord(payload, &record)) {
+      result = RecordLogScanner::Result::kCorrupt;
+      break;
+    }
+    records.push_back(std::move(record));
+  }
+  if (last != nullptr) {
+    *last = result;
+  }
+  return records;
 }
 
 uint64_t ReferencedTableFiles(DB* db) {

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/env/io_counting_env.h"
+#include "src/memtable/wal.h"
 
 namespace lethe {
 
@@ -42,6 +44,16 @@ uint64_t CountTableFiles(Env* env, const std::string& dbname);
 /// single WAL or manifest this way), or "" if there is none.
 std::string FindFileWithSuffix(Env* env, const std::string& dbname,
                                const std::string& suffix);
+
+/// Numbers of the WAL files in directory `dbname`, ascending.
+std::vector<uint64_t> WalNumbers(Env* env, const std::string& dbname);
+
+/// Reads WAL `fname` as Open replays it: the records before the first frame
+/// that is not an intact, decodable record. That frame's scan result goes
+/// to `*last` when given (kEnd for a clean log).
+std::vector<WalRecord> ReadWalRecords(
+    Env* env, const std::string& fname,
+    RecordLogScanner::Result* last = nullptr);
 
 /// Number of table files the live version of `db` references.
 uint64_t ReferencedTableFiles(DB* db);
