@@ -139,9 +139,13 @@ class DB {
                                       uint64_t delete_key_begin,
                                       uint64_t delete_key_end) = 0;
 
-  /// Point lookup. Returns NotFound if absent or deleted.
-  virtual Status Get(const ReadOptions& options, const Slice& key,
-                     std::string* value) = 0;
+  /// Point lookup. Returns NotFound if absent or deleted. Sees a WriteBatch
+  /// that another thread is applying whole or not at all.
+  Status Get(const ReadOptions& options, const Slice& key,
+             std::string* value) {
+    uint64_t delete_key;
+    return GetWithDeleteKey(options, key, value, &delete_key);
+  }
 
   /// Like Get, additionally returning the entry's delete key.
   virtual Status GetWithDeleteKey(const ReadOptions& options, const Slice& key,
@@ -168,7 +172,9 @@ class DB {
   /// key lies in [delete_key_begin, delete_key_end), sorted by sort key.
   /// KiWi's delete fence pointers prune the page reads to tiles/pages
   /// overlapping the range; candidates are then verified against the
-  /// primary read path (a superseded version must not surface). The classic
+  /// primary read path (a superseded version must not surface). Like
+  /// NewIterator, the lookup reflects one state: that of ReadOptions::snapshot
+  /// when set, else of the last committed sequence at the call. The classic
   /// layout (h = 1) degenerates to scanning every page that overlaps the
   /// range — typically the whole tree.
   virtual Status SecondaryRangeLookup(const ReadOptions& options,

@@ -3,51 +3,22 @@
 #include <algorithm>
 
 #include "src/format/sstable_builder.h"
+#include "src/lsm/read_path.h"
 
 namespace lethe {
 
 Status CollectFileInputs(VersionSet* versions,
                          const std::vector<std::shared_ptr<FileMeta>>& files,
                          std::vector<std::unique_ptr<InternalIterator>>* iters,
-                         std::vector<RangeTombstone>* rts,
-                         uint64_t* total_bytes) {
+                         std::vector<RangeTombstone>* rts) {
   for (const auto& meta : files) {
-    std::shared_ptr<SSTableReader> table;
-    LETHE_RETURN_IF_ERROR(versions->table_cache()->GetTable(*meta, &table));
-    // The iterator must keep the reader alive; wrap it.
-    class OwningIterator final : public InternalIterator {
-     public:
-      // fill_cache=false: a merge streams each input page exactly once and
-      // then deletes the file — inserting those decodes would churn the
-      // LRU against the pages point lookups are actually hot on.
-      OwningIterator(std::shared_ptr<SSTableReader> table,
-                     std::shared_ptr<FileMeta> meta)
-          : table_(std::move(table)),
-            meta_(std::move(meta)),
-            iter_(table_->NewIterator(meta_.get(), /*fill_cache=*/false)) {}
-      bool Valid() const override { return iter_->Valid(); }
-      void SeekToFirst() override { iter_->SeekToFirst(); }
-      void Seek(const Slice& target) override { iter_->Seek(target); }
-      void Next() override { iter_->Next(); }
-      const ParsedEntry& entry() const override { return iter_->entry(); }
-      Status status() const override { return iter_->status(); }
-
-     private:
-      std::shared_ptr<SSTableReader> table_;
-      std::shared_ptr<FileMeta> meta_;
-      std::unique_ptr<InternalIterator> iter_;
-    };
-    iters->push_back(std::make_unique<OwningIterator>(table, meta));
-    if (meta->num_range_tombstones > 0) {
-      TableIndexHandle index;
-      LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
-      for (const RangeTombstone& rt : index->range_tombstones) {
-        rts->push_back(rt);
-      }
-    }
-    if (total_bytes != nullptr) {
-      *total_bytes += meta->file_size;
-    }
+    // fill_cache=false: a merge streams each input page exactly once and
+    // then deletes the file — inserting those decodes would churn the
+    // LRU against the pages point lookups are actually hot on.
+    iters->push_back(
+        NewRunIterator(versions->table_cache(), {meta}, /*fill_cache=*/false));
+    LETHE_RETURN_IF_ERROR(
+        AppendRangeTombstones(versions->table_cache(), *meta, rts));
   }
   return Status::OK();
 }

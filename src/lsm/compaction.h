@@ -121,13 +121,12 @@ class MergeExecutor {
   Statistics* stats_;
 };
 
-/// Convenience used by the DB: collects iterators + range tombstones of the
-/// given files (through the table cache).
+/// Convenience used by the DB: one iterator per input file, in `files`
+/// order, plus every file's range tombstones (through the table cache).
 Status CollectFileInputs(VersionSet* versions,
                          const std::vector<std::shared_ptr<FileMeta>>& files,
                          std::vector<std::unique_ptr<InternalIterator>>* iters,
-                         std::vector<RangeTombstone>* rts,
-                         uint64_t* total_bytes);
+                         std::vector<RangeTombstone>* rts);
 
 /// Clips each tombstone to the user-key window [begin, end) (nullopt =
 /// ±infinity), dropping pieces that come up empty. Sequence numbers and

@@ -578,6 +578,21 @@ Status DBImpl::CompactAll() {
   return s.ok() ? DrainLocked(l) : s;
 }
 
+// ---- reads ----------------------------------------------------------------
+
+ReadSnapshot DBImpl::GetReadSnapshotLocked(const Snapshot* pinned) const {
+  ReadSnapshot snap;
+  snap.mem = mem_;
+  snap.imm.reserve(imm_.size());
+  for (const ImmMemTable& imm : imm_) {
+    snap.imm.push_back(imm.mem);
+  }
+  snap.version = versions_->current();
+  snap.bound =
+      pinned != nullptr ? pinned->sequence() : versions_->LastSequence();
+  return snap;
+}
+
 const Snapshot* DBImpl::GetSnapshot() {
   std::lock_guard<std::mutex> lock(mu_);
   // LastSequence is published only after its group is fully applied

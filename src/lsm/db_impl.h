@@ -17,6 +17,7 @@
 #include "src/lsm/compaction.h"
 #include "src/lsm/compaction_picker.h"
 #include "src/lsm/error_handler.h"
+#include "src/lsm/read_path.h"
 #include "src/lsm/version_set.h"
 #include "src/memtable/memtable.h"
 #include "src/memtable/wal.h"
@@ -40,7 +41,13 @@ struct ShardContext {
   uint64_t file_number_origin = 0;
 };
 
-/// The engine proper.
+/// The engine proper, one file per seam:
+///   db_impl.cc        open/close, scheduling and background jobs, error
+///                     handling, maintenance API, read snapshots, stats
+///   db_impl_open.cc   recovery: orphan sweep, WAL replay and rotation
+///   db_impl_write.cc  writer queue, group commit, stalls, memtable switch
+///   db_impl_merge.cc  flush, compaction, partitioned merge, CompactAll
+///   read_path.cc      every read: a lock-free ReadPath over a ReadSnapshot
 ///
 /// Threading model — three kinds of participants:
 ///
@@ -52,9 +59,10 @@ struct ShardContext {
 ///   memtable with `mu_` released — safe because the token, not the mutex,
 ///   is what guards memtable mutation.
 ///
-///   *Readers* briefly take `mu_` to snapshot {memtable, immutable
-///   memtables, version} pointers and then proceed lock-free on immutable
-///   state.
+///   *Readers* briefly take `mu_` to capture a ReadSnapshot — {memtable,
+///   immutable memtables, version} pointers plus the sequence bound the
+///   read sees (GetReadSnapshotLocked) — and then run lock-free in
+///   ReadPath.
 ///
 ///   *Background work*: writers only swap full memtables onto `imm_` and
 ///   enqueue work; a BackgroundScheduler pool of
@@ -89,8 +97,9 @@ struct ShardContext {
 ///     InstallFlushesLocked).
 ///   - Exclusive jobs (CompactAll, secondary-delete execution) wait for the
 ///     registry to drain, then claim the whole tree.
-///   - Monotonic counters (file numbers, sequence numbers) are atomics in
-///     VersionSet, allocatable without `mu_`.
+///   - File and run numbers are atomics in VersionSet, allocatable without
+///     `mu_`. Sequence numbers are allocated by the write-token holder alone
+///     and published (SetLastSequence) once their group is applied.
 class DBImpl final : public DB {
  public:
   DBImpl(const Options& options, std::string name, ShardContext shard = {});
@@ -108,15 +117,26 @@ class DBImpl final : public DB {
   Status SecondaryRangeDelete(const WriteOptions& options,
                               uint64_t delete_key_begin,
                               uint64_t delete_key_end) override;
-  Status Get(const ReadOptions& options, const Slice& key,
-             std::string* value) override;
+
+  // Reads: one ReadSnapshot capture, then one lock-free ReadPath call.
   Status GetWithDeleteKey(const ReadOptions& options, const Slice& key,
-                          std::string* value, uint64_t* delete_key) override;
-  std::unique_ptr<Iterator> NewIterator(const ReadOptions& options) override;
+                          std::string* value, uint64_t* delete_key) override {
+    return read_path().Get(GetReadSnapshot(options.snapshot), key,
+                           options.fill_page_cache, value, delete_key);
+  }
+  std::unique_ptr<Iterator> NewIterator(const ReadOptions& options) override {
+    return read_path().NewIterator(GetReadSnapshot(options.snapshot),
+                                   options.fill_page_cache);
+  }
   Status SecondaryRangeLookup(const ReadOptions& options,
                               uint64_t delete_key_begin,
                               uint64_t delete_key_end,
-                              std::vector<SecondaryHit>* hits) override;
+                              std::vector<SecondaryHit>* hits) override {
+    return read_path().SecondaryRangeLookup(
+        GetReadSnapshot(options.snapshot), delete_key_begin, delete_key_end,
+        options.fill_page_cache, hits);
+  }
+
   const Snapshot* GetSnapshot() override;
   void ReleaseSnapshot(const Snapshot* snapshot) override;
 
@@ -260,28 +280,6 @@ class DBImpl final : public DB {
     // installed (InstallFlushesLocked).
     std::optional<VersionEdit> parked_edit;
     FootprintClaim parked_claim;
-  };
-
-  /// A point-in-time view of everything readable, taken under mu_.
-  struct ReadSnapshot {
-    std::shared_ptr<MemTable> mem;
-    std::vector<std::shared_ptr<MemTable>> imm;  // oldest first
-    std::shared_ptr<const Version> version;
-  };
-
-  /// What the point-lookup walk (FindNewestVersion) found for one key.
-  struct NewestVersion {
-    bool found = false;    // some source holds a version with seq <= bound
-    TableGetResult entry;  // that version; `value` aliases the memtable
-                           // arena or the pinned `entry.page`
-    // Highest seq <= bound of a range tombstone covering the key, over every
-    // source the walk reached (0 = none).
-    SequenceNumber cover_seq = 0;
-
-    bool Live() const {
-      return found && entry.type != ValueType::kTombstone &&
-             cover_seq <= entry.seq;
-    }
   };
 
   // ---- write path -------------------------------------------------------
@@ -524,22 +522,18 @@ class DBImpl final : public DB {
   /// No-op when the WAL is disabled.
   Status RotateWalLocked();
 
-  /// The one point-lookup walk, shared by Get and transaction validation:
-  /// mem → imm (newest first) → tables (levels top-down, runs newest
-  /// first), stopping at the first source holding a version with seq <=
-  /// `bound`. Range-tombstone coverage accumulates over that source and
-  /// every newer one.
-  Status FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
-                           SequenceNumber bound, bool fill_cache,
-                           NewestVersion* out);
-
-  /// Blind-delete filter (§4.1.5): whether `key` may hold a live version.
-  /// Memtables answer exactly; tables by a filter-only probe over the same
-  /// candidate files FindNewestVersion walks.
-  bool KeyMayExist(const ReadSnapshot& snap, const Slice& key);
   Status ReplayWalsLocked();
-  ReadSnapshot GetReadSnapshot() const;
-  ReadSnapshot GetReadSnapshotLocked() const;
+
+  /// The one ReadSnapshot capture; the bound is `pinned`'s sequence, or
+  /// LastSequence when null.
+  ReadSnapshot GetReadSnapshotLocked(const Snapshot* pinned = nullptr) const;
+  ReadSnapshot GetReadSnapshot(const Snapshot* pinned = nullptr) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return GetReadSnapshotLocked(pinned);
+  }
+
+  /// The lock-free read side, over the table cache (set up by Init).
+  ReadPath read_path() { return ReadPath(versions_->table_cache(), &stats_); }
 
   /// Pinned snapshot sequences, ascending. Captured into MergeConfig under
   /// mu_ when a merge is scheduled.

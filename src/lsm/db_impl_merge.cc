@@ -404,8 +404,8 @@ Status DBImpl::RunMergePartitioned(
     if (fan->mem != nullptr) {
       iters.push_back(fan->mem->NewIterator());
     }
-    LETHE_RETURN_IF_ERROR(CollectFileInputs(versions_.get(), fan->inputs,
-                                            &iters, &rts, nullptr));
+    LETHE_RETURN_IF_ERROR(
+        CollectFileInputs(versions_.get(), fan->inputs, &iters, &rts));
     if (part_config.count_merge_stats) {
       // Pre-clip total: a bottommost merge persists each input tombstone
       // once, however many partition pieces it gets clipped into. Pieces a

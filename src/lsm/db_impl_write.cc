@@ -216,8 +216,9 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
         case WriteBatch::OpKind::kDelete: {
           if (options_.filter_blind_deletes) {
             auto it = group_live.find(op.key.ToString());
-            const bool may_exist =
-                it != group_live.end() ? it->second : KeyMayExist(snap, op.key);
+            const bool may_exist = it != group_live.end()
+                                       ? it->second
+                                       : read_path().KeyMayExist(snap, op.key);
             if (!may_exist) {
               stats_.blind_deletes_avoided.fetch_add(
                   1, std::memory_order_relaxed);
@@ -352,6 +353,8 @@ Status DBImpl::WriteImpl(Writer* w) {
     }
     if (count > 0 || w->validation_keys != nullptr) {
       const uint64_t now = options_.clock->NowMicros();
+      // Taken under the token: no group is in flight, so the bound is every
+      // committed write, as validation and the blind-delete filter need.
       ReadSnapshot snap = GetReadSnapshotLocked();
       WalWriter* wal = wal_.get();
       bool wal_failed = false;
@@ -384,8 +387,8 @@ Status DBImpl::WriteImpl(Writer* w) {
 Status DBImpl::ValidateCommit(const Writer& w, const ReadSnapshot& snap) {
   for (const std::string& key : *w.validation_keys) {
     NewestVersion newest;
-    LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, kMaxSequenceNumber,
-                                            /*fill_cache=*/false, &newest));
+    LETHE_RETURN_IF_ERROR(read_path().FindNewestVersion(
+        snap, key, /*fill_cache=*/false, &newest));
     const SequenceNumber latest =
         std::max(newest.cover_seq, newest.found ? newest.entry.seq : 0);
     if (latest > w.read_snapshot_seq) {

@@ -1,14 +1,14 @@
+#include "src/lsm/read_path.h"
+
+#include <algorithm>
 #include <set>
 
-#include "src/lsm/db_impl.h"
 #include "src/lsm/merging_iterator.h"
 
 namespace lethe {
 
 namespace {
 
-/// Lazy concatenation over the files of one sorted run: at most one SSTable
-/// iterator is open at a time.
 class RunIterator final : public InternalIterator {
  public:
   RunIterator(TableCache* cache, std::vector<std::shared_ptr<FileMeta>> files,
@@ -26,19 +26,12 @@ class RunIterator final : public InternalIterator {
   }
 
   void Seek(const Slice& target) override {
-    // First file with largest_key >= target.
-    int lo = 0, hi = static_cast<int>(files_.size()) - 1,
-        result = static_cast<int>(files_.size());
-    while (lo <= hi) {
-      int mid = lo + (hi - lo) / 2;
-      if (Slice(files_[mid]->largest_key).compare(target) >= 0) {
-        result = mid;
-        hi = mid - 1;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    file_index_ = result - 1;
+    // Start from the first file with largest_key >= target.
+    const auto first = std::partition_point(
+        files_.begin(), files_.end(), [&](const auto& file) {
+          return Slice(file->largest_key).compare(target) < 0;
+        });
+    file_index_ = static_cast<int>(first - files_.begin()) - 1;
     file_iter_.reset();
     AdvanceFile(&target);
   }
@@ -106,47 +99,24 @@ class DBIter final : public Iterator {
   /// `setup_status`, when not OK, poisons the iterator: the tombstone set
   /// could not be assembled completely (a table or its metadata failed to
   /// load), and iterating anyway could resurrect range-deleted keys.
-  /// `bound` pins the scan to a point in time: entries (and range
-  /// tombstones) with seq > bound are invisible, so writes committed after
-  /// creation can never leak into an open scan.
+  /// `snap` pins the sources and the point in time: entries (and range
+  /// tombstones) with seq > snap.bound are invisible, so writes committed
+  /// after creation can never leak into an open scan.
   /// The collected tombstones of every source become one fragmented index,
   /// so each skipped entry costs one O(log F) cover probe.
-  DBIter(std::vector<std::shared_ptr<MemTable>> pinned_mems,
-         std::shared_ptr<const Version> version,
-         std::unique_ptr<InternalIterator> internal,
-         const std::vector<RangeTombstone>& rts, SequenceNumber bound,
-         Statistics* stats, Status setup_status)
-      : pinned_mems_(std::move(pinned_mems)),
-        version_(std::move(version)),
+  DBIter(ReadSnapshot snap, std::unique_ptr<InternalIterator> internal,
+         const std::vector<RangeTombstone>& rts, Statistics* stats,
+         Status setup_status)
+      : snap_(std::move(snap)),
         internal_(std::move(internal)),
         rts_(rts),
-        bound_(bound),
         stats_(stats),
         setup_status_(std::move(setup_status)) {}
 
   bool Valid() const override { return valid_; }
 
-  void SeekToFirst() override {
-    if (!setup_status_.ok()) {
-      return;
-    }
-    stats_->range_lookups.fetch_add(1, std::memory_order_relaxed);
-    internal_->SeekToFirst();
-    last_key_.clear();
-    has_last_key_ = false;
-    FindNextLiveEntry();
-  }
-
-  void Seek(const Slice& target) override {
-    if (!setup_status_.ok()) {
-      return;
-    }
-    stats_->range_lookups.fetch_add(1, std::memory_order_relaxed);
-    internal_->Seek(target);
-    last_key_.clear();
-    has_last_key_ = false;
-    FindNextLiveEntry();
-  }
+  void SeekToFirst() override { SeekTo(nullptr); }
+  void Seek(const Slice& target) override { SeekTo(&target); }
 
   void Next() override {
     internal_->Next();
@@ -161,11 +131,28 @@ class DBIter final : public Iterator {
   }
 
  private:
+  /// Positions at the first live entry at or after `target` (null: the
+  /// first of all).
+  void SeekTo(const Slice* target) {
+    if (!setup_status_.ok()) {
+      return;
+    }
+    stats_->range_lookups.fetch_add(1, std::memory_order_relaxed);
+    if (target != nullptr) {
+      internal_->Seek(*target);
+    } else {
+      internal_->SeekToFirst();
+    }
+    last_key_.clear();
+    has_last_key_ = false;
+    FindNextLiveEntry();
+  }
+
   void FindNextLiveEntry() {
     valid_ = false;
     while (internal_->Valid()) {
       const ParsedEntry& entry = internal_->entry();
-      if (entry.seq > bound_) {
+      if (entry.seq > snap_.bound) {
         internal_->Next();  // committed after this scan's snapshot
         continue;
       }
@@ -189,14 +176,12 @@ class DBIter final : public Iterator {
 
   bool RtCovers(const Slice& user_key, SequenceNumber seq) {
     stats_->rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-    return rts_.Covers(user_key, seq, bound_);
+    return rts_.Covers(user_key, seq, snap_.bound);
   }
 
-  std::vector<std::shared_ptr<MemTable>> pinned_mems_;  // pins mem + imms
-  std::shared_ptr<const Version> version_;              // pins file set
+  ReadSnapshot snap_;  // pins the memtables and the file set
   std::unique_ptr<InternalIterator> internal_;
   FragmentedRangeTombstoneList rts_;
-  SequenceNumber bound_;
   Statistics* stats_;
   Status setup_status_;
 
@@ -236,31 +221,35 @@ bool ForEachCandidateFile(const Version& version, const Slice& key, Fn&& fn) {
 
 }  // namespace
 
-DBImpl::ReadSnapshot DBImpl::GetReadSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetReadSnapshotLocked();
+std::unique_ptr<InternalIterator> NewRunIterator(
+    TableCache* tables, std::vector<std::shared_ptr<FileMeta>> files,
+    bool fill_cache) {
+  return std::make_unique<RunIterator>(tables, std::move(files), fill_cache);
 }
 
-DBImpl::ReadSnapshot DBImpl::GetReadSnapshotLocked() const {
-  ReadSnapshot snap;
-  snap.mem = mem_;
-  snap.imm.reserve(imm_.size());
-  for (const ImmMemTable& imm : imm_) {
-    snap.imm.push_back(imm.mem);
+Status AppendRangeTombstones(TableCache* tables, const FileMeta& file,
+                             std::vector<RangeTombstone>* rts) {
+  if (file.num_range_tombstones == 0) {
+    return Status::OK();
   }
-  snap.version = versions_->current();
-  return snap;
+  std::shared_ptr<SSTableReader> table;
+  LETHE_RETURN_IF_ERROR(tables->GetTable(file, &table));
+  TableIndexHandle index;
+  LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
+  rts->insert(rts->end(), index->range_tombstones.begin(),
+              index->range_tombstones.end());
+  return Status::OK();
 }
 
-bool DBImpl::KeyMayExist(const ReadSnapshot& snap, const Slice& key) {
+bool ReadPath::KeyMayExist(const ReadSnapshot& snap, const Slice& key) const {
   ParsedEntry entry;
-  if (snap.mem->Get(key, &entry)) {
+  if (snap.mem->Get(key, &entry, snap.bound)) {
     // A live value means a tombstone is useful; an existing tombstone means
     // the new delete would be blind.
     return !entry.IsTombstone();
   }
   for (auto it = snap.imm.rbegin(); it != snap.imm.rend(); ++it) {
-    if ((*it)->Get(key, &entry)) {
+    if ((*it)->Get(key, &entry, snap.bound)) {
       return !entry.IsTombstone();
     }
   }
@@ -269,14 +258,14 @@ bool DBImpl::KeyMayExist(const ReadSnapshot& snap, const Slice& key) {
   return ForEachCandidateFile(
       *snap.version, key, [&](const std::shared_ptr<FileMeta>& file) {
         std::shared_ptr<SSTableReader> table;
-        return !versions_->table_cache()->GetTable(*file, &table).ok() ||
-               table->KeyMayExist(key, file.get(), &stats_);
+        return !tables_->GetTable(*file, &table).ok() ||
+               table->KeyMayExist(key, file.get(), stats_);
       });
 }
 
-Status DBImpl::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
-                                 SequenceNumber bound, bool fill_cache,
-                                 NewestVersion* out) {
+Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
+                                   bool fill_cache, NewestVersion* out) const {
+  const SequenceNumber bound = snap.bound;
   auto probe_memtable = [&](const MemTable& mem) {
     out->cover_seq =
         std::max(out->cover_seq, mem.MaxRangeTombstoneCoverSeq(key, bound));
@@ -303,21 +292,21 @@ Status DBImpl::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
   ForEachCandidateFile(
       *snap.version, key, [&](const std::shared_ptr<FileMeta>& file) {
         std::shared_ptr<SSTableReader> table;
-        s = versions_->table_cache()->GetTable(*file, &table);
+        s = tables_->GetTable(*file, &table);
         // Accumulate this file's range-tombstone coverage before deciding.
         // The FileMeta count gates the index fetch, so rt-free files cost
         // no metadata access at all on this hot path.
         if (s.ok() && file->num_range_tombstones > 0) {
           FragmentedRtHandle frt;
-          s = table->GetFragmentedRangeTombstones(&stats_, &frt);
+          s = table->GetFragmentedRangeTombstones(stats_, &frt);
           if (s.ok()) {
-            stats_.rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
+            stats_->rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
             out->cover_seq =
                 std::max(out->cover_seq, frt->MaxCoverSeq(key, bound));
           }
         }
         if (s.ok()) {
-          s = table->Get(key, file.get(), &stats_, &out->found, &out->entry,
+          s = table->Get(key, file.get(), stats_, &out->found, &out->entry,
                          fill_cache, bound);
         }
         return !s.ok() || out->found;
@@ -325,22 +314,12 @@ Status DBImpl::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
   return s;
 }
 
-// ---- reads ----------------------------------------------------------------
-
-Status DBImpl::GetWithDeleteKey(const ReadOptions& options, const Slice& key,
-                                std::string* value, uint64_t* delete_key) {
-  ReadSnapshot snap = GetReadSnapshot();
-  stats_.point_lookups.fetch_add(1, std::memory_order_relaxed);
-
-  // Snapshot reads bound visibility: versions and tombstones committed
-  // after the pinned sequence do not exist for this lookup.
-  const SequenceNumber bound = options.snapshot != nullptr
-                                   ? options.snapshot->sequence()
-                                   : kMaxSequenceNumber;
-
+Status ReadPath::Get(const ReadSnapshot& snap, const Slice& key,
+                     bool fill_cache, std::string* value,
+                     uint64_t* delete_key) const {
+  stats_->point_lookups.fetch_add(1, std::memory_order_relaxed);
   NewestVersion newest;
-  LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, bound,
-                                          options.fill_page_cache, &newest));
+  LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, fill_cache, &newest));
   if (!newest.Live()) {
     return Status::NotFound(key);
   }
@@ -351,98 +330,65 @@ Status DBImpl::GetWithDeleteKey(const ReadOptions& options, const Slice& key,
   return Status::OK();
 }
 
-Status DBImpl::Get(const ReadOptions& options, const Slice& key,
-                   std::string* value) {
-  uint64_t delete_key;
-  return GetWithDeleteKey(options, key, value, &delete_key);
-}
-
-std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {
-  // The sequence bound and the source pointers must be captured in one mu_
-  // hold: LastSequence is published only after a group is fully applied, so
-  // every entry at or below the bound is present in these sources, and the
-  // scan observes exactly the state as of creation (or of the snapshot).
-  ReadSnapshot snap;
-  SequenceNumber bound;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = GetReadSnapshotLocked();
-    bound = options.snapshot != nullptr ? options.snapshot->sequence()
-                                        : versions_->LastSequence();
-  }
-  Status setup_status;
-
+std::unique_ptr<Iterator> ReadPath::NewIterator(ReadSnapshot snap,
+                                                bool fill_cache) const {
   std::vector<std::unique_ptr<InternalIterator>> children;
-  children.push_back(snap.mem->NewIterator());
-
   std::vector<RangeTombstone> rts;
+  children.push_back(snap.mem->NewIterator());
   snap.mem->range_tombstones()->AppendTo(&rts);
-
-  std::vector<std::shared_ptr<MemTable>> pinned;
-  pinned.push_back(snap.mem);
   for (const auto& imm : snap.imm) {
     children.push_back(imm->NewIterator());
     imm->range_tombstones()->AppendTo(&rts);
-    pinned.push_back(imm);
   }
 
+  Status setup_status;
   for (int level = 0; level < snap.version->num_levels(); level++) {
     for (const SortedRun& run : snap.version->levels()[level]) {
-      children.push_back(std::make_unique<RunIterator>(
-          versions_->table_cache(), run.files, options.fill_page_cache));
+      children.push_back(NewRunIterator(tables_, run.files, fill_cache));
       for (const auto& file : run.files) {
-        if (file->num_range_tombstones == 0) {
-          continue;
-        }
         // A failure here may not be swallowed: missing range tombstones
         // would silently resurrect deleted keys, so it poisons the
         // iterator instead (surfaced through status()).
-        std::shared_ptr<SSTableReader> table;
-        TableIndexHandle index;
-        Status s = versions_->table_cache()->GetTable(*file, &table);
-        if (s.ok()) {
-          s = table->GetIndex(&index);
-        }
-        if (s.ok()) {
-          rts.insert(rts.end(), index->range_tombstones.begin(),
-                     index->range_tombstones.end());
-        } else if (setup_status.ok()) {
-          setup_status = s;
+        if (setup_status.ok()) {
+          setup_status = AppendRangeTombstones(tables_, *file, &rts);
         }
       }
     }
   }
 
-  return std::make_unique<DBIter>(
-      std::move(pinned), std::move(snap.version),
-      NewMergingIterator(std::move(children)), rts, bound, &stats_,
-      std::move(setup_status));
+  auto merged = NewMergingIterator(std::move(children));
+  return std::make_unique<DBIter>(std::move(snap), std::move(merged), rts,
+                                  stats_, std::move(setup_status));
 }
 
-Status DBImpl::SecondaryRangeLookup(const ReadOptions& options,
-                                    uint64_t delete_key_begin,
-                                    uint64_t delete_key_end,
-                                    std::vector<SecondaryHit>* hits) {
+Status ReadPath::SecondaryRangeLookup(const ReadSnapshot& snap,
+                                      uint64_t delete_key_begin,
+                                      uint64_t delete_key_end,
+                                      bool fill_cache,
+                                      std::vector<SecondaryHit>* hits) const {
   hits->clear();
   if (delete_key_begin >= delete_key_end) {
     return Status::OK();
   }
-  ReadSnapshot snap = GetReadSnapshot();
 
+  auto in_range = [&](uint64_t delete_key) {
+    return delete_key >= delete_key_begin && delete_key < delete_key_end;
+  };
   // Phase 1: gather candidate sort keys via the delete-key fences. Pages
   // whose delete-key range misses [lo, hi) are never read — this is where
   // KiWi's weave pays off for h > 1.
   std::set<std::string> candidates;
+  auto consider = [&](const ParsedEntry& entry) {
+    if (!entry.IsTombstone() && in_range(entry.delete_key)) {
+      candidates.insert(entry.user_key.ToString());
+    }
+  };
   std::vector<std::shared_ptr<MemTable>> mems = snap.imm;
   mems.push_back(snap.mem);
   for (const auto& mem : mems) {
     auto it = mem->NewIterator();
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      const ParsedEntry& entry = it->entry();
-      if (!entry.IsTombstone() && entry.delete_key >= delete_key_begin &&
-          entry.delete_key < delete_key_end) {
-        candidates.insert(entry.user_key.ToString());
-      }
+      consider(it->entry());
     }
   }
   for (const auto& [level, file] : snap.version->AllFiles()) {
@@ -450,7 +396,7 @@ Status DBImpl::SecondaryRangeLookup(const ReadOptions& options,
       continue;
     }
     std::shared_ptr<SSTableReader> table;
-    LETHE_RETURN_IF_ERROR(versions_->table_cache()->GetTable(*file, &table));
+    LETHE_RETURN_IF_ERROR(tables_->GetTable(*file, &table));
     TableIndexHandle index;
     LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
     for (uint32_t p = 0; p < index->pages.size(); p++) {
@@ -466,34 +412,28 @@ Status DBImpl::SecondaryRangeLookup(const ReadOptions& options,
       bool from_cache = false;
       LETHE_RETURN_IF_ERROR(table->ReadPage(p, &contents,
                                             file->page_generation,
-                                            &from_cache,
-                                            options.fill_page_cache));
+                                            &from_cache, fill_cache));
       if (!from_cache) {
-        stats_.range_lookup_pages_read.fetch_add(1,
-                                                 std::memory_order_relaxed);
+        stats_->range_lookup_pages_read.fetch_add(1,
+                                                  std::memory_order_relaxed);
       }
       for (const ParsedEntry& entry : contents->entries) {
-        if (!entry.IsTombstone() && entry.delete_key >= delete_key_begin &&
-            entry.delete_key < delete_key_end) {
-          candidates.insert(entry.user_key.ToString());
-        }
+        consider(entry);
       }
     }
   }
 
-  // Phase 2: verify each candidate against the primary read path — only
-  // the *live* version of a key counts, and its delete key must itself
-  // qualify (a candidate may be a superseded or deleted version).
+  // Phase 2: verify each candidate against the primary read path on the
+  // same snapshot — only the *live* version of a key counts, and its delete
+  // key must itself qualify (a candidate may be a superseded or deleted
+  // version). Each verification counts as the point lookup it is.
+  stats_->point_lookups.fetch_add(candidates.size(), std::memory_order_relaxed);
   for (const std::string& key : candidates) {
-    std::string value;
-    uint64_t delete_key;
-    Status s = GetWithDeleteKey(options, key, &value, &delete_key);
-    if (s.IsNotFound()) {
-      continue;
-    }
-    LETHE_RETURN_IF_ERROR(s);
-    if (delete_key >= delete_key_begin && delete_key < delete_key_end) {
-      hits->push_back({key, std::move(value), delete_key});
+    NewestVersion newest;
+    LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, fill_cache, &newest));
+    if (newest.Live() && in_range(newest.entry.delete_key)) {
+      hits->push_back(
+          {key, newest.entry.value.ToString(), newest.entry.delete_key});
     }
   }
   return Status::OK();

@@ -306,7 +306,7 @@ Status DB::Repair(const Options& options, const std::string& name) {
   const std::string manifest_name = ManifestFileName(name, manifest_number);
   std::unique_ptr<WritableFile> file;
   LETHE_RETURN_IF_ERROR(env->NewWritableFile(manifest_name, &file));
-  RecordLogWriter manifest(std::move(file), /*sync_on_write=*/false);
+  RecordLogWriter manifest(std::move(file));
   std::string payload;
   edit.EncodeTo(&payload);
   LETHE_RETURN_IF_ERROR(manifest.AddRecord(payload));

@@ -325,12 +325,6 @@ ReadOptions ShardedDB::ShardReadOptions(const ReadOptions& base,
   return ro;
 }
 
-Status ShardedDB::Get(const ReadOptions& options, const Slice& key,
-                      std::string* value) {
-  const int s = ShardOf(key);
-  return shards_[s]->Get(ShardReadOptions(options, s), key, value);
-}
-
 Status ShardedDB::GetWithDeleteKey(const ReadOptions& options,
                                    const Slice& key, std::string* value,
                                    uint64_t* delete_key) {

@@ -101,8 +101,6 @@ class ShardedDB final : public DB {
   Status SecondaryRangeDelete(const WriteOptions& options,
                               uint64_t delete_key_begin,
                               uint64_t delete_key_end) override;
-  Status Get(const ReadOptions& options, const Slice& key,
-             std::string* value) override;
   Status GetWithDeleteKey(const ReadOptions& options, const Slice& key,
                           std::string* value, uint64_t* delete_key) override;
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& options) override;

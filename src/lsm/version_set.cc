@@ -276,8 +276,7 @@ Status VersionSet::WriteSnapshotManifest() {
   std::string name = ManifestFileName(dbname_, manifest_number_);
   std::unique_ptr<WritableFile> file;
   LETHE_RETURN_IF_ERROR(env->NewWritableFile(name, &file));
-  manifest_ = std::make_unique<RecordLogWriter>(std::move(file),
-                                                /*sync_on_write=*/false);
+  manifest_ = std::make_unique<RecordLogWriter>(std::move(file));
 
   VersionEdit snapshot;
   std::shared_ptr<const Version> version = current();

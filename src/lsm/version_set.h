@@ -147,7 +147,7 @@ class VersionSet {
 
   // Monotonic counters are atomic: the background worker allocates file/run
   // numbers while merging outside the DB mutex, concurrently with the write
-  // path allocating sequence numbers.
+  // path publishing sequence numbers.
   uint64_t NewFileNumber() {
     return next_file_number_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -172,12 +172,6 @@ class VersionSet {
   }
   void SetLastSequence(SequenceNumber seq) {
     last_sequence_.store(seq, std::memory_order_release);
-  }
-  SequenceNumber NextSequence() { return AllocateSequences(1); }
-
-  /// Reserves `count` consecutive sequence numbers and returns the first.
-  SequenceNumber AllocateSequences(uint64_t count) {
-    return last_sequence_.fetch_add(count, std::memory_order_acq_rel) + 1;
   }
 
   uint64_t wal_number() const { return wal_number_; }

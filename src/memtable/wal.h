@@ -76,7 +76,7 @@ void AppendWalRecord(const WalRecordView& record, std::string* framed);
 class WalWriter {
  public:
   explicit WalWriter(std::unique_ptr<WritableFile> file)
-      : log_(std::move(file), /*sync_on_write=*/false) {}
+      : log_(std::move(file)) {}
 
   /// Appends one record without syncing (WAL replay's rewrite).
   Status AddRecord(const WalRecord& record) {

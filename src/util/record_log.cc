@@ -27,7 +27,7 @@ Status RecordLogWriter::AddFramed(const Slice& framed, bool force_sync,
   if (appended != nullptr) {
     *appended = true;
   }
-  if (sync_ || force_sync) {
+  if (force_sync) {
     return file_->Sync();
   }
   // The file may buffer appends; hand the frames to the OS so an

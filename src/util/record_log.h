@@ -30,15 +30,15 @@ void AppendFrame(std::string* dst, size_t len, Encode&& encode) {
 
 class RecordLogWriter {
  public:
-  RecordLogWriter(std::unique_ptr<WritableFile> file, bool sync_on_write)
-      : file_(std::move(file)), sync_(sync_on_write) {}
+  explicit RecordLogWriter(std::unique_ptr<WritableFile> file)
+      : file_(std::move(file)) {}
 
-  /// Frames and appends one payload (then syncs in sync mode).
+  /// Frames and appends one payload, without a sync.
   Status AddRecord(const Slice& payload);
 
   /// Appends `framed` — one or more frames laid down by AppendFrame — with
-  /// a single Append, then a single Sync when `force_sync` or the writer's
-  /// sync mode is set, else a Flush: either way the frames reach the OS
+  /// a single Append, then a single Sync when `force_sync` is set, else a
+  /// Flush: either way the frames reach the OS
   /// before the call returns, so they survive a process crash. This is the
   /// group-commit path: the bytes are those of one AddRecord per frame.
   ///
@@ -55,7 +55,6 @@ class RecordLogWriter {
 
  private:
   std::unique_ptr<WritableFile> file_;
-  bool sync_;
 };
 
 /// The one reader of the record log, over an in-memory copy of the file.

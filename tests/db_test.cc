@@ -1319,6 +1319,45 @@ TEST_F(DBTest, WriteBatchSurvivesFlushAndReopen) {
   }
 }
 
+// A Get reads at the last published sequence, so a batch the writer is still
+// applying is invisible to it. Every round rewrites all keys with the round
+// number; a batch applies its keys in order, so a reader that reads the first
+// key and then the last must never find the first newer than the last.
+TEST_F(DBTest, WriteBatchIsAtomicToConcurrentGets) {
+  options_.inline_compactions = false;
+  options_.write_buffer_bytes = 64 << 20;  // every round stays in memory
+  Open();
+  constexpr uint64_t kKeys = 5000;
+  constexpr int kRounds = 40;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    WriteBatch batch;
+    for (int round = 0; round < kRounds; round++) {
+      batch.Clear();
+      const std::string value = std::to_string(round);
+      for (uint64_t k = 0; k < kKeys; k++) {
+        batch.Put(EncodeKey(k), 0, value);
+      }
+      EXPECT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+    }
+    done.store(true);
+  });
+  auto round_of = [](const std::string& value) {
+    return value == "NOT_FOUND" ? -1 : std::stoi(value);
+  };
+  uint64_t pairs = 0;
+  uint64_t torn = 0;
+  while (!done.load()) {
+    const int first = round_of(Get(0));
+    const int last = round_of(Get(kKeys - 1));
+    pairs++;
+    torn += first > last ? 1 : 0;
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0u) << "of " << pairs << " read pairs";
+  EXPECT_EQ(Get(0), std::to_string(kRounds - 1));
+}
+
 TEST_F(DBTest, GroupCommitAmortizesWalAppends) {
   Open();
   const uint64_t appends_before = db_->stats().wal_appends.load();
@@ -1780,6 +1819,41 @@ TEST_F(DBTest, GroupCommitMergesConcurrentWriters) {
       EXPECT_EQ(Get(key), "w" + std::to_string(key));
     }
   }
+}
+
+// A secondary range lookup verifies its candidates on the snapshot it gathered
+// them from, so it answers for one state of the database. The writer flips
+// two keys between {Put a, Put b} and {Delete a, Delete b}, one batch each,
+// and keeps flushing and compacting as it goes; every lookup must return both
+// keys or neither.
+TEST_F(DBTest, SecondaryRangeLookupAnswersAtOnePointInTime) {
+  options_.inline_compactions = false;
+  Open();
+  constexpr int kFlips = 20000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    WriteBatch put;
+    put.Put(EncodeKey(1), 5, "a");
+    put.Put(EncodeKey(2), 5, "b");
+    WriteBatch del;
+    del.Delete(EncodeKey(1));
+    del.Delete(EncodeKey(2));
+    for (int flip = 0; flip < kFlips; flip++) {
+      EXPECT_TRUE(db_->Write(WriteOptions(), flip % 2 == 0 ? &put : &del).ok());
+    }
+    done.store(true);
+  });
+  int lookups = 0;
+  int split = 0;
+  std::vector<SecondaryHit> hits;
+  while (!done.load()) {
+    const Status s = db_->SecondaryRangeLookup(ReadOptions(), 0, 10, &hits);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    lookups++;
+    split += hits.size() == 1 ? 1 : 0;
+  }
+  writer.join();
+  EXPECT_EQ(split, 0) << "of " << lookups << " lookups";
 }
 
 // ---- background flush/compaction worker ------------------------------------

@@ -970,9 +970,7 @@ class MergeExecutorPartitionTest : public ::testing::Test {
       }
       std::vector<std::unique_ptr<InternalIterator>> iters;
       std::vector<RangeTombstone> rts;
-      EXPECT_TRUE(CollectFileInputs(versions_.get(), files, &iters, &rts,
-                                    nullptr)
-                      .ok());
+      EXPECT_TRUE(CollectFileInputs(versions_.get(), files, &iters, &rts).ok());
       if (config.count_merge_stats) {
         config.dropped_range_tombstones = rts.size();
       }
@@ -1001,9 +999,7 @@ class MergeExecutorPartitionTest : public ::testing::Test {
     }
     std::vector<std::unique_ptr<InternalIterator>> iters;
     std::vector<RangeTombstone> rts;
-    EXPECT_TRUE(
-        CollectFileInputs(versions_.get(), metas, &iters, &rts, nullptr)
-            .ok());
+    EXPECT_TRUE(CollectFileInputs(versions_.get(), metas, &iters, &rts).ok());
     RangeTombstoneSet rt_set;
     rt_set.AddAll(rts);
     auto merged = NewMergingIterator(std::move(iters));
@@ -1065,9 +1061,7 @@ TEST_F(MergeExecutorPartitionTest, BoundaryInsideRangeTombstonePreservesAll) {
     }
     std::vector<std::unique_ptr<InternalIterator>> iters;
     std::vector<RangeTombstone> rts;
-    ASSERT_TRUE(
-        CollectFileInputs(versions_.get(), metas, &iters, &rts, nullptr)
-            .ok());
+    ASSERT_TRUE(CollectFileInputs(versions_.get(), metas, &iters, &rts).ok());
     ASSERT_FALSE(rts.empty());
     std::sort(rts.begin(), rts.end(),
               [](const RangeTombstone& a, const RangeTombstone& b) {

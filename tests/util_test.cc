@@ -331,7 +331,7 @@ std::string WriteLog(const std::vector<std::string>& payloads) {
   auto env = NewMemEnv();
   std::unique_ptr<WritableFile> wf;
   EXPECT_TRUE(env->NewWritableFile("log", &wf).ok());
-  RecordLogWriter writer(std::move(wf), false);
+  RecordLogWriter writer(std::move(wf));
   for (const std::string& payload : payloads) {
     EXPECT_TRUE(writer.AddRecord(payload).ok());
   }
