@@ -222,6 +222,7 @@ Status MergeExecutor::Run(
 
   std::unique_ptr<Output> current;
   std::unique_ptr<Output> pending;  // awaits its window-end boundary
+  size_t next_cut = 0;              // first cut key not yet passed
 
   std::string last_user_key;
   bool has_last_key = false;
@@ -290,16 +291,27 @@ Status MergeExecutor::Run(
       continue;
     }
 
-    // Cut the output once it is full — but never between two versions of
-    // the same user key. A run's point-lookup routing (SortedRun::FindFile)
-    // probes exactly one file per key, so a version chain straddling a file
-    // boundary would hide its newer versions from reads; and a tail output
-    // holding only that key would tie another file's smallest key, making
-    // the run's sort order — and its non-overlap invariant — ambiguous.
-    // Chains longer than one entry exist only under pinned snapshots, so
-    // without snapshots the cut lands exactly where it always did.
+    // Cut the output once it is full, or at the first entry at or past a
+    // cut key — but never between two versions of the same user key. A
+    // run's point-lookup routing (SortedRun::FindFile) probes exactly one
+    // file per key, so a version chain straddling a file boundary would
+    // hide its newer versions from reads; and a tail output holding only
+    // that key would tie another file's smallest key, making the run's sort
+    // order — and its non-overlap invariant — ambiguous. Chains longer than
+    // one entry exist only under pinned snapshots, so without snapshots the
+    // size cut lands exactly where it always did. Every entry before the
+    // one that passes a cut key sorts below that key, so that entry starts
+    // a new user key and the cut never waits; a cut key passed before any
+    // output opened needs no cut.
+    bool passed_cut = false;
+    while (next_cut < config.cut_keys.size() &&
+           entry.user_key.compare(Slice(config.cut_keys[next_cut])) >= 0) {
+      next_cut++;
+      passed_cut = true;
+    }
     if (current != nullptr &&
-        current->builder->EstimatedSize() >= options_.target_file_bytes &&
+        (passed_cut ||
+         current->builder->EstimatedSize() >= options_.target_file_bytes) &&
         entry.user_key != Slice(current->last_key)) {
       pending = std::move(current);
     }

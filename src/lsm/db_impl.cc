@@ -712,4 +712,17 @@ Status DBImpl::TEST_VerifyTreeInvariants() {
   return Status::OK();
 }
 
+std::vector<FileMeta> DBImpl::TEST_LevelFiles(int level) {
+  std::shared_ptr<const Version> version = versions_->current();
+  std::vector<FileMeta> files;
+  if (level < version->num_levels()) {
+    for (const SortedRun& run : version->levels()[level]) {
+      for (const auto& file : run.files) {
+        files.push_back(*file);
+      }
+    }
+  }
+  return files;
+}
+
 }  // namespace lethe

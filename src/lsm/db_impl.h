@@ -197,6 +197,9 @@ class DBImpl final : public DB {
   /// WaitForCompact; returns the first violation found.
   Status TEST_VerifyTreeInvariants();
 
+  /// Test hook: the current version's files at `level`, in run order.
+  std::vector<FileMeta> TEST_LevelFiles(int level);
+
  private:
   /// One queued write (or an exclusive-token request when batch == nullptr).
   struct Writer {
@@ -361,7 +364,11 @@ class DBImpl final : public DB {
   // footprint overlaps a job already running.
 
   /// Flushes `imm`, an entry of imm_ that no job is building (merging with
-  /// overlapping first-level files under leveling). Heavy I/O runs with `l`
+  /// overlapping first-level files under leveling). A range-local leveled
+  /// flush — some L0 file lies wholly outside the buffer's span — cuts its
+  /// outputs at a span edge whose edge file holds at least half a target
+  /// file outside the span, so that cold part lands in its own L0 file
+  /// instead of being rewritten by every later flush. Heavy I/O runs with `l`
   /// released; `imm` stays valid meanwhile (deque elements do not move,
   /// and only installed entries are popped). The front installs at once
   /// (InstallFlushesLocked); a look-ahead whose older memtables are still

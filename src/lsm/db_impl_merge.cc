@@ -14,6 +14,54 @@ namespace {
 // level than kMaxLevels - 1.
 constexpr int kMaxLevels = 16;
 
+// Range-local flush cuts. A leveled flush rewrites every L0 file its
+// buffer's span [smallest, largest] overlaps, and an edge file is rewritten
+// whole even when most of it lies outside the span. When the flush is
+// range-local (some L0 file lies wholly outside the span) and an edge file
+// holds at least half a target file outside it (estimated from metadata:
+// no I/O under mu_), the flush's outputs are cut at that span edge. The
+// cold part becomes its own L0 file, which later flushes over a similar
+// span never touch. A uniform or random-key buffer spans every L0 file, so
+// it never cuts and its outputs stay byte-identical.
+std::vector<std::string> SpanEdgeCuts(
+    const Version& version,
+    const std::vector<std::shared_ptr<FileMeta>>& overlapping,
+    const std::string& smallest, const std::string& largest,
+    uint64_t target_file_bytes) {
+  std::vector<std::string> cuts;
+  if (overlapping.empty()) {
+    return cuts;  // also covers a version with no levels yet
+  }
+  size_t l0_files = 0;
+  for (const SortedRun& run : version.levels()[0]) {
+    l0_files += run.files.size();
+  }
+  if (l0_files == overlapping.size()) {
+    return cuts;  // not range-local
+  }
+  // Estimated bytes of `file` in [begin, end).
+  auto bytes_in = [](const FileMeta& file, const std::string& begin,
+                     const std::string& end) {
+    return static_cast<double>(file.file_size) *
+           RangeOverlapFraction(Slice(file.smallest_key),
+                                Slice(file.largest_key), Slice(begin),
+                                Slice(end));
+  };
+  // Leveling keeps L0 one sorted run, so the overlap is in key order.
+  const FileMeta& first = *overlapping.front();
+  const FileMeta& last = *overlapping.back();
+  const double half_target = static_cast<double>(target_file_bytes) / 2;
+  if (bytes_in(first, first.smallest_key, smallest) >= half_target) {
+    cuts.push_back(smallest);
+  }
+  std::string after_span = largest;
+  after_span.push_back('\0');  // the least key above largest
+  if (bytes_in(last, after_span, last.largest_key) >= half_target) {
+    cuts.push_back(std::move(after_span));
+  }
+  return cuts;
+}
+
 }  // namespace
 
 // ---- merges ---------------------------------------------------------------
@@ -45,6 +93,10 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     // the first disk level (§2: flushed runs are greedily sort-merged with
     // the run of Level 1).
     overlapping = version->OverlappingFiles(0, Slice(smallest), Slice(largest));
+    if (has_span) {
+      config.cut_keys = SpanEdgeCuts(*version, overlapping, smallest, largest,
+                                      options_.target_file_bytes);
+    }
   }
 
   // Claim the flush footprint — the merged-in L0 files plus the output

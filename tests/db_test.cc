@@ -1781,6 +1781,111 @@ TEST_F(PipelinedFlushTest, FailedFrontSyncKeepsSuccessorParkedUntilResume) {
   EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
+TEST_F(DBTest, RangeLocalFlushLeavesColdNeighbourAlone) {
+  // Cold keys [0, 600) load in flushes of 150 keys each, except that the
+  // last one also carries hot keys [600, 620): that L0 file straddles the
+  // hot range's edge and is mostly cold. Hot keys [620, 660) make one more
+  // file. Every later hot-only flush overlaps the straddling file but not
+  // the other cold files (range-local), so it cuts its outputs at the span
+  // edge: the first one splits the cold part off into its own file, and
+  // later ones never touch it.
+  constexpr uint64_t kCold = 600, kHot = 60, kPerFile = 150;
+  options_.write_buffer_bytes = 64 << 10;  // flushes come from Flush()
+  options_.target_file_bytes = 32 << 10;
+  options_.size_ratio = 10;  // L0 holds everything: no compaction runs
+  for (const bool inline_mode : {true, false}) {
+    SCOPED_TRACE(inline_mode ? "inline" : "background");
+    base_env_ = NewMemEnv();
+    env_ = std::make_unique<IoCountingEnv>(base_env_.get(), 1024);
+    options_.env = env_.get();
+    options_.inline_compactions = inline_mode;
+    options_.background_threads = inline_mode ? 1 : 2;
+    Open();
+    auto* impl = static_cast<DBImpl*>(db_.get());
+    KeyModel model(0, kCold + kHot, "range-local flush");
+    auto put = [&](uint64_t key, int round) {
+      clock_.AdvanceMicros(1);
+      const std::string value =
+          std::to_string(round) +
+          std::string(100, static_cast<char>('a' + round % 26));
+      ASSERT_TRUE(
+          model.Write(db_.get(), ModelOp::Put(key, key, value)).ok());
+    };
+    for (uint64_t k = 0; k < kCold + kHot; k++) {
+      put(k, 0);
+      if ((k + 1) % kPerFile == 0 && k + 1 < kCold) {
+        ASSERT_TRUE(db_->Flush().ok());
+      } else if (k + 1 == kCold + 20) {
+        ASSERT_TRUE(db_->Flush().ok());
+      }
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    ASSERT_EQ(impl->TEST_LevelFiles(0).size(), kCold / kPerFile + 1);
+
+    // The L0 file holding `key`, and the bytes of the files holding only
+    // hot keys.
+    auto file_of = [&](uint64_t key) -> uint64_t {
+      for (const FileMeta& f : impl->TEST_LevelFiles(0)) {
+        if (Slice(f.smallest_key).compare(EncodeKey(key)) <= 0 &&
+            Slice(f.largest_key).compare(EncodeKey(key)) >= 0) {
+          return f.file_number;
+        }
+      }
+      return 0;
+    };
+    auto hot_bytes = [&] {
+      uint64_t bytes = 0;
+      for (const FileMeta& f : impl->TEST_LevelFiles(0)) {
+        if (Slice(f.smallest_key).compare(EncodeKey(kCold)) >= 0) {
+          bytes += f.file_size;
+        }
+      }
+      return bytes;
+    };
+    const uint64_t straddling = file_of(kCold - 1);
+    ASSERT_EQ(straddling, file_of(kCold));
+
+    uint64_t cold_file = 0;
+    for (int round = 1; round <= 20; round++) {
+      for (uint64_t k = kCold; k < kCold + kHot; k++) {
+        put(k, round);
+      }
+      const uint64_t written = env_->stats().bytes_written.load();
+      ASSERT_TRUE(db_->Flush().ok());
+      const uint64_t flush_bytes = env_->stats().bytes_written.load() - written;
+      ASSERT_TRUE(impl->TEST_VerifyTreeInvariants().ok());
+      EXPECT_EQ(impl->TEST_LevelFiles(0).size(), kCold / kPerFile + 1);
+      if (round == 1) {
+        cold_file = file_of(kCold - 1);
+        EXPECT_NE(cold_file, straddling);
+        EXPECT_NE(cold_file, file_of(kCold));  // the cold part stands alone
+        continue;
+      }
+      EXPECT_EQ(file_of(kCold - 1), cold_file) << "round " << round;
+      EXPECT_LE(flush_bytes, hot_bytes() * 6 / 5) << "round " << round;
+    }
+    EXPECT_TRUE(model.CheckAll(db_.get()));
+    EXPECT_EQ(impl->stats().compactions.load(), 0u);
+
+    // Control: a buffer spanning every L0 file is not range-local, so it
+    // makes no cut even though its low edge leaves most of the first cold
+    // file outside: every output but the last closes at the size target.
+    put(130, 21);
+    put(kCold + kHot - 1, 21);
+    ASSERT_TRUE(db_->Flush().ok());
+    const std::vector<FileMeta> merged = impl->TEST_LevelFiles(0);
+    ASSERT_GT(merged.size(), 1u);
+    for (size_t i = 0; i + 1 < merged.size(); i++) {
+      EXPECT_GE(merged[i].file_size, options_.target_file_bytes) << i;
+    }
+    EXPECT_TRUE(impl->TEST_VerifyTreeInvariants().ok());
+    EXPECT_TRUE(model.CheckAll(db_.get()));
+    ASSERT_TRUE(Reopen().ok());
+    EXPECT_TRUE(model.CheckAll(db_.get()));
+    db_.reset();
+  }
+}
+
 TEST_F(DBTest, GroupCommitMergesConcurrentWriters) {
   options_.inline_compactions = false;
   options_.write_buffer_bytes = 1 << 20;  // no flushes during the test

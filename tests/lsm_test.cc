@@ -952,15 +952,20 @@ class MergeExecutorPartitionTest : public ::testing::Test {
   /// Merges `files` window by window ([-inf, b_0), [b_0, b_1), ...,
   /// [b_last, +inf)) exactly as DBImpl::RunMergePartitioned does, returning
   /// the output FileMetas in partition order.
+  /// `cut_keys` and `snapshots` go to every partition's MergeConfig.
   std::vector<FileMeta> RunPartitions(
       const std::vector<std::shared_ptr<FileMeta>>& files,
-      const std::vector<std::string>& boundaries, bool bottommost) {
+      const std::vector<std::string>& boundaries, bool bottommost,
+      const std::vector<std::string>& cut_keys = {},
+      const std::vector<SequenceNumber>& snapshots = {}) {
     std::vector<FileMeta> outputs;
     const size_t num_parts = boundaries.size() + 1;
     for (size_t i = 0; i < num_parts; i++) {
       MergeConfig config;
       config.output_level = 1;
       config.bottommost = bottommost;
+      config.cut_keys = cut_keys;
+      config.snapshots = snapshots;
       config.count_merge_stats = i == 0;
       if (i > 0) {
         config.partition_begin = boundaries[i - 1];
@@ -1013,11 +1018,157 @@ class MergeExecutorPartitionTest : public ::testing::Test {
     return content;
   }
 
+  /// Every entry (all versions) of one output file, as (user key, seq).
+  std::vector<std::pair<std::string, SequenceNumber>> Entries(
+      const FileMeta& output) {
+    std::vector<std::unique_ptr<InternalIterator>> iters;
+    std::vector<RangeTombstone> rts;
+    EXPECT_TRUE(CollectFileInputs(versions_.get(),
+                                  {std::make_shared<FileMeta>(output)}, &iters,
+                                  &rts)
+                    .ok());
+    std::vector<std::pair<std::string, SequenceNumber>> entries;
+    for (iters[0]->SeekToFirst(); iters[0]->Valid(); iters[0]->Next()) {
+      entries.emplace_back(iters[0]->entry().user_key.ToString(),
+                           iters[0]->entry().seq);
+    }
+    return entries;
+  }
+
+  /// The range tombstones of `outputs`, sorted by begin key.
+  std::vector<RangeTombstone> OutputTombstones(
+      const std::vector<FileMeta>& outputs) {
+    std::vector<std::shared_ptr<FileMeta>> metas;
+    for (const FileMeta& meta : outputs) {
+      metas.push_back(std::make_shared<FileMeta>(meta));
+    }
+    std::vector<std::unique_ptr<InternalIterator>> iters;
+    std::vector<RangeTombstone> rts;
+    EXPECT_TRUE(CollectFileInputs(versions_.get(), metas, &iters, &rts).ok());
+    std::sort(rts.begin(), rts.end(),
+              [](const RangeTombstone& a, const RangeTombstone& b) {
+                return Slice(a.begin_key).compare(Slice(b.begin_key)) < 0;
+              });
+    return rts;
+  }
+
   std::unique_ptr<Env> env_;
   Options options_;
   Statistics stats_;
   std::unique_ptr<VersionSet> versions_;
 };
+
+TEST_F(MergeExecutorPartitionTest, CutKeyNeverSplitsPinnedVersionChain) {
+  // A snapshot between the two tables' sequences pins both versions of
+  // keys [40, 60). A cut key at the start of such a chain, or just past
+  // its user key, closes the output at a user-key change: every version of
+  // a key lands in one output.
+  auto old_file = BuildTable(0, 100, /*base_seq=*/1);
+  auto new_file = BuildTable(40, 60, /*base_seq=*/10000);
+  std::vector<std::shared_ptr<FileMeta>> inputs = {old_file, new_file};
+  const std::vector<SequenceNumber> snapshots = {5000};
+
+  auto uncut = RunPartitions(inputs, {}, false, {}, snapshots);
+  ASSERT_EQ(uncut.size(), 1u);
+  ASSERT_EQ(Entries(uncut[0]).size(), 120u);  // 100 + 20 pinned versions
+
+  for (const std::string& cut : {EncodeKey(50), EncodeKey(50) + '\0'}) {
+    auto outputs = RunPartitions(inputs, {}, false, {cut}, snapshots);
+    ASSERT_EQ(outputs.size(), 2u);
+    auto left = Entries(outputs[0]);
+    auto right = Entries(outputs[1]);
+    EXPECT_EQ(left.size() + right.size(), 120u);
+    // The cut lands before the first user key at or past it, with both of
+    // that key's versions on the right and the previous key's on the left.
+    const std::string first_right =
+        cut == EncodeKey(50) ? EncodeKey(50) : EncodeKey(51);
+    EXPECT_EQ(right.front().first, first_right);
+    EXPECT_EQ(right[1].first, first_right);
+    EXPECT_LT(Slice(left.back().first).compare(Slice(first_right)), 0);
+    EXPECT_EQ(left[left.size() - 2].first, left.back().first);
+    EXPECT_EQ(ReadBack(outputs), ReadBack(uncut));
+  }
+}
+
+TEST_F(MergeExecutorPartitionTest, CutInsideRangeTombstoneTilesCoverage) {
+  // Range tombstone [30, 70) at seq 6000 hides the old keys under it; the
+  // newer keys [45, 55) survive it. A cut at 50 splits the tombstone: both
+  // pieces keep its seq and time and tile back to exactly [30, 70).
+  RangeTombstone rt;
+  rt.begin_key = EncodeKey(30);
+  rt.end_key = EncodeKey(70);
+  rt.seq = 6000;
+  rt.time = 777;
+  auto old_file = BuildTable(0, 100, 1);
+  auto new_file = BuildTable(45, 55, 10000);
+  auto tomb_file = BuildTable(99, 100, 5000, {rt});
+  std::vector<std::shared_ptr<FileMeta>> inputs = {old_file, new_file,
+                                                   tomb_file};
+
+  auto uncut = RunPartitions(inputs, {}, false);
+  auto cut = RunPartitions(inputs, {}, false, {EncodeKey(50)});
+  ASSERT_EQ(uncut.size(), 1u);
+  ASSERT_EQ(cut.size(), 2u);
+  EXPECT_EQ(ReadBack(cut), ReadBack(uncut));
+  EXPECT_EQ(ReadBack(cut).size(), 100u - 40u + 10u);
+
+  auto pieces = OutputTombstones(cut);
+  ASSERT_EQ(pieces.size(), 2u);
+  EXPECT_EQ(pieces[0].begin_key, EncodeKey(30));
+  EXPECT_EQ(pieces[0].end_key, EncodeKey(50));
+  EXPECT_EQ(pieces[1].begin_key, EncodeKey(50));
+  EXPECT_EQ(pieces[1].end_key, EncodeKey(70));
+  for (const RangeTombstone& piece : pieces) {
+    EXPECT_EQ(piece.seq, rt.seq);
+    EXPECT_EQ(piece.time, rt.time);
+  }
+  for (const FileMeta& meta : cut) {
+    EXPECT_EQ(meta.num_range_tombstones, 1u);
+    EXPECT_EQ(meta.oldest_tombstone_time, rt.time);
+  }
+}
+
+TEST_F(MergeExecutorPartitionTest, CutKeyPastEveryEntryEmitsNoFile) {
+  auto left = BuildTable(0, 40, 1);
+  auto right = BuildTable(40, 80, 1000);
+  std::vector<std::shared_ptr<FileMeta>> inputs = {left, right};
+  auto uncut = RunPartitions(inputs, {}, false);
+  auto cut = RunPartitions(inputs, {}, false, {EncodeKey(500)});
+  ASSERT_EQ(cut.size(), uncut.size());
+  EXPECT_EQ(cut[0].num_entries, 80u);
+  EXPECT_EQ(ReadBack(cut), ReadBack(uncut));
+}
+
+TEST_F(MergeExecutorPartitionTest, TwoCutKeysHoldUnderSubcompactions) {
+  // Cuts at 30 and 70, with one partition and with four (boundaries
+  // 25/50/75 fall on other keys): no output holds keys on both sides of a
+  // cut, and the content matches the uncut merge.
+  auto old_file = BuildTable(0, 100, 1);
+  auto new_file = BuildTable(20, 80, 1000);
+  std::vector<std::shared_ptr<FileMeta>> inputs = {old_file, new_file};
+  const std::vector<std::string> cuts = {EncodeKey(30), EncodeKey(70)};
+  const auto expected = ReadBack(RunPartitions(inputs, {}, false));
+
+  for (const auto& boundaries :
+       {std::vector<std::string>{},
+        std::vector<std::string>{EncodeKey(25), EncodeKey(50),
+                                 EncodeKey(75)}}) {
+    auto outputs = RunPartitions(inputs, boundaries, false, cuts);
+    EXPECT_EQ(outputs.size(), 3u + boundaries.size());
+    EXPECT_EQ(ReadBack(outputs), expected);
+    std::vector<std::string> edges = cuts;
+    edges.insert(edges.end(), boundaries.begin(), boundaries.end());
+    for (const FileMeta& meta : outputs) {
+      for (const std::string& edge : edges) {
+        const bool below = Slice(meta.largest_key).compare(Slice(edge)) < 0;
+        const bool above = Slice(meta.smallest_key).compare(Slice(edge)) >= 0;
+        EXPECT_TRUE(below || above)
+            << "output [" << meta.smallest_key << ", " << meta.largest_key
+            << "] straddles an edge";
+      }
+    }
+  }
+}
 
 TEST_F(MergeExecutorPartitionTest, BoundaryInsideRangeTombstonePreservesAll) {
   // Two overlapping tables; the newer one carries a range tombstone whose

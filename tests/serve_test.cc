@@ -521,7 +521,8 @@ TEST_F(ServeTest, ActiveExpiryPhysicallyDeletes) {
   clock_.AdvanceMicros(200ull * 1000 * 1000);
 
   // The expire cycle physically removes the expired keys (observe through
-  // the engine directly, bypassing the server's lazy filter).
+  // the engine directly, bypassing the server's lazy filter). The cycle
+  // counts its deletes after they commit, so wait for the count too.
   std::string value;
   uint64_t dk = 0;
   bool purged = false;
@@ -531,7 +532,8 @@ TEST_F(ServeTest, ActiveExpiryPhysicallyDeletes) {
     purged = db_->GetWithDeleteKey(ReadOptions(), "session", &value, &dk)
                  .IsNotFound() &&
              db_->GetWithDeleteKey(ReadOptions(), "fast", &value, &dk)
-                 .IsNotFound();
+                 .IsNotFound() &&
+             server_->net_stats().net_keys_expired_active.load() >= 2;
   }
   EXPECT_TRUE(purged);
   EXPECT_GE(server_->net_stats().net_keys_expired_active.load(), 2u);

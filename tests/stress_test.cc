@@ -347,6 +347,135 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StressTest,
                          ::testing::Range(1, NumSeeds() + 1));
 
+// Range-local flushes: one writer loads a cold range, then churns a hot
+// window just above it, so a leveled flush's buffer spans only part of L0
+// and the flush cuts its outputs at the span edge (DBImpl::FlushMemTable).
+// Pinned snapshots keep version chains alive across the cut, range
+// deletes cross the span edge, and secondary range deletes purge in place
+// (applied to the frozen snapshot models too: KiWi's purge is outside
+// snapshot isolation). Every read is checked against the live model or a
+// pinned snapshot's frozen copy, and everything again after a reopen.
+class RangeLocalFlushStress : public ::testing::TestWithParam<int> {};
+
+TEST_P(RangeLocalFlushStress, HotWindowBesideColdRange) {
+  const int seed = GetParam();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  Random config_rnd(static_cast<uint64_t>(seed) * 7919 + 17);
+
+  auto base_env = NewMemEnv();
+  IoCountingEnv env(base_env.get(), 1024);
+  LogicalClock clock(1);
+
+  Options options = LaneOptions(&env, &clock, &config_rnd);
+  options.compaction_style = CompactionStyle::kLeveling;  // cuts need it
+  options.size_ratio = 8;  // L0 keeps cold files beside the hot window
+  options.table.pages_per_tile = config_rnd.Bernoulli(0.5) ? 4 : 1;
+  options.max_subcompactions = config_rnd.Bernoulli(0.5) ? 4 : 1;
+  if (config_rnd.Bernoulli(0.3)) {
+    options.delete_persistence_threshold_micros = 300000;
+    options.file_picking = FilePickingPolicy::kMaxTombstones;
+  }
+  SCOPED_TRACE("config: pool=" + std::to_string(options.background_threads) +
+               " tiles=" + std::to_string(options.table.pages_per_tile) +
+               " subcompactions=" +
+               std::to_string(options.max_subcompactions) + " dth=" +
+               std::to_string(options.delete_persistence_threshold_micros));
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "rangelocaldb", &db).ok());
+
+  constexpr uint64_t kColdKeys = 768;
+  constexpr uint64_t kHotKeys = 64;
+  constexpr int kMaxSnapshots = 3;
+  const std::string context =
+      "seed=" + std::to_string(seed) + " (" +
+      test::ReproHint("LETHE_STRESS_SEEDS", seed) + ")";
+  KeyModel live(0, kColdKeys + kHotKeys, context);
+  struct PinnedModel {
+    const Snapshot* snap;
+    KeyModel model;
+  };
+  std::vector<PinnedModel> pinned;
+  uint64_t next_dk = kDeleteKeyBand;
+  Random rnd(static_cast<uint64_t>(seed) * 1000003 + 99);
+
+  auto write = [&](const ModelOp& op) {
+    ASSERT_TRUE(live.Write(db.get(), op).ok()) << context;
+  };
+  auto verify = [&](const PinnedModel& p, uint64_t lo, uint64_t hi) {
+    ReadOptions read;
+    read.snapshot = p.snap;
+    ASSERT_TRUE(p.model.CheckScan(db.get(), lo, hi, KeyModel::kExact, read))
+        << "snapshot seq=" << p.snap->sequence();
+  };
+
+  for (uint64_t k = 0; k < kColdKeys; k++) {
+    clock.AdvanceMicros(1);
+    write(ModelOp::Put(k, next_dk++,
+                       "c" + std::to_string(seed) + "-" + std::to_string(k) +
+                           std::string(40, '.')));
+  }
+  ASSERT_TRUE(db->Flush().ok());
+
+  const uint64_t edge_lo = kColdKeys - 32;
+  const uint64_t edge_hi = kColdKeys + kHotKeys;
+  const int ops = OpsPerThread() * kThreads;
+  for (int i = 0; i < ops && !HasFatalFailure(); i++) {
+    clock.AdvanceMicros(7);
+    const double roll = rnd.NextDouble();
+    const uint64_t hot = kColdKeys + rnd.Uniform(kHotKeys);
+    if (roll < 0.55) {
+      write(ModelOp::Put(hot, next_dk++,
+                         "h" + std::to_string(seed) + "-" + std::to_string(i)));
+    } else if (roll < 0.62) {
+      write(ModelOp::Delete(hot));
+    } else if (roll < 0.68) {  // crosses the hot span's low edge
+      write(ModelOp::RangeDelete(kColdKeys - 1 - rnd.Uniform(24),
+                                 kColdKeys + 1 + rnd.Uniform(16)));
+    } else if (roll < 0.71) {  // prefix band of the delete-key space
+      const ModelOp srd = ModelOp::SecondaryRangeDelete(
+          kDeleteKeyBand,
+          kDeleteKeyBand + 1 + rnd.Uniform(next_dk - kDeleteKeyBand));
+      write(srd);
+      for (PinnedModel& p : pinned) {
+        p.model.Apply(srd);
+      }
+    } else if (roll < 0.76) {
+      ASSERT_TRUE(db->Flush().ok());
+    } else if (roll < 0.80 &&
+               pinned.size() < static_cast<size_t>(kMaxSnapshots)) {
+      pinned.push_back({db->GetSnapshot(), live});
+    } else if (roll < 0.83 && !pinned.empty()) {
+      const size_t victim = rnd.Uniform(pinned.size());
+      db->ReleaseSnapshot(pinned[victim].snap);
+      pinned.erase(pinned.begin() + victim);
+    } else if (roll < 0.90) {
+      ASSERT_TRUE(live.CheckGet(db.get(), rnd.Uniform(edge_hi)));
+    } else if (roll < 0.95 || pinned.empty()) {
+      ASSERT_TRUE(live.CheckScan(db.get(), edge_lo, edge_hi));
+    } else {
+      verify(pinned[rnd.Uniform(pinned.size())], edge_lo, edge_hi);
+    }
+  }
+  ASSERT_FALSE(HasFatalFailure());
+
+  ASSERT_TRUE(db->WaitForCompact().ok());
+  Status invariants =
+      static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants();
+  ASSERT_TRUE(invariants.ok()) << invariants.ToString();
+  for (const PinnedModel& p : pinned) {
+    verify(p, 0, edge_hi);
+    db->ReleaseSnapshot(p.snap);
+  }
+  ASSERT_TRUE(live.CheckAll(db.get())) << "post-quiesce";
+  db.reset();
+  ASSERT_TRUE(DB::Open(options, "rangelocaldb", &db).ok());
+  ASSERT_TRUE(live.CheckAll(db.get())) << "post-reopen";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RangeLocalFlushStress,
+                         ::testing::Range(1, NumSeeds() + 1));
+
 // Chunked-publish concurrency regression (runs under TSan in CI's stress
 // lane): one writer publishes range tombstones — crossing many chunk seals
 // — while readers continuously take snapshots, probe covers, and flatten
