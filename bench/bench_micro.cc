@@ -153,7 +153,7 @@ void BM_PageEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_PageEncodeDecode);
 
 // A point lookup's in-page step on a cache hit: binary search a decoded
-// 4 KB page (16-byte keys, 104-byte values, ~31 entries) for a present key
+// 4 KB page (16-byte keys, 104-byte values, ~32 entries) for a present key
 // and decode the match.
 void BM_PageLookup(benchmark::State& state) {
   const std::string value(104, 'v');

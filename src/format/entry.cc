@@ -15,10 +15,10 @@ void EncodeEntry(const ParsedEntry& entry, std::string* dst) {
 char* EncodeEntry(const ParsedEntry& entry, char* dst) {
   dst = EncodeVarint32(dst, static_cast<uint32_t>(entry.user_key.size()));
   memcpy(dst, entry.user_key.data(), entry.user_key.size());
-  dst += entry.user_key.size();
-  EncodeFixed64(dst, PackSeqAndType(entry.seq, entry.type));
-  EncodeFixed64(dst + 8, entry.delete_key);
-  dst = EncodeVarint32(dst + 16, static_cast<uint32_t>(entry.value.size()));
+  dst = EncodeVarint64(dst + entry.user_key.size(),
+                       PackSeqAndType(entry.seq, entry.type));
+  dst = EncodeVarint64(dst, entry.delete_key);
+  dst = EncodeVarint32(dst, static_cast<uint32_t>(entry.value.size()));
   memcpy(dst, entry.value.data(), entry.value.size());
   return dst + entry.value.size();
 }
@@ -28,23 +28,27 @@ bool DecodeEntry(Slice* input, ParsedEntry* entry) {
   const char* const limit = p + input->size();
   uint32_t key_len;
   p = GetVarint32Ptr(p, limit, &key_len);
-  // The key, then the fixed64 (seq, type) and fixed64 delete key.
-  if (p == nullptr || static_cast<size_t>(limit - p) < size_t{key_len} + 16) {
+  if (p == nullptr || static_cast<size_t>(limit - p) < key_len) {
     return false;
   }
   entry->user_key = Slice(p, key_len);
-  p += key_len;
-  const uint64_t packed = DecodeFixed64(p);
+  uint64_t packed;
+  p = GetVarint64Ptr(p + key_len, limit, &packed);
+  if (p == nullptr) {
+    return false;
+  }
   entry->seq = UnpackSeq(packed);
   entry->type = UnpackType(packed);
   if (entry->type != ValueType::kValue &&
       entry->type != ValueType::kTombstone) {
     return false;
   }
-  entry->delete_key = DecodeFixed64(p + 8);
-
+  p = GetVarint64Ptr(p, limit, &entry->delete_key);
+  if (p == nullptr) {
+    return false;
+  }
   uint32_t value_len;
-  p = GetVarint32Ptr(p + 16, limit, &value_len);
+  p = GetVarint32Ptr(p, limit, &value_len);
   if (p == nullptr || static_cast<size_t>(limit - p) < value_len) {
     return false;
   }
@@ -55,8 +59,10 @@ bool DecodeEntry(Slice* input, ParsedEntry* entry) {
 }
 
 size_t EncodedEntrySize(const ParsedEntry& entry) {
-  return VarintLength(entry.user_key.size()) + entry.user_key.size() + 8 + 8 +
-         VarintLength(entry.value.size()) + entry.value.size();
+  return VarintLength(entry.user_key.size()) + entry.user_key.size() +
+         VarintLength(PackSeqAndType(entry.seq, entry.type)) +
+         VarintLength(entry.delete_key) + VarintLength(entry.value.size()) +
+         entry.value.size();
 }
 
 }  // namespace lethe

@@ -70,8 +70,10 @@ inline ValueType UnpackType(uint64_t packed) {
   return static_cast<ValueType>(packed & 0xff);
 }
 
-/// Serializes an entry: varint32 key_len | key | fixed64 (seq,type) |
-/// fixed64 delete_key | varint32 value_len | value. Appends to *dst.
+/// Serializes an entry as a page stores it:
+///   varint32 key_len | key | varint64 (seq<<8 | type) | varint64 delete_key
+///   | varint32 value_len | value
+/// Appends to *dst.
 void EncodeEntry(const ParsedEntry& entry, std::string* dst);
 
 /// Writes the same bytes to dst[0, EncodedEntrySize(entry)), which the
@@ -84,6 +86,10 @@ bool DecodeEntry(Slice* input, ParsedEntry* entry);
 
 /// Bytes EncodeEntry would append for this entry.
 size_t EncodedEntrySize(const ParsedEntry& entry);
+
+/// The smallest encoded entry: four one-byte varints around an empty key
+/// and value (sequence 0). Bounds how many entries a page can hold.
+constexpr size_t kMinEncodedEntrySize = 4;
 
 }  // namespace lethe
 

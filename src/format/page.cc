@@ -10,9 +10,6 @@ namespace lethe {
 namespace {
 constexpr size_t kPageHeaderSize = 4;   // fixed32 num_entries
 constexpr size_t kPageTrailerSize = 4;  // fixed32 crc
-// varint32 key_len | fixed64 (seq,type) | fixed64 delete_key | varint32
-// value_len, with an empty key and value.
-constexpr size_t kMinEncodedEntrySize = 1 + 8 + 8 + 1;
 }  // namespace
 
 PageBuilder::PageBuilder(uint64_t page_size_bytes, uint32_t max_entries)
@@ -78,8 +75,8 @@ Status DecodePage(Slice raw, uint64_t page_size_bytes, PageContents* out) {
   }
 
   uint32_t num_entries = DecodeFixed32(raw.data());
-  // The smallest encoded entry is 18 bytes; a count the body cannot hold is
-  // rejected before it sizes the offset table.
+  // A count the body cannot hold, even in smallest entries, is rejected
+  // before it sizes the offset table.
   const size_t body_size = raw.size() - kPageHeaderSize - kPageTrailerSize;
   if (num_entries > body_size / kMinEncodedEntrySize) {
     return Status::Corruption("page entry count malformed");

@@ -15,8 +15,10 @@ namespace lethe {
 
 /// Builds one fixed-size disk page:
 ///   fixed32 num_entries | entries... | zero padding | fixed32 crc32c
-/// The CRC covers everything before it. Entries are stored in the order they
-/// are added; for KiWi the caller sorts them by sort key before adding.
+/// The CRC covers everything before it. Each entry is EncodeEntry's varint
+/// layout (see entry.h), so its size varies with its key, value, sequence
+/// and delete key. Entries are stored in the order they are added; for KiWi
+/// the caller sorts them by sort key before adding.
 class PageBuilder {
  public:
   PageBuilder(uint64_t page_size_bytes, uint32_t max_entries);
@@ -129,18 +131,20 @@ class PageEntries {
   uint32_t Offset(size_t i) const { return DecodeFixed32(offsets_ + 4 * i); }
 
   /// Decodes entry i into *entry; returns a pointer just past its bytes.
-  /// The entry was validated, so each varint length ends within 5 bytes.
+  /// The entry was validated, so each varint ends within its maximum
+  /// length (5 bytes for a varint32, 10 for a varint64).
   const char* Decode(size_t i, ParsedEntry* entry) const {
     const char* p = data_ + Offset(i);
     uint32_t len;
     p = GetVarint32Ptr(p, p + 5, &len);
     entry->user_key = Slice(p, len);
     p += len;
-    const uint64_t packed = DecodeFixed64(p);
+    uint64_t packed;
+    p = GetVarint64Ptr(p, p + 10, &packed);
     entry->seq = UnpackSeq(packed);
     entry->type = UnpackType(packed);
-    entry->delete_key = DecodeFixed64(p + 8);
-    p = GetVarint32Ptr(p + 16, p + 21, &len);
+    p = GetVarint64Ptr(p, p + 10, &entry->delete_key);
+    p = GetVarint32Ptr(p, p + 5, &len);
     entry->value = Slice(p, len);
     return p + len;
   }

@@ -30,7 +30,11 @@ namespace lethe {
 // The rt block's offset is derivable (index_offset - rt_len; the blocks are
 // contiguous), which frees its fixed64 slot for the filter section's offset
 // — the footer stays the classic 48 bytes.
-constexpr uint64_t kTableMagic = 0x4c65746865544241ull;
+//
+// The magic also names the page-entry layout (entry.h): a table written
+// with another entry layout fails to open as Corruption instead of being
+// decoded wrongly.
+constexpr uint64_t kTableMagic = 0x4c65746865544256ull;
 constexpr size_t kFooterSize = 8 + 4 + 8 + 4 + 8 + 4 + 4 + 8;
 
 }  // namespace lethe

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "src/format/entry.h"
+
 namespace lethe {
 
 /// Physical layout knobs for SSTables. These are the KiWi tuning parameters
@@ -46,14 +48,13 @@ inline uint64_t PageByteBudget(const TableOptions& options) {
 }
 
 /// The B the layout works with: the configured cap, bounded by the most
-/// entries a page can physically hold (18 bytes is the smallest encoded
-/// entry, see EncodedEntrySize). The default options thus yield "as many as
-/// fit", and the KiWi tile size h·B stays finite.
+/// entries a page can physically hold (kMinEncodedEntrySize bytes each).
+/// The default options thus yield "as many as fit", and the KiWi tile size
+/// h·B stays finite.
 inline uint32_t MaxEntriesPerPage(const TableOptions& options) {
-  constexpr uint64_t kMinEncodedEntryBytes = 18;
   return static_cast<uint32_t>(std::min<uint64_t>(
       options.entries_per_page,
-      PageByteBudget(options) / kMinEncodedEntryBytes));
+      PageByteBudget(options) / kMinEncodedEntrySize));
 }
 
 }  // namespace lethe

@@ -321,11 +321,11 @@ class DBImpl final : public DB {
 
   /// The one WAL commit protocol (write groups and secondary range
   /// deletes), run under the write token. The caller allocated sequences
-  /// up to `last_seq` locally; this appends `framed` (records framed by
-  /// AppendWalRecord) as one write (at most one sync), runs `apply`, then
-  /// publishes `last_seq`. A failure applies nothing and burns the
-  /// sequences only if bytes may have reached the log. A null `wal` (WAL
-  /// disabled) just applies and publishes.
+  /// up to `last_seq` locally; this appends `framed` (the group's frame,
+  /// laid down by AppendWalGroup) as one write (at most one sync), runs
+  /// `apply`, then publishes `last_seq`. A failure applies nothing and
+  /// burns the sequences only if bytes may have reached the log. A null
+  /// `wal` (WAL disabled) just applies and publishes.
   template <typename Apply>
   Status LogApplyPublish(WalWriter* wal, const Slice& framed, bool sync,
                          SequenceNumber last_seq, Apply&& apply);

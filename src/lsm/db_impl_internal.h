@@ -25,37 +25,39 @@ inline void RemoveFailedMergeOutputs(Env* env, const std::string& dbname,
   }
 }
 
-// WAL record kinds 1-3 mirror the WriteBatch op kinds, so the write path logs
-// an op's kind and replay applies a record's kind by value.
-static_assert(static_cast<int>(WalRecord::Kind::kPut) ==
+// WAL op kinds 1-3 mirror the WriteBatch op kinds, so the write path logs
+// an op's kind by value.
+static_assert(static_cast<int>(WalOp::Kind::kPut) ==
                   static_cast<int>(WriteBatch::OpKind::kPut) &&
-              static_cast<int>(WalRecord::Kind::kDelete) ==
+              static_cast<int>(WalOp::Kind::kDelete) ==
                   static_cast<int>(WriteBatch::OpKind::kDelete) &&
-              static_cast<int>(WalRecord::Kind::kRangeDelete) ==
+              static_cast<int>(WalOp::Kind::kRangeDelete) ==
                   static_cast<int>(WriteBatch::OpKind::kRangeDelete));
 
-/// The one op-kind → memtable mutation, shared by the write path and WAL
-/// replay. Requires the write token (or single-threaded recovery). Returns
-/// true when a point write appended at the memtable's tail.
-inline bool ApplyToMemTable(MemTable* mem, WriteBatch::OpKind kind,
-                            SequenceNumber seq, uint64_t time,
-                            const Slice& key, const Slice& end_key,
-                            uint64_t delete_key, const Slice& value) {
-  switch (kind) {
-    case WriteBatch::OpKind::kPut:
-      return mem->Add(seq, ValueType::kValue, key, delete_key, value, time);
-    case WriteBatch::OpKind::kDelete:
-      return mem->Add(seq, ValueType::kTombstone, key, delete_key, Slice(),
+/// The one op → memtable mutation, shared by the write path and WAL replay
+/// (which re-applies a secondary range delete's purge itself). Requires the
+/// write token (or single-threaded recovery). Returns true when a point
+/// write appended at the memtable's tail.
+inline bool ApplyToMemTable(MemTable* mem, const WalOp& op,
+                            SequenceNumber seq, uint64_t time) {
+  switch (op.kind) {
+    case WalOp::Kind::kPut:
+      return mem->Add(seq, ValueType::kValue, op.key, op.delete_key, op.value,
                       time);
-    case WriteBatch::OpKind::kRangeDelete: {
+    case WalOp::Kind::kDelete:
+      return mem->Add(seq, ValueType::kTombstone, op.key, op.delete_key,
+                      Slice(), time);
+    case WalOp::Kind::kRangeDelete: {
       RangeTombstone rt;
-      rt.begin_key = key.ToString();
-      rt.end_key = end_key.ToString();
+      rt.begin_key = op.key.ToString();
+      rt.end_key = op.end_key.ToString();
       rt.seq = seq;
       rt.time = time;
       mem->AddRangeTombstone(rt);
       break;
     }
+    case WalOp::Kind::kSecondaryRangeDelete:
+      break;
   }
   return false;
 }

@@ -141,63 +141,70 @@ Status DBImpl::ReplayWalsLocked() {
   }
 
   // A torn tail — the append a crash cut short — ends the newest log;
-  // everything acknowledged before it is intact. Any other damage fails
-  // Open: skipping a record could drop a tombstone and resurrect a deleted
-  // key, so salvage is the operator's explicit DB::Repair.
-  std::vector<WalRecord> replayed;
+  // everything acknowledged before it is intact. A frame is one commit
+  // group, so a torn group drops whole. Any other damage fails Open:
+  // skipping a group could drop a tombstone and resurrect a deleted key, so
+  // salvage is the operator's explicit DB::Repair.
+  std::vector<std::string> logs(to_replay.size());  // the groups alias them
+  std::vector<WalGroup> replayed;
+  std::string relog;  // the intact frames, byte for byte
   for (size_t i = 0; i < to_replay.size(); i++) {
     const std::string fname = WalFileName(dbname_, to_replay[i]);
-    std::string contents;
-    LETHE_RETURN_IF_ERROR(ReadFileToString(options_.env, fname, &contents));
-    RecordLogScanner scanner{Slice(contents)};
-    Slice payload;
+    LETHE_RETURN_IF_ERROR(ReadFileToString(options_.env, fname, &logs[i]));
+    RecordLogScanner scanner{Slice(logs[i])};
     RecordLogScanner::Result result;
-    while ((result = scanner.Next(&payload)) ==
-           RecordLogScanner::Result::kRecord) {
-      WalRecord record;
-      if (!DecodeWalRecord(payload, &record)) {
+    while (true) {
+      const uint64_t frame_begin = scanner.offset();
+      Slice payload;
+      result = scanner.Next(&payload);
+      if (result != RecordLogScanner::Result::kRecord) {
+        break;
+      }
+      WalGroup group;
+      if (!DecodeWalGroup(payload, &group)) {
         result = RecordLogScanner::Result::kCorrupt;
         break;
       }
-      replayed.push_back(std::move(record));
+      replayed.push_back(std::move(group));
+      relog.append(logs[i], frame_begin, scanner.offset() - frame_begin);
     }
     const bool newest = i + 1 == to_replay.size();
     if (result == RecordLogScanner::Result::kCorrupt ||
         (result == RecordLogScanner::Result::kTornTail && !newest)) {
       return Status::Corruption("WAL damaged before its end: " + fname +
                                 "; run DB::Repair to salvage its intact "
-                                "records");
+                                "groups");
     }
   }
 
   // Re-apply into the fresh memtable, tracking checkpoint info.
-  for (const WalRecord& record : replayed) {
-    if (record.kind == WalRecord::Kind::kSecondaryRangeDelete) {
-      // Re-apply the in-place purge at its original position in the
-      // timeline: it covers exactly the entries replayed before it.
-      mem_->PurgeDeleteKeyRange(record.delete_key, record.delete_key_end);
-    } else {
-      if (mem_->empty()) {
-        mem_first_seq_ = record.seq;
-        mem_first_time_ = record.time;
+  for (const WalGroup& group : replayed) {
+    for (size_t i = 0; i < group.ops.size(); i++) {
+      const WalOp& op = group.ops[i];
+      const SequenceNumber seq = group.first_seq + i;
+      if (op.kind == WalOp::Kind::kSecondaryRangeDelete) {
+        // Re-apply the in-place purge at its original position in the
+        // timeline: it covers exactly the entries replayed before it.
+        mem_->PurgeDeleteKeyRange(op.delete_key, op.delete_key_end);
+      } else {
+        if (mem_->empty()) {
+          mem_first_seq_ = seq;
+          mem_first_time_ = group.time;
+        }
+        ApplyToMemTable(mem_.get(), op, seq, group.time);
       }
-      ApplyToMemTable(mem_.get(), static_cast<WriteBatch::OpKind>(record.kind),
-                      record.seq, record.time, record.key, record.end_key,
-                      record.delete_key, record.value);
-    }
-    if (record.seq > versions_->LastSequence()) {
-      versions_->SetLastSequence(record.seq);
+      if (seq > versions_->LastSequence()) {
+        versions_->SetLastSequence(seq);
+      }
     }
   }
 
-  // Start a fresh log containing the replayed records, then retire the old
+  // Start a fresh log containing the replayed groups, then retire the old
   // ones, so a second crash before the next flush still recovers everything.
   LETHE_RETURN_IF_ERROR(RotateWalLocked());
   VersionEdit edit;
   edit.wal_number = wal_number_;
-  for (const WalRecord& record : replayed) {
-    LETHE_RETURN_IF_ERROR(wal_->AddRecord(record));
-  }
+  LETHE_RETURN_IF_ERROR(wal_->AddFramed(relog, /*sync=*/false));
   LETHE_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
   for (uint64_t number : to_replay) {
     options_.env->RemoveFile(WalFileName(dbname_, number)).ok();

@@ -169,38 +169,29 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
                           uint64_t now, bool force_sync) {
   // Runs with mu_ released; the caller holds the write token, which is what
   // guards memtable content, WAL appends, and sequence allocation.
-  struct PendingOp {
-    WriteBatch::Op op;
-    SequenceNumber seq;
-    uint64_t delete_key;
-  };
-  std::vector<PendingOp> pending;
-  std::string framed;  // the group's WAL bytes, each op encoded once
+  //
+  // Sequences are allocated locally and published by LogApplyPublish once
+  // the WAL accepts the group. Only the token holder allocates, so this
+  // unsynchronized read of LastSequence is safe. The ops that survive
+  // filtering take consecutive sequences from first_seq, so the group logs
+  // as one frame (see WalGroup).
+  WalGroup logged;
+  logged.first_seq = versions_->LastSequence() + 1;
+  logged.time = now;
   size_t total_ops = 0;
-  size_t total_bytes = 0;
   for (const Writer* writer : group) {
     total_ops += writer->batch->Count();
-    total_bytes += writer->batch->ApproximateBytes();
   }
-  pending.reserve(total_ops);
-  if (wal != nullptr) {
-    // Frame, fixed fields and length prefixes add ~40 bytes per op to its
-    // keys and value, so the buffer rarely regrows.
-    framed.reserve(total_bytes + 48 * total_ops);
-  }
+  logged.ops.reserve(total_ops);
 
-  // Pass 1: blind-delete filtering, statistics, sequence assignment, WAL
-  // encoding. `group_live` tracks the liveness outcome of keys written
+  // Pass 1: blind-delete filtering, statistics, and the list of ops to log
+  // and apply. `group_live` tracks the liveness outcome of keys written
   // earlier in this group, so a Delete after a Put of the same key
   // is judged against the batch, not the stale snapshot. It is only
   // maintained when the filter is on — the default write path stays free of
   // per-op map inserts.
   const bool track_liveness = options_.filter_blind_deletes;
   std::unordered_map<std::string, bool> group_live;
-  // Sequences are allocated locally and published by LogApplyPublish once
-  // the WAL accepts the group. Only the token holder allocates, so this
-  // unsynchronized read-modify-write of LastSequence is safe.
-  SequenceNumber next_seq = versions_->LastSequence();
   for (const Writer* writer : group) {
     for (const WriteBatch::Op op : writer->batch->ops()) {
       uint64_t delete_key = op.delete_key;
@@ -222,7 +213,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
             if (!may_exist) {
               stats_.blind_deletes_avoided.fetch_add(
                   1, std::memory_order_relaxed);
-              continue;  // skip: no sequence, no WAL record, no tombstone
+              continue;  // skip: no sequence, no WAL op, no tombstone
             }
           }
           stats_.user_deletes.fetch_add(1, std::memory_order_relaxed);
@@ -243,49 +234,45 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
               op.key.size() + op.end_key.size(), std::memory_order_relaxed);
           break;
       }
-      // Only the token holder allocates sequences, so filtered deletes
-      // consume none.
-      const SequenceNumber seq = ++next_seq;
-      if (pending.empty() && snap.mem->empty()) {
-        mem_first_seq_ = seq;  // token-guarded, like all memtable state
-        mem_first_time_ = now;
-      }
-      pending.push_back({op, seq, delete_key});
-      if (wal != nullptr) {
-        WalRecordView record;
-        record.kind = static_cast<WalRecord::Kind>(op.kind);
-        record.seq = seq;
-        record.time = now;
-        record.key = op.key;
-        record.end_key = op.end_key;
-        record.delete_key = delete_key;
-        record.value = op.value;
-        AppendWalRecord(record, &framed);
-      }
+      // Filtered deletes consume no sequence.
+      WalOp& logged_op = logged.ops.emplace_back();
+      logged_op.kind = static_cast<WalOp::Kind>(op.kind);
+      logged_op.key = op.key;
+      logged_op.end_key = op.end_key;
+      logged_op.delete_key = delete_key;
+      logged_op.value = op.value;
     }
   }
-  if (pending.empty()) {
+  if (logged.ops.empty()) {
     return Status::OK();
   }
+  if (snap.mem->empty()) {
+    // Token-guarded, like all memtable state.
+    mem_first_seq_ = logged.first_seq;
+    mem_first_time_ = now;
+  }
 
-  // Pass 2: one physical WAL append (and at most one sync) for the whole
-  // group — the group-commit amortization — then pass 3: apply to the
+  // Pass 2: the group's one frame, one physical WAL append (and at most one
+  // sync) — the group-commit amortization — then pass 3: apply to the
   // memtable in order. Every writer in the group fails with a WAL error
   // (CompleteGroup propagates it to all members).
+  std::string framed;
+  if (wal != nullptr) {
+    AppendWalGroup(logged, &framed);
+  }
+  const SequenceNumber last_seq = logged.first_seq + logged.ops.size() - 1;
   uint64_t tail_inserts = 0;
   LETHE_RETURN_IF_ERROR(LogApplyPublish(
-      wal, framed, force_sync, next_seq, [&] {
-        for (const PendingOp& p : pending) {
-          const WriteBatch::Op& op = p.op;
-          tail_inserts +=
-              ApplyToMemTable(snap.mem.get(), op.kind, p.seq, now, op.key,
-                              op.end_key, p.delete_key, op.value);
+      wal, framed, force_sync, last_seq, [&] {
+        for (size_t i = 0; i < logged.ops.size(); i++) {
+          tail_inserts += ApplyToMemTable(snap.mem.get(), logged.ops[i],
+                                          logged.first_seq + i, now);
         }
       }));
   stats_.memtable_tail_inserts.fetch_add(tail_inserts,
                                          std::memory_order_relaxed);
   stats_.group_commit_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.group_commit_entries.fetch_add(pending.size(),
+  stats_.group_commit_entries.fetch_add(logged.ops.size(),
                                         std::memory_order_relaxed);
   return Status::OK();
 }
@@ -588,14 +575,15 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
   // request like any other write — an acknowledged delete must not vanish
   // in a torn WAL tail. The same commit protocol as a write group; with the
   // WAL off nothing is logged and the purge takes no sequence.
-  WalRecordView record;
-  record.kind = WalRecord::Kind::kSecondaryRangeDelete;
-  record.seq = versions_->LastSequence() + (wal_ != nullptr ? 1 : 0);
-  record.time = options_.clock->NowMicros();
-  record.delete_key = delete_key_begin;
-  record.delete_key_end = delete_key_end;
+  WalGroup logged;
+  logged.first_seq = versions_->LastSequence() + (wal_ != nullptr ? 1 : 0);
+  logged.time = options_.clock->NowMicros();
+  WalOp& purge_op = logged.ops.emplace_back();
+  purge_op.kind = WalOp::Kind::kSecondaryRangeDelete;
+  purge_op.delete_key = delete_key_begin;
+  purge_op.delete_key_end = delete_key_end;
   std::string framed;
-  AppendWalRecord(record, &framed);
+  AppendWalGroup(logged, &framed);
   // The active memtable is mutable, so buffered entries are purged in place
   // (no tombstones needed). Requires the write token.
   auto purge = [&] {
@@ -603,8 +591,8 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
         mem_->PurgeDeleteKeyRange(delete_key_begin, delete_key_end),
         std::memory_order_relaxed);
   };
-  Status s = LogApplyPublish(wal_.get(), framed, options.sync, record.seq,
-                             purge);
+  Status s = LogApplyPublish(wal_.get(), framed, options.sync,
+                             logged.first_seq, purge);
   if (!s.ok()) {
     RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
   }

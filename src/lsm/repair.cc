@@ -22,7 +22,8 @@
 //     the delete-persistence guarantee survives repair,
 //   - each WAL keeps only its intact frames: frames that fail their
 //     checksum or do not decode are dropped and a torn tail is cut, so
-//     the next Open, which replays one way and refuses damage, accepts it,
+//     the next Open, which replays one way and refuses damage, accepts it;
+//     a frame is one commit group, so a group is kept or dropped whole,
 //   - counters resume past every number found on disk, and the manifest's
 //     wal_number points at the oldest surviving WAL so unflushed writes
 //     replay at the next Open.
@@ -120,6 +121,7 @@ Status ReadTableProperties(Env* env, const std::string& fname,
 
 /// Drops the frames of WAL `number` that fail their checksum or do not
 /// decode, resyncing to the next intact frame; a torn tail ends the log.
+/// A frame is one commit group, so a damaged group is dropped whole.
 /// When anything was dropped the survivors, byte for byte, replace the log
 /// under the same number (temp file, then rename), so the next Open replays
 /// them normally.
@@ -137,9 +139,9 @@ Status SalvageWal(Env* env, const std::string& dbname, uint64_t number) {
     if (result == RecordLogScanner::Result::kEnd) {
       break;
     }
-    WalRecord record;
+    WalGroup group;
     if (result == RecordLogScanner::Result::kRecord &&
-        DecodeWalRecord(payload, &record)) {
+        DecodeWalGroup(payload, &group)) {
       kept.append(contents, frame_begin, scanner.offset() - frame_begin);
       continue;
     }

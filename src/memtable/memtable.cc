@@ -13,10 +13,44 @@ namespace {
 constexpr uint8_t kLive = 1;
 constexpr uint8_t kPurged = 0;
 
-/// Decodes the record payload (after the flag byte) without copying.
-bool DecodeRecord(const char* record, ParsedEntry* entry, size_t max_len) {
-  Slice input(record + 1, max_len);
-  return DecodeEntry(&input, entry);
+// A record is the live flag, then the entry in a fixed-width layout of its
+// own (not a page's varint one, see entry.h):
+//   flag | varint32 key_len | key | fixed64 (seq<<8 | type) |
+//   fixed64 delete_key | varint32 value_len | value
+// The comparator finds seq at a fixed offset past the key, and the arena
+// bytes these records take decide when a buffer is full.
+
+/// Bytes EncodeRecord writes for `entry`.
+size_t RecordSize(const ParsedEntry& entry) {
+  return 1 + VarintLength(entry.user_key.size()) + entry.user_key.size() +
+         16 + VarintLength(entry.value.size()) + entry.value.size();
+}
+
+/// Writes entry's record to dst[0, RecordSize(entry)).
+void EncodeRecord(const ParsedEntry& entry, char* dst) {
+  *dst++ = static_cast<char>(kLive);
+  dst = EncodeVarint32(dst, static_cast<uint32_t>(entry.user_key.size()));
+  memcpy(dst, entry.user_key.data(), entry.user_key.size());
+  dst += entry.user_key.size();
+  EncodeFixed64(dst, PackSeqAndType(entry.seq, entry.type));
+  EncodeFixed64(dst + 8, entry.delete_key);
+  dst = EncodeVarint32(dst + 16, static_cast<uint32_t>(entry.value.size()));
+  memcpy(dst, entry.value.data(), entry.value.size());
+}
+
+/// Decodes a record (EncodeRecord wrote it, so it is well-formed) without
+/// copying: the slices alias the arena.
+void DecodeRecord(const char* record, ParsedEntry* entry) {
+  uint32_t len;
+  const char* p = GetVarint32Ptr(record + 1, record + 6, &len);
+  entry->user_key = Slice(p, len);
+  p += len;
+  const uint64_t packed = DecodeFixed64(p);
+  entry->seq = UnpackSeq(packed);
+  entry->type = UnpackType(packed);
+  entry->delete_key = DecodeFixed64(p + 8);
+  p = GetVarint32Ptr(p + 16, p + 21, &len);
+  entry->value = Slice(p, len);
 }
 
 inline bool IsLive(const char* record) {
@@ -96,9 +130,8 @@ bool MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   entry.value = value;
 
   // Encoded once, in place in the arena.
-  char* record = arena_.Allocate(1 + EncodedEntrySize(entry));
-  record[0] = static_cast<char>(kLive);
-  EncodeEntry(entry, record + 1);
+  char* record = arena_.Allocate(RecordSize(entry));
+  EncodeRecord(entry, record);
   const bool at_tail = table_.Insert(record);
   num_entries_.fetch_add(1, std::memory_order_release);
   if (type == ValueType::kTombstone) {
@@ -217,9 +250,7 @@ bool MemTable::Get(const Slice& user_key, ParsedEntry* entry,
   it.Seek(probe);
   while (it.Valid()) {
     ParsedEntry candidate;
-    if (!DecodeRecord(it.key(), &candidate, SIZE_MAX / 2)) {
-      return false;
-    }
+    DecodeRecord(it.key(), &candidate);
     if (candidate.user_key != user_key) {
       return false;
     }
@@ -237,9 +268,7 @@ uint64_t MemTable::PurgeDeleteKeyRange(uint64_t lo, uint64_t hi) {
   SkipList<KeyComparator>::Iterator it(&table_);
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
     ParsedEntry entry;
-    if (!DecodeRecord(it.key(), &entry, SIZE_MAX / 2)) {
-      continue;
-    }
+    DecodeRecord(it.key(), &entry);
     if (entry.delete_key >= lo && entry.delete_key < hi && IsLive(it.key())) {
       MarkPurged(const_cast<char*>(it.key()));
       purged++;
@@ -313,8 +342,8 @@ class MemTableIterator final : public InternalIterator {
   void SkipDead() {
     valid_ = false;
     while (iter_.Valid()) {
-      if (IsLive(iter_.key()) && DecodeRecord(iter_.key(), &entry_,
-                                              SIZE_MAX / 2)) {
+      if (IsLive(iter_.key())) {
+        DecodeRecord(iter_.key(), &entry_);
         valid_ = true;
         return;
       }

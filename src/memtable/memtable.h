@@ -186,8 +186,8 @@ class MemTable {
 
  private:
   struct KeyComparator {
-    /// Records are [1-byte live flag][EncodeEntry bytes]; ordering is
-    /// internal-key order.
+    /// Records are a live flag and a fixed-width entry (memtable.cc);
+    /// ordering is internal-key order.
     int operator()(const char* a, const char* b) const;
   };
 

@@ -8,66 +8,104 @@ namespace lethe {
 
 namespace {
 
+using Kind = WalOp::Kind;
+
+size_t LengthPrefixedSize(const Slice& value) {
+  return VarintLength(value.size()) + value.size();
+}
+
 char* EncodeLengthPrefixed(char* dst, const Slice& value) {
   dst = EncodeVarint32(dst, static_cast<uint32_t>(value.size()));
   memcpy(dst, value.data(), value.size());
   return dst + value.size();
 }
 
+size_t EncodedOpSize(const WalOp& op) {
+  size_t size = 1 + LengthPrefixedSize(op.key) + VarintLength(op.delete_key);
+  switch (op.kind) {
+    case Kind::kPut:
+      size += LengthPrefixedSize(op.value);
+      break;
+    case Kind::kRangeDelete:
+      size += LengthPrefixedSize(op.end_key);
+      break;
+    case Kind::kSecondaryRangeDelete:
+      size += VarintLength(op.delete_key_end);
+      break;
+    case Kind::kDelete:
+      break;
+  }
+  return size;
+}
+
+char* EncodeOp(const WalOp& op, char* dst) {
+  *dst++ = static_cast<char>(op.kind);
+  dst = EncodeLengthPrefixed(dst, op.key);
+  if (op.kind == Kind::kRangeDelete) {
+    dst = EncodeLengthPrefixed(dst, op.end_key);
+  }
+  dst = EncodeVarint64(dst, op.delete_key);
+  if (op.kind == Kind::kPut) {
+    dst = EncodeLengthPrefixed(dst, op.value);
+  }
+  if (op.kind == Kind::kSecondaryRangeDelete) {
+    dst = EncodeVarint64(dst, op.delete_key_end);
+  }
+  return dst;
+}
+
+/// Decodes one op from the front of *input into *op, which is fresh: the
+/// fields its kind does not log keep their defaults.
+bool DecodeOp(Slice* input, WalOp* op) {
+  if (input->empty()) {
+    return false;
+  }
+  const uint8_t kind = static_cast<uint8_t>((*input)[0]);
+  if (kind < 1 || kind > 4) {
+    return false;
+  }
+  input->remove_prefix(1);
+  op->kind = static_cast<Kind>(kind);
+  return GetLengthPrefixedSlice(input, &op->key) &&
+         (op->kind != Kind::kRangeDelete ||
+          GetLengthPrefixedSlice(input, &op->end_key)) &&
+         GetVarint64(input, &op->delete_key) &&
+         (op->kind != Kind::kPut || GetLengthPrefixedSlice(input, &op->value)) &&
+         (op->kind != Kind::kSecondaryRangeDelete ||
+          GetVarint64(input, &op->delete_key_end));
+}
+
 }  // namespace
 
-void AppendWalRecord(const WalRecordView& record, std::string* framed) {
-  // kind | fixed64 seq | fixed64 time | key | end_key | fixed64 delete_key |
-  // value, the three slices length-prefixed; kind 4 then appends fixed64
-  // delete_key_end. Only that kind carries the trailer, so the classic
-  // record kinds stay byte-identical to their original encoding.
-  const bool has_end =
-      record.kind == WalRecord::Kind::kSecondaryRangeDelete;
-  const size_t len = 1 + 8 + 8 + VarintLength(record.key.size()) +
-                     record.key.size() + VarintLength(record.end_key.size()) +
-                     record.end_key.size() + 8 +
-                     VarintLength(record.value.size()) + record.value.size() +
-                     (has_end ? 8 : 0);
+void AppendWalGroup(const WalGroup& group, std::string* framed) {
+  size_t len = VarintLength(group.first_seq) + VarintLength(group.time);
+  for (const WalOp& op : group.ops) {
+    len += EncodedOpSize(op);
+  }
   AppendFrame(framed, len, [&](char* p) {
-    *p++ = static_cast<char>(record.kind);
-    EncodeFixed64(p, record.seq);
-    EncodeFixed64(p + 8, record.time);
-    p = EncodeLengthPrefixed(p + 16, record.key);
-    p = EncodeLengthPrefixed(p, record.end_key);
-    EncodeFixed64(p, record.delete_key);
-    p = EncodeLengthPrefixed(p + 8, record.value);
-    if (has_end) {
-      EncodeFixed64(p, record.delete_key_end);
+    p = EncodeVarint64(p, group.first_seq);
+    p = EncodeVarint64(p, group.time);
+    for (const WalOp& op : group.ops) {
+      p = EncodeOp(op, p);
     }
   });
 }
 
-bool DecodeWalRecord(Slice input, WalRecord* record) {
-  if (input.empty()) {
+bool DecodeWalGroup(Slice payload, WalGroup* group) {
+  group->ops.clear();
+  if (!GetVarint64(&payload, &group->first_seq) ||
+      !GetVarint64(&payload, &group->time)) {
     return false;
   }
-  uint8_t kind = static_cast<uint8_t>(input[0]);
-  input.remove_prefix(1);
-  if (kind < 1 || kind > 4) {
-    return false;
+  while (!payload.empty()) {
+    if (!DecodeOp(&payload, &group->ops.emplace_back())) {
+      return false;
+    }
   }
-  record->kind = static_cast<WalRecord::Kind>(kind);
-  Slice key, end_key, value;
-  if (!GetFixed64(&input, &record->seq) || !GetFixed64(&input, &record->time) ||
-      !GetLengthPrefixedSlice(&input, &key) ||
-      !GetLengthPrefixedSlice(&input, &end_key) ||
-      !GetFixed64(&input, &record->delete_key) ||
-      !GetLengthPrefixedSlice(&input, &value)) {
-    return false;
-  }
-  if (record->kind == WalRecord::Kind::kSecondaryRangeDelete &&
-      !GetFixed64(&input, &record->delete_key_end)) {
-    return false;
-  }
-  record->key = key.ToString();
-  record->end_key = end_key.ToString();
-  record->value = value.ToString();
-  return true;
+  // Every op takes a sequence in [1, kMaxSequenceNumber].
+  return !group->ops.empty() && group->first_seq != 0 &&
+         group->first_seq <= kMaxSequenceNumber &&
+         group->ops.size() - 1 <= kMaxSequenceNumber - group->first_seq;
 }
 
 }  // namespace lethe

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/env/env.h"
 #include "src/format/entry.h"
@@ -13,14 +14,13 @@
 
 namespace lethe {
 
-/// One logical WAL operation. Each memtable mutation is logged before being
-/// applied; recovery replays records in order. The WAL is rotated at every
-/// flush and the old log deleted once the flush commits, so no tombstone
-/// outlives its memtable in the log — this satisfies FADE's persistence
-/// guarantee condition that WALs are purged at a period shorter than Dth
-/// (§4.1.5); the insertion `time` is logged so replayed tombstones keep
-/// their original age.
-struct WalRecord {
+/// One logged memtable mutation, its fields borrowed. Each mutation is
+/// logged before being applied; recovery replays them in order. The WAL is
+/// rotated at every flush and the old log deleted once the flush commits,
+/// so no tombstone outlives its memtable in the log — this satisfies FADE's
+/// persistence guarantee condition that WALs are purged at a period shorter
+/// than Dth (§4.1.5).
+struct WalOp {
   enum class Kind : uint8_t {
     kPut = 1,
     kDelete = 2,
@@ -34,43 +34,38 @@ struct WalRecord {
   };
 
   Kind kind = Kind::kPut;
-  SequenceNumber seq = 0;
-  uint64_t time = 0;
-  std::string key;          // sort key (begin key for range deletes)
-  std::string end_key;      // range deletes only
+  Slice key;                // sort key (begin key for range deletes)
+  Slice end_key;            // range deletes only
   uint64_t delete_key = 0;  // secondary delete key (range begin for kind 4)
-  std::string value;
-  uint64_t delete_key_end = 0;  // kind 4 only (not encoded otherwise)
-};
-
-/// The fields of one WAL record, borrowed rather than owned: the input of
-/// the one WAL encoder. The write path views a batch op through it, so a
-/// group commit encodes each op straight into the group's framed buffer.
-struct WalRecordView {
-  WalRecord::Kind kind = WalRecord::Kind::kPut;
-  SequenceNumber seq = 0;
-  uint64_t time = 0;
-  Slice key;
-  Slice end_key;
-  uint64_t delete_key = 0;
-  Slice value;
+  Slice value;              // puts only
   uint64_t delete_key_end = 0;  // kind 4 only
-
-  WalRecordView() = default;
-  explicit WalRecordView(const WalRecord& r)
-      : kind(r.kind),
-        seq(r.seq),
-        time(r.time),
-        key(r.key),
-        end_key(r.end_key),
-        delete_key(r.delete_key),
-        value(r.value),
-        delete_key_end(r.delete_key_end) {}
 };
 
-/// Appends `record` to *framed as one record-log frame: the WAL encoding of
-/// its fields, written in place inside the frame.
-void AppendWalRecord(const WalRecordView& record, std::string* framed);
+/// One commit group, logged as one record-log frame: the ops a group commit
+/// applies, in order. Op i takes sequence first_seq + i, and every op the
+/// group's insertion `time`, which is logged so replayed tombstones keep
+/// their original age. The frame payload is
+///   varint64 first_seq | varint64 time | op...
+/// and each op
+///   kind | varint32 key_len | key | [range: varint32 end_len | end_key] |
+///   varint64 delete_key | [put: varint32 value_len | value] |
+///   [kind 4: varint64 delete_key_end]
+/// A frame's checksum covers the whole group, so a torn or damaged group is
+/// dropped whole: a WriteBatch or a transaction commit replays all or
+/// nothing.
+struct WalGroup {
+  SequenceNumber first_seq = 0;
+  uint64_t time = 0;
+  std::vector<WalOp> ops;
+};
+
+/// Appends `group` to *framed as one frame, encoded in place inside it.
+void AppendWalGroup(const WalGroup& group, std::string* framed);
+
+/// Decodes a frame payload (RecordLogScanner yields them) whole: false when
+/// any op is malformed or the payload holds no op. The op slices alias
+/// `payload`.
+bool DecodeWalGroup(Slice payload, WalGroup* group);
 
 /// Typed wrapper over the shared CRC-framed record log.
 class WalWriter {
@@ -78,18 +73,12 @@ class WalWriter {
   explicit WalWriter(std::unique_ptr<WritableFile> file)
       : log_(std::move(file)) {}
 
-  /// Appends one record without syncing (WAL replay's rewrite).
-  Status AddRecord(const WalRecord& record) {
-    std::string framed;
-    AppendWalRecord(WalRecordView(record), &framed);
-    return AddFramed(framed, /*sync=*/false);
-  }
-
-  /// Group-commit append: writes records framed by AppendWalRecord with one
-  /// physical Append, then one Sync when `sync` is set
-  /// (WriteOptions::sync). `appended` (optional) reports whether bytes may
-  /// have reached the log even when the returned status is an error
-  /// (Append succeeded, Sync failed) — see RecordLogWriter::AddFramed.
+  /// Group-commit append: writes frames laid down by AppendWalGroup (or
+  /// copied whole from another log) with one physical Append, then one Sync
+  /// when `sync` is set (WriteOptions::sync). `appended` (optional) reports
+  /// whether bytes may have reached the log even when the returned status
+  /// is an error (Append succeeded, Sync failed) — see
+  /// RecordLogWriter::AddFramed.
   Status AddFramed(const Slice& framed, bool sync, bool* appended = nullptr) {
     return log_.AddFramed(framed, sync, appended);
   }
@@ -99,10 +88,6 @@ class WalWriter {
  private:
   RecordLogWriter log_;
 };
-
-/// Decodes one WAL record from a frame payload (RecordLogScanner yields
-/// them); false when the payload is malformed.
-bool DecodeWalRecord(Slice input, WalRecord* record);
 
 }  // namespace lethe
 

@@ -53,15 +53,6 @@ void PutLengthPrefixedSlice(std::string* dst, const Slice& value) {
   dst->append(value.data(), value.size());
 }
 
-int VarintLength(uint64_t value) {
-  int len = 1;
-  while (value >= 128) {
-    value >>= 7;
-    len++;
-  }
-  return len;
-}
-
 const char* GetVarint32PtrFallback(const char* p, const char* limit,
                                    uint32_t* value) {
   uint32_t result = 0;
@@ -79,9 +70,8 @@ const char* GetVarint32PtrFallback(const char* p, const char* limit,
   return nullptr;
 }
 
-namespace {
-
-const char* GetVarint64Ptr(const char* p, const char* limit, uint64_t* value) {
+const char* GetVarint64PtrFallback(const char* p, const char* limit,
+                                   uint64_t* value) {
   uint64_t result = 0;
   for (uint32_t shift = 0; shift <= 63 && p < limit; shift += 7) {
     uint64_t byte = *reinterpret_cast<const unsigned char*>(p);
@@ -96,8 +86,6 @@ const char* GetVarint64Ptr(const char* p, const char* limit, uint64_t* value) {
   }
   return nullptr;
 }
-
-}  // namespace
 
 bool GetVarint32(Slice* input, uint32_t* value) {
   const char* p = input->data();

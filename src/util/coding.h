@@ -1,6 +1,7 @@
 #ifndef LETHE_UTIL_CODING_H_
 #define LETHE_UTIL_CODING_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -48,8 +49,11 @@ bool GetLengthPrefixedSlice(Slice* input, Slice* result);
 bool GetFixed32(Slice* input, uint32_t* value);
 bool GetFixed64(Slice* input, uint64_t* value);
 
-/// Number of bytes the varint encoding of `value` occupies.
-int VarintLength(uint64_t value);
+/// Number of bytes the varint encoding of `value` occupies: one per 7
+/// significant bits.
+inline int VarintLength(uint64_t value) {
+  return (std::bit_width(value | 1) + 6) / 7;
+}
 
 // Low-level encoders returning a pointer just past the written bytes.
 char* EncodeVarint32(char* dst, uint32_t value);
@@ -72,6 +76,23 @@ inline const char* GetVarint32Ptr(const char* p, const char* limit,
     }
   }
   return GetVarint32PtrFallback(p, limit, value);
+}
+
+/// The multi-byte case of GetVarint64Ptr.
+const char* GetVarint64PtrFallback(const char* p, const char* limit,
+                                   uint64_t* value);
+
+/// GetVarint32Ptr for a varint64.
+inline const char* GetVarint64Ptr(const char* p, const char* limit,
+                                  uint64_t* value) {
+  if (p < limit) {
+    const uint64_t byte = static_cast<unsigned char>(*p);
+    if ((byte & 128) == 0) {
+      *value = byte;
+      return p + 1;
+    }
+  }
+  return GetVarint64PtrFallback(p, limit, value);
 }
 
 }  // namespace lethe

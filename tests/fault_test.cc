@@ -16,7 +16,8 @@
 //   - WAL recovery's one policy: a torn tail ends the newest log; interior
 //     damage, or a torn tail in an older log, fails Open with a message
 //     naming DB::Repair, and Repair's WAL salvage lets the next Open
-//     replay the intact records.
+//     replay the intact groups. A frame is one commit group, so a torn or
+//     damaged WriteBatch replays all or nothing.
 //   - Manifest fallback to an older intact snapshot (ignoring names that
 //     only look like manifests), and DB::Repair rebuilding a manifest from
 //     the table files (quarantining damaged ones) with unflushed WAL data
@@ -731,6 +732,78 @@ TEST_F(WalRecoveryTest, InteriorDamageFailsOpenUntilRepair) {
   EXPECT_EQ(got, "three");
 }
 
+// A WriteBatch is one commit group and so one WAL frame: a crash that tears
+// the frame drops the whole batch at the next Open, never a prefix of it.
+TEST_F(WalRecoveryTest, TornBatchReplaysAllOrNothing) {
+  env_ = NewMemEnv();
+  options_.env = env_.get();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, "wal_torn_batch_db", &db).ok());
+  WriteBatch batch;
+  batch.Put(EncodeKey(1), 1, "one");
+  batch.Put(EncodeKey(2), 2, "two");
+  batch.Put(EncodeKey(3), 3, "three");
+  ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
+  db.reset();
+  wal_path_ = FindFileWithSuffix(env_.get(), "wal_torn_batch_db", ".wal");
+  ASSERT_FALSE(wal_path_.empty());
+  ASSERT_TRUE(ReadFileToString(env_.get(), wal_path_, &wal_bytes_).ok());
+  RewriteFile(env_.get(), wal_path_,
+              wal_bytes_.substr(0, wal_bytes_.size() - 3));
+
+  ASSERT_TRUE(DB::Open(options_, "wal_torn_batch_db", &db).ok());
+  std::string got;
+  const bool first = db->Get(ReadOptions(), EncodeKey(1), &got).ok();
+  const bool last = db->Get(ReadOptions(), EncodeKey(3), &got).ok();
+  EXPECT_EQ(first, last) << "a torn batch replayed in part";
+  EXPECT_FALSE(first) << "the torn batch's frame replayed";
+  EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).IsNotFound());
+}
+
+// DB::Repair keeps or drops a commit group whole: a byte flipped inside a
+// batch's frame drops every op of the batch, and the group logged after it
+// survives.
+TEST_F(WalRecoveryTest, RepairDropsDamagedBatchWhole) {
+  env_ = NewMemEnv();
+  options_.env = env_.get();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, "wal_flip_batch_db", &db).ok());
+  WriteBatch batch;
+  batch.Put(EncodeKey(1), 1, "one");
+  batch.Put(EncodeKey(2), 2, "two");
+  batch.Put(EncodeKey(3), 3, "three");
+  ASSERT_TRUE(db->Write(WriteOptions(), &batch).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(4), 4, "four").ok());
+  db.reset();
+  wal_path_ = FindFileWithSuffix(env_.get(), "wal_flip_batch_db", ".wal");
+  ASSERT_FALSE(wal_path_.empty());
+  ASSERT_TRUE(ReadFileToString(env_.get(), wal_path_, &wal_bytes_).ok());
+  const std::vector<test::LoggedOp> ops =
+      test::ReadWalOps(env_.get(), wal_path_);
+  ASSERT_EQ(ops.size(), 4u);
+  ASSERT_EQ(ops[2].group, 0u);
+  ASSERT_EQ(ops[3].group, 1u);
+  // Flip a byte of the last Put's value inside the batch's frame (its
+  // bytes sit well before the frame of key 4's Put).
+  const size_t at = wal_bytes_.find("three");
+  ASSERT_NE(at, std::string::npos);
+  std::string damaged = wal_bytes_;
+  damaged[at] = static_cast<char>(damaged[at] ^ 0xff);
+  RewriteFile(env_.get(), wal_path_, damaged);
+
+  Status s = DB::Open(options_, "wal_flip_batch_db", &db);
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_TRUE(DB::Repair(options_, "wal_flip_batch_db").ok());
+  ASSERT_TRUE(DB::Open(options_, "wal_flip_batch_db", &db).ok());
+  std::string got;
+  for (uint64_t k = 1; k <= 3; k++) {
+    EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &got).IsNotFound())
+        << k;
+  }
+  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(4), &got).ok());
+  EXPECT_EQ(got, "four");
+}
+
 TEST_F(WalRecoveryTest, TornTailInOlderWalFailsOpenUntilRepair) {
   // Background mode with every table create failing: the first memtable's
   // flush never installs, so its WAL and the active one both survive close.
@@ -758,10 +831,11 @@ TEST_F(WalRecoveryTest, TornTailInOlderWalFailsOpenUntilRepair) {
   const std::vector<uint64_t> wals = test::WalNumbers(&env, dbname);
   ASSERT_EQ(wals.size(), 2u);
   const std::string older = WalFileName(dbname, wals[0]);
-  const std::vector<WalRecord> older_records =
-      test::ReadWalRecords(&env, older);
-  const std::vector<WalRecord> newer_records =
-      test::ReadWalRecords(&env, WalFileName(dbname, wals[1]));
+  // Each Put is its own commit group, so ops and frames correspond.
+  const std::vector<test::LoggedOp> older_records =
+      test::ReadWalOps(&env, older);
+  const std::vector<test::LoggedOp> newer_records =
+      test::ReadWalOps(&env, WalFileName(dbname, wals[1]));
   ASSERT_GE(older_records.size(), 2u);
   ASSERT_FALSE(newer_records.empty());
   ASSERT_EQ(older_records.size() + newer_records.size(), written);
@@ -787,7 +861,7 @@ TEST_F(WalRecoveryTest, TornTailInOlderWalFailsOpenUntilRepair) {
   }
   EXPECT_TRUE(
       db->Get(ReadOptions(), older_records.back().key, &got).IsNotFound());
-  for (const WalRecord& record : newer_records) {
+  for (const test::LoggedOp& record : newer_records) {
     ASSERT_TRUE(db->Get(ReadOptions(), record.key, &got).ok());
     EXPECT_EQ(got, value);
   }

@@ -160,9 +160,10 @@ void ExpectSameEntry(const ParsedEntry& actual, const ParsedEntry& expected) {
 }
 
 // Differential: random pages (keys and values of 0..300 bytes across the
-// 1-to-2-byte varint boundary, tombstones, empty values, repeated keys, a
-// page size that is not a multiple of 4) read through the offset table
-// must equal a sequential DecodeEntry parse of the same bytes.
+// 1-to-2-byte varint boundary, sequences and delete keys of every varint
+// width, tombstones, empty values, repeated keys, a page size that is not a
+// multiple of 4) read through the offset table must equal a sequential
+// DecodeEntry parse of the same bytes.
 TEST(PageTest, EntryViewMatchesSequentialDecode) {
   Random rnd(17);
   for (int trial = 0; trial < 300; trial++) {
@@ -188,7 +189,8 @@ TEST(PageTest, EntryViewMatchesSequentialDecode) {
           rnd.Uniform(5) == 0 ? 0 : rnd.Uniform(8) == 0 ? 200 : rnd.Uniform(40);
       values.push_back(std::string(value_len, static_cast<char>('a' + i % 26)));
       candidates.push_back(MakeEntry(
-          keys.back(), rnd.Next(), 1 + rnd.Uniform(1000), values.back(),
+          keys.back(), rnd.Next() >> rnd.Uniform(64),
+          1 + (kMaxSequenceNumber >> rnd.Uniform(57)), values.back(),
           rnd.Uniform(6) == 0 ? ValueType::kTombstone : ValueType::kValue));
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -260,11 +262,13 @@ TEST(PageTest, MalformedMiddleEntryIsRejected) {
   ASSERT_TRUE(builder.Add(MakeEntry("c", 3, 3, "v")));
   const std::string page = builder.Finish();
   // The middle entry starts after the header and the first entry: varint
-  // key length, the key, then the (seq, type) trailer, type byte first.
+  // key length, the key, then the varint (seq << 8 | type), whose first
+  // byte holds the type in its low 7 bits.
   const size_t middle = 4 + EncodedEntrySize(first);
 
   std::string bad_type = page;
-  bad_type[middle + 2] = 7;  // neither kValue nor kTombstone
+  // Neither kValue nor kTombstone; the continuation bit stays.
+  bad_type[middle + 2] = static_cast<char>((bad_type[middle + 2] & 0x80) | 7);
   Reseal(&bad_type);
   PageContents contents;
   EXPECT_TRUE(DecodePage(Slice(bad_type), 1024, &contents).IsCorruption());
@@ -278,7 +282,11 @@ TEST(PageTest, MalformedMiddleEntryIsRejected) {
   overrun[middle + 2] = static_cast<char>(0xff);
   overrun[middle + 3] = static_cast<char>(0xff);
   overrun[middle + 4] = static_cast<char>(0x7f);
-  for (std::string* bad : {&bad_length, &overrun}) {
+  std::string long_seq = page;  // a varint64 of more than 10 bytes
+  for (size_t i = 0; i < 11; i++) {
+    long_seq[middle + 2 + i] = static_cast<char>(0x80);
+  }
+  for (std::string* bad : {&bad_length, &overrun, &long_seq}) {
     Reseal(bad);
     EXPECT_TRUE(DecodePage(Slice(*bad), 1024, &contents).IsCorruption());
   }
@@ -286,6 +294,78 @@ TEST(PageTest, MalformedMiddleEntryIsRejected) {
   // The untouched page still decodes.
   ASSERT_TRUE(DecodePage(Slice(page), 1024, &contents).ok());
   EXPECT_EQ(contents.entries.size(), 3u);
+}
+
+// Seeded mutations of a page's entry bytes (and its entry count), each
+// resealed with a fresh CRC so only DecodePage's entry parse stands between
+// the damage and the read path: the page is either rejected, or every entry
+// it returns — through operator[], key(), encoded() and LowerBound — has
+// slices inside the page's entry bytes. Under ASan this also proves no
+// mutation makes the unchecked accessors read outside the page.
+TEST(PageTest, SeededMutationsStayInsideThePage) {
+  Random rnd(29);
+  constexpr uint64_t kPageSize = 4096;
+  std::vector<std::string> keys, values;
+  std::vector<ParsedEntry> entries;
+  for (int i = 0; i < 40; i++) {
+    keys.push_back(EncodeKey(i).substr(0, 1 + rnd.Uniform(16)));
+    values.push_back(std::string(rnd.Uniform(5) == 0 ? 0 : rnd.Uniform(140),
+                                 static_cast<char>('a' + i % 26)));
+  }
+  std::sort(keys.begin(), keys.end());
+  for (int i = 0; i < 40; i++) {
+    entries.push_back(MakeEntry(
+        keys[i], rnd.Next() >> rnd.Uniform(64),
+        1 + (kMaxSequenceNumber >> rnd.Uniform(57)), values[i],
+        i % 7 == 3 ? ValueType::kTombstone : ValueType::kValue));
+  }
+  PageBuilder builder(kPageSize, UINT32_MAX);
+  size_t used = 4;
+  for (const ParsedEntry& entry : entries) {
+    if (!builder.Add(entry)) {
+      break;
+    }
+    used += EncodedEntrySize(entry);
+  }
+  const std::string page = builder.Finish();
+
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; trial++) {
+    std::string mutated = page;
+    const int flips = 1 + static_cast<int>(rnd.Uniform(3));
+    for (int f = 0; f < flips; f++) {
+      // Mostly entry bytes; now and then the count header.
+      const size_t at = rnd.Uniform(10) == 0 ? rnd.Uniform(4)
+                                             : 4 + rnd.Uniform(used - 4);
+      mutated[at] = static_cast<char>(mutated[at] ^ (1 + rnd.Uniform(255)));
+    }
+    Reseal(&mutated);
+    PageContents contents;
+    if (!DecodePage(Slice(mutated), kPageSize, &contents).ok()) {
+      rejected++;
+      continue;
+    }
+    const char* begin = contents.data() + 4;
+    const char* end = contents.data() + kPageSize - 4;
+    auto inside = [&](const Slice& slice) {
+      return slice.data() >= begin && slice.data() + slice.size() <= end;
+    };
+    const PageEntries& view = contents.entries;
+    for (size_t i = 0; i < view.size(); i++) {
+      const ParsedEntry entry = view[i];
+      ASSERT_TRUE(inside(entry.user_key)) << "trial " << trial << " " << i;
+      ASSERT_TRUE(inside(entry.value)) << "trial " << trial << " " << i;
+      ASSERT_TRUE(inside(view.encoded(i))) << "trial " << trial << " " << i;
+      ASSERT_EQ(view.key(i), entry.user_key) << "trial " << trial;
+      ASSERT_TRUE(entry.type == ValueType::kValue ||
+                  entry.type == ValueType::kTombstone);
+      ASSERT_LE(view.LowerBound(entry.user_key), view.size());
+    }
+  }
+  // Most flips land in key or value bytes and leave a decodable page; the
+  // rest must have been caught.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, 2000);
 }
 
 TEST(PageTest, OverLargeEntryCountIsRejected) {
@@ -989,14 +1069,15 @@ TEST_P(SSTableTileSweepTest, RoundTripAllGranularities) {
 INSTANTIATE_TEST_SUITE_P(TileGranularities, SSTableTileSweepTest,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 256));
 
-/// Byte-closed tiles: 16-byte keys and 100-byte values encode to 134 bytes,
-/// so only 30 of B = 32 fit a 4 KB page's 4088-byte budget.
+/// Byte-closed tiles: 16-byte keys, 3-byte sequence and delete-key varints
+/// and 112-byte values encode to 136 bytes, so only 30 of B = 32 fit a 4 KB
+/// page's 4088-byte budget.
 class ByteClosedTileTest : public SSTableTest {
  protected:
   void SetUp() override {
     SSTableTest::SetUp();
     options_.entries_per_page = 32;
-    value_size_ = 100;
+    value_size_ = 112;
   }
 };
 
@@ -1026,7 +1107,7 @@ TEST_F(ByteClosedTileTest, H8TileSpansAtMostHPages) {
 }
 
 TEST_F(ByteClosedTileTest, MixedSizesStayWithinHPages) {
-  // Some entries are ~45 bytes, like tombstones among the 134-byte ones. A
+  // Some entries are ~33 bytes, like tombstones among the ~135-byte ones. A
   // page holding 3 or more of them closes at B = 32 entries, short of its
   // byte budget; the others close at the budget. A bound on the tile's
   // bytes alone lets a tile whose light pages come first spill onto page
@@ -1045,7 +1126,7 @@ TEST_F(ByteClosedTileTest, MixedSizesStayWithinHPages) {
     uint32_t b;
     size_t value_size;
   };
-  for (Layout layout : {Layout{32, 100},
+  for (Layout layout : {Layout{32, 112},
                         Layout{TableOptions().entries_per_page, 1024}}) {
     options_.entries_per_page = layout.b;
     value_size_ = layout.value_size;
@@ -1109,14 +1190,15 @@ TEST_F(ByteClosedTileTest, FigBedShapeKeepsCountLayout) {
 }
 
 /// The default TableOptions: no count cap, so a page holds as many entries
-/// as fit its byte budget. 16-byte keys and 96-byte values encode to 130
-/// bytes, 31 of which fill 4030 of a 4 KB page's 4088-byte budget.
+/// as fit its byte budget. 16-byte keys, 3-byte sequence and delete-key
+/// varints and 106-byte values encode to 130 bytes, 31 of which fill 4030
+/// of a 4 KB page's 4088-byte budget.
 class ByteFilledDefaultTest : public SSTableTest {
  protected:
   void SetUp() override {
     SSTableTest::SetUp();
     options_ = TableOptions();
-    value_size_ = 96;
+    value_size_ = 106;
   }
 
   static uint64_t PageBytes(const SSTableReader& reader, uint32_t page) {
@@ -1154,6 +1236,30 @@ TEST_F(ByteFilledDefaultTest, PagesFillTheirByteBudget) {
     }
     ExpectRoundTrip(*reader, 2000);
   }
+}
+
+// Uncapped, B is the most entries a page can physically hold: the byte
+// budget over the smallest encoded entry, which is four one-byte varints.
+TEST_F(ByteFilledDefaultTest, DefaultBIsTheSmallestEntryBound) {
+  ParsedEntry smallest;
+  smallest.type = ValueType::kTombstone;
+  EXPECT_EQ(EncodedEntrySize(smallest), kMinEncodedEntrySize);
+  EXPECT_EQ(kMinEncodedEntrySize, 4u);
+  EXPECT_EQ(MaxEntriesPerPage(options_), 1022u);  // 4088 / 4
+  options_.page_size_bytes = 1024;
+  EXPECT_EQ(MaxEntriesPerPage(options_), 254u);  // 1016 / 4
+
+  // A page of that many smallest entries builds and decodes.
+  options_.page_size_bytes = 4096;
+  PageBuilder builder(options_.page_size_bytes, MaxEntriesPerPage(options_));
+  while (builder.Add(smallest)) {
+  }
+  EXPECT_EQ(builder.num_entries(), 1022u);
+  PageContents contents;
+  ASSERT_TRUE(
+      DecodePage(Slice(builder.Finish()), options_.page_size_bytes, &contents)
+          .ok());
+  EXPECT_EQ(contents.entries.size(), 1022u);
 }
 
 TEST_F(ByteFilledDefaultTest, ExplicitBStillCapsEveryPage) {
@@ -1207,8 +1313,9 @@ TEST_F(ByteFilledDefaultTest, EstimatedSizeTracksPagesWritten) {
 // tombstones, varied value sizes and one entry that exactly fills a page's
 // byte budget — over h in {1, 4}, B uncapped and B = 32, and delete keys
 // that arrive ascending or random (with repeats). The sizes and crc32c
-// values were measured on the builder that first wrote this format; any
-// change to SSTableBuilder or PageBuilder must reproduce them byte for byte.
+// values were measured on the builder that first wrote the varint page
+// entries; any change to SSTableBuilder or PageBuilder must reproduce them
+// byte for byte.
 
 struct PinnedTable {
   uint32_t pages_per_tile;
@@ -1244,8 +1351,11 @@ std::string BuildPinnedTable(const PinnedTable& shape) {
     if (i % 9 == 4) {
       type = ValueType::kTombstone;
     } else if (i == kFullPage) {
-      // varint32(16) + key + seq/type + delete key + varint32(len) + value.
-      value.assign(PageByteBudget(options) - (1 + 16 + 16 + 2), 'f');
+      // The entry's bytes with an empty value, plus a 2-byte varint32
+      // value length in place of the empty value's 1-byte one.
+      const uint64_t empty_value_bytes =
+          EncodedEntrySize(MakeEntry(keys[i], dk, 5000 + i, ""));
+      value.assign(PageByteBudget(options) - (empty_value_bytes + 1), 'f');
     } else {
       value.assign(8 + (i * 37) % 190, static_cast<char>('a' + i % 26));
     }
@@ -1390,14 +1500,14 @@ TEST(SSTableMultiVersionTest, KiwiH8IteratorAndSnapshotGets) {
 
 TEST(PinnedTableBytesTest, BuilderOutputIsUnchanged) {
   const PinnedTable kTables[] = {
-      {1, false, false, 100778, 0x6f0f3bdau},
-      {1, false, true, 100778, 0x6619b9b7u},
-      {1, true, false, 121535, 0x481ecce6u},
-      {1, true, true, 121535, 0x8ca8b457u},
-      {4, false, false, 100758, 0xcf325db4u},
-      {4, false, true, 100758, 0xe279d5e3u},
-      {4, true, false, 121507, 0xaaa76627u},
-      {4, true, true, 121508, 0xf817dc45u},
+      {1, false, false, 92474, 0x0466dd57u},
+      {1, false, true, 92477, 0x60abf8c8u},
+      {1, true, false, 117385, 0xb7b38d6fu},
+      {1, true, true, 117385, 0x5b7cbdbdu},
+      {4, false, false, 96611, 0x92747d23u},
+      {4, false, true, 92457, 0x7fd9426eu},
+      {4, true, false, 117357, 0xab8d8356u},
+      {4, true, true, 117357, 0xcb66d447u},
   };
   for (const PinnedTable& shape : kTables) {
     SCOPED_TRACE("h=" + std::to_string(shape.pages_per_tile) +

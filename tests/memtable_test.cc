@@ -560,136 +560,148 @@ TEST(MemTableTest, MemoryUsageGrows) {
   EXPECT_EQ(mem.num_entries(), 1000u);
 }
 
-TEST(WalTest, RecordRoundTrip) {
-  auto env = NewMemEnv();
+/// Writes `groups` through a WalWriter, one AddFramed each, into `fname`.
+void WriteWal(Env* env, const std::string& fname,
+              const std::vector<WalGroup>& groups) {
   std::unique_ptr<WritableFile> wf;
-  ASSERT_TRUE(env->NewWritableFile("wal", &wf).ok());
-  {
-    WalWriter writer(std::move(wf));
-    WalRecord put;
-    put.kind = WalRecord::Kind::kPut;
-    put.seq = 1;
-    put.time = 111;
-    put.key = "alpha";
-    put.delete_key = 42;
-    put.value = "beta";
-    ASSERT_TRUE(writer.AddRecord(put).ok());
-
-    WalRecord del;
-    del.kind = WalRecord::Kind::kDelete;
-    del.seq = 2;
-    del.time = 222;
-    del.key = "alpha";
-    ASSERT_TRUE(writer.AddRecord(del).ok());
-
-    WalRecord range;
-    range.kind = WalRecord::Kind::kRangeDelete;
-    range.seq = 3;
-    range.time = 333;
-    range.key = "a";
-    range.end_key = "z";
-    ASSERT_TRUE(writer.AddRecord(range).ok());
-    ASSERT_TRUE(writer.Close().ok());
+  ASSERT_TRUE(env->NewWritableFile(fname, &wf).ok());
+  WalWriter writer(std::move(wf));
+  for (const WalGroup& group : groups) {
+    std::string framed;
+    AppendWalGroup(group, &framed);
+    bool appended = false;
+    ASSERT_TRUE(writer.AddFramed(framed, /*sync=*/false, &appended).ok());
+    EXPECT_TRUE(appended);
   }
-
-  RecordLogScanner::Result last;
-  const std::vector<WalRecord> records =
-      test::ReadWalRecords(env.get(), "wal", &last);
-  EXPECT_EQ(last, RecordLogScanner::Result::kEnd);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].kind, WalRecord::Kind::kPut);
-  EXPECT_EQ(records[0].key, "alpha");
-  EXPECT_EQ(records[0].value, "beta");
-  EXPECT_EQ(records[0].delete_key, 42u);
-  EXPECT_EQ(records[0].time, 111u);
-  EXPECT_EQ(records[1].kind, WalRecord::Kind::kDelete);
-  EXPECT_EQ(records[1].seq, 2u);
-  EXPECT_EQ(records[2].kind, WalRecord::Kind::kRangeDelete);
-  EXPECT_EQ(records[2].end_key, "z");
+  ASSERT_TRUE(writer.Close().ok());
 }
 
-// The group-commit append — records framed by AppendWalRecord into one
-// buffer, written by one AddFramed — must lay down exactly the bytes of one
-// AddRecord per record, across every record kind and the varint boundaries
-// in the payload, and each record must read back.
-TEST(WalTest, GroupAppendIsByteIdenticalToSingleAppends) {
-  std::vector<WalRecord> records(5);
-  records[0].kind = WalRecord::Kind::kPut;
-  records[0].seq = 7;
-  records[0].time = 1001;
-  records[0].key = std::string(200, 'k');  // 2-byte varint key length
-  records[0].delete_key = 0x0102030405060708ull;
-  records[0].value = "value";
-  records[1].kind = WalRecord::Kind::kPut;
-  records[1].seq = 8;
-  records[1].time = 1002;
-  records[1].key = "empty-value";
-  records[1].delete_key = 9;
-  records[2].kind = WalRecord::Kind::kDelete;
-  records[2].seq = 9;
-  records[2].time = 1003;
-  records[2].key = "gone";
-  records[2].delete_key = 1003;
-  records[3].kind = WalRecord::Kind::kRangeDelete;
-  records[3].seq = 10;
-  records[3].time = 1004;
-  records[3].key = "a";
-  records[3].end_key = "m";
-  records[4].kind = WalRecord::Kind::kSecondaryRangeDelete;
-  records[4].seq = 11;
-  records[4].time = 1005;
-  records[4].delete_key = 100;
-  records[4].delete_key_end = 200;
-
+TEST(WalTest, RecordRoundTrip) {
+  std::vector<WalGroup> groups(3);
+  groups[0].first_seq = 1;
+  groups[0].time = 111;
+  WalOp& put = groups[0].ops.emplace_back();
+  put.kind = WalOp::Kind::kPut;
+  put.key = "alpha";
+  put.delete_key = 42;
+  put.value = "beta";
+  groups[1].first_seq = 2;
+  groups[1].time = 222;
+  WalOp& del = groups[1].ops.emplace_back();
+  del.kind = WalOp::Kind::kDelete;
+  del.key = "alpha";
+  groups[2].first_seq = 3;
+  groups[2].time = 333;
+  WalOp& range = groups[2].ops.emplace_back();
+  range.kind = WalOp::Kind::kRangeDelete;
+  range.key = "a";
+  range.end_key = "z";
   auto env = NewMemEnv();
-  std::unique_ptr<WritableFile> wf;
-  ASSERT_TRUE(env->NewWritableFile("single", &wf).ok());
-  {
-    WalWriter writer(std::move(wf));
-    for (const WalRecord& r : records) {
-      ASSERT_TRUE(writer.AddRecord(r).ok());
-    }
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  ASSERT_TRUE(env->NewWritableFile("group", &wf).ok());
-  {
-    WalWriter writer(std::move(wf));
-    std::string framed;
-    for (const WalRecord& r : records) {
-      AppendWalRecord(WalRecordView(r), &framed);
-    }
-    bool appended = false;
-    ASSERT_TRUE(writer.AddFramed(framed, false, &appended).ok());
-    EXPECT_TRUE(appended);
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  std::string single, group;
-  ASSERT_TRUE(ReadFileToString(env.get(), "single", &single).ok());
-  ASSERT_TRUE(ReadFileToString(env.get(), "group", &group).ok());
-  EXPECT_EQ(single, group);
+  WriteWal(env.get(), "wal", groups);
 
   RecordLogScanner::Result last;
-  const std::vector<WalRecord> got =
-      test::ReadWalRecords(env.get(), "group", &last);
+  const std::vector<test::LoggedOp> ops =
+      test::ReadWalOps(env.get(), "wal", &last);
   EXPECT_EQ(last, RecordLogScanner::Result::kEnd);
-  ASSERT_EQ(got.size(), records.size());
-  for (size_t i = 0; i < records.size(); i++) {
-    const WalRecord& want = records[i];
-    EXPECT_EQ(got[i].kind, want.kind);
-    EXPECT_EQ(got[i].seq, want.seq);
-    EXPECT_EQ(got[i].time, want.time);
-    EXPECT_EQ(got[i].key, want.key);
-    EXPECT_EQ(got[i].end_key, want.end_key);
-    EXPECT_EQ(got[i].delete_key, want.delete_key);
-    EXPECT_EQ(got[i].value, want.value);
-    EXPECT_EQ(got[i].delete_key_end, want.delete_key_end);
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].kind, WalOp::Kind::kPut);
+  EXPECT_EQ(ops[0].key, "alpha");
+  EXPECT_EQ(ops[0].value, "beta");
+  EXPECT_EQ(ops[0].delete_key, 42u);
+  EXPECT_EQ(ops[0].time, 111u);
+  EXPECT_EQ(ops[1].kind, WalOp::Kind::kDelete);
+  EXPECT_EQ(ops[1].seq, 2u);
+  EXPECT_EQ(ops[1].group, 1u);
+  EXPECT_EQ(ops[2].kind, WalOp::Kind::kRangeDelete);
+  EXPECT_EQ(ops[2].end_key, "z");
+}
+
+// A commit group is one frame: its ops, across every kind and the varint
+// boundaries of the payload, read back in order with consecutive sequences
+// and the group's time, and a torn frame reads back as no op at all.
+TEST(WalTest, GroupRoundTrip) {
+  const std::string long_key(200, 'k');  // 2-byte varint key length
+  WalGroup group;
+  group.first_seq = 0x123456789aull;  // a multi-byte varint64
+  group.time = 1001;
+  group.ops.resize(5);
+  group.ops[0].kind = WalOp::Kind::kPut;
+  group.ops[0].key = long_key;
+  group.ops[0].delete_key = 0x0102030405060708ull;
+  group.ops[0].value = "value";
+  group.ops[1].kind = WalOp::Kind::kPut;
+  group.ops[1].key = "empty-value";
+  group.ops[1].delete_key = 9;
+  group.ops[2].kind = WalOp::Kind::kDelete;
+  group.ops[2].key = "gone";
+  group.ops[2].delete_key = 1003;
+  group.ops[3].kind = WalOp::Kind::kRangeDelete;
+  group.ops[3].key = "a";
+  group.ops[3].end_key = "m";
+  group.ops[4].kind = WalOp::Kind::kSecondaryRangeDelete;
+  group.ops[4].delete_key = 100;
+  group.ops[4].delete_key_end = UINT64_MAX;
+  auto env = NewMemEnv();
+  WriteWal(env.get(), "group", {group});
+
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env.get(), "group", &contents).ok());
+  RecordLogScanner scanner{Slice(contents)};
+  Slice payload;
+  ASSERT_EQ(scanner.Next(&payload), RecordLogScanner::Result::kRecord);
+  EXPECT_EQ(scanner.Next(&payload), RecordLogScanner::Result::kEnd);
+
+  RecordLogScanner::Result last;
+  const std::vector<test::LoggedOp> got =
+      test::ReadWalOps(env.get(), "group", &last);
+  EXPECT_EQ(last, RecordLogScanner::Result::kEnd);
+  ASSERT_EQ(got.size(), group.ops.size());
+  for (size_t i = 0; i < group.ops.size(); i++) {
+    const WalOp& want = group.ops[i];
+    EXPECT_EQ(got[i].kind, want.kind) << i;
+    EXPECT_EQ(got[i].seq, group.first_seq + i) << i;
+    EXPECT_EQ(got[i].time, group.time) << i;
+    EXPECT_EQ(got[i].group, 0u) << i;
+    EXPECT_EQ(got[i].key, want.key.ToString()) << i;
+    EXPECT_EQ(got[i].end_key, want.end_key.ToString()) << i;
+    EXPECT_EQ(got[i].delete_key, want.delete_key) << i;
+    EXPECT_EQ(got[i].value, want.value.ToString()) << i;
+    EXPECT_EQ(got[i].delete_key_end, want.delete_key_end) << i;
+  }
+
+  // Re-encoding the decoded group reproduces the frame byte for byte.
+  WalGroup decoded;
+  ASSERT_TRUE(DecodeWalGroup(payload, &decoded));
+  std::string reframed;
+  AppendWalGroup(decoded, &reframed);
+  EXPECT_EQ(reframed, contents);
+
+  // The frame's length and checksum cover the whole group: a log cut
+  // anywhere inside the frame yields no op at all.
+  for (size_t len = 1; len < contents.size(); len++) {
+    const std::string torn = contents.substr(0, len);
+    RecordLogScanner torn_scanner{Slice(torn)};
+    EXPECT_EQ(torn_scanner.Next(&payload), RecordLogScanner::Result::kTornTail)
+        << len;
   }
 }
 
 TEST(WalTest, DecodeRejectsBadKind) {
-  std::string buf = "\x09 garbage bytes here";
-  WalRecord record;
-  EXPECT_FALSE(DecodeWalRecord(Slice(buf), &record));
+  // first_seq 1 | time 2 | an op of kind 9.
+  std::string buf = "\x01\x02\x09 garbage bytes here";
+  WalGroup group;
+  EXPECT_FALSE(DecodeWalGroup(Slice(buf), &group));
+  // A group of no ops, or one whose sequences leave the 56-bit range.
+  EXPECT_FALSE(DecodeWalGroup(Slice("\x01\x02", 2), &group));
+  WalGroup wrapping;
+  wrapping.first_seq = kMaxSequenceNumber;
+  wrapping.ops.resize(2);
+  std::string framed;
+  AppendWalGroup(wrapping, &framed);
+  RecordLogScanner scanner{Slice(framed)};
+  Slice payload;
+  ASSERT_EQ(scanner.Next(&payload), RecordLogScanner::Result::kRecord);
+  EXPECT_FALSE(DecodeWalGroup(payload, &group));
 }
 
 }  // namespace

@@ -67,27 +67,40 @@ std::vector<uint64_t> WalNumbers(Env* env, const std::string& dbname) {
   return wals;
 }
 
-std::vector<WalRecord> ReadWalRecords(Env* env, const std::string& fname,
-                                      RecordLogScanner::Result* last) {
+std::vector<LoggedOp> ReadWalOps(Env* env, const std::string& fname,
+                                 RecordLogScanner::Result* last) {
   std::string contents;
   EXPECT_TRUE(ReadFileToString(env, fname, &contents).ok()) << fname;
   RecordLogScanner scanner{Slice(contents)};
-  std::vector<WalRecord> records;
+  std::vector<LoggedOp> ops;
   Slice payload;
   RecordLogScanner::Result result;
-  while ((result = scanner.Next(&payload)) ==
-         RecordLogScanner::Result::kRecord) {
-    WalRecord record;
-    if (!DecodeWalRecord(payload, &record)) {
+  for (size_t frame = 0; (result = scanner.Next(&payload)) ==
+                         RecordLogScanner::Result::kRecord;
+       frame++) {
+    WalGroup group;
+    if (!DecodeWalGroup(payload, &group)) {
       result = RecordLogScanner::Result::kCorrupt;
       break;
     }
-    records.push_back(std::move(record));
+    for (size_t i = 0; i < group.ops.size(); i++) {
+      const WalOp& op = group.ops[i];
+      LoggedOp& logged = ops.emplace_back();
+      logged.kind = op.kind;
+      logged.seq = group.first_seq + i;
+      logged.time = group.time;
+      logged.group = frame;
+      logged.key = op.key.ToString();
+      logged.end_key = op.end_key.ToString();
+      logged.delete_key = op.delete_key;
+      logged.value = op.value.ToString();
+      logged.delete_key_end = op.delete_key_end;
+    }
   }
   if (last != nullptr) {
     *last = result;
   }
-  return records;
+  return ops;
 }
 
 uint64_t ReferencedTableFiles(DB* db) {

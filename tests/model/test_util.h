@@ -48,12 +48,25 @@ std::string FindFileWithSuffix(Env* env, const std::string& dbname,
 /// Numbers of the WAL files in directory `dbname`, ascending.
 std::vector<uint64_t> WalNumbers(Env* env, const std::string& dbname);
 
-/// Reads WAL `fname` as Open replays it: the records before the first frame
-/// that is not an intact, decodable record. That frame's scan result goes
-/// to `*last` when given (kEnd for a clean log).
-std::vector<WalRecord> ReadWalRecords(
-    Env* env, const std::string& fname,
-    RecordLogScanner::Result* last = nullptr);
+/// One op a WAL logged, owned, with the sequence and time its group gave
+/// it and the index of that group's frame in the log.
+struct LoggedOp {
+  WalOp::Kind kind = WalOp::Kind::kPut;
+  SequenceNumber seq = 0;
+  uint64_t time = 0;
+  size_t group = 0;
+  std::string key;
+  std::string end_key;
+  uint64_t delete_key = 0;
+  std::string value;
+  uint64_t delete_key_end = 0;
+};
+
+/// Reads WAL `fname` as Open replays it: the ops of the groups before the
+/// first frame that is not an intact, decodable group. That frame's scan
+/// result goes to `*last` when given (kEnd for a clean log).
+std::vector<LoggedOp> ReadWalOps(Env* env, const std::string& fname,
+                                 RecordLogScanner::Result* last = nullptr);
 
 /// Number of table files the live version of `db` references.
 uint64_t ReferencedTableFiles(DB* db);

@@ -113,10 +113,20 @@ TEST(CodingTest, Varint32Truncated) {
 }
 
 TEST(CodingTest, VarintLengthMatchesEncoding) {
-  for (uint64_t v : {0ull, 127ull, 128ull, 300ull, 1ull << 40}) {
+  std::vector<uint64_t> values = {0, 300, 1ull << 40, UINT64_MAX};
+  for (int bits = 7; bits < 64; bits += 7) {  // each width's edges
+    values.push_back((1ull << bits) - 1);
+    values.push_back(1ull << bits);
+  }
+  for (uint64_t v : values) {
     std::string buf;
     PutVarint64(&buf, v);
-    EXPECT_EQ(static_cast<int>(buf.size()), VarintLength(v));
+    EXPECT_EQ(static_cast<int>(buf.size()), VarintLength(v)) << v;
+    uint64_t decoded = 0;
+    EXPECT_EQ(GetVarint64Ptr(buf.data(), buf.data() + buf.size(), &decoded),
+              buf.data() + buf.size())
+        << v;
+    EXPECT_EQ(decoded, v);
   }
 }
 
@@ -428,54 +438,100 @@ TEST(RecordLogScannerTest, OverlongLengthVarintIsCorrupt) {
   EXPECT_EQ(record.ToString(), "after the damage");
 }
 
-bool SameWalRecord(const WalRecord& a, const WalRecord& b) {
-  return a.kind == b.kind && a.seq == b.seq && a.time == b.time &&
-         a.key == b.key && a.end_key == b.end_key &&
-         a.delete_key == b.delete_key && a.value == b.value &&
-         a.delete_key_end == b.delete_key_end;
-}
+/// A commit group with owned op bytes, for building and checking logs.
+struct OwnedGroup {
+  SequenceNumber first_seq = 0;
+  uint64_t time = 0;
+  struct Op {
+    WalOp::Kind kind = WalOp::Kind::kPut;
+    std::string key, end_key, value;
+    uint64_t delete_key = 0, delete_key_end = 0;
+  };
+  std::vector<Op> ops;
 
-// Seeded truncations and byte flips of a WAL, fed through the scanner and
-// DecodeWalRecord as Open and DB::Repair feed them: every record before
-// the damage comes back intact, the damaged frame never reads as a record,
-// and after Resync exactly the frames behind it remain. Under ASan this
-// also proves no mutation makes the scanner read outside the buffer.
+  WalGroup View() const {
+    WalGroup group;
+    group.first_seq = first_seq;
+    group.time = time;
+    for (const Op& op : ops) {
+      WalOp& view = group.ops.emplace_back();
+      view.kind = op.kind;
+      view.key = op.key;
+      view.end_key = op.end_key;
+      view.delete_key = op.delete_key;
+      view.value = op.value;
+      view.delete_key_end = op.delete_key_end;
+    }
+    return group;
+  }
+
+  /// Whether `got` is this whole group: every op, each field equal.
+  bool Matches(const WalGroup& got) const {
+    if (got.first_seq != first_seq || got.time != time ||
+        got.ops.size() != ops.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < ops.size(); i++) {
+      const Op& a = ops[i];
+      const WalOp& b = got.ops[i];
+      if (a.kind != b.kind || Slice(a.key) != b.key ||
+          Slice(a.end_key) != b.end_key || Slice(a.value) != b.value ||
+          a.delete_key != b.delete_key || a.delete_key_end != b.delete_key_end) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+// Seeded truncations and byte flips of a WAL of multi-op commit groups, fed
+// through the scanner and DecodeWalGroup as Open and DB::Repair feed them:
+// every group before the damage comes back whole, the damaged frame never
+// reads as a group, after Resync exactly the frames behind it remain, and
+// no scan ever yields part of a group. Under ASan this also proves no
+// mutation makes the scanner or the decoder read outside the buffer.
 TEST(RecordLogScannerTest, SeededWalMutations) {
   Random rnd(301);
-  std::vector<WalRecord> records(60);
+  std::vector<OwnedGroup> groups(60);
   std::string wal;
   std::vector<size_t> frame_ends;
-  for (size_t i = 0; i < records.size(); i++) {
-    WalRecord& r = records[i];
-    r.kind = static_cast<WalRecord::Kind>(1 + rnd.Uniform(4));
-    r.seq = i + 1;
-    r.time = rnd.Next();
-    r.key = std::string(rnd.Uniform(300), static_cast<char>(rnd.Next()));
-    if (r.kind == WalRecord::Kind::kRangeDelete) {
-      r.end_key = r.key + "~";
+  SequenceNumber next_seq = 1;
+  for (OwnedGroup& g : groups) {
+    g.first_seq = next_seq;
+    g.time = rnd.Next();
+    g.ops.resize(1 + rnd.Uniform(4));
+    for (OwnedGroup::Op& op : g.ops) {
+      op.kind = static_cast<WalOp::Kind>(1 + rnd.Uniform(4));
+      if (op.kind != WalOp::Kind::kSecondaryRangeDelete) {
+        op.key = std::string(rnd.Uniform(300), static_cast<char>(rnd.Next()));
+      }
+      if (op.kind == WalOp::Kind::kRangeDelete) {
+        op.end_key = op.key + "~";
+      }
+      op.delete_key = rnd.Next() >> rnd.Uniform(32);
+      if (op.kind == WalOp::Kind::kPut) {
+        op.value =
+            std::string(rnd.Uniform(300), static_cast<char>(rnd.Next()));
+      }
+      if (op.kind == WalOp::Kind::kSecondaryRangeDelete) {
+        op.delete_key_end = op.delete_key + rnd.Uniform(1000);
+      }
     }
-    r.delete_key = rnd.Next();
-    if (r.kind == WalRecord::Kind::kPut) {
-      r.value = std::string(rnd.Uniform(300), static_cast<char>(rnd.Next()));
-    }
-    if (r.kind == WalRecord::Kind::kSecondaryRangeDelete) {
-      r.delete_key_end = r.delete_key + rnd.Uniform(1000);
-    }
-    AppendWalRecord(WalRecordView(r), &wal);
+    next_seq += g.ops.size();
+    AppendWalGroup(g.View(), &wal);
     frame_ends.push_back(wal.size());
   }
 
-  // Scans on from the scanner's position, expecting records [from, to) and
+  // Scans on from the scanner's position, expecting groups [from, to) and
   // then `last`.
-  auto expect_records = [&](RecordLogScanner* scanner, size_t from,
-                            size_t to, ScanResult last,
-                            const std::string& what) {
+  auto expect_groups = [&](RecordLogScanner* scanner, size_t from, size_t to,
+                           ScanResult last, const std::string& what) {
     Slice payload;
     for (size_t i = from; i < to; i++) {
       ASSERT_EQ(scanner->Next(&payload), ScanResult::kRecord) << what << i;
-      WalRecord got;
-      ASSERT_TRUE(DecodeWalRecord(payload, &got)) << what << i;
-      ASSERT_TRUE(SameWalRecord(got, records[i])) << what << i;
+      WalGroup got;
+      ASSERT_TRUE(DecodeWalGroup(payload, &got)) << what << i;
+      ASSERT_TRUE(groups[i].Matches(got)) << what << i;
     }
     ASSERT_EQ(scanner->Next(&payload), last) << what;
   };
@@ -489,9 +545,9 @@ TEST(RecordLogScannerTest, SeededWalMutations) {
     const bool at_boundary =
         whole == 0 ? cut == 0 : frame_ends[whole - 1] == cut;
     RecordLogScanner scanner{Slice(log)};
-    expect_records(&scanner, 0, whole,
-                   at_boundary ? ScanResult::kEnd : ScanResult::kTornTail,
-                   "cut=" + std::to_string(cut) + " record ");
+    expect_groups(&scanner, 0, whole,
+                  at_boundary ? ScanResult::kEnd : ScanResult::kTornTail,
+                  "cut=" + std::to_string(cut) + " group ");
   }
 
   for (int trial = 0; trial < 200; trial++) {
@@ -501,7 +557,7 @@ TEST(RecordLogScannerTest, SeededWalMutations) {
     const size_t damaged = std::upper_bound(frame_ends.begin(),
                                             frame_ends.end(), at) -
                            frame_ends.begin();
-    const std::string what = "flip at " + std::to_string(at) + " record ";
+    const std::string what = "flip at " + std::to_string(at) + " group ";
     RecordLogScanner scanner{Slice(log)};
     Slice payload;
     for (size_t i = 0; i < damaged; i++) {
@@ -511,8 +567,8 @@ TEST(RecordLogScannerTest, SeededWalMutations) {
     ASSERT_TRUE(bad == ScanResult::kCorrupt || bad == ScanResult::kTornTail)
         << what << damaged;
     scanner.Resync();
-    expect_records(&scanner, damaged + 1, records.size(), ScanResult::kEnd,
-                   what);
+    expect_groups(&scanner, damaged + 1, groups.size(), ScanResult::kEnd,
+                  what);
   }
 }
 
