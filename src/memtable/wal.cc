@@ -70,7 +70,8 @@ bool DecodeOp(Slice* input, WalOp* op) {
          (op->kind != Kind::kRangeDelete ||
           GetLengthPrefixedSlice(input, &op->end_key)) &&
          GetVarint64(input, &op->delete_key) &&
-         (op->kind != Kind::kPut || GetLengthPrefixedSlice(input, &op->value)) &&
+         (op->kind != Kind::kPut ||
+          GetLengthPrefixedSlice(input, &op->value)) &&
          (op->kind != Kind::kSecondaryRangeDelete ||
           GetVarint64(input, &op->delete_key_end));
 }

@@ -374,8 +374,8 @@ TEST(PageTest, OverLargeEntryCountIsRejected) {
   ASSERT_TRUE(builder.Add(MakeEntry("b", 2, 2, "v")));
   const std::string page = builder.Finish();
   // One past the real entries (the next "entry" is zero padding), the most
-  // 18-byte entries the body could hold, one more, and the largest count.
-  const uint32_t max_fit = (1024 - 8) / 18;
+  // smallest entries the body could hold, one more, and the largest count.
+  const uint32_t max_fit = (1024 - 8) / kMinEncodedEntrySize;
   for (uint32_t count : {3u, max_fit, max_fit + 1, UINT32_MAX}) {
     SCOPED_TRACE("num_entries " + std::to_string(count));
     std::string bad = page;

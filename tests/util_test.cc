@@ -476,7 +476,8 @@ struct OwnedGroup {
       const WalOp& b = got.ops[i];
       if (a.kind != b.kind || Slice(a.key) != b.key ||
           Slice(a.end_key) != b.end_key || Slice(a.value) != b.value ||
-          a.delete_key != b.delete_key || a.delete_key_end != b.delete_key_end) {
+          a.delete_key != b.delete_key ||
+          a.delete_key_end != b.delete_key_end) {
         return false;
       }
     }
