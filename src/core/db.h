@@ -52,13 +52,6 @@ struct LevelSnapshot {
   uint64_t oldest_tombstone_age_micros = 0;
 };
 
-/// One result of a secondary range lookup (query on the delete key).
-struct SecondaryHit {
-  std::string key;
-  std::string value;
-  uint64_t delete_key = 0;
-};
-
 /// Per-file tombstone-age sample for the Fig 6E style distribution.
 struct TombstoneAgeSample {
   int level = 0;
@@ -71,9 +64,12 @@ struct TombstoneAgeSample {
 ///
 /// Every entry carries two keys: the *sort key* (bytes, primary access path)
 /// and a 64-bit *delete key* (e.g. a timestamp) on which
-/// SecondaryRangeDelete operates. With Options defaults the engine behaves
-/// like a state-of-the-art leveled LSM (the paper's RocksDB baseline);
-/// setting Options::delete_persistence_threshold_micros enables FADE, and
+/// SecondaryRangeDelete operates. A put logged with WriteBatch::PutExpiring
+/// makes its delete key an expiry deadline: the flushes and compactions
+/// that run past it delete the key, so TTLs need no reaper. With Options
+/// defaults the engine behaves like a state-of-the-art leveled LSM (the
+/// paper's RocksDB baseline); setting
+/// Options::delete_persistence_threshold_micros enables FADE, and
 /// Options::table.pages_per_tile > 1 enables KiWi delete tiles.
 ///
 /// Threading: all methods are thread-safe. Writes are serialized through a
@@ -167,20 +163,6 @@ class DB {
   /// Releases a snapshot handle obtained from GetSnapshot. Entries retained
   /// only for this snapshot become droppable by subsequent compactions.
   virtual void ReleaseSnapshot(const Snapshot* snapshot) = 0;
-
-  /// Secondary range lookup (§4.2.5): returns the live entries whose delete
-  /// key lies in [delete_key_begin, delete_key_end), sorted by sort key.
-  /// KiWi's delete fence pointers prune the page reads to tiles/pages
-  /// overlapping the range; candidates are then verified against the
-  /// primary read path (a superseded version must not surface). Like
-  /// NewIterator, the lookup reflects one state: that of ReadOptions::snapshot
-  /// when set, else of the last committed sequence at the call. The classic
-  /// layout (h = 1) degenerates to scanning every page that overlaps the
-  /// range — typically the whole tree.
-  virtual Status SecondaryRangeLookup(const ReadOptions& options,
-                                      uint64_t delete_key_begin,
-                                      uint64_t delete_key_end,
-                                      std::vector<SecondaryHit>* hits) = 0;
 
   /// Forces the memtable to disk (no-op when empty). A barrier: it returns
   /// only after every memtable that existed at call time has been flushed

@@ -29,6 +29,7 @@ class Snapshot {
   Snapshot& operator=(const Snapshot&) = delete;
 
   SequenceNumber seq_ = 0;
+  uint64_t time_ = 0;  // Options::clock at creation
   Snapshot* prev_ = nullptr;
   Snapshot* next_ = nullptr;
 };
@@ -50,10 +51,12 @@ class SnapshotList {
 
   bool empty() const { return head_.next_ == &head_; }
 
-  /// Creates a snapshot pinned at `seq` and appends it (newest at the tail).
-  const Snapshot* New(SequenceNumber seq) {
+  /// Creates a snapshot pinned at `seq`, taken at clock `time`, and appends
+  /// it (newest at the tail).
+  const Snapshot* New(SequenceNumber seq, uint64_t time = 0) {
     Snapshot* s = new Snapshot();
     s->seq_ = seq;
+    s->time_ = time;
     s->prev_ = head_.prev_;
     s->next_ = &head_;
     head_.prev_->next_ = s;
@@ -85,6 +88,15 @@ class SnapshotList {
       seqs.push_back(s->seq_);
     }
     return seqs;
+  }
+
+  /// The creation times, in the same (ascending) order as Seqs.
+  std::vector<uint64_t> Times() const {
+    std::vector<uint64_t> times;
+    for (const Snapshot* s = head_.next_; s != &head_; s = s->next_) {
+      times.push_back(s->time_);
+    }
+    return times;
   }
 
  private:

@@ -40,7 +40,8 @@ bool DecodeEntry(Slice* input, ParsedEntry* entry) {
   entry->seq = UnpackSeq(packed);
   entry->type = UnpackType(packed);
   if (entry->type != ValueType::kValue &&
-      entry->type != ValueType::kTombstone) {
+      entry->type != ValueType::kTombstone &&
+      entry->type != ValueType::kExpiringValue) {
     return false;
   }
   p = GetVarint64Ptr(p, limit, &entry->delete_key);

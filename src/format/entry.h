@@ -23,6 +23,10 @@ constexpr SequenceNumber kMaxSequenceNumber = (1ull << 56) - 1;
 enum class ValueType : uint8_t {
   kValue = 1,
   kTombstone = 2,  // point delete
+  // A value whose non-zero delete key is its expiry deadline (Options::clock
+  // micros). Reads treat it as a value; a merge that finds it expired writes
+  // a tombstone in its place (MergeExecutor).
+  kExpiringValue = 3,
 };
 
 /// A fully decoded key-value entry: the sort key S, the secondary delete

@@ -147,10 +147,14 @@ Status MergeExecutor::FinishOutput(Output* output,
   }
 
   // Resolve the oldest tombstone's insertion time: point tombstones via the
-  // seq→time checkpoint map (conservative floor), range tombstones exactly.
+  // seq→time checkpoint map (conservative floor), expired values at the
+  // merge's clock, range tombstones exactly.
   uint64_t oldest = kNoTombstoneTime;
-  if (props.num_point_tombstones > 0) {
-    oldest = versions_->TimeOfSeq(props.oldest_point_tombstone_seq);
+  if (output->oldest_deleted_seq != kMaxSequenceNumber) {
+    oldest = versions_->TimeOfSeq(output->oldest_deleted_seq);
+  }
+  if (output->has_expired) {
+    oldest = std::min(oldest, config.now);
   }
   if (props.num_range_tombstones > 0) {
     oldest = std::min(oldest, props.oldest_range_tombstone_time);
@@ -219,6 +223,13 @@ Status MergeExecutor::Run(
     auto it = std::lower_bound(snapshots.begin(), snapshots.end(), a);
     return it == snapshots.end() || *it >= b;
   };
+  // Whether every snapshot that can see `seq` was created at or after
+  // `time`: the oldest of them was (creation times ascend with sequences).
+  auto seen_only_after = [&](SequenceNumber seq, uint64_t time) {
+    auto it = std::lower_bound(snapshots.begin(), snapshots.end(), seq);
+    return it == snapshots.end() ||
+           config.snapshot_times[it - snapshots.begin()] >= time;
+  };
 
   std::unique_ptr<Output> current;
   std::unique_ptr<Output> pending;  // awaits its window-end boundary
@@ -228,7 +239,7 @@ Status MergeExecutor::Run(
   bool has_last_key = false;
   SequenceNumber last_version_seq = 0;
   uint64_t entries_in = 0, entries_out = 0;
-  uint64_t invalid_purged = 0, tombstones_dropped = 0;
+  uint64_t invalid_purged = 0, tombstones_dropped = 0, expired = 0;
 
   if (config.partition_begin) {
     input->Seek(Slice(*config.partition_begin));
@@ -261,6 +272,14 @@ Status MergeExecutor::Run(
       has_last_key = true;
     }
     last_version_seq = entry.seq;
+    // An expired value is deleted at its own sequence unless a snapshot
+    // created before its deadline can see it. The tombstone it becomes
+    // keeps shadowing the older versions a snapshot may still pin, so none
+    // of them resurfaces.
+    const bool expires = entry.type == ValueType::kExpiringValue &&
+                         entry.delete_key != 0 &&
+                         entry.delete_key <= config.now &&
+                         seen_only_after(entry.seq, entry.delete_key);
     if (!drop) {
       // The *nearest* covering tombstone above the version decides: if no
       // pinned snapshot separates them, every snapshot that could see the
@@ -278,13 +297,13 @@ Status MergeExecutor::Run(
         if (entry.IsTombstone()) {
           tombstones_dropped++;  // superseded by a newer range tombstone
         }
-      } else if (entry.IsTombstone() && config.bottommost &&
+      } else if ((entry.IsTombstone() || expires) && config.bottommost &&
                  entry.seq <= oldest_snapshot) {
         // The tombstone reaches the last level and sits in the oldest
         // stripe (every older version of the key is dropped with it): the
         // delete is persistent.
         drop = true;
-        tombstones_dropped++;
+        (entry.IsTombstone() ? tombstones_dropped : expired)++;
       }
     }
     if (drop) {
@@ -329,7 +348,20 @@ Status MergeExecutor::Run(
       LETHE_RETURN_IF_ERROR(OpenOutput(&current, window_begin));
       current->first_key = entry.user_key.ToString();
     }
-    current->builder->Add(entry);
+    if (expires) {
+      ParsedEntry tombstone = entry;
+      tombstone.type = ValueType::kTombstone;
+      tombstone.value = Slice();
+      current->builder->Add(tombstone);
+      current->has_expired = true;
+      expired++;
+    } else {
+      current->builder->Add(entry);
+      if (entry.IsTombstone()) {
+        current->oldest_deleted_seq =
+            std::min(current->oldest_deleted_seq, entry.seq);
+      }
+    }
     current->last_key.assign(entry.user_key.data(), entry.user_key.size());
     current->has_entries = true;
     entries_out++;
@@ -382,6 +414,8 @@ Status MergeExecutor::Run(
                                            std::memory_order_relaxed);
   stats_->tombstones_dropped.fetch_add(tombstones_dropped,
                                        std::memory_order_relaxed);
+  stats_->net_keys_expired_active.fetch_add(expired,
+                                            std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -38,6 +38,18 @@ struct MergeConfig {
   /// pins — today's drop-everything-obsolete behavior.
   std::vector<SequenceNumber> snapshots;
 
+  /// Options::clock at each snapshot's creation, parallel to `snapshots`
+  /// (so also ascending). Empty when `snapshots` is.
+  std::vector<uint64_t> snapshot_times;
+
+  /// Options::clock reading taken when the merge was scheduled. A value
+  /// written by WriteBatch::PutExpiring whose deadline (its delete key) is
+  /// in (0, now] is expired unless a snapshot created before that deadline
+  /// can see it: the merge writes a tombstone at its sequence in its place,
+  /// or at the bottommost level drops it, so no older version of the key
+  /// resurfaces. 0 (the default) expires nothing.
+  uint64_t now = 0;
+
   /// Subcompaction window [partition_begin, partition_end) over user keys:
   /// the executor seeks to partition_begin and stops at partition_end, so K
   /// disjoint windows over the same inputs together consume every entry
@@ -86,6 +98,7 @@ struct MergeConfig {
 /// consolidation rules:
 ///   - older duplicate versions of a user key are dropped,
 ///   - entries covered by a newer input range tombstone are dropped,
+///   - an expired value (see MergeConfig::now) becomes a tombstone,
 ///   - at the bottommost level, surviving tombstones are dropped too
 ///     (this is the moment a delete becomes *persistent*),
 ///   - surviving range tombstones are re-clipped to the output file
@@ -110,6 +123,10 @@ class MergeExecutor {
     std::string first_key;
     std::string last_key;
     bool has_entries = false;
+    // Point tombstones the merge read, and whether it wrote one for an
+    // expired value: an expiry counts as a delete inserted at `now`.
+    SequenceNumber oldest_deleted_seq = kMaxSequenceNumber;
+    bool has_expired = false;
   };
 
   Status OpenOutput(std::unique_ptr<Output>* output,

@@ -597,7 +597,8 @@ const Snapshot* DBImpl::GetSnapshot() {
   std::lock_guard<std::mutex> lock(mu_);
   // LastSequence is published only after its group is fully applied
   // (ApplyGroup pass 3), so the pinned view never splits a batch.
-  return snapshots_.New(versions_->LastSequence());
+  return snapshots_.New(versions_->LastSequence(),
+                        options_.clock->NowMicros());
 }
 
 void DBImpl::ReleaseSnapshot(const Snapshot* snapshot) {

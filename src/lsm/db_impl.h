@@ -128,14 +128,6 @@ class DBImpl final : public DB {
     return read_path().NewIterator(GetReadSnapshot(options.snapshot),
                                    options.fill_page_cache);
   }
-  Status SecondaryRangeLookup(const ReadOptions& options,
-                              uint64_t delete_key_begin,
-                              uint64_t delete_key_end,
-                              std::vector<SecondaryHit>* hits) override {
-    return read_path().SecondaryRangeLookup(
-        GetReadSnapshot(options.snapshot), delete_key_begin, delete_key_end,
-        options.fill_page_cache, hits);
-  }
 
   const Snapshot* GetSnapshot() override;
   void ReleaseSnapshot(const Snapshot* snapshot) override;
@@ -542,10 +534,13 @@ class DBImpl final : public DB {
   /// The lock-free read side, over the table cache (set up by Init).
   ReadPath read_path() { return ReadPath(versions_->table_cache(), &stats_); }
 
-  /// Pinned snapshot sequences, ascending. Captured into MergeConfig under
-  /// mu_ when a merge is scheduled.
-  std::vector<SequenceNumber> SnapshotSeqsLocked() const {
-    return snapshots_.Seqs();
+  /// Captures the pinned snapshots (sequences ascending, with their
+  /// creation times) and the clock into a merge's config under mu_, when
+  /// the merge is scheduled.
+  void PinSnapshotsLocked(MergeConfig* config) const {
+    config->snapshots = snapshots_.Seqs();
+    config->snapshot_times = snapshots_.Times();
+    config->now = options_.clock->NowMicros();
   }
 
   /// Oldest pinned snapshot sequence, kMaxSequenceNumber when none. Fed to

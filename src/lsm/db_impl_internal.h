@@ -25,14 +25,16 @@ inline void RemoveFailedMergeOutputs(Env* env, const std::string& dbname,
   }
 }
 
-// WAL op kinds 1-3 mirror the WriteBatch op kinds, so the write path logs
+// The WAL op kinds mirror the WriteBatch op kinds, so the write path logs
 // an op's kind by value.
 static_assert(static_cast<int>(WalOp::Kind::kPut) ==
                   static_cast<int>(WriteBatch::OpKind::kPut) &&
               static_cast<int>(WalOp::Kind::kDelete) ==
                   static_cast<int>(WriteBatch::OpKind::kDelete) &&
               static_cast<int>(WalOp::Kind::kRangeDelete) ==
-                  static_cast<int>(WriteBatch::OpKind::kRangeDelete));
+                  static_cast<int>(WriteBatch::OpKind::kRangeDelete) &&
+              static_cast<int>(WalOp::Kind::kPutExpiring) ==
+                  static_cast<int>(WriteBatch::OpKind::kPutExpiring));
 
 /// The one op → memtable mutation, shared by the write path and WAL replay
 /// (which re-applies a secondary range delete's purge itself). Requires the
@@ -44,6 +46,9 @@ inline bool ApplyToMemTable(MemTable* mem, const WalOp& op,
     case WalOp::Kind::kPut:
       return mem->Add(seq, ValueType::kValue, op.key, op.delete_key, op.value,
                       time);
+    case WalOp::Kind::kPutExpiring:
+      return mem->Add(seq, ValueType::kExpiringValue, op.key, op.delete_key,
+                      op.value, time);
     case WalOp::Kind::kDelete:
       return mem->Add(seq, ValueType::kTombstone, op.key, op.delete_key,
                       Slice(), time);

@@ -78,7 +78,7 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   MergeConfig config;
   config.is_flush = true;
   config.output_level = 0;
-  config.snapshots = SnapshotSeqsLocked();
+  PinSnapshotsLocked(&config);
 
   // Sort-key span of the buffered data (entries + range tombstones), taken
   // when the memtable froze.
@@ -276,7 +276,7 @@ Status DBImpl::CompactOnce(const CompactionPick& pick,
   MergeConfig config;
   config.trigger = pick.trigger;
   config.input_files = pick.inputs.size();
-  config.snapshots = SnapshotSeqsLocked();
+  PinSnapshotsLocked(&config);
 
   int target;
   if (options_.compaction_style == CompactionStyle::kTiering) {
@@ -579,7 +579,7 @@ Status DBImpl::CompactAllLocked(std::unique_lock<std::mutex>& l) {
   config.trigger = CompactionPick::Trigger::kSaturation;
   config.output_level = deepest;
   config.bottommost = true;
-  config.snapshots = SnapshotSeqsLocked();
+  PinSnapshotsLocked(&config);
   config.output_run_id =
       options_.compaction_style == CompactionStyle::kTiering
           ? versions_->NewRunId()

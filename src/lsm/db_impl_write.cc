@@ -197,6 +197,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
       uint64_t delete_key = op.delete_key;
       switch (op.kind) {
         case WriteBatch::OpKind::kPut:
+        case WriteBatch::OpKind::kPutExpiring:
           stats_.user_puts.fetch_add(1, std::memory_order_relaxed);
           stats_.user_bytes_written.fetch_add(
               op.key.size() + op.value.size() + 8, std::memory_order_relaxed);

@@ -1,7 +1,6 @@
 #include "src/lsm/read_path.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/lsm/merging_iterator.h"
 
@@ -359,84 +358,6 @@ std::unique_ptr<Iterator> ReadPath::NewIterator(ReadSnapshot snap,
   auto merged = NewMergingIterator(std::move(children));
   return std::make_unique<DBIter>(std::move(snap), std::move(merged), rts,
                                   stats_, std::move(setup_status));
-}
-
-Status ReadPath::SecondaryRangeLookup(const ReadSnapshot& snap,
-                                      uint64_t delete_key_begin,
-                                      uint64_t delete_key_end,
-                                      bool fill_cache,
-                                      std::vector<SecondaryHit>* hits) const {
-  hits->clear();
-  if (delete_key_begin >= delete_key_end) {
-    return Status::OK();
-  }
-
-  auto in_range = [&](uint64_t delete_key) {
-    return delete_key >= delete_key_begin && delete_key < delete_key_end;
-  };
-  // Phase 1: gather candidate sort keys via the delete-key fences. Pages
-  // whose delete-key range misses [lo, hi) are never read — this is where
-  // KiWi's weave pays off for h > 1.
-  std::set<std::string> candidates;
-  auto consider = [&](const ParsedEntry& entry) {
-    if (!entry.IsTombstone() && in_range(entry.delete_key)) {
-      candidates.insert(entry.user_key.ToString());
-    }
-  };
-  std::vector<std::shared_ptr<MemTable>> mems = snap.imm;
-  mems.push_back(snap.mem);
-  for (const auto& mem : mems) {
-    auto it = mem->NewIterator();
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      consider(it->entry());
-    }
-  }
-  for (const auto& [level, file] : snap.version->AllFiles()) {
-    if (!file->OverlapsDeleteKeyRange(delete_key_begin, delete_key_end)) {
-      continue;
-    }
-    std::shared_ptr<SSTableReader> table;
-    LETHE_RETURN_IF_ERROR(tables_->GetTable(*file, &table));
-    TableIndexHandle index;
-    LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
-    for (uint32_t p = 0; p < index->pages.size(); p++) {
-      if (file->IsPageDropped(p)) {
-        continue;
-      }
-      const PageInfo& page = index->pages[p];
-      if (page.min_delete_key >= delete_key_end ||
-          page.max_delete_key < delete_key_begin) {
-        continue;  // delete fences prune the read
-      }
-      PageHandle contents;
-      bool from_cache = false;
-      LETHE_RETURN_IF_ERROR(table->ReadPage(p, &contents,
-                                            file->page_generation,
-                                            &from_cache, fill_cache));
-      if (!from_cache) {
-        stats_->range_lookup_pages_read.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      }
-      for (const ParsedEntry& entry : contents->entries) {
-        consider(entry);
-      }
-    }
-  }
-
-  // Phase 2: verify each candidate against the primary read path on the
-  // same snapshot — only the *live* version of a key counts, and its delete
-  // key must itself qualify (a candidate may be a superseded or deleted
-  // version). Each verification counts as the point lookup it is.
-  stats_->point_lookups.fetch_add(candidates.size(), std::memory_order_relaxed);
-  for (const std::string& key : candidates) {
-    NewestVersion newest;
-    LETHE_RETURN_IF_ERROR(FindNewestVersion(snap, key, fill_cache, &newest));
-    if (newest.Live() && in_range(newest.entry.delete_key)) {
-      hits->push_back(
-          {key, newest.entry.value.ToString(), newest.entry.delete_key});
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace lethe

@@ -51,11 +51,11 @@ class ReadPath {
   Status Get(const ReadSnapshot& snap, const Slice& key, bool fill_cache,
              std::string* value, uint64_t* delete_key) const;
 
-  /// The one point-lookup walk, behind Get, SecondaryRangeLookup and
-  /// transaction validation: mem → imm (newest first) → tables (levels
-  /// top-down, runs newest first), stopping at the first source holding a
-  /// version with seq <= snap.bound. Range-tombstone coverage accumulates
-  /// over that source and every newer one.
+  /// The one point-lookup walk, behind Get and transaction validation:
+  /// mem → imm (newest first) → tables (levels top-down, runs newest
+  /// first), stopping at the first source holding a version with seq <=
+  /// snap.bound. Range-tombstone coverage accumulates over that source and
+  /// every newer one.
   Status FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
                            bool fill_cache, NewestVersion* out) const;
 
@@ -67,13 +67,6 @@ class ReadPath {
   /// A scan that pins `snap` for its lifetime.
   std::unique_ptr<Iterator> NewIterator(ReadSnapshot snap,
                                         bool fill_cache) const;
-
-  /// Candidates come from the delete-key fences and are verified with
-  /// FindNewestVersion on the same snapshot: the hits are one state.
-  Status SecondaryRangeLookup(const ReadSnapshot& snap,
-                              uint64_t delete_key_begin,
-                              uint64_t delete_key_end, bool fill_cache,
-                              std::vector<SecondaryHit>* hits) const;
 
  private:
   TableCache* tables_;

@@ -260,6 +260,12 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
         used[s] = true;
         break;
       }
+      case WriteBatch::OpKind::kPutExpiring: {
+        const int s = ShardOf(op.key);
+        parts[s].PutExpiring(op.key, op.delete_key, op.value);
+        used[s] = true;
+        break;
+      }
       case WriteBatch::OpKind::kDelete: {
         const int s = ShardOf(op.key);
         parts[s].Delete(op.key);
@@ -356,31 +362,6 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   }
   return std::make_unique<ShardMergeIterator>(std::move(children), this,
                                               owned);
-}
-
-Status ShardedDB::SecondaryRangeLookup(const ReadOptions& options,
-                                       uint64_t delete_key_begin,
-                                       uint64_t delete_key_end,
-                                       std::vector<SecondaryHit>* hits) {
-  hits->clear();
-  for (int i = 0; i < num_shards(); i++) {
-    if (shards_[i] == nullptr) {
-      continue;
-    }
-    std::vector<SecondaryHit> shard_hits;
-    LETHE_RETURN_IF_ERROR(shards_[i]->SecondaryRangeLookup(
-        ShardReadOptions(options, i), delete_key_begin, delete_key_end,
-        &shard_hits));
-    hits->insert(hits->end(), std::make_move_iterator(shard_hits.begin()),
-                 std::make_move_iterator(shard_hits.end()));
-  }
-  // Per-shard results are each sorted by sort key; restore the global
-  // contract over the interleaved shard key spaces.
-  std::sort(hits->begin(), hits->end(),
-            [](const SecondaryHit& a, const SecondaryHit& b) {
-              return Slice(a.key).compare(Slice(b.key)) < 0;
-            });
-  return Status::OK();
 }
 
 // ---- snapshots ------------------------------------------------------------

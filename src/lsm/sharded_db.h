@@ -106,10 +106,6 @@ class ShardedDB final : public DB {
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& options) override;
   const Snapshot* GetSnapshot() override;
   void ReleaseSnapshot(const Snapshot* snapshot) override;
-  Status SecondaryRangeLookup(const ReadOptions& options,
-                              uint64_t delete_key_begin,
-                              uint64_t delete_key_end,
-                              std::vector<SecondaryHit>* hits) override;
   Status Flush() override;
   Status WaitForCompact() override;
   Status CompactUntilQuiescent() override;

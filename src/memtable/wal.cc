@@ -20,10 +20,15 @@ char* EncodeLengthPrefixed(char* dst, const Slice& value) {
   return dst + value.size();
 }
 
+bool HasValue(Kind kind) {
+  return kind == Kind::kPut || kind == Kind::kPutExpiring;
+}
+
 size_t EncodedOpSize(const WalOp& op) {
   size_t size = 1 + LengthPrefixedSize(op.key) + VarintLength(op.delete_key);
   switch (op.kind) {
     case Kind::kPut:
+    case Kind::kPutExpiring:
       size += LengthPrefixedSize(op.value);
       break;
     case Kind::kRangeDelete:
@@ -45,7 +50,7 @@ char* EncodeOp(const WalOp& op, char* dst) {
     dst = EncodeLengthPrefixed(dst, op.end_key);
   }
   dst = EncodeVarint64(dst, op.delete_key);
-  if (op.kind == Kind::kPut) {
+  if (HasValue(op.kind)) {
     dst = EncodeLengthPrefixed(dst, op.value);
   }
   if (op.kind == Kind::kSecondaryRangeDelete) {
@@ -61,7 +66,7 @@ bool DecodeOp(Slice* input, WalOp* op) {
     return false;
   }
   const uint8_t kind = static_cast<uint8_t>((*input)[0]);
-  if (kind < 1 || kind > 4) {
+  if (kind < 1 || kind > 5) {
     return false;
   }
   input->remove_prefix(1);
@@ -70,8 +75,7 @@ bool DecodeOp(Slice* input, WalOp* op) {
          (op->kind != Kind::kRangeDelete ||
           GetLengthPrefixedSlice(input, &op->end_key)) &&
          GetVarint64(input, &op->delete_key) &&
-         (op->kind != Kind::kPut ||
-          GetLengthPrefixedSlice(input, &op->value)) &&
+         (!HasValue(op->kind) || GetLengthPrefixedSlice(input, &op->value)) &&
          (op->kind != Kind::kSecondaryRangeDelete ||
           GetVarint64(input, &op->delete_key_end));
 }

@@ -31,13 +31,15 @@ struct WalOp {
     // re-applied when the WAL is replayed — otherwise recovery resurrects
     // the purged entries from their original Put records.
     kSecondaryRangeDelete = 4,
+    // A put whose delete key is an expiry deadline (ValueType::kExpiringValue).
+    kPutExpiring = 5,
   };
 
   Kind kind = Kind::kPut;
   Slice key;                // sort key (begin key for range deletes)
   Slice end_key;            // range deletes only
   uint64_t delete_key = 0;  // secondary delete key (range begin for kind 4)
-  Slice value;              // puts only
+  Slice value;              // puts (kinds 1 and 5) only
   uint64_t delete_key_end = 0;  // kind 4 only
 };
 
@@ -48,7 +50,7 @@ struct WalOp {
 ///   varint64 first_seq | varint64 time | op...
 /// and each op
 ///   kind | varint32 key_len | key | [range: varint32 end_len | end_key] |
-///   varint64 delete_key | [put: varint32 value_len | value] |
+///   varint64 delete_key | [puts: varint32 value_len | value] |
 ///   [kind 4: varint64 delete_key_end]
 /// A frame's checksum covers the whole group, so a torn or damaged group is
 /// dropped whole: a WriteBatch or a transaction commit replays all or

@@ -19,6 +19,12 @@ void WriteBatch::Put(const Slice& key, uint64_t delete_key,
   approximate_bytes_ += key.size() + value.size() + 8;
 }
 
+void WriteBatch::PutExpiring(const Slice& key, uint64_t deadline,
+                             const Slice& value) {
+  Add(OpKind::kPutExpiring, key, Slice(), deadline, value);
+  approximate_bytes_ += key.size() + value.size() + 8;
+}
+
 void WriteBatch::Delete(const Slice& key) {
   Add(OpKind::kDelete, key, Slice(), 0, Slice());
   approximate_bytes_ += key.size() + 8;

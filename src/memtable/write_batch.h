@@ -30,6 +30,7 @@ class WriteBatch {
     kPut = 1,
     kDelete = 2,
     kRangeDelete = 3,
+    kPutExpiring = 5,
   };
 
   /// One buffered operation, viewed in place. `key` doubles as the begin
@@ -78,6 +79,14 @@ class WriteBatch {
   /// Buffers an insert/update of `key` with the given secondary delete key
   /// and value.
   void Put(const Slice& key, uint64_t delete_key, const Slice& value);
+
+  /// Buffers a put whose delete key is an expiry `deadline` in
+  /// Options::clock micros (0 = never). Reads return the value as they
+  /// would a Put's until a flush or compaction that runs at or past the
+  /// deadline replaces it with a tombstone, so a caller that must not see
+  /// an expired value filters by deadline itself. A snapshot created
+  /// before the deadline keeps reading the value until it is released.
+  void PutExpiring(const Slice& key, uint64_t deadline, const Slice& value);
 
   /// Buffers a point delete. The tombstone's secondary delete key is stamped
   /// with the commit-time clock reading when the batch is applied, so

@@ -11,11 +11,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/lsm/txn.h"
 #include "src/server/event_loop.h"
 
 namespace lethe {
@@ -39,9 +37,6 @@ constexpr size_t kMaxArgsPerCommand = 128 * 1024;
 // writer in a very deep pipeline.
 constexpr size_t kMaxBatchOps = 4096;
 constexpr size_t kMaxBatchBytes = 4ull << 20;
-
-// Keys deleted per transaction/batch inside one active-expiry cycle.
-constexpr size_t kActiveExpireChunk = 256;
 
 // How long shutdown keeps flushing buffered replies before closing
 // connections that are not draining.
@@ -249,7 +244,6 @@ struct RespServer::Connection {
 
 struct RespServer::Worker {
   RespServer* server = nullptr;
-  int index = 0;
   EventLoop loop;
   int listen_fd = -1;
   char listen_tag = 0;  // address used as the listen socket's epoll tag
@@ -268,8 +262,6 @@ struct RespServer::Worker {
   // Reused scratch to keep the command hot path allocation-free.
   std::string scratch_upper;
   std::string value;
-
-  uint64_t last_expire_micros = 0;
 };
 
 RespServer::RespServer(DB* db, const ServerOptions& options)
@@ -307,7 +299,6 @@ Status RespServer::Start() {
   for (int i = 0; i < num_workers; i++) {
     auto w = std::make_unique<Worker>();
     w->server = this;
-    w->index = i;
     if (!w->loop.ok()) return fail(Status::IOError("epoll setup failed"));
 
     int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -352,11 +343,6 @@ Status RespServer::Start() {
   }
   port_ = bound_port;
 
-  // Whether the engine supports optimistic transactions (DBImpl does;
-  // ShardedDB does not, and Rollback says so) decides how the active expiry
-  // cycle validates its deletes.
-  txn_supported_ = OptimisticTransaction(db_).Rollback().ok();
-
   start_micros_ = NowMicros();
   stopping_.store(false, std::memory_order_release);
   for (auto& w : workers_) {
@@ -394,13 +380,8 @@ Statistics RespServer::StatsSnapshot() const {
 }
 
 void RespServer::WorkerMain(Worker* w) {
-  const int timeout_ms =
-      (w->index == 0 && opts_.active_expire_interval_ms > 0)
-          ? static_cast<int>(
-                std::min<uint64_t>(opts_.active_expire_interval_ms, 1000))
-          : -1;
   while (!stopping()) {
-    w->loop.Poll(timeout_ms, &w->events);
+    w->loop.Poll(-1, &w->events);
     for (const struct epoll_event& ev : w->events) {
       if (ev.data.ptr == &w->listen_tag) {
         AcceptReady(w);
@@ -662,7 +643,6 @@ void RespServer::EndTurn(Worker* w) {
     delete c;
   }
   w->graveyard.clear();
-  if (w->index == 0) MaybeActiveExpire(w);
 }
 
 void RespServer::CommitTurnBatch(Worker* w) {
@@ -897,10 +877,15 @@ Status RespServer::ReadKey(Worker* w, Connection* c, const Slice& key,
 }
 
 // Writes go to the turn batch and to the connection's read-your-writes
-// overlay together.
+// overlay together. A deadline makes the put expiring: the engine's merges
+// then delete the key once the deadline passes.
 void RespServer::StagePut(Worker* w, Connection* c, const Slice& key,
                           uint64_t delete_key, const Slice& value) {
-  w->batch.Put(key, delete_key, value);
+  if (delete_key != 0) {
+    w->batch.PutExpiring(key, delete_key, value);
+  } else {
+    w->batch.Put(key, 0, value);
+  }
   StagedWrite& sw = c->overlay[key.ToString()];
   sw.deleted = false;
   sw.delete_key = delete_key;
@@ -924,9 +909,8 @@ bool RespServer::StageDelete(Worker* w, Connection* c, const Slice& key) {
 }
 
 // The delete key `amount` units after `now`: saturating, and never 0,
-// which means "no expiry". Also wakes the active expiry cycle.
+// which means "no expiry".
 uint64_t RespServer::Deadline(uint64_t now, uint64_t amount, uint64_t unit) {
-  ttl_seen_.store(true, std::memory_order_relaxed);
   const uint64_t span =
       (amount != 0 && unit > UINT64_MAX / amount) ? UINT64_MAX : amount * unit;
   return std::max<uint64_t>(1, UINT64_MAX - now < span ? UINT64_MAX
@@ -1238,7 +1222,7 @@ std::string RespServer::BuildInfo(const Slice& section) {
     add("net_batch_size_p50", static_cast<uint64_t>(batch.Percentile(50)));
     add("net_batch_size_p99", static_cast<uint64_t>(batch.Percentile(99)));
     add("expired_lazy", net_stats_.net_expired_lazy);
-    add("expired_active", net_stats_.net_keys_expired_active);
+    add("expired_active", es.net_keys_expired_active);
     out += "\r\n";
   }
   if (all || sec == "ENGINE") {
@@ -1259,88 +1243,9 @@ std::string RespServer::BuildInfo(const Slice& section) {
   if (all || sec == "KEYSPACE") {
     out += "# Keyspace\r\n";
     out += "db0:keys_approx=" + std::to_string(db_->ApproximateEntryCount()) +
-           ",expire_horizon_micros=" +
-           std::to_string(expire_horizon_.load(std::memory_order_relaxed)) +
            "\r\n";
   }
   return out;
-}
-
-void RespServer::MaybeActiveExpire(Worker* w) {
-  if (opts_.active_expire_interval_ms == 0) return;
-  const uint64_t now = NowMicros();
-  const uint64_t interval_us = opts_.active_expire_interval_ms * 1000;
-  if (w->last_expire_micros != 0 &&
-      now < w->last_expire_micros + interval_us) {
-    return;
-  }
-  w->last_expire_micros = now;
-  // Cheap gate for TTL-free workloads: after the startup probe, skip the
-  // cycle entirely until some connection writes a TTL. (A database carrying
-  // only not-yet-expired TTLs from a previous run is rediscovered the first
-  // time any TTL command runs; until then those keys expire lazily.)
-  if (expire_probe_done_ && !ttl_seen_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const uint64_t begin =
-      std::max<uint64_t>(expire_horizon_.load(std::memory_order_relaxed), 1);
-  if (begin >= now) return;
-  std::vector<SecondaryHit> hits;
-  ReadOptions ro;
-  ro.fill_page_cache = false;
-  Status s = db_->SecondaryRangeLookup(ro, begin, now, &hits);
-  const bool first_probe = !expire_probe_done_;
-  expire_probe_done_ = true;
-  if (!s.ok()) return;  // degraded engine: retry next cycle
-  if (first_probe && !hits.empty()) {
-    ttl_seen_.store(true, std::memory_order_relaxed);
-  }
-  if (hits.empty()) {
-    expire_horizon_.store(now, std::memory_order_relaxed);
-    return;
-  }
-  bool all_ok = true;
-  uint64_t deleted = 0;
-  std::string val;
-  for (size_t base = 0; base < hits.size(); base += kActiveExpireChunk) {
-    const size_t limit = std::min(hits.size(), base + kActiveExpireChunk);
-    // Where the engine has transactions, each re-read joins the txn's
-    // validated read set, so a SET racing between the lookup and the
-    // commit aborts the chunk (Busy) and the window is retried next cycle
-    // — an expired key can never clobber a concurrent refresh. ShardedDB
-    // has none: the chunk re-verifies against latest and commits one
-    // batch, so a SET racing into the microseconds between re-check and
-    // commit can be lost, but only for a key already past its deadline.
-    std::optional<OptimisticTransaction> txn;
-    if (txn_supported_) txn.emplace(db_);
-    WriteBatch batch;
-    size_t staged = 0;
-    for (size_t i = base; i < limit; i++) {
-      const std::string& key = hits[i].key;
-      uint64_t dk = 0;
-      Status g = txn ? txn->GetWithDeleteKey(ReadOptions(), key, &val, &dk)
-                     : db_->GetWithDeleteKey(ReadOptions(), key, &val, &dk);
-      // Already gone, or refreshed with a later expiry.
-      if (!g.ok() || !IsExpired(dk, now)) continue;
-      if (txn) {
-        (void)txn->Delete(key);
-      } else {
-        batch.Delete(key);
-      }
-      staged++;
-    }
-    if (staged == 0) continue;  // an unfinished txn rolls back on scope exit
-    Status cs = txn ? txn->Commit() : db_->Write(WriteOptions(), &batch);
-    if (cs.ok()) {
-      deleted += staged;
-    } else {
-      all_ok = false;  // conflict or failure: leave the window for a retry
-    }
-  }
-  net_stats_.net_keys_expired_active.fetch_add(deleted,
-                                               std::memory_order_relaxed);
-  // Advance only when every chunk landed, so failures are retried.
-  if (all_ok) expire_horizon_.store(now, std::memory_order_relaxed);
 }
 
 }  // namespace server

@@ -18,10 +18,10 @@ namespace lethe {
 namespace server {
 
 /// Front-end knobs. The fixed limits — request size, arguments per command,
-/// the per-turn batch caps, the expiry chunk and the shutdown drain timeout
-/// — are constants in server.cc, and so is the read rule: point reads always
-/// run at a per-connection snapshot pinned at the connection's first engine
-/// read of each event-loop turn and released at turn end. The engine itself
+/// the per-turn batch caps and the shutdown drain timeout — are constants
+/// in server.cc, and so is the read rule: point reads always run at a
+/// per-connection snapshot pinned at the connection's first engine read of
+/// each event-loop turn and released at turn end. The engine itself
 /// is configured by the lethe::Options used to open the DB handed to
 /// RespServer; recommended serving setup is background mode
 /// (inline_compactions = false, so no request waits for a compaction), a
@@ -57,16 +57,10 @@ struct ServerOptions {
   /// amortizes the sync across every writer in the commit group).
   bool sync_writes = false;
 
-  /// Period of the active TTL expiry cycle run by worker 0; 0 disables it
-  /// (expired keys are then only filtered lazily on read, never
-  /// reclaimed). See docs/architecture.md "Serving" for the mechanism
-  /// (SecondaryRangeLookup over the expired delete-key window +
-  /// conflict-validated deletes).
-  uint64_t active_expire_interval_ms = 100;
-
   /// Time source for TTL arithmetic. MUST be the same clock domain as the
   /// DB's Options::clock, because expirations are stored in the entry's
-  /// 64-bit delete key as an absolute NowMicros deadline. nullptr =
+  /// 64-bit delete key as an absolute NowMicros deadline, which the
+  /// engine's merges compare with their own clock. nullptr =
   /// SystemClock::Default() (also the DB default).
   Clock* clock = nullptr;
 };
@@ -93,10 +87,10 @@ struct ServerOptions {
 ///     command order is preserved exactly, including when a commit fails
 ///     mid-pipeline.
 ///   - TTLs map onto the engine's secondary delete key: the expiry
-///     deadline in NowMicros, 0 = no expiry. Reads filter expired entries
-///     lazily; worker 0 periodically harvests the expired delete-key
-///     window via SecondaryRangeLookup and deletes those keys (validated
-///     by an optimistic transaction where the engine supports it).
+///     deadline in NowMicros, 0 = no expiry, written with
+///     WriteBatch::PutExpiring. Reads filter expired entries lazily, and
+///     the engine's flushes and compactions delete them once past their
+///     deadline, so the server runs no expiry cycle of its own.
 ///
 /// Thread-safe: Start once; RequestStop/Stop from any thread or signal
 /// handler context (RequestStop only flips an atomic and writes eventfds).
@@ -171,7 +165,6 @@ class RespServer {
   void CloseConnection(Worker* w, Connection* c);
   void DrainOnStop(Worker* w);
   void ReleaseTurnSnapshots(Worker* w);
-  void MaybeActiveExpire(Worker* w);
 
   void EnsureConnCommitted(Worker* w, Connection* c);
   void MaybeCommitEagerly(Worker* w);
@@ -222,18 +215,11 @@ class RespServer {
   RespParser::Limits parser_limits_;
   uint16_t port_ = 0;
   bool started_ = false;
-  bool txn_supported_ = false;
   uint64_t start_micros_ = 0;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> conn_count_{0};
-
-  // TTL bookkeeping for the active expiry cycle (worker 0 only, except the
-  // ttl_seen_ hint which any worker may set).
-  std::atomic<bool> ttl_seen_{false};
-  bool expire_probe_done_ = false;
-  std::atomic<uint64_t> expire_horizon_{0};  // read by INFO on any worker
 
   mutable Statistics net_stats_;
 };

@@ -353,6 +353,207 @@ TEST_F(DBTest, BlindDeleteFilterSkipsAbsentKeys) {
   EXPECT_GT(db_->stats().blind_deletes_avoided.load(), avoided);
 }
 
+// ---------------------------------------------------------------------------
+// Expiry at merge time (WriteBatch::PutExpiring).
+
+class ExpiryTest : public DBTest {
+ protected:
+  // The expiring key sorts below every filler key, so the one file whose
+  // smallest key is at or below it holds it.
+  static constexpr uint64_t kKey = 0;
+  static constexpr int kBottommost = -1;
+
+  Status PutExpiring(uint64_t key, const std::string& value,
+                     uint64_t deadline) {
+    clock_.AdvanceMicros(1);
+    WriteBatch batch;
+    batch.PutExpiring(EncodeKey(key), deadline, value);
+    return db_->Write(WriteOptions(), &batch);
+  }
+
+  /// A fresh database on a fresh Env.
+  void Recreate() {
+    db_.reset();
+    base_env_ = NewMemEnv();
+    env_ = std::make_unique<IoCountingEnv>(base_env_.get(), 1024);
+    options_.env = env_.get();
+    next_filler_ = 1;
+    Open();
+  }
+
+  /// Ascending puts of filler keys above kKey.
+  void Fill(uint64_t n) {
+    const std::string value(100, 'f');
+    for (uint64_t i = 0; i < n; i++) {
+      ASSERT_TRUE(Put(next_filler_++, value).ok());
+    }
+  }
+
+  /// The level of the file holding kKey, or -1.
+  int LevelOfKey() {
+    auto* impl = static_cast<DBImpl*>(db_.get());
+    const int levels = static_cast<int>(db_->GetLevelSnapshots().size());
+    for (int level = 0; level < levels; level++) {
+      for (const FileMeta& f : impl->TEST_LevelFiles(level)) {
+        if (Slice(f.smallest_key).compare(Slice(EncodeKey(kKey))) <= 0) {
+          return level;
+        }
+      }
+    }
+    return -1;
+  }
+
+  int DeepestLevel() {
+    int deepest = -1;
+    for (const LevelSnapshot& l : db_->GetLevelSnapshots()) {
+      if (l.num_files > 0) deepest = l.level - 1;  // rows count from 1
+    }
+    return deepest;
+  }
+
+  /// Writes kKey = "v" and pushes it down with filler: into the deepest of
+  /// at least three levels for kBottommost, else into `level` of a tree
+  /// already three levels deep.
+  void PlaceValueAt(int level) {
+    if (level != kBottommost) {
+      Fill(3000);
+      ASSERT_GE(DeepestLevel(), 2);
+    }
+    ASSERT_TRUE(Put(kKey, "v").ok());
+    auto placed = [&] {
+      return level == kBottommost
+                 ? LevelOfKey() >= 2 && LevelOfKey() == DeepestLevel()
+                 : LevelOfKey() == level;
+    };
+    for (int i = 0; i < 20000 && !placed(); i++) {
+      Fill(1);
+    }
+    ASSERT_TRUE(placed()) << "at " << LevelOfKey() << " of " << DeepestLevel();
+    if (level != kBottommost) {
+      ASSERT_GT(DeepestLevel(), level);
+    }
+  }
+
+  uint64_t next_filler_ = 1;
+};
+
+// An expired value becomes a tombstone at its own sequence, so the older
+// TTL-free version below it stays shadowed wherever that version sits: in
+// the same L0 run, at a middle level, or at the bottommost level. Dropping
+// the expired value outright would bring "v" back in the last two cases.
+TEST_F(ExpiryTest, ExpiredValueNeverResurrectsAnOlderOne) {
+  for (int level : {0, 1, kBottommost}) {
+    SCOPED_TRACE("v at level " + std::to_string(level));
+    Recreate();
+    PlaceValueAt(level);
+    if (HasFatalFailure()) return;
+    const uint64_t deadline = clock_.NowMicros() + 1000;
+    ASSERT_TRUE(PutExpiring(kKey, "v2", deadline).ok());
+    EXPECT_EQ(Get(kKey), "v2");  // reads do not filter by deadline
+    clock_.AdvanceMicros(2000);
+
+    // The flush past the deadline writes the tombstone into L0, counted as
+    // a delete inserted at the flush's clock.
+    ASSERT_TRUE(db_->Flush().ok());
+    EXPECT_EQ(Get(kKey), "NOT_FOUND");
+    EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 1u);
+    const std::vector<FileMeta> l0 =
+        static_cast<DBImpl*>(db_.get())->TEST_LevelFiles(0);
+    ASSERT_FALSE(l0.empty());
+    EXPECT_EQ(l0.front().num_point_tombstones, 1u);
+    EXPECT_EQ(l0.front().oldest_tombstone_time, clock_.NowMicros());
+
+    ASSERT_TRUE(db_->CompactUntilQuiescent().ok());
+    EXPECT_EQ(Get(kKey), "NOT_FOUND");
+    ASSERT_TRUE(db_->CompactAll().ok());
+    EXPECT_EQ(Get(kKey), "NOT_FOUND");
+    EXPECT_EQ(LevelOfKey(), -1);  // the bottommost merge dropped it all
+    ASSERT_TRUE(Reopen().ok());
+    EXPECT_EQ(Get(kKey), "NOT_FOUND");
+  }
+}
+
+// A snapshot taken before the deadline may read the expiring value after
+// it, and merges keep that version (never the older one) for it. A
+// snapshot taken after the deadline keeps nothing: once the early one is
+// released, the next merge expires the value under the late one too.
+TEST_F(ExpiryTest, SnapshotKeepsReadingTheExpiringValue) {
+  Recreate();
+  PlaceValueAt(1);
+  if (HasFatalFailure()) return;
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  ASSERT_TRUE(PutExpiring(kKey, "v2", deadline).ok());
+  const Snapshot* snap = db_->GetSnapshot();
+  clock_.AdvanceMicros(2000);
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  ReadOptions at_snap;
+  at_snap.snapshot = snap;
+  std::string value;
+  ASSERT_TRUE(db_->Get(at_snap, EncodeKey(kKey), &value).ok());
+  EXPECT_EQ(value, "v2");
+  EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 0u);
+
+  const Snapshot* late = db_->GetSnapshot();
+  db_->ReleaseSnapshot(snap);
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_EQ(Get(kKey), "NOT_FOUND");
+  at_snap.snapshot = late;
+  EXPECT_TRUE(db_->Get(at_snap, EncodeKey(kKey), &value).IsNotFound());
+  EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 1u);
+  db_->ReleaseSnapshot(late);
+}
+
+// Repair re-adopts tables and salvages WALs with the expiring kind intact:
+// both the flushed value and the logged one expire at the next merges.
+TEST_F(ExpiryTest, RepairKeepsTheExpiringKind) {
+  Recreate();
+  Fill(100);
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  ASSERT_TRUE(PutExpiring(kKey, "on-disk", deadline).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(PutExpiring(next_filler_, "logged", deadline).ok());
+  db_.reset();
+  ASSERT_TRUE(DB::Repair(options_, "testdb").ok());
+  Open();
+  EXPECT_EQ(Get(kKey), "on-disk");
+  EXPECT_EQ(Get(next_filler_), "logged");
+
+  clock_.AdvanceMicros(2000);
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_EQ(Get(kKey), "NOT_FOUND");
+  EXPECT_EQ(Get(next_filler_), "NOT_FOUND");
+  EXPECT_EQ(Get(1), std::string(100, 'f'));
+  EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 2u);
+}
+
+// Each shard's merges expire the values routed to it, and the WAL carries
+// the expiring kind through a reopen.
+TEST_F(ExpiryTest, ShardedDBExpiresAtMerge) {
+  options_.num_shards = 2;
+  Recreate();
+  Fill(3000);
+  ASSERT_TRUE(Put(kKey, "v").ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  ASSERT_TRUE(PutExpiring(kKey, "v2", deadline).ok());
+  ASSERT_TRUE(PutExpiring(kKey + 1, "w", deadline).ok());
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_EQ(Get(kKey), "v2");
+  clock_.AdvanceMicros(2000);
+
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(Get(kKey), "NOT_FOUND");
+  EXPECT_EQ(Get(kKey + 1), "NOT_FOUND");
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_EQ(Get(kKey), "NOT_FOUND");
+  EXPECT_EQ(Get(kKey + 1), "NOT_FOUND");
+  EXPECT_EQ(Get(2), std::string(100, 'f'));
+  EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 2u);
+}
+
 // The default TableOptions fill each page to its byte budget. A fixed
 // B = 4 stored 100-byte values at ~9x their size, one page per 4 entries.
 TEST(DefaultLayoutTest, TableBytesStayNearUserBytes) {
@@ -526,61 +727,10 @@ TEST_F(KiwiTest, SurvivesCompactionAfterSecondaryDelete) {
   EXPECT_TRUE(model_.CheckScan(db_.get(), 0, UINT64_MAX));
 }
 
-TEST_F(KiwiTest, SecondaryRangeLookupFindsLiveEntries) {
-  std::string value(100, 'x');
-  for (uint64_t k = 0; k < 500; k++) {
-    ASSERT_TRUE(Put(k, value + std::to_string(k), /*dk=*/k).ok());
-  }
-  ASSERT_TRUE(db_->Flush().ok());
-
-  std::vector<SecondaryHit> hits;
-  ASSERT_TRUE(
-      db_->SecondaryRangeLookup(ReadOptions(), 100, 150, &hits).ok());
-  ASSERT_EQ(hits.size(), 50u);
-  for (const SecondaryHit& hit : hits) {
-    EXPECT_GE(hit.delete_key, 100u);
-    EXPECT_LT(hit.delete_key, 150u);
-    EXPECT_EQ(hit.value, value + std::to_string(hit.delete_key));
-  }
-  // Sorted by sort key.
-  for (size_t i = 1; i < hits.size(); i++) {
-    EXPECT_LT(hits[i - 1].key, hits[i].key);
-  }
-}
-
-TEST_F(KiwiTest, SecondaryRangeLookupIgnoresSupersededVersions) {
-  std::string value(60, 'v');
-  ASSERT_TRUE(Put(1, value + "old", /*dk=*/10).ok());
-  ASSERT_TRUE(db_->Flush().ok());
-  // Update moves the entry's delete key out of [5, 15).
-  ASSERT_TRUE(Put(1, value + "new", /*dk=*/100).ok());
-
-  std::vector<SecondaryHit> hits;
-  ASSERT_TRUE(db_->SecondaryRangeLookup(ReadOptions(), 5, 15, &hits).ok());
-  EXPECT_TRUE(hits.empty());  // the live version's dk is 100
-
-  ASSERT_TRUE(db_->SecondaryRangeLookup(ReadOptions(), 50, 150, &hits).ok());
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].value, value + "new");
-
-  // Deleted keys never surface.
-  ASSERT_TRUE(Delete(1).ok());
-  ASSERT_TRUE(db_->SecondaryRangeLookup(ReadOptions(), 50, 150, &hits).ok());
-  EXPECT_TRUE(hits.empty());
-}
-
-TEST_F(KiwiTest, SecondaryRangeLookupSpansMemtableAndDisk) {
-  std::string value(60, 'v');
-  ASSERT_TRUE(Put(1, value, /*dk=*/11).ok());
-  ASSERT_TRUE(db_->Flush().ok());
-  ASSERT_TRUE(Put(2, value, /*dk=*/12).ok());  // stays in memtable
-
-  std::vector<SecondaryHit> hits;
-  ASSERT_TRUE(db_->SecondaryRangeLookup(ReadOptions(), 10, 20, &hits).ok());
-  EXPECT_EQ(hits.size(), 2u);
-}
-
-TEST_F(KiwiTest, SecondaryRangeLookupPrunesWithDeleteFences) {
+// The delete fences skip every page whose delete keys miss the range and
+// drop the covered pages unread, so a narrow secondary range delete reads
+// only the pages straddling its bounds.
+TEST_F(KiwiTest, SecondaryRangeDeletePrunesWithDeleteFences) {
   LoadSequentialDeleteKeys(4000);
   ASSERT_TRUE(db_->CompactUntilQuiescent().ok());
   {  // warm the table cache
@@ -589,15 +739,14 @@ TEST_F(KiwiTest, SecondaryRangeLookupPrunesWithDeleteFences) {
     }
   }
 
-  uint64_t reads_before = env_->stats().pages_read.load();
-  std::vector<SecondaryHit> hits;
-  ASSERT_TRUE(
-      db_->SecondaryRangeLookup(ReadOptions(), 1000, 1100, &hits).ok());
-  uint64_t reads = env_->stats().pages_read.load() - reads_before;
-  EXPECT_EQ(hits.size(), 100u);
-  // A full scan would read ~all pages of the tree (~4000/8 = 500 pages);
-  // fence pruning plus verification must stay well below that.
-  EXPECT_LT(reads, 250u);
+  const uint64_t reads_before = env_->stats().pages_read.load();
+  SecondaryRangeDelete(1000, 1100);
+  const uint64_t reads = env_->stats().pages_read.load() - reads_before;
+  EXPECT_EQ(db_->stats().entries_purged_by_srd.load(), 100u);
+  // At most the two pages holding the range's bounds; a delete that read
+  // every page would read ~all of the tree's ~500.
+  EXPECT_LE(reads, 2u) << reads << " pages read";
+  EXPECT_TRUE(model_.CheckScan(db_.get(), 0, UINT64_MAX));
 }
 
 // ---------------------------------------------------------------------------
@@ -1925,41 +2074,6 @@ TEST_F(DBTest, GroupCommitMergesConcurrentWriters) {
       EXPECT_EQ(Get(key), "w" + std::to_string(key));
     }
   }
-}
-
-// A secondary range lookup verifies its candidates on the snapshot it gathered
-// them from, so it answers for one state of the database. The writer flips
-// two keys between {Put a, Put b} and {Delete a, Delete b}, one batch each,
-// and keeps flushing and compacting as it goes; every lookup must return both
-// keys or neither.
-TEST_F(DBTest, SecondaryRangeLookupAnswersAtOnePointInTime) {
-  options_.inline_compactions = false;
-  Open();
-  constexpr int kFlips = 20000;
-  std::atomic<bool> done{false};
-  std::thread writer([&] {
-    WriteBatch put;
-    put.Put(EncodeKey(1), 5, "a");
-    put.Put(EncodeKey(2), 5, "b");
-    WriteBatch del;
-    del.Delete(EncodeKey(1));
-    del.Delete(EncodeKey(2));
-    for (int flip = 0; flip < kFlips; flip++) {
-      EXPECT_TRUE(db_->Write(WriteOptions(), flip % 2 == 0 ? &put : &del).ok());
-    }
-    done.store(true);
-  });
-  int lookups = 0;
-  int split = 0;
-  std::vector<SecondaryHit> hits;
-  while (!done.load()) {
-    const Status s = db_->SecondaryRangeLookup(ReadOptions(), 0, 10, &hits);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    lookups++;
-    split += hits.size() == 1 ? 1 : 0;
-  }
-  writer.join();
-  EXPECT_EQ(split, 0) << "of " << lookups << " lookups";
 }
 
 // ---- background flush/compaction worker ------------------------------------

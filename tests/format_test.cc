@@ -188,10 +188,13 @@ TEST(PageTest, EntryViewMatchesSequentialDecode) {
       const size_t value_len =
           rnd.Uniform(5) == 0 ? 0 : rnd.Uniform(8) == 0 ? 200 : rnd.Uniform(40);
       values.push_back(std::string(value_len, static_cast<char>('a' + i % 26)));
+      const uint32_t kind = rnd.Uniform(6);
       candidates.push_back(MakeEntry(
           keys.back(), rnd.Next() >> rnd.Uniform(64),
           1 + (kMaxSequenceNumber >> rnd.Uniform(57)), values.back(),
-          rnd.Uniform(6) == 0 ? ValueType::kTombstone : ValueType::kValue));
+          kind == 0   ? ValueType::kTombstone
+          : kind == 1 ? ValueType::kExpiringValue
+                      : ValueType::kValue));
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const ParsedEntry& a, const ParsedEntry& b) {
@@ -358,7 +361,8 @@ TEST(PageTest, SeededMutationsStayInsideThePage) {
       ASSERT_TRUE(inside(view.encoded(i))) << "trial " << trial << " " << i;
       ASSERT_EQ(view.key(i), entry.user_key) << "trial " << trial;
       ASSERT_TRUE(entry.type == ValueType::kValue ||
-                  entry.type == ValueType::kTombstone);
+                  entry.type == ValueType::kTombstone ||
+                  entry.type == ValueType::kExpiringValue);
       ASSERT_LE(view.LowerBound(entry.user_key), view.size());
     }
   }

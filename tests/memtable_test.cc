@@ -624,7 +624,7 @@ TEST(WalTest, GroupRoundTrip) {
   WalGroup group;
   group.first_seq = 0x123456789aull;  // a multi-byte varint64
   group.time = 1001;
-  group.ops.resize(5);
+  group.ops.resize(6);
   group.ops[0].kind = WalOp::Kind::kPut;
   group.ops[0].key = long_key;
   group.ops[0].delete_key = 0x0102030405060708ull;
@@ -641,6 +641,10 @@ TEST(WalTest, GroupRoundTrip) {
   group.ops[4].kind = WalOp::Kind::kSecondaryRangeDelete;
   group.ops[4].delete_key = 100;
   group.ops[4].delete_key_end = UINT64_MAX;
+  group.ops[5].kind = WalOp::Kind::kPutExpiring;
+  group.ops[5].key = "ttl";
+  group.ops[5].delete_key = 1ull << 40;  // a deadline
+  group.ops[5].value = "expiring";
   auto env = NewMemEnv();
   WriteWal(env.get(), "group", {group});
 

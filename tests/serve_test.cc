@@ -1,9 +1,9 @@
 // Loopback integration tests for the RESP serving layer: a real RespServer
 // on an ephemeral port, driven over TCP. Covers the command surface against
 // a shadow model, pipelining + write coalescing, per-connection ordering
-// (read-your-writes), TTL lazy/active expiry on a logical clock, overload
-// handling (admission control, slow clients, oversized requests), protocol
-// errors, graceful shutdown, and serving a ShardedDB.
+// (read-your-writes), TTL lazy expiry and expiry at merge time on a logical
+// clock, overload handling (admission control, slow clients, oversized
+// requests), protocol errors, graceful shutdown, and serving a ShardedDB.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -207,9 +207,6 @@ class ServeTest : public ::testing::Test {
     ASSERT_TRUE(DB::Open(options_, "servedb", &db_).ok());
     server_options.port = 0;  // ephemeral
     server_options.clock = &clock_;
-    if (server_options.active_expire_interval_ms == 100) {
-      server_options.active_expire_interval_ms = 10;  // fast cycles in tests
-    }
     server_ = std::make_unique<RespServer>(db_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
@@ -332,9 +329,7 @@ TEST_F(ServeTest, PipelinedRepliesStayInCommandOrder) {
 // connection's staged, uncommitted writes: the overlay branch of each point
 // command, including the read halves of EXPIRE and PERSIST.
 TEST_F(ServeTest, PipelinedPointCommandsReadTheOverlay) {
-  ServerOptions so;
-  so.active_expire_interval_ms = 0;
-  StartServer(so);
+  StartServer();
   TestClient c;
   ASSERT_TRUE(c.Connect(server_->port()));
 
@@ -460,11 +455,7 @@ TEST_F(ServeTest, ScanMatchAndCount) {
 }
 
 TEST_F(ServeTest, TtlLifecycleOnLogicalClock) {
-  // Active expiry off: this test pins down the lazy-filtering semantics,
-  // which would otherwise race the background expire cycle.
-  ServerOptions so;
-  so.active_expire_interval_ms = 0;
-  StartServer(so);
+  StartServer();
   TestClient c;
   ASSERT_TRUE(c.Connect(server_->port()));
 
@@ -498,8 +489,9 @@ TEST_F(ServeTest, TtlLifecycleOnLogicalClock) {
   EXPECT_EQ(c.Cmd({"GET", "forever"}), "rock");
   EXPECT_GE(server_->net_stats().net_expired_lazy.load(), 3u);
 
-  // With active expiry off, the expired entries are still physically
-  // present in the engine — only the serving layer filters them.
+  // No merge has run since the deadlines passed, so the expired entries are
+  // still physically present in the engine — only the serving layer
+  // filters them.
   std::string value;
   uint64_t dk = 0;
   EXPECT_TRUE(
@@ -511,8 +503,8 @@ TEST_F(ServeTest, TtlLifecycleOnLogicalClock) {
   EXPECT_EQ(c.Cmd({"GET", "doomed"}), "(nil)");
 }
 
-TEST_F(ServeTest, ActiveExpiryPhysicallyDeletes) {
-  StartServer();  // 10ms expire cycles
+TEST_F(ServeTest, MergesPhysicallyDeleteExpiredKeys) {
+  StartServer();
   TestClient c;
   ASSERT_TRUE(c.Connect(server_->port()));
   ASSERT_EQ(c.Cmd({"SET", "session", "alive", "EX", "10"}), "OK");
@@ -520,24 +512,20 @@ TEST_F(ServeTest, ActiveExpiryPhysicallyDeletes) {
   ASSERT_EQ(c.Cmd({"SET", "forever", "rock"}), "OK");
   clock_.AdvanceMicros(200ull * 1000 * 1000);
 
-  // The expire cycle physically removes the expired keys (observe through
-  // the engine directly, bypassing the server's lazy filter). The cycle
-  // counts its deletes after they commit, so wait for the count too.
+  // The first merges past the deadlines remove the expired keys (observe
+  // through the engine directly, bypassing the server's lazy filter).
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
   std::string value;
   uint64_t dk = 0;
-  bool purged = false;
-  for (int i = 0; i < 500 && !purged; i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    clock_.AdvanceMicros(1000 * 1000);  // keep cycles eligible
-    purged = db_->GetWithDeleteKey(ReadOptions(), "session", &value, &dk)
-                 .IsNotFound() &&
-             db_->GetWithDeleteKey(ReadOptions(), "fast", &value, &dk)
-                 .IsNotFound() &&
-             server_->net_stats().net_keys_expired_active.load() >= 2;
-  }
-  EXPECT_TRUE(purged);
-  EXPECT_GE(server_->net_stats().net_keys_expired_active.load(), 2u);
-  // The persistent key survives active expiry.
+  EXPECT_TRUE(db_->GetWithDeleteKey(ReadOptions(), "session", &value, &dk)
+                  .IsNotFound());
+  EXPECT_TRUE(
+      db_->GetWithDeleteKey(ReadOptions(), "fast", &value, &dk).IsNotFound());
+  EXPECT_EQ(server_->StatsSnapshot().net_keys_expired_active.load(), 2u);
+  EXPECT_NE(c.Cmd({"INFO", "stats"}).find("expired_active:2"),
+            std::string::npos);
+  // The persistent key survives.
   EXPECT_TRUE(
       db_->GetWithDeleteKey(ReadOptions(), "forever", &value, &dk).ok());
   EXPECT_EQ(c.Cmd({"GET", "forever"}), "rock");
@@ -688,19 +676,24 @@ TEST_F(ServeTest, CommitFailureKeepsReplyOrder) {
   policy.path_substring = ".wal";
   faulty.InjectFaults(policy);
 
-  // One burst = one event-loop turn: SET, interleaved GET, SET. The turn
-  // batch hits the injected fault at commit.
+  // One burst = one event-loop turn: SET, interleaved GET and TTL, SET.
+  // The turn batch hits the injected fault at commit. Each read leaves
+  // exactly one reply, so the rebuild emits four and nothing after them.
   std::string burst;
   burst += EncodeCommand({"SET", "k1", "x"});
   burst += EncodeCommand({"GET", "stable"});
+  burst += EncodeCommand({"TTL", "stable"});
   burst += EncodeCommand({"SET", "k2", "y"});
   ASSERT_TRUE(c.SendRaw(burst));
   std::string r1 = c.ReadReply();
   std::string r2 = c.ReadReply();
   std::string r3 = c.ReadReply();
+  std::string r4 = c.ReadReply();
   EXPECT_TRUE(r1.find("(error) ERR write failed") == 0) << r1;
   EXPECT_EQ(r2, "v0");
-  EXPECT_TRUE(r3.find("(error) ERR write failed") == 0) << r3;
+  EXPECT_EQ(r3, "-1");
+  EXPECT_TRUE(r4.find("(error) ERR write failed") == 0) << r4;
+  EXPECT_EQ(c.Cmd({"PING"}), "PONG");
   faulty.ClearFaults();
 
   // The failed writes were never applied.
@@ -728,9 +721,7 @@ TEST_F(ServeTest, CommitFailureKeepsReplyOrder) {
 TEST_F(ServeTest, EngineReadErrorsAreNotMissingKeys) {
   IoCountingEnv faulty(env_.get());
   options_.env = &faulty;
-  ServerOptions so;
-  so.active_expire_interval_ms = 0;
-  StartServer(so);
+  StartServer();
   TestClient c;
   ASSERT_TRUE(c.Connect(server_->port()));
   ASSERT_EQ(c.Cmd({"SET", "k", "v", "EX", "100"}), "OK");
@@ -817,25 +808,26 @@ TEST_F(ServeTest, ServesShardedDB) {
             "[v1|v50|v99|(nil)]");
   EXPECT_EQ(c.Cmd({"DBSIZE"}), "100");
 
-  // Active expiry works through the non-transactional fallback path.
+  // Every shard's merges expire its keys.
   clock_.AdvanceMicros(100ull * 1000 * 1000);
   EXPECT_EQ(c.Cmd({"GET", "key3"}), "(nil)");
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
   std::string value;
   uint64_t dk = 0;
-  bool purged = false;
-  for (int i = 0; i < 500 && !purged; i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    clock_.AdvanceMicros(1000 * 1000);
-    purged = db_->GetWithDeleteKey(ReadOptions(), "key3", &value, &dk)
-                 .IsNotFound();
+  for (int i = 0; i < 100; i++) {
+    EXPECT_TRUE(db_->GetWithDeleteKey(ReadOptions(), "key" + std::to_string(i),
+                                      &value, &dk)
+                    .IsNotFound())
+        << i;
   }
-  EXPECT_TRUE(purged);
 
   // LETHE.PURGE: secondary range delete over the wire removes everything
-  // with a delete key in range (here: every remaining TTL'd entry).
+  // with a delete key in range (here: the one live TTL'd entry).
   EXPECT_EQ(c.Cmd({"SET", "keep", "me"}), "OK");  // delete key 0: not purged
+  EXPECT_EQ(c.Cmd({"SET", "later", "x", "EX", "1000"}), "OK");
   EXPECT_EQ(c.Cmd({"LETHE.PURGE", "1", "99999999999999999"}), "OK");
-  EXPECT_EQ(c.Cmd({"GET", "key99"}), "(nil)");
+  EXPECT_EQ(c.Cmd({"GET", "later"}), "(nil)");
   EXPECT_EQ(c.Cmd({"GET", "keep"}), "me");
   EXPECT_EQ(c.Cmd({"LETHE.PURGE", "5", "2"}),
             "(error) ERR invalid delete-key range");

@@ -19,7 +19,6 @@
 //   --no-wal                  disable the write-ahead log
 //   --sync-writes             fsync every coalesced batch (group commit
 //                             still amortizes the sync across clients)
-//   --no-active-expire        lazy TTL filtering only
 //
 // SIGINT/SIGTERM (or the SHUTDOWN command) triggers a graceful drain:
 // stop accepting, commit staged batches, flush reply buffers, release
@@ -86,8 +85,6 @@ int main(int argc, char** argv) {
       options.enable_wal = false;
     } else if (strcmp(argv[i], "--sync-writes") == 0) {
       server_options.sync_writes = true;
-    } else if (strcmp(argv[i], "--no-active-expire") == 0) {
-      server_options.active_expire_interval_ms = 0;
     } else {
       fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
