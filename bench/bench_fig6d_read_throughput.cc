@@ -25,11 +25,11 @@ struct Row {
 };
 
 Row RunOne(double delete_fraction, double dth_fraction,
-           uint64_t page_cache_bytes, bool cached_filters) {
+           uint64_t page_cache_bytes) {
   uint64_t duration = kOps * kMicrosPerOp;
   auto bed = MakeBed(static_cast<uint64_t>(duration * dth_fraction),
                      /*pages_per_tile=*/1, /*size_ratio=*/10,
-                     page_cache_bytes, cached_filters);
+                     page_cache_bytes);
   workload::Spec spec = WriteWorkload(kOps, delete_fraction);
   RunWorkload(bed.get(), spec, kMicrosPerOp);
   CheckOk(bed->db->Flush(), "flush");
@@ -79,27 +79,20 @@ Row RunOne(double delete_fraction, double dth_fraction,
 void Run() {
   printf("# Figure 6 (D): read throughput vs delete fraction\n");
   printf("# (+cache rows enable the 64 MB decoded-page cache; the\n");
-  printf("# +cached-filters row additionally moves Bloom/fence blocks\n");
-  printf("# behind the same unified 64 MB budget instead of pinning them\n");
-  printf("# per reader; the paper's I/O-count columns stay on the\n");
-  printf("# cache-disabled configs)\n");
+  printf("# paper's I/O-count columns stay on the cache-disabled configs)\n");
   printf("deletes_pct,config,lookups_per_sec,pages_per_lookup,hit_rate\n");
   const double kDeleteFractions[] = {0.0, 0.02, 0.04, 0.06, 0.08, 0.10};
   struct Config {
     const char* name;
     double dth_fraction;
     uint64_t page_cache_bytes;
-    bool cached_filters;
   };
-  const Config kConfigs[] = {
-      {"RocksDB", 0.0, 0, false},
-      {"Lethe/25%", 0.25, 0, false},
-      {"Lethe/25%+cache", 0.25, 64ull << 20, false},
-      {"Lethe/25%+cached-filters", 0.25, 64ull << 20, true}};
+  const Config kConfigs[] = {{"RocksDB", 0.0, 0},
+                             {"Lethe/25%", 0.25, 0},
+                             {"Lethe/25%+cache", 0.25, 64ull << 20}};
   for (double d : kDeleteFractions) {
     for (const Config& config : kConfigs) {
-      Row row = RunOne(d, config.dth_fraction, config.page_cache_bytes,
-                       config.cached_filters);
+      Row row = RunOne(d, config.dth_fraction, config.page_cache_bytes);
       printf("%.0f,%s,%.0f,%.3f,%.3f\n", d * 100, config.name,
              row.ops_per_sec, row.pages_per_lookup, row.cache_hit_rate);
     }

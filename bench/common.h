@@ -39,14 +39,10 @@ struct TestBed {
 /// `pages_per_tile` > 1 enables KiWi. `page_cache_bytes` = 0 (the default
 /// for every I/O-counting bench) keeps Env page counts faithful to the
 /// paper's cost model; wall-clock benches opt into the decoded-page cache.
-/// `cached_filters` moves Bloom filter and fence blocks behind the same
-/// budget (Options::cache_index_and_filter_blocks + memory_budget_bytes =
-/// page_cache_bytes), so one number bounds pages + metadata + write buffers.
 inline std::unique_ptr<TestBed> MakeBed(uint64_t dth_micros,
                                         uint32_t pages_per_tile = 1,
                                         uint32_t size_ratio = 10,
-                                        uint64_t page_cache_bytes = 0,
-                                        bool cached_filters = false) {
+                                        uint64_t page_cache_bytes = 0) {
   auto bed = std::make_unique<TestBed>();
   bed->base_env = NewMemEnv();
   bed->env = std::make_unique<IoCountingEnv>(bed->base_env.get(), 4096);
@@ -62,10 +58,6 @@ inline std::unique_ptr<TestBed> MakeBed(uint64_t dth_micros,
   bed->options.table.pages_per_tile = pages_per_tile;
   bed->options.table.bloom_bits_per_key = 10;
   bed->options.page_cache_bytes = page_cache_bytes;
-  if (cached_filters) {
-    bed->options.memory_budget_bytes = page_cache_bytes;
-    bed->options.cache_index_and_filter_blocks = true;
-  }
   bed->options.enable_wal = false;  // paper setup: WAL disabled
   // Barrier mode: every write waits for the flushes and compactions it
   // triggers, so merges take priority over writes exactly as the paper's

@@ -38,15 +38,6 @@ Status Options::Validate() const {
   if (table.page_size_bytes < 64) {
     return Status::InvalidArgument("page_size_bytes too small");
   }
-  if (cache_index_and_filter_blocks && memory_budget_bytes == 0 &&
-      page_cache_bytes == 0) {
-    // Without a cache every metadata access would re-read and re-parse the
-    // table's whole index region from disk — a silent throughput collapse,
-    // better surfaced as a config error.
-    return Status::InvalidArgument(
-        "cache_index_and_filter_blocks requires a cache budget "
-        "(memory_budget_bytes or page_cache_bytes)");
-  }
   if (max_imm_memtables < 1) {
     return Status::InvalidArgument("max_imm_memtables must be >= 1");
   }

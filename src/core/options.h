@@ -109,35 +109,16 @@ struct Options {
   /// resident-bytes gauge are exported via Statistics (page_cache_*).
   uint64_t page_cache_bytes = 0;
 
-  /// Unified memory budget (bytes) spanning every accounted consumer of
-  /// engine memory: decoded data pages, Bloom filter blocks, fence/index
-  /// blocks, and the write buffers (memtable + immutable memtables, staked
-  /// against the budget through a cache reservation). When set (> 0) it
-  /// supersedes page_cache_bytes as the block cache's capacity, and the
-  /// write path keeps the reservation current as memtables grow, freeze,
-  /// and flush — so this one number bounds the engine's resident data
-  /// memory. 0 (the default) disables unified accounting: the page cache
-  /// (if any) is sized by page_cache_bytes alone and write buffers are
-  /// unaccounted, exactly the pre-budget behavior.
+  /// Unified memory budget (bytes) split between the decoded data pages
+  /// and the write buffers (memtable + immutable memtables, staked against
+  /// the budget through a cache reservation). When set (> 0) it supersedes
+  /// page_cache_bytes as the page cache's capacity, and the write path
+  /// keeps the reservation current as memtables grow, freeze, and flush.
+  /// Table metadata (fences, Bloom filters, range tombstones) stays pinned
+  /// per open reader and is not charged. 0 (the default) disables unified
+  /// accounting: the page cache (if any) is sized by page_cache_bytes alone
+  /// and write buffers are unaccounted, exactly the pre-budget behavior.
   uint64_t memory_budget_bytes = 0;
-
-  /// Load SSTable metadata — the fence/index block and each delete tile's
-  /// Bloom filter block — lazily through the shared block cache (admitted
-  /// at high priority, so data pages cannot thrash them out) instead of
-  /// pinning it per open reader for the reader's lifetime.
-  ///
-  /// false (the default) preserves the pinned behavior and its exact open
-  /// I/O pattern: one footer read plus one contiguous metadata read per
-  /// table open, with filters resident for the reader's lifetime — the
-  /// paper's memory-resident-filter assumption, and what the Fig 6 benches
-  /// measure. true bounds metadata memory by the cache budget: filters and
-  /// fences load on first touch, age out under pressure, and re-load on
-  /// the next touch (the lookup path pays an extra metadata read when
-  /// probed after eviction). Production trees whose filters outgrow memory
-  /// should enable this together with memory_budget_bytes; Validate
-  /// rejects the flag without some cache budget (metadata would otherwise
-  /// be re-read from disk on every access).
-  bool cache_index_and_filter_blocks = false;
 
   /// Flushes, compactions, and KiWi secondary-delete execution always run
   /// on the background scheduler (see BackgroundScheduler); writes only

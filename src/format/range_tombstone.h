@@ -79,7 +79,7 @@ class RangeTombstoneSet {
 /// many tombstones pile up on a key, where the naive set degrades to a
 /// linear walk. Every engine cover probe goes through this structure.
 /// Immutable once built, so one instance can be shared lock-free across
-/// readers (per-table copies are cached in the block cache, the memtable
+/// readers (each open table reader memoizes its table's, the memtable
 /// builds one per sealed chunk, iterators and merges one per use).
 ///
 /// All three queries are answer-identical to RangeTombstoneSet's — the
@@ -115,7 +115,7 @@ class FragmentedRangeTombstoneList {
   SequenceNumber MinCoverSeqAbove(const Slice& user_key,
                                   SequenceNumber seq) const;
 
-  /// Charge against the block-cache budget when cached per table.
+  /// Charge of a sealed memtable chunk against the memory budget.
   size_t ApproximateMemoryUsage() const;
 
  private:

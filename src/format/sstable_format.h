@@ -10,16 +10,13 @@ namespace lethe {
 // File layout:
 //   [data pages][filter section][rt block][index block][props block][footer]
 //
-// The filter section holds one *filter block per delete tile* — the
-// concatenated per-page Bloom filters of that tile's pages, in page order —
-// so a tile's filters form one contiguous, independently addressable unit
-// that can be loaded (and evicted) through the block cache without touching
-// the rest of the metadata. The index block's per-page records carry each
-// filter's length; offsets are prefix sums on the read side, so moving the
-// filter bytes out of the index costs zero extra file bytes. Pinned readers
-// fetch [filter section .. props block] in a single contiguous read,
-// preserving the one-metadata-read open (and the exact file sizes) of the
-// inline-filter format.
+// The filter section holds every page's Bloom filter, concatenated in page
+// order (so each delete tile's filters are contiguous). The index block's
+// per-page records carry each filter's length; offsets are prefix sums on
+// the read side, so moving the filter bytes out of the index costs zero
+// extra file bytes. Readers fetch [filter section .. props block] in a
+// single contiguous read, preserving the one-metadata-read open (and the
+// exact file sizes) of the inline-filter format.
 //
 // Footer layout (fixed kFooterSize bytes at the very end of the file):
 //   fixed64 index_offset  | fixed32 index_len

@@ -13,10 +13,9 @@ Status SSTableReader::Open(const TableOptions& options,
                            std::unique_ptr<RandomAccessFile> file,
                            uint64_t file_size,
                            std::unique_ptr<SSTableReader>* reader,
-                           uint64_t file_number, PageCache* page_cache,
-                           bool cache_metadata) {
-  std::unique_ptr<SSTableReader> table(new SSTableReader(
-      options, std::move(file), file_number, page_cache, cache_metadata));
+                           uint64_t file_number, PageCache* page_cache) {
+  std::unique_ptr<SSTableReader> table(
+      new SSTableReader(options, std::move(file), file_number, page_cache));
   LETHE_RETURN_IF_ERROR(table->Init(file_size));
   *reader = std::move(table);
   return Status::OK();
@@ -66,63 +65,46 @@ Status SSTableReader::Init(uint64_t file_size) {
     return Status::Corruption("table metadata geometry mismatch");
   }
   filter_len_ = static_cast<uint32_t>(rt_offset_ - filter_offset_);
-
-  if (cache_metadata_) {
-    // Lazy mode: metadata loads through the block cache on first touch.
-    return Status::OK();
-  }
-  return LoadIndex(/*include_filters=*/true, &pinned_index_);
+  return LoadIndex();
 }
 
-Status SSTableReader::LoadIndex(bool include_filters,
-                                TableIndexHandle* out) const {
-  // The load covers the whole crc'd region, filters included; a lazy load
-  // then keeps only the [rt..props] tail resident (plus per-tile filter
-  // digests for its own later block loads).
+Status SSTableReader::LoadIndex() {
+  // One read covers the whole crc'd region; the buffer keeps all of it
+  // resident, and every parsed slice aliases it.
   const uint64_t region_len = props_offset_ + props_len_ - filter_offset_;
-
-  auto index = std::make_shared<TableIndex>();
-  std::string scratch;  // verified full region for a non-pinning load
-  std::string& region_buffer = include_filters ? index->buffer : scratch;
-  region_buffer.resize(region_len);
+  index_.buffer.resize(region_len);
   Slice region;
   LETHE_RETURN_IF_ERROR(
-      file_->Read(filter_offset_, region_len, &region, region_buffer.data()));
+      file_->Read(filter_offset_, region_len, &region, index_.buffer.data()));
   if (region.size() != region_len) {
     return Status::Corruption("short metadata read");
   }
-  if (region.data() != region_buffer.data()) {
-    memcpy(region_buffer.data(), region.data(), region_len);
+  if (region.data() != index_.buffer.data()) {
+    memcpy(index_.buffer.data(), region.data(), region_len);
   }
   if (crc32c::Unmask(meta_crc_) !=
-      crc32c::Value(region_buffer.data(), region_len)) {
+      crc32c::Value(index_.buffer.data(), region_len)) {
     return Status::Corruption("table metadata checksum mismatch");
   }
-  if (!include_filters) {
-    // Keep only the tail; the filter bytes served their checksum purpose.
-    index->buffer.assign(scratch, filter_len_, std::string::npos);
-  }
-  const uint64_t buffer_begin = include_filters ? filter_offset_ : rt_offset_;
 
-  const char* rt_begin =
-      index->buffer.data() + (rt_offset_ - buffer_begin);
+  const char* filter_section = index_.buffer.data();
+  const char* rt_begin = filter_section + filter_len_;
   Slice rt_block(rt_begin, rt_len_);
   Slice index_block(rt_begin + rt_len_, index_len_);
   // The props block duplicates builder-side counters already carried by
   // FileMeta; it is retained on disk for tooling but not re-parsed here.
 
   LETHE_RETURN_IF_ERROR(
-      DecodeRangeTombstones(rt_block, &index->range_tombstones));
+      DecodeRangeTombstones(rt_block, &index_.range_tombstones));
 
-  uint32_t num_pages, num_tiles, multi_version;
+  uint32_t num_pages, pages_per_tile, num_tiles, multi_version;
   if (!GetVarint32(&index_block, &num_pages) ||
-      !GetVarint32(&index_block, &index->pages_per_tile) ||
-      index->pages_per_tile == 0 ||
+      !GetVarint32(&index_block, &pages_per_tile) || pages_per_tile == 0 ||
       !GetVarint32(&index_block, &multi_version) || multi_version > 1 ||
       !GetVarint32(&index_block, &num_tiles)) {
     return Status::Corruption("bad index header");
   }
-  index->multi_version = multi_version != 0;
+  index_.multi_version = multi_version != 0;
   if (static_cast<uint64_t>(num_pages) * options_.page_size_bytes !=
       filter_offset_) {
     return Status::Corruption("table data geometry mismatch");
@@ -139,29 +121,41 @@ Status SSTableReader::LoadIndex(bool include_filters,
     return Status::Corruption("tile page counts do not cover the file");
   }
 
-  index->pages.reserve(num_pages);
+  // The filter section is every page's filter, in page order; each page's
+  // bloom slice falls out of the per-page lengths as a prefix sum. The
+  // 64-bit running sum is capped against the section length at every step:
+  // corrupt per-page lengths must surface as Corruption, never as a wrapped
+  // prefix sum that drives an out-of-bounds bloom slice.
+  index_.pages.reserve(num_pages);
+  uint64_t filter_end = 0;
   for (uint32_t i = 0; i < num_pages; i++) {
     PageInfo page;
     Slice min_key, max_key;
+    uint32_t filter_len = 0;
     if (!GetLengthPrefixedSlice(&index_block, &min_key) ||
         !GetLengthPrefixedSlice(&index_block, &max_key) ||
         !GetFixed64(&index_block, &page.min_delete_key) ||
         !GetFixed64(&index_block, &page.max_delete_key) ||
         !GetVarint32(&index_block, &page.num_entries) ||
         !GetVarint32(&index_block, &page.num_tombstones) ||
-        !GetVarint32(&index_block, &page.filter_len)) {
+        !GetVarint32(&index_block, &filter_len)) {
       return Status::Corruption("bad index record");
     }
     page.min_sort_key = min_key;
     page.max_sort_key = max_key;
-    index->pages.push_back(page);
+    if (filter_end + filter_len > filter_len_) {
+      return Status::Corruption("filter lengths exceed the filter section");
+    }
+    page.bloom = Slice(filter_section + filter_end, filter_len);
+    filter_end += filter_len;
+    index_.pages.push_back(page);
+  }
+  if (filter_end != filter_len_) {
+    return Status::Corruption("page filters do not tile the filter section");
   }
 
-  // Materialize tiles from the explicit per-tile page counts. A tile's
-  // filter block is the contiguous run of its pages' filters, so its
-  // geometry falls out of the per-page lengths as prefix sums.
+  // Materialize tiles from the explicit per-tile page counts.
   uint32_t first = 0;
-  uint64_t tile_filter_offset = filter_offset_;
   for (uint32_t t = 0; t < num_tiles; t++) {
     if (tile_page_counts[t] == 0) {
       continue;
@@ -170,182 +164,35 @@ Status SSTableReader::LoadIndex(bool include_filters,
     tile.first_page = first;
     tile.page_count = tile_page_counts[t];
     first += tile.page_count;
-    tile.filter_offset = tile_filter_offset;
-    // 64-bit running sum, capped against the section length at every step:
-    // corrupt per-page lengths must surface as Corruption, never as a
-    // wrapped prefix sum that later drives an out-of-bounds bloom slice.
-    uint64_t in_tile_offset = 0;
-    for (uint32_t p = tile.first_page;
-         p < tile.first_page + tile.page_count; p++) {
-      index->pages[p].filter_offset = static_cast<uint32_t>(in_tile_offset);
-      in_tile_offset += index->pages[p].filter_len;
-      if (in_tile_offset > filter_len_) {
-        return Status::Corruption("filter lengths exceed the filter section");
-      }
-    }
-    tile.filter_len = static_cast<uint32_t>(in_tile_offset);
-    tile_filter_offset += tile.filter_len;
-    tile.min_sort_key = index->pages[tile.first_page].min_sort_key;
-    tile.max_sort_key = index->pages[tile.first_page].max_sort_key;
+    tile.min_sort_key = index_.pages[tile.first_page].min_sort_key;
+    tile.max_sort_key = index_.pages[tile.first_page].max_sort_key;
     for (uint32_t p = tile.first_page + 1;
          p < tile.first_page + tile.page_count; p++) {
-      if (index->pages[p].min_sort_key.compare(tile.min_sort_key) < 0) {
-        tile.min_sort_key = index->pages[p].min_sort_key;
+      if (index_.pages[p].min_sort_key.compare(tile.min_sort_key) < 0) {
+        tile.min_sort_key = index_.pages[p].min_sort_key;
       }
-      if (index->pages[p].max_sort_key.compare(tile.max_sort_key) > 0) {
-        tile.max_sort_key = index->pages[p].max_sort_key;
-      }
-    }
-    index->tiles.push_back(tile);
-  }
-  if (tile_filter_offset != rt_offset_) {
-    return Status::Corruption("page filters do not tile the filter section");
-  }
-
-  if (include_filters) {
-    // The filter section sits at the head of the buffer; resolve every
-    // page's bloom slice into it.
-    for (const TileInfo& tile : index->tiles) {
-      const char* block =
-          index->buffer.data() + (tile.filter_offset - filter_offset_);
-      for (uint32_t p = tile.first_page;
-           p < tile.first_page + tile.page_count; p++) {
-        PageInfo& page = index->pages[p];
-        page.bloom = Slice(block + page.filter_offset, page.filter_len);
+      if (index_.pages[p].max_sort_key.compare(tile.max_sort_key) > 0) {
+        tile.max_sort_key = index_.pages[p].max_sort_key;
       }
     }
-  } else {
-    // Lazy load: the filter bytes in `scratch` were covered by the region
-    // crc above. Derive one digest per tile so a later per-tile filter load
-    // can verify exactly the block it fetched against a trusted value — no
-    // on-disk per-tile crc needed.
-    for (TileInfo& tile : index->tiles) {
-      tile.filter_crc = crc32c::Value(
-          scratch.data() + (tile.filter_offset - filter_offset_),
-          tile.filter_len);
-    }
-  }
-
-  *out = std::move(index);
-  return Status::OK();
-}
-
-const TableIndex* SSTableReader::pinned_index() const {
-  assert(pinned_index_ != nullptr &&
-         "metadata accessors require a pinned reader "
-         "(cache_index_and_filter_blocks = false)");
-  return pinned_index_.get();
-}
-
-bool SSTableReader::PeekIndex(TableIndexHandle* index) const {
-  if (!cache_metadata_) {
-    *index = pinned_index_;
-    return true;
-  }
-  return page_cache_ != nullptr &&
-         page_cache_->LookupIndex(file_number_, index);
-}
-
-Status SSTableReader::GetIndex(TableIndexHandle* index) const {
-  if (!cache_metadata_) {
-    *index = pinned_index_;
-    return Status::OK();
-  }
-  if (page_cache_ != nullptr && page_cache_->LookupIndex(file_number_, index)) {
-    return Status::OK();
-  }
-  LETHE_RETURN_IF_ERROR(LoadIndex(/*include_filters=*/false, index));
-  if (page_cache_ != nullptr) {
-    if (page_cache_->stats() != nullptr) {
-      page_cache_->stats()->index_block_reads.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    page_cache_->InsertIndex(file_number_, *index);
+    index_.tiles.push_back(tile);
   }
   return Status::OK();
 }
 
-Status SSTableReader::GetFragmentedRangeTombstones(
-    Statistics* stats, FragmentedRtHandle* out) const {
-  if (page_cache_ != nullptr &&
-      page_cache_->LookupFragmentedRt(file_number_, out)) {
-    return Status::OK();
-  }
-  if (page_cache_ == nullptr) {
-    std::lock_guard<std::mutex> lock(frt_mu_);
-    if (frt_memo_ != nullptr) {
-      *out = frt_memo_;
-      return Status::OK();
+const FragmentedRangeTombstoneList& SSTableReader::FragmentedRangeTombstones(
+    Statistics* stats) const {
+  std::call_once(frt_once_, [&] {
+    frt_memo_ = std::make_unique<const FragmentedRangeTombstoneList>(
+        index_.range_tombstones);
+    if (stats != nullptr) {
+      stats->rt_fragment_builds.fetch_add(1, std::memory_order_relaxed);
+      stats->rt_fragments_total.fetch_add(frt_memo_->num_fragments(),
+                                          std::memory_order_relaxed);
+      stats->RecordRtFragmentCount(frt_memo_->num_fragments());
     }
-  }
-  TableIndexHandle index;
-  LETHE_RETURN_IF_ERROR(GetIndex(&index));
-  auto frt = std::make_shared<const FragmentedRangeTombstoneList>(
-      index->range_tombstones);
-  if (stats != nullptr) {
-    stats->rt_fragment_builds.fetch_add(1, std::memory_order_relaxed);
-    stats->rt_fragments_total.fetch_add(frt->num_fragments(),
-                                        std::memory_order_relaxed);
-    stats->RecordRtFragmentCount(frt->num_fragments());
-  }
-  if (page_cache_ != nullptr) {
-    page_cache_->InsertFragmentedRt(file_number_, frt);
-  } else {
-    std::lock_guard<std::mutex> lock(frt_mu_);
-    if (frt_memo_ == nullptr) {
-      frt_memo_ = frt;
-    }
-  }
-  *out = std::move(frt);
-  return Status::OK();
-}
-
-Status SSTableReader::GetTileFilter(const TableIndex& index,
-                                    uint32_t tile_index,
-                                    FilterBlockHandle* filter) const {
-  if (page_cache_ != nullptr &&
-      page_cache_->LookupFilter(file_number_, tile_index, filter)) {
-    return Status::OK();
-  }
-  const TileInfo& tile = index.tiles[tile_index];
-  auto block = std::make_shared<FilterBlock>();
-  block->data.resize(tile.filter_len);
-  Slice raw;
-  LETHE_RETURN_IF_ERROR(
-      file_->Read(tile.filter_offset, tile.filter_len, &raw,
-                  block->data.data()));
-  if (raw.size() != tile.filter_len) {
-    return Status::Corruption("short filter block read");
-  }
-  if (raw.data() != block->data.data()) {
-    memcpy(block->data.data(), raw.data(), tile.filter_len);
-  }
-  if (tile.filter_len > 0 &&
-      tile.filter_crc !=
-          crc32c::Value(block->data.data(), tile.filter_len)) {
-    return Status::Corruption("filter block checksum mismatch");
-  }
-  *filter = std::move(block);
-  if (page_cache_ != nullptr) {
-    if (page_cache_->stats() != nullptr) {
-      page_cache_->stats()->filter_block_reads.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    page_cache_->InsertFilter(file_number_, tile_index, *filter);
-  }
-  return Status::OK();
-}
-
-Status SSTableReader::IndexForOp(TableIndexHandle* scratch,
-                                 const TableIndex** index) const {
-  if (!cache_metadata_) {
-    // Pinned mode: no refcount traffic on the hot path.
-    *index = pinned_index_.get();
-    return Status::OK();
-  }
-  LETHE_RETURN_IF_ERROR(GetIndex(scratch));
-  *index = scratch->get();
-  return Status::OK();
+  });
+  return *frt_memo_;
 }
 
 namespace {
@@ -376,10 +223,10 @@ class LazyDigest {
 
 }  // namespace
 
-int SSTableReader::FindTile(const TableIndex& index, const Slice& user_key) {
+int SSTableReader::FindTile(const Slice& user_key) const {
   // Tiles partition the sort-key space; binary search the first tile whose
   // max fence is >= key, then confirm its min fence.
-  const auto& tiles = index.tiles;
+  const auto& tiles = index_.tiles;
   int lo = 0, hi = static_cast<int>(tiles.size()) - 1, result = -1;
   while (lo <= hi) {
     int mid = lo + (hi - lo) / 2;
@@ -446,10 +293,7 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
                           TableGetResult* result, bool fill_cache,
                           SequenceNumber max_seq) const {
   *found = false;
-  TableIndexHandle index_scratch;
-  const TableIndex* index;
-  LETHE_RETURN_IF_ERROR(IndexForOp(&index_scratch, &index));
-  int tile_index = FindTile(*index, user_key);
+  int tile_index = FindTile(user_key);
   if (tile_index < 0) {
     return Status::OK();
   }
@@ -466,17 +310,16 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
   bool best_found = false;
   PageHandle best_page;
   for (int t = tile_index;
-       t < static_cast<int>(index->tiles.size()) &&
-       index->tiles[t].min_sort_key.compare(user_key) <= 0;
+       t < static_cast<int>(index_.tiles.size()) &&
+       index_.tiles[t].min_sort_key.compare(user_key) <= 0;
        t++) {
-    const TileInfo& tile = index->tiles[t];
-    FilterBlockHandle filter;  // cached-metadata mode: fetched on first probe
+    const TileInfo& tile = index_.tiles[t];
     for (uint32_t p = tile.first_page; p < tile.first_page + tile.page_count;
          p++) {
       if (meta != nullptr && meta->IsPageDropped(p)) {
         continue;
       }
-      const PageInfo& page = index->pages[p];
+      const PageInfo& page = index_.pages[p];
       if (page.min_sort_key.compare(user_key) > 0 ||
           page.max_sort_key.compare(user_key) < 0) {
         continue;
@@ -484,10 +327,7 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
       if (stats != nullptr) {
         stats->bloom_probes.fetch_add(1, std::memory_order_relaxed);
       }
-      if (cache_metadata_ && filter == nullptr) {
-        LETHE_RETURN_IF_ERROR(GetTileFilter(*index, t, &filter));
-      }
-      BloomFilter bloom(BloomOf(page, filter.get()));
+      BloomFilter bloom(page.bloom);
       if (!bloom.DigestMayMatch(digest.get(stats))) {
         if (stats != nullptr) {
           stats->bloom_negatives.fetch_add(1, std::memory_order_relaxed);
@@ -521,7 +361,7 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
             result->value = entry.value;
             best_page = contents;  // pins result->value
           }
-          if (!index->multi_version) {
+          if (!index_.multi_version) {
             // One version per key: this is it.
             *found = true;
             result->page = std::move(best_page);
@@ -544,24 +384,18 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
 
 bool SSTableReader::KeyMayExist(const Slice& user_key, const FileMeta* meta,
                                 Statistics* stats) const {
-  TableIndexHandle index_scratch;
-  const TableIndex* index;
-  if (!IndexForOp(&index_scratch, &index).ok()) {
-    return true;  // cannot prove absence without the metadata
-  }
-  int tile_index = FindTile(*index, user_key);
+  int tile_index = FindTile(user_key);
   if (tile_index < 0) {
     return false;
   }
-  const TileInfo& tile = index->tiles[tile_index];
+  const TileInfo& tile = index_.tiles[tile_index];
   LazyDigest digest(user_key);
-  FilterBlockHandle filter;
   for (uint32_t p = tile.first_page; p < tile.first_page + tile.page_count;
        p++) {
     if (meta != nullptr && meta->IsPageDropped(p)) {
       continue;
     }
-    const PageInfo& page = index->pages[p];
+    const PageInfo& page = index_.pages[p];
     if (page.min_sort_key.compare(user_key) > 0 ||
         page.max_sort_key.compare(user_key) < 0) {
       continue;
@@ -569,11 +403,7 @@ bool SSTableReader::KeyMayExist(const Slice& user_key, const FileMeta* meta,
     if (stats != nullptr) {
       stats->bloom_probes.fetch_add(1, std::memory_order_relaxed);
     }
-    if (cache_metadata_ && filter == nullptr &&
-        !GetTileFilter(*index, tile_index, &filter).ok()) {
-      return true;  // conservative: a filter we cannot load may match
-    }
-    BloomFilter bloom(BloomOf(page, filter.get()));
+    BloomFilter bloom(page.bloom);
     if (bloom.DigestMayMatch(digest.get(stats))) {
       return true;
     }
@@ -584,17 +414,16 @@ bool SSTableReader::KeyMayExist(const Slice& user_key, const FileMeta* meta,
   return false;
 }
 
-void SSTableReader::PlanSecondaryRangeDelete(const TableIndex& index,
-                                             uint64_t lo, uint64_t hi,
+void SSTableReader::PlanSecondaryRangeDelete(uint64_t lo, uint64_t hi,
                                              const FileMeta* meta,
                                              SecondaryDeletePlan* plan) const {
   plan->full_drop_pages.clear();
   plan->partial_pages.clear();
-  for (uint32_t p = 0; p < index.pages.size(); p++) {
+  for (uint32_t p = 0; p < index_.pages.size(); p++) {
     if (meta != nullptr && meta->IsPageDropped(p)) {
       continue;
     }
-    const PageInfo& page = index.pages[p];
+    const PageInfo& page = index_.pages[p];
     if (page.num_entries == 0) {
       continue;
     }
@@ -621,32 +450,26 @@ namespace {
 /// up front (the paper's h-factor on short scans); for sort/delete-key
 /// correlation ≈ 1 the pages' sort ranges are disjoint and load one at a
 /// time — delete tiles then cost the same as the classic layout (paper
-/// Fig 6L). The iterator pins the table's index handle for its lifetime,
-/// so fence slices stay valid however the block cache churns.
+/// Fig 6L).
 class SSTableIterator final : public InternalIterator {
  public:
   SSTableIterator(const SSTableReader* table, const FileMeta* meta,
                   bool fill_cache)
-      : table_(table), meta_(meta), fill_cache_(fill_cache) {
-    status_ = table_->GetIndex(&index_);
-  }
+      : table_(table),
+        index_(table->index()),
+        meta_(meta),
+        fill_cache_(fill_cache) {}
 
   bool Valid() const override { return status_.ok() && current_ != nullptr; }
 
   void SeekToFirst() override {
-    if (index_ == nullptr) {
-      return;  // index load failed at construction; status_ carries it
-    }
     tile_index_ = -1;
     AdvanceTile(nullptr);
   }
 
   void Seek(const Slice& target) override {
-    if (index_ == nullptr) {
-      return;
-    }
     // First tile whose max fence >= target.
-    const auto& tiles = index_->tiles;
+    const auto& tiles = index_.tiles;
     int lo = 0, hi = static_cast<int>(tiles.size()) - 1, result =
         static_cast<int>(tiles.size());
     while (lo <= hi) {
@@ -700,7 +523,7 @@ class SSTableIterator final : public InternalIterator {
 
   /// Moves to the next non-empty tile; `target` positions within it.
   void AdvanceTile(const Slice* target) {
-    const auto& tiles = index_->tiles;
+    const auto& tiles = index_.tiles;
     while (status_.ok()) {
       tile_index_++;
       loaded_.clear();
@@ -716,7 +539,7 @@ class SSTableIterator final : public InternalIterator {
           continue;
         }
         if (target != nullptr &&
-            index_->pages[p].max_sort_key.compare(*target) < 0) {
+            index_.pages[p].max_sort_key.compare(*target) < 0) {
           continue;  // page entirely before the seek target: never load
         }
         pending_.push_back(p);
@@ -724,8 +547,8 @@ class SSTableIterator final : public InternalIterator {
       // Pages load in fence order.
       std::sort(pending_.begin(), pending_.end(),
                 [this](uint32_t a, uint32_t b) {
-                  return index_->pages[a].min_sort_key.compare(
-                             index_->pages[b].min_sort_key) < 0;
+                  return index_.pages[a].min_sort_key.compare(
+                             index_.pages[b].min_sort_key) < 0;
                 });
       FindNext();
       if (current_ == nullptr) {
@@ -752,7 +575,7 @@ class SSTableIterator final : public InternalIterator {
       bool must_load =
           !pending_.empty() &&
           (best == nullptr ||
-           index_->pages[pending_.front()].min_sort_key.compare(
+           index_.pages[pending_.front()].min_sort_key.compare(
                best->entry.user_key) <= 0);
       if (!must_load) {
         current_ = best;
@@ -775,9 +598,9 @@ class SSTableIterator final : public InternalIterator {
   }
 
   const SSTableReader* table_;
+  const TableIndex& index_;
   const FileMeta* meta_;
   bool fill_cache_;
-  TableIndexHandle index_;
   Status status_;
   int tile_index_ = -1;
   std::vector<std::unique_ptr<PageCursor>> loaded_;

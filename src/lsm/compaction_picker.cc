@@ -127,23 +127,20 @@ std::vector<std::string> CompactionPicker::ComputeFenceSampledBoundaries(
       continue;
     }
     // Callers release the DB mutex around boundary computation (the
-    // merge's claim fences conflicts), so opening the reader and loading
-    // its index here — one-time work the imminent merge needs anyway — is
-    // off the engine's critical path.
+    // merge's claim fences conflicts), so opening the reader here —
+    // one-time work the imminent merge needs anyway — is off the engine's
+    // critical path.
     std::shared_ptr<SSTableReader> table;
     if (!versions_->table_cache()->GetTable(*file, &table).ok()) {
       return {};  // cannot sample this input: fall back to interpolation
     }
-    TableIndexHandle index;
-    if (!table->GetIndex(&index).ok()) {
-      return {};
-    }
-    if (index->pages.empty()) {
+    const TableIndex& index = table->index();
+    if (index.pages.empty()) {
       continue;
     }
     const double page_mass = static_cast<double>(file->file_size) /
-                             static_cast<double>(index->pages.size());
-    for (const TileInfo& tile : index->tiles) {
+                             static_cast<double>(index.pages.size());
+    for (const TileInfo& tile : index.tiles) {
       samples.push_back({tile.min_sort_key.ToString(),
                          tile.page_count * page_mass});
       fence_samples++;
@@ -344,17 +341,9 @@ double CompactionPicker::EstimateInvalidation(const Version& version,
   if (!versions_->table_cache()->GetTable(file, &table).ok()) {
     return b;
   }
-  // Pick runs under the DB mutex, so only memory-resident range tombstones
-  // feed the estimate: the pinned index, or a block-cache hit. A lazy
-  // index that is not resident right now degrades the estimate to the
-  // exact point-tombstone count — the b model is a histogram stand-in
-  // (§4.1.3) and tolerates that — instead of reading metadata under the
-  // lock.
-  TableIndexHandle index;
-  if (!table->PeekIndex(&index)) {
-    return b;
-  }
-  for (const RangeTombstone& rt : index->range_tombstones) {
+  // Every open reader pins its range tombstones, so the estimate always
+  // counts them.
+  for (const RangeTombstone& rt : table->range_tombstones()) {
     for (const auto& [level, other] : version.AllFiles()) {
       if (other->num_entries == 0) {
         continue;

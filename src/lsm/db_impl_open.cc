@@ -7,9 +7,9 @@
 namespace lethe {
 
 Status DBImpl::Init() {
-  // One budget number: memory_budget_bytes sizes the block cache and, via
+  // One budget number: memory_budget_bytes sizes the page cache and, via
   // the reservation below, also accounts the write buffers against it;
-  // page_cache_bytes alone is the legacy data-page-only configuration.
+  // page_cache_bytes alone sizes the page cache with no reservation.
   const uint64_t cache_capacity = options_.memory_budget_bytes > 0
                                       ? options_.memory_budget_bytes
                                       : options_.page_cache_bytes;

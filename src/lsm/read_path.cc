@@ -233,10 +233,8 @@ Status AppendRangeTombstones(TableCache* tables, const FileMeta& file,
   }
   std::shared_ptr<SSTableReader> table;
   LETHE_RETURN_IF_ERROR(tables->GetTable(file, &table));
-  TableIndexHandle index;
-  LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
-  rts->insert(rts->end(), index->range_tombstones.begin(),
-              index->range_tombstones.end());
+  const std::vector<RangeTombstone>& file_rts = table->range_tombstones();
+  rts->insert(rts->end(), file_rts.begin(), file_rts.end());
   return Status::OK();
 }
 
@@ -293,16 +291,13 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
         std::shared_ptr<SSTableReader> table;
         s = tables_->GetTable(*file, &table);
         // Accumulate this file's range-tombstone coverage before deciding.
-        // The FileMeta count gates the index fetch, so rt-free files cost
-        // no metadata access at all on this hot path.
+        // The FileMeta count gates the fragmented list, so rt-free files
+        // never build one.
         if (s.ok() && file->num_range_tombstones > 0) {
-          FragmentedRtHandle frt;
-          s = table->GetFragmentedRangeTombstones(stats_, &frt);
-          if (s.ok()) {
-            stats_->rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
-            out->cover_seq =
-                std::max(out->cover_seq, frt->MaxCoverSeq(key, bound));
-          }
+          stats_->rt_cover_probes.fetch_add(1, std::memory_order_relaxed);
+          out->cover_seq = std::max(
+              out->cover_seq,
+              table->FragmentedRangeTombstones(stats_).MaxCoverSeq(key, bound));
         }
         if (s.ok()) {
           s = table->Get(key, file.get(), stats_, &out->found, &out->entry,

@@ -34,20 +34,14 @@ Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
     }
     std::shared_ptr<SSTableReader> table;
     LETHE_RETURN_IF_ERROR(versions->table_cache()->GetTable(*file, &table));
-    // One index handle serves the plan and the live-count bootstrap; it
-    // pins the fence metadata across the rewrite loop below however the
-    // block cache churns.
-    TableIndexHandle index;
-    LETHE_RETURN_IF_ERROR(table->GetIndex(&index));
-
     SecondaryDeletePlan plan;
-    table->PlanSecondaryRangeDelete(*index, lo, hi, file.get(), &plan);
+    table->PlanSecondaryRangeDelete(lo, hi, file.get(), &plan);
     if (plan.full_drop_pages.empty() && plan.partial_pages.empty()) {
       continue;
     }
 
     FileMeta updated = *file;
-    EnsurePageCounts(&updated, *index);
+    EnsurePageCounts(&updated, table->index());
     PageCache* page_cache = versions->table_cache()->page_cache();
     // Only partial pages rewrite bytes in place; full drops are fenced by
     // IsPageDropped and never invalidate a decode. When a rewrite happens,

@@ -97,8 +97,7 @@ Status TableCache::GetTable(const FileMeta& meta,
   std::unique_ptr<SSTableReader> reader;
   LETHE_RETURN_IF_ERROR(SSTableReader::Open(table_options_, std::move(file),
                                             meta.file_size, &reader,
-                                            meta.file_number, page_cache_,
-                                            cache_metadata_));
+                                            meta.file_number, page_cache_));
   // A racing open of the same file may have won: keep its reader, so every
   // user of a file shares one (and with it the page-I/O lock that fences
   // in-place page rewrites).
@@ -123,8 +122,7 @@ VersionSet::VersionSet(const Options& resolved_options, std::string dbname,
     : options_(resolved_options),
       dbname_(std::move(dbname)),
       table_cache_(resolved_options.env, resolved_options.table, dbname_,
-                   page_cache,
-                   resolved_options.cache_index_and_filter_blocks),
+                   page_cache),
       stats_(stats) {
   if (file_number_origin > 0) {
     // Shard bands: every file this set allocates (tables, WALs, manifests)

@@ -41,21 +41,17 @@ Status SetCurrentFile(Env* env, const std::string& dbname,
                       uint64_t manifest_number);
 
 /// Cache of open SSTable readers keyed by file number. Readers are immutable
-/// and shared; eviction happens when the file is deleted, which also drops
-/// every cached block of the file — decoded pages, its fence/index block,
-/// and its filter blocks — from the block cache (when one is attached).
-/// `cache_metadata` (Options::cache_index_and_filter_blocks) selects whether
-/// readers open pinned (metadata resident for the reader's lifetime) or
-/// cached (metadata loads lazily through `page_cache`).
+/// and shared, and each pins its table's metadata for its lifetime;
+/// eviction happens when the file is deleted, which also drops the file's
+/// decoded pages from the page cache (when one is attached).
 class TableCache {
  public:
   TableCache(Env* env, const TableOptions& table_options, std::string dbname,
-             PageCache* page_cache, bool cache_metadata = false)
+             PageCache* page_cache)
       : env_(env),
         table_options_(table_options),
         dbname_(std::move(dbname)),
-        page_cache_(page_cache),
-        cache_metadata_(cache_metadata) {}
+        page_cache_(page_cache) {}
 
   Status GetTable(const FileMeta& meta, std::shared_ptr<SSTableReader>* table);
   void Evict(uint64_t file_number);
@@ -68,7 +64,6 @@ class TableCache {
   TableOptions table_options_;
   std::string dbname_;
   PageCache* page_cache_;
-  bool cache_metadata_;
   std::mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<SSTableReader>> cache_;
 };

@@ -14,7 +14,7 @@ namespace lethe {
 namespace {
 
 /// An entry is a variable-length heap allocation: the struct followed by the
-/// key bytes. Entries sit in one of the shard's three circular lists (see
+/// key bytes. Entries sit in one of the shard's two circular lists (see
 /// LRUShard) while resident and are destroyed when the last reference —
 /// the cache's own or a client handle's — goes away.
 struct LRUHandle {
@@ -27,7 +27,6 @@ struct LRUHandle {
   size_t key_length;
   uint32_t hash;     // Hash32 of the key, computed once per call
   bool in_cache;     // whether the shard's table still points at this entry
-  bool high_priority;  // which evictable pool the entry parks in
   uint32_t refs;     // client handles, plus one for the cache while in_cache
   char key_data[1];
 
@@ -107,44 +106,36 @@ class HandleTable {
   size_t size_ = 0;
 };
 
-/// One independently locked LRU cache. Invariant (LevelDB's, split in two):
-/// a resident entry is on exactly one of three lists — `lru_low_` /
-/// `lru_high_` (refs == 1: only the cache references it, evictable, oldest
-/// first, pool chosen by the entry's admission priority) or `in_use_`
-/// (refs >= 2: pinned by at least one client handle). Capacity pressure
-/// drains `lru_low_` completely before touching `lru_high_`, so metadata
-/// blocks survive data-page churn.
+/// One independently locked LRU cache. Invariant (LevelDB's): a resident
+/// entry is on exactly one of two lists — `lru_` (refs == 1: only the cache
+/// references it, evictable, oldest first) or `in_use_` (refs >= 2: pinned
+/// by at least one client handle).
 class LRUShard {
  public:
   LRUShard() {
-    lru_low_.next = &lru_low_;
-    lru_low_.prev = &lru_low_;
-    lru_high_.next = &lru_high_;
-    lru_high_.prev = &lru_high_;
+    lru_.next = &lru_;
+    lru_.prev = &lru_;
     in_use_.next = &in_use_;
     in_use_.prev = &in_use_;
   }
 
   ~LRUShard() {
     assert(in_use_.next == &in_use_);  // no outstanding handles
-    for (LRUHandle* list : {&lru_low_, &lru_high_}) {
-      for (LRUHandle* e = list->next; e != list;) {
-        LRUHandle* next = e->next;
-        assert(e->in_cache && e->refs == 1);
-        e->in_cache = false;
-        if (Unref(e)) {
-          Free(e);
-        }
-        e = next;
+    for (LRUHandle* e = lru_.next; e != &lru_;) {
+      LRUHandle* next = e->next;
+      assert(e->in_cache && e->refs == 1);
+      e->in_cache = false;
+      if (Unref(e)) {
+        Free(e);
       }
+      e = next;
     }
   }
 
   void SetCapacity(size_t capacity) { capacity_ = capacity; }
 
   Cache::Handle* Insert(const Slice& key, uint32_t hash, void* value,
-                        size_t charge, Cache::Deleter deleter,
-                        Cache::Priority priority) {
+                        size_t charge, Cache::Deleter deleter) {
     LRUHandle* e = static_cast<LRUHandle*>(
         malloc(sizeof(LRUHandle) - 1 + key.size()));
     e->value = value;
@@ -153,7 +144,6 @@ class LRUShard {
     e->key_length = key.size();
     e->hash = hash;
     e->in_cache = false;
-    e->high_priority = priority == Cache::Priority::kHigh;
     e->refs = 1;  // the returned handle
     memcpy(e->key_data, key.data(), key.size());
 
@@ -195,9 +185,9 @@ class LRUShard {
     }
     (*copy)(e->value, arg);
     if (e->refs == 1) {
-      // Unpinned: most recent of its pool, where Ref then Unref moves it.
+      // Unpinned: most recent, where Ref then Unref moves it.
       Remove(e);
-      Append(e->high_priority ? &lru_high_ : &lru_low_, e);
+      Append(&lru_, e);
     }
     return true;
   }
@@ -231,9 +221,9 @@ class LRUShard {
     std::vector<LRUHandle*> dead;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // Every resident entry is on exactly one of the three lists.
+      // Every resident entry is on exactly one of the two lists.
       std::vector<LRUHandle*> victims;
-      for (LRUHandle* list : {&lru_low_, &lru_high_, &in_use_}) {
+      for (LRUHandle* list : {&lru_, &in_use_}) {
         for (LRUHandle* e = list->next; e != list; e = e->next) {
           if (predicate(e->key(), arg)) {
             victims.push_back(e);
@@ -288,16 +278,13 @@ class LRUShard {
     return capacity_ - (reserved_ < capacity_ ? reserved_ : capacity_);
   }
 
-  /// Evicts unpinned entries — low pool first, then high — while the
-  /// resident charge exceeds the block budget. Must be called with mu_
-  /// held.
+  /// Evicts unpinned entries, oldest first, while the resident charge
+  /// exceeds the block budget. Must be called with mu_ held.
   void EvictWhileOver(std::vector<LRUHandle*>* dead) {
     const size_t budget = BlockBudget();
     while (usage_.load(std::memory_order_relaxed) > budget) {
-      LRUHandle* oldest = lru_low_.next != &lru_low_   ? lru_low_.next
-                          : lru_high_.next != &lru_high_ ? lru_high_.next
-                                                         : nullptr;
-      if (oldest == nullptr) {
+      LRUHandle* oldest = lru_.next;
+      if (oldest == &lru_) {
         break;  // everything left is pinned
       }
       assert(oldest->refs == 1);
@@ -326,10 +313,9 @@ class LRUShard {
       return true;
     }
     if (e->in_cache && e->refs == 1) {
-      // Last client handle released: becomes evictable, most recent of its
-      // priority pool.
+      // Last client handle released: becomes evictable, most recent.
       Remove(e);
-      Append(e->high_priority ? &lru_high_ : &lru_low_, e);
+      Append(&lru_, e);
     }
     return false;
   }
@@ -363,9 +349,8 @@ class LRUShard {
   size_t reserved_ = 0;  // this shard's slice of the global reservation
   std::atomic<size_t> usage_{0};
   std::atomic<uint64_t> evictions_{0};
-  LRUHandle lru_low_;   // dummy head; lru_low_.next is the first victim
-  LRUHandle lru_high_;  // dummy head; evicted only once lru_low_ is empty
-  LRUHandle in_use_;    // dummy head; order within is irrelevant
+  LRUHandle lru_;     // dummy head; lru_.next is the first victim
+  LRUHandle in_use_;  // dummy head; order within is irrelevant
   HandleTable table_;
 };
 
@@ -382,9 +367,9 @@ class ShardedLRUCache final : public Cache {
   }
 
   Handle* Insert(const Slice& key, void* value, size_t charge,
-                 Deleter deleter, Priority priority) override {
+                 Deleter deleter) override {
     const uint32_t hash = HashKey(key);
-    return ShardFor(hash).Insert(key, hash, value, charge, deleter, priority);
+    return ShardFor(hash).Insert(key, hash, value, charge, deleter);
   }
 
   Handle* Lookup(const Slice& key) override {

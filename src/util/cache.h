@@ -13,13 +13,6 @@ namespace lethe {
 /// a handle returned by Insert/Lookup pins the entry (its value stays alive)
 /// until Release. Eviction is least-recently-used among unpinned entries.
 ///
-/// Two admission priorities partition the evictable entries: kLow (bulk
-/// data, e.g. decoded pages) and kHigh (metadata the lookup cost model
-/// assumes resident, e.g. Bloom filter and fence blocks). Capacity pressure
-/// always evicts the low pool first, so a stream of data pages can never
-/// thrash the metadata out; high-priority entries evict among themselves
-/// (LRU) only once no low-priority entry is left to give up.
-///
 /// The cache may temporarily exceed its capacity while entries are pinned
 /// (classic LRU overflow); every Insert is admitted.
 ///
@@ -34,9 +27,6 @@ class Cache {
   /// Opaque pinned-entry token.
   struct Handle {};
 
-  /// Eviction pool an entry is admitted to (see class comment).
-  enum class Priority { kLow, kHigh };
-
   /// Called when an entry is no longer referenced by the cache or by any
   /// handle; destroys the value.
   using Deleter = void (*)(const Slice& key, void* value);
@@ -49,8 +39,7 @@ class Cache {
   /// Inserts a mapping, replacing any current entry for `key`, and returns a
   /// handle pinning it. `deleter` runs when the entry is fully released.
   virtual Handle* Insert(const Slice& key, void* value, size_t charge,
-                         Deleter deleter,
-                         Priority priority = Priority::kLow) = 0;
+                         Deleter deleter) = 0;
 
   /// Returns a handle pinning the entry for `key`, or nullptr. A hit
   /// refreshes the entry's recency.
@@ -75,7 +64,7 @@ class Cache {
   virtual void Erase(const Slice& key) = 0;
 
   /// Drops every entry whose key satisfies `predicate` (same detach
-  /// semantics as Erase). Used for bulk invalidation, e.g. all blocks of a
+  /// semantics as Erase). Used for bulk invalidation, e.g. all pages of a
   /// deleted file.
   virtual void EraseIf(bool (*predicate)(const Slice& key, void* arg),
                        void* arg) = 0;

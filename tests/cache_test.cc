@@ -117,10 +117,10 @@ TEST_F(LRUCacheTest, CopyOutLeavesPinnedEntriesPinned) {
   cache_->Release(pinned);
 }
 
-// Two one-shard caches see the same random history of inserts (both
-// priorities), erases and hits; one takes its hits as Lookup + Release, the
-// other as LookupCopy. Every step must evict the same entries, so both
-// always hold the same keys.
+// Two one-shard caches see the same random history of inserts, erases and
+// hits; one takes its hits as Lookup + Release, the other as LookupCopy.
+// Every step must evict the same entries, so both always hold the same
+// keys.
 TEST(LRUCacheCopyOutTest, MatchesLookupReleaseOrderExactly) {
   auto pinning = NewShardedLRUCache(24, /*shard_bits=*/0);
   auto copying = NewShardedLRUCache(24, /*shard_bits=*/0);
@@ -132,11 +132,9 @@ TEST(LRUCacheCopyOutTest, MatchesLookupReleaseOrderExactly) {
       case 0:
       case 1: {
         const size_t charge = 1 + rnd.Uniform(3);
-        const auto priority = rnd.Uniform(3) == 0 ? Cache::Priority::kHigh
-                                                  : Cache::Priority::kLow;
         for (Cache* cache : {pinning.get(), copying.get()}) {
-          cache->Release(cache->Insert(key, new int(k), charge,
-                                       &DeleteIntValue, priority));
+          cache->Release(
+              cache->Insert(key, new int(k), charge, &DeleteIntValue));
         }
         break;
       }
@@ -236,51 +234,6 @@ TEST_F(LRUCacheTest, ZeroCapacityIsPassThrough) {
   EXPECT_EQ(cache->Lookup("a"), nullptr);  // never resident
   cache->Release(handle);
   EXPECT_EQ(cache->TotalCharge(), 0u);
-}
-
-TEST_F(LRUCacheTest, HighPriorityOutlivesLowPriorityChurn) {
-  // A high-priority (metadata) entry admitted once must survive an
-  // arbitrary stream of low-priority (data page) inserts: pressure drains
-  // the low pool first.
-  cache_->Release(
-      cache_->Insert("meta", new int(99), 1, &DeleteIntValue,
-                     Cache::Priority::kHigh));
-  for (int i = 0; i < 32; i++) {
-    Insert("page" + std::to_string(i), i);
-  }
-  EXPECT_EQ(Lookup("meta"), 99);
-  // The low pool was churned down to the remaining budget.
-  EXPECT_EQ(Lookup("page0"), -1);
-  EXPECT_EQ(Lookup("page31"), 31);
-}
-
-TEST_F(LRUCacheTest, HighPriorityEvictsLRUAmongItself) {
-  auto insert_high = [&](const std::string& key, int value) {
-    cache_->Release(cache_->Insert(key, new int(value), 1, &DeleteIntValue,
-                                   Cache::Priority::kHigh));
-  };
-  insert_high("m1", 1);
-  insert_high("m2", 2);
-  insert_high("m3", 3);
-  insert_high("m4", 4);
-  EXPECT_EQ(Lookup("m1"), 1);  // refresh m1: m2 is the oldest
-  insert_high("m5", 5);        // no low entries: evicts within the high pool
-  EXPECT_EQ(Lookup("m2"), -1);
-  EXPECT_EQ(Lookup("m1"), 1);
-  EXPECT_EQ(Lookup("m5"), 5);
-}
-
-TEST_F(LRUCacheTest, LowInsertEvictsHighOnlyWhenLowPoolIsEmpty) {
-  cache_->Release(cache_->Insert("m1", new int(1), 2, &DeleteIntValue,
-                                 Cache::Priority::kHigh));
-  cache_->Release(cache_->Insert("m2", new int(2), 2, &DeleteIntValue,
-                                 Cache::Priority::kHigh));
-  // Capacity 4 is full of high-priority entries; a low insert has no low
-  // victims left, so the oldest high entry goes.
-  Insert("page", 7, 2);
-  EXPECT_EQ(Lookup("m1"), -1);
-  EXPECT_EQ(Lookup("m2"), 2);
-  EXPECT_EQ(Lookup("page"), 7);
 }
 
 TEST_F(LRUCacheTest, ReservationShrinksBlockBudget) {
@@ -515,83 +468,24 @@ TEST(PageCacheTest, CapacityPressureEvictsAndCounts) {
   EXPECT_TRUE(cache.Lookup(1, 15, &page));
 }
 
-TableIndexHandle MakeIndex(size_t buffer_bytes) {
-  auto index = std::make_shared<TableIndex>();
-  index->buffer.assign(buffer_bytes, 'x');
-  return index;
-}
-
-FilterBlockHandle MakeFilter(size_t bytes) {
-  auto filter = std::make_shared<FilterBlock>();
-  filter->data.assign(bytes, 'f');
-  return filter;
-}
-
-TEST(PageCacheTest, BlockTypesAreDistinctEntries) {
-  // Data page 0, the index block, and filter block 0 of one file must not
-  // collide even though they share (file, id) — the type tag separates
-  // them.
+TEST(PageCacheTest, EvictFileDropsEveryGenerationOfTheFile) {
+  // An in-place page rewrite caches the page under a bumped generation;
+  // deleting the file must drop every generation's copies.
   Statistics stats;
   PageCache cache(1 << 20, 2, &stats);
-  cache.Insert(1, 0, MakePage(100));
-  cache.InsertIndex(1, MakeIndex(50));
-  cache.InsertFilter(1, 0, MakeFilter(25));
-
-  PageHandle page;
-  TableIndexHandle index;
-  FilterBlockHandle filter;
-  ASSERT_TRUE(cache.Lookup(1, 0, &page));
-  ASSERT_TRUE(cache.LookupIndex(1, &index));
-  ASSERT_TRUE(cache.LookupFilter(1, 0, &filter));
-  EXPECT_EQ(page->raw_size(), 100u);
-  EXPECT_EQ(index->buffer.size(), 50u);
-  EXPECT_EQ(filter->data.size(), 25u);
-  EXPECT_EQ(stats.index_block_cache_hits.load(), 1u);
-  EXPECT_EQ(stats.filter_block_cache_hits.load(), 1u);
-  EXPECT_GT(stats.index_block_charge_bytes.load(), 0u);
-  EXPECT_GT(stats.filter_block_charge_bytes.load(), 0u);
-}
-
-TEST(PageCacheTest, EvictFileDropsEveryBlockType) {
-  Statistics stats;
-  PageCache cache(1 << 20, 2, &stats);
-  cache.Insert(3, 0, MakePage(100));
-  cache.InsertIndex(3, MakeIndex(50));
-  cache.InsertFilter(3, 0, MakeFilter(25));
-  cache.InsertFilter(3, 1, MakeFilter(25));
-  cache.InsertIndex(4, MakeIndex(60));  // other file: untouched
+  cache.Insert(3, 0, MakePage(100), /*generation=*/0);
+  cache.Insert(3, 0, MakePage(100), /*generation=*/1);
+  cache.Insert(3, 1, MakePage(100), /*generation=*/2);
+  cache.Insert(4, 0, MakePage(60));  // other file: untouched
 
   cache.EvictFile(3);
   PageHandle page;
-  TableIndexHandle index;
-  FilterBlockHandle filter;
-  EXPECT_FALSE(cache.Lookup(3, 0, &page));
-  EXPECT_FALSE(cache.LookupIndex(3, &index));
-  EXPECT_FALSE(cache.LookupFilter(3, 0, &filter));
-  EXPECT_FALSE(cache.LookupFilter(3, 1, &filter));
-  EXPECT_TRUE(cache.LookupIndex(4, &index));
-  // The per-type charge gauges rolled back with the evictions.
-  EXPECT_EQ(stats.filter_block_charge_bytes.load(), 0u);
-  EXPECT_EQ(stats.index_block_charge_bytes.load(),
-            index->ApproximateMemoryUsage());
-}
-
-TEST(PageCacheTest, MetadataOutlivesDataPageChurnUnderPressure) {
-  // The priority split at the PageCache layer: one small filter + index
-  // block, then a stream of pages several times the budget. The metadata
-  // must still be resident afterwards.
-  Statistics stats;
-  PageCache cache(16384, /*shard_bits=*/0, &stats);
-  cache.InsertIndex(1, MakeIndex(512));
-  cache.InsertFilter(1, 0, MakeFilter(256));
-  for (uint32_t p = 0; p < 64; p++) {
-    cache.Insert(1, p, MakePage(2048));
-  }
-  TableIndexHandle index;
-  FilterBlockHandle filter;
-  EXPECT_TRUE(cache.LookupIndex(1, &index));
-  EXPECT_TRUE(cache.LookupFilter(1, 0, &filter));
-  EXPECT_GT(stats.page_cache_evictions.load(), 0u);
+  EXPECT_FALSE(cache.Lookup(3, 0, &page, 0));
+  EXPECT_FALSE(cache.Lookup(3, 0, &page, 1));
+  EXPECT_FALSE(cache.Lookup(3, 1, &page, 2));
+  ASSERT_TRUE(cache.Lookup(4, 0, &page));
+  EXPECT_EQ(stats.page_cache_charge_bytes.load(),
+            page->ApproximateMemoryUsage());
 }
 
 }  // namespace

@@ -1216,15 +1216,14 @@ TEST_F(PageCacheDBTest, CompactionAndBulkScansDoNotPopulateCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Unified memory budget: filters/indexes behind the block cache, write
-// buffers reserved against the same number.
+// Unified memory budget: decoded pages cached and write buffers reserved
+// against the same number.
 
 class MemoryBudgetDBTest : public DBTest {
  protected:
   void SetUp() override {
     DBTest::SetUp();
     options_.memory_budget_bytes = 4 << 20;
-    options_.cache_index_and_filter_blocks = true;
   }
 
   void Load(uint64_t n) {
@@ -1240,71 +1239,24 @@ class MemoryBudgetDBTest : public DBTest {
   }
 };
 
-TEST_F(MemoryBudgetDBTest, ColdReopenServesGetsAndReloadsEvictedFilters) {
-  Open();
-  const uint64_t n = 1500;
-  Load(n);
-  std::string value(100, 'x');
-
-  // Cold reopen: nothing pinned, nothing cached — the first Gets pull the
-  // fence/index and filter blocks through the cache.
-  ASSERT_TRUE(Reopen().ok());
-  for (uint64_t k = 0; k < n; k++) {
-    ASSERT_EQ(Get(k), value + std::to_string(k)) << k;
-  }
-  EXPECT_GT(db_->stats().filter_block_reads.load(), 0u);
-  EXPECT_GT(db_->stats().index_block_reads.load(), 0u);
-  EXPECT_GT(db_->stats().filter_block_charge_bytes.load(), 0u);
-
-  // Force-evict every resident block (a transient full-budget reservation
-  // flushes both priority pools), then read again: filters re-load on
-  // demand and every answer stays correct.
-  Cache()->cache()->AdjustReservation(
-      static_cast<int64_t>(Cache()->capacity()));
-  EXPECT_EQ(Cache()->TotalCharge(), 0u);
-  Cache()->cache()->AdjustReservation(
-      -static_cast<int64_t>(Cache()->capacity()));
-  const uint64_t reloads_before = db_->stats().filter_block_reads.load();
-  for (uint64_t k = 0; k < n; k++) {
-    ASSERT_EQ(Get(k), value + std::to_string(k)) << k;
-  }
-  EXPECT_GT(db_->stats().filter_block_reads.load(), reloads_before);
-
-  // Steady state after the re-warm: metadata served from cache again.
-  const uint64_t reloads_warm = db_->stats().filter_block_reads.load();
-  for (uint64_t k = 0; k < n; k += 7) {
-    ASSERT_EQ(Get(k), value + std::to_string(k));
-  }
-  EXPECT_EQ(db_->stats().filter_block_reads.load(), reloads_warm);
-}
-
-TEST_F(MemoryBudgetDBTest, FileDeletionEvictsEveryBlockTypeOfTheFile) {
+TEST_F(MemoryBudgetDBTest, FileDeletionEvictsTheFilesPages) {
   Open();
   Load(1200);
   std::string value(100, 'x');
-  // Warm every block type.
   for (uint64_t k = 0; k < 1200; k++) {
     ASSERT_EQ(Get(k), value + std::to_string(k));
   }
-  ASSERT_GT(db_->stats().index_block_charge_bytes.load(), 0u);
-  ASSERT_GT(db_->stats().filter_block_charge_bytes.load(), 0u);
-  const uint64_t index_charge_warm =
-      db_->stats().index_block_charge_bytes.load();
-  const uint64_t filter_charge_warm =
-      db_->stats().filter_block_charge_bytes.load();
+  const uint64_t charge_warm = db_->stats().page_cache_charge_bytes.load();
+  ASSERT_GT(charge_warm, 0u);
 
   // CompactAll rewrites the whole tree: every pre-existing file is deleted,
-  // and deletion must drop its pages, its index block, and its filter
-  // blocks from the cache. The merge reads inputs without filling pages,
-  // and nothing has read the new output files yet, so the per-type charges
-  // fall strictly below the warm values.
+  // and deletion must drop its pages from the cache. The merge reads inputs
+  // without filling pages, and nothing has read the new output files yet,
+  // so the charge falls below the warm value.
   ASSERT_TRUE(db_->CompactAll().ok());
   ASSERT_TRUE(db_->WaitForCompact().ok());
-  EXPECT_LT(db_->stats().index_block_charge_bytes.load(), index_charge_warm);
-  EXPECT_LT(db_->stats().filter_block_charge_bytes.load(),
-            filter_charge_warm);
+  EXPECT_LT(db_->stats().page_cache_charge_bytes.load(), charge_warm);
 
-  // The tree still answers correctly through freshly loaded metadata.
   for (uint64_t k = 0; k < 1200; k += 11) {
     ASSERT_EQ(Get(k), value + std::to_string(k));
   }
@@ -1347,45 +1299,48 @@ TEST_F(MemoryBudgetDBTest, TinyBudgetStaysCorrect) {
       static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants().ok());
 }
 
-TEST_F(MemoryBudgetDBTest, ResultsIdenticalWithCachedAndPinnedMetadata) {
-  // Two engines over the same operation sequence — metadata cached vs
-  // pinned — must agree on every lookup, including deletes and secondary
-  // range deletes.
-  Options cached = options_;
-  Options pinned = options_;
-  pinned.cache_index_and_filter_blocks = false;
-  pinned.memory_budget_bytes = 0;
-  pinned.page_cache_bytes = 0;
+TEST_F(MemoryBudgetDBTest, TinyBudgetBuildsEachTombstoneIndexOnce) {
+  // A budget smaller than one memtable leaves no room for pages: each page
+  // insert evicts what its cache shard held. A table's fragmented tombstone
+  // list lives on its reader, outside that churn, so Gets that keep probing
+  // the same tables build each list once.
+  options_.memory_budget_bytes = 16 << 10;
+  Open();
+  const uint64_t n = 1200;
+  Load(n);
+  std::string value(100, 'x');
+  for (uint64_t round = 0; round < 4; round++) {
+    // One small range tombstone per quarter of the key space, so merges
+    // that cut files by size leave the tombstones in different tables.
+    clock_.AdvanceMicros(1);
+    const uint64_t begin = round * (n / 4) + 100;
+    ASSERT_TRUE(db_->RangeDelete(WriteOptions(), EncodeKey(begin),
+                                 EncodeKey(begin + 5))
+                    .ok());
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_TRUE(db_->WaitForCompact().ok());
 
-  std::unique_ptr<DB> db_cached, db_pinned;
-  ASSERT_TRUE(DB::Open(cached, "testdb-cachedmeta", &db_cached).ok());
-  ASSERT_TRUE(DB::Open(pinned, "testdb-pinnedmeta", &db_pinned).ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  uint64_t files_with_rts = 0;
+  const int levels = static_cast<int>(db_->GetLevelSnapshots().size());
+  for (int level = 0; level < levels; level++) {
+    for (const FileMeta& f : impl->TEST_LevelFiles(level)) {
+      files_with_rts += f.num_range_tombstones > 0 ? 1 : 0;
+    }
+  }
+  ASSERT_GE(files_with_rts, 2u);
 
-  // Each engine must match the same model, so they agree with each other.
-  auto apply_and_check = [&](DB* db) {
-    KeyModel model(0, 900, test::ReproHint());
-    auto write = [&](const ModelOp& op) {
-      clock_.AdvanceMicros(1);
-      ASSERT_TRUE(model.Write(db, op).ok());
-    };
-    std::string value(80, 'y');
-    for (uint64_t k = 0; k < 900; k++) {
-      write(ModelOp::Put(k, k, value + std::to_string(k)));
-    }
-    for (uint64_t k = 0; k < 900; k += 5) {
-      write(ModelOp::Delete(k));
-    }
-    ASSERT_TRUE(db->CompactUntilQuiescent().ok());
-    ASSERT_TRUE(
-        model.Write(db, ModelOp::SecondaryRangeDelete(400, 500)).ok());
-    ASSERT_TRUE(db->WaitForCompact().ok());
-    ASSERT_TRUE(model.CheckAll(db));
-  };
-  apply_and_check(db_cached.get());
-  apply_and_check(db_pinned.get());
-  EXPECT_GT(db_cached->stats().filter_block_cache_hits.load() +
-                db_cached->stats().filter_block_cache_misses.load(),
-            0u);
+  Random rnd(17);
+  for (int i = 0; i < 2000; i++) {
+    const uint64_t k = rnd.Uniform(n);
+    const bool deleted = k % (n / 4) >= 100 && k % (n / 4) < 105;
+    ASSERT_EQ(Get(k), deleted ? "NOT_FOUND" : value + std::to_string(k))
+        << k;
+  }
+  EXPECT_GT(db_->stats().page_cache_evictions.load(), 0u);
+  EXPECT_GT(db_->stats().rt_cover_probes.load(), 0u);
+  EXPECT_LE(db_->stats().rt_fragment_builds.load(), files_with_rts);
 }
 
 TEST_F(DBTest, PageCacheDisabledReproducesExactIoCounts) {

@@ -878,12 +878,12 @@ TEST_F(SSTableTest, SecondaryDeletePlanSeparatesFullAndPartial) {
   // [t*32, (t+1)*32). Deleting [32, 64) should fully drop tile 1's pages.
   auto reader = BuildTable(128, IdentityDk);
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(reader->index(), 32, 64, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete(32, 64, nullptr, &plan);
   EXPECT_EQ(plan.full_drop_pages.size(), 4u);  // one whole tile (4 pages)
   EXPECT_TRUE(plan.partial_pages.empty());
 
   // A range splitting pages: [36, 60) covers pages partially at the edges.
-  reader->PlanSecondaryRangeDelete(reader->index(), 36, 60, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete(36, 60, nullptr, &plan);
   uint64_t full = plan.full_drop_pages.size();
   uint64_t partial = plan.partial_pages.size();
   EXPECT_EQ(full, 2u);     // pages [40,48) and [48,56)
@@ -895,10 +895,10 @@ TEST_F(SSTableTest, PlanSkipsDroppedPages) {
   FileMeta meta;
   meta.num_pages = reader->num_pages();
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(reader->index(), 32, 64, &meta, &plan);
+  reader->PlanSecondaryRangeDelete(32, 64, &meta, &plan);
   ASSERT_EQ(plan.full_drop_pages.size(), 4u);
   meta.DropPage(plan.full_drop_pages[0]);
-  reader->PlanSecondaryRangeDelete(reader->index(), 32, 64, &meta, &plan);
+  reader->PlanSecondaryRangeDelete(32, 64, &meta, &plan);
   EXPECT_EQ(plan.full_drop_pages.size(), 3u);
 }
 
@@ -908,7 +908,7 @@ TEST_F(SSTableTest, GetSkipsDroppedPages) {
   meta.num_pages = reader->num_pages();
   // Key 40 lives in the page covering delete keys [40, 48) (identity dk).
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(reader->index(), 40, 48, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete(40, 48, nullptr, &plan);
   ASSERT_EQ(plan.full_drop_pages.size(), 1u);
   meta.DropPage(plan.full_drop_pages[0]);
 
@@ -1160,7 +1160,7 @@ TEST_F(ByteClosedTileTest, SecondaryDeleteStillDropsWholePages) {
   const uint64_t lo = reader->pages()[tile.first_page].min_delete_key;
   const uint64_t hi = reader->pages()[last].max_delete_key + 1;
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(reader->index(), lo, hi, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete(lo, hi, nullptr, &plan);
   EXPECT_EQ(plan.full_drop_pages.size(), tile.page_count);
   EXPECT_TRUE(plan.partial_pages.empty());
 

@@ -608,11 +608,10 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   options.target_file_bytes = 8 << 10;
   options.size_ratio = 3;
   // A budget smaller than the sum of the four write-buffer reservations:
-  // the hot shard must squeeze the block budget (its reservation evicts the
-  // cold shards' blocks) rather than grow the process; cold shards must
+  // the hot shard must squeeze the page budget (its reservation evicts the
+  // cold shards' pages) rather than grow the process; cold shards must
   // still serve.
   options.memory_budget_bytes = 16 << 10;
-  options.cache_index_and_filter_blocks = true;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "budgetdb", &db).ok());

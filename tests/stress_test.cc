@@ -261,29 +261,22 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   // Half the seeds split multi-file merges into range partitions that fan
   // out across the pool (subcompactions).
   options.max_subcompactions = config_rnd.Bernoulli(0.5) ? 4 : 1;
-  // Unified-budget configs: metadata behind the cache, write buffers
-  // reserved, sometimes a budget tiny enough that the reservation zeroes
-  // the block budget (every block evicted as soon as the next one
-  // arrives). Cached metadata requires some cache budget (Options::Validate
-  // enforces it).
+  // Unified-budget configs: write buffers reserved, sometimes a budget
+  // tiny enough that the reservation zeroes the page budget (every page
+  // evicted as soon as the next one arrives).
   if (config_rnd.Bernoulli(0.4)) {
     static constexpr uint64_t kBudgets[] = {4 << 10, 64 << 10, 1 << 20};
     options.memory_budget_bytes = kBudgets[config_rnd.Uniform(3)];
   }
-  options.cache_index_and_filter_blocks =
-      (options.memory_budget_bytes > 0 || options.page_cache_bytes > 0) &&
-      config_rnd.Bernoulli(0.5);
   // B in [8, 32]. A 1 KB page holds ~22 of this suite's ~45-byte entries,
   // so a larger B closes pages and tiles by bytes on every path below.
   options.table.entries_per_page =
       8 + static_cast<uint32_t>(config_rnd.Uniform(25));
   // CI's low-memory lane: force every seed through the tiny-budget
-  // machinery — cached metadata under a budget smaller than one memtable —
-  // so metadata eviction and re-load run under the sanitizers on every
-  // push.
+  // machinery — a budget smaller than one memtable — so page eviction and
+  // the write-buffer reservation churn under the sanitizers on every push.
   if (test::EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
     options.memory_budget_bytes = 16 << 10;
-    options.cache_index_and_filter_blocks = true;
   }
 
   SCOPED_TRACE("config: style=" +
@@ -300,8 +293,6 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
                " subcompactions=" +
                std::to_string(options.max_subcompactions) +
                " budget=" + std::to_string(options.memory_budget_bytes) +
-               " cachemeta=" +
-               std::to_string(options.cache_index_and_filter_blocks) +
                " rtheavy=" + std::to_string(RtHeavy()));
 
   std::unique_ptr<DB> db;
@@ -629,15 +620,13 @@ TEST_P(CrashStressTest, MidRunWriteFaultRecoversConsistently) {
 
   Options options = LaneOptions(&env, &clock, &config_rnd);
   options.max_subcompactions = config_rnd.Bernoulli(0.5) ? 4 : 1;
-  // Crash + reopen must hold with metadata behind the cache and a unified
-  // budget too (the reopen rebuilds reservations from the replayed WALs).
+  // Crash + reopen must hold with a unified budget too (the reopen
+  // rebuilds reservations from the replayed WALs).
   if (config_rnd.Bernoulli(0.4)) {
     options.memory_budget_bytes = 64 << 10;
-    options.cache_index_and_filter_blocks = config_rnd.Bernoulli(0.6);
   }
   if (test::EnvInt("LETHE_STRESS_LOW_MEMORY", 0) > 0) {
     options.memory_budget_bytes = 16 << 10;
-    options.cache_index_and_filter_blocks = true;
   }
 
   const char* fault = config_rnd.Bernoulli(0.5) ? ".sst" : "MANIFEST";
