@@ -96,17 +96,18 @@ struct Options {
   /// definitely absent. Default: false.
   bool filter_blind_deletes = false;
 
-  /// Memory budget (bytes) for the engine-wide decoded-page cache, an LRU
-  /// over decoded disk pages keyed by (file number, page index) and shared
-  /// by every read scenario: point lookups, filter-guard probes, iterators,
-  /// and secondary range lookups. A hit skips both the Env page read and
-  /// the entry decode.
+  /// Memory budget (bytes) for the engine-wide decoded-page cache
+  /// (PageCache), an LRU over decoded data pages keyed by (file number,
+  /// page generation, page index) and shared by every read scenario: point
+  /// lookups, filter-guard probes and iterators. A hit skips both the Env
+  /// page read and the entry decode.
   ///
   /// 0 (the default) disables the cache entirely, so every page probe
   /// performs a real Env read — the Fig 6 benches rely on this to report
   /// I/O counts faithful to the paper's cost model. Production configs
   /// should set a budget (e.g. 64 << 20); hit/miss/eviction counters and a
-  /// resident-bytes gauge are exported via Statistics (page_cache_*).
+  /// resident-bytes gauge are exported via Statistics (page_cache_*),
+  /// updated as each cache operation happens.
   uint64_t page_cache_bytes = 0;
 
   /// Unified memory budget (bytes) split between the decoded data pages
@@ -184,7 +185,7 @@ struct Options {
   /// release. > 1 opens a ShardedDB facade (src/lsm/sharded_db.h): N full
   /// DBImpls under `<name>/shard-<i>`, keys routed by shard_router, all
   /// shards sharing ONE background worker pool
-  /// (background_threads total, per-shard fair), ONE block cache, and ONE
+  /// (background_threads total, per-shard fair), ONE page cache, and ONE
   /// memory_budget_bytes. See docs/architecture.md ("Sharding").
   int num_shards = 1;
 

@@ -156,9 +156,10 @@ class PageEntries {
 
 /// A decoded page: one buffer holding the verified page bytes followed by
 /// the entry-offset table `entries` reads them through. Decoded pages are
-/// shared immutably across the read path (see src/format/page_cache.h), so
-/// nothing may mutate one after DecodePage. Not copyable or movable: the
-/// view points into the page's own buffer.
+/// shared immutably across the read path through PageHandle (see
+/// src/format/page_cache.h), and a reader's handle keeps its page alive
+/// after the cache evicts it, so nothing may mutate one after DecodePage.
+/// Not copyable or movable: the view points into the page's own buffer.
 class PageContents {
  public:
   PageContents() = default;

@@ -24,7 +24,7 @@
 namespace lethe {
 
 /// Result of a point lookup inside one table. `value` aliases the decoded
-/// page pinned by `page`, so returning a result costs no copy; callers
+/// page `page` shares, so returning a result costs no copy; callers
 /// materialize the bytes only at the API boundary.
 struct TableGetResult {
   ValueType type = ValueType::kValue;
@@ -51,7 +51,7 @@ struct SecondaryDeletePlan {
 /// verifies it, and keeps the parsed TableIndex — fences, tiles, range
 /// tombstones, and every page's Bloom filter — resident for the reader's
 /// lifetime, exactly the paper's memory-resident-filter assumption. Only
-/// data pages go through the (optional) shared page cache.
+/// data pages go through the (optional) shared PageCache.
 class SSTableReader {
  public:
   /// `file_number` + `page_cache` (both optional) connect the reader to the

@@ -26,17 +26,17 @@
 namespace lethe {
 
 /// What ShardedDB shares with each shard it opens. A standalone DBImpl takes
-/// the empty default and builds its own scheduler and block cache.
+/// the empty default and builds its own scheduler and page cache.
 struct ShardContext {
   /// The shared worker pool. The DBImpl registers as one owner and, on
   /// close, detaches itself rather than shutting the pool down.
   std::shared_ptr<BackgroundScheduler> scheduler;
-  /// The shared block cache (null without a budget); the shard stakes its
+  /// The shared page cache (null without a budget); the shard stakes its
   /// write-buffer reservation against it.
-  std::shared_ptr<PageCache> block_cache;
+  std::shared_ptr<PageCache> page_cache;
   /// First file number the DBImpl may allocate (its manifest, WALs and
   /// tables all number upward from here). Each shard gets a disjoint band
-  /// (shard index << 40), so file-number-keyed state in the shared block
+  /// (shard index << 40), so file-number-keyed state in the shared page
   /// cache can never collide across shards. 0 numbers from 1.
   uint64_t file_number_origin = 0;
 };
@@ -172,7 +172,7 @@ class DBImpl final : public DB {
   /// assert that failed WAL appends do not advance it.
   SequenceNumber TEST_LastSequence() const { return versions_->LastSequence(); }
 
-  /// Test hook: the shared block cache, or nullptr when no budget is set.
+  /// Test hook: the page cache, or nullptr when no budget is set.
   PageCache* TEST_page_cache() { return page_cache_.get(); }
 
   /// Test hook: FADE's seq→time resolution (VersionSet::TimeOfSeq) — lets
@@ -501,11 +501,10 @@ class DBImpl final : public DB {
   /// mem_staked_bytes_, measured only by write-token holders — the arena
   /// is token-guarded, so the background flush path must not size mem_
   /// directly) plus every pending immutable memtable (frozen, safe to
-  /// measure under mu_). Raising the stake evicts cached blocks, so
-  /// pages/filters/indexes and write buffers stay jointly bounded by the
-  /// one budget. No-op without a budget. Called at every point the set or
-  /// size of memtables changes: post-write, memtable switch, flush commit,
-  /// and WAL replay.
+  /// measure under mu_). Raising the stake evicts cached pages, so pages
+  /// and write buffers stay jointly bounded by the one budget. No-op
+  /// without a budget. Called at every point the set or size of memtables
+  /// changes: post-write, memtable switch, flush commit, and WAL replay.
   void UpdateMemtableReservationLocked();
 
   /// Recovery-time garbage collection: deletes table files not referenced

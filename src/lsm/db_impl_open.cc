@@ -13,18 +13,18 @@ Status DBImpl::Init() {
   const uint64_t cache_capacity = options_.memory_budget_bytes > 0
                                       ? options_.memory_budget_bytes
                                       : options_.page_cache_bytes;
-  if (shard_.block_cache != nullptr) {
+  if (shard_.page_cache != nullptr) {
     // ShardedDB: every shard stakes reservations against the one facade-
     // owned cache, so a single budget bounds the whole sharded engine.
-    page_cache_ = shard_.block_cache;
+    page_cache_ = shard_.page_cache;
     if (options_.memory_budget_bytes > 0) {
-      memtable_reservation_ = CacheReservation(page_cache_->cache());
+      memtable_reservation_ = CacheReservation(page_cache_.get());
     }
   } else if (cache_capacity > 0) {
     page_cache_ = std::make_shared<PageCache>(
         cache_capacity, PageCache::kDefaultShardBits, &stats_);
     if (options_.memory_budget_bytes > 0) {
-      memtable_reservation_ = CacheReservation(page_cache_->cache());
+      memtable_reservation_ = CacheReservation(page_cache_.get());
     }
   }
   versions_ = std::make_unique<VersionSet>(options_, dbname_,

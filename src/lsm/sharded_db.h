@@ -64,9 +64,9 @@ class RangeKeyRouter final : public KeyRouter {
 /// Shared pools: all shards draw from ONE BackgroundScheduler worker pool
 /// (each shard is a scheduler *owner*; dispatch round-robins across owners
 /// per priority class, so a write-hot shard cannot starve a sibling's
-/// flushes), ONE block/page cache, and ONE memory_budget_bytes — every
+/// flushes), ONE page cache, and ONE memory_budget_bytes — every
 /// shard stakes its write-buffer CacheReservation against the shared
-/// cache, so a hot shard squeezes cold shards' cached blocks instead of
+/// cache, so a hot shard squeezes cold shards' cached pages instead of
 /// growing the process. Per-shard file-number bands (shard index << 40)
 /// keep the shared cache's file-number-keyed entries collision-free.
 ///

@@ -1,340 +1,406 @@
-// Unit tests for the sharded LRU cache and the decoded-page cache layered on
-// it: hit/miss behaviour, LRU eviction order, charge accounting, pinning,
-// concurrent sharded access, and (file, page) invalidation.
+// Unit tests for the decoded-page cache: hit/miss behaviour, LRU eviction
+// order against a model, charge accounting, reservations, concurrent sharded
+// access, and (file, page) invalidation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/statistics.h"
 #include "src/format/page_cache.h"
-#include "src/util/cache.h"
 #include "src/util/random.h"
 
 namespace lethe {
 namespace {
 
-std::atomic<int> g_deletions{0};
-
-void DeleteIntValue(const Slice&, void* value) {
-  g_deletions.fetch_add(1, std::memory_order_relaxed);
-  delete static_cast<int*>(value);
+/// A decoded page of `raw_size` bytes holding no entries.
+PageHandle MakePage(size_t raw_size) {
+  auto page = std::make_shared<PageContents>();
+  const std::string raw = PageBuilder(raw_size, 1).Finish();
+  EXPECT_TRUE(DecodePage(Slice(raw), raw_size, page.get()).ok());
+  return page;
 }
 
-class LRUCacheTest : public ::testing::Test {
+/// Charges in these tests count in units of 100 bytes.
+constexpr size_t kUnit = 100;
+
+/// An empty page charged exactly `units` units.
+PageHandle PageOfUnits(size_t units) {
+  PageHandle page = MakePage(units * kUnit - sizeof(PageContents));
+  EXPECT_EQ(page->ApproximateMemoryUsage(), units * kUnit);
+  return page;
+}
+
+class PageCacheLRUTest : public ::testing::Test {
  protected:
-  static constexpr size_t kCapacity = 4;
+  static constexpr size_t kCapacity = 4;  // units
 
   // One shard so eviction order is fully deterministic.
-  LRUCacheTest() : cache_(NewShardedLRUCache(kCapacity, /*shard_bits=*/0)) {
-    g_deletions.store(0);
+  PageCacheLRUTest() : cache_(kCapacity * kUnit, /*shard_bits=*/0, &stats_) {}
+
+  /// Caches a page of `units` units as file `file`, page 0; returns it.
+  PageHandle Insert(uint64_t file, size_t units = 1) {
+    PageHandle page = PageOfUnits(units);
+    cache_.Insert(file, 0, page);
+    return page;
   }
 
-  void Insert(const std::string& key, int value, size_t charge = 1) {
-    cache_->Release(
-        cache_->Insert(key, new int(value), charge, &DeleteIntValue));
+  /// The cached page of file `file`, or nullptr on a miss.
+  PageHandle Lookup(uint64_t file) {
+    PageHandle page;
+    return cache_.Lookup(file, 0, &page) ? page : nullptr;
   }
 
-  /// -1 on miss.
-  int Lookup(const std::string& key) {
-    Cache::Handle* handle = cache_->Lookup(key);
-    if (handle == nullptr) {
-      return -1;
-    }
-    int value = *static_cast<int*>(cache_->Value(handle));
-    cache_->Release(handle);
-    return value;
-  }
-
-  std::unique_ptr<Cache> cache_;
+  Statistics stats_;
+  PageCache cache_;
 };
 
-void CopyIntValue(void* value, void* out) {
-  *static_cast<int*>(out) = *static_cast<int*>(value);
+TEST_F(PageCacheLRUTest, HitAndMiss) {
+  EXPECT_EQ(Lookup(1), nullptr);
+  PageHandle a = Insert(1);
+  EXPECT_EQ(Lookup(1), a);
+  EXPECT_EQ(Lookup(2), nullptr);
+  EXPECT_EQ(stats_.page_cache_hits.load(), 1u);
+  EXPECT_EQ(stats_.page_cache_misses.load(), 2u);
 }
 
-/// Copy-out lookup; -1 on miss.
-int LookupCopy(Cache* cache, const std::string& key) {
-  int value = -1;
-  const bool hit = cache->LookupCopy(key, &CopyIntValue, &value);
-  EXPECT_EQ(hit, value != -1);
-  return value;
+TEST_F(PageCacheLRUTest, ReplaceUpdatesPageAndFreesOld) {
+  std::weak_ptr<const PageContents> old = Insert(1);
+  EXPECT_FALSE(old.expired());  // the cache holds it
+  PageHandle replacement = Insert(1, 2);
+  EXPECT_EQ(Lookup(1), replacement);
+  EXPECT_TRUE(old.expired());  // the displaced page is gone
+  EXPECT_EQ(cache_.TotalCharge(), 2 * kUnit);
+  // A replacement is not a capacity eviction.
+  EXPECT_EQ(stats_.page_cache_evictions.load(), 0u);
 }
 
-TEST_F(LRUCacheTest, HitAndMiss) {
-  EXPECT_EQ(Lookup("a"), -1);
-  Insert("a", 1);
-  EXPECT_EQ(Lookup("a"), 1);
-  EXPECT_EQ(Lookup("b"), -1);
+TEST_F(PageCacheLRUTest, EvictionFollowsLRUOrder) {
+  PageHandle a = Insert(1);
+  Insert(2);
+  PageHandle c = Insert(3);
+  PageHandle d = Insert(4);
+  EXPECT_EQ(Lookup(1), a);    // refresh 1: 2 is now the oldest
+  PageHandle e = Insert(5);   // over capacity: evicts 2
+  EXPECT_EQ(Lookup(2), nullptr);
+  EXPECT_EQ(Lookup(1), a);
+  EXPECT_EQ(Lookup(3), c);
+  EXPECT_EQ(Lookup(4), d);
+  EXPECT_EQ(Lookup(5), e);
+  EXPECT_EQ(stats_.page_cache_evictions.load(), 1u);
 }
 
-TEST_F(LRUCacheTest, ReplaceUpdatesValueAndFreesOld) {
-  Insert("a", 1);
-  Insert("a", 2);
-  EXPECT_EQ(Lookup("a"), 2);
-  EXPECT_EQ(g_deletions.load(), 1);  // the displaced value
+TEST_F(PageCacheLRUTest, ChargeAccounting) {
+  Insert(1, 2);
+  PageHandle b = Insert(2, 1);
+  EXPECT_EQ(cache_.TotalCharge(), 3 * kUnit);
+  // A 3-unit insert pushes usage to 6; evicting the oldest (1, two units)
+  // already brings it back within budget, so 2 survives.
+  PageHandle c = Insert(3, 3);
+  EXPECT_EQ(cache_.TotalCharge(), 4 * kUnit);
+  EXPECT_EQ(stats_.page_cache_charge_bytes.load(), 4 * kUnit);
+  EXPECT_EQ(Lookup(1), nullptr);
+  EXPECT_EQ(Lookup(2), b);
+  EXPECT_EQ(Lookup(3), c);
 }
 
-TEST_F(LRUCacheTest, EvictionFollowsLRUOrder) {
-  Insert("a", 1);
-  Insert("b", 2);
-  Insert("c", 3);
-  Insert("d", 4);
-  EXPECT_EQ(Lookup("a"), 1);  // refresh "a": "b" is now the oldest
-  Insert("e", 5);             // over capacity: evicts "b"
-  EXPECT_EQ(Lookup("b"), -1);
-  EXPECT_EQ(Lookup("a"), 1);
-  EXPECT_EQ(Lookup("c"), 3);
-  EXPECT_EQ(Lookup("d"), 4);
-  EXPECT_EQ(Lookup("e"), 5);
-  EXPECT_EQ(cache_->NumEvictions(), 1u);
+TEST_F(PageCacheLRUTest, OversizedEntryIsDroppedByNextInsert) {
+  PageHandle big = Insert(1, kCapacity + 1);
+  // Usage exceeds capacity, but an insert never evicts its own page: the
+  // page stays resident until the next insert.
+  EXPECT_EQ(Lookup(1), big);
+  PageHandle small = Insert(2);
+  EXPECT_EQ(Lookup(1), nullptr);
+  EXPECT_EQ(Lookup(2), small);
 }
 
-TEST_F(LRUCacheTest, CopyOutHitRefreshesRecency) {
-  Insert("a", 1);
-  Insert("b", 2);
-  Insert("c", 3);
-  Insert("d", 4);
-  EXPECT_EQ(LookupCopy(cache_.get(), "a"), 1);  // "b" is now the oldest
-  Insert("e", 5);
-  EXPECT_EQ(LookupCopy(cache_.get(), "b"), -1);
-  EXPECT_EQ(LookupCopy(cache_.get(), "a"), 1);
-  EXPECT_EQ(cache_->NumEvictions(), 1u);
-}
-
-TEST_F(LRUCacheTest, CopyOutLeavesPinnedEntriesPinned) {
-  Cache::Handle* pinned =
-      cache_->Insert("pin", new int(42), 1, &DeleteIntValue);
-  EXPECT_EQ(LookupCopy(cache_.get(), "pin"), 42);
-  for (int i = 0; i < 10; i++) {
-    Insert("k" + std::to_string(i), i);
+// A page a reader holds outlives its eviction: the cache drops its own
+// reference, and the page goes when the last reader lets go.
+TEST_F(PageCacheLRUTest, HeldPageOutlivesItsEviction) {
+  std::weak_ptr<const PageContents> watch;
+  PageHandle held;
+  {
+    Insert(1, 2);
+    held = Lookup(1);
+    watch = held;
   }
-  EXPECT_EQ(LookupCopy(cache_.get(), "pin"), 42);
-  cache_->Release(pinned);
-}
+  cache_.EvictPage(1, 0);
+  EXPECT_EQ(Lookup(1), nullptr);  // no longer findable
+  EXPECT_EQ(cache_.TotalCharge(), 0u);
+  ASSERT_FALSE(watch.expired());  // but not destroyed
+  EXPECT_EQ(held->ApproximateMemoryUsage(), 2 * kUnit);
 
-// Two one-shard caches see the same random history of inserts, erases and
-// hits; one takes its hits as Lookup + Release, the other as LookupCopy.
-// Every step must evict the same entries, so both always hold the same
-// keys.
-TEST(LRUCacheCopyOutTest, MatchesLookupReleaseOrderExactly) {
-  auto pinning = NewShardedLRUCache(24, /*shard_bits=*/0);
-  auto copying = NewShardedLRUCache(24, /*shard_bits=*/0);
-  Random rnd(31);
-  for (int step = 0; step < 5000; step++) {
-    const int k = static_cast<int>(rnd.Uniform(40));
-    const std::string key = "key" + std::to_string(k);
-    switch (rnd.Uniform(5)) {
-      case 0:
-      case 1: {
-        const size_t charge = 1 + rnd.Uniform(3);
-        for (Cache* cache : {pinning.get(), copying.get()}) {
-          cache->Release(
-              cache->Insert(key, new int(k), charge, &DeleteIntValue));
-        }
-        break;
-      }
-      case 2:
-        pinning->Erase(key);
-        copying->Erase(key);
-        break;
-      default: {
-        int pinned_value = -1;
-        if (Cache::Handle* handle = pinning->Lookup(key)) {
-          pinned_value = *static_cast<int*>(pinning->Value(handle));
-          pinning->Release(handle);
-        }
-        ASSERT_EQ(LookupCopy(copying.get(), key), pinned_value)
-            << "step " << step;
-        break;
-      }
-    }
-    ASSERT_EQ(pinning->NumEvictions(), copying->NumEvictions())
-        << "step " << step;
-    ASSERT_EQ(pinning->TotalCharge(), copying->TotalCharge())
-        << "step " << step;
+  // Eviction by capacity pressure behaves the same.
+  std::weak_ptr<const PageContents> pressured = Insert(2);
+  PageHandle held2 = Lookup(2);
+  for (uint64_t f = 10; f < 20; f++) {
+    Insert(f);
   }
+  EXPECT_EQ(Lookup(2), nullptr);
+  EXPECT_FALSE(pressured.expired());
+
+  held.reset();
+  held2.reset();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(pressured.expired());
 }
 
-TEST_F(LRUCacheTest, ChargeAccounting) {
-  Insert("a", 1, 2);
-  Insert("b", 2, 1);
-  EXPECT_EQ(cache_->TotalCharge(), 3u);
-  // A 3-charge insert pushes usage to 6; evicting the oldest ("a", charge 2)
-  // already brings it back within budget, so "b" survives.
-  Insert("c", 3, 3);
-  EXPECT_EQ(cache_->TotalCharge(), 4u);
-  EXPECT_EQ(Lookup("a"), -1);
-  EXPECT_EQ(Lookup("b"), 2);
-  EXPECT_EQ(Lookup("c"), 3);
-}
+TEST_F(PageCacheLRUTest, ReservationShrinksPageBudget) {
+  Insert(1, 2);
+  Insert(2, 2);
+  EXPECT_EQ(cache_.TotalCharge(), 4 * kUnit);
 
-TEST_F(LRUCacheTest, OversizedEntryIsDroppedByNextInsert) {
-  Insert("big", 9, kCapacity + 1);
-  // Usage exceeds capacity, but eviction only strikes unpinned entries at
-  // insert time — the entry stays resident until pressure arrives.
-  EXPECT_EQ(Lookup("big"), 9);
-  Insert("small", 1);
-  EXPECT_EQ(Lookup("big"), -1);
-  EXPECT_EQ(Lookup("small"), 1);
-}
-
-TEST_F(LRUCacheTest, PinnedEntriesAreNotEvicted) {
-  Cache::Handle* pinned =
-      cache_->Insert("pin", new int(42), 1, &DeleteIntValue);
-  for (int i = 0; i < 10; i++) {
-    Insert("filler" + std::to_string(i), i);
-  }
-  // Pinned entry survived the churn and is still resident.
-  EXPECT_EQ(*static_cast<int*>(cache_->Value(pinned)), 42);
-  EXPECT_EQ(Lookup("pin"), 42);
-  cache_->Release(pinned);
-  // Unpinned now; enough pressure evicts it.
-  for (int i = 0; i < 10; i++) {
-    Insert("more" + std::to_string(i), i);
-  }
-  EXPECT_EQ(Lookup("pin"), -1);
-}
-
-TEST_F(LRUCacheTest, ErasedEntryStaysAliveWhilePinned) {
-  Cache::Handle* pinned =
-      cache_->Insert("doomed", new int(7), 1, &DeleteIntValue);
-  cache_->Erase("doomed");
-  EXPECT_EQ(Lookup("doomed"), -1);  // no longer findable
-  EXPECT_EQ(g_deletions.load(), 0);  // but not destroyed yet
-  EXPECT_EQ(*static_cast<int*>(cache_->Value(pinned)), 7);
-  cache_->Release(pinned);
-  EXPECT_EQ(g_deletions.load(), 1);
-}
-
-TEST_F(LRUCacheTest, EraseIfDropsMatchingKeys) {
-  Insert("file1/a", 1);
-  Insert("file1/b", 2);
-  Insert("file2/a", 3);
-  cache_->EraseIf(
-      [](const Slice& key, void*) { return key.starts_with("file1"); },
-      nullptr);
-  EXPECT_EQ(Lookup("file1/a"), -1);
-  EXPECT_EQ(Lookup("file1/b"), -1);
-  EXPECT_EQ(Lookup("file2/a"), 3);
-  EXPECT_EQ(cache_->TotalCharge(), 1u);
-  // Predicate drops are invalidations, not capacity evictions.
-  EXPECT_EQ(cache_->NumEvictions(), 0u);
-}
-
-TEST_F(LRUCacheTest, ZeroCapacityIsPassThrough) {
-  auto cache = NewShardedLRUCache(0, 0);
-  Cache::Handle* handle =
-      cache->Insert("a", new int(1), 1, &DeleteIntValue);
-  EXPECT_EQ(*static_cast<int*>(cache->Value(handle)), 1);
-  EXPECT_EQ(cache->Lookup("a"), nullptr);  // never resident
-  cache->Release(handle);
-  EXPECT_EQ(cache->TotalCharge(), 0u);
-}
-
-TEST_F(LRUCacheTest, ReservationShrinksBlockBudget) {
-  Insert("a", 1, 2);
-  Insert("b", 2, 2);
-  EXPECT_EQ(cache_->TotalCharge(), 4u);
-
-  // Reserving 3 of the 4 bytes evicts down to a 1-byte block budget.
-  cache_->AdjustReservation(3);
-  EXPECT_EQ(cache_->ReservedBytes(), 3u);
-  EXPECT_LE(cache_->TotalCharge() + 3, kCapacity);
+  // Reserving 3 of the 4 units evicts down to a 1-unit page budget, and
+  // the gauges say so at once.
+  cache_.AdjustReservation(3 * kUnit);
+  EXPECT_EQ(cache_.ReservedBytes(), 3 * kUnit);
+  EXPECT_LE(cache_.TotalCharge() + 3 * kUnit, kCapacity * kUnit);
+  EXPECT_EQ(stats_.page_cache_charge_bytes.load(), cache_.TotalCharge());
+  EXPECT_EQ(stats_.page_cache_evictions.load(), 2u);
 
   // Inserts are still admitted, but each one evicts down to the shrunken
-  // budget: only the newest 1-byte entry stays.
-  Insert("c", 3, 1);
-  Insert("d", 4, 1);
-  EXPECT_EQ(Lookup("c"), -1);
-  EXPECT_EQ(Lookup("d"), 4);
+  // budget: only the newest 1-unit page stays.
+  Insert(3, 1);
+  PageHandle d = Insert(4, 1);
+  EXPECT_EQ(Lookup(3), nullptr);
+  EXPECT_EQ(Lookup(4), d);
 
   // A returned reservation restores the whole budget.
-  cache_->AdjustReservation(-3);
-  EXPECT_EQ(cache_->ReservedBytes(), 0u);
-  Insert("e", 5, 2);
-  Insert("f", 6, 1);
-  EXPECT_EQ(Lookup("d"), 4);
-  EXPECT_EQ(Lookup("e"), 5);
-  EXPECT_EQ(Lookup("f"), 6);
-  EXPECT_EQ(cache_->TotalCharge(), 4u);
+  cache_.AdjustReservation(-3 * static_cast<int64_t>(kUnit));
+  EXPECT_EQ(cache_.ReservedBytes(), 0u);
+  PageHandle e = Insert(5, 2);
+  PageHandle f = Insert(6, 1);
+  EXPECT_EQ(Lookup(4), d);
+  EXPECT_EQ(Lookup(5), e);
+  EXPECT_EQ(Lookup(6), f);
+  EXPECT_EQ(cache_.TotalCharge(), 4 * kUnit);
 }
 
-TEST_F(LRUCacheTest, ReservationBeyondCapacityZeroesTheBudget) {
-  Insert("a", 1, 1);
+TEST_F(PageCacheLRUTest, ReservationBeyondCapacityZeroesTheBudget) {
+  Insert(1, 1);
   // Forced reservations may exceed capacity (a memtable the engine cannot
-  // drop): every block is evicted, and an insert stays only until the next
+  // drop): every page is evicted, and an insert stays only until the next
   // one evicts it.
-  cache_->AdjustReservation(kCapacity * 2);
-  EXPECT_EQ(cache_->TotalCharge(), 0u);
-  EXPECT_EQ(Lookup("a"), -1);
-  Insert("b", 2, 1);
-  Insert("c", 3, 1);
-  EXPECT_EQ(Lookup("b"), -1);
-  EXPECT_EQ(cache_->TotalCharge(), 1u);
+  cache_.AdjustReservation(kCapacity * kUnit * 2);
+  EXPECT_EQ(cache_.TotalCharge(), 0u);
+  EXPECT_EQ(stats_.page_cache_charge_bytes.load(), 0u);
+  EXPECT_EQ(Lookup(1), nullptr);
+  Insert(2, 1);
+  PageHandle c = Insert(3, 1);
+  EXPECT_EQ(Lookup(2), nullptr);
+  EXPECT_EQ(cache_.TotalCharge(), kUnit);
 
-  cache_->AdjustReservation(-static_cast<int64_t>(kCapacity * 2));
-  Insert("d", 4, 1);
-  EXPECT_EQ(Lookup("c"), 3);
-  EXPECT_EQ(Lookup("d"), 4);
+  cache_.AdjustReservation(-static_cast<int64_t>(kCapacity * kUnit * 2));
+  PageHandle d = Insert(4, 1);
+  EXPECT_EQ(Lookup(3), c);
+  EXPECT_EQ(Lookup(4), d);
 }
 
 TEST(CacheReservationTest, SetAndDestructionReturnTheStake) {
-  auto cache = NewShardedLRUCache(1024, /*shard_bits=*/2);
+  Statistics stats;
+  PageCache cache(1024, /*shard_bits=*/2, &stats);
   {
-    CacheReservation reservation(cache.get());
+    CacheReservation reservation(&cache);
     reservation.Set(600);
-    EXPECT_EQ(cache->ReservedBytes(), 600u);
+    EXPECT_EQ(cache.ReservedBytes(), 600u);
     reservation.Set(200);  // shrink re-points, not accumulates
-    EXPECT_EQ(cache->ReservedBytes(), 200u);
+    EXPECT_EQ(cache.ReservedBytes(), 200u);
   }
-  EXPECT_EQ(cache->ReservedBytes(), 0u);  // destructor released it
+  EXPECT_EQ(cache.ReservedBytes(), 0u);  // destructor released it
 
   CacheReservation inactive;  // no cache: every call is a no-op
   inactive.Set(1 << 20);
   EXPECT_EQ(inactive.bytes(), 0u);
 }
 
-TEST(ShardedLRUCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
-  auto cache = NewShardedLRUCache(512, /*shard_bits=*/4);
-  g_deletions.store(0);
+// A random history of inserts, lookups, page and file evictions and
+// reservation changes on a one-shard cache, checked after every step
+// against a plain LRU model: the same pages resident, in the same order,
+// and the same evictions counted.
+TEST(PageCacheModelTest, MatchesListAndMapLRUStepByStep) {
+  constexpr size_t kCapacityUnits = 24;
+  Statistics stats;
+  PageCache cache(kCapacityUnits * kUnit, /*shard_bits=*/0, &stats);
+
+  using Key = std::tuple<uint64_t, uint32_t, uint32_t>;  // file, gen, page
+  struct Resident {
+    PageHandle page;
+    std::list<Key>::iterator pos;
+  };
+  std::list<Key> order;  // front: the oldest page, the next victim
+  std::map<Key, Resident> model;
+  size_t usage = 0;
+  size_t reserved = 0;
+  uint64_t evictions = 0;
+
+  auto remove = [&](std::map<Key, Resident>::iterator it) {
+    usage -= it->second.page->ApproximateMemoryUsage();
+    order.erase(it->second.pos);
+    model.erase(it);
+  };
+  auto evict_while_over = [&] {
+    const size_t capacity = kCapacityUnits * kUnit;
+    const size_t budget = capacity - std::min(reserved, capacity);
+    while (usage > budget && !order.empty()) {
+      remove(model.find(order.front()));
+      evictions++;
+    }
+  };
+
+  std::vector<Key> universe;
+  for (uint64_t file = 1; file <= 4; file++) {
+    for (uint32_t gen = 0; gen < 2; gen++) {
+      for (uint32_t page = 0; page < 5; page++) {
+        universe.emplace_back(file, gen, page);
+      }
+    }
+  }
+
+  Random rnd(31);
+  for (int step = 0; step < 5000; step++) {
+    const Key key = universe[rnd.Uniform(universe.size())];
+    const auto [file, gen, page_index] = key;
+    switch (rnd.Uniform(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        // Mostly small pages; now and then one larger than the budget.
+        const size_t units =
+            rnd.Uniform(50) == 0 ? kCapacityUnits + 1 : 1 + rnd.Uniform(3);
+        PageHandle page = PageOfUnits(units);
+        cache.Insert(file, page_index, page, gen);
+        if (auto it = model.find(key); it != model.end()) {
+          remove(it);
+        }
+        usage += page->ApproximateMemoryUsage();
+        evict_while_over();
+        model[key] = Resident{page, order.insert(order.end(), key)};
+        break;
+      }
+      case 3:
+      case 4: {
+        PageHandle got;
+        const bool hit = cache.Lookup(file, page_index, &got, gen);
+        auto it = model.find(key);
+        ASSERT_EQ(hit, it != model.end()) << "step " << step;
+        if (hit) {
+          ASSERT_EQ(got, it->second.page) << "step " << step;
+          order.splice(order.end(), order, it->second.pos);
+        }
+        break;
+      }
+      case 5:
+        cache.EvictPage(file, page_index, gen);
+        if (auto it = model.find(key); it != model.end()) {
+          remove(it);
+        }
+        break;
+      case 6:
+        cache.EvictFile(file);
+        for (auto it = model.begin(); it != model.end();) {
+          auto next = std::next(it);
+          if (std::get<0>(it->first) == file) {
+            remove(it);
+          }
+          it = next;
+        }
+        break;
+      default: {
+        const int64_t delta =
+            static_cast<int64_t>(rnd.Uniform(12 * kUnit)) -
+            static_cast<int64_t>(6 * kUnit);
+        cache.AdjustReservation(delta);
+        reserved = static_cast<size_t>(
+            std::max<int64_t>(0, static_cast<int64_t>(reserved) + delta));
+        evict_while_over();
+        break;
+      }
+    }
+
+    ASSERT_EQ(stats.page_cache_evictions.load(), evictions) << "step " << step;
+    ASSERT_EQ(cache.TotalCharge(), usage) << "step " << step;
+    ASSERT_EQ(stats.page_cache_charge_bytes.load(), usage) << "step " << step;
+    ASSERT_EQ(cache.ReservedBytes(), reserved) << "step " << step;
+    // The resident set: every other key misses (a miss moves nothing), and
+    // the model's pages hit oldest first, which leaves their order as it
+    // was.
+    for (const Key& other : universe) {
+      if (model.count(other) == 0) {
+        PageHandle got;
+        ASSERT_FALSE(cache.Lookup(std::get<0>(other), std::get<2>(other),
+                                  &got, std::get<1>(other)))
+            << "step " << step;
+      }
+    }
+    for (const Key& resident : order) {
+      PageHandle got;
+      ASSERT_TRUE(cache.Lookup(std::get<0>(resident), std::get<2>(resident),
+                               &got, std::get<1>(resident)))
+          << "step " << step;
+      ASSERT_EQ(got, model[resident].page) << "step " << step;
+    }
+  }
+  EXPECT_GT(evictions, 100u);
+}
+
+// Threads race inserts, lookups, page and file evictions and reservation
+// churn over a 16-shard cache. Every hit must return the page inserted
+// under its key, and once the threads are done the gauges must match the
+// cache exactly.
+TEST(PageCacheConcurrencyTest, ConcurrentMixedWorkloadStaysConsistent) {
+  constexpr size_t kCapacity = 16 * 1024;
+  Statistics stats;
+  PageCache cache(kCapacity, /*shard_bits=*/4, &stats);
+  constexpr int kKeys = 257;
+  // Charges stay below a shard's 1 KB share, so each shard ends within it.
+  std::vector<PageHandle> pages;
+  for (int k = 0; k < kKeys; k++) {
+    pages.push_back(PageOfUnits(1 + k % 3));
+  }
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   std::atomic<int> bad_reads{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&cache, &bad_reads, t] {
+    threads.emplace_back([&, t] {
+      CacheReservation reservation(&cache);
       for (int i = 0; i < kOpsPerThread; i++) {
-        const int k = (t * 7 + i * 13) % 257;
-        const std::string key = "key" + std::to_string(k);
-        switch (i % 4) {
-          case 0: {
-            Cache::Handle* handle = cache->Lookup(key);
-            if (handle != nullptr) {
-              if (*static_cast<int*>(cache->Value(handle)) != k) {
-                bad_reads.fetch_add(1);
-              }
-              cache->Release(handle);
-            }
-            break;
-          }
+        const int k = (t * 7 + i * 13) % kKeys;
+        const uint64_t file = 1 + k % 8;
+        const uint32_t page_index = static_cast<uint32_t>(k);
+        switch (i % 6) {
+          case 0:
           case 1: {
-            int value = -1;
-            if (cache->LookupCopy(key, &CopyIntValue, &value) && value != k) {
+            PageHandle got;
+            if (cache.Lookup(file, page_index, &got) && got != pages[k]) {
               bad_reads.fetch_add(1);
             }
             break;
           }
           case 2:
-            cache->Release(
-                cache->Insert(key, new int(k), 1 + k % 3, &DeleteIntValue));
+            cache.Insert(file, page_index, pages[k]);
             break;
           case 3:
-            cache->Erase(key);
+            cache.EvictPage(file, page_index);
+            break;
+          case 4:
+            if (i % 60 == 4) {
+              cache.EvictFile(file);
+            } else {
+              cache.Insert(file, page_index, pages[k]);
+            }
+            break;
+          case 5:
+            reservation.Set((i * 37 % 11) * 512);
             break;
         }
       }
@@ -344,21 +410,18 @@ TEST(ShardedLRUCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
     thread.join();
   }
   EXPECT_EQ(bad_reads.load(), 0);
-  // An insert racing a transient pin may leave a shard slightly over budget
-  // until the next insert; allow that slack.
-  EXPECT_LE(cache->TotalCharge(), 512u + kThreads * 3u);
-  cache.reset();  // destructor destroys all residents: every insert freed
-}
+  EXPECT_EQ(cache.ReservedBytes(), 0u);
+  EXPECT_LE(cache.TotalCharge(), kCapacity);
+  EXPECT_EQ(stats.page_cache_charge_bytes.load(), cache.TotalCharge());
 
-// ---------------------------------------------------------------------------
-// PageCache.
-
-/// A decoded page of `raw_size` bytes holding no entries.
-PageHandle MakePage(size_t raw_size) {
-  auto page = std::make_shared<PageContents>();
-  const std::string raw = PageBuilder(raw_size, 1).Finish();
-  EXPECT_TRUE(DecodePage(Slice(raw), raw_size, page.get()).ok());
-  return page;
+  // Every page at once is more than the cache holds.
+  const uint64_t evictions = stats.page_cache_evictions.load();
+  for (int k = 0; k < kKeys; k++) {
+    cache.Insert(1 + k % 8, static_cast<uint32_t>(k), pages[k]);
+  }
+  EXPECT_GT(stats.page_cache_evictions.load(), evictions);
+  EXPECT_LE(cache.TotalCharge(), kCapacity);
+  EXPECT_EQ(stats.page_cache_charge_bytes.load(), cache.TotalCharge());
 }
 
 TEST(PageCacheTest, HitAndMissCounters) {
@@ -452,6 +515,8 @@ TEST(PageCacheTest, EvictFileDropsAllItsPages) {
     EXPECT_TRUE(cache.Lookup(9, p, &page)) << "page " << p;
   }
   EXPECT_EQ(stats.page_cache_charge_bytes.load(), cache.TotalCharge());
+  // File drops are invalidations, not capacity evictions.
+  EXPECT_EQ(stats.page_cache_evictions.load(), 0u);
 }
 
 TEST(PageCacheTest, CapacityPressureEvictsAndCounts) {

@@ -1279,6 +1279,29 @@ TEST_F(MemoryBudgetDBTest, ReservationTracksWriteBuffers) {
   EXPECT_LT(db_->stats().cache_reservation_bytes.load(), staked);
 }
 
+TEST_F(MemoryBudgetDBTest, ReservationRaiseRefreshesCacheGauges) {
+  // Growing write buffers raise the reservation, which evicts pages with no
+  // page insert or evict to follow. The gauges must still be exact.
+  options_.memory_budget_bytes = 256 << 10;
+  options_.write_buffer_bytes = 128 << 10;
+  Open();
+  const uint64_t n = 1200;
+  Load(n);
+  std::string value(100, 'x');
+  for (uint64_t k = 0; k < n; k++) {
+    ASSERT_EQ(Get(k), value + std::to_string(k));
+  }
+  const uint64_t evictions = db_->stats().page_cache_evictions.load();
+
+  const std::string big(200, 'w');
+  for (uint64_t k = n; k < n + 500; k++) {
+    ASSERT_TRUE(Put(k, big, k).ok());
+  }
+  EXPECT_EQ(db_->stats().page_cache_charge_bytes.load(),
+            Cache()->TotalCharge());
+  EXPECT_GT(db_->stats().page_cache_evictions.load(), evictions);
+}
+
 TEST_F(MemoryBudgetDBTest, TinyBudgetStaysCorrect) {
   // A budget smaller than one memtable: the reservation zeroes the block
   // budget, so every block is evicted as soon as the next one arrives —

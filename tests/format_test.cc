@@ -1443,7 +1443,8 @@ TEST(SSTableMultiVersionTest, KiwiH8IteratorAndSnapshotGets) {
 
   for (bool cached : {false, true}) {
     SCOPED_TRACE(cached ? "page cache" : "no page cache");
-    PageCache cache(64 << 20, PageCache::kDefaultShardBits, nullptr);
+    Statistics stats;
+    PageCache cache(64 << 20, PageCache::kDefaultShardBits, &stats);
     std::unique_ptr<RandomAccessFile> read_file;
     ASSERT_TRUE(env->NewRandomAccessFile("mv", &read_file).ok());
     std::unique_ptr<SSTableReader> reader;
