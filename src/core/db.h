@@ -65,8 +65,10 @@ struct TombstoneAgeSample {
 /// Every entry carries two keys: the *sort key* (bytes, primary access path)
 /// and a 64-bit *delete key* (e.g. a timestamp) on which
 /// SecondaryRangeDelete operates. A put logged with WriteBatch::PutExpiring
-/// makes its delete key an expiry deadline: the flushes and compactions
-/// that run past it delete the key, so TTLs need no reaper. With Options
+/// makes its delete key an expiry deadline: a flush or compaction that runs
+/// past it deletes the key, and a table whose bytes are half expired values
+/// is compacted alone once they are (FileMeta::expiry_due, with or without
+/// FADE), so TTLs need no reaper. With Options
 /// defaults the engine behaves like a state-of-the-art leveled LSM (the
 /// paper's RocksDB baseline); setting
 /// Options::delete_persistence_threshold_micros enables FADE, and
@@ -171,14 +173,15 @@ class DB {
   virtual Status Flush() = 0;
 
   /// Barrier for background work: returns once no flush or compaction is
-  /// queued or running and no compaction trigger (saturation, or a TTL that
-  /// has already expired) fires against the current tree. Future TTL
-  /// expiries are not waited for. Tests and benches use this to make
-  /// background mode deterministic.
+  /// queued or running and no compaction trigger (saturation, or a TTL or
+  /// expiry due time that has already passed) fires against the current
+  /// tree. Future deadlines are not waited for. Tests and benches use this
+  /// to make background mode deterministic.
   virtual Status WaitForCompact() = 0;
 
   /// Runs compactions until no trigger (saturation or TTL) fires. With FADE
-  /// enabled this persists every tombstone whose TTL has expired.
+  /// enabled this persists every tombstone whose TTL has expired; with or
+  /// without it, every file whose expiry due time has passed is purged.
   virtual Status CompactUntilQuiescent() = 0;
 
   /// Full-tree compaction: merges everything into the bottommost level,

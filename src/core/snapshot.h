@@ -78,6 +78,13 @@ class SnapshotList {
     return head_.next_->seq_;
   }
 
+  /// Creation time of the oldest live snapshot, the earliest of them all;
+  /// callers must check empty() first.
+  uint64_t OldestTime() const {
+    assert(!empty());
+    return head_.next_->time_;
+  }
+
   /// All pinned sequence numbers, ascending. Captured under the DB mutex at
   /// merge-config build time; a snapshot taken after the capture pins only
   /// sequences at or above every entry the merge can see, so it needs no

@@ -17,12 +17,17 @@ namespace lethe {
 constexpr uint64_t kNoTombstoneTime = UINT64_MAX;
 
 /// Per-file metadata kept in memory by the version set and persisted in the
-/// MANIFEST. This is exactly the metadata FADE consumes: entry and tombstone
-/// counts (for the b estimate) plus the insertion time of the oldest
-/// tombstone (for amax = now - oldest_tombstone_time). The paper notes
-/// engines already store equivalents of all of this, so FADE has effectively
-/// no metadata footprint (§4.1.3).
+/// MANIFEST. FADE consumes entry and tombstone counts (for the b estimate)
+/// plus the insertion time of the oldest tombstone (for amax = now -
+/// oldest_tombstone_time); the paper notes engines already store
+/// equivalents of all of this, so FADE has effectively no metadata
+/// footprint (§4.1.3). Expiring values (WriteBatch::PutExpiring) add one
+/// more deadline, `expiry_due`: FADE only ages tombstones, so without it an
+/// expired value would wait for a merge other work happens to schedule.
 struct FileMeta {
+  /// `expiry_due` of a file whose expiring values never reach half of it.
+  static constexpr uint64_t kNever = UINT64_MAX;
+
   uint64_t file_number = 0;
   uint64_t file_size = 0;
 
@@ -58,6 +63,17 @@ struct FileMeta {
   /// older than any snapshot that can ever be taken, and the decoded
   /// default 0 ("reclaimable") is exact.
   SequenceNumber oldest_tombstone_seq = 0;
+
+  /// Clock time (micros) by which the file's expiring values whose
+  /// deadlines have passed hold at least half of its entry bytes (key plus
+  /// value), kNever if they never do. Computed when a merge writes the
+  /// file, persisted in the MANIFEST only when set (VersionEdit's
+  /// kExpiryDue tag). Once past it, the compaction picker takes the file
+  /// alone under the kTtlExpiry trigger, FADE or not: at the bottommost
+  /// level it is rewritten in place, so a wholly expired file simply goes.
+  /// DB::Repair rebuilds metadata from table properties and leaves kNever;
+  /// the values still expire at the next merge other work schedules.
+  uint64_t expiry_due = kNever;
 
   /// Total data pages in the file and the liveness bitmap maintained by
   /// secondary range deletes. A *full page drop* flips a bit here (a

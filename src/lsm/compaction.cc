@@ -43,6 +43,33 @@ std::vector<RangeTombstone> ClipRangeTombstones(
   return clipped;
 }
 
+namespace {
+
+/// The earliest deadline by which the expiring values in `expiring`
+/// (deadline, entry bytes) hold at least half of `entry_bytes`, or
+/// FileMeta::kNever if all of them together do not.
+uint64_t ExpiryDue(std::vector<std::pair<uint64_t, uint64_t>>* expiring,
+                   uint64_t entry_bytes) {
+  uint64_t expiring_bytes = 0;
+  for (const auto& [deadline, bytes] : *expiring) {
+    expiring_bytes += bytes;
+  }
+  if (expiring->empty() || 2 * expiring_bytes < entry_bytes) {
+    return FileMeta::kNever;
+  }
+  std::sort(expiring->begin(), expiring->end());
+  uint64_t due_bytes = 0;
+  for (const auto& [deadline, bytes] : *expiring) {
+    due_bytes += bytes;
+    if (2 * due_bytes >= entry_bytes) {
+      return deadline;
+    }
+  }
+  return FileMeta::kNever;  // unreachable: the sum covered half above
+}
+
+}  // namespace
+
 Status MergeExecutor::OpenOutput(std::unique_ptr<Output>* output,
                                  std::optional<std::string> window_begin) {
   auto out = std::make_unique<Output>();
@@ -131,6 +158,7 @@ Status MergeExecutor::FinishOutput(Output* output,
   meta.smallest_seq = props.smallest_seq;
   meta.largest_seq = props.largest_seq;
   meta.num_pages = props.num_pages;
+  meta.expiry_due = ExpiryDue(&output->expiring, output->entry_bytes);
 
   // Extend the file's advertised key range over its range-tombstone pieces
   // so overlap queries and lookups route through this file (the exclusive
@@ -354,12 +382,18 @@ Status MergeExecutor::Run(
       tombstone.value = Slice();
       current->builder->Add(tombstone);
       current->has_expired = true;
+      current->entry_bytes += entry.user_key.size();
       expired++;
     } else {
       current->builder->Add(entry);
       if (entry.IsTombstone()) {
         current->oldest_deleted_seq =
             std::min(current->oldest_deleted_seq, entry.seq);
+      }
+      const uint64_t bytes = entry.user_key.size() + entry.value.size();
+      current->entry_bytes += bytes;
+      if (entry.type == ValueType::kExpiringValue && entry.delete_key != 0) {
+        current->expiring.emplace_back(entry.delete_key, bytes);
       }
     }
     current->last_key.assign(entry.user_key.data(), entry.user_key.size());

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/options.h"
@@ -127,6 +128,10 @@ class MergeExecutor {
     // expired value: an expiry counts as a delete inserted at `now`.
     SequenceNumber oldest_deleted_seq = kMaxSequenceNumber;
     bool has_expired = false;
+    // For FileMeta::expiry_due: (deadline, entry bytes) of each expiring
+    // value written, and the entry bytes of everything written.
+    std::vector<std::pair<uint64_t, uint64_t>> expiring;
+    uint64_t entry_bytes = 0;
   };
 
   Status OpenOutput(std::unique_ptr<Output>* output,

@@ -381,25 +381,49 @@ uint64_t CompactionPicker::BufferTtl(const Version& version) const {
   return options_.delete_persistence_threshold_micros / 2;
 }
 
-uint64_t CompactionPicker::EarliestTtlExpiry(
-    const Version& version, SequenceNumber oldest_snapshot) const {
-  if (!options_.fade_enabled()) {
-    return UINT64_MAX;
+namespace {
+
+/// The time past which `file` at `level` is due for a kTtlExpiry pick: the
+/// earlier of its FADE TTL expiry (`ttls` = CumulativeTtls, empty when FADE
+/// is off) and its expiry_due, each UINT64_MAX while `oldest_snapshot`
+/// blocks it.
+uint64_t FileDeadline(const FileMeta& file, int level, int deepest,
+                      const std::vector<uint64_t>& ttls,
+                      OldestSnapshot oldest_snapshot) {
+  uint64_t deadline = UINT64_MAX;
+  // A bottommost file whose oldest tombstone is still pinned by a live
+  // snapshot cannot drop *any* tombstone; compacting it would change
+  // nothing and the trigger would re-fire forever. It becomes eligible the
+  // moment the pinning snapshot is released.
+  if (!ttls.empty() && file.HasTombstones() &&
+      file.oldest_tombstone_time != kNoTombstoneTime &&
+      !(level == deepest && file.oldest_tombstone_seq > oldest_snapshot.seq)) {
+    const uint64_t ttl = ttls[std::min<size_t>(level, ttls.size() - 1)];
+    deadline = ttl > UINT64_MAX - file.oldest_tombstone_time
+                   ? UINT64_MAX
+                   : file.oldest_tombstone_time + ttl;
   }
-  std::vector<uint64_t> ttls = CumulativeTtls(version);
+  // A due file is purged only when every live snapshot sees all of it and
+  // was created after the due time: then the values due by then expire and
+  // drop at the bottommost level, so the rewrite cannot re-fire.
+  if (file.expiry_due != FileMeta::kNever &&
+      oldest_snapshot.seq >= file.largest_seq &&
+      oldest_snapshot.time >= file.expiry_due) {
+    deadline = std::min(deadline, file.expiry_due);
+  }
+  return deadline;
+}
+
+}  // namespace
+
+uint64_t CompactionPicker::EarliestTtlExpiry(
+    const Version& version, OldestSnapshot oldest_snapshot) const {
+  const std::vector<uint64_t> ttls = CumulativeTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
   uint64_t earliest = UINT64_MAX;
   for (const auto& [level, file] : version.AllFiles()) {
-    if (!file->HasTombstones() ||
-        file->oldest_tombstone_time == kNoTombstoneTime) {
-      continue;
-    }
-    if (level == deepest && file->oldest_tombstone_seq > oldest_snapshot) {
-      continue;  // every tombstone snapshot-pinned: nothing reclaimable yet
-    }
-    size_t slot = std::min<size_t>(level, ttls.size() - 1);
-    uint64_t expiry = file->oldest_tombstone_time + ttls[slot];
-    earliest = std::min(earliest, expiry);
+    earliest = std::min(
+        earliest, FileDeadline(*file, level, deepest, ttls, oldest_snapshot));
   }
   return earliest;
 }
@@ -430,17 +454,15 @@ bool AnyClaimedInLevel(const Version& version, int level,
 
 CompactionPick CompactionPicker::PickTtlExpired(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
-    SequenceNumber oldest_snapshot) const {
+    OldestSnapshot oldest_snapshot) const {
   CompactionPick pick;
-  if (!options_.fade_enabled()) {
-    return pick;
-  }
-  std::vector<uint64_t> ttls = CumulativeTtls(version);
+  const std::vector<uint64_t> ttls = CumulativeTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
 
-  // Smallest level with an expired file wins (paper: level ties go to the
-  // smallest level); within the level, the expired file with the oldest
-  // tombstone (DD's tie-break).
+  // Smallest level with a file past its deadline wins (paper: level ties go
+  // to the smallest level); within the level, the earliest deadline. Every
+  // file of a level shares its TTL, so among FADE-expired files that is the
+  // one with the oldest tombstone (DD's tie-break).
   for (int level = 0; level < version.num_levels(); level++) {
     const bool tiering =
         options_.compaction_style == CompactionStyle::kTiering;
@@ -448,25 +470,17 @@ CompactionPick CompactionPicker::PickTtlExpired(
       continue;  // the level is already being merged
     }
     std::shared_ptr<FileMeta> best;
+    uint64_t best_deadline = UINT64_MAX;
     for (const SortedRun& run : version.levels()[level]) {
       for (const auto& file : run.files) {
-        if (!file->HasTombstones() || Claimed(in_flight, *file)) {
+        if (Claimed(in_flight, *file)) {
           continue;
         }
-        if (level == deepest &&
-            file->oldest_tombstone_seq > oldest_snapshot) {
-          // A bottommost file whose oldest tombstone is still pinned by a
-          // live snapshot cannot drop *any* tombstone; compacting it would
-          // change nothing and the trigger would re-fire forever. It
-          // becomes eligible the moment the pinning snapshot is released.
-          continue;
-        }
-        if (!TtlExpired(ttls, level, file->TombstoneAge(now))) {
-          continue;
-        }
-        if (best == nullptr ||
-            file->oldest_tombstone_time < best->oldest_tombstone_time) {
+        const uint64_t deadline =
+            FileDeadline(*file, level, deepest, ttls, oldest_snapshot);
+        if (deadline < now && (best == nullptr || deadline < best_deadline)) {
           best = file;
+          best_deadline = deadline;
         }
       }
     }
@@ -580,7 +594,7 @@ CompactionPick CompactionPicker::PickSaturated(
 
 CompactionPick CompactionPicker::Pick(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
-    SequenceNumber oldest_snapshot) const {
+    OldestSnapshot oldest_snapshot) const {
   // TTL expiry takes precedence over saturation (§4.1.4: "FADE triggers a
   // compaction in a level that has at least one file with expired TTL
   // regardless of its saturation").

@@ -25,6 +25,13 @@ struct CompactionPick {
   bool valid() const { return trigger != Trigger::kNone; }
 };
 
+/// The oldest live snapshot, as the picker's guards need it. The defaults
+/// mean no snapshot is live.
+struct OldestSnapshot {
+  SequenceNumber seq = kMaxSequenceNumber;
+  uint64_t time = UINT64_MAX;  // Options::clock at its creation
+};
+
 /// Implements the compaction trigger and file-selection policies of §4.1.4:
 ///
 ///   Trigger: a TTL-expired file always wins over saturation (DD); otherwise
@@ -36,6 +43,10 @@ struct CompactionPick {
 ///   next level (tie → most tombstones); SD picks the file with the highest
 ///   estimated invalidation count b = p_f + rd_f (tie → oldest tombstone);
 ///   DD picks the expired file with the oldest tombstone.
+///
+///   Beside FADE's TTL, a file has a second deadline, FileMeta::expiry_due
+///   (half of its bytes are expired values). It fires under the same
+///   kTtlExpiry trigger whether FADE is on or not.
 class CompactionPicker {
  public:
   CompactionPicker(const Options& resolved_options, VersionSet* versions)
@@ -47,27 +58,27 @@ class CompactionPicker {
   /// under tiering a level with any claimed file cannot merge (a tiering
   /// merge needs every run of the level) and is skipped entirely.
   ///
-  /// `oldest_snapshot` is the oldest live snapshot's sequence
-  /// (kMaxSequenceNumber when none are pinned). The delete-driven trigger
-  /// skips a bottommost file whose tombstones are all newer: they cannot
-  /// be dropped until that snapshot is released, so a TTL compaction of
-  /// the file would make no progress and re-trigger indefinitely.
+  /// `oldest_snapshot` is the oldest live snapshot. The delete-driven
+  /// trigger skips a bottommost file whose tombstones are all newer than
+  /// it: they cannot be dropped until that snapshot is released, so a TTL
+  /// compaction of the file would make no progress and re-trigger
+  /// indefinitely. A due file (expiry_due) is skipped while the snapshot
+  /// is older than the file's newest entry or was created before the due
+  /// time, for the same reason: the merge could not purge its values.
   CompactionPick Pick(const Version& version, uint64_t now,
                       const std::set<uint64_t>* in_flight = nullptr,
-                      SequenceNumber oldest_snapshot = kMaxSequenceNumber)
-      const;
+                      OldestSnapshot oldest_snapshot = {}) const;
 
   /// Capacity of disk level `level` (0-based) in bytes: M · T^(level+1).
   uint64_t LevelCapacityBytes(int level) const;
 
-  /// Earliest clock time at which some file's TTL expires, or UINT64_MAX if
-  /// FADE is off or no file holds tombstones. The write path compares this
-  /// against "now" as an O(1) trigger pre-check. Applies the same
-  /// bottommost snapshot-pin exclusion as Pick, so a file whose tombstones
-  /// cannot be reclaimed yet does not arm the trigger.
-  uint64_t EarliestTtlExpiry(
-      const Version& version,
-      SequenceNumber oldest_snapshot = kMaxSequenceNumber) const;
+  /// Earliest clock time past which some file's TTL expires or its expiry
+  /// falls due (the earlier of the two deadlines per file), UINT64_MAX if
+  /// none will. The write path compares this against "now" as an O(1)
+  /// trigger pre-check. Applies the same snapshot guards as Pick, so a
+  /// file whose deletes cannot be reclaimed yet does not arm the trigger.
+  uint64_t EarliestTtlExpiry(const Version& version,
+                             OldestSnapshot oldest_snapshot = {}) const;
 
   /// Idle-buffer flush guard (Dth/2): a memtable whose oldest tombstone is
   /// older than this must flush so an idle database still meets the
@@ -76,6 +87,7 @@ class CompactionPicker {
 
   /// Cumulative expiry thresholds c_i per disk level (slot i = level i),
   /// measured against tombstone age since memtable insertion; c_last = Dth.
+  /// Empty when FADE is off.
   std::vector<uint64_t> CumulativeTtls(const Version& version) const;
 
   /// Byte-balanced subcompaction split points for a merge over `inputs`:
@@ -125,7 +137,7 @@ class CompactionPicker {
 
   CompactionPick PickTtlExpired(const Version& version, uint64_t now,
                                 const std::set<uint64_t>* in_flight,
-                                SequenceNumber oldest_snapshot) const;
+                                OldestSnapshot oldest_snapshot) const;
   CompactionPick PickSaturated(const Version& version,
                                const std::set<uint64_t>* in_flight) const;
 

@@ -257,7 +257,7 @@ void DBImpl::BackgroundCompaction() {
     CompactionPick pick =
         picker_->Pick(*version, options_.clock->NowMicros(),
                       &versions_->InFlightInputFiles(),
-                      OldestSnapshotSeqLocked());
+                      OldestSnapshotLocked());
     if (pick.valid()) {
       Status s = CompactOnce(pick, l, &deferred);
       if (!s.ok()) {
@@ -523,7 +523,7 @@ Status DBImpl::WaitForCompact() {
       RefreshTriggerStateLocked();
       std::shared_ptr<const Version> version = versions_->current();
       if (!picker_->Pick(*version, options_.clock->NowMicros(), nullptr,
-                         OldestSnapshotSeqLocked())
+                         OldestSnapshotLocked())
                .valid()) {
         // Quiescent: nothing queued, nothing to pick. Reap obsolete files
         // whose pinning snapshots have since been released — no future

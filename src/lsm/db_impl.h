@@ -542,11 +542,14 @@ class DBImpl final : public DB {
     config->now = options_.clock->NowMicros();
   }
 
-  /// Oldest pinned snapshot sequence, kMaxSequenceNumber when none. Fed to
-  /// the compaction picker so the delete-driven trigger skips bottommost
-  /// files whose tombstones are all still snapshot-pinned (unreclaimable).
-  SequenceNumber OldestSnapshotSeqLocked() const {
-    return snapshots_.empty() ? kMaxSequenceNumber : snapshots_.Oldest();
+  /// Oldest pinned snapshot (the defaults when none). Fed to the compaction
+  /// picker so the delete-driven trigger skips files whose deletes are
+  /// still snapshot-pinned (unreclaimable).
+  OldestSnapshot OldestSnapshotLocked() const {
+    if (snapshots_.empty()) {
+      return {};
+    }
+    return {snapshots_.Oldest(), snapshots_.OldestTime()};
   }
 
   Options options_;  // resolved (env/clock non-null)

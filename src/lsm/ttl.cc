@@ -31,15 +31,4 @@ std::vector<uint64_t> ComputeCumulativeTtls(uint64_t dth_micros,
   return cumulative;
 }
 
-bool TtlExpired(const std::vector<uint64_t>& cumulative_ttls, int disk_level,
-                uint64_t tombstone_age_micros) {
-  if (cumulative_ttls.empty()) {
-    return false;
-  }
-  if (disk_level >= static_cast<int>(cumulative_ttls.size())) {
-    disk_level = static_cast<int>(cumulative_ttls.size()) - 1;
-  }
-  return tombstone_age_micros > cumulative_ttls[disk_level];
-}
-
 }  // namespace lethe

@@ -21,11 +21,6 @@ std::vector<uint64_t> ComputeCumulativeTtls(uint64_t dth_micros,
                                             uint32_t size_ratio,
                                             int num_disk_levels);
 
-/// True if a file at `disk_level` (0-based) whose oldest tombstone has the
-/// given age has exhausted its TTL budget.
-bool TtlExpired(const std::vector<uint64_t>& cumulative_ttls, int disk_level,
-                uint64_t tombstone_age_micros);
-
 }  // namespace lethe
 
 #endif  // LETHE_LSM_TTL_H_

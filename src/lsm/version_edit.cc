@@ -1,5 +1,7 @@
 #include "src/lsm/version_edit.h"
 
+#include <algorithm>
+
 #include "src/util/coding.h"
 
 namespace lethe {
@@ -14,6 +16,10 @@ enum : uint32_t {
   kWalNumber = 5,
   kSeqTimeCheckpoint = 6,
   kNextRunId = 7,
+  // (file number, FileMeta::expiry_due) of a file added earlier in the
+  // same edit; written only for files that have a due time, so an edit
+  // without expiring values encodes as it did before the tag existed.
+  kExpiryDue = 8,
 };
 }  // namespace
 
@@ -27,6 +33,11 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     PutVarint32(dst, kAddedFile);
     PutVarint32(dst, static_cast<uint32_t>(level));
     EncodeFileMeta(meta, dst);
+    if (meta.expiry_due != FileMeta::kNever) {
+      PutVarint32(dst, kExpiryDue);
+      PutVarint64(dst, meta.file_number);
+      PutVarint64(dst, meta.expiry_due);
+    }
   }
   if (next_file_number) {
     PutVarint32(dst, kNextFileNumber);
@@ -76,6 +87,22 @@ Status VersionEdit::DecodeFrom(Slice input) {
         }
         LETHE_RETURN_IF_ERROR(DecodeFileMeta(&input, &meta));
         added_files.emplace_back(static_cast<int>(level), std::move(meta));
+        break;
+      }
+      case kExpiryDue: {
+        uint64_t number, due;
+        if (!GetVarint64(&input, &number) || !GetVarint64(&input, &due)) {
+          return Status::Corruption("VersionEdit: bad expiry due time");
+        }
+        auto added = std::find_if(
+            added_files.rbegin(), added_files.rend(),
+            [number](const auto& add) {
+              return add.second.file_number == number;
+            });
+        if (added == added_files.rend()) {
+          return Status::Corruption("VersionEdit: expiry due for no file");
+        }
+        added->second.expiry_due = due;
         break;
       }
       case kNextFileNumber: {

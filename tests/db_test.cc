@@ -554,6 +554,154 @@ TEST_F(ExpiryTest, ShardedDBExpiresAtMerge) {
   EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 2u);
 }
 
+// ---- purge by deadline (FileMeta::expiry_due) ----
+
+// A file whose values all expire is purged once its deadline passes, with
+// no write to schedule the merge: the rewrite in place at the bottommost
+// level drops every value and writes nothing.
+TEST_F(ExpiryTest, DueBottommostFileIsPurgedWithoutWrites) {
+  Recreate();
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  for (uint64_t k = 0; k < 50; k++) {
+    ASSERT_TRUE(PutExpiring(k, std::string(100, 'e'), deadline).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  ASSERT_EQ(impl->TEST_LevelFiles(0).size(), 1u);
+  EXPECT_EQ(impl->TEST_LevelFiles(0)[0].expiry_due, deadline);
+
+  // Not yet due: the drain leaves the file alone.
+  clock_.SetMicros(deadline);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  ASSERT_EQ(impl->TEST_LevelFiles(0).size(), 1u);
+
+  clock_.AdvanceMicros(1);
+  const uint64_t written = db_->stats().compaction_bytes_written.load();
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_TRUE(impl->TEST_LevelFiles(0).empty());
+  EXPECT_EQ(DeepestLevel(), -1);
+  EXPECT_EQ(db_->stats().compaction_bytes_written.load(), written);
+  EXPECT_EQ(db_->stats().compactions_ttl_triggered.load(), 1u);
+  EXPECT_EQ(db_->stats().net_keys_expired_active.load(), 50u);
+  EXPECT_EQ(Get(0), "NOT_FOUND");
+}
+
+// A file is due once half of its entry bytes have expired: before that a
+// drain leaves it (and its neighbour) alone; after it, the file alone is
+// rewritten and keeps its plain values.
+TEST_F(ExpiryTest, MixedFileIsRewrittenAloneOnceHalfExpired) {
+  Recreate();
+  const uint64_t early = clock_.NowMicros() + 1000;
+  const uint64_t late = early + 1000;
+  const std::string value(100, 'x');
+  // 50 same-size entries: keys 0..49, every fifth expiring early (20%),
+  // every fifth + 1 and + 2 expiring late (40%), the rest plain.
+  for (uint64_t k = 0; k < 50; k++) {
+    switch (k % 5) {
+      case 0:
+        ASSERT_TRUE(PutExpiring(k, value, early).ok());
+        break;
+      case 1:
+      case 2:
+        ASSERT_TRUE(PutExpiring(k, value, late).ok());
+        break;
+      default:
+        ASSERT_TRUE(Put(k, value).ok());
+    }
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  // A disjoint neighbour in L0, flushed on its own.
+  for (uint64_t k = 1000; k < 1025; k++) {
+    ASSERT_TRUE(Put(k, value).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  std::vector<FileMeta> l0 = impl->TEST_LevelFiles(0);
+  ASSERT_EQ(l0.size(), 2u);
+  EXPECT_EQ(l0[0].expiry_due, late);  // 20% by early, 60% by late
+  EXPECT_EQ(l0[1].expiry_due, FileMeta::kNever);
+
+  clock_.SetMicros(early + 1);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  std::vector<FileMeta> after = impl->TEST_LevelFiles(0);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].file_number, l0[0].file_number);
+  EXPECT_EQ(db_->stats().compactions.load(), 0u);
+
+  clock_.SetMicros(late + 1);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  after = impl->TEST_LevelFiles(0);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_NE(after[0].file_number, l0[0].file_number);
+  EXPECT_EQ(after[0].num_entries, 20u);
+  EXPECT_EQ(after[0].expiry_due, FileMeta::kNever);
+  EXPECT_EQ(after[1].file_number, l0[1].file_number);
+  EXPECT_EQ(db_->stats().compactions.load(), 1u);
+  for (uint64_t k = 0; k < 50; k++) {
+    EXPECT_EQ(Get(k), k % 5 < 3 ? "NOT_FOUND" : value) << k;
+  }
+}
+
+// A snapshot taken before the deadline can still read the values, so the
+// due file is not picked while it lives (a pick could purge nothing and
+// would fire again at once); the drain after its release purges the file.
+TEST_F(ExpiryTest, SnapshotDefersThePurgeUntilReleased) {
+  Recreate();
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  for (uint64_t k = 0; k < 50; k++) {
+    ASSERT_TRUE(PutExpiring(k, std::string(100, 'e'), deadline).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  const Snapshot* snap = db_->GetSnapshot();
+  clock_.AdvanceMicros(2000);
+
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_LE(db_->stats().compactions.load(), 1u);
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  EXPECT_EQ(impl->TEST_LevelFiles(0).size(), 1u);
+  ReadOptions at_snap;
+  at_snap.snapshot = snap;
+  std::string value;
+  ASSERT_TRUE(db_->Get(at_snap, EncodeKey(0), &value).ok());
+
+  db_->ReleaseSnapshot(snap);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_TRUE(impl->TEST_LevelFiles(0).empty());
+  EXPECT_EQ(Get(0), "NOT_FOUND");
+}
+
+// The due time is MANIFEST state: a reopened database still purges the
+// file when it falls due.
+TEST_F(ExpiryTest, DueTimeSurvivesReopen) {
+  Recreate();
+  Fill(20);
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  for (uint64_t k = 0; k < 5; k++) {
+    ASSERT_TRUE(PutExpiring(1000 + k, std::string(500, 'e'), deadline).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  auto due_times = [&] {
+    std::vector<uint64_t> due;
+    for (const FileMeta& f :
+         static_cast<DBImpl*>(db_.get())->TEST_LevelFiles(0)) {
+      due.push_back(f.expiry_due);
+    }
+    return due;
+  };
+  ASSERT_EQ(due_times(), std::vector<uint64_t>{deadline});
+
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_EQ(due_times(), std::vector<uint64_t>{deadline});
+  ASSERT_TRUE(Reopen().ok());  // the reopened MANIFEST carries it too
+  EXPECT_EQ(due_times(), std::vector<uint64_t>{deadline});
+
+  clock_.AdvanceMicros(2000);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_EQ(due_times(), std::vector<uint64_t>{FileMeta::kNever});
+  EXPECT_EQ(Get(1000), "NOT_FOUND");
+  EXPECT_EQ(Get(1), std::string(100, 'f'));
+}
+
 // The default TableOptions fill each page to its byte budget. A fixed
 // B = 4 stored 100-byte values at ~9x their size, one page per 4 entries.
 TEST(DefaultLayoutTest, TableBytesStayNearUserBytes) {

@@ -21,6 +21,7 @@
 #include "src/format/range_tombstone.h"
 #include "src/format/sstable_builder.h"
 #include "src/format/sstable_reader.h"
+#include "src/lsm/version_edit.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 #include "src/util/random.h"
@@ -655,6 +656,92 @@ TEST(FileMetaTest, EncodeDecodeRoundTrip) {
   EXPECT_FALSE(decoded.IsPageDropped(4));
   EXPECT_EQ(decoded.page_live_entries.size(), 16u);
   EXPECT_EQ(decoded.oldest_tombstone_time, 55555u);
+}
+
+// One MANIFEST record, as the encoder wrote it before FileMeta::expiry_due
+// existed: a removal, one added file, the counters and a checkpoint.
+const char kEditWithoutDueTime[] =
+    "\x01\x01\x07\x02\x01\x09\x80\x20\x00\x0c\x02\x00\x05\x61\x70\x70\x6c"
+    "\x65\x05\x6d\x65\x6c\x6f\x6e\x03\x00\x00\x00\x00\x00\x00\x00\x28\x00"
+    "\x00\x00\x00\x00\x00\x00\x64\x00\x00\x00\x00\x00\x00\x00\x6f\x00\x00"
+    "\x00\x00\x00\x00\x00\x88\x13\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00"
+    "\x00\x03\x0a\x04\x6f\x05\x08\x06\x64\xa0\x0f\x00\x00\x00\x00\x00\x00";
+constexpr size_t kEditWithoutDueTimeBytes = 85;
+
+VersionEdit EditWithoutDueTime() {
+  VersionEdit edit;
+  edit.removed_files.push_back({1, 7});
+  FileMeta meta;
+  meta.file_number = 9;
+  meta.file_size = 4096;
+  meta.num_entries = 12;
+  meta.num_point_tombstones = 2;
+  meta.smallest_key = "apple";
+  meta.largest_key = "melon";
+  meta.min_delete_key = 3;
+  meta.max_delete_key = 40;
+  meta.smallest_seq = 100;
+  meta.largest_seq = 111;
+  meta.oldest_tombstone_time = 5000;
+  meta.num_pages = 3;
+  edit.added_files.emplace_back(1, meta);
+  edit.next_file_number = 10;
+  edit.last_sequence = 111;
+  edit.wal_number = 8;
+  edit.seq_time_checkpoints.emplace_back(100, 4000);
+  return edit;
+}
+
+// Files without a due time add no byte to an edit, so a MANIFEST written
+// without expiring values is what it was before the tag, and an old
+// MANIFEST record decodes with no due time.
+TEST(VersionEditTest, EditWithoutDueTimeKeepsItsBytes) {
+  const std::string old_bytes(kEditWithoutDueTime, kEditWithoutDueTimeBytes);
+  std::string buf;
+  EditWithoutDueTime().EncodeTo(&buf);
+  EXPECT_EQ(buf.size(), kEditWithoutDueTimeBytes);
+  EXPECT_EQ(buf, old_bytes);
+
+  VersionEdit decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(Slice(old_bytes)).ok());
+  ASSERT_EQ(decoded.added_files.size(), 1u);
+  const FileMeta& meta = decoded.added_files[0].second;
+  EXPECT_EQ(meta.file_number, 9u);
+  EXPECT_EQ(meta.largest_key, "melon");
+  EXPECT_EQ(meta.expiry_due, FileMeta::kNever);
+  EXPECT_EQ(decoded.next_file_number, std::optional<uint64_t>(10));
+  EXPECT_EQ(decoded.seq_time_checkpoints.size(), 1u);
+}
+
+TEST(VersionEditTest, DueTimeRoundTrips) {
+  VersionEdit edit = EditWithoutDueTime();
+  edit.added_files[0].second.expiry_due = 1'700'000'000'000'000;
+  FileMeta second = edit.added_files[0].second;
+  second.file_number = 11;
+  second.expiry_due = FileMeta::kNever;
+  edit.added_files.emplace_back(2, second);
+  std::string buf;
+  edit.EncodeTo(&buf);
+
+  VersionEdit decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(Slice(buf)).ok());
+  ASSERT_EQ(decoded.added_files.size(), 2u);
+  EXPECT_EQ(decoded.added_files[0].second.file_number, 9u);
+  EXPECT_EQ(decoded.added_files[0].second.expiry_due,
+            1'700'000'000'000'000u);
+  EXPECT_EQ(decoded.added_files[1].second.file_number, 11u);
+  EXPECT_EQ(decoded.added_files[1].second.expiry_due, FileMeta::kNever);
+  std::string again;
+  decoded.EncodeTo(&again);
+  EXPECT_EQ(again, buf);
+
+  // A due time must name a file the edit added.
+  VersionEdit only_due;
+  std::string orphan;
+  PutVarint32(&orphan, 8);  // the expiry-due tag
+  PutVarint64(&orphan, 9);
+  PutVarint64(&orphan, 1);
+  EXPECT_TRUE(only_due.DecodeFrom(Slice(orphan)).IsCorruption());
 }
 
 TEST(FileMetaTest, TombstoneAgeAndOverlap) {

@@ -175,17 +175,6 @@ TEST(TtlTest, SingleLevelGetsWholeBudget) {
   EXPECT_EQ(ttls[0], 500u);
 }
 
-TEST(TtlTest, ExpiryChecks) {
-  auto ttls = ComputeCumulativeTtls(1000000, 10, 3);
-  EXPECT_FALSE(TtlExpired(ttls, 0, ttls[0]));      // exactly at bound: not yet
-  EXPECT_TRUE(TtlExpired(ttls, 0, ttls[0] + 1));
-  EXPECT_FALSE(TtlExpired(ttls, 2, 999999));
-  EXPECT_TRUE(TtlExpired(ttls, 2, 1000001));
-  // Deeper than allocated → clamps to last level.
-  EXPECT_TRUE(TtlExpired(ttls, 9, 1000001));
-  EXPECT_FALSE(TtlExpired({}, 0, UINT64_MAX));     // FADE off
-}
-
 TEST(TtlTest, DisabledWhenDthZero) {
   EXPECT_TRUE(ComputeCumulativeTtls(0, 10, 3).empty());
 }
@@ -406,8 +395,43 @@ TEST_F(PickerTest, NoTtlTriggerBeforeExpiry) {
 
   // Single disk level → cumulative TTL = Dth.
   EXPECT_FALSE(picker_->Pick(*v, 999999).valid());
+  EXPECT_FALSE(picker_->Pick(*v, 1000000).valid());  // at the bound: not yet
   EXPECT_TRUE(picker_->Pick(*v, 1000001).valid());
   EXPECT_EQ(picker_->EarliestTtlExpiry(*v), 1000000u);
+}
+
+// An expiry due time fires the kTtlExpiry trigger with FADE off, on the
+// due file alone, unless the oldest snapshot is older than the file's
+// newest entry or was created before the due time.
+TEST_F(PickerTest, ExpiryDueFiresWithoutFade) {
+  VersionEdit edit;
+  FileMeta due = MakeFile(1, 0, 9);
+  due.file_size = 100;
+  due.largest_seq = 10;
+  due.expiry_due = 500;
+  FileMeta plain = MakeFile(2, 10, 19);
+  plain.file_size = 100;
+  edit.added_files.emplace_back(0, due);
+  edit.added_files.emplace_back(0, plain);
+  auto v = Build(edit);
+
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v), 500u);
+  EXPECT_FALSE(picker_->Pick(*v, 500).valid());
+  CompactionPick pick = picker_->Pick(*v, 501);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.trigger, CompactionPick::Trigger::kTtlExpiry);
+  ASSERT_EQ(pick.inputs.size(), 1u);
+  EXPECT_EQ(pick.inputs[0]->file_number, 1u);
+
+  const OldestSnapshot older_than_file{9, 600};
+  const OldestSnapshot before_due{10, 499};
+  const OldestSnapshot after_due{10, 500};
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, older_than_file), UINT64_MAX);
+  EXPECT_FALSE(picker_->Pick(*v, 501, nullptr, older_than_file).valid());
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, before_due), UINT64_MAX);
+  EXPECT_FALSE(picker_->Pick(*v, 501, nullptr, before_due).valid());
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, after_due), 500u);
+  EXPECT_TRUE(picker_->Pick(*v, 501, nullptr, after_due).valid());
 }
 
 TEST_F(PickerTest, EarliestExpiryInfiniteWithoutFade) {

@@ -531,6 +531,71 @@ TEST_F(ServeTest, MergesPhysicallyDeleteExpiredKeys) {
   EXPECT_EQ(c.Cmd({"GET", "forever"}), "rock");
 }
 
+// serve-pipelined's shape: SET EX keys ascend below the hot keys, so the
+// files that end up holding only expired values lie outside every later
+// flush's span, and no flush rewrites them. Their due times schedule the
+// purge instead, racing flushes and turn commits while the rounds run, and
+// the drain after the last deadline takes the rest.
+TEST_F(ServeTest, DueFilesOfExpiredKeysArePurged) {
+  StartServer();
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  const std::string value(100, 'v');
+  auto level_bytes = [&] {
+    uint64_t bytes = 0;
+    for (const LevelSnapshot& level : db_->GetLevelSnapshots()) {
+      bytes += level.bytes;
+    }
+    return bytes;
+  };
+  auto key_name = [](const char* prefix, int id) {
+    char name[16];
+    snprintf(name, sizeof(name), "%s%06d", prefix, id);
+    return std::string(name);
+  };
+
+  constexpr int kRounds = 8, kExpiring = 300, kHot = 100, kHotKeys = 200;
+  int next_expiring = 0;
+  for (int round = 0; round < kRounds; round++) {
+    std::string pipeline;
+    for (int i = 0; i < kExpiring; i++) {
+      pipeline += EncodeCommand(
+          {"SET", key_name("exp", next_expiring++), value, "EX", "1"});
+    }
+    for (int i = 0; i < kHot; i++) {
+      pipeline += EncodeCommand(
+          {"SET", key_name("key", (round * kHot + i) % kHotKeys), value});
+    }
+    ASSERT_TRUE(c.SendRaw(pipeline));
+    for (int i = 0; i < kExpiring + kHot; i++) {
+      ASSERT_EQ(c.ReadReply(), "OK") << "round " << round << " reply " << i;
+    }
+    clock_.AdvanceMicros(500 * 1000);
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  const uint64_t before = level_bytes();
+
+  clock_.AdvanceMicros(2000 * 1000);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  const uint64_t after = level_bytes();
+  EXPECT_LT(after, before);
+  // What stays is the hot keys' last versions (~23 KB of entries) and
+  // files whose expired values are under half of their bytes. The
+  // expiring keys written, ~280 KB, would not fit.
+  EXPECT_LT(after, 3 * kHotKeys * (value.size() + 16))
+      << before << " -> " << after;
+
+  std::string stored;
+  uint64_t dk = 0;
+  EXPECT_TRUE(db_->GetWithDeleteKey(ReadOptions(), key_name("exp", 0), &stored,
+                                    &dk)
+                  .IsNotFound());
+  for (int id = 0; id < kHotKeys; id++) {
+    ASSERT_EQ(c.Cmd({"GET", key_name("key", id)}), value) << id;
+  }
+}
+
 TEST_F(ServeTest, MaxConnectionsAdmissionControl) {
   ServerOptions so;
   so.max_connections = 2;
