@@ -385,10 +385,10 @@ namespace {
 
 /// The time past which `file` at `level` is due for a kTtlExpiry pick: the
 /// earlier of its FADE TTL expiry (`ttls` = CumulativeTtls, empty when FADE
-/// is off) and its expiry_due, each UINT64_MAX while `oldest_snapshot`
-/// blocks it.
+/// is off, else one slot per level down to `deepest`) and its expiry_due,
+/// each UINT64_MAX while `oldest_snapshot` blocks it at `now`.
 uint64_t FileDeadline(const FileMeta& file, int level, int deepest,
-                      const std::vector<uint64_t>& ttls,
+                      const std::vector<uint64_t>& ttls, uint64_t now,
                       OldestSnapshot oldest_snapshot) {
   uint64_t deadline = UINT64_MAX;
   // A bottommost file whose oldest tombstone is still pinned by a live
@@ -398,17 +398,20 @@ uint64_t FileDeadline(const FileMeta& file, int level, int deepest,
   if (!ttls.empty() && file.HasTombstones() &&
       file.oldest_tombstone_time != kNoTombstoneTime &&
       !(level == deepest && file.oldest_tombstone_seq > oldest_snapshot.seq)) {
-    const uint64_t ttl = ttls[std::min<size_t>(level, ttls.size() - 1)];
+    const uint64_t ttl = ttls[level];
     deadline = ttl > UINT64_MAX - file.oldest_tombstone_time
                    ? UINT64_MAX
                    : file.oldest_tombstone_time + ttl;
   }
   // A due file is purged only when every live snapshot sees all of it and
   // was created after the due time: then the values due by then expire and
-  // drop at the bottommost level, so the rewrite cannot re-fire.
+  // drop at the bottommost level, so the rewrite cannot re-fire. A due time
+  // still ahead of `now` is not guarded: a snapshot live now may be gone
+  // when it falls due, and the pick applies the guard then.
   if (file.expiry_due != FileMeta::kNever &&
-      oldest_snapshot.seq >= file.largest_seq &&
-      oldest_snapshot.time >= file.expiry_due) {
+      (file.expiry_due > now ||
+       (oldest_snapshot.seq >= file.largest_seq &&
+        oldest_snapshot.time >= file.expiry_due))) {
     deadline = std::min(deadline, file.expiry_due);
   }
   return deadline;
@@ -417,13 +420,15 @@ uint64_t FileDeadline(const FileMeta& file, int level, int deepest,
 }  // namespace
 
 uint64_t CompactionPicker::EarliestTtlExpiry(
-    const Version& version, OldestSnapshot oldest_snapshot) const {
+    const Version& version, uint64_t now,
+    OldestSnapshot oldest_snapshot) const {
   const std::vector<uint64_t> ttls = CumulativeTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
   uint64_t earliest = UINT64_MAX;
   for (const auto& [level, file] : version.AllFiles()) {
     earliest = std::min(
-        earliest, FileDeadline(*file, level, deepest, ttls, oldest_snapshot));
+        earliest,
+        FileDeadline(*file, level, deepest, ttls, now, oldest_snapshot));
   }
   return earliest;
 }
@@ -477,7 +482,7 @@ CompactionPick CompactionPicker::PickTtlExpired(
           continue;
         }
         const uint64_t deadline =
-            FileDeadline(*file, level, deepest, ttls, oldest_snapshot);
+            FileDeadline(*file, level, deepest, ttls, now, oldest_snapshot);
         if (deadline < now && (best == nullptr || deadline < best_deadline)) {
           best = file;
           best_deadline = deadline;

@@ -76,8 +76,10 @@ class CompactionPicker {
   /// falls due (the earlier of the two deadlines per file), UINT64_MAX if
   /// none will. The write path compares this against "now" as an O(1)
   /// trigger pre-check. Applies the same snapshot guards as Pick, so a
-  /// file whose deletes cannot be reclaimed yet does not arm the trigger.
-  uint64_t EarliestTtlExpiry(const Version& version,
+  /// file whose deletes cannot be reclaimed yet does not arm the trigger;
+  /// the due-time guard applies only to due times at or before `now`, so a
+  /// snapshot live at refresh time never disarms a due time to come.
+  uint64_t EarliestTtlExpiry(const Version& version, uint64_t now,
                              OldestSnapshot oldest_snapshot = {}) const;
 
   /// Idle-buffer flush guard (Dth/2): a memtable whose oldest tombstone is

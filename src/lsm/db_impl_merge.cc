@@ -246,7 +246,8 @@ void DBImpl::UpdateMemtableReservationLocked() {
 void DBImpl::RefreshTriggerStateLocked() {
   std::shared_ptr<const Version> version = versions_->current();
   earliest_ttl_expiry_ =
-      picker_->EarliestTtlExpiry(*version, OldestSnapshotLocked());
+      picker_->EarliestTtlExpiry(*version, options_.clock->NowMicros(),
+                                 OldestSnapshotLocked());
   buffer_ttl_ = picker_->BufferTtl(*version);
   l0_runs_ = version->num_levels() > 0 ? version->LevelRunCount(0) : 0;
   saturation_pending_ = false;

@@ -1,7 +1,5 @@
 #include "src/lsm/version_edit.h"
 
-#include <algorithm>
-
 #include "src/util/coding.h"
 
 namespace lethe {
@@ -16,9 +14,9 @@ enum : uint32_t {
   kWalNumber = 5,
   kSeqTimeCheckpoint = 6,
   kNextRunId = 7,
-  // (file number, FileMeta::expiry_due) of a file added earlier in the
-  // same edit; written only for files that have a due time, so an edit
-  // without expiring values encodes as it did before the tag existed.
+  // FileMeta::expiry_due of the file added just before it; written only
+  // for files that have a due time, so an edit without expiring values
+  // encodes as it did before the tag existed.
   kExpiryDue = 8,
 };
 }  // namespace
@@ -35,7 +33,6 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     EncodeFileMeta(meta, dst);
     if (meta.expiry_due != FileMeta::kNever) {
       PutVarint32(dst, kExpiryDue);
-      PutVarint64(dst, meta.file_number);
       PutVarint64(dst, meta.expiry_due);
     }
   }
@@ -90,19 +87,11 @@ Status VersionEdit::DecodeFrom(Slice input) {
         break;
       }
       case kExpiryDue: {
-        uint64_t number, due;
-        if (!GetVarint64(&input, &number) || !GetVarint64(&input, &due)) {
+        uint64_t due;
+        if (added_files.empty() || !GetVarint64(&input, &due)) {
           return Status::Corruption("VersionEdit: bad expiry due time");
         }
-        auto added = std::find_if(
-            added_files.rbegin(), added_files.rend(),
-            [number](const auto& add) {
-              return add.second.file_number == number;
-            });
-        if (added == added_files.rend()) {
-          return Status::Corruption("VersionEdit: expiry due for no file");
-        }
-        added->second.expiry_due = due;
+        added_files.back().second.expiry_due = due;
         break;
       }
       case kNextFileNumber: {

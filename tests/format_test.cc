@@ -735,11 +735,10 @@ TEST(VersionEditTest, DueTimeRoundTrips) {
   decoded.EncodeTo(&again);
   EXPECT_EQ(again, buf);
 
-  // A due time must name a file the edit added.
+  // A due time follows the file it belongs to.
   VersionEdit only_due;
   std::string orphan;
   PutVarint32(&orphan, 8);  // the expiry-due tag
-  PutVarint64(&orphan, 9);
   PutVarint64(&orphan, 1);
   EXPECT_TRUE(only_due.DecodeFrom(Slice(orphan)).IsCorruption());
 }

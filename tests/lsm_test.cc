@@ -397,7 +397,48 @@ TEST_F(PickerTest, NoTtlTriggerBeforeExpiry) {
   EXPECT_FALSE(picker_->Pick(*v, 999999).valid());
   EXPECT_FALSE(picker_->Pick(*v, 1000000).valid());  // at the bound: not yet
   EXPECT_TRUE(picker_->Pick(*v, 1000001).valid());
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v), 1000000u);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0), 1000000u);
+}
+
+// Each level's file fires strictly past its own cumulative TTL, and the
+// deepest level's TTL is Dth exactly.
+TEST_F(PickerTest, TtlBoundPerLevel) {
+  options_.delete_persistence_threshold_micros = 1000000;
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
+
+  VersionEdit edit;
+  FileMeta shallow = MakeFile(1, 0, 9);
+  shallow.file_size = 100;
+  shallow.num_point_tombstones = 1;
+  shallow.oldest_tombstone_time = 0;
+  FileMeta deep = MakeFile(2, 0, 9);
+  deep.file_size = 100;
+  deep.num_point_tombstones = 1;
+  deep.oldest_tombstone_time = 0;
+  edit.added_files.emplace_back(0, shallow);
+  edit.added_files.emplace_back(2, deep);
+  auto v = Build(edit);
+
+  const std::vector<uint64_t> ttls = picker_->CumulativeTtls(*v);
+  ASSERT_EQ(ttls.size(), 3u);
+  EXPECT_EQ(ttls[2], 1000000u);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0), ttls[0]);
+  EXPECT_FALSE(picker_->Pick(*v, ttls[0]).valid());
+  CompactionPick pick = picker_->Pick(*v, ttls[0] + 1);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.level, 0);
+
+  // Alone at level 2, the deep file keeps its Dth bound.
+  VersionEdit drop_shallow;
+  drop_shallow.removed_files.push_back({0, 1});
+  auto only_deep = Build(drop_shallow, v.get());
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*only_deep, 0), 1000000u);
+  EXPECT_FALSE(picker_->Pick(*only_deep, 999999).valid());
+  EXPECT_FALSE(picker_->Pick(*only_deep, 1000000).valid());
+  pick = picker_->Pick(*only_deep, 1000001);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.level, 2);
+  EXPECT_EQ(pick.inputs[0]->file_number, 2u);
 }
 
 // An expiry due time fires the kTtlExpiry trigger with FADE off, on the
@@ -415,7 +456,7 @@ TEST_F(PickerTest, ExpiryDueFiresWithoutFade) {
   edit.added_files.emplace_back(0, plain);
   auto v = Build(edit);
 
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v), 500u);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0), 500u);
   EXPECT_FALSE(picker_->Pick(*v, 500).valid());
   CompactionPick pick = picker_->Pick(*v, 501);
   ASSERT_TRUE(pick.valid());
@@ -426,12 +467,19 @@ TEST_F(PickerTest, ExpiryDueFiresWithoutFade) {
   const OldestSnapshot older_than_file{9, 600};
   const OldestSnapshot before_due{10, 499};
   const OldestSnapshot after_due{10, 500};
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, older_than_file), UINT64_MAX);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 501, older_than_file),
+            UINT64_MAX);
   EXPECT_FALSE(picker_->Pick(*v, 501, nullptr, older_than_file).valid());
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, before_due), UINT64_MAX);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 501, before_due), UINT64_MAX);
   EXPECT_FALSE(picker_->Pick(*v, 501, nullptr, before_due).valid());
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, after_due), 500u);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 501, after_due), 500u);
   EXPECT_TRUE(picker_->Pick(*v, 501, nullptr, after_due).valid());
+
+  // A due time still ahead stays armed whatever snapshot is live now; the
+  // pick applies the guard once it has passed.
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 499, older_than_file), 500u);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 499, before_due), 500u);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 500, before_due), UINT64_MAX);
 }
 
 TEST_F(PickerTest, EarliestExpiryInfiniteWithoutFade) {
@@ -441,7 +489,7 @@ TEST_F(PickerTest, EarliestExpiryInfiniteWithoutFade) {
   f.oldest_tombstone_time = 0;
   edit.added_files.emplace_back(0, f);
   auto v = Build(edit);
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v), UINT64_MAX);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0), UINT64_MAX);
 }
 
 TEST_F(PickerTest, TieringTriggersOnRunCount) {
