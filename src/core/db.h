@@ -163,7 +163,9 @@ class DB {
   virtual const Snapshot* GetSnapshot() = 0;
 
   /// Releases a snapshot handle obtained from GetSnapshot. Entries retained
-  /// only for this snapshot become droppable by subsequent compactions.
+  /// only for this snapshot become droppable by subsequent compactions;
+  /// releasing the oldest snapshot schedules the deadline work it held
+  /// back (FADE and expiry due times), so an idle database catches up.
   virtual void ReleaseSnapshot(const Snapshot* snapshot) = 0;
 
   /// Forces the memtable to disk (no-op when empty). A barrier: it returns

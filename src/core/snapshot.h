@@ -72,6 +72,11 @@ class SnapshotList {
     delete s;
   }
 
+  /// True when `snapshot` is the oldest live snapshot.
+  bool IsOldest(const Snapshot* snapshot) const {
+    return head_.next_ == snapshot;
+  }
+
   /// Sequence of the oldest live snapshot; callers must check empty() first.
   SequenceNumber Oldest() const {
     assert(!empty());

@@ -606,10 +606,15 @@ void DBImpl::ReleaseSnapshot(const Snapshot* snapshot) {
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
+  const bool was_oldest = snapshots_.IsOldest(snapshot);
   snapshots_.Delete(snapshot);
-  // Entries retained only for this snapshot become droppable at the next
-  // merge that sees them; no eager rewrite is triggered (mirrors how
-  // graveyard files wait for the next sweep).
+  if (was_oldest) {
+    // The oldest snapshot is what keeps the picker off a bottommost file
+    // whose tombstones it pinned and off a past-due file it blocked. Re-arm
+    // the triggers now: an idle DB has no commit coming to do it.
+    RefreshTriggerStateLocked();
+    MaybeScheduleCompactionLocked();
+  }
 }
 
 std::vector<LevelSnapshot> DBImpl::GetLevelSnapshots() {

@@ -552,6 +552,13 @@ class DBImpl final : public DB {
     return {snapshots_.Oldest(), snapshots_.OldestTime()};
   }
 
+  /// First sequence of the oldest frozen memtable, kMaxSequenceNumber when
+  /// none: what VersionSet::LogAndApply's checkpoint pruning must keep
+  /// resolvable for the flushes still to install.
+  SequenceNumber OldestUnflushedSeqLocked() const {
+    return imm_.empty() ? kMaxSequenceNumber : imm_.front().first_seq;
+  }
+
   Options options_;  // resolved (env/clock non-null)
   std::string dbname_;
   ShardContext shard_;

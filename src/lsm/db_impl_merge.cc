@@ -195,7 +195,7 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim) {
     // The manifest must keep naming the oldest WAL still carrying unflushed
     // data: the next pending memtable's, or the active one.
     edit.wal_number = imm_.size() > 1 ? imm_[1].wal_number : wal_number_;
-    s = versions_->LogAndApply(&edit);
+    s = versions_->LogAndApply(&edit, OldestUnflushedSeqLocked());
     claim.Release();
     if (!s.ok()) {
       front.building = false;
@@ -357,7 +357,8 @@ Status DBImpl::CompactOnce(const CompactionPick& pick,
     FileMeta moved = *pick.inputs.front();
     moved.run_id = 0;
     edit.added_files.emplace_back(target, std::move(moved));
-    LETHE_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
+    LETHE_RETURN_IF_ERROR(
+        versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
     stats_.trivial_moves.fetch_add(1, std::memory_order_relaxed);
     err_->ReportSuccess();  // the manifest committed: storage is working
     return Status::OK();
@@ -390,7 +391,7 @@ Status DBImpl::MergeAndCommitLocked(
   Status s = RunMergePartitioned(inputs, /*mem=*/nullptr, {}, boundaries,
                                  config, edit, l);
   if (s.ok()) {
-    s = versions_->LogAndApply(edit);
+    s = versions_->LogAndApply(edit, OldestUnflushedSeqLocked());
   }
   if (!s.ok()) {
     RemoveFailedMergeOutputs(options_.env, dbname_, *edit);
@@ -611,7 +612,8 @@ Status DBImpl::SecondaryRangeDeleteLocked(uint64_t lo, uint64_t hi,
   l.lock();
   LETHE_RETURN_IF_ERROR(s);
   if (!edit.removed_files.empty() || !edit.added_files.empty()) {
-    LETHE_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
+    LETHE_RETURN_IF_ERROR(
+        versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
     RefreshTriggerStateLocked();
     MaybeScheduleCompactionLocked();
   }

@@ -205,7 +205,8 @@ Status DBImpl::ReplayWalsLocked() {
   VersionEdit edit;
   edit.wal_number = wal_number_;
   LETHE_RETURN_IF_ERROR(wal_->AddFramed(relog, /*sync=*/false));
-  LETHE_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
+  LETHE_RETURN_IF_ERROR(
+      versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
   for (uint64_t number : to_replay) {
     options_.env->RemoveFile(WalFileName(dbname_, number)).ok();
   }

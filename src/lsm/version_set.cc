@@ -9,6 +9,15 @@ namespace lethe {
 
 namespace {
 
+// MANIFEST roll limits. LogAndApply writes a fresh snapshot manifest once
+// the bytes appended since the current one's snapshot record exceed
+// max(kManifestRollFloorBytes, kManifestRollRatio x that record's bytes).
+// The floor keeps rolls (two syncs and a rename each) rare on small trees;
+// the ratio keeps the snapshot rewrite at most half of the bytes appended,
+// so the MANIFEST stays within a constant factor of one snapshot.
+constexpr uint64_t kManifestRollFloorBytes = 256 << 10;
+constexpr uint64_t kManifestRollRatio = 2;
+
 std::string NumberedFileName(const std::string& dbname, uint64_t number,
                              const char* suffix) {
   char buf[64];
@@ -204,8 +213,9 @@ Status VersionSet::Recover() {
                               "table files");
   }
   // Start a fresh manifest holding one snapshot record, so the log does not
-  // grow across restarts.
-  return WriteSnapshotManifest();
+  // grow across restarts. No memtable holds data yet: WAL replay comes
+  // after, and a replayed memtable's own checkpoint is added at its flush.
+  return WriteSnapshotManifest(kMaxSequenceNumber);
 }
 
 Status VersionSet::LoadManifest(const std::string& path) {
@@ -265,41 +275,79 @@ Status VersionSet::CreateFresh() {
     std::lock_guard<std::mutex> lock(mu_);
     current_ = std::make_shared<Version>();
   }
-  return WriteSnapshotManifest();
+  return WriteSnapshotManifest(kMaxSequenceNumber);
 }
 
-Status VersionSet::WriteSnapshotManifest() {
-  Env* env = options_.env;
-  manifest_number_ = NewFileNumber();
-  std::string name = ManifestFileName(dbname_, manifest_number_);
-  std::unique_ptr<WritableFile> file;
-  LETHE_RETURN_IF_ERROR(env->NewWritableFile(name, &file));
-  manifest_ = std::make_unique<RecordLogWriter>(std::move(file));
-
+Status VersionSet::WriteSnapshotManifest(SequenceNumber oldest_unflushed_seq) {
   VersionEdit snapshot;
   std::shared_ptr<const Version> version = current();
+  // The oldest tombstone a merge can still resolve through TimeOfSeq: one
+  // in a current file, or in a frozen memtable a flush will write.
+  SequenceNumber oldest_live = oldest_unflushed_seq;
   for (int level = 0; level < version->num_levels(); level++) {
     for (const SortedRun& run : version->levels()[level]) {
       for (const auto& meta : run.files) {
         snapshot.added_files.emplace_back(level, *meta);
+        if (meta->HasTombstones()) {
+          oldest_live = std::min(oldest_live, meta->oldest_tombstone_seq);
+        }
       }
     }
   }
   {
     std::lock_guard<std::mutex> lock(seq_time_mu_);
+    // Keep the greatest checkpoint at or below oldest_live and every later
+    // one: TimeOfSeq then answers as before for every seq >= oldest_live.
+    auto keep = std::upper_bound(seq_time_map_.begin(), seq_time_map_.end(),
+                                 std::make_pair(oldest_live, UINT64_MAX));
+    if (keep != seq_time_map_.begin()) {
+      seq_time_map_.erase(seq_time_map_.begin(), std::prev(keep));
+    }
     snapshot.seq_time_checkpoints = seq_time_map_;
   }
+  const uint64_t number = NewFileNumber();
   snapshot.next_file_number = next_file_number_.load();
   snapshot.last_sequence = last_sequence_.load();
   snapshot.wal_number = wal_number_;
   snapshot.next_run_id = next_run_id_.load();
-
   std::string payload;
   snapshot.EncodeTo(&payload);
-  LETHE_RETURN_IF_ERROR(manifest_->AddRecord(payload));
-  LETHE_RETURN_IF_ERROR(manifest_->Sync());
 
-  return SetCurrentFile(env, dbname_, manifest_number_);
+  // Built aside and swapped in only once CURRENT names it: on any failure
+  // the manifest in use stays in use, and the partial file goes.
+  Env* env = options_.env;
+  const std::string name = ManifestFileName(dbname_, number);
+  std::unique_ptr<WritableFile> file;
+  Status s = env->NewWritableFile(name, &file);
+  std::unique_ptr<RecordLogWriter> writer;
+  if (s.ok()) {
+    writer = std::make_unique<RecordLogWriter>(std::move(file));
+    s = writer->AddRecord(payload);
+  }
+  if (s.ok()) {
+    s = writer->Sync();
+  }
+  if (s.ok()) {
+    s = SetCurrentFile(env, dbname_, number);
+  }
+  if (!s.ok()) {
+    writer.reset();
+    env->RemoveFile(name).ok();
+    return s;
+  }
+  // Open's superseded manifest is the orphan sweep's to remove.
+  const bool rolled = manifest_ != nullptr;
+  const uint64_t superseded = manifest_number_;
+  manifest_ = std::move(writer);
+  manifest_number_ = number;
+  manifest_snapshot_bytes_ = manifest_->size();
+  if (rolled) {
+    env->RemoveFile(ManifestFileName(dbname_, superseded)).ok();
+    if (stats_ != nullptr) {
+      stats_->manifest_rolls.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return Status::OK();
 }
 
 void VersionSet::ApplyCounters(const VersionEdit& edit) {
@@ -323,8 +371,10 @@ void VersionSet::AddSeqTimeCheckpoint(SequenceNumber seq, uint64_t time,
                                       VersionEdit* edit) {
   {
     std::lock_guard<std::mutex> lock(seq_time_mu_);
-    seq_time_map_.emplace_back(seq, time);
-    std::sort(seq_time_map_.begin(), seq_time_map_.end());
+    const auto checkpoint = std::make_pair(seq, time);
+    seq_time_map_.insert(std::upper_bound(seq_time_map_.begin(),
+                                          seq_time_map_.end(), checkpoint),
+                         checkpoint);
   }
   edit->seq_time_checkpoints.emplace_back(seq, time);
 }
@@ -403,7 +453,8 @@ bool VersionSet::ConflictsWithInFlight(const JobFootprint& footprint) const {
   return false;
 }
 
-Status VersionSet::LogAndApply(VersionEdit* edit) {
+Status VersionSet::LogAndApply(VersionEdit* edit,
+                               SequenceNumber oldest_unflushed_seq) {
   edit->next_file_number = next_file_number_.load();
   edit->last_sequence = last_sequence_.load();
   edit->next_run_id = next_run_id_.load();
@@ -445,6 +496,14 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   }
   retired_versions_.emplace_back(base);
   SweepGraveyardLocked();
+
+  // The edit is durable in the current manifest, so a failed roll loses
+  // nothing: the manifest stays in use and the next edit retries.
+  if (manifest_->size() - manifest_snapshot_bytes_ >
+      std::max(kManifestRollFloorBytes,
+               kManifestRollRatio * manifest_snapshot_bytes_)) {
+    WriteSnapshotManifest(oldest_unflushed_seq).ok();
+  }
   return Status::OK();
 }
 

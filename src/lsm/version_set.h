@@ -133,7 +133,19 @@ class VersionSet {
   /// Persists `edit` to the MANIFEST and installs the resulting version.
   /// Stamps counters into the edit; applies any seq_time_checkpoints to the
   /// in-memory map (callers add them via AddSeqTimeCheckpoint first).
-  Status LogAndApply(VersionEdit* edit);
+  ///
+  /// Once the edits appended since the manifest's snapshot record outgrow
+  /// a limit (version_set.cc), rolls the MANIFEST: writes a fresh snapshot
+  /// manifest, points CURRENT at it and deletes the old one. A roll that
+  /// fails leaves the old manifest in use (the edit is already in it) and
+  /// is retried at the next edit; LogAndApply still returns OK. Each
+  /// snapshot prunes the seq→time map down to the checkpoints a merge can
+  /// still need: `oldest_unflushed_seq` is the first sequence of the oldest
+  /// frozen memtable (kMaxSequenceNumber when none), whose flush may
+  /// resolve tombstone times through checkpoints the tree no longer holds
+  /// tombstones for. The active memtable needs none: every checkpoint
+  /// predates its entries, and its flush adds its own.
+  Status LogAndApply(VersionEdit* edit, SequenceNumber oldest_unflushed_seq);
 
   std::shared_ptr<const Version> current() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -244,7 +256,13 @@ class VersionSet {
   /// clean). Corruption statuses are returned, not fatal: Recover may fall
   /// back to an older manifest.
   Status LoadManifest(const std::string& path);
-  Status WriteSnapshotManifest();
+  /// Writes a manifest holding one snapshot record of the whole state,
+  /// syncs it and points CURRENT at it, pruning the seq→time map first (see
+  /// LogAndApply). Failure-atomic: the manifest in use changes only once
+  /// CURRENT names the new one, and a failed attempt removes its file. A
+  /// roll then deletes the superseded manifest; at Open the orphan sweep
+  /// does.
+  Status WriteSnapshotManifest(SequenceNumber oldest_unflushed_seq);
   void ApplyCounters(const VersionEdit& edit);
 
   /// Deletes graveyard files referenced by no still-pinned Version
@@ -265,6 +283,7 @@ class VersionSet {
 
   std::unique_ptr<RecordLogWriter> manifest_;
   uint64_t manifest_number_ = 0;
+  uint64_t manifest_snapshot_bytes_ = 0;  // its snapshot record, framed
   bool recovered_via_fallback_ = false;  // set once during Recover
 
   std::atomic<uint64_t> next_file_number_{1};

@@ -24,6 +24,7 @@ Status RecordLogWriter::AddFramed(const Slice& framed, bool force_sync,
     return Status::OK();
   }
   LETHE_RETURN_IF_ERROR(file_->Append(framed));
+  size_ += framed.size();
   if (appended != nullptr) {
     *appended = true;
   }

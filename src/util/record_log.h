@@ -53,8 +53,12 @@ class RecordLogWriter {
   Status Sync() { return file_->Sync(); }
   Status Close() { return file_->Close(); }
 
+  /// Bytes of the frames this writer has appended.
+  uint64_t size() const { return size_; }
+
  private:
   std::unique_ptr<WritableFile> file_;
+  uint64_t size_ = 0;
 };
 
 /// The one reader of the record log, over an in-memory copy of the file.

@@ -28,6 +28,7 @@
 namespace lethe {
 namespace {
 
+using test::ForwardingEnv;
 using test::KeyModel;
 using test::ModelOp;
 using workload::EncodeKey;
@@ -303,6 +304,28 @@ TEST_F(DBTest, FadeBoundsTombstoneAges) {
     }
   }
   EXPECT_GT(db_->stats().compactions_ttl_triggered.load(), 0u);
+}
+
+// FADE skips a bottommost file whose tombstones the oldest snapshot pins.
+// Releasing that snapshot re-arms the trigger on an idle database: the
+// overdue tombstone goes with no later write or drain. Only a poll waits.
+TEST_F(DBTest, ReleaseSnapshotRearmsFadeOnAnIdleDb) {
+  options_.delete_persistence_threshold_micros = 1000;
+  Open();
+  ASSERT_TRUE(Put(42, "doomed").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  const Snapshot* snap = db_->GetSnapshot();
+  ASSERT_TRUE(db_->Delete(WriteOptions(), EncodeKey(42)).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  clock_.AdvanceMicros(10000);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  ASSERT_EQ(db_->stats().tombstones_dropped.load(), 0u);
+
+  db_->ReleaseSnapshot(snap);
+  EXPECT_TRUE(test::WaitFor(
+      [&] { return db_->stats().tombstones_dropped.load() > 0; }, 10000));
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_EQ(Get(42), "NOT_FOUND");
 }
 
 TEST_F(DBTest, StateOfArtRetainsOldTombstones) {
@@ -667,6 +690,29 @@ TEST_F(ExpiryTest, SnapshotDefersThePurgeUntilReleased) {
   db_->ReleaseSnapshot(snap);
   ASSERT_TRUE(db_->WaitForCompact().ok());
   EXPECT_TRUE(impl->TEST_LevelFiles(0).empty());
+  EXPECT_EQ(Get(0), "NOT_FOUND");
+}
+
+// Releasing the snapshot that blocked a past-due file re-arms the purge by
+// itself: an idle database, with no commit or drain to come, still drops
+// the file. Only a poll waits here, so nothing but the release schedules.
+TEST_F(ExpiryTest, ReleaseSnapshotRearmsThePurgeOnAnIdleDb) {
+  Recreate();
+  const uint64_t deadline = clock_.NowMicros() + 1000;
+  for (uint64_t k = 0; k < 50; k++) {
+    ASSERT_TRUE(PutExpiring(k, std::string(100, 'e'), deadline).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  const Snapshot* snap = db_->GetSnapshot();
+  clock_.AdvanceMicros(2000);
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  ASSERT_EQ(impl->TEST_LevelFiles(0).size(), 1u);
+
+  db_->ReleaseSnapshot(snap);
+  EXPECT_TRUE(
+      test::WaitFor([&] { return impl->TEST_LevelFiles(0).empty(); }, 10000));
+  ASSERT_TRUE(db_->WaitForCompact().ok());
   EXPECT_EQ(Get(0), "NOT_FOUND");
 }
 
@@ -1648,53 +1694,6 @@ TEST_F(DBTest, GroupCommitAmortizesWalAppends) {
   EXPECT_EQ(db_->stats().group_commit_batches.load(), 1u);
   EXPECT_EQ(db_->stats().group_commit_entries.load(), 100u);
 }
-
-/// Forwards every call to a target Env; tests override what they watch.
-class ForwardingEnv : public Env {
- public:
-  explicit ForwardingEnv(Env* target) : target_(target) {}
-
-  Status NewWritableFile(const std::string& fname,
-                         std::unique_ptr<WritableFile>* result) override {
-    return target_->NewWritableFile(fname, result);
-  }
-  Status NewRandomWriteFile(const std::string& fname,
-                            std::unique_ptr<RandomWriteFile>* result) override {
-    return target_->NewRandomWriteFile(fname, result);
-  }
-  Status NewRandomAccessFile(
-      const std::string& fname,
-      std::unique_ptr<RandomAccessFile>* result) override {
-    return target_->NewRandomAccessFile(fname, result);
-  }
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override {
-    return target_->NewSequentialFile(fname, result);
-  }
-  bool FileExists(const std::string& fname) override {
-    return target_->FileExists(fname);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return target_->RemoveFile(fname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return target_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return target_->RenameFile(src, target);
-  }
-  Status CreateDirIfMissing(const std::string& dirname) override {
-    return target_->CreateDirIfMissing(dirname);
-  }
-  Status GetChildren(const std::string& dirname,
-                     std::vector<std::string>* result) override {
-    return target_->GetChildren(dirname, result);
-  }
-
- protected:
-  Env* target_;
-};
 
 /// Forwards to a target Env, counting WritableFile::Sync calls on WAL files.
 class WalSyncCountingEnv final : public ForwardingEnv {

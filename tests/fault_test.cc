@@ -18,6 +18,10 @@
 //     naming DB::Repair, and Repair's WAL salvage lets the next Open
 //     replay the intact groups. A frame is one commit group, so a torn or
 //     damaged WriteBatch replays all or nothing.
+//   - The MANIFEST roll: over a KiWi retention window of SRDs the manifest
+//     stays within one snapshot plus the roll limit, a failure at any roll
+//     step leaves the old manifest in use, and pruning the seq→time map
+//     keeps every live tombstone's time.
 //   - Manifest fallback to an older intact snapshot (ignoring names that
 //     only look like manifests), and DB::Repair rebuilding a manifest from
 //     the table files (quarantining damaged ones) with unflushed WAL data
@@ -1069,6 +1073,365 @@ TEST(ManifestFallbackTest, FallbackQuarantinesTablesTheLostManifestHeld) {
   EXPECT_FALSE(
       FindFileWithSuffix(env.get(), "fallback_q_db", ".sst.bad").empty())
       << "stranded table was deleted instead of quarantined";
+}
+
+// ---- manifest roll ----------------------------------------------------------
+
+// The roll limits of version_set.cc: a roll fires once the edits appended
+// since the snapshot record exceed max(floor, ratio x snapshot).
+constexpr uint64_t kRollFloorBytes = 256 << 10;
+constexpr uint64_t kRollRatio = 2;
+
+/// Names of the MANIFEST files in `dbname`.
+std::vector<std::string> ManifestFiles(Env* env, const std::string& dbname) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dbname, &children).ok());
+  std::vector<std::string> manifests;
+  for (const std::string& child : children) {
+    FileType type;
+    uint64_t number = 0;
+    if (ParseFileName(child, &type, &number) && type == FileType::kManifest) {
+      manifests.push_back(child);
+    }
+  }
+  return manifests;
+}
+
+/// Framed size of each record of manifest `path`: the snapshot, then the
+/// edits appended after it.
+std::vector<uint64_t> ManifestRecordSizes(Env* env, const std::string& path) {
+  std::string contents;
+  EXPECT_TRUE(ReadFileToString(env, path, &contents).ok()) << path;
+  RecordLogScanner scanner{Slice(contents)};
+  std::vector<uint64_t> sizes;
+  Slice record;
+  uint64_t begin = 0;
+  while (scanner.Next(&record) == RecordLogScanner::Result::kRecord) {
+    sizes.push_back(scanner.offset() - begin);
+    begin = scanner.offset();
+  }
+  return sizes;
+}
+
+/// Fails one step of a MANIFEST roll. Each step is one only a roll takes
+/// (a new manifest, CURRENT's rewrite, the old manifest's removal), so the
+/// edits appended to the manifest in use keep committing.
+class RollFaultEnv final : public test::ForwardingEnv {
+ public:
+  enum class Step { kNone, kCreate, kAppend, kSync, kCurrentTmp, kRename,
+                    kRemoveOld };
+
+  explicit RollFaultEnv(Env* target) : ForwardingEnv(target) {}
+
+  void Arm(Step step) { step_.store(step); }
+  uint64_t fired() const { return fired_.load(); }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    const bool manifest = IsManifest(fname);
+    if ((manifest && Fires(Step::kCreate)) ||
+        (EndsWith(fname, "/CURRENT.tmp") && Fires(Step::kCurrentTmp))) {
+      return Status::IOError("injected: create " + fname);
+    }
+    std::unique_ptr<WritableFile> file;
+    LETHE_RETURN_IF_ERROR(target_->NewWritableFile(fname, &file));
+    // Only a manifest created while a step is armed can fail an append or
+    // a sync: the manifest in use was created before, and its edits pass.
+    if (manifest && step_.load() != Step::kNone) {
+      *result = std::make_unique<File>(this, std::move(file));
+    } else {
+      *result = std::move(file);
+    }
+    return Status::OK();
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    if (EndsWith(target, "/CURRENT") && Fires(Step::kRename)) {
+      return Status::IOError("injected: rename " + src);
+    }
+    return target_->RenameFile(src, target);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    if (IsManifest(fname) && Fires(Step::kRemoveOld)) {
+      return Status::IOError("injected: remove " + fname);
+    }
+    return target_->RemoveFile(fname);
+  }
+
+ private:
+  /// A new manifest: fails an armed append or sync.
+  class File final : public WritableFile {
+   public:
+    File(RollFaultEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(const Slice& data) override {
+      return env_->Fires(Step::kAppend) ? Status::IOError("injected: append")
+                                        : base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      return env_->Fires(Step::kSync) ? Status::IOError("injected: sync")
+                                      : base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    RollFaultEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  static bool EndsWith(const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  }
+  static bool IsManifest(const std::string& fname) {
+    FileType type;
+    uint64_t number = 0;
+    return ParseFileName(fname.substr(fname.rfind('/') + 1), &type,
+                         &number) &&
+           type == FileType::kManifest;
+  }
+  bool Fires(Step step) {
+    if (step_.load() != step) {
+      return false;
+    }
+    fired_.fetch_add(1);
+    return true;
+  }
+
+  std::atomic<Step> step_{Step::kNone};
+  std::atomic<uint64_t> fired_{0};
+};
+
+/// A KiWi retention window: puts carry ascending delete keys (insertion
+/// timestamps), and each step's secondary range delete drops the oldest
+/// band, as many delete keys as the step put. Every SRD re-adds the whole
+/// FileMeta (page count vectors included) of each file it touches, so the
+/// MANIFEST grows by KBs per step. Every write goes through a KeyModel.
+class ManifestRollTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kKeys = 4000;
+  static constexpr int kPutsPerStep = 20;
+
+  void SetUp() override {
+    base_env_ = NewMemEnv();
+    clock_.SetMicros(1);
+    options_.env = base_env_.get();
+    options_.clock = &clock_;
+    options_.write_buffer_bytes = 16 << 10;
+    options_.target_file_bytes = 16 << 10;
+    options_.size_ratio = 4;
+    options_.table.page_size_bytes = 1024;
+    options_.table.entries_per_page = 8;
+    options_.table.pages_per_tile = 4;
+    options_.table.bloom_bits_per_key = 10;
+  }
+
+  void TearDown() override { db_.reset(); }
+
+  Status Reopen() {
+    db_.reset();
+    return DB::Open(options_, kDb, &db_);
+  }
+  DBImpl* impl() { return static_cast<DBImpl*>(db_.get()); }
+  uint64_t rolls() { return db_->stats().manifest_rolls.load(); }
+
+  /// Puts of random keys. Delete keys start at 1: 0 is a tombstone's, and
+  /// no band reaches it.
+  void PutSome(int n) {
+    for (int i = 0; i < n; i++) {
+      clock_.AdvanceMicros(1);
+      const uint64_t dk = next_dk_++;
+      ASSERT_TRUE(model_
+                      .Write(db_.get(), ModelOp::Put(rnd_.Uniform(kKeys), dk,
+                                                     "v" + std::to_string(dk)))
+                      .ok());
+    }
+  }
+
+  /// One step of the window: puts, then an SRD of the oldest band.
+  void Step() {
+    PutSome(kPutsPerStep);
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(model_
+                    .Write(db_.get(), ModelOp::SecondaryRangeDelete(
+                                          srd_lo_, srd_lo_ + kPutsPerStep))
+                    .ok());
+    srd_lo_ += kPutsPerStep;
+  }
+
+  /// Steps until `done()` holds, at most `max_steps` times.
+  template <typename Done>
+  bool StepUntil(Done done, int max_steps = 3000) {
+    for (int i = 0; i < max_steps && !done(); i++) {
+      Step();
+      if (::testing::Test::HasFatalFailure()) {
+        return false;
+      }
+    }
+    return done();
+  }
+
+  static constexpr char kDb[] = "roll_db";
+  std::unique_ptr<Env> base_env_;
+  LogicalClock clock_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+  KeyModel model_{0, kKeys, "ManifestRollTest"};
+  Random rnd_{301};
+  uint64_t next_dk_ = 1;
+  uint64_t srd_lo_ = 1;  // the oldest delete key the window still holds
+};
+
+// Over 1 MB of SRD edits, the MANIFEST never outgrows one snapshot plus the
+// roll limit plus the edit that crossed it, and exactly one MANIFEST file
+// exists after every edit. A reopen restores the modelled state.
+TEST_F(ManifestRollTest, SrdEditsKeepTheManifestBounded) {
+  ASSERT_TRUE(Reopen().ok());
+  PutSome(10000);
+  std::string name;
+  uint64_t size = 0;
+  uint64_t snapshot = 0;
+  uint64_t edit_bytes = 0;
+  auto check = [&] {
+    const std::vector<std::string> manifests = ManifestFiles(base_env_.get(), kDb);
+    if (manifests.size() != 1) {
+      ADD_FAILURE() << manifests.size() << " manifests";
+      return true;
+    }
+    const std::string path = std::string(kDb) + "/" + manifests[0];
+    uint64_t now_size = 0;
+    EXPECT_TRUE(base_env_->GetFileSize(path, &now_size).ok());
+    if (manifests[0] != name) {
+      name = manifests[0];
+      snapshot = ManifestRecordSizes(base_env_.get(), path).front();
+      edit_bytes += now_size - snapshot;
+    } else {
+      edit_bytes += now_size - size;
+    }
+    size = now_size;
+    const uint64_t limit = std::max(kRollFloorBytes, kRollRatio * snapshot);
+    if (size > snapshot + limit) {
+      const uint64_t last_edit = ManifestRecordSizes(base_env_.get(), path).back();
+      EXPECT_LE(size, snapshot + limit + last_edit);
+    }
+    return edit_bytes >= (1 << 20);
+  };
+  const uint64_t rolls_before = rolls();
+  ASSERT_TRUE(StepUntil(check));
+  EXPECT_GE(rolls() - rolls_before, 3u);
+
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_EQ(ManifestFiles(base_env_.get(), kDb).size(), 1u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// A failure at any step of a roll leaves the old manifest in use: the edit
+// that triggered the roll is already in it, writes keep committing, the
+// partial file goes, and the next edit retries the roll. A reopen restores
+// the modelled state and leaves one manifest.
+TEST_F(ManifestRollTest, FailedRollStepKeepsTheOldManifest) {
+  RollFaultEnv env(base_env_.get());
+  options_.env = &env;
+  ASSERT_TRUE(Reopen().ok());
+  PutSome(10000);
+  using FaultStep = RollFaultEnv::Step;
+  const std::pair<FaultStep, const char*> steps[] = {
+      {FaultStep::kCreate, "new file"},
+      {FaultStep::kAppend, "append"},
+      {FaultStep::kSync, "sync"},
+      {FaultStep::kCurrentTmp, "CURRENT.tmp"},
+      {FaultStep::kRename, "rename"},
+      {FaultStep::kRemoveOld, "old-manifest delete"}};
+  for (const auto& [step, label] : steps) {
+    SCOPED_TRACE(label);
+    const uint64_t rolls_before = rolls();
+    const uint64_t fired_before = env.fired();
+    env.Arm(step);
+    ASSERT_TRUE(StepUntil([&] { return env.fired() > fired_before; }));
+    // Every later edit retries the roll and fails again; writes commit.
+    for (int i = 0; i < 3; i++) {
+      Step();
+    }
+    if (step == FaultStep::kRemoveOld) {
+      // The roll itself committed; the superseded file stays until Open.
+      EXPECT_GT(rolls(), rolls_before);
+      EXPECT_GE(ManifestFiles(&env, kDb).size(), 2u);
+    } else {
+      EXPECT_EQ(rolls(), rolls_before);
+      EXPECT_EQ(ManifestFiles(&env, kDb).size(), 1u);
+    }
+    env.Arm(FaultStep::kNone);
+    ASSERT_TRUE(StepUntil([&] { return rolls() > rolls_before; }));
+    EXPECT_EQ(impl()->TEST_error_handler()->health(), DBHealth::kHealthy);
+    ASSERT_TRUE(Reopen().ok());
+    EXPECT_EQ(ManifestFiles(&env, kDb).size(), 1u);
+    EXPECT_TRUE(model_.CheckAll(db_.get()));
+  }
+}
+
+// A roll prunes the seq→time checkpoints, and neither the prune nor a
+// reopen changes the time TimeOfSeq gives the sequence of any tombstone
+// still in the tree. Checkpoints older than every live tombstone go.
+TEST_F(ManifestRollTest, PruneKeepsEveryLiveTombstoneTime) {
+  ASSERT_TRUE(Reopen().ok());
+  // Older flushes, whose checkpoints no tombstone needs.
+  PutSome(200);
+  const SequenceNumber early = impl()->TEST_LastSequence();
+  for (int round = 0; round < 8; round++) {
+    PutSome(1000);
+    ASSERT_TRUE(db_->Flush().ok());
+    clock_.AdvanceMicros(1000);
+  }
+  ASSERT_NE(impl()->TEST_TimeOfSeq(early), 0u);
+  // A snapshot keeps the tombstones in the tree while the window moves.
+  const Snapshot* snap = db_->GetSnapshot();
+  std::vector<std::pair<SequenceNumber, uint64_t>> tombstones;
+  for (int round = 0; round < 4; round++) {
+    for (uint64_t k = 0; k < 20; k++) {
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(
+          model_.Write(db_.get(), ModelOp::Delete(round * 1000 + k)).ok());
+      tombstones.emplace_back(impl()->TEST_LastSequence(), 0);
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    clock_.AdvanceMicros(1000);
+  }
+  for (auto& [seq, time] : tombstones) {
+    time = impl()->TEST_TimeOfSeq(seq);
+  }
+
+  const uint64_t rolls_before = rolls();
+  ASSERT_TRUE(StepUntil([&] { return rolls() > rolls_before; }));
+  // The oldest tombstone still in the tree bounds what the prune keeps.
+  SequenceNumber oldest_live = kMaxSequenceNumber;
+  const int levels = static_cast<int>(db_->GetLevelSnapshots().size());
+  for (int level = 0; level < levels; level++) {
+    for (const FileMeta& f : impl()->TEST_LevelFiles(level)) {
+      if (f.HasTombstones()) {
+        oldest_live = std::min(oldest_live, f.oldest_tombstone_seq);
+      }
+    }
+  }
+  ASSERT_LE(oldest_live, tombstones.back().first);
+  EXPECT_EQ(impl()->TEST_TimeOfSeq(early), 0u);  // its checkpoint went
+  int checked = 0;
+  for (const auto& [seq, time] : tombstones) {
+    if (seq >= oldest_live) {
+      EXPECT_EQ(impl()->TEST_TimeOfSeq(seq), time) << "seq " << seq;
+      checked++;
+    }
+  }
+  EXPECT_GT(checked, 0);
+
+  db_->ReleaseSnapshot(snap);
+  ASSERT_TRUE(Reopen().ok());
+  for (const auto& [seq, time] : tombstones) {
+    if (seq >= oldest_live) {
+      EXPECT_EQ(impl()->TEST_TimeOfSeq(seq), time) << "seq " << seq;
+    }
+  }
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 // ---- DB::Repair -------------------------------------------------------------

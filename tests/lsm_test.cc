@@ -522,7 +522,7 @@ TEST(VersionSetTest, RecoverPersistsAcrossReopen) {
     edit.added_files.emplace_back(1, MakeFile(12, 5, 50));
     versions.AddSeqTimeCheckpoint(1, 999, &edit);
     versions.SetLastSequence(77);
-    ASSERT_TRUE(versions.LogAndApply(&edit).ok());
+    ASSERT_TRUE(versions.LogAndApply(&edit, kMaxSequenceNumber).ok());
   }
   {
     VersionSet versions(options, "db");

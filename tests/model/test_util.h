@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +37,53 @@ bool WaitFor(Pred pred, int timeout_ms) {
   }
   return true;
 }
+
+/// Forwards every call to a target Env; tests override what they watch.
+class ForwardingEnv : public Env {
+ public:
+  explicit ForwardingEnv(Env* target) : target_(target) {}
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return target_->NewWritableFile(fname, result);
+  }
+  Status NewRandomWriteFile(const std::string& fname,
+                            std::unique_ptr<RandomWriteFile>* result) override {
+    return target_->NewRandomWriteFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return target_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return target_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return target_->FileExists(fname);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return target_->RemoveFile(fname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return target_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return target_->RenameFile(src, target);
+  }
+  Status CreateDirIfMissing(const std::string& dirname) override {
+    return target_->CreateDirIfMissing(dirname);
+  }
+  Status GetChildren(const std::string& dirname,
+                     std::vector<std::string>* result) override {
+    return target_->GetChildren(dirname, result);
+  }
+
+ protected:
+  Env* target_;
+};
 
 /// Number of `.sst` files in directory `dbname`.
 uint64_t CountTableFiles(Env* env, const std::string& dbname);

@@ -434,17 +434,24 @@ TEST_F(TxnTest, FadeTombstoneRetainedUntilSnapshotReleased) {
 }
 
 // FADE resolves a tombstone's age through the seq→time checkpoints the
-// manifest persists. The mapping must survive a reopen unchanged for
-// sequences that snapshots (or transactions) may still pin.
+// manifest persists. The mapping must survive a reopen unchanged for the
+// sequence of every tombstone still in the tree (the snapshot a manifest
+// writes prunes only checkpoints no live tombstone resolves through).
 TEST_F(TxnTest, SeqTimeCheckpointsStableAcrossReopen) {
   options_.delete_persistence_threshold_micros = 1000000;
   Open();
+  // A snapshot of older versions keeps the deletes' tombstones in the tree.
+  for (uint64_t k = 0; k < 4; k++) {
+    ASSERT_TRUE(Put(1000 + k, std::string(64, 'o')).ok());
+  }
+  const Snapshot* snap = db_->GetSnapshot();
 
   std::vector<std::pair<SequenceNumber, uint64_t>> probes;
   for (int batch = 0; batch < 4; batch++) {
     for (uint64_t k = 0; k < 32; k++) {
       ASSERT_TRUE(Put(batch * 32 + k, std::string(64, 'f')).ok());
     }
+    ASSERT_TRUE(Delete(1000 + batch).ok());
     auto* impl = static_cast<DBImpl*>(db_.get());
     probes.emplace_back(impl->TEST_LastSequence(), 0);
     ASSERT_TRUE(db_->Flush().ok());  // flush writes a seq→time checkpoint
@@ -459,6 +466,7 @@ TEST_F(TxnTest, SeqTimeCheckpointsStableAcrossReopen) {
   // probe lands after the first clock advance.
   EXPECT_GT(probes.back().second, probes.front().second);
 
+  db_->ReleaseSnapshot(snap);
   ASSERT_TRUE(Reopen().ok());
   impl = static_cast<DBImpl*>(db_.get());
   for (const auto& [seq, time] : probes) {
