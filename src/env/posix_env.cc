@@ -47,7 +47,8 @@ class PosixWritableFile final : public WritableFile {
   PosixWritableFile(std::string fname, int fd)
       : fname_(std::move(fname)),
         fd_(fd),
-        buf_(std::make_unique<char[]>(kWritableFileBufferSize)) {}
+        buf_(std::make_unique_for_overwrite<char[]>(
+            kWritableFileBufferSize)) {}
 
   ~PosixWritableFile() override {
     if (fd_ >= 0) {

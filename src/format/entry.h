@@ -74,10 +74,11 @@ inline ValueType UnpackType(uint64_t packed) {
   return static_cast<ValueType>(packed & 0xff);
 }
 
-/// Serializes an entry as a page stores it:
+/// Serializes an entry as a decoded page holds it:
 ///   varint32 key_len | key | varint64 (seq<<8 | type) | varint64 delete_key
 ///   | varint32 value_len | value
-/// Appends to *dst.
+/// Appends to *dst. On disk a page stores each entry in this layout with
+/// its key cut to the suffix after the page's common key prefix (page.h).
 void EncodeEntry(const ParsedEntry& entry, std::string* dst);
 
 /// Writes the same bytes to dst[0, EncodedEntrySize(entry)), which the
@@ -92,7 +93,8 @@ bool DecodeEntry(Slice* input, ParsedEntry* entry);
 size_t EncodedEntrySize(const ParsedEntry& entry);
 
 /// The smallest encoded entry: four one-byte varints around an empty key
-/// and value (sequence 0). Bounds how many entries a page can hold.
+/// (or key suffix) and value (sequence 0). Bounds how many entries a page
+/// can hold.
 constexpr size_t kMinEncodedEntrySize = 4;
 
 }  // namespace lethe

@@ -71,8 +71,7 @@ struct FileMeta {
   /// kExpiryDue tag). Once past it, the compaction picker takes the file
   /// alone under the kTtlExpiry trigger, FADE or not: at the bottommost
   /// level it is rewritten in place, so a wholly expired file simply goes.
-  /// DB::Repair rebuilds metadata from table properties and leaves kNever;
-  /// the values still expire at the next merge other work schedules.
+  /// DB::Repair recomputes it from the table's entries.
   uint64_t expiry_due = kNever;
 
   /// Total data pages in the file and the liveness bitmap maintained by

@@ -14,7 +14,6 @@ SSTableBuilder::SSTableBuilder(const TableOptions& options, WritableFile* file)
     : options_(options),
       file_(file),
       max_entries_per_page_(MaxEntriesPerPage(options)),
-      page_builder_(options.page_size_bytes, max_entries_per_page_),
       bloom_builder_(options.bloom_bits_per_key) {
   assert(max_entries_per_page_ > 0);
   assert(options_.pages_per_tile > 0);
@@ -26,31 +25,39 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   if (!status_.ok()) {
     return;
   }
-  // Byte-closed tiles. FlushTile cuts pages greedily, at B entries or at the
-  // byte budget, so when B large entries overflow a page the B·h count rule
-  // alone would spill each tile onto a near-empty extra page. Weigh every
-  // entry max(B·e, budget), e its encoded bytes: a page cut by count then
-  // weighs >= B·budget, and a page cut by bytes plus the entry that did not
-  // fit weighs > B·budget. A tile reaching h+1 pages thus has tile weight
-  // W + (h-1)·B·max_e > h·B·budget (the entries opening pages 2..h counted
-  // twice), so closing the tile before an entry that would break that
-  // bound keeps it within h pages. When B copies of the largest entry fit
-  // a page, every cut is by count and the B·h rule below suffices.
-  const uint64_t b = max_entries_per_page_;
-  const uint64_t h = options_.pages_per_tile;
-  const uint64_t budget = PageByteBudget(options_);
+  // Byte-closed tiles. FlushTile cuts pages greedily, at B entries or when
+  // the next entry would overflow the page's byte budget, so when B large
+  // entries overflow a page the B·h count rule alone would spill each tile
+  // onto a near-empty extra page. Add weighs the tile in page bytes
+  // instead. Every page of the tile shares at least the tile's own key
+  // prefix and holds at most min(B, tile entries) entries, so charging each
+  // entry its size e in a page of that prefix, against a page room of the
+  // budget less a header for that many entries and that prefix, never
+  // undercounts a page of two or more entries (a longer prefix saves at
+  // least as much on the entries as it costs in the header). Weigh every
+  // entry max(B·e, room): a page cut by count then weighs >= B·room, and a
+  // page cut by bytes plus the entry that did not fit weighs > B·room. A
+  // tile reaching h+1 pages thus has weight W + (h-1)·B·max_e > h·B·room
+  // (the entries opening pages 2..h counted twice), so closing the tile
+  // before an entry that would break that bound keeps it within h pages.
+  // When B copies of the largest entry fit the room, every cut is by count
+  // and the B·h rule below suffices. With h = 1 and B uncapped the rule is
+  // exact: the tile closes when its one page would overflow.
   const uint64_t entry_bytes = EncodedEntrySize(entry);
-  const uint64_t max_bytes = std::max(tile_max_entry_bytes_, entry_bytes);
-  const uint64_t weight = std::max(b * entry_bytes, budget);
-  if (!tile_.empty() && b * max_bytes > budget &&
-      tile_weight_ + weight + (h - 1) * b * max_bytes > h * b * budget) {
+  const size_t key_size = entry.user_key.size();
+  WeighTileWith(entry.user_key);
+  int64_t bytes = PageEntrySize(entry_bytes, key_size, tile_prefix_);
+  if (!tile_.empty() && TileOverflowsWith(bytes)) {
     status_ = FlushTile();
     if (!status_.ok()) {
       return;
     }
+    WeighTileWith(entry.user_key);
+    bytes = PageEntrySize(entry_bytes, key_size, tile_prefix_);
   }
-  tile_weight_ += weight;
-  tile_max_entry_bytes_ = std::max(tile_max_entry_bytes_, entry_bytes);
+  tile_weight_ += EntryWeight(bytes);
+  tile_max_entry_bytes_ = std::max(tile_max_entry_bytes_, bytes);
+  tile_entry_bytes_ += bytes;
 
   // Encode the entry once; its page copies these bytes as they are.
   const size_t offset = tile_data_.size();
@@ -58,9 +65,9 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   EncodeEntry(entry, tile_data_.data() + offset);
   tile_.push_back(PendingEntry{
       static_cast<uint32_t>(offset), static_cast<uint32_t>(entry_bytes),
-      static_cast<uint32_t>(offset + VarintLength(entry.user_key.size())),
-      static_cast<uint32_t>(entry.user_key.size()), entry.delete_key,
-      entry.seq, entry.IsTombstone()});
+      static_cast<uint32_t>(offset + VarintLength(key_size)),
+      static_cast<uint32_t>(key_size), entry.delete_key, entry.seq,
+      entry.IsTombstone()});
 
   if (props_.num_entries == 0) {
     props_.smallest_key = entry.user_key.ToString();
@@ -84,9 +91,51 @@ void SSTableBuilder::Add(const ParsedEntry& entry) {
   props_.smallest_seq = std::min(props_.smallest_seq, entry.seq);
   props_.largest_seq = std::max(props_.largest_seq, entry.seq);
 
-  if (tile_.size() >= b * h) {
+  if (tile_.size() >=
+      uint64_t{max_entries_per_page_} * options_.pages_per_tile) {
     status_ = FlushTile();
   }
+}
+
+void SSTableBuilder::WeighTileWith(const Slice& key) {
+  const size_t prefix =
+      tile_.empty()
+          ? key.size()
+          : SharedPrefixLength(Slice(tile_data_.data() + tile_[0].key_offset,
+                                     tile_prefix_),
+                               key);
+  const uint32_t page_entries = static_cast<uint32_t>(std::min<uint64_t>(
+      max_entries_per_page_, tile_.size() + 1));
+  const int64_t room =
+      static_cast<int64_t>(PageByteBudget(options_)) -
+      static_cast<int64_t>(PageHeaderSize(page_entries, prefix));
+  if (!tile_.empty() && prefix == tile_prefix_ && room == tile_room_) {
+    return;
+  }
+  tile_prefix_ = prefix;
+  tile_room_ = room;
+  tile_weight_ = 0;
+  tile_max_entry_bytes_ = 0;
+  tile_entry_bytes_ = 0;
+  for (const PendingEntry& e : tile_) {
+    const int64_t bytes = PageEntrySize(e.size, e.key_size, prefix);
+    tile_weight_ += EntryWeight(bytes);
+    tile_max_entry_bytes_ = std::max(tile_max_entry_bytes_, bytes);
+    tile_entry_bytes_ += bytes;
+  }
+}
+
+int64_t SSTableBuilder::EntryWeight(int64_t bytes) const {
+  return std::max(int64_t{max_entries_per_page_} * bytes, tile_room_);
+}
+
+bool SSTableBuilder::TileOverflowsWith(int64_t bytes) const {
+  const int64_t b = max_entries_per_page_;
+  const int64_t h = options_.pages_per_tile;
+  const int64_t max_bytes = std::max(tile_max_entry_bytes_, bytes);
+  return b * max_bytes > tile_room_ &&
+         tile_weight_ + EntryWeight(bytes) + (h - 1) * b * max_bytes >
+             h * b * tile_room_;
 }
 
 void SSTableBuilder::AddRangeTombstone(const RangeTombstone& tombstone) {
@@ -97,13 +146,14 @@ void SSTableBuilder::AddRangeTombstone(const RangeTombstone& tombstone) {
 }
 
 uint64_t SSTableBuilder::EstimatedSize() const {
-  // The buffered tile becomes at least n/B pages by count and at least
-  // bytes/budget pages by bytes; with an uncapped B only the byte term sees
-  // a KiWi tile of up to h pages. When every page closes by count (B entries
-  // always fit the budget) the byte term never exceeds the count term.
-  const uint64_t pending_pages =
-      std::max<uint64_t>(tile_.size() / max_entries_per_page_,
-                         tile_data_.size() / PageByteBudget(options_));
+  // The buffered tile becomes at least n/B pages by count and about
+  // bytes/budget pages by bytes (its entries' page bytes at the tile's
+  // prefix); with an uncapped B only the byte term sees a KiWi tile of up
+  // to h pages. When every page closes by count (B entries always fit the
+  // budget) the byte term never exceeds the count term.
+  const uint64_t pending_pages = std::max<uint64_t>(
+      tile_.size() / max_entries_per_page_,
+      static_cast<uint64_t>(tile_entry_bytes_) / PageByteBudget(options_));
   return data_bytes_written_ +
          (pending_pages + 1) * options_.page_size_bytes;
 }
@@ -113,8 +163,9 @@ Status SSTableBuilder::FlushTile() {
     return Status::OK();
   }
   // The key weave: order the tile's entries by delete key, then cut into
-  // pages of at most B entries (fewer when large values exhaust the page's
-  // byte budget first). Consecutive pages thereby partition the tile's
+  // pages of at most B entries (fewer when the page's stored bytes, keys
+  // after its common prefix, reach its byte budget first; PageSizer counts
+  // them exactly). Consecutive pages thereby partition the tile's
   // delete-key domain. Stable sort keeps the (rare) equal-delete-key
   // entries in sort-key order. A one-page tile skips the sort: Add keeps
   // every tile within h pages, and WritePage puts a page back in sort-key
@@ -136,24 +187,27 @@ Status SSTableBuilder::FlushTile() {
 
   const std::span<const PendingEntry*> weave(weave_);
   size_t page_begin = 0;
-  uint64_t page_bytes = 0;
+  page_sizer_.Clear();
   for (size_t i = 0; i < weave.size(); i++) {
-    const uint64_t entry_bytes = weave[i]->size;
-    if (entry_bytes > byte_budget) {
+    const PendingEntry& e = *weave[i];
+    if (i - page_begin < b &&
+        page_sizer_.Add(UserKey(e), e.size, byte_budget)) {
+      continue;
+    }
+    if (i > page_begin) {
+      LETHE_RETURN_IF_ERROR(
+          WritePage(weave.subspan(page_begin, i - page_begin),
+                    page_sizer_.prefix_size()));
+      page_begin = i;
+      page_sizer_.Clear();
+    }
+    if (!page_sizer_.Add(UserKey(e), e.size, byte_budget)) {
       return Status::InvalidArgument(
           "entry larger than a page: raise page_size_bytes");
     }
-    const size_t in_page = i - page_begin;
-    if (in_page > 0 &&
-        (in_page >= b || page_bytes + entry_bytes > byte_budget)) {
-      LETHE_RETURN_IF_ERROR(
-          WritePage(weave.subspan(page_begin, in_page)));
-      page_begin = i;
-      page_bytes = 0;
-    }
-    page_bytes += entry_bytes;
   }
-  LETHE_RETURN_IF_ERROR(WritePage(weave.subspan(page_begin)));
+  LETHE_RETURN_IF_ERROR(
+      WritePage(weave.subspan(page_begin), page_sizer_.prefix_size()));
 
   props_.num_tiles++;
   tile_page_counts_.push_back(props_.num_pages - pages_before);
@@ -161,10 +215,12 @@ Status SSTableBuilder::FlushTile() {
   tile_data_.clear();
   tile_weight_ = 0;
   tile_max_entry_bytes_ = 0;
+  tile_entry_bytes_ = 0;
   return Status::OK();
 }
 
-Status SSTableBuilder::WritePage(std::span<const PendingEntry*> page_entries) {
+Status SSTableBuilder::WritePage(std::span<const PendingEntry*> page_entries,
+                                 size_t prefix_size) {
   // Entries within the page go back to sort-key order so in-page binary
   // search on S works after a single page fetch (§4.2.1 "Page layout").
   // No two entries compare equal (a file holds each version once), so a
@@ -184,12 +240,9 @@ Status SSTableBuilder::WritePage(std::span<const PendingEntry*> page_entries) {
   uint64_t min_delete_key = UINT64_MAX;
   uint64_t max_delete_key = 0;
   uint32_t num_tombstones = 0;
+  page_slices_.clear();
   for (const PendingEntry* e : page_entries) {
-    if (!page_builder_.AddEncoded(Encoded(*e))) {
-      return Status::InvalidArgument(
-          "entry does not fit in page: lower entries_per_page or raise "
-          "page_size_bytes");
-    }
+    page_slices_.push_back(Encoded(*e));
     bloom_builder_.AddKey(UserKey(*e));
     min_delete_key = std::min(min_delete_key, e->delete_key);
     max_delete_key = std::max(max_delete_key, e->delete_key);
@@ -198,7 +251,13 @@ Status SSTableBuilder::WritePage(std::span<const PendingEntry*> page_entries) {
     }
   }
 
-  page_builder_.Finish(&page_);
+  // FlushTile's cut counted these bytes, so the page holds them.
+  const Slice prefix(UserKey(*page_entries.front()).data(), prefix_size);
+  if (!EncodePage(page_slices_, prefix, options_.page_size_bytes, &page_)) {
+    return Status::InvalidArgument(
+        "entry does not fit in page: lower entries_per_page or raise "
+        "page_size_bytes");
+  }
   LETHE_RETURN_IF_ERROR(file_->Append(page_));
   data_bytes_written_ += page_.size();
   const std::string bloom = bloom_builder_.Finish();

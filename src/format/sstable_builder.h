@@ -58,9 +58,10 @@ struct TableProperties {
 ///
 /// Entries must be Add()ed in internal-key order (sort key ascending). The
 /// builder buffers one delete tile — h·B entries, or fewer when B entries
-/// overflow a page's byte budget, so the tile still fits in h pages — then
-/// "weaves": it orders the tile's pages by delete key while re-sorting each
-/// page's entries by sort key, so that
+/// overflow a page's byte budget (counted in stored bytes, keys after the
+/// page's common prefix; see page.h), so the tile still fits in h pages —
+/// then "weaves": it orders the tile's pages by delete key while re-sorting
+/// each page's entries by sort key, so that
 ///   - tiles partition the sort-key space (file-level fence pointers on S),
 ///   - pages inside a tile partition the delete-key space (delete fences on
 ///     D enable full page drops),
@@ -111,8 +112,20 @@ class SSTableBuilder {
     return Slice(tile_data_.data() + e.key_offset, e.key_size);
   }
 
+  /// Re-weighs the buffered tile for the prefix and page header it has
+  /// with an entry of sort key `key` added (see Add); a no-op while
+  /// neither moves.
+  void WeighTileWith(const Slice& key);
+  int64_t EntryWeight(int64_t bytes) const;
+  /// True if adding an entry of `bytes` page bytes could spill the tile
+  /// onto more than h pages.
+  bool TileOverflowsWith(int64_t bytes) const;
+
   Status FlushTile();
-  Status WritePage(std::span<const PendingEntry*> page_entries);
+  /// Writes one page of the entries, which share a prefix_size-byte key
+  /// prefix.
+  Status WritePage(std::span<const PendingEntry*> page_entries,
+                   size_t prefix_size);
 
   TableOptions options_;
   WritableFile* file_;
@@ -124,14 +137,22 @@ class SSTableBuilder {
   /// arrival order by tile_.
   std::string tile_data_;
   std::vector<PendingEntry> tile_;
-  /// Sum over the buffered tile of max(B·e, budget), e = encoded entry
-  /// bytes, and the largest e; Add uses them to close a tile by bytes.
-  uint64_t tile_weight_ = 0;
-  uint64_t tile_max_entry_bytes_ = 0;
+  /// The buffered tile's key prefix and the page room it leaves (the
+  /// byte budget less a page header for that prefix and min(B, tile
+  /// entries) entries); the sum over the tile of max(B·e, room), e = an
+  /// entry's page bytes at that prefix; the largest e and the sum of e. Add
+  /// uses them to close a tile by bytes.
+  size_t tile_prefix_ = 0;
+  int64_t tile_room_ = 0;
+  int64_t tile_weight_ = 0;
+  int64_t tile_max_entry_bytes_ = 0;
+  int64_t tile_entry_bytes_ = 0;
   /// Scratch reused across tiles and pages: the tile in weave order, the
-  /// page being built and its Bloom filter, and the finished page image.
+  /// page being cut from it, that page's encoded entries in sort-key order
+  /// and its Bloom filter, and the finished page image.
   std::vector<const PendingEntry*> weave_;
-  PageBuilder page_builder_;
+  PageSizer page_sizer_;
+  std::vector<Slice> page_slices_;
   BloomFilterBuilder bloom_builder_;
   std::string page_;
   /// Metadata accumulated page by page in file order: the filter section

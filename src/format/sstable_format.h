@@ -28,10 +28,11 @@ namespace lethe {
 // contiguous), which frees its fixed64 slot for the filter section's offset
 // — the footer stays the classic 48 bytes.
 //
-// The magic also names the page-entry layout (entry.h): a table written
-// with another entry layout fails to open as Corruption instead of being
-// decoded wrongly.
-constexpr uint64_t kTableMagic = 0x4c65746865544256ull;
+// The magic also names the page layout (page.h: keys stored after the
+// page's common prefix, entries in entry.h's varint layout): a table
+// written with another page layout fails to open as Corruption instead of
+// being decoded wrongly.
+constexpr uint64_t kTableMagic = 0x4c65746865544250ull;  // "LetheTBP"
 constexpr size_t kFooterSize = 8 + 4 + 8 + 4 + 8 + 4 + 4 + 8;
 
 }  // namespace lethe

@@ -22,12 +22,12 @@ struct TableOptions {
 
   /// B: an optional cap on entries stored in one page. By default there is
   /// no count cap and a page holds as many entries as fit its byte budget
-  /// (page_size_bytes minus 8 bytes of header and checksum). A caller that
-  /// sets B — the paper's cost-model parameter — caps every page at B
-  /// entries; either way a page closes when the next entry would overflow
-  /// the budget, and a delete tile closes before B·h entries when needed so
-  /// it never spans more than h pages. Code reads B through
-  /// MaxEntriesPerPage below, never directly.
+  /// (PageByteBudget; keys are stored after the page's common prefix, see
+  /// src/format/page.h). A caller that sets B — the paper's cost-model
+  /// parameter — caps every page at B entries; either way a page closes
+  /// when the next entry would overflow the budget, and a delete tile
+  /// closes before B·h entries when needed so it never spans more than h
+  /// pages. Code reads B through MaxEntriesPerPage below, never directly.
   uint32_t entries_per_page = std::numeric_limits<uint32_t>::max();
 
   /// h: pages per delete tile. Pages within a tile are ordered by delete
@@ -41,20 +41,22 @@ struct TableOptions {
   // metadata region against the footer's crc.
 };
 
-/// Entry bytes one page holds: page_size_bytes minus the page's header (4)
-/// and checksum (4).
+/// Bytes one page holds before its checksum (4): its header (entry count,
+/// prefix length and prefix) and its entries, each key cut to the suffix
+/// after the prefix (src/format/page.h).
 inline uint64_t PageByteBudget(const TableOptions& options) {
-  return options.page_size_bytes - 8;
+  return options.page_size_bytes - 4;
 }
 
 /// The B the layout works with: the configured cap, bounded by the most
-/// entries a page can physically hold (kMinEncodedEntrySize bytes each).
-/// The default options thus yield "as many as fit", and the KiWi tile size
-/// h·B stays finite.
+/// entries a page can physically hold — kMinEncodedEntrySize bytes each,
+/// behind a header that for those takes at most 4 bytes (a varint count
+/// and an empty prefix). The default options thus yield "as many as fit",
+/// and the KiWi tile size h·B stays finite.
 inline uint32_t MaxEntriesPerPage(const TableOptions& options) {
   return static_cast<uint32_t>(std::min<uint64_t>(
       options.entries_per_page,
-      PageByteBudget(options) / kMinEncodedEntrySize));
+      (PageByteBudget(options) - 4) / kMinEncodedEntrySize));
 }
 
 }  // namespace lethe

@@ -43,11 +43,6 @@ std::vector<RangeTombstone> ClipRangeTombstones(
   return clipped;
 }
 
-namespace {
-
-/// The earliest deadline by which the expiring values in `expiring`
-/// (deadline, entry bytes) hold at least half of `entry_bytes`, or
-/// FileMeta::kNever if all of them together do not.
 uint64_t ExpiryDue(std::vector<std::pair<uint64_t, uint64_t>>* expiring,
                    uint64_t entry_bytes) {
   uint64_t expiring_bytes = 0;
@@ -67,8 +62,6 @@ uint64_t ExpiryDue(std::vector<std::pair<uint64_t, uint64_t>>* expiring,
   }
   return FileMeta::kNever;  // unreachable: the sum covered half above
 }
-
-}  // namespace
 
 Status MergeExecutor::OpenOutput(std::unique_ptr<Output>* output,
                                  std::optional<std::string> window_begin) {

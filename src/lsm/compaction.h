@@ -157,6 +157,13 @@ Status CollectFileInputs(VersionSet* versions,
                          std::vector<std::unique_ptr<InternalIterator>>* iters,
                          std::vector<RangeTombstone>* rts);
 
+/// FileMeta::expiry_due of a file: the earliest deadline by which the
+/// expiring values in `expiring` (deadline, entry bytes) hold at least half
+/// of `entry_bytes` (key plus value over all of the file's entries), or
+/// FileMeta::kNever if all of them together do not. Sorts `expiring`.
+uint64_t ExpiryDue(std::vector<std::pair<uint64_t, uint64_t>>* expiring,
+                   uint64_t entry_bytes);
+
 /// Clips each tombstone to the user-key window [begin, end) (nullopt =
 /// ±infinity), dropping pieces that come up empty. Sequence numbers and
 /// insertion times are preserved, so coverage semantics and FADE age

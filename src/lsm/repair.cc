@@ -16,6 +16,10 @@
 //     newer overlapping one on the shallow-to-deep read path,
 //   - tiering gives each file its own run, run ids assigned in seq order
 //     (run recency is id order),
+//   - each table's expiry due time (FileMeta::expiry_due, which only the
+//     MANIFEST held) is recomputed from its entries, read through the page
+//     decoder, exactly as a merge computes it for its outputs, so a table
+//     of expiring values is still purged when they fall due,
 //   - FADE metadata is reconstructed conservatively: with the seq→time
 //     checkpoint map lost, a salvaged point tombstone's insertion time
 //     floors to 0, so its persistence deadline can only move *earlier* —
@@ -36,6 +40,7 @@
 #include "src/format/file_meta.h"
 #include "src/format/sstable_format.h"
 #include "src/format/sstable_reader.h"
+#include "src/lsm/compaction.h"
 #include "src/lsm/version_set.h"
 #include "src/memtable/wal.h"
 #include "src/util/coding.h"
@@ -116,6 +121,26 @@ Status ReadTableProperties(Env* env, const std::string& fname,
     oldest = std::min(oldest, oldest_range_ts_time);
   }
   meta->oldest_tombstone_time = oldest;
+  return Status::OK();
+}
+
+/// Sets meta->expiry_due from the table's entries, as MergeExecutor does for
+/// a merge output: the expiring values' (deadline, key + value bytes)
+/// against the key + value bytes of every entry.
+Status RecoverExpiryDue(const SSTableReader& reader, FileMeta* meta) {
+  std::vector<std::pair<uint64_t, uint64_t>> expiring;
+  uint64_t entry_bytes = 0;
+  auto it = reader.NewIterator(nullptr, /*fill_cache=*/false);
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    const ParsedEntry& entry = it->entry();
+    const uint64_t bytes = entry.user_key.size() + entry.value.size();
+    entry_bytes += bytes;
+    if (entry.type == ValueType::kExpiringValue && entry.delete_key != 0) {
+      expiring.emplace_back(entry.delete_key, bytes);
+    }
+  }
+  LETHE_RETURN_IF_ERROR(it->status());
+  meta->expiry_due = ExpiryDue(&expiring, entry_bytes);
   return Status::OK();
 }
 
@@ -210,6 +235,7 @@ Status DB::Repair(const Options& options, const std::string& name) {
     }
     const std::string fname = TableFileName(name, number);
     uint64_t file_size = 0;
+    std::unique_ptr<SSTableReader> reader;
     Status s = env->GetFileSize(fname, &file_size);
     if (s.ok()) {
       // Open verifies the footer and the metadata checksum — the same
@@ -217,7 +243,6 @@ Status DB::Repair(const Options& options, const std::string& name) {
       std::unique_ptr<RandomAccessFile> file;
       s = env->NewRandomAccessFile(fname, &file);
       if (s.ok()) {
-        std::unique_ptr<SSTableReader> reader;
         s = SSTableReader::Open(resolved.table, std::move(file), file_size,
                                 &reader);
       }
@@ -226,6 +251,11 @@ Status DB::Repair(const Options& options, const std::string& name) {
     meta.file_number = number;
     if (s.ok()) {
       s = ReadTableProperties(env, fname, file_size, &meta);
+    }
+    if (s.ok()) {
+      // A damaged page does not cost the table its other pages: it stays
+      // adopted, without a due time, as before the scan.
+      RecoverExpiryDue(*reader, &meta).ok();
     }
     if (!s.ok()) {
       // Quarantine, don't delete: the page data may still be partially

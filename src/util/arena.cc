@@ -55,7 +55,8 @@ char* Arena::AllocateFallback(size_t bytes) {
 }
 
 char* Arena::AllocateNewBlock(size_t block_bytes) {
-  blocks_.push_back(std::make_unique<char[]>(block_bytes));
+  // No zero fill: every byte handed out is written before it is read.
+  blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_bytes));
   memory_usage_ += block_bytes + sizeof(char*);
   return blocks_.back().get();
 }

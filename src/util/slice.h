@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -82,6 +83,26 @@ inline bool operator==(const Slice& x, const Slice& y) {
 }
 
 inline bool operator!=(const Slice& x, const Slice& y) { return !(x == y); }
+
+/// Length of the longest common prefix of x and y.
+inline size_t SharedPrefixLength(const Slice& x, const Slice& y) {
+  const size_t limit = x.size() < y.size() ? x.size() : y.size();
+  size_t n = 0;
+  // Eight bytes at a time while they match.
+  while (n + 8 <= limit) {
+    uint64_t a, b;
+    memcpy(&a, x.data() + n, 8);
+    memcpy(&b, y.data() + n, 8);
+    if (a != b) {
+      break;
+    }
+    n += 8;
+  }
+  while (n < limit && x[n] == y[n]) {
+    n++;
+  }
+  return n;
+}
 
 inline bool operator<(const Slice& x, const Slice& y) {
   return x.compare(y) < 0;

@@ -22,11 +22,24 @@
 namespace lethe {
 namespace {
 
-/// A decoded page of `raw_size` bytes holding no entries.
-PageHandle MakePage(size_t raw_size) {
+/// A decoded page whose buffer takes `bytes` (at least 9): one entry with
+/// an empty key, sequence and delete key 0 (a byte each), and a value
+/// filling the rest, plus the entry's 4-byte offset. The cache charges it
+/// `bytes` + sizeof(PageContents).
+PageHandle MakePage(size_t bytes) {
+  size_t value_size = bytes - 4 - 3 - 1;
+  if (VarintLength(value_size) > 1) {
+    value_size--;  // a two-byte value length
+  }
+  const std::string value(value_size, 'v');
+  ParsedEntry entry;
+  entry.value = value;
+  const uint64_t page_size = bytes + 64;
+  PageBuilder builder(page_size, 1);
+  EXPECT_TRUE(builder.Add(entry));
   auto page = std::make_shared<PageContents>();
-  const std::string raw = PageBuilder(raw_size, 1).Finish();
-  EXPECT_TRUE(DecodePage(Slice(raw), raw_size, page.get()).ok());
+  EXPECT_TRUE(DecodePage(Slice(builder.Finish()), page_size, page.get()).ok());
+  EXPECT_EQ(page->ApproximateMemoryUsage(), bytes + sizeof(PageContents));
   return page;
 }
 
@@ -433,15 +446,16 @@ TEST(PageCacheTest, HitAndMissCounters) {
 
   cache.Insert(1, 0, MakePage(4096));
   ASSERT_TRUE(cache.Lookup(1, 0, &page));
-  EXPECT_EQ(page->raw_size(), 4096u);
+  EXPECT_EQ(page->ApproximateMemoryUsage(), 4096u + sizeof(PageContents));
   EXPECT_EQ(stats.page_cache_hits.load(), 1u);
   EXPECT_GT(stats.page_cache_charge_bytes.load(), 0u);
 }
 
-// A decoded page is charged its own bytes, a 4-byte offset per entry and
-// the PageContents header — nothing per entry beyond the offset. A decoded
-// entry array creeping back into PageContents fails the size bound or the
-// charge.
+// A decoded page is charged what it allocated: its entries as EncodeEntry
+// writes them (whole keys, no padding), a 4-byte offset per entry and the
+// PageContents header — nothing per entry beyond the offset. A decoded
+// entry array creeping back into PageContents, or a buffer sized past its
+// entries, fails the size bound or the charge.
 TEST(PageCacheTest, PageIsChargedItsBytesPlusOffsetTable) {
   PageBuilder builder(4096, UINT32_MAX);
   const std::string value(100, 'v');
@@ -450,6 +464,7 @@ TEST(PageCacheTest, PageIsChargedItsBytesPlusOffsetTable) {
     keys.push_back("key" + std::to_string(100000 + i));
   }
   size_t n = 0;
+  size_t entry_bytes = 0;
   for (; n < keys.size(); n++) {
     ParsedEntry entry;
     entry.user_key = keys[n];
@@ -458,6 +473,7 @@ TEST(PageCacheTest, PageIsChargedItsBytesPlusOffsetTable) {
     if (!builder.Add(entry)) {
       break;
     }
+    entry_bytes += EncodedEntrySize(entry);
   }
   ASSERT_GT(n, 20u);
   const std::string raw = builder.Finish();
@@ -469,7 +485,8 @@ TEST(PageCacheTest, PageIsChargedItsBytesPlusOffsetTable) {
   Statistics stats;
   PageCache cache(1 << 20, /*shard_bits=*/0, &stats);
   cache.Insert(1, 0, page);
-  const size_t expected = 4096 + 4 * n + sizeof(PageContents);
+  EXPECT_EQ(page->data().size(), entry_bytes);
+  const size_t expected = entry_bytes + 4 * n + sizeof(PageContents);
   EXPECT_EQ(page->ApproximateMemoryUsage(), expected);
   EXPECT_EQ(cache.TotalCharge(), expected);
   EXPECT_EQ(stats.page_cache_charge_bytes.load(), expected);
@@ -483,9 +500,9 @@ TEST(PageCacheTest, DistinctPagesAreDistinctEntries) {
   cache.Insert(2, 0, MakePage(300));
   PageHandle page;
   ASSERT_TRUE(cache.Lookup(1, 1, &page));
-  EXPECT_EQ(page->raw_size(), 200u);
+  EXPECT_EQ(page->ApproximateMemoryUsage(), 200u + sizeof(PageContents));
   ASSERT_TRUE(cache.Lookup(2, 0, &page));
-  EXPECT_EQ(page->raw_size(), 300u);
+  EXPECT_EQ(page->ApproximateMemoryUsage(), 300u + sizeof(PageContents));
 }
 
 TEST(PageCacheTest, EvictPageInvalidatesOnlyThatPage) {

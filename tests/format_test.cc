@@ -162,9 +162,12 @@ void ExpectSameEntry(const ParsedEntry& actual, const ParsedEntry& expected) {
 
 // Differential: random pages (keys and values of 0..300 bytes across the
 // 1-to-2-byte varint boundary, sequences and delete keys of every varint
-// width, tombstones, empty values, repeated keys, a page size that is not a
-// multiple of 4) read through the offset table must equal a sequential
-// DecodeEntry parse of the same bytes.
+// width, tombstones, empty values, repeated keys, one-entry pages, a page
+// size that is not a multiple of 4). The stored page must be the count,
+// the common prefix of its first and last key, and each entry with its key
+// cut to the suffix after it; the offset table must read back exactly the
+// entries the builder took, as EncodeEntry writes them, back to back in a
+// buffer sized to them.
 TEST(PageTest, EntryViewMatchesSequentialDecode) {
   Random rnd(17);
   for (int trial = 0; trial < 300; trial++) {
@@ -190,9 +193,11 @@ TEST(PageTest, EntryViewMatchesSequentialDecode) {
           rnd.Uniform(5) == 0 ? 0 : rnd.Uniform(8) == 0 ? 200 : rnd.Uniform(40);
       values.push_back(std::string(value_len, static_cast<char>('a' + i % 26)));
       const uint32_t kind = rnd.Uniform(6);
+      // Sequences up to kMaxSequenceNumber, the most the 56-bit field holds.
       candidates.push_back(MakeEntry(
           keys.back(), rnd.Next() >> rnd.Uniform(64),
-          1 + (kMaxSequenceNumber >> rnd.Uniform(57)), values.back(),
+          std::max<SequenceNumber>(1, kMaxSequenceNumber >> rnd.Uniform(57)),
+          values.back(),
           kind == 0   ? ValueType::kTombstone
           : kind == 1 ? ValueType::kExpiringValue
                       : ValueType::kValue));
@@ -208,35 +213,53 @@ TEST(PageTest, EntryViewMatchesSequentialDecode) {
       }
     }
     const uint32_t added = builder.num_entries();
+    ASSERT_GT(added, 0u);
     const std::string page = builder.Finish();
 
     PageContents contents;
     ASSERT_TRUE(DecodePage(Slice(page), page_size, &contents).ok());
     const PageEntries& entries = contents.entries;
     ASSERT_EQ(entries.size(), added);
-    EXPECT_EQ(contents.raw_size(), page_size);
-    EXPECT_EQ(Slice(contents.data(), contents.raw_size()), Slice(page));
+    const Slice data = contents.data();
 
-    Slice body(page.data() + 4, page.size() - 8);
+    Slice body(page.data(), page.size() - 4);
+    uint32_t count = 0, prefix_size = 0;
+    ASSERT_TRUE(GetVarint32(&body, &count));
+    ASSERT_TRUE(GetVarint32(&body, &prefix_size));
+    EXPECT_EQ(count, added);
+    ASSERT_EQ(prefix_size,
+              SharedPrefixLength(candidates.front().user_key,
+                                 candidates[added - 1].user_key));
+    const std::string prefix(body.data(), prefix_size);
+    body.remove_prefix(prefix_size);
     auto it = entries.begin();
+    size_t offset = 0;
     for (size_t i = 0; i < entries.size(); i++, ++it) {
       SCOPED_TRACE("trial " + std::to_string(trial) + " entry " +
                    std::to_string(i));
-      const char* start = body.data();
-      ParsedEntry expected;
-      ASSERT_TRUE(DecodeEntry(&body, &expected));
+      const ParsedEntry& expected = candidates[i];
+      ParsedEntry stored;
+      ASSERT_TRUE(DecodeEntry(&body, &stored));
+      EXPECT_EQ(prefix + stored.user_key.ToString(),
+                expected.user_key.ToString());
+      stored.user_key = expected.user_key;
+      ExpectSameEntry(stored, expected);
+
       const ParsedEntry viewed = entries[i];
       ExpectSameEntry(viewed, expected);
       ExpectSameEntry(*it, expected);
       EXPECT_EQ(entries.key(i), expected.user_key);
-      EXPECT_EQ(entries.encoded(i),
-                Slice(start, static_cast<size_t>(body.data() - start)));
-      // The view aliases the decoded page's own bytes, not the input.
-      EXPECT_GE(viewed.value.data(), contents.data());
-      EXPECT_LE(viewed.value.data() + viewed.value.size(),
-                contents.data() + contents.raw_size());
+      std::string encoded;
+      EncodeEntry(expected, &encoded);
+      EXPECT_EQ(entries.encoded(i), Slice(encoded));
+      // The view aliases the decoded buffer, not the input.
+      EXPECT_EQ(entries.encoded(i).data(), data.data() + offset);
+      offset += encoded.size();
     }
     EXPECT_TRUE(it == entries.end());
+    EXPECT_EQ(offset, data.size());
+    // Only zero padding follows the stored entries.
+    EXPECT_EQ(body.ToString(), std::string(body.size(), '\0'));
 
     // LowerBound finds the first version of every key, and the insertion
     // point of keys that are absent.
@@ -265,10 +288,13 @@ TEST(PageTest, MalformedMiddleEntryIsRejected) {
   ASSERT_TRUE(builder.Add(MakeEntry("b", 2, 2, "v")));
   ASSERT_TRUE(builder.Add(MakeEntry("c", 3, 3, "v")));
   const std::string page = builder.Finish();
-  // The middle entry starts after the header and the first entry: varint
-  // key length, the key, then the varint (seq << 8 | type), whose first
-  // byte holds the type in its low 7 bits.
-  const size_t middle = 4 + EncodedEntrySize(first);
+  // "a" and "c" share no prefix, so the header is a one-byte count and a
+  // zero prefix length, and every entry keeps its whole key. The middle
+  // entry starts after the header and the first entry: varint key length,
+  // the key, then the varint (seq << 8 | type), whose first byte holds the
+  // type in its low 7 bits.
+  ASSERT_EQ(page.substr(0, 2), std::string("\x03\x00", 2));
+  const size_t middle = 2 + EncodedEntrySize(first);
 
   std::string bad_type = page;
   // Neither kValue nor kTombstone; the continuation bit stays.
@@ -300,12 +326,30 @@ TEST(PageTest, MalformedMiddleEntryIsRejected) {
   EXPECT_EQ(contents.entries.size(), 3u);
 }
 
-// Seeded mutations of a page's entry bytes (and its entry count), each
-// resealed with a fresh CRC so only DecodePage's entry parse stands between
-// the damage and the read path: the page is either rejected, or every entry
-// it returns — through operator[], key(), encoded() and LowerBound — has
-// slices inside the page's entry bytes. Under ASan this also proves no
-// mutation makes the unchecked accessors read outside the page.
+/// `page` with its entry count and prefix length replaced, the bytes after
+/// them kept (cut or zero-padded to the page size), and resealed.
+std::string WithHeader(const std::string& page, uint32_t num_entries,
+                       uint32_t prefix_size) {
+  Slice rest(page.data(), page.size() - 4);
+  uint32_t ignored;
+  EXPECT_TRUE(GetVarint32(&rest, &ignored));
+  EXPECT_TRUE(GetVarint32(&rest, &ignored));
+  std::string out;
+  PutVarint32(&out, num_entries);
+  PutVarint32(&out, prefix_size);
+  out.append(rest.data(), rest.size());
+  out.resize(page.size());
+  Reseal(&out);
+  return out;
+}
+
+// Seeded mutations of a page's entry bytes (and its header: the entry
+// count, the prefix length and the prefix), each resealed with a fresh CRC
+// so only DecodePage's parse stands between the damage and the read path:
+// the page is either rejected, or every entry it returns — through
+// operator[], key(), encoded() and LowerBound — has slices inside the
+// decoded buffer. Under ASan this also proves no mutation makes the
+// decode, or the unchecked accessors, read or write outside the page.
 TEST(PageTest, SeededMutationsStayInsideThePage) {
   Random rnd(29);
   constexpr uint64_t kPageSize = 4096;
@@ -324,23 +368,29 @@ TEST(PageTest, SeededMutationsStayInsideThePage) {
         i % 7 == 3 ? ValueType::kTombstone : ValueType::kValue));
   }
   PageBuilder builder(kPageSize, UINT32_MAX);
-  size_t used = 4;
+  PageSizer sizer;
   for (const ParsedEntry& entry : entries) {
     if (!builder.Add(entry)) {
       break;
     }
-    used += EncodedEntrySize(entry);
+    ASSERT_TRUE(
+        sizer.Add(entry.user_key, EncodedEntrySize(entry), kPageSize - 4));
   }
+  const uint32_t count = builder.num_entries();
   const std::string page = builder.Finish();
+  const size_t used = sizer.bytes();  // header, prefix and entries
+  const size_t header = 2;            // a one-byte count and prefix length
+  ASSERT_GT(sizer.prefix_size(), 0u);
 
   int rejected = 0;
   for (int trial = 0; trial < 2000; trial++) {
     std::string mutated = page;
     const int flips = 1 + static_cast<int>(rnd.Uniform(3));
     for (int f = 0; f < flips; f++) {
-      // Mostly entry bytes; now and then the count header.
-      const size_t at = rnd.Uniform(10) == 0 ? rnd.Uniform(4)
-                                             : 4 + rnd.Uniform(used - 4);
+      // Mostly entry bytes; now and then the header or the prefix.
+      const size_t at = rnd.Uniform(10) == 0
+                            ? rnd.Uniform(header + sizer.prefix_size())
+                            : header + rnd.Uniform(used - header);
       mutated[at] = static_cast<char>(mutated[at] ^ (1 + rnd.Uniform(255)));
     }
     Reseal(&mutated);
@@ -349,8 +399,8 @@ TEST(PageTest, SeededMutationsStayInsideThePage) {
       rejected++;
       continue;
     }
-    const char* begin = contents.data() + 4;
-    const char* end = contents.data() + kPageSize - 4;
+    const char* begin = contents.data().data();
+    const char* end = begin + contents.data().size();
     auto inside = [&](const Slice& slice) {
       return slice.data() >= begin && slice.data() + slice.size() <= end;
     };
@@ -371,6 +421,30 @@ TEST(PageTest, SeededMutationsStayInsideThePage) {
   // rest must have been caught.
   EXPECT_GT(rejected, 0);
   EXPECT_LT(rejected, 2000);
+
+  // A prefix length that runs past the page body: one byte past it (its
+  // varint is two bytes long), one that ends exactly at the end of the
+  // page, and the largest length. The bytes after the page in memory hold
+  // well-formed entries, so a decode that read on past the body would
+  // find them.
+  std::string after;
+  for (uint32_t i = 0; i < count; i++) {
+    EncodeEntry(MakeEntry("", 0, 1, ""), &after);
+  }
+  const uint32_t past_body = kPageSize - 4 - 1 - 2 + 1;
+  for (uint32_t prefix_size :
+       {past_body, uint32_t{kPageSize - 3}, UINT32_MAX}) {
+    SCOPED_TRACE("prefix_len " + std::to_string(prefix_size));
+    const std::string bad = WithHeader(page, count, prefix_size) + after;
+    PageContents contents;
+    EXPECT_TRUE(DecodePage(Slice(bad.data(), kPageSize), kPageSize, &contents)
+                    .IsCorruption());
+  }
+  // The body exactly spent on the prefix leaves no room for the entries.
+  PageContents contents;
+  EXPECT_TRUE(DecodePage(Slice(WithHeader(page, count, past_body - 1)),
+                         kPageSize, &contents)
+                  .IsCorruption());
 }
 
 TEST(PageTest, OverLargeEntryCountIsRejected) {
@@ -379,15 +453,14 @@ TEST(PageTest, OverLargeEntryCountIsRejected) {
   ASSERT_TRUE(builder.Add(MakeEntry("b", 2, 2, "v")));
   const std::string page = builder.Finish();
   // One past the real entries (the next "entry" is zero padding), the most
-  // smallest entries the body could hold, one more, and the largest count.
-  const uint32_t max_fit = (1024 - 8) / kMinEncodedEntrySize;
+  // smallest entries the body could hold behind a two-byte count and a
+  // zero prefix length, one more, and the largest count.
+  const uint32_t max_fit = (1024 - 4 - 3) / kMinEncodedEntrySize;
   for (uint32_t count : {3u, max_fit, max_fit + 1, UINT32_MAX}) {
     SCOPED_TRACE("num_entries " + std::to_string(count));
-    std::string bad = page;
-    EncodeFixed32(bad.data(), count);
-    Reseal(&bad);
     PageContents contents;
-    EXPECT_TRUE(DecodePage(Slice(bad), 1024, &contents).IsCorruption());
+    EXPECT_TRUE(DecodePage(Slice(WithHeader(page, count, 0)), 1024, &contents)
+                    .IsCorruption());
   }
 }
 
@@ -1160,14 +1233,16 @@ INSTANTIATE_TEST_SUITE_P(TileGranularities, SSTableTileSweepTest,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 256));
 
 /// Byte-closed tiles: 16-byte keys, 3-byte sequence and delete-key varints
-/// and 112-byte values encode to 136 bytes, so only 30 of B = 32 fit a 4 KB
-/// page's 4088-byte budget.
+/// and 124-byte values encode to 148 bytes. The keys of a page of
+/// neighbouring keys share a 13- or 14-byte prefix, so each entry stores
+/// 135 or 134 bytes and only 30 of B = 32 fit a 4 KB page's 4092-byte
+/// budget.
 class ByteClosedTileTest : public SSTableTest {
  protected:
   void SetUp() override {
     SSTableTest::SetUp();
     options_.entries_per_page = 32;
-    value_size_ = 112;
+    value_size_ = 124;
   }
 };
 
@@ -1197,9 +1272,10 @@ TEST_F(ByteClosedTileTest, H8TileSpansAtMostHPages) {
 }
 
 TEST_F(ByteClosedTileTest, MixedSizesStayWithinHPages) {
-  // Some entries are ~33 bytes, like tombstones among the ~135-byte ones. A
-  // page holding 3 or more of them closes at B = 32 entries, short of its
-  // byte budget; the others close at the budget. A bound on the tile's
+  // Some entries are ~33 bytes (~19 stored), like tombstones among the
+  // 148-byte ones (~134 stored). A page holding 2 or more of them closes at
+  // B = 32 entries, short of its byte budget; the others close at the
+  // budget. A bound on the tile's
   // bytes alone lets a tile whose light pages come first spill onto page
   // h+1: with identity delete keys and 5 small entries opening every run
   // of 64, an h = 2 tile of 63 entries packs as 32 + 30 + 1.
@@ -1216,7 +1292,7 @@ TEST_F(ByteClosedTileTest, MixedSizesStayWithinHPages) {
     uint32_t b;
     size_t value_size;
   };
-  for (Layout layout : {Layout{32, 112},
+  for (Layout layout : {Layout{32, 124},
                         Layout{TableOptions().entries_per_page, 1024}}) {
     options_.entries_per_page = layout.b;
     value_size_ = layout.value_size;
@@ -1281,8 +1357,10 @@ TEST_F(ByteClosedTileTest, FigBedShapeKeepsCountLayout) {
 
 /// The default TableOptions: no count cap, so a page holds as many entries
 /// as fit its byte budget. 16-byte keys, 3-byte sequence and delete-key
-/// varints and 106-byte values encode to 130 bytes, 31 of which fill 4030
-/// of a 4 KB page's 4088-byte budget.
+/// varints and 106-byte values encode to 130 bytes; after a page's 14-byte
+/// key prefix each stores 116, so 35 fill 4076 of a 4 KB page's 4092-byte
+/// budget. A page whose keys cross a multiple of 256 shares 13 bytes and
+/// holds 34 (3993 bytes).
 class ByteFilledDefaultTest : public SSTableTest {
  protected:
   void SetUp() override {
@@ -1291,14 +1369,24 @@ class ByteFilledDefaultTest : public SSTableTest {
     value_size_ = 106;
   }
 
-  static uint64_t PageBytes(const SSTableReader& reader, uint32_t page) {
-    PageHandle contents;
-    EXPECT_TRUE(reader.ReadPage(page, &contents).ok());
-    uint64_t bytes = 0;
-    for (const ParsedEntry& entry : contents->entries) {
-      bytes += EncodedEntrySize(entry);
+  /// The page's entries, decoded.
+  static std::vector<ParsedEntry> PageEntriesOf(const SSTableReader& reader,
+                                                uint32_t page,
+                                                PageHandle* contents) {
+    EXPECT_TRUE(reader.ReadPage(page, contents).ok());
+    return std::vector<ParsedEntry>((*contents)->entries.begin(),
+                                    (*contents)->entries.end());
+  }
+
+  /// True if `page` (decoded entries) has room for `next` within `budget`.
+  static bool Takes(const std::vector<ParsedEntry>& page,
+                    const ParsedEntry& next, uint64_t budget) {
+    PageSizer sizer;
+    for (const ParsedEntry& entry : page) {
+      EXPECT_TRUE(
+          sizer.Add(entry.user_key, EncodedEntrySize(entry), budget));
     }
-    return bytes;
+    return sizer.Add(next.user_key, EncodedEntrySize(next), budget);
   }
 };
 
@@ -1311,17 +1399,34 @@ TEST_F(ByteFilledDefaultTest, PagesFillTheirByteBudget) {
     auto reader = BuildTable(2000, ReverseDk, &props);
     for (const TileInfo& tile : reader->tiles()) {
       EXPECT_LE(tile.page_count, h);
+      // Every page of a tile but its last was cut because the entry that
+      // opened the next page did not fit: the tile's first entry in delete
+      // key order, which under ReverseDk is the next page's largest key
+      // (its first with h = 1, where a tile is one page in key order).
       for (uint32_t p = tile.first_page;
            p + 1 < tile.first_page + tile.page_count; p++) {
-        EXPECT_LT(budget - PageBytes(*reader, p), 130u) << "page " << p;
+        PageHandle page, next_page;
+        const std::vector<ParsedEntry> entries =
+            PageEntriesOf(*reader, p, &page);
+        const std::vector<ParsedEntry> next =
+            PageEntriesOf(*reader, p + 1, &next_page);
+        EXPECT_FALSE(Takes(entries, next.back(), budget)) << "page " << p;
       }
     }
     if (h == 1) {
-      // One-page tiles close by bytes too: every page but the file's last
-      // holds 31 entries, where B = 4 would have written 500 pages.
-      EXPECT_EQ(props.num_pages, 65u);  // ceil(2000/31)
+      // One-page tiles close by bytes too, and a tile's page is full: the
+      // next key does not fit. Every page but the file's last holds 35
+      // entries, or 34 where its prefix is 13 bytes, where B = 4 would have
+      // written 500 pages (and whole keys, 31 a page, 65).
+      EXPECT_EQ(props.num_pages, 58u);
       for (uint32_t p = 0; p + 1 < props.num_pages; p++) {
-        EXPECT_EQ(reader->pages()[p].num_entries, 31u) << "page " << p;
+        const uint32_t n = reader->pages()[p].num_entries;
+        EXPECT_TRUE(n == 34 || n == 35) << "page " << p << ": " << n;
+        PageHandle page, next_page;
+        EXPECT_FALSE(Takes(PageEntriesOf(*reader, p, &page),
+                           PageEntriesOf(*reader, p + 1, &next_page).front(),
+                           budget))
+            << "page " << p;
       }
     }
     ExpectRoundTrip(*reader, 2000);
@@ -1329,15 +1434,16 @@ TEST_F(ByteFilledDefaultTest, PagesFillTheirByteBudget) {
 }
 
 // Uncapped, B is the most entries a page can physically hold: the byte
-// budget over the smallest encoded entry, which is four one-byte varints.
+// budget, less a header of at most 4 bytes, over the smallest encoded
+// entry, which is four one-byte varints.
 TEST_F(ByteFilledDefaultTest, DefaultBIsTheSmallestEntryBound) {
   ParsedEntry smallest;
   smallest.type = ValueType::kTombstone;
   EXPECT_EQ(EncodedEntrySize(smallest), kMinEncodedEntrySize);
   EXPECT_EQ(kMinEncodedEntrySize, 4u);
-  EXPECT_EQ(MaxEntriesPerPage(options_), 1022u);  // 4088 / 4
+  EXPECT_EQ(MaxEntriesPerPage(options_), 1022u);  // (4092 - 4) / 4
   options_.page_size_bytes = 1024;
-  EXPECT_EQ(MaxEntriesPerPage(options_), 254u);  // 1016 / 4
+  EXPECT_EQ(MaxEntriesPerPage(options_), 254u);  // (1020 - 4) / 4
 
   // A page of that many smallest entries builds and decodes.
   options_.page_size_bytes = 4096;
@@ -1398,13 +1504,268 @@ TEST_F(ByteFilledDefaultTest, EstimatedSizeTracksPagesWritten) {
 }
 
 // ---------------------------------------------------------------------------
+// Prefix-compressed pages as SSTableBuilder cuts them.
+
+/// The bytes before the checksum that stored page `page` fills: its header
+/// and entries, parsed as the page layout lays them out.
+size_t StoredPageBytes(const Slice& page, uint32_t* num_entries) {
+  Slice body(page.data(), page.size() - 4);
+  uint32_t prefix_size = 0;
+  EXPECT_TRUE(GetVarint32(&body, num_entries));
+  EXPECT_TRUE(GetVarint32(&body, &prefix_size));
+  body.remove_prefix(prefix_size);
+  ParsedEntry entry;
+  for (uint32_t i = 0; i < *num_entries; i++) {
+    EXPECT_TRUE(DecodeEntry(&body, &entry));
+  }
+  return page.size() - 4 - body.size();
+}
+
+// Seeded random key sets whose keys share 0..16 leading bytes (the bare
+// shared prefix is sometimes a key of its own, an empty suffix after the
+// page prefix), values of 0..200 bytes with some near a page (which then
+// sits alone on one), h = 1 and 8, B = 16, 32 and uncapped. Every table
+// must decode to the builder's input byte for byte, fill no page past its
+// budget (by the page's own stored bytes, which PageSizer counts exactly),
+// and span no tile over h pages. Where B whole entries fit a page, the
+// cuts must be those of whole-entry accounting: every page B entries and
+// every tile B·h, but the last.
+TEST(PrefixPageTest, SeededKeySetsRoundTripWithinTheirBudget) {
+  Random rnd(4099);
+  int count_layouts = 0, one_entry_pages = 0, byte_cut_pages = 0;
+  for (int trial = 0; trial < 24; trial++) {
+    const uint64_t page_size = trial % 2 == 0 ? 4096 : 1024;
+    std::string shared(rnd.Uniform(17), '\0');
+    for (char& c : shared) {
+      c = static_cast<char>('a' + rnd.Uniform(3));
+    }
+    std::set<std::string> key_set;
+    if (rnd.Uniform(2) == 0) {
+      key_set.insert(shared);
+    }
+    const size_t n = 1 + rnd.Uniform(rnd.Uniform(4) == 0 ? 8 : 1200);
+    while (key_set.size() < n) {
+      std::string key = shared;
+      for (size_t len = rnd.Uniform(9); len > 0; len--) {
+        key.push_back(static_cast<char>('a' + rnd.Uniform(4)));
+      }
+      key_set.insert(key);
+    }
+    const std::vector<std::string> keys(key_set.begin(), key_set.end());
+
+    struct Shape {
+      uint32_t b;
+      bool large_values;
+    };
+    for (Shape shape : {Shape{16, false}, Shape{32, true},
+                        Shape{TableOptions().entries_per_page, true}}) {
+      std::vector<std::string> values;
+      values.reserve(keys.size());
+      std::vector<ParsedEntry> entries;
+      std::map<std::string, std::string> encoded;  // key -> EncodeEntry
+      uint64_t max_entry_bytes = 0;
+      for (size_t i = 0; i < keys.size(); i++) {
+        const size_t value_size = shape.large_values && rnd.Uniform(12) == 0
+                                      ? page_size - 60 - rnd.Uniform(60)
+                                      : rnd.Uniform(201);
+        values.push_back(
+            std::string(value_size, static_cast<char>('a' + i % 26)));
+        entries.push_back(MakeEntry(
+            keys[i], rnd.Next() >> rnd.Uniform(64), 1 + rnd.Uniform(1 << 20),
+            values.back(),
+            rnd.Uniform(8) == 0 ? ValueType::kTombstone : ValueType::kValue));
+        EncodeEntry(entries.back(), &encoded[keys[i]]);
+        max_entry_bytes =
+            std::max<uint64_t>(max_entry_bytes, encoded[keys[i]].size());
+      }
+      for (uint32_t h : {1u, 8u}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " B=" +
+                     std::to_string(shape.b) + " h=" + std::to_string(h));
+        TableOptions options;
+        options.page_size_bytes = page_size;
+        options.entries_per_page = shape.b;
+        options.pages_per_tile = h;
+        const uint64_t budget = PageByteBudget(options);
+        const uint32_t b = MaxEntriesPerPage(options);
+
+        std::unique_ptr<Env> env = NewMemEnv();
+        std::unique_ptr<WritableFile> file;
+        ASSERT_TRUE(env->NewWritableFile("table", &file).ok());
+        SSTableBuilder builder(options, file.get());
+        for (const ParsedEntry& entry : entries) {
+          builder.Add(entry);
+        }
+        TableProperties props;
+        ASSERT_TRUE(builder.Finish(&props).ok());
+        ASSERT_TRUE(file->Close().ok());
+        std::string bytes;
+        ASSERT_TRUE(ReadFileToString(env.get(), "table", &bytes).ok());
+        std::unique_ptr<RandomAccessFile> read_file;
+        ASSERT_TRUE(env->NewRandomAccessFile("table", &read_file).ok());
+        std::unique_ptr<SSTableReader> reader;
+        ASSERT_TRUE(SSTableReader::Open(options, std::move(read_file),
+                                        props.file_size, &reader)
+                        .ok());
+
+        std::set<std::string> seen;
+        for (uint32_t p = 0; p < reader->num_pages(); p++) {
+          const Slice stored(bytes.data() + p * page_size, page_size);
+          uint32_t stored_entries = 0;
+          const size_t stored_bytes = StoredPageBytes(stored, &stored_entries);
+          EXPECT_LE(stored_bytes, budget) << "page " << p;
+          PageHandle page;
+          ASSERT_TRUE(reader->ReadPage(p, &page).ok());
+          const PageEntries& view = page->entries;
+          ASSERT_EQ(view.size(), stored_entries);
+          PageSizer sizer;
+          for (size_t i = 0; i < view.size(); i++) {
+            const std::string key = view.key(i).ToString();
+            ASSERT_TRUE(encoded.count(key)) << key;
+            EXPECT_EQ(view.encoded(i), Slice(encoded[key])) << key;
+            EXPECT_TRUE(seen.insert(key).second) << key;
+            EXPECT_TRUE(sizer.Add(view.key(i), view.encoded(i).size(), budget));
+          }
+          EXPECT_EQ(sizer.bytes(), stored_bytes) << "page " << p;
+          one_entry_pages += view.size() == 1;
+          byte_cut_pages += view.size() < b;
+        }
+        EXPECT_EQ(seen.size(), keys.size());
+
+        uint64_t tile_entries = 0;
+        size_t left = keys.size();
+        const bool whole_entries_fit =
+            uint64_t{b} * max_entry_bytes <= page_size - 8;
+        for (const TileInfo& tile : reader->tiles()) {
+          EXPECT_LE(tile.page_count, h);
+          if (!whole_entries_fit) {
+            continue;
+          }
+          tile_entries = std::min<uint64_t>(uint64_t{b} * h, left);
+          left -= tile_entries;
+          ASSERT_EQ(tile.page_count, (tile_entries + b - 1) / b);
+          for (uint32_t p = 0; p < tile.page_count; p++) {
+            EXPECT_EQ(reader->pages()[tile.first_page + p].num_entries,
+                      std::min<uint64_t>(b, tile_entries - uint64_t{p} * b));
+          }
+        }
+        count_layouts += whole_entries_fit;
+      }
+    }
+  }
+  // Every case above was met.
+  EXPECT_GT(count_layouts, 10);
+  EXPECT_GT(one_entry_pages, 10);
+  EXPECT_GT(byte_cut_pages, 10);
+}
+
+// A secondary range delete rewrites a partial page from its kept entries,
+// copied as encoded (secondary_delete.cc). Dropping the two entries that
+// set the page's prefix — its smallest and largest key — lengthens the
+// rewritten page's prefix, and every kept entry still reads back.
+TEST(PrefixPageTest, SecondaryDeleteRewriteDropsThePrefixBounds) {
+  std::unique_ptr<Env> env = NewMemEnv();
+  TableOptions options;
+  std::vector<std::string> keys = {"user:a"};
+  for (int i = 0; i < 20; i++) {
+    keys.push_back("user:mmmm" + std::to_string(100 + i));
+  }
+  keys.push_back("user:z");
+  auto delete_key_of = [&](size_t i) -> uint64_t {
+    return i == 0 || i + 1 == keys.size() ? 1000 : i;
+  };
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile("table", &file).ok());
+  SSTableBuilder builder(options, file.get());
+  for (size_t i = 0; i < keys.size(); i++) {
+    builder.Add(MakeEntry(keys[i], delete_key_of(i), 10 + i, "v" + keys[i]));
+  }
+  TableProperties props;
+  ASSERT_TRUE(builder.Finish(&props).ok());
+  ASSERT_TRUE(file->Close().ok());
+  ASSERT_EQ(props.num_pages, 1u);
+  auto stored_prefix_size = [&] {
+    std::string bytes;
+    EXPECT_TRUE(ReadFileToString(env.get(), "table", &bytes).ok());
+    Slice header(bytes);
+    uint32_t count = 0, prefix_size = 0;
+    EXPECT_TRUE(GetVarint32(&header, &count));
+    EXPECT_TRUE(GetVarint32(&header, &prefix_size));
+    return prefix_size;
+  };
+  EXPECT_EQ(stored_prefix_size(), 5u);  // "user:"
+
+  std::unique_ptr<RandomAccessFile> read_file;
+  ASSERT_TRUE(env->NewRandomAccessFile("table", &read_file).ok());
+  std::unique_ptr<SSTableReader> reader;
+  ASSERT_TRUE(SSTableReader::Open(options, std::move(read_file),
+                                  props.file_size, &reader)
+                  .ok());
+  SecondaryDeletePlan plan;
+  reader->PlanSecondaryRangeDelete(1000, 1001, nullptr, &plan);
+  ASSERT_EQ(plan.partial_pages, std::vector<uint32_t>{0});
+  {
+    PageHandle page;
+    ASSERT_TRUE(reader->ReadPage(0, &page).ok());
+    PageBuilder rebuilt(options.page_size_bytes, MaxEntriesPerPage(options));
+    for (size_t i = 0; i < page->entries.size(); i++) {
+      if (page->entries[i].delete_key != 1000) {
+        ASSERT_TRUE(rebuilt.AddEncoded(page->entries.encoded(i)));
+      }
+    }
+    std::unique_ptr<RandomWriteFile> writer;
+    ASSERT_TRUE(env->NewRandomWriteFile("table", &writer).ok());
+    ASSERT_TRUE(reader->RewritePage(writer.get(), 0, rebuilt.Finish()).ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  EXPECT_EQ(stored_prefix_size(), 10u);  // "user:mmmm1"
+
+  Statistics stats;
+  for (size_t i = 0; i < keys.size(); i++) {
+    bool found = false;
+    TableGetResult result;
+    ASSERT_TRUE(reader->Get(keys[i], nullptr, &stats, &found, &result).ok());
+    EXPECT_EQ(found, delete_key_of(i) != 1000) << keys[i];
+    if (found) {
+      EXPECT_EQ(result.value, "v" + keys[i]);
+    }
+  }
+  auto it = reader->NewIterator(nullptr);
+  size_t i = 1;
+  for (it->SeekToFirst(); it->Valid(); it->Next(), i++) {
+    ASSERT_LT(i + 1, keys.size());
+    EXPECT_EQ(it->entry().user_key.ToString(), keys[i]);
+    EXPECT_EQ(it->entry().seq, 10 + i);
+  }
+  EXPECT_TRUE(it->status().ok());
+  EXPECT_EQ(i + 1, keys.size());
+}
+
+// The footer's magic names the page layout: a table carrying the magic of
+// the layout that stored whole keys behind a fixed32 count fails to open
+// as Corruption instead of being decoded wrongly.
+TEST_F(SSTableTest, OldPageLayoutMagicIsRejected) {
+  TableProperties props;
+  BuildTable(100, ReverseDk, &props);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(env_.get(), "table", &bytes).ok());
+  EncodeFixed64(bytes.data() + bytes.size() - 8, 0x4c65746865544256ull);
+  ASSERT_TRUE(WriteStringToFile(env_.get(), bytes, "old").ok());
+  std::unique_ptr<RandomAccessFile> read_file;
+  ASSERT_TRUE(env_->NewRandomAccessFile("old", &read_file).ok());
+  std::unique_ptr<SSTableReader> reader;
+  EXPECT_TRUE(SSTableReader::Open(options_, std::move(read_file),
+                                  props.file_size, &reader)
+                  .IsCorruption());
+}
+
+// ---------------------------------------------------------------------------
 // Pinned table bytes. Each table mixes every shape the builder handles —
 // point tombstones, a key kept in two versions by a snapshot, range
 // tombstones, varied value sizes and one entry that exactly fills a page's
 // byte budget — over h in {1, 4}, B uncapped and B = 32, and delete keys
 // that arrive ascending or random (with repeats). The sizes and crc32c
-// values were measured on the builder that first wrote the varint page
-// entries; any change to SSTableBuilder or PageBuilder must reproduce them
+// values were measured on the builder that first wrote prefix-compressed
+// pages; any change to SSTableBuilder or PageBuilder must reproduce them
 // byte for byte.
 
 struct PinnedTable {
@@ -1441,11 +1802,14 @@ std::string BuildPinnedTable(const PinnedTable& shape) {
     if (i % 9 == 4) {
       type = ValueType::kTombstone;
     } else if (i == kFullPage) {
-      // The entry's bytes with an empty value, plus a 2-byte varint32
-      // value length in place of the empty value's 1-byte one.
+      // Alone on a page the entry stores its whole key as the prefix,
+      // behind a one-byte count, and a one-byte empty suffix length: two
+      // bytes over its encoded size, which is the entry's bytes with an
+      // empty value plus a 2-byte varint32 value length in place of the
+      // empty value's 1-byte one.
       const uint64_t empty_value_bytes =
           EncodedEntrySize(MakeEntry(keys[i], dk, 5000 + i, ""));
-      value.assign(PageByteBudget(options) - (empty_value_bytes + 1), 'f');
+      value.assign(PageByteBudget(options) - 2 - (empty_value_bytes + 1), 'f');
     } else {
       value.assign(8 + (i * 37) % 190, static_cast<char>('a' + i % 26));
     }
@@ -1457,7 +1821,11 @@ std::string BuildPinnedTable(const PinnedTable& shape) {
           MakeEntry(keys[i], dk / 2 + 1, 100, values.back(), ValueType::kValue));
     }
   }
-  EXPECT_EQ(EncodedEntrySize(entries[kFullPage + 1]), PageByteBudget(options));
+  const ParsedEntry& full_page = entries[kFullPage + 1];
+  PageSizer alone;
+  EXPECT_TRUE(alone.Add(full_page.user_key, EncodedEntrySize(full_page),
+                        PageByteBudget(options)));
+  EXPECT_EQ(alone.bytes(), PageByteBudget(options));
 
   std::unique_ptr<Env> env = NewMemEnv();
   std::unique_ptr<WritableFile> file;
@@ -1591,14 +1959,14 @@ TEST(SSTableMultiVersionTest, KiwiH8IteratorAndSnapshotGets) {
 
 TEST(PinnedTableBytesTest, BuilderOutputIsUnchanged) {
   const PinnedTable kTables[] = {
-      {1, false, false, 92474, 0x0466dd57u},
-      {1, false, true, 92477, 0x60abf8c8u},
-      {1, true, false, 117385, 0xb7b38d6fu},
-      {1, true, true, 117385, 0x5b7cbdbdu},
-      {4, false, false, 96611, 0x92747d23u},
-      {4, false, true, 92457, 0x7fd9426eu},
-      {4, true, false, 117357, 0xab8d8356u},
-      {4, true, true, 117357, 0xcb66d447u},
+      {1, false, false, 84174, 0x017defdfu},
+      {1, false, true, 84174, 0x78094fa9u},
+      {1, true, false, 113229, 0x514d26afu},
+      {1, true, true, 113229, 0x0a6d42fcu},
+      {4, false, false, 84158, 0x49ca3514u},
+      {4, false, true, 84158, 0x8e4092d9u},
+      {4, true, false, 113206, 0xee1e4b7du},
+      {4, true, true, 113206, 0xde16c9f5u},
   };
   for (const PinnedTable& shape : kTables) {
     SCOPED_TRACE("h=" + std::to_string(shape.pages_per_tile) +
