@@ -169,7 +169,12 @@ struct Options {
 
   /// Background mode: maximum number of immutable memtables awaiting flush
   /// before writers stall (the flush pipeline depth). Each pending memtable
-  /// pins up to write_buffer_bytes of memory and one WAL file. Default: 2.
+  /// pins up to write_buffer_bytes of memory and one WAL file. At 2 or more
+  /// under leveling, a lone sealed memtable whose span overlaps L0 and that
+  /// buffers no FADE deadline is held until the next seal, and one flush
+  /// merges both into L0 (docs/architecture.md, "Grouped flush"); on an
+  /// idle DB it stays in memory and in its WAL until then or until an
+  /// explicit Flush/WaitForCompact. Default: 2.
   int max_imm_memtables = 2;
 
   /// Write-ahead logging. The paper's experiments run with the WAL disabled;

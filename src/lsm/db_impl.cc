@@ -122,7 +122,7 @@ void DBImpl::MaybeScheduleFlushLocked() {
     return;  // a queued job takes the next memtable, or the slots are full
   }
   if (NextFlushCandidateLocked() == nullptr) {
-    return;  // every pending memtable is building, or the next overlaps one
+    return;  // all building, the next overlaps one, or the front is held
   }
   if (l0_saturated_ && compaction_jobs_ > 0 &&
       static_cast<int>(imm_.size()) < options_.max_imm_memtables) {
@@ -149,25 +149,51 @@ void DBImpl::MaybeScheduleFlushLocked() {
 }
 
 DBImpl::ImmMemTable* DBImpl::NextFlushCandidateLocked() {
-  auto overlaps = [](const ImmMemTable& a, const ImmMemTable& b) {
-    return !a.has_span || !b.has_span ||
-           (Slice(a.smallest).compare(Slice(b.largest)) <= 0 &&
-            Slice(b.smallest).compare(Slice(a.largest)) <= 0);
+  auto overlaps = [](const MemTable& a, const MemTable& b) {
+    return !a.has_span() || !b.has_span() ||
+           (Slice(a.smallest()).compare(Slice(b.largest())) <= 0 &&
+            Slice(b.smallest()).compare(Slice(a.largest())) <= 0);
   };
   for (auto it = imm_.begin(); it != imm_.end(); ++it) {
     if (it->building || it->parked_edit) {
       continue;
     }
+    if (it == imm_.begin() && HoldForNextSealLocked(*it)) {
+      return nullptr;
+    }
     // A look-ahead installs after every older memtable, and shares no key
     // with one, so the order its keys reach the version in is unchanged.
     for (auto older = imm_.begin(); older != it; ++older) {
-      if (overlaps(*older, *it)) {
+      if (overlaps(*older->mem, *it->mem)) {
         return nullptr;
       }
     }
     return &*it;
   }
   return nullptr;
+}
+
+bool DBImpl::MayGroupLocked(const ImmMemTable& imm) const {
+  // Barrier mode never seals a second memtable before the first installs,
+  // and a FADE buffer's deadline is not ours to spend waiting.
+  return !barrier_mode_ && options_.max_imm_memtables >= 2 &&
+         options_.compaction_style == CompactionStyle::kLeveling &&
+         (buffer_ttl_ == UINT64_MAX ||
+          imm.mem->oldest_tombstone_time() == kNoTombstoneTime);
+}
+
+bool DBImpl::HoldForNextSealLocked(const ImmMemTable& imm) const {
+  // A leveled flush rewrites every L0 file its span overlaps; waiting for
+  // the next seal halves those rewrites. The writer never stalls on the
+  // wait: the held memtable takes one of max_imm_memtables >= 2 slots.
+  if (imm_.size() != 1 || flush_waiters_ > 0 || imm.flush_started ||
+      !imm.mem->has_span() || !MayGroupLocked(imm)) {
+    return false;
+  }
+  return !versions_->current()
+              ->OverlappingFiles(0, Slice(imm.mem->smallest()),
+                                 Slice(imm.mem->largest()))
+              .empty();
 }
 
 // ---- scheduling -----------------------------------------------------------
@@ -487,7 +513,9 @@ Status DBImpl::Flush() {
   }
   Writer w(nullptr, false);
   JoinWriterQueue(&w, l);
+  // The switch first, so a held memtable shares its flush with this one.
   Status s = bg_error_.ok() ? SwitchMemTableLocked() : bg_error_;
+  FlushWaiter waiter(this);
   if (s.ok()) {
     s = DrainLocked(l);  // barrier mode: the flush and what it triggers
   }
@@ -497,6 +525,7 @@ Status DBImpl::Flush() {
 
 Status DBImpl::WaitForCompact() {
   std::unique_lock<std::mutex> l(mu_);
+  FlushWaiter waiter(this);
   while (true) {
     if (!bg_error_.ok()) {
       return bg_error_;
@@ -580,13 +609,19 @@ Status DBImpl::CompactAll() {
 
 // ---- reads ----------------------------------------------------------------
 
+void DBImpl::PublishMemTablesLocked() {
+  auto set = std::make_shared<MemTableSet>();
+  set->mem = mem_;
+  set->imm.reserve(imm_.size());
+  for (const ImmMemTable& imm : imm_) {
+    set->imm.push_back(imm.mem);
+  }
+  memtables_ = std::move(set);
+}
+
 ReadSnapshot DBImpl::GetReadSnapshotLocked(const Snapshot* pinned) const {
   ReadSnapshot snap;
-  snap.mem = mem_;
-  snap.imm.reserve(imm_.size());
-  for (const ImmMemTable& imm : imm_) {
-    snap.imm.push_back(imm.mem);
-  }
+  snap.memtables = memtables_;
   snap.version = versions_->current();
   snap.bound =
       pinned != nullptr ? pinned->sequence() : versions_->LastSequence();
@@ -661,8 +696,8 @@ std::vector<TombstoneAgeSample> DBImpl::GetTombstoneAges() {
 
 uint64_t DBImpl::ApproximateEntryCount() const {
   ReadSnapshot snap = GetReadSnapshot();
-  uint64_t count = snap.version->TotalLiveEntries() + snap.mem->num_entries();
-  for (const auto& imm : snap.imm) {
+  uint64_t count = snap.version->TotalLiveEntries() + snap.mem()->num_entries();
+  for (const auto& imm : snap.imm()) {
     count += imm->num_entries();
   }
   return count;

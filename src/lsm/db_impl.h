@@ -59,10 +59,9 @@ struct ShardContext {
 ///   memtable with `mu_` released — safe because the token, not the mutex,
 ///   is what guards memtable mutation.
 ///
-///   *Readers* briefly take `mu_` to capture a ReadSnapshot — {memtable,
-///   immutable memtables, version} pointers plus the sequence bound the
-///   read sees (GetReadSnapshotLocked) — and then run lock-free in
-///   ReadPath.
+///   *Readers* briefly take `mu_` to capture a ReadSnapshot — {memtable
+///   set, version} pointers plus the sequence bound the read sees
+///   (GetReadSnapshotLocked) — and then run lock-free in ReadPath.
 ///
 ///   *Background work*: writers only swap full memtables onto `imm_` and
 ///   enqueue work; a BackgroundScheduler pool of
@@ -256,20 +255,18 @@ class DBImpl final : public DB {
 
   /// A memtable frozen by the write path, awaiting background flush,
   /// together with the WAL that covers it, its FADE checkpoint info and its
-  /// flush state. Entries stay in imm_ (and readable) until installed.
+  /// flush state. Entries stay in imm_ (and readable) until installed. The
+  /// sort-key span is the memtable's own (MemTable::Freeze).
   struct ImmMemTable {
     std::shared_ptr<MemTable> mem;
     uint64_t wal_number = 0;
     SequenceNumber first_seq = 0;
     uint64_t first_time = 0;
-    // Sort-key span of the buffered entries and range tombstones, taken at
-    // freeze (a frozen memtable never changes). has_span is false when no
-    // live entry or range tombstone is buffered.
-    std::string smallest;
-    std::string largest;
-    bool has_span = false;
     // A flush is building this memtable, or installing it.
     bool building = false;
+    // A flush took it once: a retry after a failure is never held
+    // (HoldForNextSealLocked).
+    bool flush_started = false;
     // Built while an older memtable was still pending: the finished edit
     // and its registry claim wait here until every older memtable has
     // installed (InstallFlushesLocked).
@@ -356,37 +353,55 @@ class DBImpl final : public DB {
   // footprint overlaps a job already running.
 
   /// Flushes `imm`, an entry of imm_ that no job is building (merging with
-  /// overlapping first-level files under leveling). A range-local leveled
-  /// flush — some L0 file lies wholly outside the buffer's span — cuts its
-  /// outputs at a span edge whose edge file holds at least half a target
-  /// file outside the span, so that cold part lands in its own L0 file
-  /// instead of being rewritten by every later flush. Heavy I/O runs with `l`
-  /// released; `imm` stays valid meanwhile (deque elements do not move,
-  /// and only installed entries are popped). The front installs at once
-  /// (InstallFlushesLocked); a look-ahead whose older memtables are still
-  /// pending parks its edit and claim on `imm` instead.
+  /// overlapping first-level files under leveling). When `imm` is the front
+  /// and may group (MayGroupLocked), the flush takes along every following
+  /// memtable up to the first that is building, parked or may not group:
+  /// one merge of the group's memtables (and the L0 files their combined
+  /// span overlaps) into one VersionEdit. A group of one is the classic
+  /// flush. A range-local leveled flush — some L0 file lies wholly outside
+  /// the buffers' span — cuts its outputs at a span edge whose edge file
+  /// holds at least half a target file outside the span, so that cold part
+  /// lands in its own L0 file instead of being rewritten by every later
+  /// flush. Heavy I/O runs with `l` released; `imm` stays valid meanwhile
+  /// (deque elements do not move, and only installed entries are popped).
+  /// The front installs at once (InstallFlushesLocked); a look-ahead whose
+  /// older memtables are still pending parks its edit and claim on `imm`
+  /// instead.
   Status FlushMemTable(ImmMemTable* imm, std::unique_lock<std::mutex>& l,
                        bool* deferred);
 
-  /// Installs the finished flush of imm_.front() (`edit`, claimed by
-  /// `claim`), then every parked successor in order, all in this mu_ hold:
-  /// each LogAndApply points the manifest at the oldest WAL still carrying
-  /// unflushed data, and each installed memtable leaves imm_ and has its
-  /// WAL removed. A failed install removes its outputs and leaves its
-  /// memtable at the front, unbuilt.
-  Status InstallFlushesLocked(VersionEdit edit, FootprintClaim claim);
+  /// Installs the finished flush of the `count` memtables at the front of
+  /// imm_ (`edit`, claimed by `claim`), then every parked successor in
+  /// order, all in this mu_ hold: each LogAndApply points the manifest at
+  /// the oldest WAL still carrying unflushed data, and each installed
+  /// memtable leaves imm_ and has its WAL removed. A failed install removes
+  /// its outputs and leaves its memtables at the front, unbuilt.
+  Status InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
+                              size_t count);
 
   /// The memtable the next flush job should build: the oldest one no job is
   /// building or has parked. Behind a pending older memtable (a look-ahead)
   /// only when its span is disjoint from every older pending one. Null when
-  /// there is none.
+  /// there is none, or when the front is held (HoldForNextSealLocked).
   ImmMemTable* NextFlushCandidateLocked();
+
+  /// Whether `imm` may share a flush with other sealed memtables: background
+  /// mode, max_imm_memtables >= 2, leveling, and no FADE deadline in the
+  /// buffer (FADE off, or no tombstone buffered). A FADE buffer flushes
+  /// alone, as soon as it seals.
+  bool MayGroupLocked(const ImmMemTable& imm) const;
+
+  /// Whether the flush of `imm`, the only sealed memtable, waits for the
+  /// next seal so that one flush rewrites L0 for both: it may group, its
+  /// span overlaps an L0 file (an in-order load never waits), no flush of
+  /// it has started before, and no caller waits for imm_ to drain.
+  bool HoldForNextSealLocked(const ImmMemTable& imm) const;
 
   Status CompactOnce(const CompactionPick& pick,
                      std::unique_lock<std::mutex>& l, bool* deferred);
 
   /// Runs one logical merge over `inputs` (plus, for flushes, the frozen
-  /// memtable `mem` and its buffered range tombstones `mem_rts`), split
+  /// memtables `mems` and their buffered range tombstones `mem_rts`), split
   /// into `boundaries.size() + 1` disjoint key-range partitions (empty
   /// boundaries = the classic unsplit merge, byte-identical to the
   /// pre-subcompaction engine). The calling thread works through the
@@ -400,7 +415,8 @@ class DBImpl final : public DB {
   /// around the merge I/O.
   Status RunMergePartitioned(
       const std::vector<std::shared_ptr<FileMeta>>& inputs,
-      std::shared_ptr<MemTable> mem, std::vector<RangeTombstone> mem_rts,
+      std::vector<std::shared_ptr<MemTable>> mems,
+      std::vector<RangeTombstone> mem_rts,
       const std::vector<std::string>& boundaries, const MergeConfig& config,
       VersionEdit* edit, std::unique_lock<std::mutex>& l);
 
@@ -492,6 +508,24 @@ class DBImpl final : public DB {
   /// Blocks until imm_ is drained (or a background error is set).
   Status WaitForFlushLocked(std::unique_lock<std::mutex>& l);
 
+  /// A caller that waits for imm_ to drain (Flush, WaitForCompact): while
+  /// one is registered no memtable is held for the next seal, so a held
+  /// memtable never blocks it. Constructed and destroyed with mu_ held;
+  /// registering re-arms the flush chain.
+  class FlushWaiter {
+   public:
+    explicit FlushWaiter(DBImpl* db) : db_(db) {
+      db_->flush_waiters_++;
+      db_->MaybeScheduleFlushLocked();
+    }
+    ~FlushWaiter() { db_->flush_waiters_--; }
+    FlushWaiter(const FlushWaiter&) = delete;
+    FlushWaiter& operator=(const FlushWaiter&) = delete;
+
+   private:
+    DBImpl* db_;
+  };
+
   // ---- shared helpers ---------------------------------------------------
 
   void RefreshTriggerStateLocked();
@@ -521,6 +555,9 @@ class DBImpl final : public DB {
   Status RotateWalLocked();
 
   Status ReplayWalsLocked();
+
+  /// Republishes memtables_ after mem_ or imm_ changed.
+  void PublishMemTablesLocked();
 
   /// The one ReadSnapshot capture; the bound is `pinned`'s sequence, or
   /// LastSequence when null.
@@ -596,6 +633,9 @@ class DBImpl final : public DB {
   SnapshotList snapshots_;  // live snapshot pins, oldest first (mu_)
   std::shared_ptr<MemTable> mem_;
   std::deque<ImmMemTable> imm_;  // oldest first
+  // mem_ and imm_'s memtables as readers capture them; republished by
+  // PublishMemTablesLocked whenever either changes.
+  std::shared_ptr<const MemTableSet> memtables_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t wal_number_ = 0;
   SequenceNumber mem_first_seq_ = 0;
@@ -605,6 +645,7 @@ class DBImpl final : public DB {
   std::condition_variable bg_work_done_cv_;  // flush/compaction committed
   int flush_jobs_ = 0;              // flush jobs queued or running
   int flush_jobs_unstarted_ = 0;    // of those, queued and not yet running
+  int flush_waiters_ = 0;           // live FlushWaiters
   bool flush_deferred_ = false;     // flush chain parked on a conflict
   int compaction_jobs_ = 0;         // compaction jobs queued or running
   bool compaction_deferred_ = false;  // a pick conflicted; retry on commit

@@ -72,8 +72,20 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   if (imm->mem->empty()) {
     return Status::OK();
   }
+  // The group: `imm`, plus the sealed memtables behind it when it is the
+  // front. A look-ahead flushes alone: its span is disjoint from every
+  // older pending one, and a follower's need not be.
+  std::vector<ImmMemTable*> group = {imm};
+  if (imm == &imm_.front() && MayGroupLocked(*imm)) {
+    for (size_t i = 1; i < imm_.size(); i++) {
+      ImmMemTable& next = imm_[i];
+      if (next.building || next.parked_edit || !MayGroupLocked(next)) {
+        break;
+      }
+      group.push_back(&next);
+    }
+  }
   std::shared_ptr<const Version> version = versions_->current();
-  std::shared_ptr<MemTable> mem = imm->mem;  // pinned across the unlock
 
   MergeConfig config;
   config.is_flush = true;
@@ -81,11 +93,27 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   PinSnapshotsLocked(&config);
 
   // Sort-key span of the buffered data (entries + range tombstones), taken
-  // when the memtable froze.
-  const std::string& smallest = imm->smallest;
-  const std::string& largest = imm->largest;
-  const bool has_span = imm->has_span;
-  std::vector<RangeTombstone> rts = mem->range_tombstones()->ToVector();
+  // when each memtable froze; the memtables are pinned across the unlock.
+  std::string smallest, largest;
+  bool has_span = false;
+  std::vector<std::shared_ptr<MemTable>> mems;
+  std::vector<RangeTombstone> rts;
+  uint64_t mem_bytes = 0;
+  for (const ImmMemTable* member : group) {
+    const MemTable& mem = *member->mem;
+    if (mem.has_span()) {
+      if (!has_span || Slice(mem.smallest()).compare(Slice(smallest)) < 0) {
+        smallest = mem.smallest();
+      }
+      if (!has_span || Slice(mem.largest()).compare(Slice(largest)) > 0) {
+        largest = mem.largest();
+      }
+      has_span = true;
+    }
+    mems.push_back(member->mem);
+    mem.range_tombstones()->AppendTo(&rts);
+    mem_bytes += mem.ApproximateMemoryUsage();
+  }
 
   std::vector<std::shared_ptr<FileMeta>> overlapping;
   if (options_.compaction_style == CompactionStyle::kLeveling) {
@@ -114,7 +142,10 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     return Status::OK();
   }
   FootprintClaim claim(this, footprint);
-  imm->building = true;
+  for (ImmMemTable* member : group) {
+    member->building = true;
+    member->flush_started = true;
+  }
   if (imm != &imm_.front()) {
     stats_.flushes_pipelined.fetch_add(1, std::memory_order_relaxed);
   }
@@ -123,7 +154,10 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   MaybeScheduleFlushLocked();
 
   VersionEdit edit;
-  versions_->AddSeqTimeCheckpoint(imm->first_seq, imm->first_time, &edit);
+  for (const ImmMemTable* member : group) {
+    versions_->AddSeqTimeCheckpoint(member->first_seq, member->first_time,
+                                    &edit);
+  }
 
   // Bottommost is judged on the current version only. That stays sound for
   // a look-ahead: no older pending memtable holds any of its keys
@@ -143,7 +177,7 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
 
   // Subcompactions: a leveled flush greedily rewrites the overlapping part
   // of L0, which under a saturated buffer is the single hottest merge in
-  // the engine — split it like any other merge. The memtable participates
+  // the engine — split it like any other merge. The memtables participate
   // in the byte-balance model as one more pseudo-file spanning the
   // buffered data.
   std::vector<std::string> boundaries;
@@ -151,7 +185,7 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     auto mem_span = std::make_shared<FileMeta>();
     mem_span->smallest_key = smallest;
     mem_span->largest_key = largest;
-    mem_span->file_size = mem->ApproximateMemoryUsage();
+    mem_span->file_size = mem_bytes;
     std::vector<std::shared_ptr<FileMeta>> span_inputs = overlapping;
     span_inputs.push_back(std::move(mem_span));
     // Fence sampling opens the inputs and may read their metadata; that
@@ -164,14 +198,17 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     l.lock();
   }
 
-  // The heavy merge runs without the mutex: inputs are immutable (a frozen
-  // memtable + on-disk files) and output file numbers come from atomics.
+  // The heavy merge runs without the mutex: inputs are immutable (frozen
+  // memtables + on-disk files) and output file numbers come from atomics.
   // The registered footprint guarantees no conflicting version mutation
   // between the snapshot above and the commit below.
-  Status s = RunMergePartitioned(overlapping, mem, std::move(rts), boundaries,
-                                 config, &edit, l);
+  stats_.flush_memtables.fetch_add(group.size(), std::memory_order_relaxed);
+  Status s = RunMergePartitioned(overlapping, std::move(mems), std::move(rts),
+                                 boundaries, config, &edit, l);
   if (!s.ok()) {
-    imm->building = false;
+    for (ImmMemTable* member : group) {
+      member->building = false;
+    }
     claim.Release();
     RemoveFailedMergeOutputs(options_.env, dbname_, edit);
     return s;
@@ -184,33 +221,41 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     imm->parked_claim = std::move(claim);
     return Status::OK();
   }
-  return InstallFlushesLocked(std::move(edit), std::move(claim));
+  return InstallFlushesLocked(std::move(edit), std::move(claim), group.size());
 }
 
-Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim) {
+Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
+                                    size_t count) {
   int installed = 0;
   Status s;
   while (true) {
-    ImmMemTable& front = imm_.front();
     // The manifest must keep naming the oldest WAL still carrying unflushed
-    // data: the next pending memtable's, or the active one.
-    edit.wal_number = imm_.size() > 1 ? imm_[1].wal_number : wal_number_;
+    // data: the first pending memtable's outside this install, or the
+    // active one.
+    edit.wal_number =
+        imm_.size() > count ? imm_[count].wal_number : wal_number_;
     s = versions_->LogAndApply(&edit, OldestUnflushedSeqLocked());
     claim.Release();
     if (!s.ok()) {
-      front.building = false;
+      for (size_t i = 0; i < count; i++) {
+        imm_[i].building = false;
+      }
       RemoveFailedMergeOutputs(options_.env, dbname_, edit);
       break;
     }
-    const uint64_t flushed_wal = front.wal_number;
-    imm_.pop_front();
-    if (options_.enable_wal) {
-      // Everything the flushed WAL covered is durable in the new version.
-      // The unlink stays inside this mu_ hold: done after the job releases
-      // mu_, it delays the next flush's L0 claim, and FADE's TTL pick then
-      // grabs L0 for a whole-L1 rewrite (ycsb-deletes write_amp +20-55%).
-      options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
+    for (size_t i = 0; i < count; i++) {
+      const uint64_t flushed_wal = imm_.front().wal_number;
+      imm_.pop_front();
+      if (options_.enable_wal) {
+        // Everything the flushed WAL covered is durable in the new version.
+        // The unlink stays inside this mu_ hold: done after the job
+        // releases mu_, it delays the next flush's L0 claim, and FADE's TTL
+        // pick then grabs L0 for a whole-L1 rewrite (ycsb-deletes
+        // write_amp +20-55%).
+        options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
+      }
     }
+    count = 1;  // a parked look-ahead flushed alone
     installed++;
     if (imm_.empty() || !imm_.front().parked_edit) {
       break;
@@ -222,6 +267,7 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim) {
     claim = std::move(next.parked_claim);
   }
   if (installed > 0) {
+    PublishMemTablesLocked();
     UpdateMemtableReservationLocked();
     RefreshTriggerStateLocked();
   }
@@ -388,8 +434,8 @@ Status DBImpl::MergeAndCommitLocked(
         inputs, options_.max_subcompactions);
     l.lock();
   }
-  Status s = RunMergePartitioned(inputs, /*mem=*/nullptr, {}, boundaries,
-                                 config, edit, l);
+  Status s = RunMergePartitioned(inputs, /*mems=*/{}, {}, boundaries, config,
+                                 edit, l);
   if (s.ok()) {
     s = versions_->LogAndApply(edit, OldestUnflushedSeqLocked());
   }
@@ -403,7 +449,8 @@ Status DBImpl::MergeAndCommitLocked(
 
 Status DBImpl::RunMergePartitioned(
     const std::vector<std::shared_ptr<FileMeta>>& inputs,
-    std::shared_ptr<MemTable> mem, std::vector<RangeTombstone> mem_rts,
+    std::vector<std::shared_ptr<MemTable>> mems,
+    std::vector<RangeTombstone> mem_rts,
     const std::vector<std::string>& boundaries, const MergeConfig& config,
     VersionEdit* edit, std::unique_lock<std::mutex>& l) {
   const size_t num_parts = boundaries.size() + 1;
@@ -421,7 +468,7 @@ Status DBImpl::RunMergePartitioned(
     std::atomic<bool> abort{false};
     std::vector<VersionEdit> edits;  // per-partition outputs
     std::vector<std::shared_ptr<FileMeta>> inputs;
-    std::shared_ptr<MemTable> mem;  // flush only; pins the frozen buffer
+    std::vector<std::shared_ptr<MemTable>> mems;  // flush only; pinned
     std::vector<RangeTombstone> mem_rts;
     std::vector<std::string> boundaries;
     MergeConfig config;
@@ -429,13 +476,13 @@ Status DBImpl::RunMergePartitioned(
   auto state = std::make_shared<FanOut>();
   state->edits.resize(num_parts);
   state->inputs = inputs;
-  state->mem = std::move(mem);
+  state->mems = std::move(mems);
   state->mem_rts = std::move(mem_rts);
   state->boundaries = boundaries;
   state->config = config;
 
   // One partition's merge: fresh iterators over the shared sources (a
-  // frozen memtable for flushes; table readers are shared through the
+  // frozen memtables for flushes; table readers are shared through the
   // table cache, so re-opening is cheap), range tombstones clipped to the
   // window, outputs into the partition's own edit. Touches no DB state
   // that needs mu_: file numbers and tombstone-time resolution go through
@@ -455,8 +502,8 @@ Status DBImpl::RunMergePartitioned(
     // a single-partition run stays byte-identical to them.
     std::vector<std::unique_ptr<InternalIterator>> iters;
     std::vector<RangeTombstone> rts = fan->mem_rts;
-    if (fan->mem != nullptr) {
-      iters.push_back(fan->mem->NewIterator());
+    for (const auto& mem : fan->mems) {
+      iters.push_back(mem->NewIterator());
     }
     LETHE_RETURN_IF_ERROR(
         CollectFileInputs(versions_.get(), fan->inputs, &iters, &rts));

@@ -39,6 +39,7 @@ Status DBImpl::Init() {
   barrier_mode_ = options_.inline_compactions;
 
   std::lock_guard<std::mutex> lock(mu_);
+  PublishMemTablesLocked();
   LETHE_RETURN_IF_ERROR(RemoveOrphanFilesLocked());
   if (options_.enable_wal) {
     LETHE_RETURN_IF_ERROR(ReplayWalsLocked());

@@ -28,33 +28,6 @@ uint64_t NowSteadyMicros() {
           .count());
 }
 
-/// Sort-key span of a memtable's live entries and its range tombstones.
-/// Returns false, leaving the outputs untouched, when it buffers neither.
-bool BufferSpan(const MemTable& mem, std::string* smallest,
-                std::string* largest) {
-  bool has_span = mem.KeySpan(smallest, largest);
-  auto widen = [&](const RangeTombstone& rt) {
-    if (!has_span || Slice(rt.begin_key).compare(Slice(*smallest)) < 0) {
-      *smallest = rt.begin_key;
-    }
-    if (!has_span || Slice(rt.end_key).compare(Slice(*largest)) > 0) {
-      *largest = rt.end_key;
-    }
-    has_span = true;
-  };
-  const std::shared_ptr<const BufferedRangeTombstones> rts =
-      mem.range_tombstones();
-  for (const RtChunk* c = rts->sealed.get(); c != nullptr; c = c->prev.get()) {
-    for (const RangeTombstone& rt : c->list) {
-      widen(rt);
-    }
-  }
-  for (const RangeTombstone& rt : rts->active) {
-    widen(rt);
-  }
-  return has_span;
-}
-
 }  // namespace
 
 // ---- write path -----------------------------------------------------------
@@ -247,7 +220,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   if (logged.ops.empty()) {
     return Status::OK();
   }
-  if (snap.mem->empty()) {
+  if (snap.mem()->empty()) {
     // Token-guarded, like all memtable state.
     mem_first_seq_ = logged.first_seq;
     mem_first_time_ = now;
@@ -266,7 +239,7 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
   LETHE_RETURN_IF_ERROR(LogApplyPublish(
       wal, framed, force_sync, last_seq, [&] {
         for (size_t i = 0; i < logged.ops.size(); i++) {
-          tail_inserts += ApplyToMemTable(snap.mem.get(), logged.ops[i],
+          tail_inserts += ApplyToMemTable(snap.mem(), logged.ops[i],
                                           logged.first_seq + i, now);
         }
       }));
@@ -525,12 +498,13 @@ Status DBImpl::SwitchMemTableLocked() {
   imm.wal_number = wal_number_;
   imm.first_seq = mem_first_seq_;
   imm.first_time = mem_first_time_;
-  imm.has_span = BufferSpan(*mem_, &imm.smallest, &imm.largest);
+  mem_->Freeze();
   // Fresh WAL for the new memtable. The manifest keeps naming the oldest
   // unflushed WAL; recovery scans the directory for everything newer.
   LETHE_RETURN_IF_ERROR(RotateWalLocked());
   imm_.push_back(std::move(imm));
   mem_ = std::make_shared<MemTable>();
+  PublishMemTablesLocked();
   mem_staked_bytes_ = 0;  // fresh memtable; the frozen one counts as imm
   UpdateMemtableReservationLocked();
   MaybeScheduleFlushLocked();

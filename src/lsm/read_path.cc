@@ -240,12 +240,12 @@ Status AppendRangeTombstones(TableCache* tables, const FileMeta& file,
 
 bool ReadPath::KeyMayExist(const ReadSnapshot& snap, const Slice& key) const {
   ParsedEntry entry;
-  if (snap.mem->Get(key, &entry, snap.bound)) {
+  if (snap.mem()->Get(key, &entry, snap.bound)) {
     // A live value means a tombstone is useful; an existing tombstone means
     // the new delete would be blind.
     return !entry.IsTombstone();
   }
-  for (auto it = snap.imm.rbegin(); it != snap.imm.rend(); ++it) {
+  for (auto it = snap.imm().rbegin(); it != snap.imm().rend(); ++it) {
     if ((*it)->Get(key, &entry, snap.bound)) {
       return !entry.IsTombstone();
     }
@@ -264,6 +264,9 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
                                    bool fill_cache, NewestVersion* out) const {
   const SequenceNumber bound = snap.bound;
   auto probe_memtable = [&](const MemTable& mem) {
+    if (!mem.MayCover(key)) {
+      return false;  // a sealed buffer whose span excludes the key
+    }
     out->cover_seq =
         std::max(out->cover_seq, mem.MaxRangeTombstoneCoverSeq(key, bound));
     ParsedEntry entry;
@@ -277,10 +280,10 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
     out->entry.value = entry.value;  // aliases the pinned memtable's arena
     return true;
   };
-  if (probe_memtable(*snap.mem)) {
+  if (probe_memtable(*snap.mem())) {
     return Status::OK();
   }
-  for (auto it = snap.imm.rbegin(); it != snap.imm.rend(); ++it) {
+  for (auto it = snap.imm().rbegin(); it != snap.imm().rend(); ++it) {
     if (probe_memtable(**it)) {
       return Status::OK();
     }
@@ -328,9 +331,9 @@ std::unique_ptr<Iterator> ReadPath::NewIterator(ReadSnapshot snap,
                                                 bool fill_cache) const {
   std::vector<std::unique_ptr<InternalIterator>> children;
   std::vector<RangeTombstone> rts;
-  children.push_back(snap.mem->NewIterator());
-  snap.mem->range_tombstones()->AppendTo(&rts);
-  for (const auto& imm : snap.imm) {
+  children.push_back(snap.mem()->NewIterator());
+  snap.mem()->range_tombstones()->AppendTo(&rts);
+  for (const auto& imm : snap.imm()) {
     children.push_back(imm->NewIterator());
     imm->range_tombstones()->AppendTo(&rts);
   }

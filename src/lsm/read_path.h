@@ -11,18 +11,31 @@
 
 namespace lethe {
 
+/// The memtables, as one immutable set: the active one and the sealed ones
+/// awaiting flush. DBImpl publishes a new set whenever a memtable seals or
+/// installs, so a read pins every memtable with one reference, however
+/// many are sealed.
+struct MemTableSet {
+  std::shared_ptr<MemTable> mem;               // active
+  std::vector<std::shared_ptr<MemTable>> imm;  // sealed, oldest first
+};
+
 /// One point in time of everything readable, and the sequence bound reads
 /// through it see: entries and range tombstones with seq > `bound` do not
-/// exist for them. DBImpl captures all four fields in one mutex hold, with
+/// exist for them. DBImpl captures all three fields in one mutex hold, with
 /// the bound ReadOptions::snapshot's sequence or else LastSequence. A write
 /// group publishes LastSequence only once it is fully applied, so every
 /// entry at or below the bound is in these sources and no half-applied
 /// group is visible.
 struct ReadSnapshot {
-  std::shared_ptr<MemTable> mem;
-  std::vector<std::shared_ptr<MemTable>> imm;  // oldest first
+  std::shared_ptr<const MemTableSet> memtables;
   std::shared_ptr<const Version> version;
   SequenceNumber bound = kMaxSequenceNumber;
+
+  MemTable* mem() const { return memtables->mem.get(); }
+  const std::vector<std::shared_ptr<MemTable>>& imm() const {
+    return memtables->imm;
+  }
 };
 
 /// What the point-lookup walk (ReadPath::FindNewestVersion) found.
@@ -55,7 +68,8 @@ class ReadPath {
   /// mem → imm (newest first) → tables (levels top-down, runs newest
   /// first), stopping at the first source holding a version with seq <=
   /// snap.bound. Range-tombstone coverage accumulates over that source and
-  /// every newer one.
+  /// every newer one. A sealed memtable whose span excludes the key is
+  /// skipped unprobed (MemTable::MayCover).
   Status FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
                            bool fill_cache, NewestVersion* out) const;
 

@@ -309,6 +309,30 @@ bool MemTable::KeySpan(std::string* smallest, std::string* largest) const {
   return true;
 }
 
+void MemTable::Freeze() {
+  has_span_ = KeySpan(&smallest_, &largest_);
+  auto widen = [&](const RangeTombstone& rt) {
+    if (!has_span_ || Slice(rt.begin_key).compare(Slice(smallest_)) < 0) {
+      smallest_ = rt.begin_key;
+    }
+    if (!has_span_ || Slice(rt.end_key).compare(Slice(largest_)) > 0) {
+      largest_ = rt.end_key;
+    }
+    has_span_ = true;
+  };
+  const std::shared_ptr<const BufferedRangeTombstones> rts =
+      range_tombstones();
+  for (const RtChunk* c = rts->sealed.get(); c != nullptr; c = c->prev.get()) {
+    for (const RangeTombstone& rt : c->list) {
+      widen(rt);
+    }
+  }
+  for (const RangeTombstone& rt : rts->active) {
+    widen(rt);
+  }
+  frozen_.store(true, std::memory_order_release);
+}
+
 // Named (not anonymous-namespace) so the friend declaration in MemTable
 // grants it access to the private KeyComparator type.
 class MemTableIterator final : public InternalIterator {

@@ -158,6 +158,28 @@ class MemTable {
   /// live entry exists.
   bool KeySpan(std::string* smallest, std::string* largest) const;
 
+  /// Records the buffer's span: KeySpan widened over the buffered range
+  /// tombstones. The write path calls it once, when it seals the memtable;
+  /// a sealed memtable never changes again.
+  void Freeze();
+
+  /// The span Freeze recorded. has_span() is false when the memtable holds
+  /// neither a live entry nor a range tombstone, and before Freeze.
+  bool has_span() const { return has_span_; }
+  const std::string& smallest() const { return smallest_; }
+  const std::string& largest() const { return largest_; }
+
+  /// False when a frozen memtable can neither hold `key` nor cover it with
+  /// a range tombstone (`key` lies outside its span), so a point lookup may
+  /// skip it. Always true before Freeze.
+  bool MayCover(const Slice& key) const {
+    if (!frozen_.load(std::memory_order_acquire)) {
+      return true;
+    }
+    return has_span_ && key.compare(Slice(smallest_)) >= 0 &&
+           key.compare(Slice(largest_)) <= 0;
+  }
+
   /// Buffered memory charged against Options::write_buffer_bytes: the entry
   /// arena plus the range-tombstone side list. Charging the tombstones
   /// matters — a pure range-delete workload buffers no arena bytes at all,
@@ -204,6 +226,13 @@ class MemTable {
   std::atomic<uint64_t> num_range_tombstones_{0};
   std::atomic<uint64_t> rts_bytes_{0};  // charged range-tombstone memory
   std::atomic<uint64_t> oldest_tombstone_time_;
+  // Set by Freeze before the release store of frozen_, read-only after:
+  // readers of the active memtable may race the seal, so they touch the
+  // span only after an acquire load of frozen_ sees it set.
+  std::string smallest_;
+  std::string largest_;
+  bool has_span_ = false;
+  std::atomic<bool> frozen_{false};
 };
 
 }  // namespace lethe

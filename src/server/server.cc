@@ -1232,6 +1232,7 @@ std::string RespServer::BuildInfo(const Slice& section) {
     add("wal_appends", es.wal_appends);
     add("wal_syncs", es.wal_syncs);
     add("flushes", es.flushes);
+    add("flush_memtables", es.flush_memtables);
     add("compactions", es.compactions);
     add("write_stalls", es.write_stalls);
     add("stall_micros", es.stall_micros);

@@ -2057,9 +2057,21 @@ TEST_F(PipelinedFlushTest, OverlappingMemtablesNeverBuildTogether) {
   EXPECT_EQ(db_->stats().flushes_pipelined.load(), 0u);
   EXPECT_EQ(db_->stats().bg_jobs_deferred_overlap.load(), 0u);
 
+  // The first installs. The second is then the only sealed memtable, and
+  // it overlaps the table the first wrote: it is held for the next seal.
   gate_->Release(true);
   ASSERT_TRUE(test::WaitFor(
-      [&] { return Wals() == 1 && db_->stats().flushes.load() == 2; }, 10000));
+      [&] { return Wals() == 2 && db_->stats().flushes.load() == 1; }, 10000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(db_->stats().flushes.load(), 1u);
+  EXPECT_EQ(Wals(), 2u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  // WaitForCompact does not wait on a held memtable: it flushes it.
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  EXPECT_EQ(Wals(), 1u);
+  EXPECT_EQ(db_->stats().flushes.load(), 2u);
   EXPECT_EQ(db_->stats().flushes_pipelined.load(), 0u);
   EXPECT_TRUE(model_.CheckAll(db_.get()));
   ASSERT_TRUE(Reopen().ok());
@@ -2097,6 +2109,222 @@ TEST_F(PipelinedFlushTest, FailedFrontSyncKeepsSuccessorParkedUntilResume) {
   // The parked table survived the wait (no orphan sweep took it).
   EXPECT_TRUE(
       static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// Background mode with the default max_imm_memtables = 2. A sealed memtable
+// that is the only one sealed, overlaps L0 and buffers no FADE deadline is
+// held until the next seal; one flush then merges both with L0.
+class FlushHoldTest : public DBTest {
+ protected:
+  void SetUp() override {
+    DBTest::SetUp();
+    options_.inline_compactions = false;
+    options_.background_threads = 2;
+  }
+
+  DBImpl* impl() { return static_cast<DBImpl*>(db_.get()); }
+  size_t Wals() { return test::WalNumbers(env_.get(), "testdb").size(); }
+  uint64_t Flushes() { return db_->stats().flushes.load(); }
+  uint64_t FlushMemtables() { return db_->stats().flush_memtables.load(); }
+
+  void Write(uint64_t key) {
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(
+        model_.Write(db_.get(), ModelOp::Put(key, key, std::string(100, 'v')))
+            .ok());
+  }
+
+  /// Puts keys[*next], keys[*next + 1], ... until `seals` memtables have
+  /// sealed. A seal starts a new WAL, and the newest WAL is always the
+  /// active one; counting WALs instead would miss a seal whose flush
+  /// removed its WAL before the count.
+  void FillUntilSeals(size_t seals, const std::vector<uint64_t>& keys,
+                      size_t* next) {
+    uint64_t active = test::WalNumbers(env_.get(), "testdb").back();
+    while (seals > 0) {
+      ASSERT_LT(*next, keys.size()) << "ran out of keys before the seal";
+      Write(keys[(*next)++]);
+      const uint64_t newest = test::WalNumbers(env_.get(), "testdb").back();
+      if (newest != active) {
+        active = newest;
+        seals--;
+      }
+    }
+  }
+
+  /// Flushes one L0 file of keys 0, 60, ..., 3540.
+  void LoadL0() {
+    for (uint64_t key = 0; key < 3600; key += 60) {
+      Write(key);
+    }
+    ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+    ASSERT_EQ(impl()->TEST_LevelFiles(0).size(), 1u);
+  }
+
+  /// Seals one memtable of odd keys, which overlaps the L0 file, and checks
+  /// that it is held: no flush starts and its WAL stays.
+  void SealHeld(size_t* next) {
+    const uint64_t flushes = Flushes();
+    FillUntilSeals(1, odd_, next);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(Flushes(), flushes);
+    EXPECT_EQ(Wals(), 2u);
+  }
+
+  void OpenWithHeldMemtable() {
+    Open();
+    LoadL0();
+    size_t next = 0;
+    SealHeld(&next);
+    flushes_ = Flushes();
+  }
+
+  /// After OpenWithHeldMemtable: the held memtable (alone) was flushed.
+  void ExpectHeldFlushed() {
+    EXPECT_EQ(Wals(), 1u);
+    EXPECT_EQ(Flushes(), flushes_ + 1);
+    EXPECT_EQ(FlushMemtables(), Flushes());
+    EXPECT_TRUE(model_.CheckAll(db_.get()));
+    ASSERT_TRUE(Reopen().ok());
+    EXPECT_TRUE(model_.CheckAll(db_.get()));
+  }
+
+  const std::vector<uint64_t> odd_ = Range(1, 4001, 2);
+  uint64_t flushes_ = 0;
+  KeyModel model_{0, 4096, "flush hold"};
+};
+
+TEST_F(FlushHoldTest, OverlappingMemtablesShareOneL0Rewrite) {
+  Open();
+  LoadL0();
+  const uint64_t l0_file = impl()->TEST_LevelFiles(0)[0].file_number;
+  const uint64_t flushes = Flushes();
+  const uint64_t memtables = FlushMemtables();
+  size_t next = 0;
+  SealHeld(&next);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));  // a held memtable serves reads
+
+  FillUntilSeals(1, odd_, &next);  // the next seal ends the hold
+  ASSERT_TRUE(test::WaitFor([&] { return Wals() == 1; }, 10000));
+  EXPECT_EQ(Flushes() - flushes, 1u);
+  EXPECT_EQ(FlushMemtables() - memtables, 2u);
+  EXPECT_EQ(db_->stats().compactions.load(), 0u);
+  for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+    EXPECT_NE(file.file_number, l0_file);  // rewritten, once
+  }
+  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+TEST_F(FlushHoldTest, FadeBufferWithATombstoneFlushesAloneAtOnce) {
+  options_.delete_persistence_threshold_micros = 1000000000;  // far off
+  Open();
+  LoadL0();
+  size_t next = 0;
+  // FADE alone does not end holds: this buffer holds no tombstone.
+  SealHeld(&next);
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  ASSERT_EQ(Wals(), 1u);
+
+  const uint64_t flushes = Flushes();
+  const uint64_t memtables = FlushMemtables();
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(60)).ok());
+  FillUntilSeals(1, odd_, &next);
+  ASSERT_TRUE(test::WaitFor(
+      [&] { return Wals() == 1 && Flushes() == flushes + 1; }, 10000));
+  EXPECT_EQ(FlushMemtables(), memtables + 1);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+TEST_F(FlushHoldTest, InOrderLoadIsNeverHeld) {
+  Open();
+  const std::vector<uint64_t> keys = Range(0, 4000, 1);
+  size_t next = 0;
+  for (uint64_t n = 1; n <= 3; n++) {
+    // Each memtable lies above every L0 file, so it flushes as it seals.
+    FillUntilSeals(1, keys, &next);
+    ASSERT_TRUE(test::WaitFor(
+        [&] { return Wals() == 1 && Flushes() == n; }, 10000))
+        << "memtable " << n << " was held";
+  }
+  EXPECT_EQ(FlushMemtables(), 3u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+TEST_F(FlushHoldTest, FlushFlushesAHeldMemtable) {
+  OpenWithHeldMemtable();
+  ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  ExpectHeldFlushed();
+}
+
+TEST_F(FlushHoldTest, WaitForCompactFlushesAHeldMemtable) {
+  OpenWithHeldMemtable();
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  ExpectHeldFlushed();
+}
+
+TEST_F(FlushHoldTest, SecondaryRangeDeleteFlushesAHeldMemtable) {
+  OpenWithHeldMemtable();
+  ASSERT_TRUE(test::CallWithin(
+                  [&] {
+                    return model_.Write(db_.get(),
+                                        ModelOp::SecondaryRangeDelete(0, 10));
+                  },
+                  10000)
+                  .ok());
+  ExpectHeldFlushed();
+}
+
+TEST_F(FlushHoldTest, CompactAllFlushesAHeldMemtable) {
+  OpenWithHeldMemtable();
+  ASSERT_TRUE(test::CallWithin([&] { return db_->CompactAll(); }, 10000).ok());
+  ExpectHeldFlushed();
+}
+
+TEST_F(FlushHoldTest, CloseFlushesAHeldMemtable) {
+  OpenWithHeldMemtable();
+  ASSERT_TRUE(test::CallWithin(
+                  [&] {
+                    db_.reset();
+                    return Status::OK();
+                  },
+                  10000)
+                  .ok());
+  EXPECT_EQ(Wals(), 1u);  // the held WAL is gone; the empty active one stays
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+TEST_F(FlushHoldTest, ResumeAfterAFailedFlushFlushesAHeldMemtable) {
+  OpenWithHeldMemtable();
+  ErrorHandler::RetryPolicy retries;
+  retries.max_retries = 1 << 20;  // stay degraded while the fault is armed
+  retries.base_backoff_micros = 200;
+  retries.max_backoff_micros = 5000;
+  impl()->TEST_error_handler()->TEST_SetRetryPolicy(retries);
+  FaultPolicy policy;
+  policy.fail_appends = true;
+  policy.fail_creates = true;
+  policy.path_substring = ".sst";  // the health probe still passes
+  env_->InjectFaults(policy);
+  // Flush registers as a waiter, so the held memtable flushes, and fails.
+  EXPECT_FALSE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  env_->ClearFaults();
+  // The resume retries that flush; the memtable is not held again.
+  ASSERT_TRUE(test::WaitFor(
+      [&] {
+        return impl()->TEST_error_handler()->health() == DBHealth::kHealthy &&
+               Wals() == 1;
+      },
+      10000));
   EXPECT_TRUE(model_.CheckAll(db_.get()));
   ASSERT_TRUE(Reopen().ok());
   EXPECT_TRUE(model_.CheckAll(db_.get()));

@@ -484,6 +484,57 @@ TEST(EnospcTest, FailedCompactAllRemovesFinishedOutputs) {
   env.ClearFaults();
 }
 
+// Two sealed memtables that overlap L0 flush as one group: one merge, one
+// VersionEdit. When that edit's MANIFEST append fails, neither memtable
+// installs, both WALs stay, and a reopen replays both and loses nothing.
+TEST(GroupedFlushFaultTest, FailedInstallKeepsBothWalsForReplay) {
+  auto base_env = NewMemEnv();
+  IoCountingEnv env(base_env.get(), 1024);
+  LogicalClock clock(1);
+  Options options = FaultyBackgroundOptions(&env, &clock);
+  const std::string dbname = "grouped_flush_db";
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  UseFastRetries(db.get(), 1 << 20);  // stay degraded while armed
+  KeyModel model(0, 4096, "grouped flush fault");
+  auto put = [&](uint64_t key) {
+    clock.AdvanceMicros(1);
+    return model.Write(db.get(),
+                       ModelOp::Put(key, key, std::string(100, 'v')));
+  };
+  auto wals = [&] { return test::WalNumbers(&env, dbname).size(); };
+
+  for (uint64_t key = 0; key < 3600; key += 120) {
+    ASSERT_TRUE(put(key).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());  // one L0 file spanning [0, 3480]
+  const uint64_t memtables = db->stats().flush_memtables.load();
+  uint64_t key = 1;
+  while (wals() < 2) {  // odd keys overlap the L0 file: this one is held
+    ASSERT_TRUE(put(key += 2).ok());
+  }
+  FaultPolicy policy;
+  policy.fail_appends = true;
+  policy.path_substring = "MANIFEST-";
+  env.InjectFaults(policy);
+  while (wals() < 3) {  // the second seal starts the grouped flush
+    ASSERT_TRUE(put(key += 2).ok());
+  }
+  ASSERT_TRUE(WaitFor(
+      [&] { return db->stats().bg_errors_by_class[0].load() > 0; }, 10000));
+  EXPECT_GE(db->stats().flush_memtables.load(), memtables + 2);
+  EXPECT_EQ(wals(), 3u);
+  EXPECT_TRUE(model.CheckAll(db.get()));
+
+  db.reset();  // close while armed: nothing can install
+  EXPECT_EQ(wals(), 3u);
+  env.ClearFaults();
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  EXPECT_TRUE(model.CheckAll(db.get()));
+  ASSERT_TRUE(db->CompactUntilQuiescent().ok());
+  EXPECT_TRUE(model.CheckAll(db.get()));
+}
+
 TEST(InlineFlushFaultTest, AppliedWriteIsNotFailedByItsFlush) {
   // Inline mode runs flushes on the scheduler behind a barrier. A Put whose
   // batch is applied (WAL + memtable) but whose triggered flush then fails

@@ -462,6 +462,37 @@ TEST(MemTableTest, KeySpanMatchesWalkWithPurgedEntries) {
   EXPECT_FALSE(mem.KeySpan(&smallest, &largest));
 }
 
+TEST(MemTableTest, FrozenSpanCoversEntriesAndRangeTombstones) {
+  MemTable mem;
+  mem.Add(1, ValueType::kValue, "k20", 0, "v", 0);
+  mem.Add(2, ValueType::kValue, "k40", 0, "v", 0);
+  mem.AddRangeTombstone({"k30", "k60", 3, 0});
+  // Not frozen yet: the active buffer may still take any key.
+  EXPECT_TRUE(mem.MayCover("k10"));
+  EXPECT_FALSE(mem.has_span());
+
+  mem.Freeze();
+  ASSERT_TRUE(mem.has_span());
+  EXPECT_EQ(mem.smallest(), "k20");
+  EXPECT_EQ(mem.largest(), "k60");  // widened by the tombstone's end
+  EXPECT_FALSE(mem.MayCover("k10"));
+  EXPECT_TRUE(mem.MayCover("k20"));
+  EXPECT_TRUE(mem.MayCover("k50"));  // covered by the range tombstone only
+  EXPECT_FALSE(mem.MayCover("k61"));
+  // The skip is exact: every key outside the span finds nothing here.
+  ParsedEntry entry;
+  EXPECT_FALSE(mem.Get("k10", &entry));
+  EXPECT_EQ(mem.MaxRangeTombstoneCoverSeq("k61"), 0u);
+  EXPECT_EQ(mem.MaxRangeTombstoneCoverSeq("k50"), 3u);
+
+  MemTable purged;
+  purged.Add(1, ValueType::kValue, "k20", 7, "v", 0);
+  purged.PurgeDeleteKeyRange(0, 10);
+  purged.Freeze();  // nothing live: no key can be found
+  EXPECT_FALSE(purged.has_span());
+  EXPECT_FALSE(purged.MayCover("k20"));
+}
+
 TEST(MemTableTest, AddReportsTailAppends) {
   MemTable mem;
   EXPECT_TRUE(mem.Add(1, ValueType::kValue, "b", 0, "v", 0));

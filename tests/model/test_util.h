@@ -3,6 +3,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,6 +40,23 @@ bool WaitFor(Pred pred, int timeout_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+/// Runs `call` on its own thread and returns its status once it finishes.
+/// A call still running after `timeout_ms` is a hang: the hung thread owns
+/// the DB, so no teardown could finish either, and the binary aborts with
+/// a message instead of stalling the suite.
+inline Status CallWithin(std::function<Status()> call, int timeout_ms) {
+  std::packaged_task<Status()> task(std::move(call));
+  std::future<Status> result = task.get_future();
+  std::thread(std::move(task)).detach();
+  if (result.wait_for(std::chrono::milliseconds(timeout_ms)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "call still running after %d ms: hung\n",
+                 timeout_ms);
+    std::abort();
+  }
+  return result.get();
 }
 
 /// Forwards every call to a target Env; tests override what they watch.
