@@ -498,10 +498,12 @@ Status DBImpl::SwitchMemTableLocked() {
   imm.wal_number = wal_number_;
   imm.first_seq = mem_first_seq_;
   imm.first_time = mem_first_time_;
-  mem_->Freeze();
   // Fresh WAL for the new memtable. The manifest keeps naming the oldest
   // unflushed WAL; recovery scans the directory for everything newer.
   LETHE_RETURN_IF_ERROR(RotateWalLocked());
+  // Sealed only once the rotation succeeded: a failed rotation leaves mem_
+  // the active memtable, still taking writes anywhere in the key space.
+  mem_->Freeze();
   imm_.push_back(std::move(imm));
   mem_ = std::make_shared<MemTable>();
   PublishMemTablesLocked();

@@ -264,9 +264,6 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
                                    bool fill_cache, NewestVersion* out) const {
   const SequenceNumber bound = snap.bound;
   auto probe_memtable = [&](const MemTable& mem) {
-    if (!mem.MayCover(key)) {
-      return false;  // a sealed buffer whose span excludes the key
-    }
     out->cover_seq =
         std::max(out->cover_seq, mem.MaxRangeTombstoneCoverSeq(key, bound));
     ParsedEntry entry;
@@ -284,6 +281,9 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
     return Status::OK();
   }
   for (auto it = snap.imm().rbegin(); it != snap.imm().rend(); ++it) {
+    if (!(*it)->MayCover(key)) {
+      continue;  // a sealed buffer whose span excludes the key
+    }
     if (probe_memtable(**it)) {
       return Status::OK();
     }

@@ -330,7 +330,6 @@ void MemTable::Freeze() {
   for (const RangeTombstone& rt : rts->active) {
     widen(rt);
   }
-  frozen_.store(true, std::memory_order_release);
 }
 
 // Named (not anonymous-namespace) so the friend declaration in MemTable

@@ -164,18 +164,16 @@ class MemTable {
   void Freeze();
 
   /// The span Freeze recorded. has_span() is false when the memtable holds
-  /// neither a live entry nor a range tombstone, and before Freeze.
+  /// neither a live entry nor a range tombstone. Meaningful only once
+  /// frozen: callers read it for sealed memtables alone.
   bool has_span() const { return has_span_; }
   const std::string& smallest() const { return smallest_; }
   const std::string& largest() const { return largest_; }
 
   /// False when a frozen memtable can neither hold `key` nor cover it with
   /// a range tombstone (`key` lies outside its span), so a point lookup may
-  /// skip it. Always true before Freeze.
+  /// skip it. Call it on a sealed memtable only.
   bool MayCover(const Slice& key) const {
-    if (!frozen_.load(std::memory_order_acquire)) {
-      return true;
-    }
     return has_span_ && key.compare(Slice(smallest_)) >= 0 &&
            key.compare(Slice(largest_)) <= 0;
   }
@@ -226,13 +224,12 @@ class MemTable {
   std::atomic<uint64_t> num_range_tombstones_{0};
   std::atomic<uint64_t> rts_bytes_{0};  // charged range-tombstone memory
   std::atomic<uint64_t> oldest_tombstone_time_;
-  // Set by Freeze before the release store of frozen_, read-only after:
-  // readers of the active memtable may race the seal, so they touch the
-  // span only after an acquire load of frozen_ sees it set.
+  // Set by Freeze under the DB mutex before the memtable is published as
+  // sealed, read-only after: readers reach a sealed memtable only through
+  // a memtable set captured under that mutex.
   std::string smallest_;
   std::string largest_;
   bool has_span_ = false;
-  std::atomic<bool> frozen_{false};
 };
 
 }  // namespace lethe

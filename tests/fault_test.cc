@@ -535,6 +535,42 @@ TEST(GroupedFlushFaultTest, FailedInstallKeepsBothWalsForReplay) {
   EXPECT_TRUE(model.CheckAll(db.get()));
 }
 
+TEST(GroupedFlushFaultTest, FailedWalRotationLeavesMemtableActive) {
+  // A seal whose fresh WAL cannot be created fails before the memtable is
+  // frozen: it stays the active buffer, and a later write anywhere in the
+  // key space — outside the span it held at the failed seal too — reads
+  // back.
+  auto base_env = NewMemEnv();
+  IoCountingEnv env(base_env.get(), 1024);
+  LogicalClock clock(1);
+  Options options = FaultyBackgroundOptions(&env, &clock);
+  const std::string dbname = "failed_rotation_db";
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  for (uint64_t k = 100; k < 110; k++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k + 1, "v").ok());
+  }
+
+  FaultPolicy policy;
+  policy.fail_creates = true;
+  policy.path_substring = ".wal";
+  env.InjectFaults(policy);
+  ASSERT_FALSE(db->Flush().ok());
+  env.ClearFaults();
+
+  std::string got;
+  for (uint64_t k : {5u, 100u, 5000u}) {
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k + 1, "after").ok());
+    ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &got).ok()) << k;
+    EXPECT_EQ(got, "after") << k;
+  }
+  ASSERT_TRUE(db->Flush().ok());  // the retried seal records the full span
+  for (uint64_t k : {5u, 100u, 109u, 5000u}) {
+    ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &got).ok()) << k;
+    EXPECT_EQ(got, k == 109 ? "v" : "after") << k;
+  }
+}
+
 TEST(InlineFlushFaultTest, AppliedWriteIsNotFailedByItsFlush) {
   // Inline mode runs flushes on the scheduler behind a barrier. A Put whose
   // batch is applied (WAL + memtable) but whose triggered flush then fails

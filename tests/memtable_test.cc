@@ -467,10 +467,6 @@ TEST(MemTableTest, FrozenSpanCoversEntriesAndRangeTombstones) {
   mem.Add(1, ValueType::kValue, "k20", 0, "v", 0);
   mem.Add(2, ValueType::kValue, "k40", 0, "v", 0);
   mem.AddRangeTombstone({"k30", "k60", 3, 0});
-  // Not frozen yet: the active buffer may still take any key.
-  EXPECT_TRUE(mem.MayCover("k10"));
-  EXPECT_FALSE(mem.has_span());
-
   mem.Freeze();
   ASSERT_TRUE(mem.has_span());
   EXPECT_EQ(mem.smallest(), "k20");
