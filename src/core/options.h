@@ -170,11 +170,15 @@ struct Options {
   /// Background mode: maximum number of immutable memtables awaiting flush
   /// before writers stall (the flush pipeline depth). Each pending memtable
   /// pins up to write_buffer_bytes of memory and one WAL file. At 2 or more
-  /// under leveling, a lone sealed memtable whose span overlaps L0 and that
-  /// buffers no FADE deadline is held until the next seal, and one flush
-  /// merges both into L0 (docs/architecture.md, "Grouped flush"); on an
-  /// idle DB it stays in memory and in its WAL until then or until an
-  /// explicit Flush/WaitForCompact. Default: 2.
+  /// under leveling, a lone sealed memtable whose span overlaps L0 is held
+  /// until the next seal, and one flush merges both into L0
+  /// (docs/architecture.md, "Grouped flush"). A FADE buffer is held too,
+  /// until its oldest tombstone has used 60% of
+  /// delete_persistence_threshold_micros, and under FADE every sealed
+  /// memtable reserves the L0 files its span overlaps from the TTL pick
+  /// until their oldest tombstone reaches the same age. On an
+  /// idle DB a held memtable stays in memory and in its WAL until then or
+  /// until an explicit Flush/WaitForCompact. Default: 2.
   int max_imm_memtables = 2;
 
   /// Write-ahead logging. The paper's experiments run with the WAL disabled;

@@ -381,6 +381,15 @@ uint64_t CompactionPicker::BufferTtl(const Version& version) const {
   return options_.delete_persistence_threshold_micros / 2;
 }
 
+uint64_t CompactionPicker::ReservationBound() const {
+  if (!options_.fade_enabled()) {
+    return UINT64_MAX;
+  }
+  return static_cast<uint64_t>(
+      static_cast<double>(options_.delete_persistence_threshold_micros) *
+      kReservationReleaseShare);
+}
+
 namespace {
 
 /// The time past which `file` at `level` is due for a kTtlExpiry pick: the
@@ -417,27 +426,46 @@ uint64_t FileDeadline(const FileMeta& file, int level, int deepest,
   return deadline;
 }
 
+bool Claimed(const std::set<uint64_t>* in_flight, const FileMeta& file) {
+  return in_flight != nullptr && in_flight->count(file.file_number) > 0;
+}
+
+/// `deadline`, held back under FADE while a pending flush reserves `file`:
+/// until the file's oldest tombstone is `bound` old, or for good without a
+/// tombstone (the flush itself rewrites the file and applies its expiries).
+uint64_t HeldDeadline(const FileMeta& file, uint64_t deadline,
+                      const std::set<uint64_t>* reserved, uint64_t bound) {
+  if (bound == UINT64_MAX || !Claimed(reserved, file)) {
+    return deadline;
+  }
+  if (file.oldest_tombstone_time == kNoTombstoneTime ||
+      bound > UINT64_MAX - file.oldest_tombstone_time) {
+    return UINT64_MAX;
+  }
+  return std::max(deadline, file.oldest_tombstone_time + bound);
+}
+
 }  // namespace
 
 uint64_t CompactionPicker::EarliestTtlExpiry(
-    const Version& version, uint64_t now,
-    OldestSnapshot oldest_snapshot) const {
+    const Version& version, uint64_t now, OldestSnapshot oldest_snapshot,
+    const std::set<uint64_t>* reserved) const {
   const std::vector<uint64_t> ttls = CumulativeTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
+  const uint64_t bound = ReservationBound();
   uint64_t earliest = UINT64_MAX;
   for (const auto& [level, file] : version.AllFiles()) {
     earliest = std::min(
         earliest,
-        FileDeadline(*file, level, deepest, ttls, now, oldest_snapshot));
+        HeldDeadline(*file,
+                     FileDeadline(*file, level, deepest, ttls, now,
+                                  oldest_snapshot),
+                     reserved, bound));
   }
   return earliest;
 }
 
 namespace {
-
-bool Claimed(const std::set<uint64_t>* in_flight, const FileMeta& file) {
-  return in_flight != nullptr && in_flight->count(file.file_number) > 0;
-}
 
 /// Tiering merges whole levels, so one claimed file blocks the level.
 bool AnyClaimedInLevel(const Version& version, int level,
@@ -459,10 +487,11 @@ bool AnyClaimedInLevel(const Version& version, int level,
 
 CompactionPick CompactionPicker::PickTtlExpired(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
-    OldestSnapshot oldest_snapshot) const {
+    OldestSnapshot oldest_snapshot, const std::set<uint64_t>* reserved) const {
   CompactionPick pick;
   const std::vector<uint64_t> ttls = CumulativeTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
+  const uint64_t bound = ReservationBound();
 
   // Smallest level with a file past its deadline wins (paper: level ties go
   // to the smallest level); within the level, the earliest deadline. Every
@@ -481,8 +510,10 @@ CompactionPick CompactionPicker::PickTtlExpired(
         if (Claimed(in_flight, *file)) {
           continue;
         }
-        const uint64_t deadline =
+        const uint64_t due =
             FileDeadline(*file, level, deepest, ttls, now, oldest_snapshot);
+        const uint64_t deadline = HeldDeadline(*file, due, reserved, bound);
+        pick.ttl_held |= due < now && deadline >= now;
         if (deadline < now && (best == nullptr || deadline < best_deadline)) {
           best = file;
           best_deadline = deadline;
@@ -599,16 +630,18 @@ CompactionPick CompactionPicker::PickSaturated(
 
 CompactionPick CompactionPicker::Pick(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
-    OldestSnapshot oldest_snapshot) const {
+    OldestSnapshot oldest_snapshot, const std::set<uint64_t>* reserved) const {
   // TTL expiry takes precedence over saturation (§4.1.4: "FADE triggers a
   // compaction in a level that has at least one file with expired TTL
   // regardless of its saturation").
   CompactionPick pick = PickTtlExpired(version, now, in_flight,
-                                       oldest_snapshot);
+                                       oldest_snapshot, reserved);
   if (pick.valid()) {
     return pick;
   }
-  return PickSaturated(version, in_flight);
+  CompactionPick saturated = PickSaturated(version, in_flight);
+  saturated.ttl_held = pick.ttl_held;
+  return saturated;
 }
 
 }  // namespace lethe

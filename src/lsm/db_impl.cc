@@ -173,27 +173,44 @@ DBImpl::ImmMemTable* DBImpl::NextFlushCandidateLocked() {
   return nullptr;
 }
 
-bool DBImpl::MayGroupLocked(const ImmMemTable& imm) const {
-  // Barrier mode never seals a second memtable before the first installs,
-  // and a FADE buffer's deadline is not ours to spend waiting.
+bool DBImpl::GroupsFlushes() const {
+  // Barrier mode never seals a second memtable before the first installs.
   return !barrier_mode_ && options_.max_imm_memtables >= 2 &&
-         options_.compaction_style == CompactionStyle::kLeveling &&
-         (buffer_ttl_ == UINT64_MAX ||
-          imm.mem->oldest_tombstone_time() == kNoTombstoneTime);
+         options_.compaction_style == CompactionStyle::kLeveling;
 }
 
 bool DBImpl::HoldForNextSealLocked(const ImmMemTable& imm) const {
   // A leveled flush rewrites every L0 file its span overlaps; waiting for
   // the next seal halves those rewrites. The writer never stalls on the
-  // wait: the held memtable takes one of max_imm_memtables >= 2 slots.
+  // wait: the held memtable takes one of max_imm_memtables >= 2 slots. A
+  // FADE tombstone ends the wait at hold_release_.
   if (imm_.size() != 1 || flush_waiters_ > 0 || imm.flush_started ||
-      !imm.mem->has_span() || !MayGroupLocked(imm)) {
+      !imm.mem->has_span() || !GroupsFlushes() ||
+      options_.clock->NowMicros() > hold_release_) {
     return false;
   }
   return !versions_->current()
               ->OverlappingFiles(0, Slice(imm.mem->smallest()),
                                  Slice(imm.mem->largest()))
               .empty();
+}
+
+std::set<uint64_t> DBImpl::ReservedL0FilesLocked() const {
+  std::set<uint64_t> reserved;
+  if (!GroupsFlushes()) {
+    return reserved;
+  }
+  std::shared_ptr<const Version> version = versions_->current();
+  for (const ImmMemTable& imm : imm_) {
+    if (!imm.mem->has_span()) {
+      continue;
+    }
+    for (const auto& file : version->OverlappingFiles(
+             0, Slice(imm.mem->smallest()), Slice(imm.mem->largest()))) {
+      reserved.insert(file->file_number);
+    }
+  }
+  return reserved;
 }
 
 // ---- scheduling -----------------------------------------------------------
@@ -280,10 +297,14 @@ void DBImpl::BackgroundCompaction() {
   bool deferred = false;
   if (!closed_ && bg_error_.ok()) {
     std::shared_ptr<const Version> version = versions_->current();
+    const std::set<uint64_t> reserved = ReservedL0FilesLocked();
     CompactionPick pick =
         picker_->Pick(*version, options_.clock->NowMicros(),
                       &versions_->InFlightInputFiles(),
-                      OldestSnapshotLocked());
+                      OldestSnapshotLocked(), &reserved);
+    if (pick.ttl_held) {
+      stats_.compactions_ttl_held.fetch_add(1, std::memory_order_relaxed);
+    }
     if (pick.valid()) {
       Status s = CompactOnce(pick, l, &deferred);
       if (!s.ok()) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -354,8 +355,8 @@ class DBImpl final : public DB {
 
   /// Flushes `imm`, an entry of imm_ that no job is building (merging with
   /// overlapping first-level files under leveling). When `imm` is the front
-  /// and may group (MayGroupLocked), the flush takes along every following
-  /// memtable up to the first that is building, parked or may not group:
+  /// and flushes group (GroupsFlushes), the flush takes along every
+  /// following memtable up to the first that is building or parked:
   /// one merge of the group's memtables (and the L0 files their combined
   /// span overlaps) into one VersionEdit. A group of one is the classic
   /// flush. A range-local leveled flush — some L0 file lies wholly outside
@@ -385,17 +386,25 @@ class DBImpl final : public DB {
   /// there is none, or when the front is held (HoldForNextSealLocked).
   ImmMemTable* NextFlushCandidateLocked();
 
-  /// Whether `imm` may share a flush with other sealed memtables: background
-  /// mode, max_imm_memtables >= 2, leveling, and no FADE deadline in the
-  /// buffer (FADE off, or no tombstone buffered). A FADE buffer flushes
-  /// alone, as soon as it seals.
-  bool MayGroupLocked(const ImmMemTable& imm) const;
+  /// Whether sealed memtables may share a flush, be held for the next seal
+  /// and reserve L0: background mode, max_imm_memtables >= 2 and leveling.
+  /// A FADE buffer groups too; its deadline ends a hold and a reservation
+  /// (CompactionPicker::ReservationBound).
+  bool GroupsFlushes() const;
 
   /// Whether the flush of `imm`, the only sealed memtable, waits for the
-  /// next seal so that one flush rewrites L0 for both: it may group, its
+  /// next seal so that one flush rewrites L0 for both: flushes group, its
   /// span overlaps an L0 file (an in-order load never waits), no flush of
-  /// it has started before, and no caller waits for imm_ to drain.
+  /// it has started before, no caller waits for imm_ to drain, and its
+  /// oldest tombstone (if any) is not yet ReservationBound() old.
   bool HoldForNextSealLocked(const ImmMemTable& imm) const;
+
+  /// The L0 files some sealed memtable's span overlaps, reserved for its
+  /// pending flush: under FADE the TTL pick passes over them
+  /// (CompactionPicker::Pick) so that it does not push down, between two
+  /// flushes, the run the next flush rewrites anyway. Empty unless flushes
+  /// group.
+  std::set<uint64_t> ReservedL0FilesLocked() const;
 
   Status CompactOnce(const CompactionPick& pick,
                      std::unique_lock<std::mutex>& l, bool* deferred);
@@ -670,9 +679,14 @@ class DBImpl final : public DB {
   Status bg_error_;
   bool closed_ = false;
 
-  // O(1) per-write trigger pre-checks, refreshed on version installs.
-  uint64_t earliest_ttl_expiry_ = UINT64_MAX;
+  // O(1) per-write trigger pre-checks, refreshed on version installs (and
+  // on seals while flushes group: a seal changes the reservations).
+  uint64_t earliest_ttl_expiry_ = UINT64_MAX;  // counts L0 reservations
   uint64_t buffer_ttl_ = UINT64_MAX;  // FADE's d_0 for the memtable
+  // When the lone sealed memtable's hold ends by its oldest tombstone's
+  // age (UINT64_MAX: no such deadline); past it a write re-arms the flush
+  // chain.
+  uint64_t hold_release_ = UINT64_MAX;
   bool saturation_pending_ = false;
   // L0 specifically is over capacity. The flush chain consults this to
   // yield one round to a scheduled compaction: a leveled flush greedily

@@ -76,10 +76,10 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   // front. A look-ahead flushes alone: its span is disjoint from every
   // older pending one, and a follower's need not be.
   std::vector<ImmMemTable*> group = {imm};
-  if (imm == &imm_.front() && MayGroupLocked(*imm)) {
+  if (imm == &imm_.front() && GroupsFlushes()) {
     for (size_t i = 1; i < imm_.size(); i++) {
       ImmMemTable& next = imm_[i];
-      if (next.building || next.parked_edit || !MayGroupLocked(next)) {
+      if (next.building || next.parked_edit) {
         break;
       }
       group.push_back(&next);
@@ -248,10 +248,11 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
       imm_.pop_front();
       if (options_.enable_wal) {
         // Everything the flushed WAL covered is durable in the new version.
-        // The unlink stays inside this mu_ hold: done after the job
-        // releases mu_, it delays the next flush's L0 claim, and FADE's TTL
-        // pick then grabs L0 for a whole-L1 rewrite (ycsb-deletes
-        // write_amp +20-55%).
+        // Every install path (a flush job, an exclusive job's flush of the
+        // front, close) retires its WALs here, under mu_. Unlinking after
+        // the job releases mu_ once let FADE's TTL pick take L0 before the
+        // next flush claimed it; with L0 reserved for pending flushes it no
+        // longer does (docs/architecture.md, "Pipelined flush").
         options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
       }
     }
@@ -291,10 +292,20 @@ void DBImpl::UpdateMemtableReservationLocked() {
 
 void DBImpl::RefreshTriggerStateLocked() {
   std::shared_ptr<const Version> version = versions_->current();
+  const std::set<uint64_t> reserved = ReservedL0FilesLocked();
   earliest_ttl_expiry_ =
       picker_->EarliestTtlExpiry(*version, options_.clock->NowMicros(),
-                                 OldestSnapshotLocked());
+                                 OldestSnapshotLocked(), &reserved);
   buffer_ttl_ = picker_->BufferTtl(*version);
+  // A lone sealed memtable is held (HoldForNextSealLocked) until its oldest
+  // tombstone is ReservationBound() old. Seals and installs, the only steps
+  // that change imm_, both refresh while flushes group.
+  const uint64_t bound = picker_->ReservationBound();
+  hold_release_ = UINT64_MAX;
+  if (GroupsFlushes() && imm_.size() == 1 && bound != UINT64_MAX &&
+      imm_.front().mem->oldest_tombstone_time() != kNoTombstoneTime) {
+    hold_release_ = imm_.front().mem->oldest_tombstone_time() + bound;
+  }
   l0_runs_ = version->num_levels() > 0 ? version->LevelRunCount(0) : 0;
   saturation_pending_ = false;
   l0_saturated_ = false;

@@ -485,6 +485,9 @@ Status DBImpl::HandlePostWriteLocked(std::unique_lock<std::mutex>& l) {
     stats_.RecordStall(NowSteadyMicros() - stall_start);
   }
   LETHE_RETURN_IF_ERROR(s);
+  if (now > hold_release_) {
+    MaybeScheduleFlushLocked();  // the held memtable's tombstone is due
+  }
   MaybeScheduleCompactionLocked();
   return Status::OK();
 }
@@ -509,6 +512,9 @@ Status DBImpl::SwitchMemTableLocked() {
   PublishMemTablesLocked();
   mem_staked_bytes_ = 0;  // fresh memtable; the frozen one counts as imm
   UpdateMemtableReservationLocked();
+  if (GroupsFlushes()) {
+    RefreshTriggerStateLocked();  // the memtable reserves the L0 it overlaps
+  }
   MaybeScheduleFlushLocked();
   return Status::OK();
 }

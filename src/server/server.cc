@@ -1234,6 +1234,7 @@ std::string RespServer::BuildInfo(const Slice& section) {
     add("flushes", es.flushes);
     add("flush_memtables", es.flush_memtables);
     add("compactions", es.compactions);
+    add("compactions_ttl_held", es.compactions_ttl_held);
     add("write_stalls", es.write_stalls);
     add("stall_micros", es.stall_micros);
     add("point_lookups", es.point_lookups);

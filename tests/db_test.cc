@@ -306,6 +306,45 @@ TEST_F(DBTest, FadeBoundsTombstoneAges) {
   EXPECT_GT(db_->stats().compactions_ttl_triggered.load(), 0u);
 }
 
+// The same bound with background workers: two writers race the flush chain
+// and FADE's merges, sealed buffers are held and grouped, and L0 files are
+// reserved for their pending flush. The logical clock advances per op, so
+// a merge that falls behind shows up as an old tombstone.
+TEST_F(DBTest, FadeBoundsTombstoneAgesInBackground) {
+  const uint64_t dth = 200000;
+  options_.delete_persistence_threshold_micros = dth;
+  options_.file_picking = FilePickingPolicy::kMaxTombstones;
+  options_.inline_compactions = false;
+  options_.background_threads = 2;
+  Open();
+
+  // Each writer samples every tombstone's age every 100 ops and keeps the
+  // oldest it saw.
+  auto writer = [&](uint64_t seed, uint64_t* oldest) {
+    const std::string value(100, 'x');
+    Random rnd(seed);
+    for (uint64_t i = 0; i < 4000; i++) {
+      const uint64_t k = rnd.Uniform(2000);
+      const Status s = i % 10 == 3 ? Delete(k) : Put(k, value);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      clock_.AdvanceMicros(50);
+      if (i % 100 == 0) {
+        for (const auto& sample : db_->GetTombstoneAges()) {
+          *oldest = std::max(*oldest, sample.age_micros);
+        }
+      }
+    }
+  };
+  uint64_t oldest[2] = {0, 0};
+  std::thread a(writer, 7, &oldest[0]), b(writer, 8, &oldest[1]);
+  a.join();
+  b.join();
+  EXPECT_LE(std::max(oldest[0], oldest[1]), dth);
+  EXPECT_GT(db_->stats().compactions_ttl_triggered.load(), 0u);
+  EXPECT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+}
+
 // FADE skips a bottommost file whose tombstones the oldest snapshot pins.
 // Releasing that snapshot re-arms the trigger on an idle database: the
 // overdue tombstone goes with no later write or drain. Only a poll waits.
@@ -2115,8 +2154,9 @@ TEST_F(PipelinedFlushTest, FailedFrontSyncKeepsSuccessorParkedUntilResume) {
 }
 
 // Background mode with the default max_imm_memtables = 2. A sealed memtable
-// that is the only one sealed, overlaps L0 and buffers no FADE deadline is
-// held until the next seal; one flush then merges both with L0.
+// that is the only one sealed and overlaps L0 is held until the next seal
+// (or, with a FADE tombstone, until that tombstone's release bound); one
+// flush then merges both with L0.
 class FlushHoldTest : public DBTest {
  protected:
   void SetUp() override {
@@ -2164,11 +2204,14 @@ class FlushHoldTest : public DBTest {
     ASSERT_EQ(impl()->TEST_LevelFiles(0).size(), 1u);
   }
 
-  /// Seals one memtable of odd keys, which overlaps the L0 file, and checks
-  /// that it is held: no flush starts and its WAL stays.
-  void SealHeld(size_t* next) {
+  /// Seals one memtable of `keys` (odd keys unless given), which overlaps
+  /// an L0 file, and checks that it is held: no flush starts and its WAL
+  /// stays.
+  void SealHeld(size_t* next) { SealHeld(odd_, next); }
+
+  void SealHeld(const std::vector<uint64_t>& keys, size_t* next) {
     const uint64_t flushes = Flushes();
-    FillUntilSeals(1, odd_, next);
+    FillUntilSeals(1, keys, next);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_EQ(Flushes(), flushes);
     EXPECT_EQ(Wals(), 2u);
@@ -2221,25 +2264,92 @@ TEST_F(FlushHoldTest, OverlappingMemtablesShareOneL0Rewrite) {
   EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
-TEST_F(FlushHoldTest, FadeBufferWithATombstoneFlushesAloneAtOnce) {
-  options_.delete_persistence_threshold_micros = 1000000000;  // far off
+// A FADE buffer with a tombstone is held and grouped like any other. Its
+// hold also ends once its oldest tombstone has used kReservationReleaseShare
+// of D_th: then the next write flushes it alone.
+TEST_F(FlushHoldTest, FadeBufferWithATombstoneIsHeldUntilItsBound) {
+  const uint64_t dth = 1000000000;  // one level: L0's TTL is all of it
+  options_.delete_persistence_threshold_micros = dth;
+  const uint64_t bound = static_cast<uint64_t>(dth * kReservationReleaseShare);
   Open();
   LoadL0();
   size_t next = 0;
-  // FADE alone does not end holds: this buffer holds no tombstone.
-  SealHeld(&next);
-  ASSERT_TRUE(
-      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
-  ASSERT_EQ(Wals(), 1u);
-
-  const uint64_t flushes = Flushes();
-  const uint64_t memtables = FlushMemtables();
+  uint64_t flushes = Flushes();
+  uint64_t memtables = FlushMemtables();
   clock_.AdvanceMicros(1);
   ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(60)).ok());
-  FillUntilSeals(1, odd_, &next);
+  SealHeld(&next);
+  FillUntilSeals(1, odd_, &next);  // the next seal ends the hold
+  ASSERT_TRUE(test::WaitFor(
+      [&] { return Wals() == 1 && Flushes() == flushes + 1; }, 10000));
+  EXPECT_EQ(FlushMemtables(), memtables + 2);
+
+  flushes = Flushes();
+  memtables = FlushMemtables();
+  clock_.AdvanceMicros(1);
+  const uint64_t deleted_at = clock_.NowMicros();
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(120)).ok());
+  SealHeld(&next);
+  clock_.SetMicros(deleted_at + bound - 1);
+  Write(odd_[next++]);  // the tombstone is exactly `bound` old: still held
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(Flushes(), flushes);
+  EXPECT_EQ(Wals(), 2u);
+  Write(odd_[next++]);  // past the bound: this write flushes it
   ASSERT_TRUE(test::WaitFor(
       [&] { return Wals() == 1 && Flushes() == flushes + 1; }, 10000));
   EXPECT_EQ(FlushMemtables(), memtables + 1);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// A sealed memtable reserves the L0 files its span overlaps until its flush
+// installs. The TTL pick passes over a reserved file whose L0 TTL has
+// expired until its oldest tombstone has used kReservationReleaseShare of
+// D_th, and then takes it.
+TEST_F(FlushHoldTest, ReservedL0FileIsPickedOnlyPastTheBound) {
+  const uint64_t dth = 1000000;
+  options_.delete_persistence_threshold_micros = dth;
+  const uint64_t bound = static_cast<uint64_t>(dth * kReservationReleaseShare);
+  Open();
+  // An in-order load merged below L0: two or more levels, so that L0's TTL
+  // is at most (T - 1) / (T^2 - 1) = 1/5 of D_th, and an empty L0, so that
+  // no saturation merge moves the tombstone's L0 file below.
+  for (uint64_t key = 0; key < 4096; key++) {
+    Write(key);
+  }
+  ASSERT_TRUE(test::CallWithin([&] { return db_->CompactAll(); }, 10000).ok());
+  ASSERT_TRUE(impl()->TEST_LevelFiles(0).empty());
+  const uint64_t l0_ttl = dth / 5;
+
+  clock_.AdvanceMicros(1);
+  const uint64_t deleted_at = clock_.NowMicros();
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(2001)).ok());
+  ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  ASSERT_EQ(impl()->TEST_LevelFiles(0).size(), 1u);
+  // A memtable whose span covers every key, so it overlaps the tombstone's
+  // L0 file, and holds no tombstone, so only the next seal ends its hold.
+  std::vector<uint64_t> keys = {1, 4093};
+  for (uint64_t key : odd_) {
+    keys.push_back(key);
+  }
+  size_t next = 0;
+  SealHeld(keys, &next);
+  const uint64_t ttl_picks = db_->stats().compactions_ttl_triggered.load();
+
+  clock_.SetMicros(deleted_at + l0_ttl + (bound - l0_ttl) / 2);
+  Write(keys[next++]);  // expired at L0, but reserved and under the bound
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(db_->stats().compactions_ttl_triggered.load(), ttl_picks);
+  EXPECT_EQ(Wals(), 2u);
+
+  clock_.SetMicros(deleted_at + bound);
+  Write(keys[next++]);  // past the bound
+  EXPECT_TRUE(test::WaitFor(
+      [&] {
+        return db_->stats().compactions_ttl_triggered.load() == ttl_picks + 1;
+      },
+      10000));
+  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
   EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 

@@ -441,6 +441,61 @@ TEST_F(PickerTest, TtlBoundPerLevel) {
   EXPECT_EQ(pick.inputs[0]->file_number, 2u);
 }
 
+// Under FADE, a file reserved for a pending flush is passed over by the TTL
+// pick until its oldest tombstone has used kReservationReleaseShare of Dth;
+// one with no tombstone (here: a due file) waits for the flush.
+TEST_F(PickerTest, ReservedFileWaitsForTheReleaseBound) {
+  options_.delete_persistence_threshold_micros = 1000000;
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
+  const uint64_t bound = picker_->ReservationBound();
+  ASSERT_EQ(bound, 600000u);
+
+  VersionEdit edit;
+  FileMeta shallow = MakeFile(1, 0, 9);
+  shallow.file_size = 100;
+  shallow.num_point_tombstones = 1;
+  shallow.oldest_tombstone_time = 0;
+  FileMeta due = MakeFile(2, 20, 29);
+  due.file_size = 100;
+  due.expiry_due = 10;
+  FileMeta deep = MakeFile(3, 0, 9);
+  deep.file_size = 100;
+  edit.added_files.emplace_back(0, shallow);
+  edit.added_files.emplace_back(0, due);
+  edit.added_files.emplace_back(2, deep);
+  auto v = Build(edit);
+  const std::vector<uint64_t> ttls = picker_->CumulativeTtls(*v);
+  ASSERT_LT(ttls[0], bound);
+
+  const std::set<uint64_t> reserved = {1, 2};
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0, {}, &reserved), bound);
+  CompactionPick pick = picker_->Pick(*v, ttls[0] + 1, nullptr, {}, &reserved);
+  EXPECT_FALSE(pick.valid());
+  EXPECT_TRUE(pick.ttl_held);
+  pick = picker_->Pick(*v, bound, nullptr, {}, &reserved);
+  EXPECT_FALSE(pick.valid());
+  pick = picker_->Pick(*v, bound + 1, nullptr, {}, &reserved);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.inputs[0]->file_number, 1u);
+  EXPECT_TRUE(pick.ttl_held);  // the due file still waits
+
+  // Unreserved, the due file goes first (the earlier deadline).
+  pick = picker_->Pick(*v, ttls[0] + 1);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.inputs[0]->file_number, 2u);
+  EXPECT_FALSE(pick.ttl_held);
+
+  // FADE off: nothing is reserved; the due file goes at its due time.
+  options_.delete_persistence_threshold_micros = 0;
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
+  EXPECT_EQ(picker_->ReservationBound(), UINT64_MAX);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0, {}, &reserved), 10u);
+  pick = picker_->Pick(*v, 11, nullptr, {}, &reserved);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.inputs[0]->file_number, 2u);
+  EXPECT_FALSE(pick.ttl_held);
+}
+
 // An expiry due time fires the kTtlExpiry trigger with FADE off, on the
 // due file alone, unless the oldest snapshot is older than the file's
 // newest entry or was created before the due time.
