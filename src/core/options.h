@@ -72,7 +72,9 @@ struct Options {
   uint32_t size_ratio = 10;
 
   /// Target size for files emitted by flushes and compactions; the unit of
-  /// partial compaction. Default: 1 MB.
+  /// partial compaction. A leveled flush also cuts its L0 outputs at span
+  /// edges and, in background mode under FADE, at L1 file boundaries, so L0
+  /// files can be much smaller than this. Default: 1 MB.
   uint64_t target_file_bytes = 1ull << 20;
 
   /// Physical layout: page size, B (entries/page), h (pages per delete

@@ -1,6 +1,8 @@
 #include "src/lsm/compaction.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 
 #include "src/format/sstable_builder.h"
 #include "src/lsm/read_path.h"
@@ -192,6 +194,7 @@ Status MergeExecutor::FinishOutput(Output* output,
   if (config.is_flush) {
     stats_->flush_bytes_written.fetch_add(props.file_size,
                                           std::memory_order_relaxed);
+    stats_->flush_output_files.fetch_add(1, std::memory_order_relaxed);
   } else {
     stats_->compaction_bytes_written.fetch_add(props.file_size,
                                                std::memory_order_relaxed);
@@ -209,6 +212,9 @@ Status MergeExecutor::Run(
     InternalIterator* input,
     const std::vector<RangeTombstone>& input_range_tombstones,
     const MergeConfig& config, VersionEdit* edit) {
+  // The cut loop below passes each key once, in order.
+  assert(std::adjacent_find(config.cut_keys.begin(), config.cut_keys.end(),
+                            std::greater_equal<>()) == config.cut_keys.end());
   if (!config.count_merge_stats) {
     // Secondary partition of a fanned-out merge: the primary already
     // counted the merge itself.

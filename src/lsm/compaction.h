@@ -61,11 +61,13 @@ struct MergeConfig {
   std::optional<std::string> partition_begin;
   std::optional<std::string> partition_end;
 
-  /// Forced output cuts, ascending user keys: the current output closes
-  /// before the first entry at or past each key, exactly as it closes at
-  /// the size target, so a cut never splits a version chain and never
-  /// leaves an empty file. Empty (the default) = size cuts only. A flush
-  /// sets them at a range-local buffer's span edges (FlushMemTable).
+  /// Forced output cuts, strictly ascending user keys: the current output
+  /// closes before the first entry at or past each key, exactly as it
+  /// closes at the size target, so a cut never splits a version chain and
+  /// never leaves an empty file. Empty (the default) = size cuts only. A
+  /// flush sets them at a range-local buffer's span edges and, when flushes
+  /// group under FADE, at the L1 file boundaries inside its span
+  /// (FlushMemTable).
   std::vector<std::string> cut_keys;
 
   /// When one logical merge fans out into several partitions, only the

@@ -79,7 +79,8 @@ DBImpl::~DBImpl() {
     // drop their outputs; their WALs stay behind for recovery.
     for (ImmMemTable& imm : imm_) {
       if (imm.parked_edit) {
-        RemoveFailedMergeOutputs(options_.env, dbname_, *imm.parked_edit);
+        RemoveFailedMergeOutputs(options_.env, dbname_,
+                                 versions_->table_cache(), *imm.parked_edit);
         imm.parked_edit.reset();
         imm.parked_claim.Release();
       }
@@ -177,6 +178,15 @@ bool DBImpl::GroupsFlushes() const {
   // Barrier mode never seals a second memtable before the first installs.
   return !barrier_mode_ && options_.max_imm_memtables >= 2 &&
          options_.compaction_style == CompactionStyle::kLeveling;
+}
+
+bool DBImpl::CutsFlushesAtL1() const {
+  // Aligned L0 files pay off when FADE pushes them by tombstone age. With
+  // FADE off every push is a saturation pick, which takes the file with
+  // the fewest L1 bytes under it: over aligned L0 that is a small file over
+  // a whole L1 file, so each merge moves little, and bench_bg_writer's
+  // saturated sweep wrote 1.3-1.6x the bytes.
+  return GroupsFlushes() && options_.fade_enabled();
 }
 
 bool DBImpl::HoldForNextSealLocked(const ImmMemTable& imm) const {

@@ -392,6 +392,12 @@ class DBImpl final : public DB {
   /// (CompactionPicker::ReservationBound).
   bool GroupsFlushes() const;
 
+  /// Whether a flush cuts its L0 outputs at the L1 file boundaries inside
+  /// its span and opens their readers before install: flushes group and
+  /// FADE is on (FlushMemTable, "L1-aligned flush cuts" in
+  /// docs/architecture.md).
+  bool CutsFlushesAtL1() const;
+
   /// Whether the flush of `imm`, the only sealed memtable, waits for the
   /// next seal so that one flush rewrites L0 for both: flushes group, its
   /// span overlaps an L0 file (an in-order load never waits), no flush of

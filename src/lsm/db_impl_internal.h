@@ -17,10 +17,13 @@ namespace lethe {
 
 /// Best-effort removal of a failed merge's finished outputs — the edit was
 /// never installed, so nothing references them. Partially written outputs
-/// (not yet in the edit) are reaped by recovery's orphan sweep instead.
+/// (not yet in the edit) are reaped by recovery's orphan sweep instead. A
+/// flush may already have opened an output's reader, so each is evicted.
 inline void RemoveFailedMergeOutputs(Env* env, const std::string& dbname,
+                                     TableCache* tables,
                                      const VersionEdit& edit) {
   for (const auto& [level, meta] : edit.added_files) {
+    tables->Evict(meta.file_number);
     env->RemoveFile(TableFileName(dbname, meta.file_number)).ok();
   }
 }

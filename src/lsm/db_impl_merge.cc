@@ -62,6 +62,25 @@ std::vector<std::string> SpanEdgeCuts(
   return cuts;
 }
 
+// L1-aligned flush cuts: the smallest key of every L1 file inside the
+// flush's output span [begin, end] (its footprint's: the buffer's span
+// widened over the L0 files it rewrites). Cutting there keeps each L0 file
+// over one L1 file, and the partition stays put across flushes, so a FADE
+// TTL push of an L0 file rewrites only the L1 file under it instead of
+// every L1 file a wide, size-cut L0 file happened to span (LevelDB cuts
+// compaction outputs at grandparent boundaries the same way). A key at or
+// below `begin` would cut nothing, so it is left out.
+void AppendL1BoundaryCuts(const Version& version, const std::string& begin,
+                          const std::string& end,
+                          std::vector<std::string>* cuts) {
+  for (const auto& file : version.OverlappingFiles(1, Slice(begin),
+                                                   Slice(end))) {
+    if (Slice(file->smallest_key).compare(Slice(begin)) > 0) {
+      cuts->push_back(file->smallest_key);
+    }
+  }
+}
+
 }  // namespace
 
 // ---- merges ---------------------------------------------------------------
@@ -141,6 +160,15 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     *deferred = true;
     return Status::OK();
   }
+  if (has_span && CutsFlushesAtL1()) {
+    AppendL1BoundaryCuts(*version, footprint.output_begin,
+                         footprint.output_end, &config.cut_keys);
+    // std::string compares bytewise, as Slice does.
+    std::sort(config.cut_keys.begin(), config.cut_keys.end());
+    config.cut_keys.erase(
+        std::unique(config.cut_keys.begin(), config.cut_keys.end()),
+        config.cut_keys.end());
+  }
   FootprintClaim claim(this, footprint);
   for (ImmMemTable* member : group) {
     member->building = true;
@@ -210,7 +238,8 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
       member->building = false;
     }
     claim.Release();
-    RemoveFailedMergeOutputs(options_.env, dbname_, edit);
+    RemoveFailedMergeOutputs(options_.env, dbname_, versions_->table_cache(),
+                             edit);
     return s;
   }
   if (imm != &imm_.front()) {
@@ -240,7 +269,8 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
       for (size_t i = 0; i < count; i++) {
         imm_[i].building = false;
       }
-      RemoveFailedMergeOutputs(options_.env, dbname_, edit);
+      RemoveFailedMergeOutputs(options_.env, dbname_,
+                               versions_->table_cache(), edit);
       break;
     }
     for (size_t i = 0; i < count; i++) {
@@ -451,7 +481,8 @@ Status DBImpl::MergeAndCommitLocked(
     s = versions_->LogAndApply(edit, OldestUnflushedSeqLocked());
   }
   if (!s.ok()) {
-    RemoveFailedMergeOutputs(options_.env, dbname_, *edit);
+    RemoveFailedMergeOutputs(options_.env, dbname_, versions_->table_cache(),
+                             *edit);
     return s;
   }
   err_->ReportSuccess();  // a committed merge refills the retry budget
@@ -538,8 +569,18 @@ Status DBImpl::RunMergePartitioned(
         rts, part_config.partition_begin, part_config.partition_end);
     auto merged = NewMergingIterator(std::move(iters));
     MergeExecutor executor(options_, versions_.get(), &stats_);
-    return executor.Run(merged.get(), clipped, part_config,
-                        &fan->edits[index]);
+    LETHE_RETURN_IF_ERROR(executor.Run(merged.get(), clipped, part_config,
+                                       &fan->edits[index]));
+    if (part_config.is_flush && CutsFlushesAtL1()) {
+      // L1-aligned cuts make many small L0 files per flush. Open their
+      // readers here, off mu_, so the first Get to land in each does not
+      // parse its index and filters. Best effort: a Get retries the open.
+      for (const auto& [level, meta] : fan->edits[index].added_files) {
+        std::shared_ptr<SSTableReader> table;
+        versions_->table_cache()->GetTable(meta, &table).ok();
+      }
+    }
+    return Status::OK();
   };
 
   // Drain loop shared by this thread and the helpers: claim the next
@@ -598,7 +639,8 @@ Status DBImpl::RunMergePartitioned(
     // every partition. Outputs a crashed process leaves behind instead are
     // reaped by recovery's orphan sweep.
     for (const VersionEdit& part : state->edits) {
-      RemoveFailedMergeOutputs(options_.env, dbname_, part);
+      RemoveFailedMergeOutputs(options_.env, dbname_,
+                               versions_->table_cache(), part);
     }
     return state->status;
   }

@@ -1233,6 +1233,7 @@ std::string RespServer::BuildInfo(const Slice& section) {
     add("wal_syncs", es.wal_syncs);
     add("flushes", es.flushes);
     add("flush_memtables", es.flush_memtables);
+    add("flush_output_files", es.flush_output_files);
     add("compactions", es.compactions);
     add("compactions_ttl_held", es.compactions_ttl_held);
     add("write_stalls", es.write_stalls);

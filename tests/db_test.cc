@@ -20,6 +20,7 @@
 
 #include "src/core/lethe.h"
 #include "src/lsm/db_impl.h"
+#include "src/lsm/ttl.h"
 #include "src/util/crc32c.h"
 #include "src/workload/generator.h"
 #include "tests/model/key_model.h"
@@ -2438,6 +2439,218 @@ TEST_F(FlushHoldTest, ResumeAfterAFailedFlushFlushesAHeldMemtable) {
   EXPECT_TRUE(model_.CheckAll(db_.get()));
   ASSERT_TRUE(Reopen().ok());
   EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// A flush whose span holds L1 file boundaries cuts its L0 outputs at every
+// one of them when flushes group (background mode) under FADE, so each L0
+// file lies over one L1 file. Barrier mode and FADE off cut by size alone,
+// as they always did.
+class L1AlignedFlushTest : public FlushHoldTest {
+ protected:
+  void SetUp() override {
+    FlushHoldTest::SetUp();
+    // FADE on, with a D_th only the TTL push case reaches.
+    options_.delete_persistence_threshold_micros = 1000000000;
+  }
+
+  /// An in-order load of [0, 4096), settled by the size-ratio-4 merges
+  /// into L2, L1 and L0, then reopened in the given mode with a size ratio
+  /// no flush of a test saturates, so L1 stays as loaded.
+  void LoadL1(bool inline_mode) {
+    options_.inline_compactions = inline_mode;
+    options_.background_threads = inline_mode ? 1 : 2;
+    Open();
+    for (uint64_t key = 0; key < 4096; key++) {
+      Write(key);
+    }
+    ASSERT_TRUE(
+        test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+    options_.size_ratio = 100;
+    ASSERT_TRUE(Reopen().ok());
+    l1_ = impl()->TEST_LevelFiles(1);
+    ASSERT_GE(l1_.size(), 3u);
+    ASSERT_FALSE(impl()->TEST_LevelFiles(2).empty());
+  }
+
+  /// Puts every `step`-th key of [0, 4096) (a uniform buffer: every flush
+  /// spans every L0 file) and flushes.
+  void WriteUniform(uint64_t step) {
+    for (uint64_t key = 0; key < 4096; key += step) {
+      Write(key);
+    }
+    ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  }
+
+  /// True when an L1 file starts inside `file`'s range above its smallest
+  /// key: `file` spans an L1 boundary.
+  bool Straddles(const FileMeta& file) const {
+    for (const FileMeta& l1 : l1_) {
+      if (Slice(l1.smallest_key).compare(Slice(file.smallest_key)) > 0 &&
+          Slice(l1.smallest_key).compare(Slice(file.largest_key)) <= 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  size_t CountStraddling() {
+    size_t n = 0;
+    for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+      n += Straddles(file) ? 1 : 0;
+    }
+    return n;
+  }
+
+  /// Every L0 output but the last closes at the size target, so wide
+  /// outputs still span L1 boundaries.
+  void ExpectSizeCutsOnly() {
+    const std::vector<FileMeta> l0 = impl()->TEST_LevelFiles(0);
+    ASSERT_GT(l0.size(), 1u);
+    for (size_t i = 0; i + 1 < l0.size(); i++) {
+      EXPECT_GE(l0[i].file_size, options_.target_file_bytes) << i;
+    }
+    EXPECT_GT(CountStraddling(), 0u);
+  }
+
+  void ExpectModelHolds() {
+    EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
+    EXPECT_TRUE(model_.CheckAll(db_.get()));
+    ASSERT_TRUE(Reopen().ok());
+    EXPECT_TRUE(model_.CheckAll(db_.get()));
+  }
+
+  std::vector<FileMeta> l1_;
+};
+
+TEST_F(L1AlignedFlushTest, UniformFlushCutsAtEveryL1Boundary) {
+  LoadL1(/*inline_mode=*/false);
+  const uint64_t outputs = db_->stats().flush_output_files.load();
+  WriteUniform(4);
+  EXPECT_EQ(CountStraddling(), 0u);
+  EXPECT_GT(impl()->TEST_LevelFiles(0).size(), l1_.size());
+  EXPECT_GT(db_->stats().flush_output_files.load(), outputs);
+  EXPECT_EQ(impl()->TEST_LevelFiles(1).size(), l1_.size());  // no merge ran
+  ExpectModelHolds();
+}
+
+TEST_F(L1AlignedFlushTest, BarrierModeCutsBySizeOnly) {
+  LoadL1(/*inline_mode=*/true);
+  WriteUniform(64);  // one buffer, so one flush
+  ExpectSizeCutsOnly();
+  ExpectModelHolds();
+}
+
+TEST_F(L1AlignedFlushTest, FadeOffCutsBySizeOnly) {
+  options_.delete_persistence_threshold_micros = 0;
+  LoadL1(/*inline_mode=*/false);
+  WriteUniform(64);
+  ExpectSizeCutsOnly();
+  ExpectModelHolds();
+}
+
+TEST_F(L1AlignedFlushTest, TtlPushReadsOnlyTheL1FileBelow) {
+  const uint64_t dth = options_.delete_persistence_threshold_micros;
+  LoadL1(/*inline_mode=*/false);
+  ASSERT_TRUE(impl()->TEST_LevelFiles(3).empty());
+  const std::vector<uint64_t> ttls = ComputeCumulativeTtls(
+      dth, options_.size_ratio, /*num_disk_levels=*/3);
+  // One delete inside the middle L1 file, in a uniform buffer.
+  const FileMeta& middle = l1_[l1_.size() / 2];
+  // Odd, so the buffer's Puts (multiples of 4) leave it deleted.
+  const uint64_t victim = ((workload::DecodeKey(middle.smallest_key) +
+                            workload::DecodeKey(middle.largest_key)) /
+                           2) |
+                          1;
+  clock_.AdvanceMicros(1);
+  const uint64_t deleted_at = clock_.NowMicros();
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(victim)).ok());
+  WriteUniform(4);
+
+  const FileMeta* pushed = nullptr;
+  const std::vector<FileMeta> l0 = impl()->TEST_LevelFiles(0);
+  for (const FileMeta& file : l0) {
+    if (file.HasTombstones()) {
+      ASSERT_EQ(pushed, nullptr) << "one L0 file holds the tombstone";
+      pushed = &file;
+    }
+  }
+  ASSERT_NE(pushed, nullptr);
+  const std::vector<FileMeta> below = impl()->TEST_LevelFiles(1);
+  uint64_t expected_read = pushed->file_size;
+  size_t l1_under = 0;
+  for (const FileMeta& file : below) {
+    if (file.OverlapsKeyRange(Slice(pushed->smallest_key),
+                              Slice(pushed->largest_key))) {
+      expected_read += file.file_size;
+      l1_under++;
+    }
+  }
+  EXPECT_EQ(l1_under, 1u);
+
+  // Past the tombstone's L0 deadline but not its L1 one: exactly one push.
+  ASSERT_LT(clock_.NowMicros(), deleted_at + ttls[0]);
+  const Statistics& stats = db_->stats();
+  const uint64_t ttl_picks = stats.compactions_ttl_triggered.load();
+  const uint64_t compactions = stats.compactions.load();
+  const uint64_t read = stats.compaction_bytes_read.load();
+  clock_.SetMicros(deleted_at + ttls[0] + 1);
+  Write(4095);  // re-arms the triggers; its flush stays clear of `pushed`
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  EXPECT_EQ(stats.compactions_ttl_triggered.load(), ttl_picks + 1);
+  EXPECT_EQ(stats.compactions.load(), compactions + 1);
+  EXPECT_EQ(stats.compaction_bytes_read.load() - read, expected_read);
+  ExpectModelHolds();
+}
+
+TEST_F(L1AlignedFlushTest, SpanEdgeOnAnL1BoundaryCutsOnce) {
+  // Barrier mode leaves wide L0 files over L1 boundaries; background mode
+  // then flushes a range-local buffer starting at one of those boundaries,
+  // so the span-edge cut and the L1 cut name the same key.
+  LoadL1(/*inline_mode=*/true);
+  WriteUniform(4);
+  options_.inline_compactions = false;
+  options_.background_threads = 2;
+  ASSERT_TRUE(Reopen().ok());
+  const std::vector<FileMeta> l0 = impl()->TEST_LevelFiles(0);
+  uint64_t edge = 0;
+  bool found = false;
+  for (const FileMeta& file : l0) {
+    for (const FileMeta& l1 : l1_) {
+      // An L1 boundary inside `file` with at least half a target file of
+      // it below (the flush's own metadata estimate).
+      const Slice key(l1.smallest_key);
+      if (!found && key.compare(Slice(file.smallest_key)) > 0 &&
+          key.compare(Slice(file.largest_key)) < 0 &&
+          static_cast<double>(file.file_size) *
+                  RangeOverlapFraction(Slice(file.smallest_key),
+                                       Slice(file.largest_key),
+                                       Slice(file.smallest_key), key) >=
+              static_cast<double>(options_.target_file_bytes) / 2) {
+        edge = workload::DecodeKey(l1.smallest_key);
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  for (uint64_t key = edge; key < edge + 8; key++) {
+    Write(key);
+  }
+  ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  size_t starting_at_edge = 0;
+  for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+    EXPECT_GT(file.num_entries, 0u);
+    if (Slice(file.smallest_key) == Slice(EncodeKey(edge))) {
+      starting_at_edge++;
+    }
+    // The rewritten span is aligned; later L0 files are not.
+    if (Slice(file.largest_key).compare(Slice(EncodeKey(edge))) >= 0 &&
+        Slice(file.smallest_key).compare(Slice(EncodeKey(edge + 7))) <= 0) {
+      EXPECT_FALSE(Straddles(file));
+    }
+  }
+  EXPECT_EQ(starting_at_edge, 1u);
+  ExpectModelHolds();
 }
 
 TEST_F(DBTest, RangeLocalFlushLeavesColdNeighbourAlone) {
