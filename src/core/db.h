@@ -98,8 +98,11 @@ class DB {
   /// intact records — frames that fail their checksum or do not decode are
   /// dropped and a torn tail is cut — and replays at the next Open. FADE
   /// tombstone ages are reconstructed conservatively (a salvaged
-  /// tombstone's persistence deadline never moves later). Call only on a
-  /// database no process has open.
+  /// tombstone's persistence deadline never moves later). The pages
+  /// secondary range deletes dropped whole, and the secondary range deletes
+  /// still pending, are MANIFEST state: Repair carries them over from the
+  /// newest MANIFEST that still decodes; when none does, their entries
+  /// become readable again. Call only on a database no process has open.
   static Status Repair(const Options& options, const std::string& name);
 
   virtual ~DB() = default;
@@ -127,9 +130,18 @@ class DB {
                              const Slice& begin_key,
                              const Slice& end_key) = 0;
 
-  /// Secondary range delete (KiWi): physically and immediately removes every
-  /// entry whose delete key lies in [delete_key_begin, delete_key_end),
-  /// dropping fully-covered pages without reading them. Not
+  /// Secondary range delete (KiWi): removes every entry written before the
+  /// call whose delete key lies in [delete_key_begin, delete_key_end),
+  /// dropping fully-covered pages without reading them; an older version of
+  /// such a key outside the range becomes the visible one. Entries written
+  /// after the call survive whatever their delete key. With
+  /// inline_compactions the pages are purged before the call returns. In
+  /// background mode the entries are hidden at once (every read, and every
+  /// flush and compaction, skips them; the hiding survives a crash) and are
+  /// physically removed by the next seal of the memtable active at the call
+  /// or by the next Flush, WaitForCompact or close, in one page pass for
+  /// all the deletes pending then; metadata counts (num_entries,
+  /// ApproximateEntryCount) still include them until that pass. Not
   /// snapshot-isolated: iterators opened earlier and live Snapshot handles
   /// may observe the deletion — physical removal is the operation's whole
   /// point, so it does not preserve pinned versions.

@@ -291,7 +291,8 @@ Status SSTableReader::RewritePage(RandomWriteFile* writer,
 Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
                           Statistics* stats, bool* found,
                           TableGetResult* result, bool fill_cache,
-                          SequenceNumber max_seq) const {
+                          SequenceNumber max_seq,
+                          const SecondaryDeleteSet* hidden) const {
   *found = false;
   int tile_index = FindTile(user_key);
   if (tile_index < 0) {
@@ -350,8 +351,10 @@ Status SSTableReader::Get(const Slice& user_key, const FileMeta* meta,
       if (i < entries.size() && entries.key(i) == user_key) {
         for (; i < entries.size() && entries.key(i) == user_key; ++i) {
           const ParsedEntry entry = entries[i];
-          if (entry.seq > max_seq) {
-            continue;  // invisible to this read's snapshot
+          if (entry.seq > max_seq ||
+              (hidden != nullptr &&
+               hidden->Hides(entry.delete_key, entry.seq))) {
+            continue;  // invisible to this read
           }
           if (!best_found || entry.seq > result->seq) {
             best_found = true;
@@ -414,7 +417,8 @@ bool SSTableReader::KeyMayExist(const Slice& user_key, const FileMeta* meta,
   return false;
 }
 
-void SSTableReader::PlanSecondaryRangeDelete(uint64_t lo, uint64_t hi,
+void SSTableReader::PlanSecondaryRangeDelete(const DeleteKeyIntervals& drops,
+                                             const DeleteKeyIntervals& touches,
                                              const FileMeta* meta,
                                              SecondaryDeletePlan* plan) const {
   plan->full_drop_pages.clear();
@@ -427,12 +431,19 @@ void SSTableReader::PlanSecondaryRangeDelete(uint64_t lo, uint64_t hi,
     if (page.num_entries == 0) {
       continue;
     }
-    const bool overlaps = page.min_delete_key < hi && page.max_delete_key >= lo;
+    const bool overlaps = std::any_of(
+        touches.begin(), touches.end(), [&page](const auto& interval) {
+          return page.min_delete_key < interval.second &&
+                 page.max_delete_key >= interval.first;
+        });
     if (!overlaps) {
       continue;
     }
-    const bool fully_covered =
-        page.min_delete_key >= lo && page.max_delete_key < hi;
+    const bool fully_covered = std::any_of(
+        drops.begin(), drops.end(), [&page](const auto& interval) {
+          return page.min_delete_key >= interval.first &&
+                 page.max_delete_key < interval.second;
+        });
     if (fully_covered) {
       plan->full_drop_pages.push_back(p);
     } else {

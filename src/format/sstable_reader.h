@@ -17,6 +17,7 @@
 #include "src/format/page.h"
 #include "src/format/page_cache.h"
 #include "src/format/range_tombstone.h"
+#include "src/format/secondary_delete_set.h"
 #include "src/format/table_blocks.h"
 #include "src/format/table_options.h"
 #include "src/util/status.h"
@@ -95,10 +96,12 @@ class SSTableReader {
   /// (ReadOptions::fill_page_cache).
   /// `max_seq` bounds visibility for snapshot reads: the newest version with
   /// seq <= max_seq is returned; newer versions are skipped. The default
-  /// reads the latest version in the table.
+  /// reads the latest version in the table. Versions `hidden` (may be
+  /// nullptr) removes are skipped the same way.
   Status Get(const Slice& user_key, const FileMeta* meta, Statistics* stats,
              bool* found, TableGetResult* result, bool fill_cache = true,
-             SequenceNumber max_seq = kMaxSequenceNumber) const;
+             SequenceNumber max_seq = kMaxSequenceNumber,
+             const SecondaryDeleteSet* hidden = nullptr) const;
 
   /// Filter-only membership probe: fences + Bloom filters, no I/O. False
   /// means the key is definitely absent from this table. Used by FADE's
@@ -125,10 +128,15 @@ class SSTableReader {
   Status RewritePage(RandomWriteFile* writer, uint32_t page_index,
                      const Slice& page) const;
 
-  /// Computes which pages a secondary range delete over delete keys
-  /// [lo, hi) fully covers vs. partially overlaps. Metadata-only; performs
-  /// no page I/O. Already-dropped pages are excluded.
-  void PlanSecondaryRangeDelete(uint64_t lo, uint64_t hi, const FileMeta* meta,
+  /// Computes which pages a batch of secondary range deletes fully covers
+  /// vs. partially overlaps: a page whose delete-key range lies inside one
+  /// interval of `drops` is a full drop; any other page that overlaps an
+  /// interval of `touches` (a superset of `drops`) is a partial. A single
+  /// delete over [lo, hi) passes {{lo, hi}} as both. Metadata-only;
+  /// performs no page I/O. Already-dropped pages are excluded.
+  void PlanSecondaryRangeDelete(const DeleteKeyIntervals& drops,
+                                const DeleteKeyIntervals& touches,
+                                const FileMeta* meta,
                                 SecondaryDeletePlan* plan) const;
 
   /// Byte offset of a page within the file (pages are fixed-size).

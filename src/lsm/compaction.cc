@@ -267,6 +267,8 @@ Status MergeExecutor::Run(
   SequenceNumber last_version_seq = 0;
   uint64_t entries_in = 0, entries_out = 0;
   uint64_t invalid_purged = 0, tombstones_dropped = 0, expired = 0;
+  uint64_t secondary_deleted = 0;
+  const SecondaryDeleteSet* secondary_deletes = config.secondary_deletes.get();
 
   if (config.partition_begin) {
     input->Seek(Slice(*config.partition_begin));
@@ -284,6 +286,11 @@ Status MergeExecutor::Run(
       return Status::IOError("subcompaction aborted by sibling failure");
     }
     entries_in++;
+    if (secondary_deletes != nullptr &&
+        secondary_deletes->Hides(entry.delete_key, entry.seq)) {
+      secondary_deleted++;  // never reaches the version-chain rules below
+      continue;
+    }
 
     bool drop = false;
     if (has_last_key && entry.user_key == Slice(last_user_key)) {
@@ -449,6 +456,8 @@ Status MergeExecutor::Run(
                                        std::memory_order_relaxed);
   stats_->net_keys_expired_active.fetch_add(expired,
                                             std::memory_order_relaxed);
+  stats_->entries_purged_by_srd.fetch_add(secondary_deleted,
+                                          std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -43,6 +43,13 @@ struct MergeConfig {
   /// (so also ascending). Empty when `snapshots` is.
   std::vector<uint64_t> snapshot_times;
 
+  /// The secondary range deletes in force when the merge was scheduled
+  /// (Version::secondary_deletes; null when none). An entry one of them
+  /// removes is dropped as if it had never been written, whatever snapshot
+  /// could see it (a secondary range delete is outside snapshot isolation),
+  /// so the next-older version of its key decides like any first version.
+  std::shared_ptr<const SecondaryDeleteSet> secondary_deletes;
+
   /// Options::clock reading taken when the merge was scheduled. A value
   /// written by WriteBatch::PutExpiring whose deadline (its delete key) is
   /// in (0, now] is expired unless a snapshot created before that deadline
@@ -99,6 +106,7 @@ struct MergeConfig {
 /// Streams `input` (already k-way merged, internal-key order) into
 /// size-bounded output SSTables at config.output_level, applying the LSM
 /// consolidation rules:
+///   - entries a pending secondary range delete removes are dropped,
 ///   - older duplicate versions of a user key are dropped,
 ///   - entries covered by a newer input range tombstone are dropped,
 ///   - an expired value (see MergeConfig::now) becomes a tombstone,

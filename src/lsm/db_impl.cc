@@ -85,6 +85,17 @@ DBImpl::~DBImpl() {
         imm.parked_claim.Release();
       }
     }
+    // Apply the pending secondary deletes once every memtable is on disk.
+    // Best effort too: on failure the MANIFEST keeps the set, and the
+    // entries stay hidden after the next Open. A failed Init may have left
+    // no version at all.
+    std::shared_ptr<const Version> version =
+        versions_ != nullptr ? versions_->current() : nullptr;
+    std::shared_ptr<const SecondaryDeleteSet> pending =
+        version != nullptr ? version->secondary_deletes() : nullptr;
+    if (pending != nullptr && imm_.empty() && bg_error_.ok()) {
+      ApplySecondaryDeletesLocked(*pending, /*pending=*/true, l).ok();
+    }
   }
   if (wal_ != nullptr) {
     wal_->Close().ok();
@@ -302,6 +313,61 @@ void DBImpl::BackgroundFlush() {
   bg_work_done_cv_.notify_all();
 }
 
+void DBImpl::ArmSecondaryDeleteBatchLocked() {
+  if (srd_batch_mem_ != nullptr) {
+    return;  // a pending delete armed it already
+  }
+  srd_batch_mem_ = mem_.get();
+  if (options_.fade_enabled()) {
+    srd_batch_due_ = options_.clock->NowMicros() +
+                     options_.delete_persistence_threshold_micros / 2;
+  }
+}
+
+void DBImpl::MaybeScheduleSecondaryDeleteBatchLocked() {
+  if (closed_ || !bg_error_.ok() || srd_batch_scheduled_ ||
+      versions_->current()->secondary_deletes() == nullptr) {
+    return;
+  }
+  srd_batch_scheduled_ = true;
+  bg_jobs_inflight_++;
+  if (!bg_->Schedule(BackgroundScheduler::Priority::kSecondaryDelete,
+                     [this] { SecondaryDeleteBatch(); }, bg_owner_)) {
+    srd_batch_scheduled_ = false;
+    bg_jobs_inflight_--;  // shutting down; the destructor applies the set
+  }
+}
+
+void DBImpl::SecondaryDeleteBatch() {
+  std::unique_lock<std::mutex> l(mu_);
+  std::shared_ptr<const SecondaryDeleteSet> batch =
+      versions_->current()->secondary_deletes();
+  if (!closed_ && bg_error_.ok() && batch != nullptr) {
+    // Deletes registered from here on arm the next batch. The capture and
+    // the choice of memtables to flush share this mu_ hold: every memtable
+    // sealed before a captured delete is flushed (and filtered) before the
+    // pass.
+    srd_batch_mem_ = nullptr;
+    srd_batch_due_ = UINT64_MAX;
+    FootprintClaim claim;
+    Status s = AcquireExclusiveLocked(&claim, srd_flush_through_.lock(), l);
+    if (s.ok()) {
+      s = ApplySecondaryDeletesLocked(*batch, /*pending=*/true, l);
+    }
+    if (!s.ok()) {
+      RecordBackgroundErrorLocked(BackgroundJobKind::kSecondaryDelete, s);
+    }
+  }
+  srd_batch_scheduled_ = false;
+  bg_jobs_inflight_--;
+  if (srd_batch_mem_ != nullptr && srd_batch_mem_ != mem_.get()) {
+    // The next batch's memtable sealed while this one ran.
+    MaybeScheduleSecondaryDeleteBatchLocked();
+  }
+  MaybeRunPendingOrphanSweepLocked();
+  bg_work_done_cv_.notify_all();
+}
+
 void DBImpl::BackgroundCompaction() {
   std::unique_lock<std::mutex> l(mu_);
   bool deferred = false;
@@ -354,19 +420,19 @@ void DBImpl::BackgroundCompaction() {
 }
 
 Status DBImpl::AcquireExclusiveLocked(FootprintClaim* claim,
+                                      std::shared_ptr<MemTable> flush_through,
                                       std::unique_lock<std::mutex>& l) {
   // Announce intent first: MaybeScheduleCompactionLocked stops launching
   // new compaction jobs while an exclusive job waits, so under sustained
   // write load the registry actually drains instead of starving us.
   exclusive_waiters_++;
-  // Only the memtables already frozen when we got here must reach disk
-  // (pre-call entries in the *active* memtable were handled under the
+  // Only the memtables already frozen when the call was made must reach
+  // disk (pre-call entries in the *active* memtable were handled under the
   // write token). Draining newer ones too would livelock against
   // sustained ingest — writers can freeze memtables as fast as one worker
   // flushes them. Memtables install oldest-first, so the pre-call ones are
   // all on disk once the newest of them has left imm_.
-  const std::shared_ptr<MemTable> newest_pre_call =
-      imm_.empty() ? nullptr : imm_.back().mem;
+  const std::shared_ptr<MemTable> newest_pre_call = std::move(flush_through);
   Status s;
   while (true) {
     if (closed_) {
@@ -519,11 +585,12 @@ void DBImpl::ResumeFromBackgroundError() {
   RefreshTriggerStateLocked();
   MaybeScheduleFlushLocked();
   MaybeScheduleCompactionLocked();
+  MaybeScheduleSecondaryDeleteBatchLocked();  // retries a failed batch
   bg_work_done_cv_.notify_all();
 }
 
 Status DBImpl::WaitForFlushLocked(std::unique_lock<std::mutex>& l) {
-  while (!imm_.empty()) {
+  while (!imm_.empty() || srd_batch_scheduled_) {
     if (!bg_error_.ok()) {
       return bg_error_;
     }
@@ -579,6 +646,14 @@ Status DBImpl::WaitForCompact() {
     const bool busy = !imm_.empty() || bg_jobs_inflight_ > 0 ||
                       flush_deferred_ || compaction_deferred_ ||
                       versions_->InFlightJobCount() > 0;
+    if (!busy && versions_->current()->secondary_deletes() != nullptr) {
+      // Deletes registered after this waiter's batch: run them too.
+      MaybeScheduleSecondaryDeleteBatchLocked();
+      if (!srd_batch_scheduled_) {
+        return bg_error_;  // scheduler is shutting down
+      }
+      continue;
+    }
     if (!busy) {
       RefreshTriggerStateLocked();
       std::shared_ptr<const Version> version = versions_->current();

@@ -95,7 +95,7 @@ struct ShardContext {
 ///     once, but they install oldest-first: a look-ahead that finishes
 ///     early parks its edit and claim on its imm_ entry (see
 ///     InstallFlushesLocked).
-///   - Exclusive jobs (CompactAll, secondary-delete execution) wait for the
+///   - Exclusive jobs (CompactAll, secondary-delete batches) wait for the
 ///     registry to drain, then claim the whole tree.
 ///   - File and run numbers are atomics in VersionSet, allocatable without
 ///     `mu_`. Sequence numbers are allocated by the write-token holder alone
@@ -191,6 +191,13 @@ class DBImpl final : public DB {
 
   /// Test hook: the current version's files at `level`, in run order.
   std::vector<FileMeta> TEST_LevelFiles(int level);
+
+  /// Test hook: whether secondary range deletes are pending (hidden but not
+  /// yet applied to the tables).
+  bool TEST_HasPendingSecondaryDeletes() {
+    std::lock_guard<std::mutex> l(mu_);
+    return versions_->current()->secondary_deletes() != nullptr;
+  }
 
  private:
   /// One queued write (or an exclusive-token request when batch == nullptr).
@@ -450,8 +457,43 @@ class DBImpl final : public DB {
   /// partitions, cleans up and reports like any merge. Requires the
   /// exclusive claim (AcquireExclusiveLocked).
   Status CompactAllLocked(std::unique_lock<std::mutex>& l);
-  Status SecondaryRangeDeleteLocked(uint64_t lo, uint64_t hi,
-                                    std::unique_lock<std::mutex>& l);
+
+  // ---- secondary range deletes ------------------------------------------
+  //
+  // Barrier mode applies each delete to the tables before the call
+  // returns. Background mode purges the active memtable in place and then
+  // only records the delete in the version's pending set
+  // (Version::secondary_deletes), which hides its entries from every read
+  // and merge at once; one batched page pass applies the whole set later.
+
+  /// Appends {lo, hi, seq} to the pending set through one LogAndApply (so
+  /// it survives a crash) and arms the batch triggers if they are not.
+  /// Called under the write token.
+  Status DeferSecondaryDeleteLocked(uint64_t lo, uint64_t hi,
+                                    SequenceNumber seq);
+
+  /// Arms the batch for the first pending delete: it runs when the active
+  /// memtable seals, under FADE also once D_th/2 has passed.
+  void ArmSecondaryDeleteBatchLocked();
+
+  /// Queues the batch job unless one is queued or running, nothing is
+  /// pending, or the DB is unhealthy or closing. Called by the triggers
+  /// above, by every FlushWaiter, on resume, and by a batch that ends after
+  /// the next batch's memtable sealed.
+  void MaybeScheduleSecondaryDeleteBatchLocked();
+
+  /// The batch job: captures the pending set, claims the whole tree
+  /// (flushing first the memtables sealed before its newest delete, so no
+  /// unflushed memtable holds an entry the set hides) and applies it.
+  void SecondaryDeleteBatch();
+
+  /// Applies `deletes` to every table in one page pass and commits the
+  /// result. `pending`: the batch is the front of the version's pending
+  /// set, which the same edit drops (always committed, even when no page
+  /// changed). Requires the exclusive claim, or a closed DB.
+  Status ApplySecondaryDeletesLocked(const SecondaryDeleteSet& deletes,
+                                     bool pending,
+                                     std::unique_lock<std::mutex>& l);
 
   // ---- scheduling -----------------------------------------------------------
 
@@ -481,6 +523,15 @@ class DBImpl final : public DB {
   /// to commit, then claims the whole tree. On success *claim holds
   /// the registration and releases it on destruction.
   Status AcquireExclusiveLocked(FootprintClaim* claim,
+                                std::unique_lock<std::mutex>& l) {
+    return AcquireExclusiveLocked(
+        claim, imm_.empty() ? nullptr : imm_.back().mem, l);
+  }
+
+  /// The same, waiting only for `flush_through` and the memtables sealed
+  /// before it (none when null).
+  Status AcquireExclusiveLocked(FootprintClaim* claim,
+                                std::shared_ptr<MemTable> flush_through,
                                 std::unique_lock<std::mutex>& l);
 
   /// Schedules `fn` on the worker at `priority` and blocks until it ran
@@ -520,18 +571,21 @@ class DBImpl final : public DB {
   /// Called from every background-job completion path. mu_ must be held.
   void MaybeRunPendingOrphanSweepLocked();
 
-  /// Blocks until imm_ is drained (or a background error is set).
+  /// Blocks until imm_ is drained and no secondary-delete batch is queued
+  /// or running (or a background error is set).
   Status WaitForFlushLocked(std::unique_lock<std::mutex>& l);
 
   /// A caller that waits for imm_ to drain (Flush, WaitForCompact): while
   /// one is registered no memtable is held for the next seal, so a held
   /// memtable never blocks it. Constructed and destroyed with mu_ held;
-  /// registering re-arms the flush chain.
+  /// registering re-arms the flush chain and runs the pending secondary
+  /// deletes.
   class FlushWaiter {
    public:
     explicit FlushWaiter(DBImpl* db) : db_(db) {
       db_->flush_waiters_++;
       db_->MaybeScheduleFlushLocked();
+      db_->MaybeScheduleSecondaryDeleteBatchLocked();
     }
     ~FlushWaiter() { db_->flush_waiters_--; }
     FlushWaiter(const FlushWaiter&) = delete;
@@ -586,11 +640,12 @@ class DBImpl final : public DB {
   ReadPath read_path() { return ReadPath(versions_->table_cache(), &stats_); }
 
   /// Captures the pinned snapshots (sequences ascending, with their
-  /// creation times) and the clock into a merge's config under mu_, when
-  /// the merge is scheduled.
+  /// creation times), the pending secondary range deletes and the clock
+  /// into a merge's config under mu_, when the merge is scheduled.
   void PinSnapshotsLocked(MergeConfig* config) const {
     config->snapshots = snapshots_.Seqs();
     config->snapshot_times = snapshots_.Times();
+    config->secondary_deletes = versions_->current()->secondary_deletes();
     config->now = options_.clock->NowMicros();
   }
 
@@ -694,6 +749,18 @@ class DBImpl final : public DB {
   // chain.
   uint64_t hold_release_ = UINT64_MAX;
   bool saturation_pending_ = false;
+  // The pending secondary deletes' batch triggers: the memtable that was
+  // active at the first of them (compared by address only; null when not
+  // armed) and, under FADE, when that delete is D_th/2 old, past which a
+  // write schedules the batch.
+  const MemTable* srd_batch_mem_ = nullptr;
+  uint64_t srd_batch_due_ = UINT64_MAX;
+  // The newest memtable sealed before the newest pending delete: the batch
+  // flushes it and every older one first. Later memtables hold no entry a
+  // pending delete hides (each delete purged the active memtable in place),
+  // so a memtable the batch's own seal froze stays held for its group.
+  std::weak_ptr<MemTable> srd_flush_through_;
+  bool srd_batch_scheduled_ = false;  // the batch job is queued or running
   // L0 specifically is over capacity. The flush chain consults this to
   // yield one round to a scheduled compaction: a leveled flush greedily
   // rewrites the whole L0 run, so under saturated ingest back-to-back

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cassert>
 #include <set>
 
 #include "src/lsm/db_impl.h"
@@ -700,23 +701,35 @@ Status DBImpl::CompactAllLocked(std::unique_lock<std::mutex>& l) {
   return Status::OK();
 }
 
-Status DBImpl::SecondaryRangeDeleteLocked(uint64_t lo, uint64_t hi,
-                                          std::unique_lock<std::mutex>& l) {
+Status DBImpl::ApplySecondaryDeletesLocked(const SecondaryDeleteSet& deletes,
+                                           bool pending,
+                                           std::unique_lock<std::mutex>& l) {
   std::shared_ptr<const Version> version = versions_->current();
   VersionEdit edit;
   // Page reads and in-place boundary rewrites run without the mutex;
   // foreground readers are fenced by FileMeta::page_generation.
   l.unlock();
   Status s = ExecuteSecondaryRangeDelete(options_, versions_.get(), &stats_,
-                                         *version, lo, hi, &edit);
+                                         *version, deletes, &edit);
   l.lock();
   LETHE_RETURN_IF_ERROR(s);
-  if (!edit.removed_files.empty() || !edit.added_files.empty()) {
+  if (pending) {
+    // The batch is the front of the pending set: deletes registered while
+    // the pass ran stay pending for the next batch.
+    const std::vector<SecondaryDeleteRange>& all =
+        versions_->current()->secondary_deletes()->ranges();
+    assert(all.size() >= deletes.ranges().size());
+    edit.secondary_deletes = SecondaryDeleteSet(
+        {all.begin() + deletes.ranges().size(), all.end()});
+  }
+  if (edit.secondary_deletes || !edit.removed_files.empty() ||
+      !edit.added_files.empty()) {
     LETHE_RETURN_IF_ERROR(
         versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
     RefreshTriggerStateLocked();
     MaybeScheduleCompactionLocked();
   }
+  stats_.srd_batches.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

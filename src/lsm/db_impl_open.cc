@@ -50,6 +50,10 @@ Status DBImpl::Init() {
   mem_staked_bytes_ = mem_->ApproximateMemoryUsage();
   UpdateMemtableReservationLocked();
   RefreshTriggerStateLocked();
+  if (versions_->current()->secondary_deletes() != nullptr) {
+    // Deletes a crash left pending: the next seal applies them.
+    ArmSecondaryDeleteBatchLocked();
+  }
   return Status::OK();
 }
 

@@ -488,6 +488,9 @@ Status DBImpl::HandlePostWriteLocked(std::unique_lock<std::mutex>& l) {
   if (now > hold_release_) {
     MaybeScheduleFlushLocked();  // the held memtable's tombstone is due
   }
+  if (now > srd_batch_due_) {
+    MaybeScheduleSecondaryDeleteBatchLocked();  // its first delete is due
+  }
   MaybeScheduleCompactionLocked();
   return Status::OK();
 }
@@ -510,6 +513,9 @@ Status DBImpl::SwitchMemTableLocked() {
   imm_.push_back(std::move(imm));
   mem_ = std::make_shared<MemTable>();
   PublishMemTablesLocked();
+  if (imm_.back().mem.get() == srd_batch_mem_) {
+    MaybeScheduleSecondaryDeleteBatchLocked();  // the batch's memtable sealed
+  }
   mem_staked_bytes_ = 0;  // fresh memtable; the frozen one counts as imm
   UpdateMemtableReservationLocked();
   if (GroupsFlushes()) {
@@ -578,29 +584,62 @@ Status DBImpl::SecondaryRangeDelete(const WriteOptions& options,
                              logged.first_seq, purge);
   if (!s.ok()) {
     RecordBackgroundErrorLocked(BackgroundJobKind::kWalWrite, s);
+  } else if (!barrier_mode_) {
+    // Background mode: the delete is in force at once, for every reader
+    // and merge, and the tables purge in one batched page pass later
+    // (SecondaryDeleteBatch). Registered under the write token, so no seal
+    // slips between the purge above and the batch trigger.
+    s = DeferSecondaryDeleteLocked(delete_key_begin, delete_key_end,
+                                   logged.first_seq);
+    if (!s.ok()) {
+      RecordBackgroundErrorLocked(BackgroundJobKind::kSecondaryDelete, s);
+    }
+    CompleteGroup(&w, &w, s, l);
+    return s;
   }
 
-  // Release the token, then run the disk part as a prioritized job. The
-  // job drains every pending memtable (flushing on its own worker) and
-  // claims the whole tree before scanning, so no pre-call entry escapes the
-  // delete and no concurrent merge resurrects one.
+  // Barrier mode: release the token, then run the disk part as a
+  // prioritized job. The job drains every pending memtable (flushing on its
+  // own worker) and claims the whole tree before scanning, so no pre-call
+  // entry escapes the delete and no concurrent merge resurrects one.
   CompleteGroup(&w, &w, s, l);
   LETHE_RETURN_IF_ERROR(s);
   if (!bg_error_.ok()) {
     return bg_error_;
   }
+  // Bounded by the delete's own sequence, so a write another thread commits
+  // after it survives, as in background mode.
+  const SecondaryDeleteSet deletes(
+      {{delete_key_begin, delete_key_end, logged.first_seq}});
   s = RunOnWorkerAndWait(
       BackgroundScheduler::Priority::kSecondaryDelete,
       BackgroundJobKind::kSecondaryDelete,
-      [this, delete_key_begin,
-       delete_key_end](std::unique_lock<std::mutex>& jl) {
+      [this, &deletes](std::unique_lock<std::mutex>& jl) {
         FootprintClaim claim;
         LETHE_RETURN_IF_ERROR(AcquireExclusiveLocked(&claim, jl));
-        return SecondaryRangeDeleteLocked(delete_key_begin, delete_key_end,
-                                          jl);
+        return ApplySecondaryDeletesLocked(deletes, /*pending=*/false, jl);
       },
       l);
   return s.ok() ? DrainLocked(l) : s;
+}
+
+Status DBImpl::DeferSecondaryDeleteLocked(uint64_t lo, uint64_t hi,
+                                          SequenceNumber seq) {
+  std::vector<SecondaryDeleteRange> ranges;
+  if (const auto& pending = versions_->current()->secondary_deletes()) {
+    ranges = pending->ranges();
+  }
+  ranges.push_back({lo, hi, seq});
+  // Durable before the call returns: a crash before the batch commits
+  // reopens with the set, so the entries stay hidden.
+  VersionEdit edit;
+  edit.secondary_deletes = SecondaryDeleteSet(std::move(ranges));
+  LETHE_RETURN_IF_ERROR(
+      versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
+  srd_flush_through_ =
+      imm_.empty() ? std::weak_ptr<MemTable>() : imm_.back().mem;
+  ArmSecondaryDeleteBatchLocked();
+  return Status::OK();
 }
 
 Status DBImpl::PauseWrites() {

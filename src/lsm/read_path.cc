@@ -107,6 +107,7 @@ class DBIter final : public Iterator {
          const std::vector<RangeTombstone>& rts, Statistics* stats,
          Status setup_status)
       : snap_(std::move(snap)),
+        secondary_deletes_(snap_.version->secondary_deletes().get()),
         internal_(std::move(internal)),
         rts_(rts),
         stats_(stats),
@@ -151,8 +152,12 @@ class DBIter final : public Iterator {
     valid_ = false;
     while (internal_->Valid()) {
       const ParsedEntry& entry = internal_->entry();
-      if (entry.seq > snap_.bound) {
-        internal_->Next();  // committed after this scan's snapshot
+      if (entry.seq > snap_.bound ||
+          (secondary_deletes_ != nullptr &&
+           secondary_deletes_->Hides(entry.delete_key, entry.seq))) {
+        // Committed after this scan's snapshot, or removed by a pending
+        // secondary range delete: an older version may still decide.
+        internal_->Next();
         continue;
       }
       if (has_last_key_ && entry.user_key == Slice(last_key_)) {
@@ -179,6 +184,7 @@ class DBIter final : public Iterator {
   }
 
   ReadSnapshot snap_;  // pins the memtables and the file set
+  const SecondaryDeleteSet* secondary_deletes_;  // snap_'s; null when none
   std::unique_ptr<InternalIterator> internal_;
   FragmentedRangeTombstoneList rts_;
   Statistics* stats_;
@@ -245,8 +251,9 @@ bool ReadPath::KeyMayExist(const ReadSnapshot& snap, const Slice& key) const {
     // the new delete would be blind.
     return !entry.IsTombstone();
   }
+  const SecondaryDeleteSet* hidden = snap.version->secondary_deletes().get();
   for (auto it = snap.imm().rbegin(); it != snap.imm().rend(); ++it) {
-    if ((*it)->Get(key, &entry, snap.bound)) {
+    if ((*it)->Get(key, &entry, snap.bound, hidden)) {
       return !entry.IsTombstone();
     }
   }
@@ -263,11 +270,15 @@ bool ReadPath::KeyMayExist(const ReadSnapshot& snap, const Slice& key) const {
 Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
                                    bool fill_cache, NewestVersion* out) const {
   const SequenceNumber bound = snap.bound;
-  auto probe_memtable = [&](const MemTable& mem) {
+  // The active memtable holds nothing a pending secondary delete removes:
+  // each one purged it in place, and later entries sequence above it.
+  const SecondaryDeleteSet* hidden = snap.version->secondary_deletes().get();
+  auto probe_memtable = [&](const MemTable& mem,
+                            const SecondaryDeleteSet* mem_hidden) {
     out->cover_seq =
         std::max(out->cover_seq, mem.MaxRangeTombstoneCoverSeq(key, bound));
     ParsedEntry entry;
-    if (!mem.Get(key, &entry, bound)) {
+    if (!mem.Get(key, &entry, bound, mem_hidden)) {
       return false;
     }
     out->found = true;
@@ -277,14 +288,14 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
     out->entry.value = entry.value;  // aliases the pinned memtable's arena
     return true;
   };
-  if (probe_memtable(*snap.mem())) {
+  if (probe_memtable(*snap.mem(), nullptr)) {
     return Status::OK();
   }
   for (auto it = snap.imm().rbegin(); it != snap.imm().rend(); ++it) {
     if (!(*it)->MayCover(key)) {
       continue;  // a sealed buffer whose span excludes the key
     }
-    if (probe_memtable(**it)) {
+    if (probe_memtable(**it, hidden)) {
       return Status::OK();
     }
   }
@@ -304,7 +315,7 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
         }
         if (s.ok()) {
           s = table->Get(key, file.get(), stats_, &out->found, &out->entry,
-                         fill_cache, bound);
+                         fill_cache, bound, hidden);
         }
         return !s.ok() || out->found;
       });

@@ -22,7 +22,8 @@ struct MemTableSet {
 
 /// One point in time of everything readable, and the sequence bound reads
 /// through it see: entries and range tombstones with seq > `bound` do not
-/// exist for them. DBImpl captures all three fields in one mutex hold, with
+/// exist for them, nor do entries the version's pending secondary range
+/// deletes remove (Version::secondary_deletes). DBImpl captures all three fields in one mutex hold, with
 /// the bound ReadOptions::snapshot's sequence or else LastSequence. A write
 /// group publishes LastSequence only once it is fully applied, so every
 /// entry at or below the bound is in these sources and no half-applied
@@ -67,7 +68,8 @@ class ReadPath {
   /// The one point-lookup walk, behind Get and transaction validation:
   /// mem → imm (newest first) → tables (levels top-down, runs newest
   /// first), stopping at the first source holding a version with seq <=
-  /// snap.bound. Range-tombstone coverage accumulates over that source and
+  /// snap.bound that no pending secondary range delete
+  /// (Version::secondary_deletes) removes. Range-tombstone coverage accumulates over that source and
   /// every newer one. A sealed memtable whose span excludes the key is
   /// skipped unprobed (MemTable::MayCover).
   Status FindNewestVersion(const ReadSnapshot& snap, const Slice& key,

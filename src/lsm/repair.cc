@@ -30,9 +30,19 @@
 //     a frame is one commit group, so a group is kept or dropped whole,
 //   - counters resume past every number found on disk, and the manifest's
 //     wal_number points at the oldest surviving WAL so unflushed writes
-//     replay at the next Open.
+//     replay at the next Open,
+//   - what only a MANIFEST records about a table's pages — the pages
+//     secondary range deletes dropped whole (FileMeta::dropped_pages) and
+//     the live counts that go with them — and the secondary range deletes
+//     still pending (Version::secondary_deletes) are carried over from the
+//     newest MANIFEST that still decodes, for every table it names with the
+//     same size and page count. When none decodes they are lost: the
+//     entries of fully dropped pages, and the entries pending deletes hid,
+//     become readable again (partially rewritten pages keep their
+//     deletions, which are in the page bytes).
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -183,6 +193,48 @@ Status SalvageWal(Env* env, const std::string& dbname, uint64_t number) {
   return env->RenameFile(tmp, fname);
 }
 
+/// Replays manifest `path` into the version it describes, as recovery does
+/// (a torn tail ends it). Fails on any damage: Repair then tries an older
+/// manifest, or carries nothing over.
+Status DecodeManifest(Env* env, const std::string& path,
+                      std::shared_ptr<const Version>* version) {
+  std::string contents;
+  LETHE_RETURN_IF_ERROR(ReadFileToString(env, path, &contents));
+  RecordLogScanner scanner{Slice(contents)};
+  std::shared_ptr<const Version> result = std::make_shared<Version>();
+  Slice record;
+  RecordLogScanner::Result scan;
+  size_t records = 0;
+  while ((scan = scanner.Next(&record)) == RecordLogScanner::Result::kRecord) {
+    VersionEdit edit;
+    LETHE_RETURN_IF_ERROR(edit.DecodeFrom(record));
+    Status apply_status;
+    result = Version::Apply(result.get(), edit, &apply_status);
+    LETHE_RETURN_IF_ERROR(apply_status);
+    records++;
+  }
+  if (scan == RecordLogScanner::Result::kCorrupt || records == 0) {
+    return Status::Corruption("manifest does not decode: " + path);
+  }
+  *version = std::move(result);
+  return Status::OK();
+}
+
+/// Copies the page-drop state of `recorded` (the same table, as a manifest
+/// recorded it) into `meta`, rebuilt from the table's properties.
+void CarryPageDrops(const FileMeta& recorded, FileMeta* meta) {
+  if (recorded.file_size != meta->file_size ||
+      recorded.num_pages != meta->num_pages) {
+    return;  // not the table the manifest knew
+  }
+  meta->dropped_pages = recorded.dropped_pages;
+  meta->dropped_page_count = recorded.dropped_page_count;
+  meta->page_live_entries = recorded.page_live_entries;
+  meta->page_live_tombstones = recorded.page_live_tombstones;
+  meta->num_entries = recorded.num_entries;
+  meta->num_point_tombstones = recorded.num_point_tombstones;
+}
+
 bool KeyRangesOverlap(const FileMeta& a, const FileMeta& b) {
   return Slice(a.smallest_key).compare(Slice(b.largest_key)) <= 0 &&
          Slice(b.smallest_key).compare(Slice(a.largest_key)) <= 0;
@@ -214,6 +266,7 @@ Status DB::Repair(const Options& options, const std::string& name) {
   LETHE_RETURN_IF_ERROR(env->GetChildren(name, &children));
 
   std::vector<FileMeta> salvaged;
+  std::vector<uint64_t> manifests;
   uint64_t min_wal = 0;
   uint64_t max_number = 0;
   for (const std::string& child : children) {
@@ -231,7 +284,10 @@ Status DB::Repair(const Options& options, const std::string& name) {
       continue;
     }
     if (type == FileType::kManifest) {
-      continue;  // superseded below; the next Open's orphan sweep removes it
+      // Read below for what only it records; superseded by the rebuilt
+      // manifest, and removed by the next Open's orphan sweep.
+      manifests.push_back(number);
+      continue;
     }
     const std::string fname = TableFileName(name, number);
     uint64_t file_size = 0;
@@ -265,6 +321,29 @@ Status DB::Repair(const Options& options, const std::string& name) {
       continue;
     }
     salvaged.push_back(std::move(meta));
+  }
+
+  // Page drops and pending secondary deletes from the newest manifest that
+  // decodes (see the header comment for what is lost when none does).
+  std::sort(manifests.rbegin(), manifests.rend());
+  std::shared_ptr<const Version> recorded;
+  for (uint64_t number : manifests) {
+    if (DecodeManifest(env, ManifestFileName(name, number), &recorded).ok()) {
+      break;
+    }
+    recorded.reset();
+  }
+  if (recorded != nullptr) {
+    std::map<uint64_t, const FileMeta*> by_number;
+    for (const auto& [level, file] : recorded->AllFiles()) {
+      by_number[file->file_number] = file.get();
+    }
+    for (FileMeta& meta : salvaged) {
+      auto it = by_number.find(meta.file_number);
+      if (it != by_number.end()) {
+        CarryPageDrops(*it->second, &meta);
+      }
+    }
   }
 
   // Newest-first: under leveling the greedy placement below then keeps any
@@ -334,6 +413,14 @@ Status DB::Repair(const Options& options, const std::string& name) {
   edit.last_sequence = last_sequence;
   edit.wal_number = min_wal;
   edit.next_run_id = next_run_id;
+  if (recorded != nullptr && recorded->secondary_deletes() != nullptr) {
+    edit.secondary_deletes = *recorded->secondary_deletes();
+    // A later write must sequence above every pending delete, or it would
+    // be hidden as if the delete had removed it.
+    for (const SecondaryDeleteRange& range : edit.secondary_deletes->ranges()) {
+      edit.last_sequence = std::max(*edit.last_sequence, range.seq);
+    }
+  }
 
   const std::string manifest_name = ManifestFileName(name, manifest_number);
   std::unique_ptr<WritableFile> file;

@@ -1,5 +1,6 @@
 #include "src/lsm/secondary_delete.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/format/page.h"
@@ -26,16 +27,27 @@ void EnsurePageCounts(FileMeta* meta, const TableIndex& index) {
 
 Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
                                    VersionSet* versions, Statistics* stats,
-                                   const Version& version, uint64_t lo,
-                                   uint64_t hi, VersionEdit* edit) {
+                                   const Version& version,
+                                   const SecondaryDeleteSet& deletes,
+                                   VersionEdit* edit) {
   for (const auto& [level, file] : version.AllFiles()) {
-    if (!file->OverlapsDeleteKeyRange(lo, hi)) {
+    // Ranges issued before the file's oldest entry remove none of it; the
+    // ones issued after its newest entry remove all of it in their keys.
+    const DeleteKeyIntervals touches =
+        deletes.IntervalsAtOrAbove(file->smallest_seq);
+    if (std::none_of(touches.begin(), touches.end(),
+                     [&file](const auto& interval) {
+                       return file->OverlapsDeleteKeyRange(interval.first,
+                                                           interval.second);
+                     })) {
       continue;
     }
     std::shared_ptr<SSTableReader> table;
     LETHE_RETURN_IF_ERROR(versions->table_cache()->GetTable(*file, &table));
     SecondaryDeletePlan plan;
-    table->PlanSecondaryRangeDelete(lo, hi, file.get(), &plan);
+    table->PlanSecondaryRangeDelete(
+        deletes.IntervalsAtOrAbove(file->largest_seq), touches, file.get(),
+        &plan);
     if (plan.full_drop_pages.empty() && plan.partial_pages.empty()) {
       continue;
     }
@@ -87,7 +99,7 @@ Status ExecuteSecondaryRangeDelete(const Options& resolved_options,
       const PageEntries& entries = contents->entries;
       for (size_t i = 0; i < entries.size(); i++) {
         const ParsedEntry entry = entries[i];
-        if (entry.delete_key >= lo && entry.delete_key < hi) {
+        if (deletes.Hides(entry.delete_key, entry.seq)) {
           removed++;
           if (entry.IsTombstone()) {
             removed_tombstones++;

@@ -38,7 +38,9 @@ class DBImpl;
 ///     call Get on keys whose stability the transaction depends on.
 ///   - RangeDelete cannot be staged (per-key validation cannot cover it).
 ///   - SecondaryRangeDelete is physically destructive and outside snapshot
-///     isolation entirely (see DB::SecondaryRangeDelete).
+///     isolation entirely (see DB::SecondaryRangeDelete). Validation sees a
+///     deferred one at once: a key whose newest version it hides is judged
+///     by its next-older visible version, as after the physical purge.
 ///
 /// Not thread-safe; one transaction belongs to one thread. The transaction
 /// must be committed, rolled back, or destroyed before the DB closes.

@@ -225,6 +225,14 @@ std::shared_ptr<Version> Version::Apply(const Version* base,
                 return a.run_id < b.run_id;
               });
   }
+  if (edit.secondary_deletes) {
+    if (!edit.secondary_deletes->empty()) {
+      result->secondary_deletes_ =
+          std::make_shared<const SecondaryDeleteSet>(*edit.secondary_deletes);
+    }
+  } else if (base != nullptr) {
+    result->secondary_deletes_ = base->secondary_deletes_;
+  }
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/format/file_meta.h"
+#include "src/format/secondary_delete_set.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
 
@@ -59,6 +60,14 @@ class Version {
   /// All files in the tree, with their levels.
   std::vector<std::pair<int, std::shared_ptr<FileMeta>>> AllFiles() const;
 
+  /// The secondary range deletes in force over these files but not yet
+  /// applied to their pages (null when none): readers and merges hide what
+  /// they remove. Metadata counts (num_entries, TotalLiveEntries) stay
+  /// physical until the batch that applies them commits.
+  const std::shared_ptr<const SecondaryDeleteSet>& secondary_deletes() const {
+    return secondary_deletes_;
+  }
+
   /// Builds the successor version resulting from applying `edit`.
   static std::shared_ptr<Version> Apply(const Version* base,
                                         const VersionEdit& edit,
@@ -66,6 +75,7 @@ class Version {
 
  private:
   std::vector<std::vector<SortedRun>> levels_;
+  std::shared_ptr<const SecondaryDeleteSet> secondary_deletes_;
 };
 
 }  // namespace lethe

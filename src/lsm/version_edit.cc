@@ -18,6 +18,9 @@ enum : uint32_t {
   // for files that have a due time, so an edit without expiring values
   // encodes as it did before the tag existed.
   kExpiryDue = 8,
+  // The whole pending secondary-delete set: a count, then (lo, hi, seq)
+  // per range.
+  kSecondaryDeletes = 9,
 };
 }  // namespace
 
@@ -56,6 +59,15 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     PutVarint32(dst, kSeqTimeCheckpoint);
     PutVarint64(dst, seq);
     PutFixed64(dst, time);
+  }
+  if (secondary_deletes) {
+    PutVarint32(dst, kSecondaryDeletes);
+    PutVarint32(dst, static_cast<uint32_t>(secondary_deletes->ranges().size()));
+    for (const SecondaryDeleteRange& range : secondary_deletes->ranges()) {
+      PutVarint64(dst, range.lo);
+      PutVarint64(dst, range.hi);
+      PutVarint64(dst, range.seq);
+    }
   }
 }
 
@@ -132,6 +144,23 @@ Status VersionEdit::DecodeFrom(Slice input) {
           return Status::Corruption("VersionEdit: bad seq-time checkpoint");
         }
         seq_time_checkpoints.emplace_back(seq, time);
+        break;
+      }
+      case kSecondaryDeletes: {
+        uint32_t count;
+        // Each range takes at least three bytes: a larger count is damage.
+        if (!GetVarint32(&input, &count) || count > input.size() / 3) {
+          return Status::Corruption("VersionEdit: bad secondary deletes");
+        }
+        std::vector<SecondaryDeleteRange> ranges(count);
+        for (SecondaryDeleteRange& range : ranges) {
+          if (!GetVarint64(&input, &range.lo) ||
+              !GetVarint64(&input, &range.hi) ||
+              !GetVarint64(&input, &range.seq)) {
+            return Status::Corruption("VersionEdit: bad secondary delete");
+          }
+        }
+        secondary_deletes = SecondaryDeleteSet(std::move(ranges));
         break;
       }
       default:

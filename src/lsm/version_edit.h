@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/format/file_meta.h"
+#include "src/format/secondary_delete_set.h"
 #include "src/util/status.h"
 
 namespace lethe {
@@ -35,6 +36,11 @@ struct VersionEdit {
   /// tombstone's insertion time as the checkpoint time of the greatest
   /// checkpoint seq <= tombstone seq — a conservative (never-late) floor.
   std::vector<std::pair<SequenceNumber, uint64_t>> seq_time_checkpoints;
+
+  /// When set, replaces the version's pending secondary range deletes
+  /// (Version::secondary_deletes; an empty set clears them). Written only
+  /// when set, so edits of a DB that never defers one encode as before.
+  std::optional<SecondaryDeleteSet> secondary_deletes;
 
   void Clear() { *this = VersionEdit(); }
 

@@ -310,6 +310,9 @@ Status VersionSet::WriteSnapshotManifest(SequenceNumber oldest_unflushed_seq) {
   snapshot.last_sequence = last_sequence_.load();
   snapshot.wal_number = wal_number_;
   snapshot.next_run_id = next_run_id_.load();
+  if (version->secondary_deletes() != nullptr) {
+    snapshot.secondary_deletes = *version->secondary_deletes();
+  }
   std::string payload;
   snapshot.EncodeTo(&payload);
 

@@ -233,7 +233,8 @@ void MemTable::AddRangeTombstone(const RangeTombstone& tombstone) {
 }
 
 bool MemTable::Get(const Slice& user_key, ParsedEntry* entry,
-                   SequenceNumber max_seq) const {
+                   SequenceNumber max_seq,
+                   const SecondaryDeleteSet* hidden) const {
   // Seek to the first record with this user key and seq <= max_seq; records
   // for the same key are ordered newest-first. The probe is built on the
   // stack unless the key is too long for it.
@@ -254,11 +255,13 @@ bool MemTable::Get(const Slice& user_key, ParsedEntry* entry,
     if (candidate.user_key != user_key) {
       return false;
     }
-    if (IsLive(it.key())) {
+    if (IsLive(it.key()) &&
+        (hidden == nullptr ||
+         !hidden->Hides(candidate.delete_key, candidate.seq))) {
       *entry = candidate;
       return true;
     }
-    it.Next();  // newest version purged by a secondary delete; try older
+    it.Next();  // newest version removed by a secondary delete; try older
   }
   return false;
 }

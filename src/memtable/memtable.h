@@ -10,6 +10,7 @@
 #include "src/format/entry.h"
 #include "src/format/iterator.h"
 #include "src/format/range_tombstone.h"
+#include "src/format/secondary_delete_set.h"
 #include "src/memtable/skiplist.h"
 #include "src/util/arena.h"
 #include "src/util/slice.h"
@@ -113,9 +114,11 @@ class MemTable {
   /// Returns true and fills `*entry` (aliasing arena memory valid for the
   /// memtable's lifetime) if present. A returned tombstone means "deleted
   /// here". `max_seq` bounds visibility for snapshot reads; the default
-  /// reads the latest version.
+  /// reads the latest version. Versions `hidden` (may be nullptr) removes
+  /// are passed over like purged ones.
   bool Get(const Slice& user_key, ParsedEntry* entry,
-           SequenceNumber max_seq = kMaxSequenceNumber) const;
+           SequenceNumber max_seq = kMaxSequenceNumber,
+           const SecondaryDeleteSet* hidden = nullptr) const;
 
   /// Iterator over live entries in internal-key order. Multiple versions of
   /// a key may be yielded (newest first); flush consolidates them.

@@ -1236,6 +1236,8 @@ std::string RespServer::BuildInfo(const Slice& section) {
     add("flush_output_files", es.flush_output_files);
     add("compactions", es.compactions);
     add("compactions_ttl_held", es.compactions_ttl_held);
+    add("secondary_range_deletes", es.secondary_range_deletes);
+    add("srd_batches", es.srd_batches);
     add("write_stalls", es.write_stalls);
     add("stall_micros", es.stall_micros);
     add("point_lookups", es.point_lookups);

@@ -2382,8 +2382,12 @@ TEST_F(FlushHoldTest, WaitForCompactFlushesAHeldMemtable) {
   ExpectHeldFlushed();
 }
 
-TEST_F(FlushHoldTest, SecondaryRangeDeleteFlushesAHeldMemtable) {
+// A secondary range delete hides its entries at once and leaves the held
+// memtable held: the next seal ends the hold, and the batch that applies
+// the delete flushes both memtables together.
+TEST_F(FlushHoldTest, SecondaryRangeDeleteLeavesAHeldMemtableHeld) {
   OpenWithHeldMemtable();
+  const uint64_t memtables = FlushMemtables();
   ASSERT_TRUE(test::CallWithin(
                   [&] {
                     return model_.Write(db_.get(),
@@ -2391,7 +2395,22 @@ TEST_F(FlushHoldTest, SecondaryRangeDeleteFlushesAHeldMemtable) {
                   },
                   10000)
                   .ok());
-  ExpectHeldFlushed();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(Flushes(), flushes_);
+  EXPECT_EQ(Wals(), 2u);
+  EXPECT_EQ(db_->stats().srd_batches.load(), 0u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));  // keys 0..9 are hidden already
+
+  size_t next = odd_.size() / 2;
+  FillUntilSeals(1, odd_, &next);
+  ASSERT_TRUE(test::WaitFor(
+      [&] { return db_->stats().srd_batches.load() == 1 && Wals() == 1; },
+      10000));
+  EXPECT_EQ(Flushes(), flushes_ + 1);
+  EXPECT_EQ(FlushMemtables(), memtables + 2);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 TEST_F(FlushHoldTest, CompactAllFlushesAHeldMemtable) {
@@ -2796,6 +2815,190 @@ TEST_F(DBTest, GroupCommitMergesConcurrentWriters) {
       EXPECT_EQ(Get(key), "w" + std::to_string(key));
     }
   }
+}
+
+// ---- deferred secondary range deletes (background mode) --------------------
+
+class DeferredSrdTest : public DBTest {
+ protected:
+  void SetUp() override {
+    DBTest::SetUp();
+    options_.table.pages_per_tile = 4;
+    options_.inline_compactions = false;
+    options_.background_threads = 2;
+  }
+
+  DBImpl* impl() { return static_cast<DBImpl*>(db_.get()); }
+  const Statistics& stats() { return db_->stats(); }
+
+  /// Keys [0, n) with delete key = key, all on disk in one level (so two
+  /// DBs loaded alike hold the same files).
+  void Load(uint64_t n) {
+    for (uint64_t k = 0; k < n; k++) {
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(model_
+                      .Write(db_.get(), ModelOp::Put(k, k, std::string(100, 'x') +
+                                                               std::to_string(k)))
+                      .ok());
+    }
+    ASSERT_TRUE(test::CallWithin([&] { return db_->CompactAll(); }, 10000)
+                    .ok());
+    ASSERT_TRUE(
+        test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  }
+
+  void Srd(uint64_t lo, uint64_t hi) {
+    ASSERT_TRUE(
+        model_.Write(db_.get(), ModelOp::SecondaryRangeDelete(lo, hi)).ok());
+  }
+
+  KeyModel model_{0, 4000, test::ReproHint()};
+};
+
+// The call hides the range at once and touches no page; the next Flush runs
+// the batch, which removes the entries physically.
+TEST_F(DeferredSrdTest, HidesAtOnceAndPurgesInTheNextBatch) {
+  Open();
+  Load(400);
+  const uint64_t entries = db_->ApproximateEntryCount();
+  const uint64_t pages = stats().full_page_drops + stats().partial_page_drops;
+  Srd(100, 200);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  EXPECT_EQ(stats().srd_batches.load(), 0u);
+  EXPECT_EQ(stats().full_page_drops + stats().partial_page_drops, pages);
+  EXPECT_EQ(db_->ApproximateEntryCount(), entries);  // physical until then
+
+  ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  EXPECT_EQ(stats().srd_batches.load(), 1u);
+  EXPECT_GT(stats().full_page_drops.load(), 0u);
+  EXPECT_EQ(db_->ApproximateEntryCount(), entries - 100);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// Five deletes over adjacent delete-key bands: barrier mode rewrites each
+// page a band edge cuts once per band, one batch rewrites it at most once
+// and drops the pages inside the union whole.
+TEST_F(DeferredSrdTest, OneBatchRewritesEachPageOnce) {
+  auto run = [&](bool barrier, uint64_t* partials, uint64_t* fulls) {
+    options_.inline_compactions = barrier;
+    model_ = KeyModel(0, 4000, test::ReproHint());
+    ASSERT_TRUE(
+        DB::Open(options_, barrier ? "barrier_db" : "batch_db", &db_).ok());
+    Load(400);
+    const uint64_t p0 = stats().partial_page_drops.load();
+    const uint64_t f0 = stats().full_page_drops.load();
+    for (uint64_t lo = 100; lo < 200; lo += 20) {
+      Srd(lo, lo + 20);
+    }
+    ASSERT_TRUE(
+        test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+    EXPECT_EQ(stats().srd_batches.load(), barrier ? 5u : 1u);
+    EXPECT_EQ(stats().secondary_range_deletes.load(), 5u);
+    *partials = stats().partial_page_drops.load() - p0;
+    *fulls = stats().full_page_drops.load() - f0;
+    EXPECT_TRUE(model_.CheckAll(db_.get()));
+    db_.reset();
+  };
+  uint64_t barrier_partials = 0, barrier_fulls = 0;
+  uint64_t batch_partials = 0, batch_fulls = 0;
+  run(/*barrier=*/true, &barrier_partials, &barrier_fulls);
+  run(/*barrier=*/false, &batch_partials, &batch_fulls);
+  EXPECT_LT(batch_partials, barrier_partials);
+  EXPECT_GE(batch_fulls, barrier_fulls);
+}
+
+// A pending delete hides only the versions it names: an older version of
+// the key outside its band is what every read sees, before and after the
+// batch, exactly as after a physical purge.
+TEST_F(DeferredSrdTest, OlderVersionOutsideTheBandDecides) {
+  Open();
+  ASSERT_TRUE(Put(7, "old", /*dk=*/500).ok());
+  // The snapshot keeps both versions of key 7 through the flush.
+  const Snapshot* snapshot = db_->GetSnapshot();
+  ASSERT_TRUE(Put(7, "new", /*dk=*/50).ok());
+  ASSERT_TRUE(Put(8, "eight", /*dk=*/60).ok());
+  ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  ASSERT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 0, 100).ok());
+  auto check = [&] {
+    EXPECT_EQ(Get(7), "old");
+    EXPECT_EQ(Get(8), "NOT_FOUND");
+    auto it = db_->NewIterator(ReadOptions());
+    it->SeekToFirst();
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(it->key(), Slice(EncodeKey(7)));
+    EXPECT_EQ(it->value(), Slice("old"));
+    EXPECT_EQ(it->delete_key(), 500u);
+    it->Next();
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().ok());
+  };
+  check();
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  EXPECT_EQ(stats().srd_batches.load(), 1u);
+  check();
+  db_->ReleaseSnapshot(snapshot);
+  ASSERT_TRUE(Reopen().ok());
+  check();
+}
+
+// Entries sealed before the delete are hidden in the sealed memtable, and
+// its flush writes none of them.
+TEST_F(DeferredSrdTest, FlushDropsHiddenEntriesOfASealedMemtable) {
+  Open();
+  impl()->TEST_scheduler()->TEST_Pause();  // keep the sealed memtable
+  std::string value(500, 'k');
+  uint64_t k = 0;
+  while (test::WalNumbers(env_.get(), "testdb").size() < 2) {
+    ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Put(k, 100 + k, value)).ok());
+    k++;
+  }
+  Srd(100, 120);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  impl()->TEST_scheduler()->TEST_Resume();
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  for (int level = 0; level < 4; level++) {
+    for (const FileMeta& file : impl()->TEST_LevelFiles(level)) {
+      EXPECT_GE(file.min_delete_key, 120u) << "level " << level;
+    }
+  }
+  EXPECT_GE(stats().entries_purged_by_srd.load(), 20u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// A batch still running when the next batch's memtable seals starts that
+// next batch as it ends, with no Flush or WaitForCompact to prompt it.
+TEST_F(DeferredSrdTest, SealDuringABatchRunsTheNextBatch) {
+  TableSyncGateEnv gate(env_.get());  // blocks the first table Sync
+  options_.env = &gate;
+  options_.max_imm_memtables = 4;  // no stall while the gate holds
+  Open();
+  const std::string value(500, 'v');
+  uint64_t k = 0;
+  auto fill_until_wals = [&](size_t wals) {
+    while (gate.CountWals("testdb") < wals) {
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(
+          model_.Write(db_.get(), ModelOp::Put(k, 1000 + k, value)).ok());
+      k++;
+    }
+  };
+  fill_until_wals(2);  // the first memtable seals; its flush waits at the gate
+  ASSERT_TRUE(test::WaitFor([&] { return gate.blocked(); }, 10000));
+  Srd(1000, 1010);     // arms the active memtable
+  fill_until_wals(3);  // which seals: the first batch starts and waits for it
+  ASSERT_TRUE(test::WaitFor(
+      [&] { return stats().bg_jobs_active[1].load() == 1; }, 10000));
+  Srd(1010, 1020);     // arms the next memtable
+  fill_until_wals(4);  // which seals while the first batch runs
+  gate.Release(true);
+  EXPECT_TRUE(test::WaitFor(
+      [&] { return !impl()->TEST_HasPendingSecondaryDeletes(); }, 10000));
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  db_.reset();  // before the gate goes away
 }
 
 // ---- background flush/compaction worker ------------------------------------

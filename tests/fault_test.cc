@@ -1679,6 +1679,220 @@ TEST_F(RepairTest, LevelingPlacementPreservesRecencyOfOverlappingTables) {
       static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants().ok());
 }
 
+// ---- deferred secondary range deletes --------------------------------------
+//
+// In background mode DB::SecondaryRangeDelete records the delete in the
+// version's pending set (one MANIFEST edit) and returns; one batched page
+// pass applies it later. The pending set is durable through that MANIFEST
+// edit: the WAL that logged the delete may retire before the batch commits.
+
+class DeferredSrdFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_env_ = NewMemEnv();
+    env_ = std::make_unique<IoCountingEnv>(base_env_.get(), 1024);
+    options_ = FaultyBackgroundOptions(env_.get(), &clock_);
+    options_.table.pages_per_tile = 4;
+  }
+
+  Status Open(const std::string& dbname) {
+    db_.reset();
+    return DB::Open(options_, dbname, &db_);
+  }
+  DBImpl* impl() { return static_cast<DBImpl*>(db_.get()); }
+  uint64_t Batches() { return db_->stats().srd_batches.load(); }
+
+  /// Keys [0, n) with delete key = key, flushed.
+  void Load(uint64_t n) {
+    for (uint64_t k = 0; k < n; k++) {
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(
+          model_.Write(db_.get(), ModelOp::Put(k, k, std::string(100, 'v')))
+              .ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+
+  /// Puts fresh keys from *next until the active memtable seals.
+  void FillUntilSeal(const std::string& dbname, uint64_t* next) {
+    const uint64_t active = test::WalNumbers(env_.get(), dbname).back();
+    while (test::WalNumbers(env_.get(), dbname).back() == active) {
+      clock_.AdvanceMicros(1);
+      ASSERT_TRUE(model_
+                      .Write(db_.get(), ModelOp::Put(*next, *next,
+                                                     std::string(100, 'n')))
+                      .ok());
+      (*next)++;
+    }
+  }
+
+  /// The crash image of `from`: every file as the open DB left it (WAL and
+  /// MANIFEST records reach the file as they are appended).
+  void CopyDb(const std::string& from, const std::string& to) {
+    std::vector<std::string> children;
+    ASSERT_TRUE(env_->GetChildren(from, &children).ok());
+    ASSERT_TRUE(env_->CreateDirIfMissing(to).ok());
+    for (const std::string& child : children) {
+      std::string bytes;
+      ASSERT_TRUE(ReadFileToString(env_.get(), from + "/" + child, &bytes).ok())
+          << child;
+      ASSERT_TRUE(WriteStringToFile(env_.get(), bytes, to + "/" + child).ok());
+    }
+  }
+
+  std::unique_ptr<Env> base_env_;
+  std::unique_ptr<IoCountingEnv> env_;
+  LogicalClock clock_{1};
+  Options options_;
+  std::unique_ptr<DB> db_;
+  KeyModel model_{0, 100000, "deferred srd fault"};
+};
+
+// A crash after the call returns and before its batch commits: the reopened
+// DB hides the entries, and its next seal applies the delete.
+TEST_F(DeferredSrdFaultTest, CrashBeforeTheBatchKeepsEntriesHidden) {
+  ASSERT_TRUE(Open("srd_live_db").ok());
+  Load(400);
+  ASSERT_TRUE(
+      model_.Write(db_.get(), ModelOp::SecondaryRangeDelete(50, 250)).ok());
+  ASSERT_EQ(Batches(), 0u);
+  CopyDb("srd_live_db", "srd_crash_db");
+  db_.reset();
+
+  ASSERT_TRUE(Open("srd_crash_db").ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  EXPECT_EQ(db_->ApproximateEntryCount(), 400u);  // hidden, not yet purged
+  uint64_t next = 1000;
+  FillUntilSeal("srd_crash_db", &next);
+  ASSERT_TRUE(WaitFor([&] { return Batches() == 1; }, 10000));
+  ASSERT_TRUE(WaitFor(
+      [&] { return db_->ApproximateEntryCount() <= 200 + next - 1000; },
+      10000));
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Open("srd_crash_db").ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  EXPECT_EQ(Batches(), 0u);  // nothing was left pending
+}
+
+// A table-write fault fails the batch: the entries stay hidden while the DB
+// is degraded, and resume runs the batch again.
+TEST_F(DeferredSrdFaultTest, FailedBatchStaysHiddenAndResumeRetriesIt) {
+  ASSERT_TRUE(Open("srd_fault_db").ok());
+  UseFastRetries(db_.get(), 1 << 20);  // stay degraded while armed
+  Load(400);
+  // Band edges inside pages: the batch must rewrite pages in place.
+  ASSERT_TRUE(
+      model_.Write(db_.get(), ModelOp::SecondaryRangeDelete(53, 247)).ok());
+  FaultPolicy policy;
+  policy.fail_appends = true;
+  policy.path_substring = ".sst";
+  env_->InjectFaults(policy);
+  EXPECT_FALSE(db_->Flush().ok());  // its waiter runs the batch, which fails
+  EXPECT_EQ(Batches(), 0u);
+  EXPECT_GT(db_->stats().bg_errors_by_class[0].load() +
+                db_->stats().bg_errors_by_class[1].load() +
+                db_->stats().bg_errors_by_class[2].load() +
+                db_->stats().bg_errors_by_class[3].load(),
+            0u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  env_->ClearFaults();
+  ASSERT_TRUE(WaitHealthy(impl()));
+  ASSERT_TRUE(WaitFor([&] { return Batches() == 1; }, 10000));
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_GT(db_->stats().partial_page_drops.load(), 0u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Open("srd_fault_db").ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// A Put issued after the delete, with a delete key inside its band,
+// survives the batch: the delete removes only entries sequenced before it.
+// The seal that starts the batch is queued before the batch can run, so
+// the Put's memtable is on disk when the page pass starts.
+TEST_F(DeferredSrdFaultTest, PutAfterTheDeleteSurvivesTheBatch) {
+  ASSERT_TRUE(Open("srd_put_db").ok());
+  Load(400);
+  const SequenceNumber before = impl()->TEST_LastSequence();
+  impl()->TEST_scheduler()->TEST_Pause();
+  std::thread srd([&] {
+    EXPECT_TRUE(db_->SecondaryRangeDelete(WriteOptions(), 50, 250).ok());
+  });
+  // The delete's sequence is published before its disk part runs.
+  ASSERT_TRUE(WaitFor(
+      [&] { return impl()->TEST_LastSequence() > before; }, 10000));
+  model_.Apply(ModelOp::SecondaryRangeDelete(50, 250));
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Put(60, 100, "after")).ok());
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Put(5000, 120, "new")).ok());
+  std::thread flush([&] { EXPECT_TRUE(db_->Flush().ok()); });
+  ASSERT_TRUE(WaitFor(
+      [&] { return test::WalNumbers(env_.get(), "srd_put_db").size() >= 2; },
+      10000));  // the Puts' memtable sealed
+  impl()->TEST_scheduler()->TEST_Resume();
+  srd.join();
+  flush.join();
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ASSERT_TRUE(Open("srd_put_db").ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// Repair carries the pages secondary range deletes dropped whole: their
+// entries stay deleted, though only the MANIFEST recorded the drops.
+TEST_F(RepairTest, KeepsSecondaryDeletePageDrops) {
+  env_ = NewMemEnv();
+  options_ = Options();
+  options_.env = env_.get();
+  options_.table.page_size_bytes = 1024;
+  options_.table.entries_per_page = 8;
+  options_.table.pages_per_tile = 4;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, "repair_srd_db", &db).ok());
+  for (uint64_t k = 0; k < 400; k++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k, "flushed").ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->SecondaryRangeDelete(WriteOptions(), 0, 200).ok());
+  ASSERT_GT(db->stats().full_page_drops.load(), 0u);
+  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1000), 1, "walonly").ok());
+  db.reset();
+
+  ASSERT_TRUE(DB::Repair(options_, "repair_srd_db").ok());
+  ASSERT_TRUE(DB::Open(options_, "repair_srd_db", &db).ok());
+  for (uint64_t k = 0; k < 400; k++) {
+    std::string got;
+    Status s = db->Get(ReadOptions(), EncodeKey(k), &got);
+    if (k < 200) {
+      EXPECT_TRUE(s.IsNotFound()) << k << ": " << s.ToString();
+    } else {
+      EXPECT_TRUE(s.ok()) << k << ": " << s.ToString();
+    }
+  }
+  std::string got;
+  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1000), &got).ok());
+  EXPECT_EQ(got, "walonly");
+}
+
+// Repair carries a pending secondary range delete too, and the next write
+// sequences above it.
+TEST_F(DeferredSrdFaultTest, RepairKeepsPendingDeletes) {
+  ASSERT_TRUE(Open("srd_repair_live_db").ok());
+  Load(400);
+  ASSERT_TRUE(
+      model_.Write(db_.get(), ModelOp::SecondaryRangeDelete(50, 250)).ok());
+  CopyDb("srd_repair_live_db", "srd_repair_db");
+  db_.reset();
+  ASSERT_TRUE(DB::Repair(options_, "srd_repair_db").ok());
+  ASSERT_TRUE(Open("srd_repair_db").ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Put(70, 70, "later")).ok());
+  ASSERT_TRUE(db_->WaitForCompact().ok());
+  EXPECT_EQ(Batches(), 1u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
 // ---- sustained-fault stress -------------------------------------------------
 //
 // Writer threads own disjoint key slices, each checked against its own

@@ -1037,16 +1037,42 @@ TEST_F(SSTableTest, SecondaryDeletePlanSeparatesFullAndPartial) {
   // [t*32, (t+1)*32). Deleting [32, 64) should fully drop tile 1's pages.
   auto reader = BuildTable(128, IdentityDk);
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(32, 64, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete({{32, 64}}, {{32, 64}}, nullptr, &plan);
   EXPECT_EQ(plan.full_drop_pages.size(), 4u);  // one whole tile (4 pages)
   EXPECT_TRUE(plan.partial_pages.empty());
 
   // A range splitting pages: [36, 60) covers pages partially at the edges.
-  reader->PlanSecondaryRangeDelete(36, 60, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete({{36, 60}}, {{36, 60}}, nullptr, &plan);
   uint64_t full = plan.full_drop_pages.size();
   uint64_t partial = plan.partial_pages.size();
   EXPECT_EQ(full, 2u);     // pages [40,48) and [48,56)
   EXPECT_EQ(partial, 2u);  // pages [32,40) and [56,64)
+}
+
+// A batch plans the union of its deletes, bounded by sequence: a page drops
+// whole only under ranges issued after the table's newest entry.
+TEST_F(SSTableTest, SecondaryDeletePlanTakesTheUnionOfABatch) {
+  auto reader = BuildTable(128, IdentityDk);
+  const SecondaryDeleteSet batch({{32, 48, /*seq=*/10}, {48, 64, /*seq=*/20}});
+  EXPECT_TRUE(batch.Hides(40, 10));
+  EXPECT_FALSE(batch.Hides(40, 11));  // written after the delete
+  EXPECT_TRUE(batch.Hides(63, 20));
+  EXPECT_FALSE(batch.Hides(64, 1));
+
+  // Adjacent deletes merge: tile 1 drops whole though neither covers it.
+  const DeleteKeyIntervals both = batch.IntervalsAtOrAbove(0);
+  ASSERT_EQ(both, (DeleteKeyIntervals{{32, 64}}));
+  SecondaryDeletePlan plan;
+  reader->PlanSecondaryRangeDelete(both, both, nullptr, &plan);
+  EXPECT_EQ(plan.full_drop_pages.size(), 4u);
+  EXPECT_TRUE(plan.partial_pages.empty());
+
+  // A table whose newest entry is at seq 15: only the second delete removes
+  // all of it, so the first one's pages are read and filtered.
+  reader->PlanSecondaryRangeDelete(batch.IntervalsAtOrAbove(15), both, nullptr,
+                                   &plan);
+  EXPECT_EQ(plan.full_drop_pages.size(), 2u);  // pages [48,56) and [56,64)
+  EXPECT_EQ(plan.partial_pages.size(), 2u);    // pages [32,40) and [40,48)
 }
 
 TEST_F(SSTableTest, PlanSkipsDroppedPages) {
@@ -1054,10 +1080,10 @@ TEST_F(SSTableTest, PlanSkipsDroppedPages) {
   FileMeta meta;
   meta.num_pages = reader->num_pages();
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(32, 64, &meta, &plan);
+  reader->PlanSecondaryRangeDelete({{32, 64}}, {{32, 64}}, &meta, &plan);
   ASSERT_EQ(plan.full_drop_pages.size(), 4u);
   meta.DropPage(plan.full_drop_pages[0]);
-  reader->PlanSecondaryRangeDelete(32, 64, &meta, &plan);
+  reader->PlanSecondaryRangeDelete({{32, 64}}, {{32, 64}}, &meta, &plan);
   EXPECT_EQ(plan.full_drop_pages.size(), 3u);
 }
 
@@ -1067,7 +1093,7 @@ TEST_F(SSTableTest, GetSkipsDroppedPages) {
   meta.num_pages = reader->num_pages();
   // Key 40 lives in the page covering delete keys [40, 48) (identity dk).
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(40, 48, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete({{40, 48}}, {{40, 48}}, nullptr, &plan);
   ASSERT_EQ(plan.full_drop_pages.size(), 1u);
   meta.DropPage(plan.full_drop_pages[0]);
 
@@ -1322,7 +1348,7 @@ TEST_F(ByteClosedTileTest, SecondaryDeleteStillDropsWholePages) {
   const uint64_t lo = reader->pages()[tile.first_page].min_delete_key;
   const uint64_t hi = reader->pages()[last].max_delete_key + 1;
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(lo, hi, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete({{lo, hi}}, {{lo, hi}}, nullptr, &plan);
   EXPECT_EQ(plan.full_drop_pages.size(), tile.page_count);
   EXPECT_TRUE(plan.partial_pages.empty());
 
@@ -1701,7 +1727,8 @@ TEST(PrefixPageTest, SecondaryDeleteRewriteDropsThePrefixBounds) {
                                   props.file_size, &reader)
                   .ok());
   SecondaryDeletePlan plan;
-  reader->PlanSecondaryRangeDelete(1000, 1001, nullptr, &plan);
+  reader->PlanSecondaryRangeDelete({{1000, 1001}}, {{1000, 1001}}, nullptr,
+                                   &plan);
   ASSERT_EQ(plan.partial_pages, std::vector<uint32_t>{0});
   {
     PageHandle page;

@@ -65,6 +65,41 @@ TEST(VersionEditTest, RoundTrip) {
   EXPECT_EQ(decoded.seq_time_checkpoints[0].second, 5000u);
 }
 
+// The pending secondary-delete set round-trips, an empty set included (it
+// clears), and a version inherits its base's set unless an edit sets one.
+TEST(VersionEditTest, SecondaryDeletesRoundTripAndCarryOver) {
+  VersionEdit edit;
+  edit.added_files.emplace_back(0, MakeFile(7, 0, 99));
+  edit.secondary_deletes =
+      SecondaryDeleteSet({{10, 20, 300}, {0, 50, UINT64_MAX - 1}});
+  std::string buf;
+  edit.EncodeTo(&buf);
+  VersionEdit decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(Slice(buf)).ok());
+  ASSERT_TRUE(decoded.secondary_deletes.has_value());
+  ASSERT_EQ(decoded.secondary_deletes->ranges().size(), 2u);
+  EXPECT_EQ(decoded.secondary_deletes->ranges()[0].hi, 20u);
+  EXPECT_EQ(decoded.secondary_deletes->ranges()[1].seq, UINT64_MAX - 1);
+
+  Status s;
+  auto v1 = Version::Apply(nullptr, decoded, &s);
+  ASSERT_TRUE(s.ok());
+  ASSERT_NE(v1->secondary_deletes(), nullptr);
+  auto v2 = Version::Apply(v1.get(), VersionEdit(), &s);
+  EXPECT_EQ(v2->secondary_deletes(), v1->secondary_deletes());
+
+  VersionEdit clear;
+  clear.secondary_deletes = SecondaryDeleteSet();
+  buf.clear();
+  clear.EncodeTo(&buf);
+  ASSERT_TRUE(decoded.DecodeFrom(Slice(buf)).ok());
+  ASSERT_TRUE(decoded.secondary_deletes.has_value());
+  EXPECT_EQ(Version::Apply(v2.get(), decoded, &s)->secondary_deletes(),
+            nullptr);
+  // A count larger than the bytes that follow is damage, not an allocation.
+  EXPECT_FALSE(decoded.DecodeFrom(Slice("\x09\xff\xff\xff\x0f", 5)).ok());
+}
+
 TEST(VersionEditTest, DecodeRejectsGarbage) {
   VersionEdit edit;
   EXPECT_FALSE(edit.DecodeFrom(Slice("\xff\xff garbage")).ok());
@@ -1079,12 +1114,14 @@ class MergeExecutorPartitionTest : public ::testing::Test {
   /// Merges `files` window by window ([-inf, b_0), [b_0, b_1), ...,
   /// [b_last, +inf)) exactly as DBImpl::RunMergePartitioned does, returning
   /// the output FileMetas in partition order.
-  /// `cut_keys` and `snapshots` go to every partition's MergeConfig.
+  /// `cut_keys`, `snapshots` and `secondary_deletes` go to every
+  /// partition's MergeConfig.
   std::vector<FileMeta> RunPartitions(
       const std::vector<std::shared_ptr<FileMeta>>& files,
       const std::vector<std::string>& boundaries, bool bottommost,
       const std::vector<std::string>& cut_keys = {},
-      const std::vector<SequenceNumber>& snapshots = {}) {
+      const std::vector<SequenceNumber>& snapshots = {},
+      std::shared_ptr<const SecondaryDeleteSet> secondary_deletes = nullptr) {
     std::vector<FileMeta> outputs;
     const size_t num_parts = boundaries.size() + 1;
     for (size_t i = 0; i < num_parts; i++) {
@@ -1093,6 +1130,7 @@ class MergeExecutorPartitionTest : public ::testing::Test {
       config.bottommost = bottommost;
       config.cut_keys = cut_keys;
       config.snapshots = snapshots;
+      config.secondary_deletes = secondary_deletes;
       config.count_merge_stats = i == 0;
       if (i > 0) {
         config.partition_begin = boundaries[i - 1];
@@ -1215,6 +1253,40 @@ TEST_F(MergeExecutorPartitionTest, CutKeyNeverSplitsPinnedVersionChain) {
     EXPECT_EQ(left[left.size() - 2].first, left.back().first);
     EXPECT_EQ(ReadBack(outputs), ReadBack(uncut));
   }
+}
+
+// A compaction under a pending secondary range delete writes none of the
+// entries it removes, even ones a snapshot pins, in every partition; entries
+// written after the delete (above its sequence) survive in its band.
+TEST_F(MergeExecutorPartitionTest, PendingSecondaryDeleteWritesNoCoveredEntry) {
+  auto old_file = BuildTable(0, 100, /*base_seq=*/1);      // dk = key
+  auto new_file = BuildTable(40, 60, /*base_seq=*/10000);  // after the delete
+  const auto deletes = std::make_shared<const SecondaryDeleteSet>(
+      std::vector<SecondaryDeleteRange>{{50, 70, /*seq=*/5000}});
+  const uint64_t purged = stats_.entries_purged_by_srd.load();
+  for (const std::vector<std::string>& boundaries :
+       {std::vector<std::string>{}, {EncodeKey(55), EncodeKey(65)}}) {
+    auto outputs = RunPartitions({old_file, new_file}, boundaries, false, {},
+                                 /*snapshots=*/{5000}, deletes);
+    size_t entries = 0;
+    for (const FileMeta& output : outputs) {
+      std::shared_ptr<SSTableReader> table;
+      ASSERT_TRUE(versions_->table_cache()->GetTable(output, &table).ok());
+      auto it = table->NewIterator(&output);
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        entries++;
+        EXPECT_FALSE(deletes->Hides(it->entry().delete_key, it->entry().seq))
+            << it->entry().user_key.ToString();
+      }
+    }
+    // Old 0..49 and 70..99, new 40..59 (the snapshot pins old 40..49).
+    EXPECT_EQ(entries, 100u);
+    auto content = ReadBack(outputs);
+    EXPECT_EQ(content.size(), 90u);  // every key but 60..69
+    EXPECT_EQ(content[EncodeKey(55)], "v55");
+    EXPECT_EQ(content.count(EncodeKey(65)), 0u);
+  }
+  EXPECT_EQ(stats_.entries_purged_by_srd.load() - purged, 2u * 20u);
 }
 
 TEST_F(MergeExecutorPartitionTest, CutInsideRangeTombstoneTilesCoverage) {
