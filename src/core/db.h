@@ -85,23 +85,24 @@ struct TombstoneAgeSample {
 class DB {
  public:
   /// Opens (or creates) the database at `name`. WAL replay forgives only a
-  /// torn tail in the newest log; any other WAL damage fails with a
-  /// Corruption that names Repair.
+  /// torn tail in the newest log; any other WAL damage, and a MANIFEST
+  /// that does not replay, fails with a Corruption that names Repair.
   static Status Open(const Options& options, const std::string& name,
                      std::unique_ptr<DB>* db);
 
   /// The one salvage step, for a database Open refuses: damaged WALs, or a
-  /// MANIFEST (and fallbacks) that cannot be read. Rebuilds a fresh
-  /// manifest from the table files themselves. Every .sst whose metadata
-  /// checksum verifies is re-adopted (placed by its sequence range);
-  /// damaged tables are quarantined as `<name>.bad`. Each WAL keeps its
-  /// intact records — frames that fail their checksum or do not decode are
-  /// dropped and a torn tail is cut — and replays at the next Open. FADE
-  /// tombstone ages are reconstructed conservatively (a salvaged
-  /// tombstone's persistence deadline never moves later). The pages
+  /// MANIFEST that does not replay. Rebuilds a fresh manifest from the
+  /// table files themselves. Every .sst whose metadata checksum verifies is
+  /// re-adopted, placed so that each key's newest version, and each range
+  /// delete, sits above the versions it supersedes; damaged tables are
+  /// quarantined as `<name>.bad`. Each WAL keeps its intact records —
+  /// frames that fail their checksum or do not decode are dropped and a
+  /// torn tail is cut — and replays at the next Open. FADE tombstone ages
+  /// are reconstructed conservatively (a salvaged tombstone's persistence
+  /// deadline never moves later). The pages
   /// secondary range deletes dropped whole, and the secondary range deletes
   /// still pending, are MANIFEST state: Repair carries them over from the
-  /// newest MANIFEST that still decodes; when none does, their entries
+  /// newest MANIFEST that still replays; when none does, their entries
   /// become readable again. Call only on a database no process has open.
   static Status Repair(const Options& options, const std::string& name);
 

@@ -275,6 +275,44 @@ Status SSTableBuilder::WritePage(std::span<const PendingEntry*> page_entries,
   return Status::OK();
 }
 
+void EncodeTableProperties(const TableProperties& props, std::string* dst) {
+  PutVarint32(dst, props.num_pages);
+  PutVarint32(dst, props.num_tiles);
+  PutFixed64(dst, props.num_entries);
+  PutFixed64(dst, props.num_point_tombstones);
+  PutFixed64(dst, props.num_range_tombstones);
+  PutLengthPrefixedSlice(dst, props.smallest_key);
+  PutLengthPrefixedSlice(dst, props.largest_key);
+  PutFixed64(dst, props.min_delete_key);
+  PutFixed64(dst, props.max_delete_key);
+  PutFixed64(dst, props.smallest_seq);
+  PutFixed64(dst, props.largest_seq);
+  PutFixed64(dst, props.oldest_point_tombstone_seq);
+  PutFixed64(dst, props.oldest_range_tombstone_time);
+}
+
+Status DecodeTableProperties(Slice input, TableProperties* props) {
+  Slice smallest_key, largest_key;
+  if (!GetVarint32(&input, &props->num_pages) ||
+      !GetVarint32(&input, &props->num_tiles) ||
+      !GetFixed64(&input, &props->num_entries) ||
+      !GetFixed64(&input, &props->num_point_tombstones) ||
+      !GetFixed64(&input, &props->num_range_tombstones) ||
+      !GetLengthPrefixedSlice(&input, &smallest_key) ||
+      !GetLengthPrefixedSlice(&input, &largest_key) ||
+      !GetFixed64(&input, &props->min_delete_key) ||
+      !GetFixed64(&input, &props->max_delete_key) ||
+      !GetFixed64(&input, &props->smallest_seq) ||
+      !GetFixed64(&input, &props->largest_seq) ||
+      !GetFixed64(&input, &props->oldest_point_tombstone_seq) ||
+      !GetFixed64(&input, &props->oldest_range_tombstone_time)) {
+    return Status::Corruption("table properties block malformed");
+  }
+  props->smallest_key = smallest_key.ToString();
+  props->largest_key = largest_key.ToString();
+  return Status::OK();
+}
+
 Status SSTableBuilder::Finish(TableProperties* props) {
   LETHE_RETURN_IF_ERROR(status_);
   LETHE_RETURN_IF_ERROR(FlushTile());
@@ -307,21 +345,8 @@ Status SSTableBuilder::Finish(TableProperties* props) {
   }
   index_block.append(page_index_);
 
-  // Properties block.
   std::string props_block;
-  PutVarint32(&props_block, props_.num_pages);
-  PutVarint32(&props_block, props_.num_tiles);
-  PutFixed64(&props_block, props_.num_entries);
-  PutFixed64(&props_block, props_.num_point_tombstones);
-  PutFixed64(&props_block, props_.num_range_tombstones);
-  PutLengthPrefixedSlice(&props_block, props_.smallest_key);
-  PutLengthPrefixedSlice(&props_block, props_.largest_key);
-  PutFixed64(&props_block, props_.min_delete_key);
-  PutFixed64(&props_block, props_.max_delete_key);
-  PutFixed64(&props_block, props_.smallest_seq);
-  PutFixed64(&props_block, props_.largest_seq);
-  PutFixed64(&props_block, props_.oldest_point_tombstone_seq);
-  PutFixed64(&props_block, props_.oldest_range_tombstone_time);
+  EncodeTableProperties(props_, &props_block);
 
   const uint64_t filter_offset = data_bytes_written_;
   const uint64_t rt_offset = filter_offset + filter_section_.size();

@@ -47,6 +47,12 @@ struct TableProperties {
   uint64_t file_size = 0;
 };
 
+/// The table's properties block: every field above but `multi_version`
+/// (the index block carries it) and `file_size` (the file's own length).
+void EncodeTableProperties(const TableProperties& props, std::string* dst);
+/// Parses a block EncodeTableProperties wrote into the fields it holds.
+Status DecodeTableProperties(Slice input, TableProperties* props);
+
 /// Writes one SSTable in the Key Weaving Storage Layout (§4.2.1):
 ///
 ///   [page 0][page 1]...[page P-1]          (fixed page_size_bytes each)
@@ -91,6 +97,11 @@ class SSTableBuilder {
 
   /// Flushes the trailing partial tile, writes metadata blocks and footer.
   Status Finish(TableProperties* props);
+
+  /// The range tombstones added so far, in arrival order.
+  const std::vector<RangeTombstone>& range_tombstones() const {
+    return range_tombstones_;
+  }
 
  private:
   /// One buffered entry: where Add encoded it in tile_data_, plus the

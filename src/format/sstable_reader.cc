@@ -92,7 +92,7 @@ Status SSTableReader::LoadIndex() {
   Slice rt_block(rt_begin, rt_len_);
   Slice index_block(rt_begin + rt_len_, index_len_);
   // The props block duplicates builder-side counters already carried by
-  // FileMeta; it is retained on disk for tooling but not re-parsed here.
+  // FileMeta: only DB::Repair parses it (properties_block()).
 
   LETHE_RETURN_IF_ERROR(
       DecodeRangeTombstones(rt_block, &index_.range_tombstones));

@@ -87,6 +87,12 @@ class SSTableReader {
   const std::vector<RangeTombstone>& range_tombstones() const {
     return index_.range_tombstones;
   }
+  /// The properties block, as Open verified it (DecodeTableProperties
+  /// parses it).
+  Slice properties_block() const {
+    return Slice(index_.buffer.data() + (props_offset_ - filter_offset_),
+                 props_len_);
+  }
 
   /// Point lookup: locates the candidate tile via the sort-key fences, then
   /// probes each live page's Bloom filter (one hash digest per probe) and

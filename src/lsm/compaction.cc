@@ -65,6 +65,39 @@ uint64_t ExpiryDue(std::vector<std::pair<uint64_t, uint64_t>>* expiring,
   return FileMeta::kNever;  // unreachable: the sum covered half above
 }
 
+void SetTableMeta(const TableProperties& props,
+                  const std::vector<RangeTombstone>& rts, FileMeta* meta) {
+  meta->file_size = props.file_size;
+  meta->num_entries = props.num_entries;
+  meta->num_point_tombstones = props.num_point_tombstones;
+  meta->num_range_tombstones = props.num_range_tombstones;
+  meta->smallest_key = props.smallest_key;
+  meta->largest_key = props.largest_key;
+  meta->min_delete_key = props.min_delete_key;
+  meta->max_delete_key = props.max_delete_key;
+  meta->smallest_seq = props.smallest_seq;
+  meta->largest_seq = props.largest_seq;
+  meta->num_pages = props.num_pages;
+  SequenceNumber oldest_seq = props.num_point_tombstones > 0
+                                  ? props.oldest_point_tombstone_seq
+                                  : kMaxSequenceNumber;
+  bool has_span = props.num_entries > 0;
+  for (const RangeTombstone& rt : rts) {
+    if (!has_span ||
+        Slice(rt.begin_key).compare(Slice(meta->smallest_key)) < 0) {
+      meta->smallest_key = rt.begin_key;
+    }
+    if (!has_span || Slice(rt.end_key).compare(Slice(meta->largest_key)) > 0) {
+      meta->largest_key = rt.end_key;
+    }
+    has_span = true;
+    oldest_seq = std::min(oldest_seq, rt.seq);
+  }
+  if (meta->HasTombstones()) {
+    meta->oldest_tombstone_seq = oldest_seq;
+  }
+}
+
 Status MergeExecutor::OpenOutput(std::unique_ptr<Output>* output,
                                  std::optional<std::string> window_begin) {
   auto out = std::make_unique<Output>();
@@ -91,39 +124,12 @@ Status MergeExecutor::FinishOutput(Output* output,
   const SequenceNumber oldest_snapshot = config.snapshots.empty()
                                              ? kMaxSequenceNumber
                                              : config.snapshots.front();
-  std::string min_piece_begin, max_piece_end;
-  bool has_piece = false;
-  SequenceNumber min_written_rt_seq = kMaxSequenceNumber;
-  {
-    for (const RangeTombstone& rt : rts) {
-      if (config.bottommost && rt.seq <= oldest_snapshot) {
-        continue;  // persistent: nothing below the last level to invalidate
-      }
-      std::string begin = rt.begin_key;
-      if (output->window_begin &&
-          Slice(*output->window_begin).compare(Slice(begin)) > 0) {
-        begin = *output->window_begin;
-      }
-      std::string end = rt.end_key;
-      if (window_end && Slice(*window_end).compare(Slice(end)) < 0) {
-        end = *window_end;
-      }
-      if (Slice(begin).compare(Slice(end)) >= 0) {
-        continue;  // empty piece
-      }
-      RangeTombstone piece = rt;
-      piece.begin_key = begin;
-      piece.end_key = end;
-      output->builder->AddRangeTombstone(piece);
-      if (!has_piece || Slice(begin).compare(Slice(min_piece_begin)) < 0) {
-        min_piece_begin = begin;
-      }
-      if (!has_piece || Slice(end).compare(Slice(max_piece_end)) > 0) {
-        max_piece_end = end;
-      }
-      has_piece = true;
-      min_written_rt_seq = std::min(min_written_rt_seq, rt.seq);
+  for (const RangeTombstone& piece :
+       ClipRangeTombstones(rts, output->window_begin, window_end)) {
+    if (config.bottommost && piece.seq <= oldest_snapshot) {
+      continue;  // persistent: nothing below the last level to invalidate
     }
+    output->builder->AddRangeTombstone(piece);
   }
 
   TableProperties props;
@@ -141,33 +147,9 @@ Status MergeExecutor::FinishOutput(Output* output,
 
   FileMeta meta;
   meta.file_number = output->file_number;
-  meta.file_size = props.file_size;
   meta.run_id = config.output_run_id;
-  meta.num_entries = props.num_entries;
-  meta.num_point_tombstones = props.num_point_tombstones;
-  meta.num_range_tombstones = props.num_range_tombstones;
-  meta.smallest_key = props.smallest_key;
-  meta.largest_key = props.largest_key;
-  meta.min_delete_key = props.min_delete_key;
-  meta.max_delete_key = props.max_delete_key;
-  meta.smallest_seq = props.smallest_seq;
-  meta.largest_seq = props.largest_seq;
-  meta.num_pages = props.num_pages;
+  SetTableMeta(props, output->builder->range_tombstones(), &meta);
   meta.expiry_due = ExpiryDue(&output->expiring, output->entry_bytes);
-
-  // Extend the file's advertised key range over its range-tombstone pieces
-  // so overlap queries and lookups route through this file (the exclusive
-  // piece end becomes an inclusive bound — conservative).
-  if (has_piece) {
-    if (props.num_entries == 0 ||
-        Slice(min_piece_begin).compare(Slice(meta.smallest_key)) < 0) {
-      meta.smallest_key = min_piece_begin;
-    }
-    if (props.num_entries == 0 ||
-        Slice(max_piece_end).compare(Slice(meta.largest_key)) > 0) {
-      meta.largest_key = max_piece_end;
-    }
-  }
 
   // Resolve the oldest tombstone's insertion time: point tombstones via the
   // seq→time checkpoint map (conservative floor), expired values at the
@@ -183,13 +165,6 @@ Status MergeExecutor::FinishOutput(Output* output,
     oldest = std::min(oldest, props.oldest_range_tombstone_time);
   }
   meta.oldest_tombstone_time = oldest;
-  if (meta.HasTombstones()) {
-    SequenceNumber oldest_seq = min_written_rt_seq;
-    if (props.num_point_tombstones > 0) {
-      oldest_seq = std::min(oldest_seq, props.oldest_point_tombstone_seq);
-    }
-    meta.oldest_tombstone_seq = oldest_seq;
-  }
 
   if (config.is_flush) {
     stats_->flush_bytes_written.fetch_add(props.file_size,

@@ -174,6 +174,14 @@ Status CollectFileInputs(VersionSet* versions,
 uint64_t ExpiryDue(std::vector<std::pair<uint64_t, uint64_t>>* expiring,
                    uint64_t entry_bytes);
 
+/// The FileMeta fields a table's own bytes determine, from its properties
+/// and the range tombstones it holds: counts, seq and delete-key ranges,
+/// page count, and the oldest tombstone's sequence. The key span covers the
+/// range tombstones too (an exclusive end becomes an inclusive bound, which
+/// is conservative), so overlap queries and lookups route through the file.
+void SetTableMeta(const TableProperties& props,
+                  const std::vector<RangeTombstone>& rts, FileMeta* meta);
+
 /// Clips each tombstone to the user-key window [begin, end) (nullopt =
 /// ±infinity), dropping pieces that come up empty. Sequence numbers and
 /// insertion times are preserved, so coverage semantics and FADE age

@@ -614,9 +614,7 @@ class DBImpl final : public DB {
   /// by the recovered version (outputs of a merge that crashed before its
   /// manifest install) and manifests superseded by the current one, bumping
   /// the file-number counter past every orphan so fresh allocations cannot
-  /// collide. When recovery fell back to an older manifest snapshot, the
-  /// Init-time sweep quarantines unreferenced tables (rename to .bad)
-  /// instead — they may hold acked data the damaged manifest referenced.
+  /// collide.
   Status RemoveOrphanFilesLocked();
 
   /// Closes the current WAL (if any) and opens a fresh one as wal_number_.
@@ -734,9 +732,6 @@ class DBImpl final : public DB {
   // A resume-time orphan sweep was skipped because jobs were in flight;
   // the next completion that empties the registry runs it.
   bool orphan_sweep_pending_ = false;
-  // Set by the first (Init-time) orphan sweep: only that sweep can meet
-  // tables a manifest fallback stranded, so only it quarantines.
-  bool fallback_sweep_done_ = false;
   Status bg_error_;
   bool closed_ = false;
 

@@ -77,14 +77,6 @@ Status DBImpl::RemoveOrphanFilesLocked() {
   for (uint64_t number : versions_->GraveyardFiles()) {
     live.insert(number);
   }
-  // After a manifest fallback the recovered snapshot is older than the tree
-  // on disk: "unreferenced" tables may hold acknowledged data the damaged
-  // manifest referenced. The Init-time sweep quarantines them (DB::Repair
-  // can readopt a .bad file once renamed back) instead of deleting; later
-  // resume sweeps only ever see genuinely aborted outputs.
-  const bool quarantine =
-      versions_->recovered_via_fallback() && !fallback_sweep_done_;
-  fallback_sweep_done_ = true;
   for (const std::string& child : children) {
     FileType type;
     uint64_t number = 0;
@@ -97,12 +89,7 @@ Status DBImpl::RemoveOrphanFilesLocked() {
         options_.env->RemoveFile(ManifestFileName(dbname_, number)).ok();
       }
     } else if (live.count(number) == 0) {
-      const std::string fname = TableFileName(dbname_, number);
-      if (quarantine) {
-        options_.env->RenameFile(fname, fname + ".bad").ok();
-      } else {
-        options_.env->RemoveFile(fname).ok();
-      }
+      options_.env->RemoveFile(TableFileName(dbname_, number)).ok();
     }
   }
   return Status::OK();

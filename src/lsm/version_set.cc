@@ -149,7 +149,7 @@ Status VersionSet::Recover() {
       return Status::NotFound("database does not exist: " + dbname_);
     }
     LETHE_RETURN_IF_ERROR(env->CreateDirIfMissing(dbname_));
-    return CreateFresh();
+    return InstallSnapshot(VersionEdit());
   }
 
   std::string manifest_name;
@@ -165,53 +165,16 @@ Status VersionSet::Recover() {
                  ? LoadManifest(ManifestFileName(dbname_, current_number))
                  : Status::Corruption("CURRENT names no manifest: " +
                                       manifest_name);
-  if (!s.ok() && !s.IsCorruption()) {
-    // A transient failure (EIO opening or reading the file) is not damage:
-    // falling back to an older snapshot here would silently roll the DB
-    // back and let the orphan sweep destroy the newer tables over an error
-    // a retry could clear. Surface it and let the caller retry Open.
-    return s;
-  }
-  if (!s.ok()) {
-    // The manifest CURRENT names is damaged. Every snapshot manifest is
-    // self-contained (one record describing the whole tree), so an older
-    // intact one still yields a consistent — if stale — database. Try them
-    // newest-first; newer snapshots supersede older ones.
-    std::vector<uint64_t> candidates;
-    std::vector<std::string> children;
-    if (env->GetChildren(dbname_, &children).ok()) {
-      for (const std::string& child : children) {
-        uint64_t number = 0;
-        if (ParseFileName(child, &type, &number) &&
-            type == FileType::kManifest && number != current_number) {
-          candidates.push_back(number);
-        }
-      }
-    }
-    std::sort(candidates.rbegin(), candidates.rend());
-    for (uint64_t number : candidates) {
-      Status fallback = LoadManifest(ManifestFileName(dbname_, number));
-      if (fallback.ok()) {
-        if (stats_ != nullptr) {
-          stats_->manifest_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        }
-        // The recovered snapshot may predate tables the damaged manifest
-        // referenced; the flag tells the recovery orphan sweep to
-        // quarantine those instead of deleting acked data.
-        recovered_via_fallback_ = true;
-        s = Status::OK();
-        break;
-      }
-      if (!fallback.IsCorruption()) {
-        return fallback;  // transient: a retry may still read this snapshot
-      }
-    }
-  }
-  if (!s.ok()) {
-    return Status::Corruption("no readable MANIFEST (" + s.ToString() +
-                              "); run DB::Repair to rebuild one from the "
+  if (s.IsCorruption()) {
+    // Damage is not rolled back over: an older snapshot would undo every
+    // edit after it, flushed deletes included, so salvage is the operator's
+    // explicit DB::Repair, as for a damaged WAL. Any other failure (EIO
+    // opening or reading the file) surfaces as it is: a retry may clear it.
+    return Status::Corruption("MANIFEST damaged (" + s.ToString() +
+                              "); run DB::Repair to rebuild it from the "
                               "table files");
   }
+  LETHE_RETURN_IF_ERROR(s);
   // Start a fresh manifest holding one snapshot record, so the log does not
   // grow across restarts. No memtable holds data yet: WAL replay comes
   // after, and a replayed memtable's own checkpoint is added at its flush.
@@ -250,8 +213,7 @@ Status VersionSet::LoadManifest(const std::string& path) {
     // Every manifest opens with a snapshot record, so "no complete records"
     // means the file is damage masquerading as a torn tail. Installing the
     // empty tree it implies would let the recovery orphan sweep delete
-    // every table file as unreferenced — refuse, and let the caller fall
-    // back to an older manifest or DB::Repair.
+    // every table file as unreferenced — refuse.
     return Status::Corruption("manifest contains no complete records: " +
                               path);
   }
@@ -270,10 +232,14 @@ Status VersionSet::LoadManifest(const std::string& path) {
   return Status::OK();
 }
 
-Status VersionSet::CreateFresh() {
+Status VersionSet::InstallSnapshot(const VersionEdit& edit) {
+  ApplyCounters(edit);
+  Status s;
+  std::shared_ptr<const Version> version = Version::Apply(nullptr, edit, &s);
+  LETHE_RETURN_IF_ERROR(s);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::make_shared<Version>();
+    current_ = std::move(version);
   }
   return WriteSnapshotManifest(kMaxSequenceNumber);
 }

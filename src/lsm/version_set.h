@@ -127,8 +127,23 @@ class VersionSet {
   VersionSet& operator=(const VersionSet&) = delete;
 
   /// Loads or creates the database state. On success current() is valid and
-  /// wal_number() names the log to replay.
+  /// wal_number() names the log to replay. A MANIFEST that does not replay
+  /// fails with a Corruption naming DB::Repair.
   Status Recover();
+
+  /// Replays one manifest log into current_, the counters and the seq→time
+  /// map. A torn tail ends the log; any other damage, or a log without one
+  /// complete record, is Corruption. Counters only max-merge, so a failed
+  /// replay leaves them safe to use; the version and the map are installed
+  /// only when the whole log replays. Recover reads the manifest CURRENT
+  /// names through this, and DB::Repair the ones it finds.
+  Status LoadManifest(const std::string& path);
+
+  /// Max-merges `edit`'s counters, replaces the tree with the one `edit`
+  /// adds to an empty version, and writes it as a fresh snapshot manifest
+  /// that CURRENT names: a new database's first manifest, and the one
+  /// DB::Repair rebuilds.
+  Status InstallSnapshot(const VersionEdit& edit);
 
   /// Persists `edit` to the MANIFEST and installs the resulting version.
   /// Stamps counters into the edit; applies any seq_time_checkpoints to the
@@ -231,13 +246,6 @@ class VersionSet {
   const std::string& dbname() const { return dbname_; }
   uint64_t manifest_number() const { return manifest_number_; }
 
-  /// True when Recover could not read the manifest CURRENT named and fell
-  /// back to an older intact snapshot. Tables the lost manifest referenced
-  /// look unreferenced to the recovery orphan sweep, which must then
-  /// quarantine them (they hold acked data DB::Repair can readopt) instead
-  /// of deleting them.
-  bool recovered_via_fallback() const { return recovered_via_fallback_; }
-
   /// Deletes every table file still parked in the graveyard, regardless of
   /// pins. Called at DB close, when no reader can remain.
   void SweepAllObsoleteFiles();
@@ -250,12 +258,6 @@ class VersionSet {
   void SweepObsoleteFiles() { SweepGraveyardLocked(); }
 
  private:
-  Status CreateFresh();
-  /// Replays one manifest log into current_/counters/seq_time_map_
-  /// (resetting the map first, so a retry on a different manifest starts
-  /// clean). Corruption statuses are returned, not fatal: Recover may fall
-  /// back to an older manifest.
-  Status LoadManifest(const std::string& path);
   /// Writes a manifest holding one snapshot record of the whole state,
   /// syncs it and points CURRENT at it, pruning the seq→time map first (see
   /// LogAndApply). Failure-atomic: the manifest in use changes only once
@@ -284,7 +286,6 @@ class VersionSet {
   std::unique_ptr<RecordLogWriter> manifest_;
   uint64_t manifest_number_ = 0;
   uint64_t manifest_snapshot_bytes_ = 0;  // its snapshot record, framed
-  bool recovered_via_fallback_ = false;  // set once during Recover
 
   std::atomic<uint64_t> next_file_number_{1};
   std::atomic<uint64_t> next_run_id_{1};

@@ -22,9 +22,12 @@
 //     stays within one snapshot plus the roll limit, a failure at any roll
 //     step leaves the old manifest in use, and pruning the seq→time map
 //     keeps every live tombstone's time.
-//   - Manifest fallback to an older intact snapshot (ignoring names that
-//     only look like manifests), and DB::Repair rebuilding a manifest from
-//     the table files (quarantining damaged ones) with unflushed WAL data
+//   - The MANIFEST follows the WAL's rule: a damaged one fails Open with a
+//     Corruption naming DB::Repair, even beside an older intact one, and a
+//     transient read error surfaces as it is; names that only look like
+//     manifests are never read. DB::Repair rebuilds a manifest from the
+//     table files (quarantining damaged ones, keeping range deletes,
+//     placing each key's newest version first) with unflushed WAL data
 //     preserved.
 //   - SustainedFaultStress: faults arming and clearing mid-run against
 //     concurrent writers with per-thread test::KeyModels; the DB must
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "src/core/lethe.h"
+#include "src/format/sstable_builder.h"
 #include "src/lsm/db_impl.h"
 #include "src/workload/generator.h"
 #include "tests/model/key_model.h"
@@ -958,101 +962,127 @@ TEST_F(WalRecoveryTest, TornTailInOlderWalFailsOpenUntilRepair) {
   }
 }
 
-// ---- manifest fallback ------------------------------------------------------
+// ---- damaged MANIFEST -------------------------------------------------------
 
-TEST(ManifestFallbackTest, OlderIntactManifestRecoversTheTree) {
-  auto env = NewMemEnv();
-  Options options;
-  options.env = env.get();
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "manifest_db", &db).ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
-  ASSERT_TRUE(db->Flush().ok());
-  db.reset();
-
-  // Simulate a crash that left a stale-but-intact older manifest behind,
-  // then damage the current one.
+/// The manifest CURRENT names in `dbname`.
+uint64_t CurrentManifestNumber(Env* env, const std::string& dbname) {
   std::string current;
-  ASSERT_TRUE(
-      ReadFileToString(env.get(), "manifest_db/CURRENT", &current).ok());
-  const std::string manifest_path =
-      "manifest_db/" + current.substr(0, current.find('\n'));
-  std::string manifest_bytes;
-  ASSERT_TRUE(
-      ReadFileToString(env.get(), manifest_path, &manifest_bytes).ok());
-  ASSERT_GT(manifest_bytes.size(), 16u);
-  uint64_t current_number = 0;
-  ASSERT_EQ(sscanf(current.c_str(), "MANIFEST-%" SCNu64, &current_number), 1);
-  RewriteFile(env.get(), ManifestFileName("manifest_db", current_number - 1),
-              manifest_bytes);
-  std::string damaged = manifest_bytes;
-  damaged[12] = static_cast<char>(damaged[12] ^ 0xff);
-  RewriteFile(env.get(), manifest_path, damaged);
-
-  // Open falls back to the older intact snapshot and serves the flushed
-  // data.
-  ASSERT_TRUE(DB::Open(options, "manifest_db", &db).ok());
-  EXPECT_GE(db->stats().manifest_fallbacks.load(), 1u);
-  std::string got;
-  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
-  EXPECT_EQ(got, "one");
+  EXPECT_TRUE(ReadFileToString(env, dbname + "/CURRENT", &current).ok());
+  FileType type;
+  uint64_t number = 0;
+  EXPECT_TRUE(
+      ParseFileName(current.substr(0, current.find('\n')), &type, &number));
+  return number;
 }
 
-TEST(ManifestFallbackTest, StrayManifestLookalikeIsNotAManifest) {
+/// Flips one byte inside the first record of manifest `number`.
+void DamageManifest(Env* env, const std::string& dbname, uint64_t number) {
+  const std::string path = ManifestFileName(dbname, number);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(env, path, &bytes).ok());
+  ASSERT_GT(bytes.size(), 16u);
+  bytes[12] = static_cast<char>(bytes[12] ^ 0xff);
+  RewriteFile(env, path, bytes);
+}
+
+// An older intact manifest beside a damaged current one is not a recovery
+// point: it predates a flushed delete, so Open refuses instead of undoing
+// the delete, and Repair rebuilds the tree from every table.
+TEST(ManifestRecoveryTest, DamagedManifestFailsOpenUntilRepair) {
   auto env = NewMemEnv();
   Options options;
   options.env = env.get();
+  const std::string dbname = "manifest_db";
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "stray_db", &db).ok());
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(7), 7, "seven").ok());
+  ASSERT_TRUE(db->Flush().ok());
+  db.reset();
+  // The snapshot a crash could leave behind: key 7 live.
+  std::string stale;
+  ASSERT_TRUE(ReadFileToString(
+                  env.get(),
+                  ManifestFileName(dbname,
+                                   CurrentManifestNumber(env.get(), dbname)),
+                  &stale)
+                  .ok());
+
+  // After it: an acknowledged, flushed delete of key 7, and key 8, which
+  // only the current manifest's tables hold.
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  ASSERT_TRUE(db->Delete(WriteOptions(), EncodeKey(7)).ok());
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(8), 8, "eight").ok());
+  ASSERT_TRUE(db->Flush().ok());
+  db.reset();
+  const uint64_t current = CurrentManifestNumber(env.get(), dbname);
+  RewriteFile(env.get(), ManifestFileName(dbname, current - 1), stale);
+  DamageManifest(env.get(), dbname, current);
+
+  Status s = DB::Open(options, dbname, &db);
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("DB::Repair"), std::string::npos)
+      << s.ToString();
+
+  ASSERT_TRUE(DB::Repair(options, dbname).ok());
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  std::string got;
+  s = db->Get(ReadOptions(), EncodeKey(7), &got);
+  EXPECT_TRUE(s.IsNotFound()) << "the flushed delete was undone: " << got;
+  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(8), &got).ok());
+  EXPECT_EQ(got, "eight");
+  EXPECT_TRUE(FindFileWithSuffix(env.get(), dbname, ".bad").empty());
+  ASSERT_TRUE(
+      static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants().ok());
+}
+
+// A name that only starts like a manifest's is never read, nor removed, by
+// Open or Repair.
+TEST(ManifestRecoveryTest, StrayManifestLookalikeIsNotAManifest) {
+  auto env = NewMemEnv();
+  Options options;
+  options.env = env.get();
+  const std::string dbname = "stray_db";
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
   ASSERT_TRUE(db->Flush().ok());
   db.reset();
 
   // An operator's backup copy whose name only starts like a manifest's,
   // numbered above every real one.
-  std::string current;
-  ASSERT_TRUE(ReadFileToString(env.get(), "stray_db/CURRENT", &current).ok());
-  const std::string manifest_path =
-      "stray_db/" + current.substr(0, current.find('\n'));
-  std::string manifest_bytes;
-  ASSERT_TRUE(
-      ReadFileToString(env.get(), manifest_path, &manifest_bytes).ok());
-  const std::string stray = "stray_db/MANIFEST-000099.bak";
-  RewriteFile(env.get(), stray, manifest_bytes);
+  std::string backup;
+  ASSERT_TRUE(ReadFileToString(
+                  env.get(),
+                  ManifestFileName(dbname,
+                                   CurrentManifestNumber(env.get(), dbname)),
+                  &backup)
+                  .ok());
+  const std::string stray = dbname + "/MANIFEST-000099.bak";
+  RewriteFile(env.get(), stray, backup);
 
   // The orphan sweep leaves it alone.
-  ASSERT_TRUE(DB::Open(options, "stray_db", &db).ok());
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
   db.reset();
   ASSERT_TRUE(env->FileExists(stray));
 
-  // With the current manifest damaged, the fallback skips the look-alike
-  // and recovers from the older intact snapshot.
-  ASSERT_TRUE(ReadFileToString(env.get(), "stray_db/CURRENT", &current).ok());
-  FileType type;
-  uint64_t current_number = 0;
-  ASSERT_TRUE(ParseFileName(current.substr(0, current.find('\n')), &type,
-                            &current_number));
-  ASSERT_TRUE(ReadFileToString(
-                  env.get(), ManifestFileName("stray_db", current_number),
-                  &manifest_bytes)
-                  .ok());
-  RewriteFile(env.get(), ManifestFileName("stray_db", current_number - 1),
-              manifest_bytes);
-  std::string damaged = manifest_bytes;
-  damaged[12] = static_cast<char>(damaged[12] ^ 0xff);
-  RewriteFile(env.get(), ManifestFileName("stray_db", current_number),
-              damaged);
-
-  Status s = DB::Open(options, "stray_db", &db);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(db->stats().manifest_fallbacks.load(), 1u);
+  // With the current manifest damaged, Open still refuses rather than
+  // reading the look-alike, and Repair rebuilds without it.
+  DamageManifest(env.get(), dbname, CurrentManifestNumber(env.get(), dbname));
+  Status s = DB::Open(options, dbname, &db);
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_TRUE(DB::Repair(options, dbname).ok());
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
   std::string got;
   ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
   EXPECT_EQ(got, "one");
   EXPECT_TRUE(env->FileExists(stray));
+  // Had any step taken it for manifest 99, file numbers would now run past
+  // it.
+  EXPECT_LT(CurrentManifestNumber(env.get(), dbname), 99u);
 }
 
-TEST(ManifestFallbackTest, TransientReadErrorSurfacesInsteadOfFallingBack) {
+TEST(ManifestRecoveryTest, TransientReadErrorSurfaces) {
   auto base = NewMemEnv();
   IoCountingEnv env(base.get());
   Options options;
@@ -1062,32 +1092,13 @@ TEST(ManifestFallbackTest, TransientReadErrorSurfacesInsteadOfFallingBack) {
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
   ASSERT_TRUE(db->Flush().ok());
   db.reset();
-
-  // Keep a stale-but-intact snapshot that predates key 2's table…
-  std::string current;
-  ASSERT_TRUE(
-      ReadFileToString(&env, "transient_db/CURRENT", &current).ok());
-  std::string stale_bytes;
-  ASSERT_TRUE(ReadFileToString(
-                  &env, "transient_db/" + current.substr(0, current.find('\n')),
-                  &stale_bytes)
-                  .ok());
-
-  // …then acknowledge newer state only the current manifest references.
   ASSERT_TRUE(DB::Open(options, "transient_db", &db).ok());
   ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(2), 2, "two").ok());
   ASSERT_TRUE(db->Flush().ok());
   db.reset();
-  ASSERT_TRUE(
-      ReadFileToString(&env, "transient_db/CURRENT", &current).ok());
-  uint64_t current_number = 0;
-  ASSERT_EQ(sscanf(current.c_str(), "MANIFEST-%" SCNu64, &current_number), 1);
-  RewriteFile(&env, ManifestFileName("transient_db", current_number - 1),
-              stale_bytes);
 
-  // One transient EIO on the first read of the current manifest. Open must
-  // surface it — NOT silently fall back to the stale snapshot and let the
-  // orphan sweep destroy key 2's acked table.
+  // One transient EIO on the first read of the current manifest is not
+  // damage: Open surfaces it as it is.
   FaultPolicy policy;
   policy.kind = FaultPolicy::Kind::kIOError;
   policy.fail_appends = false;
@@ -1101,65 +1112,12 @@ TEST(ManifestFallbackTest, TransientReadErrorSurfacesInsteadOfFallingBack) {
 
   // The retry reads the intact manifest and serves everything acknowledged.
   ASSERT_TRUE(DB::Open(options, "transient_db", &db).ok());
-  EXPECT_EQ(db->stats().manifest_fallbacks.load(), 0u);
   std::string got;
   ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
+  EXPECT_EQ(got, "one");
   ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).ok());
   EXPECT_EQ(got, "two");
   EXPECT_TRUE(FindFileWithSuffix(&env, "transient_db", ".bad").empty());
-}
-
-TEST(ManifestFallbackTest, FallbackQuarantinesTablesTheLostManifestHeld) {
-  auto env = NewMemEnv();
-  Options options;
-  options.env = env.get();
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, "fallback_q_db", &db).ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(1), 1, "one").ok());
-  ASSERT_TRUE(db->Flush().ok());
-  db.reset();
-
-  std::string current;
-  ASSERT_TRUE(
-      ReadFileToString(env.get(), "fallback_q_db/CURRENT", &current).ok());
-  std::string stale_bytes;
-  ASSERT_TRUE(
-      ReadFileToString(env.get(),
-                       "fallback_q_db/" + current.substr(0, current.find('\n')),
-                       &stale_bytes)
-          .ok());
-
-  ASSERT_TRUE(DB::Open(options, "fallback_q_db", &db).ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(2), 2, "two").ok());
-  ASSERT_TRUE(db->Flush().ok());
-  db.reset();
-
-  // Plant the stale snapshot, then corrupt the current manifest so the open
-  // genuinely must fall back.
-  ASSERT_TRUE(
-      ReadFileToString(env.get(), "fallback_q_db/CURRENT", &current).ok());
-  const std::string manifest_path =
-      "fallback_q_db/" + current.substr(0, current.find('\n'));
-  uint64_t current_number = 0;
-  ASSERT_EQ(sscanf(current.c_str(), "MANIFEST-%" SCNu64, &current_number), 1);
-  RewriteFile(env.get(), ManifestFileName("fallback_q_db", current_number - 1),
-              stale_bytes);
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(env.get(), manifest_path, &bytes).ok());
-  ASSERT_GT(bytes.size(), 16u);
-  bytes[12] = static_cast<char>(bytes[12] ^ 0xff);
-  RewriteFile(env.get(), manifest_path, bytes);
-
-  ASSERT_TRUE(DB::Open(options, "fallback_q_db", &db).ok());
-  EXPECT_GE(db->stats().manifest_fallbacks.load(), 1u);
-  std::string got;
-  ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(1), &got).ok());
-  EXPECT_TRUE(db->Get(ReadOptions(), EncodeKey(2), &got).IsNotFound());
-  // Key 2's table is stranded by the rollback but NOT destroyed: the sweep
-  // quarantined it for DB::Repair to readopt (after renaming .bad back).
-  EXPECT_FALSE(
-      FindFileWithSuffix(env.get(), "fallback_q_db", ".sst.bad").empty())
-      << "stranded table was deleted instead of quarantined";
 }
 
 // ---- manifest roll ----------------------------------------------------------
@@ -1544,16 +1502,8 @@ class RepairTest : public ::testing::Test {
   }
 
   void CorruptManifest(const std::string& dbname) {
-    std::string current;
-    ASSERT_TRUE(
-        ReadFileToString(env_.get(), dbname + "/CURRENT", &current).ok());
-    const std::string manifest_path =
-        dbname + "/" + current.substr(0, current.find('\n'));
-    std::string bytes;
-    ASSERT_TRUE(ReadFileToString(env_.get(), manifest_path, &bytes).ok());
-    ASSERT_GT(bytes.size(), 16u);
-    bytes[12] = static_cast<char>(bytes[12] ^ 0xff);
-    RewriteFile(env_.get(), manifest_path, bytes);
+    DamageManifest(env_.get(), dbname,
+                   CurrentManifestNumber(env_.get(), dbname));
   }
 
   std::unique_ptr<Env> env_;
@@ -1677,6 +1627,129 @@ TEST_F(RepairTest, LevelingPlacementPreservesRecencyOfOverlappingTables) {
   EXPECT_EQ(got, "old");
   ASSERT_TRUE(
       static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants().ok());
+}
+
+// Tables a merge left behind can overlap with newest sequences that do not
+// order them: D holds key 5's older version beside a newer key 9, and the
+// range delete in A covers an older version of key 25 in B, whose key 50 is
+// newer than it. Repair must place each key's newest version, and each
+// range tombstone, above the older versions.
+TEST_F(RepairTest, PlacesEachKeysNewestVersionFirst) {
+  env_ = NewMemEnv();
+  options_ = Options();
+  options_.env = env_.get();
+  const std::string dbname = "repair_order_db";
+  ASSERT_TRUE(env_->CreateDirIfMissing(dbname).ok());
+  auto write_table = [&](uint64_t number,
+                         const std::vector<ParsedEntry>& entries,
+                         const std::vector<RangeTombstone>& rts) {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(
+        env_->NewWritableFile(TableFileName(dbname, number), &file).ok());
+    SSTableBuilder builder(options_.WithDefaults().table, file.get());
+    for (const ParsedEntry& entry : entries) {
+      builder.Add(entry);
+    }
+    for (const RangeTombstone& rt : rts) {
+      builder.AddRangeTombstone(rt);
+    }
+    TableProperties props;
+    ASSERT_TRUE(builder.Finish(&props).ok());
+    ASSERT_TRUE(file->Close().ok());
+  };
+  const std::string k5 = EncodeKey(5), k9 = EncodeKey(9), k20 = EncodeKey(20),
+                    k25 = EncodeKey(25), k30 = EncodeKey(30),
+                    k50 = EncodeKey(50);
+  write_table(5, {{k5, 5, 1, ValueType::kValue, "old"},
+                  {k9, 9, 10, ValueType::kValue, "nine"}},
+              {});                                                   // D
+  write_table(6, {{k5, 5, 5, ValueType::kValue, "new"}}, {});        // S
+  write_table(7, {}, {{k20, k30, 8, 0}});                            // A
+  write_table(8, {{k25, 25, 3, ValueType::kValue, "deleted"},
+                  {k50, 50, 20, ValueType::kValue, "fifty"}},
+              {});                                                   // B
+
+  ASSERT_TRUE(DB::Repair(options_, dbname).ok());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, dbname, &db).ok());
+  std::string got;
+  ASSERT_TRUE(db->Get(ReadOptions(), k5, &got).ok());
+  EXPECT_EQ(got, "new");
+  ASSERT_TRUE(db->Get(ReadOptions(), k9, &got).ok());
+  EXPECT_EQ(got, "nine");
+  Status s = db->Get(ReadOptions(), k25, &got);
+  EXPECT_TRUE(s.IsNotFound()) << "the range delete was undone: " << got;
+  ASSERT_TRUE(db->Get(ReadOptions(), k50, &got).ok());
+  EXPECT_EQ(got, "fifty");
+  ASSERT_TRUE(
+      static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants().ok());
+}
+
+// A range delete lives in its table's range tombstones. Repair must widen
+// the table's key span over them, or the older entries they cover come
+// back, and resume the sequence past them, or a later write sequences
+// under a delete that then hides it. With the manifest damaged, no
+// recorded counter supplies that sequence.
+TEST_F(RepairTest, RangeDeleteSurvivesRepair) {
+  for (const bool damaged : {false, true}) {
+    SCOPED_TRACE(damaged ? "manifest damaged" : "manifest intact");
+    env_ = NewMemEnv();
+    options_ = Options();
+    options_.env = env_.get();
+    options_.write_buffer_bytes = 16 << 10;
+    options_.target_file_bytes = 16 << 10;
+    const std::string dbname = "repair_rt_db";
+    const std::string value(100, 'v');
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options_, dbname, &db).ok());
+    for (uint64_t k = 0; k < 3000; k++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), k, value).ok());
+    }
+    ASSERT_TRUE(db->WaitForCompact().ok());
+    // A table whose range tombstone reaches past its entries…
+    ASSERT_TRUE(
+        db->RangeDelete(WriteOptions(), EncodeKey(30), EncodeKey(40)).ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(35), 35, "after").ok());
+    ASSERT_TRUE(db->Flush().ok());
+    // …and a table of range tombstones alone.
+    ASSERT_TRUE(
+        db->RangeDelete(WriteOptions(), EncodeKey(10), EncodeKey(20)).ok());
+    ASSERT_TRUE(db->Flush().ok());
+    const SequenceNumber last =
+        static_cast<DBImpl*>(db.get())->TEST_LastSequence();
+    db.reset();
+    if (damaged) {
+      CorruptManifest(dbname);
+    }
+
+    ASSERT_TRUE(DB::Repair(options_, dbname).ok());
+    ASSERT_TRUE(DB::Open(options_, dbname, &db).ok());
+    EXPECT_GE(static_cast<DBImpl*>(db.get())->TEST_LastSequence(), last);
+    std::string got;
+    for (uint64_t k = 0; k < 50; k++) {
+      Status s = db->Get(ReadOptions(), EncodeKey(k), &got);
+      if (k == 35) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        EXPECT_EQ(got, "after");
+      } else if ((k >= 10 && k < 20) || (k >= 30 && k < 40)) {
+        EXPECT_TRUE(s.IsNotFound()) << k << " came back: " << got;
+      } else {
+        ASSERT_TRUE(s.ok()) << k << ": " << s.ToString();
+        EXPECT_EQ(got, value) << k;
+      }
+    }
+    size_t scanned = 0;
+    auto it = db->NewIterator(ReadOptions());
+    for (it->Seek(EncodeKey(10));
+         it->Valid() && it->key().compare(Slice(EncodeKey(20))) < 0;
+         it->Next()) {
+      scanned++;
+    }
+    ASSERT_TRUE(it->status().ok());
+    EXPECT_EQ(scanned, 0u);
+    ASSERT_TRUE(
+        static_cast<DBImpl*>(db.get())->TEST_VerifyTreeInvariants().ok());
+  }
 }
 
 // ---- deferred secondary range deletes --------------------------------------

@@ -14,7 +14,9 @@
 // verifies structural tree invariants (sorted-run ordering, leveling's
 // one-run rule, no dangling file references), re-checks every key, then
 // crashes the DB (destructor with work in flight was exercised separately;
-// here: clean reopen over the surviving WAL/manifest) and re-checks again.
+// here: clean reopen over the surviving WAL/manifest) and re-checks again,
+// then closes it, runs DB::Repair over the intact MANIFEST, reopens and
+// re-checks once more.
 //
 // Every model failure message carries the seed and the exact command that
 // reruns it. LETHE_STRESS_SEEDS (default 10) and LETHE_STRESS_OPS (default
@@ -332,6 +334,16 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
   ASSERT_TRUE(DB::Open(options, "stressdb", &db).ok()) << "seed=" << seed;
   for (const KeyModel& model : models) {
     ASSERT_TRUE(model.CheckAll(db.get())) << "post-reopen";
+  }
+
+  // Repair round trip over the intact MANIFEST: the tree rebuilt from the
+  // tables, with the range tombstones, page drops and pending secondary
+  // deletes Repair carries over, must hold the same logical contents.
+  db.reset();
+  ASSERT_TRUE(DB::Repair(options, "stressdb").ok()) << "seed=" << seed;
+  ASSERT_TRUE(DB::Open(options, "stressdb", &db).ok()) << "seed=" << seed;
+  for (const KeyModel& model : models) {
+    ASSERT_TRUE(model.CheckAll(db.get())) << "post-repair";
   }
 }
 
