@@ -320,8 +320,9 @@ void RunSingleLevelSweep() {
 // one-file-per-level shape with subcompactions off — a single tree can run
 // at most one merge at a time, so its flush chain serializes behind every
 // compaction, while N shards run N independent merge chains on the shared
-// pool. Writers drive the facade's hash router, so the comparison includes
-// the real cross-shard write path (per-shard writer queues and WALs).
+// pool. Writers go through the facade (keys routed by ShardOf), so the
+// comparison includes the real cross-shard write path (per-shard writer
+// queues and WALs).
 
 constexpr int kShardSweepWriters = 4;
 constexpr uint64_t kShardSweepOps = 40000;  // per writer, unpaced

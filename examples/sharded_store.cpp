@@ -3,12 +3,12 @@
 //   ./sharded_store [db_path]
 //
 // Setting Options::num_shards > 1 opens a ShardedDB: N independent LSM
-// shards under one facade, keys routed by hash (default) or by range
-// splits. The shards SHARE one background worker pool, one page cache,
-// and one memory budget — sharding redistributes resources, it does not
-// multiply them. Cross-shard reads stay consistent through snapshot cuts:
-// GetSnapshot() briefly pauses writes on every shard to pin one causally
-// consistent point across the whole key space.
+// shards under one facade, each key routed to one shard by its hash. The
+// shards SHARE one background worker pool, one page cache, and one memory
+// budget — sharding redistributes resources, it does not multiply them.
+// Cross-shard reads stay consistent through snapshot cuts: GetSnapshot()
+// briefly pauses writes on every shard to pin one causally consistent
+// point across the whole key space.
 
 #include <cinttypes>
 #include <cstdio>
@@ -24,10 +24,6 @@ int main(int argc, char** argv) {
   options.background_threads = 4;       // ONE pool, shared per-shard fair
   options.inline_compactions = false;   // pool mode: flushes/merges overlap
   options.memory_budget_bytes = 8 << 20;  // ONE budget across all shards
-  // Default routing is hash (uniform load). For an order-preserving
-  // partition instead:
-  //   options.shard_router = lethe::ShardRouterKind::kRange;
-  //   options.shard_split_keys = {"g", "n", "t"};  // 4 shards, 3 splits
 
   std::unique_ptr<lethe::DB> db;
   lethe::Status status = lethe::DB::Open(options, path, &db);
@@ -37,7 +33,7 @@ int main(int argc, char** argv) {
   }
 
   // Point writes route to exactly one shard each. A WriteBatch is split
-  // by the router and committed atomically *per shard*.
+  // by key hash and committed atomically *per shard*.
   lethe::WriteOptions write_options;
   lethe::WriteBatch batch;
   batch.Put("user:alice", /*delete_key=*/1001, "engineering");

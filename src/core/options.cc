@@ -50,18 +50,6 @@ Status Options::Validate() const {
   if (num_shards < 1 || num_shards > 256) {
     return Status::InvalidArgument("num_shards must be in [1, 256]");
   }
-  if (num_shards > 1 && shard_router == ShardRouterKind::kRange) {
-    if (shard_split_keys.size() != static_cast<size_t>(num_shards) - 1) {
-      return Status::InvalidArgument(
-          "range routing needs exactly num_shards - 1 shard_split_keys");
-    }
-    for (size_t i = 1; i < shard_split_keys.size(); i++) {
-      if (shard_split_keys[i - 1] >= shard_split_keys[i]) {
-        return Status::InvalidArgument(
-            "shard_split_keys must be strictly ascending");
-      }
-    }
-  }
   return Status::OK();
 }
 

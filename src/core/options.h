@@ -2,8 +2,6 @@
 #define LETHE_CORE_OPTIONS_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/env/env.h"
 #include "src/format/table_options.h"
@@ -33,17 +31,6 @@ enum class CompactionStyle {
 enum class FilePickingPolicy {
   kMinOverlap,
   kMaxTombstones,
-};
-
-/// Built-in key→shard routing policies for ShardedDB (num_shards > 1).
-///   kHash  — shard = Hash32(key) % num_shards: uniform load spread, range
-///            operations fan out to every shard.
-///   kRange — num_shards-1 ascending split keys partition the key space
-///            into contiguous bands; range operations touch only the
-///            overlapping shards. Requires shard_split_keys.
-enum class ShardRouterKind {
-  kHash,
-  kRange,
 };
 
 /// All engine configuration. Defaults mirror the paper's Table 1 / §5 setup
@@ -156,8 +143,8 @@ struct Options {
   /// Maximum number of disjoint key-range partitions one picked compaction
   /// may be split into (subcompactions). When a merge's inputs span at least
   /// two files, the picker derives up to this many byte-balanced partition
-  /// boundaries from the input files' key spans (file sizes weighted via
-  /// key interpolation); each partition merges independently — in
+  /// boundaries from the input tables' fences (tile first keys weighted by
+  /// tile bytes); each partition merges independently — in
   /// background mode sibling partitions are offered to idle pool workers,
   /// so a single saturated level's merge bandwidth scales with the pool
   /// instead of serializing on one worker — and all partitions commit as a
@@ -193,23 +180,14 @@ struct Options {
 
   /// Number of independent LSM shards behind DB::Open. 1 (the default)
   /// opens the classic single-tree engine, byte-identical to every prior
-  /// release. > 1 opens a ShardedDB facade (src/lsm/sharded_db.h): N full
-  /// DBImpls under `<name>/shard-<i>`, keys routed by shard_router, all
-  /// shards sharing ONE background worker pool
-  /// (background_threads total, per-shard fair), ONE page cache, and ONE
-  /// memory_budget_bytes. See docs/architecture.md ("Sharding").
+  /// release. > 1 opens a hash-partitioned ShardedDB facade
+  /// (src/lsm/sharded_db.h): N full DBImpls under `<name>/shard-<i>`, key k
+  /// on shard ShardOf(k, num_shards), all shards sharing ONE background
+  /// worker pool (background_threads total, per-shard fair), ONE page cache,
+  /// and ONE memory_budget_bytes. Must stay the same for the lifetime of the
+  /// on-disk database: rerouting a key orphans its old copies. See
+  /// docs/architecture.md ("Sharding").
   int num_shards = 1;
-
-  /// Routing policy when num_shards > 1. Must stay the same for the
-  /// lifetime of the on-disk database — rerouting keys of an existing DB
-  /// silently orphans their old copies. Default: kHash.
-  ShardRouterKind shard_router = ShardRouterKind::kHash;
-
-  /// Range routing (shard_router == kRange): exactly num_shards - 1
-  /// strictly ascending split keys. Shard i owns [split[i-1], split[i]);
-  /// shard 0 owns everything below split[0], the last shard everything at
-  /// or above the final split.
-  std::vector<std::string> shard_split_keys;
 
   /// Returns a copy with env/clock defaults resolved, and
   /// background_threads = 1 under inline_compactions.

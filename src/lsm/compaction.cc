@@ -174,10 +174,6 @@ Status MergeExecutor::FinishOutput(Output* output,
     stats_->compaction_bytes_written.fetch_add(props.file_size,
                                                std::memory_order_relaxed);
   }
-  if (meta.HasTombstones()) {
-    stats_->tombstones_written.fetch_add(meta.num_point_tombstones,
-                                         std::memory_order_relaxed);
-  }
 
   edit->added_files.emplace_back(config.output_level, std::move(meta));
   return Status::OK();

@@ -75,17 +75,6 @@ std::vector<std::string> CompactionPicker::ComputeSubcompactionBoundaries(
   if (max_partitions <= 1 || inputs.size() < 2) {
     return {};
   }
-  std::vector<std::string> boundaries =
-      ComputeFenceSampledBoundaries(inputs, max_partitions);
-  if (!boundaries.empty()) {
-    return boundaries;
-  }
-  return ComputeInterpolatedBoundaries(inputs, max_partitions);
-}
-
-std::vector<std::string> CompactionPicker::ComputeFenceSampledBoundaries(
-    const std::vector<std::shared_ptr<FileMeta>>& inputs,
-    int max_partitions) const {
   // Combined span, for the edge guards below.
   std::string smallest, largest;
   CombinedKeySpan(inputs, &smallest, &largest);
@@ -95,7 +84,6 @@ std::vector<std::string> CompactionPicker::ComputeFenceSampledBoundaries(
     double mass;
   };
   std::vector<WeightedKey> samples;
-  size_t fence_samples = 0;
   for (const auto& file : inputs) {
     if (file->file_number == 0) {
       // A flush's memtable pseudo-file: no fences exist yet, so spread its
@@ -132,7 +120,7 @@ std::vector<std::string> CompactionPicker::ComputeFenceSampledBoundaries(
     // critical path.
     std::shared_ptr<SSTableReader> table;
     if (!versions_->table_cache()->GetTable(*file, &table).ok()) {
-      return {};  // cannot sample this input: fall back to interpolation
+      return {};  // cannot sample this input (its merge fails on it too)
     }
     const TableIndex& index = table->index();
     if (index.pages.empty()) {
@@ -143,13 +131,7 @@ std::vector<std::string> CompactionPicker::ComputeFenceSampledBoundaries(
     for (const TileInfo& tile : index.tiles) {
       samples.push_back({tile.min_sort_key.ToString(),
                          tile.page_count * page_mass});
-      fence_samples++;
     }
-  }
-  // Too few real fences to place max_partitions - 1 boundaries with any
-  // confidence (e.g. two single-tile files): let interpolation decide.
-  if (fence_samples < 2 * static_cast<size_t>(max_partitions)) {
-    return {};
   }
 
   std::stable_sort(samples.begin(), samples.end(),
@@ -197,128 +179,6 @@ std::vector<std::string> CompactionPicker::ComputeFenceSampledBoundaries(
       }
       target_index++;
     }
-  }
-  return boundaries;
-}
-
-std::vector<std::string> CompactionPicker::ComputeInterpolatedBoundaries(
-    const std::vector<std::shared_ptr<FileMeta>>& inputs,
-    int max_partitions) const {
-  std::vector<std::string> boundaries;
-
-  std::string smallest, largest;
-  CombinedKeySpan(inputs, &smallest, &largest);
-  uint64_t total_mass = 0;
-  for (const auto& file : inputs) {
-    total_mass += file->file_size;
-  }
-  if (total_mass == 0) {
-    return boundaries;
-  }
-
-  // Interpolate past the common prefix of the combined span (every input
-  // key between smallest and largest shares it); boundary keys are
-  // synthesized as prefix + 8 big-endian bytes, so they compare correctly
-  // against real keys without having to be real keys themselves.
-  size_t prefix = 0;
-  while (prefix < smallest.size() && prefix < largest.size() &&
-         smallest[prefix] == largest[prefix]) {
-    prefix++;
-  }
-  const uint64_t span_lo = KeyToU64At(Slice(smallest), prefix);
-  const uint64_t span_hi = KeyToU64At(Slice(largest), prefix);
-  if (span_hi <= span_lo + 1) {
-    return boundaries;  // too narrow to place an interior boundary
-  }
-
-  // Model each file's bytes as uniform over its key span; a degenerate
-  // (single-point) span becomes a mass jump at its position. Boundaries
-  // are then the quantiles of the resulting piecewise-linear cumulative
-  // byte-mass function — byte-balanced partitions even when the inputs
-  // are two huge overlapping files.
-  struct Span {
-    uint64_t lo, hi;
-    double mass;
-  };
-  std::vector<Span> spans;
-  spans.reserve(inputs.size());
-  std::vector<uint64_t> points;
-  points.reserve(inputs.size() * 2);
-  for (const auto& file : inputs) {
-    uint64_t lo = KeyToU64At(Slice(file->smallest_key), prefix);
-    uint64_t hi = KeyToU64At(Slice(file->largest_key), prefix);
-    hi = std::max(hi, lo);
-    spans.push_back({lo, hi, static_cast<double>(file->file_size)});
-    points.push_back(lo);
-    points.push_back(hi);
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-
-  std::vector<double> targets;
-  for (int i = 1; i < max_partitions; i++) {
-    targets.push_back(static_cast<double>(total_mass) * i / max_partitions);
-  }
-
-  auto emit = [&](uint64_t value) {
-    std::string key = smallest.substr(0, prefix);
-    for (int shift = 56; shift >= 0; shift -= 8) {
-      key.push_back(static_cast<char>((value >> shift) & 0xFF));
-    }
-    // Drop boundaries that would leave an empty edge partition or repeat
-    // (several targets can collapse onto one point of a steep mass jump).
-    if (Slice(key).compare(Slice(smallest)) <= 0 ||
-        Slice(key).compare(Slice(largest)) > 0) {
-      return;
-    }
-    if (!boundaries.empty() &&
-        Slice(key).compare(Slice(boundaries.back())) <= 0) {
-      return;
-    }
-    boundaries.push_back(std::move(key));
-  };
-
-  double accumulated = 0;
-  size_t target_index = 0;
-  for (size_t p = 0; p + 1 <= points.size() && target_index < targets.size();
-       p++) {
-    const uint64_t at = points[p];
-    // Point masses (zero-width spans) jump the cumulative function here.
-    for (const Span& span : spans) {
-      if (span.lo == at && span.hi == at) {
-        accumulated += span.mass;
-      }
-    }
-    while (target_index < targets.size() &&
-           accumulated >= targets[target_index]) {
-      emit(at);
-      target_index++;
-    }
-    if (p + 1 >= points.size()) {
-      break;
-    }
-    // Linear segment [points[p], points[p + 1]].
-    const uint64_t seg_begin = at, seg_end = points[p + 1];
-    double slope = 0;  // mass per key-space unit across this segment
-    for (const Span& span : spans) {
-      if (span.lo <= seg_begin && span.hi >= seg_end && span.hi > span.lo) {
-        slope += span.mass / static_cast<double>(span.hi - span.lo);
-      }
-    }
-    const double segment_mass =
-        slope * static_cast<double>(seg_end - seg_begin);
-    while (target_index < targets.size() &&
-           accumulated + segment_mass >= targets[target_index]) {
-      const double need = targets[target_index] - accumulated;
-      uint64_t at_boundary = seg_begin;
-      if (need > 0 && segment_mass > 0) {
-        at_boundary += static_cast<uint64_t>(
-            (need / segment_mass) * static_cast<double>(seg_end - seg_begin));
-      }
-      emit(std::min(at_boundary, seg_end));
-      target_index++;
-    }
-    accumulated += segment_mass;
   }
   return boundaries;
 }

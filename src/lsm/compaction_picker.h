@@ -120,23 +120,19 @@ class CompactionPicker {
   /// each strictly inside the inputs' combined key span, partitioning the
   /// merge into [b_0=-inf, b_1), [b_1, b_2), ... [b_last, +inf).
   ///
-  /// Preferred model: *per-file fence samples*. Each input file's delete
-  /// tiles contribute their min-sort-key fences, weighted by the tile's
-  /// share of the file's bytes, and the boundaries are the byte-mass
-  /// quantiles of the sampled keys — real keys from the actual
-  /// distribution, so arbitrary key spaces (hex-ASCII with its '9'→'a'
-  /// gap, clustered inserts) partition evenly. A flush's memtable
-  /// pseudo-file (file_number 0) has no fences and contributes
-  /// interpolated synthetic samples instead.
-  ///
-  /// Fallback: when any input's fences are unavailable (unopenable file)
-  /// or the inputs carry too few fences to place max_partitions - 1
-  /// boundaries meaningfully, each file's bytes are modeled as uniform
-  /// over its key span via big-endian interpolation (the same model the
-  /// selectivity estimates use).
+  /// The boundaries are the byte-mass quantiles over the input tables'
+  /// fences: each delete tile contributes its min-sort-key fence, weighted
+  /// by the tile's share of its file's bytes, and each boundary is a real
+  /// fence key — so arbitrary key spaces (hex-ASCII with its '9'→'a' gap,
+  /// clustered inserts) partition evenly and whole tiles stay on one side.
+  /// A flush's memtable pseudo-file (file_number 0) has no fences and
+  /// contributes interpolated synthetic samples instead, which may become
+  /// boundaries too.
   ///
   /// Returns empty (no split) when inputs hold fewer than two files, when
-  /// max_partitions <= 1, or when the key span is too narrow to split.
+  /// max_partitions <= 1, when an input's table cannot be opened (the merge
+  /// fails on that input anyway), or when no fence falls strictly inside
+  /// the span.
   std::vector<std::string> ComputeSubcompactionBoundaries(
       const std::vector<std::shared_ptr<FileMeta>>& inputs,
       int max_partitions) const;
@@ -149,17 +145,6 @@ class CompactionPicker {
                               const FileMeta& file) const;
 
  private:
-  /// The fence-sample model; returns empty when it cannot be applied (some
-  /// file unreadable, or too few fences) and the caller should interpolate.
-  std::vector<std::string> ComputeFenceSampledBoundaries(
-      const std::vector<std::shared_ptr<FileMeta>>& inputs,
-      int max_partitions) const;
-
-  /// The uniform-interpolation model (fallback).
-  std::vector<std::string> ComputeInterpolatedBoundaries(
-      const std::vector<std::shared_ptr<FileMeta>>& inputs,
-      int max_partitions) const;
-
   CompactionPick PickTtlExpired(const Version& version, uint64_t now,
                                 const std::set<uint64_t>* in_flight,
                                 OldestSnapshot oldest_snapshot,

@@ -465,8 +465,8 @@ Status DBImpl::MergeAndCommitLocked(
     std::unique_lock<std::mutex>& l) {
   // Subcompactions: split the merge into byte-balanced key-range
   // partitions so idle pool workers can share one saturated level's merge.
-  // Empty boundaries (the default, single-file inputs, or a degenerate key
-  // span) keep the classic single-pass merge.
+  // Empty boundaries (the default, single-file inputs, or no fence inside
+  // the span) keep the classic single-pass merge.
   std::vector<std::string> boundaries;
   if (options_.max_subcompactions > 1) {
     // Off-mutex: fence sampling opens the inputs and may read metadata.

@@ -172,8 +172,6 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
         case WriteBatch::OpKind::kPut:
         case WriteBatch::OpKind::kPutExpiring:
           stats_.user_puts.fetch_add(1, std::memory_order_relaxed);
-          stats_.user_bytes_written.fetch_add(
-              op.key.size() + op.value.size() + 8, std::memory_order_relaxed);
           if (track_liveness) {
             group_live[op.key.ToString()] = true;
           }
@@ -190,9 +188,6 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
               continue;  // skip: no sequence, no WAL op, no tombstone
             }
           }
-          stats_.user_deletes.fetch_add(1, std::memory_order_relaxed);
-          stats_.user_bytes_written.fetch_add(op.key.size() + 8,
-                                              std::memory_order_relaxed);
           // The tombstone's delete key is its creation time, so
           // timestamp-keyed secondary deletes age tombstones out with the
           // data they invalidate.
@@ -203,9 +198,6 @@ Status DBImpl::ApplyGroup(const std::vector<Writer*>& group,
           break;
         }
         case WriteBatch::OpKind::kRangeDelete:
-          stats_.user_range_deletes.fetch_add(1, std::memory_order_relaxed);
-          stats_.user_bytes_written.fetch_add(
-              op.key.size() + op.end_key.size(), std::memory_order_relaxed);
           break;
       }
       // Filtered deletes consume no sequence.

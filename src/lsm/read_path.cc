@@ -137,7 +137,6 @@ class DBIter final : public Iterator {
     if (!setup_status_.ok()) {
       return;
     }
-    stats_->range_lookups.fetch_add(1, std::memory_order_relaxed);
     if (target != nullptr) {
       internal_->Seek(*target);
     } else {

@@ -9,57 +9,33 @@
 
 namespace lethe {
 
-// ---- routers --------------------------------------------------------------
+// ---- routing --------------------------------------------------------------
 
-std::vector<int> KeyRouter::ShardsOfRange(const Slice&, const Slice&,
-                                          int num_shards) const {
-  std::vector<int> all(num_shards);
-  for (int i = 0; i < num_shards; i++) {
-    all[i] = i;
-  }
-  return all;
-}
-
-int HashKeyRouter::ShardOf(const Slice& key, int num_shards) const {
+int ShardOf(const Slice& key, int num_shards) {
   return static_cast<int>(Hash32(key.data(), key.size(), 0x73686172u) %
                           static_cast<uint32_t>(num_shards));
 }
 
-int RangeKeyRouter::ShardOf(const Slice& key, int num_shards) const {
-  // Shard index = number of split keys at or below `key` (shard i owns
-  // [split[i-1], split[i])), clamped defensively to the shard count.
-  const auto it = std::upper_bound(
-      split_keys_.begin(), split_keys_.end(), key,
-      [](const Slice& k, const std::string& split) {
-        return k.compare(Slice(split)) < 0;
-      });
-  const int shard = static_cast<int>(it - split_keys_.begin());
-  return std::min(shard, num_shards - 1);
-}
+namespace {
 
-std::vector<int> RangeKeyRouter::ShardsOfRange(const Slice& begin_key,
-                                               const Slice& end_key,
-                                               int num_shards) const {
-  const int lo = ShardOf(begin_key, num_shards);
-  // Highest shard whose band starts strictly below the exclusive end:
-  // count of split keys < end_key.
-  const auto it = std::lower_bound(
-      split_keys_.begin(), split_keys_.end(), end_key,
-      [](const std::string& split, const Slice& k) {
-        return Slice(split).compare(k) < 0;
-      });
-  const int hi =
-      std::min(static_cast<int>(it - split_keys_.begin()), num_shards - 1);
-  std::vector<int> shards;
-  for (int i = lo; i <= hi; i++) {
-    shards.push_back(i);
+/// Fans a call to every open shard: every shard runs, the first failure is
+/// reported.
+template <typename Fn>
+Status FanOut(const std::vector<std::unique_ptr<DBImpl>>& shards, Fn fn) {
+  Status result;
+  for (const auto& shard : shards) {
+    if (shard == nullptr) {
+      continue;
+    }
+    Status s = fn(shard.get());
+    if (!s.ok() && result.ok()) {
+      result = s;
+    }
   }
-  return shards;
+  return result;
 }
 
 // ---- merged iterator ------------------------------------------------------
-
-namespace {
 
 /// K-way min-merge over per-shard user iterators. Shard key spaces are
 /// disjoint (every key routes to exactly one shard), so no dedup is needed
@@ -161,11 +137,6 @@ ShardedDB::ShardedDB(const Options& resolved, std::string name)
 
 Status ShardedDB::Init() {
   LETHE_RETURN_IF_ERROR(options_.env->CreateDirIfMissing(name_));
-  if (options_.shard_router == ShardRouterKind::kRange) {
-    router_ = std::make_unique<RangeKeyRouter>(options_.shard_split_keys);
-  } else {
-    router_ = std::make_unique<HashKeyRouter>();
-  }
 
   // The shared pools. background_threads is the TOTAL pool size across all
   // shards, and memory_budget_bytes / page_cache_bytes the total budget:
@@ -183,7 +154,6 @@ Status ShardedDB::Init() {
   for (int i = 0; i < options_.num_shards; i++) {
     Options shard_options = options_;
     shard_options.num_shards = 1;
-    shard_options.shard_split_keys.clear();
     // Disjoint file-number bands (2^40 numbers each) keep the shared
     // cache's (file number, page) keys collision-free across shards.
     ShardContext context{scheduler_, cache_, static_cast<uint64_t>(i) << 40};
@@ -221,11 +191,12 @@ ShardedDB::~ShardedDB() {
 
 Status ShardedDB::Put(const WriteOptions& options, const Slice& key,
                       uint64_t delete_key, const Slice& value) {
-  return shards_[ShardOf(key)]->Put(options, key, delete_key, value);
+  return shards_[ShardOf(key, num_shards())]->Put(options, key, delete_key,
+                                                  value);
 }
 
 Status ShardedDB::Delete(const WriteOptions& options, const Slice& key) {
-  return shards_[ShardOf(key)]->Delete(options, key);
+  return shards_[ShardOf(key, num_shards())]->Delete(options, key);
 }
 
 Status ShardedDB::RangeDelete(const WriteOptions& options,
@@ -233,14 +204,10 @@ Status ShardedDB::RangeDelete(const WriteOptions& options,
   if (begin_key.compare(end_key) >= 0) {
     return Status::InvalidArgument("empty range delete");
   }
-  Status result;
-  for (int i : router_->ShardsOfRange(begin_key, end_key, num_shards())) {
-    Status s = shards_[i]->RangeDelete(options, begin_key, end_key);
-    if (!s.ok() && result.ok()) {
-      result = s;
-    }
-  }
-  return result;
+  // Hash routing scatters a sort-key range over every shard.
+  return FanOut(shards_, [&](DBImpl* db) {
+    return db->RangeDelete(options, begin_key, end_key);
+  });
 }
 
 Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
@@ -248,32 +215,32 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
     return Status::InvalidArgument("null WriteBatch");
   }
   const int n = num_shards();
-  // Split by router. Each sub-batch commits atomically (and WAL-protected)
+  // Split by ShardOf. Each sub-batch commits atomically (and WAL-protected)
   // within its shard; the batch as a whole is NOT atomic across shards.
   std::vector<WriteBatch> parts(n);
   std::vector<bool> used(n, false);
   for (const WriteBatch::Op op : batch->ops()) {
     switch (op.kind) {
       case WriteBatch::OpKind::kPut: {
-        const int s = ShardOf(op.key);
+        const int s = ShardOf(op.key, n);
         parts[s].Put(op.key, op.delete_key, op.value);
         used[s] = true;
         break;
       }
       case WriteBatch::OpKind::kPutExpiring: {
-        const int s = ShardOf(op.key);
+        const int s = ShardOf(op.key, n);
         parts[s].PutExpiring(op.key, op.delete_key, op.value);
         used[s] = true;
         break;
       }
       case WriteBatch::OpKind::kDelete: {
-        const int s = ShardOf(op.key);
+        const int s = ShardOf(op.key, n);
         parts[s].Delete(op.key);
         used[s] = true;
         break;
       }
       case WriteBatch::OpKind::kRangeDelete: {
-        for (int s : router_->ShardsOfRange(op.key, op.end_key, n)) {
+        for (int s = 0; s < n; s++) {
           parts[s].RangeDelete(op.key, op.end_key);
           used[s] = true;
         }
@@ -302,18 +269,10 @@ Status ShardedDB::SecondaryRangeDelete(const WriteOptions& options,
   }
   // Delete keys are routed nowhere (they are orthogonal to the sort key),
   // so the purge fans out to every shard.
-  Status result;
-  for (auto& shard : shards_) {
-    if (shard == nullptr) {
-      continue;
-    }
-    Status s =
-        shard->SecondaryRangeDelete(options, delete_key_begin, delete_key_end);
-    if (!s.ok() && result.ok()) {
-      result = s;
-    }
-  }
-  return result;
+  return FanOut(shards_, [&](DBImpl* db) {
+    return db->SecondaryRangeDelete(options, delete_key_begin,
+                                    delete_key_end);
+  });
 }
 
 // ---- reads ----------------------------------------------------------------
@@ -334,7 +293,7 @@ ReadOptions ShardedDB::ShardReadOptions(const ReadOptions& base,
 Status ShardedDB::GetWithDeleteKey(const ReadOptions& options,
                                    const Slice& key, std::string* value,
                                    uint64_t* delete_key) {
-  const int s = ShardOf(key);
+  const int s = ShardOf(key, num_shards());
   return shards_[s]->GetWithDeleteKey(ShardReadOptions(options, s), key,
                                       value, delete_key);
 }
@@ -431,25 +390,6 @@ void ShardedDB::ReleaseSnapshot(const Snapshot* snapshot) {
 }
 
 // ---- maintenance ----------------------------------------------------------
-
-namespace {
-/// Fans a maintenance call to every open shard: every shard runs, the
-/// first failure is reported.
-template <typename Fn>
-Status FanOut(const std::vector<std::unique_ptr<DBImpl>>& shards, Fn fn) {
-  Status result;
-  for (const auto& shard : shards) {
-    if (shard == nullptr) {
-      continue;
-    }
-    Status s = fn(shard.get());
-    if (!s.ok() && result.ok()) {
-      result = s;
-    }
-  }
-  return result;
-}
-}  // namespace
 
 Status ShardedDB::Flush() {
   return FanOut(shards_, [](DBImpl* db) { return db->Flush(); });

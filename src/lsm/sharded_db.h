@@ -18,45 +18,11 @@
 
 namespace lethe {
 
-/// Key→shard routing for ShardedDB: the interface behind the two built-in
-/// policies (Options::shard_router). Implementations are deterministic and
-/// thread-safe.
-class KeyRouter {
- public:
-  virtual ~KeyRouter() = default;
-
-  /// Shard owning `key`, in [0, num_shards).
-  virtual int ShardOf(const Slice& key, int num_shards) const = 0;
-
-  /// Shards a sort-key range [begin_key, end_key) may intersect, ascending.
-  /// The default fans out to every shard (correct for any router).
-  virtual std::vector<int> ShardsOfRange(const Slice& begin_key,
-                                         const Slice& end_key,
-                                         int num_shards) const;
-};
-
-/// ShardRouterKind::kHash — Hash32(key) % num_shards. Uniform spread;
-/// sort-key ranges fan out to every shard.
-class HashKeyRouter final : public KeyRouter {
- public:
-  int ShardOf(const Slice& key, int num_shards) const override;
-};
-
-/// ShardRouterKind::kRange — num_shards - 1 ascending split keys carve the
-/// key space into contiguous bands; shard i owns [split[i-1], split[i]).
-/// Sort-key ranges touch only the overlapping band of shards.
-class RangeKeyRouter final : public KeyRouter {
- public:
-  explicit RangeKeyRouter(std::vector<std::string> split_keys)
-      : split_keys_(std::move(split_keys)) {}
-
-  int ShardOf(const Slice& key, int num_shards) const override;
-  std::vector<int> ShardsOfRange(const Slice& begin_key, const Slice& end_key,
-                                 int num_shards) const override;
-
- private:
-  const std::vector<std::string> split_keys_;
-};
+/// Shard owning `key` among `num_shards`: Hash32(key) % num_shards. Every
+/// ShardedDB routes by this rule alone, so it must never change for an
+/// existing database (rerouting a key orphans its old copies). Sort-key
+/// ranges fan out to every shard.
+int ShardOf(const Slice& key, int num_shards);
 
 /// N independent LSM shards behind the one DB surface, opened by DB::Open
 /// when Options::num_shards > 1 (shard i lives in `<name>/shard-<i>`).
@@ -71,7 +37,7 @@ class RangeKeyRouter final : public KeyRouter {
 /// keep the shared cache's file-number-keyed entries collision-free.
 ///
 /// Consistency story:
-///   - A WriteBatch spanning shards is split by the router and committed
+///   - A WriteBatch spanning shards is split by ShardOf and committed
 ///     per shard: atomic and WAL-protected within each shard, NOT atomic
 ///     across shards (a crash can persist one shard's half first).
 ///   - GetSnapshot returns a consistent cross-shard cut: the facade pauses
@@ -82,7 +48,8 @@ class RangeKeyRouter final : public KeyRouter {
 ///   - NewIterator merges the per-shard snapshot iterators (keys are
 ///     disjoint across shards, so the merge is a plain K-way min-pick)
 ///     over one such cut.
-///   - SecondaryRangeDelete and maintenance ops fan out to every shard.
+///   - RangeDelete, SecondaryRangeDelete and maintenance ops fan out to
+///     every shard.
 class ShardedDB final : public DB {
  public:
   /// `options.num_shards` must be > 1 and validated by the caller
@@ -140,16 +107,12 @@ class ShardedDB final : public DB {
   ShardedDB(const Options& resolved, std::string name);
 
   Status Init();
-  int ShardOf(const Slice& key) const {
-    return router_->ShardOf(key, num_shards());
-  }
   /// Translates a facade snapshot handle in `base` into shard `i`'s
   /// snapshot; passes anything else through untouched.
   ReadOptions ShardReadOptions(const ReadOptions& base, int shard) const;
 
   Options options_;  // resolved; num_shards > 1
   std::string name_;
-  std::unique_ptr<KeyRouter> router_;
 
   // Shared pools. Declared before shards_: shards detach from the
   // scheduler and release the cache first, then the facade's references —

@@ -432,8 +432,6 @@ void RespServer::AcceptReady(Worker* w) {
       ::close(fd);
       delete c;
       conn_count_.fetch_sub(1, std::memory_order_relaxed);
-      net_stats_.net_connections_closed.fetch_add(1,
-                                                  std::memory_order_relaxed);
       continue;
     }
     w->conns.insert(c);
@@ -756,7 +754,6 @@ void RespServer::CloseConnection(Worker* w, Connection* c) {
   ::close(c->fd);
   c->fd = -1;
   conn_count_.fetch_sub(1, std::memory_order_relaxed);
-  net_stats_.net_connections_closed.fetch_add(1, std::memory_order_relaxed);
   w->graveyard.push_back(c);  // freed at turn end; lists may still point here
 }
 

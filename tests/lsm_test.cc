@@ -818,83 +818,8 @@ TEST(BackgroundSchedulerTest, PauseIsABarrierAcrossThePool) {
 
 // ---- subcompaction boundaries ----------------------------------------------
 
-class SubcompactionBoundaryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    env_ = NewMemEnv();
-    options_.env = env_.get();
-    options_ = options_.WithDefaults();
-    versions_ = std::make_unique<VersionSet>(options_, "db");
-    picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
-  }
-
-  std::shared_ptr<FileMeta> File(uint64_t number, uint64_t lo, uint64_t hi,
-                                 uint64_t size) {
-    auto meta = std::make_shared<FileMeta>(MakeFile(number, lo, hi));
-    meta->file_size = size;
-    return meta;
-  }
-
-  std::unique_ptr<Env> env_;
-  Options options_;
-  std::unique_ptr<VersionSet> versions_;
-  std::unique_ptr<CompactionPicker> picker_;
-};
-
-TEST_F(SubcompactionBoundaryTest, SingleFileCollapsesToNoSplit) {
-  // One input file: splitting buys nothing, K collapses to 1.
-  std::vector<std::shared_ptr<FileMeta>> one = {File(1, 0, 1000, 4096)};
-  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries(one, 4).empty());
-
-  // max_partitions 1 never splits either.
-  std::vector<std::shared_ptr<FileMeta>> two = {File(1, 0, 500, 4096),
-                                                File(2, 500, 1000, 4096)};
-  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries(two, 1).empty());
-}
-
-TEST_F(SubcompactionBoundaryTest, EqualFilesSplitAtTheJoin) {
-  std::vector<std::shared_ptr<FileMeta>> inputs = {File(1, 0, 100, 8192),
-                                                   File(2, 100, 200, 8192)};
-  std::vector<std::string> boundaries =
-      picker_->ComputeSubcompactionBoundaries(inputs, 2);
-  ASSERT_EQ(boundaries.size(), 1u);
-  // Equal byte masses on both sides of key 100: the quantile lands at the
-  // join (the synthesized boundary may extend key 100 with suffix bytes,
-  // which still partitions strictly between user keys 100 and 101).
-  EXPECT_GT(Slice(boundaries[0]).compare(Slice(EncodeKey(99))), 0);
-  EXPECT_LT(Slice(boundaries[0]).compare(Slice(EncodeKey(101))), 0);
-}
-
-TEST_F(SubcompactionBoundaryTest, BoundariesAreOrderedAndInsideTheSpan) {
-  // A heavy file overlapping a light one: every boundary must stay strictly
-  // inside the combined span and strictly increase, and most of the byte
-  // mass (the heavy file) must end up subdivided.
-  std::vector<std::shared_ptr<FileMeta>> inputs = {
-      File(1, 0, 100, 4096), File(2, 100, 500, 3 * 4096)};
-  std::vector<std::string> boundaries =
-      picker_->ComputeSubcompactionBoundaries(inputs, 4);
-  ASSERT_GE(boundaries.size(), 2u);
-  ASSERT_LE(boundaries.size(), 3u);
-  std::string prev = EncodeKey(0);
-  for (const std::string& b : boundaries) {
-    EXPECT_GT(Slice(b).compare(Slice(prev)), 0);
-    EXPECT_LE(Slice(b).compare(Slice(EncodeKey(500))), 0);
-    prev = b;
-  }
-  // With 3/4 of the mass in [100, 500], at least one interior boundary
-  // falls inside the heavy file's span.
-  EXPECT_GT(Slice(boundaries.back()).compare(Slice(EncodeKey(100))), 0);
-}
-
-TEST_F(SubcompactionBoundaryTest, DegenerateSpanDoesNotSplit) {
-  // Both files cover the same single key: no interior boundary exists.
-  std::vector<std::shared_ptr<FileMeta>> inputs = {File(1, 7, 7, 4096),
-                                                   File(2, 7, 7, 4096)};
-  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries(inputs, 4).empty());
-}
-
-/// Boundaries from *real* files: fences sampled from the on-disk tile
-/// structure, so key spaces the raw-byte interpolation mismodels (hex-ASCII
+/// Boundaries from real tables: fences sampled from the on-disk tile
+/// structure, so key spaces that raw-byte interpolation mismodels (hex-ASCII
 /// and its '9'→'a' gap) still partition evenly.
 class FenceSampledBoundaryTest : public ::testing::Test {
  protected:
@@ -946,6 +871,28 @@ class FenceSampledBoundaryTest : public ::testing::Test {
     meta->largest_key = props.largest_key;
     meta->num_pages = props.num_pages;
     return meta;
+  }
+
+  /// Builds a real table holding HexKey(k) for every k in [lo, hi).
+  std::shared_ptr<FileMeta> BuildHexRange(uint64_t lo, uint64_t hi) {
+    std::vector<uint64_t> keys;
+    for (uint64_t k = lo; k < hi; k++) {
+      keys.push_back(k);
+    }
+    return BuildHexFile(keys);
+  }
+
+  /// The tile fences (min sort keys) of a table built above.
+  std::vector<std::string> Fences(const FileMeta& meta) {
+    std::shared_ptr<SSTableReader> table;
+    EXPECT_TRUE(versions_->table_cache()->GetTable(meta, &table).ok());
+    std::vector<std::string> fences;
+    if (table != nullptr) {
+      for (const TileInfo& tile : table->index().tiles) {
+        fences.push_back(tile.min_sort_key.ToString());
+      }
+    }
+    return fences;
   }
 
   /// Max partition weight over the ideal (total / K), given boundary keys.
@@ -1029,22 +976,88 @@ TEST_F(FenceSampledBoundaryTest, MemtablePseudoFileBlendsWithFences) {
   EXPECT_LT(Skew(all, boundaries, kPartitions), 1.25);
 }
 
-TEST_F(FenceSampledBoundaryTest, UnreadableFilesFallBackToInterpolation) {
-  // Metas that point at no real file (the unit-test idiom, but also any
-  // open failure) must not split via fences; the interpolation fallback
-  // still produces the old behavior.
-  auto fake = [](uint64_t number, uint64_t lo, uint64_t hi) {
-    auto meta = std::make_shared<FileMeta>(MakeFile(number, lo, hi));
-    meta->file_size = 8192;
-    return meta;
-  };
-  std::vector<std::shared_ptr<FileMeta>> inputs = {fake(901, 0, 100),
-                                                   fake(902, 100, 200)};
+TEST_F(FenceSampledBoundaryTest, SingleFileCollapsesToNoSplit) {
+  // One input file: splitting buys nothing, K collapses to 1, however many
+  // fences it has.
+  auto file = BuildHexRange(0, 1024);
+  ASSERT_GE(Fences(*file).size(), 8u);
+  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries({file}, 4).empty());
+
+  // max_partitions 1 never splits either.
+  std::vector<std::shared_ptr<FileMeta>> two = {BuildHexRange(0, 512),
+                                                BuildHexRange(512, 1024)};
+  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries(two, 1).empty());
+}
+
+TEST_F(FenceSampledBoundaryTest, EqualFilesSplitAtTheJoin) {
+  // Equal byte masses on both sides of key 256: the one boundary is the
+  // second file's first fence.
+  std::vector<std::shared_ptr<FileMeta>> inputs = {BuildHexRange(0, 256),
+                                                   BuildHexRange(256, 512)};
+  ASSERT_EQ(inputs[0]->file_size, inputs[1]->file_size);
   std::vector<std::string> boundaries =
       picker_->ComputeSubcompactionBoundaries(inputs, 2);
   ASSERT_EQ(boundaries.size(), 1u);
-  EXPECT_GT(Slice(boundaries[0]).compare(Slice(EncodeKey(99))), 0);
-  EXPECT_LT(Slice(boundaries[0]).compare(Slice(EncodeKey(101))), 0);
+  EXPECT_EQ(boundaries[0], HexKey(256));
+}
+
+TEST_F(FenceSampledBoundaryTest, BoundariesAreOrderedAndInsideTheSpan) {
+  // A heavy file beside a light one: every boundary must stay strictly
+  // inside the combined span and strictly increase, and most of the byte
+  // mass (the heavy file) must end up subdivided.
+  std::vector<std::shared_ptr<FileMeta>> inputs = {BuildHexRange(0, 100),
+                                                   BuildHexRange(100, 500)};
+  std::vector<std::string> boundaries =
+      picker_->ComputeSubcompactionBoundaries(inputs, 4);
+  ASSERT_GE(boundaries.size(), 2u);
+  ASSERT_LE(boundaries.size(), 3u);
+  std::string prev = inputs[0]->smallest_key;
+  for (const std::string& b : boundaries) {
+    EXPECT_GT(Slice(b).compare(Slice(prev)), 0);
+    EXPECT_LE(Slice(b).compare(Slice(inputs[1]->largest_key)), 0);
+    prev = b;
+  }
+  // With 4/5 of the mass in [100, 500), at least one interior boundary
+  // falls inside the heavy file's span.
+  EXPECT_GT(Slice(boundaries.back()).compare(Slice(HexKey(100))), 0);
+}
+
+TEST_F(FenceSampledBoundaryTest, DegenerateSpanDoesNotSplit) {
+  // Both files hold the same single key: no fence lies strictly inside
+  // the span, so no interior boundary exists.
+  std::vector<std::shared_ptr<FileMeta>> inputs = {BuildHexFile({7}),
+                                                   BuildHexFile({7})};
+  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries(inputs, 4).empty());
+}
+
+TEST_F(FenceSampledBoundaryTest, FewFencesStillSplitAtFences) {
+  // Four fences for K = 4 (fewer than 2 x K): the quantile walk still
+  // splits, and every boundary is one of the input tables' fences.
+  std::vector<std::shared_ptr<FileMeta>> inputs = {BuildHexRange(0, 32),
+                                                   BuildHexRange(32, 64)};
+  std::vector<std::string> fences = Fences(*inputs[0]);
+  for (const std::string& fence : Fences(*inputs[1])) {
+    fences.push_back(fence);
+  }
+  ASSERT_EQ(fences.size(), 4u);
+  std::vector<std::string> boundaries =
+      picker_->ComputeSubcompactionBoundaries(inputs, 4);
+  ASSERT_FALSE(boundaries.empty());
+  for (const std::string& b : boundaries) {
+    EXPECT_NE(std::find(fences.begin(), fences.end(), b), fences.end())
+        << "boundary " << b << " is not a fence key";
+  }
+}
+
+TEST_F(FenceSampledBoundaryTest, UnreadableInputYieldsNoBoundaries) {
+  // A meta that points at no real table (any open failure): the merge
+  // cannot read that input either, so the picker places no boundary, even
+  // beside a readable table.
+  auto missing = std::make_shared<FileMeta>(MakeFile(901, 0, 100));
+  missing->file_size = 8192;
+  std::vector<std::shared_ptr<FileMeta>> inputs = {BuildHexRange(0, 512),
+                                                   missing};
+  EXPECT_TRUE(picker_->ComputeSubcompactionBoundaries(inputs, 2).empty());
 }
 
 // ---- partitioned merge execution -------------------------------------------

@@ -14,7 +14,7 @@
 //     Puts chain key A (low shard), waits for the ack, then Puts chain key
 //     B (another shard) with the same counter — no snapshot may ever see
 //     B's counter ahead of A's. Seeded configs sweep num_shards ∈ {1,2,4}
-//     × router type (hash/range) × pool size × budget mode.
+//     × pool size × budget mode.
 //   - BrokenSnapshotCutIsCaught: proves the checker has teeth. The
 //     TEST_SetSkipSnapshotPause hook turns off the cross-shard write pause
 //     (and dawdles between per-shard snapshot acquisitions); the same
@@ -75,8 +75,7 @@ constexpr int kWriters = 3;
 constexpr int kReaders = 2;
 constexpr uint64_t kKeysPerWriter = 64;
 constexpr uint64_t kRegisterKeys = kWriters * kKeysPerWriter;
-// Chain keys live above the register space but inside the routed space, so
-// range splits cover them too.
+// Chain keys live above the register space.
 constexpr uint64_t kChainRegionLo = kRegisterKeys;
 constexpr uint64_t kTotalKeySpace = 448;
 
@@ -333,28 +332,17 @@ void CheckReadLinearizable(int seed,
       << " was not yet invoked when the read returned";
 }
 
-/// Replicates the facade's routing so tests can place keys on chosen
-/// shards. `splits` must match what the Options carry for the range router.
-std::unique_ptr<KeyRouter> MakeRouterReplica(
-    ShardRouterKind kind, const std::vector<std::string>& splits) {
-  if (kind == ShardRouterKind::kRange) {
-    return std::make_unique<RangeKeyRouter>(splits);
-  }
-  return std::make_unique<HashKeyRouter>();
-}
-
 /// Chain key pair for one writer: A on the lowest-index shard available in
 /// the chain region, B on the highest; in the broken-cut mode that is the
 /// widest pin-order gap, so a missed pause is caught fastest. Falls back to
 /// any two region keys when only one shard exists.
-std::pair<uint64_t, uint64_t> PickChainKeys(const KeyRouter& router,
-                                            int num_shards, int writer) {
+std::pair<uint64_t, uint64_t> PickChainKeys(int num_shards, int writer) {
   const uint64_t lo = kChainRegionLo + writer * 2;
   uint64_t best_a = lo, best_b = lo + 1;
   int best_a_shard = num_shards, best_b_shard = -1;
   for (uint64_t k = kChainRegionLo + writer;
        k < kTotalKeySpace; k += kWriters) {
-    const int s = router.ShardOf(Slice(EncodeKey(k)), num_shards);
+    const int s = ShardOf(Slice(EncodeKey(k)), num_shards);
     if (s < best_a_shard) {
       best_a_shard = s;
       best_a = k;
@@ -372,18 +360,30 @@ std::pair<uint64_t, uint64_t> PickChainKeys(const KeyRouter& router,
   return {best_a, best_b};
 }
 
-std::vector<std::string> RangeSplits(int num_shards) {
-  std::vector<std::string> splits;
-  for (int i = 1; i < num_shards; i++) {
-    splits.push_back(EncodeKey(kTotalKeySpace * i / num_shards));
+/// The first `count` keys at or above `from` that ShardOf places on `shard`.
+std::vector<uint64_t> KeysOnShard(int shard, int num_shards, size_t count,
+                                  uint64_t from = 0) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = from; keys.size() < count; k++) {
+    if (ShardOf(Slice(EncodeKey(k)), num_shards) == shard) {
+      keys.push_back(k);
+    }
   }
-  return splits;
+  return keys;
+}
+
+/// Number of distinct shards `keys` route to.
+size_t ShardsTouched(const std::vector<uint64_t>& keys, int num_shards) {
+  std::vector<bool> touched(num_shards, false);
+  for (uint64_t k : keys) {
+    touched[ShardOf(Slice(EncodeKey(k)), num_shards)] = true;
+  }
+  return std::count(touched.begin(), touched.end(), true);
 }
 
 /// Background-mode options over `num_shards` shards on a 2-worker pool with
-/// 1 KB pages, range-routed at `splits` (hash-routed when empty).
-Options ShardOptions(Env* env, Clock* clock, int num_shards,
-                     const std::vector<uint64_t>& splits) {
+/// 1 KB pages.
+Options ShardOptions(Env* env, Clock* clock, int num_shards) {
   Options options;
   options.env = env;
   options.clock = clock;
@@ -392,11 +392,6 @@ Options ShardOptions(Env* env, Clock* clock, int num_shards,
   options.inline_compactions = false;
   options.background_threads = 2;
   options.num_shards = num_shards;
-  options.shard_router =
-      splits.empty() ? ShardRouterKind::kHash : ShardRouterKind::kRange;
-  for (uint64_t split : splits) {
-    options.shard_split_keys.push_back(EncodeKey(split));
-  }
   return options;
 }
 
@@ -425,11 +420,6 @@ TEST_P(ShardedStressTest, LinearizableMultiShardWorkload) {
   options.inline_compactions = false;
   static constexpr int kShardCounts[] = {1, 2, 4};
   options.num_shards = kShardCounts[config_rnd.Uniform(3)];
-  options.shard_router = config_rnd.Bernoulli(0.5) ? ShardRouterKind::kHash
-                                                   : ShardRouterKind::kRange;
-  if (options.shard_router == ShardRouterKind::kRange) {
-    options.shard_split_keys = RangeSplits(options.num_shards);
-  }
   static constexpr int kPools[] = {1, 2, 4};
   options.background_threads = kPools[config_rnd.Uniform(3)];
   if (config_rnd.Bernoulli(0.4)) {  // shared unified budget across shards
@@ -438,9 +428,8 @@ TEST_P(ShardedStressTest, LinearizableMultiShardWorkload) {
     options.page_cache_bytes = 1 << 20;  // plain shared block cache
   }
   SCOPED_TRACE(
-      "config: shards=" + std::to_string(options.num_shards) + " router=" +
-      (options.shard_router == ShardRouterKind::kHash ? "hash" : "range") +
-      " pool=" + std::to_string(options.background_threads) + " style=" +
+      "config: shards=" + std::to_string(options.num_shards) + " pool=" +
+      std::to_string(options.background_threads) + " style=" +
       (options.compaction_style == CompactionStyle::kLeveling ? "leveling"
                                                               : "tiering") +
       " budget=" + std::to_string(options.memory_budget_bytes) +
@@ -453,11 +442,9 @@ TEST_P(ShardedStressTest, LinearizableMultiShardWorkload) {
   state.db = db.get();
   state.clock = &clock;
 
-  auto router =
-      MakeRouterReplica(options.shard_router, options.shard_split_keys);
   std::vector<std::pair<uint64_t, uint64_t>> chains;
   for (int t = 0; t < kWriters; t++) {
-    chains.push_back(PickChainKeys(*router, options.num_shards, t));
+    chains.push_back(PickChainKeys(options.num_shards, t));
   }
 
   // history[k] = ordered writes to register key k (single writer per key).
@@ -539,7 +526,7 @@ TEST(ShardedBrokenCutTest, BrokenSnapshotCutIsCaught) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options = ShardOptions(&env, &clock, 4, {});
+  Options options = ShardOptions(&env, &clock, 4);
   options.write_buffer_bytes = 64 << 10;
 
   std::unique_ptr<DB> db;
@@ -553,10 +540,9 @@ TEST(ShardedBrokenCutTest, BrokenSnapshotCutIsCaught) {
   state.db = db.get();
   state.clock = &clock;
 
-  HashKeyRouter router;
   std::vector<std::pair<uint64_t, uint64_t>> chains;
   for (int t = 0; t < kWriters; t++) {
-    chains.push_back(PickChainKeys(router, options.num_shards, t));
+    chains.push_back(PickChainKeys(options.num_shards, t));
   }
 
   std::vector<std::vector<OpWindow>> history(kRegisterKeys);
@@ -603,7 +589,7 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options = ShardOptions(&env, &clock, 4, {256, 512, 768});
+  Options options = ShardOptions(&env, &clock, 4);
   options.write_buffer_bytes = 8 << 10;
   options.target_file_bytes = 8 << 10;
   options.size_ratio = 3;
@@ -617,10 +603,11 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   ASSERT_TRUE(DB::Open(options, "budgetdb", &db).ok());
   auto* sharded = static_cast<ShardedDB*>(db.get());
 
-  // Pre-seed the three idle shards (bands 1..3) and push them to disk.
-  for (int band = 1; band < 4; band++) {
-    for (uint64_t i = 0; i < 48; i++) {
-      const uint64_t k = band * 256 + i;
+  // Pre-seed the three idle shards (1..3) and push them to disk.
+  std::vector<std::vector<uint64_t>> idle_keys(4);
+  for (int shard = 1; shard < 4; shard++) {
+    idle_keys[shard] = KeysOnShard(shard, 4, 48);
+    for (uint64_t k : idle_keys[shard]) {
       ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), 0,
                           "idle-" + std::to_string(k))
                       .ok());
@@ -628,14 +615,15 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   }
   ASSERT_TRUE(db->Flush().ok());
 
-  // One write-hot shard (band 0) vs. concurrent idle-shard readers.
+  // One write-hot shard (0) vs. concurrent idle-shard readers.
+  const std::vector<uint64_t> hot_keys = KeysOnShard(0, 4, 256);
   std::atomic<bool> hot_done{false};
   std::atomic<bool> failed{false};
   std::thread hot([&] {
     Random rnd(42);
     for (int i = 0; i < 600 && !failed.load(); i++) {
       clock.AdvanceMicros(5);
-      const uint64_t k = rnd.Uniform(256);
+      const uint64_t k = hot_keys[rnd.Uniform(hot_keys.size())];
       std::string value(96, 'h');
       if (!db->Put(WriteOptions(), EncodeKey(k), 0, value).ok()) {
         ADD_FAILURE() << "hot put failed";
@@ -646,11 +634,11 @@ TEST(ShardedBudgetTest, SharedBudgetStarvation) {
   });
   std::vector<std::thread> readers;
   std::atomic<uint64_t> idle_reads{0};
-  for (int band = 1; band < 4; band++) {
-    readers.emplace_back([&, band] {
-      Random rnd(1000 + band);
+  for (int shard = 1; shard < 4; shard++) {
+    readers.emplace_back([&, shard] {
+      Random rnd(1000 + shard);
       while (!hot_done.load(std::memory_order_acquire) && !failed.load()) {
-        const uint64_t k = band * 256 + rnd.Uniform(48);
+        const uint64_t k = idle_keys[shard][rnd.Uniform(48)];
         std::string value;
         Status s = db->Get(ReadOptions(), EncodeKey(k), &value);
         if (!s.ok() || value != "idle-" + std::to_string(k)) {
@@ -684,7 +672,7 @@ TEST(ShardedFaultTest, FaultIsolationAndCrashReopen) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options = ShardOptions(&env, &clock, 4, {256, 512, 768});
+  Options options = ShardOptions(&env, &clock, 4);
   options.write_buffer_bytes = 4 << 10;  // frequent flushes
   options.target_file_bytes = 8 << 10;
 
@@ -701,7 +689,7 @@ TEST(ShardedFaultTest, FaultIsolationAndCrashReopen) {
   policy.path_substring2 = ".sst";
   env.InjectFaults(policy);
 
-  // Writes to the faulted band may start failing once its shard degrades;
+  // Writes to the faulted shard may start failing once it degrades;
   // the model records each failed write's outcome as allowed.
   KeyModel model(0, 1024, "ShardedFaultTest (" + test::ReproHint() + ")");
   Random rnd(7);
@@ -711,7 +699,8 @@ TEST(ShardedFaultTest, FaultIsolationAndCrashReopen) {
     Status s = model.Write(db.get(),
                            ModelOp::Put(k, 0, "f" + std::to_string(i)));
     if (!s.ok()) {
-      ASSERT_EQ(k / 256, 2u) << "sibling shard write failed: " << s.ToString();
+      ASSERT_EQ(ShardOf(Slice(EncodeKey(k)), 4), 2)
+          << "sibling shard write failed: " << s.ToString();
     }
   }
 
@@ -753,7 +742,7 @@ TEST(ShardedShutdownTest, CloseShardWhileSiblingCompacts) {
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
 
-  Options options = ShardOptions(&env, &clock, 2, {512});
+  Options options = ShardOptions(&env, &clock, 2);
   options.write_buffer_bytes = 4 << 10;  // lots of files -> compaction churn
   options.target_file_bytes = 4 << 10;
   options.size_ratio = 2;
@@ -764,11 +753,13 @@ TEST(ShardedShutdownTest, CloseShardWhileSiblingCompacts) {
 
   // Load both shards hard enough that flushes and compactions are queued
   // and running on the shared pool when shard 0 goes away.
+  const std::vector<uint64_t> shard0_keys = KeysOnShard(0, 2, 512);
+  const std::vector<uint64_t> shard1_keys = KeysOnShard(1, 2, 512);
   Random rnd(11);
   for (int i = 0; i < 400; i++) {
     clock.AdvanceMicros(3);
-    const uint64_t k0 = rnd.Uniform(512);
-    const uint64_t k1 = 512 + rnd.Uniform(512);
+    const uint64_t k0 = shard0_keys[rnd.Uniform(512)];
+    const uint64_t k1 = shard1_keys[rnd.Uniform(512)];
     std::string value(64, 'x');
     ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k0), 0, value).ok());
     ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k1), 0,
@@ -781,13 +772,15 @@ TEST(ShardedShutdownTest, CloseShardWhileSiblingCompacts) {
   sharded->TEST_CloseShard(0);
 
   // Shard 1 keeps working end to end on the shared (still-live) pool.
-  for (uint64_t k = 512; k < 532; k++) {
+  const std::vector<uint64_t> late_keys(shard1_keys.begin(),
+                                        shard1_keys.begin() + 20);
+  for (uint64_t k : late_keys) {
     ASSERT_TRUE(db->Put(WriteOptions(), EncodeKey(k), 0,
                         "s1-" + std::to_string(k))
                     .ok());
   }
   ASSERT_TRUE(sharded->TEST_shard(1)->WaitForCompact().ok());
-  for (uint64_t k = 512; k < 532; k++) {
+  for (uint64_t k : late_keys) {
     std::string value;
     ASSERT_TRUE(db->Get(ReadOptions(), EncodeKey(k), &value).ok())
         << "key " << k << " unreadable after sibling shutdown";
@@ -810,22 +803,51 @@ TEST(ShardedBasicsTest, SingleShardOpensPlainDBImpl) {
   EXPECT_NE(dynamic_cast<DBImpl*>(db.get()), nullptr);
 }
 
+TEST(ShardedBasicsTest, ShardOfKeepsTheHashLayout) {
+  // Routing is part of the on-disk layout: a database written with N
+  // shards must route every key the same way when it is reopened. These
+  // shard numbers were recorded from the hash routing existing sharded
+  // databases were written with.
+  const int kFourShards[] = {2, 1, 0, 1, 0, 2, 2, 1, 1, 0, 1, 1, 2, 2, 2, 2};
+  const int kTwoShards[] = {0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0};
+  for (uint64_t k = 0; k < 16; k++) {
+    EXPECT_EQ(ShardOf(Slice(EncodeKey(k)), 4), kFourShards[k]) << "key " << k;
+    EXPECT_EQ(ShardOf(Slice(EncodeKey(k)), 2), kTwoShards[k]) << "key " << k;
+  }
+  EXPECT_EQ(ShardOf(Slice("user:alice"), 4), 1);
+  EXPECT_EQ(ShardOf(Slice("user:bob"), 4), 0);
+  EXPECT_EQ(ShardOf(Slice("user:carol"), 4), 3);
+}
+
 TEST(ShardedBasicsTest, CrossShardBatchRangeDeleteAndAggregates) {
   auto base_env = NewMemEnv();
   IoCountingEnv env(base_env.get(), 1024);
   LogicalClock clock(1);
-  Options options = ShardOptions(&env, &clock, 4, {256, 512, 768});
+  Options options = ShardOptions(&env, &clock, 4);
   options.write_buffer_bytes = 8 << 10;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "basicsdb", &db).ok());
 
   // A batch spanning all four shards commits per shard, a sort-key range
-  // delete spans the middle two shards, and a secondary (delete-key) range
-  // delete fans out to every shard.
+  // delete covers batch keys on every shard, and a secondary (delete-key)
+  // range delete fans out to every shard. The batch holds each shard's
+  // first key at or above 0 and at or above 512; the range delete
+  // [256, 768) covers the second set.
+  std::vector<uint64_t> batch_keys, covered_keys;
+  for (int shard = 0; shard < 4; shard++) {
+    batch_keys.push_back(KeysOnShard(shard, 4, 1)[0]);
+    covered_keys.push_back(KeysOnShard(shard, 4, 1, 512)[0]);
+    batch_keys.push_back(covered_keys.back());
+  }
+  ASSERT_EQ(ShardsTouched(batch_keys, 4), 4u);
+  for (uint64_t k : covered_keys) {
+    ASSERT_TRUE(k >= 256 && k < 768) << "key " << k;
+  }
+  ASSERT_GE(ShardsTouched(covered_keys, 4), 2u);
   KeyModel model(0, 1024, test::ReproHint());
   WriteBatch batch;
-  for (uint64_t k = 0; k < 1024; k += 128) {
+  for (uint64_t k : batch_keys) {
     batch.Put(EncodeKey(k), /*delete_key=*/k + 1, "b" + std::to_string(k));
   }
   ASSERT_TRUE(model.Write(db.get(), ModelOp::Batch(std::move(batch))).ok());
