@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the engine's hot paths: hashing
 // (validating the paper's ~80ns MurmurHash figure from §4.2.4), CRC32C,
 // Bloom filter build/probe, skiplist insert/lookup, page encode/decode,
-// SSTable build (in memory, and written and synced through PosixEnv), and
-// memtable-backed point reads.
+// SSTable build (in memory, and written and synced through PosixEnv),
+// memtable-backed point reads, and point reads through a whole DB on a
+// warmed page cache while its memtables seal and install.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/lethe.h"
 #include "src/env/env.h"
 #include "src/format/bloom.h"
 #include "src/format/page.h"
@@ -129,6 +131,65 @@ void BM_MemTableGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemTableGet);
+
+// A background-mode DB on MemEnv whose loaded keys sit in tables, every page
+// of them cached. Built once and shared by every run and thread.
+struct CachedDb {
+  static constexpr uint64_t kKeys = 20000;
+
+  CachedDb() {
+    Options options;
+    options.env = env.get();
+    options.inline_compactions = false;
+    options.background_threads = 2;
+    options.write_buffer_bytes = 64 << 10;
+    options.memory_budget_bytes = 64 << 20;
+    if (!DB::Open(options, "cached", &db).ok()) {
+      std::abort();
+    }
+    const std::string value(100, 'v');
+    WriteBatch batch;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      batch.Put(EncodeKey(k), k, value);
+      if (batch.Count() == 1000) {
+        db->Write(WriteOptions(), &batch).ok();
+        batch.Clear();
+      }
+    }
+    std::string result;
+    if (!db->Flush().ok() || !db->WaitForCompact().ok()) {
+      std::abort();
+    }
+    for (uint64_t k = 0; k < kKeys; k++) {
+      db->Get(ReadOptions(), EncodeKey(k), &result).ok();
+    }
+  }
+
+  std::unique_ptr<Env> env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  uint64_t next_put = kKeys;  // thread 0 only
+};
+
+// Cached point reads, one per iteration, uniform over the loaded keys. Thread
+// 0 also puts one fresh key (above the loaded range) every 16 reads, so the
+// memtables seal and flushes install while every thread reads.
+void BM_DBGetCached(benchmark::State& state) {
+  static CachedDb cached;
+  Random rnd(301 + state.thread_index());
+  const std::string value(100, 'v');
+  std::string result;
+  uint64_t reads = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cached.db->Get(
+        ReadOptions(), EncodeKey(rnd.Uniform(CachedDb::kKeys)), &result));
+    if (state.thread_index() == 0 && ++reads % 16 == 0) {
+      cached.db->Put(WriteOptions(), EncodeKey(cached.next_put++), 0, value)
+          .ok();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DBGetCached)->Threads(1)->Threads(4);
 
 void BM_PageEncodeDecode(benchmark::State& state) {
   std::string value(104, 'v');

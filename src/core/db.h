@@ -76,8 +76,9 @@ struct TombstoneAgeSample {
 ///
 /// Threading: all methods are thread-safe. Writes are serialized through a
 /// group-commit queue (concurrent writers' batches merge into one WAL
-/// append); reads are lock-free against immutable snapshots. Flushes,
-/// compactions, and secondary-delete execution run on a background
+/// append); reads are lock-free against writers and background work: each
+/// loads one published, immutable state of the memtables and tables.
+/// Flushes, compactions, and secondary-delete execution run on a background
 /// scheduler. By default (Options::inline_compactions) every write and
 /// maintenance call waits for the work it triggers; with
 /// inline_compactions = false that work overlaps the foreground and

@@ -715,22 +715,32 @@ Status DBImpl::CompactAll() {
 
 // ---- reads ----------------------------------------------------------------
 
-void DBImpl::PublishMemTablesLocked() {
-  auto set = std::make_shared<MemTableSet>();
-  set->mem = mem_;
-  set->imm.reserve(imm_.size());
-  for (const ImmMemTable& imm : imm_) {
-    set->imm.push_back(imm.mem);
-  }
-  memtables_ = std::move(set);
+Status DBImpl::LogAndApplyLocked(VersionEdit* edit) {
+  LETHE_RETURN_IF_ERROR(versions_->LogAndApply(
+      edit, imm_.empty() ? kMaxSequenceNumber : imm_.front().first_seq));
+  PublishReadStateLocked();
+  return Status::OK();
 }
 
-ReadSnapshot DBImpl::GetReadSnapshotLocked(const Snapshot* pinned) const {
+void DBImpl::PublishReadStateLocked() {
+  ReadState state{mem_, {}, versions_->current()};
+  for (const ImmMemTable& imm : imm_) {
+    state.imm.push_back(imm.mem);
+  }
+  read_state_.store(std::make_shared<const ReadState>(std::move(state)));
+}
+
+ReadSnapshot DBImpl::GetReadSnapshot(const Snapshot* pinned) const {
   ReadSnapshot snap;
-  snap.memtables = memtables_;
-  snap.version = versions_->current();
+  // The bound first: a state loaded after it holds every memtable, or the
+  // version it flushed into, that took a sequence at or below it.
   snap.bound =
       pinned != nullptr ? pinned->sequence() : versions_->LastSequence();
+  // A load, spelled as a compare-exchange that fails (the state is never
+  // null): libstdc++ 12's load() drops its spin bit with a relaxed RMW, so
+  // nothing orders its read before the next publish (TSan reports it); a
+  // failed compare-exchange drops the bit with a seq_cst RMW.
+  read_state_.compare_exchange_strong(snap.state, nullptr);
   return snap;
 }
 
@@ -759,7 +769,7 @@ void DBImpl::ReleaseSnapshot(const Snapshot* snapshot) {
 }
 
 std::vector<LevelSnapshot> DBImpl::GetLevelSnapshots() {
-  std::shared_ptr<const Version> version = versions_->current();
+  std::shared_ptr<const Version> version = GetReadSnapshot().state->version;
   uint64_t now = options_.clock->NowMicros();
   std::vector<LevelSnapshot> result;
   for (int level = 0; level < version->num_levels(); level++) {
@@ -784,7 +794,7 @@ std::vector<LevelSnapshot> DBImpl::GetLevelSnapshots() {
 }
 
 std::vector<TombstoneAgeSample> DBImpl::GetTombstoneAges() {
-  std::shared_ptr<const Version> version = versions_->current();
+  std::shared_ptr<const Version> version = GetReadSnapshot().state->version;
   uint64_t now = options_.clock->NowMicros();
   std::vector<TombstoneAgeSample> result;
   for (const auto& [level, file] : version->AllFiles()) {
@@ -802,7 +812,8 @@ std::vector<TombstoneAgeSample> DBImpl::GetTombstoneAges() {
 
 uint64_t DBImpl::ApproximateEntryCount() const {
   ReadSnapshot snap = GetReadSnapshot();
-  uint64_t count = snap.version->TotalLiveEntries() + snap.mem()->num_entries();
+  uint64_t count =
+      snap.version().TotalLiveEntries() + snap.mem()->num_entries();
   for (const auto& imm : snap.imm()) {
     count += imm->num_entries();
   }
@@ -826,7 +837,7 @@ Status DBImpl::ComputeSpaceAmplification(double* samp) {
 }
 
 Status DBImpl::TEST_VerifyTreeInvariants() {
-  std::shared_ptr<const Version> version = versions_->current();
+  std::shared_ptr<const Version> version = GetReadSnapshot().state->version;
   for (int level = 0; level < version->num_levels(); level++) {
     const auto& runs = version->levels()[level];
     if (options_.compaction_style == CompactionStyle::kLeveling &&
@@ -860,7 +871,7 @@ Status DBImpl::TEST_VerifyTreeInvariants() {
 }
 
 std::vector<FileMeta> DBImpl::TEST_LevelFiles(int level) {
-  std::shared_ptr<const Version> version = versions_->current();
+  std::shared_ptr<const Version> version = GetReadSnapshot().state->version;
   std::vector<FileMeta> files;
   if (level < version->num_levels()) {
     for (const SortedRun& run : version->levels()[level]) {

@@ -1,6 +1,7 @@
 #ifndef LETHE_LSM_DB_IMPL_H_
 #define LETHE_LSM_DB_IMPL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -60,9 +61,9 @@ struct ShardContext {
 ///   memtable with `mu_` released — safe because the token, not the mutex,
 ///   is what guards memtable mutation.
 ///
-///   *Readers* briefly take `mu_` to capture a ReadSnapshot — {memtable
-///   set, version} pointers plus the sequence bound the read sees
-///   (GetReadSnapshotLocked) — and then run lock-free in ReadPath.
+///   *Readers* never take `mu_`: they read the sequence bound, then copy
+///   the published ReadState {mem, imm..., version} (GetReadSnapshot), and
+///   run in ReadPath. Introspection calls load the same state.
 ///
 ///   *Background work*: writers only swap full memtables onto `imm_` and
 ///   enqueue work; a BackgroundScheduler pool of
@@ -84,7 +85,11 @@ struct ShardContext {
 /// Locking invariants:
 ///   - `mu_` guards: the writer queue, mem_/imm_ swaps, wal_ rotation,
 ///     trigger caches, background bookkeeping, the in-flight job registry,
-///     and every LogAndApply call.
+///     and every LogAndApply and VersionSet::current() call.
+///   - Every change to mem_, imm_ or the current version republishes
+///     `read_state_` before `mu_` is released (PublishReadStateLocked,
+///     LogAndApplyLocked): writers apply into its active memtable, and a
+///     deferred secondary range delete hides entries from the next read.
 ///   - Memtable *content* mutation requires the write token (front of
 ///     `writers_`), not `mu_`.
 ///   - A merge registers its JobFootprint in VersionSet *before* releasing
@@ -195,8 +200,7 @@ class DBImpl final : public DB {
   /// Test hook: whether secondary range deletes are pending (hidden but not
   /// yet applied to the tables).
   bool TEST_HasPendingSecondaryDeletes() {
-    std::lock_guard<std::mutex> l(mu_);
-    return versions_->current()->secondary_deletes() != nullptr;
+    return GetReadSnapshot().version().secondary_deletes() != nullptr;
   }
 
  private:
@@ -623,16 +627,18 @@ class DBImpl final : public DB {
 
   Status ReplayWalsLocked();
 
-  /// Republishes memtables_ after mem_ or imm_ changed.
-  void PublishMemTablesLocked();
+  /// Commits `edit` (VersionSet::LogAndApply) and republishes the read
+  /// state: the one way DBImpl installs a version. Checkpoint pruning keeps
+  /// what the oldest frozen memtable's flush must still resolve.
+  Status LogAndApplyLocked(VersionEdit* edit);
 
-  /// The one ReadSnapshot capture; the bound is `pinned`'s sequence, or
-  /// LastSequence when null.
-  ReadSnapshot GetReadSnapshotLocked(const Snapshot* pinned = nullptr) const;
-  ReadSnapshot GetReadSnapshot(const Snapshot* pinned = nullptr) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return GetReadSnapshotLocked(pinned);
-  }
+  /// Publishes {mem_, imm_, current version} as the state readers load.
+  void PublishReadStateLocked();
+
+  /// The one ReadSnapshot capture, with or without mu_: the bound is
+  /// `pinned`'s sequence, or LastSequence when null, read before the
+  /// published state is loaded.
+  ReadSnapshot GetReadSnapshot(const Snapshot* pinned = nullptr) const;
 
   /// The lock-free read side, over the table cache (set up by Init).
   ReadPath read_path() { return ReadPath(versions_->table_cache(), &stats_); }
@@ -655,13 +661,6 @@ class DBImpl final : public DB {
       return {};
     }
     return {snapshots_.Oldest(), snapshots_.OldestTime()};
-  }
-
-  /// First sequence of the oldest frozen memtable, kMaxSequenceNumber when
-  /// none: what VersionSet::LogAndApply's checkpoint pruning must keep
-  /// resolvable for the flushes still to install.
-  SequenceNumber OldestUnflushedSeqLocked() const {
-    return imm_.empty() ? kMaxSequenceNumber : imm_.front().first_seq;
   }
 
   Options options_;  // resolved (env/clock non-null)
@@ -701,9 +700,9 @@ class DBImpl final : public DB {
   SnapshotList snapshots_;  // live snapshot pins, oldest first (mu_)
   std::shared_ptr<MemTable> mem_;
   std::deque<ImmMemTable> imm_;  // oldest first
-  // mem_ and imm_'s memtables as readers capture them; republished by
-  // PublishMemTablesLocked whenever either changes.
-  std::shared_ptr<const MemTableSet> memtables_;
+  // mem_, imm_'s memtables and the current version as readers load them:
+  // stored under mu_ (PublishReadStateLocked), loaded without it.
+  mutable std::atomic<std::shared_ptr<const ReadState>> read_state_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t wal_number_ = 0;
   SequenceNumber mem_first_seq_ = 0;

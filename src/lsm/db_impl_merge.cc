@@ -264,7 +264,9 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
     // active one.
     edit.wal_number =
         imm_.size() > count ? imm_[count].wal_number : wal_number_;
-    s = versions_->LogAndApply(&edit, OldestUnflushedSeqLocked());
+    // Until the publish below, a read may see these memtables both sealed
+    // and flushed: the same entries at the same sequences, answering alike.
+    s = LogAndApplyLocked(&edit);
     claim.Release();
     if (!s.ok()) {
       for (size_t i = 0; i < count; i++) {
@@ -299,7 +301,7 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
     claim = std::move(next.parked_claim);
   }
   if (installed > 0) {
-    PublishMemTablesLocked();
+    PublishReadStateLocked();
     UpdateMemtableReservationLocked();
     RefreshTriggerStateLocked();
   }
@@ -445,8 +447,7 @@ Status DBImpl::CompactOnce(const CompactionPick& pick,
     FileMeta moved = *pick.inputs.front();
     moved.run_id = 0;
     edit.added_files.emplace_back(target, std::move(moved));
-    LETHE_RETURN_IF_ERROR(
-        versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
+    LETHE_RETURN_IF_ERROR(LogAndApplyLocked(&edit));
     stats_.trivial_moves.fetch_add(1, std::memory_order_relaxed);
     err_->ReportSuccess();  // the manifest committed: storage is working
     return Status::OK();
@@ -479,7 +480,7 @@ Status DBImpl::MergeAndCommitLocked(
   Status s = RunMergePartitioned(inputs, /*mems=*/{}, {}, boundaries, config,
                                  edit, l);
   if (s.ok()) {
-    s = versions_->LogAndApply(edit, OldestUnflushedSeqLocked());
+    s = LogAndApplyLocked(edit);
   }
   if (!s.ok()) {
     RemoveFailedMergeOutputs(options_.env, dbname_, versions_->table_cache(),
@@ -724,8 +725,7 @@ Status DBImpl::ApplySecondaryDeletesLocked(const SecondaryDeleteSet& deletes,
   }
   if (edit.secondary_deletes || !edit.removed_files.empty() ||
       !edit.added_files.empty()) {
-    LETHE_RETURN_IF_ERROR(
-        versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
+    LETHE_RETURN_IF_ERROR(LogAndApplyLocked(&edit));
     RefreshTriggerStateLocked();
     MaybeScheduleCompactionLocked();
   }

@@ -39,7 +39,7 @@ Status DBImpl::Init() {
   barrier_mode_ = options_.inline_compactions;
 
   std::lock_guard<std::mutex> lock(mu_);
-  PublishMemTablesLocked();
+  PublishReadStateLocked();
   LETHE_RETURN_IF_ERROR(RemoveOrphanFilesLocked());
   if (options_.enable_wal) {
     LETHE_RETURN_IF_ERROR(ReplayWalsLocked());
@@ -197,8 +197,7 @@ Status DBImpl::ReplayWalsLocked() {
   VersionEdit edit;
   edit.wal_number = wal_number_;
   LETHE_RETURN_IF_ERROR(wal_->AddFramed(relog, /*sync=*/false));
-  LETHE_RETURN_IF_ERROR(
-      versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
+  LETHE_RETURN_IF_ERROR(LogAndApplyLocked(&edit));
   for (uint64_t number : to_replay) {
     options_.env->RemoveFile(WalFileName(dbname_, number)).ok();
   }

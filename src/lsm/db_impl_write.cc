@@ -308,7 +308,7 @@ Status DBImpl::WriteImpl(Writer* w) {
       const uint64_t now = options_.clock->NowMicros();
       // Taken under the token: no group is in flight, so the bound is every
       // committed write, as validation and the blind-delete filter need.
-      ReadSnapshot snap = GetReadSnapshotLocked();
+      ReadSnapshot snap = GetReadSnapshot();
       WalWriter* wal = wal_.get();
       bool wal_failed = false;
       l.unlock();
@@ -504,7 +504,7 @@ Status DBImpl::SwitchMemTableLocked() {
   mem_->Freeze();
   imm_.push_back(std::move(imm));
   mem_ = std::make_shared<MemTable>();
-  PublishMemTablesLocked();
+  PublishReadStateLocked();
   if (imm_.back().mem.get() == srd_batch_mem_) {
     MaybeScheduleSecondaryDeleteBatchLocked();  // the batch's memtable sealed
   }
@@ -626,8 +626,7 @@ Status DBImpl::DeferSecondaryDeleteLocked(uint64_t lo, uint64_t hi,
   // reopens with the set, so the entries stay hidden.
   VersionEdit edit;
   edit.secondary_deletes = SecondaryDeleteSet(std::move(ranges));
-  LETHE_RETURN_IF_ERROR(
-      versions_->LogAndApply(&edit, OldestUnflushedSeqLocked()));
+  LETHE_RETURN_IF_ERROR(LogAndApplyLocked(&edit));
   srd_flush_through_ =
       imm_.empty() ? std::weak_ptr<MemTable>() : imm_.back().mem;
   ArmSecondaryDeleteBatchLocked();

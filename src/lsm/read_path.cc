@@ -107,7 +107,7 @@ class DBIter final : public Iterator {
          const std::vector<RangeTombstone>& rts, Statistics* stats,
          Status setup_status)
       : snap_(std::move(snap)),
-        secondary_deletes_(snap_.version->secondary_deletes().get()),
+        secondary_deletes_(snap_.version().secondary_deletes().get()),
         internal_(std::move(internal)),
         rts_(rts),
         stats_(stats),
@@ -250,7 +250,7 @@ bool ReadPath::KeyMayExist(const ReadSnapshot& snap, const Slice& key) const {
     // the new delete would be blind.
     return !entry.IsTombstone();
   }
-  const SecondaryDeleteSet* hidden = snap.version->secondary_deletes().get();
+  const SecondaryDeleteSet* hidden = snap.version().secondary_deletes().get();
   for (auto it = snap.imm().rbegin(); it != snap.imm().rend(); ++it) {
     if ((*it)->Get(key, &entry, snap.bound, hidden)) {
       return !entry.IsTombstone();
@@ -259,7 +259,7 @@ bool ReadPath::KeyMayExist(const ReadSnapshot& snap, const Slice& key) const {
   // Filter-only probe per candidate table; a table that fails to open is
   // conservatively assumed to hold the key.
   return ForEachCandidateFile(
-      *snap.version, key, [&](const std::shared_ptr<FileMeta>& file) {
+      snap.version(), key, [&](const std::shared_ptr<FileMeta>& file) {
         std::shared_ptr<SSTableReader> table;
         return !tables_->GetTable(*file, &table).ok() ||
                table->KeyMayExist(key, file.get(), stats_);
@@ -271,7 +271,7 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
   const SequenceNumber bound = snap.bound;
   // The active memtable holds nothing a pending secondary delete removes:
   // each one purged it in place, and later entries sequence above it.
-  const SecondaryDeleteSet* hidden = snap.version->secondary_deletes().get();
+  const SecondaryDeleteSet* hidden = snap.version().secondary_deletes().get();
   auto probe_memtable = [&](const MemTable& mem,
                             const SecondaryDeleteSet* mem_hidden) {
     out->cover_seq =
@@ -300,7 +300,7 @@ Status ReadPath::FindNewestVersion(const ReadSnapshot& snap, const Slice& key,
   }
   Status s;
   ForEachCandidateFile(
-      *snap.version, key, [&](const std::shared_ptr<FileMeta>& file) {
+      snap.version(), key, [&](const std::shared_ptr<FileMeta>& file) {
         std::shared_ptr<SSTableReader> table;
         s = tables_->GetTable(*file, &table);
         // Accumulate this file's range-tombstone coverage before deciding.
@@ -349,8 +349,8 @@ std::unique_ptr<Iterator> ReadPath::NewIterator(ReadSnapshot snap,
   }
 
   Status setup_status;
-  for (int level = 0; level < snap.version->num_levels(); level++) {
-    for (const SortedRun& run : snap.version->levels()[level]) {
+  for (int level = 0; level < snap.version().num_levels(); level++) {
+    for (const SortedRun& run : snap.version().levels()[level]) {
       children.push_back(NewRunIterator(tables_, run.files, fill_cache));
       for (const auto& file : run.files) {
         // A failure here may not be swallowed: missing range tombstones

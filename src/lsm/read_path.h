@@ -11,32 +11,32 @@
 
 namespace lethe {
 
-/// The memtables, as one immutable set: the active one and the sealed ones
-/// awaiting flush. DBImpl publishes a new set whenever a memtable seals or
-/// installs, so a read pins every memtable with one reference, however
-/// many are sealed.
-struct MemTableSet {
+/// Everything a read may see, as one immutable state that DBImpl publishes
+/// at every seal and version install: a read pins every source with one
+/// reference, however many memtables are sealed.
+struct ReadState {
   std::shared_ptr<MemTable> mem;               // active
   std::vector<std::shared_ptr<MemTable>> imm;  // sealed, oldest first
+  std::shared_ptr<const Version> version;
 };
 
-/// One point in time of everything readable, and the sequence bound reads
-/// through it see: entries and range tombstones with seq > `bound` do not
-/// exist for them, nor do entries the version's pending secondary range
-/// deletes remove (Version::secondary_deletes). DBImpl captures all three fields in one mutex hold, with
-/// the bound ReadOptions::snapshot's sequence or else LastSequence. A write
-/// group publishes LastSequence only once it is fully applied, so every
-/// entry at or below the bound is in these sources and no half-applied
-/// group is visible.
+/// One published ReadState and the sequence bound reads through it see:
+/// entries and range tombstones with seq > `bound` do not exist for them,
+/// nor do entries the version's pending secondary range deletes remove
+/// (Version::secondary_deletes). The bound, ReadOptions::snapshot's
+/// sequence or else LastSequence, is read before the state is loaded. A
+/// write group publishes LastSequence only once it is fully applied, so
+/// every entry at or below the bound is in the state (its memtable, or the
+/// version it flushed into) and no half-applied group is visible.
 struct ReadSnapshot {
-  std::shared_ptr<const MemTableSet> memtables;
-  std::shared_ptr<const Version> version;
+  std::shared_ptr<const ReadState> state;
   SequenceNumber bound = kMaxSequenceNumber;
 
-  MemTable* mem() const { return memtables->mem.get(); }
+  MemTable* mem() const { return state->mem.get(); }
   const std::vector<std::shared_ptr<MemTable>>& imm() const {
-    return memtables->imm;
+    return state->imm;
   }
+  const Version& version() const { return *state->version; }
 };
 
 /// What the point-lookup walk (ReadPath::FindNewestVersion) found.

@@ -225,10 +225,7 @@ Status VersionSet::LoadManifest(const std::string& path) {
     std::lock_guard<std::mutex> lock(seq_time_mu_);
     seq_time_map_ = std::move(seq_time);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = version;
-  }
+  current_ = version;
   return Status::OK();
 }
 
@@ -237,10 +234,7 @@ Status VersionSet::InstallSnapshot(const VersionEdit& edit) {
   Status s;
   std::shared_ptr<const Version> version = Version::Apply(nullptr, edit, &s);
   LETHE_RETURN_IF_ERROR(s);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::move(version);
-  }
+  current_ = std::move(version);
   return WriteSnapshotManifest(kMaxSequenceNumber);
 }
 
@@ -442,10 +436,7 @@ Status VersionSet::LogAndApply(VersionEdit* edit,
   std::shared_ptr<const Version> next =
       Version::Apply(base.get(), *edit, &apply_status);
   LETHE_RETURN_IF_ERROR(apply_status);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = next;
-  }
+  current_ = next;
 
   // Retire table files that were removed and not re-added (re-adding the
   // same number replaces metadata after a secondary range delete). Physical

@@ -111,8 +111,9 @@ struct JobFootprint {
 /// tombstone insertion times across compactions (§4.1.3: seqnums stand in
 /// for timestamps, so no per-entry metadata is added).
 ///
-/// External synchronization: the DB write mutex serializes all mutating
-/// calls; current() hands out immutable snapshots and is thread-safe.
+/// External synchronization: the DB mutex guards every call, current()
+/// included, but the atomic counters, TimeOfSeq and the table cache;
+/// readers load the version from the DB's published read state instead.
 class VersionSet {
  public:
   /// `page_cache` may be nullptr (decoded-page caching disabled);
@@ -162,10 +163,8 @@ class VersionSet {
   /// predates its entries, and its flush adds its own.
   Status LogAndApply(VersionEdit* edit, SequenceNumber oldest_unflushed_seq);
 
-  std::shared_ptr<const Version> current() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return current_;
-  }
+  /// The installed version. Guarded by the DB mutex, like LogAndApply.
+  std::shared_ptr<const Version> current() const { return current_; }
 
   // Monotonic counters are atomic: the background worker allocates file/run
   // numbers while merging outside the DB mutex, concurrently with the write
@@ -214,8 +213,7 @@ class VersionSet {
   // Externally synchronized by the DB mutex, like every other mutating call:
   // a job registers its footprint *before* releasing the mutex for merge
   // I/O and unregisters in the same critical section as its LogAndApply, so
-  // claims and version membership always change together. current() stays
-  // lock-free for readers.
+  // claims and version membership always change together.
 
   /// Claims `footprint` and returns a registration id. The caller must have
   /// checked ConflictsWithInFlight first (same mutex hold).
@@ -280,7 +278,6 @@ class VersionSet {
   TableCache table_cache_;
   Statistics* stats_;  // may be nullptr
 
-  mutable std::mutex mu_;  // guards current_ swap only
   std::shared_ptr<const Version> current_;
 
   std::unique_ptr<RecordLogWriter> manifest_;

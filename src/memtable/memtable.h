@@ -162,8 +162,9 @@ class MemTable {
   bool KeySpan(std::string* smallest, std::string* largest) const;
 
   /// Records the buffer's span: KeySpan widened over the buffered range
-  /// tombstones. The write path calls it once, when it seals the memtable;
-  /// a sealed memtable never changes again.
+  /// tombstones. Sealing calls it once, before the release store that
+  /// publishes the memtable as sealed, so a reader that finds it sealed
+  /// sees the span with no lock; it never changes again.
   void Freeze();
 
   /// The span Freeze recorded. has_span() is false when the memtable holds
@@ -175,7 +176,7 @@ class MemTable {
 
   /// False when a frozen memtable can neither hold `key` nor cover it with
   /// a range tombstone (`key` lies outside its span), so a point lookup may
-  /// skip it. Call it on a sealed memtable only.
+  /// skip it. Call it on a sealed memtable only (see Freeze).
   bool MayCover(const Slice& key) const {
     return has_span_ && key.compare(Slice(smallest_)) >= 0 &&
            key.compare(Slice(largest_)) <= 0;

@@ -1766,6 +1766,91 @@ TEST_F(DBTest, WriteBatchIsAtomicToConcurrentGets) {
   EXPECT_EQ(Get(0), std::to_string(kRounds - 1));
 }
 
+class ReadStateTest : public DBTest {
+ protected:
+  void SetUp() override {
+    DBTest::SetUp();
+    options_.inline_compactions = false;
+    options_.background_threads = 2;
+    options_.max_subcompactions = 4;
+    options_.target_file_bytes = 4 << 10;
+    options_.delete_persistence_threshold_micros = 20000;
+  }
+};
+
+// Reads race seals, grouped flushes, L0 pushes and partitioned merges: a key
+// acknowledged before a read starts is in the state that read loads, for a
+// Get and for an iterator alike, while a third thread walks the same state
+// through the introspection calls.
+TEST_F(ReadStateTest, AcknowledgedWritesStayVisibleAcrossSealsAndInstalls) {
+  Open();
+  constexpr uint64_t kKeys = 2000;  // coprime with 37: a full permutation
+  auto key_at = [](int64_t i) { return EncodeKey(i * 37 % kKeys); };
+  auto value_at = [](int64_t i) {
+    return std::to_string(i) + std::string(100, 'v');
+  };
+  std::atomic<int64_t> acked{-1};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 0; i < static_cast<int64_t>(kKeys); i++) {
+      clock_.AdvanceMicros(10);
+      Status s = db_->Put(WriteOptions(), key_at(i), 0, value_at(i));
+      // Tombstones in a band of their own keep FADE's TTL trigger busy.
+      if (s.ok() && i % 4 == 0) {
+        s = db_->Put(WriteOptions(), EncodeKey(kKeys + i), 0, "x");
+      }
+      if (s.ok() && i % 4 == 0 && i >= 40) {
+        s = db_->Delete(WriteOptions(), EncodeKey(kKeys + i - 40));
+      }
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      if (!s.ok()) {
+        break;
+      }
+      acked.store(i);
+    }
+    done.store(true);
+  });
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> misses{0};
+  auto reader = [&] {
+    while (!done.load()) {
+      const int64_t i = acked.load();
+      if (i < 0) {
+        continue;
+      }
+      const std::string key = key_at(i);
+      std::string value;
+      const Status s = db_->Get(ReadOptions(), key, &value);
+      misses += s.ok() && value == value_at(i) ? 0 : 1;
+      std::unique_ptr<Iterator> it = db_->NewIterator(ReadOptions());
+      it->Seek(key);
+      misses += it->Valid() && it->key().ToString() == key ? 0 : 1;
+      reads++;
+    }
+  };
+  std::thread introspect([&] {
+    while (!done.load()) {
+      db_->GetLevelSnapshots();
+      db_->GetTombstoneAges();
+      db_->ApproximateEntryCount();
+    }
+  });
+  std::thread a(reader), b(reader);
+  writer.join();
+  a.join();
+  b.join();
+  introspect.join();
+  EXPECT_EQ(misses.load(), 0u) << "of " << reads.load() << " reads";
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(db_->stats().flushes.load(), 1u);
+  EXPECT_GT(db_->stats().compactions.load(), 0u);
+  ASSERT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  const Status invariants =
+      static_cast<DBImpl*>(db_.get())->TEST_VerifyTreeInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+}
+
 TEST_F(DBTest, GroupCommitAmortizesWalAppends) {
   Open();
   const uint64_t appends_before = db_->stats().wal_appends.load();
