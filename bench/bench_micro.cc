@@ -3,12 +3,14 @@
 // Bloom filter build/probe, skiplist insert/lookup, page encode/decode,
 // SSTable build (in memory, and written and synced through PosixEnv),
 // memtable-backed point reads, and point reads through a whole DB on a
-// warmed page cache while its memtables seal and install.
+// warmed page cache while its memtables seal and install, or over an L0 of
+// several tiered runs.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -190,6 +192,73 @@ void BM_DBGetCached(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DBGetCached)->Threads(1)->Threads(4);
+
+// A FADE background-mode DB (so flushes write L0 as tiered runs) whose L0
+// holds `runs` runs, all of it cached: the oldest holds every key, and run
+// r > 0 every 16th key from r - 1. Each run spans the key space, so a Get
+// of a key only the oldest run holds checks every newer run's filter
+// first. D_th is out of reach of the logical clock and the size ratio keeps
+// L0 from saturating, so nothing merges the runs away.
+struct L0RunsDb {
+  static constexpr uint64_t kKeys = 20000;
+
+  explicit L0RunsDb(int runs) {
+    Options options;
+    options.env = env.get();
+    options.clock = &clock;
+    options.inline_compactions = false;
+    options.background_threads = 2;
+    options.write_buffer_bytes = 16 << 20;  // only Flush() seals
+    options.size_ratio = 100;
+    options.delete_persistence_threshold_micros = 1ull << 40;
+    options.memory_budget_bytes = 64 << 20;
+    if (!DB::Open(options, "l0runs", &db).ok()) {
+      std::abort();
+    }
+    const std::string value(100, 'v');
+    for (int r = 0; r < runs; r++) {
+      const uint64_t first = r == 0 ? 0 : (r - 1) % 16;
+      const uint64_t step = r == 0 ? 1 : 16;
+      for (uint64_t k = first; k < kKeys; k += step) {
+        db->Put(WriteOptions(), EncodeKey(k), k, value).ok();
+      }
+      if (!db->Flush().ok()) {
+        std::abort();
+      }
+    }
+    if (!db->WaitForCompact().ok() ||
+        db->GetLevelSnapshots().front().num_runs !=
+            static_cast<uint64_t>(runs)) {
+      std::abort();
+    }
+    std::string result;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      db->Get(ReadOptions(), EncodeKey(k), &result).ok();
+    }
+  }
+
+  std::unique_ptr<Env> env = NewMemEnv();
+  LogicalClock clock{1};
+  std::unique_ptr<DB> db;
+};
+
+// Cached point reads, uniform over the keys, through an L0 of
+// state.range(0) runs: the read cost each L0 run adds.
+void BM_DBGetL0Runs(benchmark::State& state) {
+  static std::map<int, std::unique_ptr<L0RunsDb>> dbs;
+  std::unique_ptr<L0RunsDb>& built = dbs[static_cast<int>(state.range(0))];
+  if (built == nullptr) {
+    built = std::make_unique<L0RunsDb>(static_cast<int>(state.range(0)));
+  }
+  Random rnd(301);
+  std::string result;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(built->db->Get(
+        ReadOptions(), EncodeKey(rnd.Uniform(L0RunsDb::kKeys)), &result));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DBGetL0Runs)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_PageEncodeDecode(benchmark::State& state) {
   std::string value(104, 'v');

@@ -60,8 +60,9 @@ struct Options {
 
   /// Target size for files emitted by flushes and compactions; the unit of
   /// partial compaction. A leveled flush also cuts its L0 outputs at span
-  /// edges and, in background mode under FADE, at L1 file boundaries, so L0
-  /// files can be much smaller than this. Default: 1 MB.
+  /// edges, and in background mode under FADE at L1 file boundaries (there
+  /// it writes only its buffers, into tiered L0 runs), so L0 files can be much
+  /// smaller than this. Default: 1 MB.
   uint64_t target_file_bytes = 1ull << 20;
 
   /// Physical layout: page size, B (entries/page), h (pages per delete
@@ -124,8 +125,8 @@ struct Options {
   ///
   /// false: writes return as soon as they are applied; background work
   /// overlaps the foreground, and writers are throttled only through the
-  /// explicit policy (max_imm_memtables, plus an L0 run-count slowdown and
-  /// stop).
+  /// explicit policy (max_imm_memtables, plus, under tiering, an L0
+  /// run-count slowdown and stop).
   bool inline_compactions = true;
 
   /// Background mode: number of worker threads in the background pool.
@@ -160,7 +161,8 @@ struct Options {
   /// before writers stall (the flush pipeline depth). Each pending memtable
   /// pins up to write_buffer_bytes of memory and one WAL file. At 2 or more
   /// under leveling, a lone sealed memtable whose span overlaps L0 is held
-  /// until the next seal, and one flush merges both into L0
+  /// until the next seal, and one flush takes both: with FADE off it merges
+  /// them into L0, under FADE it writes them once into tiered L0 runs
   /// (docs/architecture.md, "Grouped flush"). A FADE buffer is held too,
   /// until its oldest tombstone has used 60% of
   /// delete_persistence_threshold_micros, and under FADE every sealed

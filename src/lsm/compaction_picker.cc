@@ -229,8 +229,23 @@ std::vector<uint64_t> CompactionPicker::CumulativeTtls(
                                options_.size_ratio, num_disk_levels);
 }
 
-uint64_t CompactionPicker::BufferTtl(const Version& version) const {
-  (void)version;
+std::vector<uint64_t> CompactionPicker::DeadlineTtls(
+    const Version& version) const {
+  std::vector<uint64_t> ttls = CumulativeTtls(version);
+  // The L0 hold: a push rewrites the L1 file under its L0 column however
+  // little the column holds, and tiered L0 runs keep taking flushes on top
+  // of a column without rewriting it. So while L0 holds at most a T-th of
+  // L1's bytes (leveling's ratio between adjacent levels), a column waits
+  // until its oldest tombstone is ReservationBound() old, and each L1
+  // rewrite moves more of L0.
+  if (tiered_l0_ && !ttls.empty() &&
+      version.LevelBytes(0) * options_.size_ratio <= version.LevelBytes(1)) {
+    ttls[0] = std::max(ttls[0], ReservationBound());
+  }
+  return ttls;
+}
+
+uint64_t CompactionPicker::BufferTtl() const {
   if (!options_.fade_enabled()) {
     return UINT64_MAX;
   }
@@ -310,7 +325,7 @@ uint64_t HeldDeadline(const FileMeta& file, uint64_t deadline,
 uint64_t CompactionPicker::EarliestTtlExpiry(
     const Version& version, uint64_t now, OldestSnapshot oldest_snapshot,
     const std::set<uint64_t>* reserved) const {
-  const std::vector<uint64_t> ttls = CumulativeTtls(version);
+  const std::vector<uint64_t> ttls = DeadlineTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
   const uint64_t bound = ReservationBound();
   uint64_t earliest = UINT64_MAX;
@@ -343,13 +358,34 @@ bool AnyClaimedInLevel(const Version& version, int level,
   return false;
 }
 
+/// The inputs a leveled pick of `file` at `level` takes: `file` alone in
+/// a level of one run. In a level of several runs (L0 when flushes write
+/// tiered runs) older versions of its keys may sit in other runs, so the
+/// pick takes every file overlapping it there, to a fixed point
+/// (Version::OverlapClosure). Empty when one of those is claimed.
+std::vector<std::shared_ptr<FileMeta>> LeveledInputs(
+    const Version& version, int level, const std::shared_ptr<FileMeta>& file,
+    const std::set<uint64_t>* in_flight) {
+  if (version.LevelRunCount(level) <= 1) {
+    return {file};
+  }
+  std::vector<std::shared_ptr<FileMeta>> inputs = version.OverlapClosure(
+      level, Slice(file->smallest_key), Slice(file->largest_key));
+  for (const auto& input : inputs) {
+    if (Claimed(in_flight, *input)) {
+      return {};
+    }
+  }
+  return inputs;
+}
+
 }  // namespace
 
 CompactionPick CompactionPicker::PickTtlExpired(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
     OldestSnapshot oldest_snapshot, const std::set<uint64_t>* reserved) const {
   CompactionPick pick;
-  const std::vector<uint64_t> ttls = CumulativeTtls(version);
+  const std::vector<uint64_t> ttls = DeadlineTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
   const uint64_t bound = ReservationBound();
 
@@ -365,6 +401,7 @@ CompactionPick CompactionPicker::PickTtlExpired(
     }
     std::shared_ptr<FileMeta> best;
     uint64_t best_deadline = UINT64_MAX;
+    std::vector<std::shared_ptr<FileMeta>> best_inputs;
     for (const SortedRun& run : version.levels()[level]) {
       for (const auto& file : run.files) {
         if (Claimed(in_flight, *file)) {
@@ -374,10 +411,19 @@ CompactionPick CompactionPicker::PickTtlExpired(
             FileDeadline(*file, level, deepest, ttls, now, oldest_snapshot);
         const uint64_t deadline = HeldDeadline(*file, due, reserved, bound);
         pick.ttl_held |= due < now && deadline >= now;
-        if (deadline < now && (best == nullptr || deadline < best_deadline)) {
-          best = file;
-          best_deadline = deadline;
+        if (deadline >= now || (best != nullptr && deadline >= best_deadline)) {
+          continue;
         }
+        if (!tiering) {
+          std::vector<std::shared_ptr<FileMeta>> inputs =
+              LeveledInputs(version, level, file, in_flight);
+          if (inputs.empty()) {
+            continue;
+          }
+          best_inputs = std::move(inputs);
+        }
+        best = file;
+        best_deadline = deadline;
       }
     }
     if (best != nullptr) {
@@ -391,7 +437,7 @@ CompactionPick CompactionPicker::PickTtlExpired(
           }
         }
       } else {
-        pick.inputs.push_back(best);
+        pick.inputs = std::move(best_inputs);
       }
       return pick;
     }
@@ -454,34 +500,44 @@ CompactionPick CompactionPicker::PickSaturated(
     std::shared_ptr<FileMeta> best;
     uint64_t best_overlap = UINT64_MAX;
     double best_b = -1.0;
+    std::vector<std::shared_ptr<FileMeta>> best_inputs;
     for (const SortedRun& run : version.levels()[level]) {
       for (const auto& file : run.files) {
         if (Claimed(in_flight, *file)) {
           continue;  // already an input of an in-flight merge
         }
+        uint64_t overlap = 0;
+        double b = 0;
+        bool better;
         if (!use_delete_driven) {
-          uint64_t overlap = OverlapBytes(version, level, *file);
-          if (best == nullptr || overlap < best_overlap ||
-              (overlap == best_overlap &&
-               file->num_point_tombstones > best->num_point_tombstones)) {
-            best = file;
-            best_overlap = overlap;
-          }
+          overlap = OverlapBytes(version, level, *file);
+          better = best == nullptr || overlap < best_overlap ||
+                   (overlap == best_overlap &&
+                    file->num_point_tombstones > best->num_point_tombstones);
         } else {  // kMaxTombstones (SD)
-          double b = EstimateInvalidation(version, *file);
-          if (best == nullptr || b > best_b ||
-              (b == best_b &&
-               file->oldest_tombstone_time < best->oldest_tombstone_time)) {
-            best = file;
-            best_b = b;
-          }
+          b = EstimateInvalidation(version, *file);
+          better = best == nullptr || b > best_b ||
+                   (b == best_b &&
+                    file->oldest_tombstone_time < best->oldest_tombstone_time);
         }
+        if (!better) {
+          continue;
+        }
+        std::vector<std::shared_ptr<FileMeta>> inputs =
+            LeveledInputs(version, level, file, in_flight);
+        if (inputs.empty()) {
+          continue;
+        }
+        best = file;
+        best_overlap = overlap;
+        best_b = b;
+        best_inputs = std::move(inputs);
       }
     }
     if (best != nullptr) {
       pick.trigger = CompactionPick::Trigger::kSaturation;
       pick.level = level;
-      pick.inputs.push_back(best);
+      pick.inputs = std::move(best_inputs);
       return pick;
     }
   }

@@ -13,8 +13,10 @@
 namespace lethe {
 
 /// What the picker decided to compact and why. Under leveling `inputs` holds
-/// one file from `level`; under tiering it holds every file of the level
-/// (all runs merge together).
+/// one file from `level`, or, where the level holds several runs (L0 when
+/// flushes write tiered runs), every file of the level overlapping that one
+/// to a fixed point (Version::OverlapClosure); under tiering it holds every
+/// file of the level (all runs merge together).
 struct CompactionPick {
   enum class Trigger { kNone, kSaturation, kTtlExpiry };
 
@@ -57,14 +59,21 @@ inline constexpr double kReservationReleaseShare = 0.6;
 ///   kTtlExpiry trigger whether FADE is on or not.
 class CompactionPicker {
  public:
-  CompactionPicker(const Options& resolved_options, VersionSet* versions)
-      : options_(resolved_options), versions_(versions) {}
+  /// `tiered_l0`: flushes write L0 as tiered runs (DBImpl::CutsFlushesAtL1),
+  /// which turns on the L0 hold (DeadlineTtls).
+  CompactionPicker(const Options& resolved_options, VersionSet* versions,
+                   bool tiered_l0 = false)
+      : options_(resolved_options),
+        versions_(versions),
+        tiered_l0_(tiered_l0) {}
 
   /// `in_flight` (optional) holds file numbers claimed as inputs by merges
   /// already running on the worker pool; those files are skipped rather
-  /// than re-picked — under leveling a claimed candidate is passed over,
-  /// under tiering a level with any claimed file cannot merge (a tiering
-  /// merge needs every run of the level) and is skipped entirely.
+  /// than re-picked — under leveling a claimed candidate is passed over, as
+  /// is one whose overlap closure in a level of several runs holds a
+  /// claimed file; under tiering a level with any claimed file cannot
+  /// merge (a tiering merge needs every run of the level) and is skipped
+  /// entirely.
   ///
   /// `oldest_snapshot` is the oldest live snapshot. The delete-driven
   /// trigger skips a bottommost file whose tombstones are all newer than
@@ -103,7 +112,7 @@ class CompactionPicker {
   /// Idle-buffer flush guard (Dth/2): a memtable whose oldest tombstone is
   /// older than this must flush so an idle database still meets the
   /// persistence bound. UINT64_MAX when FADE is off.
-  uint64_t BufferTtl(const Version& version) const;
+  uint64_t BufferTtl() const;
 
   /// kReservationReleaseShare of Dth: the tombstone age that ends an L0
   /// file's reservation and a held buffer's hold. UINT64_MAX when FADE is
@@ -152,12 +161,18 @@ class CompactionPicker {
   CompactionPick PickSaturated(const Version& version,
                                const std::set<uint64_t>* in_flight) const;
 
+  /// CumulativeTtls as the TTL pick applies them: under tiered L0, while
+  /// L0 holds at most a T-th of L1's bytes, L0's threshold rises to
+  /// ReservationBound() (the L0 hold).
+  std::vector<uint64_t> DeadlineTtls(const Version& version) const;
+
   /// Bytes of next-level files overlapping `file` (SO's objective).
   uint64_t OverlapBytes(const Version& version, int level,
                         const FileMeta& file) const;
 
   Options options_;
   VersionSet* versions_;
+  bool tiered_l0_;
 };
 
 /// Interprets the first 8 bytes of a sort key as a big-endian integer, the

@@ -201,8 +201,9 @@ bool DBImpl::CutsFlushesAtL1() const {
 }
 
 bool DBImpl::HoldForNextSealLocked(const ImmMemTable& imm) const {
-  // A leveled flush rewrites every L0 file its span overlaps; waiting for
-  // the next seal halves those rewrites. The writer never stalls on the
+  // A leveled flush rewrites every L0 file its span overlaps, or, where it
+  // cuts at L1 boundaries, adds an L0 run over them; waiting for the next
+  // seal halves those rewrites or runs. The writer never stalls on the
   // wait: the held memtable takes one of max_imm_memtables >= 2 slots. A
   // FADE tombstone ends the wait at hold_release_.
   if (imm_.size() != 1 || flush_waiters_ > 0 || imm.flush_started ||
@@ -840,11 +841,19 @@ Status DBImpl::TEST_VerifyTreeInvariants() {
   std::shared_ptr<const Version> version = GetReadSnapshot().state->version;
   for (int level = 0; level < version->num_levels(); level++) {
     const auto& runs = version->levels()[level];
+    // Leveling keeps one run per level, but for the tiered L0 runs flushes
+    // write when they cut at L1 boundaries.
     if (options_.compaction_style == CompactionStyle::kLeveling &&
-        runs.size() > 1) {
+        runs.size() > 1 && !(level == 0 && CutsFlushesAtL1())) {
       return Status::Corruption("leveling holds " +
                                 std::to_string(runs.size()) +
                                 " runs at level " + std::to_string(level));
+    }
+    for (size_t r = 1; r < runs.size(); r++) {
+      if (runs[r - 1].run_id >= runs[r].run_id) {
+        return Status::Corruption("run ids do not ascend at level " +
+                                  std::to_string(level));
+      }
     }
     for (const SortedRun& run : runs) {
       for (size_t i = 0; i < run.files.size(); i++) {

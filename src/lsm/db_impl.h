@@ -365,12 +365,13 @@ class DBImpl final : public DB {
   // footprint overlaps a job already running.
 
   /// Flushes `imm`, an entry of imm_ that no job is building (merging with
-  /// overlapping first-level files under leveling). When `imm` is the front
-  /// and flushes group (GroupsFlushes), the flush takes along every
-  /// following memtable up to the first that is building or parked:
-  /// one merge of the group's memtables (and the L0 files their combined
-  /// span overlaps) into one VersionEdit. A group of one is the classic
-  /// flush. A range-local leveled flush — some L0 file lies wholly outside
+  /// overlapping first-level files under leveling, unless it cuts at L1
+  /// boundaries: then it writes only its buffers, into tiered L0 runs). When
+  /// `imm` is the front and flushes group (GroupsFlushes), the flush takes
+  /// along every following memtable up to the first that is building or
+  /// parked: one merge of the group's memtables (and the L0 files it
+  /// merges with) into one VersionEdit. A group of one is the classic
+  /// flush. A range-local greedy flush — some L0 file lies wholly outside
   /// the buffers' span — cuts its outputs at a span edge whose edge file
   /// holds at least half a target file outside the span, so that cold part
   /// lands in its own L0 file instead of being rewritten by every later
@@ -384,7 +385,9 @@ class DBImpl final : public DB {
 
   /// Installs the finished flush of the `count` memtables at the front of
   /// imm_ (`edit`, claimed by `claim`), then every parked successor in
-  /// order, all in this mu_ hold: each LogAndApply points the manifest at
+  /// order, all in this mu_ hold: each edit's outputs take their L0 runs
+  /// against the version they join (when flushes cut at L1 boundaries),
+  /// each LogAndApply points the manifest at
   /// the oldest WAL still carrying unflushed data, and each installed
   /// memtable leaves imm_ and has its WAL removed. A failed install removes
   /// its outputs and leaves its memtables at the front, unbuilt.
@@ -403,14 +406,16 @@ class DBImpl final : public DB {
   /// (CompactionPicker::ReservationBound).
   bool GroupsFlushes() const;
 
-  /// Whether a flush cuts its L0 outputs at the L1 file boundaries inside
-  /// its span and opens their readers before install: flushes group and
-  /// FADE is on (FlushMemTable, "L1-aligned flush cuts" in
+  /// Whether a flush writes its buffers alone, cut at the L1 file
+  /// boundaries inside their span, into tiered L0 runs, and opens the
+  /// outputs' readers before install: flushes group and FADE is on
+  /// (FlushMemTable, "L1-aligned flush cuts" and "Tiered L0" in
   /// docs/architecture.md).
   bool CutsFlushesAtL1() const;
 
   /// Whether the flush of `imm`, the only sealed memtable, waits for the
-  /// next seal so that one flush rewrites L0 for both: flushes group, its
+  /// next seal so that one flush takes both (one L0 rewrite, or one L0 run
+  /// where flushes cut at L1 boundaries): flushes group, its
   /// span overlaps an L0 file (an in-order load never waits), no flush of
   /// it has started before, no caller waits for imm_ to drain, and its
   /// oldest tombstone (if any) is not yet ReservationBound() old.
@@ -419,7 +424,7 @@ class DBImpl final : public DB {
   /// The L0 files some sealed memtable's span overlaps, reserved for its
   /// pending flush: under FADE the TTL pick passes over them
   /// (CompactionPicker::Pick) so that it does not push down, between two
-  /// flushes, the run the next flush rewrites anyway. Empty unless flushes
+  /// flushes, the L0 data the next flush adds to. Empty unless flushes
   /// group.
   std::set<uint64_t> ReservedL0FilesLocked() const;
 

@@ -48,7 +48,7 @@ std::vector<std::string> SpanEdgeCuts(
                                 Slice(file.largest_key), Slice(begin),
                                 Slice(end));
   };
-  // Leveling keeps L0 one sorted run, so the overlap is in key order.
+  // The caller passes one run's overlap, which is in key order.
   const FileMeta& first = *overlapping.front();
   const FileMeta& last = *overlapping.back();
   const double half_target = static_cast<double>(target_file_bytes) / 2;
@@ -64,20 +64,53 @@ std::vector<std::string> SpanEdgeCuts(
 }
 
 // L1-aligned flush cuts: the smallest key of every L1 file inside the
-// flush's output span [begin, end] (its footprint's: the buffer's span
-// widened over the L0 files it rewrites). Cutting there keeps each L0 file
-// over one L1 file, and the partition stays put across flushes, so a FADE
-// TTL push of an L0 file rewrites only the L1 file under it instead of
-// every L1 file a wide, size-cut L0 file happened to span (LevelDB cuts
-// compaction outputs at grandparent boundaries the same way). A key at or
-// below `begin` would cut nothing, so it is left out.
-void AppendL1BoundaryCuts(const Version& version, const std::string& begin,
-                          const std::string& end,
-                          std::vector<std::string>* cuts) {
+// buffer's span [begin, end]. Cutting there keeps each L0 file over one L1
+// file, and the partition stays put across flushes, so a FADE TTL push of
+// an L0 slice rewrites only the L1 file under it instead of every L1 file
+// a wide, size-cut L0 file happened to span (LevelDB cuts compaction
+// outputs at grandparent boundaries the same way). A key at or below
+// `begin` would cut nothing, so it is left out; L1 is one run, so the cuts
+// ascend.
+std::vector<std::string> L1BoundaryCuts(const Version& version,
+                                        const std::string& begin,
+                                        const std::string& end) {
+  std::vector<std::string> cuts;
   for (const auto& file : version.OverlappingFiles(1, Slice(begin),
                                                    Slice(end))) {
     if (Slice(file->smallest_key).compare(Slice(begin)) > 0) {
-      cuts->push_back(file->smallest_key);
+      cuts.push_back(file->smallest_key);
+    }
+  }
+  return cuts;
+}
+
+// Tiered L0 placement of a flush's outputs (`edit`, all at L0): each goes
+// into the oldest L0 run where neither that run nor a newer one holds a
+// file it overlaps, so it sits above every older version of its keys; a
+// new run opens only when the newest run overlaps it. Placing at install,
+// against the version the outputs join, keeps seal order for a look-ahead
+// whose edit parked, and an in-order load, which overlaps nothing, stays
+// one run.
+void PlaceInL0Runs(const Version& version, VersionSet* versions,
+                   VersionEdit* edit) {
+  static const std::vector<SortedRun> kNoRuns;
+  const std::vector<SortedRun>& runs =
+      version.num_levels() > 0 ? version.levels()[0] : kNoRuns;
+  uint64_t new_run_id = 0;
+  for (auto& [level, meta] : edit->added_files) {
+    assert(level == 0);
+    size_t slot = runs.size();
+    while (slot > 0 && !runs[slot - 1].Overlaps(Slice(meta.smallest_key),
+                                                Slice(meta.largest_key))) {
+      slot--;
+    }
+    if (slot < runs.size()) {
+      meta.run_id = runs[slot].run_id;
+    } else {
+      if (new_run_id == 0) {
+        new_run_id = versions->NewRunId();
+      }
+      meta.run_id = new_run_id;
     }
   }
 }
@@ -135,15 +168,31 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     mem_bytes += mem.ApproximateMemoryUsage();
   }
 
+  // Under FADE with grouped flushes (CutsFlushesAtL1) the flush writes its
+  // buffers once, cut at L1 file boundaries, and L0 takes the outputs as
+  // tiered runs (PlaceInL0Runs at install); the L0 picks merge those runs
+  // down (CompactionPicker). Otherwise a leveled flush is greedy: it merges
+  // the buffer with the overlapping part of the first disk level (§2:
+  // flushed runs are greedily sort-merged with the run of Level 1), or,
+  // over an L0 that another configuration left in several runs, with every
+  // L0 file overlapping that part, so its outputs overlap nothing left.
+  const bool tiered_l0 = CutsFlushesAtL1();
   std::vector<std::shared_ptr<FileMeta>> overlapping;
-  if (options_.compaction_style == CompactionStyle::kLeveling) {
-    // Greedy leveled flush: merge the buffer with the overlapping part of
-    // the first disk level (§2: flushed runs are greedily sort-merged with
-    // the run of Level 1).
-    overlapping = version->OverlappingFiles(0, Slice(smallest), Slice(largest));
+  if (tiered_l0) {
     if (has_span) {
-      config.cut_keys = SpanEdgeCuts(*version, overlapping, smallest, largest,
-                                      options_.target_file_bytes);
+      config.cut_keys = L1BoundaryCuts(*version, smallest, largest);
+    }
+  } else if (options_.compaction_style == CompactionStyle::kLeveling) {
+    if (version->LevelRunCount(0) > 1) {
+      overlapping =
+          version->OverlapClosure(0, Slice(smallest), Slice(largest));
+    } else {
+      overlapping =
+          version->OverlappingFiles(0, Slice(smallest), Slice(largest));
+      if (has_span) {
+        config.cut_keys = SpanEdgeCuts(*version, overlapping, smallest,
+                                        largest, options_.target_file_bytes);
+      }
     }
   }
 
@@ -160,15 +209,6 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   if (versions_->ConflictsWithInFlight(footprint)) {
     *deferred = true;
     return Status::OK();
-  }
-  if (has_span && CutsFlushesAtL1()) {
-    AppendL1BoundaryCuts(*version, footprint.output_begin,
-                         footprint.output_end, &config.cut_keys);
-    // std::string compares bytewise, as Slice does.
-    std::sort(config.cut_keys.begin(), config.cut_keys.end());
-    config.cut_keys.erase(
-        std::unique(config.cut_keys.begin(), config.cut_keys.end()),
-        config.cut_keys.end());
   }
   FootprintClaim claim(this, footprint);
   for (ImmMemTable* member : group) {
@@ -191,8 +231,12 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
   // Bottommost is judged on the current version only. That stays sound for
   // a look-ahead: no older pending memtable holds any of its keys
   // (NextFlushCandidateLocked), so nothing older than its tombstones can
-  // still reach the version below them.
-  if (options_.compaction_style == CompactionStyle::kLeveling) {
+  // still reach the version below them. A flush onto tiered L0 runs is
+  // bottommost only over an empty tree: the L0 runs it lands above hold
+  // older versions too.
+  if (tiered_l0) {
+    config.bottommost = version->DeepestNonEmptyLevel() < 0;
+  } else if (options_.compaction_style == CompactionStyle::kLeveling) {
     for (const auto& file : overlapping) {
       edit.removed_files.push_back({0, file->file_number});
       config.input_bytes += file->file_size;
@@ -204,7 +248,7 @@ Status DBImpl::FlushMemTable(ImmMemTable* imm,
     config.bottommost = version->DeepestNonEmptyLevel() < 0;
   }
 
-  // Subcompactions: a leveled flush greedily rewrites the overlapping part
+  // Subcompactions: a greedy leveled flush rewrites the overlapping part
   // of L0, which under a saturated buffer is the single hottest merge in
   // the engine — split it like any other merge. The memtables participate
   // in the byte-balance model as one more pseudo-file spanning the
@@ -264,6 +308,9 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
     // active one.
     edit.wal_number =
         imm_.size() > count ? imm_[count].wal_number : wal_number_;
+    if (CutsFlushesAtL1()) {
+      PlaceInL0Runs(*versions_->current(), versions_.get(), &edit);
+    }
     // Until the publish below, a read may see these memtables both sealed
     // and flushed: the same entries at the same sequences, answering alike.
     s = LogAndApplyLocked(&edit);
@@ -282,10 +329,9 @@ Status DBImpl::InstallFlushesLocked(VersionEdit edit, FootprintClaim claim,
       if (options_.enable_wal) {
         // Everything the flushed WAL covered is durable in the new version.
         // Every install path (a flush job, an exclusive job's flush of the
-        // front, close) retires its WALs here, under mu_. Unlinking after
-        // the job releases mu_ once let FADE's TTL pick take L0 before the
-        // next flush claimed it; with L0 reserved for pending flushes it no
-        // longer does (docs/architecture.md, "Pipelined flush").
+        // front, close) retires its WALs here, in the same mu_ hold as the
+        // LogAndApply that made them redundant, so no path can leave a WAL
+        // behind that the manifest no longer names.
         options_.env->RemoveFile(WalFileName(dbname_, flushed_wal)).ok();
       }
     }
@@ -329,7 +375,7 @@ void DBImpl::RefreshTriggerStateLocked() {
   earliest_ttl_expiry_ =
       picker_->EarliestTtlExpiry(*version, options_.clock->NowMicros(),
                                  OldestSnapshotLocked(), &reserved);
-  buffer_ttl_ = picker_->BufferTtl(*version);
+  buffer_ttl_ = picker_->BufferTtl();
   // A lone sealed memtable is held (HoldForNextSealLocked) until its oldest
   // tombstone is ReservationBound() old. Seals and installs, the only steps
   // that change imm_, both refresh while flushes group.
@@ -339,7 +385,13 @@ void DBImpl::RefreshTriggerStateLocked() {
       imm_.front().mem->oldest_tombstone_time() != kNoTombstoneTime) {
     hold_release_ = imm_.front().mem->oldest_tombstone_time() + bound;
   }
-  l0_runs_ = version->num_levels() > 0 ? version->LevelRunCount(0) : 0;
+  // Only tiering counts L0 runs toward the slowdown and the stop. Leveling
+  // bounds L0 by bytes (the saturation pick), also where flushes write it
+  // as tiered runs, and no leveled trigger fires on a run count, so a stop
+  // there would never lift.
+  l0_runs_ = options_.compaction_style == CompactionStyle::kTiering
+                 ? version->LevelRunCount(0)
+                 : 0;
   saturation_pending_ = false;
   l0_saturated_ = false;
   for (int level = 0; level < version->num_levels(); level++) {
@@ -413,7 +465,7 @@ Status DBImpl::CompactOnce(const CompactionPick& pick,
     }
     auto overlapping =
         version->OverlappingFiles(target, Slice(smallest), Slice(largest));
-    if (overlapping.empty()) {
+    if (overlapping.empty() && pick.inputs.size() == 1) {
       const FileMeta& file = *pick.inputs.front();
       trivial_move_possible =
           !(config.bottommost && file.HasTombstones());

@@ -30,13 +30,14 @@ Status DBImpl::Init() {
   versions_ = std::make_unique<VersionSet>(options_, dbname_,
                                            page_cache_.get(), &stats_,
                                            shard_.file_number_origin);
-  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
-  LETHE_RETURN_IF_ERROR(versions_->Recover());
-  mem_ = std::make_shared<MemTable>();
   // Inline mode is background mode plus a barrier: the same scheduler (one
   // worker, see Options::WithDefaults) runs every flush and compaction, and
   // each write or maintenance call waits for it to go quiet (DrainLocked).
   barrier_mode_ = options_.inline_compactions;
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get(),
+                                               CutsFlushesAtL1());
+  LETHE_RETURN_IF_ERROR(versions_->Recover());
+  mem_ = std::make_shared<MemTable>();
 
   std::lock_guard<std::mutex> lock(mu_);
   PublishReadStateLocked();

@@ -14,9 +14,10 @@ namespace {
 // once background work decouples from the foreground, the slowdown/stall
 // policy must be explicit). When Level 0 holds kL0SlowdownRuns sorted runs,
 // each write group is delayed once by kSlowdownDelayMicros; at kL0StopRuns
-// writers stall until a compaction reduces the count. Mainly effective under
-// tiering, where L0 accumulates runs; under leveling the flush merges into
-// L0 and backpressure comes from Options::max_imm_memtables.
+// writers stall until a compaction reduces the count. Only tiering counts
+// runs (RefreshTriggerStateLocked): leveling bounds L0 by bytes, also where
+// flushes write it as tiered runs, and its backpressure comes from
+// Options::max_imm_memtables.
 constexpr int kL0SlowdownRuns = 8;
 constexpr int kL0StopRuns = 12;
 constexpr uint64_t kSlowdownDelayMicros = 1000;

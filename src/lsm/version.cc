@@ -29,25 +29,36 @@ uint64_t SortedRun::TotalEntries() const {
   return total;
 }
 
+namespace {
+
+/// Index of the first of a run's `files` with largest_key >= `key`, or
+/// files.size().
+size_t FirstEndingAtOrAfter(
+    const std::vector<std::shared_ptr<FileMeta>>& files, const Slice& key) {
+  return static_cast<size_t>(
+      std::partition_point(files.begin(), files.end(),
+                           [&key](const std::shared_ptr<FileMeta>& file) {
+                             return Slice(file->largest_key).compare(key) < 0;
+                           }) -
+      files.begin());
+}
+
+}  // namespace
+
 int SortedRun::FindFile(const Slice& user_key) const {
-  // Binary search the first file with largest_key >= user_key.
-  int lo = 0, hi = static_cast<int>(files.size()) - 1, result = -1;
-  while (lo <= hi) {
-    int mid = lo + (hi - lo) / 2;
-    if (Slice(files[mid]->largest_key).compare(user_key) >= 0) {
-      result = mid;
-      hi = mid - 1;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  if (result < 0) {
+  const size_t i = FirstEndingAtOrAfter(files, user_key);
+  if (i == files.size() ||
+      Slice(files[i]->smallest_key).compare(user_key) > 0) {
     return -1;
   }
-  if (Slice(files[result]->smallest_key).compare(user_key) > 0) {
-    return -1;
-  }
-  return result;
+  return static_cast<int>(i);
+}
+
+bool SortedRun::Overlaps(const Slice& begin, const Slice& end) const {
+  // Files are key-ordered and disjoint: only the first one ending at or
+  // after `begin` can start at or before `end`.
+  const size_t i = FirstEndingAtOrAfter(files, begin);
+  return i < files.size() && Slice(files[i]->smallest_key).compare(end) <= 0;
 }
 
 int Version::DeepestNonEmptyLevel() const {
@@ -126,6 +137,30 @@ std::vector<std::shared_ptr<FileMeta>> Version::OverlappingFiles(
     }
   }
   return result;
+}
+
+std::vector<std::shared_ptr<FileMeta>> Version::OverlapClosure(
+    int level, const Slice& begin, const Slice& end) const {
+  std::string lo = begin.ToString();
+  std::string hi = end.ToString();
+  while (true) {
+    std::vector<std::shared_ptr<FileMeta>> files =
+        OverlappingFiles(level, Slice(lo), Slice(hi));
+    bool widened = false;
+    for (const auto& file : files) {
+      if (Slice(file->smallest_key).compare(Slice(lo)) < 0) {
+        lo = file->smallest_key;
+        widened = true;
+      }
+      if (Slice(file->largest_key).compare(Slice(hi)) > 0) {
+        hi = file->largest_key;
+        widened = true;
+      }
+    }
+    if (!widened) {
+      return files;
+    }
+  }
 }
 
 std::vector<std::pair<int, std::shared_ptr<FileMeta>>> Version::AllFiles()

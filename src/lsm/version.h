@@ -15,8 +15,10 @@ namespace lethe {
 struct VersionEdit;
 
 /// One sorted run: files with pairwise non-overlapping sort-key ranges,
-/// ordered by smallest_key. Under leveling each disk level holds at most one
-/// run; under tiering a level accumulates up to T runs before compaction.
+/// ordered by smallest_key. Under leveling each disk level holds one run,
+/// but L0 holds several when flushes write it as tiered runs (a flush that
+/// cuts at L1 boundaries, see DBImpl::CutsFlushesAtL1); under tiering a
+/// level accumulates up to T runs before compaction.
 struct SortedRun {
   uint64_t run_id = 0;
   std::vector<std::shared_ptr<FileMeta>> files;
@@ -26,6 +28,9 @@ struct SortedRun {
 
   /// Index of the unique file whose range may contain `key`, or -1.
   int FindFile(const Slice& user_key) const;
+
+  /// True if some file's range overlaps [begin, end] (inclusive bounds).
+  bool Overlaps(const Slice& begin, const Slice& end) const;
 };
 
 /// Immutable snapshot of the on-disk tree structure. Disk level 0 here is
@@ -55,6 +60,15 @@ class Version {
   /// Files of `level` (all runs) overlapping sort-key range [begin, end]
   /// (inclusive bounds; file ranges already cover their range tombstones).
   std::vector<std::shared_ptr<FileMeta>> OverlappingFiles(
+      int level, const Slice& begin, const Slice& end) const;
+
+  /// OverlappingFiles over [begin, end], widened to a fixed point: every
+  /// file of `level` overlapping the combined range of the files found is
+  /// taken too. A merge of a level holding several runs takes this set, so
+  /// no older version of a key it moves down stays behind at the level
+  /// above the newer one, and nothing left at the level overlaps its
+  /// outputs.
+  std::vector<std::shared_ptr<FileMeta>> OverlapClosure(
       int level, const Slice& begin, const Slice& end) const;
 
   /// All files in the tree, with their levels.

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -2679,12 +2680,30 @@ TEST_F(L1AlignedFlushTest, TtlPushReadsOnlyTheL1FileBelow) {
     }
   }
   ASSERT_NE(pushed, nullptr);
-  const std::vector<FileMeta> below = impl()->TEST_LevelFiles(1);
-  uint64_t expected_read = pushed->file_size;
+  // The push takes every L0 slice overlapping it across runs, to a fixed
+  // point, and the L1 files under them.
+  std::string lo = pushed->smallest_key, hi = pushed->largest_key;
+  uint64_t expected_read = 0;
+  for (bool widened = true; widened;) {
+    widened = false;
+    expected_read = 0;
+    for (const FileMeta& file : l0) {
+      if (file.OverlapsKeyRange(Slice(lo), Slice(hi))) {
+        expected_read += file.file_size;
+        if (Slice(file.smallest_key).compare(Slice(lo)) < 0) {
+          lo = file.smallest_key;
+          widened = true;
+        }
+        if (Slice(file.largest_key).compare(Slice(hi)) > 0) {
+          hi = file.largest_key;
+          widened = true;
+        }
+      }
+    }
+  }
   size_t l1_under = 0;
-  for (const FileMeta& file : below) {
-    if (file.OverlapsKeyRange(Slice(pushed->smallest_key),
-                              Slice(pushed->largest_key))) {
+  for (const FileMeta& file : impl()->TEST_LevelFiles(1)) {
+    if (file.OverlapsKeyRange(Slice(lo), Slice(hi))) {
       expected_read += file.file_size;
       l1_under++;
     }
@@ -2707,54 +2726,212 @@ TEST_F(L1AlignedFlushTest, TtlPushReadsOnlyTheL1FileBelow) {
   ExpectModelHolds();
 }
 
-TEST_F(L1AlignedFlushTest, SpanEdgeOnAnL1BoundaryCutsOnce) {
+TEST_F(L1AlignedFlushTest, FlushWritesOnlyItsOwnSpanOverWideL0Files) {
   // Barrier mode leaves wide L0 files over L1 boundaries; background mode
-  // then flushes a range-local buffer starting at one of those boundaries,
-  // so the span-edge cut and the L1 cut name the same key.
+  // then flushes a range-local buffer starting at one of those boundaries.
+  // The flush writes the buffer alone, in a newer L0 run, and leaves the
+  // wide file it overlaps in place.
   LoadL1(/*inline_mode=*/true);
   WriteUniform(4);
   options_.inline_compactions = false;
   options_.background_threads = 2;
   ASSERT_TRUE(Reopen().ok());
   const std::vector<FileMeta> l0 = impl()->TEST_LevelFiles(0);
+  const FileMeta* wide = nullptr;
   uint64_t edge = 0;
-  bool found = false;
   for (const FileMeta& file : l0) {
     for (const FileMeta& l1 : l1_) {
-      // An L1 boundary inside `file` with at least half a target file of
-      // it below (the flush's own metadata estimate).
       const Slice key(l1.smallest_key);
-      if (!found && key.compare(Slice(file.smallest_key)) > 0 &&
-          key.compare(Slice(file.largest_key)) < 0 &&
-          static_cast<double>(file.file_size) *
-                  RangeOverlapFraction(Slice(file.smallest_key),
-                                       Slice(file.largest_key),
-                                       Slice(file.smallest_key), key) >=
-              static_cast<double>(options_.target_file_bytes) / 2) {
+      if (wide == nullptr && key.compare(Slice(file.smallest_key)) > 0 &&
+          key.compare(Slice(file.largest_key)) < 0) {
+        wide = &file;
         edge = workload::DecodeKey(l1.smallest_key);
-        found = true;
       }
     }
   }
-  ASSERT_TRUE(found);
+  ASSERT_NE(wide, nullptr);
+  const uint64_t flushed = db_->stats().flush_bytes_written.load();
   for (uint64_t key = edge; key < edge + 8; key++) {
     Write(key);
   }
   ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
-  size_t starting_at_edge = 0;
-  for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
-    EXPECT_GT(file.num_entries, 0u);
-    if (Slice(file.smallest_key) == Slice(EncodeKey(edge))) {
-      starting_at_edge++;
-    }
-    // The rewritten span is aligned; later L0 files are not.
-    if (Slice(file.largest_key).compare(Slice(EncodeKey(edge))) >= 0 &&
-        Slice(file.smallest_key).compare(Slice(EncodeKey(edge + 7))) <= 0) {
-      EXPECT_FALSE(Straddles(file));
+  const std::vector<FileMeta> after = impl()->TEST_LevelFiles(0);
+  ASSERT_EQ(after.size(), l0.size() + 1);
+  const FileMeta* written = nullptr;
+  for (const FileMeta& file : after) {
+    if (file.file_number == wide->file_number) {
+      EXPECT_EQ(file.run_id, wide->run_id);  // untouched
+    } else if (Slice(file.smallest_key) == Slice(EncodeKey(edge))) {
+      written = &file;
     }
   }
-  EXPECT_EQ(starting_at_edge, 1u);
+  ASSERT_NE(written, nullptr);
+  EXPECT_EQ(written->num_entries, 8u);
+  EXPECT_GT(written->run_id, wide->run_id);
+  EXPECT_FALSE(Straddles(*written));
+  EXPECT_EQ(db_->stats().flush_bytes_written.load() - flushed,
+            written->file_size);
   ExpectModelHolds();
+}
+
+// Under FADE in background mode a flush writes its buffers alone and L0
+// takes them as tiered runs: each output goes into the oldest run where
+// neither that run nor a newer one overlaps it. Three uniform flushes
+// build three runs; reads, a held snapshot, an expiring value, a reopen
+// and a Repair all see the newest version of every key.
+class TieredL0Test : public FlushHoldTest {
+ protected:
+  void SetUp() override {
+    FlushHoldTest::SetUp();
+    options_.delete_persistence_threshold_micros = 1000000000;  // no pushes
+    options_.write_buffer_bytes = 1 << 20;  // only Flush() seals
+    options_.size_ratio = 10;               // L0 never saturates
+  }
+
+  /// Puts every key of [0, kKeys) that `pick` selects, with `tag`.
+  void PutWhere(const std::string& tag, bool (*pick)(uint64_t)) {
+    for (uint64_t key = 0; key < kKeys; key++) {
+      if (pick(key)) {
+        clock_.AdvanceMicros(1);
+        ASSERT_TRUE(model_
+                        .Write(db_.get(), ModelOp::Put(key, key,
+                                                       tag + std::string(
+                                                                 100, 'v')))
+                        .ok());
+      }
+    }
+  }
+
+  void Flush() {
+    ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
+  }
+
+  /// Distinct L0 run ids.
+  size_t L0Runs() {
+    std::set<uint64_t> runs;
+    for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+      runs.insert(file.run_id);
+    }
+    return runs.size();
+  }
+
+  static constexpr uint64_t kKeys = 512;
+  static constexpr uint64_t kExpiringKey = 5000;  // outside the model
+};
+
+TEST_F(TieredL0Test, RunsServeTheNewestVersionThroughReopenAndRepair) {
+  Open();
+  PutWhere("r0", [](uint64_t) { return true; });
+  Flush();
+  ASSERT_EQ(L0Runs(), 1u);
+  ASSERT_TRUE(impl()->TEST_LevelFiles(1).empty());
+
+  // Deletes of values the older run holds. The tree below L0 is empty, but
+  // the flush lands above run 0, so it is not bottommost: its tombstones
+  // must survive it, or the older values would read again.
+  PutWhere("r1", [](uint64_t key) { return key % 3 == 0; });
+  for (uint64_t key = 0; key < kKeys; key += 7) {
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(key)).ok());
+  }
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::RangeDelete(100, 120)).ok());
+  Flush();
+  ASSERT_EQ(L0Runs(), 2u);
+  uint64_t tombstones = 0;
+  for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+    tombstones += file.num_point_tombstones + file.num_range_tombstones;
+  }
+  EXPECT_GT(tombstones, 0u);
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  // A snapshot of this state, then a third run with an expiring value.
+  const Snapshot* snap = db_->GetSnapshot();
+  const KeyModel at_snap = model_;
+  PutWhere("r2", [](uint64_t key) { return key % 5 == 0; });
+  for (uint64_t key = 1; key < kKeys; key += 11) {
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(key)).ok());
+  }
+  const uint64_t deadline = clock_.NowMicros() + 100000;
+  WriteBatch expiring;
+  expiring.PutExpiring(EncodeKey(kExpiringKey), deadline, "expiring");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &expiring).ok());
+  Flush();
+  ASSERT_GE(L0Runs(), 3u);
+  EXPECT_EQ(db_->stats().compactions.load(), 0u);
+  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
+
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  ReadOptions at;
+  at.snapshot = snap;
+  EXPECT_TRUE(at_snap.CheckAll(db_.get(), KeyModel::kExact, at));
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), EncodeKey(kExpiringKey), &value).ok());
+  EXPECT_EQ(value, "expiring");
+  db_->ReleaseSnapshot(snap);
+
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_GE(L0Runs(), 3u);
+  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  db_.reset();
+  ASSERT_TRUE(DB::Repair(options_, "testdb").ok());
+  Open();
+  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+
+  // Past its deadline, the bottommost merge drops the expiring value.
+  clock_.SetMicros(deadline + 1);
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_TRUE(
+      db_->Get(ReadOptions(), EncodeKey(kExpiringKey), &value).IsNotFound());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// Reopened with FADE off, a flush is greedy again over the runs FADE left:
+// it merges with every L0 file overlapping its span, widened to a fixed
+// point. Here an older run's file lies under a newer run's file that the
+// flush's span touches only outside it; merging that newer file alone
+// would put its keys in run 0, below the older file's stale versions.
+TEST_F(TieredL0Test, GreedyFlushOverRunsTakesTheirOverlapClosure) {
+  Open();
+  PutWhere("old", [](uint64_t key) { return key >= 200 && key <= 250; });
+  Flush();
+  PutWhere("new", [](uint64_t key) { return key <= 300; });
+  Flush();
+  ASSERT_EQ(L0Runs(), 2u);
+  // The older run's file of [200, 250], and a key outside it in a newer
+  // file that overlaps it.
+  const std::vector<FileMeta> l0 = impl()->TEST_LevelFiles(0);
+  uint64_t older = 0;
+  for (const FileMeta& file : l0) {
+    if (Slice(file.smallest_key) == Slice(EncodeKey(200))) {
+      older = file.file_number;
+    }
+  }
+  uint64_t span = kKeys;
+  for (const FileMeta& file : l0) {
+    const uint64_t lo = workload::DecodeKey(file.smallest_key);
+    const uint64_t hi = workload::DecodeKey(file.largest_key);
+    if (file.file_number != older && lo <= 250 && hi >= 200) {
+      span = lo < 200 ? lo : (hi > 250 ? hi : span);
+    }
+  }
+  ASSERT_NE(older, 0u);
+  ASSERT_LT(span, kKeys) << "the newer run cut at the older run's edges";
+
+  options_.delete_persistence_threshold_micros = 0;
+  ASSERT_TRUE(Reopen().ok());
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(
+      model_.Write(db_.get(), ModelOp::Put(span, span, "greedy")).ok());
+  Flush();
+  for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+    EXPECT_NE(file.file_number, older);  // merged, though the span missed it
+  }
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
 TEST_F(DBTest, RangeLocalFlushLeavesColdNeighbourAlone) {

@@ -131,6 +131,29 @@ std::vector<KeyModel> SliceModels(int seed) {
   return ::testing::AssertionSuccess();
 }
 
+/// FADE's promise checked at quiescence: the clock moves a full D_th on, so
+/// every tombstone written is past its deadline; with no snapshot live, the
+/// merges CompactUntilQuiescent runs must carry each one to the bottom and
+/// drop it, leaving no file holding a tombstone older than D_th.
+::testing::AssertionResult TombstonesPersistWithinDth(DB* db,
+                                                      LogicalClock* clock,
+                                                      uint64_t dth) {
+  clock->AdvanceMicros(dth);
+  Status s = db->CompactUntilQuiescent();
+  if (!s.ok()) {
+    return ::testing::AssertionFailure()
+           << "CompactUntilQuiescent: " << s.ToString();
+  }
+  for (const TombstoneAgeSample& sample : db->GetTombstoneAges()) {
+    if (sample.age_micros > dth) {
+      return ::testing::AssertionFailure()
+             << "a level-" << sample.level << " file holds a tombstone "
+             << sample.age_micros << " us old, past D_th = " << dth;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Reports a worker-thread failure and tells the other threads to stop.
 void Fail(StressState* state, const std::string& what) {
   ADD_FAILURE() << what;
@@ -328,6 +351,16 @@ TEST_P(StressTest, ModelCheckedConcurrentWorkload) {
     ASSERT_TRUE(model.CheckAll(db.get())) << "post-quiesce";
   }
 
+  // No snapshot is live here: every tombstone must persist within D_th.
+  if (options.fade_enabled()) {
+    ASSERT_TRUE(TombstonesPersistWithinDth(
+        db.get(), &clock, options.delete_persistence_threshold_micros))
+        << "seed=" << seed;
+    for (const KeyModel& model : models) {
+      ASSERT_TRUE(model.CheckAll(db.get())) << "post-persist";
+    }
+  }
+
   // Clean reopen: recovery over the surviving WALs + manifest (multi-WAL in
   // background mode) must reproduce the same logical contents.
   db.reset();
@@ -471,6 +504,12 @@ TEST_P(RangeLocalFlushStress, HotWindowBesideColdRange) {
     db->ReleaseSnapshot(p.snap);
   }
   ASSERT_TRUE(live.CheckAll(db.get())) << "post-quiesce";
+  if (options.fade_enabled()) {
+    ASSERT_TRUE(TombstonesPersistWithinDth(
+        db.get(), &clock, options.delete_persistence_threshold_micros))
+        << context;
+    ASSERT_TRUE(live.CheckAll(db.get())) << "post-persist";
+  }
   db.reset();
   ASSERT_TRUE(DB::Open(options, "rangelocaldb", &db).ok());
   ASSERT_TRUE(live.CheckAll(db.get())) << "post-reopen";
