@@ -165,11 +165,9 @@ struct Options {
   /// them into L0, under FADE it writes them once into tiered L0 runs
   /// (docs/architecture.md, "Grouped flush"). A FADE buffer is held too,
   /// until its oldest tombstone has used 60% of
-  /// delete_persistence_threshold_micros, and under FADE every sealed
-  /// memtable reserves the L0 files its span overlaps from the TTL pick
-  /// until their oldest tombstone reaches the same age. On an
-  /// idle DB a held memtable stays in memory and in its WAL until then or
-  /// until an explicit Flush/WaitForCompact. Default: 2.
+  /// delete_persistence_threshold_micros. On an idle DB a held memtable
+  /// stays in memory and in its WAL until then or until an explicit
+  /// Flush/WaitForCompact. Default: 2.
   int max_imm_memtables = 2;
 
   /// Write-ahead logging. The paper's experiments run with the WAL disabled;

@@ -236,11 +236,11 @@ std::vector<uint64_t> CompactionPicker::DeadlineTtls(
   // little the column holds, and tiered L0 runs keep taking flushes on top
   // of a column without rewriting it. So while L0 holds at most a T-th of
   // L1's bytes (leveling's ratio between adjacent levels), a column waits
-  // until its oldest tombstone is ReservationBound() old, and each L1
-  // rewrite moves more of L0.
+  // until its oldest tombstone is HoldBound() old, and each L1 rewrite
+  // moves more of L0.
   if (tiered_l0_ && !ttls.empty() &&
       version.LevelBytes(0) * options_.size_ratio <= version.LevelBytes(1)) {
-    ttls[0] = std::max(ttls[0], ReservationBound());
+    ttls[0] = std::max(ttls[0], HoldBound());
   }
   return ttls;
 }
@@ -256,13 +256,13 @@ uint64_t CompactionPicker::BufferTtl() const {
   return options_.delete_persistence_threshold_micros / 2;
 }
 
-uint64_t CompactionPicker::ReservationBound() const {
+uint64_t CompactionPicker::HoldBound() const {
   if (!options_.fade_enabled()) {
     return UINT64_MAX;
   }
   return static_cast<uint64_t>(
       static_cast<double>(options_.delete_persistence_threshold_micros) *
-      kReservationReleaseShare);
+      kHoldReleaseShare);
 }
 
 namespace {
@@ -305,37 +305,17 @@ bool Claimed(const std::set<uint64_t>* in_flight, const FileMeta& file) {
   return in_flight != nullptr && in_flight->count(file.file_number) > 0;
 }
 
-/// `deadline`, held back under FADE while a pending flush reserves `file`:
-/// until the file's oldest tombstone is `bound` old, or for good without a
-/// tombstone (the flush itself rewrites the file and applies its expiries).
-uint64_t HeldDeadline(const FileMeta& file, uint64_t deadline,
-                      const std::set<uint64_t>* reserved, uint64_t bound) {
-  if (bound == UINT64_MAX || !Claimed(reserved, file)) {
-    return deadline;
-  }
-  if (file.oldest_tombstone_time == kNoTombstoneTime ||
-      bound > UINT64_MAX - file.oldest_tombstone_time) {
-    return UINT64_MAX;
-  }
-  return std::max(deadline, file.oldest_tombstone_time + bound);
-}
-
 }  // namespace
 
 uint64_t CompactionPicker::EarliestTtlExpiry(
-    const Version& version, uint64_t now, OldestSnapshot oldest_snapshot,
-    const std::set<uint64_t>* reserved) const {
+    const Version& version, uint64_t now,
+    OldestSnapshot oldest_snapshot) const {
   const std::vector<uint64_t> ttls = DeadlineTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
-  const uint64_t bound = ReservationBound();
   uint64_t earliest = UINT64_MAX;
   for (const auto& [level, file] : version.AllFiles()) {
-    earliest = std::min(
-        earliest,
-        HeldDeadline(*file,
-                     FileDeadline(*file, level, deepest, ttls, now,
-                                  oldest_snapshot),
-                     reserved, bound));
+    earliest = std::min(earliest, FileDeadline(*file, level, deepest, ttls,
+                                               now, oldest_snapshot));
   }
   return earliest;
 }
@@ -383,11 +363,10 @@ std::vector<std::shared_ptr<FileMeta>> LeveledInputs(
 
 CompactionPick CompactionPicker::PickTtlExpired(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
-    OldestSnapshot oldest_snapshot, const std::set<uint64_t>* reserved) const {
+    OldestSnapshot oldest_snapshot) const {
   CompactionPick pick;
   const std::vector<uint64_t> ttls = DeadlineTtls(version);
   const int deepest = version.DeepestNonEmptyLevel();
-  const uint64_t bound = ReservationBound();
 
   // Smallest level with a file past its deadline wins (paper: level ties go
   // to the smallest level); within the level, the earliest deadline. Every
@@ -407,10 +386,8 @@ CompactionPick CompactionPicker::PickTtlExpired(
         if (Claimed(in_flight, *file)) {
           continue;
         }
-        const uint64_t due =
+        const uint64_t deadline =
             FileDeadline(*file, level, deepest, ttls, now, oldest_snapshot);
-        const uint64_t deadline = HeldDeadline(*file, due, reserved, bound);
-        pick.ttl_held |= due < now && deadline >= now;
         if (deadline >= now || (best != nullptr && deadline >= best_deadline)) {
           continue;
         }
@@ -546,18 +523,16 @@ CompactionPick CompactionPicker::PickSaturated(
 
 CompactionPick CompactionPicker::Pick(
     const Version& version, uint64_t now, const std::set<uint64_t>* in_flight,
-    OldestSnapshot oldest_snapshot, const std::set<uint64_t>* reserved) const {
+    OldestSnapshot oldest_snapshot) const {
   // TTL expiry takes precedence over saturation (§4.1.4: "FADE triggers a
   // compaction in a level that has at least one file with expired TTL
   // regardless of its saturation").
-  CompactionPick pick = PickTtlExpired(version, now, in_flight,
-                                       oldest_snapshot, reserved);
+  CompactionPick pick =
+      PickTtlExpired(version, now, in_flight, oldest_snapshot);
   if (pick.valid()) {
     return pick;
   }
-  CompactionPick saturated = PickSaturated(version, in_flight);
-  saturated.ttl_held = pick.ttl_held;
-  return saturated;
+  return PickSaturated(version, in_flight);
 }
 
 }  // namespace lethe

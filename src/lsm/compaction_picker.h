@@ -23,9 +23,6 @@ struct CompactionPick {
   Trigger trigger = Trigger::kNone;
   int level = -1;
   std::vector<std::shared_ptr<FileMeta>> inputs;
-  // The TTL pick passed over a past-deadline file that a pending flush
-  // reserves (Stats::compactions_ttl_held).
-  bool ttl_held = false;
 
   bool valid() const { return trigger != Trigger::kNone; }
 };
@@ -37,10 +34,10 @@ struct OldestSnapshot {
   uint64_t time = UINT64_MAX;  // Options::clock at its creation
 };
 
-/// Share of D_th a reserved L0 file's oldest tombstone may use before the
-/// TTL pick takes it anyway, and the age at which a held FADE buffer's
-/// oldest tombstone ends its hold (CompactionPicker::ReservationBound).
-inline constexpr double kReservationReleaseShare = 0.6;
+/// Share of D_th a held FADE buffer's oldest tombstone, and under the L0
+/// hold an L0 file's, may use before the hold ends
+/// (CompactionPicker::HoldBound).
+inline constexpr double kHoldReleaseShare = 0.6;
 
 /// Implements the compaction trigger and file-selection policies of §4.1.4:
 ///
@@ -82,17 +79,9 @@ class CompactionPicker {
   /// indefinitely. A due file (expiry_due) is skipped while the snapshot
   /// is older than the file's newest entry or was created before the due
   /// time, for the same reason: the merge could not purge its values.
-  ///
-  /// `reserved` (optional) holds the L0 files a sealed memtable's pending
-  /// flush will rewrite. Under FADE the TTL pick passes over a reserved
-  /// file until its oldest tombstone is ReservationBound() old (a file with
-  /// no tombstone waits for the flush), and sets ttl_held when that left a
-  /// past-deadline file behind. The saturation pick, and FADE off, ignore
-  /// it.
   CompactionPick Pick(const Version& version, uint64_t now,
                       const std::set<uint64_t>* in_flight = nullptr,
-                      OldestSnapshot oldest_snapshot = {},
-                      const std::set<uint64_t>* reserved = nullptr) const;
+                      OldestSnapshot oldest_snapshot = {}) const;
 
   /// Capacity of disk level `level` (0-based) in bytes: M · T^(level+1).
   uint64_t LevelCapacityBytes(int level) const;
@@ -103,21 +92,19 @@ class CompactionPicker {
   /// trigger pre-check. Applies the same snapshot guards as Pick, so a
   /// file whose deletes cannot be reclaimed yet does not arm the trigger;
   /// the due-time guard applies only to due times at or before `now`, so a
-  /// snapshot live at refresh time never disarms a due time to come. A
-  /// `reserved` file counts from when Pick would take it.
+  /// snapshot live at refresh time never disarms a due time to come.
   uint64_t EarliestTtlExpiry(const Version& version, uint64_t now,
-                             OldestSnapshot oldest_snapshot = {},
-                             const std::set<uint64_t>* reserved = nullptr) const;
+                             OldestSnapshot oldest_snapshot = {}) const;
 
   /// Idle-buffer flush guard (Dth/2): a memtable whose oldest tombstone is
   /// older than this must flush so an idle database still meets the
   /// persistence bound. UINT64_MAX when FADE is off.
   uint64_t BufferTtl() const;
 
-  /// kReservationReleaseShare of Dth: the tombstone age that ends an L0
-  /// file's reservation and a held buffer's hold. UINT64_MAX when FADE is
-  /// off (nothing is reserved, and a hold ends only at the next seal).
-  uint64_t ReservationBound() const;
+  /// kHoldReleaseShare of Dth: the tombstone age that ends a held buffer's
+  /// hold and, under the L0 hold, an L0 file's wait. UINT64_MAX when FADE is
+  /// off (a held buffer then waits for the next seal).
+  uint64_t HoldBound() const;
 
   /// Cumulative expiry thresholds c_i per disk level (slot i = level i),
   /// measured against tombstone age since memtable insertion; c_last = Dth.
@@ -156,14 +143,13 @@ class CompactionPicker {
  private:
   CompactionPick PickTtlExpired(const Version& version, uint64_t now,
                                 const std::set<uint64_t>* in_flight,
-                                OldestSnapshot oldest_snapshot,
-                                const std::set<uint64_t>* reserved) const;
+                                OldestSnapshot oldest_snapshot) const;
   CompactionPick PickSaturated(const Version& version,
                                const std::set<uint64_t>* in_flight) const;
 
   /// CumulativeTtls as the TTL pick applies them: under tiered L0, while
   /// L0 holds at most a T-th of L1's bytes, L0's threshold rises to
-  /// ReservationBound() (the L0 hold).
+  /// HoldBound() (the L0 hold).
   std::vector<uint64_t> DeadlineTtls(const Version& version) const;
 
   /// Bytes of next-level files overlapping `file` (SO's objective).

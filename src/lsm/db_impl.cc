@@ -217,24 +217,6 @@ bool DBImpl::HoldForNextSealLocked(const ImmMemTable& imm) const {
               .empty();
 }
 
-std::set<uint64_t> DBImpl::ReservedL0FilesLocked() const {
-  std::set<uint64_t> reserved;
-  if (!GroupsFlushes()) {
-    return reserved;
-  }
-  std::shared_ptr<const Version> version = versions_->current();
-  for (const ImmMemTable& imm : imm_) {
-    if (!imm.mem->has_span()) {
-      continue;
-    }
-    for (const auto& file : version->OverlappingFiles(
-             0, Slice(imm.mem->smallest()), Slice(imm.mem->largest()))) {
-      reserved.insert(file->file_number);
-    }
-  }
-  return reserved;
-}
-
 // ---- scheduling -----------------------------------------------------------
 
 void DBImpl::MaybeScheduleCompactionLocked() {
@@ -374,14 +356,9 @@ void DBImpl::BackgroundCompaction() {
   bool deferred = false;
   if (!closed_ && bg_error_.ok()) {
     std::shared_ptr<const Version> version = versions_->current();
-    const std::set<uint64_t> reserved = ReservedL0FilesLocked();
-    CompactionPick pick =
-        picker_->Pick(*version, options_.clock->NowMicros(),
-                      &versions_->InFlightInputFiles(),
-                      OldestSnapshotLocked(), &reserved);
-    if (pick.ttl_held) {
-      stats_.compactions_ttl_held.fetch_add(1, std::memory_order_relaxed);
-    }
+    CompactionPick pick = picker_->Pick(
+        *version, options_.clock->NowMicros(),
+        &versions_->InFlightInputFiles(), OldestSnapshotLocked());
     if (pick.valid()) {
       Status s = CompactOnce(pick, l, &deferred);
       if (!s.ok()) {

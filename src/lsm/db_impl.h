@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -400,10 +399,10 @@ class DBImpl final : public DB {
   /// there is none, or when the front is held (HoldForNextSealLocked).
   ImmMemTable* NextFlushCandidateLocked();
 
-  /// Whether sealed memtables may share a flush, be held for the next seal
-  /// and reserve L0: background mode, max_imm_memtables >= 2 and leveling.
-  /// A FADE buffer groups too; its deadline ends a hold and a reservation
-  /// (CompactionPicker::ReservationBound).
+  /// Whether sealed memtables may share a flush and be held for the next
+  /// seal: background mode, max_imm_memtables >= 2 and leveling. A FADE
+  /// buffer groups too; its deadline ends a hold
+  /// (CompactionPicker::HoldBound).
   bool GroupsFlushes() const;
 
   /// Whether a flush writes its buffers alone, cut at the L1 file
@@ -418,15 +417,8 @@ class DBImpl final : public DB {
   /// where flushes cut at L1 boundaries): flushes group, its
   /// span overlaps an L0 file (an in-order load never waits), no flush of
   /// it has started before, no caller waits for imm_ to drain, and its
-  /// oldest tombstone (if any) is not yet ReservationBound() old.
+  /// oldest tombstone (if any) is not yet HoldBound() old.
   bool HoldForNextSealLocked(const ImmMemTable& imm) const;
-
-  /// The L0 files some sealed memtable's span overlaps, reserved for its
-  /// pending flush: under FADE the TTL pick passes over them
-  /// (CompactionPicker::Pick) so that it does not push down, between two
-  /// flushes, the L0 data the next flush adds to. Empty unless flushes
-  /// group.
-  std::set<uint64_t> ReservedL0FilesLocked() const;
 
   Status CompactOnce(const CompactionPick& pick,
                      std::unique_lock<std::mutex>& l, bool* deferred);
@@ -740,8 +732,8 @@ class DBImpl final : public DB {
   bool closed_ = false;
 
   // O(1) per-write trigger pre-checks, refreshed on version installs (and
-  // on seals while flushes group: a seal changes the reservations).
-  uint64_t earliest_ttl_expiry_ = UINT64_MAX;  // counts L0 reservations
+  // on seals while flushes group: a seal can start a hold, hold_release_).
+  uint64_t earliest_ttl_expiry_ = UINT64_MAX;
   uint64_t buffer_ttl_ = UINT64_MAX;  // FADE's d_0 for the memtable
   // When the lone sealed memtable's hold ends by its oldest tombstone's
   // age (UINT64_MAX: no such deadline); past it a write re-arms the flush

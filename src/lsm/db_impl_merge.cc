@@ -371,15 +371,13 @@ void DBImpl::UpdateMemtableReservationLocked() {
 
 void DBImpl::RefreshTriggerStateLocked() {
   std::shared_ptr<const Version> version = versions_->current();
-  const std::set<uint64_t> reserved = ReservedL0FilesLocked();
-  earliest_ttl_expiry_ =
-      picker_->EarliestTtlExpiry(*version, options_.clock->NowMicros(),
-                                 OldestSnapshotLocked(), &reserved);
+  earliest_ttl_expiry_ = picker_->EarliestTtlExpiry(
+      *version, options_.clock->NowMicros(), OldestSnapshotLocked());
   buffer_ttl_ = picker_->BufferTtl();
   // A lone sealed memtable is held (HoldForNextSealLocked) until its oldest
-  // tombstone is ReservationBound() old. Seals and installs, the only steps
-  // that change imm_, both refresh while flushes group.
-  const uint64_t bound = picker_->ReservationBound();
+  // tombstone is HoldBound() old. Seals and installs, the only steps that
+  // change imm_, both refresh while flushes group.
+  const uint64_t bound = picker_->HoldBound();
   hold_release_ = UINT64_MAX;
   if (GroupsFlushes() && imm_.size() == 1 && bound != UINT64_MAX &&
       imm_.front().mem->oldest_tombstone_time() != kNoTombstoneTime) {

@@ -512,7 +512,7 @@ Status DBImpl::SwitchMemTableLocked() {
   mem_staked_bytes_ = 0;  // fresh memtable; the frozen one counts as imm
   UpdateMemtableReservationLocked();
   if (GroupsFlushes()) {
-    RefreshTriggerStateLocked();  // the memtable reserves the L0 it overlaps
+    RefreshTriggerStateLocked();  // a lone sealed memtable sets hold_release_
   }
   MaybeScheduleFlushLocked();
   return Status::OK();

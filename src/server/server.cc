@@ -1232,7 +1232,6 @@ std::string RespServer::BuildInfo(const Slice& section) {
     add("flush_memtables", es.flush_memtables);
     add("flush_output_files", es.flush_output_files);
     add("compactions", es.compactions);
-    add("compactions_ttl_held", es.compactions_ttl_held);
     add("secondary_range_deletes", es.secondary_range_deletes);
     add("srd_batches", es.srd_batches);
     add("write_stalls", es.write_stalls);

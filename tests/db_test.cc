@@ -309,9 +309,10 @@ TEST_F(DBTest, FadeBoundsTombstoneAges) {
 }
 
 // The same bound with background workers: two writers race the flush chain
-// and FADE's merges, sealed buffers are held and grouped, and L0 files are
-// reserved for their pending flush. The logical clock advances per op, so
-// a merge that falls behind shows up as an old tombstone.
+// and FADE's merges, sealed buffers are held and grouped, and flushes write
+// tiered L0 runs, whose pushes the L0 hold defers while L0 is small. The
+// logical clock advances per op, so a merge that falls behind shows up as
+// an old tombstone.
 TEST_F(DBTest, FadeBoundsTombstoneAgesInBackground) {
   const uint64_t dth = 200000;
   options_.delete_persistence_threshold_micros = dth;
@@ -2352,12 +2353,12 @@ TEST_F(FlushHoldTest, OverlappingMemtablesShareOneL0Rewrite) {
 }
 
 // A FADE buffer with a tombstone is held and grouped like any other. Its
-// hold also ends once its oldest tombstone has used kReservationReleaseShare
-// of D_th: then the next write flushes it alone.
+// hold also ends once its oldest tombstone has used kHoldReleaseShare of
+// D_th: then the next write flushes it alone.
 TEST_F(FlushHoldTest, FadeBufferWithATombstoneIsHeldUntilItsBound) {
   const uint64_t dth = 1000000000;  // one level: L0's TTL is all of it
   options_.delete_persistence_threshold_micros = dth;
-  const uint64_t bound = static_cast<uint64_t>(dth * kReservationReleaseShare);
+  const uint64_t bound = static_cast<uint64_t>(dth * kHoldReleaseShare);
   Open();
   LoadL0();
   size_t next = 0;
@@ -2386,57 +2387,6 @@ TEST_F(FlushHoldTest, FadeBufferWithATombstoneIsHeldUntilItsBound) {
   ASSERT_TRUE(test::WaitFor(
       [&] { return Wals() == 1 && Flushes() == flushes + 1; }, 10000));
   EXPECT_EQ(FlushMemtables(), memtables + 1);
-  EXPECT_TRUE(model_.CheckAll(db_.get()));
-}
-
-// A sealed memtable reserves the L0 files its span overlaps until its flush
-// installs. The TTL pick passes over a reserved file whose L0 TTL has
-// expired until its oldest tombstone has used kReservationReleaseShare of
-// D_th, and then takes it.
-TEST_F(FlushHoldTest, ReservedL0FileIsPickedOnlyPastTheBound) {
-  const uint64_t dth = 1000000;
-  options_.delete_persistence_threshold_micros = dth;
-  const uint64_t bound = static_cast<uint64_t>(dth * kReservationReleaseShare);
-  Open();
-  // An in-order load merged below L0: two or more levels, so that L0's TTL
-  // is at most (T - 1) / (T^2 - 1) = 1/5 of D_th, and an empty L0, so that
-  // no saturation merge moves the tombstone's L0 file below.
-  for (uint64_t key = 0; key < 4096; key++) {
-    Write(key);
-  }
-  ASSERT_TRUE(test::CallWithin([&] { return db_->CompactAll(); }, 10000).ok());
-  ASSERT_TRUE(impl()->TEST_LevelFiles(0).empty());
-  const uint64_t l0_ttl = dth / 5;
-
-  clock_.AdvanceMicros(1);
-  const uint64_t deleted_at = clock_.NowMicros();
-  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(2001)).ok());
-  ASSERT_TRUE(test::CallWithin([&] { return db_->Flush(); }, 10000).ok());
-  ASSERT_EQ(impl()->TEST_LevelFiles(0).size(), 1u);
-  // A memtable whose span covers every key, so it overlaps the tombstone's
-  // L0 file, and holds no tombstone, so only the next seal ends its hold.
-  std::vector<uint64_t> keys = {1, 4093};
-  for (uint64_t key : odd_) {
-    keys.push_back(key);
-  }
-  size_t next = 0;
-  SealHeld(keys, &next);
-  const uint64_t ttl_picks = db_->stats().compactions_ttl_triggered.load();
-
-  clock_.SetMicros(deleted_at + l0_ttl + (bound - l0_ttl) / 2);
-  Write(keys[next++]);  // expired at L0, but reserved and under the bound
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(db_->stats().compactions_ttl_triggered.load(), ttl_picks);
-  EXPECT_EQ(Wals(), 2u);
-
-  clock_.SetMicros(deleted_at + bound);
-  Write(keys[next++]);  // past the bound
-  EXPECT_TRUE(test::WaitFor(
-      [&] {
-        return db_->stats().compactions_ttl_triggered.load() == ttl_picks + 1;
-      },
-      10000));
-  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
   EXPECT_TRUE(model_.CheckAll(db_.get()));
 }
 
@@ -2888,6 +2838,65 @@ TEST_F(TieredL0Test, RunsServeTheNewestVersionThroughReopenAndRepair) {
   EXPECT_TRUE(
       db_->Get(ReadOptions(), EncodeKey(kExpiringKey), &value).IsNotFound());
   EXPECT_TRUE(model_.CheckAll(db_.get()));
+}
+
+// With L0 past a T-th of L1's bytes the L0 hold is off, and a held sealed
+// memtable does not defer FADE: the TTL pick pushes an L0 file under the
+// memtable's span once the file's L0 TTL passes, before kHoldReleaseShare
+// of D_th.
+TEST_F(TieredL0Test, HeldMemtableDoesNotDeferAnExpiredL0Push) {
+  const uint64_t dth = 1000000;
+  options_.delete_persistence_threshold_micros = dth;
+  options_.write_buffer_bytes = 16 << 10;  // writes seal
+  options_.size_ratio = 4;
+  Open();
+  // An in-order load merged below L1: three or more levels, so that L0's
+  // TTL is at most (T - 1) / (T^3 - 1) = 1/21 of D_th, and an empty L1, so
+  // that the L0 hold is off.
+  for (uint64_t key = 0; key < 4096; key++) {
+    Write(key);
+  }
+  ASSERT_TRUE(test::CallWithin([&] { return db_->CompactAll(); }, 10000).ok());
+  ASSERT_TRUE(impl()->TEST_LevelFiles(0).empty());
+  ASSERT_TRUE(impl()->TEST_LevelFiles(1).empty());
+
+  for (uint64_t key = 0; key < 3600; key += 60) {
+    Write(key);
+  }
+  clock_.AdvanceMicros(1);
+  const uint64_t deleted_at = clock_.NowMicros();
+  ASSERT_TRUE(model_.Write(db_.get(), ModelOp::Delete(60)).ok());
+  Flush();
+  std::set<uint64_t> tombstone_files;
+  for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+    if (file.num_point_tombstones > 0) {
+      tombstone_files.insert(file.file_number);
+    }
+  }
+  ASSERT_EQ(tombstone_files.size(), 1u);
+  // A memtable of odd keys over that file, with no tombstone: only the next
+  // seal ends its hold.
+  size_t next = 0;
+  SealHeld(&next);
+  auto pushed = [&] {
+    for (const FileMeta& file : impl()->TEST_LevelFiles(0)) {
+      if (tombstone_files.count(file.file_number) > 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  clock_.SetMicros(deleted_at + dth / 5);
+  Write(odd_[next++]);  // past L0's TTL, well under the hold bound
+  EXPECT_TRUE(test::WaitFor(pushed, 10000));
+  EXPECT_TRUE(
+      test::CallWithin([&] { return db_->WaitForCompact(); }, 10000).ok());
+  EXPECT_TRUE(impl()->TEST_VerifyTreeInvariants().ok());
+  EXPECT_TRUE(model_.CheckAll(db_.get()));
+  for (const auto& sample : db_->GetTombstoneAges()) {
+    EXPECT_LE(sample.age_micros, dth) << "level " << sample.level;
+  }
 }
 
 // Reopened with FADE off, a flush is greedy again over the runs FADE left:

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "src/env/env.h"
@@ -476,59 +477,84 @@ TEST_F(PickerTest, TtlBoundPerLevel) {
   EXPECT_EQ(pick.inputs[0]->file_number, 2u);
 }
 
-// Under FADE, a file reserved for a pending flush is passed over by the TTL
-// pick until its oldest tombstone has used kReservationReleaseShare of Dth;
-// one with no tombstone (here: a due file) waits for the flush.
-TEST_F(PickerTest, ReservedFileWaitsForTheReleaseBound) {
+// The L0 hold: under tiered L0, while L0 holds at most a T-th of L1's
+// bytes, the TTL pick holds an expired L0 file until its oldest tombstone
+// has used kHoldReleaseShare of Dth. A due file is not held, and once L0
+// outgrows L1/T, or without tiered L0, the plain L0 TTL applies.
+TEST_F(PickerTest, TieredL0HoldsL0UntilTheHoldBound) {
   options_.delete_persistence_threshold_micros = 1000000;
-  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
-  const uint64_t bound = picker_->ReservationBound();
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get(),
+                                               /*tiered_l0=*/true);
+  const uint64_t bound = picker_->HoldBound();
   ASSERT_EQ(bound, 600000u);
 
   VersionEdit edit;
-  FileMeta shallow = MakeFile(1, 0, 9);
+  FileMeta shallow = MakeFile(1, 0, 9, /*run_id=*/1);
   shallow.file_size = 100;
   shallow.num_point_tombstones = 1;
   shallow.oldest_tombstone_time = 0;
-  FileMeta due = MakeFile(2, 20, 29);
-  due.file_size = 100;
-  due.expiry_due = 10;
-  FileMeta deep = MakeFile(3, 0, 9);
-  deep.file_size = 100;
+  FileMeta base = MakeFile(2, 0, 99);
+  base.file_size = 2000;  // L0 (100 bytes) * T = 1000 <= 2000: held
   edit.added_files.emplace_back(0, shallow);
-  edit.added_files.emplace_back(0, due);
-  edit.added_files.emplace_back(2, deep);
+  edit.added_files.emplace_back(1, base);
   auto v = Build(edit);
   const std::vector<uint64_t> ttls = picker_->CumulativeTtls(*v);
   ASSERT_LT(ttls[0], bound);
 
-  const std::set<uint64_t> reserved = {1, 2};
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0, {}, &reserved), bound);
-  CompactionPick pick = picker_->Pick(*v, ttls[0] + 1, nullptr, {}, &reserved);
-  EXPECT_FALSE(pick.valid());
-  EXPECT_TRUE(pick.ttl_held);
-  pick = picker_->Pick(*v, bound, nullptr, {}, &reserved);
-  EXPECT_FALSE(pick.valid());
-  pick = picker_->Pick(*v, bound + 1, nullptr, {}, &reserved);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0), bound);
+  EXPECT_FALSE(picker_->Pick(*v, ttls[0] + 1).valid());
+  EXPECT_FALSE(picker_->Pick(*v, bound).valid());
+  CompactionPick pick = picker_->Pick(*v, bound + 1);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.trigger, CompactionPick::Trigger::kTtlExpiry);
+  EXPECT_EQ(pick.level, 0);
+  EXPECT_EQ(pick.inputs[0]->file_number, 1u);
+
+  // A due file is not held: it goes first, at its due time (L0 is 200
+  // bytes, so the hold still covers the tombstone file).
+  VersionEdit add_due;
+  FileMeta due = MakeFile(3, 20, 29, /*run_id=*/2);
+  due.file_size = 100;
+  due.expiry_due = 10;
+  add_due.added_files.emplace_back(0, due);
+  auto with_due = Build(add_due, v.get());
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*with_due, 0), 10u);
+  EXPECT_FALSE(picker_->Pick(*with_due, 10).valid());
+  pick = picker_->Pick(*with_due, ttls[0] + 1);
+  ASSERT_TRUE(pick.valid());
+  EXPECT_EQ(pick.inputs[0]->file_number, 3u);
+  const std::set<uint64_t> claimed = {3};
+  EXPECT_FALSE(picker_->Pick(*with_due, ttls[0] + 1, &claimed).valid());
+
+  // L0 outgrows L1/T: the hold is off and the plain L0 TTL applies.
+  VersionEdit grow;
+  FileMeta bulk = MakeFile(4, 40, 49, /*run_id=*/3);
+  bulk.file_size = 5000;
+  grow.added_files.emplace_back(0, bulk);
+  auto grown = Build(grow, v.get());
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*grown, 0), ttls[0]);
+  EXPECT_FALSE(picker_->Pick(*grown, ttls[0]).valid());
+  pick = picker_->Pick(*grown, ttls[0] + 1);
   ASSERT_TRUE(pick.valid());
   EXPECT_EQ(pick.inputs[0]->file_number, 1u);
-  EXPECT_TRUE(pick.ttl_held);  // the due file still waits
 
-  // Unreserved, the due file goes first (the earlier deadline).
+  // Without tiered L0 there is no hold.
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0), ttls[0]);
   pick = picker_->Pick(*v, ttls[0] + 1);
   ASSERT_TRUE(pick.valid());
-  EXPECT_EQ(pick.inputs[0]->file_number, 2u);
-  EXPECT_FALSE(pick.ttl_held);
+  EXPECT_EQ(pick.inputs[0]->file_number, 1u);
 
-  // FADE off: nothing is reserved; the due file goes at its due time.
+  // FADE off: no TTL and no hold; the due file goes at its due time.
   options_.delete_persistence_threshold_micros = 0;
-  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get());
-  EXPECT_EQ(picker_->ReservationBound(), UINT64_MAX);
-  EXPECT_EQ(picker_->EarliestTtlExpiry(*v, 0, {}, &reserved), 10u);
-  pick = picker_->Pick(*v, 11, nullptr, {}, &reserved);
+  picker_ = std::make_unique<CompactionPicker>(options_, versions_.get(),
+                                               /*tiered_l0=*/true);
+  EXPECT_EQ(picker_->HoldBound(), UINT64_MAX);
+  EXPECT_EQ(picker_->EarliestTtlExpiry(*with_due, 0), 10u);
+  EXPECT_FALSE(picker_->Pick(*v, bound + 1).valid());
+  pick = picker_->Pick(*with_due, 11);
   ASSERT_TRUE(pick.valid());
-  EXPECT_EQ(pick.inputs[0]->file_number, 2u);
-  EXPECT_FALSE(pick.ttl_held);
+  EXPECT_EQ(pick.inputs[0]->file_number, 3u);
 }
 
 // An expiry due time fires the kTtlExpiry trigger with FADE off, on the
